@@ -26,24 +26,11 @@ import (
 var (
 	loaderOnce sync.Once
 	harness    *bench.Harness
-
-	lexOnce    sync.Once
-	lexHarness *bench.Harness
 )
 
 func benchHarness() *bench.Harness {
 	loaderOnce.Do(func() { harness = bench.NewHarness(false) })
 	return harness
-}
-
-// benchLexHarness loads datasets without dictionary encoding, for the
-// lexical-plane side of the BenchmarkMG allocation gate.
-func benchLexHarness() *bench.Harness {
-	lexOnce.Do(func() {
-		lexHarness = bench.NewHarness(false)
-		lexHarness.Loader.Lexical = true
-	})
-	return lexHarness
 }
 
 var printOnce sync.Map
@@ -202,37 +189,8 @@ func BenchmarkAblationParallelAgg(b *testing.B) {
 // BenchmarkMG runs the flagship multi-grouping query MG1 per engine with
 // tracing disabled — the allocation gate for the observability layer and the
 // data plane: run with -benchmem and compare allocs/op against the previous
-// baseline. The dict sub-benchmarks cover the dictionary-encoded plane (the
-// default load path); the lexical ones pin the original string plane so a
-// regression in either shows up separately.
+// baseline.
 func BenchmarkMG(b *testing.B) {
-	planes := []struct {
-		name string
-		h    *bench.Harness
-	}{
-		{"dict", benchHarness()},
-		{"lexical", benchLexHarness()},
-	}
-	for _, p := range planes {
-		for _, e := range bench.Engines() {
-			e := e
-			h := p.h
-			b.Run(p.name+"/"+e.Name(), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					rs, err := h.Run("MG1", "bsbm-500k", []engine.Engine{e})
-					if err != nil {
-						b.Fatal(err)
-					}
-					report(b, rs)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkEngineMG1 provides per-engine micro-benchmarks for the paper's
-// flagship query.
-func BenchmarkEngineMG1(b *testing.B) {
 	h := benchHarness()
 	for _, e := range bench.Engines() {
 		e := e

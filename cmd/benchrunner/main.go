@@ -12,14 +12,12 @@
 //
 // Experiments: table3, fig8a, fig8b, fig8c, table4, cycles, ablation,
 // prepared (plan-cache speedup, writes BENCH_prepared.json), parallel
-// (sequential vs parallel reduce, writes BENCH_parallel.json), dict
-// (lexical vs dictionary-encoded data plane over the full MG catalog,
-// writes BENCH_dict.json), disk (in-memory vs disk-backed DFS over the
-// full MG catalog, writes BENCH_disk.json), stream (streaming vs
-// materialised intermediates over the full MG catalog, writes
-// BENCH_stream.json), planner (heuristic vs statistics-driven cost-based
-// planner over the BSBM MG queries and the adversarially skewed SK
-// stressors, writes BENCH_planner.json), serve (log-realistic concurrent
+// (sequential vs parallel reduce, writes BENCH_parallel.json), disk
+// (in-memory vs disk-backed DFS over the full MG catalog, writes
+// BENCH_disk.json), stream (streaming vs materialised intermediates over
+// the full MG catalog, writes BENCH_stream.json), planner (heuristic vs
+// statistics-driven cost-based planner over the BSBM MG queries and the
+// adversarially skewed SK stressors, writes BENCH_planner.json), serve (log-realistic concurrent
 // HTTP workload against the serving layer: baseline vs cross-query shared
 // scans + versioned result cache, writes BENCH_serve.json), all.
 package main
@@ -36,7 +34,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: table3, fig8a, fig8b, fig8c, table4, cycles, ablation, prepared, parallel, dict, disk, stream, planner, serve, all")
+		exp      = flag.String("exp", "all", "experiment: table3, fig8a, fig8b, fig8c, table4, cycles, ablation, prepared, parallel, disk, stream, planner, serve, all")
 		verify   = flag.Bool("verify", false, "cross-check every engine result against the in-memory oracle")
 		scale    = flag.Float64("scale", 1, "dataset size multiplier (1 = default laptop scale)")
 		traceOut = flag.String("trace-out", "", "write span trees of a traced MG1 run (all engines, bsbm-500k) as JSON to this file")
@@ -66,7 +64,6 @@ func main() {
 	run("ablation", Ablation)
 	run("prepared", Prepared)
 	run("parallel", Parallel)
-	run("dict", Dict)
 	run("disk", Disk)
 	run("stream", Stream)
 	run("planner", Planner)

@@ -24,7 +24,9 @@ SELECT ?p (COUNT(?o) AS ?n) {
 } GROUP BY ?p ORDER BY DESC(?n)`
 
 func main() {
-	store := ra.NewBSBMStore(300, ra.Options{Nodes: 10, DataScale: 6000})
+	opts := ra.DefaultOptions()
+	opts.Nodes, opts.DataScale = 10, 6000
+	store := ra.NewBSBMStore(300, opts)
 	fmt.Printf("generated BSBM catalog: %d triples\n\n", store.NumTriples())
 
 	fmt.Println("Predicate usage (VoID-style statistics):")

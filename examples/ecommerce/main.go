@@ -49,7 +49,9 @@ SELECT ?f ?c ((?sumF/?cntF) / (?sumT/?cntT) AS ?ratio) {
 func main() {
 	// A store sized like BSBM-500K scaled to a laptop, with the paper's
 	// 10-node cluster cost model extrapolated to the full 175M triples.
-	store := ra.NewBSBMStore(600, ra.Options{Nodes: 10, DataScale: 6000})
+	opts := ra.DefaultOptions()
+	opts.Nodes, opts.DataScale = 10, 6000
+	store := ra.NewBSBMStore(600, opts)
 	fmt.Printf("generated BSBM catalog: %d triples\n\n", store.NumTriples())
 
 	fmt.Println("Engine comparison on the MG3-style query:")

@@ -35,7 +35,9 @@ SELECT ?cid ?g1 ?aPerCG ?aPerC {
 }`
 
 func main() {
-	store := ra.NewChemStore(800, ra.Options{Nodes: 10, DataScale: 12000})
+	opts := ra.DefaultOptions()
+	opts.Nodes, opts.DataScale = 10, 12000
+	store := ra.NewChemStore(800, opts)
 	fmt.Printf("generated chemogenomics graph: %d triples\n\n", store.NumTriples())
 
 	// G5: a 4-star chain query (bioassay → protein → drug-target → drug).

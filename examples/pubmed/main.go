@@ -40,7 +40,9 @@ SELECT ?a ?pty ?perAPT ?perPT {
 func main() {
 	// The paper ran PubMed on a 60-node cluster; DataScale extrapolates our
 	// laptop-sized graph to the 1.7B-triple original.
-	store := ra.NewPubMedStore(2000, ra.Options{Nodes: 60, DataScale: 37000})
+	opts := ra.DefaultOptions()
+	opts.Nodes, opts.DataScale = 60, 37000
+	store := ra.NewPubMedStore(2000, opts)
 	fmt.Printf("generated PubMed graph: %d triples\n\n", store.NumTriples())
 
 	fmt.Println("MG11 — grant-funded journal publications per country vs. total:")

@@ -14,7 +14,9 @@ import (
 )
 
 func main() {
-	store := ra.NewBSBMStore(400, ra.Options{Nodes: 10, DataScale: 6000})
+	opts := ra.DefaultOptions()
+	opts.Nodes, opts.DataScale = 10, 6000
+	store := ra.NewBSBMStore(400, opts)
 	fmt.Printf("generated BSBM catalog: %d triples\n\n", store.NumTriples())
 
 	query, err := ra.BuildRollup(ra.RollupSpec{

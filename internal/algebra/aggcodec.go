@@ -9,17 +9,12 @@ import (
 	"rapidanalytics/internal/sparql"
 )
 
-// UpdateTerm folds one bound value into the state. When d is non-nil the
-// value is a dictionary ID-string (the dictionary plane): COUNT needs no
-// decode at all, SUM/AVG use the dictionary's cached numeric value instead
-// of re-parsing the lexical form per row, and MIN/MAX/DISTINCT decode to
-// the lexical form so partial states stay byte-identical to the lexical
-// plane's. A nil d is the lexical plane and defers to Update.
+// UpdateTerm folds one bound value, given as its ID-string in d, into the
+// state: COUNT needs no decode at all, SUM/AVG use the dictionary's cached
+// numeric value instead of re-parsing the lexical form per row, and
+// MIN/MAX/DISTINCT decode to the lexical form, which is what partial states
+// carry (Update).
 func (s *AggState) UpdateTerm(d *rdf.Dict, value string) {
-	if d == nil {
-		s.Update(value)
-		return
-	}
 	if IsNull(value) || value == "" {
 		return
 	}

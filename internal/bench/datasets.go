@@ -150,10 +150,6 @@ type Loader struct {
 	// sequential reduce path. Output and volume metrics are identical for
 	// every setting.
 	ReduceWorkers int
-	// Lexical loads datasets without dictionary encoding (the original
-	// lexical data plane). Result rows are identical either way; volumes
-	// differ.
-	Lexical bool
 	// Storage selects the DFS backend for every loaded cluster: "mem",
 	// "disk", or "" to honor the RAPID_STORAGE environment default.
 	Storage string
@@ -199,7 +195,7 @@ func (l *Loader) Load(id string) (*mapred.Cluster, *engine.Dataset, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	ds, err := engine.LoadWith(c, spec.ID, g, engine.LoadOptions{DictionaryEncoding: !l.Lexical})
+	ds, err := engine.Load(c, spec.ID, g)
 	if err != nil {
 		return nil, nil, fmt.Errorf("bench: loading %s: %w", id, err)
 	}

@@ -3,9 +3,11 @@ package bench
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"rapidanalytics/internal/algebra"
 	"rapidanalytics/internal/engine"
+	"rapidanalytics/internal/mapred"
 	"rapidanalytics/internal/sparql"
 )
 
@@ -168,4 +170,20 @@ func RenderDisk(rep *DiskReport) string {
 	fmt.Fprintf(&b, "spill runs: %d (%d bytes); outputs identical: %v\n",
 		rep.TotalSpillRuns, rep.TotalSpillBytes, rep.AllIdentical)
 	return b.String()
+}
+
+// dictExec loads the dataset through l and times one execution of aq on e,
+// returning the wall time in milliseconds. Shared by the storage and
+// streaming comparisons.
+func dictExec(l *Loader, datasetID string, e engine.Engine, aq *algebra.AnalyticalQuery) (*engine.Result, *mapred.WorkflowMetrics, float64, error) {
+	c, ds, err := l.Load(datasetID)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	start := time.Now()
+	res, wm, err := e.Execute(c, ds, aq)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return res, wm, float64(time.Since(start).Microseconds()) / 1000, nil
 }

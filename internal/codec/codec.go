@@ -49,10 +49,12 @@ func ReadUvarint(buf []byte) (uint64, []byte, error) {
 	return v, buf[k:], nil
 }
 
-// Tuple is a row of column values. In the lexical plane engines store RDF
-// terms in Term.Key form and NULLs as algebra.Null; in the dictionary plane
-// each field is a term's uvarint ID-string (see rdf.Dict) and NULL is the
-// ID-string of ID 0, which is the same byte as algebra.Null.
+// Tuple is a row of column values. Stored tables, intermediates and shuffle
+// values are ID-tuples: each field is a term's uvarint ID-string (see
+// rdf.Dict) and NULL is the ID-string of ID 0, which is the same byte as
+// algebra.Null (EncodeIDs / DecodeIDTuple). Result rows, past the final
+// aggregation's decode boundary, hold RDF terms in Term.Key form and NULLs
+// as algebra.Null (Encode / DecodeTuple).
 type Tuple []string
 
 // EncodedLen returns the exact size of the tuple's Encode output.

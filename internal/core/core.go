@@ -55,13 +55,6 @@ type Options struct {
 	// that can match each star's primary properties (the paper's
 	// pre-processing benefit); disabled, every class is scanned.
 	InputPruning bool
-	// DictionaryEncoding runs the whole data plane on compact integer term
-	// IDs (rdf.Dict) instead of lexical term keys, decoding back to
-	// lexical form only at the aggregation boundary. The plane is physical:
-	// it is consumed at dataset-load time (engine.LoadWith / the bench
-	// loaders honour it), and at query time every engine follows the plane
-	// the dataset was materialised in (Dataset.Dict).
-	DictionaryEncoding bool
 	// CostPlanner orders join chains by predicted cardinality from the
 	// dataset's statistics catalog (internal/stats) and sizes reduce
 	// partitions from the predictions, with a mid-query re-plan hook;
@@ -79,7 +72,6 @@ func DefaultOptions() Options {
 		AlphaFiltering:      true,
 		HashAggregation:     true,
 		InputPruning:        true,
-		DictionaryEncoding:  true,
 		CostPlanner:         true,
 		ReplanRatio:         rapid.DefaultReplanRatio,
 	}

@@ -26,41 +26,21 @@ type Dataset struct {
 	Graph *rdf.Graph
 	VP    *store.VPStore
 	TG    *store.TGStore
-	// Dict is the term dictionary when the dataset was loaded with
-	// dictionary encoding: stored tables and triplegroups are in the
-	// compact ID plane and engines decode back to lexical form only at the
-	// final aggregation boundary. Nil means the lexical plane.
+	// Dict is the dataset's term dictionary, always present: stored tables
+	// and triplegroups hold compact integer term IDs (rdf.Dict ID-strings)
+	// and engines decode back to lexical form only at the final
+	// aggregation boundary.
 	Dict *rdf.Dict
 	// Stats is the load-time statistics catalog the cost-based planner
 	// consumes (predicate counts, characteristic sets). Always collected by
-	// LoadWith; engines with the cost planner disabled ignore it.
+	// Load; engines with the cost planner disabled ignore it.
 	Stats *stats.Catalog
 }
 
-// LoadOptions configures dataset materialisation.
-type LoadOptions struct {
-	// DictionaryEncoding stores both physical layouts in the dictionary
-	// plane (integer term IDs end-to-end; see rdf.Dict). Off reproduces
-	// the original lexical layouts.
-	DictionaryEncoding bool
-}
-
-// DefaultLoadOptions enables dictionary encoding.
-func DefaultLoadOptions() LoadOptions { return LoadOptions{DictionaryEncoding: true} }
-
 // Load materialises the graph into the cluster's file system under the
-// dataset name with the default options (dictionary encoding on).
+// dataset name, dictionary-encoding both physical layouts.
 func Load(c *mapred.Cluster, name string, g *rdf.Graph) (*Dataset, error) {
-	return LoadWith(c, name, g, DefaultLoadOptions())
-}
-
-// LoadWith materialises the graph into the cluster's file system under the
-// dataset name.
-func LoadWith(c *mapred.Cluster, name string, g *rdf.Graph, opts LoadOptions) (*Dataset, error) {
-	var d *rdf.Dict
-	if opts.DictionaryEncoding {
-		d = rdf.NewDict()
-	}
+	d := rdf.NewDict()
 	vp, err := store.BuildVP(c.FS, g, name+"/vp", d)
 	if err != nil {
 		return nil, fmt.Errorf("engine: loading %s: %w", name, err)

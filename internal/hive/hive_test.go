@@ -8,6 +8,7 @@ import (
 	"rapidanalytics/internal/algebra"
 	"rapidanalytics/internal/codec"
 	"rapidanalytics/internal/mapred"
+	"rapidanalytics/internal/rdf"
 	"rapidanalytics/internal/sparql"
 )
 
@@ -17,20 +18,36 @@ func newCluster() *mapred.Cluster {
 	return mapred.NewCluster(cfg)
 }
 
-func writeTuples(c *mapred.Cluster, name string, rows ...codec.Tuple) {
+// idRow interns a term-key row into d the way store.BuildVP does; NULL
+// fields keep the reserved NULL ID-string.
+func idRow(d *rdf.Dict, row codec.Tuple) codec.Tuple {
+	out := make(codec.Tuple, len(row))
+	for i, f := range row {
+		if algebra.IsNull(f) {
+			out[i] = f
+		} else {
+			out[i] = d.AddString(f)
+		}
+	}
+	return out
+}
+
+// writeTuples stores term-key rows as the ID-tuples every rel scans.
+func writeTuples(c *mapred.Cluster, d *rdf.Dict, name string, rows ...codec.Tuple) {
 	w, err := c.FS.Create(name, 1)
 	if err != nil {
 		panic(err)
 	}
 	for _, r := range rows {
-		w.Write(r.Encode())
+		w.Write(idRow(d, r).EncodeIDs())
 	}
 	if err := w.Close(); err != nil {
 		panic(err)
 	}
 }
 
-func readRows(t *testing.T, c *mapred.Cluster, name string) []string {
+// readRecords returns the raw records of a job output.
+func readRecords(t *testing.T, c *mapred.Cluster, name string) [][]byte {
 	t.Helper()
 	f, err := c.FS.Open(name)
 	if err != nil {
@@ -41,8 +58,35 @@ func readRows(t *testing.T, c *mapred.Cluster, name string) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return recs
+}
+
+// readRows reads a join or DISTINCT output — ID-tuples, decoded through d —
+// as sorted "|"-joined term-key rows.
+func readRows(t *testing.T, c *mapred.Cluster, d *rdf.Dict, name string) []string {
+	t.Helper()
+	r := &rel{dict: d}
 	var out []string
-	for _, rec := range recs {
+	for _, rec := range readRecords(t, c, name) {
+		tu, err := r.decode(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range tu {
+			tu[i] = r.lexOf(v)
+		}
+		out = append(out, strings.Join(tu, "|"))
+	}
+	sort.Strings(out)
+	return out
+}
+
+// readResultRows reads an aggregation output — lexical result rows, past
+// the decode boundary — as sorted "|"-joined rows.
+func readResultRows(t *testing.T, c *mapred.Cluster, name string) []string {
+	t.Helper()
+	var out []string
+	for _, rec := range readRecords(t, c, name) {
 		tu, err := codec.DecodeTuple(rec)
 		if err != nil {
 			t.Fatal(err)
@@ -54,27 +98,30 @@ func readRows(t *testing.T, c *mapred.Cluster, name string) []string {
 }
 
 func TestRelScan(t *testing.T) {
+	d := rdf.NewDict()
+	raw := func(fields ...string) codec.Tuple { return idRow(d, fields) }
 	r := &rel{
 		file:   "f",
 		cols:   []string{"s", "", "o"},
-		consts: map[int]string{1: "LX"},
+		consts: map[int]string{1: d.AddString("LX")},
 		filters: []sparql.Filter{{
 			Kind: sparql.FilterCompare, Var: "o", Op: ">", Value: "5", IsNumeric: true,
 		}},
+		dict: d,
 	}
 	if got := r.outCols(); strings.Join(got, ",") != "s,o" {
 		t.Errorf("outCols = %v", got)
 	}
-	if row, ok := r.scan(codec.Tuple{"Is1", "LX", "L10"}); !ok || row[0] != "Is1" || row[1] != "L10" {
+	if row, ok := r.scan(raw("Is1", "LX", "L10")); !ok || r.lexOf(row[0]) != "Is1" || r.lexOf(row[1]) != "L10" {
 		t.Errorf("scan = %v, %v", row, ok)
 	}
-	if _, ok := r.scan(codec.Tuple{"Is1", "LY", "L10"}); ok {
+	if _, ok := r.scan(raw("Is1", "LY", "L10")); ok {
 		t.Error("constant check not applied")
 	}
-	if _, ok := r.scan(codec.Tuple{"Is1", "LX", "L3"}); ok {
+	if _, ok := r.scan(raw("Is1", "LX", "L3")); ok {
 		t.Error("filter not applied")
 	}
-	if _, ok := r.scan(codec.Tuple{"Is1"}); ok {
+	if _, ok := r.scan(raw("Is1")); ok {
 		t.Error("arity mismatch accepted")
 	}
 	if r.colIndex("o") != 1 || r.colIndex("s") != 0 || r.colIndex("zz") != -1 {
@@ -82,36 +129,36 @@ func TestRelScan(t *testing.T) {
 	}
 }
 
-func starFixture(c *mapred.Cluster) []*starInput {
-	writeTuples(c, "t_type", codec.Tuple{"Ip1"}, codec.Tuple{"Ip2"})
-	writeTuples(c, "t_label",
+func starFixture(c *mapred.Cluster, d *rdf.Dict) []*starInput {
+	writeTuples(c, d, "t_type", codec.Tuple{"Ip1"}, codec.Tuple{"Ip2"})
+	writeTuples(c, d, "t_label",
 		codec.Tuple{"Ip1", "Lone"},
 		codec.Tuple{"Ip2", "Ltwo"},
 		codec.Tuple{"Ip3", "Lthree"}, // no type: drops out
 	)
-	writeTuples(c, "t_pf",
+	writeTuples(c, d, "t_pf",
 		codec.Tuple{"Ip1", "If1"},
 		codec.Tuple{"Ip1", "If2"}, // multi-valued
 	)
 	return []*starInput{
-		{rel: &rel{file: "t_type", cols: []string{"p"}}, keyCol: "p"},
-		{rel: &rel{file: "t_label", cols: []string{"p", "l"}}, keyCol: "p"},
-		{rel: &rel{file: "t_pf", cols: []string{"p", "f"}}, keyCol: "p", optional: true},
+		{rel: &rel{file: "t_type", cols: []string{"p"}, dict: d}, keyCol: "p"},
+		{rel: &rel{file: "t_label", cols: []string{"p", "l"}, dict: d}, keyCol: "p"},
+		{rel: &rel{file: "t_pf", cols: []string{"p", "f"}, dict: d}, keyCol: "p", optional: true},
 	}
 }
 
 // Inner + left-outer star join, reduce-side and map-side must agree.
 func TestStarJoinVariantsAgree(t *testing.T) {
-	c1 := newCluster()
-	inputs1 := starFixture(c1)
+	c1, d1 := newCluster(), rdf.NewDict()
+	inputs1 := starFixture(c1, d1)
 	job1, out1 := starJoinJob("sj", inputs1, nil, "out1", 1)
 	if _, err := c1.Run(job1); err != nil {
 		t.Fatal(err)
 	}
-	reduceRows := readRows(t, c1, "out1")
+	reduceRows := readRows(t, c1, d1, "out1")
 
-	c2 := newCluster()
-	inputs2 := starFixture(c2)
+	c2, d2 := newCluster(), rdf.NewDict()
+	inputs2 := starFixture(c2, d2)
 	job2, out2 := starMapJoinJob("sj", inputs2, 1 /* drive on label */, nil, "out2", 1)
 	m, err := c2.Run(job2)
 	if err != nil {
@@ -120,7 +167,7 @@ func TestStarJoinVariantsAgree(t *testing.T) {
 	if !m.MapOnly {
 		t.Error("map join not map-only")
 	}
-	mapRows := readRows(t, c2, "out2")
+	mapRows := readRows(t, c2, d2, "out2")
 
 	// Expected: p1 x {f1, f2}, p2 with NULL feature; p3 dropped.
 	if len(reduceRows) != 3 {
@@ -149,18 +196,18 @@ func TestStarJoinVariantsAgree(t *testing.T) {
 
 func TestJoinJobAndMapJoinAgree(t *testing.T) {
 	build := func() (*mapred.Cluster, *rel, *rel) {
-		c := newCluster()
-		writeTuples(c, "L",
+		c, d := newCluster(), rdf.NewDict()
+		writeTuples(c, d, "L",
 			codec.Tuple{"Ia", "L1"},
 			codec.Tuple{"Ib", "L2"},
 			codec.Tuple{"Ia", "L3"},
 		)
-		writeTuples(c, "R",
+		writeTuples(c, d, "R",
 			codec.Tuple{"Ix", "Ia"},
 			codec.Tuple{"Iy", "Ia"},
 			codec.Tuple{"Iz", "Ic"},
 		)
-		return c, &rel{file: "L", cols: []string{"k", "v"}}, &rel{file: "R", cols: []string{"s", "k"}}
+		return c, &rel{file: "L", cols: []string{"k", "v"}, dict: d}, &rel{file: "R", cols: []string{"s", "k"}, dict: d}
 	}
 	c1, l1, r1 := build()
 	j1, _ := joinJob("j", l1, r1, "k", "k", nil, "out", 1)
@@ -172,7 +219,7 @@ func TestJoinJobAndMapJoinAgree(t *testing.T) {
 	if _, err := c2.Run(j2); err != nil {
 		t.Fatal(err)
 	}
-	a, b := readRows(t, c1, "out"), readRows(t, c2, "out")
+	a, b := readRows(t, c1, l1.dict, "out"), readRows(t, c2, l2.dict, "out")
 	if strings.Join(a, ";") != strings.Join(b, ";") {
 		t.Errorf("join variants disagree:\n%v\n%v", a, b)
 	}
@@ -182,13 +229,13 @@ func TestJoinJobAndMapJoinAgree(t *testing.T) {
 }
 
 func TestGroupAggJob(t *testing.T) {
-	c := newCluster()
-	writeTuples(c, "in",
+	c, d := newCluster(), rdf.NewDict()
+	writeTuples(c, d, "in",
 		codec.Tuple{"Ig1", "L10"},
 		codec.Tuple{"Ig1", "L20"},
 		codec.Tuple{"Ig2", "L5"},
 	)
-	in := &rel{file: "in", cols: []string{"g", "v"}}
+	in := &rel{file: "in", cols: []string{"g", "v"}, dict: d}
 	aggs := []algebra.AggSpec{
 		{Func: sparql.Count, Var: "v", As: "cnt"},
 		{Func: sparql.Avg, Var: "v", As: "avg"},
@@ -197,7 +244,7 @@ func TestGroupAggJob(t *testing.T) {
 	if _, err := c.Run(job); err != nil {
 		t.Fatal(err)
 	}
-	rows := readRows(t, c, "out")
+	rows := readResultRows(t, c, "out")
 	want := []string{"Ig1|2|15", "Ig2|1|5"}
 	if strings.Join(rows, ";") != strings.Join(want, ";") {
 		t.Errorf("rows = %v", rows)
@@ -208,50 +255,50 @@ func TestGroupAggJob(t *testing.T) {
 }
 
 func TestGroupAggJobGroupByAll(t *testing.T) {
-	c := newCluster()
-	writeTuples(c, "in", codec.Tuple{"L1"}, codec.Tuple{"L2"})
-	in := &rel{file: "in", cols: []string{"v"}}
+	c, d := newCluster(), rdf.NewDict()
+	writeTuples(c, d, "in", codec.Tuple{"L1"}, codec.Tuple{"L2"})
+	in := &rel{file: "in", cols: []string{"v"}, dict: d}
 	job, _ := groupAggJob("agg", in, nil, []algebra.AggSpec{{Func: sparql.Sum, Var: "v", As: "s"}}, nil, nil, "out")
 	if _, err := c.Run(job); err != nil {
 		t.Fatal(err)
 	}
-	rows := readRows(t, c, "out")
+	rows := readResultRows(t, c, "out")
 	if len(rows) != 1 || rows[0] != "3" {
 		t.Errorf("rows = %v", rows)
 	}
 }
 
 func TestGroupAggValidityFilter(t *testing.T) {
-	c := newCluster()
-	writeTuples(c, "in",
+	c, d := newCluster(), rdf.NewDict()
+	writeTuples(c, d, "in",
 		codec.Tuple{"Ig1", "L10", algebra.Null},
 		codec.Tuple{"Ig1", "L20", "Lx"},
 	)
-	in := &rel{file: "in", cols: []string{"g", "v", "sec"}}
+	in := &rel{file: "in", cols: []string{"g", "v", "sec"}, dict: d}
 	valid := func(row codec.Tuple) bool { return !algebra.IsNull(row[2]) }
 	job, _ := groupAggJob("agg", in, []string{"g"}, []algebra.AggSpec{{Func: sparql.Count, Var: "v", As: "c"}}, valid, nil, "out")
 	if _, err := c.Run(job); err != nil {
 		t.Fatal(err)
 	}
-	rows := readRows(t, c, "out")
+	rows := readResultRows(t, c, "out")
 	if len(rows) != 1 || rows[0] != "Ig1|1" {
 		t.Errorf("rows = %v", rows)
 	}
 }
 
 func TestDistinctJob(t *testing.T) {
-	c := newCluster()
-	writeTuples(c, "in",
+	c, d := newCluster(), rdf.NewDict()
+	writeTuples(c, d, "in",
 		codec.Tuple{"Ia", "L1", "Ljunk1"},
 		codec.Tuple{"Ia", "L1", "Ljunk2"}, // same after projection
 		codec.Tuple{"Ib", "L2", "Ljunk3"},
 	)
-	in := &rel{file: "in", cols: []string{"s", "v", "junk"}}
+	in := &rel{file: "in", cols: []string{"s", "v", "junk"}, dict: d}
 	job, out := distinctJob("d", in, []string{"s", "v"}, nil, "out")
 	if _, err := c.Run(job); err != nil {
 		t.Fatal(err)
 	}
-	rows := readRows(t, c, "out")
+	rows := readRows(t, c, d, "out")
 	if strings.Join(rows, ";") != "Ia|L1;Ib|L2" {
 		t.Errorf("rows = %v", rows)
 	}
@@ -261,11 +308,11 @@ func TestDistinctJob(t *testing.T) {
 }
 
 func TestStarJoinDuplicateFileRejected(t *testing.T) {
-	c := newCluster()
-	writeTuples(c, "same", codec.Tuple{"Ia", "L1"})
+	c, d := newCluster(), rdf.NewDict()
+	writeTuples(c, d, "same", codec.Tuple{"Ia", "L1"})
 	inputs := []*starInput{
-		{rel: &rel{file: "same", cols: []string{"p", "x"}}, keyCol: "p"},
-		{rel: &rel{file: "same", cols: []string{"p", "y"}}, keyCol: "p"},
+		{rel: &rel{file: "same", cols: []string{"p", "x"}, dict: d}, keyCol: "p"},
+		{rel: &rel{file: "same", cols: []string{"p", "y"}, dict: d}, keyCol: "p"},
 	}
 	r := newRunner(c, "tmp/t")
 	conf := Config{MapJoinBytes: 0} // force reduce-side

@@ -109,7 +109,7 @@ func (h *MQO) evalComposite(run *runner, ds *engine.Dataset, cp *algebra.Composi
 				r.cols = []string{cs.SubjectVar}
 			case !p.TP.O.IsVar:
 				r.cols = []string{cs.SubjectVar, cols[i][j]}
-				r.consts = map[int]string{1: planeConst(ds.Dict, p.TP.O.Term.Key())}
+				r.consts = map[int]string{1: ds.Dict.KeyString(p.TP.O.Term.Key())}
 			default:
 				r.cols = []string{cs.SubjectVar, cols[i][j]}
 				for _, f := range cp.Filters {

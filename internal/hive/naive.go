@@ -115,7 +115,7 @@ func starScanInputs(run *runner, ds *engine.Dataset, st *algebra.StarPattern, fi
 			if tp.O.IsVar {
 				r.cols[2] = tp.O.Var
 			} else {
-				r.consts = map[int]string{2: planeConst(ds.Dict, tp.O.Term.Key())}
+				r.consts = map[int]string{2: ds.Dict.KeyString(tp.O.Term.Key())}
 			}
 			for _, f := range filters {
 				if f.Var == tp.P.Var || (tp.O.IsVar && f.Var == tp.O.Var) {
@@ -139,7 +139,7 @@ func starScanInputs(run *runner, ds *engine.Dataset, st *algebra.StarPattern, fi
 			r.cols = []string{st.SubjectVar}
 		case !tp.O.IsVar:
 			r.cols = []string{st.SubjectVar, ""}
-			r.consts = map[int]string{1: planeConst(ds.Dict, tp.O.Term.Key())}
+			r.consts = map[int]string{1: ds.Dict.KeyString(tp.O.Term.Key())}
 		default:
 			r.cols = []string{st.SubjectVar, tp.O.Var}
 			for _, f := range filters {
@@ -167,7 +167,7 @@ func starScanInputs(run *runner, ds *engine.Dataset, st *algebra.StarPattern, fi
 			r.cols = []string{st.SubjectVar}
 		case !tp.O.IsVar:
 			r.cols = []string{st.SubjectVar, ""}
-			r.consts = map[int]string{1: planeConst(ds.Dict, tp.O.Term.Key())}
+			r.consts = map[int]string{1: ds.Dict.KeyString(tp.O.Term.Key())}
 		default:
 			r.cols = []string{st.SubjectVar, tp.O.Var}
 		}

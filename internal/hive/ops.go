@@ -14,7 +14,6 @@ package hive
 
 import (
 	"fmt"
-	"strings"
 
 	"rapidanalytics/internal/algebra"
 	"rapidanalytics/internal/codec"
@@ -77,33 +76,27 @@ type rel struct {
 	file string
 	// cols names each raw tuple field; "" drops the field on scan.
 	cols []string
-	// consts maps raw field index to a required value (Term.Key form);
+	// consts maps raw field index to a required value, an ID-string
+	// (Dict.KeyString: a constant absent from the data matches no tuple);
 	// non-matching tuples are dropped.
 	consts map[int]string
 	// filters are pushed-down FILTER constraints, keyed by column name.
 	filters []sparql.Filter
-	// dict is non-nil when the relation's tuples are in the dictionary
-	// plane (compact ID-tuples whose fields are rdf.Dict ID-strings). The
-	// planner resolves constant checks into the same plane, so scans compare
-	// raw field bytes either way; filters decode through the dictionary
-	// before evaluation. Nil is the lexical plane.
+	// dict is the dataset's dictionary: the relation's tuples are compact
+	// ID-tuples whose fields are its ID-strings. The planner resolves
+	// constant checks to ID-strings too, so scans compare raw field bytes;
+	// filters decode through the dictionary before evaluation.
 	dict *rdf.Dict
 }
 
-// decode parses one raw record of the relation's file in its plane.
+// decode parses one raw record of the relation's file.
 func (r *rel) decode(rec []byte) (codec.Tuple, error) {
-	if r.dict != nil {
-		return codec.DecodeIDTuple(rec, r.dict)
-	}
-	return codec.DecodeTuple(rec)
+	return codec.DecodeIDTuple(rec, r.dict)
 }
 
-// lexOf translates a plane value to its lexical Term.Key form for filter
-// evaluation. Lexical-plane values pass through.
+// lexOf translates an ID-string to its lexical Term.Key form for filter
+// evaluation.
 func (r *rel) lexOf(v string) string {
-	if r.dict == nil {
-		return v
-	}
 	if lex, ok := r.dict.Lex(v); ok {
 		if lex == "" {
 			return algebra.Null
@@ -113,39 +106,14 @@ func (r *rel) lexOf(v string) string {
 	return v
 }
 
-// planeEncode serialises a row in the plane selected by d.
-//
-//rapid:hot
-func planeEncode(d *rdf.Dict, row codec.Tuple) []byte {
-	if d != nil {
-		return row.EncodeIDs()
-	}
-	return row.Encode()
-}
-
 // planeEncodeTagged serialises a row with a leading tag byte in a single
 // allocation — the hot emit path of the reduce-side joins.
 //
 //rapid:hot
-func planeEncodeTagged(d *rdf.Dict, tag byte, row codec.Tuple) []byte {
-	if d != nil {
-		buf := make([]byte, 1, 1+row.EncodedIDsLen())
-		buf[0] = tag
-		return row.AppendEncodeIDs(buf)
-	}
-	buf := make([]byte, 1, 1+row.EncodedLen())
+func planeEncodeTagged(tag byte, row codec.Tuple) []byte {
+	buf := make([]byte, 1, 1+row.EncodedIDsLen())
 	buf[0] = tag
-	return row.AppendEncode(buf)
-}
-
-// planeConst translates a lexical term key into the dataset's plane, for
-// pushed-down constant-object checks. Keys absent from the dictionary map to
-// an ID-string that matches no data value.
-func planeConst(d *rdf.Dict, key string) string {
-	if d == nil {
-		return key
-	}
-	return d.KeyString(key)
+	return row.AppendEncodeIDs(buf)
 }
 
 // outCols returns the named columns a scan of the relation produces.
@@ -201,8 +169,8 @@ func (r *rel) colIndex(name string) int {
 	return -1
 }
 
-// materialized returns a rel describing a job output with the given columns,
-// in the plane selected by d.
+// materialized returns a rel describing a job output of ID-tuples with the
+// given columns.
 func materialized(file string, cols []string, d *rdf.Dict) *rel {
 	return &rel{file: file, cols: cols, dict: d}
 }
@@ -299,13 +267,13 @@ func starJoinJob(name string, inputs []*starInput, keep map[string]bool, output 
 				if !ok {
 					return nil
 				}
-				emit(row[keyPos], planeEncodeTagged(d, tag, row))
+				emit(row[keyPos], planeEncodeTagged(tag, row))
 				return nil
 			})
 		},
 		NewReducer: func() mapred.Reducer {
 			return mapred.ReducerFunc(func(key string, values [][]byte, emit mapred.Emit) error {
-				return reduceStar(key, values, inputs, keep, d, emit)
+				return reduceStar(key, values, inputs, keep, emit)
 			})
 		},
 	}
@@ -314,7 +282,7 @@ func starJoinJob(name string, inputs []*starInput, keep map[string]bool, output 
 
 // reduceStar joins one subject's rows across all inputs, honouring
 // optional (left-outer) inputs.
-func reduceStar(key string, values [][]byte, inputs []*starInput, keep map[string]bool, d *rdf.Dict, emit mapred.Emit) error {
+func reduceStar(key string, values [][]byte, inputs []*starInput, keep map[string]bool, emit mapred.Emit) error {
 	perInput := make([][]codec.Tuple, len(inputs))
 	for _, v := range values {
 		if len(v) < 1 {
@@ -362,7 +330,7 @@ func reduceStar(key string, values [][]byte, inputs []*starInput, keep map[strin
 		rows = next
 	}
 	for _, r := range rows {
-		emit("", planeEncode(d, r))
+		emit("", r.EncodeIDs())
 	}
 	return nil
 }
@@ -454,7 +422,7 @@ func starMapJoinJob(name string, inputs []*starInput, driving int, keep map[stri
 					rows = next
 				}
 				for _, r := range rows {
-					emit("", planeEncode(d, r))
+					emit("", r.EncodeIDs())
 				}
 				return nil
 			})
@@ -491,12 +459,12 @@ func joinJob(name string, left, right *rel, leftCol, rightCol string, keep map[s
 				if !ok {
 					return nil
 				}
-				emit(row[keyPos], planeEncodeTagged(d, tag, row))
+				emit(row[keyPos], planeEncodeTagged(tag, row))
 				return nil
 			})
 		},
 		NewReducer: func() mapred.Reducer {
-			return symJoinReducer(left, right, leftCol, rightCol, keep, d)
+			return symJoinReducer(left, right, leftCol, rightCol, keep)
 		},
 	}
 	return job, materialized(output, outCols, d)
@@ -538,7 +506,7 @@ func mapJoinJob(name string, left, right *rel, leftCol, rightCol string, keep ma
 					return nil
 				}
 				for _, m := range h[row[leftKeyPos]] {
-					emit("", planeEncode(d, mergeJoinRow(left, right, leftCol, rightCol, keep, row, m)))
+					emit("", mergeJoinRow(left, right, leftCol, rightCol, keep, row, m).EncodeIDs())
 				}
 				return nil
 			})
@@ -617,10 +585,7 @@ func groupAggJob(name string, in *rel, groupCols []string, aggs []algebra.AggSpe
 					return nil
 				}
 				keyBuf = keyBuf[:0]
-				for i, p := range groupPos {
-					if d == nil && i > 0 {
-						keyBuf = append(keyBuf, 0x1f)
-					}
+				for _, p := range groupPos {
 					keyBuf = append(keyBuf, row[p]...)
 				}
 				st := algebra.NewMultiAggState(aggs)
@@ -635,18 +600,16 @@ func groupAggJob(name string, in *rel, groupCols []string, aggs []algebra.AggSpe
 		NewReducer:  func() mapred.Reducer { return aggMerger(aggs, true, groupCols, having, d) },
 	}
 	// The reducer decodes group keys back to lexical form: aggregate outputs
-	// are the plane boundary, so the output rel is lexical in both planes.
-	return job, materialized(output, outCols, nil)
+	// are the decode boundary. The returned rel names the file and schema of
+	// those result rows (codec.DecodeTuple, read by the engine's final
+	// join); it carries no dictionary and is not scannable by the jobs here.
+	return job, &rel{file: output, cols: outCols}
 }
 
-// splitGroupKey recovers the group values from a grouping key. Lexical keys
-// are "\x1f"-joined; dictionary-plane keys are separator-free concatenations
-// of self-delimiting uvarint ID-strings, decoded back to lexical Term.Key
-// form here — the plane's decode boundary.
+// splitGroupKey recovers the group values from a grouping key: a
+// separator-free concatenation of self-delimiting uvarint ID-strings,
+// decoded back to lexical Term.Key form here — the decode boundary.
 func splitGroupKey(d *rdf.Dict, key string) ([]string, error) {
-	if d == nil {
-		return strings.Split(key, "\x1f"), nil
-	}
 	var out []string
 	buf := []byte(key)
 	for len(buf) > 0 {
@@ -670,9 +633,9 @@ func splitGroupKey(d *rdf.Dict, key string) ([]string, error) {
 
 // aggMerger merges encoded MultiAggStates per key. As a combiner it
 // re-emits the merged state; as a reducer it emits the final row, dropping
-// groups that fail the HAVING predicate. With a non-nil dictionary the
-// reducer decodes the grouping key back to lexical form, so final rows are
-// byte-identical across planes.
+// groups that fail the HAVING predicate; the reducer decodes the grouping
+// key back to lexical form through d (combiners pass nil: they never
+// decode).
 func aggMerger(aggs []algebra.AggSpec, final bool, groupCols []string, having func([]string) bool, d *rdf.Dict) mapred.Reducer {
 	return mapred.ReducerFunc(func(key string, values [][]byte, emit mapred.Emit) error {
 		acc := algebra.NewMultiAggState(aggs)
@@ -744,7 +707,7 @@ func distinctJob(name string, in *rel, keepCols []string, valid func(codec.Tuple
 				for i, p := range pos {
 					proj[i] = row[p]
 				}
-				enc := planeEncode(in.dict, proj)
+				enc := proj.EncodeIDs()
 				emit(string(enc), enc)
 				return nil
 			})

@@ -5,7 +5,6 @@ import (
 
 	"rapidanalytics/internal/codec"
 	"rapidanalytics/internal/mapred"
-	"rapidanalytics/internal/rdf"
 )
 
 // symJoinReducer is the streaming (symmetric) hash-join reducer behind
@@ -22,7 +21,7 @@ import (
 // Star joins keep the buffered formulation: their left-outer
 // NULL-extension (OPTIONAL edges) needs to know a side matched nothing,
 // which requires the whole group.
-func symJoinReducer(left, right *rel, leftCol, rightCol string, keep map[string]bool, d *rdf.Dict) mapred.Reducer {
+func symJoinReducer(left, right *rel, leftCol, rightCol string, keep map[string]bool) mapred.Reducer {
 	return mapred.ReducerFunc(func(key string, values [][]byte, emit mapred.Emit) error {
 		var ls, rs []codec.Tuple
 		for _, v := range values {
@@ -35,12 +34,12 @@ func symJoinReducer(left, right *rel, leftCol, rightCol string, keep map[string]
 			}
 			if v[0] == 0 {
 				for _, rr := range rs {
-					emit("", planeEncode(d, mergeJoinRow(left, right, leftCol, rightCol, keep, t, rr)))
+					emit("", mergeJoinRow(left, right, leftCol, rightCol, keep, t, rr).EncodeIDs())
 				}
 				ls = append(ls, t)
 			} else {
 				for _, l := range ls {
-					emit("", planeEncode(d, mergeJoinRow(left, right, leftCol, rightCol, keep, l, t)))
+					emit("", mergeJoinRow(left, right, leftCol, rightCol, keep, l, t).EncodeIDs())
 				}
 				rs = append(rs, t)
 			}

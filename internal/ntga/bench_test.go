@@ -5,9 +5,10 @@ import (
 	"testing"
 
 	"rapidanalytics/internal/algebra"
+	"rapidanalytics/internal/rdf"
 )
 
-func benchTG(props, fanout int) TripleGroup {
+func benchTG(d *rdf.Dict, props, fanout int) TripleGroup {
 	g := TripleGroup{Subject: "Is"}
 	for i := 0; i < props; i++ {
 		for j := 0; j < fanout; j++ {
@@ -17,41 +18,44 @@ func benchTG(props, fanout int) TripleGroup {
 			})
 		}
 	}
-	return g
+	return g.Intern(d)
 }
 
 func BenchmarkOptGroupFilter(b *testing.B) {
-	tg := benchTG(6, 2)
-	prim := []algebra.PropRef{{Prop: "http://e/p0"}, {Prop: "http://e/p1"}}
-	opt := []algebra.PropRef{{Prop: "http://e/p2"}}
+	d := rdf.NewDict()
+	tg := benchTG(d, 6, 2)
+	prim := ResolveRefs([]algebra.PropRef{{Prop: "http://e/p0"}, {Prop: "http://e/p1"}}, d)
+	opt := ResolveRefs([]algebra.PropRef{{Prop: "http://e/p2"}}, d)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, ok := OptGroupFilter(tg, prim, opt); !ok {
+		if _, ok := OptGroupFilterRefs(tg, prim, opt); !ok {
 			b.Fatal("filtered out")
 		}
 	}
 }
 
 func BenchmarkEncodeDecodeAnnTG(b *testing.B) {
-	a := Merge(NewAnnTG(0, benchTG(4, 2)), NewAnnTG(1, benchTG(3, 1)))
-	enc := a.Encode()
+	d := rdf.NewDict()
+	a := Merge(NewAnnTG(0, benchTG(d, 4, 2)), NewAnnTG(1, benchTG(d, 3, 1)))
+	enc := a.EncodeIDs()
 	b.SetBytes(int64(len(enc)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := DecodeAnnTG(enc); err != nil {
+		if _, err := DecodeAnnTGIDs(enc, d); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkMatchPattern(b *testing.B) {
+func BenchmarkMatchResolved(b *testing.B) {
 	cp := buildComposite(b)
-	atg := Merge(NewAnnTG(0, productTG("p1", "f1", "f2", "f3")), NewAnnTG(1, offerTG("o1", "p1", "100")))
-	tps := PatternTriples(cp, 0)
+	d := rdf.NewDict()
+	atg := Merge(NewAnnTG(0, productTG(d, "p1", "f1", "f2", "f3")), NewAnnTG(1, offerTG(d, "o1", "p1", "100")))
+	tps := ResolveTPMap(PatternTriples(cp, 0), d)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		MatchPattern(&atg, tps, nil, func(Binding) { n++ })
+		MatchResolved(&atg, tps, nil, func(Binding) { n++ })
 		if n != 3 {
 			b.Fatalf("solutions = %d", n)
 		}

@@ -6,15 +6,15 @@ import (
 	"rapidanalytics/internal/codec"
 )
 
-// This file holds the dictionary-plane triplegroup codecs. In the
-// dictionary plane every field of a triplegroup (subject, property, object)
-// is a uvarint ID-string (rdf.Dict), which is self-delimiting — so the
-// encoded form concatenates the raw ID bytes with no per-field length
-// prefixes, and decoding resolves each ID to its interned string through a
-// codec.Interner instead of allocating a fresh string per field.
+// This file holds the triplegroup codecs. Every field of a stored or
+// shuffled triplegroup (subject, property, object) is a uvarint ID-string
+// (rdf.Dict), which is self-delimiting — so the encoded form concatenates
+// the raw ID bytes with no per-field length prefixes, and decoding resolves
+// each ID to its interned string through a codec.Interner instead of
+// allocating a fresh string per field.
 
-// AppendEncodeIDs appends the dictionary-plane encoding of the triplegroup
-// to buf. Every field must be an ID-string.
+// AppendEncodeIDs appends the encoding of the triplegroup to buf. Every
+// field must be an ID-string.
 //
 //rapid:hot
 func (tg *TripleGroup) AppendEncodeIDs(buf []byte) []byte {
@@ -27,7 +27,7 @@ func (tg *TripleGroup) AppendEncodeIDs(buf []byte) []byte {
 	return buf
 }
 
-// EncodeIDs serialises a dictionary-plane triplegroup.
+// EncodeIDs serialises the triplegroup.
 func (tg *TripleGroup) EncodeIDs() []byte {
 	return tg.AppendEncodeIDs(nil)
 }
@@ -66,8 +66,8 @@ func DecodeTripleGroupIDs(buf []byte, in codec.Interner) (TripleGroup, []byte, e
 	return tg, buf, nil
 }
 
-// AppendEncodeIDs appends the dictionary-plane encoding of the annotated
-// triplegroup to buf.
+// AppendEncodeIDs appends the encoding of the annotated triplegroup to
+// buf.
 //
 //rapid:hot
 func (a *AnnTG) AppendEncodeIDs(buf []byte) []byte {
@@ -79,7 +79,7 @@ func (a *AnnTG) AppendEncodeIDs(buf []byte) []byte {
 	return buf
 }
 
-// EncodeIDs serialises a dictionary-plane annotated triplegroup.
+// EncodeIDs serialises the annotated triplegroup.
 func (a *AnnTG) EncodeIDs() []byte {
 	return a.AppendEncodeIDs(nil)
 }

@@ -14,6 +14,18 @@ import (
 
 func ref(prop string) algebra.PropRef { return algebra.PropRef{Prop: prop} }
 
+// lex decodes a bound or stored ID-string back to its term key.
+func lex(t testing.TB, d *rdf.Dict, idStr string) string {
+	t.Helper()
+	key, ok := d.Lex(idStr)
+	if !ok {
+		t.Fatalf("ID-string %q not in dictionary", idStr)
+	}
+	return key
+}
+
+// tg builds a triplegroup in term-key form; tests Intern it into their
+// dictionary before running an operator, as store.BuildTG does at load.
 func tg(subject string, pos ...string) TripleGroup {
 	out := TripleGroup{Subject: "I" + subject}
 	for _, po := range pos {
@@ -26,12 +38,13 @@ func tg(subject string, pos ...string) TripleGroup {
 // Figure 4(a): optional group filter with P_prim = {product, price} and
 // P_opt = {validFrom, validTo}.
 func TestOptGroupFilterFigure4a(t *testing.T) {
-	prim := []algebra.PropRef{ref("product"), ref("price")}
-	opt := []algebra.PropRef{ref("validFrom"), ref("validTo")}
-	tg1 := tg("o1", "product=p1", "price=100", "validTo=2010")
-	tg2 := tg("o2", "product=p2", "price=200")
-	tg3 := tg("o3", "product=p3", "validFrom=2008") // no price -> filtered
-	tg4 := tg("o4", "product=p4", "price=400", "validFrom=2009", "validTo=2011")
+	d := rdf.NewDict()
+	tg1 := tg("o1", "product=p1", "price=100", "validTo=2010").Intern(d)
+	tg2 := tg("o2", "product=p2", "price=200").Intern(d)
+	tg3 := tg("o3", "product=p3", "validFrom=2008").Intern(d) // no price -> filtered
+	tg4 := tg("o4", "product=p4", "price=400", "validFrom=2009", "validTo=2011").Intern(d)
+	prim := ResolveRefs([]algebra.PropRef{ref("product"), ref("price")}, d)
+	opt := ResolveRefs([]algebra.PropRef{ref("validFrom"), ref("validTo")}, d)
 
 	for _, tc := range []struct {
 		in   TripleGroup
@@ -43,38 +56,45 @@ func TestOptGroupFilterFigure4a(t *testing.T) {
 		{tg3, false, 0},
 		{tg4, true, 4},
 	} {
-		got, ok := OptGroupFilter(tc.in, prim, opt)
+		got, ok := OptGroupFilterRefs(tc.in, prim, opt)
 		if ok != tc.ok {
-			t.Errorf("OptGroupFilter(%v) ok = %v, want %v", tc.in, ok, tc.ok)
+			t.Errorf("OptGroupFilterRefs(%v) ok = %v, want %v", tc.in, ok, tc.ok)
 		}
 		if ok && len(got.Triples) != tc.size {
-			t.Errorf("OptGroupFilter(%v) kept %d triples, want %d", tc.in, len(got.Triples), tc.size)
+			t.Errorf("OptGroupFilterRefs(%v) kept %d triples, want %d", tc.in, len(got.Triples), tc.size)
 		}
 	}
 }
 
 // The filter must also project away irrelevant properties.
 func TestOptGroupFilterProjects(t *testing.T) {
-	in := tg("o1", "product=p1", "price=100", "unrelated=x")
-	got, ok := OptGroupFilter(in, []algebra.PropRef{ref("product"), ref("price")}, nil)
+	d := rdf.NewDict()
+	in := tg("o1", "product=p1", "price=100", "unrelated=x").Intern(d)
+	got, ok := OptGroupFilterRefs(in, ResolveRefs([]algebra.PropRef{ref("product"), ref("price")}, d), nil)
 	if !ok || len(got.Triples) != 2 {
 		t.Fatalf("got %v ok=%v", got, ok)
 	}
 	for _, po := range got.Triples {
-		if po.Prop == "unrelated" {
+		if lex(t, d, po.Prop) == "Iunrelated" {
 			t.Error("irrelevant property not projected away")
 		}
 	}
 }
 
 func TestOptGroupFilterConstObjRef(t *testing.T) {
-	typed := algebra.PropRef{Prop: rdf.RDFType, Obj: rdf.NewIRI("PT18")}
-	in := TripleGroup{Subject: "Ip1", Triples: []PO{
+	d := rdf.NewDict()
+	in := (TripleGroup{Subject: "Ip1", Triples: []PO{
 		{Prop: rdf.RDFType, Obj: "IPT18"},
 		{Prop: rdf.RDFType, Obj: "IOther"},
 		{Prop: "label", Obj: "Lx"},
-	}}
-	got, ok := OptGroupFilter(in, []algebra.PropRef{typed, ref("label")}, nil)
+	}}).Intern(d)
+	in2 := (TripleGroup{Subject: "Ip2", Triples: []PO{
+		{Prop: rdf.RDFType, Obj: "IOther"},
+		{Prop: "label", Obj: "Lx"},
+	}}).Intern(d)
+	typed := algebra.PropRef{Prop: rdf.RDFType, Obj: rdf.NewIRI("PT18")}
+	prim := ResolveRefs([]algebra.PropRef{typed, ref("label")}, d)
+	got, ok := OptGroupFilterRefs(in, prim, nil)
 	if !ok {
 		t.Fatal("typed filter rejected matching triplegroup")
 	}
@@ -82,32 +102,29 @@ func TestOptGroupFilterConstObjRef(t *testing.T) {
 	if len(got.Triples) != 2 {
 		t.Errorf("projection kept %v", got.Triples)
 	}
-	in2 := TripleGroup{Subject: "Ip2", Triples: []PO{
-		{Prop: rdf.RDFType, Obj: "IOther"},
-		{Prop: "label", Obj: "Lx"},
-	}}
-	if _, ok := OptGroupFilter(in2, []algebra.PropRef{typed, ref("label")}, nil); ok {
+	if _, ok := OptGroupFilterRefs(in2, prim, nil); ok {
 		t.Error("typed filter accepted wrong type object")
 	}
 }
 
 // Figure 4(b): n-split with P_sec1 = {validFrom}, P_sec2 = {validTo}.
 func TestNSplitFigure4b(t *testing.T) {
-	prim := []algebra.PropRef{ref("product"), ref("price")}
-	secs := [][]algebra.PropRef{{ref("validFrom")}, {ref("validTo")}}
-	tg1 := tg("o1", "product=p1", "price=100", "validTo=2010")
-	tg4 := tg("o4", "product=p4", "price=400", "validFrom=2009", "validTo=2011")
+	d := rdf.NewDict()
+	tg1 := tg("o1", "product=p1", "price=100", "validTo=2010").Intern(d)
+	tg4 := tg("o4", "product=p4", "price=400", "validFrom=2009", "validTo=2011").Intern(d)
+	prim := ResolveRefs([]algebra.PropRef{ref("product"), ref("price")}, d)
+	secs := [][]Ref{ResolveRefs([]algebra.PropRef{ref("validFrom")}, d), ResolveRefs([]algebra.PropRef{ref("validTo")}, d)}
 
-	got1 := NSplit(tg1, prim, secs)
+	got1 := NSplitRefs(tg1, prim, secs)
 	if len(got1) != 1 || got1[0].Pattern != 1 {
-		t.Fatalf("NSplit(tg1) = %v, want single pattern-2 split", got1)
+		t.Fatalf("NSplitRefs(tg1) = %v, want single pattern-2 split", got1)
 	}
 	if len(got1[0].TG.Triples) != 3 {
 		t.Errorf("split tg1 triples = %v", got1[0].TG.Triples)
 	}
-	got4 := NSplit(tg4, prim, secs)
+	got4 := NSplitRefs(tg4, prim, secs)
 	if len(got4) != 2 {
-		t.Fatalf("NSplit(tg4) = %v, want both splits", got4)
+		t.Fatalf("NSplitRefs(tg4) = %v, want both splits", got4)
 	}
 	for _, s := range got4 {
 		if len(s.TG.Triples) != 3 {
@@ -119,17 +136,18 @@ func TestNSplitFigure4b(t *testing.T) {
 // Figure 4(c): a pattern with no secondary properties always yields a
 // split containing only the primaries.
 func TestNSplitEmptySecondary(t *testing.T) {
-	prim := []algebra.PropRef{ref("product"), ref("price")}
-	secs := [][]algebra.PropRef{{}, {ref("validTo")}}
-	tg2 := tg("o2", "product=p2", "price=200")
-	got := NSplit(tg2, prim, secs)
+	d := rdf.NewDict()
+	tg2 := tg("o2", "product=p2", "price=200").Intern(d)
+	tg4 := tg("o4", "product=p4", "price=400", "validTo=2011").Intern(d)
+	prim := ResolveRefs([]algebra.PropRef{ref("product"), ref("price")}, d)
+	secs := [][]Ref{nil, ResolveRefs([]algebra.PropRef{ref("validTo")}, d)}
+	got := NSplitRefs(tg2, prim, secs)
 	if len(got) != 1 || got[0].Pattern != 0 || len(got[0].TG.Triples) != 2 {
-		t.Fatalf("NSplit = %v", got)
+		t.Fatalf("NSplitRefs = %v", got)
 	}
-	tg4 := tg("o4", "product=p4", "price=400", "validTo=2011")
-	got4 := NSplit(tg4, prim, secs)
+	got4 := NSplitRefs(tg4, prim, secs)
 	if len(got4) != 2 {
-		t.Fatalf("NSplit(tg4) = %v", got4)
+		t.Fatalf("NSplitRefs(tg4) = %v", got4)
 	}
 	if len(got4[0].TG.Triples) != 2 || len(got4[1].TG.Triples) != 3 {
 		t.Errorf("split sizes = %d, %d", len(got4[0].TG.Triples), len(got4[1].TG.Triples))
@@ -137,12 +155,13 @@ func TestNSplitEmptySecondary(t *testing.T) {
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	a := NewAnnTG(0, tg("p1", "type=PT18", "pf=f1", "pf=f2"))
-	b := NewAnnTG(1, tg("o1", "product=p1", "price=100"))
+	d := rdf.NewDict()
+	a := NewAnnTG(0, tg("p1", "type=PT18", "pf=f1", "pf=f2").Intern(d))
+	b := NewAnnTG(1, tg("o1", "product=p1", "price=100").Intern(d))
 	m := Merge(a, b)
-	dec, err := DecodeAnnTG(m.Encode())
+	dec, err := DecodeAnnTGIDs(m.EncodeIDs(), d)
 	if err != nil {
-		t.Fatalf("DecodeAnnTG: %v", err)
+		t.Fatalf("DecodeAnnTGIDs: %v", err)
 	}
 	if !reflect.DeepEqual(dec, m) {
 		t.Errorf("round trip:\n got %+v\nwant %+v", dec, m)
@@ -150,17 +169,18 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestEncodeDecodeQuick(t *testing.T) {
+	d := rdf.NewDict()
 	f := func(subject string, props, objs []string) bool {
-		g := TripleGroup{Subject: subject}
+		g := TripleGroup{Subject: d.AddString(subject)}
 		for i := range props {
 			obj := ""
 			if i < len(objs) {
 				obj = objs[i]
 			}
-			g.Triples = append(g.Triples, PO{Prop: props[i], Obj: obj})
+			g.Triples = append(g.Triples, PO{Prop: d.AddString(props[i]), Obj: d.AddString(obj)})
 		}
 		a := NewAnnTG(3, g)
-		dec, err := DecodeAnnTG(a.Encode())
+		dec, err := DecodeAnnTGIDs(a.EncodeIDs(), d)
 		if err != nil {
 			return false
 		}
@@ -172,15 +192,16 @@ func TestEncodeDecodeQuick(t *testing.T) {
 }
 
 func TestDecodeErrors(t *testing.T) {
-	a := NewAnnTG(0, tg("s", "p=1"))
-	enc := a.Encode()
+	d := rdf.NewDict()
+	a := NewAnnTG(0, tg("s", "p=1").Intern(d))
+	enc := a.EncodeIDs()
 	for _, bad := range [][]byte{
 		{},
 		enc[:len(enc)-1],
 		append(append([]byte{}, enc...), 0xFF),
 	} {
-		if _, err := DecodeAnnTG(bad); err == nil {
-			t.Errorf("DecodeAnnTG(% x) succeeded", bad)
+		if _, err := DecodeAnnTGIDs(bad, d); err == nil {
+			t.Errorf("DecodeAnnTGIDs(% x) succeeded", bad)
 		}
 	}
 }
@@ -229,7 +250,7 @@ SELECT ?f ?cntF ?cntT {
 	return cp
 }
 
-func productTG(name string, features ...string) TripleGroup {
+func productTG(d *rdf.Dict, name string, features ...string) TripleGroup {
 	g := TripleGroup{Subject: "I" + name, Triples: []PO{
 		{Prop: rdf.RDFType, Obj: "Ihttp://e/PT1"},
 		{Prop: "http://e/label", Obj: "L" + name},
@@ -237,50 +258,52 @@ func productTG(name string, features ...string) TripleGroup {
 	for _, f := range features {
 		g.Triples = append(g.Triples, PO{Prop: "http://e/pf", Obj: "I" + f})
 	}
-	return g
+	return g.Intern(d)
 }
 
-func offerTG(name, product, price string) TripleGroup {
-	return TripleGroup{Subject: "I" + name, Triples: []PO{
+func offerTG(d *rdf.Dict, name, product, price string) TripleGroup {
+	return (TripleGroup{Subject: "I" + name, Triples: []PO{
 		{Prop: "http://e/product", Obj: "I" + product},
 		{Prop: "http://e/price", Obj: "L" + price},
-	}}
+	}}).Intern(d)
 }
 
 // The α condition (Figure 5): a joined triplegroup without the secondary
 // pf cannot contribute to the per-feature pattern but still contributes to
 // the GROUP BY ALL pattern.
-func TestSatisfiesPattern(t *testing.T) {
-	cp := buildComposite(t)
-	withPF := Merge(NewAnnTG(0, productTG("p1", "f1")), NewAnnTG(1, offerTG("o1", "p1", "100")))
-	withoutPF := Merge(NewAnnTG(0, productTG("p2")), NewAnnTG(1, offerTG("o2", "p2", "200")))
-	if !SatisfiesPattern(&withPF, cp, 0) || !SatisfiesPattern(&withPF, cp, 1) {
+func TestAlphaTableSatisfies(t *testing.T) {
+	d := rdf.NewDict()
+	withPF := Merge(NewAnnTG(0, productTG(d, "p1", "f1")), NewAnnTG(1, offerTG(d, "o1", "p1", "100")))
+	withoutPF := Merge(NewAnnTG(0, productTG(d, "p2")), NewAnnTG(1, offerTG(d, "o2", "p2", "200")))
+	alpha := ResolveAlpha(buildComposite(t), d)
+	if !alpha.Satisfies(&withPF, 0) || !alpha.Satisfies(&withPF, 1) {
 		t.Error("triplegroup with pf should satisfy both patterns")
 	}
-	if SatisfiesPattern(&withoutPF, cp, 0) {
+	if alpha.Satisfies(&withoutPF, 0) {
 		t.Error("triplegroup without pf satisfies the per-feature pattern")
 	}
-	if !SatisfiesPattern(&withoutPF, cp, 1) {
+	if !alpha.Satisfies(&withoutPF, 1) {
 		t.Error("triplegroup without pf should satisfy the ALL pattern")
 	}
-	if !SatisfiesAnyPattern(&withoutPF, cp) || !SatisfiesAnyPattern(&withPF, cp) {
+	if !alpha.SatisfiesAny(&withoutPF) || !alpha.SatisfiesAny(&withPF) {
 		t.Error("α-Join admission failed")
 	}
 }
 
 // Binding multiplicity: a product with two features yields two solutions
 // for the per-feature pattern and one for the featureless pattern.
-func TestMatchPatternMultiplicity(t *testing.T) {
+func TestMatchResolvedMultiplicity(t *testing.T) {
 	cp := buildComposite(t)
-	atg := Merge(NewAnnTG(0, productTG("p1", "f1", "f2")), NewAnnTG(1, offerTG("o1", "p1", "100")))
+	d := rdf.NewDict()
+	atg := Merge(NewAnnTG(0, productTG(d, "p1", "f1", "f2")), NewAnnTG(1, offerTG(d, "o1", "p1", "100")))
 
 	count := 0
 	features := map[string]bool{}
-	MatchPattern(&atg, PatternTriples(cp, 0), nil, func(b Binding) {
+	MatchResolved(&atg, ResolveTPMap(PatternTriples(cp, 0), d), nil, func(b Binding) {
 		count++
-		features[b["f"]] = true
-		if b["pr2"] != "L100" {
-			t.Errorf("price binding = %q", b["pr2"])
+		features[lex(t, d, b["f"])] = true
+		if got := lex(t, d, b["pr2"]); got != "L100" {
+			t.Errorf("price binding = %q", got)
 		}
 	})
 	if count != 2 || !features["If1"] || !features["If2"] {
@@ -288,18 +311,19 @@ func TestMatchPatternMultiplicity(t *testing.T) {
 	}
 
 	count = 0
-	MatchPattern(&atg, PatternTriples(cp, 1), nil, func(b Binding) { count++ })
+	MatchResolved(&atg, ResolveTPMap(PatternTriples(cp, 1), d), nil, func(b Binding) { count++ })
 	if count != 1 {
 		t.Errorf("pattern 1 solutions = %d, want 1", count)
 	}
 }
 
 // A missing star component yields no solutions.
-func TestMatchPatternMissingStar(t *testing.T) {
+func TestMatchResolvedMissingStar(t *testing.T) {
 	cp := buildComposite(t)
-	atg := NewAnnTG(0, productTG("p1", "f1"))
+	d := rdf.NewDict()
+	atg := NewAnnTG(0, productTG(d, "p1", "f1"))
 	called := false
-	MatchPattern(&atg, PatternTriples(cp, 0), nil, func(Binding) { called = true })
+	MatchResolved(&atg, ResolveTPMap(PatternTriples(cp, 0), d), nil, func(Binding) { called = true })
 	if called {
 		t.Error("solutions produced despite missing star component")
 	}
@@ -307,21 +331,22 @@ func TestMatchPatternMissingStar(t *testing.T) {
 
 // Shared variables across triple patterns must agree: an object variable
 // used twice only matches consistent objects.
-func TestMatchPatternConsistency(t *testing.T) {
+func TestMatchResolvedConsistency(t *testing.T) {
 	tps := map[int][]sparql.TriplePattern{
 		0: {
 			{S: sparql.V("s"), P: sparql.C(rdf.NewIRI("p")), O: sparql.V("x")},
 			{S: sparql.V("s"), P: sparql.C(rdf.NewIRI("q")), O: sparql.V("x")},
 		},
 	}
-	atg := NewAnnTG(0, TripleGroup{Subject: "Is", Triples: []PO{
+	d := rdf.NewDict()
+	atg := NewAnnTG(0, (TripleGroup{Subject: "Is", Triples: []PO{
 		{Prop: "p", Obj: "L1"},
 		{Prop: "p", Obj: "L2"},
 		{Prop: "q", Obj: "L2"},
 		{Prop: "q", Obj: "L3"},
-	}})
+	}}).Intern(d))
 	var got []string
-	MatchPattern(&atg, tps, nil, func(b Binding) { got = append(got, b["x"]) })
+	MatchResolved(&atg, ResolveTPMap(tps, d), nil, func(b Binding) { got = append(got, lex(t, d, b["x"])) })
 	sort.Strings(got)
 	if !reflect.DeepEqual(got, []string{"L2"}) {
 		t.Errorf("consistent solutions = %v, want [L2]", got)

@@ -5,16 +5,6 @@ import (
 	"rapidanalytics/internal/sparql"
 )
 
-// OptGroupFilter implements the optional group-filter operator σ^γopt
-// (Definition 3.3): it projects a subject triplegroup onto the star's
-// primary and optional properties and accepts it iff every primary property
-// is matched. The returned triplegroup contains the matching primary
-// triples plus any matching optional triples. This is the lexical-plane
-// form; OptGroupFilterRefs is the plane-space core.
-func OptGroupFilter(tg TripleGroup, prim, opt []algebra.PropRef) (TripleGroup, bool) {
-	return OptGroupFilterRefs(tg, ResolveRefs(prim, nil), ResolveRefs(opt, nil))
-}
-
 // SplitTG is one output of the n-split operator: the subset of a composite
 // triplegroup matching original pattern Pattern.
 type SplitTG struct {
@@ -24,64 +14,12 @@ type SplitTG struct {
 	TG TripleGroup
 }
 
-// NSplit implements the n-split operator χ (Definition 3.4): given a
-// triplegroup matching a composite star with primary properties prim and
-// per-pattern secondary property sets secs, it extracts one triplegroup per
-// original pattern whose secondary properties are all present. A pattern
-// with an empty secondary set always yields a split (Figure 4(c)).
-func NSplit(tg TripleGroup, prim []algebra.PropRef, secs [][]algebra.PropRef) []SplitTG {
-	rsecs := make([][]Ref, len(secs))
-	for i, sec := range secs {
-		rsecs[i] = ResolveRefs(sec, nil)
-	}
-	return NSplitRefs(tg, ResolveRefs(prim, nil), rsecs)
-}
-
-// SatisfiesPattern reports whether an annotated triplegroup can contribute
-// to original pattern k of the composite pattern: every component star must
-// contain pattern k's required secondary properties — the α condition of
-// Definitions 3.5/3.6 (e.g. Figure 5's "pf ≠ ∅"). Components for stars the
-// triplegroup has not yet joined are not constrained, so the check is
-// usable both during intermediate α-Joins and at aggregation time.
-// Engines resolve the table once with ResolveAlpha instead of calling this
-// per record.
-func SatisfiesPattern(a *AnnTG, cp *algebra.CompositePattern, k int) bool {
-	return ResolveAlpha(cp, nil).Satisfies(a, k)
-}
-
-// SatisfiesAnyPattern implements the α-Join admission test (Definition
-// 3.5): the joined triplegroup must satisfy at least one original pattern's
-// α condition, otherwise the combination matches no original pattern and is
-// not materialised (Table 2).
-func SatisfiesAnyPattern(a *AnnTG, cp *algebra.CompositePattern) bool {
-	return ResolveAlpha(cp, nil).SatisfiesAny(a)
-}
-
-// Binding is one solution mapping composite variable names to plane-space
-// value keys (lexical Term.Key form, or ID-strings in the dictionary
-// plane).
+// Binding is one solution, mapping composite variable names to the bound
+// values' ID-strings (rdf.Dict).
 type Binding map[string]string
 
-// MatchPattern enumerates the solutions of a set of canonical triple
-// patterns (grouped per composite star) against an annotated triplegroup,
-// invoking fn for each solution. Solutions follow SPARQL bag semantics:
-// a triplegroup whose star component holds m triples for a pattern property
-// yields m solutions for that triple pattern, and solutions multiply across
-// triple patterns — this is what makes triplegroup aggregation agree with
-// relational aggregation in the presence of multi-valued properties.
-//
-// starTPs[i] holds the required triple patterns rooted at composite star i
-// (patterns for stars absent from the triplegroup cause zero solutions);
-// optTPs[i] holds OPTIONAL patterns, which bind when a matching triple
-// exists and leave their variables unbound otherwise. fn must not retain
-// the binding. This is the lexical-plane form; MatchResolved is the
-// plane-space core the engines use.
-func MatchPattern(a *AnnTG, starTPs, optTPs map[int][]sparql.TriplePattern, fn func(Binding)) {
-	MatchResolved(a, ResolveTPMap(starTPs, nil), ResolveTPMap(optTPs, nil), false, fn)
-}
-
 // PatternTriples groups original pattern k's canonical triple patterns by
-// composite star index, the form MatchPattern consumes.
+// composite star index, the form ResolveTPMap consumes.
 func PatternTriples(cp *algebra.CompositePattern, k int) map[int][]sparql.TriplePattern {
 	out := map[int][]sparql.TriplePattern{}
 	for i, cs := range cp.Stars {

@@ -8,36 +8,28 @@ import (
 	"rapidanalytics/internal/sparql"
 )
 
-// Ref is a property reference resolved into a data plane. In the lexical
-// plane Prop is the bare property IRI and Obj the constant object's
-// Term.Key ("" when the object is unconstrained); in the dictionary plane
-// both are uvarint ID-strings (rdf.Dict), so triplegroup matching compares
-// short interned IDs instead of full IRIs.
+// Ref is a property reference resolved through the dataset's dictionary:
+// Prop and Obj are uvarint ID-strings (rdf.Dict), so triplegroup matching
+// compares short interned IDs instead of full IRIs. A property or constant
+// that never occurs in the data resolves to rdf.MissingIDString, which
+// matches nothing.
 type Ref struct {
-	// Prop is the plane-space property.
+	// Prop is the property's ID-string.
 	Prop string
-	// Obj is the plane-space constant object, "" when unconstrained.
+	// Obj is the constant object's ID-string, "" when unconstrained.
 	Obj string
 }
 
-// ResolveRef resolves one query-space property reference into the plane of
-// dictionary d (nil = lexical plane).
+// ResolveRef resolves one query-space property reference through d.
 func ResolveRef(ref algebra.PropRef, d *rdf.Dict) Ref {
-	r := Ref{Prop: ref.Prop}
+	r := Ref{Prop: d.KeyString("I" + ref.Prop)}
 	if ref.HasConstObj() {
-		r.Obj = ref.Obj.Key()
-	}
-	if d != nil {
-		r.Prop = d.KeyString("I" + ref.Prop)
-		if r.Obj != "" {
-			r.Obj = d.KeyString(r.Obj)
-		}
+		r.Obj = d.KeyString(ref.Obj.Key())
 	}
 	return r
 }
 
-// ResolveRefs resolves a query-space reference list into the plane of
-// dictionary d (nil = lexical plane).
+// ResolveRefs resolves a query-space reference list through d.
 func ResolveRefs(refs []algebra.PropRef, d *rdf.Dict) []Ref {
 	if len(refs) == 0 {
 		return nil
@@ -50,7 +42,7 @@ func ResolveRefs(refs []algebra.PropRef, d *rdf.Dict) []Ref {
 }
 
 // HasPO reports whether the triplegroup contains a triple with the given
-// plane-space property and, when obj is non-empty, object.
+// property and, when obj is non-empty, object (both ID-strings).
 func (tg *TripleGroup) HasPO(prop, obj string) bool {
 	for _, t := range tg.Triples {
 		if t.Prop != prop {
@@ -86,7 +78,11 @@ func (tg *TripleGroup) ProjectRefs(refs []Ref) TripleGroup {
 	return out
 }
 
-// OptGroupFilterRefs is OptGroupFilter over plane-space references.
+// OptGroupFilterRefs implements the optional group-filter operator σ^γopt
+// (Definition 3.3): it projects a subject triplegroup onto the star's
+// primary and optional properties and accepts it iff every primary property
+// is matched. The returned triplegroup contains the matching primary
+// triples plus any matching optional triples.
 func OptGroupFilterRefs(tg TripleGroup, prim, opt []Ref) (TripleGroup, bool) {
 	for _, ref := range prim {
 		if !tg.HasPO(ref.Prop, ref.Obj) {
@@ -99,7 +95,11 @@ func OptGroupFilterRefs(tg TripleGroup, prim, opt []Ref) (TripleGroup, bool) {
 	return tg.ProjectRefs(refs), true
 }
 
-// NSplitRefs is NSplit over plane-space references.
+// NSplitRefs implements the n-split operator χ (Definition 3.4): given a
+// triplegroup matching a composite star with primary properties prim and
+// per-pattern secondary property sets secs, it extracts one triplegroup per
+// original pattern whose secondary properties are all present. A pattern
+// with an empty secondary set always yields a split (Figure 4(c)).
 func NSplitRefs(tg TripleGroup, prim []Ref, secs [][]Ref) []SplitTG {
 	var out []SplitTG
 	for k, sec := range secs {
@@ -122,16 +122,16 @@ func NSplitRefs(tg TripleGroup, prim []Ref, secs [][]Ref) []SplitTG {
 }
 
 // AlphaTable is a composite pattern's α condition (Definitions 3.5/3.6)
-// resolved into one data plane: per (star, original pattern) the required
-// secondary references. Resolving once at job-build time keeps the per-
-// record admission test free of dictionary lookups.
+// resolved through the dictionary: per (star, original pattern) the
+// required secondary references. Resolving once at job-build time keeps the
+// per-record admission test free of dictionary lookups.
 type AlphaTable struct {
 	numPatterns int
 	req         [][][]Ref // req[star][pattern]
 }
 
-// ResolveAlpha builds the α table for cp in the plane of dictionary d (nil
-// = lexical). A nil cp yields a nil table, which admits everything.
+// ResolveAlpha builds the α table for cp through d. A nil cp yields a nil
+// table, which admits everything.
 func ResolveAlpha(cp *algebra.CompositePattern, d *rdf.Dict) *AlphaTable {
 	if cp == nil {
 		return nil
@@ -148,7 +148,10 @@ func ResolveAlpha(cp *algebra.CompositePattern, d *rdf.Dict) *AlphaTable {
 
 // Satisfies reports whether the annotated triplegroup can contribute to
 // original pattern k: every component star must contain pattern k's
-// required secondary properties.
+// required secondary properties — the α condition of Definitions 3.5/3.6
+// (e.g. Figure 5's "pf ≠ ∅"). Components for stars the triplegroup has not
+// yet joined are not constrained, so the check is usable both during
+// intermediate α-Joins and at aggregation time.
 func (t *AlphaTable) Satisfies(a *AnnTG, k int) bool {
 	for i, star := range a.Stars {
 		for _, ref := range t.req[star][k] {
@@ -160,9 +163,10 @@ func (t *AlphaTable) Satisfies(a *AnnTG, k int) bool {
 	return true
 }
 
-// SatisfiesAny implements the α-Join admission test: the joined triplegroup
-// must satisfy at least one original pattern. A nil table admits
-// everything.
+// SatisfiesAny implements the α-Join admission test (Definition 3.5): the
+// joined triplegroup must satisfy at least one original pattern's α
+// condition, otherwise the combination matches no original pattern and is
+// not materialised (Table 2). A nil table admits everything.
 func (t *AlphaTable) SatisfiesAny(a *AnnTG) bool {
 	if t == nil {
 		return true
@@ -175,45 +179,39 @@ func (t *AlphaTable) SatisfiesAny(a *AnnTG) bool {
 	return false
 }
 
-// TP is a canonical triple pattern resolved into a data plane: variables
-// keep their names, constants are translated to plane-space values at
+// TP is a canonical triple pattern resolved through the dictionary:
+// variables keep their names, constants are translated to ID-strings at
 // job-build time so per-record matching is pure string comparison.
 type TP struct {
 	// SVar is the subject variable name.
 	SVar string
 	// PVar is the property variable name, "" when the property is constant.
 	PVar string
-	// Prop is the plane-space property, valid when PVar is "".
+	// Prop is the property's ID-string, valid when PVar is "".
 	Prop string
 	// OVar is the object variable name, "" when the object is constant.
 	OVar string
-	// Obj is the plane-space constant object, valid when OVar is "".
+	// Obj is the constant object's ID-string, valid when OVar is "".
 	Obj string
 }
 
-// ResolveTP resolves one canonical triple pattern into the plane of
-// dictionary d (nil = lexical).
+// ResolveTP resolves one canonical triple pattern through d.
 func ResolveTP(tp sparql.TriplePattern, d *rdf.Dict) TP {
 	out := TP{SVar: tp.S.Var}
 	if tp.P.IsVar {
 		out.PVar = tp.P.Var
-	} else if d != nil {
-		out.Prop = d.KeyString("I" + tp.P.Term.Value)
 	} else {
-		out.Prop = tp.P.Term.Value
+		out.Prop = d.KeyString("I" + tp.P.Term.Value)
 	}
 	if tp.O.IsVar {
 		out.OVar = tp.O.Var
-	} else if d != nil {
-		out.Obj = d.KeyString(tp.O.Term.Key())
 	} else {
-		out.Obj = tp.O.Term.Key()
+		out.Obj = d.KeyString(tp.O.Term.Key())
 	}
 	return out
 }
 
-// ResolveTPMap resolves a star-grouped triple-pattern map into the plane of
-// dictionary d (nil = lexical).
+// ResolveTPMap resolves a star-grouped triple-pattern map through d.
 func ResolveTPMap(m map[int][]sparql.TriplePattern, d *rdf.Dict) map[int][]TP {
 	out := make(map[int][]TP, len(m))
 	for star, tps := range m {
@@ -226,13 +224,21 @@ func ResolveTPMap(m map[int][]sparql.TriplePattern, d *rdf.Dict) map[int][]TP {
 	return out
 }
 
-// MatchResolved enumerates the solutions of resolved triple patterns
-// against an annotated triplegroup, invoking fn for each solution — the
-// plane-space core of MatchPattern. Binding values are plane-space: in the
-// dictionary plane a variable property binds the property's ID-string
-// (idPlane true); in the lexical plane it binds "I"+IRI. fn must not retain
-// the binding.
-func MatchResolved(a *AnnTG, starTPs, optTPs map[int][]TP, idPlane bool, fn func(Binding)) {
+// MatchResolved enumerates the solutions of a set of resolved triple
+// patterns (grouped per composite star) against an annotated triplegroup,
+// invoking fn for each solution. Solutions follow SPARQL bag semantics: a
+// triplegroup whose star component holds m triples for a pattern property
+// yields m solutions for that triple pattern, and solutions multiply across
+// triple patterns — this is what makes triplegroup aggregation agree with
+// relational aggregation in the presence of multi-valued properties.
+//
+// starTPs[i] holds the required triple patterns rooted at composite star i
+// (patterns for stars absent from the triplegroup cause zero solutions);
+// optTPs[i] holds OPTIONAL patterns, which bind when a matching triple
+// exists and leave their variables unbound otherwise. Binding values are
+// ID-strings; a variable property binds the property's ID-string. fn must
+// not retain the binding.
+func MatchResolved(a *AnnTG, starTPs, optTPs map[int][]TP, fn func(Binding)) {
 	// Flatten to a work list of (star, tp) with the component resolved.
 	type work struct {
 		tg       *TripleGroup
@@ -290,17 +296,13 @@ func MatchResolved(a *AnnTG, starTPs, optTPs map[int][]TP, idPlane bool, fn func
 			var restoreP func()
 			if it.tp.PVar != "" {
 				pv := it.tp.PVar
-				bound := po.Prop
-				if !idPlane {
-					bound = "I" + po.Prop
-				}
 				if prev, had := binding[pv]; had {
-					if prev != bound {
+					if prev != po.Prop {
 						continue
 					}
 					restoreP = func() {}
 				} else {
-					binding[pv] = bound
+					binding[pv] = po.Prop
 					restoreP = func() { delete(binding, pv) }
 				}
 			} else if po.Prop != it.tp.Prop {

@@ -8,85 +8,49 @@
 package ntga
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
-	"rapidanalytics/internal/algebra"
-	"rapidanalytics/internal/codec"
 	"rapidanalytics/internal/rdf"
 )
 
-// PO is one property/object pair of a triplegroup. Both are stored in
-// compact key form: the property as its IRI, the object as rdf.Term.Key.
+// PO is one property/object pair of a triplegroup. Stored and in-flight
+// triplegroups hold both as rdf.Dict ID-strings; GroupBySubject's output is
+// the one term-key form (bare property IRI, object Term.Key), which Intern
+// translates at load time.
 type PO struct {
-	// Prop is the property IRI.
+	// Prop is the property.
 	Prop string
-	// Obj is the object in rdf.Term.Key form.
+	// Obj is the object.
 	Obj string
 }
 
 // TripleGroup is a set of triples sharing one subject.
 type TripleGroup struct {
-	// Subject is the shared subject in rdf.Term.Key form.
+	// Subject is the shared subject, in the same form as the triples.
 	Subject string
 	// Triples are the property/object pairs.
 	Triples []PO
 }
 
-// Props returns the set of distinct property IRIs in the triplegroup.
-func (tg *TripleGroup) Props() map[string]bool {
-	m := make(map[string]bool, len(tg.Triples))
-	for _, t := range tg.Triples {
-		m[t.Prop] = true
+// Intern returns the term-key triplegroup (as built by GroupBySubject) with
+// every field replaced by its ID-string in d, registering terms d has not
+// seen. Properties are registered as IRI terms ("I"+IRI), the key the VP
+// layout and the query-side resolvers (ResolveRef, ResolveTP) use.
+func (tg TripleGroup) Intern(d *rdf.Dict) TripleGroup {
+	out := TripleGroup{Subject: d.AddString(tg.Subject), Triples: make([]PO, len(tg.Triples))}
+	for i, po := range tg.Triples {
+		out.Triples[i] = PO{Prop: d.AddString("I" + po.Prop), Obj: d.AddString(po.Obj)}
 	}
-	return m
+	return out
 }
 
-// HasRef reports whether the triplegroup contains a triple matching the
-// property reference (property equal and, for constant-object references,
-// object equal).
-func (tg *TripleGroup) HasRef(ref algebra.PropRef) bool {
-	objKey := ""
-	if ref.HasConstObj() {
-		objKey = ref.Obj.Key()
-	}
-	for _, t := range tg.Triples {
-		if t.Prop != ref.Prop {
-			continue
-		}
-		if objKey == "" || t.Obj == objKey {
-			return true
-		}
-	}
-	return false
-}
-
-// Objects returns the object keys of triples with the given property.
+// Objects returns the objects of triples with the given property.
 func (tg *TripleGroup) Objects(prop string) []string {
 	var out []string
 	for _, t := range tg.Triples {
 		if t.Prop == prop {
 			out = append(out, t.Obj)
-		}
-	}
-	return out
-}
-
-// Project returns a copy of the triplegroup restricted to triples matching
-// any of the property references.
-func (tg *TripleGroup) Project(refs []algebra.PropRef) TripleGroup {
-	out := TripleGroup{Subject: tg.Subject}
-	for _, t := range tg.Triples {
-		for _, ref := range refs {
-			if t.Prop != ref.Prop {
-				continue
-			}
-			if ref.HasConstObj() && t.Obj != ref.Obj.Key() {
-				continue
-			}
-			out.Triples = append(out.Triples, t)
-			break
 		}
 	}
 	return out
@@ -101,56 +65,8 @@ func (tg *TripleGroup) String() string {
 	return tg.Subject + "{" + strings.Join(parts, ", ") + "}"
 }
 
-// AppendEncode appends the triplegroup's encoding to buf and returns the
-// extended slice — the allocation-free form of Encode for hot emit paths.
-//
-//rapid:hot
-func (tg *TripleGroup) AppendEncode(buf []byte) []byte {
-	buf = codec.AppendString(buf, tg.Subject)
-	buf = codec.AppendUvarint(buf, uint64(len(tg.Triples)))
-	for _, t := range tg.Triples {
-		buf = codec.AppendString(buf, t.Prop)
-		buf = codec.AppendString(buf, t.Obj)
-	}
-	return buf
-}
-
-// Encode serialises the triplegroup.
-func (tg *TripleGroup) Encode() []byte {
-	return tg.AppendEncode(nil)
-}
-
-// DecodeTripleGroup parses a triplegroup written by Encode, returning the
-// remaining buffer (triplegroups nest inside annotated triplegroups).
-func DecodeTripleGroup(buf []byte) (TripleGroup, []byte, error) {
-	var tg TripleGroup
-	var err error
-	tg.Subject, buf, err = codec.ReadString(buf)
-	if err != nil {
-		return tg, nil, fmt.Errorf("ntga: triplegroup subject: %w", err)
-	}
-	n, buf, err := codec.ReadUvarint(buf)
-	if err != nil {
-		return tg, nil, fmt.Errorf("ntga: triplegroup arity: %w", err)
-	}
-	if n > 0 {
-		tg.Triples = make([]PO, n)
-	}
-	for i := range tg.Triples {
-		tg.Triples[i].Prop, buf, err = codec.ReadString(buf)
-		if err != nil {
-			return tg, nil, fmt.Errorf("ntga: triple %d property: %w", i, err)
-		}
-		tg.Triples[i].Obj, buf, err = codec.ReadString(buf)
-		if err != nil {
-			return tg, nil, fmt.Errorf("ntga: triple %d object: %w", i, err)
-		}
-	}
-	return tg, buf, nil
-}
-
-// GroupBySubject builds subject triplegroups from a graph, ordered by
-// subject key for determinism.
+// GroupBySubject builds subject triplegroups from a graph in term-key form
+// (see PO), ordered by subject key for determinism.
 func GroupBySubject(g *rdf.Graph) []TripleGroup {
 	bySubject := map[string]*TripleGroup{}
 	var order []string
@@ -224,48 +140,4 @@ func Merge(a, b AnnTG) AnnTG {
 		out.TGs = append(out.TGs, b.TGs[j])
 	}
 	return out
-}
-
-// AppendEncode appends the annotated triplegroup's encoding to buf and
-// returns the extended slice — the allocation-free form of Encode for hot
-// emit paths.
-//
-//rapid:hot
-func (a *AnnTG) AppendEncode(buf []byte) []byte {
-	buf = codec.AppendUvarint(buf, uint64(len(a.Stars)))
-	for i, s := range a.Stars {
-		buf = codec.AppendUvarint(buf, uint64(s))
-		buf = a.TGs[i].AppendEncode(buf)
-	}
-	return buf
-}
-
-// Encode serialises the annotated triplegroup.
-func (a *AnnTG) Encode() []byte {
-	return a.AppendEncode(nil)
-}
-
-// DecodeAnnTG parses an annotated triplegroup written by Encode.
-func DecodeAnnTG(buf []byte) (AnnTG, error) {
-	n, buf, err := codec.ReadUvarint(buf)
-	if err != nil {
-		return AnnTG{}, fmt.Errorf("ntga: anntg arity: %w", err)
-	}
-	a := AnnTG{Stars: make([]int, n), TGs: make([]TripleGroup, n)}
-	for i := 0; i < int(n); i++ {
-		s, rest, err := codec.ReadUvarint(buf)
-		if err != nil {
-			return AnnTG{}, fmt.Errorf("ntga: anntg star %d: %w", i, err)
-		}
-		a.Stars[i] = int(s)
-		a.TGs[i], rest, err = DecodeTripleGroup(rest)
-		if err != nil {
-			return AnnTG{}, err
-		}
-		buf = rest
-	}
-	if len(buf) != 0 {
-		return AnnTG{}, fmt.Errorf("ntga: %d trailing bytes after anntg", len(buf))
-	}
-	return a, nil
 }

@@ -61,10 +61,9 @@ func (s *VPStore) TableFor(ref algebra.PropRef) (file string, isTypePartition, o
 	return f, false, ok
 }
 
-// BuildVP vertically partitions the graph into fs under prefix. With a
-// non-nil dictionary the tables are written in the dictionary plane: every
-// term is registered (in triple order, so IDs are deterministic for a given
-// graph) and rows are compact ID-tuples instead of lexical tuples.
+// BuildVP vertically partitions the graph into fs under prefix. Every term
+// is registered in d (in triple order, so IDs are deterministic for a given
+// graph) and rows are compact ID-tuples (codec.DecodeIDTuple).
 func BuildVP(fs *dfs.FS, g *rdf.Graph, prefix string, d *rdf.Dict) (*VPStore, error) {
 	s := &VPStore{
 		Prefix:     prefix,
@@ -91,9 +90,6 @@ func BuildVP(fs *dfs.FS, g *rdf.Graph, prefix string, d *rdf.Dict) (*VPStore, er
 	}
 	encRow := func(fields ...string) []byte {
 		t := codec.Tuple(fields)
-		if d == nil {
-			return t.Encode()
-		}
 		for i, f := range t {
 			t[i] = d.AddString(f)
 		}
@@ -202,9 +198,10 @@ func ECKeyForRef(ref algebra.PropRef) string {
 
 // BuildTG groups the graph's triples by subject and materialises the
 // triplegroups into fs under prefix, one file per property equivalence
-// class. With a non-nil dictionary the triplegroups are written in the
-// dictionary plane (every field an ID-string); the equivalence-class
-// metadata stays lexical, so input pruning is plane-independent.
+// class. Every field of a stored triplegroup is an ID-string of d
+// (ntga.DecodeTripleGroupIDs), registered on first use; the
+// equivalence-class metadata stays lexical, so input pruning needs no
+// dictionary.
 func BuildTG(fs *dfs.FS, g *rdf.Graph, prefix string, d *rdf.Dict) (*TGStore, error) {
 	s := &TGStore{Prefix: prefix}
 	tgs := ntga.GroupBySubject(g)
@@ -238,17 +235,7 @@ func BuildTG(fs *dfs.FS, g *rdf.Graph, prefix string, d *rdf.Dict) (*TGStore, er
 			writers[name] = w
 			s.Files = append(s.Files, TGFile{Name: name, Props: props})
 		}
-		if d == nil {
-			cls.writer.WriteOwned(tg.Encode())
-			continue
-		}
-		idtg := ntga.TripleGroup{
-			Subject: d.AddString(tg.Subject),
-			Triples: make([]ntga.PO, len(tg.Triples)),
-		}
-		for j, po := range tg.Triples {
-			idtg.Triples[j] = ntga.PO{Prop: d.AddString("I" + po.Prop), Obj: d.AddString(po.Obj)}
-		}
+		idtg := tg.Intern(d)
 		cls.writer.WriteOwned(idtg.EncodeIDs())
 	}
 	if err := closeWriters(writers, nil); err != nil {

@@ -45,8 +45,8 @@ func firstRecord(t *testing.T, fs *dfs.FS, name string) []byte {
 }
 
 func TestBuildVP(t *testing.T) {
-	fs := dfs.New()
-	vp, err := BuildVP(fs, storeGraph(), "t/vp", nil)
+	fs, d := dfs.New(), rdf.NewDict()
+	vp, err := BuildVP(fs, storeGraph(), "t/vp", d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestBuildVP(t *testing.T) {
 		}
 		f.Close()
 		// Rows decode as (subject, object) tuples.
-		tu, err := codec.DecodeTuple(firstRecord(t, fs, file))
+		tu, err := codec.DecodeIDTuple(firstRecord(t, fs, file), d)
 		if err != nil || len(tu) != 2 {
 			t.Errorf("%s row = %v, %v", prop, tu, err)
 		}
@@ -88,7 +88,7 @@ func TestBuildVP(t *testing.T) {
 			t.Errorf("type partition %s rows = %d", typ, f.NumRecords())
 		}
 		f.Close()
-		tu, err := codec.DecodeTuple(firstRecord(t, fs, file))
+		tu, err := codec.DecodeIDTuple(firstRecord(t, fs, file), d)
 		if err != nil || len(tu) != 1 {
 			t.Errorf("type row = %v, %v", tu, err)
 		}
@@ -103,8 +103,8 @@ func TestBuildVP(t *testing.T) {
 }
 
 func TestBuildTGEquivalenceClasses(t *testing.T) {
-	fs := dfs.New()
-	tg, err := BuildTG(fs, storeGraph(), "t/tg", nil)
+	fs, d := dfs.New(), rdf.NewDict()
+	tg, err := BuildTG(fs, storeGraph(), "t/tg", d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestBuildTGEquivalenceClasses(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, rec := range recs {
-			g, rest, err := ntga.DecodeTripleGroup(rec)
+			g, rest, err := ntga.DecodeTripleGroupIDs(rec, d)
 			if err != nil || len(rest) != 0 {
 				t.Fatalf("triplegroup decode: %v", err)
 			}
@@ -139,7 +139,7 @@ func TestBuildTGEquivalenceClasses(t *testing.T) {
 
 func TestFilesForPruning(t *testing.T) {
 	fs := dfs.New()
-	tg, err := BuildTG(fs, storeGraph(), "t/tg", nil)
+	tg, err := BuildTG(fs, storeGraph(), "t/tg", rdf.NewDict())
 	if err != nil {
 		t.Fatal(err)
 	}

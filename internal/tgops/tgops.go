@@ -4,22 +4,19 @@
 // engines — RAPID+ (Naive) and RAPIDAnalytics — compose their workflows
 // from these builders.
 //
-// Every operator runs in one of two data planes, chosen by Source.Dict:
-// the lexical plane (triplegroup fields are rdf.Term.Key strings, the
-// original layout) or the dictionary plane (fields are uvarint ID-strings,
-// see rdf.Dict). Query-space constants — property references, triple
-// patterns, the α table — are resolved into the plane once at job-build or
-// task-start time, shuffle keys are separator-free concatenations of
-// self-delimiting IDs, and values decode back to lexical form only at the
-// final aggregation boundary, so emitted result rows are byte-identical in
-// both planes.
+// Every operator runs on dictionary-encoded records: triplegroup fields are
+// uvarint ID-strings of the dataset's rdf.Dict (Source.Dict). Query-space
+// constants — property references, triple patterns, the α table — are
+// resolved through the dictionary once at job-build or task-start time,
+// shuffle keys are separator-free concatenations of self-delimiting IDs,
+// and values decode back to lexical Term.Key form only at the final
+// aggregation boundary, where result rows are emitted.
 package tgops
 
 import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 
 	"rapidanalytics/internal/algebra"
 	"rapidanalytics/internal/codec"
@@ -40,7 +37,7 @@ type PropFilter struct {
 // ScanSpec describes a TG_OptGrpFilter-fused scan of raw triplegroup files
 // for one (composite) star: project to Prim ∪ Opt, require all of Prim,
 // apply property-level filters. References are query-space; the scan
-// resolves them into the source's data plane per task.
+// resolves them through the source's dictionary per task.
 type ScanSpec struct {
 	Star    int
 	Prim    []algebra.PropRef
@@ -57,19 +54,19 @@ type Source struct {
 	Files []string
 	// Scan is non-nil for raw triplegroup inputs.
 	Scan *ScanSpec
-	// Dict selects the dictionary plane when non-nil: records are
-	// ID-encoded and constants resolve through the dictionary.
+	// Dict is the dataset's dictionary: records are ID-encoded and
+	// constants resolve through it. Required by every job builder.
 	Dict *rdf.Dict
 }
 
-// planeFilter is a PropFilter with its property resolved into the plane.
+// planeFilter is a PropFilter with its property resolved to an ID-string.
 type planeFilter struct {
 	prop   string
 	filter sparql.Filter
 }
 
-// scanner is a Source resolved into its data plane, built once per map
-// task so per-record work is free of dictionary lookups.
+// scanner is a Source with its constants resolved, built once per map task
+// so per-record matching is free of dictionary lookups.
 type scanner struct {
 	dict    *rdf.Dict
 	scan    *ScanSpec
@@ -78,28 +75,22 @@ type scanner struct {
 	filters []planeFilter
 }
 
-// scanner resolves the source's query-space constants into its plane.
+// scanner resolves the source's query-space constants through its
+// dictionary.
 func (s *Source) scanner() *scanner {
 	sc := &scanner{dict: s.Dict, scan: s.Scan}
 	if s.Scan != nil {
 		sc.prim = ntga.ResolveRefs(s.Scan.Prim, s.Dict)
 		sc.opt = ntga.ResolveRefs(s.Scan.Opt, s.Dict)
 		for _, pf := range s.Scan.Filters {
-			prop := pf.Prop
-			if s.Dict != nil {
-				prop = s.Dict.KeyString("I" + pf.Prop)
-			}
-			sc.filters = append(sc.filters, planeFilter{prop: prop, filter: pf.Filter})
+			sc.filters = append(sc.filters, planeFilter{prop: s.Dict.KeyString("I" + pf.Prop), filter: pf.Filter})
 		}
 	}
 	return sc
 }
 
-// lexOf translates a plane value to lexical form for filter evaluation.
+// lexOf translates an ID-string to lexical form for filter evaluation.
 func (sc *scanner) lexOf(v string) string {
-	if sc.dict == nil {
-		return v
-	}
 	lex, ok := sc.dict.Lex(v)
 	if !ok {
 		return ""
@@ -112,26 +103,13 @@ func (sc *scanner) lexOf(v string) string {
 // false when the record is filtered out.
 func (sc *scanner) annTGOf(rec []byte) (ntga.AnnTG, bool, error) {
 	if sc.scan == nil {
-		var a ntga.AnnTG
-		var err error
-		if sc.dict != nil {
-			a, err = ntga.DecodeAnnTGIDs(rec, sc.dict)
-		} else {
-			a, err = ntga.DecodeAnnTG(rec)
-		}
+		a, err := ntga.DecodeAnnTGIDs(rec, sc.dict)
 		if err != nil {
 			return ntga.AnnTG{}, false, err
 		}
 		return a, true, nil
 	}
-	var tg ntga.TripleGroup
-	var rest []byte
-	var err error
-	if sc.dict != nil {
-		tg, rest, err = ntga.DecodeTripleGroupIDs(rec, sc.dict)
-	} else {
-		tg, rest, err = ntga.DecodeTripleGroup(rec)
-	}
+	tg, rest, err := ntga.DecodeTripleGroupIDs(rec, sc.dict)
 	if err != nil {
 		return ntga.AnnTG{}, false, err
 	}
@@ -203,23 +181,19 @@ type Endpoint struct {
 	Props []algebra.PropRef
 }
 
-// planeProps resolves the endpoint's carrying properties into the plane of
-// dictionary d.
+// planeProps resolves the endpoint's carrying properties to ID-strings
+// through d.
 func (ep Endpoint) planeProps(d *rdf.Dict) []string {
 	props := make([]string, len(ep.Props))
 	for i, ref := range ep.Props {
-		if d != nil {
-			props[i] = d.KeyString("I" + ref.Prop)
-		} else {
-			props[i] = ref.Prop
-		}
+		props[i] = d.KeyString("I" + ref.Prop)
 	}
 	return props
 }
 
 // joinKeys extracts the join key values at an endpoint — one per matching
 // object for multi-valued join properties (Algorithm 2's objList). props
-// are the endpoint's plane-resolved carrying properties.
+// are the endpoint's resolved carrying properties (planeProps).
 func joinKeys(a *ntga.AnnTG, ep Endpoint, props []string) []string {
 	comp, ok := a.Component(ep.Star)
 	if !ok {
@@ -251,8 +225,8 @@ type JoinSide struct {
 // tagged on their join keys and joined reduce-side; the joined triplegroup
 // is materialised only if it satisfies at least one original pattern's α
 // condition. A nil α table disables the check (RAPID+'s plain TG_Join, and
-// the α-ablation of RAPIDAnalytics). The table must be resolved in the
-// sources' data plane (ntga.ResolveAlpha).
+// the α-ablation of RAPIDAnalytics). The table must be resolved through the
+// sources' dictionary (ntga.ResolveAlpha).
 func AlphaJoinJob(name string, left, right JoinSide, alpha *ntga.AlphaTable, output string) *mapred.Job {
 	var inputs []string
 	seen := map[string]bool{}
@@ -271,15 +245,6 @@ func AlphaJoinJob(name string, left, right JoinSide, alpha *ntga.AlphaTable, out
 		return false
 	}
 	dict := left.Src.Dict
-	if dict == nil {
-		dict = right.Src.Dict
-	}
-	encodeAnnTG := func(a *ntga.AnnTG, buf []byte) []byte {
-		if dict != nil {
-			return a.AppendEncodeIDs(buf)
-		}
-		return a.AppendEncode(buf)
-	}
 	return &mapred.Job{
 		Name:           name,
 		Inputs:         inputs,
@@ -313,7 +278,7 @@ func AlphaJoinJob(name string, left, right JoinSide, alpha *ntga.AlphaTable, out
 					// One tagged encode per record, shared across its join
 					// keys: the engine retains but never mutates emitted
 					// values.
-					enc := encodeAnnTG(&a, []byte{s.tag})
+					enc := a.AppendEncodeIDs([]byte{s.tag})
 					for _, key := range joinKeys(&a, s.ep, s.props) {
 						emit(key, enc)
 					}
@@ -322,12 +287,6 @@ func AlphaJoinJob(name string, left, right JoinSide, alpha *ntga.AlphaTable, out
 			})
 		},
 		NewReducer: func() mapred.Reducer {
-			decodeAnnTG := func(buf []byte) (ntga.AnnTG, error) {
-				if dict != nil {
-					return ntga.DecodeAnnTGIDs(buf, dict)
-				}
-				return ntga.DecodeAnnTG(buf)
-			}
 			// Symmetric (streaming) formulation: one pass over the group,
 			// pairing each arriving triplegroup with every earlier arrival
 			// of the other side, so merged groups are emitted as soon as
@@ -338,7 +297,7 @@ func AlphaJoinJob(name string, left, right JoinSide, alpha *ntga.AlphaTable, out
 			pair := func(l, r *ntga.AnnTG, emit mapred.Emit) {
 				merged := ntga.Merge(*l, *r)
 				if alpha.SatisfiesAny(&merged) {
-					emit("", encodeAnnTG(&merged, nil))
+					emit("", merged.AppendEncodeIDs(nil))
 				}
 			}
 			return mapred.ReducerFunc(func(key string, values [][]byte, emit mapred.Emit) error {
@@ -347,7 +306,7 @@ func AlphaJoinJob(name string, left, right JoinSide, alpha *ntga.AlphaTable, out
 					if len(v) < 1 {
 						return fmt.Errorf("tgops: empty α-join value")
 					}
-					a, err := decodeAnnTG(v[1:])
+					a, err := ntga.DecodeAnnTGIDs(v[1:], dict)
 					if err != nil {
 						return err
 					}
@@ -384,8 +343,8 @@ type AggJoinSpec struct {
 	// OptTPs are the pattern's OPTIONAL triple patterns per star.
 	OptTPs map[int][]sparql.TriplePattern
 	// Alpha gates which triplegroups contribute (nil accepts all) —
-	// Figure 5's "pf ≠ ∅". The annotated triplegroup is in the source's
-	// data plane.
+	// Figure 5's "pf ≠ ∅". The annotated triplegroup's fields are
+	// ID-strings.
 	Alpha func(*ntga.AnnTG) bool
 	// Having drops groups whose final aggregate values fail the predicate
 	// (nil keeps all).
@@ -396,8 +355,8 @@ type AggJoinSpec struct {
 	BindingFilters []sparql.Filter
 }
 
-// resolvedAggSpec is an AggJoinSpec with its triple patterns resolved into
-// the source's data plane.
+// resolvedAggSpec is an AggJoinSpec with its triple patterns resolved
+// through the source's dictionary.
 type resolvedAggSpec struct {
 	AggJoinSpec
 	tps    map[int][]ntga.TP
@@ -412,8 +371,8 @@ type resolvedAggSpec struct {
 //
 // Output rows are [id, group values..., finals...] when tagged, and
 // [group values..., finals...] otherwise (tagged must be true when more
-// than one spec is given). Rows are lexical in both planes: the reducer is
-// the dictionary plane's decode boundary.
+// than one spec is given). Rows are lexical: the reducer is the decode
+// boundary.
 func AggJoinJob(name string, src Source, specs []AggJoinSpec, tagged, hashAgg bool, output string) *mapred.Job {
 	if !tagged && len(specs) != 1 {
 		panic("tgops: untagged AggJoinJob requires exactly one spec")
@@ -456,49 +415,34 @@ type aggJoinMapper struct {
 	sc     *scanner
 	specs  []resolvedAggSpec
 	tagged bool
-	// keyBuf is per-task scratch for dictionary-plane key building (map
-	// tasks are single-goroutine).
+	// keyBuf is per-task scratch for key building (map tasks are
+	// single-goroutine).
 	keyBuf []byte
 	// multiAggMap is the mapper-wide pre-aggregation table (Algorithm 3);
 	// nil disables hash aggregation.
 	multiAggMap map[string]*algebra.MultiAggState
 }
 
-// aggKey builds the shuffle key for one solution. The lexical plane keeps
-// the original "\x1f"-joined form; the dictionary plane concatenates the
-// optional uvarint spec ID and the group values' self-delimiting ID bytes
-// with no separators (ID bytes may contain 0x1f).
+// aggKey builds the shuffle key for one solution: the optional uvarint spec
+// ID followed by the group values' self-delimiting ID bytes, with no
+// separators (ID bytes may contain 0x1f).
 //
 //rapid:hot
 func (m *aggJoinMapper) aggKey(sp *resolvedAggSpec, b ntga.Binding) string {
-	if m.sc.dict != nil {
-		buf := m.keyBuf[:0]
-		if m.tagged {
-			buf = codec.AppendUvarint(buf, uint64(sp.ID))
-		}
-		for _, g := range sp.GroupVars {
-			if v, ok := b[g]; ok {
-				buf = append(buf, v...)
-			} else {
-				buf = append(buf, algebra.Null...)
-			}
-		}
-		m.keyBuf = buf
-		//lint:alloc shuffle keys and the multiAggMap index must be string; this is the single per-solution key materialization and keyBuf pools the build buffer
-		return string(buf)
-	}
-	keyParts := make([]string, 0, len(sp.GroupVars)+1)
+	buf := m.keyBuf[:0]
 	if m.tagged {
-		keyParts = append(keyParts, strconv.Itoa(sp.ID))
+		buf = codec.AppendUvarint(buf, uint64(sp.ID))
 	}
 	for _, g := range sp.GroupVars {
 		if v, ok := b[g]; ok {
-			keyParts = append(keyParts, v)
+			buf = append(buf, v...)
 		} else {
-			keyParts = append(keyParts, algebra.Null)
+			buf = append(buf, algebra.Null...)
 		}
 	}
-	return strings.Join(keyParts, "\x1f")
+	m.keyBuf = buf
+	//lint:alloc shuffle keys and the multiAggMap index must be string; this is the single per-solution key materialization and keyBuf pools the build buffer
+	return string(buf)
 }
 
 func (m *aggJoinMapper) Map(rec []byte, emit mapred.Emit) error {
@@ -515,12 +459,9 @@ func (m *aggJoinMapper) Map(rec []byte, emit mapred.Emit) error {
 		if sp.Alpha != nil && !sp.Alpha(&a) {
 			continue
 		}
-		ntga.MatchResolved(&a, sp.tps, sp.optTPs, dict != nil, func(b ntga.Binding) {
+		ntga.MatchResolved(&a, sp.tps, sp.optTPs, func(b ntga.Binding) {
 			for _, f := range sp.BindingFilters {
-				v := b[f.Var]
-				if dict != nil {
-					v, _ = dict.Lex(v)
-				}
+				v, _ := dict.Lex(b[f.Var])
 				ok, err := algebra.EvalFilter(f, v)
 				if err != nil || !ok {
 					return
@@ -566,26 +507,8 @@ func (m *aggJoinMapper) Close(emit mapred.Emit) error {
 }
 
 // splitAggKey parses a shuffle key built by aggKey back into the spec ID
-// and lexical group values — the dictionary plane's decode boundary.
+// and lexical group values — the decode boundary.
 func splitAggKey(key string, d *rdf.Dict, tagged bool) (id int, groups []string, err error) {
-	if d == nil {
-		rest := key
-		if tagged {
-			idStr, tail, _ := strings.Cut(key, "\x1f")
-			id, err = strconv.Atoi(idStr)
-			if err != nil {
-				return 0, nil, fmt.Errorf("tgops: bad agg-join key %q", key)
-			}
-			rest = tail
-		}
-		if rest != "" || !tagged {
-			groups = strings.Split(rest, "\x1f")
-		}
-		if key == "" {
-			groups = nil
-		}
-		return id, groups, nil
-	}
 	buf := []byte(key)
 	if tagged {
 		v, rest, err := codec.ReadUvarint(buf)

@@ -19,19 +19,23 @@ func newCluster() *mapred.Cluster {
 	return mapred.NewCluster(cfg)
 }
 
-func writeTGs(c *mapred.Cluster, name string, tgs ...ntga.TripleGroup) {
+// writeTGs stores term-key fixtures the way store.BuildTG does: interned
+// into d and ID-encoded.
+func writeTGs(c *mapred.Cluster, d *rdf.Dict, name string, tgs ...ntga.TripleGroup) {
 	w, err := c.FS.Create(name, 1)
 	if err != nil {
 		panic(err)
 	}
 	for i := range tgs {
-		w.Write(tgs[i].Encode())
+		idtg := tgs[i].Intern(d)
+		w.Write(idtg.EncodeIDs())
 	}
 	if err := w.Close(); err != nil {
 		panic(err)
 	}
 }
 
+// tg builds a triplegroup in term-key form (see writeTGs).
 func tg(subject string, pos ...[2]string) ntga.TripleGroup {
 	g := ntga.TripleGroup{Subject: "I" + subject}
 	for _, po := range pos {
@@ -40,7 +44,17 @@ func tg(subject string, pos ...[2]string) ntga.TripleGroup {
 	return g
 }
 
-func readAnnTGs(t *testing.T, c *mapred.Cluster, name string) []ntga.AnnTG {
+// lex decodes an ID-string of d back to its term key.
+func lex(t *testing.T, d *rdf.Dict, idStr string) string {
+	t.Helper()
+	key, ok := d.Lex(idStr)
+	if !ok {
+		t.Fatalf("ID-string %q not in dictionary", idStr)
+	}
+	return key
+}
+
+func readAnnTGs(t *testing.T, c *mapred.Cluster, d *rdf.Dict, name string) []ntga.AnnTG {
 	t.Helper()
 	f, err := c.FS.Open(name)
 	if err != nil {
@@ -53,7 +67,7 @@ func readAnnTGs(t *testing.T, c *mapred.Cluster, name string) []ntga.AnnTG {
 	}
 	out := make([]ntga.AnnTG, 0, len(recs))
 	for _, rec := range recs {
-		a, err := ntga.DecodeAnnTG(rec)
+		a, err := ntga.DecodeAnnTGIDs(rec, d)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -64,19 +78,19 @@ func readAnnTGs(t *testing.T, c *mapred.Cluster, name string) []ntga.AnnTG {
 
 // Subject-object join between a product star and an offer star.
 func TestAlphaJoinSubjectObject(t *testing.T) {
-	c := newCluster()
-	writeTGs(c, "prods",
+	c, d := newCluster(), rdf.NewDict()
+	writeTGs(c, d, "prods",
 		tg("p1", [2]string{"type", "IPT1"}, [2]string{"pf", "If1"}),
 		tg("p2", [2]string{"type", "IPT1"}),
 		tg("p3", [2]string{"type", "IPT9"}), // filtered by prim
 	)
-	writeTGs(c, "offers",
+	writeTGs(c, d, "offers",
 		tg("o1", [2]string{"product", "Ip1"}, [2]string{"price", "L10"}),
 		tg("o2", [2]string{"product", "Ip2"}, [2]string{"price", "L20"}),
 		tg("o3", [2]string{"product", "Ip9"}, [2]string{"price", "L30"}), // dangling
 	)
 	left := JoinSide{
-		Src: Source{Files: []string{"prods"}, Scan: &ScanSpec{
+		Src: Source{Files: []string{"prods"}, Dict: d, Scan: &ScanSpec{
 			Star: 0,
 			Prim: []algebra.PropRef{{Prop: "type", Obj: rdf.NewIRI("PT1")}},
 			Opt:  []algebra.PropRef{{Prop: "pf"}},
@@ -84,7 +98,7 @@ func TestAlphaJoinSubjectObject(t *testing.T) {
 		Ep: Endpoint{Star: 0, Role: algebra.RoleSubject},
 	}
 	right := JoinSide{
-		Src: Source{Files: []string{"offers"}, Scan: &ScanSpec{
+		Src: Source{Files: []string{"offers"}, Dict: d, Scan: &ScanSpec{
 			Star: 1,
 			Prim: []algebra.PropRef{{Prop: "product"}, {Prop: "price"}},
 		}},
@@ -94,7 +108,7 @@ func TestAlphaJoinSubjectObject(t *testing.T) {
 	if _, err := c.Run(job); err != nil {
 		t.Fatal(err)
 	}
-	got := readAnnTGs(t, c, "out")
+	got := readAnnTGs(t, c, d, "out")
 	if len(got) != 2 {
 		t.Fatalf("joined = %d, want 2", len(got))
 	}
@@ -108,26 +122,26 @@ func TestAlphaJoinSubjectObject(t *testing.T) {
 // Object-object joins emit one key per matching object (Algorithm 2's
 // objList) and join on value equality.
 func TestAlphaJoinObjectObject(t *testing.T) {
-	c := newCluster()
-	writeTGs(c, "bio",
+	c, d := newCluster(), rdf.NewDict()
+	writeTGs(c, d, "bio",
 		tg("b1", [2]string{"gi", "L100"}, [2]string{"gi", "L200"}),
 	)
-	writeTGs(c, "prot",
+	writeTGs(c, d, "prot",
 		tg("u1", [2]string{"gi", "L200"}),
 		tg("u2", [2]string{"gi", "L300"}),
 	)
 	left := JoinSide{
-		Src: Source{Files: []string{"bio"}, Scan: &ScanSpec{Star: 0, Prim: []algebra.PropRef{{Prop: "gi"}}}},
+		Src: Source{Files: []string{"bio"}, Dict: d, Scan: &ScanSpec{Star: 0, Prim: []algebra.PropRef{{Prop: "gi"}}}},
 		Ep:  Endpoint{Star: 0, Role: algebra.RoleObject, Props: []algebra.PropRef{{Prop: "gi"}}},
 	}
 	right := JoinSide{
-		Src: Source{Files: []string{"prot"}, Scan: &ScanSpec{Star: 1, Prim: []algebra.PropRef{{Prop: "gi"}}}},
+		Src: Source{Files: []string{"prot"}, Dict: d, Scan: &ScanSpec{Star: 1, Prim: []algebra.PropRef{{Prop: "gi"}}}},
 		Ep:  Endpoint{Star: 1, Role: algebra.RoleObject, Props: []algebra.PropRef{{Prop: "gi"}}},
 	}
 	if _, err := c.Run(AlphaJoinJob("j", left, right, nil, "out")); err != nil {
 		t.Fatal(err)
 	}
-	got := readAnnTGs(t, c, "out")
+	got := readAnnTGs(t, c, d, "out")
 	if len(got) != 1 {
 		t.Fatalf("joined = %d, want 1 (b1 ⋈ u1 via gi=200)", len(got))
 	}
@@ -135,18 +149,18 @@ func TestAlphaJoinObjectObject(t *testing.T) {
 
 // Both sides reading the same equivalence-class file must each see it.
 func TestAlphaJoinSharedFile(t *testing.T) {
-	c := newCluster()
+	c, d := newCluster(), rdf.NewDict()
 	// One class holds subjects with both p and q.
-	writeTGs(c, "shared",
+	writeTGs(c, d, "shared",
 		tg("x1", [2]string{"p", "Iy1"}, [2]string{"q", "L5"}),
 		tg("y1", [2]string{"p", "Iz"}, [2]string{"q", "L7"}),
 	)
 	left := JoinSide{
-		Src: Source{Files: []string{"shared"}, Scan: &ScanSpec{Star: 0, Prim: []algebra.PropRef{{Prop: "p"}}}},
+		Src: Source{Files: []string{"shared"}, Dict: d, Scan: &ScanSpec{Star: 0, Prim: []algebra.PropRef{{Prop: "p"}}}},
 		Ep:  Endpoint{Star: 0, Role: algebra.RoleObject, Props: []algebra.PropRef{{Prop: "p"}}},
 	}
 	right := JoinSide{
-		Src: Source{Files: []string{"shared"}, Scan: &ScanSpec{Star: 1, Prim: []algebra.PropRef{{Prop: "q"}}}},
+		Src: Source{Files: []string{"shared"}, Dict: d, Scan: &ScanSpec{Star: 1, Prim: []algebra.PropRef{{Prop: "q"}}}},
 		Ep:  Endpoint{Star: 1, Role: algebra.RoleSubject},
 	}
 	job := AlphaJoinJob("j", left, right, nil, "out")
@@ -156,12 +170,12 @@ func TestAlphaJoinSharedFile(t *testing.T) {
 	if _, err := c.Run(job); err != nil {
 		t.Fatal(err)
 	}
-	got := readAnnTGs(t, c, "out")
+	got := readAnnTGs(t, c, d, "out")
 	// x1's p object Iy1 joins y1's subject.
 	if len(got) != 1 {
 		t.Fatalf("joined = %d, want 1", len(got))
 	}
-	if comp, ok := got[0].Component(1); !ok || comp.Subject != "Iy1" {
+	if comp, ok := got[0].Component(1); !ok || lex(t, d, comp.Subject) != "Iy1" {
 		t.Errorf("component 1 = %v, %v", comp, ok)
 	}
 }
@@ -177,17 +191,18 @@ func TestScanPropFilters(t *testing.T) {
 			Filter: sparql.Filter{Kind: sparql.FilterCompare, Var: "p", Op: ">", Value: "15", IsNumeric: true},
 		}},
 	}
-	src := Source{Scan: spec}
-	keep := tg("o1", [2]string{"price", "L10"}, [2]string{"price", "L20"})
-	a, ok, err := src.scanner().annTGOf(keep.Encode())
+	d := rdf.NewDict()
+	src := Source{Scan: spec, Dict: d}
+	keep := tg("o1", [2]string{"price", "L10"}, [2]string{"price", "L20"}).Intern(d)
+	a, ok, err := src.scanner().annTGOf(keep.EncodeIDs())
 	if err != nil || !ok {
 		t.Fatalf("annTGOf: %v %v", ok, err)
 	}
-	if len(a.TGs[0].Triples) != 1 || a.TGs[0].Triples[0].Obj != "L20" {
+	if len(a.TGs[0].Triples) != 1 || lex(t, d, a.TGs[0].Triples[0].Obj) != "L20" {
 		t.Errorf("filtered triples = %v", a.TGs[0].Triples)
 	}
-	drop := tg("o2", [2]string{"price", "L5"})
-	if _, ok, err := src.scanner().annTGOf(drop.Encode()); err != nil || ok {
+	drop := tg("o2", [2]string{"price", "L5"}).Intern(d)
+	if _, ok, err := src.scanner().annTGOf(drop.EncodeIDs()); err != nil || ok {
 		t.Errorf("triplegroup with no surviving primary triple passed: %v %v", ok, err)
 	}
 }
@@ -208,11 +223,12 @@ func aggSpecs(tagged bool) []AggJoinSpec {
 }
 
 func aggInput(c *mapred.Cluster) Source {
-	writeTGs(c, "in",
+	d := rdf.NewDict()
+	writeTGs(c, d, "in",
 		tg("a", [2]string{"price", "L10"}, [2]string{"price", "L20"}),
 		tg("b", [2]string{"price", "L5"}),
 	)
-	return Source{Files: []string{"in"}, Scan: &ScanSpec{Star: 0, Prim: []algebra.PropRef{{Prop: "price"}}}}
+	return Source{Files: []string{"in"}, Dict: d, Scan: &ScanSpec{Star: 0, Prim: []algebra.PropRef{{Prop: "price"}}}}
 }
 
 func readTuples(t *testing.T, c *mapred.Cluster, name string) []string {
@@ -262,21 +278,14 @@ func TestAggJoinUntagged(t *testing.T) {
 // skewed groups — the Algorithm 3 benefit the cost model charges for.
 func TestAggJoinHashEmitsLess(t *testing.T) {
 	run := func(hash bool) int64 {
-		c := newCluster()
+		c, d := newCluster(), rdf.NewDict()
 		// All triples in one group: hash agg should emit once per task.
-		w, err := c.FS.Create("in", 1)
-		if err != nil {
-			t.Fatal(err)
-		}
 		g := tg("only")
 		for i := 0; i < 50; i++ {
 			g.Triples = append(g.Triples, ntga.PO{Prop: "price", Obj: "L1"})
 		}
-		w.Write(g.Encode())
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		src := Source{Files: []string{"in"}, Scan: &ScanSpec{Star: 0, Prim: []algebra.PropRef{{Prop: "price"}}}}
+		writeTGs(c, d, "in", g)
+		src := Source{Files: []string{"in"}, Dict: d, Scan: &ScanSpec{Star: 0, Prim: []algebra.PropRef{{Prop: "price"}}}}
 		m, err := c.Run(AggJoinJob("agg", src, aggSpecs(false), false, hash, "out"))
 		if err != nil {
 			t.Fatal(err)
@@ -308,7 +317,8 @@ func TestAggJoinAlphaGate(t *testing.T) {
 	c := newCluster()
 	src := aggInput(c)
 	specs := aggSpecs(false)
-	specs[0].Alpha = func(a *ntga.AnnTG) bool { return a.TGs[0].Subject != "Ib" }
+	ib := src.Dict.KeyString("Ib")
+	specs[0].Alpha = func(a *ntga.AnnTG) bool { return a.TGs[0].Subject != ib }
 	if _, err := c.Run(AggJoinJob("agg", src, specs, false, true, "out")); err != nil {
 		t.Fatal(err)
 	}
@@ -324,17 +334,18 @@ func TestAggJoinUntaggedRequiresSingleSpec(t *testing.T) {
 			t.Error("untagged AggJoinJob with two specs did not panic")
 		}
 	}()
-	AggJoinJob("agg", Source{}, aggSpecs(true), false, true, "out")
+	AggJoinJob("agg", Source{Dict: rdf.NewDict()}, aggSpecs(true), false, true, "out")
 }
 
 func TestJoinKeysMissingStar(t *testing.T) {
-	a := ntga.NewAnnTG(0, tg("x", [2]string{"p", "Iy"}))
+	d := rdf.NewDict()
+	a := ntga.NewAnnTG(0, tg("x", [2]string{"p", "Iy"}).Intern(d))
 	if keys := joinKeys(&a, Endpoint{Star: 3, Role: algebra.RoleSubject}, nil); keys != nil {
 		t.Errorf("keys for missing star = %v", keys)
 	}
 	ep := Endpoint{Star: 0, Role: algebra.RoleObject, Props: []algebra.PropRef{{Prop: "p"}}}
-	keys := joinKeys(&a, ep, ep.planeProps(nil))
-	if len(keys) != 1 || keys[0] != "Iy" {
+	keys := joinKeys(&a, ep, ep.planeProps(d))
+	if len(keys) != 1 || lex(t, d, keys[0]) != "Iy" {
 		t.Errorf("object keys = %v", keys)
 	}
 }

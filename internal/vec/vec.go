@@ -1,9 +1,9 @@
 // Package vec implements the columnar batch carrier of the streaming
 // execution plane: fixed-capacity batches of term-ID tuples stored
 // column-major ([]uint64 per column plus a validity bitset), built from and
-// re-encoded to the canonical uvarint record encoding of the dictionary
-// plane (codec.EncodeIDs) without loss. Records that are not canonical ID
-// tuples — lexical-plane tuples, aggregation states, tagged join rows of
+// re-encoded to the canonical uvarint record encoding of ID-tuples
+// (codec.EncodeIDs) without loss. Records that are not canonical ID
+// tuples — lexical result rows, aggregation states, tagged join rows of
 // mixed arity — fall back to a raw batch holding the record bytes verbatim
 // in an arena, so a batch stream can carry any record stream byte-exactly.
 //

@@ -89,12 +89,6 @@ type Options struct {
 	// PlanCacheSize bounds the store's LRU plan cache (entries). 0 means
 	// the default of 128; negative disables plan caching entirely.
 	PlanCacheSize int
-	// DictionaryEncoding stores both physical layouts with integer term IDs
-	// and runs the whole data plane (scan, shuffle, join, aggregation) on
-	// the compact ID encoding, decoding back to lexical form only at final
-	// aggregation; results are byte-identical either way. Enabled by
-	// DefaultOptions; false reproduces the original lexical layouts.
-	DictionaryEncoding bool
 	// Storage selects the simulated DFS backend: StorageMem (the default)
 	// keeps every record in memory; StorageDisk materialises files as
 	// sharded blockstore segments under DataDir. Output bytes are identical
@@ -179,13 +173,12 @@ const (
 // extrapolation.
 func DefaultOptions() Options {
 	return Options{
-		Nodes:              10,
-		DataScale:          1,
-		MapJoinBytes:       25 << 20,
-		DictionaryEncoding: true,
-		Streaming:          true,
-		CostBasedPlanner:   true,
-		ReplanRatio:        rapid.DefaultReplanRatio,
+		Nodes:            10,
+		DataScale:        1,
+		MapJoinBytes:     25 << 20,
+		Streaming:        true,
+		CostBasedPlanner: true,
+		ReplanRatio:      rapid.DefaultReplanRatio,
 	}
 }
 
@@ -381,8 +374,7 @@ func (s *Store) ensureLoaded() (*mapred.Cluster, *engine.Dataset, error) {
 			})
 			cluster.Scans = s.scans
 		}
-		ds, err := engine.LoadWith(cluster, fmt.Sprintf("store/%d", s.loads), s.graph,
-			engine.LoadOptions{DictionaryEncoding: s.opts.DictionaryEncoding})
+		ds, err := engine.Load(cluster, fmt.Sprintf("store/%d", s.loads), s.graph)
 		if err != nil {
 			return nil, nil, fmt.Errorf("%w: %w", ErrStorage, err)
 		}
@@ -549,7 +541,6 @@ func (s *Store) engineFor(sys System) (engine.Engine, error) {
 				AlphaFiltering:      f.AlphaFiltering,
 				HashAggregation:     f.HashAggregation,
 				InputPruning:        f.InputPruning,
-				DictionaryEncoding:  s.opts.DictionaryEncoding,
 			}
 		}
 		e.Opts.CostPlanner = s.opts.CostBasedPlanner
