@@ -232,6 +232,15 @@ func NewMultiAggState(specs []AggSpec) *MultiAggState {
 	return m
 }
 
+// Reset empties every state, keeping the functions and DISTINCT flags, so a
+// per-solution partial state can be reused instead of reallocated.
+func (m *MultiAggState) Reset() {
+	for _, s := range m.States {
+		s.Count, s.Sum, s.Extreme = 0, 0, ""
+		clear(s.Seen)
+	}
+}
+
 // Merge folds another multi-state (same spec list) into m.
 func (m *MultiAggState) Merge(o *MultiAggState) {
 	for i := range m.States {

@@ -1,7 +1,9 @@
 package algebra
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 
 	"rapidanalytics/internal/sparql"
 )
@@ -146,7 +148,10 @@ func buildSubquery(id int, sel *sparql.SelectQuery) (*Subquery, error) {
 	}
 	gp, err := BuildGraphPattern(sel.Pattern)
 	if err != nil {
-		return nil, err
+		// BuildGraphPattern is an entry point of its own and prefixes its
+		// (flat) errors; buildSubquery's callers prefix once for every
+		// cause.
+		return nil, errors.New(strings.TrimPrefix(err.Error(), "algebra: "))
 	}
 	if !gp.Connected() {
 		return nil, fmt.Errorf("graph pattern is disconnected: %s", gp)

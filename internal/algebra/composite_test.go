@@ -238,6 +238,25 @@ func TestBuildRejections(t *testing.T) {
 			t.Errorf("%s: Build succeeded, want error", name)
 		}
 	}
+	// A cause raised below buildSubquery is prefixed once, in both shapes.
+	for name, tc := range map[string]struct{ query, want string }{
+		"single": {
+			prefix + `SELECT ?s (COUNT(?o) AS ?n) { ?s e:p ?o . OPTIONAL { ?s ?q ?x . } } GROUP BY ?s`,
+			"algebra: unbound properties inside OPTIONAL are not supported",
+		},
+		"subquery": {
+			prefix + `SELECT ?s ?n { { SELECT ?s (COUNT(?o) AS ?n) { ?s e:p ?o . OPTIONAL { ?s ?q ?x . } } GROUP BY ?s } }`,
+			"algebra: subquery 1: unbound properties inside OPTIONAL are not supported",
+		},
+	} {
+		q, err := sparql.Parse(tc.query)
+		if err != nil {
+			t.Fatalf("%s: Parse: %v", name, err)
+		}
+		if _, err := Build(q); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: Build error = %v, want %q", name, err, tc.want)
+		}
+	}
 }
 
 func TestCompositeString(t *testing.T) {

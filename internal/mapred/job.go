@@ -17,6 +17,9 @@ import (
 )
 
 // Emit is the output callback handed to mappers, combiners and reducers.
+// A mapper's or combiner's value is retained until the shuffle (never
+// mutated), so each emit needs a slice of its own; a reducer's value is
+// copied before Emit returns, so a reducer may reuse one buffer.
 type Emit func(key string, value []byte)
 
 // Mapper consumes one input record at a time. A fresh Mapper is built per

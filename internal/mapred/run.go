@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -888,14 +887,16 @@ type group struct {
 // sortAndGroup sorts key/value pairs by key (stable, preserving map-task
 // emission order within a key) and groups equal keys.
 func sortAndGroup(in []kv) []group {
-	sort.SliceStable(in, func(i, j int) bool { return in[i].key < in[j].key })
+	sortStableByKey(in)
 	var groups []group
 	for i := 0; i < len(in); {
-		j := i
-		g := group{key: in[i].key}
-		for j < len(in) && in[j].key == g.key {
-			g.values = append(g.values, in[j].value)
+		j := i + 1
+		for j < len(in) && in[j].key == in[i].key {
 			j++
+		}
+		g := group{key: in[i].key, values: make([][]byte, j-i)}
+		for k := range g.values {
+			g.values[k] = in[i+k].value
 		}
 		groups = append(groups, g)
 		i = j

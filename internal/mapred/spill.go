@@ -5,8 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 	"sync/atomic"
 
 	"rapidanalytics/internal/dfs"
@@ -120,9 +121,11 @@ func decodeKV(rec []byte) (kv, error) {
 }
 
 // sortStableByKey sorts kvs by key, preserving emission order within a
-// key — the same ordering contract as sortAndGroup.
+// key. sortAndGroup sorts through it, so spilled and unspilled shuffles
+// order identically; the typed comparison keeps reflection's swapper out of
+// the shuffle.
 func sortStableByKey(kvs []kv) {
-	sort.SliceStable(kvs, func(i, j int) bool { return kvs[i].key < kvs[j].key })
+	slices.SortStableFunc(kvs, func(a, b kv) int { return strings.Compare(a.key, b.key) })
 }
 
 // writeSpillRun materialises one sorted run, attaching a spill-write io

@@ -51,11 +51,12 @@ func BenchmarkMatchResolved(b *testing.B) {
 	cp := buildComposite(b)
 	d := rdf.NewDict()
 	atg := Merge(NewAnnTG(0, productTG(d, "p1", "f1", "f2", "f3")), NewAnnTG(1, offerTG(d, "o1", "p1", "100")))
-	tps := ResolveTPMap(PatternTriples(cp, 0), d)
+	n := 0
+	st := CompileMatcher(ResolveTPMap(PatternTriples(cp, 0), d), nil).NewState(func([]string) { n++ })
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		n := 0
-		MatchResolved(&atg, tps, nil, func(Binding) { n++ })
+		n = 0
+		st.Match(&atg)
 		if n != 3 {
 			b.Fatalf("solutions = %d", n)
 		}

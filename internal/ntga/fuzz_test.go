@@ -31,6 +31,18 @@ func tgsEqual(a, b TripleGroup) bool {
 	return true
 }
 
+func annTGsEqual(a, b AnnTG) bool {
+	if len(a.Stars) != len(b.Stars) || len(a.TGs) != len(b.TGs) {
+		return false
+	}
+	for i := range a.Stars {
+		if a.Stars[i] != b.Stars[i] || !tgsEqual(a.TGs[i], b.TGs[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 func FuzzDecodeTripleGroupIDs(f *testing.F) {
 	in := fuzzInterner{}
 	tg := TripleGroup{
@@ -43,9 +55,23 @@ func FuzzDecodeTripleGroupIDs(f *testing.F) {
 	f.Add([]byte{0x01, 0xff})
 	f.Add([]byte{0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, _, err := DecodeTripleGroupIDs(data, in)
+		got, rest, err := DecodeTripleGroupIDs(data, in)
+		// The arena decoder, behind an earlier decode whose storage it must
+		// not disturb, agrees with the allocating wrapper on every input.
+		var ar Arena
+		first, _, ferr := ar.DecodeTripleGroupIDs(tg.EncodeIDs(), in)
+		agot, arest, aerr := ar.DecodeTripleGroupIDs(data, in)
+		if (err == nil) != (aerr == nil) {
+			t.Fatalf("arena decode err %v, wrapper err %v", aerr, err)
+		}
+		if ferr != nil || !tgsEqual(first, tg) {
+			t.Fatalf("earlier arena result changed: %+v (err %v)", first, ferr)
+		}
 		if err != nil {
 			return
+		}
+		if !tgsEqual(agot, got) || len(arest) != len(rest) {
+			t.Fatalf("arena decode %+v rest %d, wrapper %+v rest %d", agot, len(arest), got, len(rest))
 		}
 		got2, rest2, err := DecodeTripleGroupIDs(got.EncodeIDs(), in)
 		if err != nil || len(rest2) != 0 {
@@ -73,20 +99,29 @@ func FuzzDecodeAnnTGIDs(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := DecodeAnnTGIDs(data, in)
+		// As in FuzzDecodeTripleGroupIDs: the arena decoder against the
+		// wrapper, with an earlier result that must survive.
+		var ar Arena
+		first, ferr := ar.DecodeAnnTGIDs(a.EncodeIDs(), in)
+		agot, aerr := ar.DecodeAnnTGIDs(data, in)
+		if (err == nil) != (aerr == nil) {
+			t.Fatalf("arena decode err %v, wrapper err %v", aerr, err)
+		}
+		if ferr != nil || !annTGsEqual(first, a) {
+			t.Fatalf("earlier arena result changed: %+v (err %v)", first, ferr)
+		}
 		if err != nil {
 			return
+		}
+		if !annTGsEqual(agot, got) {
+			t.Fatalf("arena decode %+v, wrapper %+v", agot, got)
 		}
 		got2, err := DecodeAnnTGIDs(got.EncodeIDs(), in)
 		if err != nil {
 			t.Fatalf("re-decode: %v", err)
 		}
-		if len(got.Stars) != len(got2.Stars) {
-			t.Fatalf("star count changed: %d vs %d", len(got.Stars), len(got2.Stars))
-		}
-		for i := range got.Stars {
-			if got.Stars[i] != got2.Stars[i] || !tgsEqual(got.TGs[i], got2.TGs[i]) {
-				t.Fatalf("star %d changed across re-encode", i)
-			}
+		if !annTGsEqual(got, got2) {
+			t.Fatalf("anntg changed across re-encode: %+v vs %+v", got, got2)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package ntga
 
 import (
 	"fmt"
+	"slices"
 
 	"rapidanalytics/internal/codec"
 )
@@ -32,38 +33,78 @@ func (tg *TripleGroup) EncodeIDs() []byte {
 	return tg.AppendEncodeIDs(nil)
 }
 
-// DecodeTripleGroupIDs parses a triplegroup written by AppendEncodeIDs,
-// returning the remaining buffer (triplegroups nest inside annotated
-// triplegroups). Fields resolve to interned ID-strings through in.
-func DecodeTripleGroupIDs(buf []byte, in codec.Interner) (TripleGroup, []byte, error) {
+// decodeErr builds a decode failure. It is a function of its own so the
+// //rapid:hot decoders hold no formatting call: malformed input ends the
+// task, so it runs at most once.
+func decodeErr(format string, args ...any) error {
+	return fmt.Errorf("ntga: "+format, args...)
+}
+
+// Arena is reusable backing storage for decoded triplegroups. Its decode
+// methods append into it and return values whose slices alias it, so a map
+// task or reducer that finishes with one record (or one key group) before
+// decoding the next pays for the storage once: the values are valid until
+// Reset. The zero value is ready to use; an Arena is not safe for concurrent
+// use.
+type Arena struct {
+	pos   []PO
+	stars []int
+	tgs   []TripleGroup
+}
+
+// Reset invalidates everything decoded so far and makes its storage
+// available to the next decode.
+func (ar *Arena) Reset() {
+	ar.pos, ar.stars, ar.tgs = ar.pos[:0], ar.stars[:0], ar.tgs[:0]
+}
+
+// DecodeTripleGroupIDs parses a triplegroup written by AppendEncodeIDs into
+// the arena, returning the remaining buffer (triplegroups nest inside
+// annotated triplegroups). Fields resolve to interned ID-strings through in.
+//
+//rapid:hot
+func (ar *Arena) DecodeTripleGroupIDs(buf []byte, in codec.Interner) (TripleGroup, []byte, error) {
 	var tg TripleGroup
 	var err error
 	tg.Subject, buf, err = codec.ReadIDValue(buf, in)
 	if err != nil {
-		return tg, nil, fmt.Errorf("ntga: id triplegroup subject: %w", err)
+		return tg, nil, decodeErr("id triplegroup subject: %w", err)
 	}
 	n, buf, err := codec.ReadUvarint(buf)
 	if err != nil {
-		return tg, nil, fmt.Errorf("ntga: id triplegroup arity: %w", err)
+		return tg, nil, decodeErr("id triplegroup arity: %w", err)
 	}
 	// Each triple takes at least two bytes (property + object IDs).
 	if n > uint64(len(buf)) {
-		return tg, nil, fmt.Errorf("ntga: id triplegroup arity %d exceeds %d remaining bytes", n, len(buf))
+		return tg, nil, decodeErr("id triplegroup arity %d exceeds %d remaining bytes", n, len(buf))
+	}
+	start := len(ar.pos)
+	ar.pos = slices.Grow(ar.pos, int(n))
+	for i := 0; i < int(n); i++ {
+		var po PO
+		po.Prop, buf, err = codec.ReadIDValue(buf, in)
+		if err != nil {
+			return tg, nil, decodeErr("id triple %d property: %w", i, err)
+		}
+		po.Obj, buf, err = codec.ReadIDValue(buf, in)
+		if err != nil {
+			return tg, nil, decodeErr("id triple %d object: %w", i, err)
+		}
+		ar.pos = append(ar.pos, po)
 	}
 	if n > 0 {
-		tg.Triples = make([]PO, n)
-	}
-	for i := range tg.Triples {
-		tg.Triples[i].Prop, buf, err = codec.ReadIDValue(buf, in)
-		if err != nil {
-			return tg, nil, fmt.Errorf("ntga: id triple %d property: %w", i, err)
-		}
-		tg.Triples[i].Obj, buf, err = codec.ReadIDValue(buf, in)
-		if err != nil {
-			return tg, nil, fmt.Errorf("ntga: id triple %d object: %w", i, err)
-		}
+		// Capped, so an append through the result cannot reach a later
+		// decode.
+		tg.Triples = ar.pos[start:len(ar.pos):len(ar.pos)]
 	}
 	return tg, buf, nil
+}
+
+// DecodeTripleGroupIDs is Arena.DecodeTripleGroupIDs into fresh storage: the
+// result is the caller's to keep.
+func DecodeTripleGroupIDs(buf []byte, in codec.Interner) (TripleGroup, []byte, error) {
+	var ar Arena
+	return ar.DecodeTripleGroupIDs(buf, in)
 }
 
 // AppendEncodeIDs appends the encoding of the annotated triplegroup to
@@ -85,31 +126,44 @@ func (a *AnnTG) EncodeIDs() []byte {
 }
 
 // DecodeAnnTGIDs parses an annotated triplegroup written by
-// AppendEncodeIDs.
-func DecodeAnnTGIDs(buf []byte, in codec.Interner) (AnnTG, error) {
+// AppendEncodeIDs into the arena.
+//
+//rapid:hot
+func (ar *Arena) DecodeAnnTGIDs(buf []byte, in codec.Interner) (AnnTG, error) {
 	n, buf, err := codec.ReadUvarint(buf)
 	if err != nil {
-		return AnnTG{}, fmt.Errorf("ntga: id anntg arity: %w", err)
+		return AnnTG{}, decodeErr("id anntg arity: %w", err)
 	}
 	// Each star takes at least two bytes (star index + subject ID).
 	if n > uint64(len(buf)) {
-		return AnnTG{}, fmt.Errorf("ntga: id anntg arity %d exceeds %d remaining bytes", n, len(buf))
+		return AnnTG{}, decodeErr("id anntg arity %d exceeds %d remaining bytes", n, len(buf))
 	}
-	a := AnnTG{Stars: make([]int, n), TGs: make([]TripleGroup, n)}
+	start := len(ar.stars)
+	ar.stars = slices.Grow(ar.stars, int(n))
+	ar.tgs = slices.Grow(ar.tgs, int(n))
 	for i := 0; i < int(n); i++ {
 		s, rest, err := codec.ReadUvarint(buf)
 		if err != nil {
-			return AnnTG{}, fmt.Errorf("ntga: id anntg star %d: %w", i, err)
+			return AnnTG{}, decodeErr("id anntg star %d: %w", i, err)
 		}
-		a.Stars[i] = int(s)
-		a.TGs[i], rest, err = DecodeTripleGroupIDs(rest, in)
+		tg, rest, err := ar.DecodeTripleGroupIDs(rest, in)
 		if err != nil {
 			return AnnTG{}, err
 		}
+		ar.stars = append(ar.stars, int(s))
+		ar.tgs = append(ar.tgs, tg)
 		buf = rest
 	}
 	if len(buf) != 0 {
-		return AnnTG{}, fmt.Errorf("ntga: %d trailing bytes after id anntg", len(buf))
+		return AnnTG{}, decodeErr("%d trailing bytes after id anntg", len(buf))
 	}
-	return a, nil
+	end := len(ar.stars)
+	return AnnTG{Stars: ar.stars[start:end:end], TGs: ar.tgs[start:end:end]}, nil
+}
+
+// DecodeAnnTGIDs is Arena.DecodeAnnTGIDs into fresh storage: the result is
+// the caller's to keep.
+func DecodeAnnTGIDs(buf []byte, in codec.Interner) (AnnTG, error) {
+	var ar Arena
+	return ar.DecodeAnnTGIDs(buf, in)
 }

@@ -1,6 +1,7 @@
 package ntga
 
 import (
+	"math/rand"
 	"reflect"
 	"sort"
 	"strings"
@@ -290,6 +291,23 @@ func TestAlphaTableSatisfies(t *testing.T) {
 	}
 }
 
+// solutionsOf runs a compiled matcher over a and returns every solution, in
+// enumeration order, as a variable → ID-string map holding the bound
+// variables only.
+func solutionsOf(m *Matcher, a *AnnTG) []map[string]string {
+	var out []map[string]string
+	m.NewState(func(slots []string) {
+		sol := map[string]string{}
+		for i, v := range slots {
+			if v != "" {
+				sol[m.vars[i]] = v
+			}
+		}
+		out = append(out, sol)
+	}).Match(a)
+	return out
+}
+
 // Binding multiplicity: a product with two features yields two solutions
 // for the per-feature pattern and one for the featureless pattern.
 func TestMatchResolvedMultiplicity(t *testing.T) {
@@ -297,23 +315,20 @@ func TestMatchResolvedMultiplicity(t *testing.T) {
 	d := rdf.NewDict()
 	atg := Merge(NewAnnTG(0, productTG(d, "p1", "f1", "f2")), NewAnnTG(1, offerTG(d, "o1", "p1", "100")))
 
-	count := 0
 	features := map[string]bool{}
-	MatchResolved(&atg, ResolveTPMap(PatternTriples(cp, 0), d), nil, func(b Binding) {
-		count++
+	sols := solutionsOf(CompileMatcher(ResolveTPMap(PatternTriples(cp, 0), d), nil), &atg)
+	for _, b := range sols {
 		features[lex(t, d, b["f"])] = true
 		if got := lex(t, d, b["pr2"]); got != "L100" {
 			t.Errorf("price binding = %q", got)
 		}
-	})
-	if count != 2 || !features["If1"] || !features["If2"] {
-		t.Errorf("pattern 0 solutions = %d (%v), want 2", count, features)
+	}
+	if len(sols) != 2 || !features["If1"] || !features["If2"] {
+		t.Errorf("pattern 0 solutions = %d (%v), want 2", len(sols), features)
 	}
 
-	count = 0
-	MatchResolved(&atg, ResolveTPMap(PatternTriples(cp, 1), d), nil, func(b Binding) { count++ })
-	if count != 1 {
-		t.Errorf("pattern 1 solutions = %d, want 1", count)
+	if n := len(solutionsOf(CompileMatcher(ResolveTPMap(PatternTriples(cp, 1), d), nil), &atg)); n != 1 {
+		t.Errorf("pattern 1 solutions = %d, want 1", n)
 	}
 }
 
@@ -322,10 +337,8 @@ func TestMatchResolvedMissingStar(t *testing.T) {
 	cp := buildComposite(t)
 	d := rdf.NewDict()
 	atg := NewAnnTG(0, productTG(d, "p1", "f1"))
-	called := false
-	MatchResolved(&atg, ResolveTPMap(PatternTriples(cp, 0), d), nil, func(Binding) { called = true })
-	if called {
-		t.Error("solutions produced despite missing star component")
+	if sols := solutionsOf(CompileMatcher(ResolveTPMap(PatternTriples(cp, 0), d), nil), &atg); len(sols) != 0 {
+		t.Errorf("solutions produced despite missing star component: %v", sols)
 	}
 }
 
@@ -346,10 +359,249 @@ func TestMatchResolvedConsistency(t *testing.T) {
 		{Prop: "q", Obj: "L3"},
 	}}).Intern(d))
 	var got []string
-	MatchResolved(&atg, ResolveTPMap(tps, d), nil, func(b Binding) { got = append(got, lex(t, d, b["x"])) })
-	sort.Strings(got)
+	for _, b := range solutionsOf(CompileMatcher(ResolveTPMap(tps, d), nil), &atg) {
+		got = append(got, lex(t, d, b["x"]))
+	}
 	if !reflect.DeepEqual(got, []string{"L2"}) {
 		t.Errorf("consistent solutions = %v, want [L2]", got)
+	}
+}
+
+// An OPTIONAL pattern with a property variable and a constant object must
+// unbind ?p after a triple whose object does not match. The enumeration this
+// matcher replaced skipped that (its `continue` jumped over the restore), so
+// ?p stayed bound to the first triple's property, the matching triple was
+// then refused, and the left-outer branch reported ?p = a. algebra rejects
+// the shape today; the matcher is exported and must be right regardless.
+func TestMatchOptionalPropertyVarIsRestored(t *testing.T) {
+	a := NewAnnTG(0, TripleGroup{Subject: idStr(1), Triples: []PO{
+		{Prop: idStr(10), Obj: idStr(20)}, // a → X: binds ?p, object mismatch
+		{Prop: idStr(11), Obj: idStr(21)}, // b → C: the match
+	}})
+	m := CompileMatcher(
+		map[int][]TP{0: {{SVar: "s", Prop: idStr(10), OVar: "x"}}},
+		map[int][]TP{0: {{SVar: "s", PVar: "p", Obj: idStr(21)}}},
+	)
+	want := []map[string]string{{"s": idStr(1), "x": idStr(20), "p": idStr(11)}}
+	if got := solutionsOf(m, &a); !reflect.DeepEqual(got, want) {
+		t.Errorf("solutions = %q, want %q", got, want)
+	}
+	// The documented failure of the replaced logic, so the reference below
+	// is known to be that logic.
+	var ref []map[string]string
+	refMatch(&a, map[int][]TP{0: {{SVar: "s", Prop: idStr(10), OVar: "x"}}},
+		map[int][]TP{0: {{SVar: "s", PVar: "p", Obj: idStr(21)}}},
+		func(b map[string]string) { ref = append(ref, cloneSolution(b)) })
+	if stale := []map[string]string{{"s": idStr(1), "x": idStr(20), "p": idStr(10)}}; !reflect.DeepEqual(ref, stale) {
+		t.Errorf("reference enumeration = %q, want the stale binding %q", ref, stale)
+	}
+}
+
+// Matching leaves no binding behind: a state reused for the next record
+// starts from unbound slots, and enumerating allocates nothing.
+func TestMatchStateIsReusable(t *testing.T) {
+	cp := buildComposite(t)
+	d := rdf.NewDict()
+	full := Merge(NewAnnTG(0, productTG(d, "p1", "f1", "f2")), NewAnnTG(1, offerTG(d, "o1", "p1", "100")))
+	partial := NewAnnTG(0, productTG(d, "p2", "f3"))
+	n := 0
+	st := CompileMatcher(ResolveTPMap(PatternTriples(cp, 0), d), nil).NewState(func(slots []string) { n++ })
+	for _, step := range []struct {
+		a    *AnnTG
+		want int
+	}{{&full, 2}, {&partial, 0}, {&full, 2}} {
+		n = 0
+		st.Match(step.a)
+		if n != step.want {
+			t.Errorf("solutions = %d, want %d", n, step.want)
+		}
+		for i, v := range st.slots {
+			if v != "" {
+				t.Errorf("slot %s still bound to %q after Match", st.m.vars[i], v)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { st.Match(&full) }); allocs != 0 {
+		t.Errorf("Match allocates %v times per triplegroup, want 0", allocs)
+	}
+}
+
+// refMatch is the map-based enumeration the compiled matcher replaced,
+// kept verbatim (its stale-?p defect included, see
+// TestMatchOptionalPropertyVarIsRestored) as the reference for solution
+// order: RAPID+'s float sums depend on it.
+func refMatch(a *AnnTG, starTPs, optTPs map[int][]TP, fn func(map[string]string)) {
+	type work struct {
+		tg       *TripleGroup
+		tp       TP
+		optional bool
+	}
+	var items []work
+	stars := make([]int, 0, len(starTPs))
+	for star := range starTPs {
+		stars = append(stars, star)
+	}
+	sort.Ints(stars)
+	for _, star := range stars {
+		tg, ok := a.Component(star)
+		if !ok {
+			return
+		}
+		comp := tg
+		for _, tp := range starTPs[star] {
+			items = append(items, work{tg: &comp, tp: tp})
+		}
+		for _, tp := range optTPs[star] {
+			items = append(items, work{tg: &comp, tp: tp, optional: true})
+		}
+	}
+	sort.SliceStable(items, func(i, j int) bool { return !items[i].optional && items[j].optional })
+	binding := map[string]string{}
+	var rec func(i int)
+	matchObject := func(tp TP, po PO, i int) {
+		if tp.OVar == "" {
+			if po.Obj == tp.Obj {
+				rec(i + 1)
+			}
+			return
+		}
+		if prev, had := binding[tp.OVar]; had {
+			if prev == po.Obj {
+				rec(i + 1)
+			}
+			return
+		}
+		binding[tp.OVar] = po.Obj
+		rec(i + 1)
+		delete(binding, tp.OVar)
+	}
+	rec = func(i int) {
+		if i == len(items) {
+			fn(binding)
+			return
+		}
+		it := items[i]
+		sv := it.tp.SVar
+		prevS, hadS := binding[sv]
+		if hadS && prevS != it.tg.Subject {
+			return
+		}
+		if !hadS {
+			binding[sv] = it.tg.Subject
+		}
+		matchedAny := false
+		for _, po := range it.tg.Triples {
+			boundP := false
+			if pv := it.tp.PVar; pv != "" {
+				if prev, had := binding[pv]; had {
+					if prev != po.Prop {
+						continue
+					}
+				} else {
+					binding[pv] = po.Prop
+					boundP = true
+				}
+			} else if po.Prop != it.tp.Prop {
+				continue
+			}
+			if it.optional {
+				if it.tp.OVar == "" && po.Obj != it.tp.Obj {
+					continue
+				}
+				matchedAny = true
+			}
+			matchObject(it.tp, po, i)
+			if boundP {
+				delete(binding, it.tp.PVar)
+			}
+		}
+		if it.optional && !matchedAny {
+			rec(i + 1)
+		}
+		if !hadS {
+			delete(binding, sv)
+		}
+	}
+	rec(0)
+}
+
+func cloneSolution(b map[string]string) map[string]string {
+	out := make(map[string]string, len(b))
+	for k, v := range b {
+		out[k] = v
+	}
+	return out
+}
+
+// The compiled matcher yields the reference's solutions in the reference's
+// order over seeded random patterns and annotated triplegroups: multi-valued
+// properties, missing optionals, a variable shared between two stars, a ?p
+// pattern, and stars absent from the triplegroup (zero solutions).
+func TestMatcherAgreesWithReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(20161))
+	pick := func(n int) int { return rng.Intn(n) }
+	prop := func() string { return idStr(uint64(10 + pick(4))) }
+	obj := func() string { return idStr(uint64(20 + pick(5))) }
+	objVars := []string{"x0", "x1", "x2", "j"}
+	pattern := func(svar string, star int, optional bool) TP {
+		tp := TP{SVar: svar, Prop: prop()}
+		// A property variable; OPTIONAL ones take an object variable, the
+		// one shape on which the reference is not defective.
+		if pick(5) == 0 {
+			tp.PVar, tp.Prop = "pv"+string(rune('0'+star)), ""
+		}
+		if pick(4) == 0 && !(optional && tp.PVar != "") {
+			tp.Obj = obj()
+		} else {
+			tp.OVar = objVars[pick(len(objVars))]
+		}
+		return tp
+	}
+	var total, absent int
+	for round := 0; round < 400; round++ {
+		starTPs, optTPs := map[int][]TP{}, map[int][]TP{}
+		nStars := 1 + pick(3)
+		for star := 0; star < nStars; star++ {
+			// Star 1's subject is sometimes the shared variable: a
+			// subject-object join with star 0.
+			svar := "s" + string(rune('0'+star))
+			if star == 1 && pick(3) == 0 {
+				svar = "j"
+			}
+			for n := 1 + pick(3); n > 0; n-- {
+				starTPs[star] = append(starTPs[star], pattern(svar, star, false))
+			}
+			for n := pick(3); n > 0; n-- {
+				optTPs[star] = append(optTPs[star], pattern(svar, star, true))
+			}
+		}
+		m := CompileMatcher(starTPs, optTPs)
+		for trial := 0; trial < 5; trial++ {
+			var a AnnTG
+			for star := 0; star < nStars; star++ {
+				if pick(7) == 0 {
+					absent++
+					continue
+				}
+				// Subjects share the object range so "j" can join.
+				g := TripleGroup{Subject: obj()}
+				for n := pick(7); n > 0; n-- {
+					g.Triples = append(g.Triples, PO{Prop: prop(), Obj: obj()})
+				}
+				a = Merge(a, NewAnnTG(star, g))
+			}
+			var want []map[string]string
+			refMatch(&a, starTPs, optTPs, func(b map[string]string) { want = append(want, cloneSolution(b)) })
+			got := solutionsOf(m, &a)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("round %d trial %d: %v / %v over %+v\n got %q\nwant %q", round, trial, starTPs, optTPs, a, got, want)
+			}
+			total += len(want)
+		}
+	}
+	// The generator must reach both regimes, or the comparison is vacuous.
+	if total < 1000 || absent == 0 {
+		t.Errorf("generator too weak: %d solutions compared, %d absent stars", total, absent)
 	}
 }
 

@@ -14,10 +14,6 @@ type SplitTG struct {
 	TG TripleGroup
 }
 
-// Binding is one solution, mapping composite variable names to the bound
-// values' ID-strings (rdf.Dict).
-type Binding map[string]string
-
 // PatternTriples groups original pattern k's canonical triple patterns by
 // composite star index, the form ResolveTPMap consumes.
 func PatternTriples(cp *algebra.CompositePattern, k int) map[int][]sparql.TriplePattern {

@@ -59,10 +59,22 @@ func (tg *TripleGroup) HasPO(prop, obj string) bool {
 // reference.
 func (tg *TripleGroup) HasResolvedRef(ref Ref) bool { return tg.HasPO(ref.Prop, ref.Obj) }
 
-// ProjectRefs returns a copy of the triplegroup restricted to triples
-// matching any of the resolved references.
-func (tg *TripleGroup) ProjectRefs(refs []Ref) TripleGroup {
-	out := TripleGroup{Subject: tg.Subject}
+// HasAllRefs reports whether the triplegroup matches every resolved
+// reference.
+func (tg *TripleGroup) HasAllRefs(refs []Ref) bool {
+	for _, ref := range refs {
+		if !tg.HasPO(ref.Prop, ref.Obj) {
+			return false
+		}
+	}
+	return true
+}
+
+// AppendProjectRefs appends to dst the triples matching any of the resolved
+// references, in stored order — the projection loop of σ^γopt and χ.
+//
+//rapid:hot
+func (tg *TripleGroup) AppendProjectRefs(dst []PO, refs []Ref) []PO {
 	for _, t := range tg.Triples {
 		for _, ref := range refs {
 			if t.Prop != ref.Prop {
@@ -71,11 +83,17 @@ func (tg *TripleGroup) ProjectRefs(refs []Ref) TripleGroup {
 			if ref.Obj != "" && t.Obj != ref.Obj {
 				continue
 			}
-			out.Triples = append(out.Triples, t)
+			dst = append(dst, t)
 			break
 		}
 	}
-	return out
+	return dst
+}
+
+// ProjectRefs returns a copy of the triplegroup restricted to triples
+// matching any of the resolved references.
+func (tg *TripleGroup) ProjectRefs(refs []Ref) TripleGroup {
+	return TripleGroup{Subject: tg.Subject, Triples: tg.AppendProjectRefs(nil, refs)}
 }
 
 // OptGroupFilterRefs implements the optional group-filter operator σ^γopt
@@ -84,10 +102,8 @@ func (tg *TripleGroup) ProjectRefs(refs []Ref) TripleGroup {
 // is matched. The returned triplegroup contains the matching primary
 // triples plus any matching optional triples.
 func OptGroupFilterRefs(tg TripleGroup, prim, opt []Ref) (TripleGroup, bool) {
-	for _, ref := range prim {
-		if !tg.HasPO(ref.Prop, ref.Obj) {
-			return TripleGroup{}, false
-		}
+	if !tg.HasAllRefs(prim) {
+		return TripleGroup{}, false
 	}
 	refs := make([]Ref, 0, len(prim)+len(opt))
 	refs = append(refs, prim...)
@@ -224,130 +240,198 @@ func ResolveTPMap(m map[int][]sparql.TriplePattern, d *rdf.Dict) map[int][]TP {
 	return out
 }
 
-// MatchResolved enumerates the solutions of a set of resolved triple
-// patterns (grouped per composite star) against an annotated triplegroup,
-// invoking fn for each solution. Solutions follow SPARQL bag semantics: a
+// Matcher is a set of resolved triple patterns (grouped per composite star)
+// compiled, once per job, into the plan the γ^AgJ mapper runs per record: a
+// flat item list with every variable name resolved to a slot index, so
+// enumerating an annotated triplegroup's solutions touches no map, sorts
+// nothing and allocates nothing.
+//
+// Item order is part of the contract: stars ascending, within a star the
+// patterns in the order given, and every required pattern before every
+// OPTIONAL one (so optional non-matches cannot mask required bindings).
+// Solutions are enumerated depth-first in that order, each item walking its
+// component's triples in stored order. RAPID+ emits one partial state per
+// solution and SUM merges them in shuffle order, so changing the order
+// changes float result bits.
+type Matcher struct {
+	stars []int // composite stars the required patterns are rooted at, ascending
+	items []matchItem
+	vars  []string // slot → variable name
+}
+
+// matchItem is one compiled triple pattern.
+type matchItem struct {
+	comp     int    // index into Matcher.stars / MatchState.comps
+	sSlot    int    // subject variable's slot
+	pSlot    int    // property variable's slot, -1 when the property is constant
+	prop     string // constant property's ID-string
+	oSlot    int    // object variable's slot, -1 when the object is constant
+	obj      string // constant object's ID-string
+	optional bool
+}
+
+// CompileMatcher compiles resolved triple patterns: starTPs[i] holds the
+// required patterns rooted at composite star i (a star absent from the
+// matched triplegroup causes zero solutions); optTPs[i] holds star i's
+// OPTIONAL patterns, which bind when a matching triple exists and leave
+// their variables unbound otherwise. OPTIONAL patterns of a star without
+// required patterns are not matched.
+func CompileMatcher(starTPs, optTPs map[int][]TP) *Matcher {
+	m := &Matcher{stars: make([]int, 0, len(starTPs))}
+	for star := range starTPs {
+		m.stars = append(m.stars, star)
+	}
+	sort.Ints(m.stars)
+	slots := map[string]int{}
+	slot := func(name string) int {
+		if name == "" {
+			return -1
+		}
+		s, ok := slots[name]
+		if !ok {
+			s = len(m.vars)
+			slots[name] = s
+			m.vars = append(m.vars, name)
+		}
+		return s
+	}
+	for _, optional := range []bool{false, true} {
+		for comp, star := range m.stars {
+			tps := starTPs[star]
+			if optional {
+				tps = optTPs[star]
+			}
+			for _, tp := range tps {
+				m.items = append(m.items, matchItem{
+					comp: comp, optional: optional,
+					sSlot: slot(tp.SVar),
+					pSlot: slot(tp.PVar), prop: tp.Prop,
+					oSlot: slot(tp.OVar), obj: tp.Obj,
+				})
+			}
+		}
+	}
+	return m
+}
+
+// Slot returns the slot index of a variable, or -1 when no pattern mentions
+// it (such a variable is unbound in every solution).
+func (m *Matcher) Slot(name string) int {
+	for i, v := range m.vars {
+		if v == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// MatchState is one task's reusable matching state for a Matcher: the slot
+// values of the solution being built and the matched triplegroup's
+// components. It is not safe for concurrent use.
+type MatchState struct {
+	m     *Matcher
+	fn    func(slots []string)
+	slots []string
+	comps []*TripleGroup
+}
+
+// NewState returns a matching state that reports every solution to fn as
+// the slot values, indexed as Slot numbers them: ID-strings, "" for an
+// unbound variable (no ID-string is empty); a variable property binds the
+// property's ID-string. fn must not retain or modify the slice.
+func (m *Matcher) NewState(fn func(slots []string)) *MatchState {
+	return &MatchState{
+		m:     m,
+		fn:    fn,
+		slots: make([]string, len(m.vars)),
+		comps: make([]*TripleGroup, len(m.stars)),
+	}
+}
+
+// Match enumerates the solutions of the compiled patterns against an
+// annotated triplegroup. Solutions follow SPARQL bag semantics: a
 // triplegroup whose star component holds m triples for a pattern property
 // yields m solutions for that triple pattern, and solutions multiply across
 // triple patterns — this is what makes triplegroup aggregation agree with
 // relational aggregation in the presence of multi-valued properties.
 //
-// starTPs[i] holds the required triple patterns rooted at composite star i
-// (patterns for stars absent from the triplegroup cause zero solutions);
-// optTPs[i] holds OPTIONAL patterns, which bind when a matching triple
-// exists and leave their variables unbound otherwise. Binding values are
-// ID-strings; a variable property binds the property's ID-string. fn must
-// not retain the binding.
-func MatchResolved(a *AnnTG, starTPs, optTPs map[int][]TP, fn func(Binding)) {
-	// Flatten to a work list of (star, tp) with the component resolved.
-	type work struct {
-		tg       *TripleGroup
-		tp       TP
-		optional bool
-	}
-	var items []work
-	stars := make([]int, 0, len(starTPs))
-	for star := range starTPs {
-		stars = append(stars, star)
-	}
-	sort.Ints(stars)
-	for _, star := range stars {
-		tg, ok := a.Component(star)
-		if !ok {
+//rapid:hot
+func (st *MatchState) Match(a *AnnTG) {
+	for i, star := range st.m.stars {
+		st.comps[i] = nil
+		for j, s := range a.Stars {
+			if s == star {
+				st.comps[i] = &a.TGs[j]
+				break
+			}
+		}
+		if st.comps[i] == nil {
 			return
 		}
-		comp := tg
-		for _, tp := range starTPs[star] {
-			items = append(items, work{tg: &comp, tp: tp})
-		}
-		for _, tp := range optTPs[star] {
-			items = append(items, work{tg: &comp, tp: tp, optional: true})
-		}
 	}
-	// Required patterns first, so optional non-matches cannot mask required
-	// bindings.
-	sort.SliceStable(items, func(i, j int) bool { return !items[i].optional && items[j].optional })
-	binding := Binding{}
-	var rec func(i int)
-	rec = func(i int) {
-		if i == len(items) {
-			fn(binding)
-			return
-		}
-		it := items[i]
-		// Bind the subject variable to the component's subject.
-		sv := it.tp.SVar
-		prevS, hadS := binding[sv]
-		if hadS && prevS != it.tg.Subject {
-			return
-		}
-		if !hadS {
-			binding[sv] = it.tg.Subject
-		}
-		restoreS := func() {
-			if !hadS {
-				delete(binding, sv)
-			}
-		}
-		// Match the object against the component's triples. An unbound
-		// property (?p) matches any triple and binds the property variable.
-		matchedAny := false
-		for _, po := range it.tg.Triples {
-			var restoreP func()
-			if it.tp.PVar != "" {
-				pv := it.tp.PVar
-				if prev, had := binding[pv]; had {
-					if prev != po.Prop {
-						continue
-					}
-					restoreP = func() {}
-				} else {
-					binding[pv] = po.Prop
-					restoreP = func() { delete(binding, pv) }
-				}
-			} else if po.Prop != it.tp.Prop {
-				continue
-			}
-			if it.optional {
-				if it.tp.OVar == "" && po.Obj != it.tp.Obj {
-					continue
-				}
-				matchedAny = true
-			}
-			matchResolvedObject(it.tp, po, binding, rec, i)
-			if restoreP != nil {
-				restoreP()
-			}
-		}
-		if it.optional && !matchedAny {
-			// Left-outer: proceed with the optional variables unbound.
-			rec(i + 1)
-		}
-		restoreS()
-	}
-	rec(0)
+	st.match(0)
 }
 
-// matchResolvedObject matches one triple's object against the resolved
-// pattern's object position and recurses.
-func matchResolvedObject(tp TP, po PO, binding Binding, rec func(int), i int) {
-	if tp.OVar == "" {
-		if po.Obj != tp.Obj {
-			return
-		}
-		rec(i + 1)
+// match extends the partial solution in slots by items[i:], restoring every
+// slot it binds before it returns.
+//
+//rapid:hot
+func (st *MatchState) match(i int) {
+	if i == len(st.m.items) {
+		st.fn(st.slots)
 		return
 	}
-	ov := tp.OVar
-	prevO, hadO := binding[ov]
-	if hadO {
-		if prevO != po.Obj {
-			return
-		}
-		rec(i + 1)
+	it := &st.m.items[i]
+	tg := st.comps[it.comp]
+	slots := st.slots
+	// Bind the subject variable to the component's subject.
+	boundS := slots[it.sSlot] == ""
+	if boundS {
+		slots[it.sSlot] = tg.Subject
+	} else if slots[it.sSlot] != tg.Subject {
 		return
 	}
-	binding[ov] = po.Obj
-	rec(i + 1)
-	delete(binding, ov)
+	// Match the object against the component's triples. An unbound property
+	// (?p) matches any triple and binds the property variable.
+	matchedAny := false
+	for k := range tg.Triples {
+		po := &tg.Triples[k]
+		boundP := false
+		if it.pSlot < 0 {
+			if po.Prop != it.prop {
+				continue
+			}
+		} else if slots[it.pSlot] == "" {
+			slots[it.pSlot], boundP = po.Prop, true
+		} else if slots[it.pSlot] != po.Prop {
+			continue
+		}
+		switch {
+		case it.oSlot < 0:
+			if po.Obj == it.obj {
+				matchedAny = true
+				st.match(i + 1)
+			}
+		case slots[it.oSlot] == "":
+			matchedAny = true
+			slots[it.oSlot] = po.Obj
+			st.match(i + 1)
+			slots[it.oSlot] = ""
+		default:
+			matchedAny = true
+			if slots[it.oSlot] == po.Obj {
+				st.match(i + 1)
+			}
+		}
+		if boundP {
+			slots[it.pSlot] = ""
+		}
+	}
+	if it.optional && !matchedAny {
+		// Left-outer: proceed with the optional variables unbound.
+		st.match(i + 1)
+	}
+	if boundS {
+		slots[it.sSlot] = ""
+	}
 }

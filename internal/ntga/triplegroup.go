@@ -4,7 +4,10 @@
 // Definition 3.3), n-split (χ, Definition 3.4), α-Join (Definition 3.5) and
 // the binding enumeration underlying the triplegroup Agg-Join (γ^AgJ,
 // Definition 3.6). The operators here are pure functions; the engines wrap
-// them into map/reduce physical operators.
+// them into map/reduce physical operators. The two per-record pieces are
+// built for reuse instead: a Matcher compiles γ^AgJ's triple patterns once
+// per job and enumerates solutions through a per-task MatchState, and an
+// Arena is the per-task storage triplegroups decode into.
 package ntga
 
 import (

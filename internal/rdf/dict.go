@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"strconv"
 	"sync"
+	"sync/atomic"
 )
 
 // NullID is the reserved term ID for the relational NULL. Its ID-string is
@@ -39,11 +40,28 @@ type dictEntry struct {
 //
 // The dictionary is built once at dataset-load time (in term-of-first-use
 // order over the triple stream, so IDs are deterministic for a given graph)
-// and attached to engine.Dataset; query-time use is read-mostly.
+// and attached to engine.Dataset; at query time every map task decodes every
+// field through it, so the by-ID readers (Key, IDString, Lex,
+// NumericIDString, Len) take no lock.
+//
+// Publish protocol: entries are append-only and immutable once written. A
+// writer, holding mu, appends the entry, stores the backing array into view
+// if the append moved it, and only then stores the new length into n.
+// A reader loads n first and view second: sync/atomic operations are
+// sequentially consistent, so the array it gets is the one current when
+// that length was published or a later one, and a later array holds a copy
+// of every earlier entry. The reader therefore sees every entry below the
+// length it observed, fully written. By-key access (Add, Lookup, KeyString)
+// goes through the ids map and keeps the mutex.
 type Dict struct {
 	mu      sync.RWMutex
 	ids     map[string]uint64
-	entries []dictEntry // entries[id-1] for id ≥ 1
+	entries []dictEntry // entries[id-1] for id ≥ 1; written under mu
+
+	// view is the entries backing array at full capacity, republished only
+	// when append reallocates; n is the published length.
+	view atomic.Pointer[[]dictEntry]
+	n    atomic.Uint64
 }
 
 // NewDict returns an empty dictionary.
@@ -75,18 +93,31 @@ func (d *Dict) Add(key string) uint64 {
 		}
 	}
 	d.ids[key] = id
+	grew := len(d.entries) == cap(d.entries)
 	d.entries = append(d.entries, e)
+	if grew {
+		full := d.entries[:cap(d.entries)]
+		d.view.Store(&full)
+	}
+	d.n.Store(id)
 	return id
+}
+
+// entry returns the published entry for id, or nil for NULL and IDs at or
+// beyond the published length.
+//
+//rapid:hot
+func (d *Dict) entry(id uint64) *dictEntry {
+	if id == 0 || id > d.n.Load() {
+		return nil
+	}
+	return &(*d.view.Load())[id-1]
 }
 
 // AddString returns the interned ID-string for the term key, assigning the
 // next dense ID if the key is new — the form the store builders use.
 func (d *Dict) AddString(key string) string {
-	id := d.Add(key)
-	d.mu.RLock()
-	s := d.entries[id-1].idStr
-	d.mu.RUnlock()
-	return s
+	return d.entry(d.Add(key)).idStr
 }
 
 // Lookup returns the ID for a term key, or false if the key was never
@@ -101,12 +132,11 @@ func (d *Dict) Lookup(key string) (uint64, bool) {
 // Key returns the lexical Term.Key form for an ID. ID 0 (NULL) and unknown
 // IDs return false.
 func (d *Dict) Key(id uint64) (string, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if id == 0 || id > uint64(len(d.entries)) {
+	e := d.entry(id)
+	if e == nil {
 		return "", false
 	}
-	return d.entries[id-1].key, true
+	return e.key, true
 }
 
 // IDString returns the interned uvarint ID-string for an ID. NULL (ID 0)
@@ -115,12 +145,11 @@ func (d *Dict) IDString(id uint64) (string, bool) {
 	if id == 0 {
 		return nullIDString, true
 	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if id > uint64(len(d.entries)) {
+	e := d.entry(id)
+	if e == nil {
 		return "", false
 	}
-	return d.entries[id-1].idStr, true
+	return e.idStr, true
 }
 
 // KeyString translates a lexical term key into its interned ID-string. Keys
@@ -146,12 +175,11 @@ func (d *Dict) Lex(idStr string) (string, bool) {
 	if id == 0 {
 		return "", true
 	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if id > uint64(len(d.entries)) {
+	e := d.entry(id)
+	if e == nil {
 		return "", false
 	}
-	return d.entries[id-1].key, true
+	return e.key, true
 }
 
 // NumericIDString returns the cached numeric value of the literal an
@@ -162,19 +190,13 @@ func (d *Dict) NumericIDString(idStr string) (float64, bool) {
 	if n != len(idStr) || n <= 0 || id == 0 {
 		return 0, false
 	}
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if id > uint64(len(d.entries)) {
+	e := d.entry(id)
+	if e == nil {
 		return 0, false
 	}
-	e := &d.entries[id-1]
 	return e.num, e.isNum
 }
 
 // Len returns the number of distinct terms in the dictionary (excluding the
 // reserved NULL ID).
-func (d *Dict) Len() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.entries)
-}
+func (d *Dict) Len() int { return int(d.n.Load()) }

@@ -2,8 +2,11 @@ package rdf
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -157,5 +160,84 @@ func TestGraphProperties(t *testing.T) {
 	props := g.Properties()
 	if props["http://e/p"] != 2 || props["http://e/q"] != 1 {
 		t.Errorf("Properties() = %v", props)
+	}
+}
+
+// The by-ID readers take no lock: while writers add terms, a reader that
+// observed length n must find every ID up to n complete — key, ID-string
+// and cached number — whichever backing array was current when it looked.
+// The window is the republish of a grown array, so the test runs many small
+// dictionaries, each growing a dozen times. Under -race it also checks the
+// publish protocol's ordering.
+func TestDictLockFreeReadersSeeWholeEntries(t *testing.T) {
+	const rounds, writers, perWriter = 150, 2, 600
+	for round := 0; round < rounds && !t.Failed(); round++ {
+		d := NewDict()
+		done := make(chan struct{})
+		var wg, rg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < perWriter; i++ {
+					// Every third key collides across writers: Add's two paths.
+					k := i*writers + w
+					if i%3 == 0 {
+						k = i * writers
+					}
+					d.Add("L" + strconv.Itoa(k))
+				}
+			}(w)
+		}
+		check := func() {
+			n := uint64(d.Len())
+			for id := n; id > 0 && id+8 > n; id-- {
+				idStr, ok := d.IDString(id)
+				if !ok || idStr != string(binary.AppendUvarint(nil, id)) {
+					t.Errorf("IDString(%d) = %q, %v below observed length %d", id, idStr, ok, n)
+					return
+				}
+				key, ok := d.Lex(idStr)
+				if !ok || len(key) < 2 || key[0] != 'L' {
+					t.Errorf("Lex(%d) = %q, %v below observed length %d", id, key, ok, n)
+					return
+				}
+				want, _ := strconv.ParseFloat(key[1:], 64)
+				if f, ok := d.NumericIDString(idStr); !ok || f != want {
+					t.Errorf("NumericIDString(%d) = %v, %v for key %q", id, f, ok, key)
+					return
+				}
+			}
+			if _, ok := d.IDString(n + writers*perWriter); ok {
+				t.Errorf("IDString beyond every possible length succeeded")
+			}
+		}
+		for r := 0; r < 2; r++ {
+			rg.Add(1)
+			go func() {
+				defer rg.Done()
+				for {
+					select {
+					case <-done:
+						check()
+						return
+					default:
+						check()
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(done)
+		rg.Wait()
+		if got, want := d.Len(), writers*perWriter-perWriter/3; got != want {
+			t.Errorf("Len = %d, want %d distinct terms", got, want)
+		}
+		for id := uint64(1); id <= uint64(d.Len()); id++ {
+			key, _ := d.Key(id)
+			if back, ok := d.Lookup(key); !ok || back != id {
+				t.Errorf("Lookup(Key(%d)) = %d, %v", id, back, ok)
+			}
+		}
 	}
 }

@@ -7,14 +7,23 @@
 // Every operator runs on dictionary-encoded records: triplegroup fields are
 // uvarint ID-strings of the dataset's rdf.Dict (Source.Dict). Query-space
 // constants — property references, triple patterns, the α table — are
-// resolved through the dictionary once at job-build or task-start time,
-// shuffle keys are separator-free concatenations of self-delimiting IDs,
-// and values decode back to lexical Term.Key form only at the final
-// aggregation boundary, where result rows are emitted.
+// resolved through the dictionary once at job-build or task-start time
+// (TG_AgJ's patterns into an ntga.Matcher, its variables into slot
+// indexes), shuffle keys are separator-free concatenations of
+// self-delimiting IDs, and values decode back to lexical Term.Key form only
+// at the final aggregation boundary, where result rows are emitted.
+//
+// Scratch ownership: a map task or reducer owns the storage its records
+// decode into (scanner, alphaJoinReducer) and reuses it, so a decoded
+// triplegroup is valid until the next record (the next key group, in the
+// α-join reducer). What crosses to the framework follows mapred's rule: map
+// and combiner emits are retained, so their keys and values are freshly
+// allocated; reduce emits are copied, so a reducer reuses its buffer.
 package tgops
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -66,13 +75,21 @@ type planeFilter struct {
 }
 
 // scanner is a Source with its constants resolved, built once per map task
-// so per-record matching is free of dictionary lookups.
+// so per-record matching is free of dictionary lookups, and the task's
+// decode scratch: every record decodes into the same storage.
 type scanner struct {
-	dict    *rdf.Dict
-	scan    *ScanSpec
-	prim    []ntga.Ref
-	opt     []ntga.Ref
+	dict *rdf.Dict
+	scan *ScanSpec
+	prim []ntga.Ref
+	// refs is prim ∪ opt, the σ^γopt projection list.
+	refs    []ntga.Ref
 	filters []planeFilter
+
+	// arena backs the decoded record, proj the projected triples and ann
+	// the result; all three are overwritten by the next annTGOf call.
+	arena ntga.Arena
+	proj  []ntga.PO
+	ann   ntga.AnnTG
 }
 
 // scanner resolves the source's query-space constants through its
@@ -81,7 +98,7 @@ func (s *Source) scanner() *scanner {
 	sc := &scanner{dict: s.Dict, scan: s.Scan}
 	if s.Scan != nil {
 		sc.prim = ntga.ResolveRefs(s.Scan.Prim, s.Dict)
-		sc.opt = ntga.ResolveRefs(s.Scan.Opt, s.Dict)
+		sc.refs = append(sc.prim[:len(sc.prim):len(sc.prim)], ntga.ResolveRefs(s.Scan.Opt, s.Dict)...)
 		for _, pf := range s.Scan.Filters {
 			sc.filters = append(sc.filters, planeFilter{prop: s.Dict.KeyString("I" + pf.Prop), filter: pf.Filter})
 		}
@@ -100,54 +117,53 @@ func (sc *scanner) lexOf(v string) string {
 
 // annTGOf decodes one record of the source into an annotated triplegroup.
 // Raw triplegroups pass through TG_OptGrpFilter first; the second result is
-// false when the record is filtered out.
-func (sc *scanner) annTGOf(rec []byte) (ntga.AnnTG, bool, error) {
+// false when the record is filtered out. The result lives in the scanner's
+// scratch and is valid until the next annTGOf call: a mapper must finish
+// with it — encode it, extract its keys, enumerate its solutions — before
+// it returns from Map.
+//
+//rapid:hot
+func (sc *scanner) annTGOf(rec []byte) (*ntga.AnnTG, bool, error) {
+	sc.arena.Reset()
 	if sc.scan == nil {
-		a, err := ntga.DecodeAnnTGIDs(rec, sc.dict)
+		a, err := sc.arena.DecodeAnnTGIDs(rec, sc.dict)
 		if err != nil {
-			return ntga.AnnTG{}, false, err
+			return nil, false, err
 		}
-		return a, true, nil
+		sc.ann = a
+		return &sc.ann, true, nil
 	}
-	tg, rest, err := ntga.DecodeTripleGroupIDs(rec, sc.dict)
+	tg, rest, err := sc.arena.DecodeTripleGroupIDs(rec, sc.dict)
 	if err != nil {
-		return ntga.AnnTG{}, false, err
+		return nil, false, err
 	}
 	if len(rest) != 0 {
-		return ntga.AnnTG{}, false, fmt.Errorf("tgops: %d trailing bytes after triplegroup", len(rest))
+		//lint:alloc malformed input ends the task; not a per-record path
+		return nil, false, fmt.Errorf("tgops: %d trailing bytes after triplegroup", len(rest))
 	}
-	var out ntga.TripleGroup
-	var ok bool
-	if sc.scan.KeepAll {
-		// Unbound-property star: validate the bound primaries, keep every
-		// triple.
-		out, ok = tg, true
-		for _, ref := range sc.prim {
-			if !tg.HasPO(ref.Prop, ref.Obj) {
-				ok = false
-				break
-			}
-		}
-	} else {
-		out, ok = ntga.OptGroupFilterRefs(tg, sc.prim, sc.opt)
+	// σ^γopt (Definition 3.3): every primary property must be matched.
+	if !tg.HasAllRefs(sc.prim) {
+		return nil, false, nil
 	}
-	if !ok {
-		return ntga.AnnTG{}, false, nil
+	// An unbound-property star keeps every triple; any other is projected
+	// onto prim ∪ opt.
+	if !sc.scan.KeepAll {
+		sc.proj = tg.AppendProjectRefs(sc.proj[:0], sc.refs)
+		tg.Triples = sc.proj
 	}
-	if len(sc.filters) > 0 {
-		out, ok = sc.applyPropFilters(out)
-		if !ok {
-			return ntga.AnnTG{}, false, nil
-		}
+	if len(sc.filters) > 0 && !sc.applyPropFilters(&tg) {
+		return nil, false, nil
 	}
-	return ntga.NewAnnTG(sc.scan.Star, out), true, nil
+	sc.ann.Stars = append(sc.ann.Stars[:0], sc.scan.Star)
+	sc.ann.TGs = append(sc.ann.TGs[:0], tg)
+	return &sc.ann, true, nil
 }
 
-// applyPropFilters drops triples whose objects fail a filter; the
-// triplegroup survives only if every primary property retains at least one
-// triple.
-func (sc *scanner) applyPropFilters(tg ntga.TripleGroup) (ntga.TripleGroup, bool) {
-	out := ntga.TripleGroup{Subject: tg.Subject}
+// applyPropFilters drops, in place, triples whose objects fail a filter;
+// the triplegroup survives only if every primary property retains at least
+// one triple.
+func (sc *scanner) applyPropFilters(tg *ntga.TripleGroup) bool {
+	kept := tg.Triples[:0]
 	for _, po := range tg.Triples {
 		keep := true
 		for _, pf := range sc.filters {
@@ -161,15 +177,11 @@ func (sc *scanner) applyPropFilters(tg ntga.TripleGroup) (ntga.TripleGroup, bool
 			}
 		}
 		if keep {
-			out.Triples = append(out.Triples, po)
+			kept = append(kept, po)
 		}
 	}
-	for _, ref := range sc.prim {
-		if !out.HasPO(ref.Prop, ref.Obj) {
-			return ntga.TripleGroup{}, false
-		}
-	}
-	return out, true
+	tg.Triples = kept
+	return tg.HasAllRefs(sc.prim)
 }
 
 // Endpoint designates where a join variable lives in an annotated
@@ -191,28 +203,35 @@ func (ep Endpoint) planeProps(d *rdf.Dict) []string {
 	return props
 }
 
-// joinKeys extracts the join key values at an endpoint — one per matching
-// object for multi-valued join properties (Algorithm 2's objList). props
-// are the endpoint's resolved carrying properties (planeProps).
-func joinKeys(a *ntga.AnnTG, ep Endpoint, props []string) []string {
+// appendJoinKeys appends the distinct join key values at an endpoint to dst
+// — one per matching object for multi-valued join properties (Algorithm 2's
+// objList). props are the endpoint's resolved carrying properties
+// (planeProps). The keys come out sorted: one record's keys are distinct,
+// so they land in different reduce groups and their order among themselves
+// reaches no output.
+//
+//rapid:hot
+func appendJoinKeys(dst []string, a *ntga.AnnTG, ep Endpoint, props []string) []string {
 	comp, ok := a.Component(ep.Star)
 	if !ok {
-		return nil
+		return dst
 	}
 	if ep.Role == algebra.RoleSubject {
-		return []string{comp.Subject}
+		return append(dst, comp.Subject)
 	}
-	var keys []string
-	seen := map[string]bool{}
+	start := len(dst)
 	for _, prop := range props {
-		for _, obj := range comp.Objects(prop) {
-			if !seen[obj] {
-				seen[obj] = true
-				keys = append(keys, obj)
+		for _, t := range comp.Triples {
+			if t.Prop == prop {
+				dst = append(dst, t.Obj)
 			}
 		}
 	}
-	return keys
+	if len(dst)-start > 1 {
+		slices.Sort(dst[start:])
+		dst = dst[:start+len(slices.Compact(dst[start:]))]
+	}
+	return dst
 }
 
 // JoinSide couples an input source with its join endpoint.
@@ -253,79 +272,110 @@ func AlphaJoinJob(name string, left, right JoinSide, alpha *ntga.AlphaTable, out
 		MapOperator:    "TG_OptGrpFilter",
 		ReduceOperator: "TG_AlphaJoin",
 		NewMapper: func(tc *mapred.TaskContext) mapred.Mapper {
-			type taskSide struct {
-				sc    *scanner
-				ep    Endpoint
-				props []string
-				tag   byte
-			}
-			var sides []taskSide
+			m := &alphaJoinMapper{}
 			if inFiles(left.Src.Files, tc.InputFile) {
-				sides = append(sides, taskSide{left.Src.scanner(), left.Ep, left.Ep.planeProps(left.Src.Dict), 0})
+				m.sides = append(m.sides, alphaJoinSide{sc: left.Src.scanner(), ep: left.Ep, props: left.Ep.planeProps(left.Src.Dict), tag: 0})
 			}
 			if inFiles(right.Src.Files, tc.InputFile) {
-				sides = append(sides, taskSide{right.Src.scanner(), right.Ep, right.Ep.planeProps(right.Src.Dict), 1})
+				m.sides = append(m.sides, alphaJoinSide{sc: right.Src.scanner(), ep: right.Ep, props: right.Ep.planeProps(right.Src.Dict), tag: 1})
 			}
-			return mapred.MapperFunc(func(rec []byte, emit mapred.Emit) error {
-				for _, s := range sides {
-					a, ok, err := s.sc.annTGOf(rec)
-					if err != nil {
-						return err
-					}
-					if !ok {
-						continue
-					}
-					// One tagged encode per record, shared across its join
-					// keys: the engine retains but never mutates emitted
-					// values.
-					enc := a.AppendEncodeIDs([]byte{s.tag})
-					for _, key := range joinKeys(&a, s.ep, s.props) {
-						emit(key, enc)
-					}
-				}
-				return nil
-			})
+			return m
 		},
 		NewReducer: func() mapred.Reducer {
-			// Symmetric (streaming) formulation: one pass over the group,
-			// pairing each arriving triplegroup with every earlier arrival
-			// of the other side, so merged groups are emitted as soon as
-			// the later element arrives instead of after buffering the
-			// whole group. Each (l, r) pair is emitted exactly once;
-			// deterministic given the shuffle's fixed value order, and
-			// downstream TG_AgJ aggregation is order-insensitive.
-			pair := func(l, r *ntga.AnnTG, emit mapred.Emit) {
-				merged := ntga.Merge(*l, *r)
-				if alpha.SatisfiesAny(&merged) {
-					emit("", merged.AppendEncodeIDs(nil))
-				}
-			}
-			return mapred.ReducerFunc(func(key string, values [][]byte, emit mapred.Emit) error {
-				var ls, rs []ntga.AnnTG
-				for _, v := range values {
-					if len(v) < 1 {
-						return fmt.Errorf("tgops: empty α-join value")
-					}
-					a, err := ntga.DecodeAnnTGIDs(v[1:], dict)
-					if err != nil {
-						return err
-					}
-					if v[0] == 0 {
-						for j := range rs {
-							pair(&a, &rs[j], emit)
-						}
-						ls = append(ls, a)
-					} else {
-						for i := range ls {
-							pair(&ls[i], &a, emit)
-						}
-						rs = append(rs, a)
-					}
-				}
-				return nil
-			})
+			return &alphaJoinReducer{alpha: alpha, dict: dict}
 		},
 	}
+}
+
+// alphaJoinSide is one join side an α-join map task reads its file for.
+type alphaJoinSide struct {
+	sc    *scanner
+	ep    Endpoint
+	props []string
+	tag   byte
+}
+
+// alphaJoinMapper tags each side's triplegroups on their join keys.
+type alphaJoinMapper struct {
+	sides []alphaJoinSide
+	// keys is per-task scratch for one record's join keys.
+	keys []string
+}
+
+func (m *alphaJoinMapper) Map(rec []byte, emit mapred.Emit) error {
+	for i := range m.sides {
+		s := &m.sides[i]
+		a, ok, err := s.sc.annTGOf(rec)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			continue
+		}
+		m.keys = appendJoinKeys(m.keys[:0], a, s.ep, s.props)
+		if len(m.keys) == 0 {
+			continue
+		}
+		// One tagged encode per record, shared across its join keys: the
+		// framework retains map emits (so the buffer is fresh) and never
+		// mutates them (so the keys can share it).
+		enc := a.AppendEncodeIDs([]byte{s.tag})
+		for _, key := range m.keys {
+			emit(key, enc)
+		}
+	}
+	return nil
+}
+
+// alphaJoinReducer is the symmetric (streaming) formulation: one pass over
+// the group, pairing each arriving triplegroup with every earlier arrival
+// of the other side, so merged groups are emitted as soon as the later
+// element arrives instead of after buffering the whole group. Each (l, r)
+// pair is emitted exactly once; deterministic given the shuffle's fixed
+// value order, and downstream TG_AgJ aggregation is order-insensitive.
+type alphaJoinReducer struct {
+	alpha *ntga.AlphaTable
+	dict  *rdf.Dict
+	// arena backs the key group's decoded triplegroups (ls, rs) and is
+	// reset per key; out is the encode buffer, reused because the framework
+	// copies every reduce emit.
+	arena  ntga.Arena
+	ls, rs []ntga.AnnTG
+	out    []byte
+}
+
+func (red *alphaJoinReducer) pair(l, r *ntga.AnnTG, emit mapred.Emit) {
+	merged := ntga.Merge(*l, *r)
+	if red.alpha.SatisfiesAny(&merged) {
+		red.out = merged.AppendEncodeIDs(red.out[:0])
+		emit("", red.out)
+	}
+}
+
+func (red *alphaJoinReducer) Reduce(key string, values [][]byte, emit mapred.Emit) error {
+	red.arena.Reset()
+	red.ls, red.rs = red.ls[:0], red.rs[:0]
+	for _, v := range values {
+		if len(v) < 1 {
+			return fmt.Errorf("tgops: empty α-join value")
+		}
+		a, err := red.arena.DecodeAnnTGIDs(v[1:], red.dict)
+		if err != nil {
+			return err
+		}
+		if v[0] == 0 {
+			for j := range red.rs {
+				red.pair(&a, &red.rs[j], emit)
+			}
+			red.ls = append(red.ls, a)
+		} else {
+			for i := range red.ls {
+				red.pair(&red.ls[i], &a, emit)
+			}
+			red.rs = append(red.rs, a)
+		}
+	}
+	return nil
 }
 
 // AggJoinSpec is one grouping-aggregation requirement evaluated by a TG_AgJ
@@ -355,12 +405,44 @@ type AggJoinSpec struct {
 	BindingFilters []sparql.Filter
 }
 
-// resolvedAggSpec is an AggJoinSpec with its triple patterns resolved
-// through the source's dictionary.
+// resolvedAggSpec is an AggJoinSpec compiled for one job: its triple
+// patterns resolved through the source's dictionary into a matcher, and the
+// variables the mapper reads per solution resolved to the matcher's slots
+// (-1 for a variable no pattern mentions, which is unbound in every
+// solution).
 type resolvedAggSpec struct {
 	AggJoinSpec
-	tps    map[int][]ntga.TP
-	optTPs map[int][]ntga.TP
+	matcher     *ntga.Matcher
+	groupSlots  []int // parallel to GroupVars
+	aggSlots    []int // parallel to Aggs
+	filterSlots []int // parallel to BindingFilters
+}
+
+// resolveAggSpec compiles sp against d.
+func resolveAggSpec(sp AggJoinSpec, d *rdf.Dict) resolvedAggSpec {
+	r := resolvedAggSpec{
+		AggJoinSpec: sp,
+		matcher:     ntga.CompileMatcher(ntga.ResolveTPMap(sp.TPs, d), ntga.ResolveTPMap(sp.OptTPs, d)),
+	}
+	for _, g := range sp.GroupVars {
+		r.groupSlots = append(r.groupSlots, r.matcher.Slot(g))
+	}
+	for _, ag := range sp.Aggs {
+		r.aggSlots = append(r.aggSlots, r.matcher.Slot(ag.Var))
+	}
+	for _, f := range sp.BindingFilters {
+		r.filterSlots = append(r.filterSlots, r.matcher.Slot(f.Var))
+	}
+	return r
+}
+
+// slotValue returns a solution's value for a resolved slot: the bound
+// ID-string, "" when unbound.
+func slotValue(slots []string, slot int) string {
+	if slot < 0 {
+		return ""
+	}
+	return slots[slot]
 }
 
 // AggJoinJob builds the TG_AgJ cycle (Algorithm 3). With several specs it
@@ -380,11 +462,7 @@ func AggJoinJob(name string, src Source, specs []AggJoinSpec, tagged, hashAgg bo
 	resolved := make([]resolvedAggSpec, len(specs))
 	specByID := map[int]AggJoinSpec{}
 	for i, sp := range specs {
-		resolved[i] = resolvedAggSpec{
-			AggJoinSpec: sp,
-			tps:         ntga.ResolveTPMap(sp.TPs, src.Dict),
-			optTPs:      ntga.ResolveTPMap(sp.OptTPs, src.Dict),
-		}
+		resolved[i] = resolveAggSpec(sp, src.Dict)
 		specByID[sp.ID] = sp
 	}
 	job := &mapred.Job{
@@ -395,11 +473,7 @@ func AggJoinJob(name string, src Source, specs []AggJoinSpec, tagged, hashAgg bo
 		MapOperator:    "TG_AgJ.map",
 		ReduceOperator: "TG_AgJ.reduce",
 		NewMapper: func(tc *mapred.TaskContext) mapred.Mapper {
-			m := &aggJoinMapper{sc: src.scanner(), specs: resolved, tagged: tagged}
-			if hashAgg {
-				m.multiAggMap = map[string]*algebra.MultiAggState{}
-			}
-			return m
+			return newAggJoinMapper(src.scanner(), resolved, tagged, hashAgg)
 		},
 		NewCombiner: func() mapred.Reducer {
 			return aggJoinMerger(specByID, src.Dict, tagged, false)
@@ -411,38 +485,66 @@ func AggJoinJob(name string, src Source, specs []AggJoinSpec, tagged, hashAgg bo
 	return job
 }
 
+// aggJoinMapper is one TG_AgJ map task. Everything it touches per record —
+// the scanner's decode scratch, one matching state per spec, the key buffer
+// and, without hash aggregation, one partial state per spec — is allocated
+// when the task starts and reused (map tasks are single-goroutine).
 type aggJoinMapper struct {
 	sc     *scanner
 	specs  []resolvedAggSpec
 	tagged bool
-	// keyBuf is per-task scratch for key building (map tasks are
-	// single-goroutine).
+	// states holds each spec's matching state; all report to solution.
+	states []*ntga.MatchState
+	// cur indexes the spec being matched and emit is the current Map
+	// call's sink: solution's context, set by Map.
+	cur  int
+	emit mapred.Emit
+	// keyBuf is scratch for key building.
 	keyBuf []byte
 	// multiAggMap is the mapper-wide pre-aggregation table (Algorithm 3);
-	// nil disables hash aggregation.
+	// nil disables hash aggregation, and partial then holds each spec's
+	// per-solution state, reset before every solution.
 	multiAggMap map[string]*algebra.MultiAggState
+	partial     []*algebra.MultiAggState
 }
 
-// aggKey builds the shuffle key for one solution: the optional uvarint spec
-// ID followed by the group values' self-delimiting ID bytes, with no
-// separators (ID bytes may contain 0x1f).
+func newAggJoinMapper(sc *scanner, specs []resolvedAggSpec, tagged, hashAgg bool) *aggJoinMapper {
+	m := &aggJoinMapper{sc: sc, specs: specs, tagged: tagged, states: make([]*ntga.MatchState, len(specs))}
+	// One method value for the task, not a closure per record and spec.
+	onSolution := m.solution
+	for i := range specs {
+		m.states[i] = specs[i].matcher.NewState(onSolution)
+	}
+	if hashAgg {
+		m.multiAggMap = map[string]*algebra.MultiAggState{}
+	} else {
+		m.partial = make([]*algebra.MultiAggState, len(specs))
+		for i := range specs {
+			m.partial[i] = algebra.NewMultiAggState(specs[i].Aggs)
+		}
+	}
+	return m
+}
+
+// appendAggKey builds the shuffle key for one solution in keyBuf: the
+// optional uvarint spec ID followed by the group values' self-delimiting ID
+// bytes, with no separators (ID bytes may contain 0x1f).
 //
 //rapid:hot
-func (m *aggJoinMapper) aggKey(sp *resolvedAggSpec, b ntga.Binding) string {
+func (m *aggJoinMapper) appendAggKey(sp *resolvedAggSpec, slots []string) []byte {
 	buf := m.keyBuf[:0]
 	if m.tagged {
 		buf = codec.AppendUvarint(buf, uint64(sp.ID))
 	}
-	for _, g := range sp.GroupVars {
-		if v, ok := b[g]; ok {
+	for _, g := range sp.groupSlots {
+		if v := slotValue(slots, g); v != "" {
 			buf = append(buf, v...)
 		} else {
 			buf = append(buf, algebra.Null...)
 		}
 	}
 	m.keyBuf = buf
-	//lint:alloc shuffle keys and the multiAggMap index must be string; this is the single per-solution key materialization and keyBuf pools the build buffer
-	return string(buf)
+	return buf
 }
 
 func (m *aggJoinMapper) Map(rec []byte, emit mapred.Emit) error {
@@ -453,40 +555,53 @@ func (m *aggJoinMapper) Map(rec []byte, emit mapred.Emit) error {
 	if !ok {
 		return nil
 	}
-	dict := m.sc.dict
+	m.emit = emit
 	for i := range m.specs {
 		sp := &m.specs[i]
-		if sp.Alpha != nil && !sp.Alpha(&a) {
+		if sp.Alpha != nil && !sp.Alpha(a) {
 			continue
 		}
-		ntga.MatchResolved(&a, sp.tps, sp.optTPs, func(b ntga.Binding) {
-			for _, f := range sp.BindingFilters {
-				v, _ := dict.Lex(b[f.Var])
-				ok, err := algebra.EvalFilter(f, v)
-				if err != nil || !ok {
-					return
-				}
-			}
-			key := m.aggKey(sp, b)
-			if m.multiAggMap != nil {
-				st, ok := m.multiAggMap[key]
-				if !ok {
-					st = algebra.NewMultiAggState(sp.Aggs)
-					m.multiAggMap[key] = st
-				}
-				for i, ag := range sp.Aggs {
-					st.States[i].UpdateTerm(dict, b[ag.Var])
-				}
-				return
-			}
-			st := algebra.NewMultiAggState(sp.Aggs)
-			for i, ag := range sp.Aggs {
-				st.States[i].UpdateTerm(dict, b[ag.Var])
-			}
-			emit(key, st.AppendEncode(nil))
-		})
+		m.cur = i
+		m.states[i].Match(a)
 	}
 	return nil
+}
+
+// solution folds one solution of the current spec into the pre-aggregation
+// table, or emits it as a one-solution partial state for the combiner.
+//
+//rapid:hot
+func (m *aggJoinMapper) solution(slots []string) {
+	sp, dict := &m.specs[m.cur], m.sc.dict
+	for i, f := range sp.BindingFilters {
+		v, _ := dict.Lex(slotValue(slots, sp.filterSlots[i]))
+		ok, err := algebra.EvalFilter(f, v)
+		if err != nil || !ok {
+			return
+		}
+	}
+	key := m.appendAggKey(sp, slots)
+	hashAgg := m.multiAggMap != nil
+	var st *algebra.MultiAggState
+	if hashAgg {
+		//lint:alloc a map index by string(bytes) does not allocate
+		st = m.multiAggMap[string(key)]
+		if st == nil {
+			st = algebra.NewMultiAggState(sp.Aggs)
+			//lint:alloc once per group key and task: the table's key must be a string
+			m.multiAggMap[string(key)] = st
+		}
+	} else {
+		st = m.partial[m.cur]
+		st.Reset()
+	}
+	for i, slot := range sp.aggSlots {
+		st.States[i].UpdateTerm(dict, slotValue(slots, slot))
+	}
+	if !hashAgg {
+		//lint:alloc the framework retains map emits: the key string and the encoded state are fresh per solution
+		m.emit(string(key), st.AppendEncode(nil))
+	}
 }
 
 // Close flushes the pre-aggregated entries — Algorithm 3's Map.clean() — in

@@ -339,13 +339,157 @@ func TestAggJoinUntaggedRequiresSingleSpec(t *testing.T) {
 
 func TestJoinKeysMissingStar(t *testing.T) {
 	d := rdf.NewDict()
-	a := ntga.NewAnnTG(0, tg("x", [2]string{"p", "Iy"}).Intern(d))
-	if keys := joinKeys(&a, Endpoint{Star: 3, Role: algebra.RoleSubject}, nil); keys != nil {
+	a := ntga.NewAnnTG(0, tg("x", [2]string{"p", "Iy"}, [2]string{"q", "Iy"}, [2]string{"p", "Iz"}, [2]string{"p", "Iy"}).Intern(d))
+	if keys := appendJoinKeys(nil, &a, Endpoint{Star: 3, Role: algebra.RoleSubject}, nil); keys != nil {
 		t.Errorf("keys for missing star = %v", keys)
 	}
-	ep := Endpoint{Star: 0, Role: algebra.RoleObject, Props: []algebra.PropRef{{Prop: "p"}}}
-	keys := joinKeys(&a, ep, ep.planeProps(d))
-	if len(keys) != 1 || lex(t, d, keys[0]) != "Iy" {
-		t.Errorf("object keys = %v", keys)
+	// One key per distinct object, across carrying properties and repeated
+	// triples, appended behind what dst already holds.
+	ep := Endpoint{Star: 0, Role: algebra.RoleObject, Props: []algebra.PropRef{{Prop: "p"}, {Prop: "q"}}}
+	keys := appendJoinKeys([]string{"kept"}, &a, ep, ep.planeProps(d))
+	if len(keys) != 3 || keys[0] != "kept" {
+		t.Fatalf("object keys = %q", keys)
+	}
+	got := []string{lex(t, d, keys[1]), lex(t, d, keys[2])}
+	sort.Strings(got)
+	if strings.Join(got, ",") != "Iy,Iz" {
+		t.Errorf("object keys = %v, want Iy and Iz once each", got)
+	}
+}
+
+// emitted is one retained map emit and a copy taken when it was made.
+type emitted struct {
+	key         string
+	value, copy []byte
+}
+
+// retain returns an Emit that keeps the emitted slices, as the framework
+// does with map output, next to a copy of their bytes.
+func retain(out *[]emitted) mapred.Emit {
+	return func(key string, value []byte) {
+		*out = append(*out, emitted{key: key, value: value, copy: append([]byte(nil), value...)})
+	}
+}
+
+// The scanner decodes every record into the same scratch: the result for
+// record B must be B's alone, and what a mapper emitted for record A must
+// not change when B overwrites the scratch — on the raw path (projected and
+// filtered into the second scratch slice) and on the joined path.
+func TestScannerScratchDoesNotLeakAcrossRecords(t *testing.T) {
+	d := rdf.NewDict()
+	recA := tg("a", [2]string{"price", "L10"}, [2]string{"price", "L20"}, [2]string{"pf", "If1"}, [2]string{"junk", "Lx"}).Intern(d)
+	recB := tg("b", [2]string{"junk", "Ly"}, [2]string{"price", "L5"}).Intern(d)
+	scan := &ScanSpec{Star: 0, Prim: []algebra.PropRef{{Prop: "price"}}, Opt: []algebra.PropRef{{Prop: "pf"}}}
+
+	sc := (&Source{Scan: scan, Dict: d}).scanner()
+	if _, ok, err := sc.annTGOf(recA.EncodeIDs()); err != nil || !ok {
+		t.Fatalf("annTGOf(A): %v %v", ok, err)
+	}
+	b, ok, err := sc.annTGOf(recB.EncodeIDs())
+	if err != nil || !ok {
+		t.Fatalf("annTGOf(B): %v %v", ok, err)
+	}
+	if len(b.Stars) != 1 || b.Stars[0] != 0 || lex(t, d, b.TGs[0].Subject) != "Ib" ||
+		len(b.TGs[0].Triples) != 1 || lex(t, d, b.TGs[0].Triples[0].Obj) != "L5" {
+		t.Errorf("B after A = %+v, want subject Ib with the one price triple", b)
+	}
+
+	// α-join map side: A's emits are retained, then B goes through.
+	left := JoinSide{Src: Source{Files: []string{"in"}, Dict: d, Scan: scan}, Ep: Endpoint{Star: 0, Role: algebra.RoleObject, Props: []algebra.PropRef{{Prop: "price"}}}}
+	right := JoinSide{Src: Source{Files: []string{"other"}, Dict: d, Scan: scan}, Ep: Endpoint{Star: 1, Role: algebra.RoleSubject}}
+	var out []emitted
+	m := AlphaJoinJob("j", left, right, nil, "out").NewMapper(&mapred.TaskContext{InputFile: "in"})
+	if err := m.Map(recA.EncodeIDs(), retain(&out)); err != nil {
+		t.Fatal(err)
+	}
+	nA := len(out)
+	if nA != 2 {
+		t.Fatalf("A emitted %d join keys, want 2 (L10, L20)", nA)
+	}
+	if err := m.Map(recB.EncodeIDs(), retain(&out)); err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range out {
+		if string(e.value) != string(e.copy) {
+			t.Errorf("emit %d changed after a later record", i)
+		}
+		a, err := ntga.DecodeAnnTGIDs(e.value[1:], d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantSubject, wantTriples := "Ia", 3
+		if i >= nA {
+			wantSubject, wantTriples = "Ib", 1
+		}
+		if lex(t, d, a.TGs[0].Subject) != wantSubject || len(a.TGs[0].Triples) != wantTriples {
+			t.Errorf("emit %d = %+v, want %s with %d triples", i, a, wantSubject, wantTriples)
+		}
+	}
+
+	// Joined (AnnTG) input and the combiner path of TG_AgJ, whose emits are
+	// retained too: A's partial states survive B.
+	joined := func(g ntga.TripleGroup) []byte {
+		a := ntga.Merge(ntga.NewAnnTG(0, g), ntga.NewAnnTG(1, tg("o", [2]string{"q", "L1"}).Intern(d)))
+		return a.EncodeIDs()
+	}
+	out = nil
+	am := AggJoinJob("agg", Source{Files: []string{"in"}, Dict: d}, aggSpecs(false), false, false, "out").NewMapper(&mapred.TaskContext{InputFile: "in"})
+	if err := am.Map(joined(recA), retain(&out)); err != nil {
+		t.Fatal(err)
+	}
+	if err := am.Map(joined(recB), retain(&out)); err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 3 {
+		t.Fatalf("TG_AgJ emitted %d solutions, want 3", len(out))
+	}
+	for i, e := range out {
+		if string(e.value) != string(e.copy) {
+			t.Errorf("TG_AgJ emit %d changed after a later solution", i)
+		}
+		wantKey := "Ia"
+		if i == 2 {
+			wantKey = "Ib"
+		}
+		if lex(t, d, e.key) != wantKey {
+			t.Errorf("TG_AgJ emit %d key = %q, want %s", i, lex(t, d, e.key), wantKey)
+		}
+	}
+}
+
+// The per-record paths allocate nothing once the task's scratch has grown
+// to its records: the fused scan of a raw triplegroup, and TG_AgJ's Map
+// folding a solution into a group the pre-aggregation table already holds.
+func TestMapSideAllocations(t *testing.T) {
+	d := rdf.NewDict()
+	g := tg("a", [2]string{"price", "L10"}, [2]string{"price", "L20"}, [2]string{"junk", "Lx"}).Intern(d)
+	rec := g.EncodeIDs()
+	src := Source{Files: []string{"in"}, Dict: d, Scan: &ScanSpec{Star: 0, Prim: []algebra.PropRef{{Prop: "price"}}}}
+
+	sc := src.scanner()
+	scan := func() {
+		if _, ok, err := sc.annTGOf(rec); err != nil || !ok {
+			t.Fatalf("annTGOf: %v %v", ok, err)
+		}
+	}
+	scan()
+	if allocs := testing.AllocsPerRun(100, scan); allocs != 0 {
+		t.Errorf("annTGOf allocates %v times per raw triplegroup, want 0", allocs)
+	}
+
+	m := AggJoinJob("agg", src, aggSpecs(true), true, true, "out").NewMapper(&mapred.TaskContext{InputFile: "in"})
+	emits := 0
+	emit := func(string, []byte) { emits++ }
+	mapRec := func() {
+		if err := m.Map(rec, emit); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mapRec()
+	if allocs := testing.AllocsPerRun(100, mapRec); allocs != 0 {
+		t.Errorf("TG_AgJ Map allocates %v times per record on seen group keys, want 0", allocs)
+	}
+	if emits != 0 {
+		t.Errorf("hash aggregation emitted %d records before Close", emits)
 	}
 }
