@@ -2,7 +2,10 @@
 // evaluation section (§5): Table 3 (single-grouping queries, BSBM and
 // Chem2Bio2RDF), Figure 8(a–c) (multi-grouping queries on BSBM-500K,
 // BSBM-2M and Chem2Bio2RDF), Table 4 (PubMed), the MR-cycle-count
-// verification, and the RAPIDAnalytics ablations.
+// verification, and the RAPIDAnalytics ablations. It prints simulated
+// cluster seconds and measured volumes; real wall time, allocations and
+// per-layer attribution are the benchmark's job (BENCHMARK.json,
+// benchmark/).
 //
 // Usage:
 //
@@ -10,104 +13,77 @@
 //	benchrunner -exp table3     # one experiment
 //	benchrunner -verify         # also cross-check every result vs oracle
 //
-// Experiments: table3, fig8a, fig8b, fig8c, table4, cycles, ablation,
-// prepared (plan-cache speedup, writes BENCH_prepared.json), parallel
-// (sequential vs parallel reduce, writes BENCH_parallel.json), disk
-// (in-memory vs disk-backed DFS over the full MG catalog, writes
-// BENCH_disk.json), stream (streaming vs materialised intermediates over
-// the full MG catalog, writes BENCH_stream.json), planner (heuristic vs
-// statistics-driven cost-based planner over the BSBM MG queries and the
-// adversarially skewed SK stressors, writes BENCH_planner.json), serve (log-realistic concurrent
-// HTTP workload against the serving layer: baseline vs cross-query shared
-// scans + versioned result cache, writes BENCH_serve.json), all.
+// Experiments: table3, fig8a, fig8b, fig8c, table4, cycles, ablation, all.
+// Any other -exp value prints the usage and exits 2.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"rapidanalytics/internal/bench"
 )
 
-func main() {
+// experiments lists the -exp legs in the order "all" runs them.
+var experiments = []struct {
+	name string
+	run  func(*bench.Harness) (string, error)
+}{
+	{"table3", Table3},
+	{"fig8a", Fig8a},
+	{"fig8b", Fig8b},
+	{"fig8c", Fig8c},
+	{"table4", Table4},
+	{"cycles", Cycles},
+	{"ablation", Ablation},
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its inputs and outputs as parameters; it returns the
+// process exit code: 0 on success, 1 when an experiment fails, 2 on a
+// command line it cannot accept.
+func run(args []string, stdout, stderr io.Writer) int {
+	names := make([]string, 0, len(experiments)+1)
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	names = append(names, "all")
+
+	fs := flag.NewFlagSet("benchrunner", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp      = flag.String("exp", "all", "experiment: table3, fig8a, fig8b, fig8c, table4, cycles, ablation, prepared, parallel, disk, stream, planner, serve, all")
-		verify   = flag.Bool("verify", false, "cross-check every engine result against the in-memory oracle")
-		scale    = flag.Float64("scale", 1, "dataset size multiplier (1 = default laptop scale)")
-		traceOut = flag.String("trace-out", "", "write span trees of a traced MG1 run (all engines, bsbm-500k) as JSON to this file")
+		exp    = fs.String("exp", "all", "experiment: "+strings.Join(names, ", "))
+		verify = fs.Bool("verify", false, "cross-check every engine result against the in-memory oracle")
+		scale  = fs.Float64("scale", 1, "dataset size multiplier (1 = default laptop scale)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if !slices.Contains(names, *exp) {
+		fmt.Fprintf(stderr, "benchrunner: unknown experiment %q\n", *exp)
+		fs.Usage()
+		return 2
+	}
 
 	h := bench.NewHarness(*verify)
 	h.Loader.SizeMult = *scale
-	run := func(name string, f func(*bench.Harness) (string, error)) {
-		if *exp != "all" && *exp != name {
-			return
+	for _, e := range experiments {
+		if *exp != "all" && *exp != e.name {
+			continue
 		}
-		out, err := f(h)
+		out, err := e.run(h)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchrunner: %s: %v\n", name, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "benchrunner: %s: %v\n", e.name, err)
+			return 1
 		}
-		fmt.Println(out)
+		fmt.Fprintln(stdout, out)
 	}
-
-	run("table3", Table3)
-	run("fig8a", Fig8a)
-	run("fig8b", Fig8b)
-	run("fig8c", Fig8c)
-	run("table4", Table4)
-	run("cycles", Cycles)
-	run("ablation", Ablation)
-	run("prepared", Prepared)
-	run("parallel", Parallel)
-	run("disk", Disk)
-	run("stream", Stream)
-	run("planner", Planner)
-	run("serve", Serve)
-
-	if *traceOut != "" {
-		if err := writeTraceArtifact(h, *traceOut); err != nil {
-			fmt.Fprintf(os.Stderr, "benchrunner: trace-out: %v\n", err)
-			os.Exit(1)
-		}
-	}
-}
-
-// writeTraceArtifact runs MG1 on BSBM-500K with span tracing across all four
-// engines and writes the span trees as a JSON array — the observability
-// artifact the CI smoke job uploads.
-func writeTraceArtifact(h *bench.Harness, path string) error {
-	rs, err := h.RunTraced("MG1", "bsbm-500k", bench.Engines())
-	if err != nil {
-		return err
-	}
-	type tracedRun struct {
-		Query   string          `json:"query"`
-		Dataset string          `json:"dataset"`
-		Engine  string          `json:"engine"`
-		Span    json.RawMessage `json:"span"`
-	}
-	out := make([]tracedRun, 0, len(rs))
-	for _, r := range rs {
-		raw, err := json.Marshal(r.Span)
-		if err != nil {
-			return err
-		}
-		out = append(out, tracedRun{Query: r.Query, Dataset: r.Dataset, Engine: r.Engine, Span: raw})
-	}
-	blob, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %d traced MG1 span tree(s) to %s\n", len(out), path)
-	return nil
+	return 0
 }
 
 var gQueries = []string{"G1", "G2", "G3", "G4"}

@@ -45,11 +45,10 @@ func main() {
 		dataDir  = flag.String("data-dir", "", "root directory for -storage disk (empty = fresh temp dir)")
 		shards   = flag.Int("shards", 0, "disk backend shard directory count (0 = default)")
 		spill    = flag.Int64("spill-threshold", 0, "map-side spill threshold in bytes (0 disables spilling)")
-		costPlan = flag.Bool("cost-planner", true, "statistics-driven join ordering, map-join sizing and re-planning (false = fixed heuristic)")
 		replan   = flag.Float64("replan-ratio", 0, "mid-query re-plan trigger: estimate/observed mismatch ratio (0 = default 4, negative disables re-planning)")
 	)
 	flag.Parse()
-	st := storageOpts{storage: *storage, dataDir: *dataDir, shards: *shards, spill: *spill, costPlanner: *costPlan, replanRatio: *replan}
+	st := storageOpts{storage: *storage, dataDir: *dataDir, shards: *shards, spill: *spill, replanRatio: *replan}
 	if *trace != "" && *trace != "table" && *trace != "spans" {
 		fatal(fmt.Errorf("-trace must be empty, %q or %q", "table", "spans"))
 	}
@@ -81,7 +80,6 @@ type storageOpts struct {
 	dataDir     string
 	shards      int
 	spill       int64
-	costPlanner bool
 	replanRatio float64
 }
 
@@ -115,7 +113,6 @@ func runOnFile(query, dataFile, system string, all, verify bool, rows int, trace
 	opts.DataDir = st.dataDir
 	opts.StorageShards = st.shards
 	opts.SpillThresholdBytes = st.spill
-	opts.CostBasedPlanner = st.costPlanner
 	if st.replanRatio != 0 {
 		opts.ReplanRatio = st.replanRatio
 	}
@@ -179,9 +176,6 @@ func runOnCatalogDataset(query, queryID, dataset, system string, all, verify boo
 	h.Loader.Shards = st.shards
 	h.Loader.SpillThresholdBytes = st.spill
 	engines := bench.Engines()
-	if !st.costPlanner {
-		engines = bench.HeuristicEngines()
-	}
 	if st.replanRatio != 0 {
 		for _, e := range engines {
 			switch t := e.(type) {

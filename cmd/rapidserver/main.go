@@ -55,7 +55,6 @@ func main() {
 		dataDir       = flag.String("data-dir", "", "root directory for -storage disk (empty = fresh temp dir)")
 		shards        = flag.Int("shards", 0, "disk backend shard directory count (0 = default)")
 		spill         = flag.Int64("spill-threshold", 0, "map-side spill threshold in bytes (0 disables spilling)")
-		costPlan      = flag.Bool("cost-planner", true, "statistics-driven join ordering, map-join sizing and re-planning (false = fixed heuristic)")
 		replan        = flag.Float64("replan-ratio", 0, "mid-query re-plan trigger: estimate/observed mismatch ratio (0 = default 4, negative disables re-planning)")
 		sharedScans   = flag.Bool("shared-scans", true, "batch concurrent queries scanning the same file range into one shared pass")
 		scanWindow    = flag.Duration("shared-scan-window", 0, "shared-scan cycle collection window (0 = default 2ms)")
@@ -72,7 +71,6 @@ func main() {
 	opts.DataDir = *dataDir
 	opts.StorageShards = *shards
 	opts.SpillThresholdBytes = *spill
-	opts.CostBasedPlanner = *costPlan
 	if *replan != 0 {
 		opts.ReplanRatio = *replan
 	}

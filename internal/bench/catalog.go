@@ -330,21 +330,3 @@ func IDs() []string {
 	}
 	return out
 }
-
-// DictCatalogEntry pairs a dataset deployment with the catalog queries a
-// comparison experiment evaluates on it.
-type DictCatalogEntry struct {
-	Dataset string
-	Queries []string
-}
-
-// MGCatalog returns the full multi-grouping catalog on its paper
-// deployments: MG1–MG4 on BSBM-500K, MG6–MG10 on Chem2Bio2RDF, MG11–MG18 on
-// PubMed.
-func MGCatalog() []DictCatalogEntry {
-	return []DictCatalogEntry{
-		{Dataset: "bsbm-500k", Queries: []string{"MG1", "MG2", "MG3", "MG4"}},
-		{Dataset: "chem", Queries: []string{"MG6", "MG7", "MG8", "MG9", "MG10"}},
-		{Dataset: "pubmed", Queries: []string{"MG11", "MG12", "MG13", "MG14", "MG15", "MG16", "MG17", "MG18"}},
-	}
-}

@@ -145,11 +145,6 @@ type loadedDataset struct {
 type Loader struct {
 	// SizeMult scales every dataset's primary entity count (default 1).
 	SizeMult float64
-	// ReduceWorkers overrides the engine's shuffle/reduce worker pool for
-	// every loaded cluster: 0 means one worker per CPU, 1 forces the
-	// sequential reduce path. Output and volume metrics are identical for
-	// every setting.
-	ReduceWorkers int
 	// Storage selects the DFS backend for every loaded cluster: "mem",
 	// "disk", or "" to honor the RAPID_STORAGE environment default.
 	Storage string
@@ -188,7 +183,6 @@ func (l *Loader) Load(id string) (*mapred.Cluster, *engine.Dataset, error) {
 	g := spec.Generate(l.SizeMult)
 	scale := spec.PaperTriples / float64(g.Len())
 	cfg := spec.Cluster(scale)
-	cfg.ExecReduceWorkers = l.ReduceWorkers
 	cfg.SpillThresholdBytes = l.SpillThresholdBytes
 	cfg.Streaming = !l.DisableStreaming
 	c, err := l.newCluster(cfg, id)

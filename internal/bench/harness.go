@@ -83,7 +83,8 @@ func (h *Harness) RunTraced(queryID, datasetID string, engines []engine.Engine) 
 	return h.run(queryID, datasetID, engines, true)
 }
 
-func (h *Harness) run(queryID, datasetID string, engines []engine.Engine, traced bool) ([]RunResult, error) {
+// compile parses and builds one catalog query.
+func compile(queryID string) (*algebra.AnalyticalQuery, error) {
 	q, ok := Get(queryID)
 	if !ok {
 		return nil, fmt.Errorf("bench: unknown query %q", queryID)
@@ -95,6 +96,14 @@ func (h *Harness) run(queryID, datasetID string, engines []engine.Engine, traced
 	aq, err := algebra.Build(parsed)
 	if err != nil {
 		return nil, fmt.Errorf("bench: %s: %w", queryID, err)
+	}
+	return aq, nil
+}
+
+func (h *Harness) run(queryID, datasetID string, engines []engine.Engine, traced bool) ([]RunResult, error) {
+	aq, err := compile(queryID)
+	if err != nil {
+		return nil, err
 	}
 	c, ds, err := h.Loader.Load(datasetID)
 	if err != nil {

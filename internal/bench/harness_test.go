@@ -76,9 +76,6 @@ func TestFullCatalogAllEnginesVerified(t *testing.T) {
 	h := NewHarness(true)
 	for _, q := range Catalog {
 		for _, dsID := range DatasetsFor(q) {
-			if q.Dataset == "bsbm" && dsID == "bsbm-2m" && testing.Short() {
-				continue
-			}
 			rs, err := h.Run(q.ID, dsID, Engines())
 			if err != nil {
 				t.Fatalf("%s on %s: %v", q.ID, dsID, err)
@@ -144,5 +141,21 @@ func TestRAPIDAnalyticsWinsOnMultiGrouping(t *testing.T) {
 		if !(sim["RAPID+ (Naive)"] < sim["Hive (Naive)"]) {
 			t.Errorf("%s: RAPID+ (%.0fs) not faster than Hive (%.0fs)", q, sim["RAPID+ (Naive)"], sim["Hive (Naive)"])
 		}
+	}
+}
+
+// The phase walls recorded by the harness must be populated for
+// MapReduce-backed runs.
+func TestHarnessRecordsPhaseWalls(t *testing.T) {
+	h := NewHarness(false)
+	rs, err := h.Run("MG1", "bsbm-500k", Engines()[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs) != 1 {
+		t.Fatalf("got %d results", len(rs))
+	}
+	if rs[0].MapWall <= 0 || rs[0].ReduceWall <= 0 {
+		t.Errorf("phase walls not recorded: %+v", rs[0])
 	}
 }

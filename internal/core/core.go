@@ -55,11 +55,6 @@ type Options struct {
 	// that can match each star's primary properties (the paper's
 	// pre-processing benefit); disabled, every class is scanned.
 	InputPruning bool
-	// CostPlanner orders join chains by predicted cardinality from the
-	// dataset's statistics catalog (internal/stats) and sizes reduce
-	// partitions from the predictions, with a mid-query re-plan hook;
-	// disabled, join order falls back to the star-0-first heuristic.
-	CostPlanner bool
 	// ReplanRatio is the estimate-vs-observed error ratio that triggers a
 	// mid-query re-plan of the remaining join chain; <= 0 never re-plans.
 	ReplanRatio float64
@@ -72,7 +67,6 @@ func DefaultOptions() Options {
 		AlphaFiltering:      true,
 		HashAggregation:     true,
 		InputPruning:        true,
-		CostPlanner:         true,
 		ReplanRatio:         rapid.DefaultReplanRatio,
 	}
 }
@@ -157,7 +151,7 @@ func (e *Engine) Execute(c *mapred.Cluster, ds *engine.Dataset, aq *algebra.Anal
 func (e *Engine) executeSequential(run *engine.Runner, ds *engine.Dataset, aq *algebra.AnalyticalQuery) (*engine.Result, *mapred.WorkflowMetrics, error) {
 	var aggFiles []string
 	for k, sq := range aq.Subqueries {
-		file, err := rapid.EvalSubquery(run, ds, sq, k, e.Opts.HashAggregation, e.Opts.InputPruning, e.Opts.CostPlanner, e.Opts.ReplanRatio)
+		file, err := rapid.EvalSubquery(run, ds, sq, k, e.Opts.HashAggregation, e.Opts.InputPruning, e.Opts.ReplanRatio)
 		if err != nil {
 			return nil, run.WM, err
 		}
@@ -195,12 +189,12 @@ func (e *Engine) compositeMatches(run *engine.Runner, ds *engine.Dataset, cp *al
 // renders stars and join structure but not the shared FILTER constraints,
 // so those are appended explicitly — two queries with the same pattern but
 // different filters must not collide. The option flags that change the
-// matched relation's content or record order (α filtering, input pruning,
-// cost-based join order) are folded in too, keeping cached reuse
-// byte-deterministic per configuration.
+// matched relation's content or record order (α filtering, input pruning)
+// are folded in too, keeping cached reuse byte-deterministic per
+// configuration.
 func compositeKey(ds *engine.Dataset, cp *algebra.CompositePattern, o Options) string {
-	return fmt.Sprintf("%s\x00%s\x00%+v\x00%t|%t|%t|%t", ds.Name, cp.String(), cp.Filters,
-		o.AlphaFiltering, o.InputPruning, o.CostPlanner, o.ParallelAggregation)
+	return fmt.Sprintf("%s\x00%s\x00%+v\x00%t|%t|%t", ds.Name, cp.String(), cp.Filters,
+		o.AlphaFiltering, o.InputPruning, o.ParallelAggregation)
 }
 
 // sourceBytes accounts a cached source at its logical DFS size.
@@ -222,21 +216,20 @@ func (e *Engine) evalComposite(run *engine.Runner, ds *engine.Dataset, cp *algeb
 	for i, cs := range cp.Stars {
 		scans[i] = compositeStarScan(ds, i, cs, cp, e.Opts.InputPruning)
 	}
-	var ad *rapid.Adaptive
 	ps := obs.StartChild(run.C.Context(), obs.KindPlanner, "join-order")
-	var order []algebra.Join
-	var err error
-	if e.Opts.CostPlanner && ds.Stats != nil {
-		refs := make([][]algebra.PropRef, len(cp.Stars))
-		for i, cs := range cp.Stars {
-			refs[i] = cs.PrimaryRefs()
-		}
-		est := stats.NewEstimator(ds.Stats, refs, false)
-		order, err = algebra.JoinOrderCost(len(cp.Stars), cp.Joins, est)
-		ad = &rapid.Adaptive{Est: est, ReplanRatio: e.Opts.ReplanRatio}
-	} else {
-		order, err = algebra.JoinOrder(len(cp.Stars), cp.Joins)
+	refs := make([][]algebra.PropRef, len(cp.Stars))
+	for i, cs := range cp.Stars {
+		refs[i] = cs.PrimaryRefs()
 	}
+	// A hand-built dataset without a catalog leaves est nil, which is
+	// JoinOrderCost's star-0-first fallback, and the chain non-adaptive.
+	var est algebra.CardEstimator
+	var ad *rapid.Adaptive
+	if ds.Stats != nil {
+		est = stats.NewEstimator(ds.Stats, refs, false)
+		ad = &rapid.Adaptive{Est: est, ReplanRatio: e.Opts.ReplanRatio}
+	}
+	order, err := algebra.JoinOrderCost(len(cp.Stars), cp.Joins, est)
 	ps.End()
 	if err != nil {
 		return tgops.Source{}, err

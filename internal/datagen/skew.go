@@ -8,7 +8,7 @@ import (
 )
 
 // This file holds the two adversarially skewed BSBM variants used by the
-// planner experiment (benchrunner -exp planner). Both keep GenerateBSBM's
+// planner's skew gate (bench.TestPlannerOnSkew). Both keep GenerateBSBM's
 // vocabulary exactly — products with type/label/producer/productFeature,
 // offers with product/price/vendor/deliveryDays/validTo, vendors with
 // country/label — so every BSBM-shaped catalog query still parses and

@@ -33,7 +33,8 @@ type Dataset struct {
 	Dict *rdf.Dict
 	// Stats is the load-time statistics catalog the cost-based planner
 	// consumes (predicate counts, characteristic sets). Always collected by
-	// Load; engines with the cost planner disabled ignore it.
+	// Load; a hand-built Dataset may leave it nil, and engines then order
+	// joins star-0-first.
 	Stats *stats.Catalog
 }
 

@@ -133,8 +133,8 @@ func (h *MQO) evalComposite(run *runner, ds *engine.Dataset, cp *algebra.Composi
 		}
 		starRels[i] = out
 	}
-	est := compositeEstimator(h.Conf, ds, cp)
-	order, err := chainOrder(len(cp.Stars), cp.Joins, est)
+	est := compositeEstimator(ds, cp)
+	order, err := algebra.JoinOrderCost(len(cp.Stars), cp.Joins, est)
 	if err != nil {
 		return nil, err
 	}

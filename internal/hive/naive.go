@@ -64,8 +64,8 @@ func (h *Naive) evalPattern(run *runner, ds *engine.Dataset, sq *algebra.Subquer
 		}
 		starRels[i] = r
 	}
-	est := patternEstimator(h.Conf, ds, gp)
-	order, err := chainOrder(len(gp.Stars), gp.Joins, est)
+	est := patternEstimator(ds, gp)
+	order, err := algebra.JoinOrderCost(len(gp.Stars), gp.Joins, est)
 	if err != nil {
 		return nil, err
 	}

@@ -31,17 +31,10 @@ type Config struct {
 	// original datasets. The default is Hive's
 	// hive.mapjoin.smalltable.filesize (25MB).
 	MapJoinBytes int64
-	// CostPlanner orders the inter-star join chain by predicted cardinality
-	// from the dataset's statistics catalog (internal/stats), sizes the
-	// map-join-site decision for chain inputs from predicted rows — real
-	// Hive compiles the whole plan before execution and cannot measure
-	// intermediates — and sizes reduce partitions from predicted output
-	// rows. Disabled, the chain runs star-0-first with measured sizes.
-	CostPlanner bool
 }
 
-// DefaultConfig mirrors Hive 0.12 defaults, with the cost-based planner on.
-func DefaultConfig() Config { return Config{MapJoinBytes: 25 << 20, CostPlanner: true} }
+// DefaultConfig mirrors Hive 0.12 defaults.
+func DefaultConfig() Config { return Config{MapJoinBytes: 25 << 20} }
 
 // EstBytesPerField is the planner's calibrated stored size per tuple field
 // when converting predicted row counts into bytes for the map-join budget:

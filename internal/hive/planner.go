@@ -8,7 +8,8 @@ import (
 
 // joinEst carries the planner's predicted cardinalities for one chain join:
 // rows of the accumulated left input, of the right star relation, and of
-// the join output. A nil *joinEst means the heuristic (measured-size) path.
+// the join output. A nil *joinEst means the measured-size path of a dataset
+// without a statistics catalog.
 type joinEst struct {
 	leftRows  float64
 	rightRows float64
@@ -16,10 +17,14 @@ type joinEst struct {
 }
 
 // patternEstimator builds the relational-row-mode estimator for a plain
-// graph pattern over the dataset's statistics catalog. Nil when the
-// dataset has no catalog or the planner is off.
-func patternEstimator(conf Config, ds *engine.Dataset, gp *algebra.GraphPattern) *stats.Estimator {
-	if !conf.CostPlanner || ds.Stats == nil {
+// graph pattern over the dataset's statistics catalog. It orders the
+// inter-star join chain, sizes the map-join-site decision for chain inputs
+// from predicted rows — real Hive compiles the whole plan before execution
+// and cannot measure intermediates — and sizes reduce partitions from
+// predicted output rows. Nil (the interface, so that JoinOrderCost takes
+// its star-0-first fallback) for a hand-built dataset without a catalog.
+func patternEstimator(ds *engine.Dataset, gp *algebra.GraphPattern) algebra.CardEstimator {
+	if ds.Stats == nil {
 		return nil
 	}
 	refs := make([][]algebra.PropRef, len(gp.Stars))
@@ -33,8 +38,8 @@ func patternEstimator(conf Config, ds *engine.Dataset, gp *algebra.GraphPattern)
 // composite pattern: each star is estimated from its primary (required)
 // references; secondary LEFT-OUTER properties keep all rows and are
 // approximated as fan-out 1.
-func compositeEstimator(conf Config, ds *engine.Dataset, cp *algebra.CompositePattern) *stats.Estimator {
-	if !conf.CostPlanner || ds.Stats == nil {
+func compositeEstimator(ds *engine.Dataset, cp *algebra.CompositePattern) algebra.CardEstimator {
+	if ds.Stats == nil {
 		return nil
 	}
 	refs := make([][]algebra.PropRef, len(cp.Stars))
@@ -42,15 +47,6 @@ func compositeEstimator(conf Config, ds *engine.Dataset, cp *algebra.CompositePa
 		refs[i] = cs.PrimaryRefs()
 	}
 	return stats.NewEstimator(ds.Stats, refs, true)
-}
-
-// chainOrder linearises a pattern's join edges: cost-based when the
-// estimator is present, the star-0-first heuristic otherwise.
-func chainOrder(numStars int, joins []algebra.Join, est *stats.Estimator) ([]algebra.Join, error) {
-	if est == nil {
-		return algebra.JoinOrder(numStars, joins)
-	}
-	return algebra.JoinOrderCost(numStars, joins, est)
 }
 
 // chainStart returns the star the accumulated side starts from: order[0]'s
@@ -64,7 +60,7 @@ func chainStart(order []algebra.Join) int {
 
 // edgeEstimate predicts one chain join's cardinalities and advances the
 // accumulated row count. Nil estimator returns nil and leaves acc alone.
-func edgeEstimate(est *stats.Estimator, acc *float64, edge algebra.Join) *joinEst {
+func edgeEstimate(est algebra.CardEstimator, acc *float64, edge algebra.Join) *joinEst {
 	if est == nil {
 		return nil
 	}

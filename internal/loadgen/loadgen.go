@@ -1,5 +1,5 @@
 // Package loadgen builds log-realistic serving workloads over the
-// evaluation query catalog and drives them against the HTTP serving layer.
+// evaluation query catalog.
 //
 // Real SPARQL endpoint logs (DBpedia, Wikidata) are dominated by a small
 // set of hot query templates repeated with Zipfian frequency, punctuated
@@ -7,11 +7,9 @@
 // refreshing, retry storms). The generator reproduces that shape
 // deterministically: a seeded Zipf draw picks each slot's template, and
 // every BurstEvery slots a burst of BurstSize consecutive requests for one
-// of the hottest templates is injected. The driver replays a schedule
-// closed-loop at fixed concurrency and reports throughput and latency
-// quantiles, hashing every response so any row divergence between runs —
-// or between a cached and a recomputed response — is detected rather than
-// averaged away.
+// of the hottest templates is injected. The benchmark's serve-zipf
+// workload (benchmark/serve.go) replays the schedule against the HTTP
+// server and checks every response against a row-hash oracle.
 package loadgen
 
 import (

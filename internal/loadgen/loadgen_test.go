@@ -1,13 +1,8 @@
 package loadgen
 
 import (
-	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"reflect"
-	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestScheduleDeterministic(t *testing.T) {
@@ -72,74 +67,5 @@ func TestScheduleSystemMix(t *testing.T) {
 	}
 	if bySystem["rapid+"] == 0 {
 		t.Error("secondary system absent from the mix")
-	}
-}
-
-func TestDriverMeasuresAndHashes(t *testing.T) {
-	var served atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		served.Add(1)
-		time.Sleep(time.Millisecond)
-		fmt.Fprintf(w, "col\nv1\nv2\n")
-	}))
-	defer ts.Close()
-
-	reqs := Schedule(CatalogTemplates(), ScheduleOptions{Seed: 3, Requests: 40})
-	m := Run(reqs, DriverOptions{BaseURL: ts.URL, Concurrency: 4})
-	if m.Requests != 40 || served.Load() != 40 {
-		t.Fatalf("requests = %d (served %d); want 40", m.Requests, served.Load())
-	}
-	if m.Errors != 0 || m.Divergent != 0 {
-		t.Fatalf("errors = %d, divergent = %d; want 0, 0", m.Errors, m.Divergent)
-	}
-	if m.QPS <= 0 || m.WallSeconds <= 0 {
-		t.Fatalf("throughput not measured: %+v", m)
-	}
-	if m.P50Millis <= 0 || m.P95Millis < m.P50Millis || m.P99Millis < m.P95Millis {
-		t.Fatalf("quantiles inconsistent: p50=%v p95=%v p99=%v", m.P50Millis, m.P95Millis, m.P99Millis)
-	}
-	if m.StatusCounts[http.StatusOK] != 40 {
-		t.Fatalf("status counts = %v", m.StatusCounts)
-	}
-	if len(m.Hashes) == 0 {
-		t.Fatal("no response hashes recorded")
-	}
-}
-
-func TestDriverDetectsDivergence(t *testing.T) {
-	var n atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintf(w, "col\nv%d\n", n.Add(1))
-	}))
-	defer ts.Close()
-
-	tpl := []Template{{ID: "T1", SPARQL: "SELECT 1"}}
-	reqs := Schedule(tpl, ScheduleOptions{Seed: 1, Requests: 10, BurstEvery: -1})
-	m := Run(reqs, DriverOptions{BaseURL: ts.URL, Concurrency: 1})
-	if m.Divergent == 0 {
-		t.Fatal("driver missed row divergence across identical requests")
-	}
-}
-
-func TestDriverCountsErrors(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "saturated", http.StatusServiceUnavailable)
-	}))
-	defer ts.Close()
-
-	reqs := Schedule(CatalogTemplates(), ScheduleOptions{Seed: 1, Requests: 5})
-	m := Run(reqs, DriverOptions{BaseURL: ts.URL, Concurrency: 2})
-	if m.Errors != 5 || m.StatusCounts[http.StatusServiceUnavailable] != 5 {
-		t.Fatalf("errors = %d, statuses = %v; want all 503", m.Errors, m.StatusCounts)
-	}
-}
-
-func TestCanonHashOrderInsensitive(t *testing.T) {
-	if canonHash("h\na\nb\n") != canonHash("h\nb\na\n") {
-		t.Fatal("canonical hash depends on row order")
-	}
-	if canonHash("h\na\n") == canonHash("h\nb\n") {
-		t.Fatal("different rows hashed equal")
 	}
 }

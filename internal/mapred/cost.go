@@ -52,19 +52,17 @@ type ClusterConfig struct {
 	// ExecSplitBytes is the *execution* split size used to bound real
 	// in-process map-task granularity; it does not affect the cost model.
 	ExecSplitBytes int64
-	// ExecReduceWorkers bounds the worker pool running the *execution*
-	// shuffle-sort and reduce phases: 0 means one worker per CPU, 1 forces
-	// sequential reduce. Execution output and volume metrics are identical
-	// for every setting; like ExecSplitBytes it does not affect the cost
-	// model.
-	ExecReduceWorkers int
 	// SpillThresholdBytes bounds a map task's buffered shuffle output
 	// during *execution*: when the buffered key+value bytes reach the
 	// threshold the task combines, sorts and spills each partition's buffer
 	// to the DFS, and the shuffle merges spill runs back in. 0 disables
-	// spilling (everything stays resident). Job output bytes are identical
-	// for every setting; the cost model already charges map-side spill IO
-	// unconditionally, so this knob does not affect simulated seconds.
+	// spilling (everything stays resident). Result rows, ReduceGroups and
+	// the Output{Records,Bytes,StoredBytes} of every job are identical for
+	// every setting. For a job with a combiner the shuffled volume is not:
+	// combining runs once per spill run, so a threshold leaves
+	// MapOutputRecords/MapOutputBytes a little higher, and
+	// SimulatedRedTasks and SimSeconds, which the cost model derives from
+	// them, follow (bench.TestModesIdentical pins exactly this split).
 	SpillThresholdBytes int64
 	// Streaming enables the vectorized streaming write path for jobs that
 	// opt in with Job.StreamOutput: their output buffers as columnar

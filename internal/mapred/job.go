@@ -310,6 +310,10 @@ type Cluster struct {
 	Scans ScanProvider
 
 	ctx context.Context
+	// testReduceWorkers, when positive, replaces maxParallel as the
+	// shuffle/reduce pool size. Only this package's determinism tests
+	// assign it, to sweep worker counts the host's CPU count cannot reach.
+	testReduceWorkers int
 }
 
 // NewCluster returns a cluster over a fresh file system. The backend is

@@ -594,17 +594,14 @@ func runPartitions(workers, partitions int, f func(p int)) {
 	wg.Wait()
 }
 
-// reduceWorkers sizes the shuffle/reduce worker pool: the configured
-// override, else one worker per CPU, never more than there are partitions.
+// reduceWorkers sizes the shuffle/reduce worker pool like the map pool: one
+// worker per CPU, never more than there are partitions.
 func (c *Cluster) reduceWorkers(partitions int) int {
-	n := c.Config.ExecReduceWorkers
-	if n <= 0 {
-		n = maxParallel()
+	n := maxParallel()
+	if c.testReduceWorkers > 0 {
+		n = c.testReduceWorkers
 	}
-	if n > partitions {
-		n = partitions
-	}
-	return n
+	return min(n, partitions)
 }
 
 // RunWorkflow executes jobs sequentially, stopping at the first error or
@@ -628,10 +625,6 @@ func maxParallel() int {
 	}
 	return n
 }
-
-// DefaultParallelism returns the worker-pool size used for map tasks and
-// (unless ExecReduceWorkers overrides it) the shuffle/reduce phases.
-func DefaultParallelism() int { return maxParallel() }
 
 // closeFiles releases the input snapshots a job's splits read from.
 func closeFiles(files []*dfs.File) {

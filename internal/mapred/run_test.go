@@ -238,8 +238,8 @@ func runAgg(t *testing.T, workers int) ([]string, *Metrics) {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.ExecSplitBytes = 64
-	cfg.ExecReduceWorkers = workers
 	c := NewCluster(cfg)
+	c.testReduceWorkers = workers
 	aggInput(c)
 	m, err := c.Run(aggJob(8))
 	if err != nil {

@@ -137,7 +137,6 @@ func TestSpillDeterminismMatrix(t *testing.T) {
 			for _, backend := range []string{"mem", "disk"} {
 				cfg := DefaultConfig()
 				cfg.ExecSplitBytes = 256
-				cfg.ExecReduceWorkers = workers
 				cfg.SpillThresholdBytes = threshold
 				fs := dfs.New()
 				if backend == "disk" {
@@ -147,6 +146,7 @@ func TestSpillDeterminismMatrix(t *testing.T) {
 					}
 				}
 				c := NewClusterFS(cfg, fs)
+				c.testReduceWorkers = workers
 				spillFixture(c)
 				if _, err := c.Run(wordCountJob("in", "out", true)); err != nil {
 					t.Fatalf("w=%d t=%d %s: %v", workers, threshold, backend, err)

@@ -207,10 +207,10 @@ func TestStreamedDeterminismMatrix(t *testing.T) {
 			for _, rows := range []int{0, 3, 64} {
 				cfg := DefaultConfig()
 				cfg.ExecSplitBytes = 256
-				cfg.ExecReduceWorkers = workers
 				cfg.Streaming = streaming
 				cfg.StreamBatchRows = rows
 				c := NewCluster(cfg)
+				c.testReduceWorkers = workers
 				streamFixture(c)
 				if _, err := c.Run(streamedWordCount("in", "out")); err != nil {
 					t.Fatalf("w=%d s=%v rows=%d: %v", workers, streaming, rows, err)

@@ -32,17 +32,13 @@ const DefaultReplanRatio = 4
 
 // Engine is the RAPID+ (Naive) engine.
 type Engine struct {
-	// CostPlanner orders join chains by predicted cardinality from the
-	// dataset's statistics catalog (and enables the adaptive re-plan hook)
-	// instead of the fixed star-0-first heuristic.
-	CostPlanner bool
 	// ReplanRatio is the error ratio that triggers a mid-query re-plan;
 	// <= 0 disables re-planning (ordering stays cost-based).
 	ReplanRatio float64
 }
 
-// New returns the engine with the cost-based planner enabled.
-func New() *Engine { return &Engine{CostPlanner: true, ReplanRatio: DefaultReplanRatio} }
+// New returns the engine with the default re-plan trigger.
+func New() *Engine { return &Engine{ReplanRatio: DefaultReplanRatio} }
 
 // Name implements engine.Engine.
 func (e *Engine) Name() string { return "RAPID+ (Naive)" }
@@ -52,7 +48,7 @@ func (e *Engine) Execute(c *mapred.Cluster, ds *engine.Dataset, aq *algebra.Anal
 	run := engine.NewRunner(c, fmt.Sprintf("tmp/rapid/%d", runSeq.Add(1)))
 	var aggFiles []string
 	for k, sq := range aq.Subqueries {
-		file, err := evalSubquery(run, ds, sq, k, false, true, e.CostPlanner, e.ReplanRatio)
+		file, err := evalSubquery(run, ds, sq, k, false, true, e.ReplanRatio)
 		if err != nil {
 			return nil, run.WM, err
 		}
@@ -64,11 +60,11 @@ func (e *Engine) Execute(c *mapred.Cluster, ds *engine.Dataset, aq *algebra.Anal
 // evalSubquery evaluates one subquery over the triplegroup store: pattern
 // matching via TG joins, then one grouping-aggregation cycle. hashAgg
 // selects map-side hash pre-aggregation (RAPIDAnalytics' single-grouping
-// path) over the plain combiner (RAPID+). cost and ratio configure the
-// cost-based planner and its re-plan trigger.
-func evalSubquery(run *engine.Runner, ds *engine.Dataset, sq *algebra.Subquery, k int, hashAgg, prune, cost bool, ratio float64) (string, error) {
+// path) over the plain combiner (RAPID+). ratio is the planner's re-plan
+// trigger.
+func evalSubquery(run *engine.Runner, ds *engine.Dataset, sq *algebra.Subquery, k int, hashAgg, prune bool, ratio float64) (string, error) {
 	gp := sq.Pattern
-	src, err := matchPattern(run, ds, gp, fmt.Sprintf("gp%d", k), nil, prune, cost, ratio)
+	src, err := matchPattern(run, ds, gp, fmt.Sprintf("gp%d", k), nil, prune, ratio)
 	if err != nil {
 		return "", err
 	}
@@ -94,29 +90,28 @@ func evalSubquery(run *engine.Runner, ds *engine.Dataset, sq *algebra.Subquery, 
 // single-star pattern needs no join cycle: the filtered scan feeds the next
 // operator directly. cp, when non-nil, enables α filtering during joins
 // (used by RAPIDAnalytics; nil here); the α table is resolved into the
-// dataset's data plane. With cost (and a statistics catalog on the
-// dataset), the join order comes from predicted cardinalities and the
-// chain executes adaptively.
-func matchPattern(run *engine.Runner, ds *engine.Dataset, gp *algebra.GraphPattern, tag string, cp *algebra.CompositePattern, prune, cost bool, ratio float64) (tgops.Source, error) {
+// dataset's data plane. The join order comes from the cardinalities the
+// dataset's statistics catalog predicts, and the chain executes
+// adaptively.
+func matchPattern(run *engine.Runner, ds *engine.Dataset, gp *algebra.GraphPattern, tag string, cp *algebra.CompositePattern, prune bool, ratio float64) (tgops.Source, error) {
 	scans := make([]tgops.Source, len(gp.Stars))
 	for i, st := range gp.Stars {
 		scans[i] = starScan(ds, i, st, gp.Filters, prune)
 	}
-	var ad *Adaptive
 	ps := obs.StartChild(run.C.Context(), obs.KindPlanner, "join-order")
-	var order []algebra.Join
-	var err error
-	if cost && ds.Stats != nil {
+	// A hand-built dataset without a catalog leaves est nil, which is
+	// JoinOrderCost's star-0-first fallback, and the chain non-adaptive.
+	var est algebra.CardEstimator
+	var ad *Adaptive
+	if ds.Stats != nil {
 		refs := make([][]algebra.PropRef, len(gp.Stars))
 		for i, st := range gp.Stars {
 			refs[i] = st.Props()
 		}
-		est := stats.NewEstimator(ds.Stats, refs, false)
-		order, err = algebra.JoinOrderCost(len(gp.Stars), gp.Joins, est)
+		est = stats.NewEstimator(ds.Stats, refs, false)
 		ad = &Adaptive{Est: est, ReplanRatio: ratio}
-	} else {
-		order, err = algebra.JoinOrder(len(gp.Stars), gp.Joins)
 	}
+	order, err := algebra.JoinOrderCost(len(gp.Stars), gp.Joins, est)
 	ps.End()
 	if err != nil {
 		return tgops.Source{}, err
@@ -309,7 +304,7 @@ func GroupedHaving(sq *algebra.Subquery) func([]string) bool {
 
 // EvalSubquery exposes the single-subquery path for RAPIDAnalytics'
 // single-grouping queries (identical workflow; hash aggregation, input
-// pruning and the cost-based planner configurable).
-func EvalSubquery(run *engine.Runner, ds *engine.Dataset, sq *algebra.Subquery, k int, hashAgg, prune, cost bool, ratio float64) (string, error) {
-	return evalSubquery(run, ds, sq, k, hashAgg, prune, cost, ratio)
+// pruning and the re-plan trigger configurable).
+func EvalSubquery(run *engine.Runner, ds *engine.Dataset, sq *algebra.Subquery, k int, hashAgg, prune bool, ratio float64) (string, error) {
+	return evalSubquery(run, ds, sq, k, hashAgg, prune, ratio)
 }

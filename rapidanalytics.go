@@ -120,17 +120,12 @@ type Options struct {
 	// StreamBatchRows is the row capacity of streamed columnar batches;
 	// <= 0 selects the vec package default (1024).
 	StreamBatchRows int
-	// CostBasedPlanner drives every engine's join ordering, the Hive
-	// map-join-site decision for intermediates, and reduce partition counts
-	// from the load-time statistics catalog (internal/stats), and enables
-	// the NTGA engines' mid-query re-plan hook. Enabled by DefaultOptions;
-	// false reverts to the fixed star-0-first heuristic with measured
-	// sizes. Results are identical either way.
-	CostBasedPlanner bool
 	// ReplanRatio is the estimate-vs-observed cardinality error ratio above
-	// which an executing join chain re-orders its remaining joins. 0 selects
-	// the default of 4; negative disables re-planning while keeping
-	// cost-based ordering.
+	// which an executing NTGA join chain re-orders its remaining joins. 0
+	// selects the default of 4; negative disables re-planning. Join order,
+	// the Hive map-join-site decision for intermediates and reduce
+	// partition counts always come from the load-time statistics catalog
+	// (internal/stats); result rows do not depend on the order chosen.
 	ReplanRatio float64
 	// RAPIDAnalyticsOptions toggles the optimizer's features (ablations).
 	RAPIDAnalyticsOptions *EngineFeatures
@@ -173,12 +168,11 @@ const (
 // extrapolation.
 func DefaultOptions() Options {
 	return Options{
-		Nodes:            10,
-		DataScale:        1,
-		MapJoinBytes:     25 << 20,
-		Streaming:        true,
-		CostBasedPlanner: true,
-		ReplanRatio:      rapid.DefaultReplanRatio,
+		Nodes:        10,
+		DataScale:    1,
+		MapJoinBytes: 25 << 20,
+		Streaming:    true,
+		ReplanRatio:  rapid.DefaultReplanRatio,
 	}
 }
 
@@ -531,7 +525,7 @@ func (r *Result) Len() int { return len(r.rows) }
 func (r *Result) String() string { return r.raw.Pretty() }
 
 func (s *Store) engineFor(sys System) (engine.Engine, error) {
-	hiveConf := hive.Config{MapJoinBytes: s.opts.MapJoinBytes, CostPlanner: s.opts.CostBasedPlanner}
+	hiveConf := hive.Config{MapJoinBytes: s.opts.MapJoinBytes}
 	switch sys {
 	case RAPIDAnalytics:
 		e := core.New()
@@ -543,14 +537,13 @@ func (s *Store) engineFor(sys System) (engine.Engine, error) {
 				InputPruning:        f.InputPruning,
 			}
 		}
-		e.Opts.CostPlanner = s.opts.CostBasedPlanner
 		e.Opts.ReplanRatio = s.opts.ReplanRatio
 		if s.results != nil {
 			e.SubResults = subResultCache{c: s.results, version: s.currentDataVersion()}
 		}
 		return e, nil
 	case RAPIDPlus:
-		return &rapid.Engine{CostPlanner: s.opts.CostBasedPlanner, ReplanRatio: s.opts.ReplanRatio}, nil
+		return &rapid.Engine{ReplanRatio: s.opts.ReplanRatio}, nil
 	case HiveNaive:
 		return &hive.Naive{Conf: hiveConf}, nil
 	case HiveMQO:
