@@ -155,11 +155,6 @@ type Loader struct {
 	// SpillThresholdBytes bounds per-map-task buffered shuffle output (0
 	// disables spilling). See mapred.ClusterConfig.SpillThresholdBytes.
 	SpillThresholdBytes int64
-	// DisableStreaming turns off the vectorized streaming plane, forcing
-	// every intermediate output to materialise into the storage backend.
-	// Result rows and volume metrics are identical either way; see
-	// mapred.ClusterConfig.Streaming.
-	DisableStreaming bool
 
 	mu     sync.Mutex
 	loaded map[string]*loadedDataset
@@ -184,7 +179,6 @@ func (l *Loader) Load(id string) (*mapred.Cluster, *engine.Dataset, error) {
 	scale := spec.PaperTriples / float64(g.Len())
 	cfg := spec.Cluster(scale)
 	cfg.SpillThresholdBytes = l.SpillThresholdBytes
-	cfg.Streaming = !l.DisableStreaming
 	c, err := l.newCluster(cfg, id)
 	if err != nil {
 		return nil, nil, err

@@ -36,35 +36,30 @@ func spillRuns(wm *mapred.WorkflowMetrics) (n int64) {
 // engine, run under both modes of a pair, must return Equal rows and
 // job-for-job equal volume metrics outside the fields the pair names. A
 // pair whose mode never engaged compared a configuration with itself, so
-// each pair also requires activity on its b side.
+// each pair also requires spill runs on its b side.
 func TestModesIdentical(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full MG catalog x 4 engines x 4 modes skipped in -short mode")
+		t.Skip("full MG catalog x 4 engines x 3 modes skipped in -short mode")
 	}
 	const spillBytes = 4 << 10
-	mode := func(storage string, spill int64, materialise bool) *Loader {
+	mode := func(storage string, spill int64) *Loader {
 		l := NewLoader()
 		l.SizeMult, l.Storage, l.DataDir = modeScale, storage, t.TempDir()
-		l.SpillThresholdBytes, l.DisableStreaming = spill, materialise
+		l.SpillThresholdBytes = spill
 		return l
 	}
-	plain, spilling, materialised := mode("mem", 0, false), mode("mem", spillBytes, false), mode("mem", 0, true)
+	plain, spilling := mode("mem", 0), mode("mem", spillBytes)
 	pairs := []struct {
 		name string
 		a, b *Loader
 		// mayDiffer zeroes the Metrics fields the pair is allowed to differ in.
 		mayDiffer func(m *mapred.Metrics)
-		// engaged counts b's activity that tells the two modes apart.
-		engaged func(b *mapred.WorkflowMetrics) int64
-		total   int64
+		spills    int64
 	}{
 		// An equal threshold on both sides, so the spill path runs through
 		// either backend and every volume, spill counters included, matches.
-		{name: "mem vs disk", a: spilling, b: mode("disk", spillBytes, false),
-			mayDiffer: func(*mapred.Metrics) {}, engaged: spillRuns},
-		{name: "streaming vs materialised", a: materialised, b: plain,
-			mayDiffer: func(m *mapred.Metrics) { m.StreamedRecords, m.StreamedBatches = 0, 0 },
-			engaged:   (*mapred.WorkflowMetrics).StreamedRecords},
+		{name: "mem vs disk", a: spilling, b: mode("disk", spillBytes),
+			mayDiffer: func(*mapred.Metrics) {}},
 		// A combiner runs once per spill run, so under a threshold a job
 		// with one shuffles a few more, less-combined records: the
 		// map-output volumes move, and SimulatedRedTasks and SimSeconds,
@@ -75,7 +70,7 @@ func TestModesIdentical(t *testing.T) {
 				m.SpillRuns, m.SpillRecords, m.SpillBytes = 0, 0, 0
 				m.MapOutputRecords, m.MapOutputBytes = 0, 0
 				m.SimulatedRedTasks, m.SimSeconds = 0, 0
-			}, engaged: spillRuns},
+			}},
 	}
 
 	type outcome struct {
@@ -123,21 +118,14 @@ func TestModesIdentical(t *testing.T) {
 							t.Errorf("%s: %s via %s: job %s volumes differ:\n a %+v\n b %+v", p.name, id, e.Name(), va.Job, va, vb)
 						}
 					}
-					p.total += p.engaged(b.wm)
-				}
-				// Streaming must also be worth its mode: strictly less reaches
-				// the backend exactly when something streamed.
-				s, m := ran[plain].wm, ran[materialised].wm
-				if (s.StreamedRecords() > 0) != (s.MaterializedStoredBytes() < m.MaterializedStoredBytes()) {
-					t.Errorf("%s via %s: streamed %d records but stored %d bytes vs %d materialised",
-						id, e.Name(), s.StreamedRecords(), s.MaterializedStoredBytes(), m.MaterializedStoredBytes())
+					p.spills += spillRuns(b.wm)
 				}
 			}
 		}
 	}
 	for _, p := range pairs {
-		if p.total == 0 {
-			t.Errorf("%s: the mode never engaged (no spill run, no streamed record): the pair proved nothing", p.name)
+		if p.spills == 0 {
+			t.Errorf("%s: the mode never engaged (no spill run): the pair proved nothing", p.name)
 		}
 	}
 }

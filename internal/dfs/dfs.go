@@ -14,11 +14,12 @@
 //     new Create.
 //   - A file's content is committed by Writer.Close. Writers are
 //     append-only; Create truncates.
-//   - Record slices handed out by backend iterators are immutable and
-//     remain valid indefinitely; callers must not modify them. Streamed
-//     files (CreateStream) relax this: their iterators reuse a scratch
-//     buffer, so a record is valid only until the iterator's next Next
-//     call, and AllRecords copies. See stream.go.
+//   - Record slices handed out by iterators are immutable and remain
+//     valid indefinitely; callers must not modify them.
+//
+// Streamed files (CreateStream, see stream.go) keep a job's output in an
+// in-memory registry instead of the backend and present the same
+// semantics.
 package dfs
 
 import (
@@ -88,9 +89,6 @@ type File struct {
 	bytes int64
 	ratio float64
 	src   recordSource
-	// volatile marks sources whose iterators reuse their record buffer
-	// (stream-backed files); AllRecords copies for such files.
-	volatile bool
 }
 
 // Name returns the file's name.
@@ -112,24 +110,13 @@ func (f *File) StoredBytes() int64 { return storedSize(f.bytes, f.ratio) }
 // streams the whole file). Many iterators may be drawn from one File.
 func (f *File) Records(start int) RecordIterator { return f.src.iterate(start) }
 
-// Volatile reports whether this file's iterators reuse their record buffer
-// (stream-backed files); consumers that retain records across Next must
-// copy them when it is true, exactly as AllRecords does.
-func (f *File) Volatile() bool { return f.volatile }
-
 // AllRecords materialises the whole snapshot. Prefer Records for
 // record-at-a-time consumers; this is for side inputs and small files.
-// The returned slices are always stable: volatile (stream-backed) sources
-// are copied record by record.
 func (f *File) AllRecords() ([][]byte, error) {
 	recs := make([][]byte, 0, f.nrec)
 	it := f.Records(0)
 	for it.Next() {
-		rec := it.Record()
-		if f.volatile {
-			rec = append([]byte(nil), rec...)
-		}
-		recs = append(recs, rec)
+		recs = append(recs, it.Record())
 	}
 	return recs, it.Err()
 }
@@ -194,7 +181,7 @@ func (fs *FS) Create(name string, ratio float64) (*Writer, error) {
 
 // Open returns a snapshot of the named file. Streamed files are served
 // from the stream registry with identical snapshot semantics and
-// metadata; see stream.go for the record-volatility caveat.
+// metadata.
 func (fs *FS) Open(name string) (*File, error) {
 	if sf := fs.stream(name); sf != nil {
 		return fs.openStream(name, sf), nil
@@ -224,7 +211,7 @@ func (fs *FS) Delete(name string) error {
 // sorted. Streamed files are excluded: they have no storage footprint.
 func (fs *FS) List(prefix string) []string { return fs.b.List(prefix) }
 
-// TotalStoredBytes sums the stored size of all files with the prefix.
-// Streamed files contribute nothing — their materialisation was elided —
-// so this is the measure the streaming experiment compares across modes.
+// TotalStoredBytes sums the stored size of all backend files with the
+// prefix. Streamed files contribute nothing: their materialisation was
+// elided.
 func (fs *FS) TotalStoredBytes(prefix string) int64 { return fs.b.TotalStoredBytes(prefix) }

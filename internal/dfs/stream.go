@@ -8,25 +8,21 @@ import (
 )
 
 // Streamed files: FS.CreateStream opens a file whose records buffer as
-// columnar vec.Batch batches in the FS's stream registry instead of being
+// vec.Batch record arenas in the FS's stream registry instead of being
 // materialised into the storage backend. Open serves streamed files
 // exactly like backend files — same snapshot semantics, same NumRecords /
-// Bytes / StoredBytes metadata, re-iterable from any start — so planners,
-// split carving and side-input loading never know the DFS round-trip was
-// elided. When a stream's buffered logical bytes cross its spill
-// threshold it overflows: the buffered batches replay into a regular
-// backend file under the same name and the writer degrades to plain
-// backend appends (PR 6's spill machinery as the overflow path), after
-// which the file behaves as if it had never streamed.
+// Bytes / StoredBytes metadata, re-iterable from any start, records
+// immutable and valid indefinitely — so planners, split carving and
+// side-input loading never know the DFS round-trip was elided. When a
+// stream's buffered logical bytes cross its spill threshold it overflows:
+// the buffered batches replay into a regular backend file under the same
+// name and the writer degrades to plain backend appends (PR 6's spill
+// machinery as the overflow path), after which the file behaves as if it
+// had never streamed.
 //
-// Two deliberate asymmetries with backend files, documented here because
-// the package contract above promises them: streamed files do not appear
-// in List or TotalStoredBytes (they have no stored footprint — that is
-// the point), and records handed out by their iterators are VOLATILE —
-// valid only until the iterator's next Next call — because columnar rows
-// re-encode into a reused scratch buffer. AllRecords compensates by
-// copying. Consumers that retain raw record slices across Next must copy;
-// every engine decode path (codec.DecodeTuple and friends) already does.
+// One deliberate asymmetry with backend files: streamed files do not
+// appear in List or TotalStoredBytes. They have no stored footprint —
+// that is the point.
 
 // streamFile is one streamed file's live state in the registry.
 type streamFile struct {
@@ -55,16 +51,22 @@ func (sf *streamFile) commit(b *vec.Batch) int64 {
 }
 
 // CreateStream creates (or truncates) a streamed file: records buffer as
-// batches of at most batchRows rows (<= 0 selects vec.DefaultBatchRows)
-// and no backend write happens unless the buffered logical bytes reach
-// spillBytes (<= 0 disables the overflow, keeping the stream resident).
-// The returned Writer is used exactly like one from Create; the stream
-// writer never retains appended slices, so WriteOwned is safe even for
-// shared buffers. Content becomes visible to Open batch by batch and the
-// partial tail commits at Close.
-func (fs *FS) CreateStream(name string, ratio float64, batchRows int, spillBytes int64) (*Writer, error) {
+// batches of vec.DefaultBatchRows rows and no backend write happens unless
+// the buffered logical bytes reach spillBytes (<= 0 disables the overflow,
+// keeping the stream resident). The returned Writer is used exactly like
+// one from Create; until an overflow the stream copies every appended
+// record, and after one it hands them to the backend like Create's writer.
+// Content becomes visible to Open batch by batch and the partial tail
+// commits at Close.
+func (fs *FS) CreateStream(name string, ratio float64, spillBytes int64) (*Writer, error) {
 	if ratio <= 0 || ratio > 1 {
 		return nil, fmt.Errorf("%w: %g for %q", ErrCompressionRatio, ratio, name)
+	}
+	// A stale backend file under the same name would resurface if the
+	// stream is later deleted; clear it so the name has one owner. It goes
+	// first, so a failed delete leaves the name as it was.
+	if err := fs.b.Delete(name); err != nil {
+		return nil, err
 	}
 	sf := &streamFile{ratio: ratio}
 	fs.mu.Lock()
@@ -73,17 +75,12 @@ func (fs *FS) CreateStream(name string, ratio float64, batchRows int, spillBytes
 	}
 	fs.streams[name] = sf
 	fs.mu.Unlock()
-	// A stale backend file under the same name would resurface if the
-	// stream is later deleted; clear it so the name has one owner.
-	if err := fs.b.Delete(name); err != nil {
-		return nil, err
-	}
 	sw := &streamWriter{
 		fs:         fs,
 		name:       name,
 		ratio:      ratio,
 		sf:         sf,
-		builder:    vec.NewBuilder(batchRows),
+		builder:    vec.NewBuilder(vec.DefaultBatchRows),
 		spillBytes: spillBytes,
 	}
 	return &Writer{fw: sw, name: name, ratio: ratio}, nil
@@ -108,16 +105,15 @@ func (fs *FS) dropStream(name string) {
 func (fs *FS) openStream(name string, sf *streamFile) *File {
 	batches, records, bytes := sf.snapshot()
 	return &File{
-		name:     name,
-		nrec:     records,
-		bytes:    bytes,
-		ratio:    sf.ratio,
-		src:      &streamSource{batches: batches},
-		volatile: true,
+		name:  name,
+		nrec:  records,
+		bytes: bytes,
+		ratio: sf.ratio,
+		src:   &streamSource{batches: batches},
 	}
 }
 
-// streamWriter is the FileWriter behind CreateStream. Appends parse into
+// streamWriter is the FileWriter behind CreateStream. Appends copy into
 // the batch builder; sealed batches commit to the stream file. When the
 // committed bytes cross spillBytes the writer overflows to a real backend
 // file and every subsequent append goes straight through.
@@ -131,11 +127,10 @@ type streamWriter struct {
 
 	batchCount int64
 	overflowed FileWriter // non-nil once spilled to the backend
-	scratch    []byte
 }
 
-// Append implements FileWriter. The stream copies rec (into columns or
-// the raw arena) rather than retaining it.
+// Append implements FileWriter. Until an overflow the stream copies rec
+// into the builder's arena rather than retaining it.
 func (w *streamWriter) Append(rec []byte) error {
 	if w.overflowed != nil {
 		return w.overflowed.Append(rec)
@@ -146,12 +141,12 @@ func (w *streamWriter) Append(rec []byte) error {
 	return nil
 }
 
-// AppendBatch adds a sealed batch wholesale — the vectorized write path
-// reduce output uses. Any partial builder rows commit first to preserve
-// record order.
+// AppendBatch adds a sealed batch wholesale — the write path reduce
+// output uses. Any partial builder rows commit first to preserve record
+// order.
 func (w *streamWriter) AppendBatch(b *vec.Batch) error {
 	if w.overflowed != nil {
-		return w.replay(w.overflowed, b)
+		return appendRows(w.overflowed, b)
 	}
 	if partial := w.builder.Flush(); partial != nil {
 		if err := w.commit(partial); err != nil {
@@ -159,7 +154,7 @@ func (w *streamWriter) AppendBatch(b *vec.Batch) error {
 		}
 	}
 	if w.overflowed != nil { // the partial commit may have overflowed
-		return w.replay(w.overflowed, b)
+		return appendRows(w.overflowed, b)
 	}
 	return w.commit(b)
 }
@@ -184,7 +179,7 @@ func (w *streamWriter) overflow() error {
 	}
 	batches, _, _ := w.sf.snapshot()
 	for _, b := range batches {
-		if err := w.replay(bw, b); err != nil {
+		if err := appendRows(bw, b); err != nil {
 			bw.Close() // abandon the half-replayed file; the replay error wins
 			return err
 		}
@@ -192,19 +187,6 @@ func (w *streamWriter) overflow() error {
 	w.overflowed = bw
 	w.batchCount = 0
 	w.fs.dropStream(w.name)
-	return nil
-}
-
-// replay appends every row of b to a backend writer.
-func (w *streamWriter) replay(bw FileWriter, b *vec.Batch) error {
-	for r := 0; r < b.Rows(); r++ {
-		w.scratch = b.AppendRecord(w.scratch[:0], r)
-		rec := make([]byte, len(w.scratch))
-		copy(rec, w.scratch)
-		if err := bw.Append(rec); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -235,8 +217,6 @@ func (w *streamWriter) streamedBatches() int64 {
 }
 
 // streamSource adapts a batch snapshot to the recordSource contract.
-// Its iterators decode columnar rows into a per-iterator scratch buffer,
-// so records are volatile (see the package notes above).
 type streamSource struct {
 	batches []*vec.Batch
 }
@@ -250,13 +230,13 @@ func (s *streamSource) iterate(start int) RecordIterator {
 
 func (s *streamSource) close() error { return nil }
 
-// streamRecordIterator walks batch rows as records.
+// streamRecordIterator walks batch rows as records. Each record is a
+// sub-slice of its batch's immutable arena.
 type streamRecordIterator struct {
 	batches []*vec.Batch
 	bi      int // current batch
 	row     int // next row within batches[bi]
 	skip    int // rows still to skip for a positioned start
-	scratch []byte
 	cur     []byte
 }
 
@@ -271,8 +251,7 @@ func (it *streamRecordIterator) Next() bool {
 		}
 		it.row += it.skip
 		it.skip = 0
-		it.scratch = b.AppendRecord(it.scratch[:0], it.row)
-		it.cur = it.scratch
+		it.cur = b.Record(it.row)
 		it.row++
 		if it.row >= b.Rows() {
 			it.bi++
@@ -287,14 +266,3 @@ func (it *streamRecordIterator) Next() bool {
 func (it *streamRecordIterator) Record() []byte { return it.cur }
 
 func (it *streamRecordIterator) Err() error { return nil }
-
-// Batches returns a pull iterator over the file's sealed batches and true
-// when the file is stream-backed, or (nil, false) for backend files. The
-// iterator satisfies the vec.Iterator lifecycle contract.
-func (f *File) Batches() (vec.Iterator, bool) {
-	src, ok := f.src.(*streamSource)
-	if !ok {
-		return nil, false
-	}
-	return vec.NewSliceIterator(src.batches), true
-}

@@ -3,6 +3,7 @@ package dfs
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -21,7 +22,7 @@ func idRec(ids ...uint64) []byte {
 
 func writeStream(t *testing.T, fs *FS, name string, ratio float64, recs ...[]byte) {
 	t.Helper()
-	w, err := fs.CreateStream(name, ratio, 4, 0)
+	w, err := fs.CreateStream(name, ratio, 0)
 	if err != nil {
 		t.Fatalf("CreateStream(%s): %v", name, err)
 	}
@@ -89,14 +90,15 @@ func TestStreamRoundTrip(t *testing.T) {
 // contract, including starts inside and across batch boundaries.
 func TestStreamRecordsFrom(t *testing.T) {
 	fs := New()
-	recs := streamRecords(11) // batches of 4: 4+4+3
+	const rows = vec.DefaultBatchRows
+	recs := streamRecords(2*rows + 3)
 	writeStream(t, fs, "s", 1, recs...)
 	f, err := fs.Open("s")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	for _, start := range []int{0, 1, 3, 4, 7, 10, 11, 50} {
+	for _, start := range []int{0, 1, rows - 1, rows, rows + 1, 2*rows + 2, 2*rows + 3, 3 * rows} {
 		it := f.Records(start)
 		n := 0
 		for it.Next() {
@@ -115,37 +117,53 @@ func TestStreamRecordsFrom(t *testing.T) {
 	}
 }
 
-// TestStreamVolatileRecords pins the relaxed contract: the stream iterator
-// reuses its buffer across Next, and AllRecords compensates by copying.
-func TestStreamVolatileRecords(t *testing.T) {
+// TestStreamRecordsStable: like backend records, every record a stream
+// iterator hands out stays intact after later Next calls.
+func TestStreamRecordsStable(t *testing.T) {
 	fs := New()
-	recs := streamRecords(6)
+	recs := streamRecords(vec.DefaultBatchRows + 6)
 	writeStream(t, fs, "s", 1, recs...)
 	f, err := fs.Open("s")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	it := f.Records(0)
-	if !it.Next() {
-		t.Fatal("empty stream")
+	var kept [][]byte
+	for it := f.Records(0); it.Next(); {
+		kept = append(kept, it.Record())
 	}
-	first := it.Record()
-	firstCopy := append([]byte(nil), first...)
-	if !it.Next() {
-		t.Fatal("one-record stream")
+	if len(kept) != len(recs) {
+		t.Fatalf("records = %d, want %d", len(kept), len(recs))
 	}
-	if bytes.Equal(first, firstCopy) {
-		t.Log("iterator buffer happened to match; contract still volatile")
+	for i := range kept {
+		if !bytes.Equal(kept[i], recs[i]) {
+			t.Fatalf("record %d = %x after the walk, want %x", i, kept[i], recs[i])
+		}
 	}
-	all, err := f.AllRecords()
+}
+
+// failingDeleteBackend fails every delete; everything else passes through.
+type failingDeleteBackend struct{ Backend }
+
+func (failingDeleteBackend) Delete(string) error { return errors.New("injected delete failure") }
+
+// TestCreateStreamFailedDeleteKeepsBackendFile: a CreateStream whose stale
+// backend delete fails must not register a stream that shadows the intact
+// backend file.
+func TestCreateStreamFailedDeleteKeepsBackendFile(t *testing.T) {
+	fs := NewWithBackend(failingDeleteBackend{NewMemBackend()})
+	writeFile(t, fs, "f", 1, "a", "b")
+	if w, err := fs.CreateStream("f", 1, 0); err == nil {
+		w.Close()
+		t.Fatal("CreateStream succeeded over a failing delete")
+	}
+	f, err := fs.Open("f")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range all {
-		if !bytes.Equal(all[i], recs[i]) {
-			t.Fatalf("AllRecords[%d] = %x, want %x (stable copies required)", i, all[i], recs[i])
-		}
+	defer f.Close()
+	if got, _ := f.AllRecords(); len(got) != 2 || string(got[0]) != "a" || string(got[1]) != "b" {
+		t.Errorf("Open after failed CreateStream = %q, want the backend file [a b]", got)
 	}
 }
 
@@ -199,20 +217,22 @@ func TestStreamSnapshotSemantics(t *testing.T) {
 // stream to a regular backend file with identical content and metadata.
 func TestStreamOverflowToBackend(t *testing.T) {
 	fs := New()
-	recs := streamRecords(100)
+	recs := streamRecords(3 * vec.DefaultBatchRows)
 	var logical int64
 	for _, r := range recs {
 		logical += int64(len(r))
 	}
-	w, err := fs.CreateStream("big", 1, 8, 64) // overflow after ~64 bytes
+	// The first sealed batch crosses 64 bytes; later appends go straight
+	// to the backend.
+	w, err := fs.CreateStream("big", 1, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, rec := range recs {
 		w.Write(rec)
 	}
-	if w.Streamed() {
-		t.Error("writer still reports streamed after overflow")
+	if w.StreamedBatches() != 0 {
+		t.Error("writer still reports streamed batches after overflow")
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -246,7 +266,7 @@ func TestStreamOverflowToBackend(t *testing.T) {
 // transfers; record order must be exactly the call order.
 func TestStreamWriteBatchOrdering(t *testing.T) {
 	fs := New()
-	w, err := fs.CreateStream("s", 1, 8, 0)
+	w, err := fs.CreateStream("s", 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,8 +306,8 @@ func TestStreamWriteBatchOrdering(t *testing.T) {
 	}
 }
 
-// TestWriteBatchOnBackendFile: WriteBatch on a non-streamed writer falls
-// back to row-at-a-time appends with identical bytes.
+// TestWriteBatchOnBackendFile: WriteBatch on a non-streamed writer appends
+// the batch's rows with identical bytes.
 func TestWriteBatchOnBackendFile(t *testing.T) {
 	fs := New()
 	w, err := fs.Create("f", 1)
@@ -339,7 +359,7 @@ func TestStreamEmptyFile(t *testing.T) {
 // TestStreamBadRatio matches the Create contract.
 func TestStreamBadRatio(t *testing.T) {
 	fs := New()
-	if w, err := fs.CreateStream("bad", 0, 0, 0); err == nil {
+	if w, err := fs.CreateStream("bad", 0, 0); err == nil {
 		w.Close()
 		t.Fatal("CreateStream accepted ratio 0")
 	}
@@ -348,101 +368,8 @@ func TestStreamBadRatio(t *testing.T) {
 	}
 }
 
-// --- Batch iterator lifecycle on stream-backed files (satellite: the
-// BatchIterator implementations must survive early close, double close and
-// cancellation between batches; run under -race in CI on both storage
-// legs) ---
-
-func TestStreamBatchIteratorLifecycle(t *testing.T) {
-	fs := New()
-	writeStream(t, fs, "s", 1, streamRecords(10)...) // 3 batches of <=4
-	f, err := fs.Open("s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	it, ok := f.Batches()
-	if !ok {
-		t.Fatal("stream-backed file has no batch iterator")
-	}
-	b, err := it.Next()
-	if err != nil || b == nil {
-		t.Fatalf("first batch = %v, %v", b, err)
-	}
-	if b.Rows() != 4 || !b.Columnar() || b.Arity() != 3 {
-		t.Errorf("batch shape = %d rows, columnar %v, arity %d", b.Rows(), b.Columnar(), b.Arity())
-	}
-	// Early close mid-stream, then double close.
-	if err := it.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if b, err := it.Next(); b != nil || err != nil {
-		t.Fatalf("Next after Close = %v, %v", b, err)
-	}
-	if err := it.Close(); err != nil {
-		t.Fatalf("double Close: %v", err)
-	}
-	// A backend file offers no batch iterator.
-	writeFile(t, fs, "mat", 1, "x")
-	fm, err := fs.Open("mat")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fm.Close()
-	mit, ok := fm.Batches()
-	if mit != nil {
-		mit.Close()
-	}
-	if ok {
-		t.Error("backend file claims a batch iterator")
-	}
-}
-
-func TestStreamBatchIteratorCancellation(t *testing.T) {
-	fs := New()
-	writeStream(t, fs, "s", 1, streamRecords(10)...)
-	f, err := fs.Open("s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	base, ok := f.Batches()
-	if !ok {
-		t.Fatal("no batch iterator")
-	}
-	cancelled := fmt.Errorf("ctx cancelled")
-	polls := 0
-	it := vec.WithCheck(base, func() error {
-		polls++
-		if polls > 2 {
-			return cancelled
-		}
-		return nil
-	})
-	var rows int
-	for {
-		b, err := it.Next()
-		if err != nil {
-			if err != cancelled {
-				t.Fatalf("err = %v", err)
-			}
-			break
-		}
-		if b == nil {
-			t.Fatal("stream ended before cancellation")
-		}
-		rows += b.Rows()
-	}
-	if rows != 8 { // two batches of 4 before the third poll failed
-		t.Errorf("rows before cancel = %d, want 8", rows)
-	}
-	if err := it.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestStreamConcurrentReaders: many iterators over one stream snapshot
-// must be independent (each has its own scratch buffer); run under -race.
+// must be independent; run under -race.
 func TestStreamConcurrentReaders(t *testing.T) {
 	fs := New()
 	recs := streamRecords(500)

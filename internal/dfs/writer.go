@@ -55,36 +55,32 @@ func (w *Writer) WriteOwned(record []byte) {
 	w.span.AddBytes(int64(len(record)))
 }
 
-// batchAppender is implemented by file writers that accept sealed batches
-// wholesale (the stream writer); others take the row-at-a-time fallback.
-type batchAppender interface {
-	AppendBatch(b *vec.Batch) error
+// appendRows appends every row of b to fw. Rows are sub-slices of the
+// batch's immutable arena, so fw may retain them without a copy.
+func appendRows(fw FileWriter, b *vec.Batch) error {
+	for r := 0; r < b.Rows(); r++ {
+		if err := fw.Append(b.Record(r)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // WriteBatch appends every row of a sealed batch. On a streamed file the
-// batch transfers as-is — the vectorized path reduce output uses, with no
-// per-record re-encoding — while backend files receive the rows encoded
-// one by one. Volume and span accounting match row-at-a-time writes
-// exactly. The batch must be sealed; the writer takes it over.
+// batch transfers as-is; backend files receive its rows as arena
+// sub-slices, with no per-record copy. Volume and span accounting match
+// row-at-a-time writes exactly. The batch must be sealed; the writer takes
+// it over.
 func (w *Writer) WriteBatch(b *vec.Batch) {
 	rows, bytes := int64(b.Rows()), b.Bytes()
 	w.mu.Lock()
 	if w.err == nil && !w.closed {
-		err := func() error {
-			if ba, ok := w.fw.(batchAppender); ok {
-				return ba.AppendBatch(b)
-			}
-			var scratch []byte
-			for r := 0; r < b.Rows(); r++ {
-				scratch = b.AppendRecord(scratch[:0], r)
-				rec := make([]byte, len(scratch))
-				copy(rec, scratch)
-				if err := w.fw.Append(rec); err != nil {
-					return err
-				}
-			}
-			return nil
-		}()
+		var err error
+		if sw, ok := w.fw.(*streamWriter); ok {
+			err = sw.AppendBatch(b)
+		} else {
+			err = appendRows(w.fw, b)
+		}
 		if err != nil {
 			w.err = err
 		} else {
@@ -108,10 +104,6 @@ func (w *Writer) StreamedBatches() int64 {
 	}
 	return 0
 }
-
-// Streamed reports whether the writer's output stayed in the stream
-// registry (true) rather than materialising into the backend.
-func (w *Writer) Streamed() bool { return w.StreamedBatches() > 0 }
 
 // Close commits the file, returning the first error of any write or of the
 // commit itself. Close is idempotent.

@@ -1,6 +1,6 @@
 // Package closecheck defines the resource-leak analyzer: values carrying a
 // Close or Release method obtained from the engine's resource packages
-// (dfs, vec, blockstore, share) must reach a close on every path out of the
+// (dfs, blockstore, share) must reach a close on every path out of the
 // acquiring function, or have their ownership visibly transferred — by
 // returning them, storing them into a longer-lived structure, or passing
 // them to a function whose interprocedural summary says it disposes of
@@ -34,7 +34,7 @@ import (
 // Analyzer reports engine resources that do not reach Close on every path.
 var Analyzer = &analysis.Analyzer{
 	Name:      "closecheck",
-	Doc:       "engine resources (dfs, vec, blockstore, share) must be closed on every path or visibly change owner",
+	Doc:       "engine resources (dfs, blockstore, share) must be closed on every path or visibly change owner",
 	FactTypes: []analysis.Fact{(*ClosesFact)(nil), (*OwnsFact)(nil)},
 	Run:       run,
 }
@@ -63,8 +63,8 @@ func (*OwnsFact) AFact() {}
 
 // resourcePkgs are the import-path suffixes whose Close/Release-bearing
 // types the analyzer tracks. plancache handles are value types with no
-// lifecycle; server and store own resources through these four.
-var resourcePkgs = []string{"dfs", "vec", "blockstore", "share"}
+// lifecycle; server and store own resources through these three.
+var resourcePkgs = []string{"dfs", "blockstore", "share"}
 
 // isResourceType reports whether t (through one pointer) is a named type or
 // interface from a resource package whose method set includes Close or

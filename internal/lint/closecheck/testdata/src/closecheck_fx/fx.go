@@ -1,12 +1,11 @@
 // Package closecheck_fx exercises the resource-leak analyzer: engine
-// resources (dfs files and writers, vec iterators, blockstore segments)
+// resources (dfs files and writers, blockstore segments)
 // must reach Close on every path or visibly change owner.
 package closecheck_fx
 
 import (
 	"rapidanalytics/internal/dfs"
 	"rapidanalytics/internal/lint/closecheck/testdata/src/closecheck_fx/helper"
-	"rapidanalytics/internal/vec"
 )
 
 // LeakEarlyReturn forgets the file on the bail path: caught.
@@ -127,33 +126,6 @@ func WrappedClean(fs *dfs.FS, name string) (int, error) {
 // close it (and an unclosed dfs.Writer never commits its file).
 func Discarded(fs *dfs.FS, name string) {
 	_, _ = fs.Create(name, 1.0) // want "assigned to _"
-}
-
-// IterLeak forgets the iterator on the stop path.
-func IterLeak(batches []*vec.Batch, stop bool) error {
-	it := vec.NewSliceIterator(batches) // want "not closed on every path"
-	if stop {
-		return nil
-	}
-	return it.Close()
-}
-
-// IterClean drains and closes through the vec.Iterator interface: true
-// negative, including the acquisition through WithCheck.
-func IterClean(batches []*vec.Batch) (int, error) {
-	it := vec.WithCheck(vec.NewSliceIterator(batches), func() error { return nil })
-	defer it.Close()
-	n := 0
-	for {
-		b, err := it.Next()
-		if err != nil {
-			return n, err
-		}
-		if b == nil {
-			return n, nil
-		}
-		n += b.Rows()
-	}
 }
 
 // WriterClean closes the writer on both paths: true negative.

@@ -64,25 +64,6 @@ type ClusterConfig struct {
 	// SimulatedRedTasks and SimSeconds, which the cost model derives from
 	// them, follow (bench.TestModesIdentical pins exactly this split).
 	SpillThresholdBytes int64
-	// Streaming enables the vectorized streaming write path for jobs that
-	// opt in with Job.StreamOutput: their output buffers as columnar
-	// batches in the DFS stream registry (dfs.CreateStream) instead of
-	// materialising into the storage backend, eliding the DFS round-trip
-	// between producer and consumer cycles of one job chain. Output bytes,
-	// record order and every volume metric are identical either way —
-	// streamed files report the same NumRecords/Bytes/StoredBytes — so the
-	// cost model is unaffected; only Metrics.StreamedRecords and
-	// StreamedBatches (and the backend's stored footprint) differ.
-	Streaming bool
-	// StreamBatchRows is the row capacity of streamed output batches;
-	// <= 0 selects vec.DefaultBatchRows.
-	StreamBatchRows int
-	// StreamSpillBytes is the overflow threshold for streamed outputs:
-	// when a stream's buffered logical bytes reach it, the stream demotes
-	// to a regular backend file (PR 6's spill machinery as the overflow
-	// path) and the output materialises after all. <= 0 keeps streams
-	// resident regardless of size.
-	StreamSpillBytes int64
 }
 
 // DefaultConfig returns the 10-node VCL-like cluster used for BSBM-500K and
@@ -105,8 +86,6 @@ func DefaultConfig() ClusterConfig {
 		DecompressSecPerMB: 0.02,
 		ReplicationFactor:  2,
 		ExecSplitBytes:     4 << 20,
-		Streaming:          true,
-		StreamSpillBytes:   64 << 20,
 	}
 }
 

@@ -98,12 +98,15 @@ type Job struct {
 	// ReduceOperator labels the reduce phase's logical operator (e.g.
 	// TG_AlphaJoin, group-agg). Empty defaults to "reduce".
 	ReduceOperator string
-	// StreamOutput marks the job's output as safe to stream: when the
-	// cluster's ClusterConfig.Streaming is also on, the output stays in
-	// the DFS stream registry as columnar batches instead of
-	// materialising, because every consumer runs in the same job chain.
-	// Leave false for checkpointed or multi-consumer outputs and for
-	// files later rewritten in place — those need the real DFS boundary.
+	// StreamOutput marks the job's output as safe to stream, and is the
+	// only thing that decides whether it does: the output stays in the DFS
+	// stream registry (dfs.CreateStream) as record batches instead of
+	// materialising, because every consumer runs in the same job chain. A
+	// stream whose buffered bytes reach 64 MiB overflows into a backend
+	// file after all. Output bytes, record order and every volume metric
+	// but the Streamed* counters are identical either way. Leave false for
+	// checkpointed or multi-consumer outputs and for files later rewritten
+	// in place — those need the real DFS boundary.
 	StreamOutput bool
 }
 
@@ -158,11 +161,11 @@ type Metrics struct {
 
 	// StreamedRecords counts output records that stayed in the stream
 	// registry rather than materialising: equal to OutputRecords when the
-	// job streamed, 0 when it wrote a backend file (streaming off, job not
-	// marked StreamOutput, or the stream overflowed to the backend). Like
-	// every volume field it is deterministic for a given configuration.
+	// job streamed, 0 when it wrote a backend file (job not marked
+	// StreamOutput, or the stream overflowed to the backend). Like every
+	// volume field it is deterministic for a given configuration.
 	StreamedRecords int64
-	// StreamedBatches counts the columnar batches committed to the live
+	// StreamedBatches counts the record batches committed to the live
 	// stream (0 after an overflow).
 	StreamedBatches   int64
 	SimulatedMapTasks int     // from the cost model's block math
@@ -252,7 +255,7 @@ func (w *WorkflowMetrics) MaterializedBytes() int64 {
 }
 
 // StreamedRecords returns the total output records that stayed in the DFS
-// stream registry across all cycles (0 when streaming was off everywhere).
+// stream registry across all cycles (0 when no cycle streamed).
 func (w *WorkflowMetrics) StreamedRecords() int64 {
 	var n int64
 	for _, m := range w.Jobs {
@@ -261,7 +264,7 @@ func (w *WorkflowMetrics) StreamedRecords() int64 {
 	return n
 }
 
-// StreamedBatches returns the total columnar batches committed to live
+// StreamedBatches returns the total record batches committed to live
 // streams across all cycles.
 func (w *WorkflowMetrics) StreamedBatches() int64 {
 	var n int64
@@ -314,6 +317,10 @@ type Cluster struct {
 	// shuffle/reduce pool size. Only this package's determinism tests
 	// assign it, to sweep worker counts the host's CPU count cannot reach.
 	testReduceWorkers int
+	// testStreamOverflowBytes, when positive, replaces streamOverflowBytes
+	// as the overflow threshold of streamed outputs. Only this package's
+	// overflow tests assign it.
+	testStreamOverflowBytes int64
 }
 
 // NewCluster returns a cluster over a fresh file system. The backend is

@@ -74,13 +74,12 @@ type taskResult struct {
 }
 
 // partState carries one reduce partition through shuffle-sort and reduce:
-// the sorted key groups, the buffered reducer output (raw records, or
-// sealed columnar batches when the job streams), and the partition's
-// share of the volume metrics, merged into Metrics in partition order so
-// parallel execution is indistinguishable from sequential.
+// the sorted key groups, the reducer output buffered as sealed record
+// batches, and the partition's share of the volume metrics, merged into
+// Metrics in partition order so parallel execution is indistinguishable
+// from sequential.
 type partState struct {
 	groups  []group
-	out     [][]byte
 	batches []*vec.Batch
 
 	mapOutRecords int64
@@ -166,30 +165,14 @@ func (c *Cluster) Run(job *Job) (metrics *Metrics, err error) {
 	if ratio <= 0 || ratio > 1 {
 		ratio = 1
 	}
-	// Streamed output: the job opted in and the cluster allows it. The
-	// write loops below are identical either way — only the writer's
-	// destination (stream registry vs backend) and span name differ.
-	streaming := c.streamOutput(job)
-
 	if job.MapOnly() {
 		// Map-only output is written directly from the (single-partition)
 		// map buffers in task order, as Hadoop map tasks would; the write is
 		// part of the map phase, there is no shuffle or reduce.
 		wstart := time.Now()
-		out, err := c.createOutput(job, ratio, streaming)
+		out, ioSpan, err := c.createOutput(job, ratio, cycle)
 		if err != nil {
-			return nil, fmt.Errorf("mapred: job %s: %w", job.Name, err)
-		}
-		ioSpan := cycle.StartChild(obs.KindIO, writeSpanName(streaming))
-		out.SetSpan(ioSpan)
-		write := out.Write
-		if streaming {
-			// The stream copies records into batches and never retains the
-			// slice, so the emit buffers can transfer without a copy. (After
-			// an overflow the backend writer does retain, which is equally
-			// safe: map emit values are owned by the task's buffers and
-			// never reused.)
-			write = out.WriteOwned
+			return nil, err
 		}
 		werr := func() error {
 			for i := range results {
@@ -201,7 +184,9 @@ func (c *Cluster) Run(job *Job) (metrics *Metrics, err error) {
 					}
 					m.MapOutputRecords++
 					m.MapOutputBytes += int64(len(e.key) + len(e.value))
-					write(e.value)
+					// Emit values are never reused, so they transfer
+					// without a copy.
+					out.WriteOwned(e.value)
 					m.OutputRecords++
 					m.OutputBytes += int64(len(e.value))
 				}
@@ -327,34 +312,23 @@ func (c *Cluster) Run(job *Job) (metrics *Metrics, err error) {
 	}
 
 	// Commit buffered partition outputs in partition order — the byte
-	// stream a single sequential reducer loop would have produced. Streamed
-	// jobs transfer each partition's sealed batches wholesale (no
-	// per-record re-encode); materialised jobs write record by record.
-	out, err := c.createOutput(job, ratio, streaming)
+	// stream a single sequential reducer loop would have produced — one
+	// sealed batch at a time.
+	out, ioSpan, err := c.createOutput(job, ratio, cycle)
 	if err != nil {
-		return nil, fmt.Errorf("mapred: job %s: %w", job.Name, err)
+		return nil, err
 	}
-	ioSpan := cycle.StartChild(obs.KindIO, writeSpanName(streaming))
-	out.SetSpan(ioSpan)
 	werr := func() error {
 		for p := range states {
 			st := &states[p]
-			// Each batch holds at most StreamBatchRows (~ctxCheckInterval)
-			// records, so a per-batch poll matches the record loop's
-			// cancellation density.
+			// Each batch holds at most vec.DefaultBatchRows
+			// (~ctxCheckInterval) records, so a per-batch poll matches the
+			// record loops' cancellation density.
 			for _, b := range st.batches {
 				if err := c.err(); err != nil {
 					return fmt.Errorf("mapred: job %s aborted writing reduce output: %w", job.Name, err)
 				}
 				out.WriteBatch(b)
-			}
-			for ri, rec := range st.out {
-				if ri%ctxCheckInterval == 0 {
-					if err := c.err(); err != nil {
-						return fmt.Errorf("mapred: job %s aborted writing reduce output: %w", job.Name, err)
-					}
-				}
-				out.WriteOwned(rec)
 			}
 			m.ReduceGroups += st.reduceGroups
 			m.OutputRecords += st.outputRecords
@@ -482,8 +456,7 @@ func (c *Cluster) runMapPhase(job *Job, splits []split, side map[string][][]byte
 
 // reducePartition sorts nothing (the groups are prepared by the shuffle
 // phase); it runs the reducer over one partition's groups, buffering output
-// records and volume counts into st. Streamed jobs buffer sealed columnar
-// batches instead of raw record slices; record order is identical.
+// records as sealed batches and volume counts into st.
 func (c *Cluster) reducePartition(job *Job, st *partState, abort *abortSignal) error {
 	if err := c.err(); err != nil {
 		return err
@@ -491,10 +464,7 @@ func (c *Cluster) reducePartition(job *Job, st *partState, abort *abortSignal) e
 	if abort.aborted() {
 		return errSiblingAborted
 	}
-	var bu *vec.Builder
-	if c.streamOutput(job) {
-		bu = vec.NewBuilder(c.Config.StreamBatchRows)
-	}
+	bu := vec.NewBuilder(vec.DefaultBatchRows)
 	red := job.NewReducer()
 	for gi, g := range st.groups {
 		if gi%ctxCheckInterval == 0 {
@@ -508,17 +478,10 @@ func (c *Cluster) reducePartition(job *Job, st *partState, abort *abortSignal) e
 		st.reduceGroups++
 		err := red.Reduce(g.key, g.values, func(_ string, value []byte) {
 			// Reducers may reuse the emitted slice and the write to the DFS
-			// happens only after every partition finishes, so the value must
-			// be copied here: into the batch builder (which always copies)
-			// or into a fresh record slice.
-			if bu != nil {
-				if b := bu.Append(value); b != nil {
-					st.batches = append(st.batches, b)
-				}
-			} else {
-				rec := make([]byte, len(value))
-				copy(rec, value)
-				st.out = append(st.out, rec)
+			// happens only after every partition finishes; the builder
+			// copies the value into its arena.
+			if b := bu.Append(value); b != nil {
+				st.batches = append(st.batches, b)
 			}
 			st.outputRecords++
 			st.outputBytes += int64(len(value))
@@ -527,34 +490,41 @@ func (c *Cluster) reducePartition(job *Job, st *partState, abort *abortSignal) e
 			return fmt.Errorf("reduce key %q: %w", g.key, err)
 		}
 	}
-	if bu != nil {
-		if b := bu.Flush(); b != nil {
-			st.batches = append(st.batches, b)
-		}
+	if b := bu.Flush(); b != nil {
+		st.batches = append(st.batches, b)
 	}
 	return nil
 }
 
-// streamOutput reports whether a job's output takes the streamed path.
-func (c *Cluster) streamOutput(job *Job) bool {
-	return job.StreamOutput && c.Config.Streaming
-}
+// streamOverflowBytes is the overflow threshold of streamed outputs: a stream
+// whose buffered logical bytes reach it demotes to a backend file, and the
+// output materialises after all (PR 6's spill machinery as the overflow
+// path).
+const streamOverflowBytes = 64 << 20
 
-// createOutput opens the job's output writer on the streamed or
-// materialised path.
-func (c *Cluster) createOutput(job *Job, ratio float64, streaming bool) (*dfs.Writer, error) {
-	if streaming {
-		return c.FS.CreateStream(job.Output, ratio, c.Config.StreamBatchRows, c.Config.StreamSpillBytes)
+// createOutput opens the job's output writer — a stream when the job
+// marked its output StreamOutput, else a backend file — with an io span
+// under cycle named for the destination.
+func (c *Cluster) createOutput(job *Job, ratio float64, cycle *obs.Span) (*dfs.Writer, *obs.Span, error) {
+	var out *dfs.Writer
+	var err error
+	span := "dfs-write"
+	if job.StreamOutput {
+		spill := int64(streamOverflowBytes)
+		if c.testStreamOverflowBytes > 0 {
+			spill = c.testStreamOverflowBytes
+		}
+		out, err = c.FS.CreateStream(job.Output, ratio, spill)
+		span = "stream-write"
+	} else {
+		out, err = c.FS.Create(job.Output, ratio)
 	}
-	return c.FS.Create(job.Output, ratio)
-}
-
-// writeSpanName labels the output io span by destination.
-func writeSpanName(streaming bool) string {
-	if streaming {
-		return "stream-write"
+	if err != nil {
+		return nil, nil, fmt.Errorf("mapred: job %s: %w", job.Name, err)
 	}
-	return "dfs-write"
+	ioSpan := cycle.StartChild(obs.KindIO, span)
+	out.SetSpan(ioSpan)
+	return out, ioSpan, nil
 }
 
 // noteStreamed records whether the job's output stayed in the stream

@@ -105,10 +105,9 @@ func encodeKV(e kv) []byte {
 }
 
 // decodeKV parses a spill record. The returned value is a copy: merge
-// consumers retain values in reduce groups long past the source iterator's
-// next advance, and while backend iterators hand out stable records today,
-// an aliased value would silently corrupt groups the moment spill reads
-// flow through a buffer-reusing source (as streamed files do).
+// consumers retain values in reduce groups until the partition is reduced,
+// and an aliased value would pin the spill run's whole read block (on the
+// disk backend, a record is a sub-slice of one) for that long.
 func decodeKV(rec []byte) (kv, error) {
 	kl, n := binary.Uvarint(rec)
 	if n <= 0 || kl > uint64(len(rec)-n) {

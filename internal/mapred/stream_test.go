@@ -17,16 +17,17 @@ func streamFixture(c *Cluster) {
 	writeLines(c, "in", 1, lines...)
 }
 
-func streamCluster(streaming bool) *Cluster {
+func streamCluster() *Cluster {
 	cfg := DefaultConfig()
 	cfg.ExecSplitBytes = 256
-	cfg.Streaming = streaming
-	return NewCluster(cfg)
+	c := NewCluster(cfg)
+	streamFixture(c)
+	return c
 }
 
-func streamedWordCount(in, out string) *Job {
+func streamedWordCount(in, out string, stream bool) *Job {
 	j := wordCountJob(in, out, false)
-	j.StreamOutput = true
+	j.StreamOutput = stream
 	return j
 }
 
@@ -34,17 +35,16 @@ func streamedWordCount(in, out string) *Job {
 // whether it streams or materialises, with every volume metric equal
 // except the Streamed* counters; the streamed run leaves no stored output.
 func TestStreamedOutputByteIdentical(t *testing.T) {
-	run := func(streaming bool) (Metrics, []string, int64) {
-		c := streamCluster(streaming)
-		streamFixture(c)
-		m, err := c.Run(streamedWordCount("in", "out"))
+	c := streamCluster()
+	run := func(stream bool, out string) (Metrics, []string, int64) {
+		m, err := c.Run(streamedWordCount("in", out, stream))
 		if err != nil {
-			t.Fatalf("streaming=%v: %v", streaming, err)
+			t.Fatalf("stream=%v: %v", stream, err)
 		}
-		return m.Volumes(), readLines(t, c, "out"), c.FS.TotalStoredBytes("out")
+		return m.Volumes(), readLines(t, c, out), c.FS.TotalStoredBytes(out)
 	}
-	mat, matOut, matStored := run(false)
-	str, strOut, strStored := run(true)
+	mat, matOut, matStored := run(false, "mat")
+	str, strOut, strStored := run(true, "str")
 	if str.StreamedRecords == 0 || str.StreamedBatches == 0 {
 		t.Fatalf("stream path not exercised: %+v", str)
 	}
@@ -71,10 +71,11 @@ func TestStreamedOutputByteIdentical(t *testing.T) {
 
 // TestStreamedMapOnlyJob covers the direct map-output write site.
 func TestStreamedMapOnlyJob(t *testing.T) {
-	identity := func(in, out string) *Job {
-		return &Job{
+	c := streamCluster()
+	run := func(stream bool, out string) (Metrics, []string) {
+		m, err := c.Run(&Job{
 			Name:   "ident",
-			Inputs: []string{in},
+			Inputs: []string{"in"},
 			Output: out,
 			NewMapper: func(tc *TaskContext) Mapper {
 				return MapperFunc(func(rec []byte, emit Emit) error {
@@ -82,20 +83,15 @@ func TestStreamedMapOnlyJob(t *testing.T) {
 					return nil
 				})
 			},
-			StreamOutput: true,
-		}
-	}
-	run := func(streaming bool) (Metrics, []string) {
-		c := streamCluster(streaming)
-		streamFixture(c)
-		m, err := c.Run(identity("in", "out"))
+			StreamOutput: stream,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return m.Volumes(), readLines(t, c, "out")
+		return m.Volumes(), readLines(t, c, out)
 	}
-	mat, matOut := run(false)
-	str, strOut := run(true)
+	mat, matOut := run(false, "mat")
+	str, strOut := run(true, "str")
 	if str.StreamedRecords != str.OutputRecords || str.StreamedBatches == 0 {
 		t.Fatalf("map-only stream path not exercised: %+v", str)
 	}
@@ -108,14 +104,13 @@ func TestStreamedMapOnlyJob(t *testing.T) {
 	}
 }
 
-// TestStreamOverflowMaterializes: a tiny StreamSpillBytes forces the
+// TestStreamOverflowMaterializes: a tiny overflow threshold forces the
 // overflow path; the output must land in the backend byte-identically
 // with the streamed counters reset.
 func TestStreamOverflowMaterializes(t *testing.T) {
-	c := streamCluster(true)
-	c.Config.StreamSpillBytes = 32
-	streamFixture(c)
-	m, err := c.Run(streamedWordCount("in", "out"))
+	c := streamCluster()
+	c.testStreamOverflowBytes = 32
+	m, err := c.Run(streamedWordCount("in", "out", true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,29 +120,19 @@ func TestStreamOverflowMaterializes(t *testing.T) {
 	if c.FS.TotalStoredBytes("out") == 0 {
 		t.Error("overflowed output has no stored bytes")
 	}
-	want := readLines(t, streamRunPlain(t), "out")
-	got := readLines(t, c, "out")
+	if _, err := c.Run(streamedWordCount("in", "ref", false)); err != nil {
+		t.Fatal(err)
+	}
+	want, got := readLines(t, c, "ref"), readLines(t, c, "out")
 	if strings.Join(want, "\n") != strings.Join(got, "\n") {
 		t.Errorf("output diverged after overflow:\n%v\nvs\n%v", want, got)
 	}
 }
 
-// streamRunPlain runs the reference non-streamed word count.
-func streamRunPlain(t *testing.T) *Cluster {
-	t.Helper()
-	c := streamCluster(false)
-	streamFixture(c)
-	if _, err := c.Run(streamedWordCount("in", "out")); err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
-// TestStreamingRequiresOptIn: Config.Streaming alone must not stream jobs
-// that did not mark their output safe.
+// TestStreamingRequiresOptIn: only Job.StreamOutput streams an output; a
+// job that did not mark it safe materialises.
 func TestStreamingRequiresOptIn(t *testing.T) {
-	c := streamCluster(true)
-	streamFixture(c)
+	c := streamCluster()
 	m, err := c.Run(wordCountJob("in", "out", false))
 	if err != nil {
 		t.Fatal(err)
@@ -165,15 +150,13 @@ func TestStreamingRequiresOptIn(t *testing.T) {
 // side input); the final output must match the fully materialised chain
 // while the intermediate never touches the backend.
 func TestStreamedChainedJobs(t *testing.T) {
-	chain := func(streaming bool) (*Cluster, *WorkflowMetrics) {
-		c := streamCluster(streaming)
-		streamFixture(c)
-		j1 := streamedWordCount("in", "mid")
+	chain := func(stream bool) (*Cluster, *WorkflowMetrics) {
+		c := streamCluster()
 		j2 := wordCountJob("mid", "out", true)
 		j2.SideInputs = []string{"mid"}
-		wm, err := c.RunWorkflow([]*Job{j1, j2})
+		wm, err := c.RunWorkflow([]*Job{streamedWordCount("in", "mid", stream), j2})
 		if err != nil {
-			t.Fatalf("streaming=%v: %v", streaming, err)
+			t.Fatalf("stream=%v: %v", stream, err)
 		}
 		return c, wm
 	}
@@ -197,30 +180,24 @@ func TestStreamedChainedJobs(t *testing.T) {
 	}
 }
 
-// TestStreamedDeterminismMatrix extends the determinism contract to the
-// streaming knob: worker counts x streaming modes x batch sizes must
-// produce identical bytes.
+// TestStreamedDeterminismMatrix extends the determinism contract to
+// streamed output: worker counts x StreamOutput must produce identical
+// bytes.
 func TestStreamedDeterminismMatrix(t *testing.T) {
 	var want string
 	for _, workers := range []int{1, 4} {
-		for _, streaming := range []bool{false, true} {
-			for _, rows := range []int{0, 3, 64} {
-				cfg := DefaultConfig()
-				cfg.ExecSplitBytes = 256
-				cfg.Streaming = streaming
-				cfg.StreamBatchRows = rows
-				c := NewCluster(cfg)
-				c.testReduceWorkers = workers
-				streamFixture(c)
-				if _, err := c.Run(streamedWordCount("in", "out")); err != nil {
-					t.Fatalf("w=%d s=%v rows=%d: %v", workers, streaming, rows, err)
-				}
-				got := strings.Join(readLines(t, c, "out"), "\n")
-				if want == "" {
-					want = got
-				} else if got != want {
-					t.Errorf("w=%d s=%v rows=%d: output diverged", workers, streaming, rows)
-				}
+		c := streamCluster()
+		c.testReduceWorkers = workers
+		for _, stream := range []bool{false, true} {
+			out := fmt.Sprintf("out-%v", stream)
+			if _, err := c.Run(streamedWordCount("in", out, stream)); err != nil {
+				t.Fatalf("w=%d stream=%v: %v", workers, stream, err)
+			}
+			got := strings.Join(readLines(t, c, out), "\n")
+			if want == "" {
+				want = got
+			} else if got != want {
+				t.Errorf("w=%d stream=%v: output diverged", workers, stream)
 			}
 		}
 	}
@@ -269,9 +246,8 @@ func TestCleanupSpillErrorSurfaces(t *testing.T) {
 	}
 }
 
-// TestDecodeKVCopiesValue: the decoded value must survive mutation of the
-// source record — the retention window of reduce groups outlives any
-// buffer-reusing iterator the record came from.
+// TestDecodeKVCopiesValue: the decoded value must not alias the source
+// record — reduce groups retain it until the partition is reduced.
 func TestDecodeKVCopiesValue(t *testing.T) {
 	rec := encodeKV(kv{key: "k", value: []byte("payload")})
 	e, err := decodeKV(rec)

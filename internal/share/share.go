@@ -211,9 +211,8 @@ func (cy *cycle) produce() {
 	})
 }
 
-// run reads the cycle's range into a stable snapshot. Backend record
-// slices are immutable and shared as-is; volatile (stream-backed) records
-// are copied, exactly like dfs.File.AllRecords.
+// run reads the cycle's range into a snapshot. dfs record slices are
+// immutable and valid indefinitely, so they are shared as-is.
 func (cy *cycle) run() {
 	f, err := cy.sched.fs.Open(cy.name)
 	if err != nil {
@@ -221,15 +220,10 @@ func (cy *cycle) run() {
 		return
 	}
 	defer f.Close()
-	vol := f.Volatile()
 	cy.recs = make([][]byte, 0, cy.n)
 	it := f.Records(cy.start)
 	for i := 0; i < cy.n && it.Next(); i++ {
-		rec := it.Record()
-		if vol {
-			rec = append([]byte(nil), rec...)
-		}
-		cy.recs = append(cy.recs, rec)
+		cy.recs = append(cy.recs, it.Record())
 	}
 	cy.err = it.Err()
 }

@@ -199,9 +199,9 @@ func TestCancelledConsumerDoesNotStallSiblings(t *testing.T) {
 	}
 }
 
-func TestVolatileStreamRecordsAreCopied(t *testing.T) {
+func TestStreamRecordsSharedAsIs(t *testing.T) {
 	fs := dfs.New()
-	w, err := fs.CreateStream("store/1/streamed", 1, 4, 0)
+	w, err := fs.CreateStream("store/1/streamed", 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,11 +217,11 @@ func TestVolatileStreamRecordsAreCopied(t *testing.T) {
 	if len(recs) != 20 {
 		t.Fatalf("got %d records, want 20", len(recs))
 	}
-	// Retaining all records at once is only safe if the scheduler copied
-	// them out of the stream iterator's scratch buffer.
+	// The scheduler retains stream records uncopied; every one must still
+	// be intact once the pass completes.
 	for i, rec := range recs {
 		if want := fmt.Sprintf("rec-%04d", i); string(rec) != want {
-			t.Fatalf("record %d: got %q, want %q (volatile record not copied)", i, rec, want)
+			t.Fatalf("record %d: got %q, want %q", i, rec, want)
 		}
 	}
 }

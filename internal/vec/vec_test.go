@@ -3,7 +3,6 @@ package vec
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"math/rand"
 	"testing"
 )
@@ -18,133 +17,102 @@ func encodeTuple(ids ...uint64) []byte {
 	return buf
 }
 
-// drain seals the builder and re-encodes every row of every batch,
-// returning the records in order.
-func drain(bu *Builder, sealed []*Batch) [][]byte {
-	if b := bu.Flush(); b != nil {
-		sealed = append(sealed, b)
-	}
-	var out [][]byte
-	for _, b := range sealed {
-		for r := 0; r < b.Rows(); r++ {
-			out = append(out, b.AppendRecord(nil, r))
-		}
-	}
-	return out
-}
-
-func TestBuilderRoundTripColumnar(t *testing.T) {
-	bu := NewBuilder(4)
-	var sealed []*Batch
-	var want [][]byte
-	for i := 0; i < 10; i++ {
-		rec := encodeTuple(uint64(i), uint64(i)*300, 0)
-		want = append(want, rec)
-		if b := bu.Append(rec); b != nil {
-			sealed = append(sealed, b)
-		}
-	}
-	if len(sealed) != 2 {
-		t.Fatalf("sealed %d batches mid-stream, want 2", len(sealed))
-	}
-	got := drain(bu, sealed)
-	if len(got) != len(want) {
-		t.Fatalf("rows = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !bytes.Equal(got[i], want[i]) {
-			t.Fatalf("row %d = %x, want %x", i, got[i], want[i])
-		}
-	}
-}
-
-func TestBatchColumnsAndValidity(t *testing.T) {
-	bu := NewBuilder(8)
-	bu.Append(encodeTuple(7, 0, 9))
-	bu.Append(encodeTuple(0, 5, 1))
-	b := bu.Flush()
-	if !b.Columnar() || b.Arity() != 3 || b.Rows() != 2 {
-		t.Fatalf("batch shape = columnar %v arity %d rows %d", b.Columnar(), b.Arity(), b.Rows())
-	}
-	if b.ID(0, 0) != 7 || b.ID(1, 1) != 5 || b.ID(2, 0) != 9 {
-		t.Fatalf("ID values wrong: %d %d %d", b.ID(0, 0), b.ID(1, 1), b.ID(2, 0))
-	}
-	wantNull := [][]bool{{false, true}, {true, false}, {false, false}}
-	for c := range wantNull {
-		for r, null := range wantNull[c] {
-			if b.Null(c, r) != null {
-				t.Errorf("Null(%d,%d) = %v, want %v", c, r, b.Null(c, r), null)
-			}
-		}
-	}
-	wantBytes := int64(len(encodeTuple(7, 0, 9)) + len(encodeTuple(0, 5, 1)))
-	if b.Bytes() != wantBytes {
-		t.Errorf("Bytes = %d, want %d", b.Bytes(), wantBytes)
-	}
-	if n := b.RecordLen(0); n != len(encodeTuple(7, 0, 9)) {
-		t.Errorf("RecordLen(0) = %d, want %d", n, len(encodeTuple(7, 0, 9)))
-	}
-}
-
-// TestBuilderRawFallback checks that non-tuple records — lexical rows,
-// truncated and non-canonical encodings — round-trip verbatim through raw
-// batches.
-func TestBuilderRawFallback(t *testing.T) {
-	raws := [][]byte{
-		[]byte("lexical\x1frow"),
-		{0x81},             // truncated uvarint
-		{0x80, 0x00},       // non-canonical zero: must not merge with canonical tuples
-		{0x01, 0x80, 0x01}, // non-canonical value encoding
-		{0x02, 0x01},       // arity 2, one value: truncated tuple
-		{0x00, 0x00},       // trailing byte after empty tuple
-		{},                 // empty record
-	}
-	bu := NewBuilder(DefaultBatchRows)
-	var sealed []*Batch
-	for _, rec := range raws {
-		if b := bu.Append(rec); b != nil {
-			sealed = append(sealed, b)
-		}
-	}
-	got := drain(bu, sealed)
-	if len(got) != len(raws) {
-		t.Fatalf("rows = %d, want %d", len(got), len(raws))
-	}
-	for i := range raws {
-		if !bytes.Equal(got[i], raws[i]) {
-			t.Fatalf("row %d = %x, want %x", i, got[i], raws[i])
-		}
-	}
-}
-
-// TestBuilderShapeChangesSealBatches interleaves arities and raw records;
-// order must be preserved exactly across the seals.
-func TestBuilderShapeChangesSealBatches(t *testing.T) {
-	recs := [][]byte{
-		encodeTuple(1, 2),
-		encodeTuple(3, 4),
-		encodeTuple(5, 6, 7), // arity change seals
-		[]byte("raw"),        // raw seals
-		encodeTuple(8),       // back to columnar
-		{},                   // raw again
-		encodeTuple(0),       // empty/zero id tuple
-	}
-	bu := NewBuilder(DefaultBatchRows)
+// build appends every record to a builder sealing at maxRows and returns
+// all sealed batches, the flushed tail included.
+func build(maxRows int, recs [][]byte) []*Batch {
+	bu := NewBuilder(maxRows)
 	var sealed []*Batch
 	for _, rec := range recs {
 		if b := bu.Append(rec); b != nil {
 			sealed = append(sealed, b)
 		}
 	}
-	got := drain(bu, sealed)
-	if len(got) != len(recs) {
-		t.Fatalf("rows = %d, want %d", len(got), len(recs))
+	if b := bu.Flush(); b != nil {
+		sealed = append(sealed, b)
 	}
-	for i := range recs {
-		if !bytes.Equal(got[i], recs[i]) {
-			t.Fatalf("row %d = %x, want %x", i, got[i], recs[i])
+	return sealed
+}
+
+// checkRoundTrip fails unless the batches hold exactly want, in order,
+// through both Record and AppendRecord, with Bytes summing the lengths.
+func checkRoundTrip(t testing.TB, batches []*Batch, want [][]byte) {
+	t.Helper()
+	i := 0
+	for _, b := range batches {
+		var logical int64
+		for r := 0; r < b.Rows(); r++ {
+			if i >= len(want) {
+				t.Fatalf("more rows than the %d appended", len(want))
+			}
+			if got := b.Record(r); !bytes.Equal(got, want[i]) {
+				t.Fatalf("Record(%d) of row %d = %x, want %x", r, i, got, want[i])
+			}
+			if got := b.AppendRecord([]byte("x"), r); !bytes.Equal(got[1:], want[i]) {
+				t.Fatalf("AppendRecord(%d) of row %d = %x, want x%x", r, i, got, want[i])
+			}
+			logical += int64(len(want[i]))
+			i++
+		}
+		if b.Bytes() != logical {
+			t.Fatalf("Bytes = %d, want %d", b.Bytes(), logical)
 		}
 	}
+	if i != len(want) {
+		t.Fatalf("rows = %d, want %d", i, len(want))
+	}
+}
+
+// TestBuilderRoundTripColumnar: fixed-arity ID tuples read back verbatim;
+// batches seal at exactly maxRows and an empty builder flushes nothing.
+func TestBuilderRoundTripColumnar(t *testing.T) {
+	var recs [][]byte
+	for i := 0; i < 10; i++ {
+		recs = append(recs, encodeTuple(uint64(i), uint64(i)*300, 0))
+	}
+	sealed := build(4, recs)
+	if len(sealed) != 3 || sealed[0].Rows() != 4 || sealed[1].Rows() != 4 || sealed[2].Rows() != 2 {
+		t.Fatalf("batches = %d, want 4+4+2 rows", len(sealed))
+	}
+	checkRoundTrip(t, sealed, recs)
+	if NewBuilder(0).Flush() != nil {
+		t.Error("empty builder flushed a batch")
+	}
+}
+
+// TestBuilderRawFallback: records that are not canonical ID tuples —
+// truncated and non-canonical encodings, empty records — read back
+// verbatim like any other.
+func TestBuilderRawFallback(t *testing.T) {
+	raws := [][]byte{
+		[]byte("lexical\x1frow"),
+		{0x81},             // truncated uvarint
+		{0x80, 0x00},       // non-canonical zero
+		{0x01, 0x80, 0x01}, // non-canonical value encoding
+		{0x02, 0x01},       // arity 2, one value: truncated tuple
+		{0x00, 0x00},       // trailing byte after empty tuple
+		{},                 // empty record
+	}
+	checkRoundTrip(t, build(DefaultBatchRows, raws), raws)
+}
+
+// TestBuilderShapeChangesSealBatches interleaves arities and raw records.
+// A change of shape no longer seals: they share one batch, in order.
+func TestBuilderShapeChangesSealBatches(t *testing.T) {
+	recs := [][]byte{
+		encodeTuple(1, 2),
+		encodeTuple(3, 4),
+		encodeTuple(5, 6, 7),
+		[]byte("raw"),
+		encodeTuple(8),
+		{},
+		encodeTuple(0),
+		encodeTuple(300, 1<<40),
+	}
+	sealed := build(DefaultBatchRows, recs)
+	if len(sealed) != 1 || sealed[0].Rows() != len(recs) {
+		t.Fatalf("batches = %d, want one of %d rows", len(sealed), len(recs))
+	}
+	checkRoundTrip(t, sealed, recs)
 }
 
 // TestBuilderRandomRoundTrip drives random mixtures of canonical tuples
@@ -152,8 +120,6 @@ func TestBuilderShapeChangesSealBatches(t *testing.T) {
 // byte-identical. Determinism: fixed seed.
 func TestBuilderRandomRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	bu := NewBuilder(3)
-	var sealed []*Batch
 	var want [][]byte
 	for i := 0; i < 500; i++ {
 		var rec []byte
@@ -167,136 +133,52 @@ func TestBuilderRandomRoundTrip(t *testing.T) {
 			rng.Read(rec)
 		}
 		want = append(want, rec)
-		if b := bu.Append(rec); b != nil {
-			sealed = append(sealed, b)
-		}
 	}
-	got := drain(bu, sealed)
-	if len(got) != len(want) {
-		t.Fatalf("rows = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !bytes.Equal(got[i], want[i]) {
-			t.Fatalf("row %d = %x, want %x", i, got[i], want[i])
-		}
-	}
+	checkRoundTrip(t, build(3, want), want)
 }
 
 // TestBuilderCopiesRecord mutates the appended slice afterwards; the batch
-// must hold its own copy (raw arena and columnar values alike).
+// must hold its own copy.
 func TestBuilderCopiesRecord(t *testing.T) {
 	bu := NewBuilder(8)
-	var sealed []*Batch
-	raw := []byte{0xff, 0xfe}
-	bu.Append(raw)
-	raw[0] = 0
-	tup := encodeTuple(42)
-	if b := bu.Append(tup); b != nil { // shape change seals the raw batch
-		sealed = append(sealed, b)
-	}
-	tup[1] = 0
-	got := drain(bu, sealed)
-	if len(got) != 2 {
-		t.Fatalf("rows = %d, want 2", len(got))
-	}
-	if !bytes.Equal(got[0], []byte{0xff, 0xfe}) {
-		t.Errorf("raw row aliased the appended slice: %x", got[0])
-	}
-	if !bytes.Equal(got[1], encodeTuple(42)) {
-		t.Errorf("tuple row aliased the appended slice: %x", got[1])
+	rec := []byte{0xff, 0xfe}
+	bu.Append(rec)
+	rec[0] = 0
+	if got := bu.Flush().Record(0); !bytes.Equal(got, []byte{0xff, 0xfe}) {
+		t.Errorf("row aliased the appended slice: %x", got)
 	}
 }
 
-func TestSliceIterator(t *testing.T) {
+// TestBatchRecordNoAlias: records stay valid after later appends seal new
+// batches, and appending to a returned record never overwrites its
+// neighbour in the arena.
+func TestBatchRecordNoAlias(t *testing.T) {
 	bu := NewBuilder(2)
-	var sealed []*Batch
-	for i := 0; i < 5; i++ {
-		if b := bu.Append(encodeTuple(uint64(i))); b != nil {
-			sealed = append(sealed, b)
+	bu.Append([]byte("ab"))
+	b := bu.Append([]byte("cd"))
+	first := b.Record(0)
+	for i := 0; i < 10; i++ {
+		bu.Append([]byte("zz"))
+	}
+	_ = append(first, "XY"...)
+	if string(b.Record(0)) != "ab" || string(b.Record(1)) != "cd" {
+		t.Fatalf("records = %q %q, want ab cd", b.Record(0), b.Record(1))
+	}
+}
+
+// FuzzBuilderRoundTrip: any record sequence, cut from the input by its own
+// length bytes, reads back identically through batches of any capacity.
+func FuzzBuilderRoundTrip(f *testing.F) {
+	f.Add(uint8(4), []byte("\x02ab\x00\x03xyz\x01q"))
+	f.Add(uint8(1), encodeTuple(1, 2, 3))
+	f.Add(uint8(0), []byte{})
+	f.Fuzz(func(t *testing.T, maxRows uint8, in []byte) {
+		var recs [][]byte
+		for len(in) > 0 {
+			n := min(int(in[0])%16, len(in)-1)
+			recs = append(recs, in[1:1+n])
+			in = in[1+n:]
 		}
-	}
-	if b := bu.Flush(); b != nil {
-		sealed = append(sealed, b)
-	}
-	it := NewSliceIterator(sealed)
-	var rows int
-	for {
-		b, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b == nil {
-			break
-		}
-		rows += b.Rows()
-	}
-	if rows != 5 {
-		t.Fatalf("rows = %d, want 5", rows)
-	}
-	if err := it.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// --- Iterator lifecycle (the BatchIterator contract) ---
-
-func TestSliceIteratorEarlyCloseMidStream(t *testing.T) {
-	it := NewSliceIterator([]*Batch{{rows: 1}, {rows: 1}, {rows: 1}})
-	if b, err := it.Next(); b == nil || err != nil {
-		t.Fatalf("first Next = %v, %v", b, err)
-	}
-	if err := it.Close(); err != nil {
-		t.Fatalf("early Close: %v", err)
-	}
-	if b, err := it.Next(); b != nil || err != nil {
-		t.Fatalf("Next after Close = %v, %v; want nil, nil", b, err)
-	}
-}
-
-func TestSliceIteratorDoubleClose(t *testing.T) {
-	it := NewSliceIterator([]*Batch{{rows: 1}})
-	if err := it.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := it.Close(); err != nil {
-		t.Fatalf("second Close: %v", err)
-	}
-}
-
-// TestWithCheckCancelsBetweenBatches models the ctxloop contract at batch
-// granularity: a check that starts failing stops the stream at the next
-// batch boundary with the check's error.
-func TestWithCheckCancelsBetweenBatches(t *testing.T) {
-	wantErr := errors.New("cancelled")
-	var fail bool
-	it := WithCheck(
-		NewSliceIterator([]*Batch{{rows: 1}, {rows: 1}}),
-		func() error {
-			if fail {
-				return wantErr
-			}
-			return nil
-		})
-	if b, err := it.Next(); b == nil || err != nil {
-		t.Fatalf("first Next = %v, %v", b, err)
-	}
-	fail = true
-	if _, err := it.Next(); !errors.Is(err, wantErr) {
-		t.Fatalf("Next after cancel = %v, want %v", err, wantErr)
-	}
-	if err := it.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := it.Close(); err != nil {
-		t.Fatalf("double Close through WithCheck: %v", err)
-	}
-}
-
-func TestWithCheckNilCheckPassthrough(t *testing.T) {
-	base := NewSliceIterator(nil)
-	it := WithCheck(base, nil)
-	if it != Iterator(base) {
-		t.Fatal("WithCheck(nil) wrapped the iterator")
-	}
-	it.Close()
+		checkRoundTrip(t, build(int(maxRows), recs), recs)
+	})
 }

@@ -109,17 +109,6 @@ type Options struct {
 	// DFS and merged back during the shuffle. 0 disables spilling. Query
 	// results and output bytes are identical for every setting.
 	SpillThresholdBytes int64
-	// Streaming keeps eligible intermediate job outputs in the DFS stream
-	// registry as columnar term-ID batches instead of materialising them
-	// into the storage backend — the vectorized streaming plane. Only
-	// single-consumer outputs of one job chain stream; checkpointed and
-	// multi-consumer outputs keep the real DFS boundary. Query results,
-	// volume metrics and simulated seconds are byte-identical either way.
-	// Enabled by DefaultOptions.
-	Streaming bool
-	// StreamBatchRows is the row capacity of streamed columnar batches;
-	// <= 0 selects the vec package default (1024).
-	StreamBatchRows int
 	// ReplanRatio is the estimate-vs-observed cardinality error ratio above
 	// which an executing NTGA join chain re-orders its remaining joins. 0
 	// selects the default of 4; negative disables re-planning. Join order,
@@ -171,7 +160,6 @@ func DefaultOptions() Options {
 		Nodes:        10,
 		DataScale:    1,
 		MapJoinBytes: 25 << 20,
-		Streaming:    true,
 		ReplanRatio:  rapid.DefaultReplanRatio,
 	}
 }
@@ -351,8 +339,6 @@ func (s *Store) ensureLoaded() (*mapred.Cluster, *engine.Dataset, error) {
 		cfg := mapred.VCL10(s.opts.DataScale)
 		cfg.Nodes = s.opts.Nodes
 		cfg.SpillThresholdBytes = s.opts.SpillThresholdBytes
-		cfg.Streaming = s.opts.Streaming
-		cfg.StreamBatchRows = s.opts.StreamBatchRows
 		s.loads++
 		fs, err := s.newFS()
 		if err != nil {
