@@ -1,45 +1,29 @@
 // Command rapidlint runs the rapidanalytics invariant analyzers (maporder,
-// ctxloop, hotalloc, spansafe, errtyped, closecheck, lockorder, cachekey —
-// see DESIGN.md "Invariants") over Go packages.
-//
-// Standalone multichecker:
+// ctxloop, hotalloc, spansafe, errtyped, closecheck, lockorder — see
+// DESIGN.md "Invariants") over Go packages:
 //
 //	go run ./cmd/rapidlint ./...
 //
 // exits 0 when the tree is clean, 1 with one "file:line:col: analyzer:
-// message" line per finding otherwise. Flags:
+// message" line per finding otherwise, and 2 on a usage or load error.
+// Flags:
 //
 //	-json    emit machine-readable diagnostics (a JSON array) on stdout
 //	-gha     emit GitHub Actions workflow annotations (::error lines)
 //	-tests   additionally analyze _test.go files with the lifecycle
 //	         analyzers (ctxloop, closecheck); the allocation/span/ordering
 //	         analyzers stay production-only
-//
-// As a vet tool, speaking go vet's unitchecker protocol (-V=full version
-// handshake, then one JSON .cfg per package), including fact files: each
-// unit's exported interprocedural facts are serialized to its .vetx output
-// and dependency facts are read back from the .vetx files go vet lists in
-// the unit's PackageVetx map:
-//
-//	go build -o /tmp/rapidlint ./cmd/rapidlint
-//	go vet -vettool=/tmp/rapidlint ./...
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
 	"io"
 	"os"
 	"strings"
 
 	"rapidanalytics/internal/lint"
-	"rapidanalytics/internal/lint/analysis"
 	"rapidanalytics/internal/lint/driver"
 )
 
@@ -48,22 +32,6 @@ func main() {
 }
 
 func run(args []string) int {
-	if len(args) == 1 && args[0] == "-V=full" {
-		// go vet fingerprints the tool for its action cache; the line must
-		// read "<name> version <buildid>".
-		fmt.Println("rapidlint version v3")
-		return 0
-	}
-	if len(args) == 1 && args[0] == "-flags" {
-		// go vet asks which analyzer flags the tool accepts; rapidlint's
-		// suite is not configurable.
-		fmt.Println("[]")
-		return 0
-	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		return vetUnit(args[0])
-	}
-
 	fs := flag.NewFlagSet("rapidlint", flag.ContinueOnError)
 	fs.Usage = usage
 	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array")
@@ -76,7 +44,7 @@ func run(args []string) int {
 		usage()
 		return 2
 	}
-	diags, err := driver.RunOpts("", driver.Options{Tests: *tests},
+	diags, err := driver.Run("", driver.Options{Tests: *tests},
 		lint.Analyzers(), lint.TestAnalyzers(), fs.Args()...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rapidlint:", err)
@@ -159,155 +127,4 @@ func ghaEscapeData(s string) string {
 func ghaEscapeProp(s string) string {
 	r := strings.NewReplacer("%", "%25", "\r", "%0D", "\n", "%0A", ":", "%3A", ",", "%2C")
 	return r.Replace(s)
-}
-
-// vetConfig is the subset of go vet's unitchecker JSON config rapidlint
-// consumes: the unit's sources, the import-path → export-file mapping
-// needed to type-check it, and the fact-file plumbing (PackageVetx in,
-// VetxOutput out).
-type vetConfig struct {
-	ImportPath                string
-	GoFiles                   []string
-	NonGoFiles                []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	PackageVetx               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// vetUnit analyzes one package unit described by a go vet .cfg file.
-// Diagnostics go to stderr and yield exit status 2, matching what go vet
-// expects from a vettool.
-func vetUnit(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rapidlint:", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "rapidlint: parsing %s: %v\n", cfgPath, err)
-		return 1
-	}
-	for _, a := range lint.Analyzers() {
-		analysis.RegisterFactTypes(a.FactTypes...)
-	}
-	// Dependency facts: go vet hands over the .vetx file of every import;
-	// each embeds its own transitive closure, so decoding them all
-	// reconstructs the full interprocedural environment.
-	env := analysis.NewEnv()
-	for _, vetx := range cfg.PackageVetx {
-		fdata, err := os.ReadFile(vetx)
-		if err != nil || len(fdata) == 0 {
-			continue // a dependency exported no facts
-		}
-		if err := env.Decode(fdata); err != nil {
-			fmt.Fprintf(os.Stderr, "rapidlint: facts %s: %v\n", vetx, err)
-			return 1
-		}
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		// go vet hands test variants of each package to the tool too;
-		// rapidlint's vet mode stays production-only, so test files are
-		// skipped — matching the standalone driver's default mode (use
-		// `rapidlint -tests` for _test.go coverage).
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			return typecheckFailed(&cfg, env, err)
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		// An external test package (pkg_test) holds only test files.
-		if err := writeVetx(&cfg, env); err != nil {
-			fmt.Fprintln(os.Stderr, "rapidlint:", err)
-			return 1
-		}
-		return 0
-	}
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Scopes:     map[ast.Node]*types.Scope{},
-	}
-	conf := types.Config{Importer: imp}
-	pkg, err := conf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		return typecheckFailed(&cfg, env, err)
-	}
-
-	diags, err := driver.Analyze(&driver.Package{
-		ImportPath: cfg.ImportPath,
-		BasePath:   cfg.ImportPath,
-		Fset:       fset,
-		Files:      files,
-		Pkg:        pkg,
-		Info:       info,
-	}, lint.Analyzers(), env)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rapidlint:", err)
-		return 1
-	}
-	if err := writeVetx(&cfg, env); err != nil {
-		fmt.Fprintln(os.Stderr, "rapidlint:", err)
-		return 1
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s: %s: %s\n", d.Position, d.Analyzer, d.Message)
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
-}
-
-// typecheckFailed honors SucceedOnTypecheckFailure: go vet sets it when the
-// compiler will report the same errors anyway, so the vettool stays quiet.
-func typecheckFailed(cfg *vetConfig, env *analysis.Env, err error) int {
-	if cfg.SucceedOnTypecheckFailure {
-		if werr := writeVetx(cfg, env); werr != nil {
-			fmt.Fprintln(os.Stderr, "rapidlint:", werr)
-			return 1
-		}
-		return 0
-	}
-	fmt.Fprintln(os.Stderr, "rapidlint:", err)
-	return 1
-}
-
-// writeVetx emits the serialized-facts file go vet requires every vettool
-// to produce: the unit's exported facts plus its dependencies' (so direct
-// importers see the transitive closure).
-func writeVetx(cfg *vetConfig, env *analysis.Env) error {
-	if cfg.VetxOutput == "" {
-		return nil
-	}
-	data, err := env.EncodeAll()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(cfg.VetxOutput, data, 0o666)
 }

@@ -19,39 +19,6 @@ func buildTool(t *testing.T) string {
 	return bin
 }
 
-// TestVettoolClean drives the binary through go vet's unitchecker protocol
-// (-V=full handshake, per-package .cfg units) over a clean engine package.
-func TestVettoolClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs go vet; skipped in -short")
-	}
-	bin := buildTool(t)
-	cmd := exec.Command("go", "vet", "-vettool="+bin, "./internal/codec/", "./internal/obs/")
-	cmd.Dir = "../.."
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go vet -vettool on clean packages failed: %v\n%s", err, out)
-	}
-}
-
-// TestVettoolFindsViolations points go vet at a fixture package with known
-// violations and expects the tool's diagnostics to fail the vet run.
-func TestVettoolFindsViolations(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs go vet; skipped in -short")
-	}
-	bin := buildTool(t)
-	cmd := exec.Command("go", "vet", "-vettool="+bin,
-		"rapidanalytics/internal/lint/maporder/testdata/src/maporder_fx")
-	cmd.Dir = "../.."
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go vet -vettool passed on a violating fixture:\n%s", out)
-	}
-	if !strings.Contains(string(out), "maporder") {
-		t.Fatalf("vet output carries no maporder diagnostic:\n%s", out)
-	}
-}
-
 // TestJSONOutput: -json renders findings as a parseable array with file,
 // position, analyzer and message — the contract external tooling consumes.
 func TestJSONOutput(t *testing.T) {

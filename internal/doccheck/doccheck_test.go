@@ -4,10 +4,9 @@
 // internal/ntga, internal/vec, internal/blockstore, internal/stats,
 // internal/share, internal/loadgen and the lint framework packages
 // (internal/lint/analysis, internal/lint/driver, internal/lint/leaktest,
-// and the interprocedural analyzers closecheck/lockorder/cachekey) must
-// carry a doc comment. It is a
-// plain test — no third-party linter — so it runs everywhere
-// `go test ./...` does.
+// and the summarizing analyzers closecheck and lockorder) must carry a doc
+// comment. It is a plain test — no third-party linter — so it runs
+// everywhere `go test ./...` does.
 package doccheck
 
 import (
@@ -26,7 +25,7 @@ var checkedPackages = []string{
 	"../mapred", "../ntga", "../vec", "../blockstore", "../stats",
 	"../share", "../loadgen",
 	"../lint/analysis", "../lint/driver", "../lint/leaktest",
-	"../lint/closecheck", "../lint/lockorder", "../lint/cachekey",
+	"../lint/closecheck", "../lint/lockorder",
 }
 
 func TestExportedIdentifiersAreDocumented(t *testing.T) {

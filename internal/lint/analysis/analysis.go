@@ -3,7 +3,9 @@
 // machinery for rapidlint's invariant checkers, built only on the standard
 // library so the linter works in sandboxes with no module proxy. The shapes
 // mirror x/tools deliberately — an analyzer written against this package
-// ports to the real framework by changing one import.
+// ports to the real framework by changing one import. There are no facts:
+// an analyzer sees one package at a time, and imported packages only
+// through their types.
 package analysis
 
 import (
@@ -21,12 +23,6 @@ type Analyzer struct {
 	Name string
 	// Doc is the one-paragraph description printed by rapidlint -help.
 	Doc string
-	// FactTypes lists the analyzer's fact prototypes (pointer values). A
-	// non-empty list makes the analyzer interprocedural: the driver runs it
-	// over dependency packages too (facts only, diagnostics discarded) so
-	// summaries flow bottom-up through the import graph, and registers the
-	// types for serialization.
-	FactTypes []Fact
 	// Run analyzes one package via the pass and reports diagnostics.
 	Run func(*Pass) error
 }
@@ -48,10 +44,6 @@ type Pass struct {
 	// Report delivers one diagnostic (suppression is applied by the
 	// driver, not here).
 	Report func(Diagnostic)
-	// Facts is the fact environment: dependency facts decoded by the
-	// driver plus whatever this pass exports. Nil for fact-free runs — the
-	// fact methods then degrade to no-ops.
-	Facts *Env
 }
 
 // Diagnostic is one finding at a source position.
@@ -75,12 +67,12 @@ func (p *Pass) Preorder(fn func(ast.Node) bool) {
 	}
 }
 
-// IsNamed reports whether t (or the type it points to, through one pointer)
+// isNamed reports whether t (or the type it points to, through one pointer)
 // is the named type pkgSuffix.name, where pkgSuffix is matched against the
 // end of the defining package's import path. Matching by suffix lets test
 // fixtures under testdata/ exercise analyzers against the real engine types
 // they import.
-func IsNamed(t types.Type, pkgSuffix, name string) bool {
+func isNamed(t types.Type, pkgSuffix, name string) bool {
 	if ptr, ok := t.(*types.Pointer); ok {
 		t = ptr.Elem()
 	}

@@ -5,10 +5,11 @@ import (
 	"go/types"
 )
 
-// Call-graph helpers shared by the interprocedural analyzers: enumerate a
-// package's function bodies, resolve statically-known callees, and iterate
-// summary computations to a fixpoint so recursion (direct or mutual)
-// converges instead of depending on declaration order.
+// Call-graph helpers for analyzers that summarize functions within one
+// package (closecheck, lockorder): enumerate the package's function bodies,
+// resolve statically-known callees, and iterate summary computations to a
+// fixpoint so recursion (direct or mutual) converges instead of depending
+// on declaration order.
 
 // FuncBody is one analyzable function body: a declared function or method
 // (Decl non-nil) together with its types.Func object.
@@ -43,7 +44,7 @@ func (p *Pass) Funcs() []FuncBody {
 // statically known: a package-level function (local or imported), or a
 // method call on a concrete receiver. Interface method calls, function
 // values, conversions and builtins return nil — they are the dynamic edges
-// the interprocedural analyzers treat conservatively.
+// the summarizing analyzers treat conservatively.
 func StaticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:

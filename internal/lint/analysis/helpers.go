@@ -45,7 +45,7 @@ func IsPkgCall(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool 
 // function type (mapred.Emit) — the canonical record sink.
 func IsEmitCall(info *types.Info, call *ast.CallExpr) bool {
 	t := info.TypeOf(call.Fun)
-	return t != nil && IsNamed(t, "internal/mapred", "Emit")
+	return t != nil && isNamed(t, "internal/mapred", "Emit")
 }
 
 // IsMethodOn reports whether call is a method call with one of the given
@@ -70,7 +70,7 @@ func IsMethodOn(info *types.Info, call *ast.CallExpr, pkgSuffix, typeName string
 	if !ok || s.Kind() != types.MethodVal {
 		return false
 	}
-	return IsNamed(s.Recv(), pkgSuffix, typeName)
+	return isNamed(s.Recv(), pkgSuffix, typeName)
 }
 
 // IsStringType reports whether t's underlying type is string.

@@ -15,9 +15,11 @@ import (
 //	//lint:alloc <justification>               — alias for "ignore hotalloc"
 //	//lint:nocancel <justification>            — alias for "ignore ctxloop"
 //
-// A directive with no justification suppresses nothing and is itself
-// reported: the whole point of machine-checking these invariants is that
-// every exception records its ordering/allocation argument in the source.
+// A directive with no justification, or one naming no analyzer of the
+// suite, suppresses nothing and is itself reported: the whole point of
+// machine-checking these invariants is that every exception records its
+// ordering/allocation argument in the source, and a misspelled or retired
+// analyzer name would otherwise sit there inert.
 
 // directive is one parsed //lint: comment.
 type directive struct {
@@ -102,14 +104,18 @@ func (s *Suppressor) Suppressed(analyzer string, pos token.Pos) bool {
 }
 
 // Problems returns one diagnostic per malformed directive: a missing
-// analyzer name or a missing justification. These are reported under the
-// pseudo-analyzer name "lint".
-func (s *Suppressor) Problems() []Diagnostic {
+// analyzer name, a name that is not in suite (the names of every analyzer
+// the run knows, including those it does not apply to this package), or a
+// missing justification. These are reported under the pseudo-analyzer name
+// "lint".
+func (s *Suppressor) Problems(suite map[string]bool) []Diagnostic {
 	var out []Diagnostic
 	for _, d := range s.all {
 		switch {
 		case d.analyzer == "":
 			out = append(out, Diagnostic{Pos: d.pos, Message: "lint:ignore directive names no analyzer"})
+		case !suite[d.analyzer]:
+			out = append(out, Diagnostic{Pos: d.pos, Message: "lint:ignore directive names " + d.analyzer + ", which is no analyzer of the suite; it suppresses nothing"})
 		case d.reason == "":
 			out = append(out, Diagnostic{Pos: d.pos, Message: "suppression of " + d.analyzer + " has no justification; state the ordering/allocation argument after the directive"})
 		}

@@ -3,20 +3,21 @@
 // (dfs, blockstore, share) must reach a close on every path out of the
 // acquiring function, or have their ownership visibly transferred — by
 // returning them, storing them into a longer-lived structure, or passing
-// them to a function whose interprocedural summary says it disposes of
-// them.
+// them to a function of the same package whose summary says it disposes
+// of them.
 //
-// The analysis is path-sensitive but intraprocedural per function body,
-// with two gob-serialized fact kinds stitching functions together across
-// package boundaries:
+// The analysis is path-sensitive per function body. Two per-function
+// summaries, computed to a fixpoint over the package before any diagnostic,
+// stitch the package's functions together:
 //
-//   - ClosesFact on a function records which resource parameters the
-//     function disposes of on every path (closes them, stores them, or
-//     hands them to another disposer). Passing a tracked value to a
-//     parameter without this guarantee does NOT discharge the caller.
-//   - OwnsFact on a function records which results carry a freshly
-//     acquired resource, so callers track the value even when the declared
-//     result type is an interface from outside the resource packages.
+//   - closes: which resource parameters the function disposes of on every
+//     path (closes them, stores them, or hands them to another disposer).
+//     Passing a tracked value to a resource-typed parameter without this
+//     guarantee — including any function of another package — does NOT
+//     discharge the caller.
+//   - owns: which results carry a freshly acquired resource, so callers
+//     track the value even when the declared result type is not from a
+//     resource package.
 //
 // The error-return idiom is understood: after v, err := Open(...), paths
 // guarded by err != nil (or v == nil) owe no close for v. A defer v.Close()
@@ -27,39 +28,25 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 
 	"rapidanalytics/internal/lint/analysis"
 )
 
 // Analyzer reports engine resources that do not reach Close on every path.
 var Analyzer = &analysis.Analyzer{
-	Name:      "closecheck",
-	Doc:       "engine resources (dfs, blockstore, share) must be closed on every path or visibly change owner",
-	FactTypes: []analysis.Fact{(*ClosesFact)(nil), (*OwnsFact)(nil)},
-	Run:       run,
+	Name: "closecheck",
+	Doc:  "engine resources (dfs, blockstore, share) must be closed on every path or visibly change owner",
+	Run:  run,
 }
 
-// ClosesFact marks a function that disposes of the resource passed at each
-// listed parameter index on every path: the caller's close obligation moves
-// with the argument.
-type ClosesFact struct {
-	// Params are the indices of the parameters the function disposes of.
-	Params []int
+// summaries are one package's per-function disposal summaries, keyed by
+// the declared function (callees resolve through Origin, so instantiated
+// generic methods find their declaration's entry).
+type summaries struct {
+	closes map[*types.Func][]int // parameter indices disposed of on every path
+	owns   map[*types.Func][]int // result indices carrying a fresh resource
 }
-
-// AFact marks ClosesFact as serializable analyzer currency.
-func (*ClosesFact) AFact() {}
-
-// OwnsFact marks a function whose listed result indices carry a freshly
-// acquired resource the caller must close, even when the declared result
-// type is not itself from a resource package.
-type OwnsFact struct {
-	// Results are the indices of the results carrying an open resource.
-	Results []int
-}
-
-// AFact marks OwnsFact as serializable analyzer currency.
-func (*OwnsFact) AFact() {}
 
 // resourcePkgs are the import-path suffixes whose Close/Release-bearing
 // types the analyzer tracks. plancache handles are value types with no
@@ -118,14 +105,13 @@ func hasCloser(t types.Type) bool {
 
 func run(pass *analysis.Pass) error {
 	// Phase 1: iterate per-function disposal summaries to a fixpoint so
-	// intra-package call chains (a closes via b closes via Close) converge,
-	// exporting ClosesFact/OwnsFact as they stabilize. Dependency packages'
-	// facts are already in pass.Facts, imported by the driver.
+	// intra-package call chains (a closes via b closes via Close) converge.
+	sums := &summaries{closes: map[*types.Func][]int{}, owns: map[*types.Func][]int{}}
 	funcs := pass.Funcs()
 	analysis.Fixpoint(len(funcs)+2, func() bool {
 		changed := false
 		for _, fb := range funcs {
-			if summarize(pass, fb) {
+			if summarize(pass, sums, fb) {
 				changed = true
 			}
 		}
@@ -136,7 +122,7 @@ func run(pass *analysis.Pass) error {
 	// literal within, analyzed as its own unit — is checked for resources
 	// that can exit scope open.
 	for _, fb := range funcs {
-		w := newWalker(pass, false)
+		w := newWalker(pass, sums, false)
 		w.trackBody(fb.Decl.Type, fb.Decl.Body)
 		w.reportLeaks()
 	}
@@ -146,7 +132,7 @@ func run(pass *analysis.Pass) error {
 			if !ok {
 				return true
 			}
-			w := newWalker(pass, false)
+			w := newWalker(pass, sums, false)
 			w.trackFuncLit(lit)
 			w.reportLeaks()
 			return true
@@ -155,14 +141,14 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// summarize computes one function's ClosesFact and OwnsFact and reports
-// whether either changed.
-func summarize(pass *analysis.Pass, fb analysis.FuncBody) bool {
+// summarize recomputes one function's closes and owns summaries and
+// reports whether either changed.
+func summarize(pass *analysis.Pass, sums *summaries, fb analysis.FuncBody) bool {
 	sig, ok := fb.Obj.Type().(*types.Signature)
 	if !ok {
 		return false
 	}
-	w := newWalker(pass, true)
+	w := newWalker(pass, sums, true)
 	// Pre-track resource-typed parameters so the walk tells us whether
 	// every path disposes of them.
 	params := sig.Params()
@@ -174,55 +160,20 @@ func summarize(pass *analysis.Pass, fb analysis.FuncBody) bool {
 	}
 	w.trackBody(fb.Decl.Type, fb.Decl.Body)
 
-	changed := false
 	var closes []int
 	for i := 0; i < params.Len(); i++ {
-		p := params.At(i)
-		r, ok := w.res[p]
-		if ok && !r.leaked {
+		if r, ok := w.res[params.At(i)]; ok && !r.leaked {
 			closes = append(closes, i)
 		}
 	}
-	if len(closes) > 0 {
-		var prev ClosesFact
-		if !pass.ImportObjectFact(fb.Obj, &prev) || !equalInts(prev.Params, closes) {
-			pass.ExportObjectFact(fb.Obj, &ClosesFact{Params: closes})
-			changed = true
-		}
+	var results []int
+	for i := range w.ownedResults {
+		results = append(results, i)
 	}
-	if len(w.ownedResults) > 0 {
-		results := make([]int, 0, len(w.ownedResults))
-		for i := range w.ownedResults {
-			results = append(results, i)
-		}
-		sortInts(results)
-		var prev OwnsFact
-		if !pass.ImportObjectFact(fb.Obj, &prev) || !equalInts(prev.Results, results) {
-			pass.ExportObjectFact(fb.Obj, &OwnsFact{Results: results})
-			changed = true
-		}
-	}
+	slices.Sort(results)
+	changed := !slices.Equal(sums.closes[fb.Obj], closes) || !slices.Equal(sums.owns[fb.Obj], results)
+	sums.closes[fb.Obj], sums.owns[fb.Obj] = closes, results
 	return changed
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // resource is one tracked value: where it was acquired and how it may be
@@ -263,17 +214,19 @@ func merge(a, b state) state {
 type walker struct {
 	pass    *analysis.Pass
 	info    *types.Info
-	summary bool // computing facts: collect, don't report
+	sums    *summaries
+	summary bool // computing summaries: collect, don't report
 
 	res          map[*types.Var]*resource
 	order        []*resource
 	ownedResults map[int]bool // result indices returning a fresh resource
 }
 
-func newWalker(pass *analysis.Pass, summary bool) *walker {
+func newWalker(pass *analysis.Pass, sums *summaries, summary bool) *walker {
 	return &walker{
 		pass:         pass,
 		info:         pass.TypesInfo,
+		sums:         sums,
 		summary:      summary,
 		res:          map[*types.Var]*resource{},
 		ownedResults: map[int]bool{},
@@ -705,12 +658,9 @@ func (w *walker) acquireFromCall(lhs []ast.Expr, call *ast.CallExpr, st *state) 
 		}
 	}
 	if callee := analysis.StaticCallee(w.info, call); callee != nil {
-		var of OwnsFact
-		if w.pass.ImportObjectFact(callee, &of) {
-			for _, i := range of.Results {
-				if i < len(lhs) {
-					owned[i] = true
-				}
+		for _, i := range w.sums.owns[callee.Origin()] {
+			if i < len(lhs) {
+				owned[i] = true
 			}
 		}
 	}
@@ -990,8 +940,8 @@ func (w *walker) expr(e ast.Expr, escapes bool, st *state) {
 
 // call processes one call expression: a Close/Release on a tracked value
 // discharges it; other calls dispose of arguments according to the
-// callee's ClosesFact (or conservatively, when the callee is dynamic or
-// the parameter is not resource-typed).
+// callee's closes summary (or conservatively, when the callee is dynamic
+// or the parameter is not resource-typed).
 func (w *walker) call(call *ast.CallExpr, st *state) {
 	if v := w.closeReceiver(call); v != nil {
 		delete(st.open, v)
@@ -1005,10 +955,10 @@ func (w *walker) call(call *ast.CallExpr, st *state) {
 	}
 
 	callee := analysis.StaticCallee(w.info, call)
-	var closes ClosesFact
-	haveFact := callee != nil && w.pass.ImportObjectFact(callee, &closes)
+	var closes []int
 	var sig *types.Signature
 	if callee != nil {
+		closes = w.sums.closes[callee.Origin()]
 		sig, _ = callee.Type().(*types.Signature)
 	}
 	for i, arg := range call.Args {
@@ -1023,7 +973,7 @@ func (w *walker) call(call *ast.CallExpr, st *state) {
 			continue
 		}
 		switch {
-		case haveFact && containsInt(closes.Params, paramIndex(sig, i)):
+		case slices.Contains(closes, paramIndex(sig, i)):
 			// The callee disposes of this parameter: obligation moves.
 			delete(st.open, obj)
 		case callee != nil && sig != nil && isResourceType(paramType(sig, i)):
@@ -1066,13 +1016,4 @@ func paramType(sig *types.Signature, arg int) types.Type {
 		}
 	}
 	return t
-}
-
-func containsInt(s []int, x int) bool {
-	for _, v := range s {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }

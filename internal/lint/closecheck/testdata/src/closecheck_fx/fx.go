@@ -3,10 +3,7 @@
 // must reach Close on every path or visibly change owner.
 package closecheck_fx
 
-import (
-	"rapidanalytics/internal/dfs"
-	"rapidanalytics/internal/lint/closecheck/testdata/src/closecheck_fx/helper"
-)
+import "rapidanalytics/internal/dfs"
 
 // LeakEarlyReturn forgets the file on the bail path: caught.
 func LeakEarlyReturn(fs *dfs.FS, name string, bail bool) (int, error) {
@@ -60,14 +57,60 @@ func (h *holder) Attach(fs *dfs.FS, name string) error {
 	return nil
 }
 
-// ConsumedByHelper is a true negative only interprocedurally: Consume's
-// serialized summary says it closes its parameter on every path.
+// Consume takes ownership of f and closes it on every path; callers
+// passing a file here are discharged.
+func Consume(f *dfs.File) error {
+	return f.Close()
+}
+
+// ConsumeVia closes f transitively through Consume — the fixpoint must
+// propagate Consume's summary for ConsumeVia to earn its own.
+func ConsumeVia(f *dfs.File) error {
+	return Consume(f)
+}
+
+// Borrow only reads f; the close obligation stays with the caller.
+func Borrow(f *dfs.File) int {
+	return f.NumRecords()
+}
+
+// registry outlives any caller; files sunk here are owned by the package.
+var registry []*dfs.File
+
+// Sink stores f into package state, taking ownership.
+func Sink(f *dfs.File) {
+	registry = append(registry, f)
+}
+
+// Wrapped boxes an engine file behind a type defined outside the resource
+// packages; only OpenWrapped's owns summary tells callers the box holds a
+// live resource.
+type Wrapped struct {
+	F *dfs.File
+}
+
+// Close releases the boxed file.
+func (w *Wrapped) Close() error {
+	return w.F.Close()
+}
+
+// OpenWrapped acquires a file and returns it boxed.
+func OpenWrapped(fs *dfs.FS, name string) (*Wrapped, error) {
+	f, err := fs.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return &Wrapped{F: f}, nil
+}
+
+// ConsumedByHelper is a true negative only through Consume's summary: it
+// closes its parameter on every path.
 func ConsumedByHelper(fs *dfs.FS, name string) error {
 	f, err := fs.Open(name)
 	if err != nil {
 		return err
 	}
-	return helper.Consume(f)
+	return Consume(f)
 }
 
 // ConsumedTransitively leans on the fixpoint: ConsumeVia closes only via
@@ -77,35 +120,35 @@ func ConsumedTransitively(fs *dfs.FS, name string) error {
 	if err != nil {
 		return err
 	}
-	return helper.ConsumeVia(f)
+	return ConsumeVia(f)
 }
 
-// BorrowedNotClosed is the interprocedural catch: Borrow's summary says it
-// only reads the file, so the obligation never left this function.
+// BorrowedNotClosed is the summary's catch: Borrow only reads the file, so
+// the obligation never left this function.
 func BorrowedNotClosed(fs *dfs.FS, name string) (int, error) {
 	f, err := fs.Open(name) // want "not closed on every path"
 	if err != nil {
 		return 0, err
 	}
-	return helper.Borrow(f), nil
+	return Borrow(f), nil
 }
 
-// SunkIntoHelper is a true negative: Sink's summary says it stores the
-// file into package state, taking ownership.
+// SunkIntoHelper is a true negative: Sink stores the file into package
+// state, taking ownership.
 func SunkIntoHelper(fs *dfs.FS, name string) error {
 	f, err := fs.Open(name)
 	if err != nil {
 		return err
 	}
-	helper.Sink(f)
+	Sink(f)
 	return nil
 }
 
-// WrappedLeak leaks a resource whose static type (*helper.Wrapped) is not
-// from a resource package at all — only OpenWrapped's OwnsFact summary
-// reveals the live file inside the box.
+// WrappedLeak leaks a resource whose static type (*Wrapped) is not from a
+// resource package at all — only OpenWrapped's owns summary reveals the
+// live file inside the box.
 func WrappedLeak(fs *dfs.FS, name string) (int, error) {
-	w, err := helper.OpenWrapped(fs, name) // want "not closed on every path"
+	w, err := OpenWrapped(fs, name) // want "not closed on every path"
 	if err != nil {
 		return 0, err
 	}
@@ -114,12 +157,53 @@ func WrappedLeak(fs *dfs.FS, name string) (int, error) {
 
 // WrappedClean closes the box: true negative.
 func WrappedClean(fs *dfs.FS, name string) (int, error) {
-	w, err := helper.OpenWrapped(fs, name)
+	w, err := OpenWrapped(fs, name)
 	if err != nil {
 		return 0, err
 	}
 	defer w.Close()
 	return w.F.NumRecords(), nil
+}
+
+// overflowWriter has the shape of dfs's stream writer: on overflow it
+// replays its buffered records into a backend file and keeps writing there.
+type overflowWriter struct {
+	fs       *dfs.FS
+	buffered [][]byte
+	backend  dfs.FileWriter
+}
+
+// overflowLeaky is the leak closecheck found in the stream writer's
+// overflow: a replay error returns without closing the half-written file.
+func (w *overflowWriter) overflowLeaky(name string) error {
+	bw, err := w.fs.Backend().Create(name, 1.0) // want "not closed on every path"
+	if err != nil {
+		return err
+	}
+	for _, rec := range w.buffered {
+		if err := bw.Append(rec); err != nil {
+			return err
+		}
+	}
+	w.backend = bw
+	return nil
+}
+
+// overflowFixed is the fix: close the abandoned file in the error branch,
+// then hand the writer to the struct.
+func (w *overflowWriter) overflowFixed(name string) error {
+	bw, err := w.fs.Backend().Create(name, 1.0)
+	if err != nil {
+		return err
+	}
+	for _, rec := range w.buffered {
+		if err := bw.Append(rec); err != nil {
+			bw.Close()
+			return err
+		}
+	}
+	w.backend = bw
+	return nil
 }
 
 // Discarded drops the writer into the blank identifier: nothing can ever
@@ -165,4 +249,14 @@ func SuppressedBadly(fs *dfs.FS, name string, bail bool) error {
 		return nil
 	}
 	return f.Close()
+}
+
+// MisspelledSuppression names an analyzer that does not exist: the
+// directive suppresses nothing and is itself reported.
+func MisspelledSuppression(fs *dfs.FS, name string) int {
+	f, _ := fs.Open(name) //lint:ignore closechek handle is cached process-wide // want "closechek, which is no analyzer" "not closed on every path"
+	if f == nil {
+		return 0
+	}
+	return f.NumRecords()
 }

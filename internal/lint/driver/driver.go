@@ -1,18 +1,14 @@
 // Package driver loads and type-checks Go packages and runs rapidlint
 // analyzers over them. Loading shells out to `go list -deps -export`, which
 // yields compiled export data for every dependency; the standard library's
-// gc importer then type-checks each target package from source against that
-// export data. This is the same strategy as x/tools' go/packages
+// gc importer then type-checks each matched package from source against
+// that export data. This is the same strategy as x/tools' go/packages
 // (NeedExportFile mode) but with zero dependencies outside the standard
 // library and the go toolchain, so the linter runs in offline sandboxes.
 //
-// Interprocedural analyzers (those with FactTypes) see facts flow through
-// the import graph: the driver analyzes packages in dependency order,
-// running fact-producing analyzers over in-module dependencies too
-// (diagnostics discarded), and carries each package's exported facts to its
-// dependents in serialized form — the same gob wire format the vet
-// unitchecker protocol writes to .vetx files — so the serialization
-// boundary is exercised on every run, not only under go vet.
+// Only the packages the patterns match are parsed and analyzed, each on its
+// own: everything they import, in the module or not, exists to the analysis
+// only as export data. No analyzer result crosses a package boundary.
 //
 // By default only non-test files are analyzed: the invariants rapidlint
 // enforces (determinism, cancellation, hot-path allocation, error taxonomy)
@@ -54,19 +50,16 @@ type Options struct {
 type listPackage struct {
 	ImportPath string
 	Dir        string
-	Name       string
 	ForTest    string
 	GoFiles    []string
 	Export     string
 	DepOnly    bool
 	Standard   bool
-	Imports    []string
 	ImportMap  map[string]string
 	Error      *listError
 }
 
 type listError struct {
-	Pos string
 	Err string
 }
 
@@ -75,9 +68,6 @@ type Package struct {
 	// ImportPath is the package's import path as listed; test variants
 	// carry go list's bracketed suffix ("pkg [pkg.test]").
 	ImportPath string
-	// BasePath is ImportPath with any test-variant suffix stripped — the
-	// path the package was type-checked under and its facts are keyed by.
-	BasePath string
 	// Fset maps positions for Files.
 	Fset *token.FileSet
 	// Files are the parsed sources (test files included for test variants).
@@ -89,13 +79,6 @@ type Package struct {
 	// TestVariant marks internal/external test packages: they run the
 	// test-safe analyzer subset and report only _test.go positions.
 	TestVariant bool
-	// Target marks packages whose diagnostics are reported; dependencies
-	// loaded only for fact computation are not targets.
-	Target bool
-
-	// deps are the listed import paths of loaded packages this one
-	// (directly) imports, used to assemble the visible fact environment.
-	deps []string
 }
 
 // Diagnostic is one unsuppressed finding, located and attributed.
@@ -114,21 +97,14 @@ func (d Diagnostic) String() string {
 }
 
 // Load lists, parses and type-checks the packages matching patterns,
-// resolving them relative to dir ("" = current directory), with default
-// options. Packages that fail to build are reported as errors; an empty
-// match set is not. The returned slice is in dependency order (imports
-// before importers) and includes in-module dependencies of the matched
-// packages as non-Target entries so interprocedural facts can be computed
-// for them.
-func Load(dir string, patterns ...string) ([]*Package, error) {
-	return LoadOpts(dir, Options{}, patterns...)
-}
-
-// LoadOpts is Load with explicit options.
-func LoadOpts(dir string, opts Options, patterns ...string) ([]*Package, error) {
+// resolving them relative to dir ("" = current directory). Packages that
+// fail to build are reported as errors; an empty match set is not. The
+// result holds the matched packages (and, under opts.Tests, their test
+// variants) in go list order.
+func Load(dir string, opts Options, patterns ...string) ([]*Package, error) {
 	args := []string{
 		"list", "-e", "-deps", "-export",
-		"-json=ImportPath,Dir,Name,ForTest,GoFiles,Export,DepOnly,Standard,Imports,ImportMap,Error",
+		"-json=ImportPath,Dir,ForTest,GoFiles,Export,DepOnly,Standard,ImportMap,Error",
 	}
 	if opts.Tests {
 		args = append(args, "-test")
@@ -144,8 +120,7 @@ func LoadOpts(dir string, opts Options, patterns ...string) ([]*Package, error) 
 	}
 
 	exports := map[string]string{}
-	byPath := map[string]*listPackage{}
-	var candidates []*listPackage
+	var targets []listPackage
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for {
 		var p listPackage
@@ -160,19 +135,11 @@ func LoadOpts(dir string, opts Options, patterns ...string) ([]*Package, error) 
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
-		if p.Standard || len(p.GoFiles) == 0 || strings.HasSuffix(p.ImportPath, ".test") {
-			// Standard-library packages exist to the analysis only as
-			// export data; ".test" mains are generated harness code.
-			continue
+		// Dependencies exist to the analysis only as export data; ".test"
+		// mains are generated harness code.
+		if !p.DepOnly && !p.Standard && len(p.GoFiles) > 0 && !strings.HasSuffix(p.ImportPath, ".test") {
+			targets = append(targets, p)
 		}
-		q := p
-		byPath[q.ImportPath] = &q
-		candidates = append(candidates, &q)
-	}
-
-	order, err := topoSort(candidates, byPath)
-	if err != nil {
-		return nil, err
 	}
 
 	fset := token.NewFileSet()
@@ -181,7 +148,7 @@ func LoadOpts(dir string, opts Options, patterns ...string) ([]*Package, error) 
 	shared := newExportImporter(fset, exports, nil)
 
 	var pkgs []*Package
-	for _, t := range order {
+	for _, t := range targets {
 		files := make([]*ast.File, 0, len(t.GoFiles))
 		for _, name := range t.GoFiles {
 			path := name
@@ -209,44 +176,23 @@ func LoadOpts(dir string, opts Options, patterns ...string) ([]*Package, error) 
 			imp = newExportImporter(fset, exports, t.ImportMap)
 		}
 		conf := types.Config{Importer: imp}
-		base := basePath(t.ImportPath)
-		pkg, err := conf.Check(base, fset, files, info)
+		// A test variant is type-checked under its plain path
+		// ("pkg [pkg.test]" → "pkg").
+		path, _, _ := strings.Cut(t.ImportPath, " [")
+		pkg, err := conf.Check(path, fset, files, info)
 		if err != nil {
 			return nil, fmt.Errorf("driver: type-checking %s: %w", t.ImportPath, err)
 		}
-		var deps []string
-		seen := map[string]bool{}
-		for _, im := range t.Imports {
-			if mapped, ok := t.ImportMap[im]; ok {
-				im = mapped
-			}
-			if byPath[im] != nil && !seen[im] {
-				seen[im] = true
-				deps = append(deps, im)
-			}
-		}
-		sort.Strings(deps)
 		pkgs = append(pkgs, &Package{
 			ImportPath:  t.ImportPath,
-			BasePath:    base,
 			Fset:        fset,
 			Files:       files,
 			Pkg:         pkg,
 			Info:        info,
 			TestVariant: t.ForTest != "",
-			Target:      !t.DepOnly,
-			deps:        deps,
 		})
 	}
 	return pkgs, nil
-}
-
-// basePath strips go list's test-variant suffix ("pkg [pkg.test]" → "pkg").
-func basePath(path string) string {
-	if i := strings.Index(path, " ["); i >= 0 {
-		return path[:i]
-	}
-	return path
 }
 
 // newExportImporter returns a gc importer resolving import paths through
@@ -264,58 +210,10 @@ func newExportImporter(fset *token.FileSet, exports map[string]string, importMap
 	})
 }
 
-// topoSort orders candidates dependencies-first (deterministically: ties
-// broken by import path), so facts are always computed before any importer
-// consumes them. The go toolchain guarantees acyclicity; a cycle is
-// reported rather than silently dropped.
-func topoSort(candidates []*listPackage, byPath map[string]*listPackage) ([]*listPackage, error) {
-	sorted := append([]*listPackage(nil), candidates...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ImportPath < sorted[j].ImportPath })
-	state := map[string]int{} // 0 unvisited, 1 visiting, 2 done
-	var out []*listPackage
-	var visit func(p *listPackage) error
-	visit = func(p *listPackage) error {
-		switch state[p.ImportPath] {
-		case 1:
-			return fmt.Errorf("driver: import cycle through %s", p.ImportPath)
-		case 2:
-			return nil
-		}
-		state[p.ImportPath] = 1
-		var deps []string
-		for _, im := range p.Imports {
-			if mapped, ok := p.ImportMap[im]; ok {
-				im = mapped
-			}
-			deps = append(deps, im)
-		}
-		sort.Strings(deps)
-		for _, im := range deps {
-			if d := byPath[im]; d != nil {
-				if err := visit(d); err != nil {
-					return err
-				}
-			}
-		}
-		state[p.ImportPath] = 2
-		out = append(out, p)
-		return nil
-	}
-	for _, p := range sorted {
-		if err := visit(p); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// Analyze runs every analyzer over the package, applies suppression
-// directives, and returns the surviving diagnostics in source order. The
-// fact environment supplies imported facts and receives exported ones; nil
-// runs the package fact-blind (the pre-interprocedural behavior).
-// Malformed directives (no justification) are reported under the
-// pseudo-analyzer "lint".
-func Analyze(p *Package, analyzers []*analysis.Analyzer, facts *analysis.Env) ([]Diagnostic, error) {
+// analyze runs every analyzer over the package and applies suppression
+// directives. Malformed directives (no justification, or naming no
+// analyzer in suite) are reported under the pseudo-analyzer "lint".
+func analyze(p *Package, analyzers []*analysis.Analyzer, suite map[string]bool) ([]Diagnostic, error) {
 	sup := analysis.NewSuppressor(p.Fset, p.Files)
 	var out []Diagnostic
 	for _, a := range analyzers {
@@ -325,7 +223,6 @@ func Analyze(p *Package, analyzers []*analysis.Analyzer, facts *analysis.Env) ([
 			Files:     p.Files,
 			Pkg:       p.Pkg,
 			TypesInfo: p.Info,
-			Facts:     facts,
 		}
 		pass.Report = func(d analysis.Diagnostic) {
 			if sup.Suppressed(a.Name, d.Pos) {
@@ -341,18 +238,47 @@ func Analyze(p *Package, analyzers []*analysis.Analyzer, facts *analysis.Env) ([
 			return nil, fmt.Errorf("driver: analyzer %s on %s: %w", a.Name, p.ImportPath, err)
 		}
 	}
-	for _, d := range sup.Problems() {
+	for _, d := range sup.Problems(suite) {
 		out = append(out, Diagnostic{
 			Position: p.Fset.Position(d.Pos),
 			Analyzer: "lint",
 			Message:  d.Message,
 		})
 	}
-	sortDiagnostics(out)
 	return out, nil
 }
 
-func sortDiagnostics(out []Diagnostic) {
+// RunAll analyzes the loaded packages: the full suite over production
+// packages, and testAnalyzers over test variants (reported only at
+// _test.go positions). A suppression directive must name an analyzer of
+// analyzers ∪ testAnalyzers. Diagnostics come back in deterministic
+// (file, position) order.
+func RunAll(pkgs []*Package, analyzers, testAnalyzers []*analysis.Analyzer) ([]Diagnostic, error) {
+	suite := map[string]bool{}
+	for _, set := range [][]*analysis.Analyzer{analyzers, testAnalyzers} {
+		for _, a := range set {
+			suite[a.Name] = true
+		}
+	}
+	var out []Diagnostic
+	for _, p := range pkgs {
+		as := analyzers
+		if p.TestVariant {
+			as = testAnalyzers
+		}
+		ds, err := analyze(p, as, suite)
+		if err != nil {
+			return nil, err
+		}
+		for _, d := range ds {
+			if p.TestVariant && !strings.HasSuffix(d.Position.Filename, "_test.go") {
+				// The variant re-includes production files; their
+				// findings are the plain package's to report.
+				continue
+			}
+			out = append(out, d)
+		}
+	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i].Position, out[j].Position
 		if a.Filename != b.Filename {
@@ -363,136 +289,16 @@ func sortDiagnostics(out []Diagnostic) {
 		}
 		return a.Column < b.Column
 	})
-}
-
-// factAnalyzers filters to the interprocedural (fact-producing) subset,
-// deduplicated by name — all that needs to run over non-target packages.
-func factAnalyzers(sets ...[]*analysis.Analyzer) []*analysis.Analyzer {
-	seen := map[string]bool{}
-	var out []*analysis.Analyzer
-	for _, set := range sets {
-		for _, a := range set {
-			if len(a.FactTypes) > 0 && !seen[a.Name] {
-				seen[a.Name] = true
-				out = append(out, a)
-			}
-		}
-	}
-	return out
-}
-
-// registerFactTypes registers every analyzer's fact prototypes for
-// serialization.
-func registerFactTypes(sets ...[]*analysis.Analyzer) {
-	for _, set := range sets {
-		for _, a := range set {
-			analysis.RegisterFactTypes(a.FactTypes...)
-		}
-	}
-}
-
-// RunAll analyzes the loaded packages in their dependency order:
-// fact-producing analyzers over non-target dependencies, the full suite
-// over production targets, and testAnalyzers over test variants (reported
-// only at _test.go positions). Each package's exported facts are gob-
-// serialized and decoded back into every dependent's environment, so the
-// cross-package flow exercises the same wire format go vet's .vetx files
-// use. Diagnostics come back in deterministic (file, position) order.
-func RunAll(pkgs []*Package, analyzers, testAnalyzers []*analysis.Analyzer) ([]Diagnostic, error) {
-	registerFactTypes(analyzers, testAnalyzers)
-	factOnly := factAnalyzers(analyzers, testAnalyzers)
-	byPath := map[string]*Package{}
-	for _, p := range pkgs {
-		byPath[p.ImportPath] = p
-	}
-	closures := map[string][]string{} // listed path → transitive dep listed paths
-	var closure func(p *Package) []string
-	closure = func(p *Package) []string {
-		if c, ok := closures[p.ImportPath]; ok {
-			return c
-		}
-		seen := map[string]bool{}
-		var all []string
-		for _, dep := range p.deps {
-			d := byPath[dep]
-			if d == nil || seen[dep] {
-				continue
-			}
-			for _, t := range closure(d) {
-				if !seen[t] {
-					seen[t] = true
-					all = append(all, t)
-				}
-			}
-			if !seen[dep] {
-				seen[dep] = true
-				all = append(all, dep)
-			}
-		}
-		sort.Strings(all) // plain paths sort before their test variants
-		closures[p.ImportPath] = all
-		return all
-	}
-
-	encoded := map[string][]byte{}
-	var out []Diagnostic
-	for _, p := range pkgs {
-		env := analysis.NewEnv()
-		for _, dep := range closure(p) {
-			if data := encoded[dep]; data != nil {
-				if err := env.Decode(data); err != nil {
-					return nil, fmt.Errorf("driver: facts of %s for %s: %w", dep, p.ImportPath, err)
-				}
-			}
-		}
-		var as []*analysis.Analyzer
-		switch {
-		case p.TestVariant:
-			as = testAnalyzers
-		case p.Target:
-			as = analyzers
-		default:
-			as = factOnly
-		}
-		ds, err := Analyze(p, as, env)
-		if err != nil {
-			return nil, err
-		}
-		if p.Target || p.TestVariant {
-			for _, d := range ds {
-				if p.TestVariant && !strings.HasSuffix(d.Position.Filename, "_test.go") {
-					// The variant re-includes production files; their
-					// findings are the plain package's to report.
-					continue
-				}
-				out = append(out, d)
-			}
-		}
-		data, err := env.EncodePackage(p.BasePath)
-		if err != nil {
-			return nil, err
-		}
-		encoded[p.ImportPath] = data
-	}
-	sortDiagnostics(out)
 	return out, nil
 }
 
-// Run loads the patterns and analyzes every target package, returning all
-// diagnostics in deterministic (package, position) order.
-func Run(dir string, analyzers []*analysis.Analyzer, patterns ...string) ([]Diagnostic, error) {
-	return RunOpts(dir, Options{}, analyzers, nil, patterns...)
-}
-
-// RunOpts is Run with explicit options; testAnalyzers is the subset applied
-// to _test.go files when opts.Tests is set (ignored otherwise).
-func RunOpts(dir string, opts Options, analyzers, testAnalyzers []*analysis.Analyzer, patterns ...string) ([]Diagnostic, error) {
-	pkgs, err := LoadOpts(dir, opts, patterns...)
+// Run loads the patterns and analyzes every matched package;
+// testAnalyzers is the subset applied to _test.go files when opts.Tests is
+// set, and its names stay valid in suppression directives either way.
+func Run(dir string, opts Options, analyzers, testAnalyzers []*analysis.Analyzer, patterns ...string) ([]Diagnostic, error) {
+	pkgs, err := Load(dir, opts, patterns...)
 	if err != nil {
 		return nil, err
-	}
-	if !opts.Tests {
-		testAnalyzers = nil
 	}
 	return RunAll(pkgs, analyzers, testAnalyzers)
 }

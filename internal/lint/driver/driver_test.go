@@ -25,14 +25,13 @@ func writeTree(t *testing.T, dir string, files map[string]string) {
 	}
 }
 
-// TestLoadAgainstExportData builds a throwaway module whose packages
-// import the standard library, so type-checking can only succeed by
+// TestLoadAgainstExportData builds a throwaway one-package module that
+// imports the standard library, so type-checking can only succeed by
 // reading compiled export data through `go list -deps -export` — there is
-// no source fallback. The module's dep package path ends in /dfs, putting
-// its closer type under closecheck's policed packages, which lets the same
-// fixture prove the interprocedural half: facts computed for the dep
-// (Consume closes its argument) must reach the importing package, leaving
-// exactly one genuine leak to report.
+// no source fallback. The package path ends in /dfs, putting its closer
+// type under closecheck's policed packages, which lets the same fixture
+// prove the package-local summaries: Consume closes its argument, which
+// discharges Clean, leaving exactly one genuine leak to report.
 func TestLoadAgainstExportData(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shells out to the go toolchain; skipped in -short")
@@ -42,12 +41,15 @@ func TestLoadAgainstExportData(t *testing.T) {
 		"go.mod": "module leakmod\n\ngo 1.23\n",
 		"dfs/dfs.go": `package dfs
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 type File struct{ open bool }
 
 func Open(name string) (*File, error) {
-	if name == "" {
+	if strings.TrimSpace(name) == "" {
 		return nil, fmt.Errorf("empty name")
 	}
 	return &File{open: true}, nil
@@ -58,31 +60,23 @@ func (f *File) Read() int { return 0 }
 func (f *File) Close() error { f.open = false; return nil }
 
 // Consume takes ownership: callers that hand a File to Consume are done
-// with it (closecheck learns this as a ClosesFact).
+// with it.
 func Consume(f *File) { f.Close() }
-`,
-		"app/app.go": `package app
 
-import (
-	"strings"
-
-	"leakmod/dfs"
-)
-
-// Clean transfers its file to the dep's disposer; with the dep's facts
-// visible this path is silent.
+// Clean transfers its file to Consume; with Consume's summary this path is
+// silent.
 func Clean(name string) int {
-	f, err := dfs.Open(strings.TrimSpace(name))
+	f, err := Open(name)
 	if err != nil {
 		return 0
 	}
-	dfs.Consume(f)
+	Consume(f)
 	return 1
 }
 
 // Leaky drops the file on the floor.
 func Leaky(name string) int {
-	f, err := dfs.Open(name)
+	f, err := Open(name)
 	if err != nil {
 		return 0
 	}
@@ -91,21 +85,12 @@ func Leaky(name string) int {
 `,
 	})
 
-	pkgs, err := driver.Load(dir, "./...")
+	pkgs, err := driver.Load(dir, driver.Options{}, "./...")
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	var paths []string
-	for _, p := range pkgs {
-		paths = append(paths, p.ImportPath)
-	}
-	if len(pkgs) != 2 || paths[0] != "leakmod/dfs" || paths[1] != "leakmod/app" {
-		t.Fatalf("loaded %v, want [leakmod/dfs leakmod/app] (dependency order)", paths)
-	}
-	for _, p := range pkgs {
-		if p.Pkg == nil || p.Info == nil {
-			t.Fatalf("%s not type-checked", p.ImportPath)
-		}
+	if len(pkgs) != 1 || pkgs[0].ImportPath != "leakmod/dfs" || pkgs[0].Pkg == nil || pkgs[0].Info == nil {
+		t.Fatalf("loaded %v, want one type-checked leakmod/dfs", pkgs)
 	}
 
 	diags, err := driver.RunAll(pkgs, []*analysis.Analyzer{closecheck.Analyzer}, nil)
@@ -115,12 +100,8 @@ func Leaky(name string) int {
 	if len(diags) != 1 {
 		t.Fatalf("diagnostics = %v, want exactly the Leaky finding", diags)
 	}
-	d := diags[0]
-	if !strings.HasSuffix(d.Position.Filename, "app.go") || d.Analyzer != "closecheck" {
-		t.Errorf("diagnostic = %v, want closecheck in app.go", d)
-	}
-	if !strings.Contains(d.Message, "f") {
-		t.Errorf("diagnostic message %q does not name the leaked variable", d.Message)
+	if d := diags[0]; d.Analyzer != "closecheck" || d.Position.Line != 38 {
+		t.Errorf("diagnostic = %v, want closecheck at Leaky's Open (dfs.go:38)", d)
 	}
 }
 
@@ -136,7 +117,7 @@ func TestLoadReportsBrokenPackages(t *testing.T) {
 		"bad/bad.go": "package bad\n\nfunc f() { undefined() }\n",
 		"good/g.go":  "package good\n\nfunc G() int { return 1 }\n",
 	})
-	if _, err := driver.Load(dir, "./..."); err == nil {
+	if _, err := driver.Load(dir, driver.Options{}, "./..."); err == nil {
 		t.Fatal("Load of a broken module succeeded")
 	} else if !strings.Contains(err.Error(), "bad") {
 		t.Errorf("error %q does not attribute the broken package", err)

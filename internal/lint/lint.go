@@ -1,10 +1,13 @@
 // Package lint registers the rapidlint analyzer suite: the machine-checked
-// engine invariants described in DESIGN.md's "Invariants" section.
+// engine invariants described in DESIGN.md's "Invariants" section. Every
+// analyzer checks one package at a time. The invariants that span packages
+// are kept local by construction instead: versioned cache keys are a type
+// (plancache.Key), and lockorder requires locks to stay package-private so
+// that cross-package lock edges follow the acyclic import graph.
 package lint
 
 import (
 	"rapidanalytics/internal/lint/analysis"
-	"rapidanalytics/internal/lint/cachekey"
 	"rapidanalytics/internal/lint/closecheck"
 	"rapidanalytics/internal/lint/ctxloop"
 	"rapidanalytics/internal/lint/errtyped"
@@ -15,8 +18,8 @@ import (
 )
 
 // Analyzers returns the full rapidlint suite in reporting order: the five
-// intraprocedural checkers from the original suite, then the three
-// interprocedural ones built on serialized facts.
+// intraprocedural checkers, then closecheck and lockorder, which summarize
+// functions within their package.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		maporder.Analyzer,
@@ -26,7 +29,6 @@ func Analyzers() []*analysis.Analyzer {
 		errtyped.Analyzer,
 		closecheck.Analyzer,
 		lockorder.Analyzer,
-		cachekey.Analyzer,
 	}
 }
 

@@ -17,7 +17,7 @@ func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
 	}
-	diags, err := driver.RunOpts("", driver.Options{Tests: true},
+	diags, err := driver.Run("", driver.Options{Tests: true},
 		lint.Analyzers(), lint.TestAnalyzers(), "rapidanalytics/...")
 	if err != nil {
 		t.Fatalf("running rapidlint: %v", err)

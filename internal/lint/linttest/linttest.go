@@ -12,7 +12,8 @@
 // Unmatched diagnostics and unsatisfied expectations both fail the test.
 // Suppression is part of the contract under test: the harness routes
 // diagnostics through the same driver the rapidlint binary uses, so
-// justified //lint: directives remove diagnostics and unjustified ones
+// justified //lint: directives remove diagnostics and malformed ones
+// (unjustified, or naming an analyzer other than the one under test)
 // surface as "lint" pseudo-analyzer findings (match those with want
 // comments too; a "// want" marker may share the physical comment with the
 // directive it checks).
@@ -31,35 +32,27 @@ import (
 )
 
 // Run loads testdata/src/<pkg> for each named fixture package, runs the
-// analyzer (with interprocedural facts flowing from the fixtures'
-// dependencies, exactly as in the real driver), and checks the diagnostics
-// against the fixtures' want comments. Fixture packages may import helper
-// packages under testdata/src; those are analyzed for facts only, so their
-// own want comments (if any) must be exercised by listing them as fixtures.
+// analyzer over each fixture on its own, exactly as the real driver does,
+// and checks the diagnostics against the fixtures' want comments. Whatever
+// the fixtures import is read as export data only.
 func Run(t *testing.T, a *analysis.Analyzer, fixtures ...string) {
 	t.Helper()
 	patterns := make([]string, len(fixtures))
 	for i, p := range fixtures {
 		patterns[i] = "./src/" + p
 	}
-	pkgs, err := driver.Load("testdata", patterns...)
+	pkgs, err := driver.Load("testdata", driver.Options{}, patterns...)
 	if err != nil {
 		t.Fatalf("loading fixtures: %v", err)
 	}
-	var targets []*driver.Package
-	for _, pkg := range pkgs {
-		if pkg.Target {
-			targets = append(targets, pkg)
-		}
-	}
-	if len(targets) != len(fixtures) {
-		t.Fatalf("loaded %d target packages, want %d", len(targets), len(fixtures))
+	if len(pkgs) != len(fixtures) {
+		t.Fatalf("loaded %d packages, want %d", len(pkgs), len(fixtures))
 	}
 	diags, err := driver.RunAll(pkgs, []*analysis.Analyzer{a}, nil)
 	if err != nil {
 		t.Fatalf("analyzing fixtures: %v", err)
 	}
-	checkWants(t, targets, diags)
+	checkWants(t, pkgs, diags)
 }
 
 // expectation is one golden diagnostic: a message regexp anchored to a line.

@@ -1,74 +1,56 @@
-// Package lockorder defines the lock-ordering analyzer: it builds a
-// mutex-acquisition graph across packages and reports acquisitions that
-// close a cycle — two code paths taking the same pair of locks in opposite
-// orders, the classic deadlock recipe.
+// Package lockorder defines the lock-ordering analyzer. It enforces two
+// rules which together rule out lock-order deadlocks between packages as
+// well as within one:
+//
+//   - Locks are package-private: acquiring a mutex declared in another
+//     package is reported. Then a lock is only ever taken by code of its
+//     own package, so holding a lock of package A while acquiring one of
+//     package B means A called into B — A imports B. Every cross-package
+//     edge points down the import graph, which the go toolchain keeps
+//     acyclic, so no cycle can pass through two packages.
+//   - Within a package, pairs of locks are acquired in one order: the
+//     analyzer builds the package's acquisition graph and reports the
+//     acquisition that closes a cycle — two code paths taking the same
+//     pair of locks in opposite orders, the classic deadlock recipe.
 //
 // Locks are tracked as classes, not instances: a class is the declaration
 // site of the mutex — a struct field (store.Store.mu), a package-level
 // variable, or, for externally-lockable types embedding sync.Mutex, the
 // named type itself. Within a function the analyzer keeps the linear
-// held-set; acquiring B while holding A records the edge A → B. Two
-// serialized fact kinds make the graph interprocedural:
+// held-set; acquiring B while holding A records the edge A → B. A
+// per-function summary of the classes each function may acquire, computed
+// to a fixpoint over the package, adds edges for calls to functions of the
+// same package made while holding a lock.
 //
-//   - AcquiresFact on a function lists the lock classes it may acquire,
-//     transitively through its callees; calling it while holding a lock
-//     adds edges from every held class to every acquired class.
-//   - EdgesFact on a package carries the package's local edges, so
-//     downstream packages detect cycles that no single package can see.
-//
-// The first edge between a pair of classes (in dependency and source
-// order) establishes the order; a later reversed edge is reported at its
-// acquisition site. Function literals are analyzed as separate units with
-// an empty held-set: the analyzer does not guess where a callback runs.
+// The first edge between a pair of classes (in source order) establishes
+// the order; a later reversed edge is reported at its acquisition site.
+// Function literals are analyzed as separate units with an empty held-set:
+// the analyzer does not guess where a callback runs, and likewise does not
+// follow calls through interfaces or function values.
 package lockorder
 
 import (
 	"go/ast"
 	"go/types"
-	"sort"
+	"slices"
 	"strings"
 
 	"rapidanalytics/internal/lint/analysis"
 )
 
-// Analyzer reports lock acquisitions that close an ordering cycle.
+// Analyzer reports foreign lock acquisitions and acquisitions that close
+// an ordering cycle.
 var Analyzer = &analysis.Analyzer{
-	Name:      "lockorder",
-	Doc:       "pairs of locks must be acquired in one consistent order on every path, across packages",
-	FactTypes: []analysis.Fact{(*AcquiresFact)(nil), (*EdgesFact)(nil)},
-	Run:       run,
+	Name: "lockorder",
+	Doc:  "locks stay package-private, and pairs of locks are acquired in one consistent order on every path",
+	Run:  run,
 }
 
-// AcquiresFact lists the lock classes a function may take, directly or
-// through callees.
-type AcquiresFact struct {
-	// Classes are the acquired lock classes, sorted.
-	Classes []string
-}
-
-// AFact marks AcquiresFact as serializable analyzer currency.
-func (*AcquiresFact) AFact() {}
-
-// Edge is one observed ordering: To was acquired while From was held.
-type Edge struct {
-	// From is the lock class held; To is the class acquired under it.
-	From, To string
-}
-
-// EdgesFact carries a package's local acquisition-order edges to its
-// importers.
-type EdgesFact struct {
-	// Edges are the package's acquisition-order edges, deduplicated.
-	Edges []Edge
-}
-
-// AFact marks EdgesFact as serializable analyzer currency.
-func (*EdgesFact) AFact() {}
-
-// localEdge is an edge with its acquisition site, for reporting.
-type localEdge struct {
-	Edge
-	pos ast.Node
+// edge is one observed ordering: to was acquired while from was held, at
+// site.
+type edge struct {
+	from, to string
+	site     ast.Node
 }
 
 func run(pass *analysis.Pass) error {
@@ -76,82 +58,50 @@ func run(pass *analysis.Pass) error {
 
 	// Phase 1: per-function acquire summaries to a fixpoint, so transitive
 	// acquisition through intra-package call chains converges.
+	acquires := map[*types.Func][]string{}
 	analysis.Fixpoint(len(funcs)+2, func() bool {
 		changed := false
 		for _, fb := range funcs {
-			acq := map[string]bool{}
-			u := &unit{pass: pass, acquires: acq}
+			u := &unit{pass: pass, summaries: acquires, acquires: map[string]bool{}}
 			u.walkAll(fb.Decl.Body)
-			classes := keys(acq)
-			if len(classes) == 0 {
-				continue
+			classes := make([]string, 0, len(u.acquires))
+			for c := range u.acquires {
+				classes = append(classes, c)
 			}
-			var prev AcquiresFact
-			if !pass.ImportObjectFact(fb.Obj, &prev) || !equalStrings(prev.Classes, classes) {
-				pass.ExportObjectFact(fb.Obj, &AcquiresFact{Classes: classes})
+			slices.Sort(classes)
+			if !slices.Equal(acquires[fb.Obj], classes) {
+				acquires[fb.Obj] = classes
 				changed = true
 			}
 		}
 		return changed
 	})
 
-	// Phase 2: collect the package's local edges in source order.
-	var edges []localEdge
+	// Phase 2: collect the package's edges in source order, reporting
+	// foreign acquisitions on the way.
+	var edges []edge
 	for _, fb := range funcs {
-		u := &unit{pass: pass, trackEdges: true}
+		u := &unit{pass: pass, summaries: acquires, report: true}
 		u.walkAll(fb.Decl.Body)
 		edges = append(edges, u.edges...)
 	}
 
-	// Phase 3: seed the graph with every dependency's edges, then add local
-	// edges one by one; an edge whose reverse direction is already
-	// reachable closes a cycle and is reported at its acquisition site.
+	// Phase 3: add edges one by one; an edge whose reverse direction is
+	// already reachable closes a cycle and is reported at its site.
 	graph := map[string]map[string]bool{}
-	addEdge := func(e Edge) {
-		if graph[e.From] == nil {
-			graph[e.From] = map[string]bool{}
-		}
-		graph[e.From][e.To] = true
-	}
-	for _, pf := range pass.AllPackageFacts(&EdgesFact{}) {
-		for _, e := range pf.Fact.(*EdgesFact).Edges {
-			addEdge(e)
-		}
-	}
-	reported := map[string]bool{}
-	pairKey := func(e Edge) string {
-		if e.From < e.To {
-			return e.From + "\x00" + e.To
-		}
-		return e.To + "\x00" + e.From
-	}
-	for _, le := range edges {
-		if reaches(graph, le.To, le.From) && !reported[pairKey(le.Edge)] {
-			reported[pairKey(le.Edge)] = true
-			pass.Reportf(le.pos.Pos(),
+	reported := map[[2]string]bool{}
+	for _, e := range edges {
+		pair := [2]string{min(e.from, e.to), max(e.from, e.to)}
+		if reaches(graph, e.to, e.from) && !reported[pair] {
+			reported[pair] = true
+			pass.Reportf(e.site.Pos(),
 				"acquiring %s while holding %s closes a lock-order cycle: %s is elsewhere acquired before %s; pick one order",
-				short(le.To), short(le.From), short(le.To), short(le.From))
+				short(e.to), short(e.from), short(e.to), short(e.from))
 		}
-		addEdge(le.Edge)
-	}
-
-	// Export this package's own edges for importers.
-	seen := map[Edge]bool{}
-	var out []Edge
-	for _, le := range edges {
-		if !seen[le.Edge] {
-			seen[le.Edge] = true
-			out = append(out, le.Edge)
+		if graph[e.from] == nil {
+			graph[e.from] = map[string]bool{}
 		}
-	}
-	if len(out) > 0 {
-		sort.Slice(out, func(i, j int) bool {
-			if out[i].From != out[j].From {
-				return out[i].From < out[j].From
-			}
-			return out[i].To < out[j].To
-		})
-		pass.ExportPackageFact(&EdgesFact{Edges: out})
+		graph[e.from][e.to] = true
 	}
 	return nil
 }
@@ -181,14 +131,17 @@ func reaches(graph map[string]map[string]bool, from, to string) bool {
 
 // unit walks one function body (or function literal) with a linear
 // held-set. Branches are traversed in sequence — an overapproximation of
-// the held-set that errs toward extra edges, never missed ones.
+// the held-set that errs toward extra edges, never missed ones. A unit
+// either collects the classes its body may acquire (acquires non-nil) or
+// records edges and reports foreign acquisitions (report).
 type unit struct {
-	pass       *analysis.Pass
-	held       []string // acquisition order, duplicates counted
-	acquires   map[string]bool
-	trackEdges bool
-	edges      []localEdge
-	pending    []*ast.BlockStmt // function literals, analyzed fresh
+	pass      *analysis.Pass
+	summaries map[*types.Func][]string // acquire summaries of the package's functions
+	held      []string                 // acquisition order, duplicates counted
+	acquires  map[string]bool
+	report    bool
+	edges     []edge
+	pending   []*ast.BlockStmt // function literals, analyzed fresh
 }
 
 // walkAll walks body and then every function literal found inside it, each
@@ -201,7 +154,7 @@ func (u *unit) walkAll(body *ast.BlockStmt) {
 	for len(u.pending) > 0 {
 		next := u.pending[0]
 		u.pending = u.pending[1:]
-		sub := &unit{pass: u.pass, acquires: u.acquires, trackEdges: u.trackEdges}
+		sub := &unit{pass: u.pass, summaries: u.summaries, acquires: u.acquires, report: u.report}
 		sub.walk(next)
 		u.edges = append(u.edges, sub.edges...)
 		u.pending = append(u.pending, sub.pending...)
@@ -223,12 +176,17 @@ func (u *unit) walk(n ast.Node) {
 			}
 			return false
 		case *ast.CallExpr:
-			if class, op, ok := u.mutexOp(n); ok {
+			if class, pkg, op, ok := u.mutexOp(n); ok {
 				if class == "" {
 					return false // unclassed (local) mutex
 				}
 				switch op {
 				case opAcquire:
+					if u.report && pkg != u.pass.Pkg {
+						u.pass.Reportf(n.Pos(),
+							"acquiring %s, a lock of package %s: keep locks package-private and lock them only through that package's functions",
+							short(class), pkg.Name())
+					}
 					u.acquire(class, n)
 				case opRelease:
 					u.release(class)
@@ -244,17 +202,23 @@ func (u *unit) walk(n ast.Node) {
 
 // acquire records edges from every held class and pushes the class.
 func (u *unit) acquire(class string, site ast.Node) {
+	u.taken(class, site)
+	u.held = append(u.held, class)
+}
+
+// taken notes that class is acquired at site while the held-set is live:
+// into the summary, or as edges from every held class.
+func (u *unit) taken(class string, site ast.Node) {
 	if u.acquires != nil {
 		u.acquires[class] = true
 	}
-	if u.trackEdges {
+	if u.report {
 		for _, h := range u.held {
 			if h != class {
-				u.edges = append(u.edges, localEdge{Edge: Edge{From: h, To: class}, pos: site})
+				u.edges = append(u.edges, edge{from: h, to: class, site: site})
 			}
 		}
 	}
-	u.held = append(u.held, class)
 }
 
 // release drops the most recent acquisition of the class.
@@ -267,27 +231,12 @@ func (u *unit) release(class string) {
 	}
 }
 
-// applyCallee folds a static callee's acquire summary into the graph: its
-// classes are taken while the caller's held-set is live.
+// applyCallee folds a same-package callee's acquire summary into the
+// graph: its classes are taken while the caller's held-set is live.
 func (u *unit) applyCallee(call *ast.CallExpr) {
-	callee := analysis.StaticCallee(u.pass.TypesInfo, call)
-	if callee == nil {
-		return
-	}
-	var af AcquiresFact
-	if !u.pass.ImportObjectFact(callee, &af) {
-		return
-	}
-	for _, c := range af.Classes {
-		if u.acquires != nil {
-			u.acquires[c] = true
-		}
-		if u.trackEdges {
-			for _, h := range u.held {
-				if h != c {
-					u.edges = append(u.edges, localEdge{Edge: Edge{From: h, To: c}, pos: call})
-				}
-			}
+	if callee := analysis.StaticCallee(u.pass.TypesInfo, call); callee != nil {
+		for _, c := range u.summaries[callee.Origin()] {
+			u.taken(c, call)
 		}
 	}
 }
@@ -300,11 +249,12 @@ const (
 )
 
 // mutexOp classifies a call as a sync.Mutex/RWMutex Lock/Unlock and
-// resolves the lock class: the mutex's declaration site.
-func (u *unit) mutexOp(call *ast.CallExpr) (class string, op mutexVerb, ok bool) {
+// resolves the lock class — the mutex's declaration site — and the package
+// that declares it.
+func (u *unit) mutexOp(call *ast.CallExpr) (class string, pkg *types.Package, op mutexVerb, ok bool) {
 	fun, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !isSel {
-		return "", 0, false
+		return "", nil, 0, false
 	}
 	switch fun.Sel.Name {
 	case "Lock", "RLock":
@@ -312,55 +262,51 @@ func (u *unit) mutexOp(call *ast.CallExpr) (class string, op mutexVerb, ok bool)
 	case "Unlock", "RUnlock":
 		op = opRelease
 	default:
-		return "", 0, false
+		return "", nil, 0, false
 	}
 	sel, isMethod := u.pass.TypesInfo.Selections[fun]
 	if !isMethod || sel.Kind() != types.MethodVal {
-		return "", 0, false
+		return "", nil, 0, false
 	}
 	m, isFunc := sel.Obj().(*types.Func)
 	if !isFunc || m.Pkg() == nil || m.Pkg().Path() != "sync" {
-		return "", 0, false
+		return "", nil, 0, false
 	}
 	// A promoted method means the receiver type embeds the mutex: the
 	// named type itself is the externally-lockable class.
 	if len(sel.Index()) > 1 {
 		if named := namedOf(sel.Recv()); named != nil {
-			return classOfType(named), op, true
+			return classOf(named.Obj()), named.Obj().Pkg(), op, true
 		}
-		return "", op, true
+		return "", nil, op, true
 	}
-	return u.classOfExpr(fun.X), op, true
+	class, pkg = u.classOfExpr(fun.X)
+	return class, pkg, op, true
 }
 
 // classOfExpr maps the mutex-valued receiver expression to its declaration
 // site: a field (owner type + field name) or a package-level variable.
 // Locals have no class — a lock that never escapes its function cannot
 // participate in a cross-function cycle.
-func (u *unit) classOfExpr(e ast.Expr) string {
+func (u *unit) classOfExpr(e ast.Expr) (string, *types.Package) {
 	info := u.pass.TypesInfo
+	var id *ast.Ident
 	switch rx := ast.Unparen(e).(type) {
 	case *ast.SelectorExpr:
 		if fsel, ok := info.Selections[rx]; ok && fsel.Kind() == types.FieldVal {
 			if named := namedOf(fsel.Recv()); named != nil {
-				return classOfType(named) + "." + fsel.Obj().Name()
+				return classOf(named.Obj()) + "." + fsel.Obj().Name(), named.Obj().Pkg()
 			}
-			return ""
+			return "", nil
 		}
-		// Qualified identifier: pkg.Var.
-		if v, ok := info.Uses[rx.Sel].(*types.Var); ok && isPackageLevel(v) {
-			return v.Pkg().Path() + "." + v.Name()
-		}
+		id = rx.Sel // qualified identifier: pkg.Var
 	case *ast.Ident:
-		if v, ok := info.Uses[rx].(*types.Var); ok && isPackageLevel(v) {
-			return v.Pkg().Path() + "." + v.Name()
-		}
+		id = rx
 	}
-	return ""
-}
-
-func isPackageLevel(v *types.Var) bool {
-	return v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
+	if v, ok := info.Uses[id].(*types.Var); ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
+		return classOf(v), v.Pkg()
+	}
+	return "", nil
 }
 
 func namedOf(t types.Type) *types.Named {
@@ -371,8 +317,8 @@ func namedOf(t types.Type) *types.Named {
 	return named
 }
 
-func classOfType(named *types.Named) string {
-	obj := named.Obj()
+// classOf names a package-level object by its package path and name.
+func classOf(obj types.Object) string {
 	if obj.Pkg() == nil {
 		return obj.Name()
 	}
@@ -386,25 +332,4 @@ func short(class string) string {
 		return class[i+1:]
 	}
 	return class
-}
-
-func keys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

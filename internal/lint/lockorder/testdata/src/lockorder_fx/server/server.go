@@ -1,6 +1,6 @@
-// Package server is the cross-package half of the lockorder fixtures: its
-// cycle with the store package is invisible to either package alone and is
-// stitched together from the store's serialized acquire and edge facts.
+// Package server is the importing half of the lockorder fixtures: its
+// Evict locks the store's exported registry, the one way a cross-package
+// lock-order cycle can form, and is reported for that alone.
 package server
 
 import (
@@ -15,21 +15,21 @@ type Server struct {
 	st *store.Store
 }
 
-// Handle holds the server lock around a store read. The server lock is
-// only ever ordered before the store's locks, so this is a true negative —
-// but the edges exist only through Get's interprocedural acquire summary.
+// Handle holds the server lock around a store read: a true negative. The
+// store takes its own locks inside Get, so the edge from Server.mu to them
+// points down the import graph, server → store.
 func (sv *Server) Handle(k string) int {
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
 	return sv.st.Get(k)
 }
 
-// Evict holds the shared registry lock and re-enters the store. Grow takes
-// loadMu, and the store's Refill elsewhere nests the registry lock inside
+// Evict holds the store's registry lock and re-enters the store. Grow
+// takes loadMu, and the store's Refill nests the registry lock inside
 // loadMu: Registry → loadMu here versus loadMu → Registry there is a
-// deadlock no single package can see.
+// deadlock. It is reported where the foreign lock is taken.
 func (sv *Server) Evict() {
-	store.Default.Lock()
+	store.Default.Lock() // want "lock of package store: keep locks package-private"
 	defer store.Default.Unlock()
-	sv.st.Grow() // want "lock-order cycle"
+	sv.st.Grow()
 }

@@ -1,7 +1,7 @@
-// Package store is the dependency half of the lockorder fixtures: it
+// Package store is the imported half of the lockorder fixtures: it
 // establishes the orders mu → loadMu and loadMu → Registry, contains one
-// in-package inversion, and exports its edges as facts for the server
-// fixture's cross-package cycle.
+// in-package inversion, and exports a lockable registry for the server
+// fixture to lock from outside.
 package store
 
 import "sync"
@@ -48,8 +48,8 @@ func (s *Store) Reload(k string) {
 	_ = s.data[k]
 }
 
-// Refill nests the registry lock inside loadMu: the loadMu → Registry
-// edge travels to importers as a package fact.
+// Refill nests the registry lock inside loadMu, an in-package order that
+// the server fixture's Evict inverts from outside.
 func (s *Store) Refill() {
 	s.loadMu.Lock()
 	defer s.loadMu.Unlock()
@@ -58,8 +58,8 @@ func (s *Store) Refill() {
 	Default.entries["refill"]++
 }
 
-// Grow takes only loadMu; its acquire summary is what lets the server
-// fixture close a cycle while holding the registry lock.
+// Grow takes only loadMu; the server fixture calls it while holding the
+// registry lock.
 func (s *Store) Grow() {
 	s.loadMu.Lock()
 	defer s.loadMu.Unlock()
@@ -75,4 +75,13 @@ func (s *Store) Rebalance() {
 	s.mu.Lock()
 	s.data["rebalanced"] = 1
 	s.mu.Unlock()
+}
+
+// Register holds the registry lock and takes loadMu through Grow, the
+// inversion of Refill's order; only Grow's acquire summary shows the edge.
+func (s *Store) Register(k string) {
+	Default.Lock()
+	defer Default.Unlock()
+	s.Grow() // want "lock-order cycle"
+	Default.entries[k]++
 }

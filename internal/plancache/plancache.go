@@ -4,10 +4,11 @@
 // parse → overlap-detection → composite-rewrite pipeline across repetitions
 // of the same query text is the cheapest large win the serving layer gets.
 //
-// The cache is value-agnostic: it maps string keys to opaque entries and
-// keeps exact hit/miss/eviction counters so the serving layer can export
-// them. Callers build keys with Key, which scopes the query text by the
-// executing system.
+// The cache is value-agnostic: it maps keys to opaque entries and keeps
+// exact hit/miss/eviction counters so the serving layer can export them.
+// Every method takes a Key, and VersionedKey is the only way to build one,
+// so no entry can be stored or looked up without the store's data version:
+// an unversioned key does not compile.
 package plancache
 
 import (
@@ -16,19 +17,20 @@ import (
 	"sync"
 )
 
-// Key builds a cache key scoping a (canonicalized) query text by system.
-// The NUL separator cannot occur in either component, so keys are
-// collision-free.
-func Key(system, query string) string { return system + "\x00" + query }
+// Key addresses one cache entry. VersionedKey is its only constructor;
+// the zero Key is a single fixed address that carries no version.
+type Key struct{ s string }
 
-// VersionedKey builds a cache key additionally scoped by a store data
-// version (the counter a store bumps on every mutation-triggered layout
-// invalidation, which also rebuilds the statistics catalog). Including the
-// version in the key means a plan cached before a reload can never be
-// served against drifted statistics: the old entries simply stop being
-// addressable and age out of the LRU.
-func VersionedKey(system string, version uint64, query string) string {
-	return system + "\x00" + strconv.FormatUint(version, 10) + "\x00" + query
+// VersionedKey builds the key of query (a query text, or any identifier
+// within the namespace) in namespace ns at a store data version: the
+// counter a store bumps on every mutation-triggered layout invalidation,
+// which also rebuilds the statistics catalog. Because the version is part
+// of every key, an entry cached before a reload can never be served
+// against drifted data or statistics: it simply stops being addressable
+// and ages out of the LRU. ns must not contain NUL; the NUL separators then
+// make keys collision-free across namespaces, versions and queries.
+func VersionedKey(ns string, version uint64, query string) Key {
+	return Key{ns + "\x00" + strconv.FormatUint(version, 10) + "\x00" + query}
 }
 
 // Stats is a snapshot of the cache's counters.
@@ -51,7 +53,7 @@ type Stats struct {
 }
 
 type entry struct {
-	key   string
+	key   Key
 	value any
 }
 
@@ -61,7 +63,7 @@ type Cache struct {
 	mu       sync.Mutex
 	capacity int
 	ll       *list.List // front = most recently used
-	items    map[string]*list.Element
+	items    map[Key]*list.Element
 
 	hits, misses, evictions int64
 }
@@ -75,12 +77,12 @@ func New(capacity int) *Cache {
 	return &Cache{
 		capacity: capacity,
 		ll:       list.New(),
-		items:    make(map[string]*list.Element, capacity),
+		items:    make(map[Key]*list.Element, capacity),
 	}
 }
 
 // Get returns the cached value and marks it most recently used.
-func (c *Cache) Get(key string) (any, bool) {
+func (c *Cache) Get(key Key) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -95,7 +97,7 @@ func (c *Cache) Get(key string) (any, bool) {
 
 // Put inserts or overwrites a value, evicting the least recently used entry
 // when the cache is full.
-func (c *Cache) Put(key string, value any) {
+func (c *Cache) Put(key Key, value any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
@@ -115,7 +117,7 @@ func (c *Cache) Put(key string, value any) {
 }
 
 // Remove drops a key if present.
-func (c *Cache) Remove(key string) {
+func (c *Cache) Remove(key Key) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
@@ -129,7 +131,7 @@ func (c *Cache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.ll.Init()
-	c.items = make(map[string]*list.Element, c.capacity)
+	c.items = make(map[Key]*list.Element, c.capacity)
 }
 
 // Len returns the current entry count.

@@ -8,11 +8,11 @@ import (
 
 func TestHitMiss(t *testing.T) {
 	c := New(4)
-	if _, ok := c.Get("a"); ok {
+	if _, ok := c.Get(key("a")); ok {
 		t.Fatal("empty cache returned a hit")
 	}
-	c.Put("a", 1)
-	v, ok := c.Get("a")
+	c.Put(key("a"), 1)
+	v, ok := c.Get(key("a"))
 	if !ok || v.(int) != 1 {
 		t.Fatalf("Get(a) = %v, %v; want 1, true", v, ok)
 	}
@@ -24,9 +24,9 @@ func TestHitMiss(t *testing.T) {
 
 func TestOverwriteIsNotEviction(t *testing.T) {
 	c := New(2)
-	c.Put("a", 1)
-	c.Put("a", 2)
-	v, _ := c.Get("a")
+	c.Put(key("a"), 1)
+	c.Put(key("a"), 2)
+	v, _ := c.Get(key("a"))
 	if v.(int) != 2 {
 		t.Fatalf("overwrite kept old value %v", v)
 	}
@@ -37,17 +37,17 @@ func TestOverwriteIsNotEviction(t *testing.T) {
 
 func TestLRUEviction(t *testing.T) {
 	c := New(2)
-	c.Put("a", 1)
-	c.Put("b", 2)
-	c.Get("a")    // a is now most recent
-	c.Put("c", 3) // evicts b
-	if _, ok := c.Get("b"); ok {
+	c.Put(key("a"), 1)
+	c.Put(key("b"), 2)
+	c.Get(key("a"))    // a is now most recent
+	c.Put(key("c"), 3) // evicts b
+	if _, ok := c.Get(key("b")); ok {
 		t.Fatal("b should have been evicted")
 	}
-	if _, ok := c.Get("a"); !ok {
+	if _, ok := c.Get(key("a")); !ok {
 		t.Fatal("a (recently used) should have survived")
 	}
-	if _, ok := c.Get("c"); !ok {
+	if _, ok := c.Get(key("c")); !ok {
 		t.Fatal("c (just inserted) should be present")
 	}
 	if st := c.Stats(); st.Evictions != 1 {
@@ -57,33 +57,42 @@ func TestLRUEviction(t *testing.T) {
 
 func TestRemoveAndClear(t *testing.T) {
 	c := New(4)
-	c.Put("a", 1)
-	c.Put("b", 2)
-	c.Remove("a")
-	if _, ok := c.Get("a"); ok {
+	c.Put(key("a"), 1)
+	c.Put(key("b"), 2)
+	c.Remove(key("a"))
+	if _, ok := c.Get(key("a")); ok {
 		t.Fatal("a should be gone after Remove")
 	}
 	c.Clear()
 	if c.Len() != 0 {
 		t.Fatalf("Len after Clear = %d; want 0", c.Len())
 	}
-	if _, ok := c.Get("b"); ok {
+	if _, ok := c.Get(key("b")); ok {
 		t.Fatal("b should be gone after Clear")
 	}
 }
 
 func TestCapacityClamp(t *testing.T) {
 	c := New(0)
-	c.Put("a", 1)
-	c.Put("b", 2)
+	c.Put(key("a"), 1)
+	c.Put(key("b"), 2)
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d; want 1 (capacity clamped to 1)", c.Len())
 	}
 }
 
+// key is the tests' one namespace at one version.
+func key(query string) Key { return VersionedKey("test", 1, query) }
+
 func TestKeyCollisionFree(t *testing.T) {
-	if Key("ab", "c") == Key("a", "bc") {
-		t.Fatal("keys for different (system, query) pairs collided")
+	if VersionedKey("ab", 1, "c") == VersionedKey("a", 1, "bc") {
+		t.Fatal("keys for different (namespace, query) pairs collided")
+	}
+	if VersionedKey("a", 1, "2\x00c") == VersionedKey("a", 12, "c") {
+		t.Fatal("keys for different (version, query) pairs collided")
+	}
+	if VersionedKey("a", 1, "q") == VersionedKey("a", 2, "q") {
+		t.Fatal("one query at two versions shares a key")
 	}
 }
 
@@ -96,10 +105,10 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				k := fmt.Sprintf("k%d", (g+i)%16)
-				if v, ok := c.Get(k); ok {
+				if v, ok := c.Get(key(k)); ok {
 					_ = v.(string)
 				} else {
-					c.Put(k, k)
+					c.Put(key(k), k)
 				}
 			}
 		}(g)

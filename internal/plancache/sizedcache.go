@@ -17,13 +17,13 @@ type SizedCache struct {
 	budget int64
 	bytes  int64
 	ll     *list.List // front = most recently used
-	items  map[string]*list.Element
+	items  map[Key]*list.Element
 
 	hits, misses, evictions int64
 }
 
 type sizedEntry struct {
-	key   string
+	key   Key
 	value any
 	size  int64
 }
@@ -38,12 +38,12 @@ func NewSized(budget int64) *SizedCache {
 	return &SizedCache{
 		budget: budget,
 		ll:     list.New(),
-		items:  make(map[string]*list.Element),
+		items:  make(map[Key]*list.Element),
 	}
 }
 
 // Get returns the cached value and marks it most recently used.
-func (c *SizedCache) Get(key string) (any, bool) {
+func (c *SizedCache) Get(key Key) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -60,7 +60,7 @@ func (c *SizedCache) Get(key string) (any, bool) {
 // least-recently-used entries until the budget holds. A value larger than
 // the whole budget is not cached at all (inserting it would empty the
 // cache for a value that can never be retained).
-func (c *SizedCache) Put(key string, value any, size int64) {
+func (c *SizedCache) Put(key Key, value any, size int64) {
 	if size < 0 {
 		size = 0
 	}
@@ -100,7 +100,7 @@ func (c *SizedCache) removeLocked(el *list.Element) {
 }
 
 // Remove drops a key if present.
-func (c *SizedCache) Remove(key string) {
+func (c *SizedCache) Remove(key Key) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
@@ -113,7 +113,7 @@ func (c *SizedCache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.ll.Init()
-	c.items = make(map[string]*list.Element)
+	c.items = make(map[Key]*list.Element)
 	c.bytes = 0
 }
 

@@ -8,16 +8,16 @@ import (
 
 func TestSizedCacheEvictsByBytes(t *testing.T) {
 	c := NewSized(100)
-	c.Put("a", 1, 40)
-	c.Put("b", 2, 40)
-	c.Put("c", 3, 40) // evicts a (LRU)
-	if _, ok := c.Get("a"); ok {
+	c.Put(key("a"), 1, 40)
+	c.Put(key("b"), 2, 40)
+	c.Put(key("c"), 3, 40) // evicts a (LRU)
+	if _, ok := c.Get(key("a")); ok {
 		t.Fatal("a survived past the byte budget")
 	}
-	if v, ok := c.Get("b"); !ok || v != 2 {
+	if v, ok := c.Get(key("b")); !ok || v != 2 {
 		t.Fatalf("b = %v, %v; want 2, true", v, ok)
 	}
-	if v, ok := c.Get("c"); !ok || v != 3 {
+	if v, ok := c.Get(key("c")); !ok || v != 3 {
 		t.Fatalf("c = %v, %v; want 3, true", v, ok)
 	}
 	st := c.Stats()
@@ -28,54 +28,54 @@ func TestSizedCacheEvictsByBytes(t *testing.T) {
 
 func TestSizedCacheLRUOrderFollowsGets(t *testing.T) {
 	c := NewSized(100)
-	c.Put("a", 1, 40)
-	c.Put("b", 2, 40)
-	c.Get("a")        // a becomes MRU
-	c.Put("c", 3, 40) // evicts b, not a
-	if _, ok := c.Get("a"); !ok {
+	c.Put(key("a"), 1, 40)
+	c.Put(key("b"), 2, 40)
+	c.Get(key("a"))        // a becomes MRU
+	c.Put(key("c"), 3, 40) // evicts b, not a
+	if _, ok := c.Get(key("a")); !ok {
 		t.Fatal("recently-used a was evicted")
 	}
-	if _, ok := c.Get("b"); ok {
+	if _, ok := c.Get(key("b")); ok {
 		t.Fatal("LRU b survived")
 	}
 }
 
 func TestSizedCacheOverwriteAdjustsBytes(t *testing.T) {
 	c := NewSized(100)
-	c.Put("a", 1, 30)
-	c.Put("a", 2, 70)
+	c.Put(key("a"), 1, 30)
+	c.Put(key("a"), 2, 70)
 	if got := c.Bytes(); got != 70 {
 		t.Fatalf("Bytes = %d, want 70 after overwrite", got)
 	}
-	if v, _ := c.Get("a"); v != 2 {
+	if v, _ := c.Get(key("a")); v != 2 {
 		t.Fatalf("a = %v, want overwritten value 2", v)
 	}
 }
 
 func TestSizedCacheRejectsOverBudgetValues(t *testing.T) {
 	c := NewSized(50)
-	c.Put("small", 1, 10)
-	c.Put("huge", 2, 200)
-	if _, ok := c.Get("huge"); ok {
+	c.Put(key("small"), 1, 10)
+	c.Put(key("huge"), 2, 200)
+	if _, ok := c.Get(key("huge")); ok {
 		t.Fatal("over-budget value was cached")
 	}
-	if _, ok := c.Get("small"); !ok {
+	if _, ok := c.Get(key("small")); !ok {
 		t.Fatal("existing entry evicted for an uncacheable value")
 	}
 	// Overwriting an existing key with an over-budget value must not leave
 	// the stale value addressable.
-	c.Put("small", 3, 200)
-	if _, ok := c.Get("small"); ok {
+	c.Put(key("small"), 3, 200)
+	if _, ok := c.Get(key("small")); ok {
 		t.Fatal("stale value survived an over-budget overwrite")
 	}
 }
 
 func TestSizedCacheRemoveAndClear(t *testing.T) {
 	c := NewSized(100)
-	c.Put("a", 1, 10)
-	c.Put("b", 2, 10)
-	c.Remove("a")
-	if _, ok := c.Get("a"); ok {
+	c.Put(key("a"), 1, 10)
+	c.Put(key("b"), 2, 10)
+	c.Remove(key("a"))
+	if _, ok := c.Get(key("a")); ok {
 		t.Fatal("removed key still present")
 	}
 	if got := c.Bytes(); got != 10 {
@@ -95,9 +95,9 @@ func TestSizedCacheConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				key := fmt.Sprintf("k%d", i%32)
-				c.Put(key, i, int64(i%512))
-				c.Get(key)
+				k := key(fmt.Sprintf("k%d", i%32))
+				c.Put(k, i, int64(i%512))
+				c.Get(k)
 			}
 		}(g)
 	}

@@ -215,9 +215,9 @@ type Store struct {
 
 	// results caches final result tables and composite sub-relations under
 	// one byte budget; nil when disabled. Keys embed the statistics-catalog
-	// version (final results) or the load-numbered dataset name (sub-
-	// relations), so entries from before a mutation stop being addressable
-	// and age out of the LRU.
+	// version (final results) or the data version the engine was built at
+	// (sub-relations), so entries from before a mutation stop being
+	// addressable and age out of the LRU.
 	results *plancache.SizedCache
 
 	// scans is the current load's shared-scan scheduler (nil unless
@@ -736,13 +736,13 @@ func (s *Store) run(ctx context.Context, sys System, q *Compiled) (*Result, *Sta
 	// Result cache: the key folds in the statistics-catalog version, so a
 	// mutation (which rebuilds the catalog) makes every prior entry
 	// unaddressable — stale results cannot be served.
-	var resultKey string
+	var resultKey plancache.Key
 	if s.results != nil {
 		version := s.currentDataVersion()
 		if ds.Stats != nil {
 			version = ds.Stats.Version
 		}
-		resultKey = "res\x00" + plancache.VersionedKey(string(sys), version, q.Normalized())
+		resultKey = plancache.VersionedKey("res:"+string(sys), version, q.Normalized())
 		if v, ok := s.results.Get(resultKey); ok {
 			hit := v.(*Result)
 			sp := root.StartChild(obs.KindPlanner, "cache-hit")
@@ -794,7 +794,7 @@ func (s *Store) run(ctx context.Context, sys System, q *Compiled) (*Result, *Sta
 	}
 	stats.Span = root.Snapshot()
 	result := wrapResult(res)
-	if resultKey != "" {
+	if s.results != nil {
 		// Cached results are shared read-only across future executions;
 		// Result exposes no mutators, so sharing is safe.
 		s.results.Put(resultKey, result, resultBytes(result))
@@ -822,10 +822,10 @@ func resultBytes(r *Result) int64 {
 // subResultCache adapts the store's byte-budget cache to the core engine's
 // composite sub-relation seam. Keys fold in the data version current when
 // the engine was built (the engine is per-execution, under the store read
-// lock): the core keys sub-results by dataset names alone, which would
-// otherwise keep serving pre-reload relations after a mutation rebuilds
-// them under the same names. The "comp" namespace separates the seam from
-// final results ("res\x00" keys).
+// lock), so a relation cached under an earlier load — whose files the new
+// load's DFS does not hold — is never served, however the core names its
+// datasets. The "comp" namespace separates the seam from final results
+// (the "res:<system>" namespaces).
 type subResultCache struct {
 	c       *plancache.SizedCache
 	version uint64
@@ -833,7 +833,7 @@ type subResultCache struct {
 
 // Get implements core.SubResultCache.
 func (a subResultCache) Get(key string) (tgops.Source, bool) {
-	v, ok := a.c.Get("comp\x00" + plancache.VersionedKey("comp", a.version, key))
+	v, ok := a.c.Get(plancache.VersionedKey("comp", a.version, key))
 	if !ok {
 		return tgops.Source{}, false
 	}
@@ -842,7 +842,7 @@ func (a subResultCache) Get(key string) (tgops.Source, bool) {
 
 // Put implements core.SubResultCache.
 func (a subResultCache) Put(key string, src tgops.Source, bytes int64) {
-	a.c.Put("comp\x00"+plancache.VersionedKey("comp", a.version, key), src, bytes)
+	a.c.Put(plancache.VersionedKey("comp", a.version, key), src, bytes)
 }
 
 func wrapResult(res *engine.Result) *Result {

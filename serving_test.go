@@ -141,23 +141,11 @@ func TestSubResultCacheReusesComposite(t *testing.T) {
 	opts.ResultCacheBytes = 1 << 20
 	store := buildShopWith(t, opts)
 
-	// Same composite patterns as exampleQuery, different final ordering —
-	// a result-cache miss but a sub-result hit.
-	variant := `PREFIX e: <http://example.org/>
-SELECT ?feature ?cntF ?cntT {
-  { SELECT ?feature (COUNT(?pr2) AS ?cntF)
-    { ?p2 a e:Phone ; e:label ?l2 ; e:feature ?feature .
-      ?o2 e:product ?p2 ; e:price ?pr2 . } GROUP BY ?feature }
-  { SELECT (COUNT(?pr) AS ?cntT)
-    { ?p1 a e:Phone ; e:label ?l1 .
-      ?o1 e:product ?p1 ; e:price ?pr . } }
-}`
-
 	_, st1, err := store.Query(ra.RAPIDAnalytics, exampleQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, st2, err := store.Query(ra.RAPIDAnalytics, variant)
+	res, st2, err := store.Query(ra.RAPIDAnalytics, variantQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +156,7 @@ SELECT ?feature ?cntF ?cntT {
 		t.Errorf("composite reuse did not shrink the workflow: %d cycles vs %d on first run",
 			st2.MRCycles, st1.MRCycles)
 	}
-	oracle, _, err := store.Query(ra.Reference, variant)
+	oracle, _, err := store.Query(ra.Reference, variantQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,6 +164,51 @@ SELECT ?feature ?cntF ?cntT {
 		t.Fatalf("composite-reusing result diverged from oracle:\n%s\nvs\n%s", canonRows(res), canonRows(oracle))
 	}
 }
+
+// TestSubResultCacheInvalidatedByMutation pins the composite half of the
+// staleness regression: a composite cached before Add must not be reused
+// after it. Two things keep it out today: the data version in the cache key
+// and the load number in the dataset name the core keys by; the test fails
+// when both are removed.
+func TestSubResultCacheInvalidatedByMutation(t *testing.T) {
+	opts := ra.DefaultOptions()
+	opts.ResultCacheBytes = 1 << 20
+	store := buildShopWith(t, opts)
+
+	if _, _, err := store.Query(ra.RAPIDAnalytics, exampleQuery); err != nil {
+		t.Fatal(err)
+	}
+	ns := "http://example.org/"
+	store.Add(ns+"o9", ns+"product", ra.IRI(ns+"px"))
+	store.Add(ns+"o9", ns+"price", ra.Literal("777"))
+
+	res, st, err := store.Query(ra.RAPIDAnalytics, variantQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ResultCacheHit {
+		t.Fatal("variant text unexpectedly hit the final-result cache")
+	}
+	oracle, _, err := store.Query(ra.Reference, variantQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if canonRows(res) != canonRows(oracle) {
+		t.Fatalf("post-mutation result reused a stale composite:\n%s\nvs oracle\n%s", canonRows(res), canonRows(oracle))
+	}
+}
+
+// variantQuery has exampleQuery's composite patterns under a different
+// final ordering: a final-result miss but a sub-result hit.
+const variantQuery = `PREFIX e: <http://example.org/>
+SELECT ?feature ?cntF ?cntT {
+  { SELECT ?feature (COUNT(?pr2) AS ?cntF)
+    { ?p2 a e:Phone ; e:label ?l2 ; e:feature ?feature .
+      ?o2 e:product ?p2 ; e:price ?pr2 . } GROUP BY ?feature }
+  { SELECT (COUNT(?pr) AS ?cntT)
+    { ?p1 a e:Phone ; e:label ?l1 .
+      ?o1 e:product ?p1 ; e:price ?pr . } }
+}`
 
 // TestSharedScansKeepResultsIdentical fires concurrent identical queries
 // at a shared-scan store and checks every result matches the unshared
