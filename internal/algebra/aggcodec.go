@@ -72,25 +72,6 @@ func (m *MultiAggState) AppendEncode(buf []byte) []byte {
 	return buf
 }
 
-// aggFuncOf maps an encoded function name to its canonical constant without
-// allocating (string(b) in a switch does not escape).
-func aggFuncOf(b []byte) sparql.AggFunc {
-	switch string(b) {
-	case string(sparql.Count):
-		return sparql.Count
-	case string(sparql.Sum):
-		return sparql.Sum
-	case string(sparql.Avg):
-		return sparql.Avg
-	case string(sparql.Min):
-		return sparql.Min
-	case string(sparql.Max):
-		return sparql.Max
-	default:
-		return sparql.AggFunc(b)
-	}
-}
-
 // cutByte splits b at the first occurrence of sep.
 func cutByte(b []byte, sep byte) (before, after []byte, found bool) {
 	if i := bytes.IndexByte(b, sep); i >= 0 {
@@ -99,69 +80,110 @@ func cutByte(b []byte, sep byte) (before, after []byte, found bool) {
 	return b, nil, false
 }
 
-// DecodeAggStateBytes parses a state produced by Encode directly from the
-// shuffled record bytes, avoiding the []byte→string conversion that
-// DecodeAggState forces on every combiner/reducer value.
-func DecodeAggStateBytes(enc []byte) (*AggState, error) {
-	fn, rest, ok := cutByte(enc, 0x1f)
-	if !ok {
-		return nil, fmt.Errorf("algebra: malformed aggregate state %q", enc)
-	}
-	countB, rest, ok := cutByte(rest, 0x1f)
-	if !ok {
-		return nil, fmt.Errorf("algebra: malformed aggregate state %q", enc)
-	}
-	count, err := atoi64(countB)
-	if err != nil {
-		return nil, fmt.Errorf("algebra: malformed aggregate count: %w", err)
-	}
-	sumB, rest, ok := cutByte(rest, 0x1f)
-	if !ok {
-		return nil, fmt.Errorf("algebra: malformed aggregate state %q", enc)
-	}
-	var sum float64
-	// COUNT/MIN/MAX states and empty SUM states serialise the sum as "0";
-	// skip the float parse (and its string conversion) for that common case.
-	if len(sumB) != 1 || sumB[0] != '0' {
-		sum, err = strconv.ParseFloat(string(sumB), 64)
-		if err != nil {
-			return nil, fmt.Errorf("algebra: malformed aggregate sum: %w", err)
-		}
-	}
-	extremeB, rest, hasTail := cutByte(rest, 0x1f)
-	st := &AggState{Func: aggFuncOf(fn), Count: count, Sum: sum, Extreme: string(extremeB)}
-	if hasTail {
-		tag, rest, _ := cutByte(rest, 0x1f)
-		if len(tag) != 1 || tag[0] != 'D' {
-			return nil, fmt.Errorf("algebra: malformed aggregate state tail %q", tag)
-		}
-		st.Distinct = true
-		st.Seen = map[string]bool{}
-		for rest != nil {
-			var v []byte
-			v, rest, _ = cutByte(rest, 0x1f)
-			st.Seen[string(v)] = true
-		}
-	}
-	return st, nil
-}
-
-// DecodeMultiAggStateBytes parses a multi-state produced by Encode directly
-// from record bytes (see DecodeAggStateBytes).
-func DecodeMultiAggStateBytes(enc []byte) (*MultiAggState, error) {
-	m := &MultiAggState{}
-	for {
+// MergeBytes folds a multi-state encoded by AppendEncode (the same spec
+// list) into m, with the result and float addition order of decoding it
+// and calling Merge, but without building the decoded states: combiners
+// and reducers keep one resident state per key group and fold each
+// shuffled value straight from its bytes.
+//
+//rapid:hot
+func (m *MultiAggState) MergeBytes(enc []byte) error {
+	for i, s := range m.States {
 		part, rest, found := cutByte(enc, 0x1e)
-		s, err := DecodeAggStateBytes(part)
-		if err != nil {
-			return nil, err
+		if err := s.mergeBytes(part); err != nil {
+			return err
 		}
-		m.States = append(m.States, s)
-		if !found {
-			return m, nil
+		if found != (i < len(m.States)-1) {
+			return aggStateErr("aggregate state has a different number of parts than the %d specs", len(m.States))
 		}
 		enc = rest
 	}
+	return nil
+}
+
+// mergeBytes folds one encoded state into s (see MergeBytes). The encoded
+// function name is not checked, as Merge does not check it.
+//
+//rapid:hot
+func (s *AggState) mergeBytes(enc []byte) error {
+	_, rest, ok := cutByte(enc, 0x1f)
+	if !ok {
+		return aggStateErr("malformed aggregate state %q", enc)
+	}
+	countB, rest, ok := cutByte(rest, 0x1f)
+	if !ok {
+		return aggStateErr("malformed aggregate state %q", enc)
+	}
+	count, err := atoi64(countB)
+	if err != nil {
+		return aggStateErr("malformed aggregate count: %w", err)
+	}
+	sumB, rest, ok := cutByte(rest, 0x1f)
+	if !ok {
+		return aggStateErr("malformed aggregate state %q", enc)
+	}
+	var sum float64
+	// COUNT/MIN/MAX states and empty SUM states serialise the sum as "0";
+	// skip the float parse for that common case.
+	if len(sumB) != 1 || sumB[0] != '0' {
+		//lint:alloc the converted string does not escape ParseFloat, so it stays on the stack
+		sum, err = strconv.ParseFloat(string(sumB), 64)
+		if err != nil {
+			return aggStateErr("malformed aggregate sum: %w", err)
+		}
+	}
+	extreme, rest, hasTail := cutByte(rest, 0x1f)
+	if hasTail {
+		var tag []byte
+		tag, rest, _ = cutByte(rest, 0x1f)
+		if len(tag) != 1 || tag[0] != 'D' {
+			return aggStateErr("malformed aggregate state tail %q", tag)
+		}
+	}
+	if s.Distinct {
+		// Replay the other side's values, as Merge replays its Seen set.
+		for hasTail && rest != nil {
+			var v []byte
+			v, rest, _ = cutByte(rest, 0x1f)
+			//lint:alloc a map index by string(bytes) does not allocate
+			if !s.Seen[string(v)] {
+				//lint:alloc once per value new to the group: the set's key must be a string
+				s.Update(string(v))
+			}
+		}
+		return nil
+	}
+	if count == 0 {
+		return nil
+	}
+	switch s.Func {
+	case sparql.Count:
+		s.Count += count
+	case sparql.Sum, sparql.Avg:
+		s.Count += count
+		s.Sum += sum
+	case sparql.Min, sparql.Max:
+		if s.Count == 0 {
+			//lint:alloc only when the extreme changes: the state keeps it as a string
+			s.Extreme = string(extreme)
+			s.Count = count
+			return nil
+		}
+		s.Count += count
+		//lint:alloc the converted strings do not escape the comparisons, so they stay on the stack
+		if s.Extreme != string(extreme) && valueLess(string(extreme), s.Extreme) == (s.Func == sparql.Min) {
+			//lint:alloc only when the extreme changes: the state keeps it as a string
+			s.Extreme = string(extreme)
+		}
+	}
+	return nil
+}
+
+// aggStateErr builds a decode failure. It is a function of its own so the
+// //rapid:hot merge holds no formatting call: malformed input ends the
+// task, so it runs at most once.
+func aggStateErr(format string, args ...any) error {
+	return fmt.Errorf("algebra: "+format, args...)
 }
 
 // atoi64 parses a base-10 int64 from bytes without allocating.

@@ -8,6 +8,7 @@ package codec
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // AppendString appends a uvarint-length-prefixed string to buf.
@@ -162,28 +163,48 @@ func (t Tuple) EncodeIDs() []byte {
 }
 
 // DecodeIDTuple parses a tuple written by EncodeIDs, resolving each field
-// to its interned ID-string through in.
+// to its interned ID-string through in. The result is a fresh tuple.
 func DecodeIDTuple(buf []byte, in Interner) (Tuple, error) {
+	return AppendDecodeIDTuple(nil, buf, in)
+}
+
+// AppendDecodeIDTuple parses a tuple written by EncodeIDs and appends its
+// fields to dst, resolving each to its interned ID-string through in. A
+// map task that finishes with one record before decoding the next passes
+// its own scratch as dst[:0] and pays for the storage once. On error dst
+// comes back unextended.
+//
+//rapid:hot
+func AppendDecodeIDTuple(dst Tuple, buf []byte, in Interner) (Tuple, error) {
 	n, buf, err := ReadUvarint(buf)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	// Every field takes at least one byte, so an arity beyond the remaining
 	// buffer is malformed — reject it before allocating.
 	if n > uint64(len(buf)) {
-		return nil, fmt.Errorf("codec: id tuple arity %d exceeds %d remaining bytes", n, len(buf))
+		return dst, decodeErr("id tuple arity %d exceeds %d remaining bytes", n, len(buf))
 	}
-	t := make(Tuple, n)
-	for i := range t {
-		t[i], buf, err = ReadIDValue(buf, in)
+	out := slices.Grow(dst, int(n))
+	for i := 0; i < int(n); i++ {
+		var f string
+		f, buf, err = ReadIDValue(buf, in)
 		if err != nil {
-			return nil, fmt.Errorf("codec: id tuple field %d: %w", i, err)
+			return dst, decodeErr("id tuple field %d: %w", i, err)
 		}
+		out = append(out, f)
 	}
 	if len(buf) != 0 {
-		return nil, fmt.Errorf("codec: %d trailing bytes after id tuple", len(buf))
+		return dst, decodeErr("%d trailing bytes after id tuple", len(buf))
 	}
-	return t, nil
+	return out, nil
+}
+
+// decodeErr builds a decode failure. It is a function of its own so the
+// //rapid:hot decoders hold no formatting call: malformed input ends the
+// task, so it runs at most once.
+func decodeErr(format string, args ...any) error {
+	return fmt.Errorf("codec: "+format, args...)
 }
 
 // ReadIDValue reads one uvarint term ID from buf and returns its interned

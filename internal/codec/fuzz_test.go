@@ -108,3 +108,40 @@ func assertTuplesEqual(t *testing.T, a, b Tuple) {
 		}
 	}
 }
+
+// The append decoder must agree with DecodeIDTuple on every input, leave a
+// dirty dst's existing fields alone, and hand dst back unextended on error.
+func FuzzAppendDecodeIDTuple(f *testing.F) {
+	in := fuzzInterner{}
+	f.Add([]byte{}, uint8(0))
+	f.Add(Tuple{}.EncodeIDs(), uint8(3))
+	f.Add(Tuple{string(AppendUvarint(nil, 1)), "\x00", string(AppendUvarint(nil, 300))}.EncodeIDs(), uint8(2))
+	f.Add([]byte{0x02, 0x80}, uint8(1))
+	f.Add([]byte{0x01, 0x05, 0x07}, uint8(5))
+	f.Fuzz(func(t *testing.T, data []byte, dirty uint8) {
+		dst := make(Tuple, dirty%8, 8)
+		for i := range dst {
+			dst[i] = "stale"
+		}
+		want, wantErr := DecodeIDTuple(data, in)
+		got, err := AppendDecodeIDTuple(dst, data, in)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("append decoder err = %v, DecodeIDTuple err = %v", err, wantErr)
+		}
+		if len(got) < len(dst) {
+			t.Fatalf("append decoder dropped dst fields: %d < %d", len(got), len(dst))
+		}
+		for i, v := range got[:len(dst)] {
+			if v != "stale" {
+				t.Fatalf("append decoder overwrote dst field %d with %x", i, v)
+			}
+		}
+		if err != nil {
+			if len(got) != len(dst) {
+				t.Fatalf("failed decode extended dst by %d fields", len(got)-len(dst))
+			}
+			return
+		}
+		assertTuplesEqual(t, got[len(dst):], want)
+	})
+}

@@ -30,7 +30,7 @@ func FinalJoinJob(aq *algebra.AnalyticalQuery, inputs []string, output string) *
 			for i, name := range inputs[1:] {
 				sides[i] = decodeAll(tc.SideInput(name))
 			}
-			return &finalJoinMapper{aq: aq, sides: sides}
+			return newFinalJoinMapper(aq, sides, false)
 		},
 	}
 }
@@ -60,7 +60,7 @@ func TaggedFinalJoinJob(aq *algebra.AnalyticalQuery, tagged, output string) *map
 				}
 				sides[id-1] = append(sides[id-1], t[1:])
 			}
-			return &finalJoinMapper{aq: aq, sides: sides, tagged: true}
+			return newFinalJoinMapper(aq, sides, true)
 		},
 	}
 }
@@ -70,7 +70,32 @@ type finalJoinMapper struct {
 	sides  [][]codec.Tuple // rows of subqueries 1..n-1
 	tagged bool
 
-	indexes []map[string][]codec.Tuple // lazy hash indexes per side
+	// cols[i] and joinCols[i] are subquery i's output columns and the
+	// columns it joins on, resolved once per task.
+	cols, joinCols [][]string
+	indexes        []map[string][]codec.Tuple // lazy hash indexes per side
+
+	// Scratch reused across records: the partial row, the join key, the
+	// columns each recursion depth added, and the projected row.
+	row   map[string]string
+	key   []byte
+	added [][]string
+	out   codec.Tuple
+}
+
+func newFinalJoinMapper(aq *algebra.AnalyticalQuery, sides [][]codec.Tuple, tagged bool) *finalJoinMapper {
+	n := len(aq.Subqueries)
+	m := &finalJoinMapper{
+		aq: aq, sides: sides, tagged: tagged,
+		cols: make([][]string, n), joinCols: make([][]string, n),
+		row: map[string]string{}, added: make([][]string, n),
+		out: make(codec.Tuple, len(aq.Projection)),
+	}
+	for i, sq := range aq.Subqueries {
+		m.cols[i] = sq.OutputColumns()
+		m.joinCols[i] = aq.JoinColumns(i)
+	}
+	return m
 }
 
 func (m *finalJoinMapper) Map(rec []byte, emit mapred.Emit) error {
@@ -94,15 +119,15 @@ func (m *finalJoinMapper) Map(rec []byte, emit mapred.Emit) error {
 	if m.indexes == nil {
 		m.buildIndexes()
 	}
-	row := map[string]string{}
-	cols := m.aq.Subqueries[0].OutputColumns()
+	cols := m.cols[0]
 	if len(t) != len(cols) {
 		return fmt.Errorf("engine: subquery 0 row has %d fields, want %d", len(t), len(cols))
 	}
+	clear(m.row)
 	for i, c := range cols {
-		row[c] = t[i]
+		m.row[c] = t[i]
 	}
-	m.extend(row, 1, emit)
+	m.extend(1, emit)
 	return nil
 }
 
@@ -110,16 +135,23 @@ func (m *finalJoinMapper) Map(rec []byte, emit mapred.Emit) error {
 func (m *finalJoinMapper) buildIndexes() {
 	m.indexes = make([]map[string][]codec.Tuple, len(m.sides))
 	for i, rows := range m.sides {
-		sq := m.aq.Subqueries[i+1]
-		joinCols := m.aq.JoinColumns(i + 1)
 		idx := map[string][]codec.Tuple{}
-		cols := sq.OutputColumns()
-		pos := columnPositions(cols, joinCols)
+		cols := m.cols[i+1]
+		pos := columnPositions(cols, m.joinCols[i+1])
 		for _, r := range rows {
 			if len(r) != len(cols) {
 				continue
 			}
-			idx[joinKeyOf(r, pos)] = append(idx[joinKeyOf(r, pos)], r)
+			m.key = m.key[:0]
+			for k, p := range pos {
+				if k > 0 {
+					m.key = append(m.key, 0x1f)
+				}
+				if p >= 0 {
+					m.key = append(m.key, r[p]...)
+				}
+			}
+			idx[string(m.key)] = append(idx[string(m.key)], r)
 		}
 		m.indexes[i] = idx
 	}
@@ -127,63 +159,62 @@ func (m *finalJoinMapper) buildIndexes() {
 
 // extend joins the partial row with subquery i's rows and recurses;
 // at the end it evaluates the outer projection.
-func (m *finalJoinMapper) extend(row map[string]string, i int, emit mapred.Emit) {
+func (m *finalJoinMapper) extend(i int, emit mapred.Emit) {
 	if i == len(m.aq.Subqueries) {
-		m.project(row, emit)
+		m.project(emit)
 		return
 	}
-	sq := m.aq.Subqueries[i]
-	cols := sq.OutputColumns()
-	joinCols := m.aq.JoinColumns(i)
-	key := ""
-	for k, c := range joinCols {
+	m.key = m.key[:0]
+	for k, c := range m.joinCols[i] {
 		if k > 0 {
-			key += "\x1f"
+			m.key = append(m.key, 0x1f)
 		}
-		key += row[c]
+		m.key = append(m.key, m.row[c]...)
 	}
-	for _, r := range m.indexes[i-1][key] {
-		added := make([]string, 0, len(cols))
+	cols := m.cols[i]
+	for _, r := range m.indexes[i-1][string(m.key)] {
+		added := m.added[i][:0]
 		ok := true
 		for j, c := range cols {
-			if prev, exists := row[c]; exists {
+			if prev, exists := m.row[c]; exists {
 				if prev != r[j] {
 					ok = false
 					break
 				}
 				continue
 			}
-			row[c] = r[j]
+			m.row[c] = r[j]
 			added = append(added, c)
 		}
+		m.added[i] = added
 		if ok {
-			m.extend(row, i+1, emit)
+			m.extend(i+1, emit)
 		}
 		for _, c := range added {
-			delete(row, c)
+			delete(m.row, c)
 		}
 	}
 }
 
-func (m *finalJoinMapper) project(row map[string]string, emit mapred.Emit) {
-	out := make(codec.Tuple, len(m.aq.Projection))
+func (m *finalJoinMapper) project(emit mapred.Emit) {
 	for i, pi := range m.aq.Projection {
 		if pi.Expr != nil {
-			v, err := algebra.EvalExpr(pi.Expr, row)
+			v, err := algebra.EvalExpr(pi.Expr, m.row)
 			if err != nil {
-				out[i] = algebra.Null
+				m.out[i] = algebra.Null
 				continue
 			}
-			out[i] = algebra.FormatNumber(v)
+			m.out[i] = algebra.FormatNumber(v)
 			continue
 		}
-		v, ok := row[pi.Var]
+		v, ok := m.row[pi.Var]
 		if !ok {
 			v = algebra.Null
 		}
-		out[i] = v
+		m.out[i] = v
 	}
-	emit("", out.Encode())
+	// Map-only emits are retained: a fresh exact-size slice per row.
+	emit("", m.out.Encode())
 }
 
 func columnPositions(cols, want []string) []int {
@@ -198,19 +229,6 @@ func columnPositions(cols, want []string) []int {
 		}
 	}
 	return pos
-}
-
-func joinKeyOf(r codec.Tuple, pos []int) string {
-	key := ""
-	for k, p := range pos {
-		if k > 0 {
-			key += "\x1f"
-		}
-		if p >= 0 {
-			key += r[p]
-		}
-	}
-	return key
 }
 
 func decodeAll(recs [][]byte) []codec.Tuple {

@@ -65,15 +65,14 @@ func readRecords(t *testing.T, c *mapred.Cluster, name string) [][]byte {
 // as sorted "|"-joined term-key rows.
 func readRows(t *testing.T, c *mapred.Cluster, d *rdf.Dict, name string) []string {
 	t.Helper()
-	r := &rel{dict: d}
 	var out []string
 	for _, rec := range readRecords(t, c, name) {
-		tu, err := r.decode(rec)
+		tu, err := codec.DecodeIDTuple(rec, d)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, v := range tu {
-			tu[i] = r.lexOf(v)
+			tu[i] = lexOf(d, v)
 		}
 		out = append(out, strings.Join(tu, "|"))
 	}
@@ -103,28 +102,29 @@ func TestRelScan(t *testing.T) {
 	r := &rel{
 		file:   "f",
 		cols:   []string{"s", "", "o"},
-		consts: map[int]string{1: d.AddString("LX")},
+		consts: []constCheck{{pos: 1, want: d.AddString("LX")}},
 		filters: []sparql.Filter{{
 			Kind: sparql.FilterCompare, Var: "o", Op: ">", Value: "5", IsNumeric: true,
 		}},
 		dict: d,
 	}
-	if got := r.outCols(); strings.Join(got, ",") != "s,o" {
-		t.Errorf("outCols = %v", got)
+	p := r.compile()
+	if got := p.cols; strings.Join(got, ",") != "s,o" {
+		t.Errorf("cols = %v", got)
 	}
-	if row, ok := r.scan(raw("Is1", "LX", "L10")); !ok || r.lexOf(row[0]) != "Is1" || r.lexOf(row[1]) != "L10" {
+	if row, ok := p.project(nil, raw("Is1", "LX", "L10")); !ok || lexOf(d, row[0]) != "Is1" || lexOf(d, row[1]) != "L10" {
 		t.Errorf("scan = %v, %v", row, ok)
 	}
-	if _, ok := r.scan(raw("Is1", "LY", "L10")); ok {
+	if _, ok := p.project(nil, raw("Is1", "LY", "L10")); ok {
 		t.Error("constant check not applied")
 	}
-	if _, ok := r.scan(raw("Is1", "LX", "L3")); ok {
+	if _, ok := p.project(nil, raw("Is1", "LX", "L3")); ok {
 		t.Error("filter not applied")
 	}
-	if _, ok := r.scan(raw("Is1")); ok {
+	if _, ok := p.project(nil, raw("Is1")); ok {
 		t.Error("arity mismatch accepted")
 	}
-	if r.colIndex("o") != 1 || r.colIndex("s") != 0 || r.colIndex("zz") != -1 {
+	if p.colIndex("o") != 1 || p.colIndex("s") != 0 || p.colIndex("zz") != -1 {
 		t.Error("colIndex wrong")
 	}
 }

@@ -25,6 +25,7 @@ import (
 // early projection and partial aggregation, which is why MQO can lose to
 // sequential evaluation on small inputs despite running fewer cycles.
 type MQO struct {
+	// Conf holds the planner's tuning knobs (DefaultConfig).
 	Conf Config
 }
 
@@ -109,7 +110,7 @@ func (h *MQO) evalComposite(run *runner, ds *engine.Dataset, cp *algebra.Composi
 				r.cols = []string{cs.SubjectVar}
 			case !p.TP.O.IsVar:
 				r.cols = []string{cs.SubjectVar, cols[i][j]}
-				r.consts = map[int]string{1: ds.Dict.KeyString(p.TP.O.Term.Key())}
+				r.consts = []constCheck{{pos: 1, want: ds.Dict.KeyString(p.TP.O.Term.Key())}}
 			default:
 				r.cols = []string{cs.SubjectVar, cols[i][j]}
 				for _, f := range cp.Filters {
@@ -209,10 +210,11 @@ func (h *MQO) needsDistinct(cp *algebra.CompositePattern, k int) bool {
 // pattern k is non-NULL", or nil when k has no secondary properties.
 func (h *MQO) validityFilter(cp *algebra.CompositePattern, cols [][]string, compRel *rel, k int) func(codec.Tuple) bool {
 	var positions []int
+	plan := compRel.compile()
 	for i, cs := range cp.Stars {
 		for j, p := range cs.Props {
 			if len(p.Owners) != cp.NumPatterns && p.Owners[k] && cols[i][j] != "" {
-				positions = append(positions, compRel.colIndex(cols[i][j]))
+				positions = append(positions, plan.colIndex(cols[i][j]))
 			}
 		}
 	}

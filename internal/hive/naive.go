@@ -22,6 +22,7 @@ var runSeq atomic.Int64
 // projections and filters down — the optimizations the paper credits Hive
 // with in §5.2.
 type Naive struct {
+	// Conf holds the planner's tuning knobs (DefaultConfig).
 	Conf Config
 }
 
@@ -115,7 +116,7 @@ func starScanInputs(run *runner, ds *engine.Dataset, st *algebra.StarPattern, fi
 			if tp.O.IsVar {
 				r.cols[2] = tp.O.Var
 			} else {
-				r.consts = map[int]string{2: ds.Dict.KeyString(tp.O.Term.Key())}
+				r.consts = []constCheck{{pos: 2, want: ds.Dict.KeyString(tp.O.Term.Key())}}
 			}
 			for _, f := range filters {
 				if f.Var == tp.P.Var || (tp.O.IsVar && f.Var == tp.O.Var) {
@@ -139,7 +140,7 @@ func starScanInputs(run *runner, ds *engine.Dataset, st *algebra.StarPattern, fi
 			r.cols = []string{st.SubjectVar}
 		case !tp.O.IsVar:
 			r.cols = []string{st.SubjectVar, ""}
-			r.consts = map[int]string{1: ds.Dict.KeyString(tp.O.Term.Key())}
+			r.consts = []constCheck{{pos: 1, want: ds.Dict.KeyString(tp.O.Term.Key())}}
 		default:
 			r.cols = []string{st.SubjectVar, tp.O.Var}
 			for _, f := range filters {
@@ -167,7 +168,7 @@ func starScanInputs(run *runner, ds *engine.Dataset, st *algebra.StarPattern, fi
 			r.cols = []string{st.SubjectVar}
 		case !tp.O.IsVar:
 			r.cols = []string{st.SubjectVar, ""}
-			r.consts = map[int]string{1: ds.Dict.KeyString(tp.O.Term.Key())}
+			r.consts = []constCheck{{pos: 1, want: ds.Dict.KeyString(tp.O.Term.Key())}}
 		default:
 			r.cols = []string{st.SubjectVar, tp.O.Var}
 		}

@@ -13,6 +13,7 @@
 package hive
 
 import (
+	"bytes"
 	"fmt"
 
 	"rapidanalytics/internal/algebra"
@@ -64,15 +65,15 @@ func (c Config) estimatedSize(cl *mapred.Cluster, rows float64, cols int) int64 
 // tuples plus the transformations applied lazily by whichever job scans it
 // (column naming, constant checks from constant-object triple patterns, and
 // pushed-down filters). Intermediate job outputs are rels with fully named
-// columns and no residual checks.
+// columns and no residual checks. A job compiles each rel it reads into a
+// scanPlan once (scan.go).
 type rel struct {
 	file string
 	// cols names each raw tuple field; "" drops the field on scan.
 	cols []string
-	// consts maps raw field index to a required value, an ID-string
-	// (Dict.KeyString: a constant absent from the data matches no tuple);
-	// non-matching tuples are dropped.
-	consts map[int]string
+	// consts are the constant-object checks; non-matching tuples are
+	// dropped.
+	consts []constCheck
 	// filters are pushed-down FILTER constraints, keyed by column name.
 	filters []sparql.Filter
 	// dict is the dataset's dictionary: the relation's tuples are compact
@@ -80,86 +81,6 @@ type rel struct {
 	// constant checks to ID-strings too, so scans compare raw field bytes;
 	// filters decode through the dictionary before evaluation.
 	dict *rdf.Dict
-}
-
-// decode parses one raw record of the relation's file.
-func (r *rel) decode(rec []byte) (codec.Tuple, error) {
-	return codec.DecodeIDTuple(rec, r.dict)
-}
-
-// lexOf translates an ID-string to its lexical Term.Key form for filter
-// evaluation.
-func (r *rel) lexOf(v string) string {
-	if lex, ok := r.dict.Lex(v); ok {
-		if lex == "" {
-			return algebra.Null
-		}
-		return lex
-	}
-	return v
-}
-
-// planeEncodeTagged serialises a row with a leading tag byte in a single
-// allocation — the hot emit path of the reduce-side joins.
-//
-//rapid:hot
-func planeEncodeTagged(tag byte, row codec.Tuple) []byte {
-	buf := make([]byte, 1, 1+row.EncodedIDsLen())
-	buf[0] = tag
-	return row.AppendEncodeIDs(buf)
-}
-
-// outCols returns the named columns a scan of the relation produces.
-func (r *rel) outCols() []string {
-	var out []string
-	for _, c := range r.cols {
-		if c != "" {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// scan applies the relation's lazy transformations to one raw tuple.
-func (r *rel) scan(raw codec.Tuple) (codec.Tuple, bool) {
-	if len(raw) != len(r.cols) {
-		return nil, false
-	}
-	for i, want := range r.consts {
-		if raw[i] != want {
-			return nil, false
-		}
-	}
-	var out codec.Tuple
-	for i, c := range r.cols {
-		if c == "" {
-			continue
-		}
-		for _, f := range r.filters {
-			if f.Var == c {
-				ok, err := algebra.EvalFilter(f, r.lexOf(raw[i]))
-				if err != nil || !ok {
-					return nil, false
-				}
-			}
-		}
-		out = append(out, raw[i])
-	}
-	return out, true
-}
-
-func (r *rel) colIndex(name string) int {
-	i := 0
-	for _, c := range r.cols {
-		if c == "" {
-			continue
-		}
-		if c == name {
-			return i
-		}
-		i++
-	}
-	return -1
 }
 
 // materialized returns a rel describing a job output of ID-tuples with the
@@ -201,42 +122,14 @@ type starInput struct {
 	optional bool
 }
 
-func (si *starInput) nonKeyCols() []string {
-	var out []string
-	for _, c := range si.rel.outCols() {
-		if c != si.keyCol {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// starJoinCols returns the output schema of a star join: the subject column
-// followed by each input's non-key columns, restricted to keep (nil keeps
-// everything).
-func starJoinCols(inputs []*starInput, keep map[string]bool) []string {
-	out := []string{inputs[0].keyCol}
-	for _, si := range inputs {
-		for _, c := range si.nonKeyCols() {
-			if keep == nil || keep[c] {
-				out = append(out, c)
-			}
-		}
-	}
-	return out
-}
-
 // starJoinJob builds the reduce-side star join of the inputs on their
 // subject columns. Inputs must reference distinct files.
 func starJoinJob(name string, inputs []*starInput, keep map[string]bool, output string, compression float64) (*mapred.Job, *rel) {
-	outCols := starJoinCols(inputs, keep)
-	d := inputs[0].rel.dict
+	plans := compileStars(inputs, keep)
 	byFile := map[string]int{}
-	for i, si := range inputs {
-		byFile[si.rel.file] = i
-	}
 	files := make([]string, len(inputs))
 	for i, si := range inputs {
+		byFile[si.rel.file] = i
 		files[i] = si.rel.file
 	}
 	job := &mapred.Job{
@@ -248,84 +141,13 @@ func starJoinJob(name string, inputs []*starInput, keep map[string]bool, output 
 		ReduceOperator:    "star-join",
 		NewMapper: func(tc *mapred.TaskContext) mapred.Mapper {
 			idx := byFile[tc.InputFile]
-			si := inputs[idx]
-			keyPos := si.rel.colIndex(si.keyCol)
-			tag := byte(idx)
-			return mapred.MapperFunc(func(rec []byte, emit mapred.Emit) error {
-				raw, err := si.rel.decode(rec)
-				if err != nil {
-					return err
-				}
-				row, ok := si.rel.scan(raw)
-				if !ok {
-					return nil
-				}
-				emit(row[keyPos], planeEncodeTagged(tag, row))
-				return nil
-			})
+			return &taggedScanMapper{sc: scanner{plan: plans[idx].scan}, keyPos: plans[idx].keyPos, tag: byte(idx)}
 		},
 		NewReducer: func() mapred.Reducer {
-			return mapred.ReducerFunc(func(key string, values [][]byte, emit mapred.Emit) error {
-				return reduceStar(key, values, inputs, keep, emit)
-			})
+			return &starReducer{rows: newStarRows(plans, true)}
 		},
 	}
-	return job, materialized(output, outCols, d)
-}
-
-// reduceStar joins one subject's rows across all inputs, honouring
-// optional (left-outer) inputs.
-func reduceStar(key string, values [][]byte, inputs []*starInput, keep map[string]bool, emit mapred.Emit) error {
-	perInput := make([][]codec.Tuple, len(inputs))
-	for _, v := range values {
-		if len(v) < 1 {
-			return fmt.Errorf("hive: empty star-join value")
-		}
-		tag := int(v[0])
-		if tag >= len(inputs) {
-			return fmt.Errorf("hive: bad star-join tag %d", tag)
-		}
-		t, err := inputs[tag].rel.decode(v[1:])
-		if err != nil {
-			return err
-		}
-		perInput[tag] = append(perInput[tag], t)
-	}
-	for i, si := range inputs {
-		if !si.optional && len(perInput[i]) == 0 {
-			return nil
-		}
-	}
-	rows := []codec.Tuple{{key}}
-	for i, si := range inputs {
-		keptPos := keptPositions(si, keep)
-		matches := perInput[i]
-		var next []codec.Tuple
-		if len(matches) == 0 { // optional, unmatched: NULL-extend
-			for _, r := range rows {
-				ext := append(codec.Tuple{}, r...)
-				for range keptPos {
-					ext = append(ext, algebra.Null)
-				}
-				next = append(next, ext)
-			}
-		} else {
-			for _, r := range rows {
-				for _, m := range matches {
-					ext := append(codec.Tuple{}, r...)
-					for _, p := range keptPos {
-						ext = append(ext, m[p])
-					}
-					next = append(next, ext)
-				}
-			}
-		}
-		rows = next
-	}
-	for _, r := range rows {
-		emit("", r.EncodeIDs())
-	}
-	return nil
+	return job, materialized(output, starJoinCols(inputs[0].keyCol, plans), inputs[0].rel.dict)
 }
 
 // starMapJoinJob builds the map-only variant: the driving input streams and
@@ -337,8 +159,7 @@ func starMapJoinJob(name string, inputs []*starInput, driving int, keep map[stri
 			ordered = append(ordered, si)
 		}
 	}
-	outCols := starJoinCols(ordered, keep)
-	d := ordered[0].rel.dict
+	plans := compileStars(ordered, keep)
 	var sides []string
 	for _, si := range ordered[1:] {
 		sides = append(sides, si.rel.file)
@@ -351,85 +172,17 @@ func starMapJoinJob(name string, inputs []*starInput, driving int, keep map[stri
 		OutputCompression: compression,
 		MapOperator:       "star-map-join",
 		NewMapper: func(tc *mapred.TaskContext) mapred.Mapper {
-			// Hash each side by its subject column.
-			hashes := make([]map[string][]codec.Tuple, len(ordered)-1)
-			for i, si := range ordered[1:] {
-				h := map[string][]codec.Tuple{}
-				keyPos := si.rel.colIndex(si.keyCol)
-				for _, rec := range tc.SideInput(si.rel.file) {
-					raw, err := si.rel.decode(rec)
-					if err != nil {
-						continue
-					}
-					row, ok := si.rel.scan(raw)
-					if !ok {
-						continue
-					}
-					h[row[keyPos]] = append(h[row[keyPos]], row)
-				}
-				hashes[i] = h
-			}
-			drv := ordered[0]
-			drvKey := drv.rel.colIndex(drv.keyCol)
-			return mapred.MapperFunc(func(rec []byte, emit mapred.Emit) error {
-				raw, err := drv.rel.decode(rec)
-				if err != nil {
-					return err
-				}
-				row, ok := drv.rel.scan(raw)
-				if !ok {
-					return nil
-				}
-				key := row[drvKey]
-				rows := []codec.Tuple{{key}}
-				// Driving input's own non-key columns first.
-				for _, p := range keptPositions(drv, keep) {
-					rows[0] = append(rows[0], row[p])
-				}
-				for i, si := range ordered[1:] {
-					matches := hashes[i][key]
-					keptPos := keptPositions(si, keep)
-					var next []codec.Tuple
-					if len(matches) == 0 {
-						if !si.optional {
-							return nil
-						}
-						for _, r := range rows {
-							ext := append(codec.Tuple{}, r...)
-							for range keptPos {
-								ext = append(ext, algebra.Null)
-							}
-							next = append(next, ext)
-						}
-					} else {
-						for _, r := range rows {
-							for _, m := range matches {
-								ext := append(codec.Tuple{}, r...)
-								for _, pp := range keptPos {
-									ext = append(ext, m[pp])
-								}
-								next = append(next, ext)
-							}
-						}
-					}
-					rows = next
-				}
-				for _, r := range rows {
-					emit("", r.EncodeIDs())
-				}
-				return nil
-			})
+			return newStarMapJoinMapper(plans, tc.SideInput)
 		},
 	}
-	return job, materialized(output, outCols, d)
+	return job, materialized(output, starJoinCols(ordered[0].keyCol, plans), ordered[0].rel.dict)
 }
 
 // joinJob builds a binary equi-join of two relations on named columns,
 // projecting to keep (nil keeps all columns; the join column appears once,
 // under the left name).
 func joinJob(name string, left, right *rel, leftCol, rightCol string, keep map[string]bool, output string, compression float64) (*mapred.Job, *rel) {
-	outCols := joinOutCols(left, right, leftCol, rightCol, keep)
-	d := left.dict
+	jp := compileJoin(left, right, leftCol, rightCol, keep)
 	job := &mapred.Job{
 		Name:              name,
 		Inputs:            []string{left.file, right.file},
@@ -438,35 +191,21 @@ func joinJob(name string, left, right *rel, leftCol, rightCol string, keep map[s
 		MapOperator:       "vp-scan",
 		ReduceOperator:    "hash-join",
 		NewMapper: func(tc *mapred.TaskContext) mapred.Mapper {
-			r, tag, keyCol := left, byte(0), leftCol
 			if tc.InputFile == right.file {
-				r, tag, keyCol = right, 1, rightCol
+				return &taggedScanMapper{sc: scanner{plan: jp.right}, keyPos: jp.rightKey, tag: 1}
 			}
-			keyPos := r.colIndex(keyCol)
-			return mapred.MapperFunc(func(rec []byte, emit mapred.Emit) error {
-				raw, err := r.decode(rec)
-				if err != nil {
-					return err
-				}
-				row, ok := r.scan(raw)
-				if !ok {
-					return nil
-				}
-				emit(row[keyPos], planeEncodeTagged(tag, row))
-				return nil
-			})
+			return &taggedScanMapper{sc: scanner{plan: jp.left}, keyPos: jp.leftKey, tag: 0}
 		},
 		NewReducer: func() mapred.Reducer {
-			return symJoinReducer(left, right, leftCol, rightCol, keep)
+			return &symJoinReducer{plan: jp}
 		},
 	}
-	return job, materialized(output, outCols, d)
+	return job, materialized(output, jp.cols, left.dict)
 }
 
 // mapJoinJob builds the map-only variant of joinJob, broadcasting right.
 func mapJoinJob(name string, left, right *rel, leftCol, rightCol string, keep map[string]bool, output string, compression float64) (*mapred.Job, *rel) {
-	outCols := joinOutCols(left, right, leftCol, rightCol, keep)
-	d := left.dict
+	jp := compileJoin(left, right, leftCol, rightCol, keep)
 	job := &mapred.Job{
 		Name:              name,
 		Inputs:            []string{left.file},
@@ -475,67 +214,10 @@ func mapJoinJob(name string, left, right *rel, leftCol, rightCol string, keep ma
 		OutputCompression: compression,
 		MapOperator:       "map-join",
 		NewMapper: func(tc *mapred.TaskContext) mapred.Mapper {
-			rightKeyPos := right.colIndex(rightCol)
-			h := map[string][]codec.Tuple{}
-			for _, rec := range tc.SideInput(right.file) {
-				raw, err := right.decode(rec)
-				if err != nil {
-					continue
-				}
-				row, ok := right.scan(raw)
-				if !ok {
-					continue
-				}
-				h[row[rightKeyPos]] = append(h[row[rightKeyPos]], row)
-			}
-			leftKeyPos := left.colIndex(leftCol)
-			return mapred.MapperFunc(func(rec []byte, emit mapred.Emit) error {
-				raw, err := left.decode(rec)
-				if err != nil {
-					return err
-				}
-				row, ok := left.scan(raw)
-				if !ok {
-					return nil
-				}
-				for _, m := range h[row[leftKeyPos]] {
-					emit("", mergeJoinRow(left, right, leftCol, rightCol, keep, row, m).EncodeIDs())
-				}
-				return nil
-			})
+			return &mapJoinMapper{sc: scanner{plan: jp.left}, plan: jp, right: buildSideIndex(tc.SideInput(right.file), jp.right, jp.rightKey)}
 		},
 	}
-	return job, materialized(output, outCols, d)
-}
-
-func joinOutCols(left, right *rel, leftCol, rightCol string, keep map[string]bool) []string {
-	out := []string{leftCol}
-	for _, c := range left.outCols() {
-		if c != leftCol && (keep == nil || keep[c]) {
-			out = append(out, c)
-		}
-	}
-	for _, c := range right.outCols() {
-		if c != rightCol && (keep == nil || keep[c]) {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-func mergeJoinRow(left, right *rel, leftCol, rightCol string, keep map[string]bool, l, r codec.Tuple) codec.Tuple {
-	out := codec.Tuple{l[left.colIndex(leftCol)]}
-	for i, c := range left.outCols() {
-		if c != leftCol && (keep == nil || keep[c]) {
-			out = append(out, l[i])
-		}
-	}
-	for i, c := range right.outCols() {
-		if c != rightCol && (keep == nil || keep[c]) {
-			out = append(out, r[i])
-		}
-	}
-	return out
+	return job, materialized(output, jp.cols, left.dict)
 }
 
 // groupAggJob builds the grouping-aggregation cycle: map emits per-row
@@ -544,18 +226,18 @@ func mergeJoinRow(left, right *rel, leftCol, rightCol string, keep map[string]bo
 // per group: [group values..., aggregate finals...].
 //
 // valid optionally filters rows map-side (the MQO pattern-validity check);
-// rewrite optionally renames the aggregation input columns (identity when
-// nil).
+// having optionally drops groups in the reducer.
 func groupAggJob(name string, in *rel, groupCols []string, aggs []algebra.AggSpec, valid func(codec.Tuple) bool, having func([]string) bool, output string) (*mapred.Job, *rel) {
 	outCols := append(append([]string{}, groupCols...), aggAliases(aggs)...)
 	d := in.dict
+	plan := in.compile()
 	groupPos := make([]int, len(groupCols))
 	for i, c := range groupCols {
-		groupPos[i] = in.colIndex(c)
+		groupPos[i] = plan.colIndex(c)
 	}
 	aggPos := make([]int, len(aggs))
 	for i, a := range aggs {
-		aggPos[i] = in.colIndex(a.Var)
+		aggPos[i] = plan.colIndex(a.Var)
 	}
 	job := &mapred.Job{
 		Name:           name,
@@ -564,33 +246,10 @@ func groupAggJob(name string, in *rel, groupCols []string, aggs []algebra.AggSpe
 		MapOperator:    "partial-agg",
 		ReduceOperator: "group-agg",
 		NewMapper: func(tc *mapred.TaskContext) mapred.Mapper {
-			var keyBuf []byte
-			return mapred.MapperFunc(func(rec []byte, emit mapred.Emit) error {
-				raw, err := in.decode(rec)
-				if err != nil {
-					return err
-				}
-				row, ok := in.scan(raw)
-				if !ok {
-					return nil
-				}
-				if valid != nil && !valid(row) {
-					return nil
-				}
-				keyBuf = keyBuf[:0]
-				for _, p := range groupPos {
-					keyBuf = append(keyBuf, row[p]...)
-				}
-				st := algebra.NewMultiAggState(aggs)
-				for i, p := range aggPos {
-					st.States[i].UpdateTerm(d, row[p])
-				}
-				emit(string(keyBuf), st.AppendEncode(nil))
-				return nil
-			})
+			return &partialAggMapper{sc: scanner{plan: plan}, groupPos: groupPos, aggPos: aggPos, valid: valid, st: algebra.NewMultiAggState(aggs)}
 		},
-		NewCombiner: func() mapred.Reducer { return aggMerger(aggs, false, nil, nil, nil) },
-		NewReducer:  func() mapred.Reducer { return aggMerger(aggs, true, groupCols, having, d) },
+		NewCombiner: func() mapred.Reducer { return newAggMerger(aggs, false, nil, nil) },
+		NewReducer:  func() mapred.Reducer { return newAggMerger(aggs, true, having, d) },
 	}
 	// The reducer decodes group keys back to lexical form: aggregate outputs
 	// are the decode boundary. The returned rel names the file and schema of
@@ -599,11 +258,46 @@ func groupAggJob(name string, in *rel, groupCols []string, aggs []algebra.AggSpe
 	return job, &rel{file: output, cols: outCols}
 }
 
-// splitGroupKey recovers the group values from a grouping key: a
-// separator-free concatenation of self-delimiting uvarint ID-strings,
-// decoded back to lexical Term.Key form here — the decode boundary.
-func splitGroupKey(d *rdf.Dict, key string) ([]string, error) {
-	var out []string
+// partialAggMapper emits one partial aggregate state per scanned row, keyed
+// by the row's grouping values.
+type partialAggMapper struct {
+	sc       scanner
+	groupPos []int
+	aggPos   []int
+	valid    func(codec.Tuple) bool
+	// st is the task's one partial state, reset per row.
+	st       *algebra.MultiAggState
+	key, enc []byte
+}
+
+//rapid:hot
+func (m *partialAggMapper) Map(rec []byte, emit mapred.Emit) error {
+	row, ok, err := m.sc.next(rec)
+	if err != nil || !ok {
+		return err
+	}
+	if m.valid != nil && !m.valid(row) {
+		return nil
+	}
+	m.key = m.key[:0]
+	for _, p := range m.groupPos {
+		m.key = append(m.key, row[p]...)
+	}
+	m.st.Reset()
+	for i, p := range m.aggPos {
+		m.st.States[i].UpdateTerm(m.sc.plan.dict, row[p])
+	}
+	m.enc = m.st.AppendEncode(m.enc[:0])
+	//lint:alloc the framework retains map emits: one key string and one exact-size state per row
+	emit(string(m.key), bytes.Clone(m.enc))
+	return nil
+}
+
+// appendGroupKey appends the group values of a grouping key to dst: the
+// key is a separator-free concatenation of self-delimiting uvarint
+// ID-strings, decoded back to lexical Term.Key form here — the decode
+// boundary.
+func appendGroupKey(dst codec.Tuple, d *rdf.Dict, key string) (codec.Tuple, error) {
 	buf := []byte(key)
 	for len(buf) > 0 {
 		id, rest, err := codec.ReadUvarint(buf)
@@ -612,53 +306,62 @@ func splitGroupKey(d *rdf.Dict, key string) ([]string, error) {
 		}
 		buf = rest
 		if id == 0 {
-			out = append(out, algebra.Null)
+			dst = append(dst, algebra.Null)
 			continue
 		}
 		k, ok := d.Key(id)
 		if !ok {
 			return nil, fmt.Errorf("hive: group key holds unknown term id %d", id)
 		}
-		out = append(out, k)
+		dst = append(dst, k)
 	}
-	return out, nil
+	return dst, nil
 }
 
-// aggMerger merges encoded MultiAggStates per key. As a combiner it
-// re-emits the merged state; as a reducer it emits the final row, dropping
-// groups that fail the HAVING predicate; the reducer decodes the grouping
-// key back to lexical form through d (combiners pass nil: they never
-// decode).
-func aggMerger(aggs []algebra.AggSpec, final bool, groupCols []string, having func([]string) bool, d *rdf.Dict) mapred.Reducer {
-	return mapred.ReducerFunc(func(key string, values [][]byte, emit mapred.Emit) error {
-		acc := algebra.NewMultiAggState(aggs)
-		for _, v := range values {
-			st, err := algebra.DecodeMultiAggStateBytes(v)
-			if err != nil {
-				return err
-			}
-			acc.Merge(st)
+// aggMerger merges encoded MultiAggStates per key into one resident state.
+// As a combiner it re-emits the merged state; as a reducer it emits the
+// final row, dropping groups that fail the HAVING predicate, and decodes
+// the grouping key back to lexical form through dict (combiners have none:
+// they never decode). A grouping key is empty exactly when the subquery
+// has no GROUP BY.
+type aggMerger struct {
+	acc    *algebra.MultiAggState
+	final  bool
+	having func([]string) bool
+	dict   *rdf.Dict
+	row    codec.Tuple
+	buf    []byte
+}
+
+func newAggMerger(aggs []algebra.AggSpec, final bool, having func([]string) bool, d *rdf.Dict) *aggMerger {
+	return &aggMerger{acc: algebra.NewMultiAggState(aggs), final: final, having: having, dict: d}
+}
+
+func (m *aggMerger) Reduce(key string, values [][]byte, emit mapred.Emit) error {
+	m.acc.Reset()
+	for _, v := range values {
+		if err := m.acc.MergeBytes(v); err != nil {
+			return err
 		}
-		if !final {
-			emit(key, acc.AppendEncode(nil))
-			return nil
-		}
-		finals := acc.Finals()
-		if having != nil && !having(finals) {
-			return nil
-		}
-		var row codec.Tuple
-		if len(groupCols) > 0 {
-			groups, err := splitGroupKey(d, key)
-			if err != nil {
-				return err
-			}
-			row = append(row, groups...)
-		}
-		row = append(row, finals...)
-		emit("", row.Encode())
+	}
+	if !m.final {
+		// Combiner emits are retained: one exact-size slice each.
+		m.buf = m.acc.AppendEncode(m.buf[:0])
+		emit(key, bytes.Clone(m.buf))
 		return nil
-	})
+	}
+	finals := m.acc.Finals()
+	if m.having != nil && !m.having(finals) {
+		return nil
+	}
+	row, err := appendGroupKey(m.row[:0], m.dict, key)
+	if err != nil {
+		return err
+	}
+	m.row = append(row, finals...)
+	m.buf = m.row.AppendEncode(m.buf[:0])
+	emit("", m.buf)
+	return nil
 }
 
 func aggAliases(aggs []algebra.AggSpec) []string {
@@ -673,9 +376,10 @@ func aggAliases(aggs []algebra.AggSpec) []string {
 // optionally filtering with valid first. The full projected row is the
 // grouping key, so two equal rows collapse.
 func distinctJob(name string, in *rel, keepCols []string, valid func(codec.Tuple) bool, output string) (*mapred.Job, *rel) {
+	plan := in.compile()
 	pos := make([]int, len(keepCols))
 	for i, c := range keepCols {
-		pos[i] = in.colIndex(c)
+		pos[i] = plan.colIndex(c)
 	}
 	job := &mapred.Job{
 		Name:           name,
@@ -684,26 +388,7 @@ func distinctJob(name string, in *rel, keepCols []string, valid func(codec.Tuple
 		MapOperator:    "project",
 		ReduceOperator: "distinct",
 		NewMapper: func(tc *mapred.TaskContext) mapred.Mapper {
-			return mapred.MapperFunc(func(rec []byte, emit mapred.Emit) error {
-				raw, err := in.decode(rec)
-				if err != nil {
-					return err
-				}
-				row, ok := in.scan(raw)
-				if !ok {
-					return nil
-				}
-				if valid != nil && !valid(row) {
-					return nil
-				}
-				proj := make(codec.Tuple, len(pos))
-				for i, p := range pos {
-					proj[i] = row[p]
-				}
-				enc := proj.EncodeIDs()
-				emit(string(enc), enc)
-				return nil
-			})
+			return &projectMapper{sc: scanner{plan: plan}, pos: pos, valid: valid}
 		},
 		NewCombiner: func() mapred.Reducer { return firstValueReducer() },
 		NewReducer:  func() mapred.Reducer { return firstValueReducer() },
@@ -711,16 +396,31 @@ func distinctJob(name string, in *rel, keepCols []string, valid func(codec.Tuple
 	return job, materialized(output, keepCols, in.dict)
 }
 
-// keptPositions returns the scan-output positions of an input's non-key
-// columns that survive projection.
-func keptPositions(si *starInput, keep map[string]bool) []int {
-	var out []int
-	for i, c := range si.rel.outCols() {
-		if c != si.keyCol && (keep == nil || keep[c]) {
-			out = append(out, i)
-		}
+// projectMapper emits each scanned row projected to pos, keyed by itself.
+type projectMapper struct {
+	sc    scanner
+	pos   []int
+	valid func(codec.Tuple) bool
+	proj  codec.Tuple
+}
+
+//rapid:hot
+func (m *projectMapper) Map(rec []byte, emit mapred.Emit) error {
+	row, ok, err := m.sc.next(rec)
+	if err != nil || !ok {
+		return err
 	}
-	return out
+	if m.valid != nil && !m.valid(row) {
+		return nil
+	}
+	m.proj = m.proj[:0]
+	for _, p := range m.pos {
+		m.proj = append(m.proj, row[p])
+	}
+	enc := m.proj.EncodeIDs()
+	//lint:alloc the framework retains map emits: the key string and the encoded row are fresh per row
+	emit(string(enc), enc)
+	return nil
 }
 
 func firstValueReducer() mapred.Reducer {

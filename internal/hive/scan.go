@@ -1,0 +1,525 @@
+package hive
+
+import (
+	"errors"
+	"fmt"
+
+	"rapidanalytics/internal/algebra"
+	"rapidanalytics/internal/codec"
+	"rapidanalytics/internal/mapred"
+	"rapidanalytics/internal/rdf"
+	"rapidanalytics/internal/sparql"
+)
+
+// This file holds the map-side hot path of the Hive operators. A job
+// builder compiles every rel it reads into a scanPlan once — the way
+// ntga.CompileMatcher compiles a star — so the per-record loop checks
+// constants and filters by position and never compares column names. Each
+// map task decodes records into scratch it owns (scanner), reducers decode
+// a key group's rows into one arena (tupleArena), and joined rows are built
+// in a reused scratch row from precomputed positions and encoded once per
+// emitted row: a fresh exact-size slice where mapred retains the emit (map
+// and combiner), one reused buffer where it copies it (reduce).
+
+// constCheck is a constant-object check: raw field pos must equal want, an
+// ID-string (Dict.KeyString: a constant absent from the data matches no
+// tuple).
+type constCheck struct {
+	pos  int
+	want string
+}
+
+// posFilter is a pushed-down FILTER resolved to the raw field it tests.
+type posFilter struct {
+	pos    int
+	filter sparql.Filter
+}
+
+// scanPlan is a rel compiled for the per-record loop.
+type scanPlan struct {
+	file string
+	dict *rdf.Dict
+	// arity is the raw tuple width; other widths are dropped.
+	arity  int
+	consts []constCheck
+	// filters are ordered by column, each column's in rel order; filters
+	// on dropped or unknown columns are not evaluated.
+	filters []posFilter
+	// kept holds the raw positions of the named columns, and cols their
+	// names: the scan's output schema.
+	kept []int
+	cols []string
+}
+
+// compile resolves the relation's lazy transformations to positions.
+func (r *rel) compile() *scanPlan {
+	p := &scanPlan{file: r.file, dict: r.dict, arity: len(r.cols), consts: r.consts}
+	for i, c := range r.cols {
+		if c == "" {
+			continue
+		}
+		p.kept = append(p.kept, i)
+		p.cols = append(p.cols, c)
+		for _, f := range r.filters {
+			if f.Var == c {
+				p.filters = append(p.filters, posFilter{pos: i, filter: f})
+			}
+		}
+	}
+	return p
+}
+
+// colIndex returns the scan-output position of column name, or -1.
+func (p *scanPlan) colIndex(name string) int {
+	for i, c := range p.cols {
+		if c == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// project applies the plan to one raw tuple, appending the kept fields to
+// dst. It reports false, with dst unextended, for a dropped tuple.
+//
+//rapid:hot
+func (p *scanPlan) project(dst, raw codec.Tuple) (codec.Tuple, bool) {
+	if len(raw) != p.arity {
+		return dst, false
+	}
+	for _, c := range p.consts {
+		if raw[c.pos] != c.want {
+			return dst, false
+		}
+	}
+	for _, f := range p.filters {
+		ok, err := algebra.EvalFilter(f.filter, lexOf(p.dict, raw[f.pos]))
+		if err != nil || !ok {
+			return dst, false
+		}
+	}
+	for _, k := range p.kept {
+		dst = append(dst, raw[k])
+	}
+	return dst, true
+}
+
+// lexOf translates an ID-string to its lexical Term.Key form for filter
+// evaluation.
+func lexOf(d *rdf.Dict, v string) string {
+	if lex, ok := d.Lex(v); ok {
+		if lex == "" {
+			return algebra.Null
+		}
+		return lex
+	}
+	return v
+}
+
+// scanner is one map task's reader of a compiled rel. It decodes each
+// record into a scratch tuple and projects into a second one, so a
+// steady-state scan allocates nothing; the row next returns is valid until
+// the next call, and a mapper must encode, hash or copy it before it
+// returns from Map.
+type scanner struct {
+	plan     *scanPlan
+	raw, row codec.Tuple
+}
+
+// next decodes and scans one record; false means the plan drops it.
+//
+//rapid:hot
+func (s *scanner) next(rec []byte) (codec.Tuple, bool, error) {
+	raw, err := codec.AppendDecodeIDTuple(s.raw[:0], rec, s.plan.dict)
+	if err != nil {
+		return nil, false, err
+	}
+	s.raw = raw
+	row, ok := s.plan.project(s.row[:0], raw)
+	if !ok {
+		return nil, false, nil
+	}
+	s.row = row
+	return row, true, nil
+}
+
+// tupleArena is backing storage for rows that must outlive one record: a
+// reducer's decoded key group, or a broadcast side's hash table. Returned
+// tuples alias the arena (capacity-limited, so they cannot grow into each
+// other) and stay valid until reset.
+type tupleArena struct {
+	fields []string
+}
+
+func (a *tupleArena) reset() { a.fields = a.fields[:0] }
+
+// decode parses an ID-tuple into the arena.
+//
+//rapid:hot
+func (a *tupleArena) decode(buf []byte, in codec.Interner) (codec.Tuple, error) {
+	n := len(a.fields)
+	f, err := codec.AppendDecodeIDTuple(a.fields, buf, in)
+	if err != nil {
+		return nil, err
+	}
+	a.fields = f
+	return f[n:len(f):len(f)], nil
+}
+
+// add copies t into the arena.
+func (a *tupleArena) add(t codec.Tuple) codec.Tuple {
+	n := len(a.fields)
+	a.fields = append(a.fields, t...)
+	return a.fields[n:len(a.fields):len(a.fields)]
+}
+
+// sideIndex is a broadcast input's scanned rows grouped by key column in
+// one flat array — each key's rows contiguous, in record order — so a
+// build costs a few slice growths instead of one slice per distinct key.
+type sideIndex struct {
+	group map[string]int32
+	// start[g] is where group g's rows begin; start has a final sentinel.
+	start []int32
+	rows  []codec.Tuple
+}
+
+// buildSideIndex scans the records of a broadcast input and groups them by
+// scan-output column keyPos. Records that fail to decode or scan are
+// skipped.
+func buildSideIndex(recs [][]byte, p *scanPlan, keyPos int) *sideIndex {
+	x := &sideIndex{group: map[string]int32{}}
+	sc := scanner{plan: p}
+	arena := tupleArena{fields: make([]string, 0, len(recs)*len(p.kept))}
+	var rows []codec.Tuple
+	var groupOf, count []int32
+	for _, rec := range recs {
+		row, ok, err := sc.next(rec)
+		if err != nil || !ok {
+			continue
+		}
+		row = arena.add(row)
+		g, seen := x.group[row[keyPos]]
+		if !seen {
+			g = int32(len(count))
+			x.group[row[keyPos]] = g
+			count = append(count, 0)
+		}
+		count[g]++
+		rows = append(rows, row)
+		groupOf = append(groupOf, g)
+	}
+	// A counting sort by group keeps each group's rows in record order.
+	x.start = make([]int32, len(count)+1)
+	for g, n := range count {
+		x.start[g+1] = x.start[g] + n
+	}
+	next := append(count[:0], x.start[:len(count)]...)
+	x.rows = make([]codec.Tuple, len(rows))
+	for i, row := range rows {
+		g := groupOf[i]
+		x.rows[next[g]] = row
+		next[g]++
+	}
+	return x
+}
+
+// lookup returns the rows whose key column equals key.
+func (x *sideIndex) lookup(key string) []codec.Tuple {
+	g, ok := x.group[key]
+	if !ok {
+		return nil
+	}
+	return x.rows[x.start[g]:x.start[g+1]]
+}
+
+// starPlan is one star-join input compiled once per job.
+type starPlan struct {
+	scan *scanPlan
+	// keyPos is the scan-output position of the subject column.
+	keyPos int
+	// kept holds the scan-output positions of the non-key columns that
+	// survive the join's projection.
+	kept     []int
+	optional bool
+}
+
+func compileStar(si *starInput, keep map[string]bool) *starPlan {
+	p := &starPlan{scan: si.rel.compile(), optional: si.optional}
+	p.keyPos = p.scan.colIndex(si.keyCol)
+	for i, c := range p.scan.cols {
+		if c != si.keyCol && (keep == nil || keep[c]) {
+			p.kept = append(p.kept, i)
+		}
+	}
+	return p
+}
+
+func compileStars(inputs []*starInput, keep map[string]bool) []*starPlan {
+	plans := make([]*starPlan, len(inputs))
+	for i, si := range inputs {
+		plans[i] = compileStar(si, keep)
+	}
+	return plans
+}
+
+// starJoinCols returns the output schema of a star join: the subject
+// column followed by each input's kept columns.
+func starJoinCols(keyCol string, plans []*starPlan) []string {
+	out := []string{keyCol}
+	for _, p := range plans {
+		for _, k := range p.kept {
+			out = append(out, p.scan.cols[k])
+		}
+	}
+	return out
+}
+
+// starRows builds one subject's joined star rows in a scratch row. Before
+// emit, matches[i] holds input i's rows for the subject; an empty list
+// NULL-extends an optional input, and required inputs must be non-empty.
+// Rows come out input-0-major: the cross product's first input varies
+// slowest.
+type starRows struct {
+	plans   []*starPlan
+	matches [][]codec.Tuple
+	// offs[i] is where input i's kept columns start in row.
+	offs []int
+	row  codec.Tuple
+	// reuse marks a reducer, whose emits mapred copies: rows encode into
+	// buf. A map task's emits are retained, so each gets a fresh slice.
+	reuse bool
+	buf   []byte
+	out   mapred.Emit
+}
+
+func newStarRows(plans []*starPlan, reuse bool) *starRows {
+	x := &starRows{plans: plans, matches: make([][]codec.Tuple, len(plans)), offs: make([]int, len(plans)), reuse: reuse}
+	w := 1
+	for i, p := range plans {
+		x.offs[i] = w
+		w += len(p.kept)
+	}
+	x.row = make(codec.Tuple, w)
+	return x
+}
+
+// emit emits every joined row of subject key.
+func (x *starRows) emit(key string, emit mapred.Emit) {
+	x.row[0], x.out = key, emit
+	x.expand(0)
+	x.out = nil
+}
+
+// expand fills input i's columns with each of its matches in turn and
+// recurses; past the last input it emits the row.
+//
+//rapid:hot
+func (x *starRows) expand(i int) {
+	if i == len(x.plans) {
+		if x.reuse {
+			x.buf = x.row.AppendEncodeIDs(x.buf[:0])
+			x.out("", x.buf)
+		} else {
+			x.out("", x.row.EncodeIDs())
+		}
+		return
+	}
+	p := x.plans[i]
+	cols := x.row[x.offs[i] : x.offs[i]+len(p.kept)]
+	if len(x.matches[i]) == 0 { // optional, unmatched: NULL-extend
+		for k := range cols {
+			cols[k] = algebra.Null
+		}
+		x.expand(i + 1)
+		return
+	}
+	for _, m := range x.matches[i] {
+		for k, pos := range p.kept {
+			cols[k] = m[pos]
+		}
+		x.expand(i + 1)
+	}
+}
+
+// joinPlan is a binary equi-join compiled once per job.
+type joinPlan struct {
+	left, right       *scanPlan
+	leftKey, rightKey int
+	// leftKept and rightKept hold each side's scan-output positions of the
+	// non-key columns that survive the join's projection.
+	leftKept, rightKept []int
+	// cols is the output schema: the join column once, under the left
+	// name, then the left and the right kept columns.
+	cols []string
+}
+
+// compileJoin compiles the join of left and right on leftCol = rightCol,
+// projecting to keep (nil keeps all columns).
+func compileJoin(left, right *rel, leftCol, rightCol string, keep map[string]bool) *joinPlan {
+	j := &joinPlan{left: left.compile(), right: right.compile(), cols: []string{leftCol}}
+	j.leftKey, j.rightKey = j.left.colIndex(leftCol), j.right.colIndex(rightCol)
+	for i, c := range j.left.cols {
+		if c != leftCol && (keep == nil || keep[c]) {
+			j.leftKept = append(j.leftKept, i)
+			j.cols = append(j.cols, c)
+		}
+	}
+	for i, c := range j.right.cols {
+		if c != rightCol && (keep == nil || keep[c]) {
+			j.rightKept = append(j.rightKept, i)
+			j.cols = append(j.cols, c)
+		}
+	}
+	return j
+}
+
+// appendRow appends the joined row of scan outputs l and r to dst.
+//
+//rapid:hot
+func (j *joinPlan) appendRow(dst, l, r codec.Tuple) codec.Tuple {
+	dst = append(dst, l[j.leftKey])
+	for _, p := range j.leftKept {
+		dst = append(dst, l[p])
+	}
+	for _, p := range j.rightKept {
+		dst = append(dst, r[p])
+	}
+	return dst
+}
+
+// planeEncodeTagged serialises a row with a leading tag byte in a single
+// exact-size allocation — the hot emit path of the reduce-side joins.
+//
+//rapid:hot
+func planeEncodeTagged(tag byte, row codec.Tuple) []byte {
+	buf := make([]byte, 1, 1+row.EncodedIDsLen())
+	buf[0] = tag
+	return row.AppendEncodeIDs(buf)
+}
+
+// taggedScanMapper is the map side of the reduce-side joins: it emits each
+// scanned row under its join key, tagged with its input.
+type taggedScanMapper struct {
+	sc     scanner
+	keyPos int
+	tag    byte
+}
+
+//rapid:hot
+func (m *taggedScanMapper) Map(rec []byte, emit mapred.Emit) error {
+	row, ok, err := m.sc.next(rec)
+	if err != nil || !ok {
+		return err
+	}
+	emit(row[m.keyPos], planeEncodeTagged(m.tag, row))
+	return nil
+}
+
+var errUntagged = errors.New("hive: join value missing its input tag")
+
+// badTag builds the failure for an out-of-range input tag. It is a function
+// of its own so the //rapid:hot reducers hold no formatting call.
+func badTag(tag byte) error {
+	return fmt.Errorf("hive: bad star-join tag %d", tag)
+}
+
+// starReducer joins one subject's rows across all inputs, honouring
+// optional (left-outer) inputs.
+type starReducer struct {
+	rows  *starRows
+	arena tupleArena
+}
+
+//rapid:hot
+func (r *starReducer) Reduce(key string, values [][]byte, emit mapred.Emit) error {
+	x := r.rows
+	r.arena.reset()
+	for i := range x.matches {
+		x.matches[i] = x.matches[i][:0]
+	}
+	for _, v := range values {
+		if len(v) < 1 {
+			return errUntagged
+		}
+		tag := v[0]
+		if int(tag) >= len(x.plans) {
+			return badTag(tag)
+		}
+		t, err := r.arena.decode(v[1:], x.plans[tag].scan.dict)
+		if err != nil {
+			return err
+		}
+		x.matches[tag] = append(x.matches[tag], t)
+	}
+	for i, p := range x.plans {
+		if !p.optional && len(x.matches[i]) == 0 {
+			return nil
+		}
+	}
+	x.emit(key, emit)
+	return nil
+}
+
+// starMapJoinMapper streams the driving input (plans[0]) against indexes
+// of the broadcast inputs, built once per task.
+type starMapJoinMapper struct {
+	sc    scanner
+	sides []*sideIndex
+	rows  *starRows
+	// drv backs matches[0]: the driving row is its own single match.
+	drv [1]codec.Tuple
+}
+
+// newStarMapJoinMapper builds a task's mapper; side returns the records of
+// a broadcast input (TaskContext.SideInput).
+func newStarMapJoinMapper(plans []*starPlan, side func(file string) [][]byte) *starMapJoinMapper {
+	m := &starMapJoinMapper{sc: scanner{plan: plans[0].scan}, rows: newStarRows(plans, false)}
+	m.rows.matches[0] = m.drv[:]
+	m.sides = make([]*sideIndex, len(plans)-1)
+	for i, p := range plans[1:] {
+		m.sides[i] = buildSideIndex(side(p.scan.file), p.scan, p.keyPos)
+	}
+	return m
+}
+
+//rapid:hot
+func (m *starMapJoinMapper) Map(rec []byte, emit mapred.Emit) error {
+	row, ok, err := m.sc.next(rec)
+	if err != nil || !ok {
+		return err
+	}
+	x := m.rows
+	key := row[x.plans[0].keyPos]
+	m.drv[0] = row
+	for i, side := range m.sides {
+		ms := side.lookup(key)
+		if len(ms) == 0 && !x.plans[i+1].optional {
+			return nil
+		}
+		x.matches[i+1] = ms
+	}
+	x.emit(key, emit)
+	return nil
+}
+
+// mapJoinMapper streams the left input against an index of the broadcast
+// right input, built once per task.
+type mapJoinMapper struct {
+	sc    scanner
+	plan  *joinPlan
+	right *sideIndex
+	out   codec.Tuple
+}
+
+//rapid:hot
+func (m *mapJoinMapper) Map(rec []byte, emit mapred.Emit) error {
+	row, ok, err := m.sc.next(rec)
+	if err != nil || !ok {
+		return err
+	}
+	for _, r := range m.right.lookup(row[m.plan.leftKey]) {
+		m.out = m.plan.appendRow(m.out[:0], row, r)
+		emit("", m.out.EncodeIDs())
+	}
+	return nil
+}

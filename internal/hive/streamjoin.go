@@ -1,8 +1,6 @@
 package hive
 
 import (
-	"fmt"
-
 	"rapidanalytics/internal/codec"
 	"rapidanalytics/internal/mapred"
 )
@@ -21,29 +19,46 @@ import (
 // Star joins keep the buffered formulation: their left-outer
 // NULL-extension (OPTIONAL edges) needs to know a side matched nothing,
 // which requires the whole group.
-func symJoinReducer(left, right *rel, leftCol, rightCol string, keep map[string]bool) mapred.Reducer {
-	return mapred.ReducerFunc(func(key string, values [][]byte, emit mapred.Emit) error {
-		var ls, rs []codec.Tuple
-		for _, v := range values {
-			if len(v) < 1 {
-				return fmt.Errorf("hive: join value missing side tag")
-			}
-			t, err := left.decode(v[1:])
-			if err != nil {
-				return err
-			}
-			if v[0] == 0 {
-				for _, rr := range rs {
-					emit("", mergeJoinRow(left, right, leftCol, rightCol, keep, t, rr).EncodeIDs())
-				}
-				ls = append(ls, t)
-			} else {
-				for _, l := range ls {
-					emit("", mergeJoinRow(left, right, leftCol, rightCol, keep, l, t).EncodeIDs())
-				}
-				rs = append(rs, t)
-			}
+type symJoinReducer struct {
+	plan   *joinPlan
+	arena  tupleArena
+	ls, rs []codec.Tuple
+	out    codec.Tuple
+	buf    []byte
+}
+
+//rapid:hot
+func (r *symJoinReducer) Reduce(key string, values [][]byte, emit mapred.Emit) error {
+	r.arena.reset()
+	r.ls, r.rs = r.ls[:0], r.rs[:0]
+	for _, v := range values {
+		if len(v) < 1 {
+			return errUntagged
 		}
-		return nil
-	})
+		t, err := r.arena.decode(v[1:], r.plan.left.dict)
+		if err != nil {
+			return err
+		}
+		if v[0] == 0 {
+			for _, rr := range r.rs {
+				r.emitJoined(t, rr, emit)
+			}
+			r.ls = append(r.ls, t)
+		} else {
+			for _, l := range r.ls {
+				r.emitJoined(l, t, emit)
+			}
+			r.rs = append(r.rs, t)
+		}
+	}
+	return nil
+}
+
+// emitJoined encodes one joined row into the reducer's reused buffer.
+//
+//rapid:hot
+func (r *symJoinReducer) emitJoined(l, rr codec.Tuple, emit mapred.Emit) {
+	r.out = r.plan.appendRow(r.out[:0], l, rr)
+	r.buf = r.out.AppendEncodeIDs(r.buf[:0])
+	emit("", r.buf)
 }

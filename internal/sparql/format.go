@@ -180,8 +180,9 @@ func compact(iri string, prefixes map[string]string) (string, bool) {
 func quote(s string) string {
 	var b strings.Builder
 	b.WriteByte('"')
-	for _, r := range s {
-		switch r {
+	// Byte-wise, so a value that is not valid UTF-8 survives unchanged.
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
 		case '"':
 			b.WriteString(`\"`)
 		case '\\':
@@ -191,7 +192,7 @@ func quote(s string) string {
 		case '\t':
 			b.WriteString(`\t`)
 		default:
-			b.WriteRune(r)
+			b.WriteByte(c)
 		}
 	}
 	b.WriteByte('"')

@@ -70,3 +70,17 @@ SELECT (COUNT(?x) AS ?c) { ?s e:p ?x ; e:q ?y . ?t e:r ?s . }`)
 		t.Errorf("predicate list not reconstructed:\n%s", text)
 	}
 }
+
+// A literal that is not valid UTF-8 formats byte for byte: ranging over it
+// as runes wrote U+FFFD in place of the stray byte, so the reparsed query
+// no longer matched the same term (found by FuzzParse).
+func TestFormatKeepsNonUTF8Literals(t *testing.T) {
+	q := MustParse("PREFIX e: <http://e/>\nSELECT (COUNT(?s) AS ?c) { ?s e:p \"a\xc4b\" . }")
+	q2, err := Parse(Format(q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := q2.Select.Pattern.Triples[0].O.Term.Value; got != "a\xc4b" {
+		t.Errorf("literal after round trip = %q, want %q", got, "a\xc4b")
+	}
+}

@@ -673,11 +673,9 @@ func aggJoinMerger(specByID map[int]AggJoinSpec, d *rdf.Dict, tagged, final bool
 		}
 		acc := algebra.NewMultiAggState(sp.Aggs)
 		for _, v := range values {
-			st, err := algebra.DecodeMultiAggStateBytes(v)
-			if err != nil {
+			if err := acc.MergeBytes(v); err != nil {
 				return err
 			}
-			acc.Merge(st)
 		}
 		if !final {
 			emit(key, acc.AppendEncode(nil))
