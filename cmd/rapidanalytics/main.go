@@ -43,12 +43,11 @@ func main() {
 		format   = flag.String("format", "table", "result format: table or csv")
 		storage  = flag.String("storage", "", "DFS backend: mem or disk (empty honors $RAPID_STORAGE, default mem)")
 		dataDir  = flag.String("data-dir", "", "root directory for -storage disk (empty = fresh temp dir)")
-		shards   = flag.Int("shards", 0, "disk backend shard directory count (0 = default)")
 		spill    = flag.Int64("spill-threshold", 0, "map-side spill threshold in bytes (0 disables spilling)")
 		replan   = flag.Float64("replan-ratio", 0, "mid-query re-plan trigger: estimate/observed mismatch ratio (0 = default 4, negative disables re-planning)")
 	)
 	flag.Parse()
-	st := storageOpts{storage: *storage, dataDir: *dataDir, shards: *shards, spill: *spill, replanRatio: *replan}
+	st := storageOpts{storage: *storage, dataDir: *dataDir, spill: *spill, replanRatio: *replan}
 	if *trace != "" && *trace != "table" && *trace != "spans" {
 		fatal(fmt.Errorf("-trace must be empty, %q or %q", "table", "spans"))
 	}
@@ -78,7 +77,6 @@ func main() {
 type storageOpts struct {
 	storage     string
 	dataDir     string
-	shards      int
 	spill       int64
 	replanRatio float64
 }
@@ -111,7 +109,6 @@ func runOnFile(query, dataFile, system string, all, verify bool, rows int, trace
 	opts := ra.DefaultOptions()
 	opts.Storage = st.storage
 	opts.DataDir = st.dataDir
-	opts.StorageShards = st.shards
 	opts.SpillThresholdBytes = st.spill
 	if st.replanRatio != 0 {
 		opts.ReplanRatio = st.replanRatio
@@ -173,7 +170,6 @@ func runOnCatalogDataset(query, queryID, dataset, system string, all, verify boo
 	h := bench.NewHarness(verify)
 	h.Loader.Storage = st.storage
 	h.Loader.DataDir = st.dataDir
-	h.Loader.Shards = st.shards
 	h.Loader.SpillThresholdBytes = st.spill
 	engines := bench.Engines()
 	if st.replanRatio != 0 {

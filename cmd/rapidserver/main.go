@@ -53,7 +53,6 @@ func main() {
 		slowLogSize   = flag.Int("slow-query-log", 128, "slow-query ring buffer capacity")
 		storage       = flag.String("storage", "", "DFS backend: mem or disk (empty honors $RAPID_STORAGE, default mem)")
 		dataDir       = flag.String("data-dir", "", "root directory for -storage disk (empty = fresh temp dir)")
-		shards        = flag.Int("shards", 0, "disk backend shard directory count (0 = default)")
 		spill         = flag.Int64("spill-threshold", 0, "map-side spill threshold in bytes (0 disables spilling)")
 		replan        = flag.Float64("replan-ratio", 0, "mid-query re-plan trigger: estimate/observed mismatch ratio (0 = default 4, negative disables re-planning)")
 		sharedScans   = flag.Bool("shared-scans", true, "batch concurrent queries scanning the same file range into one shared pass")
@@ -69,7 +68,6 @@ func main() {
 	}
 	opts.Storage = *storage
 	opts.DataDir = *dataDir
-	opts.StorageShards = *shards
 	opts.SpillThresholdBytes = *spill
 	if *replan != 0 {
 		opts.ReplanRatio = *replan

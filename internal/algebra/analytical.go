@@ -64,6 +64,17 @@ func (s *Subquery) HavingPassed(finals []string) bool {
 	return true
 }
 
+// GroupedHaving returns the HAVING predicate an aggregation reducer
+// applies: nil without HAVING, and nil for GROUP BY ALL, whose one group
+// gets its default row first and is filtered after that
+// (engine.ApplyGroupByAllHaving).
+func (s *Subquery) GroupedHaving() func([]string) bool {
+	if s.GroupByAll() || len(s.Having) == 0 {
+		return nil
+	}
+	return s.HavingPassed
+}
+
 // OutputColumns returns the subquery's result columns: grouping variables
 // followed by aggregation aliases.
 func (s *Subquery) OutputColumns() []string {

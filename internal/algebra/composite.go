@@ -287,6 +287,21 @@ func (cp *CompositePattern) SecondariesFor(k int) [][]PropRef {
 	return out
 }
 
+// NeedsDistinct reports whether projecting the composite relation onto
+// original pattern k's columns can collapse rows: true iff some secondary
+// property of another pattern is not required by k, so its column is
+// dropped. Hive (MQO) then runs a DISTINCT cycle before k's aggregation.
+func (cp *CompositePattern) NeedsDistinct(k int) bool {
+	for _, cs := range cp.Stars {
+		for _, p := range cs.Props {
+			if len(p.Owners) != cp.NumPatterns && !p.Owners[k] {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // String renders the composite pattern.
 func (cp *CompositePattern) String() string {
 	parts := make([]string, len(cp.Stars))

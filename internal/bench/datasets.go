@@ -150,8 +150,6 @@ type Loader struct {
 	Storage string
 	// DataDir roots disk-backend storage; empty uses a fresh temp dir.
 	DataDir string
-	// Shards is the disk backend's shard count (0 = blockstore default).
-	Shards int
 	// SpillThresholdBytes bounds per-map-task buffered shuffle output (0
 	// disables spilling). See mapred.ClusterConfig.SpillThresholdBytes.
 	SpillThresholdBytes int64
@@ -204,7 +202,7 @@ func (l *Loader) newCluster(cfg mapred.ClusterConfig, id string) (*mapred.Cluste
 		if err != nil {
 			return nil, fmt.Errorf("bench: disk storage: %w", err)
 		}
-		fs, err := dfs.NewDisk(dir, l.Shards)
+		fs, err := dfs.NewDisk(dir, 0)
 		if err != nil {
 			return nil, fmt.Errorf("bench: disk storage: %w", err)
 		}

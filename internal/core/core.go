@@ -124,7 +124,7 @@ func (e *Engine) Execute(c *mapred.Cluster, ds *engine.Dataset, aq *algebra.Anal
 		for k, sq := range aq.Subqueries {
 			out := run.Path(fmt.Sprintf("aggjoin%d", k))
 			job := tgops.AggJoinJob(fmt.Sprintf("aggjoin%d", k), matched,
-				[]tgops.AggJoinSpec{e.aggSpec(ds, cp, sq, k)}, false, e.Opts.HashAggregation, out)
+				[]tgops.AggJoinSpec{e.aggSpec(ds, cp, sq, k)}, e.Opts.HashAggregation, out)
 			if err := run.Exec(job); err != nil {
 				return nil, run.WM, err
 			}
@@ -139,11 +139,11 @@ func (e *Engine) Execute(c *mapred.Cluster, ds *engine.Dataset, aq *algebra.Anal
 		specs[k] = e.aggSpec(ds, cp, sq, k)
 	}
 	tagged := run.Path("aggjoin-parallel")
-	job := tgops.AggJoinJob("aggjoin-parallel", matched, specs, true, e.Opts.HashAggregation, tagged)
+	job := tgops.AggJoinJob("aggjoin-parallel", matched, specs, e.Opts.HashAggregation, tagged)
 	if err := run.Exec(job); err != nil {
 		return nil, run.WM, err
 	}
-	return engine.FinishQueryTagged(run, aq, tagged)
+	return engine.FinishQuery(run, aq, []string{tagged})
 }
 
 // executeSequential is the fallback path: per-subquery NTGA evaluation with
@@ -284,7 +284,6 @@ func (e *Engine) aggSpec(ds *engine.Dataset, cp *algebra.CompositePattern, sq *a
 		aggs[i] = algebra.AggSpec{Func: a.Func, Var: cp.VarMaps[k][a.Var], As: a.As, Distinct: a.Distinct}
 	}
 	return tgops.AggJoinSpec{
-		ID:        k,
 		GroupVars: groupVars,
 		Aggs:      aggs,
 		TPs:       ntga.PatternTriples(cp, k),
@@ -293,6 +292,6 @@ func (e *Engine) aggSpec(ds *engine.Dataset, cp *algebra.CompositePattern, sq *a
 		Alpha: func(a *ntga.AnnTG) bool {
 			return alpha.Satisfies(a, k)
 		},
-		Having: rapid.GroupedHaving(sq),
+		Having: sq.GroupedHaving(),
 	}
 }

@@ -3,7 +3,9 @@
 // struct field and package-level var/const in internal/mapred,
 // internal/ntga, internal/vec, internal/blockstore, internal/stats,
 // internal/share, internal/loadgen, the record codecs (internal/codec), the
-// Hive baselines (internal/hive) and the lint framework packages
+// Hive baselines (internal/hive), the engines' shared contract and finish
+// path (internal/engine), the NTGA operators (internal/tgops) and the lint
+// framework packages
 // (internal/lint/analysis, internal/lint/driver, internal/lint/leaktest,
 // and the summarizing analyzers closecheck and lockorder) must carry a doc
 // comment. Methods on unexported types (the Hive mappers' Map, say) are
@@ -26,7 +28,7 @@ import (
 // checkedPackages are the directories held to full godoc coverage.
 var checkedPackages = []string{
 	"../mapred", "../ntga", "../vec", "../blockstore", "../stats",
-	"../share", "../loadgen", "../codec", "../hive",
+	"../share", "../loadgen", "../codec", "../hive", "../engine", "../tgops",
 	"../lint/analysis", "../lint/driver", "../lint/leaktest",
 	"../lint/closecheck", "../lint/lockorder",
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"strconv"
 
 	"rapidanalytics/internal/algebra"
@@ -8,62 +9,93 @@ import (
 	"rapidanalytics/internal/dfs"
 )
 
+// The aggregation cycles leave their rows in one of two layouts: one file
+// per subquery, file i holding subquery i's rows [group values...,
+// finals...]; or, when every grouping ran in one generalised TG_AgJ cycle
+// (Figure 6b), one file of all subqueries' rows, each led by its subquery
+// index. The finish path tells them apart by count — fewer files than
+// subqueries means the tagged file — and treats them alike from there.
+
+// tagged reports whether files hold the subqueries' rows in the one-file,
+// tagged layout.
+func tagged(aq *algebra.AnalyticalQuery, files []string) bool {
+	return len(files) < len(aq.Subqueries)
+}
+
+// rowSubquery returns the subquery a row of file fi belongs to and the
+// row's fields past its tag; false for a tagged row without a valid tag.
+func rowSubquery(t codec.Tuple, fi int, isTagged bool) (int, codec.Tuple, bool) {
+	if !isTagged {
+		return fi, t, true
+	}
+	if len(t) == 0 {
+		return 0, nil, false
+	}
+	id, err := strconv.Atoi(t[0])
+	return id, t[1:], err == nil
+}
+
+// groupByAllIn returns the GROUP BY ALL subqueries whose rows file fi
+// holds.
+func groupByAllIn(aq *algebra.AnalyticalQuery, fi int, isTagged bool) []int {
+	var out []int
+	for i, sq := range aq.Subqueries {
+		if (isTagged || i == fi) && sq.GroupByAll() {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
 // GROUP BY ALL subqueries always produce exactly one group, even over an
 // empty match set (SPARQL aggregates without GROUP BY); a MapReduce
-// grouping job over zero rows, however, produces an empty file. Before the
-// final join, engines repair such files with the aggregates' default values
-// — the paper's "aggregated triplegroup retains default values" (Figure 5,
+// grouping job over zero rows, however, produces no row. Before the final
+// join, engines repair such files with the aggregates' default values — the
+// paper's "aggregated triplegroup retains default values" (Figure 5,
 // agtg3). This is a metadata fix-up, not an extra cycle: a real system
 // would emit the default row from the job client.
 
-// EnsureDefaultRows appends a default row to every empty per-subquery
-// result file whose subquery groups by ALL. files[i] belongs to subquery i.
+// EnsureDefaultRows appends a default row for every GROUP BY ALL subquery
+// with no row in files, in either layout.
 func EnsureDefaultRows(fs *dfs.FS, files []string, aq *algebra.AnalyticalQuery) error {
-	for i, sq := range aq.Subqueries {
-		if !sq.GroupByAll() {
+	isTagged := tagged(aq, files)
+	for fi, name := range files {
+		subs := groupByAllIn(aq, fi, isTagged)
+		if len(subs) == 0 {
 			continue
 		}
-		f, err := fs.Open(files[i])
-		if err != nil || f.NumRecords() > 0 {
-			continue
-		}
-		f.Close()
-		if err := appendRecord(fs, files[i], defaultRow(sq).Encode()); err != nil {
+		f, err := fs.Open(name)
+		if err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// EnsureDefaultRowsTagged is the variant for a single file of id-prefixed
-// rows (the parallel-aggregation output of RAPIDAnalytics).
-func EnsureDefaultRowsTagged(fs *dfs.FS, file string, aq *algebra.AnalyticalQuery) error {
-	f, err := fs.Open(file)
-	if err != nil {
-		return nil
-	}
-	present := map[int]bool{}
-	it := f.Records(0)
-	for it.Next() {
-		t, err := codec.DecodeTuple(it.Record())
-		if err != nil || len(t) == 0 {
+		present := map[int]bool{}
+		it := f.Records(0)
+		for it.Next() {
+			t, _ := codec.DecodeTuple(it.Record())
+			if id, _, ok := rowSubquery(t, fi, isTagged); ok {
+				present[id] = true
+			}
+		}
+		if err := it.Err(); err != nil {
+			f.Close()
+			return err
+		}
+		var defaults [][]byte
+		for _, i := range subs {
+			if present[i] {
+				continue
+			}
+			row := codec.Tuple(algebra.NewMultiAggState(aq.Subqueries[i].Aggs).Finals())
+			if isTagged {
+				row = append(codec.Tuple{strconv.Itoa(i)}, row...)
+			}
+			defaults = append(defaults, row.Encode())
+		}
+		if len(defaults) == 0 {
+			f.Close()
 			continue
 		}
-		if id, err := strconv.Atoi(t[0]); err == nil {
-			present[id] = true
-		}
-	}
-	rerr := it.Err()
-	f.Close()
-	if rerr != nil {
-		return rerr
-	}
-	for i, sq := range aq.Subqueries {
-		if !sq.GroupByAll() || present[i] {
-			continue
-		}
-		row := append(codec.Tuple{strconv.Itoa(i)}, defaultRow(sq)...)
-		if err := appendRecord(fs, file, row.Encode()); err != nil {
+		if err := rewrite(fs, name, f, nil, defaults); err != nil {
 			return err
 		}
 	}
@@ -74,20 +106,29 @@ func EnsureDefaultRowsTagged(fs *dfs.FS, file string, aq *algebra.AnalyticalQuer
 // constraints. It runs after EnsureDefaultRows: the single group always
 // exists first (possibly with default values) and is then subjected to
 // HAVING, matching SPARQL semantics. Grouped subqueries apply HAVING inside
-// their aggregation reducers instead.
+// their aggregation reducers instead (algebra.Subquery.GroupedHaving).
 func ApplyGroupByAllHaving(fs *dfs.FS, files []string, aq *algebra.AnalyticalQuery) error {
-	for i, sq := range aq.Subqueries {
-		if !sq.GroupByAll() || len(sq.Having) == 0 {
+	isTagged := tagged(aq, files)
+	for fi, name := range files {
+		if !slices.ContainsFunc(groupByAllIn(aq, fi, isTagged), func(i int) bool { return len(aq.Subqueries[i].Having) > 0 }) {
 			continue
 		}
-		f, err := fs.Open(files[i])
+		f, err := fs.Open(name)
 		if err != nil {
-			continue
+			return err
 		}
-		err = rewriteFiltered(fs, files[i], f, func(rec []byte) bool {
+		err = rewrite(fs, name, f, func(rec []byte) bool {
 			t, err := codec.DecodeTuple(rec)
-			return err != nil || sq.HavingPassed(t)
-		})
+			if err != nil {
+				return true
+			}
+			id, row, ok := rowSubquery(t, fi, isTagged)
+			if !ok || id < 0 || id >= len(aq.Subqueries) {
+				return true
+			}
+			sq := aq.Subqueries[id]
+			return !sq.GroupByAll() || sq.HavingPassed(row)
+		}, nil)
 		if err != nil {
 			return err
 		}
@@ -95,38 +136,11 @@ func ApplyGroupByAllHaving(fs *dfs.FS, files []string, aq *algebra.AnalyticalQue
 	return nil
 }
 
-// ApplyGroupByAllHavingTagged is the tagged-file variant.
-func ApplyGroupByAllHavingTagged(fs *dfs.FS, file string, aq *algebra.AnalyticalQuery) error {
-	needed := false
-	for _, sq := range aq.Subqueries {
-		if sq.GroupByAll() && len(sq.Having) > 0 {
-			needed = true
-		}
-	}
-	if !needed {
-		return nil
-	}
-	f, err := fs.Open(file)
-	if err != nil {
-		return nil
-	}
-	return rewriteFiltered(fs, file, f, func(rec []byte) bool {
-		t, err := codec.DecodeTuple(rec)
-		if err != nil || len(t) == 0 {
-			return true
-		}
-		id, err := strconv.Atoi(t[0])
-		if err != nil || id < 0 || id >= len(aq.Subqueries) {
-			return true
-		}
-		sq := aq.Subqueries[id]
-		return !sq.GroupByAll() || len(sq.Having) == 0 || sq.HavingPassed(t[1:])
-	})
-}
-
-// rewriteFiltered replaces name with the records of snapshot f that keep
-// reports true, preserving the file's compression ratio. It closes f.
-func rewriteFiltered(fs *dfs.FS, name string, f *dfs.File, keep func(rec []byte) bool) error {
+// rewrite replaces name with the records of snapshot f that keep accepts
+// (every record, when keep is nil) followed by extra, preserving the file's
+// compression ratio — the read-modify-write the mem backend once allowed in
+// place. It closes f.
+func rewrite(fs *dfs.FS, name string, f *dfs.File, keep func(rec []byte) bool, extra [][]byte) error {
 	defer f.Close()
 	w, err := fs.Create(name, f.CompressionRatio())
 	if err != nil {
@@ -134,7 +148,7 @@ func rewriteFiltered(fs *dfs.FS, name string, f *dfs.File, keep func(rec []byte)
 	}
 	it := f.Records(0)
 	for it.Next() {
-		if keep(it.Record()) {
+		if keep == nil || keep(it.Record()) {
 			w.WriteOwned(it.Record())
 		}
 	}
@@ -142,33 +156,8 @@ func rewriteFiltered(fs *dfs.FS, name string, f *dfs.File, keep func(rec []byte)
 		w.Close()
 		return err
 	}
-	return w.Close()
-}
-
-func defaultRow(sq *algebra.Subquery) codec.Tuple {
-	return codec.Tuple(algebra.NewMultiAggState(sq.Aggs).Finals())
-}
-
-// appendRecord rewrites name with its current records plus rec — the
-// read-modify-write append the mem backend allowed in place.
-func appendRecord(fs *dfs.FS, name string, rec []byte) error {
-	f, err := fs.Open(name)
-	if err != nil {
-		return nil
+	for _, rec := range extra {
+		w.WriteOwned(rec)
 	}
-	defer f.Close()
-	w, err := fs.Create(name, f.CompressionRatio())
-	if err != nil {
-		return err
-	}
-	it := f.Records(0)
-	for it.Next() {
-		w.WriteOwned(it.Record())
-	}
-	if err := it.Err(); err != nil {
-		w.Close()
-		return err
-	}
-	w.WriteOwned(rec)
 	return w.Close()
 }

@@ -22,10 +22,10 @@ import (
 // Dataset is a graph loaded into the cluster's DFS in both physical
 // layouts, mirroring the paper's pre-processing phase.
 type Dataset struct {
-	Name  string
-	Graph *rdf.Graph
-	VP    *store.VPStore
-	TG    *store.TGStore
+	Name  string         // DFS path prefix of the dataset's files
+	Graph *rdf.Graph     // the loaded graph, for the reference evaluator
+	VP    *store.VPStore // vertically partitioned tables (the Hive engines)
+	TG    *store.TGStore // subject triplegroups (the NTGA engines)
 	// Dict is the dataset's term dictionary, always present: stored tables
 	// and triplegroups hold compact integer term IDs (rdf.Dict ID-strings)
 	// and engines decode back to lexical form only at the final
@@ -79,8 +79,8 @@ type Engine interface {
 // Result is a query result table. Values are stored raw: grouping columns
 // in rdf.Term.Key form, aggregate and expression columns in lexical form.
 type Result struct {
-	Columns []string
-	Rows    []codec.Tuple
+	Columns []string      // column names in projection order
+	Rows    []codec.Tuple // one tuple per result row
 }
 
 // Canonical returns the rows rendered as sorted strings, for set

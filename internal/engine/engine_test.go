@@ -135,7 +135,7 @@ func TestTaggedFinalJoinJob(t *testing.T) {
 		codec.Tuple{"0", "Ig1", "3"}.Encode(),
 		codec.Tuple{"1", "7"}.Encode(),
 		codec.Tuple{"0", "Ig2", "5"}.Encode())
-	m, err := c.Run(TaggedFinalJoinJob(aq, "tagged", "out"))
+	m, err := c.Run(FinalJoinJob(aq, []string{"tagged"}, "out"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestEnsureDefaultRowsTagged(t *testing.T) {
 	aq := mustAQ(t, twoSubqueries)
 	c := mapred.NewCluster(mapred.DefaultConfig())
 	writeRecs(t, c.FS, "tagged", codec.Tuple{"0", "Ig1", "3"}.Encode()) // only subquery 0 rows
-	if err := EnsureDefaultRowsTagged(c.FS, "tagged", aq); err != nil {
+	if err := EnsureDefaultRows(c.FS, []string{"tagged"}, aq); err != nil {
 		t.Fatal(err)
 	}
 	recs := readRecs(t, c.FS, "tagged")

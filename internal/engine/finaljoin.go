@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"strconv"
 
 	"rapidanalytics/internal/algebra"
 	"rapidanalytics/internal/codec"
@@ -16,51 +15,40 @@ import (
 // inputs broadcast — Hive's map-join, and the paper's "map-only phase to
 // join the aggregated TG equivalence classes".
 
-// FinalJoinJob builds the map-only join job. inputs[i] must hold subquery
-// i's rows as codec.Tuple records in Subquery.OutputColumns order.
+// FinalJoinJob builds the map-only join job over the subqueries' rows in
+// either layout (defaults.go). With a file per subquery, file 0 drives and
+// the others are broadcast; the one tagged file is both the driving input
+// (its subquery-0 rows) and the broadcast side (the others).
 func FinalJoinJob(aq *algebra.AnalyticalQuery, inputs []string, output string) *mapred.Job {
+	isTagged := tagged(aq, inputs)
+	sideInputs := inputs[1:]
+	if isTagged {
+		sideInputs = inputs
+	}
 	return &mapred.Job{
 		Name:        "final-join",
 		Inputs:      inputs[:1],
-		SideInputs:  inputs[1:],
+		SideInputs:  sideInputs,
 		Output:      output,
 		MapOperator: "final-join",
 		NewMapper: func(tc *mapred.TaskContext) mapred.Mapper {
-			sides := make([][]codec.Tuple, len(inputs)-1)
-			for i, name := range inputs[1:] {
-				sides[i] = decodeAll(tc.SideInput(name))
-			}
-			return newFinalJoinMapper(aq, sides, false)
-		},
-	}
-}
-
-// TaggedFinalJoinJob is the variant for engines that aggregate every
-// subquery in one parallel cycle (RAPIDAnalytics, Figure 6b): all rows live
-// in one file, prefixed with the subquery id. The file is both the driving
-// input (id-0 rows) and the broadcast side (other ids).
-func TaggedFinalJoinJob(aq *algebra.AnalyticalQuery, tagged, output string) *mapred.Job {
-	n := len(aq.Subqueries)
-	return &mapred.Job{
-		Name:        "final-join",
-		Inputs:      []string{tagged},
-		SideInputs:  []string{tagged},
-		Output:      output,
-		MapOperator: "final-join",
-		NewMapper: func(tc *mapred.TaskContext) mapred.Mapper {
+			n := len(aq.Subqueries)
 			sides := make([][]codec.Tuple, n-1)
-			for _, rec := range tc.SideInput(tagged) {
-				t, err := codec.DecodeTuple(rec)
-				if err != nil || len(t) == 0 {
-					continue
+			for fi, name := range inputs {
+				if fi == 0 && !isTagged {
+					continue // the driving input
 				}
-				id, err := strconv.Atoi(t[0])
-				if err != nil || id <= 0 || id >= n {
-					continue
+				for _, rec := range tc.SideInput(name) {
+					t, err := codec.DecodeTuple(rec)
+					if err != nil {
+						continue
+					}
+					if id, row, ok := rowSubquery(t, fi, isTagged); ok && id > 0 && id < n {
+						sides[id-1] = append(sides[id-1], row)
+					}
 				}
-				sides[id-1] = append(sides[id-1], t[1:])
 			}
-			return newFinalJoinMapper(aq, sides, true)
+			return newFinalJoinMapper(aq, sides, isTagged)
 		},
 	}
 }
@@ -68,7 +56,7 @@ func TaggedFinalJoinJob(aq *algebra.AnalyticalQuery, tagged, output string) *map
 type finalJoinMapper struct {
 	aq     *algebra.AnalyticalQuery
 	sides  [][]codec.Tuple // rows of subqueries 1..n-1
-	tagged bool
+	tagged bool            // driving rows carry a subquery tag
 
 	// cols[i] and joinCols[i] are subquery i's output columns and the
 	// columns it joins on, resolved once per task.
@@ -83,10 +71,10 @@ type finalJoinMapper struct {
 	out   codec.Tuple
 }
 
-func newFinalJoinMapper(aq *algebra.AnalyticalQuery, sides [][]codec.Tuple, tagged bool) *finalJoinMapper {
+func newFinalJoinMapper(aq *algebra.AnalyticalQuery, sides [][]codec.Tuple, isTagged bool) *finalJoinMapper {
 	n := len(aq.Subqueries)
 	m := &finalJoinMapper{
-		aq: aq, sides: sides, tagged: tagged,
+		aq: aq, sides: sides, tagged: isTagged,
 		cols: make([][]string, n), joinCols: make([][]string, n),
 		row: map[string]string{}, added: make([][]string, n),
 		out: make(codec.Tuple, len(aq.Projection)),
@@ -103,18 +91,12 @@ func (m *finalJoinMapper) Map(rec []byte, emit mapred.Emit) error {
 	if err != nil {
 		return err
 	}
-	if m.tagged {
-		if len(t) == 0 {
-			return fmt.Errorf("engine: empty tagged row")
-		}
-		id, err := strconv.Atoi(t[0])
-		if err != nil {
-			return fmt.Errorf("engine: bad subquery tag %q", t[0])
-		}
-		if id != 0 {
-			return nil // non-driving rows arrive via the side input
-		}
-		t = t[1:]
+	id, t, ok := rowSubquery(t, 0, m.tagged)
+	if !ok {
+		return fmt.Errorf("engine: aggregate row without a subquery tag")
+	}
+	if id != 0 {
+		return nil // non-driving rows arrive via the side input
 	}
 	if m.indexes == nil {
 		m.buildIndexes()
@@ -229,14 +211,4 @@ func columnPositions(cols, want []string) []int {
 		}
 	}
 	return pos
-}
-
-func decodeAll(recs [][]byte) []codec.Tuple {
-	out := make([]codec.Tuple, 0, len(recs))
-	for _, rec := range recs {
-		if t, err := codec.DecodeTuple(rec); err == nil {
-			out = append(out, t)
-		}
-	}
-	return out
 }

@@ -10,8 +10,8 @@ import (
 // Runner tracks one engine execution: the cluster, a unique temp-file
 // prefix, and the accumulated workflow metrics.
 type Runner struct {
-	C  *mapred.Cluster
-	WM *mapred.WorkflowMetrics
+	C  *mapred.Cluster         // the cluster the jobs run on
+	WM *mapred.WorkflowMetrics // one entry per executed job, in order
 
 	prefix string
 	seq    int
@@ -38,9 +38,11 @@ func (r *Runner) Exec(job *mapred.Job) error {
 	return nil
 }
 
-// FinishQuery joins the per-subquery aggregate files (one map-only cycle)
-// and reads the final result. Single-subquery queries read their aggregate
-// directly: its column order is already the query's projection.
+// FinishQuery repairs the GROUP BY ALL groups of the subqueries'
+// aggregate files, in either layout (defaults.go), joins them (one map-only
+// cycle), sorts the result when the query has ORDER BY or LIMIT (one more
+// cycle, SortJob) and reads it. A single-subquery query needs no join: its
+// aggregate's column order is already the query's projection.
 func FinishQuery(r *Runner, aq *algebra.AnalyticalQuery, aggFiles []string) (*Result, *mapred.WorkflowMetrics, error) {
 	if err := EnsureDefaultRows(r.C.FS, aggFiles, aq); err != nil {
 		return nil, r.WM, err
@@ -48,28 +50,20 @@ func FinishQuery(r *Runner, aq *algebra.AnalyticalQuery, aggFiles []string) (*Re
 	if err := ApplyGroupByAllHaving(r.C.FS, aggFiles, aq); err != nil {
 		return nil, r.WM, err
 	}
-	if len(aggFiles) == 1 {
-		return finishSorted(r, aq, aggFiles[0])
+	file := aggFiles[0]
+	if len(aq.Subqueries) > 1 {
+		file = r.Path("final")
+		if err := r.Exec(FinalJoinJob(aq, aggFiles, file)); err != nil {
+			return nil, r.WM, err
+		}
 	}
-	out := r.Path("final")
-	if err := r.Exec(FinalJoinJob(aq, aggFiles, out)); err != nil {
-		return nil, r.WM, err
+	if aq.Sorted() {
+		sorted := r.Path("sorted")
+		if err := r.Exec(SortJob(aq, file, sorted)); err != nil {
+			return nil, r.WM, err
+		}
+		file = sorted
 	}
-	return finishSorted(r, aq, out)
-}
-
-// FinishQueryTagged is the variant over a single tagged aggregate file (the
-// parallel TG_AgJ output of RAPIDAnalytics).
-func FinishQueryTagged(r *Runner, aq *algebra.AnalyticalQuery, tagged string) (*Result, *mapred.WorkflowMetrics, error) {
-	if err := EnsureDefaultRowsTagged(r.C.FS, tagged, aq); err != nil {
-		return nil, r.WM, err
-	}
-	if err := ApplyGroupByAllHavingTagged(r.C.FS, tagged, aq); err != nil {
-		return nil, r.WM, err
-	}
-	out := r.Path("final")
-	if err := r.Exec(TaggedFinalJoinJob(aq, tagged, out)); err != nil {
-		return nil, r.WM, err
-	}
-	return finishSorted(r, aq, out)
+	res, err := ReadResult(r.C.FS, file, aq.OutputColumns())
+	return res, r.WM, err
 }

@@ -100,18 +100,3 @@ func orderKeyPositions(aq *algebra.AnalyticalQuery) []orderPos {
 	}
 	return out
 }
-
-// finishSorted appends the ORDER BY/LIMIT cycle when the query needs one
-// and reads the final result.
-func finishSorted(r *Runner, aq *algebra.AnalyticalQuery, file string) (*Result, *mapred.WorkflowMetrics, error) {
-	if !aq.Sorted() {
-		res, err := ReadResult(r.C.FS, file, aq.OutputColumns())
-		return res, r.WM, err
-	}
-	out := r.Path("sorted")
-	if err := r.Exec(SortJob(aq, file, out)); err != nil {
-		return nil, r.WM, err
-	}
-	res, err := ReadResult(r.C.FS, out, aq.OutputColumns())
-	return res, r.WM, err
-}

@@ -64,7 +64,7 @@ func (h *MQO) Execute(c *mapred.Cluster, ds *engine.Dataset, aq *algebra.Analyti
 		}
 		aggFiles = append(aggFiles, file)
 	}
-	return finishQuery(run, aq, aggFiles)
+	return engine.FinishQuery(run.Runner, aq, aggFiles)
 }
 
 // compositeColumns assigns a relation column to every composite property:
@@ -128,7 +128,7 @@ func (h *MQO) evalComposite(run *runner, ds *engine.Dataset, cp *algebra.Composi
 		// A composite star output streams when a join chain follows (its
 		// single consumer); with no joins it *is* the composite relation,
 		// read by every aggregatePattern, and must stay materialised.
-		out, err := run.starJoin(h.Conf, fmt.Sprintf("comp-star%d", i), inputs, nil, run.path(fmt.Sprintf("comp-star%d", i)), len(cp.Joins) > 0)
+		out, err := run.starJoin(h.Conf, fmt.Sprintf("comp-star%d", i), inputs, nil, run.Path(fmt.Sprintf("comp-star%d", i)), len(cp.Joins) > 0)
 		if err != nil {
 			return nil, err
 		}
@@ -145,7 +145,7 @@ func (h *MQO) evalComposite(run *runner, ds *engine.Dataset, cp *algebra.Composi
 		accRows = est.StarCard(chainStart(order))
 	}
 	for i, edge := range order {
-		out := run.path(fmt.Sprintf("comp-join%d", i))
+		out := run.Path(fmt.Sprintf("comp-join%d", i))
 		// Intermediate composite joins stream; the final one produces the
 		// composite relation — the MQO materialisation boundary every
 		// aggregatePattern reads — which keeps the real DFS write.
@@ -172,38 +172,24 @@ func (h *MQO) aggregatePattern(run *runner, cp *algebra.CompositePattern, cols [
 	}
 
 	in := compRel
-	if h.needsDistinct(cp, k) {
+	if cp.NeedsDistinct(k) {
 		distinctCols := patternColumns(cp, cols, k)
 		job, out := distinctJob(fmt.Sprintf("gp%d-distinct", k), compRel, distinctCols, valid,
-			run.path(fmt.Sprintf("gp%d-distinct", k)))
+			run.Path(fmt.Sprintf("gp%d-distinct", k)))
 		// Consumed only by this pattern's grouping-aggregation below.
 		job.StreamOutput = true
-		if err := run.exec(job); err != nil {
+		if err := run.Exec(job); err != nil {
 			return "", err
 		}
 		in = out
 		valid = nil // already applied
 	}
-	aggOut := run.path(fmt.Sprintf("gp%d-agg", k))
-	job, out := groupAggJob(fmt.Sprintf("gp%d-agg", k), in, groupCols, aggs, valid, groupedHaving(sq), aggOut)
-	if err := run.exec(job); err != nil {
+	aggOut := run.Path(fmt.Sprintf("gp%d-agg", k))
+	job, out := groupAggJob(fmt.Sprintf("gp%d-agg", k), in, groupCols, aggs, valid, sq.GroupedHaving(), aggOut)
+	if err := run.Exec(job); err != nil {
 		return "", err
 	}
 	return out.file, nil
-}
-
-// needsDistinct reports whether projecting the composite relation to
-// pattern k's columns can collapse rows: true iff some secondary property
-// of another pattern is not required by k (its column gets dropped).
-func (h *MQO) needsDistinct(cp *algebra.CompositePattern, k int) bool {
-	for _, cs := range cp.Stars {
-		for _, p := range cs.Props {
-			if len(p.Owners) != cp.NumPatterns && !p.Owners[k] {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // validityFilter returns the row predicate "every secondary column owned by

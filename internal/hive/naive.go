@@ -42,14 +42,14 @@ func (h *Naive) Execute(c *mapred.Cluster, ds *engine.Dataset, aq *algebra.Analy
 			return nil, run.WM, err
 		}
 		aggJob, aggRel := groupAggJob(
-			fmt.Sprintf("gp%d-groupagg", k), patRel, sq.GroupBy, sq.Aggs, nil, groupedHaving(sq),
-			run.path(fmt.Sprintf("gp%d-agg", k)))
-		if err := run.exec(aggJob); err != nil {
+			fmt.Sprintf("gp%d-groupagg", k), patRel, sq.GroupBy, sq.Aggs, nil, sq.GroupedHaving(),
+			run.Path(fmt.Sprintf("gp%d-agg", k)))
+		if err := run.Exec(aggJob); err != nil {
 			return nil, run.WM, err
 		}
 		aggFiles = append(aggFiles, aggRel.file)
 	}
-	return finishQuery(run, aq, aggFiles)
+	return engine.FinishQuery(run.Runner, aq, aggFiles)
 }
 
 // evalPattern evaluates one subquery's graph pattern, returning the joined
@@ -77,7 +77,7 @@ func (h *Naive) evalPattern(run *runner, ds *engine.Dataset, sq *algebra.Subquer
 	}
 	for i, edge := range order {
 		right := starRels[edge.Right]
-		out := run.path(fmt.Sprintf("%s-join%d", tag, i))
+		out := run.Path(fmt.Sprintf("%s-join%d", tag, i))
 		keepJoin := keepWithJoins(keep, order[i+1:])
 		// Join intermediates are each consumed by exactly one later cycle
 		// (the next join or the grouping-aggregation), so they stream.
@@ -101,7 +101,7 @@ func (h *Naive) evalStar(run *runner, ds *engine.Dataset, st *algebra.StarPatter
 	}
 	// A star output feeds exactly one consumer (its join edge, or the
 	// grouping-aggregation for single-star patterns), so it streams.
-	return run.starJoin(h.Conf, tag, inputs, keepWithVar(keep, st.SubjectVar), run.path(tag), true)
+	return run.starJoin(h.Conf, tag, inputs, keepWithVar(keep, st.SubjectVar), run.Path(tag), true)
 }
 
 // starScanInputs builds one scan input per triple pattern of a star over
@@ -204,17 +204,6 @@ func keepWithJoins(keep map[string]bool, rest []algebra.Join) map[string]bool {
 	return out
 }
 
-// groupedHaving returns the HAVING predicate for grouped subqueries. For
-// GROUP BY ALL subqueries the predicate is applied after the default-row
-// repair instead (engine.ApplyGroupByAllHaving), so the reducer passes
-// everything through.
-func groupedHaving(sq *algebra.Subquery) func([]string) bool {
-	if sq.GroupByAll() || len(sq.Having) == 0 {
-		return nil
-	}
-	return sq.HavingPassed
-}
-
 func keepWithVar(keep map[string]bool, v string) map[string]bool {
 	out := map[string]bool{v: true}
 	for k := range keep {
@@ -235,9 +224,6 @@ func newRunner(c *mapred.Cluster, prefix string) *runner {
 	return &runner{Runner: engine.NewRunner(c, prefix)}
 }
 
-func (r *runner) path(name string) string    { return r.Path(name) }
-func (r *runner) exec(job *mapred.Job) error { return r.Exec(job) }
-
 // emptyFile returns a shared empty placeholder for missing VP tables (a
 // property or type absent from the dataset): single-column for type
 // partitions and constant-object scans, two-column otherwise.
@@ -247,9 +233,9 @@ func (r *runner) emptyFile(oneCol bool) (string, error) {
 		name = &r.empty1
 	}
 	if *name == "" {
-		p := r.path("empty1")
+		p := r.Path("empty1")
 		if !oneCol {
-			p = r.path("empty2")
+			p = r.Path("empty2")
 		}
 		w, err := r.C.FS.Create(p, 1)
 		if err != nil {
@@ -299,7 +285,7 @@ func (r *runner) starJoin(conf Config, name string, inputs []*starInput, keep ma
 		job, out = starJoinJob(name, inputs, keep, output, store.ORCCompressionRatio)
 	}
 	job.StreamOutput = stream
-	if err := r.exec(job); err != nil {
+	if err := r.Exec(job); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -333,14 +319,8 @@ func (r *runner) join(conf Config, name string, left, right *rel, leftCol, right
 		}
 	}
 	job.StreamOutput = stream
-	if err := r.exec(job); err != nil {
+	if err := r.Exec(job); err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-// finishQuery joins the per-subquery aggregate files and reads the final
-// result.
-func finishQuery(run *runner, aq *algebra.AnalyticalQuery, aggFiles []string) (*engine.Result, *mapred.WorkflowMetrics, error) {
-	return engine.FinishQuery(run.Runner, aq, aggFiles)
 }

@@ -14,10 +14,10 @@ package hive
 
 import (
 	"bytes"
-	"fmt"
 
 	"rapidanalytics/internal/algebra"
 	"rapidanalytics/internal/codec"
+	"rapidanalytics/internal/engine"
 	"rapidanalytics/internal/mapred"
 	"rapidanalytics/internal/rdf"
 	"rapidanalytics/internal/sparql"
@@ -223,13 +223,15 @@ func mapJoinJob(name string, left, right *rel, leftCol, rightCol string, keep ma
 // groupAggJob builds the grouping-aggregation cycle: map emits per-row
 // partial aggregate states keyed by the grouping columns, a combiner merges
 // them map-side (Hive's hash aggregation), and the reducer emits one row
-// per group: [group values..., aggregate finals...].
+// per group: [group values..., aggregate finals...]. Combiner and reducer
+// are the engines' shared aggregation merger (engine.NewAggMerger).
 //
 // valid optionally filters rows map-side (the MQO pattern-validity check);
 // having optionally drops groups in the reducer.
 func groupAggJob(name string, in *rel, groupCols []string, aggs []algebra.AggSpec, valid func(codec.Tuple) bool, having func([]string) bool, output string) (*mapred.Job, *rel) {
 	outCols := append(append([]string{}, groupCols...), aggAliases(aggs)...)
 	d := in.dict
+	groupings := []engine.Grouping{{Aggs: aggs, Having: having}}
 	plan := in.compile()
 	groupPos := make([]int, len(groupCols))
 	for i, c := range groupCols {
@@ -248,8 +250,8 @@ func groupAggJob(name string, in *rel, groupCols []string, aggs []algebra.AggSpe
 		NewMapper: func(tc *mapred.TaskContext) mapred.Mapper {
 			return &partialAggMapper{sc: scanner{plan: plan}, groupPos: groupPos, aggPos: aggPos, valid: valid, st: algebra.NewMultiAggState(aggs)}
 		},
-		NewCombiner: func() mapred.Reducer { return newAggMerger(aggs, false, nil, nil) },
-		NewReducer:  func() mapred.Reducer { return newAggMerger(aggs, true, having, d) },
+		NewCombiner: func() mapred.Reducer { return engine.NewAggMerger(groupings, nil) },
+		NewReducer:  func() mapred.Reducer { return engine.NewAggMerger(groupings, d) },
 	}
 	// The reducer decodes group keys back to lexical form: aggregate outputs
 	// are the decode boundary. The returned rel names the file and schema of
@@ -290,77 +292,6 @@ func (m *partialAggMapper) Map(rec []byte, emit mapred.Emit) error {
 	m.enc = m.st.AppendEncode(m.enc[:0])
 	//lint:alloc the framework retains map emits: one key string and one exact-size state per row
 	emit(string(m.key), bytes.Clone(m.enc))
-	return nil
-}
-
-// appendGroupKey appends the group values of a grouping key to dst: the
-// key is a separator-free concatenation of self-delimiting uvarint
-// ID-strings, decoded back to lexical Term.Key form here — the decode
-// boundary.
-func appendGroupKey(dst codec.Tuple, d *rdf.Dict, key string) (codec.Tuple, error) {
-	buf := []byte(key)
-	for len(buf) > 0 {
-		id, rest, err := codec.ReadUvarint(buf)
-		if err != nil {
-			return nil, fmt.Errorf("hive: group key: %w", err)
-		}
-		buf = rest
-		if id == 0 {
-			dst = append(dst, algebra.Null)
-			continue
-		}
-		k, ok := d.Key(id)
-		if !ok {
-			return nil, fmt.Errorf("hive: group key holds unknown term id %d", id)
-		}
-		dst = append(dst, k)
-	}
-	return dst, nil
-}
-
-// aggMerger merges encoded MultiAggStates per key into one resident state.
-// As a combiner it re-emits the merged state; as a reducer it emits the
-// final row, dropping groups that fail the HAVING predicate, and decodes
-// the grouping key back to lexical form through dict (combiners have none:
-// they never decode). A grouping key is empty exactly when the subquery
-// has no GROUP BY.
-type aggMerger struct {
-	acc    *algebra.MultiAggState
-	final  bool
-	having func([]string) bool
-	dict   *rdf.Dict
-	row    codec.Tuple
-	buf    []byte
-}
-
-func newAggMerger(aggs []algebra.AggSpec, final bool, having func([]string) bool, d *rdf.Dict) *aggMerger {
-	return &aggMerger{acc: algebra.NewMultiAggState(aggs), final: final, having: having, dict: d}
-}
-
-func (m *aggMerger) Reduce(key string, values [][]byte, emit mapred.Emit) error {
-	m.acc.Reset()
-	for _, v := range values {
-		if err := m.acc.MergeBytes(v); err != nil {
-			return err
-		}
-	}
-	if !m.final {
-		// Combiner emits are retained: one exact-size slice each.
-		m.buf = m.acc.AppendEncode(m.buf[:0])
-		emit(key, bytes.Clone(m.buf))
-		return nil
-	}
-	finals := m.acc.Finals()
-	if m.having != nil && !m.having(finals) {
-		return nil
-	}
-	row, err := appendGroupKey(m.row[:0], m.dict, key)
-	if err != nil {
-		return err
-	}
-	m.row = append(row, finals...)
-	m.buf = m.row.AppendEncode(m.buf[:0])
-	emit("", m.buf)
 	return nil
 }
 

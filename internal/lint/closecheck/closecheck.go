@@ -220,6 +220,10 @@ type walker struct {
 	res          map[*types.Var]*resource
 	order        []*resource
 	ownedResults map[int]bool // result indices returning a fresh resource
+	// loops holds, per enclosing loop, the resources open when its body
+	// was entered: anything else open at an unlabeled continue was
+	// acquired in the iteration and dies with it.
+	loops []map[*types.Var]bool
 }
 
 func newWalker(pass *analysis.Pass, sums *summaries, summary bool) *walker {
@@ -338,7 +342,11 @@ func (w *walker) stmt(s ast.Stmt, st state) (state, bool) {
 	case *ast.BranchStmt:
 		// break/continue/goto end this path; resources open here either
 		// outlive the jump (outer acquisitions, still in the merged state)
-		// or die with the loop iteration — the loop walk checks those.
+		// or die with the loop iteration. An unlabeled continue ends the
+		// iteration here, so it checks those as the end of the body does.
+		if s.Tok == token.CONTINUE && s.Label == nil && len(w.loops) > 0 {
+			w.leakIterationLocals(st, w.loops[len(w.loops)-1])
+		}
 		return st, true
 	case *ast.BlockStmt:
 		return w.block(s, st)
@@ -406,24 +414,33 @@ func (w *walker) loopBody(body *ast.BlockStmt, post ast.Stmt, st state) state {
 	for v := range st.open {
 		outerVars[v] = true
 	}
+	w.loops = append(w.loops, outerVars)
 	inner, terminated := w.block(body, inner)
+	w.loops = w.loops[:len(w.loops)-1]
 	if post != nil && !terminated {
 		inner, _ = w.stmt(post, inner)
 	}
 	if !terminated {
 		// End of iteration: anything acquired inside and still open leaks.
-		for v := range inner.open {
-			if !outerVars[v] {
-				if r := w.res[v]; r != nil {
-					r.leaked = true
-				}
-			}
-		}
+		w.leakIterationLocals(inner, outerVars)
 	}
 	// After the loop, an outer resource is open unless it was open before
 	// and closed by a body that is guaranteed... it is not (zero
 	// iterations), so the pre-loop state stands.
 	return before
+}
+
+// leakIterationLocals marks every resource open in st that was not open
+// when the loop body was entered (outer) as leaked: the iteration ends and
+// nothing refers to it any more.
+func (w *walker) leakIterationLocals(st state, outer map[*types.Var]bool) {
+	for v := range st.open {
+		if !outer[v] {
+			if r := w.res[v]; r != nil {
+				r.leaked = true
+			}
+		}
+	}
 }
 
 // hasLoopBreak reports whether body contains a break that exits the

@@ -11,7 +11,6 @@ package mapred
 import (
 	"context"
 	"os"
-	"strconv"
 
 	"rapidanalytics/internal/dfs"
 )
@@ -313,10 +312,10 @@ type Cluster struct {
 	Scans ScanProvider
 
 	ctx context.Context
-	// testReduceWorkers, when positive, replaces maxParallel as the
-	// shuffle/reduce pool size. Only this package's determinism tests
+	// testWorkers, when positive, replaces maxParallel as the size of the
+	// map and shuffle/reduce pools. Only this package's determinism tests
 	// assign it, to sweep worker counts the host's CPU count cannot reach.
-	testReduceWorkers int
+	testWorkers int
 	// testStreamOverflowBytes, when positive, replaces streamOverflowBytes
 	// as the overflow threshold of streamed outputs. Only this package's
 	// overflow tests assign it.
@@ -326,9 +325,9 @@ type Cluster struct {
 // NewCluster returns a cluster over a fresh file system. The backend is
 // in-memory unless the RAPID_STORAGE environment variable selects "disk",
 // in which case the DFS lives in a fresh directory under RAPID_DATA_DIR
-// (or the OS temp dir) sharded RAPID_SHARDS ways; a disk backend that
-// cannot be set up panics rather than silently falling back, so CI legs
-// running the suite against disk cannot pass vacuously.
+// (or the OS temp dir); a disk backend that cannot be set up panics rather
+// than silently falling back, so CI legs running the suite against disk
+// cannot pass vacuously.
 func NewCluster(cfg ClusterConfig) *Cluster {
 	return &Cluster{FS: defaultFS(), Config: cfg}
 }
@@ -348,13 +347,7 @@ func defaultFS() *dfs.FS {
 	if err != nil {
 		panic("mapred: RAPID_STORAGE=disk: " + err.Error())
 	}
-	shards := 0
-	if s := os.Getenv("RAPID_SHARDS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil {
-			shards = n
-		}
-	}
-	fs, err := dfs.NewDisk(dir, shards)
+	fs, err := dfs.NewDisk(dir, 0)
 	if err != nil {
 		panic("mapred: RAPID_STORAGE=disk: " + err.Error())
 	}

@@ -170,11 +170,7 @@ func (c *Cluster) Run(job *Job) (metrics *Metrics, err error) {
 		// map buffers in task order, as Hadoop map tasks would; the write is
 		// part of the map phase, there is no shuffle or reduce.
 		wstart := time.Now()
-		out, ioSpan, err := c.createOutput(job, ratio, cycle)
-		if err != nil {
-			return nil, err
-		}
-		werr := func() error {
+		err := c.commitOutput(job, ratio, cycle, m, func(out *dfs.Writer) error {
 			for i := range results {
 				for ri, e := range results[i].parts[0] {
 					if ri%ctxCheckInterval == 0 {
@@ -192,16 +188,10 @@ func (c *Cluster) Run(job *Job) (metrics *Metrics, err error) {
 				}
 			}
 			return nil
-		}()
-		ioSpan.End()
-		if cerr := out.Close(); werr == nil && cerr != nil {
-			werr = fmt.Errorf("mapred: job %s: %w", job.Name, cerr)
+		})
+		if err != nil {
+			return nil, err
 		}
-		if werr != nil {
-			return nil, werr
-		}
-		m.OutputStoredBytes = out.StoredBytes()
-		m.noteStreamed(out)
 		m.MapWallNs += time.Since(wstart).Nanoseconds()
 		mapPhase.EndWith(time.Duration(m.MapWallNs))
 		cycle.AddRecords(m.OutputRecords)
@@ -212,7 +202,7 @@ func (c *Cluster) Run(job *Job) (metrics *Metrics, err error) {
 	mapPhase.EndWith(time.Duration(m.MapWallNs))
 
 	states := make([]partState, partitions)
-	workers := c.reduceWorkers(partitions)
+	workers := c.workers(partitions)
 	anySpill := false
 	for i := range results {
 		if results[i].spillRuns > 0 {
@@ -229,7 +219,7 @@ func (c *Cluster) Run(job *Job) (metrics *Metrics, err error) {
 	// partition.
 	shufflePhase := cycle.StartChild(obs.KindPhase, "shuffle-sort")
 	shuffleStart := time.Now()
-	runPartitions(workers, partitions, func(p int) {
+	runPool(workers, partitions, func(p int) {
 		st := &states[p]
 		var pspan *obs.Span
 		if shufflePhase != nil {
@@ -283,7 +273,7 @@ func (c *Cluster) Run(job *Job) (metrics *Metrics, err error) {
 	}
 	reduceStart := time.Now()
 	abort := newAbortSignal()
-	runPartitions(workers, partitions, func(p int) {
+	runPool(workers, partitions, func(p int) {
 		st := &states[p]
 		var pspan *obs.Span
 		if reduceOp != nil {
@@ -314,11 +304,7 @@ func (c *Cluster) Run(job *Job) (metrics *Metrics, err error) {
 	// Commit buffered partition outputs in partition order — the byte
 	// stream a single sequential reducer loop would have produced — one
 	// sealed batch at a time.
-	out, ioSpan, err := c.createOutput(job, ratio, cycle)
-	if err != nil {
-		return nil, err
-	}
-	werr := func() error {
+	err = c.commitOutput(job, ratio, cycle, m, func(out *dfs.Writer) error {
 		for p := range states {
 			st := &states[p]
 			// Each batch holds at most vec.DefaultBatchRows
@@ -335,16 +321,10 @@ func (c *Cluster) Run(job *Job) (metrics *Metrics, err error) {
 			m.OutputBytes += st.outputBytes
 		}
 		return nil
-	}()
-	ioSpan.End()
-	if cerr := out.Close(); werr == nil && cerr != nil {
-		werr = fmt.Errorf("mapred: job %s: %w", job.Name, cerr)
+	})
+	if err != nil {
+		return nil, err
 	}
-	if werr != nil {
-		return nil, werr
-	}
-	m.OutputStoredBytes = out.StoredBytes()
-	m.noteStreamed(out)
 	m.ReduceWallNs = time.Since(reduceStart).Nanoseconds()
 	reduceOp.AddRecords(m.ReduceGroups)
 	reducePhase.AddRecords(m.OutputRecords)
@@ -398,53 +378,36 @@ func (c *Cluster) mergeSpilled(results []taskResult, p int, st *partState, pspan
 	st.mapOutBytes = bytes
 }
 
-// runMapPhase executes every split on a pool of maxParallel workers pulling
-// from a shared channel, so fan-out stays bounded no matter how many splits
-// the input carves into. The first task failure trips the abort signal;
-// queued tasks are skipped and in-flight siblings stop at their next record
-// check. The returned error is the lowest-indexed task's genuine failure.
-// When mapOp is non-nil each task attaches a child span recording the
-// split's input volume; when nil the loop takes the span-free path.
+// runMapPhase executes every split on the bounded worker pool (runPool),
+// so fan-out stays bounded no matter how many splits the input carves
+// into. The first task failure trips the abort signal; queued tasks are
+// skipped and in-flight siblings stop at their next record check. The
+// returned error is the lowest-indexed task's genuine failure. When mapOp is
+// non-nil each task attaches a child span recording the split's input
+// volume; when nil the loop takes the span-free path.
 func (c *Cluster) runMapPhase(job *Job, splits []split, side map[string][][]byte, partitions int, mapOp *obs.Span) ([]taskResult, time.Duration, error) {
 	start := time.Now()
 	results := make([]taskResult, len(splits))
 	abort := newAbortSignal()
-	workers := maxParallel()
-	if workers > len(splits) {
-		workers = len(splits)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				if abort.aborted() {
-					results[i].err = errSiblingAborted
-					continue
-				}
-				var tspan *obs.Span
-				if mapOp != nil {
-					tspan = mapOp.StartChild(obs.KindTask, fmt.Sprintf("task-%d", i))
-					tspan.AddRecords(int64(splits[i].n))
-					tspan.AddBytes(splits[i].bytes)
-				}
-				res, err := c.runMapTask(job, i, splits[i], side, partitions, abort, tspan)
-				res.err = err
-				results[i] = res
-				tspan.End()
-				if err != nil {
-					abort.trip()
-				}
-			}
-		}()
-	}
-	for i := range splits {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	runPool(c.workers(len(splits)), len(splits), func(i int) {
+		if abort.aborted() {
+			results[i].err = errSiblingAborted
+			return
+		}
+		var tspan *obs.Span
+		if mapOp != nil {
+			tspan = mapOp.StartChild(obs.KindTask, fmt.Sprintf("task-%d", i))
+			tspan.AddRecords(int64(splits[i].n))
+			tspan.AddBytes(splits[i].bytes)
+		}
+		res, err := c.runMapTask(job, i, splits[i], side, partitions, abort, tspan)
+		res.err = err
+		results[i] = res
+		tspan.End()
+		if err != nil {
+			abort.trip()
+		}
+	})
 	elapsed := time.Since(start)
 	for i := range results {
 		if err := results[i].err; err != nil && !errors.Is(err, errSiblingAborted) {
@@ -502,10 +465,12 @@ func (c *Cluster) reducePartition(job *Job, st *partState, abort *abortSignal) e
 // path).
 const streamOverflowBytes = 64 << 20
 
-// createOutput opens the job's output writer — a stream when the job
-// marked its output StreamOutput, else a backend file — with an io span
-// under cycle named for the destination.
-func (c *Cluster) createOutput(job *Job, ratio float64, cycle *obs.Span) (*dfs.Writer, *obs.Span, error) {
+// commitOutput writes a job's output — map-only records or reduce batches,
+// through write — to a stream when the job marked its output StreamOutput,
+// else to a backend file, under an io span of cycle named for the
+// destination. It closes the writer and records in m the output's stored
+// size and whether it stayed in the stream registry.
+func (c *Cluster) commitOutput(job *Job, ratio float64, cycle *obs.Span, m *Metrics, write func(out *dfs.Writer) error) error {
 	var out *dfs.Writer
 	var err error
 	span := "dfs-write"
@@ -520,29 +485,35 @@ func (c *Cluster) createOutput(job *Job, ratio float64, cycle *obs.Span) (*dfs.W
 		out, err = c.FS.Create(job.Output, ratio)
 	}
 	if err != nil {
-		return nil, nil, fmt.Errorf("mapred: job %s: %w", job.Name, err)
+		return fmt.Errorf("mapred: job %s: %w", job.Name, err)
 	}
 	ioSpan := cycle.StartChild(obs.KindIO, span)
 	out.SetSpan(ioSpan)
-	return out, ioSpan, nil
-}
-
-// noteStreamed records whether the job's output stayed in the stream
-// registry (after Close, so overflow demotions are final).
-func (m *Metrics) noteStreamed(out *dfs.Writer) {
+	werr := write(out)
+	ioSpan.End()
+	if cerr := out.Close(); werr == nil && cerr != nil {
+		werr = fmt.Errorf("mapred: job %s: %w", job.Name, cerr)
+	}
+	if werr != nil {
+		return werr
+	}
+	m.OutputStoredBytes = out.StoredBytes()
+	// Read after Close, so overflow demotions are final.
 	m.StreamedBatches = out.StreamedBatches()
 	if m.StreamedBatches > 0 {
 		m.StreamedRecords = m.OutputRecords
 	}
+	return nil
 }
 
-// runPartitions applies f to every partition index on a pool of workers.
+// runPool applies f to every index in [0, n) — a map task's split or a
+// reduce partition — on a pool of workers pulling from a shared channel.
 // With one worker it degenerates to the sequential loop, which parallel
 // execution must be byte-for-byte indistinguishable from.
-func runPartitions(workers, partitions int, f func(p int)) {
+func runPool(workers, n int, f func(i int)) {
 	if workers <= 1 {
-		for p := 0; p < partitions; p++ {
-			f(p)
+		for i := 0; i < n; i++ {
+			f(i)
 		}
 		return
 	}
@@ -552,26 +523,26 @@ func runPartitions(workers, partitions int, f func(p int)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for p := range next {
-				f(p)
+			for i := range next {
+				f(i)
 			}
 		}()
 	}
-	for p := 0; p < partitions; p++ {
-		next <- p
+	for i := 0; i < n; i++ {
+		next <- i
 	}
 	close(next)
 	wg.Wait()
 }
 
-// reduceWorkers sizes the shuffle/reduce worker pool like the map pool: one
-// worker per CPU, never more than there are partitions.
-func (c *Cluster) reduceWorkers(partitions int) int {
+// workers sizes the worker pool of a phase with tasks tasks (map splits or
+// reduce partitions): one worker per CPU, never more than there are tasks.
+func (c *Cluster) workers(tasks int) int {
 	n := maxParallel()
-	if c.testReduceWorkers > 0 {
-		n = c.testReduceWorkers
+	if c.testWorkers > 0 {
+		n = c.testWorkers
 	}
-	return min(n, partitions)
+	return min(n, tasks)
 }
 
 // RunWorkflow executes jobs sequentially, stopping at the first error or

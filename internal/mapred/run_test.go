@@ -232,14 +232,14 @@ func aggInput(c *Cluster) {
 	writeLines(c, "in", 1, lines...)
 }
 
-// runAgg executes the aggregation job with the given reduce-worker setting
+// runAgg executes the aggregation job with the given worker setting
 // and returns the exact output record sequence and the job metrics.
 func runAgg(t *testing.T, workers int) ([]string, *Metrics) {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.ExecSplitBytes = 64
 	c := NewCluster(cfg)
-	c.testReduceWorkers = workers
+	c.testWorkers = workers
 	aggInput(c)
 	m, err := c.Run(aggJob(8))
 	if err != nil {

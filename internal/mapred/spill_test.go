@@ -146,7 +146,7 @@ func TestSpillDeterminismMatrix(t *testing.T) {
 					}
 				}
 				c := NewClusterFS(cfg, fs)
-				c.testReduceWorkers = workers
+				c.testWorkers = workers
 				spillFixture(c)
 				if _, err := c.Run(wordCountJob("in", "out", true)); err != nil {
 					t.Fatalf("w=%d t=%d %s: %v", workers, threshold, backend, err)

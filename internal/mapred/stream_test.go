@@ -187,7 +187,7 @@ func TestStreamedDeterminismMatrix(t *testing.T) {
 	var want string
 	for _, workers := range []int{1, 4} {
 		c := streamCluster()
-		c.testReduceWorkers = workers
+		c.testWorkers = workers
 		for _, stream := range []bool{false, true} {
 			out := fmt.Sprintf("out-%v", stream)
 			if _, err := c.Run(streamedWordCount("in", out, stream)); err != nil {

@@ -48,7 +48,7 @@ func (e *Engine) Execute(c *mapred.Cluster, ds *engine.Dataset, aq *algebra.Anal
 	run := engine.NewRunner(c, fmt.Sprintf("tmp/rapid/%d", runSeq.Add(1)))
 	var aggFiles []string
 	for k, sq := range aq.Subqueries {
-		file, err := evalSubquery(run, ds, sq, k, false, true, e.ReplanRatio)
+		file, err := EvalSubquery(run, ds, sq, k, false, true, e.ReplanRatio)
 		if err != nil {
 			return nil, run.WM, err
 		}
@@ -57,28 +57,28 @@ func (e *Engine) Execute(c *mapred.Cluster, ds *engine.Dataset, aq *algebra.Anal
 	return engine.FinishQuery(run, aq, aggFiles)
 }
 
-// evalSubquery evaluates one subquery over the triplegroup store: pattern
+// EvalSubquery evaluates one subquery over the triplegroup store: pattern
 // matching via TG joins, then one grouping-aggregation cycle. hashAgg
 // selects map-side hash pre-aggregation (RAPIDAnalytics' single-grouping
-// path) over the plain combiner (RAPID+). ratio is the planner's re-plan
-// trigger.
-func evalSubquery(run *engine.Runner, ds *engine.Dataset, sq *algebra.Subquery, k int, hashAgg, prune bool, ratio float64) (string, error) {
+// path, which calls this too) over the plain combiner (RAPID+). prune
+// limits scans to matching equivalence classes, and ratio is the planner's
+// re-plan trigger.
+func EvalSubquery(run *engine.Runner, ds *engine.Dataset, sq *algebra.Subquery, k int, hashAgg, prune bool, ratio float64) (string, error) {
 	gp := sq.Pattern
 	src, err := matchPattern(run, ds, gp, fmt.Sprintf("gp%d", k), nil, prune, ratio)
 	if err != nil {
 		return "", err
 	}
 	spec := tgops.AggJoinSpec{
-		ID:             k,
 		GroupVars:      sq.GroupBy,
 		Aggs:           sq.Aggs,
 		TPs:            starTriples(gp),
 		OptTPs:         starOptionals(gp),
-		Having:         GroupedHaving(sq),
+		Having:         sq.GroupedHaving(),
 		BindingFilters: unboundFilters(gp),
 	}
 	out := run.Path(fmt.Sprintf("gp%d-agg", k))
-	job := tgops.AggJoinJob(fmt.Sprintf("gp%d-agg", k), src, []tgops.AggJoinSpec{spec}, false, hashAgg, out)
+	job := tgops.AggJoinJob(fmt.Sprintf("gp%d-agg", k), src, []tgops.AggJoinSpec{spec}, hashAgg, out)
 	if err := run.Exec(job); err != nil {
 		return "", err
 	}
@@ -290,21 +290,4 @@ func starOptionals(gp *algebra.GraphPattern) map[int][]sparql.TriplePattern {
 		}
 	}
 	return out
-}
-
-// GroupedHaving returns the HAVING predicate applied during grouped
-// aggregation; GROUP BY ALL subqueries defer it to the post-default-row
-// repair (engine.ApplyGroupByAllHaving).
-func GroupedHaving(sq *algebra.Subquery) func([]string) bool {
-	if sq.GroupByAll() || len(sq.Having) == 0 {
-		return nil
-	}
-	return sq.HavingPassed
-}
-
-// EvalSubquery exposes the single-subquery path for RAPIDAnalytics'
-// single-grouping queries (identical workflow; hash aggregation, input
-// pruning and the re-plan trigger configurable).
-func EvalSubquery(run *engine.Runner, ds *engine.Dataset, sq *algebra.Subquery, k int, hashAgg, prune bool, ratio float64) (string, error) {
-	return evalSubquery(run, ds, sq, k, hashAgg, prune, ratio)
 }

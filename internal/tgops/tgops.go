@@ -25,10 +25,10 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
 
 	"rapidanalytics/internal/algebra"
 	"rapidanalytics/internal/codec"
+	"rapidanalytics/internal/engine"
 	"rapidanalytics/internal/mapred"
 	"rapidanalytics/internal/ntga"
 	"rapidanalytics/internal/rdf"
@@ -39,8 +39,8 @@ import (
 // Prop whose objects fail the filter are removed (bindings over the
 // remaining triples implement per-solution filter semantics).
 type PropFilter struct {
-	Prop   string
-	Filter sparql.Filter
+	Prop   string        // the filtered property's IRI
+	Filter sparql.Filter // the constraint its objects must pass
 }
 
 // ScanSpec describes a TG_OptGrpFilter-fused scan of raw triplegroup files
@@ -48,10 +48,10 @@ type PropFilter struct {
 // apply property-level filters. References are query-space; the scan
 // resolves them through the source's dictionary per task.
 type ScanSpec struct {
-	Star    int
-	Prim    []algebra.PropRef
-	Opt     []algebra.PropRef
-	Filters []PropFilter
+	Star    int               // the star's index, its annotation in the output
+	Prim    []algebra.PropRef // primary properties, all required
+	Opt     []algebra.PropRef // secondary properties, kept when present
+	Filters []PropFilter      // triple-level FILTER constraints
 	// KeepAll skips the projection onto Prim ∪ Opt: the star contains an
 	// unbound-property pattern, so every triple of the subject is relevant.
 	KeepAll bool
@@ -60,7 +60,7 @@ type ScanSpec struct {
 // Source is a job input: either raw triplegroup files with a scan spec, or
 // an intermediate file of annotated (joined) triplegroups.
 type Source struct {
-	Files []string
+	Files []string // the DFS files the job reads
 	// Scan is non-nil for raw triplegroup inputs.
 	Scan *ScanSpec
 	// Dict is the dataset's dictionary: records are ID-encoded and
@@ -188,9 +188,9 @@ func (sc *scanner) applyPropFilters(tg *ntga.TripleGroup) bool {
 // triplegroup: the subject of a star, or the objects of carrying properties
 // within a star.
 type Endpoint struct {
-	Star  int
-	Role  algebra.Role
-	Props []algebra.PropRef
+	Star  int               // the star the variable lives in
+	Role  algebra.Role      // subject, or object of Props
+	Props []algebra.PropRef // the carrying properties of an object endpoint
 }
 
 // planeProps resolves the endpoint's carrying properties to ID-strings
@@ -236,8 +236,8 @@ func appendJoinKeys(dst []string, a *ntga.AnnTG, ep Endpoint, props []string) []
 
 // JoinSide couples an input source with its join endpoint.
 type JoinSide struct {
-	Src Source
-	Ep  Endpoint
+	Src Source   // the side's input
+	Ep  Endpoint // where the side's join key lives
 }
 
 // AlphaJoinJob builds the TG_AlphaJoin cycle (Algorithm 2): both sides are
@@ -382,8 +382,6 @@ func (red *alphaJoinReducer) Reduce(key string, values [][]byte, emit mapred.Emi
 // cycle: the spec's α condition, the triple patterns whose bindings feed
 // the grouping and aggregation variables, and the aggregation list.
 type AggJoinSpec struct {
-	// ID tags the spec's output rows (the subquery index).
-	ID int
 	// GroupVars are the grouping variables (composite names; empty = ALL).
 	GroupVars []string
 	// Aggs are the aggregations (Var in composite names).
@@ -447,25 +445,23 @@ func slotValue(slots []string, slot int) string {
 
 // AggJoinJob builds the TG_AgJ cycle (Algorithm 3). With several specs it
 // is the generalised operator of Figure 6(b): all aggregations evaluate in
-// parallel within one cycle, keyed by id#group. With hashAgg the mapper
-// pre-aggregates into a task-wide hash map flushed at Map.clean();
-// otherwise per-solution partial states are merged by a combiner.
+// parallel within one cycle, keyed by the spec's index followed by the
+// group values. With hashAgg the mapper pre-aggregates into a task-wide
+// hash map flushed at Map.clean(); otherwise per-solution partial states
+// are merged by a combiner.
 //
-// Output rows are [id, group values..., finals...] when tagged, and
-// [group values..., finals...] otherwise (tagged must be true when more
-// than one spec is given). Rows are lexical: the reducer is the decode
-// boundary.
-func AggJoinJob(name string, src Source, specs []AggJoinSpec, tagged, hashAgg bool, output string) *mapred.Job {
-	if !tagged && len(specs) != 1 {
-		panic("tgops: untagged AggJoinJob requires exactly one spec")
-	}
+// Output rows are [group values..., finals...] for one spec, and [spec
+// index, group values..., finals...] for several — the two layouts
+// engine.FinishQuery reads. Rows are lexical: the reducer, the engines'
+// shared aggregation merger, is the decode boundary.
+func AggJoinJob(name string, src Source, specs []AggJoinSpec, hashAgg bool, output string) *mapred.Job {
 	resolved := make([]resolvedAggSpec, len(specs))
-	specByID := map[int]AggJoinSpec{}
+	groupings := make([]engine.Grouping, len(specs))
 	for i, sp := range specs {
 		resolved[i] = resolveAggSpec(sp, src.Dict)
-		specByID[sp.ID] = sp
+		groupings[i] = engine.Grouping{Aggs: sp.Aggs, Having: sp.Having}
 	}
-	job := &mapred.Job{
+	return &mapred.Job{
 		Name:           name,
 		Inputs:         src.Files,
 		Output:         output,
@@ -473,16 +469,11 @@ func AggJoinJob(name string, src Source, specs []AggJoinSpec, tagged, hashAgg bo
 		MapOperator:    "TG_AgJ.map",
 		ReduceOperator: "TG_AgJ.reduce",
 		NewMapper: func(tc *mapred.TaskContext) mapred.Mapper {
-			return newAggJoinMapper(src.scanner(), resolved, tagged, hashAgg)
+			return newAggJoinMapper(src.scanner(), resolved, hashAgg)
 		},
-		NewCombiner: func() mapred.Reducer {
-			return aggJoinMerger(specByID, src.Dict, tagged, false)
-		},
-		NewReducer: func() mapred.Reducer {
-			return aggJoinMerger(specByID, src.Dict, tagged, true)
-		},
+		NewCombiner: func() mapred.Reducer { return engine.NewAggMerger(groupings, nil) },
+		NewReducer:  func() mapred.Reducer { return engine.NewAggMerger(groupings, src.Dict) },
 	}
-	return job
 }
 
 // aggJoinMapper is one TG_AgJ map task. Everything it touches per record —
@@ -490,9 +481,8 @@ func AggJoinJob(name string, src Source, specs []AggJoinSpec, tagged, hashAgg bo
 // and, without hash aggregation, one partial state per spec — is allocated
 // when the task starts and reused (map tasks are single-goroutine).
 type aggJoinMapper struct {
-	sc     *scanner
-	specs  []resolvedAggSpec
-	tagged bool
+	sc    *scanner
+	specs []resolvedAggSpec
 	// states holds each spec's matching state; all report to solution.
 	states []*ntga.MatchState
 	// cur indexes the spec being matched and emit is the current Map
@@ -508,8 +498,8 @@ type aggJoinMapper struct {
 	partial     []*algebra.MultiAggState
 }
 
-func newAggJoinMapper(sc *scanner, specs []resolvedAggSpec, tagged, hashAgg bool) *aggJoinMapper {
-	m := &aggJoinMapper{sc: sc, specs: specs, tagged: tagged, states: make([]*ntga.MatchState, len(specs))}
+func newAggJoinMapper(sc *scanner, specs []resolvedAggSpec, hashAgg bool) *aggJoinMapper {
+	m := &aggJoinMapper{sc: sc, specs: specs, states: make([]*ntga.MatchState, len(specs))}
 	// One method value for the task, not a closure per record and spec.
 	onSolution := m.solution
 	for i := range specs {
@@ -526,15 +516,16 @@ func newAggJoinMapper(sc *scanner, specs []resolvedAggSpec, tagged, hashAgg bool
 	return m
 }
 
-// appendAggKey builds the shuffle key for one solution in keyBuf: the
-// optional uvarint spec ID followed by the group values' self-delimiting ID
-// bytes, with no separators (ID bytes may contain 0x1f).
+// appendAggKey builds the shuffle key for one solution of the current spec
+// in keyBuf: the uvarint spec index when the job has several specs,
+// followed by the group values' self-delimiting ID bytes, with no
+// separators (ID bytes may contain 0x1f).
 //
 //rapid:hot
 func (m *aggJoinMapper) appendAggKey(sp *resolvedAggSpec, slots []string) []byte {
 	buf := m.keyBuf[:0]
-	if m.tagged {
-		buf = codec.AppendUvarint(buf, uint64(sp.ID))
+	if len(m.specs) > 1 {
+		buf = codec.AppendUvarint(buf, uint64(m.cur))
 	}
 	for _, g := range sp.groupSlots {
 		if v := slotValue(slots, g); v != "" {
@@ -619,85 +610,4 @@ func (m *aggJoinMapper) Close(emit mapred.Emit) error {
 		emit(key, m.multiAggMap[key].AppendEncode(nil))
 	}
 	return nil
-}
-
-// splitAggKey parses a shuffle key built by aggKey back into the spec ID
-// and lexical group values — the decode boundary.
-func splitAggKey(key string, d *rdf.Dict, tagged bool) (id int, groups []string, err error) {
-	buf := []byte(key)
-	if tagged {
-		v, rest, err := codec.ReadUvarint(buf)
-		if err != nil {
-			return 0, nil, fmt.Errorf("tgops: bad agg-join id key %q", key)
-		}
-		id, buf = int(v), rest
-	}
-	for len(buf) > 0 {
-		v, rest, err := codec.ReadUvarint(buf)
-		if err != nil {
-			return 0, nil, fmt.Errorf("tgops: bad agg-join group key %q", key)
-		}
-		buf = rest
-		if v == 0 {
-			groups = append(groups, algebra.Null)
-			continue
-		}
-		lex, ok := d.Key(v)
-		if !ok {
-			return 0, nil, fmt.Errorf("tgops: unknown term id %d in agg-join key", v)
-		}
-		groups = append(groups, lex)
-	}
-	return id, groups, nil
-}
-
-// aggJoinMerger merges partial states per key; as the reducer it emits the
-// final (lexical) row.
-func aggJoinMerger(specByID map[int]AggJoinSpec, d *rdf.Dict, tagged, final bool) mapred.Reducer {
-	return mapred.ReducerFunc(func(key string, values [][]byte, emit mapred.Emit) error {
-		var sp AggJoinSpec
-		if tagged {
-			id, _, err := splitAggKey(key, d, true)
-			if err != nil {
-				return err
-			}
-			var ok bool
-			sp, ok = specByID[id]
-			if !ok {
-				return fmt.Errorf("tgops: unknown agg-join id %d", id)
-			}
-		} else {
-			for _, s := range specByID {
-				sp = s
-			}
-		}
-		acc := algebra.NewMultiAggState(sp.Aggs)
-		for _, v := range values {
-			if err := acc.MergeBytes(v); err != nil {
-				return err
-			}
-		}
-		if !final {
-			emit(key, acc.AppendEncode(nil))
-			return nil
-		}
-		finals := acc.Finals()
-		if sp.Having != nil && !sp.Having(finals) {
-			return nil
-		}
-		var row codec.Tuple
-		if key != "" {
-			_, groups, err := splitAggKey(key, d, tagged)
-			if err != nil {
-				return err
-			}
-			if tagged {
-				row = append(row, strconv.Itoa(sp.ID))
-			}
-			row = append(row, groups...)
-		}
-		row = append(row, finals...)
-		emit("", row.Encode())
-		return nil
-	})
 }

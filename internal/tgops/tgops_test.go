@@ -214,11 +214,11 @@ func aggSpecs(tagged bool) []AggJoinSpec {
 	count := []algebra.AggSpec{{Func: sparql.Count, Var: "pr", As: "cnt"}}
 	sum := []algebra.AggSpec{{Func: sparql.Sum, Var: "pr", As: "sum"}}
 	if !tagged {
-		return []AggJoinSpec{{ID: 0, GroupVars: []string{"s"}, Aggs: count, TPs: tps}}
+		return []AggJoinSpec{{GroupVars: []string{"s"}, Aggs: count, TPs: tps}}
 	}
 	return []AggJoinSpec{
-		{ID: 0, GroupVars: []string{"s"}, Aggs: count, TPs: tps},
-		{ID: 1, GroupVars: nil, Aggs: sum, TPs: tps},
+		{GroupVars: []string{"s"}, Aggs: count, TPs: tps},
+		{GroupVars: nil, Aggs: sum, TPs: tps},
 	}
 }
 
@@ -258,7 +258,7 @@ func TestAggJoinUntagged(t *testing.T) {
 	for _, hash := range []bool{false, true} {
 		c := newCluster()
 		src := aggInput(c)
-		job := AggJoinJob("agg", src, aggSpecs(false), false, hash, "out")
+		job := AggJoinJob("agg", src, aggSpecs(false), hash, "out")
 		m, err := c.Run(job)
 		if err != nil {
 			t.Fatalf("hash=%v: %v", hash, err)
@@ -286,7 +286,7 @@ func TestAggJoinHashEmitsLess(t *testing.T) {
 		}
 		writeTGs(c, d, "in", g)
 		src := Source{Files: []string{"in"}, Dict: d, Scan: &ScanSpec{Star: 0, Prim: []algebra.PropRef{{Prop: "price"}}}}
-		m, err := c.Run(AggJoinJob("agg", src, aggSpecs(false), false, hash, "out"))
+		m, err := c.Run(AggJoinJob("agg", src, aggSpecs(false), hash, "out"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,7 +301,7 @@ func TestAggJoinHashEmitsLess(t *testing.T) {
 func TestAggJoinTaggedParallel(t *testing.T) {
 	c := newCluster()
 	src := aggInput(c)
-	job := AggJoinJob("agg", src, aggSpecs(true), true, true, "out")
+	job := AggJoinJob("agg", src, aggSpecs(true), true, "out")
 	if _, err := c.Run(job); err != nil {
 		t.Fatal(err)
 	}
@@ -319,22 +319,13 @@ func TestAggJoinAlphaGate(t *testing.T) {
 	specs := aggSpecs(false)
 	ib := src.Dict.KeyString("Ib")
 	specs[0].Alpha = func(a *ntga.AnnTG) bool { return a.TGs[0].Subject != ib }
-	if _, err := c.Run(AggJoinJob("agg", src, specs, false, true, "out")); err != nil {
+	if _, err := c.Run(AggJoinJob("agg", src, specs, true, "out")); err != nil {
 		t.Fatal(err)
 	}
 	got := readTuples(t, c, "out")
 	if len(got) != 1 || got[0] != "Ia|2" {
 		t.Errorf("rows = %v", got)
 	}
-}
-
-func TestAggJoinUntaggedRequiresSingleSpec(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("untagged AggJoinJob with two specs did not panic")
-		}
-	}()
-	AggJoinJob("agg", Source{Dict: rdf.NewDict()}, aggSpecs(true), false, true, "out")
 }
 
 func TestJoinKeysMissingStar(t *testing.T) {
@@ -433,7 +424,7 @@ func TestScannerScratchDoesNotLeakAcrossRecords(t *testing.T) {
 		return a.EncodeIDs()
 	}
 	out = nil
-	am := AggJoinJob("agg", Source{Files: []string{"in"}, Dict: d}, aggSpecs(false), false, false, "out").NewMapper(&mapred.TaskContext{InputFile: "in"})
+	am := AggJoinJob("agg", Source{Files: []string{"in"}, Dict: d}, aggSpecs(false), false, "out").NewMapper(&mapred.TaskContext{InputFile: "in"})
 	if err := am.Map(joined(recA), retain(&out)); err != nil {
 		t.Fatal(err)
 	}
@@ -477,7 +468,7 @@ func TestMapSideAllocations(t *testing.T) {
 		t.Errorf("annTGOf allocates %v times per raw triplegroup, want 0", allocs)
 	}
 
-	m := AggJoinJob("agg", src, aggSpecs(true), true, true, "out").NewMapper(&mapred.TaskContext{InputFile: "in"})
+	m := AggJoinJob("agg", src, aggSpecs(true), true, "out").NewMapper(&mapred.TaskContext{InputFile: "in"})
 	emits := 0
 	emit := func(string, []byte) { emits++ }
 	mapRec := func() {

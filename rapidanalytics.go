@@ -83,9 +83,6 @@ type Options struct {
 	// so simulated seconds are comparable to a dataset DataScale times
 	// larger than the loaded one. 1 means no extrapolation.
 	DataScale float64
-	// MapJoinBytes is Hive's broadcast-join budget at paper scale
-	// (default: 25MB, hive.mapjoin.smalltable.filesize).
-	MapJoinBytes int64
 	// PlanCacheSize bounds the store's LRU plan cache (entries). 0 means
 	// the default of 128; negative disables plan caching entirely.
 	PlanCacheSize int
@@ -101,9 +98,6 @@ type Options struct {
 	// keep reading consistent snapshots; stale loads are not reclaimed
 	// until the process exits.
 	DataDir string
-	// StorageShards is the disk backend's directory shard count (0 = the
-	// blockstore default of 8).
-	StorageShards int
 	// SpillThresholdBytes bounds each map task's buffered shuffle output:
 	// past the threshold, partition buffers are sorted and spilled to the
 	// DFS and merged back during the shuffle. 0 disables spilling. Query
@@ -116,8 +110,6 @@ type Options struct {
 	// partition counts always come from the load-time statistics catalog
 	// (internal/stats); result rows do not depend on the order chosen.
 	ReplanRatio float64
-	// RAPIDAnalyticsOptions toggles the optimizer's features (ablations).
-	RAPIDAnalyticsOptions *EngineFeatures
 	// SharedScans batches concurrent in-flight queries' scans of identical
 	// base-layout file ranges into one shared pass per cycle window
 	// (internal/share) — serving-time MQO across query boundaries. Results
@@ -135,15 +127,6 @@ type Options struct {
 	ResultCacheBytes int64
 }
 
-// EngineFeatures mirrors the RAPIDAnalytics design choices (all enabled in
-// the paper's configuration).
-type EngineFeatures struct {
-	ParallelAggregation bool
-	AlphaFiltering      bool
-	HashAggregation     bool
-	InputPruning        bool
-}
-
 // Storage backends selectable through Options.Storage and the -storage
 // flag of cmd/rapidanalytics and cmd/rapidserver.
 const (
@@ -157,10 +140,9 @@ const (
 // extrapolation.
 func DefaultOptions() Options {
 	return Options{
-		Nodes:        10,
-		DataScale:    1,
-		MapJoinBytes: 25 << 20,
-		ReplanRatio:  rapid.DefaultReplanRatio,
+		Nodes:       10,
+		DataScale:   1,
+		ReplanRatio: rapid.DefaultReplanRatio,
 	}
 }
 
@@ -241,9 +223,6 @@ func NewStore(opts Options) *Store {
 	}
 	if opts.DataScale <= 0 {
 		opts.DataScale = 1
-	}
-	if opts.MapJoinBytes <= 0 {
-		opts.MapJoinBytes = 25 << 20
 	}
 	if opts.ReplanRatio == 0 {
 		opts.ReplanRatio = rapid.DefaultReplanRatio
@@ -382,7 +361,7 @@ func (s *Store) newFS() (*dfs.FS, error) {
 			dir = d
 			s.opts.DataDir = d
 		}
-		return dfs.NewDisk(filepath.Join(dir, fmt.Sprintf("load-%d", s.loads)), s.opts.StorageShards)
+		return dfs.NewDisk(filepath.Join(dir, fmt.Sprintf("load-%d", s.loads)), 0)
 	default:
 		return nil, fmt.Errorf("unknown storage backend %q (want %q or %q)", s.opts.Storage, StorageMem, StorageDisk)
 	}
@@ -511,18 +490,9 @@ func (r *Result) Len() int { return len(r.rows) }
 func (r *Result) String() string { return r.raw.Pretty() }
 
 func (s *Store) engineFor(sys System) (engine.Engine, error) {
-	hiveConf := hive.Config{MapJoinBytes: s.opts.MapJoinBytes}
 	switch sys {
 	case RAPIDAnalytics:
 		e := core.New()
-		if f := s.opts.RAPIDAnalyticsOptions; f != nil {
-			e.Opts = core.Options{
-				ParallelAggregation: f.ParallelAggregation,
-				AlphaFiltering:      f.AlphaFiltering,
-				HashAggregation:     f.HashAggregation,
-				InputPruning:        f.InputPruning,
-			}
-		}
 		e.Opts.ReplanRatio = s.opts.ReplanRatio
 		if s.results != nil {
 			e.SubResults = subResultCache{c: s.results, version: s.currentDataVersion()}
@@ -531,9 +501,9 @@ func (s *Store) engineFor(sys System) (engine.Engine, error) {
 	case RAPIDPlus:
 		return &rapid.Engine{ReplanRatio: s.opts.ReplanRatio}, nil
 	case HiveNaive:
-		return &hive.Naive{Conf: hiveConf}, nil
+		return hive.NewNaive(), nil
 	case HiveMQO:
-		return &hive.MQO{Conf: hiveConf}, nil
+		return hive.NewMQO(), nil
 	default:
 		return nil, fmt.Errorf("%w: %q", ErrUnknownSystem, sys)
 	}
@@ -980,7 +950,7 @@ func PredictCycles(q *Compiled, sys System) int {
 		n += len(cp.Stars) - 1 // inter-star joins
 		for k := range aq.Subqueries {
 			n++ // aggregation
-			if mqoNeedsDistinct(cp, k) {
+			if cp.NeedsDistinct(k) {
 				n++
 			}
 		}
@@ -994,11 +964,7 @@ func PredictCycles(q *Compiled, sys System) int {
 	case RAPIDAnalytics:
 		cp, err := compositeOf(aq)
 		if err != nil {
-			total := 0
-			for _, sq := range aq.Subqueries {
-				total += len(sq.Pattern.Stars) - 1 + 1
-			}
-			return total + finalJoin
+			return PredictCycles(q, RAPIDPlus)
 		}
 		return len(cp.Stars) - 1 + 1 + finalJoin
 	default:
@@ -1011,15 +977,4 @@ func compositeOf(aq *algebra.AnalyticalQuery) (*algebra.CompositePattern, error)
 		return nil, fmt.Errorf("single grouping")
 	}
 	return algebra.BuildComposite(aq.Subqueries)
-}
-
-func mqoNeedsDistinct(cp *algebra.CompositePattern, k int) bool {
-	for _, cs := range cp.Stars {
-		for _, p := range cs.Props {
-			if len(p.Owners) != cp.NumPatterns && !p.Owners[k] {
-				return true
-			}
-		}
-	}
-	return false
 }
