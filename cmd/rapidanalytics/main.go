@@ -20,9 +20,7 @@ import (
 	"time"
 
 	"rapidanalytics/internal/bench"
-	"rapidanalytics/internal/core"
 	"rapidanalytics/internal/engine"
-	"rapidanalytics/internal/rapid"
 
 	ra "rapidanalytics"
 )
@@ -44,10 +42,9 @@ func main() {
 		storage  = flag.String("storage", "", "DFS backend: mem or disk (empty honors $RAPID_STORAGE, default mem)")
 		dataDir  = flag.String("data-dir", "", "root directory for -storage disk (empty = fresh temp dir)")
 		spill    = flag.Int64("spill-threshold", 0, "map-side spill threshold in bytes (0 disables spilling)")
-		replan   = flag.Float64("replan-ratio", 0, "mid-query re-plan trigger: estimate/observed mismatch ratio (0 = default 4, negative disables re-planning)")
 	)
 	flag.Parse()
-	st := storageOpts{storage: *storage, dataDir: *dataDir, spill: *spill, replanRatio: *replan}
+	st := storageOpts{storage: *storage, dataDir: *dataDir, spill: *spill}
 	if *trace != "" && *trace != "table" && *trace != "spans" {
 		fatal(fmt.Errorf("-trace must be empty, %q or %q", "table", "spans"))
 	}
@@ -72,13 +69,11 @@ func main() {
 	runOnCatalogDataset(query, *queryID, *dataset, *system, *all, *verify, *rows, *trace, *traceOut, st)
 }
 
-// storageOpts carries the storage-backend and planner flags into both run
-// paths.
+// storageOpts carries the storage-backend flags into both run paths.
 type storageOpts struct {
-	storage     string
-	dataDir     string
-	spill       int64
-	replanRatio float64
+	storage string
+	dataDir string
+	spill   int64
 }
 
 func resolveQuery(queryID, file string) (string, error) {
@@ -110,9 +105,6 @@ func runOnFile(query, dataFile, system string, all, verify bool, rows int, trace
 	opts.Storage = st.storage
 	opts.DataDir = st.dataDir
 	opts.SpillThresholdBytes = st.spill
-	if st.replanRatio != 0 {
-		opts.ReplanRatio = st.replanRatio
-	}
 	store := ra.NewStore(opts)
 	if err := store.LoadNTriples(f); err != nil {
 		fatal(err)
@@ -172,16 +164,6 @@ func runOnCatalogDataset(query, queryID, dataset, system string, all, verify boo
 	h.Loader.DataDir = st.dataDir
 	h.Loader.SpillThresholdBytes = st.spill
 	engines := bench.Engines()
-	if st.replanRatio != 0 {
-		for _, e := range engines {
-			switch t := e.(type) {
-			case *rapid.Engine:
-				t.ReplanRatio = st.replanRatio
-			case *core.Engine:
-				t.Opts.ReplanRatio = st.replanRatio
-			}
-		}
-	}
 	if !all {
 		var filtered []engine.Engine
 		for _, e := range engines {

@@ -54,7 +54,6 @@ func main() {
 		storage       = flag.String("storage", "", "DFS backend: mem or disk (empty honors $RAPID_STORAGE, default mem)")
 		dataDir       = flag.String("data-dir", "", "root directory for -storage disk (empty = fresh temp dir)")
 		spill         = flag.Int64("spill-threshold", 0, "map-side spill threshold in bytes (0 disables spilling)")
-		replan        = flag.Float64("replan-ratio", 0, "mid-query re-plan trigger: estimate/observed mismatch ratio (0 = default 4, negative disables re-planning)")
 		sharedScans   = flag.Bool("shared-scans", true, "batch concurrent queries scanning the same file range into one shared pass")
 		scanWindow    = flag.Duration("shared-scan-window", 0, "shared-scan cycle collection window (0 = default 2ms)")
 		resultCache   = flag.Int64("result-cache-bytes", 64<<20, "versioned result/sub-result cache byte budget (0 disables)")
@@ -69,9 +68,6 @@ func main() {
 	opts.Storage = *storage
 	opts.DataDir = *dataDir
 	opts.SpillThresholdBytes = *spill
-	if *replan != 0 {
-		opts.ReplanRatio = *replan
-	}
 	opts.SharedScans = *sharedScans
 	opts.SharedScanWindow = *scanWindow
 	opts.ResultCacheBytes = *resultCache

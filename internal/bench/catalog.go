@@ -1,8 +1,8 @@
 // Package bench holds the paper's evaluation workload: the query catalog
 // (single-grouping G1–G9 and multi-grouping MG1–MG18; the paper's numbering
-// has no MG5), the dataset specifications, the harness that runs every
-// engine over every query, and the report renderers that regenerate each
-// table and figure of §5.
+// has no MG5), the dataset specifications and the harness that runs every
+// engine over every query. Its tests render each table and figure of §5
+// from one verified pass and pin them in testdata/paper.golden.
 package bench
 
 import (

@@ -50,15 +50,6 @@ func Engines() []engine.Engine {
 	return []engine.Engine{hive.NewNaive(), hive.NewMQO(), rapid.New(), core.New()}
 }
 
-// EngineNames returns the display names in presentation order.
-func EngineNames() []string {
-	names := make([]string, 0, 4)
-	for _, e := range Engines() {
-		names = append(names, e.Name())
-	}
-	return names
-}
-
 // Harness runs catalog queries over cached datasets.
 type Harness struct {
 	Loader *Loader
@@ -158,42 +149,33 @@ func (h *Harness) run(queryID, datasetID string, engines []engine.Engine, traced
 	return out, nil
 }
 
-// RunAll executes a list of query ids on a dataset across engines.
-func (h *Harness) RunAll(queryIDs []string, datasetID string, engines []engine.Engine) ([]RunResult, error) {
-	var out []RunResult
-	for _, id := range queryIDs {
-		rs, err := h.Run(id, datasetID, engines)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rs...)
-	}
-	return out, nil
+// ablations are the RAPIDAnalytics option variants RunAblation compares:
+// the Figure 6(a) vs 6(b) comparison plus the α-filter, hash-aggregation
+// and input-pruning ablations.
+var ablations = []struct {
+	name string
+	opts core.Options
+}{
+	{"RA (parallel agg, Fig 6b)", core.DefaultOptions()},
+	{"RA (sequential agg, Fig 6a)", core.Options{ParallelAggregation: false, AlphaFiltering: true, HashAggregation: true, InputPruning: true}},
+	{"RA (no α filter)", core.Options{ParallelAggregation: true, AlphaFiltering: false, HashAggregation: true, InputPruning: true}},
+	{"RA (no hash pre-agg)", core.Options{ParallelAggregation: true, AlphaFiltering: true, HashAggregation: false, InputPruning: true}},
+	{"RA (no input pruning)", core.Options{ParallelAggregation: true, AlphaFiltering: true, HashAggregation: true}},
 }
 
-// RunAblation runs RAPIDAnalytics option variants on one query/dataset:
-// the Figure 6(a) vs 6(b) comparison plus the α-filter and hash-aggregation
-// ablations.
+// RunAblation runs every RAPIDAnalytics ablation variant on one
+// query/dataset; each result's Engine names its variant.
 func (h *Harness) RunAblation(queryID, datasetID string) ([]RunResult, error) {
-	variants := []struct {
-		name string
-		opts core.Options
-	}{
-		{"RA (parallel agg, Fig 6b)", core.DefaultOptions()},
-		{"RA (sequential agg, Fig 6a)", core.Options{ParallelAggregation: false, AlphaFiltering: true, HashAggregation: true, InputPruning: true}},
-		{"RA (no α filter)", core.Options{ParallelAggregation: true, AlphaFiltering: false, HashAggregation: true, InputPruning: true}},
-		{"RA (no hash pre-agg)", core.Options{ParallelAggregation: true, AlphaFiltering: true, HashAggregation: false, InputPruning: true}},
-		{"RA (no input pruning)", core.Options{ParallelAggregation: true, AlphaFiltering: true, HashAggregation: true}},
+	engines := make([]engine.Engine, len(ablations))
+	for i, v := range ablations {
+		engines[i] = &core.Engine{Opts: v.opts}
 	}
-	var out []RunResult
-	for _, v := range variants {
-		e := &core.Engine{Opts: v.opts}
-		rs, err := h.Run(queryID, datasetID, []engine.Engine{e})
-		if err != nil {
-			return out, err
-		}
-		rs[0].Engine = v.name
-		out = append(out, rs...)
+	rs, err := h.Run(queryID, datasetID, engines)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	for i := range rs {
+		rs[i].Engine = ablations[i].name
+	}
+	return rs, nil
 }

@@ -2,8 +2,9 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"strings"
+	"testing"
+	"unicode/utf8"
 )
 
 // Paper-reported execution times in seconds, used to print "paper vs
@@ -41,28 +42,32 @@ var paperTable4 = map[string][4]float64{
 	"MG18": {5654, 4817, 306, 202},
 }
 
-// row formats one line of an aligned table.
+// engineNames returns the display names of Engines() in presentation
+// order.
+func engineNames() []string {
+	names := make([]string, 0, 4)
+	for _, e := range Engines() {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+// formatTable renders an aligned table: each column is as wide as its
+// widest cell, counted in runes, columns sit two spaces apart, and the
+// last cell of a line is not padded.
 func formatTable(headers []string, rows [][]string) string {
 	widths := make([]int, len(headers))
-	for i, h := range headers {
-		widths[i] = len(h)
-	}
-	for _, r := range rows {
+	for _, r := range append([][]string{headers}, rows...) {
 		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
+			widths[i] = max(widths[i], utf8.RuneCountInString(c))
 		}
 	}
 	var b strings.Builder
 	line := func(cells []string) {
 		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
 			b.WriteString(c)
-			for k := len(c); k < widths[i]; k++ {
-				b.WriteByte(' ')
+			if i < len(cells)-1 {
+				b.WriteString(strings.Repeat(" ", widths[i]-utf8.RuneCountInString(c)+2))
 			}
 		}
 		b.WriteByte('\n')
@@ -143,14 +148,14 @@ func RenderTable3Chem(res []RunResult) string {
 func RenderFigure(title string, queryIDs []string, res []RunResult) string {
 	idx := indexResults(res)
 	headers := []string{"Query"}
-	for _, n := range EngineNames() {
+	for _, n := range engineNames() {
 		headers = append(headers, n, "×")
 	}
 	var rows [][]string
 	for _, q := range queryIDs {
 		base := idx[q+"|Hive (Naive)"].SimSeconds
 		row := []string{q}
-		for _, n := range EngineNames() {
+		for _, n := range engineNames() {
 			r := idx[q+"|"+n]
 			speedup := "-"
 			if r.SimSeconds > 0 {
@@ -172,7 +177,7 @@ func RenderTable4(res []RunResult) string {
 	for _, q := range []string{"MG11", "MG12", "MG13", "MG14", "MG15", "MG16", "MG17", "MG18"} {
 		p := paperTable4[q]
 		row := []string{q}
-		for i, n := range EngineNames() {
+		for i, n := range engineNames() {
 			r := idx[q+"|"+n]
 			row = append(row, secs(p[i]), secs(r.SimSeconds))
 		}
@@ -189,27 +194,21 @@ func RenderTable4(res []RunResult) string {
 		"* paper's Hive (Naive) MG13 failed after >120min (HDFS space); 7200 is a floor.\n"
 }
 
-// RenderCycles renders the MR-cycle counts per engine for a set of
-// queries, the §5.2 plan-shape verification.
+// RenderCycles renders the MR-cycle counts per engine, the §5.2 plan-shape
+// verification, one row per query in the order the results first name it.
 func RenderCycles(res []RunResult) string {
 	idx := indexResults(res)
-	queries := map[string]bool{}
-	for _, r := range res {
-		queries[r.Query] = true
-	}
 	var qs []string
-	for q := range queries {
-		qs = append(qs, q)
+	for _, r := range res {
+		if len(qs) == 0 || qs[len(qs)-1] != r.Query {
+			qs = append(qs, r.Query)
+		}
 	}
-	sortQueries(qs)
-	headers := []string{"Query"}
-	for _, n := range EngineNames() {
-		headers = append(headers, n)
-	}
+	headers := append([]string{"Query"}, engineNames()...)
 	var rows [][]string
 	for _, q := range qs {
 		row := []string{q}
-		for _, n := range EngineNames() {
+		for _, n := range engineNames() {
 			r := idx[q+"|"+n]
 			row = append(row, fmt.Sprintf("%d (%d map-only)", r.Cycles, r.MapOnlyCycles))
 		}
@@ -235,25 +234,36 @@ func RenderAblation(res []RunResult) string {
 		formatTable(headers, rows)
 }
 
-// sortQueries orders query ids naturally: G1..G9 before MG1..MG18.
-func sortQueries(qs []string) {
-	rank := func(q string) (int, int) {
-		kind := 0
-		rest := strings.TrimPrefix(q, "G")
-		if strings.HasPrefix(q, "MG") {
-			kind = 1
-			rest = strings.TrimPrefix(q, "MG")
-		}
-		n := 0
-		fmt.Sscanf(rest, "%d", &n)
-		return kind, n
+// RenderLedger renders one line per cell with what the tables round away:
+// simulated seconds to 0.1 s, both measured volumes and the row count.
+func RenderLedger(res []RunResult) string {
+	headers := []string{"Query", "Dataset", "Engine", "Cycles/map-only", "SimSecs", "Shuffle B", "Materialized B", "Rows"}
+	var rows [][]string
+	for _, r := range res {
+		rows = append(rows, []string{
+			r.Query, r.Dataset, r.Engine,
+			fmt.Sprintf("%d/%d", r.Cycles, r.MapOnlyCycles),
+			fmt.Sprintf("%.1f", r.SimSeconds),
+			fmt.Sprintf("%d", r.ShuffleBytes),
+			fmt.Sprintf("%d", r.MaterializedBytes),
+			fmt.Sprintf("%d", r.Rows),
+		})
 	}
-	sort.Slice(qs, func(i, j int) bool {
-		ki, ni := rank(qs[i])
-		kj, nj := rank(qs[j])
-		if ki != kj {
-			return ki < kj
-		}
-		return ni < nj
+	return "Ledger: every cell (simulated seconds to 0.1 s, measured volumes, result rows)\n" +
+		formatTable(headers, rows)
+}
+
+// A multi-byte cell is as wide as its runes, and no line ends in padding.
+func TestFormatTableAlignsRunesAndTrimsLastCell(t *testing.T) {
+	got := formatTable([]string{"Variant", "Cycles"}, [][]string{
+		{"RA (no α filter)", "3"},
+		{"RA (plain)", "12"},
 	})
+	want := "Variant           Cycles\n" +
+		"----------------  ------\n" +
+		"RA (no α filter)  3\n" +
+		"RA (plain)        12\n"
+	if got != want {
+		t.Errorf("formatTable:\n%s\nwant:\n%s", got, want)
+	}
 }

@@ -55,9 +55,6 @@ type Options struct {
 	// that can match each star's primary properties (the paper's
 	// pre-processing benefit); disabled, every class is scanned.
 	InputPruning bool
-	// ReplanRatio is the estimate-vs-observed error ratio that triggers a
-	// mid-query re-plan of the remaining join chain; <= 0 never re-plans.
-	ReplanRatio float64
 }
 
 // DefaultOptions is the configuration evaluated in the paper.
@@ -67,7 +64,6 @@ func DefaultOptions() Options {
 		AlphaFiltering:      true,
 		HashAggregation:     true,
 		InputPruning:        true,
-		ReplanRatio:         rapid.DefaultReplanRatio,
 	}
 }
 
@@ -151,7 +147,7 @@ func (e *Engine) Execute(c *mapred.Cluster, ds *engine.Dataset, aq *algebra.Anal
 func (e *Engine) executeSequential(run *engine.Runner, ds *engine.Dataset, aq *algebra.AnalyticalQuery) (*engine.Result, *mapred.WorkflowMetrics, error) {
 	var aggFiles []string
 	for k, sq := range aq.Subqueries {
-		file, err := rapid.EvalSubquery(run, ds, sq, k, e.Opts.HashAggregation, e.Opts.InputPruning, e.Opts.ReplanRatio)
+		file, err := rapid.EvalSubquery(run, ds, sq, k, e.Opts.HashAggregation, e.Opts.InputPruning)
 		if err != nil {
 			return nil, run.WM, err
 		}
@@ -224,10 +220,8 @@ func (e *Engine) evalComposite(run *engine.Runner, ds *engine.Dataset, cp *algeb
 	// A hand-built dataset without a catalog leaves est nil, which is
 	// JoinOrderCost's star-0-first fallback, and the chain non-adaptive.
 	var est algebra.CardEstimator
-	var ad *rapid.Adaptive
 	if ds.Stats != nil {
 		est = stats.NewEstimator(ds.Stats, refs, false)
-		ad = &rapid.Adaptive{Est: est, ReplanRatio: e.Opts.ReplanRatio}
 	}
 	order, err := algebra.JoinOrderCost(len(cp.Stars), cp.Joins, est)
 	ps.End()
@@ -242,7 +236,7 @@ func (e *Engine) evalComposite(run *engine.Runner, ds *engine.Dataset, cp *algeb
 	// matches, so the final join streams too; sequential aggregation runs
 	// one TG_AgJ per subquery over the shared matches, which need the real
 	// DFS checkpoint.
-	return rapid.JoinChain(run, scans, order, "composite", ntga.ResolveAlpha(alphaCP, ds.Dict), e.Opts.ParallelAggregation, ad)
+	return rapid.JoinChain(run, scans, order, "composite", ntga.ResolveAlpha(alphaCP, ds.Dict), e.Opts.ParallelAggregation, est)
 }
 
 // compositeStarScan builds the scan for one composite star: primary

@@ -50,20 +50,13 @@ func Load(c *mapred.Cluster, name string, g *rdf.Graph) (*Dataset, error) {
 	if err != nil {
 		return nil, fmt.Errorf("engine: loading %s: %w", name, err)
 	}
-	// The statistics catalog is collected in the same load pass and
-	// serialised next to the physical layouts, so the disk backend persists
-	// it through the blockstore like any other dataset file.
-	st := stats.Collect(g)
-	if err := stats.Write(c.FS, name, st); err != nil {
-		return nil, fmt.Errorf("engine: loading %s: %w", name, err)
-	}
 	return &Dataset{
 		Name:  name,
 		Graph: g,
 		VP:    vp,
 		TG:    tg,
 		Dict:  d,
-		Stats: st,
+		Stats: stats.Collect(g),
 	}, nil
 }
 

@@ -3,7 +3,7 @@
 // PR 4's dictionary-encoded data plane earned its allocation wins by moving
 // every per-record emit onto pooled AppendEncode/Append* codec APIs. Those
 // wins erode one convenience call at a time: a fmt.Sprintf key here, a
-// string(buf) conversion there, and the allocs/op gate (BenchmarkMG
+// string(buf) conversion there, and allocs/op (BenchmarkCatalogPass
 // -benchmem) starts creeping. hotalloc makes the convention explicit:
 // functions annotated
 //

@@ -26,19 +26,15 @@ import (
 
 var runSeq atomic.Int64
 
-// DefaultReplanRatio is the estimate-vs-observed cardinality error ratio
-// above which an executing join chain re-plans its remaining edges.
-const DefaultReplanRatio = 4
+// replanRatio is the estimate-vs-observed cardinality error ratio above
+// which an executing join chain re-plans its remaining edges.
+const replanRatio = 4
 
 // Engine is the RAPID+ (Naive) engine.
-type Engine struct {
-	// ReplanRatio is the error ratio that triggers a mid-query re-plan;
-	// <= 0 disables re-planning (ordering stays cost-based).
-	ReplanRatio float64
-}
+type Engine struct{}
 
-// New returns the engine with the default re-plan trigger.
-func New() *Engine { return &Engine{ReplanRatio: DefaultReplanRatio} }
+// New returns the engine.
+func New() *Engine { return &Engine{} }
 
 // Name implements engine.Engine.
 func (e *Engine) Name() string { return "RAPID+ (Naive)" }
@@ -48,7 +44,7 @@ func (e *Engine) Execute(c *mapred.Cluster, ds *engine.Dataset, aq *algebra.Anal
 	run := engine.NewRunner(c, fmt.Sprintf("tmp/rapid/%d", runSeq.Add(1)))
 	var aggFiles []string
 	for k, sq := range aq.Subqueries {
-		file, err := EvalSubquery(run, ds, sq, k, false, true, e.ReplanRatio)
+		file, err := EvalSubquery(run, ds, sq, k, false, true)
 		if err != nil {
 			return nil, run.WM, err
 		}
@@ -61,11 +57,10 @@ func (e *Engine) Execute(c *mapred.Cluster, ds *engine.Dataset, aq *algebra.Anal
 // matching via TG joins, then one grouping-aggregation cycle. hashAgg
 // selects map-side hash pre-aggregation (RAPIDAnalytics' single-grouping
 // path, which calls this too) over the plain combiner (RAPID+). prune
-// limits scans to matching equivalence classes, and ratio is the planner's
-// re-plan trigger.
-func EvalSubquery(run *engine.Runner, ds *engine.Dataset, sq *algebra.Subquery, k int, hashAgg, prune bool, ratio float64) (string, error) {
+// limits scans to matching equivalence classes.
+func EvalSubquery(run *engine.Runner, ds *engine.Dataset, sq *algebra.Subquery, k int, hashAgg, prune bool) (string, error) {
 	gp := sq.Pattern
-	src, err := matchPattern(run, ds, gp, fmt.Sprintf("gp%d", k), nil, prune, ratio)
+	src, err := matchPattern(run, ds, gp, fmt.Sprintf("gp%d", k), nil, prune)
 	if err != nil {
 		return "", err
 	}
@@ -93,7 +88,7 @@ func EvalSubquery(run *engine.Runner, ds *engine.Dataset, sq *algebra.Subquery, 
 // dataset's data plane. The join order comes from the cardinalities the
 // dataset's statistics catalog predicts, and the chain executes
 // adaptively.
-func matchPattern(run *engine.Runner, ds *engine.Dataset, gp *algebra.GraphPattern, tag string, cp *algebra.CompositePattern, prune bool, ratio float64) (tgops.Source, error) {
+func matchPattern(run *engine.Runner, ds *engine.Dataset, gp *algebra.GraphPattern, tag string, cp *algebra.CompositePattern, prune bool) (tgops.Source, error) {
 	scans := make([]tgops.Source, len(gp.Stars))
 	for i, st := range gp.Stars {
 		scans[i] = starScan(ds, i, st, gp.Filters, prune)
@@ -102,14 +97,12 @@ func matchPattern(run *engine.Runner, ds *engine.Dataset, gp *algebra.GraphPatte
 	// A hand-built dataset without a catalog leaves est nil, which is
 	// JoinOrderCost's star-0-first fallback, and the chain non-adaptive.
 	var est algebra.CardEstimator
-	var ad *Adaptive
 	if ds.Stats != nil {
 		refs := make([][]algebra.PropRef, len(gp.Stars))
 		for i, st := range gp.Stars {
 			refs[i] = st.Props()
 		}
 		est = stats.NewEstimator(ds.Stats, refs, false)
-		ad = &Adaptive{Est: est, ReplanRatio: ratio}
 	}
 	order, err := algebra.JoinOrderCost(len(gp.Stars), gp.Joins, est)
 	ps.End()
@@ -118,15 +111,7 @@ func matchPattern(run *engine.Runner, ds *engine.Dataset, gp *algebra.GraphPatte
 	}
 	// The matched source feeds exactly one TG_AgJ cycle per subquery chain,
 	// so even the final join output streams.
-	return JoinChain(run, scans, order, tag, ntga.ResolveAlpha(cp, ds.Dict), true, ad)
-}
-
-// Adaptive configures cost-based execution of a join chain: the estimator
-// that ordered the edges, and the estimate-vs-observed error ratio above
-// which the remaining edges re-order mid-query (<= 0 never re-plans).
-type Adaptive struct {
-	Est         algebra.CardEstimator
-	ReplanRatio float64
+	return JoinChain(run, scans, order, tag, ntga.ResolveAlpha(cp, ds.Dict), true, est)
 }
 
 // JoinChain executes the ordered TG (α-)join cycles; the accumulated side
@@ -137,14 +122,15 @@ type Adaptive struct {
 // output, and must be false when the chain's result is read by more than
 // one downstream cycle (sequential aggregation over shared matches).
 //
-// A non-nil ad makes the chain adaptive: each cycle's reduce partition
-// count comes from the predicted output cardinality, and after each cycle
-// the observed output cardinality (the job's OutputRecords — the obs
-// per-operator counter source) is compared against the estimate; when the
-// error ratio exceeds ad.ReplanRatio with edges still to run, the
-// remaining edges re-order around the observed cardinality and the
-// decision is logged as a planner span named "re-plan".
-func JoinChain(run *engine.Runner, scans []tgops.Source, order []algebra.Join, tag string, alpha *ntga.AlphaTable, streamFinal bool, ad *Adaptive) (tgops.Source, error) {
+// A non-nil est, the estimator that ordered the edges, makes the chain
+// adaptive: each cycle's reduce partition count comes from the predicted
+// output cardinality, and after each cycle the observed output cardinality
+// (the job's OutputRecords — the obs per-operator counter source) is
+// compared against the estimate; when the error ratio exceeds replanRatio
+// with edges still to run, the remaining edges re-order around the
+// observed cardinality and the decision is logged as a planner span named
+// "re-plan".
+func JoinChain(run *engine.Runner, scans []tgops.Source, order []algebra.Join, tag string, alpha *ntga.AlphaTable, streamFinal bool, est algebra.CardEstimator) (tgops.Source, error) {
 	start := 0
 	if len(order) > 0 {
 		start = order[0].Left
@@ -152,10 +138,10 @@ func JoinChain(run *engine.Runner, scans []tgops.Source, order []algebra.Join, t
 	acc := scans[start]
 	var accCard float64
 	var covered []bool
-	if ad != nil {
+	if est != nil {
 		// The tail may re-order in place; never mutate the caller's slice.
 		order = append([]algebra.Join(nil), order...)
-		accCard = ad.Est.StarCard(start)
+		accCard = est.StarCard(start)
 		covered = make([]bool, len(scans))
 		covered[start] = true
 	}
@@ -171,21 +157,21 @@ func JoinChain(run *engine.Runner, scans []tgops.Source, order []algebra.Join, t
 			alpha, out)
 		job.StreamOutput = streamFinal || i < len(order)-1
 		var predicted float64
-		if ad != nil {
-			predicted = ad.Est.JoinCard(accCard, ad.Est.StarCard(edge.Right), edge)
+		if est != nil {
+			predicted = est.JoinCard(accCard, est.StarCard(edge.Right), edge)
 			job.Partitions = stats.PartitionsFor(predicted)
 		}
 		if err := run.Exec(job); err != nil {
 			return tgops.Source{}, err
 		}
 		acc = tgops.Source{Files: []string{out}, Dict: acc.Dict}
-		if ad != nil {
+		if est != nil {
 			covered[edge.Right] = true
 			observed := float64(run.WM.Jobs[len(run.WM.Jobs)-1].OutputRecords)
-			if i < len(order)-1 && replanNeeded(predicted, observed, ad.ReplanRatio) {
+			if i < len(order)-1 && replanNeeded(predicted, observed) {
 				rs := obs.StartChild(run.C.Context(), obs.KindPlanner, "re-plan")
 				rs.AddRecords(int64(observed))
-				tail := algebra.ReorderRemaining(covered, order[i+1:], math.Max(1, observed), ad.Est)
+				tail := algebra.ReorderRemaining(covered, order[i+1:], math.Max(1, observed), est)
 				copy(order[i+1:], tail)
 				rs.End()
 			}
@@ -196,17 +182,14 @@ func JoinChain(run *engine.Runner, scans []tgops.Source, order []algebra.Join, t
 }
 
 // replanNeeded reports whether the estimate-vs-observed error ratio
-// exceeds the configured threshold (in either direction; both cardinalities
-// clamp to 1 so empty intermediates compare cleanly).
+// exceeds replanRatio (in either direction; both cardinalities clamp to 1
+// so empty intermediates compare cleanly).
 //
 //rapid:hot
-func replanNeeded(predicted, observed, ratio float64) bool {
-	if ratio <= 0 {
-		return false
-	}
+func replanNeeded(predicted, observed float64) bool {
 	p := math.Max(1, predicted)
 	o := math.Max(1, observed)
-	return p/o > ratio || o/p > ratio
+	return p/o > replanRatio || o/p > replanRatio
 }
 
 // starScan builds the TG_OptGrpFilter-fused scan for one star of a plain

@@ -79,13 +79,13 @@ SELECT (COUNT(?v) AS ?n) { ?s e:v ?v . }`)
 	}
 	c, ds := load(t, g)
 	run := engine.NewRunner(c, "tmp/a")
-	fileNoHash, err := EvalSubquery(run, ds, aq.Subqueries[0], 0, false, true, 0)
+	fileNoHash, err := EvalSubquery(run, ds, aq.Subqueries[0], 0, false, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	emitsNoHash := run.WM.Jobs[len(run.WM.Jobs)-1].MapEmitRecords
 	run2 := engine.NewRunner(c, "tmp/b")
-	fileHash, err := EvalSubquery(run2, ds, aq.Subqueries[0], 0, true, true, 0)
+	fileHash, err := EvalSubquery(run2, ds, aq.Subqueries[0], 0, true, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 // supernodeGraph plants one ProductType9 product holding 200 of the 219
 // offers: the catalog says "one type9 subject", so the planner's predicted
 // offers⋈type9 cardinality (~11) is wrong by ~18x against the observed 200
-// — past the default re-plan ratio of 4.
+// — past the re-plan ratio of 4.
 func supernodeGraph() *rdf.Graph {
 	g := &rdf.Graph{}
 	p := func(n string) rdf.Term { return rdf.NewIRI("http://e/" + n) }
@@ -108,36 +108,5 @@ func TestBadEstimateTriggersExactlyOneReplan(t *testing.T) {
 	}
 	if diff := want.Diff(res); diff != "" {
 		t.Errorf("re-planned result differs from oracle: %s", diff)
-	}
-}
-
-// TestNegativeRatioDisablesReplanning: a negative ratio keeps the
-// cost-based join order but never re-plans mid-query.
-func TestNegativeRatioDisablesReplanning(t *testing.T) {
-	g := supernodeGraph()
-	q := sparql.MustParse(supernodeQuery)
-	aq, err := algebra.Build(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, ds := load(t, g)
-	e := New()
-	e.ReplanRatio = -1
-	root := obs.New(obs.KindQuery, "replan-test")
-	tc := c.WithContext(obs.NewContext(context.Background(), root))
-	res, _, err := e.Execute(tc, ds, aq)
-	root.End()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := countReplans(root.Snapshot()); got != 0 {
-		t.Errorf("re-plan spans = %d, want 0 with a negative ratio", got)
-	}
-	want, err := refimpl.Execute(g, aq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := want.Diff(res); diff != "" {
-		t.Errorf("result differs from oracle: %s", diff)
 	}
 }

@@ -3,10 +3,9 @@
 // counts, and characteristic sets — the star-shaped co-occurrence classes of
 // the triplegroup store — with per-property triple totals. The catalog is
 // built in one pass over the graph during engine.Load (alongside the Dict
-// build), serialised through the DFS so the disk backend persists it with
-// the physical layouts, and read by the estimator in this package to
-// predict triple-pattern, star and join cardinalities (the selectivity
-// framework of Schmidt et al., "Foundations of SPARQL Query Optimization").
+// build) and read by the estimator in this package to predict
+// triple-pattern, star and join cardinalities (the selectivity framework of
+// Schmidt et al., "Foundations of SPARQL Query Optimization").
 package stats
 
 import (
@@ -152,8 +151,8 @@ func (c *Catalog) hash() uint64 {
 	h := fnv.New64a()
 	enc := json.NewEncoder(h)
 	// Maps need deterministic order; encoding/json sorts map keys, so the
-	// struct encodes canonically as long as Sets are sorted (Collect and
-	// Read both keep them sorted).
+	// struct encodes canonically as long as Sets are sorted (Collect sorts
+	// them).
 	v := c.Version
 	c.Version = 0
 	_ = enc.Encode(c)

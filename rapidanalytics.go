@@ -103,13 +103,6 @@ type Options struct {
 	// DFS and merged back during the shuffle. 0 disables spilling. Query
 	// results and output bytes are identical for every setting.
 	SpillThresholdBytes int64
-	// ReplanRatio is the estimate-vs-observed cardinality error ratio above
-	// which an executing NTGA join chain re-orders its remaining joins. 0
-	// selects the default of 4; negative disables re-planning. Join order,
-	// the Hive map-join-site decision for intermediates and reduce
-	// partition counts always come from the load-time statistics catalog
-	// (internal/stats); result rows do not depend on the order chosen.
-	ReplanRatio float64
 	// SharedScans batches concurrent in-flight queries' scans of identical
 	// base-layout file ranges into one shared pass per cycle window
 	// (internal/share) — serving-time MQO across query boundaries. Results
@@ -140,9 +133,8 @@ const (
 // extrapolation.
 func DefaultOptions() Options {
 	return Options{
-		Nodes:       10,
-		DataScale:   1,
-		ReplanRatio: rapid.DefaultReplanRatio,
+		Nodes:     10,
+		DataScale: 1,
 	}
 }
 
@@ -223,9 +215,6 @@ func NewStore(opts Options) *Store {
 	}
 	if opts.DataScale <= 0 {
 		opts.DataScale = 1
-	}
-	if opts.ReplanRatio == 0 {
-		opts.ReplanRatio = rapid.DefaultReplanRatio
 	}
 	var plans *plancache.Cache
 	if opts.PlanCacheSize >= 0 {
@@ -493,13 +482,12 @@ func (s *Store) engineFor(sys System) (engine.Engine, error) {
 	switch sys {
 	case RAPIDAnalytics:
 		e := core.New()
-		e.Opts.ReplanRatio = s.opts.ReplanRatio
 		if s.results != nil {
 			e.SubResults = subResultCache{c: s.results, version: s.currentDataVersion()}
 		}
 		return e, nil
 	case RAPIDPlus:
-		return &rapid.Engine{ReplanRatio: s.opts.ReplanRatio}, nil
+		return rapid.New(), nil
 	case HiveNaive:
 		return hive.NewNaive(), nil
 	case HiveMQO:
