@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	"rapidanalytics/internal/bench"
+	"rapidanalytics/internal/dfs"
+	"rapidanalytics/internal/engine"
+	"rapidanalytics/internal/mapred"
 )
 
 // catalogPassRows keeps the compiler from dropping the Rows() read.
@@ -55,5 +58,23 @@ func BenchmarkCatalogPass(b *testing.B) {
 				sweep()
 			}
 		})
+	}
+}
+
+// BenchmarkLoad is engine.Load on the canonical workload graph (the one
+// BenchmarkCatalogPass queries): the dictionary, both layouts on the memory
+// DFS and the statistics catalog, built from scratch per iteration —
+//
+//	go test -run xxx -bench Load -benchmem -cpuprofile cpu.out -memprofile mem.out .
+//
+// is the profile of the load path.
+func BenchmarkLoad(b *testing.B) {
+	g := NewWorkloadStore(1, DefaultOptions()).graph
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c := mapred.NewClusterFS(mapred.VCL10(1), dfs.New())
+		if _, err := engine.Load(c, "load", g); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

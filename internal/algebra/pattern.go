@@ -42,6 +42,17 @@ func (p PropRef) Key() string {
 // String renders the reference compactly for diagnostics.
 func (p PropRef) String() string { return p.Key() }
 
+// ECKeyForRef returns the equivalence-class key (rdf.ECKey) a required
+// property reference prunes on. Non-type constant-object references (e.g.
+// pub_type "News") prune only on the property: values are not part of the
+// schema.
+func ECKeyForRef(ref PropRef) string {
+	if ref.Prop == rdf.RDFType && ref.HasConstObj() {
+		return rdf.ECKey(ref.Prop, ref.Obj.Key())
+	}
+	return ref.Prop
+}
+
 // Role is the position a variable occupies in a triple pattern.
 type Role uint8
 

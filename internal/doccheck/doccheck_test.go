@@ -4,8 +4,9 @@
 // internal/ntga, internal/vec, internal/blockstore, internal/stats,
 // internal/share, internal/loadgen, the record codecs (internal/codec), the
 // Hive baselines (internal/hive), the engines' shared contract and finish
-// path (internal/engine), the NTGA operators (internal/tgops) and the lint
-// framework packages
+// path (internal/engine), the NTGA operators (internal/tgops), the load
+// path (internal/rdf, internal/store), the oracle (internal/refimpl) and
+// the lint framework packages
 // (internal/lint/analysis, internal/lint/driver, internal/lint/leaktest,
 // and the summarizing analyzers closecheck and lockorder) must carry a doc
 // comment. Methods on unexported types (the Hive mappers' Map, say) are
@@ -29,6 +30,7 @@ import (
 var checkedPackages = []string{
 	"../mapred", "../ntga", "../vec", "../blockstore", "../stats",
 	"../share", "../loadgen", "../codec", "../hive", "../engine", "../tgops",
+	"../store", "../rdf", "../refimpl",
 	"../lint/analysis", "../lint/driver", "../lint/leaktest",
 	"../lint/closecheck", "../lint/lockorder",
 }

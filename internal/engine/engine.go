@@ -22,8 +22,10 @@ import (
 // Dataset is a graph loaded into the cluster's DFS in both physical
 // layouts, mirroring the paper's pre-processing phase.
 type Dataset struct {
-	Name  string         // DFS path prefix of the dataset's files
-	Graph *rdf.Graph     // the loaded graph, for the reference evaluator
+	Name string // DFS path prefix of the dataset's files
+	// Graph is the loaded graph as added, repeats included: the reference
+	// evaluator's input, which reads it as a set like Load does.
+	Graph *rdf.Graph
 	VP    *store.VPStore // vertically partitioned tables (the Hive engines)
 	TG    *store.TGStore // subject triplegroups (the NTGA engines)
 	// Dict is the dataset's term dictionary, always present: stored tables
@@ -39,14 +41,16 @@ type Dataset struct {
 }
 
 // Load materialises the graph into the cluster's file system under the
-// dataset name, dictionary-encoding both physical layouts.
+// dataset name. One interning walk and one subject grouping (rdf.Intern)
+// build the dictionary, both physical layouts and the statistics catalog;
+// a statement repeated in g is loaded once.
 func Load(c *mapred.Cluster, name string, g *rdf.Graph) (*Dataset, error) {
-	d := rdf.NewDict()
-	vp, err := store.BuildVP(c.FS, g, name+"/vp", d)
+	ig := rdf.Intern(g, rdf.NewDict())
+	vp, err := store.WriteVP(c.FS, ig, name+"/vp")
 	if err != nil {
 		return nil, fmt.Errorf("engine: loading %s: %w", name, err)
 	}
-	tg, err := store.BuildTG(c.FS, g, name+"/tg", d)
+	tg, err := store.WriteTG(c.FS, ig, name+"/tg")
 	if err != nil {
 		return nil, fmt.Errorf("engine: loading %s: %w", name, err)
 	}
@@ -55,8 +59,8 @@ func Load(c *mapred.Cluster, name string, g *rdf.Graph) (*Dataset, error) {
 		Graph: g,
 		VP:    vp,
 		TG:    tg,
-		Dict:  d,
-		Stats: stats.Collect(g),
+		Dict:  ig.Dict,
+		Stats: stats.Compute(ig),
 	}, nil
 }
 

@@ -18,7 +18,7 @@ func benchTG(d *rdf.Dict, props, fanout int) TripleGroup {
 			})
 		}
 	}
-	return g.Intern(d)
+	return intern(g, d)
 }
 
 func BenchmarkOptGroupFilter(b *testing.B) {

@@ -25,8 +25,20 @@ func lex(t testing.TB, d *rdf.Dict, idStr string) string {
 	return key
 }
 
-// tg builds a triplegroup in term-key form; tests Intern it into their
-// dictionary before running an operator, as store.BuildTG does at load.
+// intern returns the term-key triplegroup tg (bare property IRIs, subject
+// and objects in Term.Key form) with every field replaced by its ID-string
+// in d, registering terms d has not seen; properties are registered as IRI
+// terms, as rdf.Intern does at load.
+func intern(tg TripleGroup, d *rdf.Dict) TripleGroup {
+	out := TripleGroup{Subject: d.AddString(tg.Subject), Triples: make([]PO, len(tg.Triples))}
+	for i, po := range tg.Triples {
+		out.Triples[i] = PO{Prop: d.AddString("I" + po.Prop), Obj: d.AddString(po.Obj)}
+	}
+	return out
+}
+
+// tg builds a triplegroup in term-key form; tests intern it into their
+// dictionary before running an operator.
 func tg(subject string, pos ...string) TripleGroup {
 	out := TripleGroup{Subject: "I" + subject}
 	for _, po := range pos {
@@ -40,10 +52,10 @@ func tg(subject string, pos ...string) TripleGroup {
 // P_opt = {validFrom, validTo}.
 func TestOptGroupFilterFigure4a(t *testing.T) {
 	d := rdf.NewDict()
-	tg1 := tg("o1", "product=p1", "price=100", "validTo=2010").Intern(d)
-	tg2 := tg("o2", "product=p2", "price=200").Intern(d)
-	tg3 := tg("o3", "product=p3", "validFrom=2008").Intern(d) // no price -> filtered
-	tg4 := tg("o4", "product=p4", "price=400", "validFrom=2009", "validTo=2011").Intern(d)
+	tg1 := intern(tg("o1", "product=p1", "price=100", "validTo=2010"), d)
+	tg2 := intern(tg("o2", "product=p2", "price=200"), d)
+	tg3 := intern(tg("o3", "product=p3", "validFrom=2008"), d) // no price -> filtered
+	tg4 := intern(tg("o4", "product=p4", "price=400", "validFrom=2009", "validTo=2011"), d)
 	prim := ResolveRefs([]algebra.PropRef{ref("product"), ref("price")}, d)
 	opt := ResolveRefs([]algebra.PropRef{ref("validFrom"), ref("validTo")}, d)
 
@@ -70,7 +82,7 @@ func TestOptGroupFilterFigure4a(t *testing.T) {
 // The filter must also project away irrelevant properties.
 func TestOptGroupFilterProjects(t *testing.T) {
 	d := rdf.NewDict()
-	in := tg("o1", "product=p1", "price=100", "unrelated=x").Intern(d)
+	in := intern(tg("o1", "product=p1", "price=100", "unrelated=x"), d)
 	got, ok := OptGroupFilterRefs(in, ResolveRefs([]algebra.PropRef{ref("product"), ref("price")}, d), nil)
 	if !ok || len(got.Triples) != 2 {
 		t.Fatalf("got %v ok=%v", got, ok)
@@ -84,15 +96,15 @@ func TestOptGroupFilterProjects(t *testing.T) {
 
 func TestOptGroupFilterConstObjRef(t *testing.T) {
 	d := rdf.NewDict()
-	in := (TripleGroup{Subject: "Ip1", Triples: []PO{
+	in := intern(TripleGroup{Subject: "Ip1", Triples: []PO{
 		{Prop: rdf.RDFType, Obj: "IPT18"},
 		{Prop: rdf.RDFType, Obj: "IOther"},
 		{Prop: "label", Obj: "Lx"},
-	}}).Intern(d)
-	in2 := (TripleGroup{Subject: "Ip2", Triples: []PO{
+	}}, d)
+	in2 := intern(TripleGroup{Subject: "Ip2", Triples: []PO{
 		{Prop: rdf.RDFType, Obj: "IOther"},
 		{Prop: "label", Obj: "Lx"},
-	}}).Intern(d)
+	}}, d)
 	typed := algebra.PropRef{Prop: rdf.RDFType, Obj: rdf.NewIRI("PT18")}
 	prim := ResolveRefs([]algebra.PropRef{typed, ref("label")}, d)
 	got, ok := OptGroupFilterRefs(in, prim, nil)
@@ -111,8 +123,8 @@ func TestOptGroupFilterConstObjRef(t *testing.T) {
 // Figure 4(b): n-split with P_sec1 = {validFrom}, P_sec2 = {validTo}.
 func TestNSplitFigure4b(t *testing.T) {
 	d := rdf.NewDict()
-	tg1 := tg("o1", "product=p1", "price=100", "validTo=2010").Intern(d)
-	tg4 := tg("o4", "product=p4", "price=400", "validFrom=2009", "validTo=2011").Intern(d)
+	tg1 := intern(tg("o1", "product=p1", "price=100", "validTo=2010"), d)
+	tg4 := intern(tg("o4", "product=p4", "price=400", "validFrom=2009", "validTo=2011"), d)
 	prim := ResolveRefs([]algebra.PropRef{ref("product"), ref("price")}, d)
 	secs := [][]Ref{ResolveRefs([]algebra.PropRef{ref("validFrom")}, d), ResolveRefs([]algebra.PropRef{ref("validTo")}, d)}
 
@@ -138,8 +150,8 @@ func TestNSplitFigure4b(t *testing.T) {
 // split containing only the primaries.
 func TestNSplitEmptySecondary(t *testing.T) {
 	d := rdf.NewDict()
-	tg2 := tg("o2", "product=p2", "price=200").Intern(d)
-	tg4 := tg("o4", "product=p4", "price=400", "validTo=2011").Intern(d)
+	tg2 := intern(tg("o2", "product=p2", "price=200"), d)
+	tg4 := intern(tg("o4", "product=p4", "price=400", "validTo=2011"), d)
 	prim := ResolveRefs([]algebra.PropRef{ref("product"), ref("price")}, d)
 	secs := [][]Ref{nil, ResolveRefs([]algebra.PropRef{ref("validTo")}, d)}
 	got := NSplitRefs(tg2, prim, secs)
@@ -157,8 +169,8 @@ func TestNSplitEmptySecondary(t *testing.T) {
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	d := rdf.NewDict()
-	a := NewAnnTG(0, tg("p1", "type=PT18", "pf=f1", "pf=f2").Intern(d))
-	b := NewAnnTG(1, tg("o1", "product=p1", "price=100").Intern(d))
+	a := NewAnnTG(0, intern(tg("p1", "type=PT18", "pf=f1", "pf=f2"), d))
+	b := NewAnnTG(1, intern(tg("o1", "product=p1", "price=100"), d))
 	m := Merge(a, b)
 	dec, err := DecodeAnnTGIDs(m.EncodeIDs(), d)
 	if err != nil {
@@ -194,7 +206,7 @@ func TestEncodeDecodeQuick(t *testing.T) {
 
 func TestDecodeErrors(t *testing.T) {
 	d := rdf.NewDict()
-	a := NewAnnTG(0, tg("s", "p=1").Intern(d))
+	a := NewAnnTG(0, intern(tg("s", "p=1"), d))
 	enc := a.EncodeIDs()
 	for _, bad := range [][]byte{
 		{},
@@ -259,14 +271,14 @@ func productTG(d *rdf.Dict, name string, features ...string) TripleGroup {
 	for _, f := range features {
 		g.Triples = append(g.Triples, PO{Prop: "http://e/pf", Obj: "I" + f})
 	}
-	return g.Intern(d)
+	return intern(g, d)
 }
 
 func offerTG(d *rdf.Dict, name, product, price string) TripleGroup {
-	return (TripleGroup{Subject: "I" + name, Triples: []PO{
+	return intern(TripleGroup{Subject: "I" + name, Triples: []PO{
 		{Prop: "http://e/product", Obj: "I" + product},
 		{Prop: "http://e/price", Obj: "L" + price},
-	}}).Intern(d)
+	}}, d)
 }
 
 // The α condition (Figure 5): a joined triplegroup without the secondary
@@ -352,12 +364,12 @@ func TestMatchResolvedConsistency(t *testing.T) {
 		},
 	}
 	d := rdf.NewDict()
-	atg := NewAnnTG(0, (TripleGroup{Subject: "Is", Triples: []PO{
+	atg := NewAnnTG(0, intern(TripleGroup{Subject: "Is", Triples: []PO{
 		{Prop: "p", Obj: "L1"},
 		{Prop: "p", Obj: "L2"},
 		{Prop: "q", Obj: "L2"},
 		{Prop: "q", Obj: "L3"},
-	}}).Intern(d))
+	}}, d))
 	var got []string
 	for _, b := range solutionsOf(CompileMatcher(ResolveTPMap(tps, d), nil), &atg) {
 		got = append(got, lex(t, d, b["x"]))
@@ -602,31 +614,5 @@ func TestMatcherAgreesWithReference(t *testing.T) {
 	// The generator must reach both regimes, or the comparison is vacuous.
 	if total < 1000 || absent == 0 {
 		t.Errorf("generator too weak: %d solutions compared, %d absent stars", total, absent)
-	}
-}
-
-// Property: GroupBySubject partitions the graph — total triples preserved,
-// one group per distinct subject.
-func TestGroupBySubjectQuick(t *testing.T) {
-	f := func(edges []uint8) bool {
-		g := &rdf.Graph{}
-		subjects := map[string]bool{}
-		for i, e := range edges {
-			s := rdf.NewIRI(string(rune('a' + e%5)))
-			subjects[s.Key()] = true
-			g.Add(rdf.T(s, rdf.NewIRI("p"), rdf.NewLiteral(string(rune('0'+i%10)))))
-		}
-		tgs := GroupBySubject(g)
-		if len(tgs) != len(subjects) {
-			return false
-		}
-		total := 0
-		for _, tg := range tgs {
-			total += len(tg.Triples)
-		}
-		return total == g.Len()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }

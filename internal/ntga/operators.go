@@ -26,13 +26,3 @@ func PatternTriples(cp *algebra.CompositePattern, k int) map[int][]sparql.Triple
 	}
 	return out
 }
-
-// AllPatternTriples returns every composite triple pattern grouped by star,
-// used when matching the full composite pattern.
-func AllPatternTriples(cp *algebra.CompositePattern) map[int][]sparql.TriplePattern {
-	out := map[int][]sparql.TriplePattern{}
-	for i, cs := range cp.Stars {
-		out[i] = cs.AllTriples()
-	}
-	return out
-}

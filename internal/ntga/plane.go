@@ -55,10 +55,6 @@ func (tg *TripleGroup) HasPO(prop, obj string) bool {
 	return false
 }
 
-// HasResolvedRef reports whether the triplegroup matches the resolved
-// reference.
-func (tg *TripleGroup) HasResolvedRef(ref Ref) bool { return tg.HasPO(ref.Prop, ref.Obj) }
-
 // HasAllRefs reports whether the triplegroup matches every resolved
 // reference.
 func (tg *TripleGroup) HasAllRefs(refs []Ref) bool {
@@ -119,14 +115,7 @@ func OptGroupFilterRefs(tg TripleGroup, prim, opt []Ref) (TripleGroup, bool) {
 func NSplitRefs(tg TripleGroup, prim []Ref, secs [][]Ref) []SplitTG {
 	var out []SplitTG
 	for k, sec := range secs {
-		ok := true
-		for _, ref := range sec {
-			if !tg.HasPO(ref.Prop, ref.Obj) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
+		if !tg.HasAllRefs(sec) {
 			continue
 		}
 		refs := make([]Ref, 0, len(prim)+len(sec))

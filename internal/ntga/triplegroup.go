@@ -10,17 +10,10 @@
 // Arena is the per-task storage triplegroups decode into.
 package ntga
 
-import (
-	"sort"
-	"strings"
-
-	"rapidanalytics/internal/rdf"
-)
+import "strings"
 
 // PO is one property/object pair of a triplegroup. Stored and in-flight
-// triplegroups hold both as rdf.Dict ID-strings; GroupBySubject's output is
-// the one term-key form (bare property IRI, object Term.Key), which Intern
-// translates at load time.
+// triplegroups hold both as rdf.Dict ID-strings.
 type PO struct {
 	// Prop is the property.
 	Prop string
@@ -36,29 +29,6 @@ type TripleGroup struct {
 	Triples []PO
 }
 
-// Intern returns the term-key triplegroup (as built by GroupBySubject) with
-// every field replaced by its ID-string in d, registering terms d has not
-// seen. Properties are registered as IRI terms ("I"+IRI), the key the VP
-// layout and the query-side resolvers (ResolveRef, ResolveTP) use.
-func (tg TripleGroup) Intern(d *rdf.Dict) TripleGroup {
-	out := TripleGroup{Subject: d.AddString(tg.Subject), Triples: make([]PO, len(tg.Triples))}
-	for i, po := range tg.Triples {
-		out.Triples[i] = PO{Prop: d.AddString("I" + po.Prop), Obj: d.AddString(po.Obj)}
-	}
-	return out
-}
-
-// Objects returns the objects of triples with the given property.
-func (tg *TripleGroup) Objects(prop string) []string {
-	var out []string
-	for _, t := range tg.Triples {
-		if t.Prop == prop {
-			out = append(out, t.Obj)
-		}
-	}
-	return out
-}
-
 // String renders the triplegroup for diagnostics.
 func (tg *TripleGroup) String() string {
 	parts := make([]string, len(tg.Triples))
@@ -66,29 +36,6 @@ func (tg *TripleGroup) String() string {
 		parts[i] = t.Prop + "→" + t.Obj
 	}
 	return tg.Subject + "{" + strings.Join(parts, ", ") + "}"
-}
-
-// GroupBySubject builds subject triplegroups from a graph in term-key form
-// (see PO), ordered by subject key for determinism.
-func GroupBySubject(g *rdf.Graph) []TripleGroup {
-	bySubject := map[string]*TripleGroup{}
-	var order []string
-	for _, t := range g.Triples {
-		key := t.Subject.Key()
-		tg, ok := bySubject[key]
-		if !ok {
-			tg = &TripleGroup{Subject: key}
-			bySubject[key] = tg
-			order = append(order, key)
-		}
-		tg.Triples = append(tg.Triples, PO{Prop: t.Property.Value, Obj: t.Object.Key()})
-	}
-	sort.Strings(order)
-	out := make([]TripleGroup, len(order))
-	for i, key := range order {
-		out[i] = *bySubject[key]
-	}
-	return out
 }
 
 // AnnTG is an annotated (possibly joined) triplegroup: one component

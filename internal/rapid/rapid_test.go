@@ -1,6 +1,7 @@
 package rapid
 
 import (
+	"strconv"
 	"testing"
 
 	"rapidanalytics/internal/algebra"
@@ -69,7 +70,7 @@ func TestNoHashPreAggregation(t *testing.T) {
 	g := &rdf.Graph{}
 	s := rdf.NewIRI("http://e/s")
 	for i := 0; i < 20; i++ {
-		g.Add(rdf.T(s, rdf.NewIRI("http://e/v"), rdf.NewLiteral("1")))
+		g.Add(rdf.T(s, rdf.NewIRI("http://e/v"), rdf.NewLiteral(strconv.Itoa(i))))
 	}
 	q := sparql.MustParse(`PREFIX e: <http://e/>
 SELECT (COUNT(?v) AS ?n) { ?s e:v ?v . }`)

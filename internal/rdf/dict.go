@@ -115,7 +115,7 @@ func (d *Dict) entry(id uint64) *dictEntry {
 }
 
 // AddString returns the interned ID-string for the term key, assigning the
-// next dense ID if the key is new — the form the store builders use.
+// next dense ID if the key is new.
 func (d *Dict) AddString(key string) string {
 	return d.entry(d.Add(key)).idStr
 }

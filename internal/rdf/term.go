@@ -1,9 +1,10 @@
 // Package rdf provides the core RDF data model used throughout the system:
-// terms (IRIs, literals, blank nodes), triples, and an N-Triples
-// reader/writer. The model is deliberately lexical — values are strings and
-// numeric interpretation happens at filter/aggregation time — matching how
-// the paper's systems (Hive over text/ORC tables, Pig triplegroups) treat
-// RDF terms.
+// terms (IRIs, literals, blank nodes), triples, an N-Triples reader/writer,
+// and the term dictionary with the interned form of a graph every loader
+// builds from (IDGraph). The model is deliberately lexical — values are
+// strings and numeric interpretation happens at filter/aggregation time —
+// matching how the paper's systems (Hive over text/ORC tables, Pig
+// triplegroups) treat RDF terms.
 package rdf
 
 import (
@@ -24,6 +25,7 @@ const (
 	Blank
 )
 
+// String names the kind.
 func (k TermKind) String() string {
 	switch k {
 	case IRI:
@@ -40,8 +42,8 @@ func (k TermKind) String() string {
 // Term is a single RDF term. The zero Term is an empty IRI and is treated as
 // invalid by Valid.
 type Term struct {
-	Kind  TermKind
-	Value string
+	Kind  TermKind // IRI, Literal or Blank
+	Value string   // the IRI, the literal's lexical form, or the blank label
 }
 
 // NewIRI returns an IRI term.
@@ -132,9 +134,9 @@ func escapeLiteral(s string) string {
 
 // Triple is a single RDF statement.
 type Triple struct {
-	Subject  Term
+	Subject  Term // what the statement is about
 	Property Term // called Predicate in RDF specs; the paper says Property
-	Object   Term
+	Object   Term // the value
 }
 
 // T is a convenience constructor for a triple of IRIs/literals.
@@ -151,16 +153,17 @@ const RDFType = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 // TypeTerm is the rdf:type property as a Term.
 var TypeTerm = NewIRI(RDFType)
 
-// Graph is an in-memory bag of triples. It is the substrate the reference
-// implementation queries directly and the input to the store loaders.
+// Graph is an in-memory list of statements: the input to the store
+// loaders (Intern) and to the reference implementation, which both read it
+// as a set — a repeated statement counts once.
 type Graph struct {
-	Triples []Triple
+	Triples []Triple // the statements as added, repeats included
 }
 
 // Add appends triples to the graph.
 func (g *Graph) Add(ts ...Triple) { g.Triples = append(g.Triples, ts...) }
 
-// Len returns the number of triples.
+// Len returns the number of statements added, repeats included.
 func (g *Graph) Len() int { return len(g.Triples) }
 
 // Properties returns the set of distinct property IRIs in the graph.

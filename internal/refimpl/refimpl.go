@@ -1,11 +1,13 @@
 // Package refimpl is a direct in-memory evaluator for analytical queries:
-// BGP matching with bag semantics, grouping, aggregation, and the outer
+// BGP matching with bag semantics over the graph read as a set (a repeated
+// statement counts once), grouping, aggregation, and the outer
 // join/projection. It is the correctness oracle the MapReduce engines are
 // tested against, not an evaluated system.
 package refimpl
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -39,6 +41,9 @@ type index struct {
 	all       [][3]string            // every (s, prop, o)
 }
 
+// buildIndex indexes each distinct statement of g once, at its first
+// occurrence: an RDF graph is a set. A repeat has its statement's property
+// and subject, so it is found in their object list.
 func buildIndex(g *rdf.Graph) *index {
 	idx := &index{
 		byProp:    map[string][][2]string{},
@@ -49,8 +54,12 @@ func buildIndex(g *rdf.Graph) *index {
 	for _, t := range g.Triples {
 		p := t.Property.Value
 		s, o := t.Subject.Key(), t.Object.Key()
+		ps := p + "\x00" + s
+		if slices.Contains(idx.byPropSub[ps], o) {
+			continue
+		}
 		idx.byProp[p] = append(idx.byProp[p], [2]string{s, o})
-		idx.byPropSub[p+"\x00"+s] = append(idx.byPropSub[p+"\x00"+s], o)
+		idx.byPropSub[ps] = append(idx.byPropSub[ps], o)
 		idx.byPropObj[p+"\x00"+o] = append(idx.byPropObj[p+"\x00"+o], s)
 		idx.bySub[s] = append(idx.bySub[s], [2]string{p, o})
 		idx.all = append(idx.all, [3]string{s, p, o})

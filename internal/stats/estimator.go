@@ -28,9 +28,6 @@ type Estimator struct {
 	// and predicted distinct matching subjects.
 	card     []float64
 	subjects []float64
-	// objDistinct caches, per star, the minimum distinct-object count over
-	// each join's carrying properties — resolved lazily per JoinCard call
-	// from the catalog (cheap map lookups, no allocation).
 }
 
 // NewEstimator builds an estimator for a pattern whose stars require the
@@ -75,7 +72,7 @@ func (e *Estimator) starStats(refs []algebra.PropRef) (subjects, card float64) {
 	for _, cs := range e.cat.Sets {
 		match := true
 		for _, r := range refs {
-			if !cs.Has(ecKeyForRef(r)) {
+			if !cs.Has(algebra.ECKeyForRef(r)) {
 				match = false
 				break
 			}
@@ -91,21 +88,12 @@ func (e *Estimator) starStats(refs []algebra.PropRef) (subjects, card float64) {
 				if r.HasConstObj() {
 					continue
 				}
-				rows *= float64(cs.PropCounts[ecKeyForRef(r)]) / float64(cs.Subjects)
+				rows *= float64(cs.PropCounts[algebra.ECKeyForRef(r)]) / float64(cs.Subjects)
 			}
 		}
 		card += rows
 	}
 	return subjects, card
-}
-
-// ecKeyForRef mirrors store.ECKeyForRef: rdf:type references with constant
-// objects prune on "type="+object, everything else on the property IRI.
-func ecKeyForRef(r algebra.PropRef) string {
-	if r.Prop == rdf.RDFType && r.HasConstObj() {
-		return ECKey(r.Prop, r.Obj.Key())
-	}
-	return r.Prop
 }
 
 // StarCard implements algebra.CardEstimator: the predicted cardinality of

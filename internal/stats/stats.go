@@ -1,9 +1,10 @@
 // Package stats collects the load-time statistics catalog the cost-based
 // planner consumes: per-predicate triple counts with distinct subject/object
 // counts, and characteristic sets — the star-shaped co-occurrence classes of
-// the triplegroup store — with per-property triple totals. The catalog is
-// built in one pass over the graph during engine.Load (alongside the Dict
-// build) and read by the estimator in this package to predict
+// the triplegroup store — with per-property triple totals. engine.Load
+// computes the catalog from the same interned, de-duplicated graph
+// (rdf.IDGraph) and subject grouping the VP and triplegroup layouts are
+// written from, and the estimator in this package reads it to predict
 // triple-pattern, star and join cardinalities (the selectivity framework of
 // Schmidt et al., "Foundations of SPARQL Query Optimization").
 package stats
@@ -11,7 +12,8 @@ package stats
 import (
 	"encoding/json"
 	"hash/fnv"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"rapidanalytics/internal/rdf"
@@ -30,11 +32,10 @@ type PredStat struct {
 }
 
 // CharSet is one characteristic set: the set of subjects whose triples carry
-// exactly this combination of equivalence-class keys (the same keys the
-// triplegroup store shards on — "type="+object for rdf:type, else the
-// property IRI). PropCounts holds the total triples per key across the
-// set's subjects, so PropCounts[k]/Subjects is the average fan-out of k
-// within the set.
+// exactly this combination of equivalence-class keys (rdf.ECKey, the keys
+// the triplegroup store shards on). PropCounts holds the total triples per
+// key across the set's subjects, so PropCounts[k]/Subjects is the average
+// fan-out of k within the set.
 type CharSet struct {
 	// Props are the set's equivalence-class keys, sorted.
 	Props []string `json:"props"`
@@ -68,79 +69,67 @@ type Catalog struct {
 	Version uint64 `json:"version"`
 }
 
-// ECKey returns the equivalence-class key of a (predicate, object-key)
-// pair, mirroring the triplegroup store's sharding key: rdf:type triples
-// class by their object, every other predicate by its IRI.
-func ECKey(prop, objKey string) string {
-	if prop == rdf.RDFType {
-		return "type=" + objKey
-	}
-	return prop
-}
+// Collect builds the catalog of g (Compute over g interned into a fresh
+// dictionary).
+func Collect(g *rdf.Graph) *Catalog { return Compute(rdf.Intern(g, rdf.NewDict())) }
 
-// Collect builds the catalog in a single pass over the graph: predicate
-// counts with distinct subject/object sets, and subjects grouped into
-// characteristic sets by the equivalence-class keys they carry.
-func Collect(g *rdf.Graph) *Catalog {
+// Compute builds the catalog of an interned graph from its subject
+// grouping: predicate counts with distinct subjects and objects, and the
+// characteristic sets of the subjects' ECKeys.
+func Compute(g *rdf.IDGraph) *Catalog {
 	type predAgg struct {
-		count int64
-		subj  map[string]struct{}
-		obj   map[string]struct{}
+		PredStat
+		lastSubj uint64
 	}
-	preds := map[string]*predAgg{}
-	perSubject := map[string]map[string]int64{} // subject key -> EC key -> triples
-	for _, t := range g.Triples {
-		sk := t.Subject.Key()
-		pa := preds[t.Property.Value]
-		if pa == nil {
-			pa = &predAgg{subj: map[string]struct{}{}, obj: map[string]struct{}{}}
-			preds[t.Property.Value] = pa
-		}
-		pa.count++
-		pa.subj[sk] = struct{}{}
-		pa.obj[t.Object.Key()] = struct{}{}
-		m := perSubject[sk]
-		if m == nil {
-			m = map[string]int64{}
-			perSubject[sk] = m
-		}
-		m[ECKey(t.Property.Value, t.Object.Key())]++
-	}
-
-	c := &Catalog{Triples: int64(g.Len()), Preds: make(map[string]PredStat, len(preds))}
-	for p, pa := range preds {
-		c.Preds[p] = PredStat{
-			Count:        pa.count,
-			DistinctSubj: int64(len(pa.subj)),
-			DistinctObj:  int64(len(pa.obj)),
-		}
-	}
+	preds := map[uint64]*predAgg{}
+	objs := map[[2]uint64]bool{}
 	sets := map[string]*CharSet{}
-	for _, m := range perSubject {
-		keys := make([]string, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
+	var (
+		keys   []string
+		counts []int64
+	)
+	for _, sub := range g.Subjects {
+		for _, t := range sub {
+			pa := preds[t.P]
+			if pa == nil {
+				pa = &predAgg{}
+				preds[t.P] = pa
+			}
+			pa.Count++
+			// A subject's statements are adjacent, so a predicate meets a
+			// new subject exactly when it differs from the last one.
+			if pa.lastSubj != t.S {
+				pa.lastSubj = t.S
+				pa.DistinctSubj++
+			}
+			if po := [2]uint64{t.P, t.O}; !objs[po] {
+				objs[po] = true
+				pa.DistinctObj++
+			}
 		}
-		sort.Strings(keys)
+		keys, counts = g.ECKeys(sub, keys, counts)
 		id := strings.Join(keys, "\x00")
 		cs := sets[id]
 		if cs == nil {
-			cs = &CharSet{Props: keys, PropCounts: make(map[string]int64, len(m))}
+			cs = &CharSet{Props: slices.Clone(keys), PropCounts: make(map[string]int64, len(keys))}
 			sets[id] = cs
 		}
 		cs.Subjects++
-		for k, n := range m {
-			cs.PropCounts[k] += n
+		for i, k := range keys {
+			cs.PropCounts[k] += counts[i]
 		}
 	}
-	ids := make([]string, 0, len(sets))
-	for id := range sets {
-		ids = append(ids, id)
+	c := &Catalog{
+		Triples: int64(len(g.Triples)),
+		Preds:   make(map[string]PredStat, len(preds)),
+		Sets:    make([]CharSet, 0, len(sets)),
 	}
-	sort.Strings(ids)
-	c.Sets = make([]CharSet, len(ids))
-	for i, id := range ids {
-		c.Sets[i] = *sets[id]
+	for p, pa := range preds {
+		key, _ := g.Dict.Key(p)
+		c.Preds[key[1:]] = pa.PredStat
+	}
+	for _, id := range slices.Sorted(maps.Keys(sets)) {
+		c.Sets = append(c.Sets, *sets[id])
 	}
 	c.Version = c.hash()
 	return c
@@ -151,7 +140,7 @@ func (c *Catalog) hash() uint64 {
 	h := fnv.New64a()
 	enc := json.NewEncoder(h)
 	// Maps need deterministic order; encoding/json sorts map keys, so the
-	// struct encodes canonically as long as Sets are sorted (Collect sorts
+	// struct encodes canonically as long as Sets are sorted (Compute sorts
 	// them).
 	v := c.Version
 	c.Version = 0

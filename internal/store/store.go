@@ -61,71 +61,67 @@ func (s *VPStore) TableFor(ref algebra.PropRef) (file string, isTypePartition, o
 	return f, false, ok
 }
 
-// BuildVP vertically partitions the graph into fs under prefix. Every term
-// is registered in d (in triple order, so IDs are deterministic for a given
-// graph) and rows are compact ID-tuples (codec.DecodeIDTuple).
+// BuildVP interns g into d and writes its VP tables (WriteVP).
 func BuildVP(fs *dfs.FS, g *rdf.Graph, prefix string, d *rdf.Dict) (*VPStore, error) {
+	return WriteVP(fs, rdf.Intern(g, d), prefix)
+}
+
+// WriteVP vertically partitions the graph into fs under prefix. Rows are
+// compact ID-tuples of g.Dict (codec.DecodeIDTuple), in statement order.
+func WriteVP(fs *dfs.FS, g *rdf.IDGraph, prefix string) (*VPStore, error) {
 	s := &VPStore{
-		Prefix:     prefix,
-		Tables:     map[string]string{},
-		TypeTables: map[string]string{},
-		Rows:       map[string]int64{},
+		Prefix:       prefix,
+		Tables:       map[string]string{},
+		TypeTables:   map[string]string{},
+		Rows:         map[string]int64{},
+		TriplesTable: prefix + "/triples",
 	}
 	writers := map[string]*dfs.Writer{}
-	var werr error
-	writerFor := func(name string) *dfs.Writer {
-		w, ok := writers[name]
-		if !ok {
-			var err error
-			w, err = fs.Create(name, ORCCompressionRatio)
-			if err != nil {
-				if werr == nil {
-					werr = err
-				}
-				return nil
-			}
-			writers[name] = w
+	create := func(name string) (*dfs.Writer, error) {
+		w, err := fs.Create(name, ORCCompressionRatio)
+		if err != nil {
+			return nil, closeWriters(writers, err)
 		}
-		return w
+		writers[name] = w
+		return w, nil
 	}
-	encRow := func(fields ...string) []byte {
-		t := codec.Tuple(fields)
-		for i, f := range t {
-			t[i] = d.AddString(f)
-		}
-		return t.EncodeIDs()
+	triples, err := create(s.TriplesTable)
+	if err != nil {
+		return nil, err
 	}
-	s.TriplesTable = prefix + "/triples"
-	triples := writerFor(s.TriplesTable)
+	// A table per property, and per object of rdf:type: keyed by the
+	// property ID and the object ID or 0.
+	names := map[[2]uint64]string{}
+	typeID, _ := g.Dict.Lookup("I" + rdf.RDFType)
+	ids := func(id uint64) string { str, _ := g.Dict.IDString(id); return str }
 	for _, t := range g.Triples {
-		if werr != nil {
-			break
+		sub, obj := ids(t.S), ids(t.O)
+		triples.WriteOwned(codec.Tuple{sub, ids(t.P), obj}.EncodeIDs())
+		key, row := [2]uint64{t.P, 0}, codec.Tuple{sub, obj}
+		if t.P == typeID {
+			key, row = [2]uint64{t.P, t.O}, row[:1]
 		}
-		triples.WriteOwned(encRow(t.Subject.Key(), "I"+t.Property.Value, t.Object.Key()))
-		s.Rows[s.TriplesTable]++
-		if t.Property.Value == rdf.RDFType {
-			name, ok := s.TypeTables[t.Object.Key()]
-			if !ok {
-				name = fmt.Sprintf("%s/type_%s", prefix, sanitize(t.Object.Key()))
-				s.TypeTables[t.Object.Key()] = name
-			}
-			if w := writerFor(name); w != nil {
-				w.WriteOwned(encRow(t.Subject.Key()))
-				s.Rows[name]++
-			}
-			continue
-		}
-		name, ok := s.Tables[t.Property.Value]
+		name, ok := names[key]
 		if !ok {
-			name = fmt.Sprintf("%s/vp_%s", prefix, sanitize(t.Property.Value))
-			s.Tables[t.Property.Value] = name
+			if t.P == typeID {
+				objKey, _ := g.Dict.Key(t.O)
+				name = fmt.Sprintf("%s/type_%s", prefix, sanitize(objKey))
+				s.TypeTables[objKey] = name
+			} else {
+				prop, _ := g.Dict.Key(t.P)
+				name = fmt.Sprintf("%s/vp_%s", prefix, sanitize(prop[1:]))
+				s.Tables[prop[1:]] = name
+			}
+			if _, err := create(name); err != nil {
+				return nil, err
+			}
+			names[key] = name
 		}
-		if w := writerFor(name); w != nil {
-			w.WriteOwned(encRow(t.Subject.Key(), t.Object.Key()))
-			s.Rows[name]++
-		}
+		writers[name].WriteOwned(row.EncodeIDs())
+		s.Rows[name]++
+		s.Rows[s.TriplesTable]++
 	}
-	if err := closeWriters(writers, werr); err != nil {
+	if err := closeWriters(writers, nil); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -165,78 +161,63 @@ func sanitize(s string) string {
 
 // TGFile describes one equivalence-class file of the triplegroup store.
 type TGFile struct {
+	// Name is the file's DFS path.
 	Name string
-	// Props is the equivalence class: the property IRIs the file's
-	// subjects have, with rdf:type entries refined to "type=object" keys.
+	// Props is the equivalence class: the rdf.ECKeys its subjects carry.
 	Props map[string]bool
 }
 
 // TGStore is the metastore for a subject-triplegroup dataset.
 type TGStore struct {
+	// Prefix is the DFS path prefix of all equivalence-class files.
 	Prefix string
-	Files  []TGFile
+	// Files are the equivalence-class files, sorted by name.
+	Files []TGFile
 }
 
-// ecKey returns the equivalence-class membership key of a property
-// reference, used both when building the store and when pruning inputs.
-func ecKey(prop, objKey string) string {
-	if prop == rdf.RDFType {
-		return "type=" + objKey
-	}
-	return prop
+// BuildTG interns g into d and writes its triplegroups (WriteTG).
+func BuildTG(fs *dfs.FS, g *rdf.Graph, prefix string, d *rdf.Dict) (*TGStore, error) {
+	return WriteTG(fs, rdf.Intern(g, d), prefix)
 }
 
-// ECKeyForRef returns the equivalence-class key a required property
-// reference prunes on. Non-type constant-object references (e.g. pub_type
-// "News") prune only on the property: values are not part of the schema.
-func ECKeyForRef(ref algebra.PropRef) string {
-	if ref.Prop == rdf.RDFType && ref.HasConstObj() {
-		return ecKey(ref.Prop, ref.Obj.Key())
-	}
-	return ref.Prop
-}
-
-// BuildTG groups the graph's triples by subject and materialises the
-// triplegroups into fs under prefix, one file per property equivalence
-// class. Every field of a stored triplegroup is an ID-string of d
-// (ntga.DecodeTripleGroupIDs), registered on first use; the
+// WriteTG materialises the graph's subject triplegroups into fs under
+// prefix, in g.Subjects order, one file per property equivalence class: the
+// rdf.ECKeys a subject's statements carry. Every field of a stored
+// triplegroup is an ID-string of g.Dict (ntga.DecodeTripleGroupIDs); the
 // equivalence-class metadata stays lexical, so input pruning needs no
 // dictionary.
-func BuildTG(fs *dfs.FS, g *rdf.Graph, prefix string, d *rdf.Dict) (*TGStore, error) {
+func WriteTG(fs *dfs.FS, g *rdf.IDGraph, prefix string) (*TGStore, error) {
 	s := &TGStore{Prefix: prefix}
-	tgs := ntga.GroupBySubject(g)
-	type ec struct {
-		writer *dfs.Writer
-		props  map[string]bool
-	}
-	classes := map[string]*ec{}
 	writers := map[string]*dfs.Writer{}
-	for i := range tgs {
-		tg := &tgs[i]
-		props := map[string]bool{}
-		for _, po := range tg.Triples {
-			props[ecKey(po.Prop, po.Obj)] = true
-		}
-		keys := make([]string, 0, len(props))
-		for k := range props {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		id := hashKeys(keys)
-		cls, ok := classes[id]
-		if !ok {
-			name := fmt.Sprintf("%s/ec_%s", prefix, id)
-			w, err := fs.Create(name, 1)
-			if err != nil {
+	byHash := map[uint64]*dfs.Writer{}
+	ids := func(id uint64) string { str, _ := g.Dict.IDString(id); return str }
+	var (
+		keys   []string
+		counts []int64
+		tg     ntga.TripleGroup
+	)
+	for _, sub := range g.Subjects {
+		keys, counts = g.ECKeys(sub, keys, counts)
+		h := hashKeys(keys)
+		w := byHash[h]
+		if w == nil {
+			name := fmt.Sprintf("%s/ec_%x", prefix, h)
+			var err error
+			if w, err = fs.Create(name, 1); err != nil {
 				return nil, closeWriters(writers, err)
 			}
-			cls = &ec{writer: w, props: props}
-			classes[id] = cls
-			writers[name] = w
+			writers[name], byHash[h] = w, w
+			props := make(map[string]bool, len(keys))
+			for _, k := range keys {
+				props[k] = true
+			}
 			s.Files = append(s.Files, TGFile{Name: name, Props: props})
 		}
-		idtg := tg.Intern(d)
-		cls.writer.WriteOwned(idtg.EncodeIDs())
+		tg.Subject, tg.Triples = ids(sub[0].S), tg.Triples[:0]
+		for _, t := range sub {
+			tg.Triples = append(tg.Triples, ntga.PO{Prop: ids(t.P), Obj: ids(t.O)})
+		}
+		w.WriteOwned(tg.EncodeIDs())
 	}
 	if err := closeWriters(writers, nil); err != nil {
 		return nil, err
@@ -245,13 +226,14 @@ func BuildTG(fs *dfs.FS, g *rdf.Graph, prefix string, d *rdf.Dict) (*TGStore, er
 	return s, nil
 }
 
-func hashKeys(keys []string) string {
+// hashKeys identifies an equivalence class by its sorted keys.
+func hashKeys(keys []string) uint64 {
 	h := fnv.New64a()
 	for _, k := range keys {
 		h.Write([]byte(k))
 		h.Write([]byte{0})
 	}
-	return fmt.Sprintf("%x", h.Sum64())
+	return h.Sum64()
 }
 
 // AllFiles returns every equivalence-class file (the no-pruning baseline).
@@ -273,7 +255,7 @@ func (s *TGStore) FilesFor(prim []algebra.PropRef) []string {
 	for _, f := range s.Files {
 		ok := true
 		for _, ref := range prim {
-			if !f.Props[ECKeyForRef(ref)] {
+			if !f.Props[algebra.ECKeyForRef(ref)] {
 				ok = false
 				break
 			}

@@ -175,11 +175,11 @@ func TestFilesForPruning(t *testing.T) {
 
 func TestECKeyForRef(t *testing.T) {
 	typeRef := algebra.PropRef{Prop: rdf.RDFType, Obj: iri("PT1")}
-	if got := ECKeyForRef(typeRef); got != "type="+iri("PT1").Key() {
+	if got := algebra.ECKeyForRef(typeRef); got != "type="+iri("PT1").Key() {
 		t.Errorf("type key = %q", got)
 	}
 	plain := algebra.PropRef{Prop: "http://e/p", Obj: lit("x")}
-	if got := ECKeyForRef(plain); got != "http://e/p" {
+	if got := algebra.ECKeyForRef(plain); got != "http://e/p" {
 		t.Errorf("plain key = %q", got)
 	}
 }

@@ -19,7 +19,7 @@ func newCluster() *mapred.Cluster {
 	return mapred.NewCluster(cfg)
 }
 
-// writeTGs stores term-key fixtures the way store.BuildTG does: interned
+// writeTGs stores term-key fixtures the way store.WriteTG does: interned
 // into d and ID-encoded.
 func writeTGs(c *mapred.Cluster, d *rdf.Dict, name string, tgs ...ntga.TripleGroup) {
 	w, err := c.FS.Create(name, 1)
@@ -27,12 +27,23 @@ func writeTGs(c *mapred.Cluster, d *rdf.Dict, name string, tgs ...ntga.TripleGro
 		panic(err)
 	}
 	for i := range tgs {
-		idtg := tgs[i].Intern(d)
+		idtg := intern(tgs[i], d)
 		w.Write(idtg.EncodeIDs())
 	}
 	if err := w.Close(); err != nil {
 		panic(err)
 	}
+}
+
+// intern returns the term-key triplegroup g with every field replaced by
+// its ID-string in d, registering terms d has not seen; properties are
+// registered as IRI terms, as rdf.Intern does at load.
+func intern(g ntga.TripleGroup, d *rdf.Dict) ntga.TripleGroup {
+	out := ntga.TripleGroup{Subject: d.AddString(g.Subject), Triples: make([]ntga.PO, len(g.Triples))}
+	for i, po := range g.Triples {
+		out.Triples[i] = ntga.PO{Prop: d.AddString("I" + po.Prop), Obj: d.AddString(po.Obj)}
+	}
+	return out
 }
 
 // tg builds a triplegroup in term-key form (see writeTGs).
@@ -193,7 +204,7 @@ func TestScanPropFilters(t *testing.T) {
 	}
 	d := rdf.NewDict()
 	src := Source{Scan: spec, Dict: d}
-	keep := tg("o1", [2]string{"price", "L10"}, [2]string{"price", "L20"}).Intern(d)
+	keep := intern(tg("o1", [2]string{"price", "L10"}, [2]string{"price", "L20"}), d)
 	a, ok, err := src.scanner().annTGOf(keep.EncodeIDs())
 	if err != nil || !ok {
 		t.Fatalf("annTGOf: %v %v", ok, err)
@@ -201,7 +212,7 @@ func TestScanPropFilters(t *testing.T) {
 	if len(a.TGs[0].Triples) != 1 || lex(t, d, a.TGs[0].Triples[0].Obj) != "L20" {
 		t.Errorf("filtered triples = %v", a.TGs[0].Triples)
 	}
-	drop := tg("o2", [2]string{"price", "L5"}).Intern(d)
+	drop := intern(tg("o2", [2]string{"price", "L5"}), d)
 	if _, ok, err := src.scanner().annTGOf(drop.EncodeIDs()); err != nil || ok {
 		t.Errorf("triplegroup with no surviving primary triple passed: %v %v", ok, err)
 	}
@@ -330,7 +341,7 @@ func TestAggJoinAlphaGate(t *testing.T) {
 
 func TestJoinKeysMissingStar(t *testing.T) {
 	d := rdf.NewDict()
-	a := ntga.NewAnnTG(0, tg("x", [2]string{"p", "Iy"}, [2]string{"q", "Iy"}, [2]string{"p", "Iz"}, [2]string{"p", "Iy"}).Intern(d))
+	a := ntga.NewAnnTG(0, intern(tg("x", [2]string{"p", "Iy"}, [2]string{"q", "Iy"}, [2]string{"p", "Iz"}, [2]string{"p", "Iy"}), d))
 	if keys := appendJoinKeys(nil, &a, Endpoint{Star: 3, Role: algebra.RoleSubject}, nil); keys != nil {
 		t.Errorf("keys for missing star = %v", keys)
 	}
@@ -368,8 +379,8 @@ func retain(out *[]emitted) mapred.Emit {
 // filtered into the second scratch slice) and on the joined path.
 func TestScannerScratchDoesNotLeakAcrossRecords(t *testing.T) {
 	d := rdf.NewDict()
-	recA := tg("a", [2]string{"price", "L10"}, [2]string{"price", "L20"}, [2]string{"pf", "If1"}, [2]string{"junk", "Lx"}).Intern(d)
-	recB := tg("b", [2]string{"junk", "Ly"}, [2]string{"price", "L5"}).Intern(d)
+	recA := intern(tg("a", [2]string{"price", "L10"}, [2]string{"price", "L20"}, [2]string{"pf", "If1"}, [2]string{"junk", "Lx"}), d)
+	recB := intern(tg("b", [2]string{"junk", "Ly"}, [2]string{"price", "L5"}), d)
 	scan := &ScanSpec{Star: 0, Prim: []algebra.PropRef{{Prop: "price"}}, Opt: []algebra.PropRef{{Prop: "pf"}}}
 
 	sc := (&Source{Scan: scan, Dict: d}).scanner()
@@ -420,7 +431,7 @@ func TestScannerScratchDoesNotLeakAcrossRecords(t *testing.T) {
 	// Joined (AnnTG) input and the combiner path of TG_AgJ, whose emits are
 	// retained too: A's partial states survive B.
 	joined := func(g ntga.TripleGroup) []byte {
-		a := ntga.Merge(ntga.NewAnnTG(0, g), ntga.NewAnnTG(1, tg("o", [2]string{"q", "L1"}).Intern(d)))
+		a := ntga.Merge(ntga.NewAnnTG(0, g), ntga.NewAnnTG(1, intern(tg("o", [2]string{"q", "L1"}), d)))
 		return a.EncodeIDs()
 	}
 	out = nil
@@ -453,7 +464,7 @@ func TestScannerScratchDoesNotLeakAcrossRecords(t *testing.T) {
 // folding a solution into a group the pre-aggregation table already holds.
 func TestMapSideAllocations(t *testing.T) {
 	d := rdf.NewDict()
-	g := tg("a", [2]string{"price", "L10"}, [2]string{"price", "L20"}, [2]string{"junk", "Lx"}).Intern(d)
+	g := intern(tg("a", [2]string{"price", "L10"}, [2]string{"price", "L20"}, [2]string{"junk", "Lx"}), d)
 	rec := g.EncodeIDs()
 	src := Source{Files: []string{"in"}, Dict: d, Scan: &ScanSpec{Star: 0, Prim: []algebra.PropRef{{Prop: "price"}}}}
 

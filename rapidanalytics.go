@@ -290,7 +290,8 @@ func (s *Store) WriteNTriples(w io.Writer) error {
 	return rdf.WriteNTriples(w, s.graph)
 }
 
-// NumTriples returns the number of loaded triples.
+// NumTriples returns the number of statements added, repeats included.
+// Queries read the graph as a set: a repeated statement counts once.
 func (s *Store) NumTriples() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
