@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bytes"
 	"fmt"
 	"strconv"
 
@@ -79,9 +78,8 @@ func (m *aggMerger) Reduce(key string, values [][]byte, emit mapred.Emit) error 
 		}
 	}
 	if m.dict == nil {
-		// Combiner emits are retained: one exact-size slice each.
 		m.buf = acc.AppendEncode(m.buf[:0])
-		emit(key, bytes.Clone(m.buf))
+		emit(key, m.buf)
 		return nil
 	}
 	finals := acc.Finals()

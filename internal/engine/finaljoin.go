@@ -64,11 +64,13 @@ type finalJoinMapper struct {
 	indexes        []map[string][]codec.Tuple // lazy hash indexes per side
 
 	// Scratch reused across records: the partial row, the join key, the
-	// columns each recursion depth added, and the projected row.
+	// columns each recursion depth added, the projected row and its
+	// encoding.
 	row   map[string]string
 	key   []byte
 	added [][]string
 	out   codec.Tuple
+	buf   []byte
 }
 
 func newFinalJoinMapper(aq *algebra.AnalyticalQuery, sides [][]codec.Tuple, isTagged bool) *finalJoinMapper {
@@ -195,8 +197,8 @@ func (m *finalJoinMapper) project(emit mapred.Emit) {
 		}
 		m.out[i] = v
 	}
-	// Map-only emits are retained: a fresh exact-size slice per row.
-	emit("", m.out.Encode())
+	m.buf = m.out.AppendEncode(m.buf[:0])
+	emit("", m.buf)
 }
 
 func columnPositions(cols, want []string) []int {

@@ -13,8 +13,6 @@
 package hive
 
 import (
-	"bytes"
-
 	"rapidanalytics/internal/algebra"
 	"rapidanalytics/internal/codec"
 	"rapidanalytics/internal/engine"
@@ -144,7 +142,7 @@ func starJoinJob(name string, inputs []*starInput, keep map[string]bool, output 
 			return &taggedScanMapper{sc: scanner{plan: plans[idx].scan}, keyPos: plans[idx].keyPos, tag: byte(idx)}
 		},
 		NewReducer: func() mapred.Reducer {
-			return &starReducer{rows: newStarRows(plans, true)}
+			return &starReducer{rows: newStarRows(plans)}
 		},
 	}
 	return job, materialized(output, starJoinCols(inputs[0].keyCol, plans), inputs[0].rel.dict)
@@ -290,8 +288,8 @@ func (m *partialAggMapper) Map(rec []byte, emit mapred.Emit) error {
 		m.st.States[i].UpdateTerm(m.sc.plan.dict, row[p])
 	}
 	m.enc = m.st.AppendEncode(m.enc[:0])
-	//lint:alloc the framework retains map emits: one key string and one exact-size state per row
-	emit(string(m.key), bytes.Clone(m.enc))
+	//lint:alloc Emit takes its key as a string: one per row
+	emit(string(m.key), m.enc)
 	return nil
 }
 
@@ -333,6 +331,7 @@ type projectMapper struct {
 	pos   []int
 	valid func(codec.Tuple) bool
 	proj  codec.Tuple
+	enc   []byte
 }
 
 //rapid:hot
@@ -348,9 +347,9 @@ func (m *projectMapper) Map(rec []byte, emit mapred.Emit) error {
 	for _, p := range m.pos {
 		m.proj = append(m.proj, row[p])
 	}
-	enc := m.proj.EncodeIDs()
-	//lint:alloc the framework retains map emits: the key string and the encoded row are fresh per row
-	emit(string(enc), enc)
+	m.enc = m.proj.AppendEncodeIDs(m.enc[:0])
+	//lint:alloc Emit takes its key as a string: one per row
+	emit(string(m.enc), m.enc)
 	return nil
 }
 

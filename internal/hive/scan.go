@@ -18,8 +18,8 @@ import (
 // map task decodes records into scratch it owns (scanner), reducers decode
 // a key group's rows into one arena (tupleArena), and joined rows are built
 // in a reused scratch row from precomputed positions and encoded once per
-// emitted row: a fresh exact-size slice where mapred retains the emit (map
-// and combiner), one reused buffer where it copies it (reduce).
+// emitted row into one reused buffer, which mapred copies before the emit
+// returns.
 
 // constCheck is a constant-object check: raw field pos must equal want, an
 // ID-string (Dict.KeyString: a constant absent from the data matches no
@@ -285,15 +285,13 @@ type starRows struct {
 	// offs[i] is where input i's kept columns start in row.
 	offs []int
 	row  codec.Tuple
-	// reuse marks a reducer, whose emits mapred copies: rows encode into
-	// buf. A map task's emits are retained, so each gets a fresh slice.
-	reuse bool
-	buf   []byte
-	out   mapred.Emit
+	// buf is the encode buffer of every emitted row.
+	buf []byte
+	out mapred.Emit
 }
 
-func newStarRows(plans []*starPlan, reuse bool) *starRows {
-	x := &starRows{plans: plans, matches: make([][]codec.Tuple, len(plans)), offs: make([]int, len(plans)), reuse: reuse}
+func newStarRows(plans []*starPlan) *starRows {
+	x := &starRows{plans: plans, matches: make([][]codec.Tuple, len(plans)), offs: make([]int, len(plans))}
 	w := 1
 	for i, p := range plans {
 		x.offs[i] = w
@@ -316,12 +314,8 @@ func (x *starRows) emit(key string, emit mapred.Emit) {
 //rapid:hot
 func (x *starRows) expand(i int) {
 	if i == len(x.plans) {
-		if x.reuse {
-			x.buf = x.row.AppendEncodeIDs(x.buf[:0])
-			x.out("", x.buf)
-		} else {
-			x.out("", x.row.EncodeIDs())
-		}
+		x.buf = x.row.AppendEncodeIDs(x.buf[:0])
+		x.out("", x.buf)
 		return
 	}
 	p := x.plans[i]
@@ -387,22 +381,14 @@ func (j *joinPlan) appendRow(dst, l, r codec.Tuple) codec.Tuple {
 	return dst
 }
 
-// planeEncodeTagged serialises a row with a leading tag byte in a single
-// exact-size allocation — the hot emit path of the reduce-side joins.
-//
-//rapid:hot
-func planeEncodeTagged(tag byte, row codec.Tuple) []byte {
-	buf := make([]byte, 1, 1+row.EncodedIDsLen())
-	buf[0] = tag
-	return row.AppendEncodeIDs(buf)
-}
-
 // taggedScanMapper is the map side of the reduce-side joins: it emits each
-// scanned row under its join key, tagged with its input.
+// scanned row under its join key, encoded after a leading byte that tags
+// its input.
 type taggedScanMapper struct {
 	sc     scanner
 	keyPos int
 	tag    byte
+	buf    []byte
 }
 
 //rapid:hot
@@ -411,7 +397,8 @@ func (m *taggedScanMapper) Map(rec []byte, emit mapred.Emit) error {
 	if err != nil || !ok {
 		return err
 	}
-	emit(row[m.keyPos], planeEncodeTagged(m.tag, row))
+	m.buf = row.AppendEncodeIDs(append(m.buf[:0], m.tag))
+	emit(row[m.keyPos], m.buf)
 	return nil
 }
 
@@ -473,7 +460,7 @@ type starMapJoinMapper struct {
 // newStarMapJoinMapper builds a task's mapper; side returns the records of
 // a broadcast input (TaskContext.SideInput).
 func newStarMapJoinMapper(plans []*starPlan, side func(file string) [][]byte) *starMapJoinMapper {
-	m := &starMapJoinMapper{sc: scanner{plan: plans[0].scan}, rows: newStarRows(plans, false)}
+	m := &starMapJoinMapper{sc: scanner{plan: plans[0].scan}, rows: newStarRows(plans)}
 	m.rows.matches[0] = m.drv[:]
 	m.sides = make([]*sideIndex, len(plans)-1)
 	for i, p := range plans[1:] {
@@ -509,6 +496,7 @@ type mapJoinMapper struct {
 	plan  *joinPlan
 	right *sideIndex
 	out   codec.Tuple
+	buf   []byte
 }
 
 //rapid:hot
@@ -519,7 +507,8 @@ func (m *mapJoinMapper) Map(rec []byte, emit mapred.Emit) error {
 	}
 	for _, r := range m.right.lookup(row[m.plan.leftKey]) {
 		m.out = m.plan.appendRow(m.out[:0], row, r)
-		emit("", m.out.EncodeIDs())
+		m.buf = m.out.AppendEncodeIDs(m.buf[:0])
+		emit("", m.buf)
 	}
 	return nil
 }

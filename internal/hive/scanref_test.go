@@ -311,30 +311,33 @@ func TestStarRowsAgreeWithReference(t *testing.T) {
 			}
 		}
 		want := starRowsRef("Kkey", inputs, keep, perInput)
-		for _, reuse := range []bool{false, true} {
-			x := newStarRows(compileStars(inputs, keep), reuse)
-			copy(x.matches, perInput)
-			var got [][]byte
-			x.emit("Kkey", func(_ string, v []byte) { got = append(got, bytes.Clone(v)) })
-			if len(got) != len(want) {
-				t.Fatalf("reuse=%v: %d rows, reference %d", reuse, len(got), len(want))
-			}
-			for i := range want {
-				if !bytes.Equal(got[i], want[i].EncodeIDs()) {
-					t.Fatalf("reuse=%v row %d: %x, reference %q", reuse, i, got[i], want[i])
-				}
+		x := newStarRows(compileStars(inputs, keep))
+		copy(x.matches, perInput)
+		var got [][]byte
+		x.emit("Kkey", func(_ string, v []byte) { got = append(got, bytes.Clone(v)) })
+		if len(got) != len(want) {
+			t.Fatalf("%d rows, reference %d", len(got), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i].EncodeIDs()) {
+				t.Fatalf("row %d: %x, reference %q", i, got[i], want[i])
 			}
 		}
 	}
 }
 
-// emitted is a mapred.Emit that retains what it is given, as the framework
-// retains map emits.
+// emitted is a mapred.Emit that copies what it is given, as the framework
+// does.
 type emitted struct{ keys, values []string }
 
 func (e *emitted) emit(key string, value []byte) {
 	e.keys = append(e.keys, key)
 	e.values = append(e.values, string(value))
+}
+
+// tagged encodes row after the input tag byte, as taggedScanMapper does.
+func tagged(tag byte, row codec.Tuple) []byte {
+	return row.AppendEncodeIDs([]byte{tag})
 }
 
 // A row a scanner returns for record n is scratch that record n+1
@@ -359,7 +362,7 @@ func TestScanScratchDoesNotLeakAcrossRecords(t *testing.T) {
 	for _, rec := range recs {
 		raw, _ := codec.DecodeIDTuple(rec, d)
 		l, _ := left.scanRef(raw)
-		wantTagged = append(wantTagged, string(planeEncodeTagged(0, l)))
+		wantTagged = append(wantTagged, string(tagged(0, l)))
 		var ms []codec.Tuple
 		for _, srec := range side {
 			sraw, _ := codec.DecodeIDTuple(srec, d)
@@ -413,8 +416,8 @@ func TestScanScratchDoesNotLeakAcrossRecords(t *testing.T) {
 // it returns, so a copy taken at emit time must equal the reference.
 func TestReducersEncodeThroughReusedBuffer(t *testing.T) {
 	d := rdf.NewDict()
-	l := func(f ...string) []byte { return planeEncodeTagged(0, idRow(d, f)) }
-	r := func(f ...string) []byte { return planeEncodeTagged(1, idRow(d, f)) }
+	l := func(f ...string) []byte { return tagged(0, idRow(d, f)) }
+	r := func(f ...string) []byte { return tagged(1, idRow(d, f)) }
 	left := &rel{cols: []string{"k", "v"}, dict: d}
 	right := &rel{cols: []string{"w", "k"}, dict: d}
 	red := &symJoinReducer{plan: compileJoin(left, right, "k", "k", nil)}

@@ -51,18 +51,26 @@ func BenchmarkPartitionOf(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkShufflePath isolates the sort-merge shuffle.
+// BenchmarkShufflePath isolates the shuffle of one run: copy 5000 pairs
+// into an arena, sort the run and walk its key groups.
 func BenchmarkShufflePath(b *testing.B) {
-	in := make([]kv, 5000)
-	for i := range in {
-		in[i] = kv{key: fmt.Sprintf("k%d", i%37), value: []byte("v")}
+	keys := make([]string, 5000)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%d", i%37)
 	}
+	value := []byte("v")
+	nop := ReducerFunc(func(string, [][]byte, Emit) error { return nil })
+	noCheck := func() error { return nil }
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		buf := make([]kv, len(in))
-		copy(buf, in)
-		if groups := sortAndGroup(buf); len(groups) != 37 {
-			b.Fatalf("groups = %d", len(groups))
+		a := &arena{}
+		run := make([]entry, 0, len(keys))
+		for _, k := range keys {
+			run = append(run, a.add(k, value))
+		}
+		a.sortRun(run)
+		if groups, err := reduceGroups(nop, arenas{a}, run, nil, noCheck); err != nil || groups != 37 {
+			b.Fatalf("groups = %d, %v", groups, err)
 		}
 	}
 }

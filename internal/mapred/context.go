@@ -4,10 +4,11 @@ import "context"
 
 // WithContext returns a shallow copy of the cluster whose job execution is
 // bound to ctx: Run aborts between map-task records, before the reduce
-// phase, and between reduce groups once ctx is done, and RunWorkflow stops
-// scheduling further cycles. The copy shares the file system and cost-model
-// configuration with the original, so the serving layer can bind one
-// long-lived cluster to many per-request contexts concurrently.
+// phase, and between reduce groups once ctx is done, and refuses to start
+// once it is, so a caller running a chain of jobs stops at the next cycle.
+// The copy shares the file system and cost-model configuration with the
+// original, so the serving layer can bind one long-lived cluster to many
+// per-request contexts concurrently.
 func (c *Cluster) WithContext(ctx context.Context) *Cluster {
 	cp := *c
 	cp.ctx = ctx

@@ -70,7 +70,7 @@ func TestWorkflowStopsAfterMidRunCancellation(t *testing.T) {
 			},
 		}
 	}
-	wm, err := bound.RunWorkflow([]*Job{
+	wm, err := runWorkflow(bound, []*Job{
 		cancellingJob("cycle1", "in", "mid"),
 		cancellingJob("cycle2", "mid", "out"),
 	})

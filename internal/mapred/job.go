@@ -16,9 +16,8 @@ import (
 )
 
 // Emit is the output callback handed to mappers, combiners and reducers.
-// A mapper's or combiner's value is retained until the shuffle (never
-// mutated), so each emit needs a slice of its own; a reducer's value is
-// copied before Emit returns, so a reducer may reuse one buffer.
+// It copies the key and the value before it returns, so an emitter may
+// reuse one buffer for every call.
 type Emit func(key string, value []byte)
 
 // Mapper consumes one input record at a time. A fresh Mapper is built per
@@ -36,6 +35,10 @@ type MapCloser interface {
 }
 
 // Reducer consumes one key group at a time. Also used for combiners.
+//
+// The values slice is valid only for the call: the framework reuses it for
+// the partition's next group. The byte slices in it stay valid until the
+// partition is reduced and must not be modified.
 type Reducer interface {
 	Reduce(key string, values [][]byte, emit Emit) error
 }
@@ -175,7 +178,7 @@ type Metrics struct {
 	// describe the in-process run on this machine (not the simulated
 	// cluster) and vary run to run; every other field is deterministic.
 	MapWallNs         int64 // map tasks, incl. combiners (and output write for map-only jobs)
-	ShuffleSortWallNs int64 // per-partition concatenation + sort-group
+	ShuffleSortWallNs int64 // per partition: spill read-back, run sort and merge
 	ReduceWallNs      int64 // reducers + output materialisation
 }
 

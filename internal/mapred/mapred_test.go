@@ -318,6 +318,20 @@ func TestMapCloserFlush(t *testing.T) {
 	}
 }
 
+// runWorkflow runs jobs in order and collects their metrics, stopping at
+// the first error — the way an engine runs its chain of cycles.
+func runWorkflow(c *Cluster, jobs []*Job) (*WorkflowMetrics, error) {
+	wm := &WorkflowMetrics{}
+	for _, j := range jobs {
+		m, err := c.Run(j)
+		if err != nil {
+			return wm, err
+		}
+		wm.Jobs = append(wm.Jobs, m)
+	}
+	return wm, nil
+}
+
 func TestRunWorkflowChainsJobs(t *testing.T) {
 	c := newTestCluster()
 	writeLines(c, "in", 1, "a b", "a")
@@ -333,9 +347,9 @@ func TestRunWorkflowChainsJobs(t *testing.T) {
 			})
 		},
 	}
-	wm, err := c.RunWorkflow([]*Job{j1, j2})
+	wm, err := runWorkflow(c, []*Job{j1, j2})
 	if err != nil {
-		t.Fatalf("RunWorkflow: %v", err)
+		t.Fatalf("runWorkflow: %v", err)
 	}
 	if wm.Cycles() != 2 || wm.MapOnlyCycles() != 1 {
 		t.Errorf("cycles = %d, map-only = %d", wm.Cycles(), wm.MapOnlyCycles())

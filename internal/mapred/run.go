@@ -12,12 +12,6 @@ import (
 	"rapidanalytics/internal/vec"
 )
 
-// kv is a key/value pair in flight between map and reduce.
-type kv struct {
-	key   string
-	value []byte
-}
-
 // split is one map task's slice of an input file: a [start, start+n)
 // record range read back through the file's streaming iterator, so the
 // records are never materialised ahead of the task that consumes them.
@@ -58,11 +52,26 @@ func (a *abortSignal) aborted() bool {
 	}
 }
 
-// taskResult is one map task's partitioned output: the in-memory buffers
-// plus, when the task spilled, the per-partition spill runs in emission
-// order.
+// checker returns the poll of a map or reduce task: the bound context's
+// error, else errSiblingAborted once a sibling task has failed.
+func (c *Cluster) checker(abort *abortSignal) func() error {
+	return func() error {
+		if err := c.err(); err != nil {
+			return err
+		}
+		if abort.aborted() {
+			return errSiblingAborted
+		}
+		return nil
+	}
+}
+
+// taskResult is one map task's partitioned output: its arena with one run
+// of entries per partition — sorted when the job has a combiner — plus,
+// when the task spilled, the per-partition spill runs in emission order.
 type taskResult struct {
-	parts  [][]kv
+	arena  *arena
+	parts  [][]entry
 	spills [][]spillRef
 	emits  int64
 
@@ -74,12 +83,13 @@ type taskResult struct {
 }
 
 // partState carries one reduce partition through shuffle-sort and reduce:
-// the sorted key groups, the reducer output buffered as sealed record
-// batches, and the partition's share of the volume metrics, merged into
-// Metrics in partition order so parallel execution is indistinguishable
-// from sequential.
+// the merged run and the arenas its entries point into, the reducer output
+// buffered as sealed record batches, and the partition's share of the
+// volume metrics, merged into Metrics in partition order so parallel
+// execution is indistinguishable from sequential.
 type partState struct {
-	groups  []group
+	arenas  arenas
+	merged  []entry
 	batches []*vec.Batch
 
 	mapOutRecords int64
@@ -94,11 +104,10 @@ type partState struct {
 // from the cluster's cost model). Map tasks run on a bounded worker pool;
 // the shuffle-sort and reduce phases run one bounded worker pool over the
 // reduce partitions. Determinism is preserved end to end: each partition's
-// buffers are concatenated in map-task order (spill runs merge stably in
-// the same order), the shuffle sort is stable, and partition outputs are
-// written to the DFS in partition order — so output bytes, record order
-// and all volume metrics are identical whether the phases run on one
-// worker or many, and identical across storage backends.
+// runs merge stably in map-task order (shuffle.go), and partition outputs
+// are written to the DFS in partition order — so output bytes, record
+// order and all volume metrics are identical whether the phases run on one
+// worker or many, with or without spills, and across storage backends.
 func (c *Cluster) Run(job *Job) (metrics *Metrics, err error) {
 	if err := c.err(); err != nil {
 		return nil, fmt.Errorf("mapred: job %s aborted: %w", job.Name, err)
@@ -167,11 +176,12 @@ func (c *Cluster) Run(job *Job) (metrics *Metrics, err error) {
 	}
 	if job.MapOnly() {
 		// Map-only output is written directly from the (single-partition)
-		// map buffers in task order, as Hadoop map tasks would; the write is
+		// map runs in task order, as Hadoop map tasks would; the write is
 		// part of the map phase, there is no shuffle or reduce.
 		wstart := time.Now()
 		err := c.commitOutput(job, ratio, cycle, m, func(out *dfs.Writer) error {
 			for i := range results {
+				a := results[i].arena
 				for ri, e := range results[i].parts[0] {
 					if ri%ctxCheckInterval == 0 {
 						if err := c.err(); err != nil {
@@ -179,12 +189,12 @@ func (c *Cluster) Run(job *Job) (metrics *Metrics, err error) {
 						}
 					}
 					m.MapOutputRecords++
-					m.MapOutputBytes += int64(len(e.key) + len(e.value))
-					// Emit values are never reused, so they transfer
-					// without a copy.
-					out.WriteOwned(e.value)
+					m.MapOutputBytes += e.size()
+					// Arena bytes never change, so values transfer without
+					// a copy.
+					out.WriteOwned(a.value(e))
 					m.OutputRecords++
-					m.OutputBytes += int64(len(e.value))
+					m.OutputBytes += int64(e.vlen)
 				}
 			}
 			return nil
@@ -203,19 +213,11 @@ func (c *Cluster) Run(job *Job) (metrics *Metrics, err error) {
 
 	states := make([]partState, partitions)
 	workers := c.workers(partitions)
-	anySpill := false
-	for i := range results {
-		if results[i].spillRuns > 0 {
-			anySpill = true
-			break
-		}
-	}
 
-	// Shuffle-sort: concatenate each partition's slices in map-task order
-	// and sort-group them (or, when tasks spilled, stable-merge the spill
-	// runs and in-memory remainders in the same order), one partition per
-	// worker. The cancellation check runs before each partition's sort, so
-	// a cancelled query never enters an unbounded sort over a hot
+	// Shuffle-sort: read back each partition's spill runs, sort its
+	// in-memory runs and merge them all in map-task order, one partition
+	// per worker. The cancellation check runs before each partition's
+	// sort, so a cancelled query never enters an unbounded sort over a hot
 	// partition.
 	shufflePhase := cycle.StartChild(obs.KindPhase, "shuffle-sort")
 	shuffleStart := time.Now()
@@ -229,23 +231,7 @@ func (c *Cluster) Run(job *Job) (metrics *Metrics, err error) {
 			st.err = err
 			return
 		}
-		if anySpill {
-			c.mergeSpilled(results, p, st, pspan)
-		} else {
-			n := 0
-			for i := range results {
-				n += len(results[i].parts[p])
-			}
-			buf := make([]kv, 0, n)
-			for i := range results {
-				buf = append(buf, results[i].parts[p]...)
-			}
-			for _, e := range buf {
-				st.mapOutRecords++
-				st.mapOutBytes += int64(len(e.key) + len(e.value))
-			}
-			st.groups = sortAndGroup(buf)
-		}
+		st.err = c.shufflePartition(job, results, p, st, pspan)
 		if pspan != nil {
 			pspan.AddRecords(st.mapOutRecords)
 			pspan.AddBytes(st.mapOutBytes)
@@ -336,46 +322,61 @@ func (c *Cluster) Run(job *Job) (metrics *Metrics, err error) {
 	return m, nil
 }
 
-// mergeSpilled builds one partition's groups by stable-merging every map
-// task's spill runs and in-memory remainder in emission order. Spill reads
-// get their own io span under the partition's shuffle span.
-func (c *Cluster) mergeSpilled(results []taskResult, p int, st *partState, pspan *obs.Span) {
+// shufflePartition builds partition p's reduce input: each map task's
+// spill runs for p, read back into one arena of the partition's own, then
+// its in-memory run, sorted unless a combiner left it sorted, all merged in
+// that order. Spill reads get their own io span under the partition's
+// shuffle span.
+func (c *Cluster) shufflePartition(job *Job, results []taskResult, p int, st *partState, pspan *obs.Span) error {
+	var runs [][]entry
+	var spilled *arena
 	var rspan *obs.Span
-	if pspan != nil {
-		rspan = pspan.StartChild(obs.KindIO, "spill-read")
-	}
-	var srcs []kvSource
 	var spillRecs, spillBytes int64
 	for i := range results {
-		for _, ref := range results[i].spills[p] {
-			src, err := newSpillKVSource(c.FS, ref)
-			if err != nil {
-				st.err = err
-				rspan.End()
-				return
+		var refs []spillRef
+		if results[i].spills != nil {
+			refs = results[i].spills[p]
+		}
+		for _, ref := range refs {
+			if spilled == nil {
+				spilled = &arena{}
+				if pspan != nil {
+					rspan = pspan.StartChild(obs.KindIO, "spill-read")
+				}
 			}
-			srcs = append(srcs, src)
+			run, err := c.readSpillRun(ref, spilled, c.err)
+			if err != nil {
+				rspan.End()
+				return err
+			}
 			spillRecs += ref.records
 			spillBytes += ref.bytes
+			if len(run) > 0 {
+				runs = append(runs, run)
+				st.arenas = append(st.arenas, spilled)
+			}
 		}
-		if len(results[i].parts[p]) > 0 {
-			buf := results[i].parts[p]
-			sortStableByKey(buf)
-			srcs = append(srcs, &memKVSource{kvs: buf})
+		if run := results[i].parts[p]; len(run) > 0 {
+			if job.NewCombiner == nil {
+				results[i].arena.sortRun(run)
+			}
+			runs = append(runs, run)
+			st.arenas = append(st.arenas, results[i].arena)
 		}
-	}
-	groups, records, bytes, err := mergePartition(srcs, c.err)
-	if err != nil {
-		st.err = err
-		rspan.End()
-		return
 	}
 	rspan.AddRecords(spillRecs)
 	rspan.AddBytes(spillBytes)
 	rspan.End()
-	st.groups = groups
-	st.mapOutRecords = records
-	st.mapOutBytes = bytes
+	merged, err := mergeRuns(runs, st.arenas, c.err)
+	if err != nil {
+		return err
+	}
+	st.merged = merged
+	st.mapOutRecords = int64(len(merged))
+	for _, e := range merged {
+		st.mapOutBytes += e.size()
+	}
+	return nil
 }
 
 // runMapPhase executes every split on the bounded worker pool (runPool),
@@ -417,41 +418,27 @@ func (c *Cluster) runMapPhase(job *Job, splits []split, side map[string][][]byte
 	return results, elapsed, nil
 }
 
-// reducePartition sorts nothing (the groups are prepared by the shuffle
-// phase); it runs the reducer over one partition's groups, buffering output
-// records as sealed batches and volume counts into st.
+// reducePartition sorts nothing (the merged run is prepared by the
+// shuffle phase); it runs the reducer over one partition's key groups,
+// buffering output records as sealed batches and volume counts into st.
 func (c *Cluster) reducePartition(job *Job, st *partState, abort *abortSignal) error {
-	if err := c.err(); err != nil {
+	check := c.checker(abort)
+	if err := check(); err != nil {
 		return err
 	}
-	if abort.aborted() {
-		return errSiblingAborted
-	}
 	bu := vec.NewBuilder(vec.DefaultBatchRows)
-	red := job.NewReducer()
-	for gi, g := range st.groups {
-		if gi%ctxCheckInterval == 0 {
-			if err := c.err(); err != nil {
-				return err
-			}
-			if abort.aborted() {
-				return errSiblingAborted
-			}
+	groups, err := reduceGroups(job.NewReducer(), st.arenas, st.merged, func(_ string, value []byte) {
+		// The write to the DFS happens only after every partition
+		// finishes; the builder copies the value into its arena.
+		if b := bu.Append(value); b != nil {
+			st.batches = append(st.batches, b)
 		}
-		st.reduceGroups++
-		err := red.Reduce(g.key, g.values, func(_ string, value []byte) {
-			// Reducers may reuse the emitted slice and the write to the DFS
-			// happens only after every partition finishes; the builder
-			// copies the value into its arena.
-			if b := bu.Append(value); b != nil {
-				st.batches = append(st.batches, b)
-			}
-			st.outputRecords++
-			st.outputBytes += int64(len(value))
-		})
-		if err != nil {
-			return fmt.Errorf("reduce key %q: %w", g.key, err)
-		}
+		st.outputRecords++
+		st.outputBytes += int64(len(value))
+	}, check)
+	st.reduceGroups = groups
+	if err != nil {
+		return err
 	}
 	if b := bu.Flush(); b != nil {
 		st.batches = append(st.batches, b)
@@ -545,20 +532,6 @@ func (c *Cluster) workers(tasks int) int {
 	return min(n, tasks)
 }
 
-// RunWorkflow executes jobs sequentially, stopping at the first error or
-// when the cluster's bound context is cancelled between cycles.
-func (c *Cluster) RunWorkflow(jobs []*Job) (*WorkflowMetrics, error) {
-	wm := &WorkflowMetrics{}
-	for _, j := range jobs {
-		m, err := c.Run(j)
-		if err != nil {
-			return wm, err
-		}
-		wm.Jobs = append(wm.Jobs, m)
-	}
-	return wm, nil
-}
-
 func maxParallel() int {
 	n := runtime.NumCPU()
 	if n < 2 {
@@ -640,49 +613,46 @@ func (c *Cluster) loadSideInputs(job *Job, m *Metrics) (map[string][][]byte, err
 	return side, nil
 }
 
-// runMapTask runs one mapper over a split's record range, partitions its
-// output, and applies the combiner locally. When spilling is enabled and
-// the buffered output reaches the threshold, each partition's buffer is
-// combined, sorted and written out as a spill run. check covers both
+// runMapTask runs one mapper over a split's record range, copying every
+// emit into the task's arena and partitioning the entries, and applies the
+// combiner locally. When spilling is enabled and the arena reaches the
+// threshold, each partition's run is combined, sorted and written out as a
+// spill run, and the task continues with a fresh arena. check covers both
 // context cancellation and sibling-task failure, and is consulted between
 // records and inside the combiner.
 func (c *Cluster) runMapTask(job *Job, taskIdx int, sp split, side map[string][][]byte, partitions int, abort *abortSignal, tspan *obs.Span) (taskResult, error) {
-	check := func() error {
-		if err := c.err(); err != nil {
-			return err
-		}
-		if abort.aborted() {
-			return errSiblingAborted
-		}
-		return nil
-	}
+	check := c.checker(abort)
 	tc := &TaskContext{InputFile: sp.file, sideData: side}
 	mapper := job.NewMapper(tc)
-	parts := make([][]kv, partitions)
+	ar := &arena{}
+	parts := make([][]entry, partitions)
 	var res taskResult
 	threshold := c.Config.SpillThresholdBytes
 	canSpill := threshold > 0 && !job.MapOnly()
-	var buffered, maxBuffered int64
+	var maxBuffered int64
 	var spillRunIdx int
 	if canSpill {
 		res.spills = make([][]spillRef, partitions)
 	}
 	spill := func() error {
-		for p := range parts {
-			if len(parts[p]) == 0 {
+		src := ar
+		if job.NewCombiner != nil {
+			src = &arena{}
+		}
+		for p, run := range parts {
+			if len(run) == 0 {
 				continue
 			}
-			run := parts[p]
-			parts[p] = nil
 			if job.NewCombiner != nil {
-				combined, err := combine(job.NewCombiner(), run, partitions, p, check)
+				combined, err := combine(job.NewCombiner(), ar, run, src, partitions, p, check)
 				if err != nil {
 					return err
 				}
 				run = combined
+			} else {
+				ar.sortRun(run)
 			}
-			sortStableByKey(run)
-			ref, err := c.writeSpillRun(spillRunName(job.Output, taskIdx, spillRunIdx, p), run, tspan, check)
+			ref, err := c.writeSpillRun(spillRunName(job.Output, taskIdx, spillRunIdx, p), src, run, tspan, check)
 			if err != nil {
 				return err
 			}
@@ -690,9 +660,10 @@ func (c *Cluster) runMapTask(job *Job, taskIdx int, sp split, side map[string][]
 			res.spillRuns++
 			res.spillRecords += ref.records
 			res.spillBytes += ref.bytes
+			parts[p] = parts[p][:0]
 		}
 		spillRunIdx++
-		buffered = 0
+		ar = &arena{}
 		return nil
 	}
 	emit := func(key string, value []byte) {
@@ -701,8 +672,7 @@ func (c *Cluster) runMapTask(job *Job, taskIdx int, sp split, side map[string][]
 		if partitions > 1 {
 			p = partitionOf(key, partitions)
 		}
-		parts[p] = append(parts[p], kv{key: key, value: value})
-		buffered += int64(len(key) + len(value))
+		parts[p] = append(parts[p], ar.add(key, value))
 	}
 	// maybeSpill runs at record boundaries (a single record's emits may
 	// overshoot the threshold, bounding the overshoot to one record).
@@ -710,10 +680,8 @@ func (c *Cluster) runMapTask(job *Job, taskIdx int, sp split, side map[string][]
 		if !canSpill {
 			return nil
 		}
-		if buffered > maxBuffered {
-			maxBuffered = buffered
-		}
-		if buffered >= threshold {
+		maxBuffered = max(maxBuffered, ar.size)
+		if ar.size >= threshold {
 			return spill()
 		}
 		return nil
@@ -764,78 +732,28 @@ func (c *Cluster) runMapTask(job *Job, taskIdx int, sp split, side map[string][]
 		noteSpillHighWater(maxBuffered)
 	}
 	if job.NewCombiner != nil && !job.MapOnly() {
-		for p := range parts {
-			combined, err := combine(job.NewCombiner(), parts[p], partitions, p, check)
+		// The combined runs go to a fresh arena, so the raw emits are
+		// garbage once every partition is combined.
+		out := &arena{}
+		for p, run := range parts {
+			if len(run) == 0 {
+				continue
+			}
+			combined, err := combine(job.NewCombiner(), ar, run, out, partitions, p, check)
 			if err != nil {
 				return res, err
 			}
 			parts[p] = combined
 		}
+		ar = out
 	}
-	res.parts = parts
+	if job.MapOnly() && !job.StreamOutput {
+		// A materialised map-only output keeps the values it is handed;
+		// copied into one exact-size chunk, they pin no chunk slack.
+		ar = ar.compact(parts[0])
+	}
+	res.arena, res.parts = ar, parts
 	return res, nil
-}
-
-// combine runs the combiner over one partition of a map task's output. The
-// check hook runs before the sort and between groups, so cancellation never
-// stalls in a combiner over a hot key.
-func combine(comb Reducer, in []kv, partitions, p int, check func() error) ([]kv, error) {
-	if err := check(); err != nil {
-		return nil, err
-	}
-	groups := sortAndGroup(in)
-	var out []kv
-	for gi, g := range groups {
-		if gi%ctxCheckInterval == 0 {
-			if err := check(); err != nil {
-				return nil, err
-			}
-		}
-		err := comb.Reduce(g.key, g.values, func(key string, value []byte) {
-			out = append(out, kv{key: key, value: value})
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	// Combiner output must stay in its partition; re-partitioning is not
-	// allowed (keys must be preserved or at least co-partitioned).
-	for ei, e := range out {
-		if ei%ctxCheckInterval == 0 {
-			if err := check(); err != nil {
-				return nil, err
-			}
-		}
-		if partitions > 1 && partitionOf(e.key, partitions) != p {
-			return nil, fmt.Errorf("mapred: combiner moved key %q across partitions", e.key)
-		}
-	}
-	return out, nil
-}
-
-type group struct {
-	key    string
-	values [][]byte
-}
-
-// sortAndGroup sorts key/value pairs by key (stable, preserving map-task
-// emission order within a key) and groups equal keys.
-func sortAndGroup(in []kv) []group {
-	sortStableByKey(in)
-	var groups []group
-	for i := 0; i < len(in); {
-		j := i + 1
-		for j < len(in) && in[j].key == in[i].key {
-			j++
-		}
-		g := group{key: in[i].key, values: make([][]byte, j-i)}
-		for k := range g.values {
-			g.values[k] = in[i+k].value
-		}
-		groups = append(groups, g)
-		i = j
-	}
-	return groups
 }
 
 // FNV-1a constants (hash/fnv), inlined so the per-emit hot path hashes

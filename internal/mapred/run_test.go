@@ -172,16 +172,17 @@ func TestCancelMidShuffleHotKey(t *testing.T) {
 // cancellation checks. The check hook must abort it before the sort and
 // before any combiner call.
 func TestCombineChecksCancellation(t *testing.T) {
-	in := make([]kv, 4096)
-	for i := range in {
-		in[i] = kv{key: "hot", value: []byte("v")}
+	in := &arena{}
+	run := make([]entry, 4096)
+	for i := range run {
+		run[i] = in.add("hot", []byte("v"))
 	}
 	var calls atomic.Int64
 	comb := ReducerFunc(func(key string, values [][]byte, emit Emit) error {
 		calls.Add(1)
 		return nil
 	})
-	_, err := combine(comb, in, 4, partitionOf("hot", 4), func() error { return context.Canceled })
+	_, err := combine(comb, in, run, &arena{}, 4, partitionOf("hot", 4), func() error { return context.Canceled })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("combine error = %v, want context.Canceled", err)
 	}
@@ -314,9 +315,9 @@ func TestPhaseWallsMapOnly(t *testing.T) {
 func TestWorkflowPhaseWalls(t *testing.T) {
 	c := newTestCluster()
 	aggInput(c)
-	wm, err := c.RunWorkflow([]*Job{aggJob(4)})
+	wm, err := runWorkflow(c, []*Job{aggJob(4)})
 	if err != nil {
-		t.Fatalf("RunWorkflow: %v", err)
+		t.Fatalf("runWorkflow: %v", err)
 	}
 	mapNs, shuffleNs, reduceNs := wm.PhaseWalls()
 	if mapNs <= 0 || reduceNs <= 0 {

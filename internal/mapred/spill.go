@@ -1,30 +1,27 @@
 package mapred
 
 import (
-	"container/heap"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 	"strconv"
-	"strings"
 	"sync/atomic"
 
-	"rapidanalytics/internal/dfs"
 	"rapidanalytics/internal/obs"
+	"rapidanalytics/internal/vec"
 )
 
 // Map-side spill: when ClusterConfig.SpillThresholdBytes is set, a map
-// task whose buffered shuffle output reaches the threshold combines, sorts
-// and writes each partition's buffer to a spill run in the cluster FS
+// task whose arena holds that many bytes of shuffle output combines, sorts
+// and writes each partition's run to a spill run in the cluster FS
 // (blockstore segments on the disk backend), exactly as Hadoop spills its
-// map output buffer. The shuffle phase then k-way merges each partition's
-// spill runs and in-memory remainder — a stable merge keyed on (key,
-// source order), provably identical to concatenating the runs in emission
-// order and stable-sorting, so reduce input (and therefore job output) is
-// byte-identical to the unspilled execution. With a combiner, combining
-// happens per run (again as Hadoop does), so shuffled records/bytes may
-// differ from the unspilled run while the reduced output stays identical.
+// map output buffer, and continues with a fresh arena. The shuffle reads
+// each spill run back into the partition's own arena, and the partition's
+// runs — spilled or not — go through the one stable merge (shuffle.go), so
+// reduce input (and therefore job output) is byte-identical to the
+// unspilled execution. With a combiner, combining happens per run (again
+// as Hadoop does), so shuffled records/bytes may differ from the unspilled
+// run while the reduced output stays identical.
 
 // spillRef identifies one sorted spill run materialised in the cluster FS.
 type spillRef struct {
@@ -79,8 +76,9 @@ func (c *Cluster) cleanupSpills(output string) error {
 	return first
 }
 
-// spillMaxBuffered tracks the high-water mark of per-task buffered kv
-// bytes observed at record boundaries while spilling is enabled. It exists
+// spillMaxBuffered tracks the high-water mark of a map task's arena bytes
+// (its shuffle output since the last spill) observed at record boundaries
+// while spilling is enabled. It exists
 // so tests can assert the spill path bounds resident shuffle memory; it is
 // never read by execution.
 var spillMaxBuffered atomic.Int64
@@ -95,41 +93,11 @@ func noteSpillHighWater(n int64) {
 	}
 }
 
-// encodeKV frames a shuffle pair as uvarint(len(key)) || key || value.
-func encodeKV(e kv) []byte {
-	buf := make([]byte, 0, binary.MaxVarintLen64+len(e.key)+len(e.value))
-	buf = binary.AppendUvarint(buf, uint64(len(e.key)))
-	buf = append(buf, e.key...)
-	buf = append(buf, e.value...)
-	return buf
-}
-
-// decodeKV parses a spill record. The returned value is a copy: merge
-// consumers retain values in reduce groups until the partition is reduced,
-// and an aliased value would pin the spill run's whole read block (on the
-// disk backend, a record is a sub-slice of one) for that long.
-func decodeKV(rec []byte) (kv, error) {
-	kl, n := binary.Uvarint(rec)
-	if n <= 0 || kl > uint64(len(rec)-n) {
-		return kv{}, fmt.Errorf("mapred: corrupt spill record")
-	}
-	end := n + int(kl)
-	val := make([]byte, len(rec)-end)
-	copy(val, rec[end:])
-	return kv{key: string(rec[n:end]), value: val}, nil
-}
-
-// sortStableByKey sorts kvs by key, preserving emission order within a
-// key. sortAndGroup sorts through it, so spilled and unspilled shuffles
-// order identically; the typed comparison keeps reflection's swapper out of
-// the shuffle.
-func sortStableByKey(kvs []kv) {
-	slices.SortStableFunc(kvs, func(a, b kv) int { return strings.Compare(a.key, b.key) })
-}
-
-// writeSpillRun materialises one sorted run, attaching a spill-write io
-// span under the task span when tracing.
-func (c *Cluster) writeSpillRun(name string, kvs []kv, tspan *obs.Span, check func() error) (spillRef, error) {
+// writeSpillRun materialises one sorted run of a's entries, attaching a
+// spill-write io span under the task span when tracing. A record is
+// uvarint(len(key)) || key || value; records are batched, so the run's
+// bytes move to the FS without an allocation per record.
+func (c *Cluster) writeSpillRun(name string, a *arena, run []entry, tspan *obs.Span, check func() error) (spillRef, error) {
 	w, err := c.FS.Create(name, 1)
 	if err != nil {
 		return spillRef{}, err
@@ -139,16 +107,24 @@ func (c *Cluster) writeSpillRun(name string, kvs []kv, tspan *obs.Span, check fu
 		sspan = tspan.StartChild(obs.KindIO, "spill-write")
 	}
 	w.SetSpan(sspan)
-	ref := spillRef{file: name, records: int64(len(kvs))}
+	ref := spillRef{file: name, records: int64(len(run))}
 	werr := func() error {
-		for i := range kvs {
+		bu := vec.NewBuilder(vec.DefaultBatchRows)
+		var rec []byte
+		for i, e := range run {
 			if i%ctxCheckInterval == 0 {
 				if err := check(); err != nil {
 					return err
 				}
 			}
-			ref.bytes += int64(len(kvs[i].key) + len(kvs[i].value))
-			w.WriteOwned(encodeKV(kvs[i]))
+			ref.bytes += e.size()
+			rec = append(binary.AppendUvarint(rec[:0], uint64(e.klen)), a.pair(e)...)
+			if b := bu.Append(rec); b != nil {
+				w.WriteBatch(b)
+			}
+		}
+		if b := bu.Flush(); b != nil {
+			w.WriteBatch(b)
 		}
 		return nil
 	}()
@@ -162,124 +138,34 @@ func (c *Cluster) writeSpillRun(name string, kvs []kv, tspan *obs.Span, check fu
 	return ref, nil
 }
 
-// kvSource streams one sorted run of kv pairs for the shuffle merge.
-type kvSource interface {
-	// next pops the next pair; ok is false at end of run.
-	next() (e kv, ok bool, err error)
-}
-
-// memKVSource streams a sorted in-memory buffer.
-type memKVSource struct {
-	kvs []kv
-	i   int
-}
-
-func (s *memKVSource) next() (kv, bool, error) {
-	if s.i >= len(s.kvs) {
-		return kv{}, false, nil
-	}
-	e := s.kvs[s.i]
-	s.i++
-	return e, true, nil
-}
-
-// spillKVSource streams a spill run back from the cluster FS.
-type spillKVSource struct {
-	f  *dfs.File
-	it dfs.RecordIterator
-}
-
-func newSpillKVSource(fs *dfs.FS, ref spillRef) (*spillKVSource, error) {
-	f, err := fs.Open(ref.file)
+// readSpillRun reads a spill run back into a, copying every pair: a
+// record on the disk backend is a sub-slice of a read block, and the run's
+// file is closed and deleted long before the partition is reduced. The
+// file is closed on every path.
+func (c *Cluster) readSpillRun(ref spillRef, a *arena, check func() error) ([]entry, error) {
+	f, err := c.FS.Open(ref.file)
 	if err != nil {
 		return nil, err
 	}
-	return &spillKVSource{f: f, it: f.Records(0)}, nil
-}
-
-func (s *spillKVSource) next() (kv, bool, error) {
-	if !s.it.Next() {
-		err := s.it.Err()
-		s.f.Close()
-		return kv{}, false, err
-	}
-	e, err := decodeKV(s.it.Record())
-	if err != nil {
-		return kv{}, false, err
-	}
-	return e, true, nil
-}
-
-// kvHeapItem is one source's head pair in the merge heap.
-type kvHeapItem struct {
-	e   kv
-	src int
-	s   kvSource
-}
-
-// kvHeap orders source heads by (key, source index): the stable-merge
-// tie-break that makes the merged stream identical to concatenating the
-// sources in order and stable-sorting.
-type kvHeap []kvHeapItem
-
-func (h kvHeap) Len() int { return len(h) }
-func (h kvHeap) Less(i, j int) bool {
-	if h[i].e.key != h[j].e.key {
-		return h[i].e.key < h[j].e.key
-	}
-	return h[i].src < h[j].src
-}
-func (h kvHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *kvHeap) Push(x any)   { *h = append(*h, x.(kvHeapItem)) }
-func (h *kvHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
-// mergePartition stable-merges sorted kv sources into key groups,
-// returning the groups plus the merged record and byte counts (the
-// partition's shuffle volume).
-func mergePartition(srcs []kvSource, check func() error) ([]group, int64, int64, error) {
-	h := make(kvHeap, 0, len(srcs))
-	for i, s := range srcs {
-		e, ok, err := s.next()
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		if ok {
-			h = append(h, kvHeapItem{e: e, src: i, s: s})
-		}
-	}
-	heap.Init(&h)
-	var groups []group
-	var records, bytes int64
-	for len(h) > 0 {
-		if records%ctxCheckInterval == 0 {
+	defer f.Close()
+	run := make([]entry, 0, ref.records)
+	it := f.Records(0)
+	for it.Next() {
+		if len(run)%ctxCheckInterval == 0 {
 			if err := check(); err != nil {
-				return nil, 0, 0, err
+				return nil, err
 			}
 		}
-		top := &h[0]
-		records++
-		bytes += int64(len(top.e.key) + len(top.e.value))
-		if len(groups) == 0 || groups[len(groups)-1].key != top.e.key {
-			groups = append(groups, group{key: top.e.key})
+		rec := it.Record()
+		kl, n := binary.Uvarint(rec)
+		if n <= 0 || kl > uint64(len(rec)-n) {
+			return nil, fmt.Errorf("mapred: corrupt spill record in %s", ref.file)
 		}
-		g := &groups[len(groups)-1]
-		g.values = append(g.values, top.e.value)
-		e, ok, err := top.s.next()
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		if ok {
-			top.e = e
-			heap.Fix(&h, 0)
-		} else {
-			heap.Pop(&h)
-		}
+		e, dst := a.reserve(len(rec) - n)
+		copy(dst, rec[n:])
+		e.klen, e.vlen = uint32(kl), uint32(len(rec)-n-int(kl))
+		e.prefix = keyPrefix(a.key(e))
+		run = append(run, e)
 	}
-	return groups, records, bytes, nil
+	return run, it.Err()
 }

@@ -1,7 +1,10 @@
 package mapred
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -159,5 +162,79 @@ func TestSpillDeterminismMatrix(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// errInjectedOpen is the failure openCountingBackend injects.
+var errInjectedOpen = errors.New("injected open failure")
+
+// openCountingBackend records every spill run opened through it. At the
+// failAt-th open it cancels the job (cancel set) or fails the open.
+type openCountingBackend struct {
+	dfs.Backend
+	failAt int
+	cancel context.CancelFunc
+	opened []*dfs.File
+}
+
+func (b *openCountingBackend) Open(name string) (*dfs.File, error) {
+	if !strings.HasPrefix(name, "_spill/") {
+		return b.Backend.Open(name)
+	}
+	if b.cancel == nil && len(b.opened)+1 == b.failAt {
+		return nil, errInjectedOpen
+	}
+	f, err := b.Backend.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	b.opened = append(b.opened, f)
+	if b.cancel != nil && len(b.opened) == b.failAt {
+		b.cancel()
+	}
+	return f, nil
+}
+
+// Regression: a spill run's file was closed only once the merge exhausted
+// it, so a cancellation mid-merge, or a failed open of a later run, left
+// every other opened run open — a file descriptor each on the disk
+// backend. Every opened run must be closed on every path: closing it again
+// must report it closed already.
+func TestSpillRunsClosedOnMergeErrors(t *testing.T) {
+	for _, cancelled := range []bool{true, false} {
+		t.Run(fmt.Sprintf("cancelled=%v", cancelled), func(t *testing.T) {
+			disk, err := dfs.NewDiskBackend(t.TempDir(), 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			b := &openCountingBackend{Backend: disk, failAt: 2}
+			want := errInjectedOpen
+			if cancelled {
+				b.cancel, want = cancel, context.Canceled
+			}
+			cfg := DefaultConfig()
+			cfg.ExecSplitBytes = 256
+			cfg.SpillThresholdBytes = 64
+			c := NewClusterFS(cfg, dfs.NewWithBackend(b))
+			c.testWorkers = 1
+			spillFixture(c)
+			if _, err := c.WithContext(ctx).Run(wordCountJob("in", "out", false)); !errors.Is(err, want) {
+				t.Fatalf("Run error = %v, want %v", err, want)
+			}
+			if len(b.opened) == 0 {
+				t.Fatal("no spill run was opened")
+			}
+			leaked := 0
+			for _, f := range b.opened {
+				if err := f.Close(); !errors.Is(err, os.ErrClosed) {
+					leaked++
+				}
+			}
+			if leaked > 0 {
+				t.Errorf("%d of %d opened spill runs were left open", leaked, len(b.opened))
+			}
+		})
 	}
 }

@@ -154,7 +154,7 @@ func TestStreamedChainedJobs(t *testing.T) {
 		c := streamCluster()
 		j2 := wordCountJob("mid", "out", true)
 		j2.SideInputs = []string{"mid"}
-		wm, err := c.RunWorkflow([]*Job{streamedWordCount("in", "mid", stream), j2})
+		wm, err := runWorkflow(c, []*Job{streamedWordCount("in", "mid", stream), j2})
 		if err != nil {
 			t.Fatalf("stream=%v: %v", stream, err)
 		}
@@ -246,19 +246,76 @@ func TestCleanupSpillErrorSurfaces(t *testing.T) {
 	}
 }
 
-// TestDecodeKVCopiesValue: the decoded value must not alias the source
-// record — reduce groups retain it until the partition is reduced.
+// scribblingBackend keeps every record slice it is handed and overwrites
+// a file's records when the file is deleted, so a reader that aliased them
+// sees the damage.
+type scribblingBackend struct {
+	dfs.Backend
+	recs map[string]*[][]byte
+}
+
+type scribblingWriter struct {
+	dfs.FileWriter
+	recs *[][]byte
+}
+
+func (w scribblingWriter) Append(rec []byte) error {
+	*w.recs = append(*w.recs, rec)
+	return w.FileWriter.Append(rec)
+}
+
+func (b *scribblingBackend) Create(name string, ratio float64) (dfs.FileWriter, error) {
+	fw, err := b.Backend.Create(name, ratio)
+	if err != nil {
+		return nil, err
+	}
+	b.recs[name] = new([][]byte)
+	return scribblingWriter{FileWriter: fw, recs: b.recs[name]}, nil
+}
+
+func (b *scribblingBackend) Delete(name string) error {
+	if recs := b.recs[name]; recs != nil {
+		for _, rec := range *recs {
+			for i := range rec {
+				rec[i] = 0xff
+			}
+		}
+	}
+	return b.Backend.Delete(name)
+}
+
+// TestDecodeKVCopiesValue: a pair merged from a spill run must not alias
+// the run's records — the run's file is closed and deleted long before the
+// partition is reduced.
 func TestDecodeKVCopiesValue(t *testing.T) {
-	rec := encodeKV(kv{key: "k", value: []byte("payload")})
-	e, err := decodeKV(rec)
+	b := &scribblingBackend{Backend: dfs.NewMemBackend(), recs: map[string]*[][]byte{}}
+	c := NewClusterFS(DefaultConfig(), dfs.NewWithBackend(b))
+	noCheck := func() error { return nil }
+	src := &arena{}
+	run := []entry{src.add("k", []byte("payload")), src.add("k2", []byte("more"))}
+	ref, err := c.writeSpillRun("_spill/out/t0000-r0000-p0000", src, run, nil, noCheck)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range rec {
-		rec[i] = 0xff
+	back := &arena{}
+	got, err := c.readSpillRun(ref, back, noCheck)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if e.key != "k" || string(e.value) != "payload" {
-		t.Fatalf("decoded kv aliases source record: key %q value %q", e.key, e.value)
+	merged, err := mergeRuns([][]entry{got}, arenas{back}, noCheck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.FS.Delete(ref.file); err != nil {
+		t.Fatal(err)
+	}
+	if len(*b.recs[ref.file]) != 2 {
+		t.Fatalf("backend saw %d spill records, want 2", len(*b.recs[ref.file]))
+	}
+	a := arenas{back}
+	if len(merged) != 2 || a.key(merged[0]) != "k" || string(a.value(merged[0])) != "payload" ||
+		a.key(merged[1]) != "k2" || string(a.value(merged[1])) != "more" {
+		t.Fatalf("merged pairs alias the spill run: %q %q", a.key(merged[0]), a.value(merged[0]))
 	}
 }
 

@@ -16,9 +16,8 @@
 // Scratch ownership: a map task or reducer owns the storage its records
 // decode into (scanner, alphaJoinReducer) and reuses it, so a decoded
 // triplegroup is valid until the next record (the next key group, in the
-// α-join reducer). What crosses to the framework follows mapred's rule: map
-// and combiner emits are retained, so their keys and values are freshly
-// allocated; reduce emits are copied, so a reducer reuses its buffer.
+// α-join reducer). mapred copies every emit before it returns, so mappers
+// and reducers alike encode what they emit into one reused buffer.
 package tgops
 
 import (
@@ -298,8 +297,10 @@ type alphaJoinSide struct {
 // alphaJoinMapper tags each side's triplegroups on their join keys.
 type alphaJoinMapper struct {
 	sides []alphaJoinSide
-	// keys is per-task scratch for one record's join keys.
+	// keys is per-task scratch for one record's join keys, enc for the
+	// record's tagged encoding.
 	keys []string
+	enc  []byte
 }
 
 func (m *alphaJoinMapper) Map(rec []byte, emit mapred.Emit) error {
@@ -316,12 +317,11 @@ func (m *alphaJoinMapper) Map(rec []byte, emit mapred.Emit) error {
 		if len(m.keys) == 0 {
 			continue
 		}
-		// One tagged encode per record, shared across its join keys: the
-		// framework retains map emits (so the buffer is fresh) and never
-		// mutates them (so the keys can share it).
-		enc := a.AppendEncodeIDs([]byte{s.tag})
+		// One tagged encode per record, emitted under each of its join
+		// keys.
+		m.enc = a.AppendEncodeIDs(append(m.enc[:0], s.tag))
 		for _, key := range m.keys {
-			emit(key, enc)
+			emit(key, m.enc)
 		}
 	}
 	return nil
@@ -489,8 +489,8 @@ type aggJoinMapper struct {
 	// call's sink: solution's context, set by Map.
 	cur  int
 	emit mapred.Emit
-	// keyBuf is scratch for key building.
-	keyBuf []byte
+	// keyBuf is scratch for key building, enc for state encoding.
+	keyBuf, enc []byte
 	// multiAggMap is the mapper-wide pre-aggregation table (Algorithm 3);
 	// nil disables hash aggregation, and partial then holds each spec's
 	// per-solution state, reset before every solution.
@@ -590,8 +590,9 @@ func (m *aggJoinMapper) solution(slots []string) {
 		st.States[i].UpdateTerm(dict, slotValue(slots, slot))
 	}
 	if !hashAgg {
-		//lint:alloc the framework retains map emits: the key string and the encoded state are fresh per solution
-		m.emit(string(key), st.AppendEncode(nil))
+		m.enc = st.AppendEncode(m.enc[:0])
+		//lint:alloc Emit takes its key as a string: one per solution
+		m.emit(string(key), m.enc)
 	}
 }
 
@@ -607,7 +608,8 @@ func (m *aggJoinMapper) Close(emit mapred.Emit) error {
 	}
 	sort.Strings(keys)
 	for _, key := range keys {
-		emit(key, m.multiAggMap[key].AppendEncode(nil))
+		m.enc = m.multiAggMap[key].AppendEncode(m.enc[:0])
+		emit(key, m.enc)
 	}
 	return nil
 }
