@@ -31,6 +31,10 @@ var (
 	// or the storage layouts could not be materialised (e.g. an unwritable
 	// DataDir with Options.Storage = StorageDisk).
 	ErrStorage = errors.New("rapidanalytics: storage error")
+	// ErrInternal reports a defect inside an engine: a map, combine or
+	// reduce function panicked. The panic is contained to the query that
+	// hit it, and the store keeps serving.
+	ErrInternal = errors.New("rapidanalytics: internal error")
 )
 
 // wrapContextErr classifies a failure that happened while ctx was dead:

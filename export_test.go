@@ -1,0 +1,18 @@
+package rapidanalytics
+
+import "rapidanalytics/internal/mapred"
+
+// SetScans installs p as the map-input scan provider of s's loaded
+// cluster, so a test can inject a failure into map tasks, and returns a
+// function restoring the previous provider. No query may run meanwhile.
+func SetScans(s *Store, p mapred.ScanProvider) (restore func(), err error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	c, _, err := s.ensureLoaded()
+	if err != nil {
+		return nil, err
+	}
+	prev := c.Scans
+	c.Scans = p
+	return func() { c.Scans = prev }, nil
+}

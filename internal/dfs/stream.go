@@ -141,9 +141,9 @@ func (w *streamWriter) Append(rec []byte) error {
 	return nil
 }
 
-// AppendBatch adds a sealed batch wholesale — the write path reduce
-// output uses. Any partial builder rows commit first to preserve record
-// order.
+// AppendBatch adds a sealed batch wholesale — the write path of reduce and
+// map-only output. Any partial builder rows commit first to preserve
+// record order.
 func (w *streamWriter) AppendBatch(b *vec.Batch) error {
 	if w.overflowed != nil {
 		return appendRows(w.overflowed, b)

@@ -144,7 +144,7 @@ func (s *scanner) next(rec []byte) (codec.Tuple, bool, error) {
 }
 
 // tupleArena is backing storage for rows that must outlive one record: a
-// reducer's decoded key group, or a broadcast side's hash table. Returned
+// reducer's decoded key group. Returned
 // tuples alias the arena (capacity-limited, so they cannot grow into each
 // other) and stay valid until reset.
 type tupleArena struct {
@@ -166,13 +166,6 @@ func (a *tupleArena) decode(buf []byte, in codec.Interner) (codec.Tuple, error) 
 	return f[n:len(f):len(f)], nil
 }
 
-// add copies t into the arena.
-func (a *tupleArena) add(t codec.Tuple) codec.Tuple {
-	n := len(a.fields)
-	a.fields = append(a.fields, t...)
-	return a.fields[n:len(a.fields):len(a.fields)]
-}
-
 // sideIndex is a broadcast input's scanned rows grouped by key column in
 // one flat array — each key's rows contiguous, in record order — so a
 // build costs a few slice growths instead of one slice per distinct key.
@@ -185,19 +178,21 @@ type sideIndex struct {
 
 // buildSideIndex scans the records of a broadcast input and groups them by
 // scan-output column keyPos. Records that fail to decode or scan are
-// skipped.
+// skipped. Every scanned row is len(p.kept) fields wide, so scanned row i
+// is the i-th window of one flat field array.
 func buildSideIndex(recs [][]byte, p *scanPlan, keyPos int) *sideIndex {
 	x := &sideIndex{group: map[string]int32{}}
 	sc := scanner{plan: p}
-	arena := tupleArena{fields: make([]string, 0, len(recs)*len(p.kept))}
-	var rows []codec.Tuple
-	var groupOf, count []int32
+	w := len(p.kept)
+	fields := make([]string, 0, len(recs)*w)
+	groupOf := make([]int32, 0, len(recs))
+	var count []int32
 	for _, rec := range recs {
 		row, ok, err := sc.next(rec)
 		if err != nil || !ok {
 			continue
 		}
-		row = arena.add(row)
+		fields = append(fields, row...)
 		g, seen := x.group[row[keyPos]]
 		if !seen {
 			g = int32(len(count))
@@ -205,7 +200,6 @@ func buildSideIndex(recs [][]byte, p *scanPlan, keyPos int) *sideIndex {
 			count = append(count, 0)
 		}
 		count[g]++
-		rows = append(rows, row)
 		groupOf = append(groupOf, g)
 	}
 	// A counting sort by group keeps each group's rows in record order.
@@ -214,10 +208,9 @@ func buildSideIndex(recs [][]byte, p *scanPlan, keyPos int) *sideIndex {
 		x.start[g+1] = x.start[g] + n
 	}
 	next := append(count[:0], x.start[:len(count)]...)
-	x.rows = make([]codec.Tuple, len(rows))
-	for i, row := range rows {
-		g := groupOf[i]
-		x.rows[next[g]] = row
+	x.rows = make([]codec.Tuple, len(groupOf))
+	for i, g := range groupOf {
+		x.rows[next[g]] = fields[i*w : (i+1)*w : (i+1)*w]
 		next[g]++
 	}
 	return x

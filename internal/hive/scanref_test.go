@@ -468,3 +468,85 @@ func TestSteadyStateScanAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// sideIndexRef is a broadcast side as a map from key to the rows the
+// reference scan keeps, each key's rows in record order.
+func sideIndexRef(recs [][]byte, r *rel, keyCol string) map[string][]codec.Tuple {
+	key := slices.Index(r.outColsRef(), keyCol)
+	out := map[string][]codec.Tuple{}
+	for _, rec := range recs {
+		raw, err := codec.DecodeIDTuple(rec, r.dict)
+		if err != nil {
+			continue
+		}
+		if row, ok := r.scanRef(raw); ok {
+			out[row[key]] = append(out[row[key]], row)
+		}
+	}
+	return out
+}
+
+// buildSideIndex must answer every lookup with the reference map's rows,
+// row by row, over random sides: records of the wrong arity, failing a
+// constant or a filter, or not decodable at all, duplicate keys, keys
+// absent from the side, and empty sides. Each row is capacity-clipped, so
+// appending to it cannot overwrite the next.
+func TestSideIndexAgreesWithReference(t *testing.T) {
+	c := newScanCorpus(4)
+	var seen struct{ sides, empty, dropped, undecodable, duplicate, absent int }
+	for range 400 {
+		r := c.rel()
+		cols := r.outColsRef()
+		if len(cols) == 0 {
+			continue
+		}
+		keyCol := cols[c.rng.Intn(len(cols))]
+		p := r.compile()
+		var recs [][]byte
+		for range c.rng.Intn(40) {
+			rec := c.tuple(len(r.cols)).EncodeIDs()
+			if c.rng.Intn(12) == 0 {
+				rec = append(rec, 0) // a trailing byte: undecodable
+				seen.undecodable++
+			}
+			recs = append(recs, rec)
+		}
+		want := sideIndexRef(recs, r, keyCol)
+		x := buildSideIndex(recs, p, p.colIndex(keyCol))
+		seen.sides++
+		if len(recs) == 0 {
+			seen.empty++
+		}
+		kept := 0
+		for _, k := range append([]string{rdf.MissingIDString}, c.vals...) {
+			got, w := x.lookup(k), want[k]
+			kept += len(w)
+			switch {
+			case len(w) == 0:
+				seen.absent++
+			case len(w) > 1:
+				seen.duplicate++
+			}
+			if len(got) != len(w) {
+				t.Fatalf("rel %+v key %q: %d rows, reference %d", r, k, len(got), len(w))
+			}
+			for i := range got {
+				if !slices.Equal(got[i], w[i]) || cap(got[i]) != len(got[i]) {
+					t.Fatalf("rel %+v key %q row %d: %q (cap %d), reference %q", r, k, i, got[i], cap(got[i]), w[i])
+				}
+			}
+		}
+		if kept < len(recs) {
+			seen.dropped++
+		}
+	}
+	t.Logf("coverage: %+v", seen)
+	for name, n := range map[string]int{
+		"empty side": seen.empty, "dropped record": seen.dropped, "undecodable record": seen.undecodable,
+		"duplicate key": seen.duplicate, "absent key": seen.absent,
+	} {
+		if n == 0 {
+			t.Errorf("corpus never exercised %s", name)
+		}
+	}
+}

@@ -168,7 +168,10 @@ type Metrics struct {
 	// volume field it is deterministic for a given configuration.
 	StreamedRecords int64
 	// StreamedBatches counts the record batches committed to the live
-	// stream (0 after an overflow).
+	// stream (0 after an overflow). Its job is to say whether the output
+	// stayed streamed, not how it was cut: each map task of a map-only job
+	// seals its own batches, so a map-only job over k splits may commit up
+	// to k partial batches.
 	StreamedBatches   int64
 	SimulatedMapTasks int     // from the cost model's block math
 	SimulatedRedTasks int     // reduce tasks the cost model schedules

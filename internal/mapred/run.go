@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -31,6 +32,24 @@ const DefaultPartitions = 4
 // task in the same phase already failed. It is an internal sentinel: Run
 // always reports the originating failure, never this error.
 var errSiblingAborted = errors.New("mapred: sibling task failed")
+
+// ErrTaskPanic marks a job whose mapper, combiner or reducer panicked. The
+// panic is recovered inside its map task or reduce partition, which then
+// fails like any other: its siblings abort and Run returns the error, so
+// the process survives. The panic's stack is recorded on the task span.
+var ErrTaskPanic = errors.New("mapred: task panicked")
+
+// recoverTask runs one map task or reduce partition, turning a panic into
+// an ErrTaskPanic error and recording its stack on span.
+func recoverTask(span *obs.Span, task func() error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("%w: %v", ErrTaskPanic, r)
+			span.Fail(fmt.Sprintf("%v\n\n%s", err, debug.Stack()))
+		}
+	}()
+	return task()
+}
 
 // abortSignal fans a first-failure signal out to sibling tasks: the first
 // trip closes the channel, every task polls it between records.
@@ -66,14 +85,19 @@ func (c *Cluster) checker(abort *abortSignal) func() error {
 	}
 }
 
-// taskResult is one map task's partitioned output: its arena with one run
-// of entries per partition — sorted when the job has a combiner — plus,
-// when the task spilled, the per-partition spill runs in emission order.
+// taskResult is one map task's output. With a reducer it is partitioned:
+// the task's arena with one run of entries per partition — sorted when the
+// job has a combiner — plus, when the task spilled, the per-partition spill
+// runs in emission order. A map-only task's output is its emitted values
+// as sealed batches, in emission order, and the byte count of the keys
+// they were emitted under.
 type taskResult struct {
-	arena  *arena
-	parts  [][]entry
-	spills [][]spillRef
-	emits  int64
+	arena    *arena
+	parts    [][]entry
+	spills   [][]spillRef
+	batches  []*vec.Batch
+	keyBytes int64
+	emits    int64
 
 	spillRuns    int64
 	spillRecords int64
@@ -175,33 +199,20 @@ func (c *Cluster) Run(job *Job) (metrics *Metrics, err error) {
 		ratio = 1
 	}
 	if job.MapOnly() {
-		// Map-only output is written directly from the (single-partition)
-		// map runs in task order, as Hadoop map tasks would; the write is
+		// Map-only output is written directly from the map tasks' sealed
+		// batches in task order, as Hadoop map tasks would; the write is
 		// part of the map phase, there is no shuffle or reduce.
 		wstart := time.Now()
-		err := c.commitOutput(job, ratio, cycle, m, func(out *dfs.Writer) error {
-			for i := range results {
-				a := results[i].arena
-				for ri, e := range results[i].parts[0] {
-					if ri%ctxCheckInterval == 0 {
-						if err := c.err(); err != nil {
-							return fmt.Errorf("mapred: job %s aborted writing map output: %w", job.Name, err)
-						}
-					}
-					m.MapOutputRecords++
-					m.MapOutputBytes += e.size()
-					// Arena bytes never change, so values transfer without
-					// a copy.
-					out.WriteOwned(a.value(e))
-					m.OutputRecords++
-					m.OutputBytes += int64(e.vlen)
-				}
-			}
-			return nil
-		})
-		if err != nil {
+		var batches []*vec.Batch
+		for i := range results {
+			batches = append(batches, results[i].batches...)
+			m.MapOutputBytes += results[i].keyBytes
+		}
+		if err := c.commitOutput(job, ratio, cycle, m, batches); err != nil {
 			return nil, err
 		}
+		m.MapOutputRecords = m.OutputRecords
+		m.MapOutputBytes += m.OutputBytes
 		m.MapWallNs += time.Since(wstart).Nanoseconds()
 		mapPhase.EndWith(time.Duration(m.MapWallNs))
 		cycle.AddRecords(m.OutputRecords)
@@ -265,7 +276,7 @@ func (c *Cluster) Run(job *Job) (metrics *Metrics, err error) {
 		if reduceOp != nil {
 			pspan = reduceOp.StartChild(obs.KindTask, fmt.Sprintf("part-%d", p))
 		}
-		if err := c.reducePartition(job, st, abort); err != nil {
+		if err := recoverTask(pspan, func() error { return c.reducePartition(job, st, abort) }); err != nil {
 			st.err = err
 			if !errors.Is(err, errSiblingAborted) {
 				abort.trip()
@@ -281,34 +292,17 @@ func (c *Cluster) Run(job *Job) (metrics *Metrics, err error) {
 	if err := c.err(); err != nil {
 		return nil, fmt.Errorf("mapred: job %s aborted in reduce: %w", job.Name, err)
 	}
+	// Commit buffered partition outputs in partition order — the byte
+	// stream a single sequential reducer loop would have produced.
+	var batches []*vec.Batch
 	for p := range states {
 		if err := states[p].err; err != nil && !errors.Is(err, errSiblingAborted) {
 			return nil, fmt.Errorf("mapred: job %s: %w", job.Name, err)
 		}
+		batches = append(batches, states[p].batches...)
+		m.ReduceGroups += states[p].reduceGroups
 	}
-
-	// Commit buffered partition outputs in partition order — the byte
-	// stream a single sequential reducer loop would have produced — one
-	// sealed batch at a time.
-	err = c.commitOutput(job, ratio, cycle, m, func(out *dfs.Writer) error {
-		for p := range states {
-			st := &states[p]
-			// Each batch holds at most vec.DefaultBatchRows
-			// (~ctxCheckInterval) records, so a per-batch poll matches the
-			// record loops' cancellation density.
-			for _, b := range st.batches {
-				if err := c.err(); err != nil {
-					return fmt.Errorf("mapred: job %s aborted writing reduce output: %w", job.Name, err)
-				}
-				out.WriteBatch(b)
-			}
-			m.ReduceGroups += st.reduceGroups
-			m.OutputRecords += st.outputRecords
-			m.OutputBytes += st.outputBytes
-		}
-		return nil
-	})
-	if err != nil {
+	if err := c.commitOutput(job, ratio, cycle, m, batches); err != nil {
 		return nil, err
 	}
 	m.ReduceWallNs = time.Since(reduceStart).Nanoseconds()
@@ -401,7 +395,11 @@ func (c *Cluster) runMapPhase(job *Job, splits []split, side map[string][][]byte
 			tspan.AddRecords(int64(splits[i].n))
 			tspan.AddBytes(splits[i].bytes)
 		}
-		res, err := c.runMapTask(job, i, splits[i], side, partitions, abort, tspan)
+		var res taskResult
+		err := recoverTask(tspan, func() (err error) {
+			res, err = c.runMapTask(job, i, splits[i], side, partitions, abort, tspan)
+			return err
+		})
 		res.err = err
 		results[i] = res
 		tspan.End()
@@ -452,12 +450,15 @@ func (c *Cluster) reducePartition(job *Job, st *partState, abort *abortSignal) e
 // path).
 const streamOverflowBytes = 64 << 20
 
-// commitOutput writes a job's output — map-only records or reduce batches,
-// through write — to a stream when the job marked its output StreamOutput,
-// else to a backend file, under an io span of cycle named for the
-// destination. It closes the writer and records in m the output's stored
-// size and whether it stayed in the stream registry.
-func (c *Cluster) commitOutput(job *Job, ratio float64, cycle *obs.Span, m *Metrics, write func(out *dfs.Writer) error) error {
+// commitOutput writes a job's output — the sealed batches of its map tasks
+// or reduce partitions, in order — to a stream when the job marked its
+// output StreamOutput, else to a backend file, under an io span of cycle
+// named for the destination. It closes the writer and records in m the
+// output's records, logical and stored size, and whether it stayed in the
+// stream registry. A batch holds at most vec.DefaultBatchRows
+// (~ctxCheckInterval) records, so a per-batch poll matches the record
+// loops' cancellation density.
+func (c *Cluster) commitOutput(job *Job, ratio float64, cycle *obs.Span, m *Metrics, batches []*vec.Batch) error {
 	var out *dfs.Writer
 	var err error
 	span := "dfs-write"
@@ -476,7 +477,14 @@ func (c *Cluster) commitOutput(job *Job, ratio float64, cycle *obs.Span, m *Metr
 	}
 	ioSpan := cycle.StartChild(obs.KindIO, span)
 	out.SetSpan(ioSpan)
-	werr := write(out)
+	var werr error
+	for _, b := range batches {
+		if err := c.err(); err != nil {
+			werr = fmt.Errorf("mapred: job %s aborted writing output: %w", job.Name, err)
+			break
+		}
+		out.WriteBatch(b)
+	}
 	ioSpan.End()
 	if cerr := out.Close(); werr == nil && cerr != nil {
 		werr = fmt.Errorf("mapred: job %s: %w", job.Name, cerr)
@@ -484,6 +492,7 @@ func (c *Cluster) commitOutput(job *Job, ratio float64, cycle *obs.Span, m *Metr
 	if werr != nil {
 		return werr
 	}
+	m.OutputRecords, m.OutputBytes = out.Records(), out.Bytes()
 	m.OutputStoredBytes = out.StoredBytes()
 	// Read after Close, so overflow demotions are final.
 	m.StreamedBatches = out.StreamedBatches()
@@ -613,19 +622,21 @@ func (c *Cluster) loadSideInputs(job *Job, m *Metrics) (map[string][][]byte, err
 	return side, nil
 }
 
-// runMapTask runs one mapper over a split's record range, copying every
-// emit into the task's arena and partitioning the entries, and applies the
-// combiner locally. When spilling is enabled and the arena reaches the
-// threshold, each partition's run is combined, sorted and written out as a
-// spill run, and the task continues with a fresh arena. check covers both
-// context cancellation and sibling-task failure, and is consulted between
-// records and inside the combiner.
+// runMapTask runs one mapper over a split's record range. A map-only task
+// copies every emitted value into sealed batches, the form its output is
+// committed in. Otherwise every emit is copied into the task's arena, the
+// entries are partitioned and the combiner is applied locally; when
+// spilling is enabled and the arena reaches the threshold, each
+// partition's run is combined, sorted and written out as a spill run, and
+// the task continues with a fresh arena. check covers both context
+// cancellation and sibling-task failure, and is consulted between records
+// and inside the combiner.
 func (c *Cluster) runMapTask(job *Job, taskIdx int, sp split, side map[string][][]byte, partitions int, abort *abortSignal, tspan *obs.Span) (taskResult, error) {
 	check := c.checker(abort)
 	tc := &TaskContext{InputFile: sp.file, sideData: side}
 	mapper := job.NewMapper(tc)
-	ar := &arena{}
-	parts := make([][]entry, partitions)
+	var ar *arena
+	var parts [][]entry
 	var res taskResult
 	threshold := c.Config.SpillThresholdBytes
 	canSpill := threshold > 0 && !job.MapOnly()
@@ -666,13 +677,27 @@ func (c *Cluster) runMapTask(job *Job, taskIdx int, sp split, side map[string][]
 		ar = &arena{}
 		return nil
 	}
-	emit := func(key string, value []byte) {
-		res.emits++
-		p := 0
-		if partitions > 1 {
-			p = partitionOf(key, partitions)
+	var bu *vec.Builder
+	var emit Emit
+	if job.MapOnly() {
+		bu = vec.NewBuilder(vec.DefaultBatchRows)
+		emit = func(key string, value []byte) {
+			res.emits++
+			res.keyBytes += int64(len(key))
+			if b := bu.Append(value); b != nil {
+				res.batches = append(res.batches, b)
+			}
 		}
-		parts[p] = append(parts[p], ar.add(key, value))
+	} else {
+		ar, parts = &arena{}, make([][]entry, partitions)
+		emit = func(key string, value []byte) {
+			res.emits++
+			p := 0
+			if partitions > 1 {
+				p = partitionOf(key, partitions)
+			}
+			parts[p] = append(parts[p], ar.add(key, value))
+		}
 	}
 	// maybeSpill runs at record boundaries (a single record's emits may
 	// overshoot the threshold, bounding the overshoot to one record).
@@ -728,10 +753,16 @@ func (c *Cluster) runMapTask(job *Job, taskIdx int, sp split, side map[string][]
 			return res, err
 		}
 	}
+	if bu != nil {
+		if b := bu.Flush(); b != nil {
+			res.batches = append(res.batches, b)
+		}
+		return res, nil
+	}
 	if canSpill {
 		noteSpillHighWater(maxBuffered)
 	}
-	if job.NewCombiner != nil && !job.MapOnly() {
+	if job.NewCombiner != nil {
 		// The combined runs go to a fresh arena, so the raw emits are
 		// garbage once every partition is combined.
 		out := &arena{}
@@ -746,11 +777,6 @@ func (c *Cluster) runMapTask(job *Job, taskIdx int, sp split, side map[string][]
 			parts[p] = combined
 		}
 		ar = out
-	}
-	if job.MapOnly() && !job.StreamOutput {
-		// A materialised map-only output keeps the values it is handed;
-		// copied into one exact-size chunk, they pin no chunk slack.
-		ar = ar.compact(parts[0])
 	}
 	res.arena, res.parts = ar, parts
 	return res, nil

@@ -11,6 +11,9 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"rapidanalytics/internal/lint/leaktest"
+	"rapidanalytics/internal/obs"
 )
 
 var errBoom = errors.New("boom")
@@ -422,5 +425,86 @@ func TestCancelAtMapCloseWritesNoMapOnlyOutput(t *testing.T) {
 	}
 	if c.FS.Exists("out") {
 		t.Error("cancelled map-only job materialised its output")
+	}
+}
+
+// A panicking mapper or reducer fails its job with ErrTaskPanic, its stack
+// on the task span, instead of ending the process: on one worker the task
+// runs on the caller's goroutine, on two on a pool goroutine, where an
+// unrecovered panic would end the program. No goroutine is left behind and
+// the cluster runs the next job.
+func TestTaskPanicContained(t *testing.T) {
+	key := func(rec []byte) string { return strings.TrimRight(string(rec), ".") }
+	identity := func() Reducer {
+		return ReducerFunc(func(key string, values [][]byte, emit Emit) error {
+			//lint:nocancel bounded by one key's records of an eight-record input
+			for _, v := range values {
+				emit(key, v)
+			}
+			return nil
+		})
+	}
+	jobs := map[string]*Job{
+		"mapper": {
+			NewMapper: func(*TaskContext) Mapper {
+				return MapperFunc(func(rec []byte, emit Emit) error {
+					if key(rec) == "r5" {
+						panic("mapper hit record r5")
+					}
+					emit(key(rec), rec)
+					return nil
+				})
+			},
+			NewReducer: identity,
+		},
+		"reducer": {
+			NewMapper: func(*TaskContext) Mapper {
+				return MapperFunc(func(rec []byte, emit Emit) error {
+					emit(key(rec), rec)
+					return nil
+				})
+			},
+			NewReducer: func() Reducer {
+				return ReducerFunc(func(key string, values [][]byte, emit Emit) error {
+					if key == "r3" {
+						panic("reducer hit key r3")
+					}
+					return identity().Reduce(key, values, emit)
+				})
+			},
+		},
+	}
+	for name, job := range jobs {
+		for _, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
+				leaktest.Check(t)
+				c, root := tracedCluster(t)
+				c.testWorkers = workers
+				lines := make([]string, 8)
+				for i := range lines {
+					lines[i] = pad(fmt.Sprintf("r%d", i))
+				}
+				writeLines(c, "in", 1, lines...)
+				job.Name, job.Inputs, job.Output, job.Partitions = name, []string{"in"}, "out", 4
+				if _, err := c.Run(job); !errors.Is(err, ErrTaskPanic) || !strings.Contains(err.Error(), " hit ") {
+					t.Fatalf("Run error = %v, want ErrTaskPanic with the panic value", err)
+				}
+				var stack string
+				root.Snapshot().Walk(func(n *obs.Snapshot) {
+					if n.Kind == obs.KindTask && n.Error != "" {
+						stack = n.Error
+					}
+				})
+				if !strings.Contains(stack, " hit ") || !strings.Contains(stack, "goroutine ") {
+					t.Errorf("no task span carries the panic and its stack:\n%s", stack)
+				}
+				if _, err := c.Run(wordCountJob("in", "next", false)); err != nil {
+					t.Fatalf("next job after the panic: %v", err)
+				}
+				if got := readLines(t, c, "next"); len(got) != len(lines) {
+					t.Errorf("next job wrote %d records, want %d", len(got), len(lines))
+				}
+			})
+		}
 	}
 }

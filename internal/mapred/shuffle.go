@@ -109,17 +109,6 @@ func (a *arena) add(key string, value []byte) entry {
 	return e
 }
 
-// compact copies run's pairs, in order, into a new arena of one chunk of
-// exactly their size and points run at the copies. run must hold every
-// pair of a.
-func (a *arena) compact(run []entry) *arena {
-	out := &arena{chunks: [][]byte{make([]byte, 0, a.size)}}
-	for i, e := range run {
-		run[i] = out.add(a.key(e), a.value(e))
-	}
-	return out
-}
-
 // pair returns e's key and value bytes, back to back.
 func (a *arena) pair(e entry) []byte {
 	end := e.off + e.klen + e.vlen

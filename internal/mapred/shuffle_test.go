@@ -2,12 +2,17 @@ package mapred
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"rapidanalytics/internal/dfs"
+	"rapidanalytics/internal/vec"
 )
 
 // fuzzKeys are the keys emit streams draw from: the empty key, shared
@@ -311,5 +316,175 @@ func TestSortRunKeepsEmissionOrder(t *testing.T) {
 	}
 	if len(a.chunks) < 3 || cap(a.chunks[0]) != arenaFirstChunk || cap(a.chunks[1]) != 2*arenaFirstChunk {
 		t.Errorf("chunk capacities do not double from %d: %d chunks", arenaFirstChunk, len(a.chunks))
+	}
+}
+
+// closingMapper emits each record's pairs of the stream, repeat times over,
+// through one buffer it overwrites after every emit, and at Close emits how
+// many records its task mapped.
+type closingMapper struct {
+	stream [][]kv
+	repeat int
+	mapped int
+	buf    []byte
+}
+
+func (m *closingMapper) Map(rec []byte, emit Emit) error {
+	m.mapped++
+	//lint:nocancel bounded by repeat times one record's emits (at most 3)
+	for range m.repeat {
+		for _, e := range m.stream[binary.BigEndian.Uint64(rec)] {
+			m.buf = append(m.buf[:0], e.value...)
+			emit(e.key, m.buf)
+			scribble(m.buf)
+		}
+	}
+	return nil
+}
+
+func (m *closingMapper) Close(emit Emit) error {
+	m.buf = strconv.AppendInt(m.buf[:0], int64(m.mapped), 10)
+	emit("closed", m.buf)
+	scribble(m.buf)
+	return nil
+}
+
+// mapOnlyJob is the case as a map-only job of closingMappers.
+func (c shuffleCase) mapOnlyJob(repeat int, stream bool) *Job {
+	return &Job{
+		Name:         "map-only",
+		Inputs:       []string{"in"},
+		Output:       "out",
+		StreamOutput: stream,
+		NewMapper: func(*TaskContext) Mapper {
+			return &closingMapper{stream: c.stream, repeat: repeat}
+		},
+	}
+}
+
+// FuzzMapOnlyMatchesReference runs random map-only jobs — several splits,
+// empty and non-empty keys, a Close that emits, and, when the first byte
+// says so, every record's pairs repeated past one batch — through Run and
+// through the entry-and-WriteOwned reference (shuffleref_test.go):
+// materialised, streamed, and streamed into an overflow at the first batch
+// or mid-output, on one and two workers. The records, their order and
+// every volume but StreamedBatches must be equal, and the output must stay
+// streamed in both or in neither.
+func FuzzMapOnlyMatchesReference(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 3, 1, 0, 15, 3, 1, 2, 5, 5, 0, 0, 2, 3, 1, 1, 7})
+	f.Add([]byte{2, 1, 3, 1, 12, 2, 0, 0, 3, 0, 1, 2, 2, 9, 1, 4, 3, 3, 3, 6, 2, 0, 1, 8, 3})
+	f.Add([]byte{5, 0, 0, 0, 9, 3, 2, 1, 1, 4, 3, 0, 5, 3, 1, 2, 2, 3, 7, 2, 3, 1, 6, 0, 3, 2, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		repeat := 1
+		if len(data) > 0 {
+			if data[0]%3 == 2 {
+				repeat = 700 // over vec.DefaultBatchRows emits per task
+			}
+			data = data[1:]
+		}
+		sc := decodeShuffleCase(data)
+		cluster := func(workers int, overflow int64) *Cluster {
+			cfg := DefaultConfig()
+			cfg.ExecSplitBytes = int64(8 * sc.recsPerTask)
+			c := NewCluster(cfg)
+			c.testWorkers = workers
+			c.testStreamOverflowBytes = overflow
+			w, err := c.FS.Create("in", 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			//lint:nocancel fixture writer is bounded by the case's at most 17 records
+			for i := range sc.stream {
+				w.Write(binary.BigEndian.AppendUint64(nil, uint64(i)))
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}
+		//lint:nocancel four output modes times two worker counts, each run polls on its own
+		for _, mode := range []struct {
+			stream   bool
+			overflow int64
+		}{{false, 0}, {true, 0}, {true, 1}, {true, 400}} {
+			ref := cluster(1, mode.overflow)
+			want, err := ref.refRunMapOnly(sc.mapOnlyJob(repeat, mode.stream))
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantOut := readLines(t, ref, "out")
+			for _, workers := range []int{1, 2} {
+				c := cluster(workers, mode.overflow)
+				m, err := c.Run(sc.mapOnlyJob(repeat, mode.stream))
+				if err != nil {
+					t.Fatalf("%+v, workers %d: %v", mode, workers, err)
+				}
+				if got := readLines(t, c, "out"); !slices.Equal(got, wantOut) {
+					t.Fatalf("%+v, workers %d: records\n%q\nwant\n%q", mode, workers, got, wantOut)
+				}
+				got, ref := m.Volumes(), want.Volumes()
+				if (got.StreamedBatches > 0) != (ref.StreamedBatches > 0) {
+					t.Fatalf("%+v, workers %d: %d streamed batches, reference %d", mode, workers, got.StreamedBatches, ref.StreamedBatches)
+				}
+				got.StreamedBatches, ref.StreamedBatches = 0, 0
+				if got != ref {
+					t.Fatalf("%+v, workers %d: volumes\n%+v\nwant\n%+v", mode, workers, got, ref)
+				}
+			}
+		}
+	})
+}
+
+// cancelOnAppendBackend cancels a context when the first record reaches a
+// file named "out".
+type cancelOnAppendBackend struct {
+	dfs.Backend
+	cancel context.CancelFunc
+}
+
+type cancelOnAppendWriter struct {
+	dfs.FileWriter
+	cancel context.CancelFunc
+}
+
+func (w cancelOnAppendWriter) Append(rec []byte) error {
+	w.cancel()
+	return w.FileWriter.Append(rec)
+}
+
+func (b cancelOnAppendBackend) Create(name string, ratio float64) (dfs.FileWriter, error) {
+	fw, err := b.Backend.Create(name, ratio)
+	if err != nil || name != "out" {
+		return fw, err
+	}
+	return cancelOnAppendWriter{FileWriter: fw, cancel: b.cancel}, nil
+}
+
+// A map-only commit polls cancellation once per batch: a context that dies
+// while the first of three batches is written stops the commit at the
+// second with the context's error.
+func TestCancelMidMapOnlyCommit(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	c := NewClusterFS(DefaultConfig(), dfs.NewWithBackend(cancelOnAppendBackend{Backend: dfs.NewMemBackend(), cancel: cancel}))
+	writeLines(c, "in", 1, "seed")
+	job := &Job{
+		Name:   "commit-cancel",
+		Inputs: []string{"in"},
+		Output: "out",
+		NewMapper: func(*TaskContext) Mapper {
+			return MapperFunc(func(rec []byte, emit Emit) error {
+				//lint:nocancel bounded by three batches of emits; the commit is what cancels
+				for range 3 * vec.DefaultBatchRows {
+					emit("k", rec)
+				}
+				return nil
+			})
+		},
+	}
+	_, err := c.WithContext(ctx).Run(job)
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "aborted writing output") {
+		t.Fatalf("Run error = %v, want context.Canceled from the map-only commit", err)
 	}
 }

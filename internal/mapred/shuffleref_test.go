@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+
+	"rapidanalytics/internal/dfs"
 )
 
 // The shuffle before the arena, kept as the reference the arena shuffle is
@@ -252,4 +254,86 @@ func refShuffle(tasks [][][]kv, partitions int, threshold int64, newComb func() 
 		}
 	}
 	return groups, m, nil
+}
+
+// The map-only path before sealed batches, kept as the reference
+// FuzzMapOnlyMatchesReference compares Run with: each map task copies its
+// emits into an arena behind one run of entries, and the commit hands the
+// runs' values to the output one record at a time with WriteOwned, in task
+// order. Tasks run one after another here; their output would be the same
+// on any number of workers.
+func (c *Cluster) refRunMapOnly(job *Job) (*Metrics, error) {
+	m := &Metrics{Job: job.Name, MapOnly: true}
+	splits, inputs, err := c.makeSplits(job, m)
+	if err != nil {
+		return nil, err
+	}
+	defer closeFiles(inputs)
+	side, err := c.loadSideInputs(job, m)
+	if err != nil {
+		return nil, err
+	}
+	type taskOut struct {
+		a   *arena
+		run []entry
+	}
+	var tasks []*taskOut
+	//lint:nocancel the reference runs over fuzz inputs of at most 17 records
+	for _, sp := range splits {
+		t := &taskOut{a: &arena{}}
+		emit := func(key string, value []byte) {
+			m.MapEmitRecords++
+			t.run = append(t.run, t.a.add(key, value))
+		}
+		mapper := job.NewMapper(&TaskContext{InputFile: sp.file, sideData: side})
+		it := sp.f.Records(sp.start)
+		for ri := 0; ri < sp.n && it.Next(); ri++ {
+			if err := mapper.Map(it.Record(), emit); err != nil {
+				return nil, err
+			}
+		}
+		if closer, ok := mapper.(MapCloser); ok {
+			if err := closer.Close(emit); err != nil {
+				return nil, err
+			}
+		}
+		tasks = append(tasks, t)
+	}
+	ratio := job.OutputCompression
+	if ratio <= 0 || ratio > 1 {
+		ratio = 1
+	}
+	var out *dfs.Writer
+	if job.StreamOutput {
+		spill := int64(streamOverflowBytes)
+		if c.testStreamOverflowBytes > 0 {
+			spill = c.testStreamOverflowBytes
+		}
+		out, err = c.FS.CreateStream(job.Output, ratio, spill)
+	} else {
+		out, err = c.FS.Create(job.Output, ratio)
+	}
+	if err != nil {
+		return nil, err
+	}
+	//lint:nocancel the reference commits fuzz outputs of at most a few tens of thousands of records
+	for _, t := range tasks {
+		for _, e := range t.run {
+			m.MapOutputRecords++
+			m.MapOutputBytes += e.size()
+			out.WriteOwned(t.a.value(e))
+			m.OutputRecords++
+			m.OutputBytes += int64(e.vlen)
+		}
+	}
+	if err := out.Close(); err != nil {
+		return nil, err
+	}
+	m.OutputStoredBytes = out.StoredBytes()
+	m.StreamedBatches = out.StreamedBatches()
+	if m.StreamedBatches > 0 {
+		m.StreamedRecords = m.OutputRecords
+	}
+	c.Config.cost(m)
+	return m, nil
 }

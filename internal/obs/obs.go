@@ -63,6 +63,7 @@ type Span struct {
 
 	mu       sync.Mutex
 	children []*Span
+	failure  string
 }
 
 // New starts a root span.
@@ -120,6 +121,19 @@ func (s *Span) AddBytes(n int64) {
 	s.bytes.Add(n)
 }
 
+// Fail records why the span's work failed — for a recovered panic, its
+// value and stack — as the snapshot's Error. The first failure wins.
+func (s *Span) Fail(msg string) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	if s.failure == "" {
+		s.failure = msg
+	}
+	s.mu.Unlock()
+}
+
 // ctxKey carries the current parent span in a context.
 type ctxKey struct{}
 
@@ -172,6 +186,8 @@ type Snapshot struct {
 	Records int64 `json:"records,omitempty"`
 	// Bytes is the span's byte counter (same orientation as Records).
 	Bytes int64 `json:"bytes,omitempty"`
+	// Error is the failure recorded with Span.Fail, empty when none.
+	Error string `json:"error,omitempty"`
 	// Children are the nested spans, in attachment order.
 	Children []*Snapshot `json:"children,omitempty"`
 }
@@ -193,6 +209,7 @@ func (s *Span) Snapshot() *Snapshot {
 	s.mu.Lock()
 	kids := make([]*Span, len(s.children))
 	copy(kids, s.children)
+	sn.Error = s.failure
 	s.mu.Unlock()
 	for _, c := range kids {
 		sn.Children = append(sn.Children, c.Snapshot())

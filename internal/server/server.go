@@ -156,6 +156,8 @@ func statusFor(err error) int {
 		// Client is gone; the status is recorded in metrics only.
 		return statusClientClosedRequest
 	default:
+		// ErrInternal (a contained engine panic), storage failures and
+		// anything unclassified.
 		return http.StatusInternalServerError
 	}
 }

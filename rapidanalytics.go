@@ -24,6 +24,7 @@ package rapidanalytics
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -716,6 +717,9 @@ func (s *Store) run(ctx context.Context, sys System, q *Compiled) (*Result, *Sta
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, nil, wrapContextErr(ctx, err)
+		}
+		if errors.Is(err, mapred.ErrTaskPanic) {
+			return nil, nil, fmt.Errorf("%w: %w", ErrInternal, err)
 		}
 		return nil, nil, err
 	}

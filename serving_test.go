@@ -2,11 +2,20 @@ package rapidanalytics_test
 
 import (
 	"bytes"
+	"errors"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	ra "rapidanalytics"
+	"rapidanalytics/internal/dfs"
+	"rapidanalytics/internal/lint/leaktest"
+	"rapidanalytics/internal/mapred"
+	"rapidanalytics/internal/server"
 )
 
 // buildShopWith rebuilds the shop fixture under custom options.
@@ -256,5 +265,44 @@ func TestSharedScansKeepResultsIdentical(t *testing.T) {
 	}
 	if st.RecordsServed <= st.RecordsScanned {
 		t.Errorf("sharing saved nothing: served %d, scanned %d", st.RecordsServed, st.RecordsScanned)
+	}
+}
+
+// panickingScans hands every map task an input iterator that panics at its
+// first record.
+type panickingScans struct{}
+
+func (panickingScans) Scan(string, int, int) dfs.RecordIterator { return panickingIterator{} }
+
+type panickingIterator struct{}
+
+func (panickingIterator) Next() bool     { panic("injected map-task panic") }
+func (panickingIterator) Record() []byte { return nil }
+func (panickingIterator) Err() error     { return nil }
+
+// A panic inside a map task is contained to its query: the store returns
+// ErrInternal, the server answers 500, and the next query is served.
+func TestTaskPanicIsInternalError(t *testing.T) {
+	leaktest.Check(t)
+	store := buildShopWith(t, ra.DefaultOptions())
+	srv := server.New(store, server.Config{})
+	query := func() (int, string) {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/sparql?query="+url.QueryEscape(exampleQuery), nil))
+		return rec.Code, rec.Body.String()
+	}
+	restore, err := ra.SetScans(store, panickingScans{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := store.Query(ra.HiveNaive, exampleQuery); !errors.Is(err, ra.ErrInternal) || !errors.Is(err, mapred.ErrTaskPanic) {
+		t.Fatalf("Query error = %v, want ErrInternal wrapping mapred.ErrTaskPanic", err)
+	}
+	if code, body := query(); code != http.StatusInternalServerError || !strings.Contains(body, "injected map-task panic") {
+		t.Fatalf("status %d, body %s; want 500 naming the panic", code, body)
+	}
+	restore()
+	if code, body := query(); code != http.StatusOK {
+		t.Fatalf("query after the panic: status %d, body %s", code, body)
 	}
 }
