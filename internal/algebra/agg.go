@@ -250,11 +250,16 @@ func (m *MultiAggState) Merge(o *MultiAggState) {
 
 // Finals renders every aggregate's final value.
 func (m *MultiAggState) Finals() []string {
-	out := make([]string, len(m.States))
-	for i, s := range m.States {
-		out[i] = s.Final()
+	return m.AppendFinals(make([]string, 0, len(m.States)))
+}
+
+// AppendFinals appends every aggregate's final value to dst, so a reducer
+// renders each group's finals into its own scratch.
+func (m *MultiAggState) AppendFinals(dst []string) []string {
+	for _, s := range m.States {
+		dst = append(dst, s.Final())
 	}
-	return out
+	return dst
 }
 
 // Encode serialises all states.

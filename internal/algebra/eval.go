@@ -153,16 +153,18 @@ func CompareValues(a, b string) int {
 	if len(lb) > 0 && (lb[0] == 'I' || lb[0] == 'L' || lb[0] == 'B') {
 		lb = lb[1:]
 	}
-	fa, erra := strconv.ParseFloat(la, 64)
-	fb, errb := strconv.ParseFloat(lb, 64)
-	if erra == nil && errb == nil {
-		switch {
-		case fa < fb:
-			return -1
-		case fa > fb:
-			return 1
-		default:
-			return 0
+	if mayParseFloat(la) && mayParseFloat(lb) {
+		fa, erra := strconv.ParseFloat(la, 64)
+		fb, errb := strconv.ParseFloat(lb, 64)
+		if erra == nil && errb == nil {
+			switch {
+			case fa < fb:
+				return -1
+			case fa > fb:
+				return 1
+			default:
+				return 0
+			}
 		}
 	}
 	switch {
@@ -173,6 +175,23 @@ func CompareValues(a, b string) int {
 	default:
 		return 0
 	}
+}
+
+// mayParseFloat is false for strings strconv.ParseFloat certainly rejects:
+// every number it accepts starts with a sign, a digit, a point, or the i or
+// n of "inf" and "nan". Comparing IRIs and plain strings thus skips the
+// parse and its error allocation.
+func mayParseFloat(s string) bool {
+	if s == "" {
+		return false
+	}
+	switch c := s[0]; {
+	case c >= '0' && c <= '9', c == '+', c == '-', c == '.':
+		return true
+	case c == 'i', c == 'I', c == 'n', c == 'N':
+		return true
+	}
+	return false
 }
 
 // EvalExpr evaluates an arithmetic expression over a row of lexical column

@@ -7,6 +7,7 @@ package codec
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 )
@@ -19,18 +20,18 @@ func AppendString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-// ReadString reads a string written by AppendString, returning the value
-// and the remaining buffer.
-func ReadString(buf []byte) (string, []byte, error) {
+// readString reads a string written by AppendString, returning its bytes,
+// which alias buf, and the remaining buffer.
+func readString(buf []byte) ([]byte, []byte, error) {
 	n, k := binary.Uvarint(buf)
 	if k <= 0 {
-		return "", nil, fmt.Errorf("codec: bad string length prefix")
+		return nil, nil, errors.New("codec: bad string length prefix")
 	}
 	buf = buf[k:]
 	if uint64(len(buf)) < n {
-		return "", nil, fmt.Errorf("codec: truncated string: need %d bytes, have %d", n, len(buf))
+		return nil, nil, decodeErr("truncated string: need %d bytes, have %d", n, len(buf))
 	}
-	return string(buf[:n]), buf[n:], nil
+	return buf[:n], buf[n:], nil
 }
 
 // AppendUvarint appends a uvarint to buf.
@@ -94,28 +95,51 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// DecodeTuple parses a tuple written by Encode.
+// DecodeTuple parses a tuple written by Encode into a fresh tuple (see
+// AppendDecodeTuple).
 func DecodeTuple(buf []byte) (Tuple, error) {
-	n, buf, err := ReadUvarint(buf)
+	t, err := AppendDecodeTuple(nil, buf)
+	if err == nil && t == nil {
+		t = Tuple{}
+	}
+	return t, err
+}
+
+// AppendDecodeTuple parses a tuple written by Encode and appends its fields
+// to dst — the lexical twin of AppendDecodeIDTuple. The fields are
+// substrings of one string copy of the record, so a decode allocates that
+// string, not one per field; a reader of many rows passes one flat dst for
+// all of them and slices its rows out. On error dst comes back unextended.
+//
+//rapid:hot
+func AppendDecodeTuple(dst Tuple, buf []byte) (Tuple, error) {
+	n, rest, err := ReadUvarint(buf)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	// Every field takes at least one length-prefix byte, so an arity beyond
 	// the remaining buffer is malformed — reject it before allocating.
-	if n > uint64(len(buf)) {
-		return nil, fmt.Errorf("codec: tuple arity %d exceeds %d remaining bytes", n, len(buf))
+	if n > uint64(len(rest)) {
+		return dst, decodeErr("tuple arity %d exceeds %d remaining bytes", n, len(rest))
 	}
-	t := make(Tuple, n)
-	for i := range t {
-		t[i], buf, err = ReadString(buf)
-		if err != nil {
-			return nil, fmt.Errorf("codec: tuple field %d: %w", i, err)
+	var s string
+	if n > 0 {
+		//lint:alloc one string per record: every field is a substring of it
+		s = string(buf)
+	}
+	out := slices.Grow(dst, int(n))
+	for i := 0; i < int(n); i++ {
+		var f []byte
+		if f, rest, err = readString(rest); err != nil {
+			return dst, decodeErr("tuple field %d: %w", i, err)
 		}
+		end := len(buf) - len(rest)
+		out = append(out, s[end-len(f):end])
 	}
-	if len(buf) != 0 {
-		return nil, fmt.Errorf("codec: %d trailing bytes after tuple", len(buf))
+	if len(rest) != 0 {
+		return dst, decodeErr("%d trailing bytes after tuple", len(rest))
 	}
-	return t, nil
+	return out, nil
 }
 
 // Concat returns a new tuple appending other's fields to t's.

@@ -81,8 +81,8 @@ func TestPrimitives(t *testing.T) {
 	if err != nil || v != 300 {
 		t.Fatalf("ReadUvarint = %v, %v", v, err)
 	}
-	s, rest, err := ReadString(rest)
-	if err != nil || s != "hello" || len(rest) != 0 {
-		t.Fatalf("ReadString = %q rest=%d err=%v", s, len(rest), err)
+	s, rest, err := readString(rest)
+	if err != nil || string(s) != "hello" || len(rest) != 0 {
+		t.Fatalf("readString = %q rest=%d err=%v", s, len(rest), err)
 	}
 }

@@ -16,6 +16,8 @@ func (fuzzInterner) IDString(id uint64) (string, bool) {
 // properties are value-level: whatever decodes must survive a canonical
 // re-encode/re-decode round trip unchanged.
 
+// FuzzReadString exercises the length-prefixed field reader the tuple
+// decoders are built on.
 func FuzzReadString(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(AppendString(nil, ""))
@@ -23,15 +25,15 @@ func FuzzReadString(f *testing.F) {
 	f.Add(AppendString(AppendString(nil, "a"), "b"))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, rest, err := ReadString(data)
+		s, rest, err := readString(data)
 		if err != nil {
 			return
 		}
 		if len(data)-len(rest) < len(s)+1 {
-			t.Fatalf("ReadString consumed %d bytes for a %d-byte string", len(data)-len(rest), len(s))
+			t.Fatalf("readString consumed %d bytes for a %d-byte string", len(data)-len(rest), len(s))
 		}
-		s2, rest2, err := ReadString(AppendString(nil, s))
-		if err != nil || s2 != s || len(rest2) != 0 {
+		s2, rest2, err := readString(AppendString(nil, string(s)))
+		if err != nil || string(s2) != string(s) || len(rest2) != 0 {
 			t.Fatalf("re-encode of %q: got %q, rest %d, err %v", s, s2, len(rest2), err)
 		}
 	})
@@ -66,9 +68,31 @@ func FuzzDecodeTuple(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tup, err := DecodeTuple(data)
+		// The append decoder onto a dirty dst agrees with DecodeTuple, leaves
+		// dst's fields alone and hands dst back unextended on error.
+		dst := make(Tuple, len(data)%4, 8)
+		for i := range dst {
+			dst[i] = "stale"
+		}
+		got, aerr := AppendDecodeTuple(dst, data)
+		if (err == nil) != (aerr == nil) {
+			t.Fatalf("append decoder err = %v, DecodeTuple err = %v", aerr, err)
+		}
+		if len(got) < len(dst) {
+			t.Fatalf("append decoder dropped dst fields: %d < %d", len(got), len(dst))
+		}
+		for i, v := range got[:len(dst)] {
+			if v != "stale" {
+				t.Fatalf("append decoder overwrote dst field %d with %q", i, v)
+			}
+		}
 		if err != nil {
+			if len(got) != len(dst) {
+				t.Fatalf("failed decode extended dst by %d fields", len(got)-len(dst))
+			}
 			return
 		}
+		assertTuplesEqual(t, got[len(dst):], tup)
 		tup2, err := DecodeTuple(tup.Encode())
 		if err != nil {
 			t.Fatalf("re-decode of %q: %v", tup, err)

@@ -34,8 +34,11 @@ type aggMerger struct {
 	groupings []Grouping
 	accs      []*algebra.MultiAggState // one per grouping, reset per key
 	dict      *rdf.Dict                // decodes group values; nil in a combiner
-	row       codec.Tuple
-	buf       []byte
+	// finals, row and buf are per-group scratch: the group's final values,
+	// its output row and the row's encoding.
+	finals []string
+	row    codec.Tuple
+	buf    []byte
 }
 
 // NewAggMerger returns the merger of an aggregation cycle over groupings.
@@ -82,8 +85,8 @@ func (m *aggMerger) Reduce(key string, values [][]byte, emit mapred.Emit) error 
 		emit(key, m.buf)
 		return nil
 	}
-	finals := acc.Finals()
-	if having := m.groupings[g].Having; having != nil && !having(finals) {
+	m.finals = acc.AppendFinals(m.finals[:0])
+	if having := m.groupings[g].Having; having != nil && !having(m.finals) {
 		return nil
 	}
 	row := m.row[:0]
@@ -93,7 +96,7 @@ func (m *aggMerger) Reduce(key string, values [][]byte, emit mapred.Emit) error 
 	if row, err = appendGroupKey(row, m.dict, groupKey); err != nil {
 		return err
 	}
-	m.row = append(row, finals...)
+	m.row = append(row, m.finals...)
 	m.buf = m.row.AppendEncode(m.buf[:0])
 	emit("", m.buf)
 	return nil

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"slices"
 	"strconv"
 
@@ -69,9 +70,14 @@ func EnsureDefaultRows(fs *dfs.FS, files []string, aq *algebra.AnalyticalQuery) 
 			return err
 		}
 		present := map[int]bool{}
+		var t codec.Tuple
 		it := f.Records(0)
 		for it.Next() {
-			t, _ := codec.DecodeTuple(it.Record())
+			// A row that does not decode cannot vouch for its group.
+			if t, err = codec.AppendDecodeTuple(t[:0], it.Record()); err != nil {
+				f.Close()
+				return fmt.Errorf("engine: reading %s: %w", name, err)
+			}
 			if id, _, ok := rowSubquery(t, fi, isTagged); ok {
 				present[id] = true
 			}

@@ -187,24 +187,43 @@ func Display(v string) string {
 	return v
 }
 
-// ReadResult loads a DFS file of codec.Tuple records as a result table.
+// ReadResult loads a DFS file of codec.Tuple records as a result table. The
+// file's fields decode into one flat slice, and each row is a capped
+// sub-slice of it.
 func ReadResult(fs *dfs.FS, file string, columns []string) (*Result, error) {
 	f, err := fs.Open(file)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	res := &Result{Columns: columns}
+	// Rows are as wide as the columns, so the flat slice is sized once.
+	fields := make(codec.Tuple, 0, f.NumRecords()*len(columns))
+	ends := make([]int, 0, f.NumRecords())
 	it := f.Records(0)
 	for it.Next() {
-		t, err := codec.DecodeTuple(it.Record())
-		if err != nil {
+		if fields, err = codec.AppendDecodeTuple(fields, it.Record()); err != nil {
 			return nil, fmt.Errorf("engine: reading %s: %w", file, err)
 		}
-		res.Rows = append(res.Rows, t)
+		ends = append(ends, len(fields))
 	}
 	if err := it.Err(); err != nil {
 		return nil, fmt.Errorf("engine: reading %s: %w", file, err)
 	}
-	return res, nil
+	return &Result{Columns: columns, Rows: splitRows(fields, ends)}, nil
+}
+
+// splitRows cuts a flat field slice into rows, row i ending at ends[i];
+// each row is capped, so appending to one cannot overwrite the next. No
+// rows is nil.
+func splitRows(fields codec.Tuple, ends []int) []codec.Tuple {
+	if len(ends) == 0 {
+		return nil
+	}
+	rows := make([]codec.Tuple, len(ends))
+	start := 0
+	for i, end := range ends {
+		rows[i] = fields[start:end:end]
+		start = end
+	}
+	return rows
 }

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -242,23 +244,140 @@ SELECT ?g (COUNT(?x) AS ?n) { ?s e:g ?g ; e:x ?x . } GROUP BY ?g ORDER BY DESC(?
 	a := codec.Tuple{"Ib", "10"}
 	b := codec.Tuple{"Ia", "9"}
 	// DESC(?n): a (10) sorts before b (9).
-	if CompareRows(a, b, aq, a.Encode(), b.Encode()) >= 0 {
+	if CompareRows(a, b, OrderKeys(aq), a.Encode(), b.Encode()) >= 0 {
 		t.Error("descending count ordering wrong")
 	}
 	// Equal counts: ascending group key breaks the tie.
 	c := codec.Tuple{"Ia", "10"}
-	if CompareRows(c, a, aq, c.Encode(), a.Encode()) >= 0 {
+	if CompareRows(c, a, OrderKeys(aq), c.Encode(), a.Encode()) >= 0 {
 		t.Error("secondary key ordering wrong")
 	}
 	// Fully equal keys: raw bytes break the tie deterministically.
-	if CompareRows(a, a, aq, []byte{1}, []byte{2}) >= 0 {
+	if CompareRows(a, a, OrderKeys(aq), []byte{1}, []byte{2}) >= 0 {
 		t.Error("raw tiebreaker wrong")
 	}
 	// NULLs sort first.
 	n := codec.Tuple{algebra.Null, "10"}
 	asc := mustAQ(t, `PREFIX e: <http://e/>
 SELECT ?g (COUNT(?x) AS ?n) { ?s e:g ?g ; e:x ?x . } GROUP BY ?g ORDER BY ?g`)
-	if CompareRows(n, a, asc, n.Encode(), a.Encode()) >= 0 {
+	if CompareRows(n, a, OrderKeys(asc), n.Encode(), a.Encode()) >= 0 {
 		t.Error("NULL should sort first ascending")
+	}
+}
+
+// The ORDER BY keys are resolved once per sort: a comparison allocates
+// nothing, and SortJob's reducer sorting 1,000 rows allocates O(rows) — one
+// string per decoded row plus a few slices — not O(rows·log rows).
+func TestSortAllocatesPerRowNotPerComparison(t *testing.T) {
+	aq := mustAQ(t, `PREFIX e: <http://e/>
+SELECT ?g (COUNT(?x) AS ?n) { ?s e:g ?g ; e:x ?x . } GROUP BY ?g ORDER BY DESC(?n) ?g`)
+	keys := OrderKeys(aq)
+	a, b := codec.Tuple{"Ib", "10"}, codec.Tuple{"Ia", "10"}
+	rawA, rawB := a.Encode(), b.Encode()
+	if allocs := testing.AllocsPerRun(100, func() { CompareRows(a, b, keys, rawA, rawB) }); allocs != 0 {
+		t.Errorf("CompareRows allocates %v times per comparison, want 0", allocs)
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	values := make([][]byte, 1000)
+	for i := range values {
+		values[i] = codec.Tuple{"Ig" + strconv.Itoa(rng.Intn(300)), strconv.Itoa(rng.Intn(50))}.Encode()
+	}
+	red := SortJob(aq, "in", "out").NewReducer()
+	var prev []byte
+	sorted := 0
+	emit := func(_ string, v []byte) {
+		if prev != nil && CompareRows(decode(t, prev), decode(t, v), keys, prev, v) > 0 {
+			t.Fatalf("rows out of order: %q before %q", prev, v)
+		}
+		prev = v
+		sorted++
+	}
+	if err := red.Reduce("", values, emit); err != nil || sorted != len(values) {
+		t.Fatalf("sorted %d of %d rows, err %v", sorted, len(values), err)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := red.Reduce("", values, func(string, []byte) {}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1.1*float64(len(values)) {
+		t.Errorf("sorting %d rows allocates %v times, want O(rows)", len(values), allocs)
+	}
+}
+
+func decode(t *testing.T, rec []byte) codec.Tuple {
+	t.Helper()
+	tu, err := codec.DecodeTuple(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tu
+}
+
+const twoGrouped = `PREFIX e: <http://e/>
+SELECT ?g ?cntX ?cntY {
+  { SELECT ?g (COUNT(?x) AS ?cntX) { ?s e:g ?g ; e:x ?x . } GROUP BY ?g }
+  { SELECT ?g (COUNT(?y) AS ?cntY) { ?s2 e:g ?g ; e:y ?y . } GROUP BY ?g }
+}`
+
+// A side row of the final join that does not decode, has the wrong width
+// or carries no valid subquery tag fails the query with the file's name
+// instead of dropping the row.
+func TestFinalJoinRejectsMalformedSideRows(t *testing.T) {
+	aq := mustAQ(t, twoGrouped)
+	corrupt := codec.Tuple{"Ig2", "4"}.Encode()
+	corrupt = corrupt[:len(corrupt)-1]
+	for _, tc := range []struct {
+		name  string
+		files map[string][][]byte
+	}{
+		{"undecodable", map[string][][]byte{
+			"sub0": {codec.Tuple{"Ig1", "3"}.Encode()},
+			"sub1": {codec.Tuple{"Ig1", "5"}.Encode(), corrupt},
+		}},
+		{"wrong width", map[string][][]byte{
+			"sub0": {codec.Tuple{"Ig1", "3"}.Encode()},
+			"sub1": {codec.Tuple{"Ig1"}.Encode()},
+		}},
+		{"bad tag", map[string][][]byte{
+			"tagged": {codec.Tuple{"0", "Ig1", "3"}.Encode(), codec.Tuple{"1", "Ig1", "5"}.Encode(), codec.Tuple{"7", "Ig1", "5"}.Encode()},
+		}},
+	} {
+		c := mapred.NewCluster(mapred.DefaultConfig())
+		var names []string
+		for _, name := range []string{"sub0", "sub1", "tagged"} {
+			if recs, ok := tc.files[name]; ok {
+				writeRecs(t, c.FS, name, recs...)
+				names = append(names, name)
+			}
+		}
+		res, _, err := FinishQuery(NewRunner(c, "tmp/test"), aq, names)
+		if err == nil {
+			t.Errorf("%s: query returned %v, want an error", tc.name, res.Rows)
+			continue
+		}
+		if want := names[len(names)-1]; !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %q does not name %s", tc.name, err, want)
+		}
+	}
+}
+
+// A GROUP BY ALL row that does not decode fails the query: it must neither
+// count as the group's row (suppressing the default) nor vanish later.
+func TestEnsureDefaultRowsRejectsMalformedRows(t *testing.T) {
+	aq := mustAQ(t, twoSubqueries)
+	c := mapred.NewCluster(mapred.DefaultConfig())
+	writeRecs(t, c.FS, "sub0", codec.Tuple{"Ig1", "3"}.Encode())
+	writeRecs(t, c.FS, "sub1", []byte{0x01, 0x05, 'x'})
+	if err := EnsureDefaultRows(c.FS, []string{"sub0", "sub1"}, aq); err == nil {
+		t.Error("EnsureDefaultRows accepted an undecodable GROUP BY ALL row")
+	}
+	res, _, err := FinishQuery(NewRunner(c, "tmp/test"), aq, []string{"sub0", "sub1"})
+	if err == nil {
+		t.Fatalf("query returned %v, want an error", res.Rows)
+	}
+	if !strings.Contains(err.Error(), "sub1") {
+		t.Errorf("error %q does not name sub1", err)
 	}
 }

@@ -32,40 +32,26 @@ func FinalJoinJob(aq *algebra.AnalyticalQuery, inputs []string, output string) *
 		Output:      output,
 		MapOperator: "final-join",
 		NewMapper: func(tc *mapred.TaskContext) mapred.Mapper {
-			n := len(aq.Subqueries)
-			sides := make([][]codec.Tuple, n-1)
-			for fi, name := range inputs {
-				if fi == 0 && !isTagged {
-					continue // the driving input
-				}
-				for _, rec := range tc.SideInput(name) {
-					t, err := codec.DecodeTuple(rec)
-					if err != nil {
-						continue
-					}
-					if id, row, ok := rowSubquery(t, fi, isTagged); ok && id > 0 && id < n {
-						sides[id-1] = append(sides[id-1], row)
-					}
-				}
-			}
-			return newFinalJoinMapper(aq, sides, isTagged)
+			return newFinalJoinMapper(aq, tc, inputs, isTagged)
 		},
 	}
 }
 
 type finalJoinMapper struct {
 	aq     *algebra.AnalyticalQuery
-	sides  [][]codec.Tuple // rows of subqueries 1..n-1
-	tagged bool            // driving rows carry a subquery tag
+	tc     *mapred.TaskContext // holds the broadcast side inputs
+	inputs []string            // the files of FinalJoinJob, the driving one first
+	tagged bool                // driving rows carry a subquery tag
 
 	// cols[i] and joinCols[i] are subquery i's output columns and the
 	// columns it joins on, resolved once per task.
 	cols, joinCols [][]string
 	indexes        []map[string][]codec.Tuple // lazy hash indexes per side
 
-	// Scratch reused across records: the partial row, the join key, the
-	// columns each recursion depth added, the projected row and its
-	// encoding.
+	// Scratch reused across records: the decoded record, the partial row,
+	// the join key, the columns each recursion depth added, the projected
+	// row and its encoding.
+	rec   codec.Tuple
 	row   map[string]string
 	key   []byte
 	added [][]string
@@ -73,10 +59,10 @@ type finalJoinMapper struct {
 	buf   []byte
 }
 
-func newFinalJoinMapper(aq *algebra.AnalyticalQuery, sides [][]codec.Tuple, isTagged bool) *finalJoinMapper {
+func newFinalJoinMapper(aq *algebra.AnalyticalQuery, tc *mapred.TaskContext, inputs []string, isTagged bool) *finalJoinMapper {
 	n := len(aq.Subqueries)
 	m := &finalJoinMapper{
-		aq: aq, sides: sides, tagged: isTagged,
+		aq: aq, tc: tc, inputs: inputs, tagged: isTagged,
 		cols: make([][]string, n), joinCols: make([][]string, n),
 		row: map[string]string{}, added: make([][]string, n),
 		out: make(codec.Tuple, len(aq.Projection)),
@@ -89,19 +75,21 @@ func newFinalJoinMapper(aq *algebra.AnalyticalQuery, sides [][]codec.Tuple, isTa
 }
 
 func (m *finalJoinMapper) Map(rec []byte, emit mapred.Emit) error {
-	t, err := codec.DecodeTuple(rec)
-	if err != nil {
-		return err
+	if m.indexes == nil {
+		if err := m.buildIndexes(); err != nil {
+			return err
+		}
 	}
-	id, t, ok := rowSubquery(t, 0, m.tagged)
+	var err error
+	if m.rec, err = codec.AppendDecodeTuple(m.rec[:0], rec); err != nil {
+		return fmt.Errorf("engine: reading %s: %w", m.inputs[0], err)
+	}
+	id, t, ok := rowSubquery(m.rec, 0, m.tagged)
 	if !ok {
 		return fmt.Errorf("engine: aggregate row without a subquery tag")
 	}
 	if id != 0 {
 		return nil // non-driving rows arrive via the side input
-	}
-	if m.indexes == nil {
-		m.buildIndexes()
 	}
 	cols := m.cols[0]
 	if len(t) != len(cols) {
@@ -115,17 +103,43 @@ func (m *finalJoinMapper) Map(rec []byte, emit mapred.Emit) error {
 	return nil
 }
 
-// buildIndexes hashes every side on its join columns.
-func (m *finalJoinMapper) buildIndexes() {
-	m.indexes = make([]map[string][]codec.Tuple, len(m.sides))
-	for i, rows := range m.sides {
-		idx := map[string][]codec.Tuple{}
-		cols := m.cols[i+1]
-		pos := columnPositions(cols, m.joinCols[i+1])
-		for _, r := range rows {
-			if len(r) != len(cols) {
-				continue
+// buildIndexes decodes the broadcast sides and hashes every side on its
+// join columns. Each side's fields decode into one flat slice its rows are
+// cut from. A side record that does not decode, whose subquery tag is not
+// one of the query's, or whose width is not its subquery's, is an error
+// naming its file.
+func (m *finalJoinMapper) buildIndexes() error {
+	n := len(m.aq.Subqueries)
+	fields := make([]codec.Tuple, n-1) // per side: its rows' fields
+	ends := make([][]int, n-1)         // per side: where each row ends
+	for fi, name := range m.inputs {
+		if fi == 0 && !m.tagged {
+			continue // the driving input
+		}
+		for _, rec := range m.tc.SideInput(name) {
+			var err error
+			if m.rec, err = codec.AppendDecodeTuple(m.rec[:0], rec); err != nil {
+				return fmt.Errorf("engine: reading side input %s: %w", name, err)
 			}
+			id, row, ok := rowSubquery(m.rec, fi, m.tagged)
+			if !ok || id < 0 || id >= n {
+				return fmt.Errorf("engine: side input %s holds a row with a bad subquery tag", name)
+			}
+			if id == 0 {
+				continue // a driving row of the tagged file
+			}
+			if len(row) != len(m.cols[id]) {
+				return fmt.Errorf("engine: side input %s holds a subquery %d row of %d fields, want %d", name, id, len(row), len(m.cols[id]))
+			}
+			fields[id-1] = append(fields[id-1], row...)
+			ends[id-1] = append(ends[id-1], len(fields[id-1]))
+		}
+	}
+	m.indexes = make([]map[string][]codec.Tuple, n-1)
+	for i := range m.indexes {
+		idx := map[string][]codec.Tuple{}
+		pos := columnPositions(m.cols[i+1], m.joinCols[i+1])
+		for _, r := range splitRows(fields[i], ends[i]) {
 			m.key = m.key[:0]
 			for k, p := range pos {
 				if k > 0 {
@@ -139,6 +153,7 @@ func (m *finalJoinMapper) buildIndexes() {
 		}
 		m.indexes[i] = idx
 	}
+	return nil
 }
 
 // extend joins the partial row with subquery i's rows and recurses;

@@ -30,30 +30,31 @@ func SortJob(aq *algebra.AnalyticalQuery, input, output string) *mapred.Job {
 			})
 		},
 		NewReducer: func() mapred.Reducer {
+			keys := OrderKeys(aq)
 			return mapred.ReducerFunc(func(key string, values [][]byte, emit mapred.Emit) error {
-				rows := make([]codec.Tuple, 0, len(values))
-				raws := make([][]byte, 0, len(values))
-				for _, v := range values {
-					t, err := codec.DecodeTuple(v)
-					if err != nil {
+				var fields codec.Tuple
+				ends := make([]int, len(values))
+				for i, v := range values {
+					var err error
+					if fields, err = codec.AppendDecodeTuple(fields, v); err != nil {
 						return err
 					}
-					rows = append(rows, t)
-					raws = append(raws, v)
+					ends[i] = len(fields)
 				}
+				rows := splitRows(fields, ends)
 				idx := make([]int, len(rows))
 				for i := range idx {
 					idx[i] = i
 				}
 				sort.SliceStable(idx, func(a, b int) bool {
-					return CompareRows(rows[idx[a]], rows[idx[b]], aq, raws[idx[a]], raws[idx[b]]) < 0
+					return CompareRows(rows[idx[a]], rows[idx[b]], keys, values[idx[a]], values[idx[b]]) < 0
 				})
 				limit := len(idx)
 				if aq.Limit > 0 && aq.Limit < limit {
 					limit = aq.Limit
 				}
 				for _, i := range idx[:limit] {
-					emit("", raws[i])
+					emit("", values[i])
 				}
 				return nil
 			})
@@ -61,16 +62,16 @@ func SortJob(aq *algebra.AnalyticalQuery, input, output string) *mapred.Job {
 	}
 }
 
-// CompareRows orders two result rows by the query's ORDER BY keys, with the
-// full encoded row as a deterministic tiebreaker (so LIMIT selects the same
-// rows in every engine and in the oracle).
-func CompareRows(a, b codec.Tuple, aq *algebra.AnalyticalQuery, rawA, rawB []byte) int {
-	for _, pos := range orderKeyPositions(aq) {
-		if pos.col < 0 || pos.col >= len(a) || pos.col >= len(b) {
+// CompareRows orders two result rows by ORDER BY keys resolved once per
+// sort (OrderKeys), with the full encoded row as a deterministic tiebreaker
+// (so LIMIT selects the same rows in every engine and in the oracle).
+func CompareRows(a, b codec.Tuple, keys []OrderKey, rawA, rawB []byte) int {
+	for _, k := range keys {
+		if k.Col < 0 || k.Col >= len(a) || k.Col >= len(b) {
 			continue
 		}
-		c := algebra.CompareValues(a[pos.col], b[pos.col])
-		if pos.desc {
+		c := algebra.CompareValues(a[k.Col], b[k.Col])
+		if k.Desc {
 			c = -c
 		}
 		if c != 0 {
@@ -80,19 +81,21 @@ func CompareRows(a, b codec.Tuple, aq *algebra.AnalyticalQuery, rawA, rawB []byt
 	return bytes.Compare(rawA, rawB)
 }
 
-type orderPos struct {
-	col  int
-	desc bool
+// OrderKey is one ORDER BY key resolved to a result column.
+type OrderKey struct {
+	Col  int  // the key's column in aq.OutputColumns, -1 when absent
+	Desc bool // descending
 }
 
-func orderKeyPositions(aq *algebra.AnalyticalQuery) []orderPos {
+// OrderKeys resolves the query's ORDER BY keys against its output columns.
+func OrderKeys(aq *algebra.AnalyticalQuery) []OrderKey {
 	cols := aq.OutputColumns()
-	out := make([]orderPos, 0, len(aq.OrderBy))
+	out := make([]OrderKey, 0, len(aq.OrderBy))
 	for _, k := range aq.OrderBy {
-		p := orderPos{col: -1, desc: k.Desc}
+		p := OrderKey{Col: -1, Desc: k.Desc}
 		for i, c := range cols {
 			if c == k.Var {
-				p.col = i
+				p.Col = i
 				break
 			}
 		}

@@ -36,7 +36,7 @@ func BenchmarkOptGroupFilter(b *testing.B) {
 
 func BenchmarkEncodeDecodeAnnTG(b *testing.B) {
 	d := rdf.NewDict()
-	a := Merge(NewAnnTG(0, benchTG(d, 4, 2)), NewAnnTG(1, benchTG(d, 3, 1)))
+	a := joined(benchTG(d, 4, 2), benchTG(d, 3, 1))
 	enc := a.EncodeIDs()
 	b.SetBytes(int64(len(enc)))
 	b.ReportAllocs()
@@ -50,7 +50,7 @@ func BenchmarkEncodeDecodeAnnTG(b *testing.B) {
 func BenchmarkMatchResolved(b *testing.B) {
 	cp := buildComposite(b)
 	d := rdf.NewDict()
-	atg := Merge(NewAnnTG(0, productTG(d, "p1", "f1", "f2", "f3")), NewAnnTG(1, offerTG(d, "o1", "p1", "100")))
+	atg := joined(productTG(d, "p1", "f1", "f2", "f3"), offerTG(d, "o1", "p1", "100"))
 	n := 0
 	st := CompileMatcher(ResolveTPMap(PatternTriples(cp, 0), d), nil).NewState(func([]string) { n++ })
 	b.ReportAllocs()

@@ -1,6 +1,7 @@
 package ntga
 
 import (
+	"math"
 	"testing"
 
 	"rapidanalytics/internal/codec"
@@ -110,11 +111,26 @@ func FuzzDecodeAnnTGIDs(f *testing.F) {
 		if ferr != nil || !annTGsEqual(first, a) {
 			t.Fatalf("earlier arena result changed: %+v (err %v)", first, ferr)
 		}
+		// The in-place parser checks what the decoder checks, and its
+		// spans hold the decoded components.
+		spans, serr := AppendAnnTGSpans(nil, data, math.MaxUint64)
+		if (err == nil) != (serr == nil) {
+			t.Fatalf("span parse err %v, decode err %v", serr, err)
+		}
 		if err != nil {
 			return
 		}
 		if !annTGsEqual(agot, got) {
 			t.Fatalf("arena decode %+v, wrapper %+v", agot, got)
+		}
+		if len(spans) != len(got.Stars) {
+			t.Fatalf("%d spans for %d components", len(spans), len(got.Stars))
+		}
+		for i, sp := range spans {
+			tg, rest, err := DecodeTripleGroupIDs(data[sp.TG:sp.End], in)
+			if sp.Star != got.Stars[i] || err != nil || len(rest) != 0 || !tgsEqual(tg, got.TGs[i]) {
+				t.Fatalf("span %d = %+v holds star %d %+v (rest %d, err %v), want star %d %+v", i, sp, sp.Star, tg, len(rest), err, got.Stars[i], got.TGs[i])
+			}
 		}
 		got2, err := DecodeAnnTGIDs(got.EncodeIDs(), in)
 		if err != nil {

@@ -1,6 +1,8 @@
 package ntga
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 
@@ -166,4 +168,144 @@ func (ar *Arena) DecodeAnnTGIDs(buf []byte, in codec.Interner) (AnnTG, error) {
 func DecodeAnnTGIDs(buf []byte, in codec.Interner) (AnnTG, error) {
 	var ar Arena
 	return ar.DecodeAnnTGIDs(buf, in)
+}
+
+// CompSpan locates one component of an encoded annotated triplegroup in its
+// record: rec[Start:End] is uvarint(Star) followed by the component's
+// triplegroup, which starts at TG. A span holds offsets, not a slice, so a
+// span slice holds no pointer into the record.
+type CompSpan struct {
+	Star  int // the component's composite star
+	Start int // where uvarint(Star) starts
+	TG    int // where the triplegroup starts
+	End   int // just past the triplegroup
+}
+
+// AppendAnnTGSpans parses an annotated triplegroup written by
+// AppendEncodeIDs in place and appends one span per component to dst. It
+// checks what DecodeAnnTGIDs checks — arity bounds, truncation, trailing
+// bytes, and that every term ID is at most maxID (a dictionary resolves the
+// IDs 0..Len()) — without resolving any ID. On error dst comes back
+// unextended.
+//
+//rapid:hot
+func AppendAnnTGSpans(dst []CompSpan, buf []byte, maxID uint64) ([]CompSpan, error) {
+	n, off := binary.Uvarint(buf)
+	if off <= 0 {
+		return dst, decodeErr("id anntg arity: bad uvarint")
+	}
+	// Each star takes at least two bytes (star index + subject ID).
+	if n > uint64(len(buf)-off) {
+		return dst, decodeErr("id anntg arity %d exceeds %d remaining bytes", n, len(buf)-off)
+	}
+	out := slices.Grow(dst, int(n))
+	for i := 0; i < int(n); i++ {
+		s, k := binary.Uvarint(buf[off:])
+		if k <= 0 {
+			return dst, decodeErr("id anntg star %d: bad uvarint", i)
+		}
+		sp := CompSpan{Star: int(s), Start: off, TG: off + k}
+		end, err := skipTripleGroupIDs(buf, sp.TG, maxID)
+		if err != nil {
+			return dst, err
+		}
+		sp.End, off = end, end
+		out = append(out, sp)
+	}
+	if off != len(buf) {
+		return dst, decodeErr("%d trailing bytes after id anntg", len(buf)-off)
+	}
+	return out, nil
+}
+
+// skipTripleGroupIDs checks the triplegroup encoded at buf[off:] as
+// DecodeTripleGroupIDs does and returns the offset just past it.
+//
+//rapid:hot
+func skipTripleGroupIDs(buf []byte, off int, maxID uint64) (int, error) {
+	off, err := skipID(buf, off, maxID)
+	if err != nil {
+		return 0, decodeErr("id triplegroup subject: %w", err)
+	}
+	n, k := binary.Uvarint(buf[off:])
+	if k <= 0 {
+		return 0, decodeErr("id triplegroup arity: bad uvarint")
+	}
+	off += k
+	// Each triple takes at least two bytes (property + object IDs).
+	if n > uint64(len(buf)-off) {
+		return 0, decodeErr("id triplegroup arity %d exceeds %d remaining bytes", n, len(buf)-off)
+	}
+	for i := 0; i < int(n); i++ {
+		if off, err = skipID(buf, off, maxID); err != nil {
+			return 0, decodeErr("id triple %d property: %w", i, err)
+		}
+		if off, err = skipID(buf, off, maxID); err != nil {
+			return 0, decodeErr("id triple %d object: %w", i, err)
+		}
+	}
+	return off, nil
+}
+
+// skipID checks the term ID at buf[off:] against maxID and returns the
+// offset just past it.
+//
+//rapid:hot
+func skipID(buf []byte, off int, maxID uint64) (int, error) {
+	id, k := binary.Uvarint(buf[off:])
+	if k <= 0 {
+		return 0, errBadID
+	}
+	if id > maxID {
+		return 0, unknownIDErr(id)
+	}
+	return off + k, nil
+}
+
+// errBadID is the failure of a term ID that is no uvarint.
+var errBadID = errors.New("codec: bad uvarint")
+
+// unknownIDErr is the failure of a term ID no dictionary entry resolves.
+func unknownIDErr(id uint64) error {
+	return fmt.Errorf("codec: unknown term id %d", id)
+}
+
+// idLen returns the length of the uvarint ID at the front of a checked
+// encoding.
+func idLen(b []byte) int {
+	n := 1
+	for b[n-1] >= 0x80 {
+		n++
+	}
+	return n
+}
+
+// AppendJoinIDs appends the encoding of the join of two annotated
+// triplegroups, l located in lrec and r in rrec (AppendAnnTGSpans): the
+// component count, then both sides' component spans copied as they are,
+// merged by star (on a tie, r's first). For records written by
+// AppendEncodeIDs this is byte for byte the encoding of the decoded join,
+// without decoding either side.
+//
+//rapid:hot
+func AppendJoinIDs(buf, lrec []byte, l []CompSpan, rrec []byte, r []CompSpan) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(l)+len(r)))
+	i, j := 0, 0
+	for i < len(l) && j < len(r) {
+		if l[i].Star < r[j].Star {
+			buf = append(buf, lrec[l[i].Start:l[i].End]...)
+			i++
+		} else {
+			buf = append(buf, rrec[r[j].Start:r[j].End]...)
+			j++
+		}
+	}
+	// A side's spans are contiguous in its record: the rest is one copy.
+	if i < len(l) {
+		buf = append(buf, lrec[l[i].Start:l[len(l)-1].End]...)
+	}
+	if j < len(r) {
+		buf = append(buf, rrec[r[j].Start:r[len(r)-1].End]...)
+	}
+	return buf
 }

@@ -1,6 +1,7 @@
 package ntga
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -169,9 +170,7 @@ func TestNSplitEmptySecondary(t *testing.T) {
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	d := rdf.NewDict()
-	a := NewAnnTG(0, intern(tg("p1", "type=PT18", "pf=f1", "pf=f2"), d))
-	b := NewAnnTG(1, intern(tg("o1", "product=p1", "price=100"), d))
-	m := Merge(a, b)
+	m := joined(intern(tg("p1", "type=PT18", "pf=f1", "pf=f2"), d), intern(tg("o1", "product=p1", "price=100"), d))
 	dec, err := DecodeAnnTGIDs(m.EncodeIDs(), d)
 	if err != nil {
 		t.Fatalf("DecodeAnnTGIDs: %v", err)
@@ -212,25 +211,56 @@ func TestDecodeErrors(t *testing.T) {
 		{},
 		enc[:len(enc)-1],
 		append(append([]byte{}, enc...), 0xFF),
+		// A term ID the dictionary does not hold.
+		(&AnnTG{Stars: []int{0}, TGs: []TripleGroup{{Subject: idStr(uint64(d.Len()) + 1)}}}).EncodeIDs(),
 	} {
 		if _, err := DecodeAnnTGIDs(bad, d); err == nil {
 			t.Errorf("DecodeAnnTGIDs(% x) succeeded", bad)
 		}
+		dst := []CompSpan{{Star: 7}}
+		if got, err := AppendAnnTGSpans(dst, bad, uint64(d.Len())); err == nil || len(got) != 1 {
+			t.Errorf("AppendAnnTGSpans(% x) = %d spans, err %v; want an error and dst unextended", bad, len(got), err)
+		}
 	}
 }
 
-func TestMergeOrdersStars(t *testing.T) {
-	a := NewAnnTG(2, tg("c", "cn=UK"))
-	b := NewAnnTG(0, tg("p", "type=PT18"))
-	m := Merge(a, b)
-	if !reflect.DeepEqual(m.Stars, []int{0, 2}) {
-		t.Errorf("Stars = %v", m.Stars)
+// mustSpans locates rec's components, failing the test on a malformed
+// record.
+func mustSpans(t *testing.T, d *rdf.Dict, rec []byte) []CompSpan {
+	t.Helper()
+	spans, err := AppendAnnTGSpans(nil, rec, uint64(d.Len()))
+	if err != nil {
+		t.Fatalf("AppendAnnTGSpans(% x): %v", rec, err)
 	}
-	if c, ok := m.Component(2); !ok || c.Subject != "Ic" {
+	return spans
+}
+
+// A join's components come out ordered by star, whichever side holds them,
+// and the spliced record is the encoding of the decoded join.
+func TestMergeOrdersStars(t *testing.T) {
+	d := rdf.NewDict()
+	l := AnnTG{Stars: []int{0, 2}, TGs: []TripleGroup{intern(tg("p", "type=PT18"), d), intern(tg("c", "cn=UK"), d)}}
+	r := NewAnnTG(1, intern(tg("o", "price=1", "price=2"), d))
+	want := AnnTG{Stars: []int{0, 1, 2}, TGs: []TripleGroup{l.TGs[0], r.TGs[0], l.TGs[1]}}
+	lrec, rrec := l.EncodeIDs(), r.EncodeIDs()
+	ls, rs := mustSpans(t, d, lrec), mustSpans(t, d, rrec)
+	for _, got := range [][]byte{
+		AppendJoinIDs(nil, lrec, ls, rrec, rs),
+		AppendJoinIDs(nil, rrec, rs, lrec, ls),
+	} {
+		if !bytes.Equal(got, want.EncodeIDs()) {
+			t.Errorf("joined record % x, want % x", got, want.EncodeIDs())
+		}
+	}
+	m, err := DecodeAnnTGIDs(AppendJoinIDs([]byte("kept"), lrec, ls, rrec, rs)[len("kept"):], d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, ok := m.Component(2); !ok || lex(t, d, c.Subject) != "Ic" {
 		t.Errorf("Component(2) = %v, %v", c, ok)
 	}
-	if _, ok := m.Component(1); ok {
-		t.Error("Component(1) should be absent")
+	if _, ok := m.Component(3); ok {
+		t.Error("Component(3) should be absent")
 	}
 }
 
@@ -286,8 +316,8 @@ func offerTG(d *rdf.Dict, name, product, price string) TripleGroup {
 // the GROUP BY ALL pattern.
 func TestAlphaTableSatisfies(t *testing.T) {
 	d := rdf.NewDict()
-	withPF := Merge(NewAnnTG(0, productTG(d, "p1", "f1")), NewAnnTG(1, offerTG(d, "o1", "p1", "100")))
-	withoutPF := Merge(NewAnnTG(0, productTG(d, "p2")), NewAnnTG(1, offerTG(d, "o2", "p2", "200")))
+	withPF := joined(productTG(d, "p1", "f1"), offerTG(d, "o1", "p1", "100"))
+	withoutPF := joined(productTG(d, "p2"), offerTG(d, "o2", "p2", "200"))
 	alpha := ResolveAlpha(buildComposite(t), d)
 	if !alpha.Satisfies(&withPF, 0) || !alpha.Satisfies(&withPF, 1) {
 		t.Error("triplegroup with pf should satisfy both patterns")
@@ -298,9 +328,62 @@ func TestAlphaTableSatisfies(t *testing.T) {
 	if !alpha.Satisfies(&withoutPF, 1) {
 		t.Error("triplegroup without pf should satisfy the ALL pattern")
 	}
-	if !alpha.SatisfiesAny(&withoutPF) || !alpha.SatisfiesAny(&withPF) {
-		t.Error("α-Join admission failed")
+	// The same test on the encodings, once per value: the pattern set of
+	// the join, and the meeting sets of its components, which is how the
+	// α-Join admits a pair.
+	set := func(a AnnTG) []uint64 {
+		rec := a.EncodeIDs()
+		s, err := alpha.AppendPatternSet(nil, rec, mustSpans(t, d, rec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
+	if got := set(withPF); !reflect.DeepEqual(got, []uint64{0b11}) {
+		t.Errorf("pattern set with pf = %b, want 11", got)
+	}
+	if got := set(withoutPF); !reflect.DeepEqual(got, []uint64{0b10}) {
+		t.Errorf("pattern set without pf = %b, want 10", got)
+	}
+	for _, a := range []AnnTG{withPF, withoutPF} {
+		product, offer := set(AnnTG{Stars: []int{0}, TGs: a.TGs[:1]}), set(AnnTG{Stars: []int{1}, TGs: a.TGs[1:]})
+		if !PatternSetsMeet(product, offer) {
+			t.Errorf("α-Join admission failed: sets %b and %b", product, offer)
+		}
+	}
+	if _, err := alpha.AppendPatternSet(nil, nil, []CompSpan{{Star: 2}}); err == nil {
+		t.Error("a star outside the table was accepted")
+	}
+}
+
+// A table over more than 64 patterns spans several words: pattern 70's
+// requirement clears bit 70 alone.
+func TestPatternSetMultiWord(t *testing.T) {
+	d := rdf.NewDict()
+	g := intern(tg("s", "p=1"), d)
+	req := [][][]Ref{make([][]Ref, 70)}
+	req[0][69] = []Ref{{Prop: d.KeyString("Iabsent")}}
+	a := NewAnnTG(0, g)
+	rec := a.EncodeIDs()
+	got, err := NewAlphaTable(70, req).AppendPatternSet([]uint64{42}, rec, mustSpans(t, d, rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []uint64{42, ^uint64(0), 1<<5 - 1}; !reflect.DeepEqual(got, want) {
+		t.Errorf("pattern set = %x, want %x", got, want)
+	}
+	if PatternSetsMeet(got[1:], []uint64{0, 1 << 5}) {
+		t.Error("sets meet on the cleared pattern")
+	}
+	if !PatternSetsMeet(got[1:], []uint64{0, 1 << 4}) {
+		t.Error("sets do not meet on pattern 68")
+	}
+}
+
+// joined builds the annotated triplegroup of a star-0 and a star-1
+// component.
+func joined(star0, star1 TripleGroup) AnnTG {
+	return AnnTG{Stars: []int{0, 1}, TGs: []TripleGroup{star0, star1}}
 }
 
 // solutionsOf runs a compiled matcher over a and returns every solution, in
@@ -325,7 +408,7 @@ func solutionsOf(m *Matcher, a *AnnTG) []map[string]string {
 func TestMatchResolvedMultiplicity(t *testing.T) {
 	cp := buildComposite(t)
 	d := rdf.NewDict()
-	atg := Merge(NewAnnTG(0, productTG(d, "p1", "f1", "f2")), NewAnnTG(1, offerTG(d, "o1", "p1", "100")))
+	atg := joined(productTG(d, "p1", "f1", "f2"), offerTG(d, "o1", "p1", "100"))
 
 	features := map[string]bool{}
 	sols := solutionsOf(CompileMatcher(ResolveTPMap(PatternTriples(cp, 0), d), nil), &atg)
@@ -414,7 +497,7 @@ func TestMatchOptionalPropertyVarIsRestored(t *testing.T) {
 func TestMatchStateIsReusable(t *testing.T) {
 	cp := buildComposite(t)
 	d := rdf.NewDict()
-	full := Merge(NewAnnTG(0, productTG(d, "p1", "f1", "f2")), NewAnnTG(1, offerTG(d, "o1", "p1", "100")))
+	full := joined(productTG(d, "p1", "f1", "f2"), offerTG(d, "o1", "p1", "100"))
 	partial := NewAnnTG(0, productTG(d, "p2", "f3"))
 	n := 0
 	st := CompileMatcher(ResolveTPMap(PatternTriples(cp, 0), d), nil).NewState(func(slots []string) { n++ })
@@ -600,7 +683,8 @@ func TestMatcherAgreesWithReference(t *testing.T) {
 				for n := pick(7); n > 0; n-- {
 					g.Triples = append(g.Triples, PO{Prop: prop(), Obj: obj()})
 				}
-				a = Merge(a, NewAnnTG(star, g))
+				a.Stars = append(a.Stars, star)
+				a.TGs = append(a.TGs, g)
 			}
 			var want []map[string]string
 			refMatch(&a, starTPs, optTPs, func(b map[string]string) { want = append(want, cloneSolution(b)) })

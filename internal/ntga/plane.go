@@ -1,6 +1,7 @@
 package ntga
 
 import (
+	"encoding/binary"
 	"sort"
 
 	"rapidanalytics/internal/algebra"
@@ -135,20 +136,27 @@ type AlphaTable struct {
 	req         [][][]Ref // req[star][pattern]
 }
 
+// NewAlphaTable builds an α table over numPatterns original patterns from
+// the resolved required references req[star][pattern]; every star must list
+// numPatterns reference sets.
+func NewAlphaTable(numPatterns int, req [][][]Ref) *AlphaTable {
+	return &AlphaTable{numPatterns: numPatterns, req: req}
+}
+
 // ResolveAlpha builds the α table for cp through d. A nil cp yields a nil
 // table, which admits everything.
 func ResolveAlpha(cp *algebra.CompositePattern, d *rdf.Dict) *AlphaTable {
 	if cp == nil {
 		return nil
 	}
-	t := &AlphaTable{numPatterns: cp.NumPatterns, req: make([][][]Ref, len(cp.Stars))}
+	req := make([][][]Ref, len(cp.Stars))
 	for i, cs := range cp.Stars {
-		t.req[i] = make([][]Ref, cp.NumPatterns)
+		req[i] = make([][]Ref, cp.NumPatterns)
 		for k := 0; k < cp.NumPatterns; k++ {
-			t.req[i][k] = ResolveRefs(cs.RequiredSecondaryFor(k), d)
+			req[i][k] = ResolveRefs(cs.RequiredSecondaryFor(k), d)
 		}
 	}
-	return t
+	return NewAlphaTable(cp.NumPatterns, req)
 }
 
 // Satisfies reports whether the annotated triplegroup can contribute to
@@ -168,18 +176,85 @@ func (t *AlphaTable) Satisfies(a *AnnTG, k int) bool {
 	return true
 }
 
-// SatisfiesAny implements the α-Join admission test (Definition 3.5): the
-// joined triplegroup must satisfy at least one original pattern's α
-// condition, otherwise the combination matches no original pattern and is
-// not materialised (Table 2). A nil table admits everything.
-func (t *AlphaTable) SatisfiesAny(a *AnnTG) bool {
-	if t == nil {
-		return true
+// PatternWords returns the number of 64-bit words in one of the table's
+// pattern sets (AppendPatternSet).
+func (t *AlphaTable) PatternWords() int { return (t.numPatterns + 63) / 64 }
+
+// AppendPatternSet appends to dst the pattern set of an encoded annotated
+// triplegroup, its components located in rec by comps (AppendAnnTGSpans):
+// PatternWords words in which bit k is set iff Satisfies would hold for
+// pattern k, tested on the encoded ID bytes. Satisfies is a conjunction over
+// components, so the set of a join is the intersection of its sides' sets,
+// and the α-Join admission test (Definition 3.5) — the join satisfies at
+// least one original pattern, else it matches none and is not materialised
+// (Table 2) — is PatternSetsMeet of the sides' sets: α is tested once per
+// value, not once per pair. A star the table does not cover is an error; on
+// error dst comes back unextended.
+//
+//rapid:hot
+func (t *AlphaTable) AppendPatternSet(dst []uint64, rec []byte, comps []CompSpan) ([]uint64, error) {
+	start := len(dst)
+	for k := 0; k < t.numPatterns; k += 64 {
+		w := ^uint64(0)
+		if rem := t.numPatterns - k; rem < 64 {
+			w = 1<<rem - 1
+		}
+		dst = append(dst, w)
 	}
-	for k := 0; k < t.numPatterns; k++ {
-		if t.Satisfies(a, k) {
+	set := dst[start:]
+	for _, c := range comps {
+		if c.Star < 0 || c.Star >= len(t.req) {
+			return dst[:start], decodeErr("star %d outside the α table's %d stars", c.Star, len(t.req))
+		}
+		tg := rec[c.TG:c.End]
+		for k, refs := range t.req[c.Star] {
+			if set[k/64]&(1<<(k%64)) != 0 && !encodedHasAllRefs(tg, refs) {
+				set[k/64] &^= 1 << (k % 64)
+			}
+		}
+	}
+	return dst, nil
+}
+
+// PatternSetsMeet reports whether two pattern sets of one table share a
+// pattern.
+func PatternSetsMeet(a, b []uint64) bool {
+	for i := range a {
+		if a[i]&b[i] != 0 {
 			return true
 		}
+	}
+	return false
+}
+
+// encodedHasAllRefs is HasAllRefs on a checked triplegroup encoding.
+//
+//rapid:hot
+func encodedHasAllRefs(tg []byte, refs []Ref) bool {
+	for _, ref := range refs {
+		if !encodedHasPO(tg, ref.Prop, ref.Obj) {
+			return false
+		}
+	}
+	return true
+}
+
+// encodedHasPO is HasPO on a checked triplegroup encoding: the comparisons
+// run on the ID bytes.
+//
+//rapid:hot
+func encodedHasPO(tg []byte, prop, obj string) bool {
+	off := idLen(tg)
+	n, k := binary.Uvarint(tg[off:])
+	off += k
+	for ; n > 0; n-- {
+		p := idLen(tg[off:])
+		o := idLen(tg[off+p:])
+		//lint:alloc comparing a string(bytes) conversion does not allocate
+		if string(tg[off:off+p]) == prop && (obj == "" || string(tg[off+p:off+p+o]) == obj) {
+			return true
+		}
+		off += p + o
 	}
 	return false
 }

@@ -7,7 +7,10 @@
 // them into map/reduce physical operators. The two per-record pieces are
 // built for reuse instead: a Matcher compiles γ^AgJ's triple patterns once
 // per job and enumerates solutions through a per-task MatchState, and an
-// Arena is the per-task storage triplegroups decode into.
+// Arena is the per-task storage triplegroups decode into. The α-Join works
+// on the encoded values without decoding them: component spans
+// (AppendAnnTGSpans), one α pattern set per value (AppendPatternSet) and a
+// spliced output record (AppendJoinIDs).
 package ntga
 
 import "strings"
@@ -61,33 +64,4 @@ func (a *AnnTG) Component(star int) (TripleGroup, bool) {
 		}
 	}
 	return TripleGroup{}, false
-}
-
-// Merge combines two joined triplegroups with disjoint star sets.
-func Merge(a, b AnnTG) AnnTG {
-	out := AnnTG{
-		Stars: make([]int, 0, len(a.Stars)+len(b.Stars)),
-		TGs:   make([]TripleGroup, 0, len(a.TGs)+len(b.TGs)),
-	}
-	i, j := 0, 0
-	for i < len(a.Stars) && j < len(b.Stars) {
-		if a.Stars[i] < b.Stars[j] {
-			out.Stars = append(out.Stars, a.Stars[i])
-			out.TGs = append(out.TGs, a.TGs[i])
-			i++
-		} else {
-			out.Stars = append(out.Stars, b.Stars[j])
-			out.TGs = append(out.TGs, b.TGs[j])
-			j++
-		}
-	}
-	for ; i < len(a.Stars); i++ {
-		out.Stars = append(out.Stars, a.Stars[i])
-		out.TGs = append(out.TGs, a.TGs[i])
-	}
-	for ; j < len(b.Stars); j++ {
-		out.Stars = append(out.Stars, b.Stars[j])
-		out.TGs = append(out.TGs, b.TGs[j])
-	}
-	return out
 }

@@ -414,8 +414,9 @@ func joinAndProject(aq *algebra.AnalyticalQuery, sub [][]map[string]string) (*en
 		for i := range idx {
 			idx[i] = i
 		}
+		keys := engine.OrderKeys(aq)
 		sort.SliceStable(idx, func(a, b int) bool {
-			return engine.CompareRows(res.Rows[idx[a]], res.Rows[idx[b]], aq, raws[idx[a]], raws[idx[b]]) < 0
+			return engine.CompareRows(res.Rows[idx[a]], res.Rows[idx[b]], keys, raws[idx[a]], raws[idx[b]]) < 0
 		})
 		sorted := make([]codec.Tuple, 0, len(idx))
 		for _, i := range idx {

@@ -13,11 +13,12 @@
 // self-delimiting IDs, and values decode back to lexical Term.Key form only
 // at the final aggregation boundary, where result rows are emitted.
 //
-// Scratch ownership: a map task or reducer owns the storage its records
-// decode into (scanner, alphaJoinReducer) and reuses it, so a decoded
-// triplegroup is valid until the next record (the next key group, in the
-// α-join reducer). mapred copies every emit before it returns, so mappers
-// and reducers alike encode what they emit into one reused buffer.
+// Scratch ownership: a map task owns the storage its records decode into
+// (scanner) and reuses it, so a decoded triplegroup is valid until the next
+// record. The α-join reducer decodes nothing: it holds offsets into its key
+// group's values, reset per key. mapred copies every emit before it
+// returns, so mappers and reducers alike encode what they emit into one
+// reused buffer.
 package tgops
 
 import (
@@ -329,50 +330,80 @@ func (m *alphaJoinMapper) Map(rec []byte, emit mapred.Emit) error {
 
 // alphaJoinReducer is the symmetric (streaming) formulation: one pass over
 // the group, pairing each arriving triplegroup with every earlier arrival
-// of the other side, so merged groups are emitted as soon as the later
+// of the other side, so joined groups are emitted as soon as the later
 // element arrives instead of after buffering the whole group. Each (l, r)
 // pair is emitted exactly once; deterministic given the shuffle's fixed
 // value order, and downstream TG_AgJ aggregation is order-insensitive.
+//
+// Nothing is decoded: each value is parsed once into component spans, α's
+// pattern set is computed once per value, a pair is admitted when its
+// sides' sets meet, and the output record is spliced from the two values'
+// bytes (ntga.AppendJoinIDs).
 type alphaJoinReducer struct {
 	alpha *ntga.AlphaTable
 	dict  *rdf.Dict
-	// arena backs the key group's decoded triplegroups (ls, rs) and is
-	// reset per key; out is the encode buffer, reused because the framework
+	// spans holds the key group's component spans, pats its values' pattern
+	// sets, ls and rs its values per side. All four are offsets into the
+	// group's values, reset per key, so no group's bytes outlive its Reduce
+	// call here. out is the encode buffer, reused because the framework
 	// copies every reduce emit.
-	arena  ntga.Arena
-	ls, rs []ntga.AnnTG
+	spans  []ntga.CompSpan
+	pats   []uint64
+	ls, rs []joinValue
 	out    []byte
 }
 
-func (red *alphaJoinReducer) pair(l, r *ntga.AnnTG, emit mapred.Emit) {
-	merged := ntga.Merge(*l, *r)
-	if red.alpha.SatisfiesAny(&merged) {
-		red.out = merged.AppendEncodeIDs(red.out[:0])
-		emit("", red.out)
+// joinValue is one value of the α-join reducer's key group: values[v]
+// holds it behind its side tag, spans[lo:hi] are its components and
+// pats[pat:] starts its pattern set.
+type joinValue struct {
+	v, lo, hi, pat int
+}
+
+// pair emits the join of l and r when α admits it: their pattern sets
+// meet.
+//
+//rapid:hot
+func (red *alphaJoinReducer) pair(values [][]byte, l, r *joinValue, emit mapred.Emit) {
+	if red.alpha != nil {
+		w := red.alpha.PatternWords()
+		if !ntga.PatternSetsMeet(red.pats[l.pat:l.pat+w], red.pats[r.pat:r.pat+w]) {
+			return
+		}
 	}
+	red.out = ntga.AppendJoinIDs(red.out[:0], values[l.v][1:], red.spans[l.lo:l.hi], values[r.v][1:], red.spans[r.lo:r.hi])
+	emit("", red.out)
 }
 
 func (red *alphaJoinReducer) Reduce(key string, values [][]byte, emit mapred.Emit) error {
-	red.arena.Reset()
+	red.spans, red.pats = red.spans[:0], red.pats[:0]
 	red.ls, red.rs = red.ls[:0], red.rs[:0]
-	for _, v := range values {
+	maxID := uint64(red.dict.Len())
+	for i, v := range values {
 		if len(v) < 1 {
 			return fmt.Errorf("tgops: empty α-join value")
 		}
-		a, err := red.arena.DecodeAnnTGIDs(v[1:], red.dict)
-		if err != nil {
+		jv := joinValue{v: i, lo: len(red.spans), pat: len(red.pats)}
+		var err error
+		if red.spans, err = ntga.AppendAnnTGSpans(red.spans, v[1:], maxID); err != nil {
 			return err
+		}
+		jv.hi = len(red.spans)
+		if red.alpha != nil {
+			if red.pats, err = red.alpha.AppendPatternSet(red.pats, v[1:], red.spans[jv.lo:jv.hi]); err != nil {
+				return err
+			}
 		}
 		if v[0] == 0 {
 			for j := range red.rs {
-				red.pair(&a, &red.rs[j], emit)
+				red.pair(values, &jv, &red.rs[j], emit)
 			}
-			red.ls = append(red.ls, a)
+			red.ls = append(red.ls, jv)
 		} else {
-			for i := range red.ls {
-				red.pair(&red.ls[i], &a, emit)
+			for j := range red.ls {
+				red.pair(values, &red.ls[j], &jv, emit)
 			}
-			red.rs = append(red.rs, a)
+			red.rs = append(red.rs, jv)
 		}
 	}
 	return nil

@@ -429,7 +429,7 @@ func TestScannerScratchDoesNotLeakAcrossRecords(t *testing.T) {
 	// Joined (AnnTG) input and the combiner path of TG_AgJ: A's partial
 	// states are A's.
 	joined := func(g ntga.TripleGroup) []byte {
-		a := ntga.Merge(ntga.NewAnnTG(0, g), ntga.NewAnnTG(1, intern(tg("o", [2]string{"q", "L1"}), d)))
+		a := ntga.AnnTG{Stars: []int{0, 1}, TGs: []ntga.TripleGroup{g, intern(tg("o", [2]string{"q", "L1"}), d)}}
 		return a.EncodeIDs()
 	}
 	out = nil

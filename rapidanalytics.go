@@ -808,14 +808,21 @@ func (a subResultCache) Put(key string, src tgops.Source, bytes int64) {
 	a.c.Put(plancache.VersionedKey("comp", a.version, key), src, bytes)
 }
 
+// wrapResult renders an engine result for display: every cell lands in one
+// flat slice, and each row is a capped sub-slice of it.
 func wrapResult(res *engine.Result) *Result {
+	n := 0
+	for _, r := range res.Rows {
+		n += len(r)
+	}
+	cells := make([]string, 0, n)
 	rows := make([][]string, len(res.Rows))
 	for i, r := range res.Rows {
-		row := make([]string, len(r))
-		for j, v := range r {
-			row[j] = engine.Display(v)
+		start := len(cells)
+		for _, v := range r {
+			cells = append(cells, engine.Display(v))
 		}
-		rows[i] = row
+		rows[i] = cells[start:len(cells):len(cells)]
 	}
 	return &Result{Columns: res.Columns, rows: rows, raw: res}
 }
