@@ -1,6 +1,6 @@
-// Command rapidlint runs the rapidanalytics invariant analyzers (maporder,
-// ctxloop, hotalloc, spansafe, errtyped, closecheck, lockorder — see
-// DESIGN.md "Invariants") over Go packages:
+// Command rapidlint runs the rapidanalytics invariant analyzers (hotalloc,
+// errtyped, closecheck, lockorder — see DESIGN.md "Invariants") over Go
+// packages:
 //
 //	go run ./cmd/rapidlint ./...
 //
@@ -8,18 +8,14 @@
 // message" line per finding otherwise, and 2 on a usage or load error.
 // Flags:
 //
-//	-json    emit machine-readable diagnostics (a JSON array) on stdout
 //	-gha     emit GitHub Actions workflow annotations (::error lines)
 //	-tests   additionally analyze _test.go files with the lifecycle
-//	         analyzers (ctxloop, closecheck); the allocation/span/ordering
-//	         analyzers stay production-only
+//	         analyzer (closecheck); the others stay production-only
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
@@ -34,9 +30,8 @@ func main() {
 func run(args []string) int {
 	fs := flag.NewFlagSet("rapidlint", flag.ContinueOnError)
 	fs.Usage = usage
-	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array")
 	ghaOut := fs.Bool("gha", false, "emit GitHub Actions ::error annotations")
-	tests := fs.Bool("tests", false, "also analyze _test.go files with the lifecycle analyzers")
+	tests := fs.Bool("tests", false, "also analyze _test.go files with the lifecycle analyzer")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -50,18 +45,10 @@ func run(args []string) int {
 		fmt.Fprintln(os.Stderr, "rapidlint:", err)
 		return 2
 	}
-	switch {
-	case *jsonOut:
-		if err := writeJSON(os.Stdout, diags); err != nil {
-			fmt.Fprintln(os.Stderr, "rapidlint:", err)
-			return 2
-		}
-	case *ghaOut:
-		for _, d := range diags {
+	for _, d := range diags {
+		if *ghaOut {
 			fmt.Println(ghaAnnotation(d))
-		}
-	default:
-		for _, d := range diags {
+		} else {
 			fmt.Println(d)
 		}
 	}
@@ -72,7 +59,7 @@ func run(args []string) int {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: rapidlint [-json|-gha] [-tests] <packages>   (e.g. rapidlint ./...)")
+	fmt.Fprintln(os.Stderr, "usage: rapidlint [-gha] [-tests] <packages>   (e.g. rapidlint ./...)")
 	fmt.Fprintln(os.Stderr, "\nanalyzers:")
 	for _, a := range lint.Analyzers() {
 		fmt.Fprintf(os.Stderr, "  %-10s %s\n", a.Name, a.Doc)
@@ -81,32 +68,6 @@ func usage() {
 	for _, a := range lint.TestAnalyzers() {
 		fmt.Fprintf(os.Stderr, "  %-10s\n", a.Name)
 	}
-}
-
-// jsonDiagnostic is the -json wire shape: one object per finding, stable
-// field names for CI tooling.
-type jsonDiagnostic struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-func writeJSON(w io.Writer, diags []driver.Diagnostic) error {
-	out := make([]jsonDiagnostic, 0, len(diags))
-	for _, d := range diags {
-		out = append(out, jsonDiagnostic{
-			File:     d.Position.Filename,
-			Line:     d.Position.Line,
-			Column:   d.Position.Column,
-			Analyzer: d.Analyzer,
-			Message:  d.Message,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }
 
 // ghaAnnotation renders one finding as a GitHub Actions workflow command,

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -17,39 +16,6 @@ func buildTool(t *testing.T) string {
 		t.Fatalf("building rapidlint: %v\n%s", err, out)
 	}
 	return bin
-}
-
-// TestJSONOutput: -json renders findings as a parseable array with file,
-// position, analyzer and message — the contract external tooling consumes.
-func TestJSONOutput(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and loads packages; skipped in -short")
-	}
-	bin := buildTool(t)
-	cmd := exec.Command(bin, "-json", "rapidanalytics/internal/lint/hotalloc/testdata/src/hotalloc_fx")
-	cmd.Dir = "../.."
-	out, err := cmd.Output()
-	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
-		t.Fatalf("want exit status 1 on findings, got %v\n%s", err, out)
-	}
-	var diags []struct {
-		File     string `json:"file"`
-		Line     int    `json:"line"`
-		Column   int    `json:"column"`
-		Analyzer string `json:"analyzer"`
-		Message  string `json:"message"`
-	}
-	if err := json.Unmarshal(out, &diags); err != nil {
-		t.Fatalf("-json output does not parse: %v\n%s", err, out)
-	}
-	if len(diags) == 0 {
-		t.Fatal("-json reported no findings on a violating fixture")
-	}
-	for _, d := range diags {
-		if d.File == "" || d.Line == 0 || d.Analyzer == "" || d.Message == "" {
-			t.Fatalf("incomplete diagnostic: %+v", d)
-		}
-	}
 }
 
 // TestGHAOutput: -gha emits one ::error workflow command per finding, with

@@ -198,6 +198,17 @@ func TestTypedErrors(t *testing.T) {
 	if !errors.Is(err, ra.ErrParse) && !errors.Is(err, ra.ErrUnsupported) {
 		t.Fatalf("non-analytical query = %v; want ErrParse or ErrUnsupported", err)
 	}
+	for name, spec := range map[string]ra.RollupSpec{
+		"no dims":    {Pattern: "?s ?p ?o .", Agg: "SUM", Var: "o"},
+		"no pattern": {Agg: "SUM", Var: "o", Dims: []string{"d"}},
+		"no var":     {Pattern: "?s ?p ?o .", Agg: "SUM", Dims: []string{"d"}},
+		"bad agg":    {Pattern: "?s ?p ?o .", Agg: "MEDIAN", Var: "o", Dims: []string{"d"}},
+		"dim is var": {Pattern: "?s ?p ?o .", Agg: "SUM", Var: "o", Dims: []string{"o"}},
+	} {
+		if _, err := ra.BuildRollup(spec); !errors.Is(err, ra.ErrUnsupported) {
+			t.Errorf("BuildRollup(%s) = %v; want ErrUnsupported", name, err)
+		}
+	}
 
 	pq, err := store.Prepare(ra.RAPIDAnalytics, exampleQuery)
 	if err != nil {

@@ -446,6 +446,12 @@ func TestReducersEncodeThroughReusedBuffer(t *testing.T) {
 
 func TestSteadyStateScanAllocatesNothing(t *testing.T) {
 	d := rdf.NewDict()
+	// Term IDs from 128 up take two uvarint bytes. The runtime converts a
+	// one-byte slice to a string without allocating, which would hide a
+	// per-field copy on the decode path.
+	for i := range 200 {
+		d.Add(fmt.Sprintf("Lpad%d", i))
+	}
 	r := &rel{
 		cols:    []string{"s", "", "o"},
 		consts:  []constCheck{{pos: 1, want: d.AddString("LX")}},

@@ -59,34 +59,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// Preorder walks every file of the pass in depth-first order, invoking fn on
-// each node. A false return from fn prunes that node's children.
-func (p *Pass) Preorder(fn func(ast.Node) bool) {
-	for _, f := range p.Files {
-		ast.Inspect(f, fn)
-	}
-}
-
-// isNamed reports whether t (or the type it points to, through one pointer)
-// is the named type pkgSuffix.name, where pkgSuffix is matched against the
-// end of the defining package's import path. Matching by suffix lets test
-// fixtures under testdata/ exercise analyzers against the real engine types
-// they import.
-func isNamed(t types.Type, pkgSuffix, name string) bool {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Name() != name || obj.Pkg() == nil {
-		return false
-	}
-	return hasPathSuffix(obj.Pkg().Path(), pkgSuffix)
-}
-
 // hasPathSuffix reports whether path equals suffix or ends in "/"+suffix.
 func hasPathSuffix(path, suffix string) bool {
 	if path == suffix {

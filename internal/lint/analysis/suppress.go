@@ -11,19 +11,18 @@ import (
 // above it, and the directive carries a non-empty justification:
 //
 //	//lint:ignore <analyzer> <justification>   — suppress one analyzer
-//	//lint:sorted <justification>              — alias for "ignore maporder"
 //	//lint:alloc <justification>               — alias for "ignore hotalloc"
-//	//lint:nocancel <justification>            — alias for "ignore ctxloop"
 //
-// A directive with no justification, or one naming no analyzer of the
-// suite, suppresses nothing and is itself reported: the whole point of
-// machine-checking these invariants is that every exception records its
-// ordering/allocation argument in the source, and a misspelled or retired
+// A directive with no justification, one naming no analyzer of the suite,
+// or one with any other verb suppresses nothing and is itself reported: the
+// whole point of machine-checking these invariants is that every exception
+// records its argument in the source, and a misspelled verb or a retired
 // analyzer name would otherwise sit there inert.
 
 // directive is one parsed //lint: comment.
 type directive struct {
 	pos      token.Pos
+	verb     string // "ignore" or "alloc"; any other verb is reported
 	analyzer string // analyzer name the directive targets
 	reason   string // justification text; empty is a violation
 }
@@ -71,19 +70,13 @@ func parseDirective(c *ast.Comment) (directive, bool) {
 	text, _, _ = strings.Cut(text, "//")
 	verb, rest, _ := strings.Cut(text, " ")
 	rest = strings.TrimSpace(rest)
-	d := directive{pos: c.Pos()}
+	d := directive{pos: c.Pos(), verb: verb}
 	switch verb {
 	case "ignore":
 		d.analyzer, d.reason, _ = strings.Cut(rest, " ")
 		d.reason = strings.TrimSpace(d.reason)
-	case "sorted":
-		d.analyzer, d.reason = "maporder", rest
 	case "alloc":
 		d.analyzer, d.reason = "hotalloc", rest
-	case "nocancel":
-		d.analyzer, d.reason = "ctxloop", rest
-	default:
-		return directive{}, false
 	}
 	return d, true
 }
@@ -103,21 +96,23 @@ func (s *Suppressor) Suppressed(analyzer string, pos token.Pos) bool {
 	return false
 }
 
-// Problems returns one diagnostic per malformed directive: a missing
-// analyzer name, a name that is not in suite (the names of every analyzer
-// the run knows, including those it does not apply to this package), or a
-// missing justification. These are reported under the pseudo-analyzer name
-// "lint".
+// Problems returns one diagnostic per malformed directive: an unknown verb,
+// a missing analyzer name, a name that is not in suite (the names of every
+// analyzer the run knows, including those it does not apply to this
+// package), or a missing justification. These are reported under the
+// pseudo-analyzer name "lint".
 func (s *Suppressor) Problems(suite map[string]bool) []Diagnostic {
 	var out []Diagnostic
 	for _, d := range s.all {
 		switch {
+		case d.verb != "ignore" && d.verb != "alloc":
+			out = append(out, Diagnostic{Pos: d.pos, Message: "lint:" + d.verb + " is no directive (want lint:ignore or lint:alloc); it suppresses nothing"})
 		case d.analyzer == "":
 			out = append(out, Diagnostic{Pos: d.pos, Message: "lint:ignore directive names no analyzer"})
 		case !suite[d.analyzer]:
 			out = append(out, Diagnostic{Pos: d.pos, Message: "lint:ignore directive names " + d.analyzer + ", which is no analyzer of the suite; it suppresses nothing"})
 		case d.reason == "":
-			out = append(out, Diagnostic{Pos: d.pos, Message: "suppression of " + d.analyzer + " has no justification; state the ordering/allocation argument after the directive"})
+			out = append(out, Diagnostic{Pos: d.pos, Message: "suppression of " + d.analyzer + " has no justification; state the argument after the directive"})
 		}
 	}
 	return out

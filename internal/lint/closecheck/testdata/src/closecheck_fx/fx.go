@@ -294,3 +294,15 @@ func MisspelledSuppression(fs *dfs.FS, name string) int {
 	}
 	return f.NumRecords()
 }
+
+// UnknownVerb carries a directive whose verb nothing reads, such as the
+// alias of a retired analyzer: it suppresses nothing and is itself
+// reported.
+func UnknownVerb(fs *dfs.FS, name string) error {
+	//lint:nocancel bounded // want "lint:nocancel is no directive"
+	f, err := fs.Open(name)
+	if err != nil {
+		return err
+	}
+	return f.Close()
+}

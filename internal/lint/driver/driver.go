@@ -11,11 +11,11 @@
 // only as export data. No analyzer result crosses a package boundary.
 //
 // By default only non-test files are analyzed: the invariants rapidlint
-// enforces (determinism, cancellation, hot-path allocation, error taxonomy)
-// are production-code properties. Options.Tests additionally loads each
-// package's test variant (`go list -test`) so the lifecycle analyzers
-// (ctxloop, closecheck) can police _test.go files, where a leaked iterator
-// hides until the -race suite hangs.
+// enforces (hot-path allocation, error taxonomy, lock order) are
+// production-code properties. Options.Tests additionally loads each
+// package's test variant (`go list -test`) so the lifecycle analyzer
+// (closecheck) can police _test.go files, where a leaked iterator hides
+// until the -race suite hangs.
 package driver
 
 import (

@@ -7,7 +7,7 @@
 // A want comment expects one diagnostic per quoted regexp, on the comment's
 // own line:
 //
-//	for k := range m { // want "map iteration order"
+//	return fmt.Sprintf("%s|%s", a, b) // want "fmt.Sprintf allocates"
 //
 // Unmatched diagnostics and unsatisfied expectations both fail the test.
 // Suppression is part of the contract under test: the harness routes

@@ -17,7 +17,6 @@ func BenchmarkWordCountThroughput(b *testing.B) {
 	}
 	b.SetBytes(bytes)
 	b.ReportAllocs()
-	//lint:nocancel benchmark loop is bounded by b.N over a fixed 2000-line fixture
 	for i := 0; i < b.N; i++ {
 		c := NewCluster(cfg)
 		w, err := c.FS.Create("in", 1)

@@ -22,7 +22,6 @@ func writeLines(c *Cluster, name string, ratio float64, lines ...string) {
 	if err != nil {
 		panic(err)
 	}
-	//lint:nocancel fixture writer is bounded by its variadic argument list
 	for _, l := range lines {
 		w.Write([]byte(l))
 	}
@@ -57,7 +56,6 @@ func wordCountJob(in, out string, combiner bool) *Job {
 		Output: out,
 		NewMapper: func(tc *TaskContext) Mapper {
 			return MapperFunc(func(rec []byte, emit Emit) error {
-				//lint:nocancel bounded by the words of one fixture record
 				for _, w := range strings.Fields(string(rec)) {
 					emit(w, []byte("1"))
 				}
@@ -205,7 +203,6 @@ func TestReduceSideJoin(t *testing.T) {
 						rs = append(rs, string(v[1:]))
 					}
 				}
-				//lint:nocancel cross product of one key's fixture values (at most a handful)
 				for _, l := range ls {
 					for _, r := range rs {
 						emit(key, []byte(key+":"+l+"+"+r))
@@ -279,7 +276,6 @@ func (b *bufferingMapper) Map(rec []byte, emit Emit) error {
 }
 
 func (b *bufferingMapper) Close(emit Emit) error {
-	//lint:nocancel bounded by the distinct records of one test input
 	for k, n := range b.counts {
 		emit(k, []byte(strconv.Itoa(n)))
 	}

@@ -349,7 +349,6 @@ func TestCancelMidCombineAborts(t *testing.T) {
 		Partitions: 1,
 		NewMapper: func(tc *TaskContext) Mapper {
 			return MapperFunc(func(rec []byte, emit Emit) error {
-				//lint:nocancel bounded by the keys test constant; the combiner is what cancels
 				for i := 0; i < keys; i++ {
 					emit(fmt.Sprintf("k%06d", i), rec)
 				}
@@ -390,7 +389,6 @@ type closeCancelMapper struct {
 }
 
 func (m *closeCancelMapper) Map(rec []byte, emit Emit) error {
-	//lint:nocancel bounded by the keys test constant; Close is what cancels
 	for i := 0; i < m.keys; i++ {
 		emit(fmt.Sprintf("k%06d", i), rec)
 	}
@@ -437,7 +435,6 @@ func TestTaskPanicContained(t *testing.T) {
 	key := func(rec []byte) string { return strings.TrimRight(string(rec), ".") }
 	identity := func() Reducer {
 		return ReducerFunc(func(key string, values [][]byte, emit Emit) error {
-			//lint:nocancel bounded by one key's records of an eight-record input
 			for _, v := range values {
 				emit(key, v)
 			}

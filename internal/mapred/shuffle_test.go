@@ -101,7 +101,6 @@ func (c shuffleCase) newCombiner() func() Reducer {
 				scribble(buf)
 				return nil
 			}
-			//lint:nocancel bounded by one group of a fuzz input (at most 48 pairs)
 			for _, v := range values {
 				buf = append(buf[:0], v...)
 				emit(rekey(key, c.partitions), buf)
@@ -142,7 +141,6 @@ func (c shuffleCase) job() *Job {
 		NewMapper: func(*TaskContext) Mapper {
 			var buf []byte
 			return MapperFunc(func(rec []byte, emit Emit) error {
-				//lint:nocancel bounded by one record's emits (at most 3)
 				for _, e := range c.stream[binary.BigEndian.Uint64(rec)] {
 					buf = append(buf[:0], e.value...)
 					emit(e.key, buf)
@@ -175,7 +173,6 @@ func FuzzShuffleMatchesReference(f *testing.F) {
 	f.Add([]byte{3, 2, 2, 15, 3, 3, 1, 2, 3, 3, 1, 2, 3, 3, 1, 2, 3, 3, 1, 2, 3, 3, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc := decodeShuffleCase(data)
-		//lint:nocancel three thresholds times three worker counts, each run polls on its own
 		for _, threshold := range []int64{0, 1, 24} {
 			wantGroups, want, err := refShuffle(sc.tasks(), sc.partitions, threshold, sc.newCombiner())
 			if err != nil {
@@ -331,7 +328,6 @@ type closingMapper struct {
 
 func (m *closingMapper) Map(rec []byte, emit Emit) error {
 	m.mapped++
-	//lint:nocancel bounded by repeat times one record's emits (at most 3)
 	for range m.repeat {
 		for _, e := range m.stream[binary.BigEndian.Uint64(rec)] {
 			m.buf = append(m.buf[:0], e.value...)
@@ -394,7 +390,6 @@ func FuzzMapOnlyMatchesReference(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			//lint:nocancel fixture writer is bounded by the case's at most 17 records
 			for i := range sc.stream {
 				w.Write(binary.BigEndian.AppendUint64(nil, uint64(i)))
 			}
@@ -403,7 +398,6 @@ func FuzzMapOnlyMatchesReference(f *testing.F) {
 			}
 			return c
 		}
-		//lint:nocancel four output modes times two worker counts, each run polls on its own
 		for _, mode := range []struct {
 			stream   bool
 			overflow int64
@@ -475,7 +469,6 @@ func TestCancelMidMapOnlyCommit(t *testing.T) {
 		Output: "out",
 		NewMapper: func(*TaskContext) Mapper {
 			return MapperFunc(func(rec []byte, emit Emit) error {
-				//lint:nocancel bounded by three batches of emits; the commit is what cancels
 				for range 3 * vec.DefaultBatchRows {
 					emit("k", rec)
 				}

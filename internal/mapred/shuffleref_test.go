@@ -59,7 +59,6 @@ func sortAndGroup(in []kv) []group {
 // reuse their buffers.
 func refCombine(comb Reducer, in []kv, partitions, p int) ([]kv, error) {
 	var out []kv
-	//lint:nocancel the reference runs over fuzz inputs of at most 48 pairs
 	for _, g := range sortAndGroup(in) {
 		err := comb.Reduce(g.key, g.values, func(key string, value []byte) {
 			out = append(out, kv{key: key, value: bytes.Clone(value)})
@@ -278,7 +277,6 @@ func (c *Cluster) refRunMapOnly(job *Job) (*Metrics, error) {
 		run []entry
 	}
 	var tasks []*taskOut
-	//lint:nocancel the reference runs over fuzz inputs of at most 17 records
 	for _, sp := range splits {
 		t := &taskOut{a: &arena{}}
 		emit := func(key string, value []byte) {
@@ -316,7 +314,6 @@ func (c *Cluster) refRunMapOnly(job *Job) (*Metrics, error) {
 	if err != nil {
 		return nil, err
 	}
-	//lint:nocancel the reference commits fuzz outputs of at most a few tens of thousands of records
 	for _, t := range tasks {
 		for _, e := range t.run {
 			m.MapOutputRecords++

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -497,6 +498,12 @@ func TestMatchOptionalPropertyVarIsRestored(t *testing.T) {
 func TestMatchStateIsReusable(t *testing.T) {
 	cp := buildComposite(t)
 	d := rdf.NewDict()
+	// Term IDs from 128 up take two uvarint bytes. The runtime converts a
+	// one-byte slice to a string without allocating, which would hide a
+	// per-field copy on the decode path.
+	for i := range 200 {
+		d.Add("Lpad" + strconv.Itoa(i))
+	}
 	full := joined(productTG(d, "p1", "f1", "f2"), offerTG(d, "o1", "p1", "100"))
 	partial := NewAnnTG(0, productTG(d, "p2", "f3"))
 	n := 0

@@ -24,7 +24,6 @@ package tgops
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"rapidanalytics/internal/algebra"
 	"rapidanalytics/internal/codec"
@@ -627,19 +626,12 @@ func (m *aggJoinMapper) solution(slots []string) {
 	}
 }
 
-// Close flushes the pre-aggregated entries — Algorithm 3's Map.clean() — in
-// sorted key order. Map iteration order would vary run to run; the combiner
-// happens to re-sort each partition today, but the output contract
-// (byte-identical shuffle streams) must not depend on which jobs attach a
-// combiner.
+// Close flushes the pre-aggregated entries — Algorithm 3's Map.clean().
+// Map iteration order is free: the shuffle sorts every run by key, and the
+// table holds each key once per task.
 func (m *aggJoinMapper) Close(emit mapred.Emit) error {
-	keys := make([]string, 0, len(m.multiAggMap))
-	for key := range m.multiAggMap {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		m.enc = m.multiAggMap[key].AppendEncode(m.enc[:0])
+	for key, st := range m.multiAggMap {
+		m.enc = st.AppendEncode(m.enc[:0])
 		emit(key, m.enc)
 	}
 	return nil

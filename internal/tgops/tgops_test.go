@@ -2,6 +2,7 @@ package tgops
 
 import (
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -459,6 +460,12 @@ func TestScannerScratchDoesNotLeakAcrossRecords(t *testing.T) {
 // folding a solution into a group the pre-aggregation table already holds.
 func TestMapSideAllocations(t *testing.T) {
 	d := rdf.NewDict()
+	// Term IDs from 128 up take two uvarint bytes. The runtime converts a
+	// one-byte slice to a string without allocating, which would hide a
+	// per-field copy on the decode path.
+	for i := range 200 {
+		d.Add("Lpad" + strconv.Itoa(i))
+	}
 	g := intern(tg("a", [2]string{"price", "L10"}, [2]string{"price", "L20"}, [2]string{"junk", "Lx"}), d)
 	rec := g.EncodeIDs()
 	src := Source{Files: []string{"in"}, Dict: d, Scan: &ScanSpec{Star: 0, Prim: []algebra.PropRef{{Prop: "price"}}}}
