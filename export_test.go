@@ -1,6 +1,9 @@
 package rapidanalytics
 
-import "rapidanalytics/internal/mapred"
+import (
+	"rapidanalytics/internal/dfs"
+	"rapidanalytics/internal/mapred"
+)
 
 // SetScans installs p as the map-input scan provider of s's loaded
 // cluster, so a test can inject a failure into map tasks, and returns a
@@ -15,4 +18,16 @@ func SetScans(s *Store, p mapred.ScanProvider) (restore func(), err error) {
 	prev := c.Scans
 	c.Scans = p
 	return func() { c.Scans = prev }, nil
+}
+
+// StoreFS returns the file system of s's loaded cluster, so a test can
+// corrupt a stored file. No query may run while a file is rewritten.
+func StoreFS(s *Store) (*dfs.FS, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	c, _, err := s.ensureLoaded()
+	if err != nil {
+		return nil, err
+	}
+	return c.FS, nil
 }

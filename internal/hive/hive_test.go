@@ -346,3 +346,54 @@ func TestMapJoinThresholdScalesWithData(t *testing.T) {
 		t.Errorf("missing file size = %d, want huge", got)
 	}
 }
+
+// A broadcast side record that does not decode fails a map join and a
+// star map join, naming the side file, also when the driving input is
+// empty, so no Map call ever sees the index; a side record the scan drops
+// does not.
+func TestMapJoinFailsOnUndecodableSideRecord(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		driving []codec.Tuple
+		corrupt bool
+	}{
+		{"corrupt side", []codec.Tuple{{"Ia", "L1"}, {"Ib", "L2"}}, true},
+		{"corrupt side, empty driving input", nil, true},
+		{"side row of the wrong width", []codec.Tuple{{"Ia", "L1"}}, false},
+	} {
+		for _, star := range []bool{false, true} {
+			c := newCluster()
+			d := rdf.NewDict()
+			writeTuples(c, d, "drv", tc.driving...)
+			w, err := c.FS.Create("side", 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.Write(idRow(d, codec.Tuple{"Ia", "Lx"}).EncodeIDs())
+			w.Write(idRow(d, codec.Tuple{"Ib", "Ly"}).EncodeIDs())
+			if tc.corrupt {
+				w.Write(append(idRow(d, codec.Tuple{"Ib", "Lz"}).EncodeIDs(), 0))
+			} else {
+				w.Write(idRow(d, codec.Tuple{"Ib", "Lz", "Lw"}).EncodeIDs())
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			left := &rel{file: "drv", cols: []string{"k", "v"}, dict: d}
+			right := &rel{file: "side", cols: []string{"k", "w"}, dict: d}
+			var job *mapred.Job
+			if star {
+				job, _ = starMapJoinJob("j", []*starInput{{rel: left, keyCol: "k"}, {rel: right, keyCol: "k"}}, 0, nil, "out", 1)
+			} else {
+				job, _ = mapJoinJob("j", left, right, "k", "k", nil, "out", 1)
+			}
+			_, err = c.Run(job)
+			switch {
+			case !tc.corrupt && err != nil:
+				t.Errorf("%s (star %v): %v", tc.name, star, err)
+			case tc.corrupt && (err == nil || !strings.Contains(err.Error(), "broadcast side side")):
+				t.Errorf("%s (star %v): error %v, want one naming the side file", tc.name, star, err)
+			}
+		}
+	}
+}

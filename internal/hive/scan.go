@@ -1,8 +1,11 @@
 package hive
 
 import (
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"rapidanalytics/internal/algebra"
 	"rapidanalytics/internal/codec"
@@ -167,38 +170,68 @@ func (a *tupleArena) decode(buf []byte, in codec.Interner) (codec.Tuple, error) 
 }
 
 // sideIndex is a broadcast input's scanned rows grouped by key column in
-// one flat array — each key's rows contiguous, in record order — so a
-// build costs a few slice growths instead of one slice per distinct key.
+// one flat array, each key's rows contiguous and in record order, behind
+// an open-addressing table over the key's term ID (termID).
 type sideIndex struct {
-	group map[string]int32
+	// slots has a power-of-two length; a slot holds a group number plus
+	// one, 0 when empty, and keys[g] is group g's term ID.
+	slots []int32
+	keys  []uint64
 	// start[g] is where group g's rows begin; start has a final sentinel.
 	start []int32
 	rows  []codec.Tuple
+	// err, naming the file, is the first record that failed to decode.
+	err error
+}
+
+// termID decodes an ID-string, the canonical uvarint of a term ID. A
+// string that is not one — rdf.MissingIDString, an overlong or truncated
+// form, trailing bytes — reports false; it equals no decoded field.
+func termID(s string) (uint64, bool) {
+	id, n := binary.Uvarint([]byte(s))
+	return id, n == len(s) && n > 0 && (n == 1 || s[n-1] != 0)
+}
+
+// find returns the slot holding term ID id, or the empty slot that would.
+func (x *sideIndex) find(id uint64) int {
+	i := int(id*0x9E3779B97F4A7C15>>32) & (len(x.slots) - 1)
+	for x.slots[i] != 0 && x.keys[x.slots[i]-1] != id {
+		i = (i + 1) & (len(x.slots) - 1)
+	}
+	return i
 }
 
 // buildSideIndex scans the records of a broadcast input and groups them by
-// scan-output column keyPos. Records that fail to decode or scan are
-// skipped. Every scanned row is len(p.kept) fields wide, so scanned row i
-// is the i-th window of one flat field array.
+// scan-output column keyPos. Records the scan drops are skipped; the first
+// that fails to decode is kept as x.err. Every scanned row is len(p.kept)
+// fields wide, so scanned row i is the i-th window of one flat field
+// array.
 func buildSideIndex(recs [][]byte, p *scanPlan, keyPos int) *sideIndex {
-	x := &sideIndex{group: map[string]int32{}}
+	// More than twice as many slots as records, so a probe always ends;
+	// keys and count are sized to the records, a bound on the groups.
+	x := &sideIndex{slots: make([]int32, 2<<bits.Len(uint(len(recs)))), keys: make([]uint64, 0, len(recs))}
 	sc := scanner{plan: p}
 	w := len(p.kept)
 	fields := make([]string, 0, len(recs)*w)
 	groupOf := make([]int32, 0, len(recs))
-	var count []int32
+	count := make([]int32, 0, len(recs))
 	for _, rec := range recs {
 		row, ok, err := sc.next(rec)
-		if err != nil || !ok {
+		if err != nil && x.err == nil {
+			x.err = fmt.Errorf("hive: broadcast side %s: %w", p.file, err)
+		}
+		if !ok {
 			continue
 		}
-		fields = append(fields, row...)
-		g, seen := x.group[row[keyPos]]
-		if !seen {
-			g = int32(len(count))
-			x.group[row[keyPos]] = g
+		id, _ := termID(row[keyPos]) // a decoded field is canonical
+		i := x.find(id)
+		if x.slots[i] == 0 {
+			x.keys = append(x.keys, id)
 			count = append(count, 0)
+			x.slots[i] = int32(len(x.keys))
 		}
+		g := x.slots[i] - 1
+		fields = append(fields, row...)
 		count[g]++
 		groupOf = append(groupOf, g)
 	}
@@ -217,9 +250,15 @@ func buildSideIndex(recs [][]byte, p *scanPlan, keyPos int) *sideIndex {
 }
 
 // lookup returns the rows whose key column equals key.
+//
+//rapid:hot
 func (x *sideIndex) lookup(key string) []codec.Tuple {
-	g, ok := x.group[key]
+	id, ok := termID(key)
 	if !ok {
+		return nil
+	}
+	g := x.slots[x.find(id)] - 1
+	if g < 0 {
 		return nil
 	}
 	return x.rows[x.start[g]:x.start[g+1]]
@@ -448,6 +487,8 @@ type starMapJoinMapper struct {
 	rows  *starRows
 	// drv backs matches[0]: the driving row is its own single match.
 	drv [1]codec.Tuple
+	// err is the first side index's decode failure.
+	err error
 }
 
 // newStarMapJoinMapper builds a task's mapper; side returns the records of
@@ -458,12 +499,16 @@ func newStarMapJoinMapper(plans []*starPlan, side func(file string) [][]byte) *s
 	m.sides = make([]*sideIndex, len(plans)-1)
 	for i, p := range plans[1:] {
 		m.sides[i] = buildSideIndex(side(p.scan.file), p.scan, p.keyPos)
+		m.err = cmp.Or(m.err, m.sides[i].err)
 	}
 	return m
 }
 
 //rapid:hot
 func (m *starMapJoinMapper) Map(rec []byte, emit mapred.Emit) error {
+	if m.err != nil {
+		return m.err
+	}
 	row, ok, err := m.sc.next(rec)
 	if err != nil || !ok {
 		return err
@@ -482,6 +527,9 @@ func (m *starMapJoinMapper) Map(rec []byte, emit mapred.Emit) error {
 	return nil
 }
 
+// Close fails a task whose split held no record on a corrupt side input.
+func (m *starMapJoinMapper) Close(mapred.Emit) error { return m.err }
+
 // mapJoinMapper streams the left input against an index of the broadcast
 // right input, built once per task.
 type mapJoinMapper struct {
@@ -494,6 +542,9 @@ type mapJoinMapper struct {
 
 //rapid:hot
 func (m *mapJoinMapper) Map(rec []byte, emit mapred.Emit) error {
+	if m.right.err != nil {
+		return m.right.err
+	}
 	row, ok, err := m.sc.next(rec)
 	if err != nil || !ok {
 		return err
@@ -505,3 +556,6 @@ func (m *mapJoinMapper) Map(rec []byte, emit mapred.Emit) error {
 	}
 	return nil
 }
+
+// Close fails a task whose split held no record on a corrupt side input.
+func (m *mapJoinMapper) Close(mapred.Emit) error { return m.right.err }

@@ -2,6 +2,7 @@ package hive
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -120,8 +121,14 @@ type scanCorpus struct {
 	vals []string // ID-strings, NULL included
 }
 
-func newScanCorpus(seed int64) *scanCorpus {
+// newScanCorpus draws from the NULL ID-string and ten terms, added to the
+// dictionary after pad others: with pad ≥ 127 every term ID takes two
+// uvarint bytes.
+func newScanCorpus(seed int64, pad int) *scanCorpus {
 	c := &scanCorpus{rng: rand.New(rand.NewSource(seed)), d: rdf.NewDict(), vals: []string{algebra.Null}}
+	for i := range pad {
+		c.d.Add(fmt.Sprintf("Lpad%d", i))
+	}
 	for _, k := range []string{"L1", "L5", "L10", "L-2", "L7.5", "Lx", "Lfoo", "Ia", "Ib", "Ihttp://e/c"} {
 		c.vals = append(c.vals, c.d.AddString(k))
 	}
@@ -173,7 +180,7 @@ func (c *scanCorpus) tuple(arity int) codec.Tuple {
 }
 
 func TestCompiledScanAgreesWithReference(t *testing.T) {
-	c := newScanCorpus(1)
+	c := newScanCorpus(1, 0)
 	var seen struct{ arity, constHit, constMiss, droppedFilter, nulls, multiFilter, kept, dropped int }
 	for range 400 {
 		r := c.rel()
@@ -253,7 +260,7 @@ func TestCompiledScanAgreesWithReference(t *testing.T) {
 }
 
 func TestJoinPlanAgreesWithMergeJoinRow(t *testing.T) {
-	c := newScanCorpus(2)
+	c := newScanCorpus(2, 0)
 	for range 300 {
 		left, right := c.rel(), c.rel()
 		left.filters, right.filters, left.consts, right.consts = nil, nil, nil, nil
@@ -282,7 +289,7 @@ func TestJoinPlanAgreesWithMergeJoinRow(t *testing.T) {
 }
 
 func TestStarRowsAgreeWithReference(t *testing.T) {
-	c := newScanCorpus(3)
+	c := newScanCorpus(3, 0)
 	for range 300 {
 		var inputs []*starInput
 		for i := range 1 + c.rng.Intn(3) {
@@ -476,30 +483,70 @@ func TestSteadyStateScanAllocatesNothing(t *testing.T) {
 }
 
 // sideIndexRef is a broadcast side as a map from key to the rows the
-// reference scan keeps, each key's rows in record order.
-func sideIndexRef(recs [][]byte, r *rel, keyCol string) map[string][]codec.Tuple {
+// reference scan keeps, each key's rows in record order, and the first
+// record that does not decode.
+func sideIndexRef(recs [][]byte, r *rel, keyCol string) (map[string][]codec.Tuple, error) {
 	key := slices.Index(r.outColsRef(), keyCol)
 	out := map[string][]codec.Tuple{}
+	var first error
 	for _, rec := range recs {
 		raw, err := codec.DecodeIDTuple(rec, r.dict)
 		if err != nil {
+			if first == nil {
+				first = err
+			}
 			continue
 		}
 		if row, ok := r.scanRef(raw); ok {
 			out[row[key]] = append(out[row[key]], row)
 		}
 	}
-	return out
+	return out, first
 }
 
-// buildSideIndex must answer every lookup with the reference map's rows,
-// row by row, over random sides: records of the wrong arity, failing a
-// constant or a filter, or not decodable at all, duplicate keys, keys
-// absent from the side, and empty sides. Each row is capacity-clipped, so
-// appending to it cannot overwrite the next.
+// probeKeys are the corpus's values (NULL among them) and strings that
+// are no canonical ID: MissingIDString, overlong forms of IDs 0 and 1, a
+// lone continuation byte and a value with a trailing byte.
+func (c *scanCorpus) probeKeys() []string {
+	v := c.vals[len(c.vals)-1]
+	return append([]string{rdf.MissingIDString, "\x80\x00", "\x81\x00", v[:1], v + "\x01"}, c.vals...)
+}
+
+// checkSideIndex compares x with the reference over recs at every probe:
+// the same rows, row by row, each capacity-clipped so that appending to it
+// cannot overwrite the next, and a decode error exactly when the reference
+// met one, naming the side's file. It returns how many rows the probes
+// found, and the reference.
+func checkSideIndex(t *testing.T, x *sideIndex, recs [][]byte, r *rel, keyCol string, probes []string) (int, map[string][]codec.Tuple) {
+	t.Helper()
+	want, werr := sideIndexRef(recs, r, keyCol)
+	if (x.err != nil) != (werr != nil) || x.err != nil && !strings.Contains(x.err.Error(), "broadcast side "+r.file) {
+		t.Fatalf("rel %+v: index error %v, reference %v", r, x.err, werr)
+	}
+	found := 0
+	for _, k := range probes {
+		got, w := x.lookup(k), want[k]
+		found += len(w)
+		if len(got) != len(w) {
+			t.Fatalf("rel %+v key %q: %d rows, reference %d", r, k, len(got), len(w))
+		}
+		for i := range got {
+			if !slices.Equal(got[i], w[i]) || cap(got[i]) != len(got[i]) {
+				t.Fatalf("rel %+v key %q row %d: %q (cap %d), reference %q", r, k, i, got[i], cap(got[i]), w[i])
+			}
+		}
+	}
+	return found, want
+}
+
+// buildSideIndex must answer every lookup with the reference map's rows
+// over random sides: records of the wrong arity, failing a constant or a
+// filter, duplicate keys, NULL keys, keys absent from the side, probes that
+// are no canonical ID, and empty sides. A record that does not decode is
+// the index's error. Term IDs take two uvarint bytes.
 func TestSideIndexAgreesWithReference(t *testing.T) {
-	c := newScanCorpus(4)
-	var seen struct{ sides, empty, dropped, undecodable, duplicate, absent int }
+	c := newScanCorpus(4, 200)
+	var seen struct{ sides, empty, dropped, undecodable, duplicate, absent, null int }
 	for range 400 {
 		r := c.rel()
 		cols := r.outColsRef()
@@ -517,42 +564,110 @@ func TestSideIndexAgreesWithReference(t *testing.T) {
 			}
 			recs = append(recs, rec)
 		}
-		want := sideIndexRef(recs, r, keyCol)
 		x := buildSideIndex(recs, p, p.colIndex(keyCol))
+		found, want := checkSideIndex(t, x, recs, r, keyCol, c.probeKeys())
 		seen.sides++
 		if len(recs) == 0 {
 			seen.empty++
 		}
-		kept := 0
-		for _, k := range append([]string{rdf.MissingIDString}, c.vals...) {
-			got, w := x.lookup(k), want[k]
-			kept += len(w)
+		if found < len(recs) {
+			seen.dropped++
+		}
+		for k, rows := range want {
 			switch {
-			case len(w) == 0:
-				seen.absent++
-			case len(w) > 1:
+			case k == algebra.Null:
+				seen.null++
+			case len(rows) > 1:
 				seen.duplicate++
 			}
-			if len(got) != len(w) {
-				t.Fatalf("rel %+v key %q: %d rows, reference %d", r, k, len(got), len(w))
-			}
-			for i := range got {
-				if !slices.Equal(got[i], w[i]) || cap(got[i]) != len(got[i]) {
-					t.Fatalf("rel %+v key %q row %d: %q (cap %d), reference %q", r, k, i, got[i], cap(got[i]), w[i])
-				}
-			}
 		}
-		if kept < len(recs) {
-			seen.dropped++
+		if len(want) < len(c.vals) {
+			seen.absent++
 		}
 	}
 	t.Logf("coverage: %+v", seen)
 	for name, n := range map[string]int{
 		"empty side": seen.empty, "dropped record": seen.dropped, "undecodable record": seen.undecodable,
-		"duplicate key": seen.duplicate, "absent key": seen.absent,
+		"duplicate key": seen.duplicate, "absent key": seen.absent, "NULL key": seen.null,
 	} {
 		if n == 0 {
 			t.Errorf("corpus never exercised %s", name)
 		}
 	}
+}
+
+// termID accepts exactly the canonical uvarints.
+func TestTermID(t *testing.T) {
+	for _, tc := range []struct {
+		s  string
+		id uint64
+		ok bool
+	}{
+		{"\x00", 0, true},
+		{"\x01", 1, true},
+		{"\x7f", 127, true},
+		{"\x80\x01", 128, true},
+		{"\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01", 1<<64 - 1, true},
+		{"", 0, false},
+		{rdf.MissingIDString, 0, false},
+		{"\x80\x00", 0, false},
+		{"\x81\x00", 0, false},
+		{"\x01\x00", 0, false},
+		{"\x80\x80", 0, false},
+		{"\xff\xff\xff\xff\xff\xff\xff\xff\xff\x02", 0, false},
+		{"\xff\xff\xff\xff\xff\xff\xff\xff\xff\x81\x00", 0, false},
+	} {
+		if id, ok := termID(tc.s); id != tc.id && ok || ok != tc.ok {
+			t.Errorf("termID(%q) = %d, %v; want %d, %v", tc.s, id, ok, tc.id, tc.ok)
+		}
+	}
+	for id := range uint64(1 << 15) {
+		s := string(binary.AppendUvarint(nil, id))
+		if got, ok := termID(s); !ok || got != id {
+			t.Fatalf("termID(%q) = %d, %v; want %d", s, got, ok, id)
+		}
+	}
+}
+
+// A lookup allocates nothing, hit or miss.
+func TestSideIndexLookupAllocatesNothing(t *testing.T) {
+	c := newScanCorpus(5, 200)
+	r := &rel{file: "side", dict: c.d, cols: []string{"a", "b"}}
+	var recs [][]byte
+	for i := range 50 {
+		recs = append(recs, codec.Tuple{c.vals[i%len(c.vals)], c.vals[(i/3)%len(c.vals)]}.EncodeIDs())
+	}
+	p := r.compile()
+	x := buildSideIndex(recs, p, 0)
+	for _, k := range []string{c.vals[3], rdf.MissingIDString, c.vals[3] + "\x01"} {
+		if n := testing.AllocsPerRun(200, func() { x.lookup(k) }); n != 0 {
+			t.Errorf("lookup(%q) allocates %v times", k, n)
+		}
+	}
+}
+
+// FuzzSideIndexMatchesReference builds a random side from seed plus the
+// raw record, and probes it with every corpus value, the probe string and
+// the fixed odd keys; the index must agree with sideIndexRef.
+func FuzzSideIndexMatchesReference(f *testing.F) {
+	f.Add(int64(1), []byte{2, 3, 4}, "\x80")
+	f.Add(int64(2), []byte{1, 0x80, 0x01}, "\x80\x01")
+	f.Add(int64(3), []byte{}, "\x00")
+	f.Add(int64(4), []byte{2, 0x81, 0x00, 5}, "\x81\x00")
+	f.Fuzz(func(t *testing.T, seed int64, raw []byte, probe string) {
+		c := newScanCorpus(seed, 200)
+		r := c.rel()
+		cols := r.outColsRef()
+		if len(cols) == 0 {
+			return
+		}
+		keyCol := cols[c.rng.Intn(len(cols))]
+		var recs [][]byte
+		for range c.rng.Intn(24) {
+			recs = append(recs, c.tuple(len(r.cols)).EncodeIDs())
+		}
+		recs = slices.Insert(recs, c.rng.Intn(len(recs)+1), raw)
+		p := r.compile()
+		checkSideIndex(t, buildSideIndex(recs, p, p.colIndex(keyCol)), recs, r, keyCol, append(c.probeKeys(), probe))
+	})
 }

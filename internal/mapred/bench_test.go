@@ -60,6 +60,7 @@ func BenchmarkShufflePath(b *testing.B) {
 	value := []byte("v")
 	nop := ReducerFunc(func(string, [][]byte, Emit) error { return nil })
 	noCheck := func() error { return nil }
+	var values [][]byte
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		a := &arena{}
@@ -68,7 +69,7 @@ func BenchmarkShufflePath(b *testing.B) {
 			run = append(run, a.add(k, value))
 		}
 		a.sortRun(run)
-		if groups, err := reduceGroups(nop, arenas{a}, run, nil, noCheck); err != nil || groups != 37 {
+		if groups, err := reduceGroups(nop, arenas{a}, run, &values, nil, noCheck); err != nil || groups != 37 {
 			b.Fatalf("groups = %d, %v", groups, err)
 		}
 	}

@@ -1,0 +1,100 @@
+package mapred
+
+import (
+	"context"
+	"fmt"
+	"slices"
+	"strconv"
+	"testing"
+)
+
+// partitionKeys returns n distinct keys of partition p of partitions.
+func partitionKeys(partitions, p, n int) []string {
+	var keys []string
+	for i := 0; len(keys) < n; i++ {
+		if k := fmt.Sprintf("k%d", i); partitionOf(k, partitions) == p {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
+// Every (task, partition) entry count around the page size — none, one, a
+// page less one, a page, a page and one, several pages and a part — gives
+// the reference shuffle's output, with and without a combiner, unspilled
+// and spilled at a tiny threshold, on one and two workers, with pages from
+// no free list and from a poisoned one.
+func TestPagedRunsMatchReference(t *testing.T) {
+	const partitions = 2
+	keys := [partitions][]string{partitionKeys(partitions, 0, 7), partitionKeys(partitions, 1, 7)}
+	for _, n := range []int{0, 1, pageEntries - 1, pageEntries, pageEntries + 1, 3*pageEntries + 7} {
+		// Three map tasks of one record each; every record emits n pairs
+		// to each partition, over seven keys.
+		sc := shuffleCase{partitions: partitions, recsPerTask: 1}
+		for r := range 3 {
+			var rec []kv
+			for i := range n {
+				for p := range partitions {
+					rec = append(rec, kv{key: keys[p][(i+r)%7], value: []byte(fmt.Sprint(r, i))})
+				}
+			}
+			sc.stream = append(sc.stream, rec)
+		}
+		for _, comb := range []int{0, 1} {
+			sc.combiner = comb
+			t.Run(fmt.Sprintf("n=%d/combiner=%d", n, comb), func(t *testing.T) {
+				checkShuffleCase(t, sc, []int64{0, 1}, []int{1, 2})
+			})
+		}
+	}
+}
+
+// The free list never holds more than freePages pages, however many a
+// query hands back, and a cluster outside any query, which has none, gives
+// the same output.
+func TestPageFreeListBounded(t *testing.T) {
+	var out [][]string
+	for _, inQuery := range []bool{false, true} {
+		c := NewCluster(DefaultConfig())
+		if inQuery {
+			c = c.WithContext(context.Background())
+		}
+		writeLines(c, "in", 1, "x")
+		var buf []byte
+		job := &Job{
+			Name: "pages", Inputs: []string{"in"}, Output: "out", Partitions: 4,
+			NewMapper: func(*TaskContext) Mapper {
+				return MapperFunc(func(rec []byte, emit Emit) error {
+					// More entries than freePages pages hold.
+					for i := range (freePages + 8) * pageEntries {
+						buf = strconv.AppendInt(buf[:0], int64(i%1000), 10)
+						emit(string(buf[:1]), buf)
+					}
+					return nil
+				})
+			},
+			NewReducer: func() Reducer {
+				return ReducerFunc(func(key string, values [][]byte, emit Emit) error {
+					emit(key, fmt.Appendf(nil, "%s:%d", key, len(values)))
+					return nil
+				})
+			},
+		}
+		if _, err := c.Run(job); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, readLines(t, c, "out"))
+		if inQuery {
+			if n := len(c.pages.free); n > freePages || cap(c.pages.free) != freePages {
+				t.Errorf("free list holds %d pages (capacity %d), bound %d", n, cap(c.pages.free), freePages)
+			} else if n == 0 {
+				t.Error("no page came back to the free list")
+			}
+		} else if c.pages != nil {
+			t.Error("a cluster outside a query has a free list")
+		}
+	}
+	if !slices.Equal(out[0], out[1]) {
+		t.Errorf("output in a query %q, outside %q", out[1], out[0])
+	}
+}

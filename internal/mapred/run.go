@@ -425,7 +425,8 @@ func (c *Cluster) reducePartition(job *Job, st *partState, abort *abortSignal) e
 		return err
 	}
 	bu := vec.NewBuilder(vec.DefaultBatchRows)
-	groups, err := reduceGroups(job.NewReducer(), st.arenas, st.merged, func(_ string, value []byte) {
+	var values [][]byte
+	groups, err := reduceGroups(job.NewReducer(), st.arenas, st.merged, &values, func(_ string, value []byte) {
 		// The write to the DFS happens only after every partition
 		// finishes; the builder copies the value into its arena.
 		if b := bu.Append(value); b != nil {
@@ -630,13 +631,16 @@ func (c *Cluster) loadSideInputs(job *Job, m *Metrics) (map[string][][]byte, err
 // partition's run is combined, sorted and written out as a spill run, and
 // the task continues with a fresh arena. check covers both context
 // cancellation and sibling-task failure, and is consulted between records
-// and inside the combiner.
+// and inside the combiner. A spill or a combiner sorts or combines a
+// partition's paged entries in one task scratch.
 func (c *Cluster) runMapTask(job *Job, taskIdx int, sp split, side map[string][][]byte, partitions int, abort *abortSignal, tspan *obs.Span) (taskResult, error) {
 	check := c.checker(abort)
 	tc := &TaskContext{InputFile: sp.file, sideData: side}
 	mapper := job.NewMapper(tc)
 	var ar *arena
-	var parts [][]entry
+	var parts []pagedRun
+	var scratch []entry
+	var values [][]byte
 	var res taskResult
 	threshold := c.Config.SpillThresholdBytes
 	canSpill := threshold > 0 && !job.MapOnly()
@@ -650,12 +654,14 @@ func (c *Cluster) runMapTask(job *Job, taskIdx int, sp split, side map[string][]
 		if job.NewCombiner != nil {
 			src = &arena{}
 		}
-		for p, run := range parts {
-			if len(run) == 0 {
+		for p := range parts {
+			if parts[p].n == 0 {
 				continue
 			}
+			scratch = parts[p].flatten(scratch[:0], c.pages)
+			run := scratch
 			if job.NewCombiner != nil {
-				combined, err := combine(job.NewCombiner(), ar, run, src, partitions, p, check)
+				combined, err := combine(job.NewCombiner(), ar, run, src, c.pages, &values, partitions, p, check)
 				if err != nil {
 					return err
 				}
@@ -671,9 +677,10 @@ func (c *Cluster) runMapTask(job *Job, taskIdx int, sp split, side map[string][]
 			res.spillRuns++
 			res.spillRecords += ref.records
 			res.spillBytes += ref.bytes
-			parts[p] = parts[p][:0]
 		}
 		spillRunIdx++
+		// The combines' values scratch must not pin the arena left behind.
+		clear(values[:cap(values)])
 		ar = &arena{}
 		return nil
 	}
@@ -689,14 +696,14 @@ func (c *Cluster) runMapTask(job *Job, taskIdx int, sp split, side map[string][]
 			}
 		}
 	} else {
-		ar, parts = &arena{}, make([][]entry, partitions)
+		ar, parts = &arena{}, make([]pagedRun, partitions)
 		emit = func(key string, value []byte) {
 			res.emits++
 			p := 0
 			if partitions > 1 {
 				p = partitionOf(key, partitions)
 			}
-			parts[p] = append(parts[p], ar.add(key, value))
+			parts[p].add(ar.add(key, value), c.pages)
 		}
 	}
 	// maybeSpill runs at record boundaries (a single record's emits may
@@ -762,23 +769,24 @@ func (c *Cluster) runMapTask(job *Job, taskIdx int, sp split, side map[string][]
 	if canSpill {
 		noteSpillHighWater(maxBuffered)
 	}
+	res.arena, res.parts = ar, make([][]entry, partitions)
 	if job.NewCombiner != nil {
 		// The combined runs go to a fresh arena, so the raw emits are
 		// garbage once every partition is combined.
-		out := &arena{}
-		for p, run := range parts {
-			if len(run) == 0 {
-				continue
-			}
-			combined, err := combine(job.NewCombiner(), ar, run, out, partitions, p, check)
+		res.arena = &arena{}
+	}
+	for p := range parts {
+		if job.NewCombiner == nil {
+			res.parts[p] = parts[p].flatten(make([]entry, 0, parts[p].n), c.pages)
+		} else if parts[p].n > 0 {
+			scratch = parts[p].flatten(scratch[:0], c.pages)
+			combined, err := combine(job.NewCombiner(), ar, scratch, res.arena, c.pages, &values, partitions, p, check)
 			if err != nil {
 				return res, err
 			}
-			parts[p] = combined
+			res.parts[p] = combined
 		}
-		ar = out
 	}
-	res.arena, res.parts = ar, parts
 	return res, nil
 }
 

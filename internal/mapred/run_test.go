@@ -185,7 +185,7 @@ func TestCombineChecksCancellation(t *testing.T) {
 		calls.Add(1)
 		return nil
 	})
-	_, err := combine(comb, in, run, &arena{}, 4, partitionOf("hot", 4), func() error { return context.Canceled })
+	_, err := combine(comb, in, run, &arena{}, nil, new([][]byte), 4, partitionOf("hot", 4), func() error { return context.Canceled })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("combine error = %v, want context.Canceled", err)
 	}

@@ -20,6 +20,80 @@ import (
 // partition's pairs in emission order gives, on one worker or many, with
 // spills or without.
 
+// A map task writes each partition's entries to fixed-size pages, as
+// Hadoop's collector fills a fixed buffer, instead of growing a slice, and
+// copies them once at task end or spill (pagedRun.flatten). pageEntries is
+// a page's entry count. freePages, the most pages a query's free list
+// holds (4 MiB), bounds what a query keeps for reuse; a page handed back
+// to a full list is left to the collector.
+const (
+	pageEntries = 512
+	freePages   = 256
+)
+
+type entryPage [pageEntries]entry
+
+// pageList is a query's free list of entry pages, made by WithContext, so
+// it dies with the query. A nil list recycles nothing.
+type pageList struct {
+	free chan *entryPage
+	// poison (tests only) fills every page handed back with 0xFF bytes.
+	poison bool
+}
+
+func (l *pageList) get() *entryPage {
+	if l != nil {
+		select {
+		case pg := <-l.free:
+			return pg
+		default:
+		}
+	}
+	return new(entryPage)
+}
+
+func (l *pageList) put(pg *entryPage) {
+	if l == nil {
+		return
+	}
+	if l.poison {
+		for i := range pg {
+			pg[i] = entry{^uint64(0), ^uint32(0), ^uint32(0), ^uint32(0), ^uint32(0), ^uint32(0)}
+		}
+	}
+	select {
+	case l.free <- pg:
+	default:
+	}
+}
+
+// pagedRun is one partition's entries while its map task runs.
+type pagedRun struct {
+	pages []*entryPage
+	n     int
+}
+
+func (r *pagedRun) add(e entry, l *pageList) {
+	if r.n%pageEntries == 0 {
+		r.pages = append(r.pages, l.get())
+	}
+	r.pages[len(r.pages)-1][r.n%pageEntries] = e
+	r.n++
+}
+
+// flatten appends r's entries to dst, hands its pages back to l and
+// empties r.
+func (r *pagedRun) flatten(dst []entry, l *pageList) []entry {
+	dst = slices.Grow(dst, r.n)
+	for i, pg := range r.pages {
+		dst = append(dst, pg[:min(pageEntries, r.n-i*pageEntries)]...)
+		l.put(pg)
+	}
+	clear(r.pages)
+	r.pages, r.n = r.pages[:0], 0
+	return dst
+}
+
 // arenaFirstChunk and arenaMaxChunk bound an arena's chunks: the first is
 // small, so a task that emits a record or two does not pay for a large
 // one, and each next chunk doubles up to the maximum.
@@ -246,12 +320,11 @@ func (h *mergeHeap) down(i int) {
 }
 
 // reduceGroups calls red once per group of equal keys in the sorted run r,
-// whose bytes t resolves, and returns the number of groups. The values
-// slice is reused from group to group. check runs before every
-// ctxCheckInterval-th group.
-func reduceGroups(red Reducer, t arenas, r []entry, emit Emit, check func() error) (int64, error) {
+// whose bytes t resolves, and returns the number of groups. The caller's
+// values scratch is reused from group to group and left holding the last
+// group's values. check runs before every ctxCheckInterval-th group.
+func reduceGroups(red Reducer, t arenas, r []entry, values *[][]byte, emit Emit, check func() error) (int64, error) {
 	var groups int64
-	var values [][]byte
 	for i := 0; i < len(r); {
 		if groups%ctxCheckInterval == 0 {
 			if err := check(); err != nil {
@@ -259,13 +332,14 @@ func reduceGroups(red Reducer, t arenas, r []entry, emit Emit, check func() erro
 			}
 		}
 		first := r[i]
-		values = values[:0]
+		vs := (*values)[:0]
 		for ; i < len(r) && t.sameKey(first, r[i]); i++ {
-			values = append(values, t.value(r[i]))
+			vs = append(vs, t.value(r[i]))
 		}
+		*values = vs
 		key := t.key(first)
 		groups++
-		if err := red.Reduce(key, values, emit); err != nil {
+		if err := red.Reduce(key, vs, emit); err != nil {
 			return groups, fmt.Errorf("reduce key %q: %w", key, err)
 		}
 	}
@@ -273,18 +347,19 @@ func reduceGroups(red Reducer, t arenas, r []entry, emit Emit, check func() erro
 }
 
 // combine runs a combiner over one partition's run of in's entries,
-// sorting the run first, and copies the combiner's emits into out. The
-// returned run is sorted: the emits are checked to come out in
-// non-decreasing key order, and sorted by (key, emission order) when they
-// do not. A combiner must keep each key in its partition. check runs
-// before the sort and between groups, so cancellation never stalls in a
-// combiner over a hot key.
-func combine(comb Reducer, in *arena, r []entry, out *arena, partitions, p int, check func() error) ([]entry, error) {
+// sorting the run first, and copies the combiner's emits into out and
+// pages from l. The returned run has exactly the emits' count and is
+// sorted: the emits are checked to come out in non-decreasing key order,
+// and sorted by (key, emission order) when they do not. A combiner must
+// keep each key in its partition. check runs before the sort and between
+// groups, so cancellation never stalls in a combiner over a hot key.
+func combine(comb Reducer, in *arena, r []entry, out *arena, l *pageList, values *[][]byte, partitions, p int, check func() error) ([]entry, error) {
 	if err := check(); err != nil {
 		return nil, err
 	}
 	in.sortRun(r)
-	var res []entry
+	var res pagedRun
+	var last entry
 	sorted := true
 	var moved error
 	emit := func(key string, value []byte) {
@@ -295,19 +370,22 @@ func combine(comb Reducer, in *arena, r []entry, out *arena, partitions, p int, 
 			return
 		}
 		e := out.add(key, value)
-		if n := len(res); n > 0 && compareKeys(out, e, out, res[n-1]) < 0 {
+		if res.n > 0 && compareKeys(out, e, out, last) < 0 {
 			sorted = false
 		}
-		res = append(res, e)
+		res.add(e, l)
+		last = e
 	}
-	if _, err := reduceGroups(comb, arenas{in}, r, emit, check); err != nil {
+	_, err := reduceGroups(comb, arenas{in}, r, values, emit, check)
+	run := res.flatten(make([]entry, 0, res.n), l)
+	if err != nil {
 		return nil, err
 	}
 	if moved != nil {
 		return nil, moved
 	}
 	if !sorted {
-		out.sortRun(res)
+		out.sortRun(run)
 	}
-	return res, nil
+	return run, nil
 }

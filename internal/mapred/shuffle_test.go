@@ -162,34 +162,50 @@ func (c shuffleCase) job() *Job {
 }
 
 // FuzzShuffleMatchesReference runs random emit streams through Run and
-// through the kv reference (shuffleref_test.go), for spill thresholds none,
-// tiny and mid crossed with one, two and four workers: the groups, their
-// value order, Volumes() and the spill counts must be equal.
+// through the kv reference (shuffleref_test.go) with checkShuffleCase, for
+// spill thresholds none, tiny and mid crossed with one, two and four
+// workers.
 func FuzzShuffleMatchesReference(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 1, 0, 15, 3, 1, 2, 5, 5, 0, 0, 2, 3, 1, 1, 7})
 	f.Add([]byte{1, 3, 1, 12, 2, 0, 0, 3, 0, 1, 2, 2, 9, 1, 4, 3, 3, 3, 6, 2, 0, 1, 8, 3})
 	f.Add([]byte{2, 0, 2, 9, 3, 2, 1, 1, 4, 3, 0, 5, 3, 1, 2, 2, 3, 7, 2, 3, 1, 6, 0, 3, 2, 1})
 	f.Add([]byte{3, 2, 2, 15, 3, 3, 1, 2, 3, 3, 1, 2, 3, 3, 1, 2, 3, 3, 1, 2, 3, 3, 1, 2, 3})
+	f.Add([]byte{3, 2, 2, 15, 3, 3, 1, 2, 3, 3, 1, 2, 3, 3, 1, 2, 3, 3, 1, 2, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sc := decodeShuffleCase(data)
-		for _, threshold := range []int64{0, 1, 24} {
-			wantGroups, want, err := refShuffle(sc.tasks(), sc.partitions, threshold, sc.newCombiner())
-			if err != nil {
-				t.Fatal(err)
+		checkShuffleCase(t, decodeShuffleCase(data), []int64{0, 1, 24}, []int{1, 2, 4})
+	})
+}
+
+// checkShuffleCase runs sc through Run at every spill threshold and worker
+// count, on a cluster outside a query (no page free list) and on one bound
+// to a context whose free list poisons every page handed back: the groups,
+// their value order, Volumes() and the spill counts must equal the
+// reference's.
+func checkShuffleCase(t *testing.T, sc shuffleCase, thresholds []int64, workerCounts []int) {
+	t.Helper()
+	for _, threshold := range thresholds {
+		wantGroups, want, err := refShuffle(sc.tasks(), sc.partitions, threshold, sc.newCombiner())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wantOut []string
+		for _, gs := range wantGroups {
+			for _, g := range gs {
+				wantOut = append(wantOut, string(appendGroup(nil, g.key, g.values)))
 			}
-			var wantOut []string
-			for _, gs := range wantGroups {
-				for _, g := range gs {
-					wantOut = append(wantOut, string(appendGroup(nil, g.key, g.values)))
-				}
-			}
-			for _, workers := range []int{1, 2, 4} {
+		}
+		for _, workers := range workerCounts {
+			for _, inQuery := range []bool{false, true} {
 				cfg := DefaultConfig()
 				cfg.ExecSplitBytes = int64(8 * sc.recsPerTask)
 				cfg.SpillThresholdBytes = threshold
 				c := NewCluster(cfg)
 				c.testWorkers = workers
+				if inQuery {
+					c = c.WithContext(context.Background())
+					c.pages.poison = true
+				}
 				w, err := c.FS.Create("in", 1)
 				if err != nil {
 					t.Fatal(err)
@@ -202,10 +218,10 @@ func FuzzShuffleMatchesReference(f *testing.F) {
 				}
 				m, err := c.Run(sc.job())
 				if err != nil {
-					t.Fatalf("threshold %d, workers %d: %v", threshold, workers, err)
+					t.Fatalf("threshold %d, workers %d, in query %v: %v", threshold, workers, inQuery, err)
 				}
 				if got := readLines(t, c, "out"); !slices.Equal(got, wantOut) {
-					t.Fatalf("threshold %d, workers %d: groups\n%q\nwant\n%q", threshold, workers, got, wantOut)
+					t.Fatalf("threshold %d, workers %d, in query %v: groups\n%q\nwant\n%q", threshold, workers, inQuery, got, wantOut)
 				}
 				ref := m.Volumes()
 				ref.MapEmitRecords, ref.MapOutputRecords, ref.MapOutputBytes = want.MapEmitRecords, want.MapOutputRecords, want.MapOutputBytes
@@ -213,11 +229,11 @@ func FuzzShuffleMatchesReference(f *testing.F) {
 				ref.ReduceGroups = want.ReduceGroups
 				c.Config.cost(&ref)
 				if got := m.Volumes(); got != ref {
-					t.Fatalf("threshold %d, workers %d: volumes\n%+v\nwant\n%+v", threshold, workers, got, ref)
+					t.Fatalf("threshold %d, workers %d, in query %v: volumes\n%+v\nwant\n%+v", threshold, workers, inQuery, got, ref)
 				}
 			}
 		}
-	})
+	}
 }
 
 // Every emitter may reuse one buffer: a mapper, a combiner, a map-only

@@ -130,14 +130,15 @@ func TestSpillRunsCleanedUp(t *testing.T) {
 	}
 }
 
-// The full matrix: worker counts x spill thresholds x backends must all
-// produce the same output bytes (the determinism contract extended to
-// storage and spilling).
+// The full matrix: worker counts x spill thresholds x backends x entry
+// pages from no free list or a poisoned one must all produce the same
+// output bytes (the determinism contract extended to storage and
+// spilling).
 func TestSpillDeterminismMatrix(t *testing.T) {
 	var want string
 	for _, workers := range []int{1, 4} {
 		for _, threshold := range []int64{0, 64, 1 << 20} {
-			for _, backend := range []string{"mem", "disk"} {
+			for _, backend := range []string{"mem", "disk", "mem-poisoned"} {
 				cfg := DefaultConfig()
 				cfg.ExecSplitBytes = 256
 				cfg.SpillThresholdBytes = threshold
@@ -150,6 +151,10 @@ func TestSpillDeterminismMatrix(t *testing.T) {
 				}
 				c := NewClusterFS(cfg, fs)
 				c.testWorkers = workers
+				if backend == "mem-poisoned" {
+					c = c.WithContext(context.Background())
+					c.pages.poison = true
+				}
 				spillFixture(c)
 				if _, err := c.Run(wordCountJob("in", "out", true)); err != nil {
 					t.Fatalf("w=%d t=%d %s: %v", workers, threshold, backend, err)

@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -304,5 +306,75 @@ func TestTaskPanicIsInternalError(t *testing.T) {
 	restore()
 	if code, body := query(); code != http.StatusOK {
 		t.Fatalf("query after the panic: status %d, body %s", code, body)
+	}
+}
+
+// rewriteFile replaces the stored file name with recs, at its compression
+// ratio.
+func rewriteFile(t *testing.T, fs *dfs.FS, name string, ratio float64, recs [][]byte) {
+	t.Helper()
+	w, err := fs.Create(name, ratio)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		w.Write(rec)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// One corrupt record in a stored layout either fails a Hive query or
+// leaves its answer unchanged: a broadcast side never drops the record
+// silently, and its failure names the file. Each file in turn gets its first record replaced by
+// one of the same length whose arity exceeds its bytes, so the map-join
+// budget sees the same sizes.
+func TestCorruptSideRecordFailsQuery(t *testing.T) {
+	store := buildShopWith(t, ra.DefaultOptions())
+	fs, err := ra.StoreFS(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sys := range []ra.System{ra.HiveNaive, ra.HiveMQO} {
+		clean, _, err := store.Query(sys, exampleQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sides := 0
+		for _, name := range fs.List("store/") {
+			f, err := fs.Open(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs, err := f.AllRecords()
+			f.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(recs) == 0 || len(recs[0]) >= 0x7f {
+				continue
+			}
+			corrupt := slices.Clone(recs)
+			corrupt[0] = bytes.Clone(recs[0])
+			corrupt[0][0] = 0x7f
+			rewriteFile(t, fs, name, f.CompressionRatio(), corrupt)
+			res, _, err := store.Query(sys, exampleQuery)
+			rewriteFile(t, fs, name, f.CompressionRatio(), recs)
+			switch {
+			case err == nil:
+				if !reflect.DeepEqual(res.Rows(), clean.Rows()) {
+					t.Errorf("%s with %s corrupt: rows %v, want %v or an error", sys, name, res.Rows(), clean.Rows())
+				}
+			case strings.Contains(err.Error(), "broadcast side"):
+				if !strings.Contains(err.Error(), name) {
+					t.Errorf("%s with %s corrupt: error %q does not name the file", sys, name, err)
+				}
+				sides++
+			}
+		}
+		if sides == 0 {
+			t.Errorf("%s: no corrupt broadcast side failed the query", sys)
+		}
 	}
 }
