@@ -35,10 +35,10 @@ func main() {
 		all      = flag.Bool("all", false, "run all four engines and compare")
 		verify   = flag.Bool("verify", false, "cross-check results against the in-memory oracle")
 		explain  = flag.Bool("explain", false, "print the optimizer's plan explanation and exit")
-		rows     = flag.Int("rows", 10, "result rows to print (0 = all)")
+		rows     = flag.Int("rows", 10, "result rows to print with -data (0 = all)")
 		trace    = flag.String("trace", "", "execution trace: table (per-cycle stats) or spans (hierarchical span tree)")
 		traceOut = flag.String("trace-out", "", "write the captured span trees as JSON to this file")
-		format   = flag.String("format", "table", "result format: table or csv")
+		format   = flag.String("format", "table", "result format with -data: table or csv")
 		storage  = flag.String("storage", "", "DFS backend: mem or disk (empty honors $RAPID_STORAGE, default mem)")
 		dataDir  = flag.String("data-dir", "", "root directory for -storage disk (empty = fresh temp dir)")
 		spill    = flag.Int64("spill-threshold", 0, "map-side spill threshold in bytes (0 disables spilling)")
@@ -47,6 +47,9 @@ func main() {
 	st := storageOpts{storage: *storage, dataDir: *dataDir, spill: *spill}
 	if *trace != "" && *trace != "table" && *trace != "spans" {
 		fatal(fmt.Errorf("-trace must be empty, %q or %q", "table", "spans"))
+	}
+	if *format == "csv" && *data == "" {
+		fatal(fmt.Errorf("-format csv needs -data (a catalog -dataset run prints a stats table)"))
 	}
 
 	query, err := resolveQuery(*queryID, *file)
@@ -66,7 +69,7 @@ func main() {
 		runOnFile(query, *data, *system, *all, *verify, *rows, *trace, *traceOut, *format, st)
 		return
 	}
-	runOnCatalogDataset(query, *queryID, *dataset, *system, *all, *verify, *rows, *trace, *traceOut, st)
+	runOnCatalogDataset(*queryID, *dataset, *system, *all, *verify, *trace, *traceOut, st)
 }
 
 // storageOpts carries the storage-backend flags into both run paths.
@@ -155,7 +158,7 @@ func runOnFile(query, dataFile, system string, all, verify bool, rows int, trace
 	}
 }
 
-func runOnCatalogDataset(query, queryID, dataset, system string, all, verify bool, rows int, trace, traceOut string, st storageOpts) {
+func runOnCatalogDataset(queryID, dataset, system string, all, verify bool, trace, traceOut string, st storageOpts) {
 	if queryID == "" {
 		fatal(fmt.Errorf("-dataset requires a catalog -query; use -data for ad-hoc queries"))
 	}
@@ -207,8 +210,6 @@ func runOnCatalogDataset(query, queryID, dataset, system string, all, verify boo
 		}
 	}
 	writeTraceFile(traceOut, spans)
-	_ = rows
-	_ = query
 }
 
 // writeTraceFile writes the captured span trees as a JSON array, one element

@@ -162,10 +162,10 @@ SELECT ?s (COUNT(?o%d) AS ?c) { ?s e:p%d ?o%d . } GROUP BY ?s`
 	}
 	stats := store.PlanCacheStats()
 	if stats.Evictions == 0 {
-		t.Fatalf("expected evictions with capacity 2: %+v", stats)
+		t.Fatalf("expected evictions with budget 2: %+v", stats)
 	}
-	if stats.Entries > stats.Capacity {
-		t.Fatalf("entries exceed capacity: %+v", stats)
+	if int64(stats.Entries) > stats.BudgetBytes || stats.BudgetBytes != 2 {
+		t.Fatalf("entries exceed budget 2: %+v", stats)
 	}
 }
 
@@ -175,7 +175,7 @@ func TestPlanCacheDisabled(t *testing.T) {
 	store := ra.NewStore(opts)
 	if _, err := store.Prepare(ra.Reference, secondQuery); err == nil {
 		// No graph loaded; Prepare still compiles fine.
-		if stats := store.PlanCacheStats(); stats.Hits != 0 || stats.Misses != 0 || stats.Capacity != 0 {
+		if stats := store.PlanCacheStats(); stats.Hits != 0 || stats.Misses != 0 || stats.BudgetBytes != 0 {
 			t.Fatalf("disabled cache recorded activity: %+v", stats)
 		}
 	} else {

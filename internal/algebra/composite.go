@@ -83,15 +83,6 @@ func (cs *CompositeStar) TriplesFor(k int) []sparql.TriplePattern {
 	return tps
 }
 
-// AllTriples returns every canonical triple pattern of the composite star.
-func (cs *CompositeStar) AllTriples() []sparql.TriplePattern {
-	tps := make([]sparql.TriplePattern, len(cs.Props))
-	for i, p := range cs.Props {
-		tps[i] = p.TP
-	}
-	return tps
-}
-
 // String renders the star in the paper's Stp_ab̲c notation: secondary
 // properties are suffixed with '?'.
 func (cs *CompositeStar) String() string {
@@ -274,17 +265,6 @@ func filtersEqual(a, b []sparql.Filter) bool {
 		}
 	}
 	return true
-}
-
-// SecondariesFor returns, per composite star, the secondary property refs
-// required by original pattern k — the n-split P_sec_k sets of Definition
-// 3.4.
-func (cp *CompositePattern) SecondariesFor(k int) [][]PropRef {
-	out := make([][]PropRef, len(cp.Stars))
-	for i, cs := range cp.Stars {
-		out[i] = cs.RequiredSecondaryFor(k)
-	}
-	return out
 }
 
 // NeedsDistinct reports whether projecting the composite relation onto

@@ -205,22 +205,6 @@ func TestCompositeVariableRenaming(t *testing.T) {
 	}
 }
 
-func TestSecondariesFor(t *testing.T) {
-	aq := mustAQ(t, mg1)
-	cp, err := BuildComposite(aq.Subqueries)
-	if err != nil {
-		t.Fatalf("BuildComposite: %v", err)
-	}
-	s0 := cp.SecondariesFor(0)
-	if len(s0) != 2 || len(s0[0]) != 1 || len(s0[1]) != 0 {
-		t.Errorf("SecondariesFor(0) = %v", s0)
-	}
-	s1 := cp.SecondariesFor(1)
-	if len(s1[0]) != 0 || len(s1[1]) != 0 {
-		t.Errorf("SecondariesFor(1) = %v", s1)
-	}
-}
-
 func TestBuildRejections(t *testing.T) {
 	cases := map[string]string{
 		"no aggregation":          prefix + `SELECT ?s { ?s e:p ?o . }`,

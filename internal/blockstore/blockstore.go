@@ -151,9 +151,6 @@ func (s *Store) pathOf(name string) string {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Shards returns the store's shard count.
-func (s *Store) Shards() int { return s.shards }
-
 // Create starts writing a (new or truncated) segment under name. The name
 // becomes visible (Exists, List) immediately, but its content commits
 // atomically at SegmentWriter.Close; until then readers of the name see no

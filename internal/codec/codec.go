@@ -142,13 +142,6 @@ func AppendDecodeTuple(dst Tuple, buf []byte) (Tuple, error) {
 	return out, nil
 }
 
-// Concat returns a new tuple appending other's fields to t's.
-func (t Tuple) Concat(other Tuple) Tuple {
-	out := make(Tuple, 0, len(t)+len(other))
-	out = append(out, t...)
-	return append(out, other...)
-}
-
 // Interner resolves term IDs to their canonical interned ID-strings, so
 // decoded tuples share one string per distinct term instead of allocating a
 // copy per field. *rdf.Dict implements it.

@@ -60,20 +60,6 @@ func TestDecodeTupleErrors(t *testing.T) {
 	}
 }
 
-func TestConcat(t *testing.T) {
-	a := Tuple{"1", "2"}
-	b := Tuple{"3"}
-	got := a.Concat(b)
-	if !reflect.DeepEqual(got, Tuple{"1", "2", "3"}) {
-		t.Errorf("Concat = %v", got)
-	}
-	// Concat must not alias the receiver's backing array.
-	got[0] = "X"
-	if a[0] != "1" {
-		t.Error("Concat aliased receiver")
-	}
-}
-
 func TestPrimitives(t *testing.T) {
 	buf := AppendUvarint(nil, 300)
 	buf = AppendString(buf, "hello")

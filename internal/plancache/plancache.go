@@ -1,14 +1,16 @@
 // Package plancache is a concurrency-safe LRU cache for compiled query
-// plans. Real SPARQL workloads are dominated by repeated query templates
-// (Bonifati et al.'s analysis of large public query logs), so amortising the
-// parse → overlap-detection → composite-rewrite pipeline across repetitions
-// of the same query text is the cheapest large win the serving layer gets.
+// plans, final results and composite sub-relations. Real SPARQL workloads
+// are dominated by repeated query templates (Bonifati et al.'s analysis of
+// large public query logs), so amortising the parse → overlap-detection →
+// composite-rewrite pipeline across repetitions of the same query text is
+// the cheapest large win the serving layer gets.
 //
-// The cache is value-agnostic: it maps keys to opaque entries and keeps
-// exact hit/miss/eviction counters so the serving layer can export them.
-// Every method takes a Key, and VersionedKey is the only way to build one,
-// so no entry can be stored or looked up without the store's data version:
-// an unversioned key does not compile.
+// The cache is value-agnostic: it maps keys to opaque entries, each with a
+// caller-provided size, and keeps exact hit/miss/eviction counters so the
+// serving layer can export them. Every method takes a Key, and
+// VersionedKey is the only way to build one, so no entry can be stored or
+// looked up without the store's data version: an unversioned key does not
+// compile.
 package plancache
 
 import (
@@ -41,43 +43,47 @@ type Stats struct {
 	// Evictions counts entries dropped by the LRU policy (Remove and
 	// overwrites are not evictions).
 	Evictions int64 `json:"evictions"`
-	// Entries is the current number of cached plans.
+	// Entries is the current number of cached values.
 	Entries int `json:"entries"`
-	// Capacity is the configured maximum number of entries (count-bounded
-	// caches only; zero for a SizedCache).
-	Capacity int `json:"capacity,omitempty"`
-	// Bytes and BudgetBytes describe a SizedCache: accounted bytes held
-	// and the configured byte budget. Zero for a count-bounded Cache.
-	Bytes       int64 `json:"bytes,omitempty"`
-	BudgetBytes int64 `json:"budgetBytes,omitempty"`
+	// Bytes and BudgetBytes are the accounted size held and the configured
+	// budget, in the unit the caller sizes entries in.
+	Bytes       int64 `json:"bytes"`
+	BudgetBytes int64 `json:"budgetBytes"`
+}
+
+// Cache is a budget-bounded LRU map: every entry carries a caller-provided
+// size, and inserting past the budget evicts least-recently-used entries
+// until the new entry fits. Sizing every entry 1 makes the budget an entry
+// count (the plan cache); sizing entries in bytes keeps a handful of huge
+// values from blowing the heap (the result and sub-relation cache).
+//
+// All methods are safe for concurrent use.
+type Cache struct {
+	mu     sync.Mutex
+	budget int64
+	bytes  int64
+	ll     *list.List // front = most recently used
+	items  map[Key]*list.Element
+
+	hits, misses, evictions int64
 }
 
 type entry struct {
 	key   Key
 	value any
+	size  int64
 }
 
-// Cache is a fixed-capacity LRU map. All methods are safe for concurrent
-// use.
-type Cache struct {
-	mu       sync.Mutex
-	capacity int
-	ll       *list.List // front = most recently used
-	items    map[Key]*list.Element
-
-	hits, misses, evictions int64
-}
-
-// New returns a cache holding at most capacity entries. Capacities below 1
-// are clamped to 1.
-func New(capacity int) *Cache {
-	if capacity < 1 {
-		capacity = 1
+// New returns a cache holding at most budget accounted size. Budgets below
+// 1 are clamped to 1.
+func New(budget int64) *Cache {
+	if budget < 1 {
+		budget = 1
 	}
 	return &Cache{
-		capacity: capacity,
-		ll:       list.New(),
-		items:    make(map[Key]*list.Element, capacity),
+		budget: budget,
+		ll:     list.New(),
+		items:  make(map[Key]*list.Element),
 	}
 }
 
@@ -95,25 +101,47 @@ func (c *Cache) Get(key Key) (any, bool) {
 	return el.Value.(*entry).value, true
 }
 
-// Put inserts or overwrites a value, evicting the least recently used entry
-// when the cache is full.
-func (c *Cache) Put(key Key, value any) {
+// Put inserts or overwrites a value accounted at size, evicting
+// least-recently-used entries until the budget holds. A value larger than
+// the whole budget is not cached at all (inserting it would empty the
+// cache for a value that can never be retained).
+func (c *Cache) Put(key Key, value any, size int64) {
+	if size < 0 {
+		size = 0
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		el.Value.(*entry).value = value
-		c.ll.MoveToFront(el)
+	if size > c.budget {
+		if el, ok := c.items[key]; ok {
+			c.removeLocked(el)
+		}
 		return
 	}
-	if c.ll.Len() >= c.capacity {
-		oldest := c.ll.Back()
-		if oldest != nil {
-			c.ll.Remove(oldest)
-			delete(c.items, oldest.Value.(*entry).key)
-			c.evictions++
-		}
+	if el, ok := c.items[key]; ok {
+		ent := el.Value.(*entry)
+		c.bytes += size - ent.size
+		ent.value, ent.size = value, size
+		c.ll.MoveToFront(el)
+	} else {
+		c.bytes += size
+		c.items[key] = c.ll.PushFront(&entry{key: key, value: value, size: size})
 	}
-	c.items[key] = c.ll.PushFront(&entry{key: key, value: value})
+	for c.bytes > c.budget {
+		oldest := c.ll.Back()
+		if oldest == nil || oldest == c.ll.Front() {
+			break
+		}
+		c.removeLocked(oldest)
+		c.evictions++
+	}
+}
+
+// removeLocked unlinks one element and returns its size to the budget.
+func (c *Cache) removeLocked(el *list.Element) {
+	ent := el.Value.(*entry)
+	c.ll.Remove(el)
+	delete(c.items, ent.key)
+	c.bytes -= ent.size
 }
 
 // Remove drops a key if present.
@@ -121,8 +149,7 @@ func (c *Cache) Remove(key Key) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		c.ll.Remove(el)
-		delete(c.items, key)
+		c.removeLocked(el)
 	}
 }
 
@@ -131,7 +158,8 @@ func (c *Cache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.ll.Init()
-	c.items = make(map[Key]*list.Element, c.capacity)
+	c.items = make(map[Key]*list.Element)
+	c.bytes = 0
 }
 
 // Len returns the current entry count.
@@ -141,15 +169,23 @@ func (c *Cache) Len() int {
 	return c.ll.Len()
 }
 
+// Bytes returns the accounted size currently held.
+func (c *Cache) Bytes() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.bytes
+}
+
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Evictions: c.evictions,
-		Entries:   c.ll.Len(),
-		Capacity:  c.capacity,
+		Hits:        c.hits,
+		Misses:      c.misses,
+		Evictions:   c.evictions,
+		Entries:     c.ll.Len(),
+		Bytes:       c.bytes,
+		BudgetBytes: c.budget,
 	}
 }

@@ -63,9 +63,6 @@ func (m *Metrics) QueryStarted() (done func()) {
 	return func() { m.inFlight.Add(-1) }
 }
 
-// InFlight returns the number of queries currently executing.
-func (m *Metrics) InFlight() int64 { return m.inFlight.Load() }
-
 // ObserveQuery records one finished request: the executing system, the HTTP
 // status it mapped to, the MapReduce cycles it ran, and its latency.
 func (m *Metrics) ObserveQuery(system string, status int, mrCycles int, d time.Duration) {

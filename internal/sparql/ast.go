@@ -202,13 +202,3 @@ func (e *Expr) Vars(dst []string) []string {
 		return dst
 	}
 }
-
-// HasAggregates reports whether the projection contains any aggregate item.
-func (s *SelectQuery) HasAggregates() bool {
-	for _, p := range s.Projection {
-		if p.Agg != nil {
-			return true
-		}
-	}
-	return false
-}

@@ -41,9 +41,6 @@ func TestParseAnalyticalQuery(t *testing.T) {
 	if len(sub1.Pattern.Triples) != 5 {
 		t.Errorf("sub1 triple patterns = %d, want 5", len(sub1.Pattern.Triples))
 	}
-	if !sub1.HasAggregates() {
-		t.Error("sub1 should have aggregates")
-	}
 	// First triple: ?p2 rdf:type bsbm:ProductType1
 	tp := sub1.Pattern.Triples[0]
 	if !tp.S.IsVar || tp.S.Var != "p2" {

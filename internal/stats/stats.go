@@ -10,8 +10,6 @@
 package stats
 
 import (
-	"encoding/json"
-	"hash/fnv"
 	"maps"
 	"slices"
 	"strings"
@@ -64,9 +62,6 @@ type Catalog struct {
 	Preds map[string]PredStat `json:"preds"`
 	// Sets are the characteristic sets, sorted by their key lists.
 	Sets []CharSet `json:"sets"`
-	// Version is a content hash of the catalog, folded into plan-cache keys
-	// so cached plans do not survive statistics drift.
-	Version uint64 `json:"version"`
 }
 
 // Collect builds the catalog of g (Compute over g interned into a fresh
@@ -131,22 +126,7 @@ func Compute(g *rdf.IDGraph) *Catalog {
 	for _, id := range slices.Sorted(maps.Keys(sets)) {
 		c.Sets = append(c.Sets, *sets[id])
 	}
-	c.Version = c.hash()
 	return c
-}
-
-// hash computes the catalog's content hash over a canonical rendering.
-func (c *Catalog) hash() uint64 {
-	h := fnv.New64a()
-	enc := json.NewEncoder(h)
-	// Maps need deterministic order; encoding/json sorts map keys, so the
-	// struct encodes canonically as long as Sets are sorted (Compute sorts
-	// them).
-	v := c.Version
-	c.Version = 0
-	_ = enc.Encode(c)
-	c.Version = v
-	return h.Sum64()
 }
 
 // Pred returns the statistics of a predicate (the zero PredStat when the

@@ -84,8 +84,9 @@ type Options struct {
 	// so simulated seconds are comparable to a dataset DataScale times
 	// larger than the loaded one. 1 means no extrapolation.
 	DataScale float64
-	// PlanCacheSize bounds the store's LRU plan cache (entries). 0 means
-	// the default of 128; negative disables plan caching entirely.
+	// PlanCacheSize bounds the store's LRU plan cache: a budget in which
+	// every plan counts 1. 0 means the default of 128; negative disables
+	// plan caching entirely.
 	PlanCacheSize int
 	// Storage selects the simulated DFS backend: StorageMem (the default)
 	// keeps every record in memory; StorageDisk materialises files as
@@ -116,8 +117,8 @@ type Options struct {
 	SharedScanWindow time.Duration
 	// ResultCacheBytes bounds a byte-budget LRU caching final query results
 	// and reusable composite sub-relations, keyed by (system, canonical
-	// query form, statistics-catalog version) so no entry survives a data
-	// mutation. 0 disables result caching (the default).
+	// query form, data version) so no entry survives a data mutation. 0
+	// disables result caching (the default).
 	ResultCacheBytes int64
 }
 
@@ -177,9 +178,10 @@ type Store struct {
 	ds      *engine.Dataset
 	loads   int
 	// dataVersion counts mutation-triggered layout invalidations. It is
-	// folded into every plan-cache key, so a plan cached before a reload —
-	// against the previous statistics catalog — can never be served after
-	// one (guarded by loadMu, like the state it versions).
+	// folded into every plan, result and sub-relation cache key, so an
+	// entry cached before a reload — against the previous data and
+	// statistics catalog — can never be served after one (guarded by
+	// loadMu, like the state it versions).
 	dataVersion uint64
 
 	// plans caches compiled plans; nil when disabled. Compilation itself is
@@ -189,11 +191,9 @@ type Store struct {
 	plans *plancache.Cache
 
 	// results caches final result tables and composite sub-relations under
-	// one byte budget; nil when disabled. Keys embed the statistics-catalog
-	// version (final results) or the data version the engine was built at
-	// (sub-relations), so entries from before a mutation stop being
-	// addressable and age out of the LRU.
-	results *plancache.SizedCache
+	// one byte budget; nil when disabled. Keys embed dataVersion, so entries
+	// from before a mutation stop being addressable and age out of the LRU.
+	results *plancache.Cache
 
 	// scans is the current load's shared-scan scheduler (nil unless
 	// Options.SharedScans); scanStatsBase accumulates counters from
@@ -223,11 +223,11 @@ func NewStore(opts Options) *Store {
 		if size == 0 {
 			size = 128
 		}
-		plans = plancache.New(size)
+		plans = plancache.New(int64(size))
 	}
-	var results *plancache.SizedCache
+	var results *plancache.Cache
 	if opts.ResultCacheBytes > 0 {
-		results = plancache.NewSized(opts.ResultCacheBytes)
+		results = plancache.New(opts.ResultCacheBytes)
 	}
 	return &Store{opts: opts, graph: &rdf.Graph{}, plans: plans, results: results}
 }
@@ -254,7 +254,7 @@ func (s *Store) addGraph(g *rdf.Graph) {
 }
 
 // invalidateLayouts drops the materialised storage layouts after a
-// mutation and bumps the data version plan-cache keys are scoped by.
+// mutation and bumps the data version cache keys are scoped by.
 // Callers hold s.mu.
 func (s *Store) invalidateLayouts() {
 	s.loadMu.Lock()
@@ -570,12 +570,12 @@ func (s *Store) Prepare(sys System, query string) (*PreparedQuery, error) {
 			// Another spelling of the same query is already planned; alias
 			// this spelling to the shared plan.
 			c = v.(*Compiled)
-			s.plans.Put(rawKey, c)
+			s.plans.Put(rawKey, c, 1)
 			return &PreparedQuery{store: s, sys: sys, q: c, cacheHit: true}, nil
 		}
-		s.plans.Put(rawKey, c)
+		s.plans.Put(rawKey, c, 1)
 	}
-	s.plans.Put(canonKey, c)
+	s.plans.Put(canonKey, c, 1)
 	return &PreparedQuery{store: s, sys: sys, q: c}, nil
 }
 
@@ -693,16 +693,11 @@ func (s *Store) run(ctx context.Context, sys System, q *Compiled) (*Result, *Sta
 	if err != nil {
 		return nil, nil, err
 	}
-	// Result cache: the key folds in the statistics-catalog version, so a
-	// mutation (which rebuilds the catalog) makes every prior entry
-	// unaddressable — stale results cannot be served.
+	// Result cache: the key folds in the data version, so a mutation makes
+	// every prior entry unaddressable — stale results cannot be served.
 	var resultKey plancache.Key
 	if s.results != nil {
-		version := s.currentDataVersion()
-		if ds.Stats != nil {
-			version = ds.Stats.Version
-		}
-		resultKey = plancache.VersionedKey("res:"+string(sys), version, q.Normalized())
+		resultKey = plancache.VersionedKey("res:"+string(sys), s.currentDataVersion(), q.Normalized())
 		if v, ok := s.results.Get(resultKey); ok {
 			hit := v.(*Result)
 			sp := root.StartChild(obs.KindPlanner, "cache-hit")
@@ -790,7 +785,7 @@ func resultBytes(r *Result) int64 {
 // datasets. The "comp" namespace separates the seam from final results
 // (the "res:<system>" namespaces).
 type subResultCache struct {
-	c       *plancache.SizedCache
+	c       *plancache.Cache
 	version uint64
 }
 
@@ -908,73 +903,15 @@ func abbreviate(pattern string) string {
 }
 
 // PredictCycles returns the number of MapReduce cycles a system's plan for
-// the query will have (map-join decisions change which cycles are map-only
-// but never how many cycles run).
+// the query has. It runs the system's engine on an empty in-memory store:
+// an engine's workflow follows from the query, not the data (map-join
+// decisions change which cycles are map-only but never how many run). The
+// Reference evaluator and unknown systems run no cycles and return 0.
 func PredictCycles(q *Compiled, sys System) int {
-	aq := q.aq
-	multi := len(aq.Subqueries) > 1
-	finalJoin := 0
-	if multi {
-		finalJoin = 1
-	}
-	if aq.Sorted() {
-		finalJoin++ // the ORDER BY/LIMIT total-order cycle
-	}
-	perPatternHive := func(sq *algebra.Subquery) int {
-		n := 0
-		for _, st := range sq.Pattern.Stars {
-			if len(st.Triples)+len(st.Optionals) >= 2 {
-				n++ // star-join cycle
-			}
-		}
-		return n + len(sq.Pattern.Stars) - 1 + 1 // inter-star joins + grouping
-	}
-	switch sys {
-	case HiveNaive:
-		total := 0
-		for _, sq := range aq.Subqueries {
-			total += perPatternHive(sq)
-		}
-		return total + finalJoin
-	case HiveMQO:
-		cp, err := compositeOf(aq)
-		if err != nil {
-			return PredictCycles(q, HiveNaive)
-		}
-		n := 0
-		for _, cs := range cp.Stars {
-			if len(cs.Props) >= 2 {
-				n++
-			}
-		}
-		n += len(cp.Stars) - 1 // inter-star joins
-		for k := range aq.Subqueries {
-			n++ // aggregation
-			if cp.NeedsDistinct(k) {
-				n++
-			}
-		}
-		return n + finalJoin
-	case RAPIDPlus:
-		total := 0
-		for _, sq := range aq.Subqueries {
-			total += len(sq.Pattern.Stars) - 1 + 1
-		}
-		return total + finalJoin
-	case RAPIDAnalytics:
-		cp, err := compositeOf(aq)
-		if err != nil {
-			return PredictCycles(q, RAPIDPlus)
-		}
-		return len(cp.Stars) - 1 + 1 + finalJoin
-	default:
+	s := NewStore(Options{Storage: StorageMem, PlanCacheSize: -1})
+	_, stats, err := s.QueryCompiled(sys, q)
+	if err != nil {
 		return 0
 	}
-}
-
-func compositeOf(aq *algebra.AnalyticalQuery) (*algebra.CompositePattern, error) {
-	if len(aq.Subqueries) < 2 {
-		return nil, fmt.Errorf("single grouping")
-	}
-	return algebra.BuildComposite(aq.Subqueries)
+	return stats.MRCycles
 }

@@ -3,9 +3,12 @@ package rapidanalytics
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"strings"
 	"sync"
 	"testing"
+
+	"rapidanalytics/internal/bench"
 )
 
 const apiQuery = `PREFIX e: <http://e/>
@@ -132,20 +135,76 @@ func TestExplain(t *testing.T) {
 	}
 }
 
+// TestPredictCyclesMatchesExecution: the cycle count PredictCycles reads
+// off an empty store is the count the same engine runs on real data — the
+// API graph, and every catalog query on each of its datasets (the skew
+// graphs, where rapid.JoinChain re-plans, included).
 func TestPredictCyclesMatchesExecution(t *testing.T) {
-	q, err := Compile(apiQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := apiStore()
-	for _, sys := range Systems() {
-		_, stats, err := s.QueryCompiled(sys, q)
+	check := func(t *testing.T, s *Store, id, query string) {
+		q, err := Compile(query)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := PredictCycles(q, sys); got != stats.MRCycles {
-			t.Errorf("%s: predicted %d cycles, executed %d", sys, got, stats.MRCycles)
+		for _, sys := range Systems() {
+			_, stats, err := s.QueryCompiled(sys, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := PredictCycles(q, sys); got != stats.MRCycles {
+				t.Errorf("%s on %s: predicted %d cycles, executed %d", id, sys, got, stats.MRCycles)
+			}
 		}
+	}
+	check(t, apiStore(), "api", apiQuery)
+	api, _ := Compile(apiQuery)
+	for _, sys := range []System{Reference, "spark"} {
+		if got := PredictCycles(api, sys); got != 0 {
+			t.Errorf("%s: predicted %d cycles, want 0", sys, got)
+		}
+	}
+	for _, spec := range bench.Specs() {
+		t.Run(spec.ID, func(t *testing.T) {
+			s := NewStore(DefaultOptions())
+			s.addGraph(spec.Generate(0.5))
+			for _, q := range bench.Catalog {
+				if q.Dataset == spec.CatalogName {
+					check(t, s, q.ID, q.SPARQL)
+				}
+			}
+		})
+	}
+}
+
+// TestPredictCyclesPinsMemoryStorage: RAPID_STORAGE=disk changes no
+// predicted count, and the empty store PredictCycles runs on writes
+// nothing to the temporary directory.
+func TestPredictCyclesPinsMemoryStorage(t *testing.T) {
+	type cell struct {
+		id   string
+		q    *Compiled
+		sys  System
+		want int
+	}
+	var cells []cell
+	for _, cq := range bench.Catalog {
+		q, err := Compile(cq.SPARQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sys := range Systems() {
+			cells = append(cells, cell{cq.ID, q, sys, PredictCycles(q, sys)})
+		}
+	}
+	tmp := t.TempDir()
+	t.Setenv("RAPID_STORAGE", StorageDisk)
+	t.Setenv("TMPDIR", tmp)
+	for _, c := range cells {
+		if got := PredictCycles(c.q, c.sys); got != c.want {
+			t.Errorf("%s on %s: %d cycles under RAPID_STORAGE=disk, %d in memory", c.id, c.sys, got, c.want)
+		}
+	}
+	if left, err := os.ReadDir(tmp); err != nil || len(left) != 0 {
+		t.Errorf("PredictCycles left %d entries in TMPDIR (err %v)", len(left), err)
 	}
 }
 
