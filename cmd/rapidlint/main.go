@@ -1,6 +1,6 @@
 // Command rapidlint runs the rapidanalytics invariant analyzers (hotalloc,
-// errtyped, closecheck, lockorder — see DESIGN.md "Invariants") over Go
-// packages:
+// errtyped, lockorder — see DESIGN.md "Invariants") over the non-test Go
+// files of packages:
 //
 //	go run ./cmd/rapidlint ./...
 //
@@ -9,8 +9,6 @@
 // Flags:
 //
 //	-gha     emit GitHub Actions workflow annotations (::error lines)
-//	-tests   additionally analyze _test.go files with the lifecycle
-//	         analyzer (closecheck); the others stay production-only
 package main
 
 import (
@@ -31,7 +29,6 @@ func run(args []string) int {
 	fs := flag.NewFlagSet("rapidlint", flag.ContinueOnError)
 	fs.Usage = usage
 	ghaOut := fs.Bool("gha", false, "emit GitHub Actions ::error annotations")
-	tests := fs.Bool("tests", false, "also analyze _test.go files with the lifecycle analyzer")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -39,8 +36,7 @@ func run(args []string) int {
 		usage()
 		return 2
 	}
-	diags, err := driver.Run("", driver.Options{Tests: *tests},
-		lint.Analyzers(), lint.TestAnalyzers(), fs.Args()...)
+	diags, err := driver.Run("", lint.Analyzers(), fs.Args()...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rapidlint:", err)
 		return 2
@@ -59,14 +55,10 @@ func run(args []string) int {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: rapidlint [-gha] [-tests] <packages>   (e.g. rapidlint ./...)")
+	fmt.Fprintln(os.Stderr, "usage: rapidlint [-gha] <packages>   (e.g. rapidlint ./...)")
 	fmt.Fprintln(os.Stderr, "\nanalyzers:")
 	for _, a := range lint.Analyzers() {
 		fmt.Fprintf(os.Stderr, "  %-10s %s\n", a.Name, a.Doc)
-	}
-	fmt.Fprintln(os.Stderr, "\n-tests additionally applies to _test.go files:")
-	for _, a := range lint.TestAnalyzers() {
-		fmt.Fprintf(os.Stderr, "  %-10s\n", a.Name)
 	}
 }
 

@@ -19,6 +19,43 @@ SELECT ?feature (COUNT(?pr) AS ?cnt)
 { ?p a e:Phone ; e:feature ?feature .
   ?o e:product ?p ; e:price ?pr . } GROUP BY ?feature ORDER BY ?feature`
 
+// checkStoreClean fails t unless every query the store ran cleaned up
+// after itself: no DFS handle open, no stream live, no intermediate left
+// under tmp/.
+func checkStoreClean(t *testing.T, store *ra.Store) {
+	t.Helper()
+	fs, err := ra.StoreFS(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := fs.OpenHandles(); n != 0 {
+		t.Errorf("%d DFS handles left open", n)
+	}
+	if n := fs.LiveStreams(); n != 0 {
+		t.Errorf("%d streams left live", n)
+	}
+	if left := fs.List("tmp/"); len(left) != 0 {
+		t.Errorf("%d intermediates left behind, first %s", len(left), left[0])
+	}
+}
+
+// TestRepeatedQueriesLeaveNoIntermediates: a store serving the same
+// queries over and over holds only its base layouts, whichever system
+// ran them.
+func TestRepeatedQueriesLeaveNoIntermediates(t *testing.T) {
+	store := buildShop()
+	for round := 0; round < 3; round++ {
+		for _, q := range []string{exampleQuery, secondQuery} {
+			for _, sys := range ra.Systems() {
+				if _, _, err := store.Query(sys, q); err != nil {
+					t.Fatalf("round %d %s: %v", round, sys, err)
+				}
+			}
+		}
+	}
+	checkStoreClean(t, store)
+}
+
 func canonRows(res *ra.Result) string {
 	rows := make([]string, res.Len())
 	for i, r := range res.Rows() {
@@ -106,6 +143,7 @@ func TestConcurrentMixedQueries(t *testing.T) {
 	if stats := store.PlanCacheStats(); stats.Hits == 0 {
 		t.Errorf("stress run recorded no plan cache hits: %+v", stats)
 	}
+	checkStoreClean(t, store)
 }
 
 func TestPrepareCacheHitAndCanonicalAlias(t *testing.T) {
@@ -297,6 +335,7 @@ func TestConcurrentParallelReduceStableStats(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+	checkStoreClean(t, store)
 }
 
 // TestPrepareInvalidatedByMutation: plan-cache keys fold in the store's

@@ -98,11 +98,18 @@ func (e *Engine) Name() string { return "RAPIDAnalytics" }
 
 // Execute implements engine.Engine.
 func (e *Engine) Execute(c *mapred.Cluster, ds *engine.Dataset, aq *algebra.AnalyticalQuery) (*engine.Result, *mapred.WorkflowMetrics, error) {
-	run := engine.NewRunner(c, fmt.Sprintf("tmp/rapidanalytics/%d", runSeq.Add(1)))
+	return engine.Run(c, fmt.Sprintf("tmp/rapidanalytics/%d", runSeq.Add(1)), func(run *engine.Runner) (*engine.Result, error) {
+		return e.execute(run, ds, aq)
+	})
+}
+
+// execute evaluates the query on run: composite rewriting when the
+// subqueries' patterns overlap, sequential NTGA evaluation otherwise.
+func (e *Engine) execute(run *engine.Runner, ds *engine.Dataset, aq *algebra.AnalyticalQuery) (*engine.Result, error) {
 	if len(aq.Subqueries) < 2 {
 		return e.executeSequential(run, ds, aq)
 	}
-	ps := obs.StartChild(c.Context(), obs.KindPlanner, "composite-rewrite")
+	ps := obs.StartChild(run.C.Context(), obs.KindPlanner, "composite-rewrite")
 	cp, err := algebra.BuildComposite(aq.Subqueries)
 	ps.End()
 	if err != nil {
@@ -111,7 +118,7 @@ func (e *Engine) Execute(c *mapred.Cluster, ds *engine.Dataset, aq *algebra.Anal
 	}
 	matched, err := e.compositeMatches(run, ds, cp)
 	if err != nil {
-		return nil, run.WM, err
+		return nil, err
 	}
 	if !e.Opts.ParallelAggregation {
 		// Figure 6(a): one TG_AgJ cycle per grouping over the shared
@@ -122,7 +129,7 @@ func (e *Engine) Execute(c *mapred.Cluster, ds *engine.Dataset, aq *algebra.Anal
 			job := tgops.AggJoinJob(fmt.Sprintf("aggjoin%d", k), matched,
 				[]tgops.AggJoinSpec{e.aggSpec(ds, cp, sq, k)}, e.Opts.HashAggregation, out)
 			if err := run.Exec(job); err != nil {
-				return nil, run.WM, err
+				return nil, err
 			}
 			aggFiles = append(aggFiles, out)
 		}
@@ -137,19 +144,19 @@ func (e *Engine) Execute(c *mapred.Cluster, ds *engine.Dataset, aq *algebra.Anal
 	tagged := run.Path("aggjoin-parallel")
 	job := tgops.AggJoinJob("aggjoin-parallel", matched, specs, e.Opts.HashAggregation, tagged)
 	if err := run.Exec(job); err != nil {
-		return nil, run.WM, err
+		return nil, err
 	}
 	return engine.FinishQuery(run, aq, []string{tagged})
 }
 
 // executeSequential is the fallback path: per-subquery NTGA evaluation with
 // this engine's aggregation options.
-func (e *Engine) executeSequential(run *engine.Runner, ds *engine.Dataset, aq *algebra.AnalyticalQuery) (*engine.Result, *mapred.WorkflowMetrics, error) {
+func (e *Engine) executeSequential(run *engine.Runner, ds *engine.Dataset, aq *algebra.AnalyticalQuery) (*engine.Result, error) {
 	var aggFiles []string
 	for k, sq := range aq.Subqueries {
 		file, err := rapid.EvalSubquery(run, ds, sq, k, e.Opts.HashAggregation, e.Opts.InputPruning)
 		if err != nil {
-			return nil, run.WM, err
+			return nil, err
 		}
 		aggFiles = append(aggFiles, file)
 	}
@@ -159,10 +166,11 @@ func (e *Engine) executeSequential(run *engine.Runner, ds *engine.Dataset, aq *a
 // compositeMatches returns the composite pattern's matched triplegroups,
 // served from the sub-result cache when an identical composite evaluation
 // (same dataset materialisation, same pattern, filters and option flags)
-// already ran; otherwise it evaluates the pattern and caches the output.
-// Cached sources are reused read-only: DFS snapshots are immutable and
-// re-openable, so N queries can consume one materialised (or streamed)
-// match relation concurrently.
+// already ran; otherwise it evaluates the pattern and caches the output,
+// whose files the runner then keeps past the execution: they stay until
+// the dataset is reloaded. Cached sources are reused read-only: DFS
+// snapshots are immutable and re-openable, so N queries can consume one
+// materialised (or streamed) match relation concurrently.
 func (e *Engine) compositeMatches(run *engine.Runner, ds *engine.Dataset, cp *algebra.CompositePattern) (tgops.Source, error) {
 	if e.SubResults == nil {
 		return e.evalComposite(run, ds, cp)
@@ -177,6 +185,7 @@ func (e *Engine) compositeMatches(run *engine.Runner, ds *engine.Dataset, cp *al
 	if err != nil {
 		return src, err
 	}
+	run.Keep(src.Files...)
 	e.SubResults.Put(key, src, sourceBytes(run, src))
 	return src, nil
 }
@@ -217,12 +226,7 @@ func (e *Engine) evalComposite(run *engine.Runner, ds *engine.Dataset, cp *algeb
 	for i, cs := range cp.Stars {
 		refs[i] = cs.PrimaryRefs()
 	}
-	// A hand-built dataset without a catalog leaves est nil, which is
-	// JoinOrderCost's star-0-first fallback, and the chain non-adaptive.
-	var est algebra.CardEstimator
-	if ds.Stats != nil {
-		est = stats.NewEstimator(ds.Stats, refs, false)
-	}
+	est := stats.NewEstimator(ds.Stats, refs, false)
 	order, err := algebra.JoinOrderCost(len(cp.Stars), cp.Joins, est)
 	ps.End()
 	if err != nil {

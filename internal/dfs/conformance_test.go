@@ -159,6 +159,51 @@ func TestConformanceDeleteMissing(t *testing.T) {
 	})
 }
 
+// TestConformanceOpenHandles: every File and Writer handed out counts as
+// open until its first Close, whatever its kind; a failed Open counts
+// nothing, and closing twice counts down once.
+func TestConformanceOpenHandles(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, fs *FS) {
+		want := func(n int) {
+			t.Helper()
+			if got := fs.OpenHandles(); got != n {
+				t.Fatalf("OpenHandles = %d, want %d", got, n)
+			}
+		}
+		w := mustCreate(t, fs, "f", 1)
+		sw, err := fs.CreateStream("s", 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want(2)
+		w.Write([]byte("a"))
+		sw.Write([]byte("b"))
+		for _, w := range []*Writer{w, sw, w} {
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want(0)
+		f, err := fs.Open("f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := fs.Open("s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fs.Open("nope"); err == nil {
+			t.Fatal("Open of missing file succeeded")
+		}
+		want(2)
+		f.Close()
+		f.Close()
+		want(1)
+		s.Close()
+		want(0)
+	})
+}
+
 func TestConformanceOpenMissing(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, fs *FS) {
 		if f, err := fs.Open("nope"); err == nil {

@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // ErrCompressionRatio reports a compression ratio outside (0, 1] passed to
@@ -89,6 +90,12 @@ type File struct {
 	bytes int64
 	ratio float64
 	src   recordSource
+
+	// open is the handle count of the FS that handed the File out (nil for
+	// a File straight from a Backend); closed makes the first Close the
+	// one that counts it down.
+	open   *atomic.Int64
+	closed atomic.Bool
 }
 
 // Name returns the file's name.
@@ -122,9 +129,16 @@ func (f *File) AllRecords() ([][]byte, error) {
 }
 
 // Close releases backend resources (the segment file descriptor on the
-// disk backend; a no-op in memory). Closing is optional — unclosed handles
-// are reclaimed at GC — but tidy for long-lived processes.
-func (f *File) Close() error { return f.src.close() }
+// disk backend; a no-op in memory). Every File an FS hands out must be
+// closed on every path: FS.OpenHandles counts it until then, and the
+// workflow tests require that count to be zero after every execution.
+// Close may be called more than once; the handle is counted down once.
+func (f *File) Close() error {
+	if !f.closed.Swap(true) && f.open != nil {
+		f.open.Add(-1)
+	}
+	return f.src.close()
+}
 
 // storedSize is the one compression-accounting formula both backends and
 // the Writer share.
@@ -136,6 +150,9 @@ func storedSize(bytes int64, ratio float64) int64 {
 // are safe for concurrent use.
 type FS struct {
 	b Backend
+
+	// open counts the Files and Writers handed out and not yet closed.
+	open atomic.Int64
 
 	// mu guards streams, the registry of live streamed files (CreateStream)
 	// that Open and Exists consult before the backend.
@@ -176,7 +193,7 @@ func (fs *FS) Create(name string, ratio float64) (*Writer, error) {
 		return nil, err
 	}
 	fs.dropStream(name)
-	return &Writer{fw: fw, name: name, ratio: ratio}, nil
+	return fs.countWriter(&Writer{fw: fw, name: name, ratio: ratio}), nil
 }
 
 // Open returns a snapshot of the named file. Streamed files are served
@@ -184,9 +201,32 @@ func (fs *FS) Create(name string, ratio float64) (*Writer, error) {
 // metadata.
 func (fs *FS) Open(name string) (*File, error) {
 	if sf := fs.stream(name); sf != nil {
-		return fs.openStream(name, sf), nil
+		return fs.countFile(fs.openStream(name, sf)), nil
 	}
-	return fs.b.Open(name)
+	f, err := fs.b.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return fs.countFile(f), nil
+}
+
+// OpenHandles returns the number of Files (Open) and Writers (Create,
+// CreateStream) the FS has handed out that are not yet closed. A query
+// that returns, successfully or not, leaves it where it found it.
+func (fs *FS) OpenHandles() int { return int(fs.open.Load()) }
+
+// countFile counts f as open until its first Close.
+func (fs *FS) countFile(f *File) *File {
+	fs.open.Add(1)
+	f.open = &fs.open
+	return f
+}
+
+// countWriter counts w as open until its first Close.
+func (fs *FS) countWriter(w *Writer) *Writer {
+	fs.open.Add(1)
+	w.open = &fs.open
+	return w
 }
 
 // Exists reports whether the named file exists (streamed or stored).

@@ -83,7 +83,7 @@ func (fs *FS) CreateStream(name string, ratio float64, spillBytes int64) (*Write
 		builder:    vec.NewBuilder(vec.DefaultBatchRows),
 		spillBytes: spillBytes,
 	}
-	return &Writer{fw: sw, name: name, ratio: ratio}, nil
+	return fs.countWriter(&Writer{fw: sw, name: name, ratio: ratio}), nil
 }
 
 // stream looks a name up in the stream registry.
@@ -91,6 +91,14 @@ func (fs *FS) stream(name string) *streamFile {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	return fs.streams[name]
+}
+
+// LiveStreams returns the number of streamed files in the registry: those
+// created and neither deleted, truncated by Create, nor overflowed.
+func (fs *FS) LiveStreams() int {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return len(fs.streams)
 }
 
 // dropStream removes a name from the stream registry (Create over the

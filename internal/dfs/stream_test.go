@@ -262,6 +262,59 @@ func TestStreamOverflowToBackend(t *testing.T) {
 	}
 }
 
+// appendFailBackend fails every Append of the backend writers it hands
+// out and counts those writers until they are closed.
+type appendFailBackend struct {
+	Backend
+	open int
+}
+
+func (b *appendFailBackend) Create(name string, ratio float64) (FileWriter, error) {
+	fw, err := b.Backend.Create(name, ratio)
+	if err != nil {
+		return nil, err
+	}
+	b.open++
+	return &appendFailWriter{FileWriter: fw, b: b}, nil
+}
+
+type appendFailWriter struct {
+	FileWriter
+	b *appendFailBackend
+}
+
+func (w *appendFailWriter) Append([]byte) error { return errors.New("injected append failure") }
+
+func (w *appendFailWriter) Close() error {
+	w.b.open--
+	return w.FileWriter.Close()
+}
+
+// Regression: when replaying a stream's buffered batches into its
+// overflow file failed, the half-written backend writer was abandoned
+// open. The failure must surface at Close with every writer, the FS's and
+// the backend's, closed.
+func TestStreamOverflowReplayFailureClosesBackendWriter(t *testing.T) {
+	b := &appendFailBackend{Backend: NewMemBackend()}
+	fs := NewWithBackend(b)
+	w, err := fs.CreateStream("big", 1, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range streamRecords(2 * vec.DefaultBatchRows) {
+		w.Write(rec)
+	}
+	if err := w.Close(); err == nil {
+		t.Fatal("Close succeeded after a failed overflow replay")
+	}
+	if b.open != 0 {
+		t.Errorf("%d backend writers left open", b.open)
+	}
+	if n := fs.OpenHandles(); n != 0 {
+		t.Errorf("%d FS handles left open", n)
+	}
+}
+
 // TestStreamWriteBatchOrdering mixes row appends with wholesale batch
 // transfers; record order must be exactly the call order.
 func TestStreamWriteBatchOrdering(t *testing.T) {

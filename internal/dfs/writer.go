@@ -2,6 +2,7 @@ package dfs
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"rapidanalytics/internal/obs"
 	"rapidanalytics/internal/vec"
@@ -15,6 +16,7 @@ type Writer struct {
 	name  string
 	ratio float64
 	span  *obs.Span
+	open  *atomic.Int64 // the FS's handle count, decremented by the first Close
 
 	mu      sync.Mutex
 	records int64
@@ -106,7 +108,8 @@ func (w *Writer) StreamedBatches() int64 {
 }
 
 // Close commits the file, returning the first error of any write or of the
-// commit itself. Close is idempotent.
+// commit itself. Close is idempotent. Every Writer must be closed on every
+// path, failed writes included: FS.OpenHandles counts it until then.
 func (w *Writer) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -114,6 +117,7 @@ func (w *Writer) Close() error {
 		return w.err
 	}
 	w.closed = true
+	w.open.Add(-1)
 	if err := w.fw.Close(); w.err == nil {
 		w.err = err
 	}

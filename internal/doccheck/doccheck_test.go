@@ -8,7 +8,7 @@
 // path (internal/rdf, internal/store), the oracle (internal/refimpl) and
 // the lint framework packages
 // (internal/lint/analysis, internal/lint/driver, internal/lint/leaktest,
-// and the summarizing analyzers closecheck and lockorder) must carry a doc
+// and the summarizing analyzer lockorder) must carry a doc
 // comment. Methods on unexported types (the Hive mappers' Map, say) are
 // not flagged: they satisfy an interface documented elsewhere. It is a
 // plain test — no third-party linter — so it runs everywhere
@@ -32,7 +32,7 @@ var checkedPackages = []string{
 	"../share", "../loadgen", "../codec", "../hive", "../engine", "../tgops",
 	"../store", "../rdf", "../refimpl",
 	"../lint/analysis", "../lint/driver", "../lint/leaktest",
-	"../lint/closecheck", "../lint/lockorder",
+	"../lint/lockorder",
 }
 
 func TestExportedIdentifiersAreDocumented(t *testing.T) {

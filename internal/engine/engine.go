@@ -34,9 +34,8 @@ type Dataset struct {
 	// aggregation boundary.
 	Dict *rdf.Dict
 	// Stats is the load-time statistics catalog the cost-based planner
-	// consumes (predicate counts, characteristic sets). Always collected by
-	// Load; a hand-built Dataset may leave it nil, and engines then order
-	// joins star-0-first.
+	// consumes (predicate counts, characteristic sets). Always set: Load,
+	// the only constructor of a Dataset, collects it.
 	Stats *stats.Catalog
 }
 

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -176,6 +178,11 @@ func TestEnsureDefaultRows(t *testing.T) {
 	if err := EnsureDefaultRows(c2.FS, []string{"sub0", "sub1"}, aq); err != nil {
 		t.Fatal(err)
 	}
+	for _, c := range []*mapred.Cluster{c, c2} {
+		if n := c.FS.OpenHandles(); n != 0 {
+			t.Errorf("%d DFS handles left open", n)
+		}
+	}
 	f0, _ := c2.FS.Open("sub0")
 	defer f0.Close()
 	if f0.NumRecords() != 0 {
@@ -214,12 +221,12 @@ func TestFinishQueryWithEmptyAllSide(t *testing.T) {
 	r := NewRunner(c, "tmp/test")
 	writeRecs(t, c.FS, "sub0", codec.Tuple{"Ig1", "3"}.Encode())
 	writeRecs(t, c.FS, "sub1")
-	res, wm, err := FinishQuery(r, aq, []string{"sub0", "sub1"})
+	res, err := FinishQuery(r, aq, []string{"sub0", "sub1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wm.Cycles() != 1 {
-		t.Errorf("cycles = %d, want 1 (map-only final join)", wm.Cycles())
+	if r.WM.Cycles() != 1 {
+		t.Errorf("cycles = %d, want 1 (map-only final join)", r.WM.Cycles())
 	}
 	if len(res.Rows) != 1 || res.Rows[0][2] != "0" {
 		t.Errorf("rows = %v", res.Rows)
@@ -352,13 +359,16 @@ func TestFinalJoinRejectsMalformedSideRows(t *testing.T) {
 				names = append(names, name)
 			}
 		}
-		res, _, err := FinishQuery(NewRunner(c, "tmp/test"), aq, names)
+		res, err := FinishQuery(NewRunner(c, "tmp/test"), aq, names)
 		if err == nil {
 			t.Errorf("%s: query returned %v, want an error", tc.name, res.Rows)
 			continue
 		}
 		if want := names[len(names)-1]; !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: error %q does not name %s", tc.name, err, want)
+		}
+		if n := c.FS.OpenHandles(); n != 0 {
+			t.Errorf("%s: %d DFS handles left open", tc.name, n)
 		}
 	}
 }
@@ -373,11 +383,64 @@ func TestEnsureDefaultRowsRejectsMalformedRows(t *testing.T) {
 	if err := EnsureDefaultRows(c.FS, []string{"sub0", "sub1"}, aq); err == nil {
 		t.Error("EnsureDefaultRows accepted an undecodable GROUP BY ALL row")
 	}
-	res, _, err := FinishQuery(NewRunner(c, "tmp/test"), aq, []string{"sub0", "sub1"})
+	if n := c.FS.OpenHandles(); n != 0 {
+		t.Errorf("%d DFS handles left open on the error path", n)
+	}
+	res, err := FinishQuery(NewRunner(c, "tmp/test"), aq, []string{"sub0", "sub1"})
 	if err == nil {
 		t.Fatalf("query returned %v, want an error", res.Rows)
 	}
 	if !strings.Contains(err.Error(), "sub1") {
 		t.Errorf("error %q does not name sub1", err)
+	}
+	if n := c.FS.OpenHandles(); n != 0 {
+		t.Errorf("%d DFS handles left open on the error path", n)
+	}
+}
+
+// A GROUP BY ALL file that fails to read mid-scan — a block failing its
+// CRC on the disk backend — fails the repair, in EnsureDefaultRows' scan
+// and in rewrite's copy alike, with every file and writer closed.
+func TestRepairClosesHandlesOnReadErrors(t *testing.T) {
+	const withHaving = `PREFIX e: <http://e/>
+SELECT ?g ?cntG ?cntT {
+  { SELECT ?g (COUNT(?x) AS ?cntG) { ?s e:g ?g ; e:x ?x . } GROUP BY ?g }
+  { SELECT (COUNT(?y) AS ?cntT) { ?s2 e:y ?y . } HAVING (COUNT(?y) > 1) }
+}`
+	for _, tc := range []struct {
+		name   string
+		query  string
+		repair func(*dfs.FS, []string, *algebra.AnalyticalQuery) error
+	}{
+		{"scan", twoSubqueries, EnsureDefaultRows},
+		{"rewrite", withHaving, ApplyGroupByAllHaving},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			fs, err := dfs.NewDisk(dir, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			writeRecs(t, fs, "sub0", codec.Tuple{"Ig1", "3"}.Encode())
+			writeRecs(t, fs, "sub1", codec.Tuple{"5"}.Encode())
+			segs, err := filepath.Glob(filepath.Join(dir, "*", "sub1*"))
+			if err != nil || len(segs) != 1 {
+				t.Fatalf("segment of sub1: %v, %v", segs, err)
+			}
+			seg, err := os.ReadFile(segs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			seg[9] ^= 0xff // the first payload byte after the header and block CRC
+			if err := os.WriteFile(segs[0], seg, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.repair(fs, []string{"sub0", "sub1"}, mustAQ(t, tc.query)); err == nil {
+				t.Error("repair read a corrupt block without error")
+			}
+			if n := fs.OpenHandles(); n != 0 {
+				t.Errorf("%d DFS handles left open", n)
+			}
+		})
 	}
 }

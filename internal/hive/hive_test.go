@@ -7,6 +7,7 @@ import (
 
 	"rapidanalytics/internal/algebra"
 	"rapidanalytics/internal/codec"
+	"rapidanalytics/internal/engine"
 	"rapidanalytics/internal/mapred"
 	"rapidanalytics/internal/rdf"
 	"rapidanalytics/internal/sparql"
@@ -314,7 +315,7 @@ func TestStarJoinDuplicateFileRejected(t *testing.T) {
 		{rel: &rel{file: "same", cols: []string{"p", "x"}, dict: d}, keyCol: "p"},
 		{rel: &rel{file: "same", cols: []string{"p", "y"}, dict: d}, keyCol: "p"},
 	}
-	r := newRunner(c, "tmp/t")
+	r := &runner{Runner: engine.NewRunner(c, "tmp/t")}
 	conf := Config{MapJoinBytes: 0} // force reduce-side
 	if _, err := r.starJoin(conf, "sj", inputs, nil, "out", false); err == nil {
 		t.Error("duplicate-file reduce-side star join accepted")

@@ -48,23 +48,23 @@ func (h *MQO) Execute(c *mapred.Cluster, ds *engine.Dataset, aq *algebra.Analyti
 	if err != nil {
 		return (&Naive{Conf: h.Conf}).Execute(c, ds, aq)
 	}
-	run := newRunner(c, fmt.Sprintf("tmp/hive-mqo/%d", runSeq.Add(1)))
-
-	cols := compositeColumns(cp)
-	compRel, err := h.evalComposite(run, ds, cp, cols)
-	if err != nil {
-		return nil, run.WM, err
-	}
-
-	var aggFiles []string
-	for k, sq := range aq.Subqueries {
-		file, err := h.aggregatePattern(run, cp, cols, compRel, sq, k)
+	return engine.Run(c, fmt.Sprintf("tmp/hive-mqo/%d", runSeq.Add(1)), func(r *engine.Runner) (*engine.Result, error) {
+		run := &runner{Runner: r}
+		cols := compositeColumns(cp)
+		compRel, err := h.evalComposite(run, ds, cp, cols)
 		if err != nil {
-			return nil, run.WM, err
+			return nil, err
 		}
-		aggFiles = append(aggFiles, file)
-	}
-	return engine.FinishQuery(run.Runner, aq, aggFiles)
+		var aggFiles []string
+		for k, sq := range aq.Subqueries {
+			file, err := h.aggregatePattern(run, cp, cols, compRel, sq, k)
+			if err != nil {
+				return nil, err
+			}
+			aggFiles = append(aggFiles, file)
+		}
+		return engine.FinishQuery(run.Runner, aq, aggFiles)
+	})
 }
 
 // compositeColumns assigns a relation column to every composite property:
@@ -140,10 +140,7 @@ func (h *MQO) evalComposite(run *runner, ds *engine.Dataset, cp *algebra.Composi
 		return nil, err
 	}
 	acc := starRels[chainStart(order)]
-	accRows := 0.0
-	if est != nil {
-		accRows = est.StarCard(chainStart(order))
-	}
+	accRows := est.StarCard(chainStart(order))
 	for i, edge := range order {
 		out := run.Path(fmt.Sprintf("comp-join%d", i))
 		// Intermediate composite joins stream; the final one produces the

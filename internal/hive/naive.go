@@ -34,22 +34,24 @@ func (h *Naive) Name() string { return "Hive (Naive)" }
 
 // Execute implements engine.Engine.
 func (h *Naive) Execute(c *mapred.Cluster, ds *engine.Dataset, aq *algebra.AnalyticalQuery) (*engine.Result, *mapred.WorkflowMetrics, error) {
-	run := newRunner(c, fmt.Sprintf("tmp/hive-naive/%d", runSeq.Add(1)))
-	var aggFiles []string
-	for k, sq := range aq.Subqueries {
-		patRel, err := h.evalPattern(run, ds, sq, fmt.Sprintf("gp%d", k))
-		if err != nil {
-			return nil, run.WM, err
+	return engine.Run(c, fmt.Sprintf("tmp/hive-naive/%d", runSeq.Add(1)), func(r *engine.Runner) (*engine.Result, error) {
+		run := &runner{Runner: r}
+		var aggFiles []string
+		for k, sq := range aq.Subqueries {
+			patRel, err := h.evalPattern(run, ds, sq, fmt.Sprintf("gp%d", k))
+			if err != nil {
+				return nil, err
+			}
+			aggJob, aggRel := groupAggJob(
+				fmt.Sprintf("gp%d-groupagg", k), patRel, sq.GroupBy, sq.Aggs, nil, sq.GroupedHaving(),
+				run.Path(fmt.Sprintf("gp%d-agg", k)))
+			if err := run.Exec(aggJob); err != nil {
+				return nil, err
+			}
+			aggFiles = append(aggFiles, aggRel.file)
 		}
-		aggJob, aggRel := groupAggJob(
-			fmt.Sprintf("gp%d-groupagg", k), patRel, sq.GroupBy, sq.Aggs, nil, sq.GroupedHaving(),
-			run.Path(fmt.Sprintf("gp%d-agg", k)))
-		if err := run.Exec(aggJob); err != nil {
-			return nil, run.WM, err
-		}
-		aggFiles = append(aggFiles, aggRel.file)
-	}
-	return engine.FinishQuery(run.Runner, aq, aggFiles)
+		return engine.FinishQuery(run.Runner, aq, aggFiles)
+	})
 }
 
 // evalPattern evaluates one subquery's graph pattern, returning the joined
@@ -71,10 +73,7 @@ func (h *Naive) evalPattern(run *runner, ds *engine.Dataset, sq *algebra.Subquer
 		return nil, err
 	}
 	acc := starRels[chainStart(order)]
-	accRows := 0.0
-	if est != nil {
-		accRows = est.StarCard(chainStart(order))
-	}
+	accRows := est.StarCard(chainStart(order))
 	for i, edge := range order {
 		right := starRels[edge.Right]
 		out := run.Path(fmt.Sprintf("%s-join%d", tag, i))
@@ -220,10 +219,6 @@ type runner struct {
 	empty2 string
 }
 
-func newRunner(c *mapred.Cluster, prefix string) *runner {
-	return &runner{Runner: engine.NewRunner(c, prefix)}
-}
-
 // emptyFile returns a shared empty placeholder for missing VP tables (a
 // property or type absent from the dataset): single-column for type
 // partitions and constant-object scans, two-column otherwise.
@@ -292,19 +287,13 @@ func (r *runner) starJoin(conf Config, name string, inputs []*starInput, keep ma
 }
 
 // join runs a binary join, broadcasting whichever side fits the budget.
-// stream is as in starJoin. With est, the map-join-site decision sizes
-// both sides from the planner's predicted rows instead of measured files —
-// what a plan-time optimizer has to work with — and the reduce partition
-// count comes from the predicted output cardinality.
-func (r *runner) join(conf Config, name string, left, right *rel, leftCol, rightCol string, keep map[string]bool, output string, stream bool, est *joinEst) (*rel, error) {
-	var leftSize, rightSize int64
-	if est != nil {
-		leftSize = conf.estimatedSize(r.C, est.leftRows, len(left.cols))
-		rightSize = conf.estimatedSize(r.C, est.rightRows, len(right.cols))
-	} else {
-		leftSize = conf.storedSize(r.C, left.file)
-		rightSize = conf.storedSize(r.C, right.file)
-	}
+// stream is as in starJoin. The map-join-site decision sizes both sides
+// from the planner's predicted rows instead of measured files — what a
+// plan-time optimizer has to work with — and the reduce partition count
+// comes from the predicted output cardinality.
+func (r *runner) join(conf Config, name string, left, right *rel, leftCol, rightCol string, keep map[string]bool, output string, stream bool, est joinEst) (*rel, error) {
+	leftSize := conf.estimatedSize(r.C, est.leftRows, len(left.cols))
+	rightSize := conf.estimatedSize(r.C, est.rightRows, len(right.cols))
 	var job *mapred.Job
 	var out *rel
 	switch {
@@ -314,9 +303,7 @@ func (r *runner) join(conf Config, name string, left, right *rel, leftCol, right
 		job, out = mapJoinJob(name, right, left, rightCol, leftCol, keep, output, store.ORCCompressionRatio)
 	default:
 		job, out = joinJob(name, left, right, leftCol, rightCol, keep, output, store.ORCCompressionRatio)
-		if est != nil {
-			job.Partitions = stats.PartitionsFor(est.outRows)
-		}
+		job.Partitions = stats.PartitionsFor(est.outRows)
 	}
 	job.StreamOutput = stream
 	if err := r.Exec(job); err != nil {

@@ -8,8 +8,7 @@ import (
 
 // joinEst carries the planner's predicted cardinalities for one chain join:
 // rows of the accumulated left input, of the right star relation, and of
-// the join output. A nil *joinEst means the measured-size path of a dataset
-// without a statistics catalog.
+// the join output.
 type joinEst struct {
 	leftRows  float64
 	rightRows float64
@@ -21,12 +20,8 @@ type joinEst struct {
 // inter-star join chain, sizes the map-join-site decision for chain inputs
 // from predicted rows — real Hive compiles the whole plan before execution
 // and cannot measure intermediates — and sizes reduce partitions from
-// predicted output rows. Nil (the interface, so that JoinOrderCost takes
-// its star-0-first fallback) for a hand-built dataset without a catalog.
-func patternEstimator(ds *engine.Dataset, gp *algebra.GraphPattern) algebra.CardEstimator {
-	if ds.Stats == nil {
-		return nil
-	}
+// predicted output rows.
+func patternEstimator(ds *engine.Dataset, gp *algebra.GraphPattern) *stats.Estimator {
 	refs := make([][]algebra.PropRef, len(gp.Stars))
 	for i, st := range gp.Stars {
 		refs[i] = st.Props()
@@ -38,10 +33,7 @@ func patternEstimator(ds *engine.Dataset, gp *algebra.GraphPattern) algebra.Card
 // composite pattern: each star is estimated from its primary (required)
 // references; secondary LEFT-OUTER properties keep all rows and are
 // approximated as fan-out 1.
-func compositeEstimator(ds *engine.Dataset, cp *algebra.CompositePattern) algebra.CardEstimator {
-	if ds.Stats == nil {
-		return nil
-	}
+func compositeEstimator(ds *engine.Dataset, cp *algebra.CompositePattern) *stats.Estimator {
 	refs := make([][]algebra.PropRef, len(cp.Stars))
 	for i, cs := range cp.Stars {
 		refs[i] = cs.PrimaryRefs()
@@ -59,14 +51,11 @@ func chainStart(order []algebra.Join) int {
 }
 
 // edgeEstimate predicts one chain join's cardinalities and advances the
-// accumulated row count. Nil estimator returns nil and leaves acc alone.
-func edgeEstimate(est algebra.CardEstimator, acc *float64, edge algebra.Join) *joinEst {
-	if est == nil {
-		return nil
-	}
+// accumulated row count.
+func edgeEstimate(est *stats.Estimator, acc *float64, edge algebra.Join) joinEst {
 	rr := est.StarCard(edge.Right)
 	out := est.JoinCard(*acc, rr, edge)
-	je := &joinEst{leftRows: *acc, rightRows: rr, outRows: out}
+	je := joinEst{leftRows: *acc, rightRows: rr, outRows: out}
 	*acc = out
 	return je
 }

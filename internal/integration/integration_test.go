@@ -4,6 +4,7 @@
 package integration
 
 import (
+	"slices"
 	"testing"
 
 	"rapidanalytics/internal/algebra"
@@ -153,6 +154,25 @@ func setup(t *testing.T, g *rdf.Graph) (*mapred.Cluster, *engine.Dataset) {
 	return c, ds
 }
 
+// checkClean fails t unless c's FS is as every execution must leave it: no
+// File or Writer open, no stream live, and no intermediate (tmp/) or spill
+// run (_spill/) left behind but those named in undeletable, the files
+// whose delete was made to fail.
+func checkClean(t *testing.T, c *mapred.Cluster, what string, undeletable ...string) {
+	t.Helper()
+	if n := c.FS.OpenHandles(); n != 0 {
+		t.Errorf("%s: %d DFS handles left open", what, n)
+	}
+	if n := c.FS.LiveStreams(); n != 0 {
+		t.Errorf("%s: %d streams left live", what, n)
+	}
+	for _, name := range append(c.FS.List("tmp/"), c.FS.List("_spill/")...) {
+		if !slices.Contains(undeletable, name) {
+			t.Errorf("%s: %s left behind", what, name)
+		}
+	}
+}
+
 func buildAQ(t *testing.T, qs string) *algebra.AnalyticalQuery {
 	t.Helper()
 	q, err := sparql.Parse(qs)
@@ -192,6 +212,7 @@ func TestEnginesMatchOracle(t *testing.T) {
 				if wm.Cycles() == 0 {
 					t.Errorf("%s: no cycles recorded", e.Name())
 				}
+				checkClean(t, c, e.Name())
 			}
 		})
 	}

@@ -6,7 +6,7 @@ import (
 )
 
 // Call-graph helpers for analyzers that summarize functions within one
-// package (closecheck, lockorder): enumerate the package's function bodies,
+// package (lockorder): enumerate the package's function bodies,
 // resolve statically-known callees, and iterate summary computations to a
 // fixpoint so recursion (direct or mutual) converges instead of depending
 // on declaration order.

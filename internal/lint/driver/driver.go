@@ -10,12 +10,9 @@
 // own: everything they import, in the module or not, exists to the analysis
 // only as export data. No analyzer result crosses a package boundary.
 //
-// By default only non-test files are analyzed: the invariants rapidlint
-// enforces (hot-path allocation, error taxonomy, lock order) are
-// production-code properties. Options.Tests additionally loads each
-// package's test variant (`go list -test`) so the lifecycle analyzer
-// (closecheck) can police _test.go files, where a leaked iterator hides
-// until the -race suite hangs.
+// Only non-test files are analyzed: the invariants rapidlint enforces
+// (hot-path allocation, error taxonomy, lock order) are production-code
+// properties.
 package driver
 
 import (
@@ -32,30 +29,18 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
-	"strings"
 
 	"rapidanalytics/internal/lint/analysis"
 )
-
-// Options configures a load.
-type Options struct {
-	// Tests loads each matched package's test variant too: _test.go files
-	// are parsed and type-checked (internal and external test packages),
-	// and analyzed by the test-safe analyzer subset, with diagnostics
-	// reported only at positions inside _test.go files.
-	Tests bool
-}
 
 // listPackage is the subset of `go list -json` output the loader consumes.
 type listPackage struct {
 	ImportPath string
 	Dir        string
-	ForTest    string
 	GoFiles    []string
 	Export     string
 	DepOnly    bool
 	Standard   bool
-	ImportMap  map[string]string
 	Error      *listError
 }
 
@@ -65,20 +50,16 @@ type listError struct {
 
 // Package is one loaded, type-checked package.
 type Package struct {
-	// ImportPath is the package's import path as listed; test variants
-	// carry go list's bracketed suffix ("pkg [pkg.test]").
+	// ImportPath is the package's import path as listed.
 	ImportPath string
 	// Fset maps positions for Files.
 	Fset *token.FileSet
-	// Files are the parsed sources (test files included for test variants).
+	// Files are the parsed non-test sources.
 	Files []*ast.File
 	// Pkg is the type-checked package.
 	Pkg *types.Package
 	// Info holds type information for Files.
 	Info *types.Info
-	// TestVariant marks internal/external test packages: they run the
-	// test-safe analyzer subset and report only _test.go positions.
-	TestVariant bool
 }
 
 // Diagnostic is one unsuppressed finding, located and attributed.
@@ -99,17 +80,12 @@ func (d Diagnostic) String() string {
 // Load lists, parses and type-checks the packages matching patterns,
 // resolving them relative to dir ("" = current directory). Packages that
 // fail to build are reported as errors; an empty match set is not. The
-// result holds the matched packages (and, under opts.Tests, their test
-// variants) in go list order.
-func Load(dir string, opts Options, patterns ...string) ([]*Package, error) {
-	args := []string{
+// result holds the matched packages in go list order.
+func Load(dir string, patterns ...string) ([]*Package, error) {
+	args := append([]string{
 		"list", "-e", "-deps", "-export",
-		"-json=ImportPath,Dir,ForTest,GoFiles,Export,DepOnly,Standard,ImportMap,Error",
-	}
-	if opts.Tests {
-		args = append(args, "-test")
-	}
-	args = append(args, patterns...)
+		"-json=ImportPath,Dir,GoFiles,Export,DepOnly,Standard,Error",
+	}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
@@ -135,17 +111,16 @@ func Load(dir string, opts Options, patterns ...string) ([]*Package, error) {
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
-		// Dependencies exist to the analysis only as export data; ".test"
-		// mains are generated harness code.
-		if !p.DepOnly && !p.Standard && len(p.GoFiles) > 0 && !strings.HasSuffix(p.ImportPath, ".test") {
+		// Dependencies exist to the analysis only as export data.
+		if !p.DepOnly && !p.Standard && len(p.GoFiles) > 0 {
 			targets = append(targets, p)
 		}
 	}
 
 	fset := token.NewFileSet()
-	// One shared importer serves every package without import renames; its
-	// internal cache then loads each dependency's export data once.
-	shared := newExportImporter(fset, exports, nil)
+	// One shared importer serves every package; its internal cache then
+	// loads each dependency's export data once.
+	conf := types.Config{Importer: newExportImporter(fset, exports)}
 
 	var pkgs []*Package
 	for _, t := range targets {
@@ -168,40 +143,25 @@ func Load(dir string, opts Options, patterns ...string) ([]*Package, error) {
 			Selections: map[*ast.SelectorExpr]*types.Selection{},
 			Scopes:     map[ast.Node]*types.Scope{},
 		}
-		imp := shared
-		if len(t.ImportMap) > 0 {
-			// External test packages import their tested package's test
-			// variant under the plain path; a dedicated importer applies
-			// the rename without poisoning the shared importer's cache.
-			imp = newExportImporter(fset, exports, t.ImportMap)
-		}
-		conf := types.Config{Importer: imp}
-		// A test variant is type-checked under its plain path
-		// ("pkg [pkg.test]" → "pkg").
-		path, _, _ := strings.Cut(t.ImportPath, " [")
-		pkg, err := conf.Check(path, fset, files, info)
+		pkg, err := conf.Check(t.ImportPath, fset, files, info)
 		if err != nil {
 			return nil, fmt.Errorf("driver: type-checking %s: %w", t.ImportPath, err)
 		}
 		pkgs = append(pkgs, &Package{
-			ImportPath:  t.ImportPath,
-			Fset:        fset,
-			Files:       files,
-			Pkg:         pkg,
-			Info:        info,
-			TestVariant: t.ForTest != "",
+			ImportPath: t.ImportPath,
+			Fset:       fset,
+			Files:      files,
+			Pkg:        pkg,
+			Info:       info,
 		})
 	}
 	return pkgs, nil
 }
 
 // newExportImporter returns a gc importer resolving import paths through
-// importMap (nil = identity) and then the export-data file map.
-func newExportImporter(fset *token.FileSet, exports map[string]string, importMap map[string]string) types.Importer {
+// the export-data file map.
+func newExportImporter(fset *token.FileSet, exports map[string]string) types.Importer {
 	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		if mapped, ok := importMap[path]; ok {
-			path = mapped
-		}
 		f, ok := exports[path]
 		if !ok {
 			return nil, fmt.Errorf("driver: no export data for %q", path)
@@ -248,36 +208,21 @@ func analyze(p *Package, analyzers []*analysis.Analyzer, suite map[string]bool) 
 	return out, nil
 }
 
-// RunAll analyzes the loaded packages: the full suite over production
-// packages, and testAnalyzers over test variants (reported only at
-// _test.go positions). A suppression directive must name an analyzer of
-// analyzers ∪ testAnalyzers. Diagnostics come back in deterministic
+// RunAll analyzes the loaded packages with analyzers; a suppression
+// directive must name one of them. Diagnostics come back in deterministic
 // (file, position) order.
-func RunAll(pkgs []*Package, analyzers, testAnalyzers []*analysis.Analyzer) ([]Diagnostic, error) {
+func RunAll(pkgs []*Package, analyzers []*analysis.Analyzer) ([]Diagnostic, error) {
 	suite := map[string]bool{}
-	for _, set := range [][]*analysis.Analyzer{analyzers, testAnalyzers} {
-		for _, a := range set {
-			suite[a.Name] = true
-		}
+	for _, a := range analyzers {
+		suite[a.Name] = true
 	}
 	var out []Diagnostic
 	for _, p := range pkgs {
-		as := analyzers
-		if p.TestVariant {
-			as = testAnalyzers
-		}
-		ds, err := analyze(p, as, suite)
+		ds, err := analyze(p, analyzers, suite)
 		if err != nil {
 			return nil, err
 		}
-		for _, d := range ds {
-			if p.TestVariant && !strings.HasSuffix(d.Position.Filename, "_test.go") {
-				// The variant re-includes production files; their
-				// findings are the plain package's to report.
-				continue
-			}
-			out = append(out, d)
-		}
+		out = append(out, ds...)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i].Position, out[j].Position
@@ -292,13 +237,11 @@ func RunAll(pkgs []*Package, analyzers, testAnalyzers []*analysis.Analyzer) ([]D
 	return out, nil
 }
 
-// Run loads the patterns and analyzes every matched package;
-// testAnalyzers is the subset applied to _test.go files when opts.Tests is
-// set, and its names stay valid in suppression directives either way.
-func Run(dir string, opts Options, analyzers, testAnalyzers []*analysis.Analyzer, patterns ...string) ([]Diagnostic, error) {
-	pkgs, err := Load(dir, opts, patterns...)
+// Run loads the patterns and analyzes every matched package.
+func Run(dir string, analyzers []*analysis.Analyzer, patterns ...string) ([]Diagnostic, error) {
+	pkgs, err := Load(dir, patterns...)
 	if err != nil {
 		return nil, err
 	}
-	return RunAll(pkgs, analyzers, testAnalyzers)
+	return RunAll(pkgs, analyzers)
 }

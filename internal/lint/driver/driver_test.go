@@ -7,8 +7,8 @@ import (
 	"testing"
 
 	"rapidanalytics/internal/lint/analysis"
-	"rapidanalytics/internal/lint/closecheck"
 	"rapidanalytics/internal/lint/driver"
+	"rapidanalytics/internal/lint/lockorder"
 )
 
 // writeTree materialises a file tree under dir.
@@ -28,80 +28,70 @@ func writeTree(t *testing.T, dir string, files map[string]string) {
 // TestLoadAgainstExportData builds a throwaway one-package module that
 // imports the standard library, so type-checking can only succeed by
 // reading compiled export data through `go list -deps -export` — there is
-// no source fallback. The package path ends in /dfs, putting its closer
-// type under closecheck's policed packages, which lets the same fixture
-// prove the package-local summaries: Consume closes its argument, which
-// discharges Clean, leaving exactly one genuine leak to report.
+// no source fallback. The same fixture proves the package-local summaries
+// of lockorder: Get takes load inside mu only through fill's summary, so
+// Refill's opposite order is the one cycle to report.
 func TestLoadAgainstExportData(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shells out to the go toolchain; skipped in -short")
 	}
 	dir := t.TempDir()
 	writeTree(t, dir, map[string]string{
-		"go.mod": "module leakmod\n\ngo 1.23\n",
-		"dfs/dfs.go": `package dfs
+		"go.mod": "module lockmod\n\ngo 1.23\n",
+		"reg/reg.go": `package reg
 
 import (
-	"fmt"
 	"strings"
+	"sync"
 )
 
-type File struct{ open bool }
-
-func Open(name string) (*File, error) {
-	if strings.TrimSpace(name) == "" {
-		return nil, fmt.Errorf("empty name")
-	}
-	return &File{open: true}, nil
+type Reg struct {
+	mu   sync.Mutex
+	load sync.Mutex
+	m    map[string]int
 }
 
-func (f *File) Read() int { return 0 }
-
-func (f *File) Close() error { f.open = false; return nil }
-
-// Consume takes ownership: callers that hand a File to Consume are done
-// with it.
-func Consume(f *File) { f.Close() }
-
-// Clean transfers its file to Consume; with Consume's summary this path is
-// silent.
-func Clean(name string) int {
-	f, err := Open(name)
-	if err != nil {
-		return 0
-	}
-	Consume(f)
-	return 1
+// fill takes the load lock; its summary carries that to callers.
+func (r *Reg) fill() {
+	r.load.Lock()
+	defer r.load.Unlock()
 }
 
-// Leaky drops the file on the floor.
-func Leaky(name string) int {
-	f, err := Open(name)
-	if err != nil {
-		return 0
-	}
-	return f.Read()
+// Get nests load inside mu through fill: mu before load.
+func (r *Reg) Get(k string) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.fill()
+	return r.m[strings.ToLower(k)]
+}
+
+// Refill takes the pair the other way round.
+func (r *Reg) Refill() {
+	r.load.Lock()
+	defer r.load.Unlock()
+	r.mu.Lock()
+	r.mu.Unlock()
 }
 `,
 	})
 
-	pkgs, err := driver.Load(dir, driver.Options{}, "./...")
+	pkgs, err := driver.Load(dir, "./...")
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	if len(pkgs) != 1 || pkgs[0].ImportPath != "leakmod/dfs" || pkgs[0].Pkg == nil || pkgs[0].Info == nil {
-		t.Fatalf("loaded %v, want one type-checked leakmod/dfs", pkgs)
+	if len(pkgs) != 1 || pkgs[0].ImportPath != "lockmod/reg" || pkgs[0].Pkg == nil || pkgs[0].Info == nil {
+		t.Fatalf("loaded %v, want one type-checked lockmod/reg", pkgs)
 	}
 
-	diags, err := driver.RunAll(pkgs, []*analysis.Analyzer{closecheck.Analyzer}, nil)
+	diags, err := driver.RunAll(pkgs, []*analysis.Analyzer{lockorder.Analyzer})
 	if err != nil {
 		t.Fatalf("RunAll: %v", err)
 	}
 	if len(diags) != 1 {
-		t.Fatalf("diagnostics = %v, want exactly the Leaky finding", diags)
+		t.Fatalf("diagnostics = %v, want exactly the Refill finding", diags)
 	}
-	if d := diags[0]; d.Analyzer != "closecheck" || d.Position.Line != 38 {
-		t.Errorf("diagnostic = %v, want closecheck at Leaky's Open (dfs.go:38)", d)
+	if d := diags[0]; d.Analyzer != "lockorder" || d.Position.Line != 32 {
+		t.Errorf("diagnostic = %v, want lockorder at Refill's mu.Lock (reg.go:32)", d)
 	}
 }
 
@@ -117,7 +107,7 @@ func TestLoadReportsBrokenPackages(t *testing.T) {
 		"bad/bad.go": "package bad\n\nfunc f() { undefined() }\n",
 		"good/g.go":  "package good\n\nfunc G() int { return 1 }\n",
 	})
-	if _, err := driver.Load(dir, driver.Options{}, "./..."); err == nil {
+	if _, err := driver.Load(dir, "./..."); err == nil {
 		t.Fatal("Load of a broken module succeeded")
 	} else if !strings.Contains(err.Error(), "bad") {
 		t.Errorf("error %q does not attribute the broken package", err)

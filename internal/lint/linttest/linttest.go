@@ -41,14 +41,14 @@ func Run(t *testing.T, a *analysis.Analyzer, fixtures ...string) {
 	for i, p := range fixtures {
 		patterns[i] = "./src/" + p
 	}
-	pkgs, err := driver.Load("testdata", driver.Options{}, patterns...)
+	pkgs, err := driver.Load("testdata", patterns...)
 	if err != nil {
 		t.Fatalf("loading fixtures: %v", err)
 	}
 	if len(pkgs) != len(fixtures) {
 		t.Fatalf("loaded %d packages, want %d", len(pkgs), len(fixtures))
 	}
-	diags, err := driver.RunAll(pkgs, []*analysis.Analyzer{a}, nil)
+	diags, err := driver.RunAll(pkgs, []*analysis.Analyzer{a})
 	if err != nil {
 		t.Fatalf("analyzing fixtures: %v", err)
 	}

@@ -19,6 +19,7 @@ func TestRunAbortsOnPreCancelledContext(t *testing.T) {
 	if c.FS.Exists("out") {
 		t.Fatal("aborted job materialised its output")
 	}
+	checkHandles(t, c)
 }
 
 func TestRunWithoutContextIsUnbound(t *testing.T) {
@@ -86,6 +87,7 @@ func TestWorkflowStopsAfterMidRunCancellation(t *testing.T) {
 	if c.FS.Exists("out") {
 		t.Fatal("second cycle ran after cancellation")
 	}
+	checkHandles(t, c)
 }
 
 func TestWithContextCopyLeavesOriginalUnbound(t *testing.T) {

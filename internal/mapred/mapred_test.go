@@ -48,6 +48,16 @@ func readLines(t *testing.T, c *Cluster, name string) []string {
 	return out
 }
 
+// checkHandles fails t when c's FS has Files or Writers open: a job
+// closes everything it opened, whether it succeeds, fails or is
+// cancelled.
+func checkHandles(t *testing.T, c *Cluster) {
+	t.Helper()
+	if n := c.FS.OpenHandles(); n != 0 {
+		t.Errorf("%d DFS handles left open", n)
+	}
+}
+
 // wordCountJob is the canonical MapReduce smoke test.
 func wordCountJob(in, out string, combiner bool) *Job {
 	j := &Job{

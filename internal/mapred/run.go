@@ -143,10 +143,10 @@ func (c *Cluster) Run(job *Job) (metrics *Metrics, err error) {
 	defer cycle.End()
 	m := &Metrics{Job: job.Name, MapOnly: job.MapOnly()}
 	splits, inputs, err := c.makeSplits(job, m)
+	defer closeFiles(inputs) // on error too: the files opened before it
 	if err != nil {
 		return nil, err
 	}
-	defer closeFiles(inputs)
 	side, err := c.loadSideInputs(job, m)
 	if err != nil {
 		return nil, err

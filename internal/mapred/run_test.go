@@ -117,6 +117,7 @@ func TestMapErrorAbortsSiblings(t *testing.T) {
 	if c.FS.Exists("out") {
 		t.Error("failed job materialised its output")
 	}
+	checkHandles(t, c)
 }
 
 // Regression: a query cancelled while a single hot key is being shuffled
@@ -169,6 +170,7 @@ func TestCancelMidShuffleHotKey(t *testing.T) {
 	if c.FS.Exists("out") {
 		t.Error("cancelled job materialised its output")
 	}
+	checkHandles(t, c)
 }
 
 // Regression: combine used to sort and reduce a whole partition with no
@@ -378,6 +380,7 @@ func TestCancelMidCombineAborts(t *testing.T) {
 	if c.FS.Exists("out") {
 		t.Error("cancelled job materialised its output")
 	}
+	checkHandles(t, c)
 }
 
 // closeCancelMapper emits its records in Map and cancels the bound context
@@ -424,6 +427,7 @@ func TestCancelAtMapCloseWritesNoMapOnlyOutput(t *testing.T) {
 	if c.FS.Exists("out") {
 		t.Error("cancelled map-only job materialised its output")
 	}
+	checkHandles(t, c)
 }
 
 // A panicking mapper or reducer fails its job with ErrTaskPanic, its stack

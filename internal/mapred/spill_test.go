@@ -39,6 +39,7 @@ func TestSpillOutputIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("threshold=%d: %v", threshold, err)
 		}
+		checkHandles(t, c)
 		return m.Volumes(), readLines(t, c, "out")
 	}
 	base, baseOut := run(0)
@@ -72,6 +73,7 @@ func TestSpillWithCombinerOutputIdentical(t *testing.T) {
 		if threshold > 0 && m.SpillRuns == 0 {
 			t.Fatalf("spill path not exercised with combiner")
 		}
+		checkHandles(t, c)
 		return readLines(t, c, "out")
 	}
 	if a, b := run(0), run(64); strings.Join(a, "\n") != strings.Join(b, "\n") {
@@ -126,6 +128,7 @@ func TestSpillRunsCleanedUp(t *testing.T) {
 			if left := fs.List("_spill/"); len(left) != 0 {
 				t.Errorf("spill runs left behind: %v", left)
 			}
+			checkHandles(t, c)
 		})
 	}
 }
@@ -159,6 +162,7 @@ func TestSpillDeterminismMatrix(t *testing.T) {
 				if _, err := c.Run(wordCountJob("in", "out", true)); err != nil {
 					t.Fatalf("w=%d t=%d %s: %v", workers, threshold, backend, err)
 				}
+				checkHandles(t, c)
 				got := strings.Join(readLines(t, c, "out"), "\n")
 				if want == "" {
 					want = got
@@ -240,6 +244,7 @@ func TestSpillRunsClosedOnMergeErrors(t *testing.T) {
 			if leaked > 0 {
 				t.Errorf("%d of %d opened spill runs were left open", leaked, len(b.opened))
 			}
+			checkHandles(t, c)
 		})
 	}
 }

@@ -41,6 +41,7 @@ func TestStreamedOutputByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("stream=%v: %v", stream, err)
 		}
+		checkHandles(t, c)
 		return m.Volumes(), readLines(t, c, out), c.FS.TotalStoredBytes(out)
 	}
 	mat, matOut, matStored := run(false, "mat")
@@ -88,6 +89,7 @@ func TestStreamedMapOnlyJob(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkHandles(t, c)
 		return m.Volumes(), readLines(t, c, out)
 	}
 	mat, matOut := run(false, "mat")
@@ -117,6 +119,7 @@ func TestStreamOverflowMaterializes(t *testing.T) {
 	if m.StreamedRecords != 0 || m.StreamedBatches != 0 {
 		t.Errorf("overflowed run still reports streaming: %+v", m)
 	}
+	checkHandles(t, c)
 	if c.FS.TotalStoredBytes("out") == 0 {
 		t.Error("overflowed output has no stored bytes")
 	}
@@ -158,6 +161,7 @@ func TestStreamedChainedJobs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("stream=%v: %v", stream, err)
 		}
+		checkHandles(t, c)
 		return c, wm
 	}
 	cm, _ := chain(false)
@@ -193,6 +197,7 @@ func TestStreamedDeterminismMatrix(t *testing.T) {
 			if _, err := c.Run(streamedWordCount("in", out, stream)); err != nil {
 				t.Fatalf("w=%d stream=%v: %v", workers, stream, err)
 			}
+			checkHandles(t, c)
 			got := strings.Join(readLines(t, c, out), "\n")
 			if want == "" {
 				want = got
@@ -234,6 +239,7 @@ func TestCleanupSpillErrorSurfaces(t *testing.T) {
 	if m != nil {
 		t.Errorf("metrics returned alongside cleanup failure: %+v", m)
 	}
+	checkHandles(t, c)
 	// The job itself completed: its output is present and correct.
 	ref := spillCluster(0)
 	spillFixture(ref)

@@ -41,16 +41,17 @@ func (e *Engine) Name() string { return "RAPID+ (Naive)" }
 
 // Execute implements engine.Engine.
 func (e *Engine) Execute(c *mapred.Cluster, ds *engine.Dataset, aq *algebra.AnalyticalQuery) (*engine.Result, *mapred.WorkflowMetrics, error) {
-	run := engine.NewRunner(c, fmt.Sprintf("tmp/rapid/%d", runSeq.Add(1)))
-	var aggFiles []string
-	for k, sq := range aq.Subqueries {
-		file, err := EvalSubquery(run, ds, sq, k, false, true)
-		if err != nil {
-			return nil, run.WM, err
+	return engine.Run(c, fmt.Sprintf("tmp/rapid/%d", runSeq.Add(1)), func(run *engine.Runner) (*engine.Result, error) {
+		var aggFiles []string
+		for k, sq := range aq.Subqueries {
+			file, err := EvalSubquery(run, ds, sq, k, false, true)
+			if err != nil {
+				return nil, err
+			}
+			aggFiles = append(aggFiles, file)
 		}
-		aggFiles = append(aggFiles, file)
-	}
-	return engine.FinishQuery(run, aq, aggFiles)
+		return engine.FinishQuery(run, aq, aggFiles)
+	})
 }
 
 // EvalSubquery evaluates one subquery over the triplegroup store: pattern
@@ -94,16 +95,11 @@ func matchPattern(run *engine.Runner, ds *engine.Dataset, gp *algebra.GraphPatte
 		scans[i] = starScan(ds, i, st, gp.Filters, prune)
 	}
 	ps := obs.StartChild(run.C.Context(), obs.KindPlanner, "join-order")
-	// A hand-built dataset without a catalog leaves est nil, which is
-	// JoinOrderCost's star-0-first fallback, and the chain non-adaptive.
-	var est algebra.CardEstimator
-	if ds.Stats != nil {
-		refs := make([][]algebra.PropRef, len(gp.Stars))
-		for i, st := range gp.Stars {
-			refs[i] = st.Props()
-		}
-		est = stats.NewEstimator(ds.Stats, refs, false)
+	refs := make([][]algebra.PropRef, len(gp.Stars))
+	for i, st := range gp.Stars {
+		refs[i] = st.Props()
 	}
+	est := stats.NewEstimator(ds.Stats, refs, false)
 	order, err := algebra.JoinOrderCost(len(gp.Stars), gp.Joins, est)
 	ps.End()
 	if err != nil {
@@ -122,9 +118,9 @@ func matchPattern(run *engine.Runner, ds *engine.Dataset, gp *algebra.GraphPatte
 // output, and must be false when the chain's result is read by more than
 // one downstream cycle (sequential aggregation over shared matches).
 //
-// A non-nil est, the estimator that ordered the edges, makes the chain
-// adaptive: each cycle's reduce partition count comes from the predicted
-// output cardinality, and after each cycle the observed output cardinality
+// est, the estimator that ordered the edges, makes the chain adaptive:
+// each cycle's reduce partition count comes from the predicted output
+// cardinality, and after each cycle the observed output cardinality
 // (the job's OutputRecords — the obs per-operator counter source) is
 // compared against the estimate; when the error ratio exceeds replanRatio
 // with edges still to run, the remaining edges re-order around the
@@ -136,15 +132,11 @@ func JoinChain(run *engine.Runner, scans []tgops.Source, order []algebra.Join, t
 		start = order[0].Left
 	}
 	acc := scans[start]
-	var accCard float64
-	var covered []bool
-	if est != nil {
-		// The tail may re-order in place; never mutate the caller's slice.
-		order = append([]algebra.Join(nil), order...)
-		accCard = est.StarCard(start)
-		covered = make([]bool, len(scans))
-		covered[start] = true
-	}
+	// The tail may re-order in place; never mutate the caller's slice.
+	order = append([]algebra.Join(nil), order...)
+	accCard := est.StarCard(start)
+	covered := make([]bool, len(scans))
+	covered[start] = true
 	for i := 0; i < len(order); i++ {
 		edge := order[i]
 		leftEp := tgops.Endpoint{Star: edge.Left, Role: edge.LeftRole, Props: edge.LeftProps}
@@ -156,27 +148,22 @@ func JoinChain(run *engine.Runner, scans []tgops.Source, order []algebra.Join, t
 			tgops.JoinSide{Src: scans[edge.Right], Ep: rightEp},
 			alpha, out)
 		job.StreamOutput = streamFinal || i < len(order)-1
-		var predicted float64
-		if est != nil {
-			predicted = est.JoinCard(accCard, est.StarCard(edge.Right), edge)
-			job.Partitions = stats.PartitionsFor(predicted)
-		}
+		predicted := est.JoinCard(accCard, est.StarCard(edge.Right), edge)
+		job.Partitions = stats.PartitionsFor(predicted)
 		if err := run.Exec(job); err != nil {
 			return tgops.Source{}, err
 		}
 		acc = tgops.Source{Files: []string{out}, Dict: acc.Dict}
-		if est != nil {
-			covered[edge.Right] = true
-			observed := float64(run.WM.Jobs[len(run.WM.Jobs)-1].OutputRecords)
-			if i < len(order)-1 && replanNeeded(predicted, observed) {
-				rs := obs.StartChild(run.C.Context(), obs.KindPlanner, "re-plan")
-				rs.AddRecords(int64(observed))
-				tail := algebra.ReorderRemaining(covered, order[i+1:], math.Max(1, observed), est)
-				copy(order[i+1:], tail)
-				rs.End()
-			}
-			accCard = math.Max(1, observed)
+		covered[edge.Right] = true
+		observed := float64(run.WM.Jobs[len(run.WM.Jobs)-1].OutputRecords)
+		if i < len(order)-1 && replanNeeded(predicted, observed) {
+			rs := obs.StartChild(run.C.Context(), obs.KindPlanner, "re-plan")
+			rs.AddRecords(int64(observed))
+			tail := algebra.ReorderRemaining(covered, order[i+1:], math.Max(1, observed), est)
+			copy(order[i+1:], tail)
+			rs.End()
 		}
+		accCard = math.Max(1, observed)
 	}
 	return acc, nil
 }

@@ -96,9 +96,8 @@ type Options struct {
 	Storage string
 	// DataDir roots disk-backed storage. Empty uses a fresh directory under
 	// the OS temp dir. Each (re)materialisation of the store's layouts
-	// writes under a new load-numbered subdirectory, so in-flight queries
-	// keep reading consistent snapshots; stale loads are not reclaimed
-	// until the process exits.
+	// writes under a new load-numbered subdirectory; a mutation removes
+	// the superseded one, which no query can still be reading.
 	DataDir string
 	// SpillThresholdBytes bounds each map task's buffered shuffle output:
 	// past the threshold, partition buffers are sorted and spilled to the
@@ -177,6 +176,9 @@ type Store struct {
 	cluster *mapred.Cluster
 	ds      *engine.Dataset
 	loads   int
+	// reclaimErr is a failure to remove a superseded disk load, reported
+	// by the next materialisation (Add has no error to return it in).
+	reclaimErr error
 	// dataVersion counts mutation-triggered layout invalidations. It is
 	// folded into every plan, result and sub-relation cache key, so an
 	// entry cached before a reload — against the previous data and
@@ -254,11 +256,21 @@ func (s *Store) addGraph(g *rdf.Graph) {
 }
 
 // invalidateLayouts drops the materialised storage layouts after a
-// mutation and bumps the data version cache keys are scoped by.
-// Callers hold s.mu.
+// mutation and bumps the data version cache keys are scoped by. Callers
+// hold s.mu for writing, so no query holds a snapshot of the superseded
+// load: on disk its directory is removed, once its FS confirms that every
+// handle it handed out was closed.
 func (s *Store) invalidateLayouts() {
 	s.loadMu.Lock()
-	s.ds = nil
+	if s.ds != nil && s.opts.Storage == StorageDisk {
+		dir := s.loadDir()
+		if n := s.cluster.FS.OpenHandles(); n != 0 {
+			s.reclaimErr = fmt.Errorf("reclaiming %s: %d handles still open", dir, n)
+		} else if err := os.RemoveAll(dir); err != nil {
+			s.reclaimErr = fmt.Errorf("reclaiming %s: %w", dir, err)
+		}
+	}
+	s.cluster, s.ds = nil, nil
 	s.dataVersion++
 	if s.scans != nil {
 		s.scanStatsBase = s.scanStatsBase.Add(s.scans.Stats())
@@ -306,6 +318,10 @@ func (s *Store) ensureLoaded() (*mapred.Cluster, *engine.Dataset, error) {
 	s.loadMu.Lock()
 	defer s.loadMu.Unlock()
 	if s.ds == nil {
+		if err := s.reclaimErr; err != nil {
+			s.reclaimErr = nil
+			return nil, nil, fmt.Errorf("%w: %w", ErrStorage, err)
+		}
 		cfg := mapred.VCL10(s.opts.DataScale)
 		cfg.Nodes = s.opts.Nodes
 		cfg.SpillThresholdBytes = s.opts.SpillThresholdBytes
@@ -334,28 +350,29 @@ func (s *Store) ensureLoaded() (*mapred.Cluster, *engine.Dataset, error) {
 }
 
 // newFS builds the DFS for one materialisation of the store's layouts.
-// Each disk-backed load gets its own load-numbered directory: queries
-// in flight on the previous load keep their snapshots, at the cost of
-// leaking superseded loads until process exit (acceptable for the rare
-// bulk-load-then-query workload the store favours).
+// Each disk-backed load gets its own load-numbered directory (loadDir),
+// removed when a mutation supersedes it.
 func (s *Store) newFS() (*dfs.FS, error) {
 	switch s.opts.Storage {
 	case StorageMem:
 		return dfs.New(), nil
 	case StorageDisk:
-		dir := s.opts.DataDir
-		if dir == "" {
+		if s.opts.DataDir == "" {
 			d, err := os.MkdirTemp("", "rapidanalytics-")
 			if err != nil {
 				return nil, err
 			}
-			dir = d
 			s.opts.DataDir = d
 		}
-		return dfs.NewDisk(filepath.Join(dir, fmt.Sprintf("load-%d", s.loads)), 0)
+		return dfs.NewDisk(s.loadDir(), 0)
 	default:
 		return nil, fmt.Errorf("unknown storage backend %q (want %q or %q)", s.opts.Storage, StorageMem, StorageDisk)
 	}
+}
+
+// loadDir is the directory of the current disk-backed load.
+func (s *Store) loadDir() string {
+	return filepath.Join(s.opts.DataDir, fmt.Sprintf("load-%d", s.loads))
 }
 
 // Stats summarises one query execution.

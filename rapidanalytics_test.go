@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -258,6 +259,45 @@ func TestStoreInvalidatedOnAdd(t *testing.T) {
 	}
 }
 
+// TestMutationReclaimsSupersededDiskLoad: a mutation removes the disk
+// directory of the load it supersedes, and the next query materialises
+// and answers from a fresh one.
+func TestMutationReclaimsSupersededDiskLoad(t *testing.T) {
+	var buf bytes.Buffer
+	if err := apiStore().WriteNTriples(&buf); err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.Storage, opts.DataDir = StorageDisk, t.TempDir()
+	s := NewStore(opts)
+	if err := s.LoadNTriples(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Query(RAPIDAnalytics, apiQuery); err != nil {
+		t.Fatal(err)
+	}
+	load1 := filepath.Join(opts.DataDir, "load-1")
+	if _, err := os.Stat(load1); err != nil {
+		t.Fatalf("first load not on disk: %v", err)
+	}
+	s.Add("http://e/o9", "http://e/product", IRI("http://e/p1"))
+	s.Add("http://e/o9", "http://e/price", Literal("5"))
+	if _, err := os.Stat(load1); !os.IsNotExist(err) {
+		t.Errorf("superseded load-1 still on disk (stat: %v)", err)
+	}
+	got, _, err := s.Query(RAPIDAnalytics, apiQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := s.Query(Reference, apiQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.raw.Diff(want.raw) != "" {
+		t.Errorf("after reload rows = %v, want %v", got.Rows(), want.Rows())
+	}
+}
+
 func TestNormalized(t *testing.T) {
 	q, err := Compile(apiQuery)
 	if err != nil {
@@ -300,5 +340,12 @@ func TestConcurrentQueries(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+	fs, err := StoreFS(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := fs.OpenHandles(); n != 0 {
+		t.Errorf("%d DFS handles left open", n)
 	}
 }

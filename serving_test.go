@@ -174,6 +174,23 @@ func TestSubResultCacheReusesComposite(t *testing.T) {
 	if canonRows(res) != canonRows(oracle) {
 		t.Fatalf("composite-reusing result diverged from oracle:\n%s\nvs\n%s", canonRows(res), canonRows(oracle))
 	}
+	// The cached composite relation outlives the query that built it;
+	// no other intermediate and no handle does.
+	fs, err := ra.StoreFS(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := fs.OpenHandles(); n != 0 {
+		t.Errorf("%d DFS handles left open", n)
+	}
+	for _, name := range fs.List("tmp/") {
+		if !strings.Contains(name, "-composite-") {
+			t.Errorf("intermediate %s left behind", name)
+		}
+	}
+	if n := fs.LiveStreams(); n != 1 {
+		t.Errorf("%d live streams, want the cached composite's one", n)
+	}
 }
 
 // TestSubResultCacheInvalidatedByMutation pins the composite half of the
@@ -268,6 +285,7 @@ func TestSharedScansKeepResultsIdentical(t *testing.T) {
 	if st.RecordsServed <= st.RecordsScanned {
 		t.Errorf("sharing saved nothing: served %d, scanned %d", st.RecordsServed, st.RecordsScanned)
 	}
+	checkStoreClean(t, store)
 }
 
 // panickingScans hands every map task an input iterator that panics at its
