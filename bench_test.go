@@ -21,7 +21,7 @@ var catalogPassRows int
 //
 //	go test -run xxx -bench CatalogPass/ntga -cpuprofile cpu.out -memprofile mem.out .
 //
-// is the profile a hot-path change starts from (ROADMAP item 3).
+// is the profile a hot-path change starts from (ROADMAP item 4).
 func BenchmarkCatalogPass(b *testing.B) {
 	for _, side := range []struct {
 		name    string

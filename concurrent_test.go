@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -232,9 +235,25 @@ func TestTypedErrors(t *testing.T) {
 	if !errors.Is(err, ra.ErrUnknownSystem) {
 		t.Fatalf("bad system = %v; want ErrUnknownSystem", err)
 	}
+	compiled, err := ra.Compile(exampleQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// QueryCompiled skips Prepare, so execution checks the system too.
+	if _, _, err = store.QueryCompiled(ra.System("spark"), compiled); !errors.Is(err, ra.ErrUnknownSystem) {
+		t.Fatalf("bad system, compiled = %v; want ErrUnknownSystem", err)
+	}
 	_, err = ra.Compile("ASK { ?s ?p ?o }")
 	if !errors.Is(err, ra.ErrParse) && !errors.Is(err, ra.ErrUnsupported) {
 		t.Fatalf("non-analytical query = %v; want ErrParse or ErrUnsupported", err)
+	}
+	// SPARQL counts 3 here: the block matches px twice and py once, and
+	// leaves pz's ?l unbound. The engines extend one pattern at a time and
+	// would count 4, so a block of several patterns is rejected.
+	_, err = ra.Compile(`PREFIX e: <http://example.org/>
+SELECT (COUNT(?l) AS ?n) { ?p a e:Phone . OPTIONAL { ?p e:label ?l . ?p e:feature ?f } }`)
+	if !errors.Is(err, ra.ErrUnsupported) {
+		t.Fatalf("multi-pattern OPTIONAL block = %v; want ErrUnsupported", err)
 	}
 	for name, spec := range map[string]ra.RollupSpec{
 		"no dims":    {Pattern: "?s ?p ?o .", Agg: "SUM", Var: "o"},
@@ -265,6 +284,27 @@ func TestTypedErrors(t *testing.T) {
 	_, _, err = pq.Execute(expired)
 	if !errors.Is(err, ra.ErrTimeout) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired execute = %v; want ErrTimeout wrapping DeadlineExceeded", err)
+	}
+
+	restore, err := ra.SetScans(store, panickingScans{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = store.Query(ra.HiveNaive, exampleQuery)
+	restore()
+	if !errors.Is(err, ra.ErrInternal) {
+		t.Fatalf("panicking map task = %v; want ErrInternal", err)
+	}
+
+	// A DataDir that is a file cannot hold the load directories.
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	disk := ra.NewStore(ra.Options{Storage: ra.StorageDisk, DataDir: file})
+	disk.Add("http://example.org/px", "http://example.org/label", ra.Literal("px"))
+	if _, _, err := disk.Query(ra.HiveNaive, exampleQuery); !errors.Is(err, ra.ErrStorage) {
+		t.Fatalf("unusable DataDir = %v; want ErrStorage", err)
 	}
 }
 
@@ -369,5 +409,48 @@ func TestPrepareInvalidatedByMutation(t *testing.T) {
 	}
 	if !pq3.CacheHit() {
 		t.Fatal("Prepare must hit again once a plan exists for the new version")
+	}
+}
+
+// TestStoreLockOrder runs every Store path that takes mu or loadMu from
+// concurrent goroutines: Add takes mu and then loadMu, Query holds mu while
+// it takes loadMu, and Prepare and SharedScanStats take loadMu alone. A
+// path that took mu while holding loadMu would deadlock this mix; the
+// watchdog turns that hang into a failure with every goroutine's stack.
+func TestStoreLockOrder(t *testing.T) {
+	store := buildShop()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var wg sync.WaitGroup
+		for g := range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range 40 {
+					switch (g + i) % 4 {
+					case 0:
+						store.Add("http://example.org/px", "http://example.org/label", ra.Literal(fmt.Sprint(g, i)))
+					case 1:
+						if _, _, err := store.Query(ra.RAPIDAnalytics, exampleQuery); err != nil {
+							t.Error(err)
+						}
+					case 2:
+						if _, err := store.Prepare(ra.HiveNaive, exampleQuery); err != nil {
+							t.Error(err)
+						}
+					case 3:
+						store.SharedScanStats()
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		buf := make([]byte, 1<<20)
+		t.Fatalf("Store locks deadlocked:\n%s", buf[:runtime.Stack(buf, true)])
 	}
 }

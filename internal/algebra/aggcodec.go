@@ -39,8 +39,6 @@ func (s *AggState) UpdateTerm(d *rdf.Dict, value string) {
 
 // AppendEncode appends the state's Encode form to buf without the
 // fmt.Sprintf intermediate.
-//
-//rapid:hot
 func (s *AggState) AppendEncode(buf []byte) []byte {
 	buf = append(buf, s.Func...)
 	buf = append(buf, 0x1f)
@@ -60,8 +58,6 @@ func (s *AggState) AppendEncode(buf []byte) []byte {
 }
 
 // AppendEncode appends the multi-state's Encode form to buf.
-//
-//rapid:hot
 func (m *MultiAggState) AppendEncode(buf []byte) []byte {
 	for i, s := range m.States {
 		if i > 0 {
@@ -85,8 +81,6 @@ func cutByte(b []byte, sep byte) (before, after []byte, found bool) {
 // and calling Merge, but without building the decoded states: combiners
 // and reducers keep one resident state per key group and fold each
 // shuffled value straight from its bytes.
-//
-//rapid:hot
 func (m *MultiAggState) MergeBytes(enc []byte) error {
 	for i, s := range m.States {
 		part, rest, found := cutByte(enc, 0x1e)
@@ -103,8 +97,6 @@ func (m *MultiAggState) MergeBytes(enc []byte) error {
 
 // mergeBytes folds one encoded state into s (see MergeBytes). The encoded
 // function name is not checked, as Merge does not check it.
-//
-//rapid:hot
 func (s *AggState) mergeBytes(enc []byte) error {
 	_, rest, ok := cutByte(enc, 0x1f)
 	if !ok {
@@ -126,7 +118,7 @@ func (s *AggState) mergeBytes(enc []byte) error {
 	// COUNT/MIN/MAX states and empty SUM states serialise the sum as "0";
 	// skip the float parse for that common case.
 	if len(sumB) != 1 || sumB[0] != '0' {
-		//lint:alloc the converted string does not escape ParseFloat, so it stays on the stack
+		// the converted string does not escape ParseFloat, so it stays on the stack
 		sum, err = strconv.ParseFloat(string(sumB), 64)
 		if err != nil {
 			return aggStateErr("malformed aggregate sum: %w", err)
@@ -145,9 +137,9 @@ func (s *AggState) mergeBytes(enc []byte) error {
 		for hasTail && rest != nil {
 			var v []byte
 			v, rest, _ = cutByte(rest, 0x1f)
-			//lint:alloc a map index by string(bytes) does not allocate
+			// a map index by string(bytes) does not allocate
 			if !s.Seen[string(v)] {
-				//lint:alloc once per value new to the group: the set's key must be a string
+				// once per value new to the group: the set's key must be a string
 				s.Update(string(v))
 			}
 		}
@@ -164,15 +156,15 @@ func (s *AggState) mergeBytes(enc []byte) error {
 		s.Sum += sum
 	case sparql.Min, sparql.Max:
 		if s.Count == 0 {
-			//lint:alloc only when the extreme changes: the state keeps it as a string
+			// only when the extreme changes: the state keeps it as a string
 			s.Extreme = string(extreme)
 			s.Count = count
 			return nil
 		}
 		s.Count += count
-		//lint:alloc the converted strings do not escape the comparisons, so they stay on the stack
+		// the converted strings do not escape the comparisons, so they stay on the stack
 		if s.Extreme != string(extreme) && valueLess(string(extreme), s.Extreme) == (s.Func == sparql.Min) {
-			//lint:alloc only when the extreme changes: the state keeps it as a string
+			// only when the extreme changes: the state keeps it as a string
 			s.Extreme = string(extreme)
 		}
 	}
@@ -180,7 +172,7 @@ func (s *AggState) mergeBytes(enc []byte) error {
 }
 
 // aggStateErr builds a decode failure. It is a function of its own so the
-// //rapid:hot merge holds no formatting call: malformed input ends the
+// per-value merge holds no formatting call: malformed input ends the
 // task, so it runs at most once.
 func aggStateErr(format string, args ...any) error {
 	return fmt.Errorf("algebra: "+format, args...)

@@ -305,11 +305,14 @@ func BuildGraphPattern(g *sparql.GroupGraphPattern) (*GraphPattern, error) {
 	return gp, nil
 }
 
-// attachOptionals assigns each OPTIONAL block's triple patterns to the star
-// whose subject they extend, enforcing the analytical subset's
-// restrictions: bound properties, subject bound by a required star, object
-// variables fresh (not used anywhere else, including filters and other
-// optionals), no property already required by the star.
+// attachOptionals assigns each OPTIONAL block's triple pattern to the star
+// whose subject it extends, enforcing the analytical subset's
+// restrictions: one pattern per block, bound properties, subject bound by
+// a required star, object variables fresh (not used anywhere else,
+// including filters and other optionals), no property already required by
+// the star. A block of several patterns is one left-join operand that
+// matches only where all of them do; the engines extend a star one pattern
+// at a time, so such a block is rejected rather than answered per pattern.
 func (gp *GraphPattern) attachOptionals(blocks [][]sparql.TriplePattern) error {
 	if len(blocks) == 0 {
 		return nil
@@ -321,6 +324,9 @@ func (gp *GraphPattern) attachOptionals(blocks [][]sparql.TriplePattern) error {
 		}
 	}
 	for _, block := range blocks {
+		if len(block) > 1 {
+			return fmt.Errorf("algebra: an OPTIONAL block of %d patterns is not supported; write one OPTIONAL per pattern", len(block))
+		}
 		for _, tp := range block {
 			if tp.P.IsVar {
 				return fmt.Errorf("algebra: unbound properties inside OPTIONAL are not supported")

@@ -13,8 +13,6 @@ import (
 )
 
 // AppendString appends a uvarint-length-prefixed string to buf.
-//
-//rapid:hot
 func AppendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
@@ -35,8 +33,6 @@ func readString(buf []byte) ([]byte, []byte, error) {
 }
 
 // AppendUvarint appends a uvarint to buf.
-//
-//rapid:hot
 func AppendUvarint(buf []byte, v uint64) []byte {
 	return binary.AppendUvarint(buf, v)
 }
@@ -70,8 +66,6 @@ func (t Tuple) EncodedLen() int {
 
 // AppendEncode appends the tuple's encoding to buf and returns the extended
 // slice, avoiding the intermediate allocation of Encode in hot emit paths.
-//
-//rapid:hot
 func (t Tuple) AppendEncode(buf []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(t)))
 	for _, f := range t {
@@ -110,8 +104,6 @@ func DecodeTuple(buf []byte) (Tuple, error) {
 // substrings of one string copy of the record, so a decode allocates that
 // string, not one per field; a reader of many rows passes one flat dst for
 // all of them and slices its rows out. On error dst comes back unextended.
-//
-//rapid:hot
 func AppendDecodeTuple(dst Tuple, buf []byte) (Tuple, error) {
 	n, rest, err := ReadUvarint(buf)
 	if err != nil {
@@ -124,7 +116,7 @@ func AppendDecodeTuple(dst Tuple, buf []byte) (Tuple, error) {
 	}
 	var s string
 	if n > 0 {
-		//lint:alloc one string per record: every field is a substring of it
+		// one string per record: every field is a substring of it
 		s = string(buf)
 	}
 	out := slices.Grow(dst, int(n))
@@ -164,8 +156,6 @@ func (t Tuple) EncodedIDsLen() int {
 // uvarint arity followed by the fields' raw bytes. ID-strings are
 // self-delimiting uvarints, so no per-field length prefix is needed — this
 // is what makes the dictionary plane's rows and shuffle keys compact.
-//
-//rapid:hot
 func (t Tuple) AppendEncodeIDs(buf []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(t)))
 	for _, f := range t {
@@ -190,8 +180,6 @@ func DecodeIDTuple(buf []byte, in Interner) (Tuple, error) {
 // map task that finishes with one record before decoding the next passes
 // its own scratch as dst[:0] and pays for the storage once. On error dst
 // comes back unextended.
-//
-//rapid:hot
 func AppendDecodeIDTuple(dst Tuple, buf []byte, in Interner) (Tuple, error) {
 	n, buf, err := ReadUvarint(buf)
 	if err != nil {
@@ -218,7 +206,7 @@ func AppendDecodeIDTuple(dst Tuple, buf []byte, in Interner) (Tuple, error) {
 }
 
 // decodeErr builds a decode failure. It is a function of its own so the
-// //rapid:hot decoders hold no formatting call: malformed input ends the
+// per-record decoders hold no formatting call: malformed input ends the
 // task, so it runs at most once.
 func decodeErr(format string, args ...any) error {
 	return fmt.Errorf("codec: "+format, args...)

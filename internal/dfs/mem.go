@@ -98,16 +98,22 @@ func (b *memBackend) List(prefix string) []string {
 	return names
 }
 
+// TotalStoredBytes snapshots the matching files under b.mu and sizes them
+// after releasing it, so no path holds two locks of this package.
 func (b *memBackend) TotalStoredBytes(prefix string) int64 {
+	var files []*memFile
 	b.mu.RLock()
-	defer b.mu.RUnlock()
-	var total int64
 	for n, f := range b.files {
 		if strings.HasPrefix(n, prefix) {
-			f.mu.Lock()
-			total += storedSize(f.bytes, f.ratio)
-			f.mu.Unlock()
+			files = append(files, f)
 		}
+	}
+	b.mu.RUnlock()
+	var total int64
+	for _, f := range files {
+		f.mu.Lock()
+		total += storedSize(f.bytes, f.ratio)
+		f.mu.Unlock()
 	}
 	return total
 }

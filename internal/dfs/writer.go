@@ -1,16 +1,16 @@
 package dfs
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"rapidanalytics/internal/obs"
 	"rapidanalytics/internal/vec"
 )
 
-// Writer appends records to a file and commits them at Close. Writes are
-// internally locked (each writing task still conventionally owns its
-// writer); backend errors are sticky and surface at Close.
+// Writer appends records to a file and commits them at Close. A Writer
+// belongs to the one goroutine that writes it and has no lock, so none is
+// held while the stream registry or the backend takes its own. Backend
+// errors are sticky and surface at Close.
 type Writer struct {
 	fw    FileWriter
 	name  string
@@ -18,7 +18,6 @@ type Writer struct {
 	span  *obs.Span
 	open  *atomic.Int64 // the FS's handle count, decremented by the first Close
 
-	mu      sync.Mutex
 	records int64
 	bytes   int64
 	err     error
@@ -43,7 +42,6 @@ func (w *Writer) Write(record []byte) {
 // WriteOwned appends one record without copying; the caller must not reuse
 // the slice.
 func (w *Writer) WriteOwned(record []byte) {
-	w.mu.Lock()
 	if w.err == nil && !w.closed {
 		if err := w.fw.Append(record); err != nil {
 			w.err = err
@@ -52,7 +50,6 @@ func (w *Writer) WriteOwned(record []byte) {
 			w.bytes += int64(len(record))
 		}
 	}
-	w.mu.Unlock()
 	w.span.AddRecords(1)
 	w.span.AddBytes(int64(len(record)))
 }
@@ -75,7 +72,6 @@ func appendRows(fw FileWriter, b *vec.Batch) error {
 // it over.
 func (w *Writer) WriteBatch(b *vec.Batch) {
 	rows, bytes := int64(b.Rows()), b.Bytes()
-	w.mu.Lock()
 	if w.err == nil && !w.closed {
 		var err error
 		if sw, ok := w.fw.(*streamWriter); ok {
@@ -90,7 +86,6 @@ func (w *Writer) WriteBatch(b *vec.Batch) {
 			w.bytes += bytes
 		}
 	}
-	w.mu.Unlock()
 	w.span.AddRecords(rows)
 	w.span.AddBytes(bytes)
 }
@@ -99,8 +94,6 @@ func (w *Writer) WriteBatch(b *vec.Batch) {
 // stream: zero for backend writers and for streams that overflowed to the
 // backend (their output materialised after all).
 func (w *Writer) StreamedBatches() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if sw, ok := w.fw.(*streamWriter); ok {
 		return sw.streamedBatches()
 	}
@@ -111,8 +104,6 @@ func (w *Writer) StreamedBatches() int64 {
 // commit itself. Close is idempotent. Every Writer must be closed on every
 // path, failed writes included: FS.OpenHandles counts it until then.
 func (w *Writer) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.closed {
 		return w.err
 	}
@@ -126,22 +117,16 @@ func (w *Writer) Close() error {
 
 // Records returns the number of records written so far.
 func (w *Writer) Records() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	return w.records
 }
 
 // Bytes returns the logical bytes written so far.
 func (w *Writer) Bytes() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	return w.bytes
 }
 
 // StoredBytes returns the stored (compressed) size of what has been
 // written: logical bytes times the file's compression ratio.
 func (w *Writer) StoredBytes() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	return storedSize(w.bytes, w.ratio)
 }

@@ -270,7 +270,6 @@ type partialAggMapper struct {
 	key, enc []byte
 }
 
-//rapid:hot
 func (m *partialAggMapper) Map(rec []byte, emit mapred.Emit) error {
 	row, ok, err := m.sc.next(rec)
 	if err != nil || !ok {
@@ -288,7 +287,7 @@ func (m *partialAggMapper) Map(rec []byte, emit mapred.Emit) error {
 		m.st.States[i].UpdateTerm(m.sc.plan.dict, row[p])
 	}
 	m.enc = m.st.AppendEncode(m.enc[:0])
-	//lint:alloc Emit takes its key as a string: one per row
+	// Emit takes its key as a string: one per row
 	emit(string(m.key), m.enc)
 	return nil
 }
@@ -334,7 +333,6 @@ type projectMapper struct {
 	enc   []byte
 }
 
-//rapid:hot
 func (m *projectMapper) Map(rec []byte, emit mapred.Emit) error {
 	row, ok, err := m.sc.next(rec)
 	if err != nil || !ok {
@@ -348,7 +346,7 @@ func (m *projectMapper) Map(rec []byte, emit mapred.Emit) error {
 		m.proj = append(m.proj, row[p])
 	}
 	m.enc = m.proj.AppendEncodeIDs(m.enc[:0])
-	//lint:alloc Emit takes its key as a string: one per row
+	// Emit takes its key as a string: one per row
 	emit(string(m.enc), m.enc)
 	return nil
 }

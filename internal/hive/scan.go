@@ -84,8 +84,6 @@ func (p *scanPlan) colIndex(name string) int {
 
 // project applies the plan to one raw tuple, appending the kept fields to
 // dst. It reports false, with dst unextended, for a dropped tuple.
-//
-//rapid:hot
 func (p *scanPlan) project(dst, raw codec.Tuple) (codec.Tuple, bool) {
 	if len(raw) != p.arity {
 		return dst, false
@@ -130,8 +128,6 @@ type scanner struct {
 }
 
 // next decodes and scans one record; false means the plan drops it.
-//
-//rapid:hot
 func (s *scanner) next(rec []byte) (codec.Tuple, bool, error) {
 	raw, err := codec.AppendDecodeIDTuple(s.raw[:0], rec, s.plan.dict)
 	if err != nil {
@@ -157,8 +153,6 @@ type tupleArena struct {
 func (a *tupleArena) reset() { a.fields = a.fields[:0] }
 
 // decode parses an ID-tuple into the arena.
-//
-//rapid:hot
 func (a *tupleArena) decode(buf []byte, in codec.Interner) (codec.Tuple, error) {
 	n := len(a.fields)
 	f, err := codec.AppendDecodeIDTuple(a.fields, buf, in)
@@ -250,8 +244,6 @@ func buildSideIndex(recs [][]byte, p *scanPlan, keyPos int) *sideIndex {
 }
 
 // lookup returns the rows whose key column equals key.
-//
-//rapid:hot
 func (x *sideIndex) lookup(key string) []codec.Tuple {
 	id, ok := termID(key)
 	if !ok {
@@ -342,8 +334,6 @@ func (x *starRows) emit(key string, emit mapred.Emit) {
 
 // expand fills input i's columns with each of its matches in turn and
 // recurses; past the last input it emits the row.
-//
-//rapid:hot
 func (x *starRows) expand(i int) {
 	if i == len(x.plans) {
 		x.buf = x.row.AppendEncodeIDs(x.buf[:0])
@@ -400,8 +390,6 @@ func compileJoin(left, right *rel, leftCol, rightCol string, keep map[string]boo
 }
 
 // appendRow appends the joined row of scan outputs l and r to dst.
-//
-//rapid:hot
 func (j *joinPlan) appendRow(dst, l, r codec.Tuple) codec.Tuple {
 	dst = append(dst, l[j.leftKey])
 	for _, p := range j.leftKept {
@@ -423,7 +411,6 @@ type taggedScanMapper struct {
 	buf    []byte
 }
 
-//rapid:hot
 func (m *taggedScanMapper) Map(rec []byte, emit mapred.Emit) error {
 	row, ok, err := m.sc.next(rec)
 	if err != nil || !ok {
@@ -437,7 +424,7 @@ func (m *taggedScanMapper) Map(rec []byte, emit mapred.Emit) error {
 var errUntagged = errors.New("hive: join value missing its input tag")
 
 // badTag builds the failure for an out-of-range input tag. It is a function
-// of its own so the //rapid:hot reducers hold no formatting call.
+// of its own so the per-row reducers hold no formatting call.
 func badTag(tag byte) error {
 	return fmt.Errorf("hive: bad star-join tag %d", tag)
 }
@@ -449,7 +436,6 @@ type starReducer struct {
 	arena tupleArena
 }
 
-//rapid:hot
 func (r *starReducer) Reduce(key string, values [][]byte, emit mapred.Emit) error {
 	x := r.rows
 	r.arena.reset()
@@ -504,7 +490,6 @@ func newStarMapJoinMapper(plans []*starPlan, side func(file string) [][]byte) *s
 	return m
 }
 
-//rapid:hot
 func (m *starMapJoinMapper) Map(rec []byte, emit mapred.Emit) error {
 	if m.err != nil {
 		return m.err
@@ -540,7 +525,6 @@ type mapJoinMapper struct {
 	buf   []byte
 }
 
-//rapid:hot
 func (m *mapJoinMapper) Map(rec []byte, emit mapred.Emit) error {
 	if m.right.err != nil {
 		return m.right.err

@@ -27,7 +27,6 @@ type symJoinReducer struct {
 	buf    []byte
 }
 
-//rapid:hot
 func (r *symJoinReducer) Reduce(key string, values [][]byte, emit mapred.Emit) error {
 	r.arena.reset()
 	r.ls, r.rs = r.ls[:0], r.rs[:0]
@@ -55,8 +54,6 @@ func (r *symJoinReducer) Reduce(key string, values [][]byte, emit mapred.Emit) e
 }
 
 // emitJoined encodes one joined row into the reducer's reused buffer.
-//
-//rapid:hot
 func (r *symJoinReducer) emitJoined(l, rr codec.Tuple, emit mapred.Emit) {
 	r.out = r.plan.appendRow(r.out[:0], l, rr)
 	r.buf = r.out.AppendEncodeIDs(r.buf[:0])

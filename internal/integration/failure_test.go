@@ -10,7 +10,7 @@ import (
 
 	"rapidanalytics/internal/dfs"
 	"rapidanalytics/internal/engine"
-	"rapidanalytics/internal/lint/leaktest"
+	"rapidanalytics/internal/leaktest"
 	"rapidanalytics/internal/mapred"
 	"rapidanalytics/internal/rdf"
 	"rapidanalytics/internal/refimpl"

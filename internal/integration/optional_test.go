@@ -96,6 +96,9 @@ func TestOptionalRejections(t *testing.T) {
 		"required+optional":  prefix + `SELECT (COUNT(?o) AS ?n) { ?s e:p ?o . OPTIONAL { ?s e:p ?x } }`,
 		"filter on optional": prefix + `SELECT (COUNT(?o) AS ?n) { ?s e:p ?o . OPTIONAL { ?s e:q ?x } FILTER (?x > 3) }`,
 		"unbound prop":       prefix + `SELECT (COUNT(?o) AS ?n) { ?s e:p ?o . OPTIONAL { ?s ?q ?x } }`,
+		// One left-join operand: it matches a subject only where both
+		// patterns do, which per-pattern extension would not honour.
+		"multi-pattern block": prefix + `SELECT (COUNT(?l) AS ?n) { ?p a e:Phone . OPTIONAL { ?p e:label ?l . ?p e:feature ?f } }`,
 	}
 	for name, qs := range cases {
 		parsed, err := sparql.Parse(qs)

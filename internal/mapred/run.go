@@ -799,8 +799,6 @@ const (
 
 // partitionOf assigns a key to a reduce partition with an inline FNV-1a
 // hash — identical to fnv.New32a over the key bytes, but zero-alloc.
-//
-//rapid:hot
 func partitionOf(key string, partitions int) int {
 	h := uint32(fnvOffset32)
 	for i := 0; i < len(key); i++ {

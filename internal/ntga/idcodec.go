@@ -18,8 +18,6 @@ import (
 
 // AppendEncodeIDs appends the encoding of the triplegroup to buf. Every
 // field must be an ID-string.
-//
-//rapid:hot
 func (tg *TripleGroup) AppendEncodeIDs(buf []byte) []byte {
 	buf = append(buf, tg.Subject...)
 	buf = codec.AppendUvarint(buf, uint64(len(tg.Triples)))
@@ -36,7 +34,7 @@ func (tg *TripleGroup) EncodeIDs() []byte {
 }
 
 // decodeErr builds a decode failure. It is a function of its own so the
-// //rapid:hot decoders hold no formatting call: malformed input ends the
+// per-record decoders hold no formatting call: malformed input ends the
 // task, so it runs at most once.
 func decodeErr(format string, args ...any) error {
 	return fmt.Errorf("ntga: "+format, args...)
@@ -63,8 +61,6 @@ func (ar *Arena) Reset() {
 // DecodeTripleGroupIDs parses a triplegroup written by AppendEncodeIDs into
 // the arena, returning the remaining buffer (triplegroups nest inside
 // annotated triplegroups). Fields resolve to interned ID-strings through in.
-//
-//rapid:hot
 func (ar *Arena) DecodeTripleGroupIDs(buf []byte, in codec.Interner) (TripleGroup, []byte, error) {
 	var tg TripleGroup
 	var err error
@@ -111,8 +107,6 @@ func DecodeTripleGroupIDs(buf []byte, in codec.Interner) (TripleGroup, []byte, e
 
 // AppendEncodeIDs appends the encoding of the annotated triplegroup to
 // buf.
-//
-//rapid:hot
 func (a *AnnTG) AppendEncodeIDs(buf []byte) []byte {
 	buf = codec.AppendUvarint(buf, uint64(len(a.Stars)))
 	for i, s := range a.Stars {
@@ -129,8 +123,6 @@ func (a *AnnTG) EncodeIDs() []byte {
 
 // DecodeAnnTGIDs parses an annotated triplegroup written by
 // AppendEncodeIDs into the arena.
-//
-//rapid:hot
 func (ar *Arena) DecodeAnnTGIDs(buf []byte, in codec.Interner) (AnnTG, error) {
 	n, buf, err := codec.ReadUvarint(buf)
 	if err != nil {
@@ -187,8 +179,6 @@ type CompSpan struct {
 // bytes, and that every term ID is at most maxID (a dictionary resolves the
 // IDs 0..Len()) — without resolving any ID. On error dst comes back
 // unextended.
-//
-//rapid:hot
 func AppendAnnTGSpans(dst []CompSpan, buf []byte, maxID uint64) ([]CompSpan, error) {
 	n, off := binary.Uvarint(buf)
 	if off <= 0 {
@@ -220,8 +210,6 @@ func AppendAnnTGSpans(dst []CompSpan, buf []byte, maxID uint64) ([]CompSpan, err
 
 // skipTripleGroupIDs checks the triplegroup encoded at buf[off:] as
 // DecodeTripleGroupIDs does and returns the offset just past it.
-//
-//rapid:hot
 func skipTripleGroupIDs(buf []byte, off int, maxID uint64) (int, error) {
 	off, err := skipID(buf, off, maxID)
 	if err != nil {
@@ -249,8 +237,6 @@ func skipTripleGroupIDs(buf []byte, off int, maxID uint64) (int, error) {
 
 // skipID checks the term ID at buf[off:] against maxID and returns the
 // offset just past it.
-//
-//rapid:hot
 func skipID(buf []byte, off int, maxID uint64) (int, error) {
 	id, k := binary.Uvarint(buf[off:])
 	if k <= 0 {
@@ -286,8 +272,6 @@ func idLen(b []byte) int {
 // merged by star (on a tie, r's first). For records written by
 // AppendEncodeIDs this is byte for byte the encoding of the decoded join,
 // without decoding either side.
-//
-//rapid:hot
 func AppendJoinIDs(buf, lrec []byte, l []CompSpan, rrec []byte, r []CompSpan) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(l)+len(r)))
 	i, j := 0, 0

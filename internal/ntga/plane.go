@@ -69,8 +69,6 @@ func (tg *TripleGroup) HasAllRefs(refs []Ref) bool {
 
 // AppendProjectRefs appends to dst the triples matching any of the resolved
 // references, in stored order — the projection loop of σ^γopt and χ.
-//
-//rapid:hot
 func (tg *TripleGroup) AppendProjectRefs(dst []PO, refs []Ref) []PO {
 	for _, t := range tg.Triples {
 		for _, ref := range refs {
@@ -190,8 +188,6 @@ func (t *AlphaTable) PatternWords() int { return (t.numPatterns + 63) / 64 }
 // (Table 2) — is PatternSetsMeet of the sides' sets: α is tested once per
 // value, not once per pair. A star the table does not cover is an error; on
 // error dst comes back unextended.
-//
-//rapid:hot
 func (t *AlphaTable) AppendPatternSet(dst []uint64, rec []byte, comps []CompSpan) ([]uint64, error) {
 	start := len(dst)
 	for k := 0; k < t.numPatterns; k += 64 {
@@ -228,8 +224,6 @@ func PatternSetsMeet(a, b []uint64) bool {
 }
 
 // encodedHasAllRefs is HasAllRefs on a checked triplegroup encoding.
-//
-//rapid:hot
 func encodedHasAllRefs(tg []byte, refs []Ref) bool {
 	for _, ref := range refs {
 		if !encodedHasPO(tg, ref.Prop, ref.Obj) {
@@ -241,8 +235,6 @@ func encodedHasAllRefs(tg []byte, refs []Ref) bool {
 
 // encodedHasPO is HasPO on a checked triplegroup encoding: the comparisons
 // run on the ID bytes.
-//
-//rapid:hot
 func encodedHasPO(tg []byte, prop, obj string) bool {
 	off := idLen(tg)
 	n, k := binary.Uvarint(tg[off:])
@@ -250,7 +242,7 @@ func encodedHasPO(tg []byte, prop, obj string) bool {
 	for ; n > 0; n-- {
 		p := idLen(tg[off:])
 		o := idLen(tg[off+p:])
-		//lint:alloc comparing a string(bytes) conversion does not allocate
+		// comparing a string(bytes) conversion does not allocate
 		if string(tg[off:off+p]) == prop && (obj == "" || string(tg[off+p:off+p+o]) == obj) {
 			return true
 		}
@@ -418,8 +410,6 @@ func (m *Matcher) NewState(fn func(slots []string)) *MatchState {
 // yields m solutions for that triple pattern, and solutions multiply across
 // triple patterns — this is what makes triplegroup aggregation agree with
 // relational aggregation in the presence of multi-valued properties.
-//
-//rapid:hot
 func (st *MatchState) Match(a *AnnTG) {
 	for i, star := range st.m.stars {
 		st.comps[i] = nil
@@ -438,8 +428,6 @@ func (st *MatchState) Match(a *AnnTG) {
 
 // match extends the partial solution in slots by items[i:], restoring every
 // slot it binds before it returns.
-//
-//rapid:hot
 func (st *MatchState) match(i int) {
 	if i == len(st.m.items) {
 		st.fn(st.slots)

@@ -171,8 +171,6 @@ func JoinChain(run *engine.Runner, scans []tgops.Source, order []algebra.Join, t
 // replanNeeded reports whether the estimate-vs-observed error ratio
 // exceeds replanRatio (in either direction; both cardinalities clamp to 1
 // so empty intermediates compare cleanly).
-//
-//rapid:hot
 func replanNeeded(predicted, observed float64) bool {
 	p := math.Max(1, predicted)
 	o := math.Max(1, observed)

@@ -105,8 +105,6 @@ func (d *Dict) Add(key string) uint64 {
 
 // entry returns the published entry for id, or nil for NULL and IDs at or
 // beyond the published length.
-//
-//rapid:hot
 func (d *Dict) entry(id uint64) *dictEntry {
 	if id == 0 || id > d.n.Load() {
 		return nil

@@ -14,7 +14,7 @@ import (
 	"time"
 
 	ra "rapidanalytics"
-	"rapidanalytics/internal/lint/leaktest"
+	"rapidanalytics/internal/leaktest"
 )
 
 // testQuery is a two-grouping analytical query over the tiny shop graph;

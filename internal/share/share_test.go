@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"rapidanalytics/internal/dfs"
-	"rapidanalytics/internal/lint/leaktest"
+	"rapidanalytics/internal/leaktest"
 )
 
 // writeFile materialises n records "rec-i" under name.

@@ -97,8 +97,8 @@ type GroupGraphPattern struct {
 	Filters    []Filter
 	SubSelects []*SelectQuery
 	// Optionals holds the triple patterns of OPTIONAL { ... } blocks, one
-	// slice per block. The analytical subset supports blocks whose triple
-	// patterns share one subject variable bound by the required part.
+	// slice per block. The analytical subset supports blocks of one triple
+	// pattern whose subject variable the required part binds.
 	Optionals [][]TriplePattern
 }
 

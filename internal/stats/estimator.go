@@ -98,8 +98,6 @@ func (e *Estimator) starStats(refs []algebra.PropRef) (subjects, card float64) {
 
 // StarCard implements algebra.CardEstimator: the predicted cardinality of
 // one star's filtered scan output.
-//
-//rapid:hot
 func (e *Estimator) StarCard(star int) float64 {
 	if star < 0 || star >= len(e.card) {
 		return 1
@@ -122,8 +120,6 @@ func (e *Estimator) StarSubjects(star int) float64 {
 // count at each endpoint — subjects for subject-role endpoints, the
 // carrying properties' distinct objects for object-role endpoints
 // (Schmidt et al.'s independence-based equi-join estimate).
-//
-//rapid:hot
 func (e *Estimator) JoinCard(left, right float64, j algebra.Join) float64 {
 	dl := e.endpointDistinct(j.Left, j.LeftRole, j.LeftProps)
 	dr := e.endpointDistinct(j.Right, j.RightRole, j.RightProps)
@@ -132,8 +128,6 @@ func (e *Estimator) JoinCard(left, right float64, j algebra.Join) float64 {
 
 // endpointDistinct estimates the distinct join-variable values at one join
 // endpoint.
-//
-//rapid:hot
 func (e *Estimator) endpointDistinct(star int, role algebra.Role, props []algebra.PropRef) float64 {
 	if role == algebra.RoleSubject {
 		return e.StarSubjects(star)
@@ -155,8 +149,6 @@ func (e *Estimator) endpointDistinct(star int, role algebra.Role, props []algebr
 // per 4096 predicted rows, clamped to [1, 16] (the simulated reduce-task
 // schedule still comes from the cost model; partitions shape execution
 // parallelism only).
-//
-//rapid:hot
 func PartitionsFor(predicted float64) int {
 	p := int(predicted / 4096)
 	if p < 1 {

@@ -120,8 +120,6 @@ func (sc *scanner) lexOf(v string) string {
 // scratch and is valid until the next annTGOf call: a mapper must finish
 // with it — encode it, extract its keys, enumerate its solutions — before
 // it returns from Map.
-//
-//rapid:hot
 func (sc *scanner) annTGOf(rec []byte) (*ntga.AnnTG, bool, error) {
 	sc.arena.Reset()
 	if sc.scan == nil {
@@ -137,7 +135,7 @@ func (sc *scanner) annTGOf(rec []byte) (*ntga.AnnTG, bool, error) {
 		return nil, false, err
 	}
 	if len(rest) != 0 {
-		//lint:alloc malformed input ends the task; not a per-record path
+		// malformed input ends the task; not a per-record path
 		return nil, false, fmt.Errorf("tgops: %d trailing bytes after triplegroup", len(rest))
 	}
 	// σ^γopt (Definition 3.3): every primary property must be matched.
@@ -208,8 +206,6 @@ func (ep Endpoint) planeProps(d *rdf.Dict) []string {
 // (planeProps). The keys come out sorted: one record's keys are distinct,
 // so they land in different reduce groups and their order among themselves
 // reaches no output.
-//
-//rapid:hot
 func appendJoinKeys(dst []string, a *ntga.AnnTG, ep Endpoint, props []string) []string {
 	comp, ok := a.Component(ep.Star)
 	if !ok {
@@ -361,8 +357,6 @@ type joinValue struct {
 
 // pair emits the join of l and r when α admits it: their pattern sets
 // meet.
-//
-//rapid:hot
 func (red *alphaJoinReducer) pair(values [][]byte, l, r *joinValue, emit mapred.Emit) {
 	if red.alpha != nil {
 		w := red.alpha.PatternWords()
@@ -550,8 +544,6 @@ func newAggJoinMapper(sc *scanner, specs []resolvedAggSpec, hashAgg bool) *aggJo
 // in keyBuf: the uvarint spec index when the job has several specs,
 // followed by the group values' self-delimiting ID bytes, with no
 // separators (ID bytes may contain 0x1f).
-//
-//rapid:hot
 func (m *aggJoinMapper) appendAggKey(sp *resolvedAggSpec, slots []string) []byte {
 	buf := m.keyBuf[:0]
 	if len(m.specs) > 1 {
@@ -590,8 +582,6 @@ func (m *aggJoinMapper) Map(rec []byte, emit mapred.Emit) error {
 
 // solution folds one solution of the current spec into the pre-aggregation
 // table, or emits it as a one-solution partial state for the combiner.
-//
-//rapid:hot
 func (m *aggJoinMapper) solution(slots []string) {
 	sp, dict := &m.specs[m.cur], m.sc.dict
 	for i, f := range sp.BindingFilters {
@@ -605,11 +595,11 @@ func (m *aggJoinMapper) solution(slots []string) {
 	hashAgg := m.multiAggMap != nil
 	var st *algebra.MultiAggState
 	if hashAgg {
-		//lint:alloc a map index by string(bytes) does not allocate
+		// a map index by string(bytes) does not allocate
 		st = m.multiAggMap[string(key)]
 		if st == nil {
 			st = algebra.NewMultiAggState(sp.Aggs)
-			//lint:alloc once per group key and task: the table's key must be a string
+			// once per group key and task: the table's key must be a string
 			m.multiAggMap[string(key)] = st
 		}
 	} else {
@@ -621,7 +611,7 @@ func (m *aggJoinMapper) solution(slots []string) {
 	}
 	if !hashAgg {
 		m.enc = st.AppendEncode(m.enc[:0])
-		//lint:alloc Emit takes its key as a string: one per solution
+		// Emit takes its key as a string: one per solution
 		m.emit(string(key), m.enc)
 	}
 }

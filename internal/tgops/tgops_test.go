@@ -456,8 +456,9 @@ func TestScannerScratchDoesNotLeakAcrossRecords(t *testing.T) {
 }
 
 // The per-record paths allocate nothing once the task's scratch has grown
-// to its records: the fused scan of a raw triplegroup, and TG_AgJ's Map
-// folding a solution into a group the pre-aggregation table already holds.
+// to its records: the fused scan of a raw triplegroup, TG_AgJ's Map folding
+// a solution into a group the pre-aggregation table already holds, the
+// α-join mapper's key extraction and its reducer's pairing.
 func TestMapSideAllocations(t *testing.T) {
 	d := rdf.NewDict()
 	// Term IDs from 128 up take two uvarint bytes. The runtime converts a
@@ -469,31 +470,43 @@ func TestMapSideAllocations(t *testing.T) {
 	g := intern(tg("a", [2]string{"price", "L10"}, [2]string{"price", "L20"}, [2]string{"junk", "Lx"}), d)
 	rec := g.EncodeIDs()
 	src := Source{Files: []string{"in"}, Dict: d, Scan: &ScanSpec{Star: 0, Prim: []algebra.PropRef{{Prop: "price"}}}}
-
 	sc := src.scanner()
-	scan := func() {
-		if _, ok, err := sc.annTGOf(rec); err != nil || !ok {
-			t.Fatalf("annTGOf: %v %v", ok, err)
-		}
-	}
-	scan()
-	if allocs := testing.AllocsPerRun(100, scan); allocs != 0 {
-		t.Errorf("annTGOf allocates %v times per raw triplegroup, want 0", allocs)
-	}
-
 	m := AggJoinJob("agg", src, aggSpecs(true), true, "out").NewMapper(&mapred.TaskContext{InputFile: "in"})
+	a, b := ntga.NewAnnTG(0, g), ntga.NewAnnTG(1, g)
+	price := []string{g.Triples[0].Prop}
+	group := [][]byte{a.AppendEncodeIDs([]byte{0}), b.AppendEncodeIDs([]byte{1})}
+	red := &alphaJoinReducer{dict: d}
 	emits := 0
 	emit := func(string, []byte) { emits++ }
-	mapRec := func() {
-		if err := m.Map(rec, emit); err != nil {
-			t.Fatal(err)
+	var keys []string
+	for _, c := range []struct {
+		name  string
+		emits int // per call
+		run   func() error
+	}{
+		{"scanner.annTGOf", 0, func() error {
+			_, ok, err := sc.annTGOf(rec)
+			if !ok {
+				t.Fatal("annTGOf dropped the triplegroup")
+			}
+			return err
+		}},
+		// Hash aggregation emits nothing before Close.
+		{"aggJoinMapper.Map", 0, func() error { return m.Map(rec, emit) }},
+		{"appendJoinKeys", 0, func() error {
+			if keys = appendJoinKeys(keys[:0], &a, Endpoint{Star: 0, Role: algebra.RoleObject}, price); len(keys) != 2 {
+				t.Fatalf("join keys %q, want two prices", keys)
+			}
+			return nil
+		}},
+		{"alphaJoinReducer.Reduce", 1, func() error { return red.Reduce("k", group, emit) }},
+	} {
+		emits = 0
+		if err := c.run(); err != nil || emits != c.emits {
+			t.Fatalf("%s: %d emits, want %d: %v", c.name, emits, c.emits, err)
 		}
-	}
-	mapRec()
-	if allocs := testing.AllocsPerRun(100, mapRec); allocs != 0 {
-		t.Errorf("TG_AgJ Map allocates %v times per record on seen group keys, want 0", allocs)
-	}
-	if emits != 0 {
-		t.Errorf("hash aggregation emitted %d records before Close", emits)
+		if n := testing.AllocsPerRun(100, func() { c.run() }); n != 0 {
+			t.Errorf("%s allocates %v times per call, want 0", c.name, n)
+		}
 	}
 }

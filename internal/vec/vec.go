@@ -31,8 +31,6 @@ func (b *Batch) Bytes() int64 { return int64(len(b.data)) }
 // Record returns row's record bytes. The slice aliases the batch's arena
 // with its capacity clipped to the record, so appending to it never
 // overwrites the next record; callers must not modify it.
-//
-//rapid:hot
 func (b *Batch) Record(row int) []byte {
 	end := b.offs[row+1]
 	return b.data[b.offs[row]:end:end]
@@ -40,8 +38,6 @@ func (b *Batch) Record(row int) []byte {
 
 // AppendRecord appends row's record bytes to dst and returns the extended
 // slice.
-//
-//rapid:hot
 func (b *Batch) AppendRecord(dst []byte, row int) []byte {
 	return append(dst, b.Record(row)...)
 }
@@ -68,8 +64,6 @@ func NewBuilder(maxRows int) *Builder {
 
 // Append copies one record into the open batch, returning the sealed batch
 // when the append filled it, else nil.
-//
-//rapid:hot
 func (bu *Builder) Append(rec []byte) *Batch {
 	if bu.cur == nil {
 		bu.cur = &Batch{

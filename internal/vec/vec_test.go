@@ -182,3 +182,28 @@ func FuzzBuilderRoundTrip(f *testing.F) {
 		checkRoundTrip(t, build(int(maxRows), recs), recs)
 	})
 }
+
+// Reading a record allocates nothing, and appending one nothing beyond the
+// next batch's arena, offsets and header once per DefaultBatchRows rows:
+// averaged over fewer runs than a batch holds, that is zero.
+func TestSteadyStateAllocs(t *testing.T) {
+	bu := NewBuilder(DefaultBatchRows)
+	rec := encodeTuple(1, 300, 70000)
+	for bu.Append(rec) == nil {
+	}
+	b := build(4, [][]byte{rec, rec})[0]
+	var dst []byte
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{
+		{"Builder.Append", func() { bu.Append(rec) }},
+		{"Batch.Record", func() { dst = b.Record(1) }},
+		{"Batch.AppendRecord", func() { dst = b.AppendRecord(dst[:0], 1) }},
+	} {
+		c.run()
+		if n := testing.AllocsPerRun(100, c.run); n != 0 {
+			t.Errorf("%s allocates %v times per call, want 0", c.name, n)
+		}
+	}
+}

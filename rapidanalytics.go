@@ -313,40 +313,51 @@ func (s *Store) NumTriples() int {
 
 // ensureLoaded materialises the storage layouts (once) and returns the
 // cluster and dataset to execute on. Callers hold s.mu.RLock, so the graph
-// cannot change underneath the materialisation.
+// cannot change underneath the materialisation. Every failure to set up or
+// write the layouts, and an earlier failure to reclaim a superseded load,
+// matches ErrStorage.
 func (s *Store) ensureLoaded() (*mapred.Cluster, *engine.Dataset, error) {
 	s.loadMu.Lock()
 	defer s.loadMu.Unlock()
 	if s.ds == nil {
-		if err := s.reclaimErr; err != nil {
-			s.reclaimErr = nil
+		if err := s.load(); err != nil {
 			return nil, nil, fmt.Errorf("%w: %w", ErrStorage, err)
 		}
-		cfg := mapred.VCL10(s.opts.DataScale)
-		cfg.Nodes = s.opts.Nodes
-		cfg.SpillThresholdBytes = s.opts.SpillThresholdBytes
-		s.loads++
-		fs, err := s.newFS()
-		if err != nil {
-			return nil, nil, fmt.Errorf("%w: %w", ErrStorage, err)
-		}
-		cluster := mapred.NewClusterFS(cfg, fs)
-		if s.opts.SharedScans {
-			// Share only base-layout scans: per-query tmp/ intermediates
-			// have unique names and would pay the window for nothing.
-			s.scans = share.New(fs, share.Options{
-				Window: s.opts.SharedScanWindow,
-				Prefix: "store/",
-			})
-			cluster.Scans = s.scans
-		}
-		ds, err := engine.Load(cluster, fmt.Sprintf("store/%d", s.loads), s.graph)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%w: %w", ErrStorage, err)
-		}
-		s.cluster, s.ds = cluster, ds
 	}
 	return s.cluster, s.ds, nil
+}
+
+// load materialises the storage layouts into s.cluster and s.ds. Callers
+// hold s.loadMu.
+func (s *Store) load() error {
+	if err := s.reclaimErr; err != nil {
+		s.reclaimErr = nil
+		return err
+	}
+	cfg := mapred.VCL10(s.opts.DataScale)
+	cfg.Nodes = s.opts.Nodes
+	cfg.SpillThresholdBytes = s.opts.SpillThresholdBytes
+	s.loads++
+	fs, err := s.newFS()
+	if err != nil {
+		return err
+	}
+	cluster := mapred.NewClusterFS(cfg, fs)
+	if s.opts.SharedScans {
+		// Share only base-layout scans: per-query tmp/ intermediates
+		// have unique names and would pay the window for nothing.
+		s.scans = share.New(fs, share.Options{
+			Window: s.opts.SharedScanWindow,
+			Prefix: "store/",
+		})
+		cluster.Scans = s.scans
+	}
+	ds, err := engine.Load(cluster, fmt.Sprintf("store/%d", s.loads), s.graph)
+	if err != nil {
+		return err
+	}
+	s.cluster, s.ds = cluster, ds
+	return nil
 }
 
 // newFS builds the DFS for one materialisation of the store's layouts.

@@ -15,7 +15,7 @@ import (
 
 	ra "rapidanalytics"
 	"rapidanalytics/internal/dfs"
-	"rapidanalytics/internal/lint/leaktest"
+	"rapidanalytics/internal/leaktest"
 	"rapidanalytics/internal/mapred"
 	"rapidanalytics/internal/server"
 )
