@@ -6,50 +6,95 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"rapidanalytics/internal/vec"
 )
 
-// The conformance suite runs every backend through the semantics the
+// The conformance suite runs every column through the semantics the
 // package documents: snapshot reads, truncate-on-Create, delete-while-open,
-// sorted listing, compression accounting and concurrent writer safety.
-// Both backends must pass identically — engines never know which one they
-// run on.
+// sorted listing, compression accounting and concurrent writer safety. The
+// columns are the two backends, a stream, and a stream that overflows to
+// the mem backend at its first batch of content. All must pass identically
+// — engines never know which one they run on — except that a live stream
+// is neither listed nor counted in stored bytes.
 
-func backends(t *testing.T) map[string]func() *FS {
-	return map[string]func() *FS{
-		"mem": New,
-		"disk": func() *FS {
+// column is one column of the suite: an FS and how its files are created.
+type column struct {
+	*FS
+	create func(name string, ratio float64) (*Writer, error)
+	// listed reports whether a file with content appears in List and
+	// TotalStoredBytes.
+	listed bool
+}
+
+func columns(t *testing.T) map[string]func() column {
+	stream := func(spill int64) func() column {
+		return func() column {
+			fs := New()
+			return column{fs, func(name string, ratio float64) (*Writer, error) {
+				return fs.CreateStream(name, ratio, spill)
+			}, spill > 0}
+		}
+	}
+	return map[string]func() column{
+		"mem": func() column {
+			fs := New()
+			return column{fs, fs.Create, true}
+		},
+		"disk": func() column {
 			fs, err := NewDisk(t.TempDir(), 4)
 			if err != nil {
 				t.Fatalf("NewDisk: %v", err)
 			}
-			return fs
+			return column{fs, fs.Create, true}
 		},
+		"stream":   stream(0),
+		"overflow": stream(1),
 	}
 }
 
-func forEachBackend(t *testing.T, test func(t *testing.T, fs *FS)) {
-	for name, mk := range backends(t) {
+func forEachBackend(t *testing.T, test func(t *testing.T, c column)) {
+	for name, mk := range columns(t) {
 		t.Run(name, func(t *testing.T) { test(t, mk()) })
 	}
 }
 
+// write creates (or truncates) name in c and writes recs to it.
+func (c column) write(t *testing.T, name string, ratio float64, recs ...string) {
+	t.Helper()
+	w, err := c.create(name, ratio)
+	if err != nil {
+		t.Fatalf("create(%q): %v", name, err)
+	}
+	for _, r := range recs {
+		w.Write([]byte(r))
+	}
+	if err := w.Close(); err != nil {
+		t.Fatalf("Close(%q): %v", name, err)
+	}
+}
+
+// readAll reads a snapshot's records through its iterator.
 func readAll(t *testing.T, f *File) []string {
 	t.Helper()
-	recs, err := f.AllRecords()
-	if err != nil {
-		t.Fatalf("AllRecords(%s): %v", f.Name(), err)
+	var out []string
+	it := f.Records(0)
+	for it.Next() {
+		out = append(out, string(it.Record()))
 	}
-	out := make([]string, len(recs))
-	for i, r := range recs {
-		out[i] = string(r)
+	if err := it.Err(); err != nil {
+		t.Fatalf("Records(%s): %v", f.Name(), err)
 	}
 	return out
 }
 
 func TestConformanceCreateWriteRead(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, fs *FS) {
-		writeFile(t, fs, "dir/f", 1, "alpha", "", "gamma")
-		f, err := fs.Open("dir/f")
+	forEachBackend(t, func(t *testing.T, c column) {
+		c.write(t, "dir/f", 1, "alpha", "", "gamma")
+		if !c.Exists("dir/f") {
+			t.Fatal("written file does not Exist")
+		}
+		f, err := c.Open("dir/f")
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}
@@ -66,26 +111,54 @@ func TestConformanceCreateWriteRead(t *testing.T) {
 	})
 }
 
+// TestConformanceEmptyFile: a file without records still Exists and Opens
+// with zero records — downstream jobs depend on empty intermediates being
+// present.
+func TestConformanceEmptyFile(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, c column) {
+		c.write(t, "empty", 1)
+		if !c.Exists("empty") {
+			t.Fatal("empty file does not Exist")
+		}
+		f, err := c.Open("empty")
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		defer f.Close()
+		if f.NumRecords() != 0 || f.Bytes() != 0 {
+			t.Errorf("empty file: %d records, %d bytes", f.NumRecords(), f.Bytes())
+		}
+		if it := f.Records(0); it.Next() {
+			t.Error("empty file yielded a record")
+		}
+	})
+}
+
+// Out-of-range ratios must be rejected, not silently clamped: a clamped
+// ratio would corrupt every stored-byte metric downstream.
 func TestConformanceBadRatio(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, fs *FS) {
-		w, err := fs.Create("bad", 0)
-		if !errors.Is(err, ErrCompressionRatio) {
-			t.Errorf("err = %v, want ErrCompressionRatio", err)
+	forEachBackend(t, func(t *testing.T, c column) {
+		for _, ratio := range []float64{0, -3, 1.5} {
+			w, err := c.create("bad", ratio)
+			if !errors.Is(err, ErrCompressionRatio) {
+				t.Errorf("ratio %g: err = %v, want ErrCompressionRatio", ratio, err)
+			}
+			if w != nil {
+				t.Errorf("ratio %g: got a writer", ratio)
+				w.Close()
+			}
 		}
-		if w != nil {
-			w.Close()
-		}
-		if fs.Exists("bad") {
-			t.Error("rejected Create left a file")
+		if c.Exists("bad") {
+			t.Error("rejected create left a file")
 		}
 	})
 }
 
 func TestConformanceCompressionAccounting(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, fs *FS) {
-		writeFile(t, fs, "t/orc", 0.12, string(make([]byte, 1000)))
-		writeFile(t, fs, "t/raw", 1, string(make([]byte, 50)))
-		f, err := fs.Open("t/orc")
+	forEachBackend(t, func(t *testing.T, c column) {
+		c.write(t, "t/orc", 0.12, string(make([]byte, 1000)))
+		c.write(t, "t/raw", 1, string(make([]byte, 50)))
+		f, err := c.Open("t/orc")
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}
@@ -96,17 +169,21 @@ func TestConformanceCompressionAccounting(t *testing.T) {
 		if f.StoredBytes() != 120 {
 			t.Errorf("StoredBytes = %d", f.StoredBytes())
 		}
-		if got := fs.TotalStoredBytes("t/"); got != 170 {
-			t.Errorf("TotalStoredBytes = %d", got)
+		want := int64(170)
+		if !c.listed {
+			want = 0 // the write was elided
+		}
+		if got := c.TotalStoredBytes("t/"); got != want {
+			t.Errorf("TotalStoredBytes = %d, want %d", got, want)
 		}
 	})
 }
 
 func TestConformanceTruncate(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, fs *FS) {
-		writeFile(t, fs, "f", 1, "old1", "old2")
-		writeFile(t, fs, "f", 1, "new")
-		f, err := fs.Open("f")
+	forEachBackend(t, func(t *testing.T, c column) {
+		c.write(t, "f", 1, "old1", "old2")
+		c.write(t, "f", 1, "new")
+		f, err := c.Open("f")
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}
@@ -118,14 +195,14 @@ func TestConformanceTruncate(t *testing.T) {
 }
 
 func TestConformanceSnapshotAfterTruncate(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, fs *FS) {
-		writeFile(t, fs, "f", 1, "v1a", "v1b")
-		snap, err := fs.Open("f")
+	forEachBackend(t, func(t *testing.T, c column) {
+		c.write(t, "f", 1, "v1a", "v1b")
+		snap, err := c.Open("f")
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}
 		defer snap.Close()
-		writeFile(t, fs, "f", 1, "v2")
+		c.write(t, "f", 1, "v2")
 		if got := readAll(t, snap); !reflect.DeepEqual(got, []string{"v1a", "v1b"}) {
 			t.Errorf("snapshot corrupted by truncate: %q", got)
 		}
@@ -133,15 +210,15 @@ func TestConformanceSnapshotAfterTruncate(t *testing.T) {
 }
 
 func TestConformanceDeleteWhileOpen(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, fs *FS) {
-		writeFile(t, fs, "f", 1, "a", "b", "c")
-		snap, err := fs.Open("f")
+	forEachBackend(t, func(t *testing.T, c column) {
+		c.write(t, "f", 1, "a", "b", "c")
+		snap, err := c.Open("f")
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}
 		defer snap.Close()
-		fs.Delete("f")
-		if fs.Exists("f") {
+		c.Delete("f")
+		if c.Exists("f") {
 			t.Fatal("file exists after delete")
 		}
 		if got := readAll(t, snap); !reflect.DeepEqual(got, []string{"a", "b", "c"}) {
@@ -151,9 +228,9 @@ func TestConformanceDeleteWhileOpen(t *testing.T) {
 }
 
 func TestConformanceDeleteMissing(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, fs *FS) {
-		fs.Delete("never-created") // must not panic or create state
-		if fs.Exists("never-created") {
+	forEachBackend(t, func(t *testing.T, c column) {
+		c.Delete("never-created") // must not panic or create state
+		if c.Exists("never-created") {
 			t.Error("delete created the file")
 		}
 	})
@@ -163,15 +240,18 @@ func TestConformanceDeleteMissing(t *testing.T) {
 // open until its first Close, whatever its kind; a failed Open counts
 // nothing, and closing twice counts down once.
 func TestConformanceOpenHandles(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, fs *FS) {
+	forEachBackend(t, func(t *testing.T, c column) {
 		want := func(n int) {
 			t.Helper()
-			if got := fs.OpenHandles(); got != n {
+			if got := c.OpenHandles(); got != n {
 				t.Fatalf("OpenHandles = %d, want %d", got, n)
 			}
 		}
-		w := mustCreate(t, fs, "f", 1)
-		sw, err := fs.CreateStream("s", 1, 0)
+		w, err := c.create("f", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sw, err := c.CreateStream("s", 1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,15 +264,15 @@ func TestConformanceOpenHandles(t *testing.T) {
 			}
 		}
 		want(0)
-		f, err := fs.Open("f")
+		f, err := c.Open("f")
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := fs.Open("s")
+		s, err := c.Open("s")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := fs.Open("nope"); err == nil {
+		if _, err := c.Open("nope"); err == nil {
 			t.Fatal("Open of missing file succeeded")
 		}
 		want(2)
@@ -205,8 +285,8 @@ func TestConformanceOpenHandles(t *testing.T) {
 }
 
 func TestConformanceOpenMissing(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, fs *FS) {
-		if f, err := fs.Open("nope"); err == nil {
+	forEachBackend(t, func(t *testing.T, c column) {
+		if f, err := c.Open("nope"); err == nil {
 			f.Close()
 			t.Error("Open of missing file succeeded")
 		}
@@ -214,35 +294,41 @@ func TestConformanceOpenMissing(t *testing.T) {
 }
 
 func TestConformanceListOrdering(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, fs *FS) {
+	forEachBackend(t, func(t *testing.T, c column) {
 		for _, name := range []string{"p/zz", "p/a", "q/x", "p/m/1"} {
-			writeFile(t, fs, name, 1, "r")
+			c.write(t, name, 1, "r")
 		}
-		if got := fs.List("p/"); !reflect.DeepEqual(got, []string{"p/a", "p/m/1", "p/zz"}) {
-			t.Errorf("List(p/) = %v", got)
+		want, all := []string{"p/a", "p/m/1", "p/zz"}, 4
+		if !c.listed {
+			want, all = nil, 0
 		}
-		if got := fs.List(""); len(got) != 4 {
+		if got := c.List("p/"); !reflect.DeepEqual(got, want) {
+			t.Errorf("List(p/) = %v, want %v", got, want)
+		}
+		if got := c.List(""); len(got) != all {
 			t.Errorf("List(\"\") = %v", got)
 		}
 	})
 }
 
 func TestConformanceRecordsFrom(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, fs *FS) {
+	forEachBackend(t, func(t *testing.T, c column) {
+		const rows = vec.DefaultBatchRows
 		var recs []string
-		for i := 0; i < 1000; i++ {
+		for i := 0; i < 2*rows+3; i++ {
 			recs = append(recs, fmt.Sprintf("record-%04d-%s", i, string(make([]byte, 100))))
 		}
-		writeFile(t, fs, "big", 1, recs...)
-		f, err := fs.Open("big")
+		c.write(t, "big", 1, recs...)
+		f, err := c.Open("big")
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}
 		defer f.Close()
 		// Starts chosen to land mid-file (mid-block on disk: 100+ byte
 		// records × 32KB blocks ≈ 300 records per block), at block-ish
-		// boundaries, and past the end.
-		for _, start := range []int{0, 1, 299, 300, 500, 999, 1000, 5000} {
+		// boundaries, inside and across batch boundaries, and past the
+		// end.
+		for _, start := range []int{0, 1, 299, 300, 500, rows - 1, rows, rows + 1, 2*rows + 2, 2*rows + 3, 3 * rows} {
 			it := f.Records(start)
 			n := 0
 			for it.Next() {
@@ -255,13 +341,37 @@ func TestConformanceRecordsFrom(t *testing.T) {
 			if err := it.Err(); err != nil {
 				t.Fatalf("Records(%d) err: %v", start, err)
 			}
-			wantN := len(recs) - start
-			if wantN < 0 {
-				wantN = 0
+			if want := max(len(recs)-start, 0); n != want {
+				t.Errorf("Records(%d) yielded %d records, want %d", start, n, want)
 			}
-			if n != wantN {
-				t.Errorf("Records(%d) yielded %d records, want %d", start, n, wantN)
-			}
+		}
+	})
+}
+
+// TestWriteCopies: Write copies its record, so a caller may reuse the slice
+// at once, whatever the column does with the batch it is handed.
+func TestWriteCopies(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, c column) {
+		w, err := c.create("f", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := []byte("abc")
+		w.Write(buf)
+		buf[0] = 'X'
+		w.Write([]byte("def"))
+		buf[1] = 'Y'
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		buf[2] = 'Z'
+		f, err := c.Open("f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if got := readAll(t, f); !reflect.DeepEqual(got, []string{"abc", "def"}) {
+			t.Errorf("records = %q, want the bytes as written", got)
 		}
 	})
 }
@@ -269,7 +379,7 @@ func TestConformanceRecordsFrom(t *testing.T) {
 // Concurrent writers to distinct files must be safe (the engine's reduce
 // phase and parallel loads create files concurrently); run under -race.
 func TestConformanceConcurrentWriters(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, fs *FS) {
+	forEachBackend(t, func(t *testing.T, c column) {
 		const writers = 8
 		var wg sync.WaitGroup
 		errs := make([]error, writers)
@@ -278,7 +388,7 @@ func TestConformanceConcurrentWriters(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				name := fmt.Sprintf("c/f%d", w)
-				wr, err := fs.Create(name, 1)
+				wr, err := c.create(name, 1)
 				if err != nil {
 					errs[w] = err
 					return
@@ -296,7 +406,7 @@ func TestConformanceConcurrentWriters(t *testing.T) {
 			}
 		}
 		for w := 0; w < writers; w++ {
-			f, err := fs.Open(fmt.Sprintf("c/f%d", w))
+			f, err := c.Open(fmt.Sprintf("c/f%d", w))
 			if err != nil {
 				t.Fatalf("Open writer %d: %v", w, err)
 			}
@@ -312,13 +422,13 @@ func TestConformanceConcurrentWriters(t *testing.T) {
 // A concurrent reader drawing iterators from one shared File must be safe
 // (shuffle tasks share input snapshots); run under -race.
 func TestConformanceConcurrentReaders(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, fs *FS) {
+	forEachBackend(t, func(t *testing.T, c column) {
 		var recs []string
 		for i := 0; i < 2000; i++ {
 			recs = append(recs, fmt.Sprintf("rec-%d", i))
 		}
-		writeFile(t, fs, "shared", 1, recs...)
-		f, err := fs.Open("shared")
+		c.write(t, "shared", 1, recs...)
+		f, err := c.Open("shared")
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}

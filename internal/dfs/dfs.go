@@ -4,21 +4,25 @@
 // columnar formats such as ORC, whose aggressive compression reduces stored
 // bytes — and therefore map-task counts — while adding decompression work).
 //
-// Storage is pluggable through the Backend interface. Two backends exist:
-// the default in-memory backend (every record held as a []byte, the
-// original behavior) and a disk backend over internal/blockstore (sharded
-// append-only segment files). Both present identical semantics:
+// Records travel as sealed vec.Batch arenas: a Writer copies the records
+// written to it into batches, and every write reaches the storage backend
+// as one sealed batch (FileWriter.AppendBatch). Storage is pluggable
+// through the Backend interface. Two backends exist: the default in-memory
+// backend, whose files hold the sealed batches themselves, and a disk
+// backend over internal/blockstore (sharded append-only segment files).
+// Both present identical semantics:
 //
 //   - Open returns a snapshot: the records committed at Open time. A
 //     snapshot stays readable after the name is deleted or truncated by a
 //     new Create.
-//   - A file's content is committed by Writer.Close. Writers are
-//     append-only; Create truncates.
+//   - A file's content is committed by Writer.Close; an in-memory file
+//     also shows each batch as it is sealed. Writers are append-only;
+//     Create truncates.
 //   - Record slices handed out by iterators are immutable and remain
 //     valid indefinitely; callers must not modify them.
 //
-// Streamed files (CreateStream, see stream.go) keep a job's output in an
-// in-memory registry instead of the backend and present the same
+// Streamed files (CreateStream, see stream.go) are in-memory files kept in
+// a registry of the FS instead of the backend, and present the same
 // semantics.
 package dfs
 
@@ -27,6 +31,9 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"rapidanalytics/internal/blockstore"
+	"rapidanalytics/internal/vec"
 )
 
 // ErrCompressionRatio reports a compression ratio outside (0, 1] passed to
@@ -71,25 +78,22 @@ type Backend interface {
 // FileWriter is a backend's append-only write handle. Implementations are
 // not required to be concurrency-safe; the Writer wrapper serialises.
 type FileWriter interface {
-	// Append adds one record, taking ownership of the slice.
-	Append(rec []byte) error
-	// Close commits the file. Errors from earlier Appends may surface here.
+	// AppendBatch adds a sealed batch's rows, in order. The batch is
+	// immutable, so the writer may keep it.
+	AppendBatch(b *vec.Batch) error
+	// Close commits the file. Errors from earlier appends may surface here.
 	Close() error
 }
 
-// recordSource is a backend's snapshot read payload inside a File.
-type recordSource interface {
-	iterate(start int) RecordIterator
-	close() error
-}
-
-// File is a snapshot read handle on a named file.
+// File is a snapshot read handle on a named file: an in-memory file's
+// sealed batches, or a disk file's open segment.
 type File struct {
-	name  string
-	nrec  int
-	bytes int64
-	ratio float64
-	src   recordSource
+	name    string
+	nrec    int
+	bytes   int64
+	ratio   float64
+	batches []*vec.Batch
+	seg     *blockstore.Segment
 
 	// open is the handle count of the FS that handed the File out (nil for
 	// a File straight from a Backend); closed makes the first Close the
@@ -115,10 +119,16 @@ func (f *File) StoredBytes() int64 { return storedSize(f.bytes, f.ratio) }
 
 // Records returns an iterator positioned at record index start (0-based; 0
 // streams the whole file). Many iterators may be drawn from one File.
-func (f *File) Records(start int) RecordIterator { return f.src.iterate(start) }
+func (f *File) Records(start int) RecordIterator {
+	start = max(start, 0)
+	if f.seg != nil {
+		return f.seg.Iter(int64(start))
+	}
+	return newBatchIterator(f.batches, start)
+}
 
-// AllRecords materialises the whole snapshot. Prefer Records for
-// record-at-a-time consumers; this is for side inputs and small files.
+// AllRecords materialises the whole snapshot. Prefer Records, which
+// copies nothing; only tests and the benchmark's probes call this.
 func (f *File) AllRecords() ([][]byte, error) {
 	recs := make([][]byte, 0, f.nrec)
 	it := f.Records(0)
@@ -137,7 +147,10 @@ func (f *File) Close() error {
 	if !f.closed.Swap(true) && f.open != nil {
 		f.open.Add(-1)
 	}
-	return f.src.close()
+	if f.seg != nil {
+		return f.seg.Close()
+	}
+	return nil
 }
 
 // storedSize is the one compression-accounting formula both backends and
@@ -157,7 +170,7 @@ type FS struct {
 	// mu guards streams, the registry of live streamed files (CreateStream)
 	// that Open and Exists consult before the backend.
 	mu      sync.Mutex
-	streams map[string]*streamFile
+	streams map[string]*memFile
 }
 
 // New returns an FS over a fresh in-memory backend.
@@ -201,7 +214,7 @@ func (fs *FS) Create(name string, ratio float64) (*Writer, error) {
 // metadata.
 func (fs *FS) Open(name string) (*File, error) {
 	if sf := fs.stream(name); sf != nil {
-		return fs.countFile(fs.openStream(name, sf)), nil
+		return fs.countFile(sf.open(name)), nil
 	}
 	f, err := fs.b.Open(name)
 	if err != nil {

@@ -71,24 +71,6 @@ func TestCreateBadRatio(t *testing.T) {
 	}
 }
 
-func TestWriteCopies(t *testing.T) {
-	fs := New()
-	w := mustCreate(t, fs, "f", 1)
-	buf := []byte("abc")
-	w.Write(buf)
-	buf[0] = 'X'
-	w.Close()
-	f, _ := fs.Open("f")
-	defer f.Close()
-	recs, err := f.AllRecords()
-	if err != nil {
-		t.Fatalf("AllRecords: %v", err)
-	}
-	if string(recs[0]) != "abc" {
-		t.Errorf("record mutated: %q", recs[0])
-	}
-}
-
 func TestListAndDelete(t *testing.T) {
 	fs := New()
 	writeFile(t, fs, "x/1", 1, "a")

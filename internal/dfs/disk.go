@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"rapidanalytics/internal/blockstore"
+	"rapidanalytics/internal/vec"
 )
 
 // diskBackend stores every file as one blockstore segment in a sharded
@@ -55,14 +56,16 @@ func (b *diskBackend) Create(name string, ratio float64) (FileWriter, error) {
 	return &diskFileWriter{sw: sw}, nil
 }
 
-// diskFileWriter streams records into a segment writer; Close commits the
-// segment atomically.
+// diskFileWriter appends each batch's rows to a segment writer; Close
+// commits the segment atomically.
 type diskFileWriter struct {
 	sw *blockstore.SegmentWriter
 }
 
-func (w *diskFileWriter) Append(rec []byte) error {
-	w.sw.Append(rec)
+func (w *diskFileWriter) AppendBatch(b *vec.Batch) error {
+	for r := range b.Rows() {
+		w.sw.Append(b.Record(r))
+	}
 	return nil
 }
 
@@ -78,7 +81,7 @@ func (b *diskBackend) Open(name string) (*File, error) {
 		nrec:  int(seg.Records()),
 		bytes: seg.Bytes(),
 		ratio: decodeRatio(seg.Meta()),
-		src:   segSource{seg: seg},
+		seg:   seg,
 	}, nil
 }
 
@@ -97,17 +100,3 @@ func (b *diskBackend) TotalStoredBytes(prefix string) int64 {
 	}
 	return total
 }
-
-// segSource adapts an open segment to the File record source.
-type segSource struct {
-	seg *blockstore.Segment
-}
-
-func (s segSource) iterate(start int) RecordIterator {
-	if start < 0 {
-		start = 0
-	}
-	return s.seg.Iter(int64(start))
-}
-
-func (s segSource) close() error { return s.seg.Close() }

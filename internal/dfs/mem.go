@@ -5,18 +5,56 @@ import (
 	"sort"
 	"strings"
 	"sync"
+
+	"rapidanalytics/internal/vec"
 )
 
-// memFile is one in-memory file's live state.
+// memFile is one in-memory file's live state: its sealed batches. It is
+// the FileWriter of the mem backend, and a streamed file is one too.
 type memFile struct {
 	mu      sync.Mutex
-	records [][]byte
-	bytes   int64
 	ratio   float64
+	batches []*vec.Batch
+	records int
+	bytes   int64
 }
 
-// memBackend is the default backend: every record a []byte on the heap,
-// the original dfs behavior.
+// commit appends one sealed batch, returning the file's new logical bytes.
+func (f *memFile) commit(b *vec.Batch) int64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.batches = append(f.batches, b)
+	f.records += b.Rows()
+	f.bytes += b.Bytes()
+	return f.bytes
+}
+
+// AppendBatch implements FileWriter: the batch becomes visible to later
+// Opens.
+func (f *memFile) AppendBatch(b *vec.Batch) error {
+	f.commit(b)
+	return nil
+}
+
+// Close implements FileWriter; every batch is committed already.
+func (f *memFile) Close() error { return nil }
+
+// open returns a snapshot File of the committed batches: later commits
+// grow the live file's slice without touching the one captured here.
+func (f *memFile) open(name string) *File {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return &File{
+		name:    name,
+		nrec:    f.records,
+		bytes:   f.bytes,
+		ratio:   f.ratio,
+		batches: f.batches[:len(f.batches):len(f.batches)],
+	}
+}
+
+// memBackend is the default backend: every file its sealed batches on the
+// heap.
 type memBackend struct {
 	mu    sync.RWMutex
 	files map[string]*memFile
@@ -32,22 +70,8 @@ func (b *memBackend) Create(name string, ratio float64) (FileWriter, error) {
 	b.mu.Lock()
 	b.files[name] = f
 	b.mu.Unlock()
-	return (*memFileWriter)(f), nil
+	return f, nil
 }
-
-// memFileWriter appends into the live memFile; records become visible to
-// snapshots taken by later Opens as they are written (Close is a no-op).
-type memFileWriter memFile
-
-func (w *memFileWriter) Append(rec []byte) error {
-	w.mu.Lock()
-	w.records = append(w.records, rec)
-	w.bytes += int64(len(rec))
-	w.mu.Unlock()
-	return nil
-}
-
-func (w *memFileWriter) Close() error { return nil }
 
 func (b *memBackend) Open(name string) (*File, error) {
 	b.mu.RLock()
@@ -56,19 +80,7 @@ func (b *memBackend) Open(name string) (*File, error) {
 	if !ok {
 		return nil, fmt.Errorf("dfs: no such file %q", name)
 	}
-	f.mu.Lock()
-	recs := f.records
-	bytes := f.bytes
-	f.mu.Unlock()
-	return &File{
-		name:  name,
-		nrec:  len(recs),
-		bytes: bytes,
-		ratio: f.ratio,
-		// The slice header is the snapshot: appends after Open grow the
-		// live file's slice without mutating the records captured here.
-		src: memSource(recs),
-	}, nil
+	return f.open(name), nil
 }
 
 func (b *memBackend) Exists(name string) bool {
@@ -118,34 +130,36 @@ func (b *memBackend) TotalStoredBytes(prefix string) int64 {
 	return total
 }
 
-// memSource is a snapshot of an in-memory file's records.
-type memSource [][]byte
+// batchIterator walks the rows of a batch snapshot as records. Each record
+// is a sub-slice of its batch's immutable arena.
+type batchIterator struct {
+	batches []*vec.Batch
+	row     int // next row of batches[0]
+	cur     []byte
+}
 
-func (s memSource) iterate(start int) RecordIterator {
-	if start < 0 {
-		start = 0
+// newBatchIterator positions an iterator at record start of batches.
+func newBatchIterator(batches []*vec.Batch, start int) *batchIterator {
+	for len(batches) > 0 && start >= batches[0].Rows() {
+		start -= batches[0].Rows()
+		batches = batches[1:]
 	}
-	return &memIterator{recs: s, pos: start}
+	return &batchIterator{batches: batches, row: start}
 }
 
-func (s memSource) close() error { return nil }
-
-// memIterator walks a record slice snapshot.
-type memIterator struct {
-	recs [][]byte
-	pos  int
-	cur  []byte
-}
-
-func (it *memIterator) Next() bool {
-	if it.pos >= len(it.recs) {
-		return false
+func (it *batchIterator) Next() bool {
+	for len(it.batches) > 0 {
+		if b := it.batches[0]; it.row < b.Rows() {
+			it.cur = b.Record(it.row)
+			it.row++
+			return true
+		}
+		it.batches, it.row = it.batches[1:], 0
 	}
-	it.cur = it.recs[it.pos]
-	it.pos++
-	return true
+	it.cur = nil
+	return false
 }
 
-func (it *memIterator) Record() []byte { return it.cur }
+func (it *batchIterator) Record() []byte { return it.cur }
 
-func (it *memIterator) Err() error { return nil }
+func (it *batchIterator) Err() error { return nil }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -40,81 +39,6 @@ func streamRecords(n int) [][]byte {
 		recs[i] = idRec(uint64(i), uint64(i*7), 0)
 	}
 	return recs
-}
-
-// TestStreamRoundTrip: a streamed file reads back byte-identically, with
-// the same metadata a materialised file would report, and never touches
-// the backend.
-func TestStreamRoundTrip(t *testing.T) {
-	fs := New()
-	recs := streamRecords(10)
-	var logical int64
-	for _, r := range recs {
-		logical += int64(len(r))
-	}
-	writeStream(t, fs, "tmp/s", 0.5, recs...)
-
-	if !fs.Exists("tmp/s") {
-		t.Fatal("streamed file does not Exist")
-	}
-	if got := fs.List("tmp/"); len(got) != 0 {
-		t.Errorf("List shows streamed file: %v", got)
-	}
-	if got := fs.TotalStoredBytes(""); got != 0 {
-		t.Errorf("TotalStoredBytes = %d, want 0 (write elided)", got)
-	}
-
-	f, err := fs.Open("tmp/s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if f.NumRecords() != 10 || f.Bytes() != logical || f.CompressionRatio() != 0.5 {
-		t.Errorf("metadata = %d recs, %d bytes, ratio %g", f.NumRecords(), f.Bytes(), f.CompressionRatio())
-	}
-	if want := int64(float64(logical) * 0.5); f.StoredBytes() != want {
-		t.Errorf("StoredBytes = %d, want %d", f.StoredBytes(), want)
-	}
-	it := f.Records(0)
-	for i := 0; it.Next(); i++ {
-		if !bytes.Equal(it.Record(), recs[i]) {
-			t.Fatalf("record %d = %x, want %x", i, it.Record(), recs[i])
-		}
-	}
-	if err := it.Err(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestStreamRecordsFrom: positioned iteration must match the backend
-// contract, including starts inside and across batch boundaries.
-func TestStreamRecordsFrom(t *testing.T) {
-	fs := New()
-	const rows = vec.DefaultBatchRows
-	recs := streamRecords(2*rows + 3)
-	writeStream(t, fs, "s", 1, recs...)
-	f, err := fs.Open("s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	for _, start := range []int{0, 1, rows - 1, rows, rows + 1, 2*rows + 2, 2*rows + 3, 3 * rows} {
-		it := f.Records(start)
-		n := 0
-		for it.Next() {
-			if !bytes.Equal(it.Record(), recs[start+n]) {
-				t.Fatalf("Records(%d)[%d] mismatch", start, n)
-			}
-			n++
-		}
-		want := len(recs) - start
-		if want < 0 {
-			want = 0
-		}
-		if n != want {
-			t.Errorf("Records(%d) yielded %d, want %d", start, n, want)
-		}
-	}
 }
 
 // TestStreamRecordsStable: like backend records, every record a stream
@@ -262,7 +186,7 @@ func TestStreamOverflowToBackend(t *testing.T) {
 	}
 }
 
-// appendFailBackend fails every Append of the backend writers it hands
+// appendFailBackend fails every AppendBatch of the backend writers it hands
 // out and counts those writers until they are closed.
 type appendFailBackend struct {
 	Backend
@@ -283,7 +207,9 @@ type appendFailWriter struct {
 	b *appendFailBackend
 }
 
-func (w *appendFailWriter) Append([]byte) error { return errors.New("injected append failure") }
+func (w *appendFailWriter) AppendBatch(*vec.Batch) error {
+	return errors.New("injected append failure")
+}
 
 func (w *appendFailWriter) Close() error {
 	w.b.open--
@@ -385,71 +311,5 @@ func TestWriteBatchOnBackendFile(t *testing.T) {
 	got, _ := f.AllRecords()
 	if len(got) != 2 || !bytes.Equal(got[0], idRec(5, 6)) || !bytes.Equal(got[1], idRec(7, 8)) {
 		t.Errorf("records = %x", got)
-	}
-}
-
-// TestStreamEmptyFile: an empty stream still Exists and Opens with zero
-// records — downstream jobs depend on empty intermediates being present.
-func TestStreamEmptyFile(t *testing.T) {
-	fs := New()
-	writeStream(t, fs, "empty", 1)
-	if !fs.Exists("empty") {
-		t.Fatal("empty stream does not Exist")
-	}
-	f, err := fs.Open("empty")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if f.NumRecords() != 0 || f.Bytes() != 0 {
-		t.Errorf("empty stream metadata: %d recs %d bytes", f.NumRecords(), f.Bytes())
-	}
-	if it := f.Records(0); it.Next() {
-		t.Error("empty stream yielded a record")
-	}
-}
-
-// TestStreamBadRatio matches the Create contract.
-func TestStreamBadRatio(t *testing.T) {
-	fs := New()
-	if w, err := fs.CreateStream("bad", 0, 0); err == nil {
-		w.Close()
-		t.Fatal("CreateStream accepted ratio 0")
-	}
-	if fs.Exists("bad") {
-		t.Error("rejected CreateStream left a file")
-	}
-}
-
-// TestStreamConcurrentReaders: many iterators over one stream snapshot
-// must be independent; run under -race.
-func TestStreamConcurrentReaders(t *testing.T) {
-	fs := New()
-	recs := streamRecords(500)
-	writeStream(t, fs, "shared", 1, recs...)
-	f, err := fs.Open("shared")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	done := make(chan error, 8)
-	for r := 0; r < 8; r++ {
-		go func(start int) {
-			it := f.Records(start)
-			n := start
-			for it.Next() {
-				if !bytes.Equal(it.Record(), recs[n]) {
-					done <- fmt.Errorf("reader@%d: record %d mismatch", start, n)
-					return
-				}
-				n++
-			}
-			done <- it.Err()
-		}(r * 50)
-	}
-	for r := 0; r < 8; r++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
 	}
 }

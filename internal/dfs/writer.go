@@ -7,12 +7,15 @@ import (
 	"rapidanalytics/internal/vec"
 )
 
-// Writer appends records to a file and commits them at Close. A Writer
+// Writer appends records to a file and commits them at Close. Records
+// written one at a time are copied into the Writer's open batch, and the
+// backend receives every record as part of a sealed batch. A Writer
 // belongs to the one goroutine that writes it and has no lock, so none is
 // held while the stream registry or the backend takes its own. Backend
 // errors are sticky and surface at Close.
 type Writer struct {
 	fw    FileWriter
+	bu    vec.Builder
 	name  string
 	ratio float64
 	span  *obs.Span
@@ -32,62 +35,45 @@ func (w *Writer) SetSpan(s *obs.Span) { w.span = s }
 // Name returns the name of the file being written.
 func (w *Writer) Name() string { return w.name }
 
-// Write appends one record. The record is copied.
-func (w *Writer) Write(record []byte) {
-	rec := make([]byte, len(record))
-	copy(rec, record)
-	w.WriteOwned(rec)
-}
-
-// WriteOwned appends one record without copying; the caller must not reuse
+// Write appends one record. The record is copied, so the caller may reuse
 // the slice.
-func (w *Writer) WriteOwned(record []byte) {
+func (w *Writer) Write(record []byte) {
 	if w.err == nil && !w.closed {
-		if err := w.fw.Append(record); err != nil {
-			w.err = err
-		} else {
-			w.records++
-			w.bytes += int64(len(record))
+		if b := w.bu.Append(record); b != nil {
+			w.append(b)
 		}
+		w.records++
+		w.bytes += int64(len(record))
 	}
 	w.span.AddRecords(1)
 	w.span.AddBytes(int64(len(record)))
 }
 
-// appendRows appends every row of b to fw. Rows are sub-slices of the
-// batch's immutable arena, so fw may retain them without a copy.
-func appendRows(fw FileWriter, b *vec.Batch) error {
-	for r := 0; r < b.Rows(); r++ {
-		if err := fw.Append(b.Record(r)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteBatch appends every row of a sealed batch. On a streamed file the
-// batch transfers as-is; backend files receive its rows as arena
-// sub-slices, with no per-record copy. Volume and span accounting match
-// row-at-a-time writes exactly. The batch must be sealed; the writer takes
-// it over.
+// WriteBatch appends every row of a sealed batch, after the records
+// written before it; a nil batch appends nothing. The backend takes the
+// batch as it is. Volume and span accounting match row-at-a-time writes
+// exactly. The writer takes the batch over.
 func (w *Writer) WriteBatch(b *vec.Batch) {
+	if b == nil {
+		return
+	}
 	rows, bytes := int64(b.Rows()), b.Bytes()
 	if w.err == nil && !w.closed {
-		var err error
-		if sw, ok := w.fw.(*streamWriter); ok {
-			err = sw.AppendBatch(b)
-		} else {
-			err = appendRows(w.fw, b)
-		}
-		if err != nil {
-			w.err = err
-		} else {
-			w.records += rows
-			w.bytes += bytes
-		}
+		w.append(w.bu.Flush())
+		w.append(b)
+		w.records += rows
+		w.bytes += bytes
 	}
 	w.span.AddRecords(rows)
 	w.span.AddBytes(bytes)
+}
+
+// append hands a sealed batch (nil: none) to the backend unless an
+// earlier append failed.
+func (w *Writer) append(b *vec.Batch) {
+	if b != nil && w.err == nil {
+		w.err = w.fw.AppendBatch(b)
+	}
 }
 
 // StreamedBatches returns the number of batches committed to a live
@@ -100,15 +86,17 @@ func (w *Writer) StreamedBatches() int64 {
 	return 0
 }
 
-// Close commits the file, returning the first error of any write or of the
-// commit itself. Close is idempotent. Every Writer must be closed on every
-// path, failed writes included: FS.OpenHandles counts it until then.
+// Close commits the open batch and then the file, returning the first
+// error of any write or of the commit itself. Close is idempotent. Every
+// Writer must be closed on every path, failed writes included:
+// FS.OpenHandles counts it until then.
 func (w *Writer) Close() error {
 	if w.closed {
 		return w.err
 	}
 	w.closed = true
 	w.open.Add(-1)
+	w.append(w.bu.Flush())
 	if err := w.fw.Close(); w.err == nil {
 		w.err = err
 	}

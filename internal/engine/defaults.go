@@ -155,7 +155,7 @@ func rewrite(fs *dfs.FS, name string, f *dfs.File, keep func(rec []byte) bool, e
 	it := f.Records(0)
 	for it.Next() {
 		if keep == nil || keep(it.Record()) {
-			w.WriteOwned(it.Record())
+			w.Write(it.Record())
 		}
 	}
 	if err := it.Err(); err != nil {
@@ -163,7 +163,7 @@ func rewrite(fs *dfs.FS, name string, f *dfs.File, keep func(rec []byte) bool, e
 		return err
 	}
 	for _, rec := range extra {
-		w.WriteOwned(rec)
+		w.Write(rec)
 	}
 	return w.Close()
 }

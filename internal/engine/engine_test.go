@@ -328,6 +328,39 @@ SELECT ?g ?cntX ?cntY {
   { SELECT ?g (COUNT(?y) AS ?cntY) { ?s2 e:g ?g ; e:y ?y . } GROUP BY ?g }
 }`
 
+// A side input of the final join whose block fails its CRC on disk fails
+// the join with the file's name, and closes every handle: tasks read the
+// open side snapshot in place, so the read error surfaces in the map task.
+func TestFinalJoinFailsOnUnreadableSide(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := dfs.NewDisk(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := mapred.NewClusterFS(mapred.DefaultConfig(), fs)
+	writeRecs(t, fs, "sub0", codec.Tuple{"Ig1", "3"}.Encode())
+	writeRecs(t, fs, "sub1", codec.Tuple{"5"}.Encode())
+	segs, err := filepath.Glob(filepath.Join(dir, "*", "sub1*"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segment of sub1: %v, %v", segs, err)
+	}
+	seg, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg[9] ^= 0xff // the first payload byte after the header and block CRC
+	if err := os.WriteFile(segs[0], seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.Run(FinalJoinJob(mustAQ(t, twoSubqueries), []string{"sub0", "sub1"}, "out"))
+	if err == nil || !strings.Contains(err.Error(), "side input sub1") {
+		t.Errorf("err = %v, want the side input's read error", err)
+	}
+	if n := fs.OpenHandles(); n != 0 {
+		t.Errorf("%d DFS handles left open", n)
+	}
+}
+
 // A side row of the final join that does not decode, has the wrong width
 // or carries no valid subquery tag fails the query with the file's name
 // instead of dropping the row.

@@ -116,9 +116,15 @@ func (m *finalJoinMapper) buildIndexes() error {
 		if fi == 0 && !m.tagged {
 			continue // the driving input
 		}
-		for _, rec := range m.tc.SideInput(name) {
+		f := m.tc.SideInput(name)
+		if !m.tagged && fi < n { // the file holds subquery fi's rows alone
+			fields[fi-1] = make(codec.Tuple, 0, f.NumRecords()*len(m.cols[fi]))
+			ends[fi-1] = make([]int, 0, f.NumRecords())
+		}
+		it := f.Records(0)
+		for it.Next() {
 			var err error
-			if m.rec, err = codec.AppendDecodeTuple(m.rec[:0], rec); err != nil {
+			if m.rec, err = codec.AppendDecodeTuple(m.rec[:0], it.Record()); err != nil {
 				return fmt.Errorf("engine: reading side input %s: %w", name, err)
 			}
 			id, row, ok := rowSubquery(m.rec, fi, m.tagged)
@@ -133,6 +139,9 @@ func (m *finalJoinMapper) buildIndexes() error {
 			}
 			fields[id-1] = append(fields[id-1], row...)
 			ends[id-1] = append(ends[id-1], len(fields[id-1]))
+		}
+		if err := it.Err(); err != nil {
+			return fmt.Errorf("engine: reading side input %s: %w", name, err)
 		}
 	}
 	m.indexes = make([]map[string][]codec.Tuple, n-1)

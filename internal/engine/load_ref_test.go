@@ -61,7 +61,7 @@ func refBuildVP(fs *dfs.FS, g *rdf.Graph, prefix string, d *rdf.Dict) (*store.VP
 		return nil, err
 	}
 	for _, t := range g.Triples {
-		triples.WriteOwned(encRow(t.Subject.Key(), "I"+t.Property.Value, t.Object.Key()))
+		triples.Write(encRow(t.Subject.Key(), "I"+t.Property.Value, t.Object.Key()))
 		s.Rows[s.TriplesTable]++
 		name, row := "", []string{t.Subject.Key(), t.Object.Key()}
 		if t.Property.Value == rdf.RDFType {
@@ -82,7 +82,7 @@ func refBuildVP(fs *dfs.FS, g *rdf.Graph, prefix string, d *rdf.Dict) (*store.VP
 		if err != nil {
 			return nil, err
 		}
-		w.WriteOwned(encRow(row...))
+		w.Write(encRow(row...))
 		s.Rows[name]++
 	}
 	return s, refClose(writers)
@@ -180,7 +180,7 @@ func refBuildTG(fs *dfs.FS, g *rdf.Graph, prefix string, d *rdf.Dict) (*store.TG
 		for _, po := range tg.Triples {
 			idtg.Triples = append(idtg.Triples, ntga.PO{Prop: d.AddString("I" + po.Prop), Obj: d.AddString(po.Obj)})
 		}
-		w.WriteOwned(idtg.EncodeIDs())
+		w.Write(idtg.EncodeIDs())
 	}
 	sort.Slice(s.Files, func(i, j int) bool { return s.Files[i].Name < s.Files[j].Name })
 	return s, refClose(writers)

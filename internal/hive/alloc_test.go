@@ -6,6 +6,7 @@ import (
 
 	"rapidanalytics/internal/algebra"
 	"rapidanalytics/internal/codec"
+	"rapidanalytics/internal/dfs"
 	"rapidanalytics/internal/mapred"
 	"rapidanalytics/internal/rdf"
 	"rapidanalytics/internal/sparql"
@@ -53,8 +54,8 @@ func TestOperatorsSteadyStateAllocs(t *testing.T) {
 			return err
 		}},
 		{"taggedScanMapper.Map", 0, mapper(&taggedScanMapper{sc: scanner{plan: jp.left}, keyPos: jp.leftKey})},
-		{"mapJoinMapper.Map", 0, mapper(&mapJoinMapper{sc: scanner{plan: jp.left}, plan: jp, right: buildSideIndex(side, jp.right, jp.rightKey)})},
-		{"starMapJoinMapper.Map", 0, mapper(newStarMapJoinMapper(stars, func(string) [][]byte { return side }))},
+		{"mapJoinMapper.Map", 0, mapper(&mapJoinMapper{sc: scanner{plan: jp.left}, plan: jp, right: buildSideIndex(sideFile(t, side), jp.right, jp.rightKey)})},
+		{"starMapJoinMapper.Map", 0, mapper(newStarMapJoinMapper(stars, func(string) *dfs.File { return sideFile(t, side) }))},
 		{"starReducer.Reduce", 0, reducer(&starReducer{rows: newStarRows(stars)}, starVals)},
 		{"symJoinReducer.Reduce", 0, reducer(&symJoinReducer{plan: jp}, joinVals)},
 		// Emit takes its key as a string: one per row.

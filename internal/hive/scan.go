@@ -9,6 +9,7 @@ import (
 
 	"rapidanalytics/internal/algebra"
 	"rapidanalytics/internal/codec"
+	"rapidanalytics/internal/dfs"
 	"rapidanalytics/internal/mapred"
 	"rapidanalytics/internal/rdf"
 	"rapidanalytics/internal/sparql"
@@ -195,22 +196,24 @@ func (x *sideIndex) find(id uint64) int {
 	return i
 }
 
-// buildSideIndex scans the records of a broadcast input and groups them by
-// scan-output column keyPos. Records the scan drops are skipped; the first
-// that fails to decode is kept as x.err. Every scanned row is len(p.kept)
-// fields wide, so scanned row i is the i-th window of one flat field
-// array.
-func buildSideIndex(recs [][]byte, p *scanPlan, keyPos int) *sideIndex {
+// buildSideIndex scans the records of a broadcast input, read in place
+// from its open snapshot, and groups them by scan-output column keyPos.
+// Records the scan drops are skipped; the first that fails to decode, or a
+// read error, is kept as x.err. Every scanned row is len(p.kept) fields
+// wide, so scanned row i is the i-th window of one flat field array.
+func buildSideIndex(f *dfs.File, p *scanPlan, keyPos int) *sideIndex {
 	// More than twice as many slots as records, so a probe always ends;
 	// keys and count are sized to the records, a bound on the groups.
-	x := &sideIndex{slots: make([]int32, 2<<bits.Len(uint(len(recs)))), keys: make([]uint64, 0, len(recs))}
+	n := f.NumRecords()
+	x := &sideIndex{slots: make([]int32, 2<<bits.Len(uint(n))), keys: make([]uint64, 0, n)}
 	sc := scanner{plan: p}
 	w := len(p.kept)
-	fields := make([]string, 0, len(recs)*w)
-	groupOf := make([]int32, 0, len(recs))
-	count := make([]int32, 0, len(recs))
-	for _, rec := range recs {
-		row, ok, err := sc.next(rec)
+	fields := make([]string, 0, n*w)
+	groupOf := make([]int32, 0, n)
+	count := make([]int32, 0, n)
+	it := f.Records(0)
+	for it.Next() {
+		row, ok, err := sc.next(it.Record())
 		if err != nil && x.err == nil {
 			x.err = fmt.Errorf("hive: broadcast side %s: %w", p.file, err)
 		}
@@ -228,6 +231,9 @@ func buildSideIndex(recs [][]byte, p *scanPlan, keyPos int) *sideIndex {
 		fields = append(fields, row...)
 		count[g]++
 		groupOf = append(groupOf, g)
+	}
+	if err := it.Err(); err != nil && x.err == nil {
+		x.err = fmt.Errorf("hive: broadcast side %s: %w", p.file, err)
 	}
 	// A counting sort by group keeps each group's rows in record order.
 	x.start = make([]int32, len(count)+1)
@@ -477,9 +483,9 @@ type starMapJoinMapper struct {
 	err error
 }
 
-// newStarMapJoinMapper builds a task's mapper; side returns the records of
-// a broadcast input (TaskContext.SideInput).
-func newStarMapJoinMapper(plans []*starPlan, side func(file string) [][]byte) *starMapJoinMapper {
+// newStarMapJoinMapper builds a task's mapper; side returns the open
+// snapshot of a broadcast input (TaskContext.SideInput).
+func newStarMapJoinMapper(plans []*starPlan, side func(file string) *dfs.File) *starMapJoinMapper {
 	m := &starMapJoinMapper{sc: scanner{plan: plans[0].scan}, rows: newStarRows(plans)}
 	m.rows.matches[0] = m.drv[:]
 	m.sides = make([]*sideIndex, len(plans)-1)

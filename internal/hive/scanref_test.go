@@ -5,12 +5,15 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
 
 	"rapidanalytics/internal/algebra"
 	"rapidanalytics/internal/codec"
+	"rapidanalytics/internal/dfs"
 	"rapidanalytics/internal/mapred"
 	"rapidanalytics/internal/rdf"
 	"rapidanalytics/internal/sparql"
@@ -385,9 +388,9 @@ func TestScanScratchDoesNotLeakAcrossRecords(t *testing.T) {
 	}
 
 	jp := compileJoin(left, right, "k", "k", nil)
-	mj := &mapJoinMapper{sc: scanner{plan: jp.left}, plan: jp, right: buildSideIndex(side, jp.right, jp.rightKey)}
+	mj := &mapJoinMapper{sc: scanner{plan: jp.left}, plan: jp, right: buildSideIndex(sideFile(t, side), jp.right, jp.rightKey)}
 	plans := compileStars([]*starInput{{rel: left, keyCol: "k"}, {rel: right, keyCol: "k"}}, nil)
-	smj := newStarMapJoinMapper(plans, func(string) [][]byte { return side })
+	smj := newStarMapJoinMapper(plans, func(string) *dfs.File { return sideFile(t, side) })
 	tm := &taggedScanMapper{sc: scanner{plan: jp.left}, keyPos: jp.leftKey}
 	for _, tc := range []struct {
 		name string
@@ -539,6 +542,29 @@ func checkSideIndex(t *testing.T, x *sideIndex, recs [][]byte, r *rel, keyCol st
 	return found, want
 }
 
+// sideFile writes recs to a file of a fresh in-memory DFS and opens it, as
+// a map-join task finds its broadcast input.
+func sideFile(t testing.TB, recs [][]byte) *dfs.File {
+	t.Helper()
+	fs := dfs.New()
+	w, err := fs.Create("side", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		w.Write(rec)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := fs.Open("side")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	return f
+}
+
 // buildSideIndex must answer every lookup with the reference map's rows
 // over random sides: records of the wrong arity, failing a constant or a
 // filter, duplicate keys, NULL keys, keys absent from the side, probes that
@@ -564,7 +590,7 @@ func TestSideIndexAgreesWithReference(t *testing.T) {
 			}
 			recs = append(recs, rec)
 		}
-		x := buildSideIndex(recs, p, p.colIndex(keyCol))
+		x := buildSideIndex(sideFile(t, recs), p, p.colIndex(keyCol))
 		found, want := checkSideIndex(t, x, recs, r, keyCol, c.probeKeys())
 		seen.sides++
 		if len(recs) == 0 {
@@ -593,6 +619,46 @@ func TestSideIndexAgreesWithReference(t *testing.T) {
 		if n == 0 {
 			t.Errorf("corpus never exercised %s", name)
 		}
+	}
+}
+
+// A side input whose block fails its CRC on disk is the index's error, as
+// an undecodable record is.
+func TestSideIndexReadError(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := dfs.NewDisk(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newScanCorpus(6, 200)
+	r := &rel{file: "side", dict: c.d, cols: []string{"a", "b"}}
+	w, err := fs.Create("side", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Write(codec.Tuple{c.vals[0], c.vals[1]}.EncodeIDs())
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "*", "side*"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segment of side: %v, %v", segs, err)
+	}
+	seg, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg[9] ^= 0xff // the first payload byte after the header and block CRC
+	if err := os.WriteFile(segs[0], seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := fs.Open("side")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if x := buildSideIndex(f, r.compile(), 0); x.err == nil {
+		t.Error("a side input with a corrupt block built an index without error")
 	}
 }
 
@@ -638,7 +704,7 @@ func TestSideIndexLookupAllocatesNothing(t *testing.T) {
 		recs = append(recs, codec.Tuple{c.vals[i%len(c.vals)], c.vals[(i/3)%len(c.vals)]}.EncodeIDs())
 	}
 	p := r.compile()
-	x := buildSideIndex(recs, p, 0)
+	x := buildSideIndex(sideFile(t, recs), p, 0)
 	for _, k := range []string{c.vals[3], rdf.MissingIDString, c.vals[3] + "\x01"} {
 		if n := testing.AllocsPerRun(200, func() { x.lookup(k) }); n != 0 {
 			t.Errorf("lookup(%q) allocates %v times", k, n)
@@ -668,6 +734,6 @@ func FuzzSideIndexMatchesReference(f *testing.F) {
 		}
 		recs = slices.Insert(recs, c.rng.Intn(len(recs)+1), raw)
 		p := r.compile()
-		checkSideIndex(t, buildSideIndex(recs, p, p.colIndex(keyCol)), recs, r, keyCol, append(c.probeKeys(), probe))
+		checkSideIndex(t, buildSideIndex(sideFile(t, recs), p, p.colIndex(keyCol)), recs, r, keyCol, append(c.probeKeys(), probe))
 	})
 }

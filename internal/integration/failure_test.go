@@ -14,6 +14,7 @@ import (
 	"rapidanalytics/internal/mapred"
 	"rapidanalytics/internal/rdf"
 	"rapidanalytics/internal/refimpl"
+	"rapidanalytics/internal/vec"
 )
 
 // Failure injection: jobs must surface mapper/reducer errors and corrupt
@@ -153,7 +154,7 @@ func TestEnginesDoNotCorruptSharedDataset(t *testing.T) {
 var errInjected = errors.New("injected fault")
 
 // faultBackend wraps a backend so that its failAt-th call among Create,
-// Append, writer Close, Open and Delete fails (failAt 0 fails none). It
+// AppendBatch, writer Close, Open and Delete fails (failAt 0 fails none). It
 // also counts the backend writers it hands out until they are closed: the
 // handles beneath the FS's own count, such as the backend writer a stream
 // overflows into.
@@ -222,11 +223,11 @@ type faultWriter struct {
 	closed bool
 }
 
-func (w *faultWriter) Append(rec []byte) error {
+func (w *faultWriter) AppendBatch(b *vec.Batch) error {
 	if w.b.fault() {
 		return errInjected
 	}
-	return w.FileWriter.Append(rec)
+	return w.FileWriter.AppendBatch(b)
 }
 
 func (w *faultWriter) Close() error {

@@ -49,11 +49,14 @@ type Reducer interface {
 type TaskContext struct {
 	// InputFile is the DFS file the task's split belongs to.
 	InputFile string
-	sideData  map[string][][]byte
+	sideData  map[string]*dfs.File
 }
 
-// SideInput returns the records of a broadcast side input file.
-func (tc *TaskContext) SideInput(name string) [][]byte { return tc.sideData[name] }
+// SideInput returns the open snapshot of a broadcast side input file, one
+// of the job's SideInputs. Every task shares it: a task reads it with its
+// own Records iterator, sized by NumRecords, and must not close it; Run
+// closes it when the job ends.
+func (tc *TaskContext) SideInput(name string) *dfs.File { return tc.sideData[name] }
 
 // MapperFunc adapts a function to the Mapper interface.
 type MapperFunc func(record []byte, emit Emit) error

@@ -2,6 +2,7 @@ package mapred
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -9,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+
+	"rapidanalytics/internal/dfs"
 )
 
 func newTestCluster() *Cluster {
@@ -244,8 +247,8 @@ func TestMapOnlyJobWithSideInput(t *testing.T) {
 		Output:     "out",
 		NewMapper: func(tc *TaskContext) Mapper {
 			lookup := map[string]string{}
-			for _, rec := range tc.SideInput("small") {
-				parts := strings.SplitN(string(rec), "|", 2)
+			for it := tc.SideInput("small").Records(0); it.Next(); {
+				parts := strings.SplitN(string(it.Record()), "|", 2)
 				lookup[parts[0]] = parts[1]
 			}
 			return MapperFunc(func(rec []byte, emit Emit) error {
@@ -271,6 +274,86 @@ func TestMapOnlyJobWithSideInput(t *testing.T) {
 	sort.Strings(got)
 	if strings.Join(got, ",") != "a1X,c3Y" {
 		t.Errorf("map join = %v", got)
+	}
+}
+
+// TestSideInputsReadInPlace: the map tasks of a map-join share the open
+// snapshot of the side input and read it in place. Over 12 driving splits
+// the rows on two workers equal those on one, on a mem and a disk FS, and
+// no DFS handle stays open after success, after a failing map task, or
+// after a side input fails to open.
+func TestSideInputsReadInPlace(t *testing.T) {
+	for _, storage := range []string{"mem", "disk"} {
+		t.Run(storage, func(t *testing.T) {
+			fs := dfs.New()
+			if storage == "disk" {
+				var err error
+				if fs, err = dfs.NewDisk(t.TempDir(), 2); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cfg := DefaultConfig()
+			cfg.ExecSplitBytes = 64 // every padded record is a split of its own
+			c := NewClusterFS(cfg, fs)
+			var big []string
+			for i := range 12 {
+				big = append(big, pad(fmt.Sprintf("k%d|%d", i%5, i)))
+			}
+			writeLines(c, "big", 1, big...)
+			writeLines(c, "bad", 1, pad("k1|1"), pad("k2|FAIL"), pad("k3|3"))
+			writeLines(c, "small", 1, "k1|X", "k3|Y", "k1|Z")
+			job := func(input string, side ...string) *Job {
+				return &Job{
+					Name:       "mapjoin",
+					Inputs:     []string{input},
+					SideInputs: side,
+					Output:     "out",
+					NewMapper: func(tc *TaskContext) Mapper {
+						f := tc.SideInput("small")
+						lookup := make(map[string][]string, f.NumRecords())
+						for it := f.Records(0); it.Next(); {
+							k, v, _ := strings.Cut(string(it.Record()), "|")
+							lookup[k] = append(lookup[k], v)
+						}
+						return MapperFunc(func(rec []byte, emit Emit) error {
+							k, v, _ := strings.Cut(strings.TrimRight(string(rec), "."), "|")
+							if v == "FAIL" {
+								return errors.New("map task failed")
+							}
+							for _, s := range lookup[k] {
+								emit("", []byte(k+"|"+v+"|"+s))
+							}
+							return nil
+						})
+					},
+				}
+			}
+			if splits, files, err := c.makeSplits(job("big"), &Metrics{}); err != nil || len(splits) < 3 {
+				t.Fatalf("%d driving splits (%v), want at least 3", len(splits), err)
+			} else {
+				closeFiles(files)
+			}
+			run := func(workers int) []string {
+				c.testWorkers = workers
+				if _, err := c.Run(job("big", "small")); err != nil {
+					t.Fatalf("%d workers: %v", workers, err)
+				}
+				checkHandles(t, c)
+				return readLines(t, c, "out")
+			}
+			one, two := run(1), run(2)
+			if len(one) != 8 || strings.Join(one, ",") != strings.Join(two, ",") {
+				t.Errorf("rows on 2 workers %q, on 1 %q; want the same 8", two, one)
+			}
+			if _, err := c.Run(job("bad", "small")); err == nil || !strings.Contains(err.Error(), "map task failed") {
+				t.Errorf("failing map task: err = %v", err)
+			}
+			checkHandles(t, c)
+			if _, err := c.Run(job("big", "small", "missing")); err == nil {
+				t.Error("a missing side input did not fail the job")
+			}
+			checkHandles(t, c)
+		})
 	}
 }
 

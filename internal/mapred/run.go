@@ -143,11 +143,13 @@ func (c *Cluster) Run(job *Job) (metrics *Metrics, err error) {
 	defer cycle.End()
 	m := &Metrics{Job: job.Name, MapOnly: job.MapOnly()}
 	splits, inputs, err := c.makeSplits(job, m)
-	defer closeFiles(inputs) // on error too: the files opened before it
+	// On error too: the files opened before it, and the side inputs that
+	// join inputs below.
+	defer func() { closeFiles(inputs) }()
 	if err != nil {
 		return nil, err
 	}
-	side, err := c.loadSideInputs(job, m)
+	side, err := c.openSideInputs(job, m, &inputs)
 	if err != nil {
 		return nil, err
 	}
@@ -380,7 +382,7 @@ func (c *Cluster) shufflePartition(job *Job, results []taskResult, p int, st *pa
 // returned error is the lowest-indexed task's genuine failure. When mapOp is
 // non-nil each task attaches a child span recording the split's input
 // volume; when nil the loop takes the span-free path.
-func (c *Cluster) runMapPhase(job *Job, splits []split, side map[string][][]byte, partitions int, mapOp *obs.Span) ([]taskResult, time.Duration, error) {
+func (c *Cluster) runMapPhase(job *Job, splits []split, side map[string]*dfs.File, partitions int, mapOp *obs.Span) ([]taskResult, time.Duration, error) {
 	start := time.Now()
 	results := make([]taskResult, len(splits))
 	abort := newAbortSignal()
@@ -599,25 +601,23 @@ func (c *Cluster) makeSplits(job *Job, m *Metrics) ([]split, []*dfs.File, error)
 	return splits, files, nil
 }
 
-// loadSideInputs materialises broadcast side inputs (map-join hash-table
+// openSideInputs opens the broadcast side inputs (map-join hash-table
 // sources must be wholly resident in every task, as in Hadoop's
-// distributed cache).
-func (c *Cluster) loadSideInputs(job *Job, m *Metrics) (map[string][][]byte, error) {
+// distributed cache). Each task reads the open snapshot in place; the
+// files join *open, which the caller closes when the job ends, on every
+// path.
+func (c *Cluster) openSideInputs(job *Job, m *Metrics, open *[]*dfs.File) (map[string]*dfs.File, error) {
 	if len(job.SideInputs) == 0 {
 		return nil, nil
 	}
-	side := make(map[string][][]byte, len(job.SideInputs))
+	side := make(map[string]*dfs.File, len(job.SideInputs))
 	for _, name := range job.SideInputs {
 		f, err := c.FS.Open(name)
 		if err != nil {
 			return nil, fmt.Errorf("mapred: job %s side input: %w", job.Name, err)
 		}
-		recs, err := f.AllRecords()
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("mapred: job %s side input %s: %w", job.Name, name, err)
-		}
-		side[name] = recs
+		*open = append(*open, f)
+		side[name] = f
 		m.SideInputBytes += f.StoredBytes()
 	}
 	return side, nil
@@ -633,7 +633,7 @@ func (c *Cluster) loadSideInputs(job *Job, m *Metrics) (map[string][][]byte, err
 // cancellation and sibling-task failure, and is consulted between records
 // and inside the combiner. A spill or a combiner sorts or combines a
 // partition's paged entries in one task scratch.
-func (c *Cluster) runMapTask(job *Job, taskIdx int, sp split, side map[string][][]byte, partitions int, abort *abortSignal, tspan *obs.Span) (taskResult, error) {
+func (c *Cluster) runMapTask(job *Job, taskIdx int, sp split, side map[string]*dfs.File, partitions int, abort *abortSignal, tspan *obs.Span) (taskResult, error) {
 	check := c.checker(abort)
 	tc := &TaskContext{InputFile: sp.file, sideData: side}
 	mapper := job.NewMapper(tc)

@@ -377,7 +377,7 @@ func (c shuffleCase) mapOnlyJob(repeat int, stream bool) *Job {
 // FuzzMapOnlyMatchesReference runs random map-only jobs — several splits,
 // empty and non-empty keys, a Close that emits, and, when the first byte
 // says so, every record's pairs repeated past one batch — through Run and
-// through the entry-and-WriteOwned reference (shuffleref_test.go):
+// through the entry-and-Write reference (shuffleref_test.go):
 // materialised, streamed, and streamed into an overflow at the first batch
 // or mid-output, on one and two workers. The records, their order and
 // every volume but StreamedBatches must be equal, and the output must stay
@@ -446,7 +446,7 @@ func FuzzMapOnlyMatchesReference(f *testing.F) {
 	})
 }
 
-// cancelOnAppendBackend cancels a context when the first record reaches a
+// cancelOnAppendBackend cancels a context when the first batch reaches a
 // file named "out".
 type cancelOnAppendBackend struct {
 	dfs.Backend
@@ -458,9 +458,9 @@ type cancelOnAppendWriter struct {
 	cancel context.CancelFunc
 }
 
-func (w cancelOnAppendWriter) Append(rec []byte) error {
+func (w cancelOnAppendWriter) AppendBatch(b *vec.Batch) error {
 	w.cancel()
-	return w.FileWriter.Append(rec)
+	return w.FileWriter.AppendBatch(b)
 }
 
 func (b cancelOnAppendBackend) Create(name string, ratio float64) (dfs.FileWriter, error) {

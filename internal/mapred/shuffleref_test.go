@@ -258,7 +258,7 @@ func refShuffle(tasks [][][]kv, partitions int, threshold int64, newComb func() 
 // The map-only path before sealed batches, kept as the reference
 // FuzzMapOnlyMatchesReference compares Run with: each map task copies its
 // emits into an arena behind one run of entries, and the commit hands the
-// runs' values to the output one record at a time with WriteOwned, in task
+// runs' values to the output one record at a time with Write, in task
 // order. Tasks run one after another here; their output would be the same
 // on any number of workers.
 func (c *Cluster) refRunMapOnly(job *Job) (*Metrics, error) {
@@ -267,8 +267,8 @@ func (c *Cluster) refRunMapOnly(job *Job) (*Metrics, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer closeFiles(inputs)
-	side, err := c.loadSideInputs(job, m)
+	defer func() { closeFiles(inputs) }()
+	side, err := c.openSideInputs(job, m, &inputs)
 	if err != nil {
 		return nil, err
 	}
@@ -318,7 +318,7 @@ func (c *Cluster) refRunMapOnly(job *Job) (*Metrics, error) {
 		for _, e := range t.run {
 			m.MapOutputRecords++
 			m.MapOutputBytes += e.size()
-			out.WriteOwned(t.a.value(e))
+			out.Write(t.a.value(e))
 			m.OutputRecords++
 			m.OutputBytes += int64(e.vlen)
 		}

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"rapidanalytics/internal/obs"
-	"rapidanalytics/internal/vec"
 )
 
 // Map-side spill: when ClusterConfig.SpillThresholdBytes is set, a map
@@ -93,8 +92,8 @@ func noteSpillHighWater(n int64) {
 
 // writeSpillRun materialises one sorted run of a's entries, attaching a
 // spill-write io span under the task span when tracing. A record is
-// uvarint(len(key)) || key || value; records are batched, so the run's
-// bytes move to the FS without an allocation per record.
+// uvarint(len(key)) || key || value, built in one reused buffer that the
+// Writer copies into its batch.
 func (c *Cluster) writeSpillRun(name string, a *arena, run []entry, tspan *obs.Span, check func() error) (spillRef, error) {
 	w, err := c.FS.Create(name, 1)
 	if err != nil {
@@ -107,7 +106,6 @@ func (c *Cluster) writeSpillRun(name string, a *arena, run []entry, tspan *obs.S
 	w.SetSpan(sspan)
 	ref := spillRef{file: name, records: int64(len(run))}
 	werr := func() error {
-		bu := vec.NewBuilder(vec.DefaultBatchRows)
 		var rec []byte
 		for i, e := range run {
 			if i%ctxCheckInterval == 0 {
@@ -117,12 +115,7 @@ func (c *Cluster) writeSpillRun(name string, a *arena, run []entry, tspan *obs.S
 			}
 			ref.bytes += e.size()
 			rec = append(binary.AppendUvarint(rec[:0], uint64(e.klen)), a.pair(e)...)
-			if b := bu.Append(rec); b != nil {
-				w.WriteBatch(b)
-			}
-		}
-		if b := bu.Flush(); b != nil {
-			w.WriteBatch(b)
+			w.Write(rec)
 		}
 		return nil
 	}()

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"rapidanalytics/internal/dfs"
+	"rapidanalytics/internal/vec"
 )
 
 func streamFixture(c *Cluster) {
@@ -129,6 +130,85 @@ func TestStreamOverflowMaterializes(t *testing.T) {
 	want, got := readLines(t, c, "ref"), readLines(t, c, "out")
 	if strings.Join(want, "\n") != strings.Join(got, "\n") {
 		t.Errorf("output diverged after overflow:\n%v\nvs\n%v", want, got)
+	}
+}
+
+// failingAppendBackend fails the failAt-th AppendBatch its writers receive
+// (0 fails none) and counts its writers until they are closed. Run commits
+// output on its calling goroutine, so plain counters do.
+type failingAppendBackend struct {
+	dfs.Backend
+	failAt, calls, open int
+}
+
+func (b *failingAppendBackend) Create(name string, ratio float64) (dfs.FileWriter, error) {
+	fw, err := b.Backend.Create(name, ratio)
+	if err != nil {
+		return nil, err
+	}
+	b.open++
+	return failingAppendWriter{fw, b}, nil
+}
+
+type failingAppendWriter struct {
+	dfs.FileWriter
+	b *failingAppendBackend
+}
+
+func (w failingAppendWriter) AppendBatch(b *vec.Batch) error {
+	if w.b.calls++; w.b.calls == w.b.failAt {
+		return errors.New("injected append failure")
+	}
+	return w.FileWriter.AppendBatch(b)
+}
+
+func (w failingAppendWriter) Close() error {
+	w.b.open--
+	return w.FileWriter.Close()
+}
+
+// TestStreamOverflowFaultSweep fails each backend AppendBatch of a streamed
+// output that overflows, in turn. The first is the overflow's append of
+// the batches the stream had committed; the rest go straight to the
+// backend file. Each failure fails the job with every writer closed, and
+// the next run writes the materialised run's output.
+func TestStreamOverflowFaultSweep(t *testing.T) {
+	b := &failingAppendBackend{Backend: dfs.NewMemBackend()}
+	cfg := DefaultConfig()
+	cfg.ExecSplitBytes = 256
+	c := NewClusterFS(cfg, dfs.NewWithBackend(b))
+	streamFixture(c)
+	c.testStreamOverflowBytes = 32
+	if _, err := c.Run(wordCountJob("in", "ref", false)); err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Join(readLines(t, c, "ref"), "\n")
+	run := func(failAt int) error {
+		b.failAt, b.calls = failAt, 0
+		_, err := c.Run(streamedWordCount("in", "out", true))
+		checkHandles(t, c)
+		if b.open != 0 {
+			t.Fatalf("fault at %d: %d backend writers left open", failAt, b.open)
+		}
+		return err
+	}
+	if err := run(0); err != nil {
+		t.Fatal(err)
+	}
+	calls := b.calls
+	if calls < 2 {
+		t.Fatalf("%d backend appends: the output did not overflow", calls)
+	}
+	for n := 1; n <= calls; n++ {
+		if err := run(n); err == nil || !strings.Contains(err.Error(), "injected append failure") {
+			t.Errorf("fault at append %d of %d: err = %v", n, calls, err)
+		}
+		if err := run(0); err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Join(readLines(t, c, "out"), "\n"); got != want {
+			t.Fatalf("after a fault at append %d: output diverged", n)
+		}
 	}
 }
 
@@ -265,9 +345,11 @@ type scribblingWriter struct {
 	recs *[][]byte
 }
 
-func (w scribblingWriter) Append(rec []byte) error {
-	*w.recs = append(*w.recs, rec)
-	return w.FileWriter.Append(rec)
+func (w scribblingWriter) AppendBatch(b *vec.Batch) error {
+	for r := range b.Rows() {
+		*w.recs = append(*w.recs, b.Record(r))
+	}
+	return w.FileWriter.AppendBatch(b)
 }
 
 func (b *scribblingBackend) Create(name string, ratio float64) (dfs.FileWriter, error) {

@@ -94,9 +94,11 @@ func WriteVP(fs *dfs.FS, g *rdf.IDGraph, prefix string) (*VPStore, error) {
 	names := map[[2]uint64]string{}
 	typeID, _ := g.Dict.Lookup("I" + rdf.RDFType)
 	ids := func(id uint64) string { str, _ := g.Dict.IDString(id); return str }
+	var buf []byte // every row encodes here; the writers copy it
 	for _, t := range g.Triples {
 		sub, obj := ids(t.S), ids(t.O)
-		triples.WriteOwned(codec.Tuple{sub, ids(t.P), obj}.EncodeIDs())
+		buf = codec.Tuple{sub, ids(t.P), obj}.AppendEncodeIDs(buf[:0])
+		triples.Write(buf)
 		key, row := [2]uint64{t.P, 0}, codec.Tuple{sub, obj}
 		if t.P == typeID {
 			key, row = [2]uint64{t.P, t.O}, row[:1]
@@ -117,7 +119,8 @@ func WriteVP(fs *dfs.FS, g *rdf.IDGraph, prefix string) (*VPStore, error) {
 			}
 			names[key] = name
 		}
-		writers[name].WriteOwned(row.EncodeIDs())
+		buf = row.AppendEncodeIDs(buf[:0])
+		writers[name].Write(buf)
 		s.Rows[name]++
 		s.Rows[s.TriplesTable]++
 	}
@@ -195,6 +198,7 @@ func WriteTG(fs *dfs.FS, g *rdf.IDGraph, prefix string) (*TGStore, error) {
 		keys   []string
 		counts []int64
 		tg     ntga.TripleGroup
+		buf    []byte // every triplegroup encodes here; the writers copy it
 	)
 	for _, sub := range g.Subjects {
 		keys, counts = g.ECKeys(sub, keys, counts)
@@ -217,7 +221,8 @@ func WriteTG(fs *dfs.FS, g *rdf.IDGraph, prefix string) (*TGStore, error) {
 		for _, t := range sub {
 			tg.Triples = append(tg.Triples, ntga.PO{Prop: ids(t.P), Obj: ids(t.O)})
 		}
-		w.WriteOwned(tg.EncodeIDs())
+		buf = tg.AppendEncodeIDs(buf[:0])
+		w.Write(buf)
 	}
 	if err := closeWriters(writers, nil); err != nil {
 		return nil, err

@@ -5,8 +5,10 @@
 // round-trips byte for byte, and a record read back is a sub-slice of the
 // arena that stays valid for as long as the batch is reachable.
 //
-// The dfs stream registry buffers job outputs as batches, so a
-// single-consumer intermediate never round-trips through the DFS backend.
+// Batches are the one in-memory record container: a dfs.Writer copies the
+// records written to it into batches, an in-memory dfs file (streamed or
+// not) holds the sealed batches themselves, and reduce partitions and
+// map-only tasks buffer their output as batches before committing it.
 package vec
 
 // DefaultBatchRows is the batch capacity used when a caller does not
@@ -45,6 +47,7 @@ func (b *Batch) AppendRecord(dst []byte, row int) []byte {
 // Builder accumulates records into batches. Append seals and returns a
 // batch when it fills (maxRows); Flush seals whatever remains. Builders
 // copy the appended record, so callers may reuse the slice immediately.
+// The zero Builder seals at DefaultBatchRows.
 type Builder struct {
 	maxRows int
 	cur     *Batch
@@ -55,17 +58,15 @@ type Builder struct {
 
 // NewBuilder returns a builder sealing batches at maxRows rows (<= 0
 // selects DefaultBatchRows).
-func NewBuilder(maxRows int) *Builder {
-	if maxRows <= 0 {
-		maxRows = DefaultBatchRows
-	}
-	return &Builder{maxRows: maxRows}
-}
+func NewBuilder(maxRows int) *Builder { return &Builder{maxRows: maxRows} }
 
 // Append copies one record into the open batch, returning the sealed batch
 // when the append filled it, else nil.
 func (bu *Builder) Append(rec []byte) *Batch {
 	if bu.cur == nil {
+		if bu.maxRows <= 0 {
+			bu.maxRows = DefaultBatchRows
+		}
 		bu.cur = &Batch{
 			data: make([]byte, 0, bu.arenaHint),
 			offs: make([]int, 1, bu.maxRows+1),
