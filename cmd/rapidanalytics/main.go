@@ -17,6 +17,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"rapidanalytics/internal/bench"
@@ -148,14 +150,46 @@ func runOnFile(query, dataFile, system string, all, verify bool, rows int, trace
 		if stats.Span != nil {
 			spans = append(spans, stats.Span)
 		}
-		if verify && res.Len() != oracle.Len() {
-			fatal(fmt.Errorf("%s: %d rows, oracle has %d", sys, res.Len(), oracle.Len()))
+		if verify {
+			if err := verifyRows(res, oracle); err != nil {
+				fatal(fmt.Errorf("%s: %w", sys, err))
+			}
 		}
 	}
 	writeTraceFile(traceOut, spans)
 	if verify {
-		fmt.Println("verified: all runs match the oracle row count")
+		fmt.Println("verified: all runs match the oracle's rows")
 	}
+}
+
+// verifyRows checks that res has the oracle's columns and the same
+// multiset of rows, naming the first row that differs.
+func verifyRows(res, oracle *ra.Result) error {
+	if !slices.Equal(res.Columns, oracle.Columns) {
+		return fmt.Errorf("columns %v, oracle has %v", res.Columns, oracle.Columns)
+	}
+	got, want := canonical(res), canonical(oracle)
+	for i := range max(len(got), len(want)) {
+		switch {
+		case i == len(got):
+			return fmt.Errorf("%d rows, oracle has %d: missing %s", len(got), len(want), want[i])
+		case i == len(want):
+			return fmt.Errorf("%d rows, oracle has %d: extra %s", len(got), len(want), got[i])
+		case got[i] != want[i]:
+			return fmt.Errorf("row %s, oracle has %s", got[i], want[i])
+		}
+	}
+	return nil
+}
+
+// canonical renders a result's rows as sorted strings.
+func canonical(res *ra.Result) []string {
+	out := make([]string, res.Len())
+	for i, row := range res.Rows() {
+		out[i] = "(" + strings.Join(row, ", ") + ")"
+	}
+	slices.Sort(out)
+	return out
 }
 
 func runOnCatalogDataset(queryID, dataset, system string, all, verify bool, trace, traceOut string, st storageOpts) {

@@ -1,9 +1,7 @@
 package algebra
 
 import (
-	"fmt"
 	"strconv"
-	"strings"
 
 	"rapidanalytics/internal/sparql"
 )
@@ -165,54 +163,6 @@ func (s *AggState) Final() string {
 	}
 }
 
-// Encode serialises the partial state for shuffling between map and reduce
-// phases. The format is positional and versionless; Decode is its inverse.
-// DISTINCT states append their value set (values must not contain the unit
-// separator 0x1F, the same restriction grouping keys carry).
-func (s *AggState) Encode() string {
-	base := fmt.Sprintf("%s\x1f%d\x1f%s\x1f%s",
-		s.Func, s.Count, strconv.FormatFloat(s.Sum, 'g', -1, 64), s.Extreme)
-	if !s.Distinct {
-		return base
-	}
-	var b strings.Builder
-	b.WriteString(base)
-	b.WriteString("\x1fD")
-	for v := range s.Seen {
-		b.WriteString("\x1f")
-		b.WriteString(v)
-	}
-	return b.String()
-}
-
-// DecodeAggState parses a state produced by Encode.
-func DecodeAggState(enc string) (*AggState, error) {
-	parts := strings.Split(enc, "\x1f")
-	if len(parts) < 4 {
-		return nil, fmt.Errorf("algebra: malformed aggregate state %q", enc)
-	}
-	count, err := strconv.ParseInt(parts[1], 10, 64)
-	if err != nil {
-		return nil, fmt.Errorf("algebra: malformed aggregate count: %w", err)
-	}
-	sum, err := strconv.ParseFloat(parts[2], 64)
-	if err != nil {
-		return nil, fmt.Errorf("algebra: malformed aggregate sum: %w", err)
-	}
-	st := &AggState{Func: sparql.AggFunc(parts[0]), Count: count, Sum: sum, Extreme: parts[3]}
-	if len(parts) > 4 {
-		if parts[4] != "D" {
-			return nil, fmt.Errorf("algebra: malformed aggregate state tail %q", parts[4])
-		}
-		st.Distinct = true
-		st.Seen = make(map[string]bool, len(parts)-5)
-		for _, v := range parts[5:] {
-			st.Seen[v] = true
-		}
-	}
-	return st, nil
-}
-
 // MultiAggState bundles the states for a subquery's aggregation list — the
 // per-group payload of grouping operators across every engine.
 type MultiAggState struct {
@@ -260,27 +210,4 @@ func (m *MultiAggState) AppendFinals(dst []string) []string {
 		dst = append(dst, s.Final())
 	}
 	return dst
-}
-
-// Encode serialises all states.
-func (m *MultiAggState) Encode() string {
-	parts := make([]string, len(m.States))
-	for i, s := range m.States {
-		parts[i] = s.Encode()
-	}
-	return strings.Join(parts, "\x1e")
-}
-
-// DecodeMultiAggState parses a multi-state produced by Encode.
-func DecodeMultiAggState(enc string) (*MultiAggState, error) {
-	parts := strings.Split(enc, "\x1e")
-	m := &MultiAggState{States: make([]*AggState, len(parts))}
-	for i, p := range parts {
-		s, err := DecodeAggState(p)
-		if err != nil {
-			return nil, err
-		}
-		m.States[i] = s
-	}
-	return m, nil
 }

@@ -37,8 +37,12 @@ func (s *AggState) UpdateTerm(d *rdf.Dict, value string) {
 	}
 }
 
-// AppendEncode appends the state's Encode form to buf without the
-// fmt.Sprintf intermediate.
+// AppendEncode appends the state's wire form to buf: the partial state
+// shuffled between map and reduce phases, positional and versionless
+// (function, count, sum and extreme, separated by 0x1F). DISTINCT states
+// append "D" and their value set (values must not contain the unit
+// separator 0x1F, the same restriction grouping keys carry). MergeBytes
+// reads it.
 func (s *AggState) AppendEncode(buf []byte) []byte {
 	buf = append(buf, s.Func...)
 	buf = append(buf, 0x1f)
@@ -57,7 +61,8 @@ func (s *AggState) AppendEncode(buf []byte) []byte {
 	return buf
 }
 
-// AppendEncode appends the multi-state's Encode form to buf.
+// AppendEncode appends the multi-state's wire form to buf: its states'
+// forms (AggState.AppendEncode), separated by 0x1E.
 func (m *MultiAggState) AppendEncode(buf []byte) []byte {
 	for i, s := range m.States {
 		if i > 0 {

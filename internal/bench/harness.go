@@ -116,7 +116,7 @@ func (h *Harness) run(queryID, datasetID string, engines []engine.Engine, traced
 			ec = c.WithContext(obs.NewContext(context.Background(), root))
 		}
 		start := time.Now()
-		res, wm, err := e.Execute(ec, ds, aq)
+		res, wm, err := engine.Execute(ec, ds, e, aq)
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s on %s via %s: %w", queryID, datasetID, e.Name(), err)
 		}

@@ -104,7 +104,7 @@ func TestRepeatedStatementsCountOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, e := range Engines() {
-			got, _, err := e.Execute(c, ds, aq)
+			got, _, err := engine.Execute(c, ds, e, aq)
 			if err != nil {
 				t.Fatalf("%s via %s: %v", id, e.Name(), err)
 			}

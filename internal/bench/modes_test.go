@@ -93,7 +93,7 @@ func TestModesIdentical(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					res, wm, err := e.Execute(c, ds, aq)
+					res, wm, err := engine.Execute(c, ds, e, aq)
 					if err != nil {
 						t.Fatalf("%s on %s via %s: %v", id, entry.dataset, e.Name(), err)
 					}

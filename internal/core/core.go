@@ -20,8 +20,8 @@
 package core
 
 import (
+	"context"
 	"fmt"
-	"sync/atomic"
 
 	"rapidanalytics/internal/algebra"
 	"rapidanalytics/internal/engine"
@@ -32,8 +32,6 @@ import (
 	"rapidanalytics/internal/stats"
 	"rapidanalytics/internal/tgops"
 )
-
-var runSeq atomic.Int64
 
 // Options toggle the optimizations RAPIDAnalytics layers over naive NTGA
 // evaluation. The zero value disables everything; use DefaultOptions for
@@ -96,98 +94,74 @@ func New() *Engine { return &Engine{Opts: DefaultOptions()} }
 // Name implements engine.Engine.
 func (e *Engine) Name() string { return "RAPIDAnalytics" }
 
-// Execute implements engine.Engine.
-func (e *Engine) Execute(c *mapred.Cluster, ds *engine.Dataset, aq *algebra.AnalyticalQuery) (*engine.Result, *mapred.WorkflowMetrics, error) {
-	return engine.Run(c, fmt.Sprintf("tmp/rapidanalytics/%d", runSeq.Add(1)), func(run *engine.Runner) (*engine.Result, error) {
-		return e.execute(run, ds, aq)
-	})
-}
-
-// execute evaluates the query on run: composite rewriting when the
+// Plan implements engine.Engine: composite rewriting when the
 // subqueries' patterns overlap, sequential NTGA evaluation otherwise.
-func (e *Engine) execute(run *engine.Runner, ds *engine.Dataset, aq *algebra.AnalyticalQuery) (*engine.Result, error) {
+func (e *Engine) Plan(c *mapred.Cluster, ds *engine.Dataset, aq *algebra.AnalyticalQuery) (*engine.Plan, error) {
 	if len(aq.Subqueries) < 2 {
-		return e.executeSequential(run, ds, aq)
+		return rapid.PlanSequential(c, ds, aq, e.Opts.HashAggregation, e.Opts.InputPruning)
 	}
-	ps := obs.StartChild(run.C.Context(), obs.KindPlanner, "composite-rewrite")
+	ps := obs.StartChild(c.Context(), obs.KindPlanner, "composite-rewrite")
 	cp, err := algebra.BuildComposite(aq.Subqueries)
 	ps.End()
 	if err != nil {
 		// Non-overlapping patterns: no composite rewriting applies.
-		return e.executeSequential(run, ds, aq)
+		return rapid.PlanSequential(c, ds, aq, e.Opts.HashAggregation, e.Opts.InputPruning)
 	}
-	matched, err := e.compositeMatches(run, ds, cp)
+	p := &engine.Plan{}
+	matched, err := e.compositeMatches(p, c, ds, cp)
 	if err != nil {
 		return nil, err
 	}
-	if !e.Opts.ParallelAggregation {
-		// Figure 6(a): one TG_AgJ cycle per grouping over the shared
-		// composite matches.
-		var aggFiles []string
-		for k, sq := range aq.Subqueries {
-			out := run.Path(fmt.Sprintf("aggjoin%d", k))
-			job := tgops.AggJoinJob(fmt.Sprintf("aggjoin%d", k), matched,
-				[]tgops.AggJoinSpec{e.aggSpec(ds, cp, sq, k)}, e.Opts.HashAggregation, out)
-			if err := run.Exec(job); err != nil {
-				return nil, err
-			}
-			aggFiles = append(aggFiles, out)
-		}
-		return engine.FinishQuery(run, aq, aggFiles)
-	}
-	// Figure 6(b): the generalised TG_AgJ evaluates every aggregation in
-	// parallel within a single cycle.
 	specs := make([]tgops.AggJoinSpec, len(aq.Subqueries))
 	for k, sq := range aq.Subqueries {
 		specs[k] = e.aggSpec(ds, cp, sq, k)
 	}
-	tagged := run.Path("aggjoin-parallel")
-	job := tgops.AggJoinJob("aggjoin-parallel", matched, specs, e.Opts.HashAggregation, tagged)
-	if err := run.Exec(job); err != nil {
-		return nil, err
+	if e.Opts.ParallelAggregation {
+		// Figure 6(b): the generalised TG_AgJ evaluates every aggregation
+		// in parallel within a single cycle.
+		p.Finish(aq, rapid.AggJoin(p, "aggjoin-parallel", matched, specs, e.Opts.HashAggregation))
+		return p, nil
 	}
-	return engine.FinishQuery(run, aq, []string{tagged})
+	// Figure 6(a): one TG_AgJ cycle per grouping over the shared composite
+	// matches.
+	aggs := make([]int, len(specs))
+	for k := range specs {
+		aggs[k] = rapid.AggJoin(p, fmt.Sprintf("aggjoin%d", k), matched, specs[k:k+1], e.Opts.HashAggregation)
+	}
+	p.Finish(aq, aggs...)
+	return p, nil
 }
 
-// executeSequential is the fallback path: per-subquery NTGA evaluation with
-// this engine's aggregation options.
-func (e *Engine) executeSequential(run *engine.Runner, ds *engine.Dataset, aq *algebra.AnalyticalQuery) (*engine.Result, error) {
-	var aggFiles []string
-	for k, sq := range aq.Subqueries {
-		file, err := rapid.EvalSubquery(run, ds, sq, k, e.Opts.HashAggregation, e.Opts.InputPruning)
-		if err != nil {
-			return nil, err
-		}
-		aggFiles = append(aggFiles, file)
-	}
-	return engine.FinishQuery(run, aq, aggFiles)
-}
-
-// compositeMatches returns the composite pattern's matched triplegroups,
+// compositeMatches plans the composite pattern's matched triplegroups,
 // served from the sub-result cache when an identical composite evaluation
 // (same dataset materialisation, same pattern, filters and option flags)
-// already ran; otherwise it evaluates the pattern and caches the output,
-// whose files the runner then keeps past the execution: they stay until
-// the dataset is reloaded. Cached sources are reused read-only: DFS
-// snapshots are immutable and re-openable, so N queries can consume one
-// materialised (or streamed) match relation concurrently.
-func (e *Engine) compositeMatches(run *engine.Runner, ds *engine.Dataset, cp *algebra.CompositePattern) (tgops.Source, error) {
+// already ran. Otherwise the chain's last stage is kept and, once it has
+// run, cached: its output stays until the dataset is reloaded. Cached
+// sources are reused read-only: DFS snapshots are immutable and
+// re-openable, so N queries can consume one materialised (or streamed)
+// match relation concurrently.
+func (e *Engine) compositeMatches(p *engine.Plan, c *mapred.Cluster, ds *engine.Dataset, cp *algebra.CompositePattern) (rapid.Input, error) {
 	if e.SubResults == nil {
-		return e.evalComposite(run, ds, cp)
+		return e.planComposite(p, c, ds, cp)
 	}
 	key := compositeKey(ds, cp, e.Opts)
 	if src, ok := e.SubResults.Get(key); ok {
-		sp := obs.StartChild(run.C.Context(), obs.KindPlanner, "cache-hit")
+		sp := obs.StartChild(c.Context(), obs.KindPlanner, "cache-hit")
 		sp.End()
-		return src, nil
+		return rapid.Input{Src: src, Stage: -1}, nil
 	}
-	src, err := e.evalComposite(run, ds, cp)
-	if err != nil {
-		return src, err
+	matched, err := e.planComposite(p, c, ds, cp)
+	if err != nil || matched.Stage < 0 {
+		// A composite without joins is a scan of the stored triplegroups,
+		// which no cache entry would save.
+		return matched, err
 	}
-	run.Keep(src.Files...)
-	e.SubResults.Put(key, src, sourceBytes(run, src))
-	return src, nil
+	last := &p.Stages[matched.Stage]
+	last.Keep = true
+	last.After = func(_ context.Context, out string, m *mapred.Metrics) {
+		e.SubResults.Put(key, tgops.Source{Files: []string{out}, Dict: ds.Dict}, m.OutputBytes)
+	}
+	return matched, nil
 }
 
 // compositeKey identifies one composite evaluation. CompositePattern.String
@@ -202,26 +176,14 @@ func compositeKey(ds *engine.Dataset, cp *algebra.CompositePattern, o Options) s
 		o.AlphaFiltering, o.InputPruning, o.ParallelAggregation)
 }
 
-// sourceBytes accounts a cached source at its logical DFS size.
-func sourceBytes(run *engine.Runner, src tgops.Source) int64 {
-	var n int64
-	for _, name := range src.Files {
-		if f, err := run.C.FS.Open(name); err == nil {
-			n += f.Bytes()
-			f.Close()
-		}
-	}
-	return n
-}
-
-// evalComposite evaluates the composite graph pattern: TG_OptGrpFilter
-// scans per composite star, then the α-Join chain.
-func (e *Engine) evalComposite(run *engine.Runner, ds *engine.Dataset, cp *algebra.CompositePattern) (tgops.Source, error) {
+// planComposite plans the composite graph pattern: TG_OptGrpFilter scans
+// per composite star, then the α-Join chain.
+func (e *Engine) planComposite(p *engine.Plan, c *mapred.Cluster, ds *engine.Dataset, cp *algebra.CompositePattern) (rapid.Input, error) {
 	scans := make([]tgops.Source, len(cp.Stars))
 	for i, cs := range cp.Stars {
 		scans[i] = compositeStarScan(ds, i, cs, cp, e.Opts.InputPruning)
 	}
-	ps := obs.StartChild(run.C.Context(), obs.KindPlanner, "join-order")
+	ps := obs.StartChild(c.Context(), obs.KindPlanner, "join-order")
 	refs := make([][]algebra.PropRef, len(cp.Stars))
 	for i, cs := range cp.Stars {
 		refs[i] = cs.PrimaryRefs()
@@ -230,17 +192,13 @@ func (e *Engine) evalComposite(run *engine.Runner, ds *engine.Dataset, cp *algeb
 	order, err := algebra.JoinOrderCost(len(cp.Stars), cp.Joins, est)
 	ps.End()
 	if err != nil {
-		return tgops.Source{}, err
+		return rapid.Input{}, err
 	}
 	alphaCP := cp
 	if !e.Opts.AlphaFiltering {
 		alphaCP = nil
 	}
-	// With parallel aggregation a single generalised TG_AgJ consumes the
-	// matches, so the final join streams too; sequential aggregation runs
-	// one TG_AgJ per subquery over the shared matches, which need the real
-	// DFS checkpoint.
-	return rapid.JoinChain(run, scans, order, "composite", ntga.ResolveAlpha(alphaCP, ds.Dict), e.Opts.ParallelAggregation, est)
+	return rapid.JoinChain(p, scans, order, "composite", ntga.ResolveAlpha(alphaCP, ds.Dict), est), nil
 }
 
 // compositeStarScan builds the scan for one composite star: primary

@@ -63,7 +63,7 @@ SELECT ?x (COUNT(?v) AS ?n) { ?s e:p ?x ; e:q ?v . } GROUP BY ?x`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, wm, err := New().Execute(c, ds, aq)
+	res, wm, err := engine.Execute(c, ds, New(), aq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ SELECT ?x ?n ?m {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, wm, err := New().Execute(c, ds, aq)
+	res, wm, err := engine.Execute(c, ds, New(), aq)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -187,7 +187,7 @@ SELECT ?g ?cntG ?cntT ?sumZ {
 			writeRecs(t, perFile.FS, name, recs...)
 			files = append(files, name)
 		}
-		a, err := FinishQuery(NewRunner(perFile, "tmp/a"), aq, files)
+		a, _, err := finish(perFile, aq, files)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,7 +199,7 @@ SELECT ?g ?cntG ?cntT ?sumZ {
 			}
 		}
 		writeRecs(t, oneFile.FS, "tagged", recs...)
-		b, err := FinishQuery(NewRunner(oneFile, "tmp/b"), aq, []string{"tagged"})
+		b, _, err := finish(oneFile, aq, []string{"tagged"})
 		if err != nil {
 			t.Fatal(err)
 		}

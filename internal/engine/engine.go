@@ -7,6 +7,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -63,13 +64,13 @@ func Load(c *mapred.Cluster, name string, g *rdf.Graph) (*Dataset, error) {
 	}, nil
 }
 
-// Engine evaluates analytical queries on a cluster.
+// Engine plans analytical queries for a cluster; Execute runs the plans.
 type Engine interface {
 	// Name identifies the engine in reports ("RAPIDAnalytics", ...).
 	Name() string
-	// Execute runs the query over the dataset and returns the result table
-	// and the executed workflow's metrics.
-	Execute(c *mapred.Cluster, ds *Dataset, q *algebra.AnalyticalQuery) (*Result, *mapred.WorkflowMetrics, error)
+	// Plan returns the query's stages over the dataset. It runs no job
+	// and writes nothing to the DFS.
+	Plan(c *mapred.Cluster, ds *Dataset, q *algebra.AnalyticalQuery) (*Plan, error)
 }
 
 // Result is a query result table. Values are stored raw: grouping columns
@@ -92,32 +93,13 @@ func (r *Result) Canonical() []string {
 
 // Equal reports whether two results have the same columns and the same
 // multiset of rows.
-func (r *Result) Equal(o *Result) bool {
-	if len(r.Columns) != len(o.Columns) {
-		return false
-	}
-	for i := range r.Columns {
-		if r.Columns[i] != o.Columns[i] {
-			return false
-		}
-	}
-	a, b := r.Canonical(), o.Canonical()
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
+func (r *Result) Equal(o *Result) bool { return r.Diff(o) == "" }
 
 // Diff describes the first difference between two results, for test
 // failure messages. Empty when equal.
 func (r *Result) Diff(o *Result) string {
-	if len(r.Columns) != len(o.Columns) {
-		return fmt.Sprintf("column count %d vs %d", len(r.Columns), len(o.Columns))
+	if !slices.Equal(r.Columns, o.Columns) {
+		return fmt.Sprintf("columns %q vs %q", r.Columns, o.Columns)
 	}
 	a, b := r.Canonical(), o.Canonical()
 	if len(a) != len(b) {

@@ -213,35 +213,22 @@ func TestEnsureDefaultRowsTagged(t *testing.T) {
 	}
 }
 
-// End-to-end through the runner: repairing and joining yields the oracle
-// shape even when the ALL side matched nothing.
-func TestFinishQueryWithEmptyAllSide(t *testing.T) {
+// End-to-end through the executor: repairing and joining yields the
+// oracle shape even when the ALL side matched nothing.
+func TestFinishWithEmptyAllSide(t *testing.T) {
 	aq := mustAQ(t, twoSubqueries)
 	c := mapred.NewCluster(mapred.DefaultConfig())
-	r := NewRunner(c, "tmp/test")
 	writeRecs(t, c.FS, "sub0", codec.Tuple{"Ig1", "3"}.Encode())
 	writeRecs(t, c.FS, "sub1")
-	res, err := FinishQuery(r, aq, []string{"sub0", "sub1"})
+	res, wm, err := finish(c, aq, []string{"sub0", "sub1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.WM.Cycles() != 1 {
-		t.Errorf("cycles = %d, want 1 (map-only final join)", r.WM.Cycles())
+	if last := wm.Jobs[len(wm.Jobs)-1]; wm.Cycles() != 3 || !last.MapOnly {
+		t.Errorf("cycles = %d, want the two loads and a map-only final join", wm.Cycles())
 	}
 	if len(res.Rows) != 1 || res.Rows[0][2] != "0" {
 		t.Errorf("rows = %v", res.Rows)
-	}
-}
-
-func TestRunnerPathsUnique(t *testing.T) {
-	c := mapred.NewCluster(mapred.DefaultConfig())
-	r := NewRunner(c, "tmp/x")
-	a, b := r.Path("j"), r.Path("j")
-	if a == b {
-		t.Errorf("paths collide: %q", a)
-	}
-	if !strings.HasPrefix(a, "tmp/x/") {
-		t.Errorf("path prefix: %q", a)
 	}
 }
 
@@ -392,7 +379,7 @@ func TestFinalJoinRejectsMalformedSideRows(t *testing.T) {
 				names = append(names, name)
 			}
 		}
-		res, err := FinishQuery(NewRunner(c, "tmp/test"), aq, names)
+		res, _, err := finish(c, aq, names)
 		if err == nil {
 			t.Errorf("%s: query returned %v, want an error", tc.name, res.Rows)
 			continue
@@ -419,7 +406,7 @@ func TestEnsureDefaultRowsRejectsMalformedRows(t *testing.T) {
 	if n := c.FS.OpenHandles(); n != 0 {
 		t.Errorf("%d DFS handles left open on the error path", n)
 	}
-	res, err := FinishQuery(NewRunner(c, "tmp/test"), aq, []string{"sub0", "sub1"})
+	res, _, err := finish(c, aq, []string{"sub0", "sub1"})
 	if err == nil {
 		t.Fatalf("query returned %v, want an error", res.Rows)
 	}

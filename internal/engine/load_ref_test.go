@@ -56,6 +56,12 @@ func refBuildVP(fs *dfs.FS, g *rdf.Graph, prefix string, d *rdf.Dict) (*store.VP
 		return t.EncodeIDs()
 	}
 	s.TriplesTable = prefix + "/triples"
+	s.EmptySubjects, s.EmptyPairs = prefix+"/empty_subjects", prefix+"/empty_pairs"
+	for _, name := range []string{s.EmptySubjects, s.EmptyPairs} {
+		if _, err := writerFor(name); err != nil {
+			return nil, err
+		}
+	}
 	triples, err := writerFor(s.TriplesTable)
 	if err != nil {
 		return nil, err

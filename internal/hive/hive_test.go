@@ -315,14 +315,13 @@ func TestStarJoinDuplicateFileRejected(t *testing.T) {
 		{rel: &rel{file: "same", cols: []string{"p", "x"}, dict: d}, keyCol: "p"},
 		{rel: &rel{file: "same", cols: []string{"p", "y"}, dict: d}, keyCol: "p"},
 	}
-	r := &runner{Runner: engine.NewRunner(c, "tmp/t")}
-	conf := Config{MapJoinBytes: 0} // force reduce-side
-	if _, err := r.starJoin(conf, "sj", inputs, nil, "out", false); err == nil {
+	pl := &planner{Plan: &engine.Plan{}, c: c, conf: Config{MapJoinBytes: 0}} // force reduce-side
+	if _, err := pl.starJoin("sj", inputs, nil); err == nil {
 		t.Error("duplicate-file reduce-side star join accepted")
 	}
 	// The map-join path handles shared files fine.
-	conf = Config{MapJoinBytes: 1 << 40}
-	if _, err := r.starJoin(conf, "sj2", inputs, nil, "out2", false); err != nil {
+	pl.conf = Config{MapJoinBytes: 1 << 40}
+	if _, err := pl.starJoin("sj2", inputs, nil); err != nil {
 		t.Errorf("map-join path rejected shared files: %v", err)
 	}
 }

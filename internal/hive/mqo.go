@@ -35,36 +35,31 @@ func NewMQO() *MQO { return &MQO{Conf: DefaultConfig()} }
 // Name implements engine.Engine.
 func (h *MQO) Name() string { return "Hive (MQO)" }
 
-// Execute implements engine.Engine. Queries whose patterns do not overlap
-// (or with a single grouping) fall back to the Naive plan, as an MQO
-// rewriter would.
-func (h *MQO) Execute(c *mapred.Cluster, ds *engine.Dataset, aq *algebra.AnalyticalQuery) (*engine.Result, *mapred.WorkflowMetrics, error) {
+// Plan implements engine.Engine. Queries whose patterns do not overlap (or
+// with a single grouping) fall back to the Naive plan, as an MQO rewriter
+// would.
+func (h *MQO) Plan(c *mapred.Cluster, ds *engine.Dataset, aq *algebra.AnalyticalQuery) (*engine.Plan, error) {
 	if len(aq.Subqueries) < 2 {
-		return (&Naive{Conf: h.Conf}).Execute(c, ds, aq)
+		return (&Naive{Conf: h.Conf}).Plan(c, ds, aq)
 	}
 	ps := obs.StartChild(c.Context(), obs.KindPlanner, "composite-rewrite")
 	cp, err := algebra.BuildComposite(aq.Subqueries)
 	ps.End()
 	if err != nil {
-		return (&Naive{Conf: h.Conf}).Execute(c, ds, aq)
+		return (&Naive{Conf: h.Conf}).Plan(c, ds, aq)
 	}
-	return engine.Run(c, fmt.Sprintf("tmp/hive-mqo/%d", runSeq.Add(1)), func(r *engine.Runner) (*engine.Result, error) {
-		run := &runner{Runner: r}
-		cols := compositeColumns(cp)
-		compRel, err := h.evalComposite(run, ds, cp, cols)
-		if err != nil {
-			return nil, err
-		}
-		var aggFiles []string
-		for k, sq := range aq.Subqueries {
-			file, err := h.aggregatePattern(run, cp, cols, compRel, sq, k)
-			if err != nil {
-				return nil, err
-			}
-			aggFiles = append(aggFiles, file)
-		}
-		return engine.FinishQuery(run.Runner, aq, aggFiles)
-	})
+	pl := &planner{Plan: &engine.Plan{}, c: c, conf: h.Conf}
+	cols := compositeColumns(cp)
+	compRel, err := pl.composite(ds, cp, cols)
+	if err != nil {
+		return nil, err
+	}
+	aggs := make([]int, len(aq.Subqueries))
+	for k, sq := range aq.Subqueries {
+		aggs[k] = pl.aggregatePattern(cp, cols, compRel, sq, k).stage
+	}
+	pl.Finish(aq, aggs...)
+	return pl.Plan, nil
 }
 
 // compositeColumns assigns a relation column to every composite property:
@@ -89,46 +84,21 @@ func compositeColumns(cp *algebra.CompositePattern) [][]string {
 	return cols
 }
 
-// evalComposite evaluates the composite pattern: per-star (left outer) star
+// composite plans the composite pattern: per-star (left outer) star
 // joins, then the inter-star join chain, keeping every column.
-func (h *MQO) evalComposite(run *runner, ds *engine.Dataset, cp *algebra.CompositePattern, cols [][]string) (*rel, error) {
+func (pl *planner) composite(ds *engine.Dataset, cp *algebra.CompositePattern, cols [][]string) (*rel, error) {
 	starRels := make([]*rel, len(cp.Stars))
 	for i, cs := range cp.Stars {
 		var inputs []*starInput
 		for j, p := range cs.Props {
 			optional := len(p.Owners) != cp.NumPatterns
-			file, isType, ok := ds.VP.TableFor(p.Ref)
-			if !ok {
-				var err error
-				if file, err = run.emptyFile(true); err != nil {
-					return nil, err
-				}
-			}
-			r := &rel{file: file, dict: ds.Dict}
-			switch {
-			case isType:
-				r.cols = []string{cs.SubjectVar}
-			case !p.TP.O.IsVar:
-				r.cols = []string{cs.SubjectVar, cols[i][j]}
-				r.consts = []constCheck{{pos: 1, want: ds.Dict.KeyString(p.TP.O.Term.Key())}}
-			default:
-				r.cols = []string{cs.SubjectVar, cols[i][j]}
-				for _, f := range cp.Filters {
-					if f.Var == cols[i][j] {
-						r.filters = append(r.filters, f)
-					}
-				}
-			}
-			inputs = append(inputs, &starInput{rel: r, keyCol: cs.SubjectVar, optional: optional})
+			inputs = append(inputs, &starInput{rel: vpScan(ds, cs.SubjectVar, p.TP, cols[i][j], cp.Filters), keyCol: cs.SubjectVar, optional: optional})
 		}
 		if len(inputs) == 1 && !inputs[0].optional {
 			starRels[i] = inputs[0].rel
 			continue
 		}
-		// A composite star output streams when a join chain follows (its
-		// single consumer); with no joins it *is* the composite relation,
-		// read by every aggregatePattern, and must stay materialised.
-		out, err := run.starJoin(h.Conf, fmt.Sprintf("comp-star%d", i), inputs, nil, run.Path(fmt.Sprintf("comp-star%d", i)), len(cp.Joins) > 0)
+		out, err := pl.starJoin(fmt.Sprintf("comp-star%d", i), inputs, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -142,22 +112,15 @@ func (h *MQO) evalComposite(run *runner, ds *engine.Dataset, cp *algebra.Composi
 	acc := starRels[chainStart(order)]
 	accRows := est.StarCard(chainStart(order))
 	for i, edge := range order {
-		out := run.Path(fmt.Sprintf("comp-join%d", i))
-		// Intermediate composite joins stream; the final one produces the
-		// composite relation — the MQO materialisation boundary every
-		// aggregatePattern reads — which keeps the real DFS write.
-		acc, err = run.join(h.Conf, fmt.Sprintf("comp-join%d", i), acc, starRels[edge.Right], edge.Var, edge.Var, nil, out, i < len(order)-1, edgeEstimate(est, &accRows, edge))
-		if err != nil {
-			return nil, err
-		}
+		acc = pl.join(fmt.Sprintf("comp-join%d", i), acc, starRels[edge.Right], edge.Var, edge.Var, nil, edgeEstimate(est, &accRows, edge))
 	}
 	return acc, nil
 }
 
-// aggregatePattern computes original pattern k's grouping-aggregation over
+// aggregatePattern plans original pattern k's grouping-aggregation over
 // the materialised composite relation.
-func (h *MQO) aggregatePattern(run *runner, cp *algebra.CompositePattern, cols [][]string, compRel *rel, sq *algebra.Subquery, k int) (string, error) {
-	valid := h.validityFilter(cp, cols, compRel, k)
+func (pl *planner) aggregatePattern(cp *algebra.CompositePattern, cols [][]string, compRel *rel, sq *algebra.Subquery, k int) *rel {
+	valid := validityFilter(cp, cols, compRel, k)
 
 	groupCols := make([]string, len(sq.GroupBy))
 	for i, g := range sq.GroupBy {
@@ -170,28 +133,19 @@ func (h *MQO) aggregatePattern(run *runner, cp *algebra.CompositePattern, cols [
 
 	in := compRel
 	if cp.NeedsDistinct(k) {
-		distinctCols := patternColumns(cp, cols, k)
-		job, out := distinctJob(fmt.Sprintf("gp%d-distinct", k), compRel, distinctCols, valid,
-			run.Path(fmt.Sprintf("gp%d-distinct", k)))
-		// Consumed only by this pattern's grouping-aggregation below.
-		job.StreamOutput = true
-		if err := run.Exec(job); err != nil {
-			return "", err
-		}
-		in = out
+		name, distinctCols, filter := fmt.Sprintf("gp%d-distinct", k), patternColumns(cp, cols, k), valid
+		in = pl.add(name, "distinct", []*rel{compRel}, func(in []*rel, output string) (*mapred.Job, *rel) {
+			return distinctJob(name, in[0], distinctCols, filter, output)
+		})
 		valid = nil // already applied
 	}
-	aggOut := run.Path(fmt.Sprintf("gp%d-agg", k))
-	job, out := groupAggJob(fmt.Sprintf("gp%d-agg", k), in, groupCols, aggs, valid, sq.GroupedHaving(), aggOut)
-	if err := run.Exec(job); err != nil {
-		return "", err
-	}
-	return out.file, nil
+	name := fmt.Sprintf("gp%d-agg", k)
+	return pl.groupAgg(name, name, in, groupCols, aggs, valid, sq.GroupedHaving())
 }
 
 // validityFilter returns the row predicate "every secondary column owned by
 // pattern k is non-NULL", or nil when k has no secondary properties.
-func (h *MQO) validityFilter(cp *algebra.CompositePattern, cols [][]string, compRel *rel, k int) func(codec.Tuple) bool {
+func validityFilter(cp *algebra.CompositePattern, cols [][]string, compRel *rel, k int) func(codec.Tuple) bool {
 	var positions []int
 	plan := compRel.compile()
 	for i, cs := range cp.Stars {

@@ -2,17 +2,15 @@ package hive
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"rapidanalytics/internal/algebra"
+	"rapidanalytics/internal/codec"
 	"rapidanalytics/internal/engine"
 	"rapidanalytics/internal/mapred"
 	"rapidanalytics/internal/sparql"
 	"rapidanalytics/internal/stats"
 	"rapidanalytics/internal/store"
 )
-
-var runSeq atomic.Int64
 
 // Naive is the Hive (Naive) engine: each subquery's graph pattern compiles
 // to one star-join cycle per multi-pattern star and one binary-join cycle
@@ -32,36 +30,30 @@ func NewNaive() *Naive { return &Naive{Conf: DefaultConfig()} }
 // Name implements engine.Engine.
 func (h *Naive) Name() string { return "Hive (Naive)" }
 
-// Execute implements engine.Engine.
-func (h *Naive) Execute(c *mapred.Cluster, ds *engine.Dataset, aq *algebra.AnalyticalQuery) (*engine.Result, *mapred.WorkflowMetrics, error) {
-	return engine.Run(c, fmt.Sprintf("tmp/hive-naive/%d", runSeq.Add(1)), func(r *engine.Runner) (*engine.Result, error) {
-		run := &runner{Runner: r}
-		var aggFiles []string
-		for k, sq := range aq.Subqueries {
-			patRel, err := h.evalPattern(run, ds, sq, fmt.Sprintf("gp%d", k))
-			if err != nil {
-				return nil, err
-			}
-			aggJob, aggRel := groupAggJob(
-				fmt.Sprintf("gp%d-groupagg", k), patRel, sq.GroupBy, sq.Aggs, nil, sq.GroupedHaving(),
-				run.Path(fmt.Sprintf("gp%d-agg", k)))
-			if err := run.Exec(aggJob); err != nil {
-				return nil, err
-			}
-			aggFiles = append(aggFiles, aggRel.file)
+// Plan implements engine.Engine.
+func (h *Naive) Plan(c *mapred.Cluster, ds *engine.Dataset, aq *algebra.AnalyticalQuery) (*engine.Plan, error) {
+	pl := &planner{Plan: &engine.Plan{}, c: c, conf: h.Conf}
+	aggs := make([]int, len(aq.Subqueries))
+	for k, sq := range aq.Subqueries {
+		patRel, err := pl.pattern(ds, sq, fmt.Sprintf("gp%d", k))
+		if err != nil {
+			return nil, err
 		}
-		return engine.FinishQuery(run.Runner, aq, aggFiles)
-	})
+		aggs[k] = pl.groupAgg(fmt.Sprintf("gp%d-agg", k), fmt.Sprintf("gp%d-groupagg", k),
+			patRel, sq.GroupBy, sq.Aggs, nil, sq.GroupedHaving()).stage
+	}
+	pl.Finish(aq, aggs...)
+	return pl.Plan, nil
 }
 
-// evalPattern evaluates one subquery's graph pattern, returning the joined
+// pattern plans one subquery's graph pattern, returning the joined
 // relation.
-func (h *Naive) evalPattern(run *runner, ds *engine.Dataset, sq *algebra.Subquery, tag string) (*rel, error) {
+func (pl *planner) pattern(ds *engine.Dataset, sq *algebra.Subquery, tag string) (*rel, error) {
 	gp := sq.Pattern
 	keep := neededVars(sq)
 	starRels := make([]*rel, len(gp.Stars))
 	for i, st := range gp.Stars {
-		r, err := h.evalStar(run, ds, st, gp.Filters, keep, fmt.Sprintf("%s-star%d", tag, i))
+		r, err := pl.star(ds, st, gp.Filters, keep, fmt.Sprintf("%s-star%d", tag, i))
 		if err != nil {
 			return nil, err
 		}
@@ -75,105 +67,66 @@ func (h *Naive) evalPattern(run *runner, ds *engine.Dataset, sq *algebra.Subquer
 	acc := starRels[chainStart(order)]
 	accRows := est.StarCard(chainStart(order))
 	for i, edge := range order {
-		right := starRels[edge.Right]
-		out := run.Path(fmt.Sprintf("%s-join%d", tag, i))
-		keepJoin := keepWithJoins(keep, order[i+1:])
-		// Join intermediates are each consumed by exactly one later cycle
-		// (the next join or the grouping-aggregation), so they stream.
-		acc, err = run.join(h.Conf, fmt.Sprintf("%s-join%d", tag, i), acc, right, edge.Var, edge.Var, keepJoin, out, true, edgeEstimate(est, &accRows, edge))
-		if err != nil {
-			return nil, err
-		}
+		acc = pl.join(fmt.Sprintf("%s-join%d", tag, i), acc, starRels[edge.Right], edge.Var, edge.Var,
+			keepWithJoins(keep, order[i+1:]), edgeEstimate(est, &accRows, edge))
 	}
 	return acc, nil
 }
 
-// evalStar evaluates one star pattern: a direct VP scan for single-pattern
-// stars, a (map) star-join cycle otherwise.
-func (h *Naive) evalStar(run *runner, ds *engine.Dataset, st *algebra.StarPattern, filters []sparql.Filter, keep map[string]bool, tag string) (*rel, error) {
-	inputs, err := starScanInputs(run, ds, st, filters)
-	if err != nil {
-		return nil, err
+// star plans one star pattern: a direct VP scan for single-pattern stars,
+// a (map) star-join cycle otherwise. OPTIONAL patterns join LEFT OUTER:
+// unmatched subjects keep their row with NULLs (the same physical operator
+// the MQO composite uses).
+func (pl *planner) star(ds *engine.Dataset, st *algebra.StarPattern, filters []sparql.Filter, keep map[string]bool, tag string) (*rel, error) {
+	var inputs []*starInput
+	for _, tp := range st.Triples {
+		inputs = append(inputs, &starInput{rel: vpScan(ds, st.SubjectVar, tp, objVar(tp), filters), keyCol: st.SubjectVar})
+	}
+	for _, tp := range st.Optionals {
+		inputs = append(inputs, &starInput{rel: vpScan(ds, st.SubjectVar, tp, objVar(tp), nil), keyCol: st.SubjectVar, optional: true})
 	}
 	if len(inputs) == 1 {
 		return inputs[0].rel, nil
 	}
-	// A star output feeds exactly one consumer (its join edge, or the
-	// grouping-aggregation for single-star patterns), so it streams.
-	return run.starJoin(h.Conf, tag, inputs, keepWithVar(keep, st.SubjectVar), run.Path(tag), true)
+	return pl.starJoin(tag, inputs, keepWithVar(keep, st.SubjectVar))
 }
 
-// starScanInputs builds one scan input per triple pattern of a star over
-// the VP store, pushing down constant-object checks and filters.
-func starScanInputs(run *runner, ds *engine.Dataset, st *algebra.StarPattern, filters []sparql.Filter) ([]*starInput, error) {
-	var inputs []*starInput
-	for _, tp := range st.Triples {
-		if tp.P.IsVar {
-			// Unbound property: scan the full triples table, exposing the
-			// property as a column ([32]'s fallback shape).
-			r := &rel{file: ds.VP.TriplesTable, cols: []string{st.SubjectVar, tp.P.Var, ""}, dict: ds.Dict}
-			if tp.O.IsVar {
-				r.cols[2] = tp.O.Var
-			} else {
-				r.consts = []constCheck{{pos: 2, want: ds.Dict.KeyString(tp.O.Term.Key())}}
-			}
-			for _, f := range filters {
-				if f.Var == tp.P.Var || (tp.O.IsVar && f.Var == tp.O.Var) {
-					r.filters = append(r.filters, f)
-				}
-			}
-			inputs = append(inputs, &starInput{rel: r, keyCol: st.SubjectVar})
-			continue
-		}
-		ref := algebra.PropRefOf(tp)
-		file, isType, ok := ds.VP.TableFor(ref)
-		if !ok {
-			var err error
-			if file, err = run.emptyFile(isType || !tp.O.IsVar); err != nil {
-				return nil, err
-			}
-		}
-		r := &rel{file: file, dict: ds.Dict}
-		switch {
-		case isType:
-			r.cols = []string{st.SubjectVar}
-		case !tp.O.IsVar:
-			r.cols = []string{st.SubjectVar, ""}
-			r.consts = []constCheck{{pos: 1, want: ds.Dict.KeyString(tp.O.Term.Key())}}
-		default:
-			r.cols = []string{st.SubjectVar, tp.O.Var}
-			for _, f := range filters {
-				if f.Var == tp.O.Var {
-					r.filters = append(r.filters, f)
-				}
-			}
-		}
-		inputs = append(inputs, &starInput{rel: r, keyCol: st.SubjectVar})
+// objVar is the column a triple pattern's object binds: its variable, or
+// none for a constant.
+func objVar(tp sparql.TriplePattern) string {
+	if tp.O.IsVar {
+		return tp.O.Var
 	}
-	// OPTIONAL patterns join LEFT OUTER: unmatched subjects keep their row
-	// with NULLs (the same physical operator the MQO composite uses).
-	for _, tp := range st.Optionals {
-		ref := algebra.PropRefOf(tp)
-		file, isType, ok := ds.VP.TableFor(ref)
-		if !ok {
-			var err error
-			if file, err = run.emptyFile(isType || !tp.O.IsVar); err != nil {
-				return nil, err
-			}
-		}
-		r := &rel{file: file, dict: ds.Dict}
-		switch {
-		case isType:
-			r.cols = []string{st.SubjectVar}
-		case !tp.O.IsVar:
-			r.cols = []string{st.SubjectVar, ""}
-			r.consts = []constCheck{{pos: 1, want: ds.Dict.KeyString(tp.O.Term.Key())}}
-		default:
-			r.cols = []string{st.SubjectVar, tp.O.Var}
-		}
-		inputs = append(inputs, &starInput{rel: r, keyCol: st.SubjectVar, optional: true})
+	return ""
+}
+
+// vpScan is the scan of one triple pattern of a star over the VP store:
+// the subject column, then the object in column objCol ("" drops it),
+// with the pattern's constant object checked and the filters on objCol
+// pushed down. An unbound property scans the full triples table, exposing
+// the property as a column ([32]'s fallback shape), and pushes its
+// filters down too.
+func vpScan(ds *engine.Dataset, subj string, tp sparql.TriplePattern, objCol string, filters []sparql.Filter) *rel {
+	r := &rel{dict: ds.Dict}
+	var isType bool
+	if tp.P.IsVar {
+		r.file, r.cols = ds.VP.TriplesTable, []string{subj, tp.P.Var, objCol}
+	} else {
+		r.file, isType = ds.VP.TableFor(algebra.PropRefOf(tp))
+		r.cols = []string{subj, objCol}
 	}
-	return inputs, nil
+	switch {
+	case isType:
+		r.cols = r.cols[:1]
+	case !tp.O.IsVar:
+		r.consts = []constCheck{{pos: len(r.cols) - 1, want: ds.Dict.KeyString(tp.O.Term.Key())}}
+	}
+	for _, f := range filters {
+		if (tp.P.IsVar && f.Var == tp.P.Var) || (tp.O.IsVar && !isType && f.Var == objCol) {
+			r.filters = append(r.filters, f)
+		}
+	}
+	return r
 }
 
 // neededVars returns the variables a subquery's evaluation must retain:
@@ -211,103 +164,98 @@ func keepWithVar(keep map[string]bool, v string) map[string]bool {
 	return out
 }
 
-// runner augments the shared engine runner with lazily created empty
-// placeholder files for missing VP tables.
-type runner struct {
-	*engine.Runner
-	empty1 string
-	empty2 string
+// planner builds one Hive plan: its stages, and the cluster whose data
+// scale sizes the map-join decisions.
+type planner struct {
+	*engine.Plan
+	c    *mapred.Cluster
+	conf Config
 }
 
-// emptyFile returns a shared empty placeholder for missing VP tables (a
-// property or type absent from the dataset): single-column for type
-// partitions and constant-object scans, two-column otherwise.
-func (r *runner) emptyFile(oneCol bool) (string, error) {
-	name := &r.empty2
-	if oneCol {
-		name = &r.empty1
+// add appends the stage whose job build makes over ins and returns the
+// stage's output relation. build runs once now, with no output named, for
+// the output's schema, and again when the stage runs, with the inputs
+// that are earlier outputs resolved to their paths.
+func (pl *planner) add(name, op string, ins []*rel, build func(ins []*rel, output string) (*mapred.Job, *rel)) *rel {
+	var reads []int
+	for _, r := range ins {
+		if r.file == "" {
+			reads = append(reads, r.stage)
+		}
 	}
-	if *name == "" {
-		p := r.Path("empty1")
-		if !oneCol {
-			p = r.Path("empty2")
-		}
-		w, err := r.C.FS.Create(p, 1)
-		if err != nil {
-			return "", err
-		}
-		if err := w.Close(); err != nil {
-			return "", err
-		}
-		*name = p
-	}
-	return *name, nil
+	_, out := build(ins, "")
+	out.stage = pl.Add(engine.Stage{Name: name, Op: op, Reads: reads,
+		Job: func(paths []string, output string) *mapred.Job {
+			bound := make([]*rel, len(ins))
+			for i, r := range ins {
+				bound[i] = r.at(paths)
+			}
+			job, _ := build(bound, output)
+			return job
+		}})
+	return out
 }
 
-// starJoin runs a star join, choosing a map join when all inputs but the
-// largest fit the broadcast budget. stream marks the output as
-// single-consumer intermediate state eligible for the DFS stream registry
-// (Job.StreamOutput); pass false when the output is a checkpoint read by
-// more than one downstream cycle.
-func (r *runner) starJoin(conf Config, name string, inputs []*starInput, keep map[string]bool, output string, stream bool) (*rel, error) {
-	driving, sideSum := 0, int64(0)
-	var total int64
-	largest := int64(-1)
+// starJoin plans a star join over stored tables, choosing a map join when
+// all inputs but the largest fit the broadcast budget.
+func (pl *planner) starJoin(name string, inputs []*starInput, keep map[string]bool) (*rel, error) {
+	driving, total, largest := 0, int64(0), int64(-1)
 	for i, si := range inputs {
-		sz := conf.storedSize(r.C, si.rel.file)
+		sz := pl.conf.storedSize(pl.c, si.rel.file)
 		total += sz
 		if sz > largest && !si.optional {
 			largest = sz
 			driving = i
 		}
 	}
-	sideSum = total - largest
-	var job *mapred.Job
-	var out *rel
-	if largest >= 0 && sideSum <= conf.MapJoinBytes {
-		job, out = starMapJoinJob(name, inputs, driving, keep, output, store.ORCCompressionRatio)
-	} else {
-		// Reduce-side star joins tag records by input file, so two inputs
-		// sharing a file (two constant-object patterns on one property)
-		// would be ambiguous.
-		seen := map[string]bool{}
-		for _, si := range inputs {
-			if seen[si.rel.file] {
-				return nil, fmt.Errorf("hive: star join reads %s twice; not supported in reduce-side joins", si.rel.file)
-			}
-			seen[si.rel.file] = true
+	if largest >= 0 && total-largest <= pl.conf.MapJoinBytes {
+		return pl.add(name, "star-map-join", nil, func(_ []*rel, output string) (*mapred.Job, *rel) {
+			return starMapJoinJob(name, inputs, driving, keep, output, store.ORCCompressionRatio)
+		}), nil
+	}
+	// Reduce-side star joins tag records by input file, so two inputs
+	// sharing a file (two constant-object patterns on one property) would
+	// be ambiguous.
+	seen := map[string]bool{}
+	for _, si := range inputs {
+		if seen[si.rel.file] {
+			return nil, fmt.Errorf("hive: star join reads %s twice; not supported in reduce-side joins", si.rel.file)
 		}
-		job, out = starJoinJob(name, inputs, keep, output, store.ORCCompressionRatio)
+		seen[si.rel.file] = true
 	}
-	job.StreamOutput = stream
-	if err := r.Exec(job); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return pl.add(name, "star-join", nil, func(_ []*rel, output string) (*mapred.Job, *rel) {
+		return starJoinJob(name, inputs, keep, output, store.ORCCompressionRatio)
+	}), nil
 }
 
-// join runs a binary join, broadcasting whichever side fits the budget.
-// stream is as in starJoin. The map-join-site decision sizes both sides
-// from the planner's predicted rows instead of measured files — what a
-// plan-time optimizer has to work with — and the reduce partition count
-// comes from the predicted output cardinality.
-func (r *runner) join(conf Config, name string, left, right *rel, leftCol, rightCol string, keep map[string]bool, output string, stream bool, est joinEst) (*rel, error) {
-	leftSize := conf.estimatedSize(r.C, est.leftRows, len(left.cols))
-	rightSize := conf.estimatedSize(r.C, est.rightRows, len(right.cols))
-	var job *mapred.Job
-	var out *rel
+// join plans a binary join, broadcasting whichever side fits the budget.
+// The map-join-site decision sizes both sides from the planner's predicted
+// rows instead of measured files — what a plan-time optimizer has to work
+// with — and the reduce partition count comes from the predicted output
+// cardinality.
+func (pl *planner) join(name string, left, right *rel, leftCol, rightCol string, keep map[string]bool, est joinEst) *rel {
+	leftSize := pl.conf.estimatedSize(pl.c, est.leftRows, len(left.cols))
+	rightSize := pl.conf.estimatedSize(pl.c, est.rightRows, len(right.cols))
 	switch {
-	case rightSize <= conf.MapJoinBytes:
-		job, out = mapJoinJob(name, left, right, leftCol, rightCol, keep, output, store.ORCCompressionRatio)
-	case leftSize <= conf.MapJoinBytes:
-		job, out = mapJoinJob(name, right, left, rightCol, leftCol, keep, output, store.ORCCompressionRatio)
-	default:
-		job, out = joinJob(name, left, right, leftCol, rightCol, keep, output, store.ORCCompressionRatio)
+	case rightSize <= pl.conf.MapJoinBytes:
+		return pl.add(name, "map-join", []*rel{left, right}, func(in []*rel, output string) (*mapred.Job, *rel) {
+			return mapJoinJob(name, in[0], in[1], leftCol, rightCol, keep, output, store.ORCCompressionRatio)
+		})
+	case leftSize <= pl.conf.MapJoinBytes:
+		return pl.add(name, "map-join", []*rel{left, right}, func(in []*rel, output string) (*mapred.Job, *rel) {
+			return mapJoinJob(name, in[1], in[0], rightCol, leftCol, keep, output, store.ORCCompressionRatio)
+		})
+	}
+	return pl.add(name, "hash-join", []*rel{left, right}, func(in []*rel, output string) (*mapred.Job, *rel) {
+		job, out := joinJob(name, in[0], in[1], leftCol, rightCol, keep, output, store.ORCCompressionRatio)
 		job.Partitions = stats.PartitionsFor(est.outRows)
-	}
-	job.StreamOutput = stream
-	if err := r.Exec(job); err != nil {
-		return nil, err
-	}
-	return out, nil
+		return job, out
+	})
+}
+
+// groupAgg plans a grouping-aggregation cycle (groupAggJob) named job.
+func (pl *planner) groupAgg(name, job string, in *rel, groupCols []string, aggs []algebra.AggSpec, valid func(codec.Tuple) bool, having func([]string) bool) *rel {
+	return pl.add(name, "group-agg", []*rel{in}, func(in []*rel, output string) (*mapred.Job, *rel) {
+		return groupAggJob(job, in[0], groupCols, aggs, valid, having, output)
+	})
 }

@@ -46,7 +46,7 @@ func TestThreeGroupingRollup(t *testing.T) {
 	}
 	for _, e := range engines() {
 		c, ds := setup(t, g)
-		got, wm, err := e.Execute(c, ds, aq)
+		got, wm, err := engine.Execute(c, ds, e, aq)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}
@@ -117,14 +117,14 @@ func TestEnginesMatchOracleOnRandomGraphs(t *testing.T) {
 		}
 		for _, e := range engines() {
 			c, ds := setup(t, g)
-			got, _, err := e.Execute(c, ds, aqMG1)
+			got, _, err := engine.Execute(c, ds, e, aqMG1)
 			if err != nil {
 				t.Fatalf("seed %d %s: %v", seed, e.Name(), err)
 			}
 			if diff := want1.Diff(got); diff != "" {
 				t.Fatalf("seed %d %s mg1 differs: %s", seed, e.Name(), diff)
 			}
-			got, _, err = e.Execute(c, ds, aqRatio)
+			got, _, err = engine.Execute(c, ds, e, aqRatio)
 			if err != nil {
 				t.Fatalf("seed %d %s: %v", seed, e.Name(), err)
 			}
@@ -146,7 +146,7 @@ func TestRollupSequentialAggregation(t *testing.T) {
 	}
 	e := &core.Engine{Opts: core.Options{ParallelAggregation: false, AlphaFiltering: true, HashAggregation: true}}
 	c, ds := setup(t, g)
-	got, wm, err := e.Execute(c, ds, aq)
+	got, wm, err := engine.Execute(c, ds, e, aq)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,7 +101,7 @@ func TestCorruptTriplegroupDetected(t *testing.T) {
 	}
 	aq := buildAQ(t, queries["mg1"])
 	for _, e := range engines()[2:] { // the NTGA engines read these files
-		if _, _, err := e.Execute(c, ds, aq); err == nil {
+		if _, _, err := engine.Execute(c, ds, e, aq); err == nil {
 			t.Errorf("%s accepted corrupt triplegroup records", e.Name())
 		}
 	}
@@ -115,7 +115,7 @@ func TestQueryOverForeignData(t *testing.T) {
 	aq := buildAQ(t, queries["mg1"])
 	for _, e := range engines() {
 		c, ds := setup(t, g)
-		res, _, err := e.Execute(c, ds, aq)
+		res, _, err := engine.Execute(c, ds, e, aq)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}
@@ -135,7 +135,7 @@ func TestEnginesDoNotCorruptSharedDataset(t *testing.T) {
 	var first *engine.Result
 	for round := 0; round < 2; round++ {
 		for _, e := range engines() {
-			got, _, err := e.Execute(c, ds, aq)
+			got, _, err := engine.Execute(c, ds, e, aq)
 			if err != nil {
 				t.Fatalf("round %d %s: %v", round, e.Name(), err)
 			}
@@ -315,14 +315,14 @@ func TestFaultSweep(t *testing.T) {
 				t.Fatal(err)
 			}
 			b.arm(0)
-			if _, _, err := e.Execute(c, ds, aq); err != nil {
+			if _, _, err := engine.Execute(c, ds, e, aq); err != nil {
 				t.Fatalf("%s/%s: clean run: %v", q.name, e.Name(), err)
 			}
 			calls := b.calls.Load()
 			for n := int64(1); n <= calls && !t.Failed(); n++ {
 				what := fmt.Sprintf("%s/%s: fault at call %d of %d", q.name, e.Name(), n, calls)
 				b.arm(n)
-				got, _, err := e.Execute(c, ds, aq)
+				got, _, err := engine.Execute(c, ds, e, aq)
 				if err == nil {
 					if diff := want.Diff(got); diff != "" {
 						t.Errorf("%s: differs from oracle: %s", what, diff)

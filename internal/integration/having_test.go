@@ -1,6 +1,7 @@
 package integration
 
 import (
+	"rapidanalytics/internal/engine"
 	"testing"
 
 	"rapidanalytics/internal/algebra"
@@ -32,7 +33,7 @@ func TestHavingGroupedAcrossEngines(t *testing.T) {
 	}
 	for _, e := range engines() {
 		c, ds := setup(t, g)
-		got, _, err := e.Execute(c, ds, aq)
+		got, _, err := engine.Execute(c, ds, e, aq)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}
@@ -67,7 +68,7 @@ func TestHavingFiltersGroups(t *testing.T) {
 	}
 	for _, e := range engines() {
 		c, ds := setup(t, g)
-		got, _, err := e.Execute(c, ds, strict)
+		got, _, err := engine.Execute(c, ds, e, strict)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}
@@ -107,7 +108,7 @@ func TestHavingOnGroupByAll(t *testing.T) {
 		}
 		for _, e := range engines() {
 			c, ds := setup(t, g)
-			got, _, err := e.Execute(c, ds, aq)
+			got, _, err := engine.Execute(c, ds, e, aq)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", tc.name, e.Name(), err)
 			}
@@ -131,7 +132,7 @@ func TestHavingDistinct(t *testing.T) {
 	}
 	for _, e := range engines() {
 		c, ds := setup(t, g)
-		got, _, err := e.Execute(c, ds, aq)
+		got, _, err := engine.Execute(c, ds, e, aq)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}

@@ -5,6 +5,7 @@ package integration
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
 	"rapidanalytics/internal/algebra"
@@ -202,7 +203,7 @@ func TestEnginesMatchOracle(t *testing.T) {
 			}
 			for _, e := range engines() {
 				c, ds := setup(t, g)
-				got, wm, err := e.Execute(c, ds, aq)
+				got, wm, err := engine.Execute(c, ds, e, aq)
 				if err != nil {
 					t.Fatalf("%s: %v", e.Name(), err)
 				}
@@ -218,7 +219,9 @@ func TestEnginesMatchOracle(t *testing.T) {
 	}
 }
 
-// TestCycleCounts asserts the MR-cycle counts the paper quotes in §5.2.
+// TestCycleCounts asserts the MR-cycle counts the paper quotes in §5.2 on
+// the engines' plans, without running them; the root package's
+// TestPredictCyclesMatchesExecution checks plans against executions.
 func TestCycleCounts(t *testing.T) {
 	g := ecommerceGraph()
 	cases := []struct {
@@ -250,12 +253,21 @@ func TestCycleCounts(t *testing.T) {
 				continue
 			}
 			c, ds := setup(t, g)
-			_, wm, err := e.Execute(c, ds, aq)
+			p, err := e.Plan(c, ds, aq)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", tc.query, e.Name(), err)
 			}
-			if wm.Cycles() != want {
-				t.Errorf("%s/%s: %d MR cycles, want %d", tc.query, e.Name(), wm.Cycles(), want)
+			if len(p.Stages) != want {
+				t.Errorf("%s/%s: %d MR cycles planned, want %d", tc.query, e.Name(), len(p.Stages), want)
+			}
+			if tc.query == "mg1" && e.Name() == "RAPIDAnalytics" {
+				var ops []string
+				for _, st := range p.Stages {
+					ops = append(ops, st.Op)
+				}
+				if got := strings.Join(ops, " "); got != "TG_AlphaJoin TG_AgJ final-join" {
+					t.Errorf("mg1/RAPIDAnalytics plans %s", got)
+				}
 			}
 		}
 	}
@@ -267,7 +279,7 @@ func TestRAPIDAnalyticsFinalCycleMapOnly(t *testing.T) {
 	g := ecommerceGraph()
 	aq := buildAQ(t, queries["mg1"])
 	c, ds := setup(t, g)
-	_, wm, err := core.New().Execute(c, ds, aq)
+	_, wm, err := engine.Execute(c, ds, core.New(), aq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +309,7 @@ func TestCoreAblations(t *testing.T) {
 	} {
 		e := &core.Engine{Opts: opts}
 		c, ds := setup(t, g)
-		got, wm, err := e.Execute(c, ds, aq)
+		got, wm, err := engine.Execute(c, ds, e, aq)
 		if err != nil {
 			t.Fatalf("opts %+v: %v", opts, err)
 		}
@@ -324,7 +336,7 @@ func TestAlphaFilteringReducesMaterialization(t *testing.T) {
 	run := func(alpha bool) int64 {
 		e := &core.Engine{Opts: core.Options{ParallelAggregation: true, AlphaFiltering: alpha, HashAggregation: true}}
 		c, ds := setup(t, g)
-		_, wm, err := e.Execute(c, ds, aq)
+		_, wm, err := engine.Execute(c, ds, e, aq)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -343,7 +355,7 @@ func TestHiveMapJoinsKickIn(t *testing.T) {
 	aq := buildAQ(t, queries["g3-style"])
 	c, ds := setup(t, g)
 	h := hive.NewNaive() // default threshold far above this tiny dataset
-	_, wm, err := h.Execute(c, ds, aq)
+	_, wm, err := engine.Execute(c, ds, h, aq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +382,7 @@ func TestHiveReduceJoinsWhenLarge(t *testing.T) {
 			&hive.MQO{Conf: hive.Config{MapJoinBytes: 0}},
 		} {
 			c, ds := setup(t, g)
-			got, wm, err := e.Execute(c, ds, aq)
+			got, wm, err := engine.Execute(c, ds, e, aq)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, e.Name(), err)
 			}
@@ -391,12 +403,12 @@ func TestDeterministicResults(t *testing.T) {
 	aq := buildAQ(t, queries["mg3"])
 	for _, e := range engines() {
 		c1, ds1 := setup(t, g)
-		r1, _, err := e.Execute(c1, ds1, aq)
+		r1, _, err := engine.Execute(c1, ds1, e, aq)
 		if err != nil {
 			t.Fatal(err)
 		}
 		c2, ds2 := setup(t, g)
-		r2, _, err := e.Execute(c2, ds2, aq)
+		r2, _, err := engine.Execute(c2, ds2, e, aq)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -420,7 +432,7 @@ func TestInputPruningAblation(t *testing.T) {
 		opts.InputPruning = prune
 		e := &core.Engine{Opts: opts}
 		c, ds := setup(t, g)
-		got, wm, err := e.Execute(c, ds, aq)
+		got, wm, err := engine.Execute(c, ds, e, aq)
 		if err != nil {
 			t.Fatal(err)
 		}

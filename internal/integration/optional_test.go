@@ -1,6 +1,7 @@
 package integration
 
 import (
+	"rapidanalytics/internal/engine"
 	"testing"
 
 	"rapidanalytics/internal/algebra"
@@ -56,7 +57,7 @@ func TestOptionalAcrossEngines(t *testing.T) {
 			}
 			for _, e := range engines() {
 				c, ds := setup(t, g)
-				got, _, err := e.Execute(c, ds, aq)
+				got, _, err := engine.Execute(c, ds, e, aq)
 				if err != nil {
 					t.Fatalf("%s: %v", e.Name(), err)
 				}

@@ -1,6 +1,7 @@
 package integration
 
 import (
+	"rapidanalytics/internal/engine"
 	"strconv"
 	"testing"
 
@@ -35,7 +36,7 @@ func TestOrderByLimitAcrossEngines(t *testing.T) {
 	}
 	for _, e := range engines() {
 		c, ds := setup(t, g)
-		got, wm, err := e.Execute(c, ds, aq)
+		got, wm, err := engine.Execute(c, ds, e, aq)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}
@@ -76,7 +77,7 @@ func TestOrderByAscendingSingleGrouping(t *testing.T) {
 	}
 	for _, e := range engines() {
 		c, ds := setup(t, g)
-		got, _, err := e.Execute(c, ds, aq)
+		got, _, err := engine.Execute(c, ds, e, aq)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}

@@ -1,6 +1,7 @@
 package integration
 
 import (
+	"rapidanalytics/internal/engine"
 	"testing"
 
 	"rapidanalytics/internal/refimpl"
@@ -53,7 +54,7 @@ func TestUnboundPropertyAcrossEngines(t *testing.T) {
 			}
 			for _, e := range engines() {
 				c, ds := setup(t, g)
-				got, _, err := e.Execute(c, ds, aq)
+				got, _, err := engine.Execute(c, ds, e, aq)
 				if err != nil {
 					t.Fatalf("%s: %v", e.Name(), err)
 				}
@@ -121,7 +122,7 @@ func TestUnboundWithPropertyFilter(t *testing.T) {
 	}
 	for _, e := range engines() {
 		c, ds := setup(t, g)
-		got, _, err := e.Execute(c, ds, aq)
+		got, _, err := engine.Execute(c, ds, e, aq)
 		if err != nil {
 			t.Fatalf("%s: %v", e.Name(), err)
 		}

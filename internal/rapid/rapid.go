@@ -10,9 +10,9 @@
 package rapid
 
 import (
+	"context"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"rapidanalytics/internal/algebra"
 	"rapidanalytics/internal/engine"
@@ -23,8 +23,6 @@ import (
 	"rapidanalytics/internal/stats"
 	"rapidanalytics/internal/tgops"
 )
-
-var runSeq atomic.Int64
 
 // replanRatio is the estimate-vs-observed cardinality error ratio above
 // which an executing join chain re-plans its remaining edges.
@@ -39,62 +37,85 @@ func New() *Engine { return &Engine{} }
 // Name implements engine.Engine.
 func (e *Engine) Name() string { return "RAPID+ (Naive)" }
 
-// Execute implements engine.Engine.
-func (e *Engine) Execute(c *mapred.Cluster, ds *engine.Dataset, aq *algebra.AnalyticalQuery) (*engine.Result, *mapred.WorkflowMetrics, error) {
-	return engine.Run(c, fmt.Sprintf("tmp/rapid/%d", runSeq.Add(1)), func(run *engine.Runner) (*engine.Result, error) {
-		var aggFiles []string
-		for k, sq := range aq.Subqueries {
-			file, err := EvalSubquery(run, ds, sq, k, false, true)
-			if err != nil {
-				return nil, err
-			}
-			aggFiles = append(aggFiles, file)
+// Plan implements engine.Engine.
+func (e *Engine) Plan(c *mapred.Cluster, ds *engine.Dataset, aq *algebra.AnalyticalQuery) (*engine.Plan, error) {
+	return PlanSequential(c, ds, aq, false, true)
+}
+
+// PlanSequential plans the query's subqueries one after the other over the
+// triplegroup store, each as pattern matching via TG joins and then one
+// grouping-aggregation cycle, and finishes the query. hashAgg selects
+// map-side hash pre-aggregation (RAPIDAnalytics' single-grouping path,
+// which plans this too) over the plain combiner (RAPID+). prune limits
+// scans to matching equivalence classes.
+func PlanSequential(c *mapred.Cluster, ds *engine.Dataset, aq *algebra.AnalyticalQuery, hashAgg, prune bool) (*engine.Plan, error) {
+	p := &engine.Plan{}
+	aggs := make([]int, len(aq.Subqueries))
+	for k, sq := range aq.Subqueries {
+		gp := sq.Pattern
+		src, err := matchPattern(p, c, ds, gp, fmt.Sprintf("gp%d", k), prune)
+		if err != nil {
+			return nil, err
 		}
-		return engine.FinishQuery(run, aq, aggFiles)
-	})
+		spec := tgops.AggJoinSpec{
+			GroupVars:      sq.GroupBy,
+			Aggs:           sq.Aggs,
+			TPs:            starTriples(gp),
+			OptTPs:         starOptionals(gp),
+			Having:         sq.GroupedHaving(),
+			BindingFilters: unboundFilters(gp),
+		}
+		aggs[k] = AggJoin(p, fmt.Sprintf("gp%d-agg", k), src, []tgops.AggJoinSpec{spec}, hashAgg)
+	}
+	p.Finish(aq, aggs...)
+	return p, nil
 }
 
-// EvalSubquery evaluates one subquery over the triplegroup store: pattern
-// matching via TG joins, then one grouping-aggregation cycle. hashAgg
-// selects map-side hash pre-aggregation (RAPIDAnalytics' single-grouping
-// path, which calls this too) over the plain combiner (RAPID+). prune
-// limits scans to matching equivalence classes.
-func EvalSubquery(run *engine.Runner, ds *engine.Dataset, sq *algebra.Subquery, k int, hashAgg, prune bool) (string, error) {
-	gp := sq.Pattern
-	src, err := matchPattern(run, ds, gp, fmt.Sprintf("gp%d", k), nil, prune)
-	if err != nil {
-		return "", err
-	}
-	spec := tgops.AggJoinSpec{
-		GroupVars:      sq.GroupBy,
-		Aggs:           sq.Aggs,
-		TPs:            starTriples(gp),
-		OptTPs:         starOptionals(gp),
-		Having:         sq.GroupedHaving(),
-		BindingFilters: unboundFilters(gp),
-	}
-	out := run.Path(fmt.Sprintf("gp%d-agg", k))
-	job := tgops.AggJoinJob(fmt.Sprintf("gp%d-agg", k), src, []tgops.AggJoinSpec{spec}, hashAgg, out)
-	if err := run.Exec(job); err != nil {
-		return "", err
-	}
-	return out, nil
+// Input is a TG operator's input: a scan of the stored triplegroups, or
+// the output of plan stage Stage (≥ 0), whose path is named only when the
+// plan runs.
+type Input struct {
+	Src   tgops.Source
+	Stage int
 }
 
-// matchPattern runs the TG join chain for a plain (non-composite) graph
-// pattern and returns the source of matched (annotated) triplegroups. A
-// single-star pattern needs no join cycle: the filtered scan feeds the next
-// operator directly. cp, when non-nil, enables α filtering during joins
-// (used by RAPIDAnalytics; nil here); the α table is resolved into the
-// dataset's data plane. The join order comes from the cardinalities the
-// dataset's statistics catalog predicts, and the chain executes
-// adaptively.
-func matchPattern(run *engine.Runner, ds *engine.Dataset, gp *algebra.GraphPattern, tag string, cp *algebra.CompositePattern, prune bool) (tgops.Source, error) {
+// Reads lists the plan stage the input reads, if any.
+func (in Input) Reads() []int {
+	if in.Stage < 0 {
+		return nil
+	}
+	return []int{in.Stage}
+}
+
+// At returns the input's source with an earlier stage's output resolved
+// to its path among paths.
+func (in Input) At(paths []string) tgops.Source {
+	if in.Stage < 0 {
+		return in.Src
+	}
+	return tgops.Source{Files: []string{paths[in.Stage]}, Dict: in.Src.Dict}
+}
+
+// AggJoin plans one (generalised) TG_AgJ cycle over src evaluating specs
+// and returns its stage.
+func AggJoin(p *engine.Plan, name string, src Input, specs []tgops.AggJoinSpec, hashAgg bool) int {
+	return p.Add(engine.Stage{Name: name, Op: "TG_AgJ", Reads: src.Reads(),
+		Job: func(paths []string, out string) *mapred.Job {
+			return tgops.AggJoinJob(name, src.At(paths), specs, hashAgg, out)
+		}})
+}
+
+// matchPattern plans the TG join chain for a plain (non-composite) graph
+// pattern and returns the matched (annotated) triplegroups. A single-star
+// pattern needs no join cycle: the filtered scan feeds the next operator
+// directly. The join order comes from the cardinalities the dataset's
+// statistics catalog predicts, and the chain executes adaptively.
+func matchPattern(p *engine.Plan, c *mapred.Cluster, ds *engine.Dataset, gp *algebra.GraphPattern, tag string, prune bool) (Input, error) {
 	scans := make([]tgops.Source, len(gp.Stars))
 	for i, st := range gp.Stars {
 		scans[i] = starScan(ds, i, st, gp.Filters, prune)
 	}
-	ps := obs.StartChild(run.C.Context(), obs.KindPlanner, "join-order")
+	ps := obs.StartChild(c.Context(), obs.KindPlanner, "join-order")
 	refs := make([][]algebra.PropRef, len(gp.Stars))
 	for i, st := range gp.Stars {
 		refs[i] = st.Props()
@@ -103,69 +124,92 @@ func matchPattern(run *engine.Runner, ds *engine.Dataset, gp *algebra.GraphPatte
 	order, err := algebra.JoinOrderCost(len(gp.Stars), gp.Joins, est)
 	ps.End()
 	if err != nil {
-		return tgops.Source{}, err
+		return Input{}, err
 	}
-	// The matched source feeds exactly one TG_AgJ cycle per subquery chain,
-	// so even the final join output streams.
-	return JoinChain(run, scans, order, tag, ntga.ResolveAlpha(cp, ds.Dict), true, est)
+	return JoinChain(p, scans, order, tag, nil, est), nil
 }
 
-// JoinChain executes the ordered TG (α-)join cycles; the accumulated side
+// JoinChain plans the ordered TG (α-)join cycles; the accumulated side
 // starts from order[0].Left (star 0 when there are no edges). Exported for
-// the RAPIDAnalytics planner, which drives the same physical joins over a
-// composite pattern. Non-final join outputs always stream — each feeds
-// only the next cycle of the chain; streamFinal extends that to the last
-// output, and must be false when the chain's result is read by more than
-// one downstream cycle (sequential aggregation over shared matches).
+// the RAPIDAnalytics planner, which plans the same physical joins over a
+// composite pattern; alpha, when non-nil, enables α filtering during the
+// joins.
 //
 // est, the estimator that ordered the edges, makes the chain adaptive:
 // each cycle's reduce partition count comes from the predicted output
-// cardinality, and after each cycle the observed output cardinality
-// (the job's OutputRecords — the obs per-operator counter source) is
-// compared against the estimate; when the error ratio exceeds replanRatio
-// with edges still to run, the remaining edges re-order around the
-// observed cardinality and the decision is logged as a planner span named
-// "re-plan".
-func JoinChain(run *engine.Runner, scans []tgops.Source, order []algebra.Join, tag string, alpha *ntga.AlphaTable, streamFinal bool, est algebra.CardEstimator) (tgops.Source, error) {
+// cardinality, and after each cycle but the last the observed output
+// cardinality (the job's OutputRecords — the obs per-operator counter
+// source) replaces the estimate; when the error ratio exceeds replanRatio,
+// the remaining edges re-order around the observed cardinality and the
+// decision is logged as a planner span named "re-plan". Re-ordering
+// changes which edge a later stage joins, never the number of stages.
+func JoinChain(p *engine.Plan, scans []tgops.Source, order []algebra.Join, tag string, alpha *ntga.AlphaTable, est algebra.CardEstimator) Input {
 	start := 0
 	if len(order) > 0 {
 		start = order[0].Left
 	}
-	acc := scans[start]
-	// The tail may re-order in place; never mutate the caller's slice.
-	order = append([]algebra.Join(nil), order...)
-	accCard := est.StarCard(start)
-	covered := make([]bool, len(scans))
-	covered[start] = true
-	for i := 0; i < len(order); i++ {
-		edge := order[i]
-		leftEp := tgops.Endpoint{Star: edge.Left, Role: edge.LeftRole, Props: edge.LeftProps}
-		rightEp := tgops.Endpoint{Star: edge.Right, Role: edge.RightRole, Props: edge.RightProps}
-		out := run.Path(fmt.Sprintf("%s-join%d", tag, i))
-		job := tgops.AlphaJoinJob(
-			fmt.Sprintf("%s-join%d", tag, i),
-			tgops.JoinSide{Src: acc, Ep: leftEp},
-			tgops.JoinSide{Src: scans[edge.Right], Ep: rightEp},
-			alpha, out)
-		job.StreamOutput = streamFinal || i < len(order)-1
-		predicted := est.JoinCard(accCard, est.StarCard(edge.Right), edge)
-		job.Partitions = stats.PartitionsFor(predicted)
-		if err := run.Exec(job); err != nil {
-			return tgops.Source{}, err
-		}
-		acc = tgops.Source{Files: []string{out}, Dict: acc.Dict}
-		covered[edge.Right] = true
-		observed := float64(run.WM.Jobs[len(run.WM.Jobs)-1].OutputRecords)
-		if i < len(order)-1 && replanNeeded(predicted, observed) {
-			rs := obs.StartChild(run.C.Context(), obs.KindPlanner, "re-plan")
-			rs.AddRecords(int64(observed))
-			tail := algebra.ReorderRemaining(covered, order[i+1:], math.Max(1, observed), est)
-			copy(order[i+1:], tail)
-			rs.End()
-		}
-		accCard = math.Max(1, observed)
+	ch := &chain{
+		scans: scans, alpha: alpha, est: est,
+		// The tail may re-order in place; never mutate the caller's slice.
+		order:   append([]algebra.Join(nil), order...),
+		accCard: est.StarCard(start),
+		covered: make([]bool, len(scans)),
 	}
-	return acc, nil
+	ch.covered[start] = true
+	acc := Input{Src: scans[start], Stage: -1}
+	for i := range order {
+		left, name := acc, fmt.Sprintf("%s-join%d", tag, i)
+		st := engine.Stage{Name: name, Op: "TG_AlphaJoin", Reads: left.Reads(),
+			Job: func(paths []string, out string) *mapred.Job {
+				return ch.job(i, name, left.At(paths), out)
+			}}
+		if i < len(order)-1 {
+			st.After = func(ctx context.Context, _ string, m *mapred.Metrics) { ch.observe(ctx, i, m) }
+		}
+		acc = Input{Src: tgops.Source{Dict: left.Src.Dict}, Stage: p.Add(st)}
+	}
+	return acc
+}
+
+// chain is the state an adaptive join chain's stages share.
+type chain struct {
+	scans []tgops.Source
+	alpha *ntga.AlphaTable
+	est   algebra.CardEstimator
+	order []algebra.Join
+	// accCard is the accumulated side's cardinality, observed once a cycle
+	// has run; predicted is the running cycle's output estimate.
+	accCard, predicted float64
+	covered            []bool
+}
+
+// job builds the α-join of the accumulated side left with edge i's right
+// star, its partitions sized from the predicted output cardinality.
+func (ch *chain) job(i int, name string, left tgops.Source, out string) *mapred.Job {
+	edge := ch.order[i]
+	job := tgops.AlphaJoinJob(name,
+		tgops.JoinSide{Src: left, Ep: tgops.Endpoint{Star: edge.Left, Role: edge.LeftRole, Props: edge.LeftProps}},
+		tgops.JoinSide{Src: ch.scans[edge.Right], Ep: tgops.Endpoint{Star: edge.Right, Role: edge.RightRole, Props: edge.RightProps}},
+		ch.alpha, out)
+	ch.predicted = ch.est.JoinCard(ch.accCard, ch.est.StarCard(edge.Right), edge)
+	job.Partitions = stats.PartitionsFor(ch.predicted)
+	ch.covered[edge.Right] = true
+	return job
+}
+
+// observe takes cycle i's observed output cardinality as the accumulated
+// side's, re-ordering the remaining edges when it is far off the
+// estimate.
+func (ch *chain) observe(ctx context.Context, i int, m *mapred.Metrics) {
+	observed := float64(m.OutputRecords)
+	if replanNeeded(ch.predicted, observed) {
+		rs := obs.StartChild(ctx, obs.KindPlanner, "re-plan")
+		rs.AddRecords(int64(observed))
+		tail := algebra.ReorderRemaining(ch.covered, ch.order[i+1:], math.Max(1, observed), ch.est)
+		copy(ch.order[i+1:], tail)
+		rs.End()
+	}
+	ch.accCard = math.Max(1, observed)
 }
 
 // replanNeeded reports whether the estimate-vs-observed error ratio
@@ -179,9 +223,7 @@ func replanNeeded(predicted, observed float64) bool {
 
 // starScan builds the TG_OptGrpFilter-fused scan for one star of a plain
 // pattern: every property is primary, and FILTERs on the star's object
-// variables apply at triple level.
-// starScan builds the TG_OptGrpFilter-fused scan for one star. With prune,
-// inputs are limited to the equivalence classes that can match the star's
+// variables apply at triple level. With prune, inputs are limited to the equivalence classes that can match the star's
 // bound primaries — the paper's pre-processing benefit ("rdf:type triples
 // ... grouped based on prefixes"); without, every class is scanned.
 func starScan(ds *engine.Dataset, star int, st *algebra.StarPattern, filters []sparql.Filter, prune bool) tgops.Source {

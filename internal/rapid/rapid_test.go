@@ -46,7 +46,7 @@ SELECT (COUNT(?va) AS ?n) {
 		t.Fatal(err)
 	}
 	c, ds := load(t, g)
-	res, wm, err := New().Execute(c, ds, aq)
+	res, wm, err := engine.Execute(c, ds, New(), aq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,31 +79,30 @@ SELECT (COUNT(?v) AS ?n) { ?s e:v ?v . }`)
 		t.Fatal(err)
 	}
 	c, ds := load(t, g)
-	run := engine.NewRunner(c, "tmp/a")
-	fileNoHash, err := EvalSubquery(run, ds, aq.Subqueries[0], 0, false, true)
+	a, wmNoHash, err := engine.Execute(c, ds, sequential(false), aq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	emitsNoHash := run.WM.Jobs[len(run.WM.Jobs)-1].MapEmitRecords
-	run2 := engine.NewRunner(c, "tmp/b")
-	fileHash, err := EvalSubquery(run2, ds, aq.Subqueries[0], 0, true, true)
+	b, wmHash, err := engine.Execute(c, ds, sequential(true), aq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	emitsHash := run2.WM.Jobs[len(run2.WM.Jobs)-1].MapEmitRecords
+	emitsNoHash := wmNoHash.Jobs[len(wmNoHash.Jobs)-1].MapEmitRecords
+	emitsHash := wmHash.Jobs[len(wmHash.Jobs)-1].MapEmitRecords
 	if emitsHash >= emitsNoHash {
 		t.Errorf("hash agg emits %d, combiner path %d; want fewer", emitsHash, emitsNoHash)
 	}
 	// Same answers either way.
-	a, err := engine.ReadResult(c.FS, fileNoHash, []string{"n"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := engine.ReadResult(c.FS, fileHash, []string{"n"})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if diff := a.Diff(b); diff != "" {
 		t.Errorf("hash and combiner paths disagree: %s", diff)
 	}
+}
+
+// sequential plans PlanSequential, with hash pre-aggregation when true.
+type sequential bool
+
+func (sequential) Name() string { return "sequential" }
+
+func (h sequential) Plan(c *mapred.Cluster, ds *engine.Dataset, aq *algebra.AnalyticalQuery) (*engine.Plan, error) {
+	return PlanSequential(c, ds, aq, bool(h), true)
 }

@@ -3,6 +3,7 @@ package rapid
 import (
 	"context"
 	"fmt"
+	"rapidanalytics/internal/engine"
 	"testing"
 
 	"rapidanalytics/internal/algebra"
@@ -94,7 +95,7 @@ func TestBadEstimateTriggersExactlyOneReplan(t *testing.T) {
 	}
 	root := obs.New(obs.KindQuery, "replan-test")
 	tc := c.WithContext(obs.NewContext(context.Background(), root))
-	res, _, err := New().Execute(tc, ds, aq)
+	res, _, err := engine.Execute(tc, ds, New(), aq)
 	root.End()
 	if err != nil {
 		t.Fatal(err)

@@ -45,20 +45,32 @@ type VPStore struct {
 	TriplesTable string
 	// Rows records each table file's row count, for map-join planning.
 	Rows map[string]int64
+	// EmptySubjects and EmptyPairs are a one-column and a two-column table
+	// without rows, written at load: what TableFor resolves a type or
+	// property absent from the data to.
+	EmptySubjects, EmptyPairs string
 }
 
 // TableFor resolves the table file for a property reference: the
 // type-object partition for rdf:type references, the property table
 // otherwise. The second result reports whether the reference resolves to a
-// dedicated type partition (whose rows are 1-column subject lists) and the
-// third whether the table exists.
-func (s *VPStore) TableFor(ref algebra.PropRef) (file string, isTypePartition, ok bool) {
+// dedicated type partition (whose rows are 1-column subject lists). A type
+// or property absent from the data resolves to an empty table:
+// EmptySubjects for a type or a constant object, EmptyPairs otherwise.
+func (s *VPStore) TableFor(ref algebra.PropRef) (file string, isTypePartition bool) {
 	if ref.Prop == rdf.RDFType && ref.HasConstObj() {
-		f, ok := s.TypeTables[ref.Obj.Key()]
-		return f, true, ok
+		if f, ok := s.TypeTables[ref.Obj.Key()]; ok {
+			return f, true
+		}
+		return s.EmptySubjects, true
 	}
-	f, ok := s.Tables[ref.Prop]
-	return f, false, ok
+	if f, ok := s.Tables[ref.Prop]; ok {
+		return f, false
+	}
+	if ref.HasConstObj() {
+		return s.EmptySubjects, false
+	}
+	return s.EmptyPairs, false
 }
 
 // BuildVP interns g into d and writes its VP tables (WriteVP).
@@ -70,11 +82,13 @@ func BuildVP(fs *dfs.FS, g *rdf.Graph, prefix string, d *rdf.Dict) (*VPStore, er
 // compact ID-tuples of g.Dict (codec.DecodeIDTuple), in statement order.
 func WriteVP(fs *dfs.FS, g *rdf.IDGraph, prefix string) (*VPStore, error) {
 	s := &VPStore{
-		Prefix:       prefix,
-		Tables:       map[string]string{},
-		TypeTables:   map[string]string{},
-		Rows:         map[string]int64{},
-		TriplesTable: prefix + "/triples",
+		Prefix:        prefix,
+		Tables:        map[string]string{},
+		TypeTables:    map[string]string{},
+		Rows:          map[string]int64{},
+		TriplesTable:  prefix + "/triples",
+		EmptySubjects: prefix + "/empty_subjects",
+		EmptyPairs:    prefix + "/empty_pairs",
 	}
 	writers := map[string]*dfs.Writer{}
 	create := func(name string) (*dfs.Writer, error) {
@@ -84,6 +98,11 @@ func WriteVP(fs *dfs.FS, g *rdf.IDGraph, prefix string) (*VPStore, error) {
 		}
 		writers[name] = w
 		return w, nil
+	}
+	for _, name := range []string{s.EmptySubjects, s.EmptyPairs} {
+		if _, err := create(name); err != nil {
+			return nil, err
+		}
 	}
 	triples, err := create(s.TriplesTable)
 	if err != nil {

@@ -52,9 +52,9 @@ func TestBuildVP(t *testing.T) {
 	}
 	// One table per non-type property.
 	for _, prop := range []string{"label", "pf", "product", "price"} {
-		file, isType, ok := vp.TableFor(algebra.PropRef{Prop: "http://e/" + prop})
-		if !ok || isType {
-			t.Fatalf("TableFor(%s) = %q, %v, %v", prop, file, isType, ok)
+		file, isType := vp.TableFor(algebra.PropRef{Prop: "http://e/" + prop})
+		if file != vp.Tables["http://e/"+prop] || isType {
+			t.Fatalf("TableFor(%s) = %q, %v", prop, file, isType)
 		}
 		f, err := fs.Open(file)
 		if err != nil {
@@ -76,9 +76,9 @@ func TestBuildVP(t *testing.T) {
 	}
 	// rdf:type triples land in per-object partitions of 1-column rows.
 	for _, typ := range []string{"PT1", "PT2"} {
-		file, isType, ok := vp.TableFor(algebra.PropRef{Prop: rdf.RDFType, Obj: iri(typ)})
-		if !ok || !isType {
-			t.Fatalf("TableFor(type=%s) = %v %v", typ, isType, ok)
+		file, isType := vp.TableFor(algebra.PropRef{Prop: rdf.RDFType, Obj: iri(typ)})
+		if file != vp.TypeTables[iri(typ).Key()] || !isType {
+			t.Fatalf("TableFor(type=%s) = %q, %v", typ, file, isType)
 		}
 		f, err := fs.Open(file)
 		if err != nil {
@@ -93,9 +93,29 @@ func TestBuildVP(t *testing.T) {
 			t.Errorf("type row = %v, %v", tu, err)
 		}
 	}
-	// Missing tables are reported.
-	if _, _, ok := vp.TableFor(algebra.PropRef{Prop: "http://e/nope"}); ok {
-		t.Error("TableFor accepted a missing property")
+	// Absent types and properties resolve to the empty tables written at
+	// load: one-column for a type or a constant object, two-column else.
+	for _, tc := range []struct {
+		ref    algebra.PropRef
+		file   string
+		isType bool
+	}{
+		{algebra.PropRef{Prop: "http://e/nope"}, vp.EmptyPairs, false},
+		{algebra.PropRef{Prop: "http://e/nope", Obj: iri("x")}, vp.EmptySubjects, false},
+		{algebra.PropRef{Prop: rdf.RDFType, Obj: iri("Nope")}, vp.EmptySubjects, true},
+	} {
+		file, isType := vp.TableFor(tc.ref)
+		if file != tc.file || isType != tc.isType {
+			t.Errorf("TableFor(%s) = %q, %v; want %q, %v", tc.ref.Key(), file, isType, tc.file, tc.isType)
+		}
+		f, err := fs.Open(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.NumRecords() != 0 {
+			t.Errorf("%s holds %d rows", file, f.NumRecords())
+		}
+		f.Close()
 	}
 	if vp.Rows[vp.Tables["http://e/label"]] != 2 {
 		t.Errorf("label row count = %d, want 2", vp.Rows[vp.Tables["http://e/label"]])

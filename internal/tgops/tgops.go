@@ -475,9 +475,9 @@ func slotValue(slots []string, slot int) string {
 // are merged by a combiner.
 //
 // Output rows are [group values..., finals...] for one spec, and [spec
-// index, group values..., finals...] for several — the two layouts
-// engine.FinishQuery reads. Rows are lexical: the reducer, the engines'
-// shared aggregation merger, is the decode boundary.
+// index, group values..., finals...] for several — the two layouts the
+// finish path (engine.Plan.Finish) reads. Rows are lexical: the reducer,
+// the engines' shared aggregation merger, is the decode boundary.
 func AggJoinJob(name string, src Source, specs []AggJoinSpec, hashAgg bool, output string) *mapred.Job {
 	resolved := make([]resolvedAggSpec, len(specs))
 	groupings := make([]engine.Grouping, len(specs))

@@ -95,7 +95,8 @@ type Options struct {
 	// defaulting to memory.
 	Storage string
 	// DataDir roots disk-backed storage. Empty uses a fresh directory under
-	// the OS temp dir. Each (re)materialisation of the store's layouts
+	// the RAPID_DATA_DIR environment variable, or the OS temp dir when it
+	// is unset. Each (re)materialisation of the store's layouts
 	// writes under a new load-numbered subdirectory; a mutation removes
 	// the superseded one, which no query can still be reading.
 	DataDir string
@@ -369,7 +370,7 @@ func (s *Store) newFS() (*dfs.FS, error) {
 		return dfs.New(), nil
 	case StorageDisk:
 		if s.opts.DataDir == "" {
-			d, err := os.MkdirTemp("", "rapidanalytics-")
+			d, err := os.MkdirTemp(os.Getenv("RAPID_DATA_DIR"), "rapidanalytics-")
 			if err != nil {
 				return nil, err
 			}
@@ -508,13 +509,13 @@ func (r *Result) Len() int { return len(r.rows) }
 // String renders an aligned table.
 func (r *Result) String() string { return r.raw.Pretty() }
 
-func (s *Store) engineFor(sys System) (engine.Engine, error) {
+// newEngine returns the engine of sys; a RAPIDAnalytics engine caches its
+// composite matches in subResults, when non-nil.
+func newEngine(sys System, subResults core.SubResultCache) (engine.Engine, error) {
 	switch sys {
 	case RAPIDAnalytics:
 		e := core.New()
-		if s.results != nil {
-			e.SubResults = subResultCache{c: s.results, version: s.currentDataVersion()}
-		}
+		e.SubResults = subResults
 		return e, nil
 	case RAPIDPlus:
 		return rapid.New(), nil
@@ -706,7 +707,11 @@ func (s *Store) run(ctx context.Context, sys System, q *Compiled) (*Result, *Sta
 		}
 		return wrapResult(res), &Stats{System: sys}, nil
 	}
-	eng, err := s.engineFor(sys)
+	var subResults core.SubResultCache
+	if s.results != nil {
+		subResults = subResultCache{c: s.results, version: s.currentDataVersion()}
+	}
+	eng, err := newEngine(sys, subResults)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -736,7 +741,7 @@ func (s *Store) run(ctx context.Context, sys System, q *Compiled) (*Result, *Sta
 			return hit, stats, nil
 		}
 	}
-	res, wm, err := eng.Execute(cluster.WithContext(ctx), ds, q.aq)
+	res, wm, err := engine.Execute(cluster.WithContext(ctx), ds, eng, q.aq)
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil, nil, wrapContextErr(ctx, err)
@@ -931,15 +936,29 @@ func abbreviate(pattern string) string {
 }
 
 // PredictCycles returns the number of MapReduce cycles a system's plan for
-// the query has. It runs the system's engine on an empty in-memory store:
-// an engine's workflow follows from the query, not the data (map-join
-// decisions change which cycles are map-only but never how many run). The
-// Reference evaluator and unknown systems run no cycles and return 0.
+// the query has: the stages of the plan over an empty in-memory dataset,
+// which runs no job. An engine's workflow follows from the query, not the
+// data (map-join decisions change which cycles are map-only but never how
+// many run). The Reference evaluator and unknown systems run no cycles and
+// return 0.
 func PredictCycles(q *Compiled, sys System) int {
-	s := NewStore(Options{Storage: StorageMem, PlanCacheSize: -1})
-	_, stats, err := s.QueryCompiled(sys, q)
+	return predictCycles(dfs.New(), q, sys)
+}
+
+// predictCycles is PredictCycles over an empty dataset loaded into fs.
+func predictCycles(fs *dfs.FS, q *Compiled, sys System) int {
+	e, err := newEngine(sys, nil)
 	if err != nil {
 		return 0
 	}
-	return stats.MRCycles
+	c := mapred.NewClusterFS(mapred.DefaultConfig(), fs)
+	ds, err := engine.Load(c, "predict", &rdf.Graph{})
+	if err != nil {
+		return 0
+	}
+	p, err := e.Plan(c, ds, q.aq)
+	if err != nil {
+		return 0
+	}
+	return len(p.Stages)
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"rapidanalytics/internal/bench"
+	"rapidanalytics/internal/dfs"
 )
 
 const apiQuery = `PREFIX e: <http://e/>
@@ -176,8 +177,55 @@ func TestPredictCyclesMatchesExecution(t *testing.T) {
 	}
 }
 
+// recordingBackend records the names of the writes — creates and
+// deletes — that reach a DFS backend.
+type recordingBackend struct {
+	dfs.Backend
+	mu     sync.Mutex
+	writes []string
+}
+
+func (b *recordingBackend) Create(name string, ratio float64) (dfs.FileWriter, error) {
+	b.record(name)
+	return b.Backend.Create(name, ratio)
+}
+
+func (b *recordingBackend) Delete(name string) error {
+	b.record(name)
+	return b.Backend.Delete(name)
+}
+
+func (b *recordingBackend) record(name string) {
+	b.mu.Lock()
+	b.writes = append(b.writes, name)
+	b.mu.Unlock()
+}
+
+// TestPredictCyclesRunsNoJob: PredictCycles only plans. The one thing it
+// writes is the empty dataset it plans over; a job that ran would have
+// created or streamed its output under tmp/.
+func TestPredictCyclesRunsNoJob(t *testing.T) {
+	for _, cq := range bench.Catalog {
+		q, err := Compile(cq.SPARQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sys := range Systems() {
+			b := &recordingBackend{Backend: dfs.New().Backend()}
+			if n := predictCycles(dfs.NewWithBackend(b), q, sys); n == 0 {
+				t.Errorf("%s on %s: no cycles predicted", cq.ID, sys)
+			}
+			for _, name := range b.writes {
+				if !strings.HasPrefix(name, "predict/") {
+					t.Errorf("%s on %s: planning wrote %s", cq.ID, sys, name)
+				}
+			}
+		}
+	}
+}
+
 // TestPredictCyclesPinsMemoryStorage: RAPID_STORAGE=disk changes no
-// predicted count, and the empty store PredictCycles runs on writes
+// predicted count, and the empty dataset PredictCycles plans over writes
 // nothing to the temporary directory.
 func TestPredictCyclesPinsMemoryStorage(t *testing.T) {
 	type cell struct {
@@ -206,6 +254,22 @@ func TestPredictCyclesPinsMemoryStorage(t *testing.T) {
 	}
 	if left, err := os.ReadDir(tmp); err != nil || len(left) != 0 {
 		t.Errorf("PredictCycles left %d entries in TMPDIR (err %v)", len(left), err)
+	}
+}
+
+// TestStoreHonorsDataDirEnv: with RAPID_STORAGE=disk and RAPID_DATA_DIR
+// set, a store without a DataDir of its own loads under RAPID_DATA_DIR.
+func TestStoreHonorsDataDirEnv(t *testing.T) {
+	dir := t.TempDir()
+	t.Setenv("RAPID_STORAGE", StorageDisk)
+	t.Setenv("RAPID_DATA_DIR", dir)
+	s := apiStore()
+	if _, _, err := s.Query(RAPIDAnalytics, apiQuery); err != nil {
+		t.Fatal(err)
+	}
+	loads, err := filepath.Glob(filepath.Join(dir, "rapidanalytics-*", "load-1"))
+	if err != nil || len(loads) != 1 {
+		t.Errorf("loads under RAPID_DATA_DIR: %v (err %v), want one", loads, err)
 	}
 }
 
