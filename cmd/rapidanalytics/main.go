@@ -42,7 +42,7 @@ func main() {
 		traceOut = flag.String("trace-out", "", "write the captured span trees as JSON to this file")
 		format   = flag.String("format", "table", "result format with -data: table or csv")
 		storage  = flag.String("storage", "", "DFS backend: mem or disk (empty honors $RAPID_STORAGE, default mem)")
-		dataDir  = flag.String("data-dir", "", "root directory for -storage disk (empty = fresh temp dir)")
+		dataDir  = flag.String("data-dir", "", "root directory for -storage disk (empty = a fresh directory under $RAPID_DATA_DIR or the OS temp dir)")
 		spill    = flag.Int64("spill-threshold", 0, "map-side spill threshold in bytes (0 disables spilling)")
 	)
 	flag.Parse()

@@ -47,21 +47,18 @@ func main() {
 		maxConcurrent = flag.Int("max-concurrent", 0, "in-flight query cap (0 = 2x GOMAXPROCS)")
 		queueTimeout  = flag.Duration("queue-timeout", 2*time.Second, "max admission queue wait before 503")
 		queryTimeout  = flag.Duration("query-timeout", 60*time.Second, "per-query execution deadline")
-		cacheSize     = flag.Int("plan-cache", 0, "LRU plan cache entries (0 = default 128, negative disables)")
 		nodes         = flag.Int("nodes", 0, "simulated cluster size (0 = default 10)")
 		slowThreshold = flag.Duration("slow-query-threshold", 250*time.Millisecond, "wall time at which a query enters the slow-query log")
 		slowLogSize   = flag.Int("slow-query-log", 128, "slow-query ring buffer capacity")
 		storage       = flag.String("storage", "", "DFS backend: mem or disk (empty honors $RAPID_STORAGE, default mem)")
-		dataDir       = flag.String("data-dir", "", "root directory for -storage disk (empty = fresh temp dir)")
+		dataDir       = flag.String("data-dir", "", "root directory for -storage disk (empty = a fresh directory under $RAPID_DATA_DIR or the OS temp dir)")
 		spill         = flag.Int64("spill-threshold", 0, "map-side spill threshold in bytes (0 disables spilling)")
 		sharedScans   = flag.Bool("shared-scans", true, "batch concurrent queries scanning the same file range into one shared pass")
-		scanWindow    = flag.Duration("shared-scan-window", 0, "shared-scan cycle collection window (0 = default 2ms)")
 		resultCache   = flag.Int64("result-cache-bytes", 64<<20, "versioned result/sub-result cache byte budget (0 disables)")
 	)
 	flag.Parse()
 
 	opts := ra.DefaultOptions()
-	opts.PlanCacheSize = *cacheSize
 	if *nodes > 0 {
 		opts.Nodes = *nodes
 	}
@@ -69,7 +66,6 @@ func main() {
 	opts.DataDir = *dataDir
 	opts.SpillThresholdBytes = *spill
 	opts.SharedScans = *sharedScans
-	opts.SharedScanWindow = *scanWindow
 	opts.ResultCacheBytes = *resultCache
 
 	store, err := buildStore(*data, *gen, *size, opts)

@@ -189,13 +189,17 @@ func TestPrepareCacheHitAndCanonicalAlias(t *testing.T) {
 	}
 }
 
+// TestPlanCacheEviction fills the plan cache's fixed budget and one plan
+// more: the oldest plan is evicted and the entries never exceed the budget.
 func TestPlanCacheEviction(t *testing.T) {
-	opts := ra.DefaultOptions()
-	opts.PlanCacheSize = 2
-	store := ra.NewStore(opts)
+	store := ra.NewStore(ra.DefaultOptions())
+	budget := store.PlanCacheStats().BudgetBytes
+	if budget <= 0 {
+		t.Fatalf("plan cache budget = %d, want positive", budget)
+	}
 	tmpl := `PREFIX e: <http://example.org/>
 SELECT ?s (COUNT(?o%d) AS ?c) { ?s e:p%d ?o%d . } GROUP BY ?s`
-	for i := 0; i < 4; i++ {
+	for i := int64(0); i <= budget; i++ {
 		q := fmt.Sprintf(tmpl, i, i, i)
 		if _, err := store.Prepare(ra.Reference, q); err != nil {
 			t.Fatalf("prepare %d: %v", i, err)
@@ -203,24 +207,10 @@ SELECT ?s (COUNT(?o%d) AS ?c) { ?s e:p%d ?o%d . } GROUP BY ?s`
 	}
 	stats := store.PlanCacheStats()
 	if stats.Evictions == 0 {
-		t.Fatalf("expected evictions with budget 2: %+v", stats)
+		t.Fatalf("expected evictions past budget %d: %+v", budget, stats)
 	}
-	if int64(stats.Entries) > stats.BudgetBytes || stats.BudgetBytes != 2 {
-		t.Fatalf("entries exceed budget 2: %+v", stats)
-	}
-}
-
-func TestPlanCacheDisabled(t *testing.T) {
-	opts := ra.DefaultOptions()
-	opts.PlanCacheSize = -1
-	store := ra.NewStore(opts)
-	if _, err := store.Prepare(ra.Reference, secondQuery); err == nil {
-		// No graph loaded; Prepare still compiles fine.
-		if stats := store.PlanCacheStats(); stats.Hits != 0 || stats.Misses != 0 || stats.BudgetBytes != 0 {
-			t.Fatalf("disabled cache recorded activity: %+v", stats)
-		}
-	} else {
-		t.Fatal(err)
+	if int64(stats.Entries) > budget {
+		t.Fatalf("entries exceed budget %d: %+v", budget, stats)
 	}
 }
 
@@ -234,14 +224,6 @@ func TestTypedErrors(t *testing.T) {
 	_, _, err = store.Query(ra.System("spark"), exampleQuery)
 	if !errors.Is(err, ra.ErrUnknownSystem) {
 		t.Fatalf("bad system = %v; want ErrUnknownSystem", err)
-	}
-	compiled, err := ra.Compile(exampleQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// QueryCompiled skips Prepare, so execution checks the system too.
-	if _, _, err = store.QueryCompiled(ra.System("spark"), compiled); !errors.Is(err, ra.ErrUnknownSystem) {
-		t.Fatalf("bad system, compiled = %v; want ErrUnknownSystem", err)
 	}
 	_, err = ra.Compile("ASK { ?s ?p ?o }")
 	if !errors.Is(err, ra.ErrParse) && !errors.Is(err, ra.ErrUnsupported) {

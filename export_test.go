@@ -1,9 +1,16 @@
 package rapidanalytics
 
 import (
+	"time"
+
 	"rapidanalytics/internal/dfs"
 	"rapidanalytics/internal/mapred"
 )
+
+// SetSharedScanWindow replaces the shared-scan cycle window of s's next
+// materialisation, so a test can coalesce a whole burst of concurrent
+// queries. Call it before s first queries.
+func SetSharedScanWindow(s *Store, d time.Duration) { s.testScanWindow = d }
 
 // SetScans installs p as the map-input scan provider of s's loaded
 // cluster, so a test can inject a failure into map tasks, and returns a

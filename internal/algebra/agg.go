@@ -73,31 +73,6 @@ func (s *AggState) Update(value string) {
 	}
 }
 
-// UpdateN folds the same value n times (used when a triplegroup binding has
-// multiplicity n).
-func (s *AggState) UpdateN(value string, n int64) {
-	if n <= 0 || IsNull(value) || value == "" {
-		return
-	}
-	if s.Distinct {
-		// Multiplicity is irrelevant under DISTINCT.
-		s.Update(value)
-		return
-	}
-	switch s.Func {
-	case sparql.Count:
-		s.Count += n
-	case sparql.Sum, sparql.Avg:
-		if f, ok := ParseNumber(value); ok {
-			s.Count += n
-			s.Sum += f * float64(n)
-		}
-	default:
-		// MIN/MAX are insensitive to multiplicity.
-		s.Update(value)
-	}
-}
-
 // valueLess orders two lexical values: numerically when both parse as
 // numbers, lexicographically otherwise.
 func valueLess(a, b string) bool {

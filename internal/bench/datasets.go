@@ -2,7 +2,7 @@ package bench
 
 import (
 	"fmt"
-	"os"
+	"path/filepath"
 	"sync"
 
 	"rapidanalytics/internal/datagen"
@@ -146,9 +146,12 @@ type Loader struct {
 	// SizeMult scales every dataset's primary entity count (default 1).
 	SizeMult float64
 	// Storage selects the DFS backend for every loaded cluster: "mem",
-	// "disk", or "" to honor the RAPID_STORAGE environment default.
+	// "disk", or "" to honor the RAPID_STORAGE environment default (see
+	// dfs.Resolve).
 	Storage string
-	// DataDir roots disk-backend storage; empty uses a fresh temp dir.
+	// DataDir roots disk-backend storage: each dataset lives in the
+	// subdirectory named by its spec id. Empty gives each dataset a fresh
+	// directory under RAPID_DATA_DIR.
 	DataDir string
 	// SpillThresholdBytes bounds per-map-task buffered shuffle output (0
 	// disables spilling). See mapred.ClusterConfig.SpillThresholdBytes.
@@ -192,24 +195,15 @@ func (l *Loader) Load(id string) (*mapred.Cluster, *engine.Dataset, error) {
 // newCluster builds the cluster for one dataset, honoring the loader's
 // storage selection.
 func (l *Loader) newCluster(cfg mapred.ClusterConfig, id string) (*mapred.Cluster, error) {
-	switch l.Storage {
-	case "":
-		return mapred.NewCluster(cfg), nil
-	case "mem":
-		return mapred.NewClusterFS(cfg, dfs.New()), nil
-	case "disk":
-		dir, err := os.MkdirTemp(l.DataDir, "rapidfs-"+id+"-")
-		if err != nil {
-			return nil, fmt.Errorf("bench: disk storage: %w", err)
-		}
-		fs, err := dfs.NewDisk(dir, 0)
-		if err != nil {
-			return nil, fmt.Errorf("bench: disk storage: %w", err)
-		}
-		return mapred.NewClusterFS(cfg, fs), nil
-	default:
-		return nil, fmt.Errorf("bench: unknown storage backend %q", l.Storage)
+	dir := ""
+	if l.DataDir != "" {
+		dir = filepath.Join(l.DataDir, id)
 	}
+	fs, err := dfs.Resolve(l.Storage, dir)
+	if err != nil {
+		return nil, fmt.Errorf("bench: storage: %w", err)
+	}
+	return mapred.NewClusterFS(cfg, fs), nil
 }
 
 // DatasetsFor returns the spec ids a catalog query runs on: every spec

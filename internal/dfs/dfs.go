@@ -29,6 +29,7 @@ package dfs
 import (
 	"errors"
 	"fmt"
+	"os"
 	"sync"
 	"sync/atomic"
 
@@ -189,8 +190,45 @@ func NewDisk(dir string, shards int) (*FS, error) {
 	return &FS{b: b}, nil
 }
 
+// Resolve is the one place a DFS backend is chosen: it returns an FS of
+// the given kind, "mem" or "disk". An empty kind reads the RAPID_STORAGE
+// environment variable, and memory is the default when that is unset too.
+// A disk FS is rooted at dir; an empty dir gets a fresh directory under
+// the RAPID_DATA_DIR environment variable, or under the OS temp dir when
+// that is unset. Any other kind is an error, so a misspelt backend cannot
+// quietly run in memory.
+func Resolve(kind, dir string) (*FS, error) {
+	if kind == "" {
+		kind = os.Getenv("RAPID_STORAGE")
+	}
+	switch kind {
+	case "", "mem":
+		return New(), nil
+	case "disk":
+		if dir == "" {
+			d, err := os.MkdirTemp(os.Getenv("RAPID_DATA_DIR"), "rapidfs-")
+			if err != nil {
+				return nil, err
+			}
+			dir = d
+		}
+		return NewDisk(dir, 0)
+	default:
+		return nil, fmt.Errorf("unknown storage backend %q (want %q or %q)", kind, "mem", "disk")
+	}
+}
+
 // Backend returns the FS's storage backend.
 func (fs *FS) Backend() Backend { return fs.b }
+
+// Dir returns the directory a disk-backed FS is rooted at, or "" in
+// memory.
+func (fs *FS) Dir() string {
+	if d, ok := fs.b.(*diskBackend); ok {
+		return d.store.Dir()
+	}
+	return ""
+}
 
 // Create creates (or truncates) a file with the given compression ratio
 // and returns a writer for it. The ratio must be in (0, 1] — pass 1 for

@@ -37,13 +37,17 @@ func CatalogTemplates() []Template {
 	return out
 }
 
-// SystemShare weights one engine in the workload's system mix.
-type SystemShare struct {
-	// System is the engine name requests target.
-	System string
-	// Weight is the system's relative draw weight.
-	Weight int
-}
+// The schedule's engine mix: of every 20 draws, 17 on average target
+// rapidanalytics and 3 rapid+.
+const (
+	primarySystem   = "rapidanalytics"
+	secondarySystem = "rapid+"
+	primaryWeight   = 17
+	totalWeight     = 20
+)
+
+// zipfV is the Zipf draw's value offset.
+const zipfV = 1
 
 // ScheduleOptions tunes the workload generator. Zero fields select the
 // defaults.
@@ -54,17 +58,12 @@ type ScheduleOptions struct {
 	Requests int
 	// ZipfS is the Zipf skew exponent (default 1.1; must be > 1).
 	ZipfS float64
-	// ZipfV is the Zipf value offset (default 1; must be >= 1).
-	ZipfV float64
 	// BurstEvery injects a burst after every this many slots (default 40;
 	// negative disables bursts).
 	BurstEvery int
 	// BurstSize is how many consecutive requests a burst repeats one hot
 	// template for (default 8).
 	BurstSize int
-	// Systems is the engine mix the schedule draws from (default: 85%
-	// rapidanalytics, 15% rapid+).
-	Systems []SystemShare
 }
 
 func (o ScheduleOptions) withDefaults() ScheduleOptions {
@@ -74,20 +73,11 @@ func (o ScheduleOptions) withDefaults() ScheduleOptions {
 	if o.ZipfS <= 1 {
 		o.ZipfS = 1.1
 	}
-	if o.ZipfV < 1 {
-		o.ZipfV = 1
-	}
 	if o.BurstEvery == 0 {
 		o.BurstEvery = 40
 	}
 	if o.BurstSize <= 0 {
 		o.BurstSize = 8
-	}
-	if len(o.Systems) == 0 {
-		o.Systems = []SystemShare{
-			{System: "rapidanalytics", Weight: 17},
-			{System: "rapid+", Weight: 3},
-		}
 	}
 	return o
 }
@@ -116,20 +106,13 @@ func Schedule(templates []Template, opts ScheduleOptions) []Request {
 	rng := rand.New(rand.NewSource(o.Seed))
 	var zipf *rand.Zipf
 	if len(templates) > 1 {
-		zipf = rand.NewZipf(rng, o.ZipfS, o.ZipfV, uint64(len(templates)-1))
+		zipf = rand.NewZipf(rng, o.ZipfS, zipfV, uint64(len(templates)-1))
 	}
 	pickSystem := func() string {
-		total := 0
-		for _, s := range o.Systems {
-			total += s.Weight
+		if rng.Intn(totalWeight) < primaryWeight {
+			return primarySystem
 		}
-		n := rng.Intn(total)
-		for _, s := range o.Systems {
-			if n -= s.Weight; n < 0 {
-				return s.System
-			}
-		}
-		return o.Systems[0].System
+		return secondarySystem
 	}
 
 	reqs := make([]Request, 0, o.Requests)

@@ -1,6 +1,8 @@
 package loadgen
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -67,5 +69,23 @@ func TestScheduleSystemMix(t *testing.T) {
 	}
 	if bySystem["rapid+"] == 0 {
 		t.Error("secondary system absent from the mix")
+	}
+}
+
+// TestServeScheduleUnchanged pins the schedule the benchmark's serve-zipf
+// workload replays (benchmark/serve.go passes exactly these options): a
+// changed draw, mix or default moves the hash and with it every serving
+// metric.
+func TestServeScheduleUnchanged(t *testing.T) {
+	reqs := Schedule(CatalogTemplates(), ScheduleOptions{
+		Seed: 1, Requests: 500, ZipfS: 1.1, BurstEvery: 40, BurstSize: 8,
+	})
+	h := sha256.New()
+	for _, r := range reqs {
+		fmt.Fprintf(h, "%d %s %s %t %q\n", r.Slot, r.TemplateID, r.System, r.Burst, r.SPARQL)
+	}
+	const want = "88d60a740bd12e776c380a6ed3abd2f5ee8edd7b176d0ff87032398a6a2fcd9b"
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Errorf("serving schedule hash = %s, want %s", got, want)
 	}
 }

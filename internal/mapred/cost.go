@@ -2,10 +2,12 @@ package mapred
 
 import "math"
 
-// ClusterConfig describes the simulated Hadoop deployment and the cost
-// model's calibration constants. The paper's experiments ran on NCSU VCL
-// clusters of 10, 50 and 60 dual-core nodes (2.33GHz, 4GB RAM, 128MB HDFS
-// blocks); the presets below mirror those.
+// ClusterConfig describes the simulated Hadoop deployment: its size, the
+// data-scale extrapolation, and two execution bounds that leave the cost
+// model alone. The paper's experiments ran on NCSU VCL clusters of 10, 50
+// and 60 dual-core nodes (2.33GHz, 4GB RAM, 128MB HDFS blocks); the
+// presets below mirror those, and the constants below calibrate the cost
+// model to that hardware.
 //
 // Datasets in this repository are scaled down to laptop size; DataScale
 // extrapolates measured volumes back to paper scale so simulated seconds
@@ -15,39 +17,8 @@ import "math"
 type ClusterConfig struct {
 	// Nodes is the cluster size.
 	Nodes int
-	// MapSlotsPerNode and ReduceSlotsPerNode mirror Hadoop 0.20 task slots
-	// (dual-core nodes: 2 map + 2 reduce slots).
-	MapSlotsPerNode int
-	// ReduceSlotsPerNode is the per-node reduce slot count.
-	ReduceSlotsPerNode int
-	// BlockSizeBytes is the simulated HDFS block size (paper: 128MB).
-	BlockSizeBytes int64
 	// DataScale multiplies measured volumes before cost modelling.
 	DataScale float64
-
-	// JobStartupSec is the fixed per-job overhead (JVM spawn, scheduling).
-	JobStartupSec float64
-	// TaskStartupSec is the per-task-wave overhead.
-	TaskStartupSec float64
-	// DiskMBps is per-slot sequential disk bandwidth.
-	DiskMBps float64
-	// NetMBps is per-node shuffle bandwidth.
-	NetMBps float64
-	// CPUSecPerMRecord is the fixed processing cost per million records
-	// (object churn, per-record dispatch), independent of record width.
-	CPUSecPerMRecord float64
-	// CPUSecPerMB is the byte-proportional processing cost per logical MB
-	// flowing through a task: serialisation, comparison and copying in the
-	// sort pipeline all scale with record width. Narrow records — e.g.
-	// dictionary-encoded ID tuples — are therefore cheaper per record than
-	// wide lexical ones, matching real Hadoop behaviour.
-	CPUSecPerMB float64
-	// DecompressSecPerMB is extra CPU per uncompressed MB for compressed
-	// inputs (the ORC effect).
-	DecompressSecPerMB float64
-	// ReplicationFactor is HDFS write amplification for materialised
-	// output.
-	ReplicationFactor float64
 
 	// ExecSplitBytes is the *execution* split size used to bound real
 	// in-process map-task granularity; it does not affect the cost model.
@@ -66,26 +37,49 @@ type ClusterConfig struct {
 	SpillThresholdBytes int64
 }
 
+// The cost model's calibration to the paper's VCL nodes.
+const (
+	// mapSlotsPerNode and reduceSlotsPerNode mirror Hadoop 0.20 task slots
+	// (dual-core nodes: 2 map + 2 reduce slots).
+	mapSlotsPerNode    = 2
+	reduceSlotsPerNode = 2
+	// blockSizeBytes is the simulated HDFS block size (paper: 128MB).
+	blockSizeBytes = 128 << 20
+	// jobStartupSec is the fixed per-job overhead (JVM spawn, scheduling).
+	jobStartupSec = 18
+	// taskStartupSec is the per-task-wave overhead.
+	taskStartupSec = 2
+	// diskMBps is per-slot sequential disk bandwidth.
+	diskMBps = 50
+	// netMBps is per-node shuffle bandwidth.
+	netMBps = 25
+	// cpuSecPerMRecord is the fixed processing cost per million records
+	// (object churn, per-record dispatch), independent of record width.
+	// Together with cpuSecPerMB it makes a ~55-byte lexical record cost
+	// the same ~6s per million records as the earlier record-count-only
+	// model.
+	cpuSecPerMRecord = 1
+	// cpuSecPerMB is the byte-proportional processing cost per logical MB
+	// flowing through a task: serialisation, comparison and copying in the
+	// sort pipeline all scale with record width. Narrow records — e.g.
+	// dictionary-encoded ID tuples — are therefore cheaper per record than
+	// wide lexical ones, matching real Hadoop behaviour.
+	cpuSecPerMB = 0.09
+	// decompressSecPerMB is extra CPU per uncompressed MB for compressed
+	// inputs (the ORC effect).
+	decompressSecPerMB = 0.02
+	// replicationFactor is HDFS write amplification for materialised
+	// output.
+	replicationFactor = 2
+)
+
 // DefaultConfig returns the 10-node VCL-like cluster used for BSBM-500K and
 // Chem2Bio2RDF experiments.
 func DefaultConfig() ClusterConfig {
 	return ClusterConfig{
-		Nodes:              10,
-		MapSlotsPerNode:    2,
-		ReduceSlotsPerNode: 2,
-		BlockSizeBytes:     128 << 20,
-		DataScale:          1,
-		JobStartupSec:      18,
-		TaskStartupSec:     2,
-		DiskMBps:           50,
-		NetMBps:            25,
-		// Calibrated so a ~55-byte lexical record costs the same ~6s per
-		// million records as the previous record-count-only model.
-		CPUSecPerMRecord:   1,
-		CPUSecPerMB:        0.09,
-		DecompressSecPerMB: 0.02,
-		ReplicationFactor:  2,
-		ExecSplitBytes:     4 << 20,
+		Nodes:          10,
+		DataScale:      1,
+		ExecSplitBytes: 4 << 20,
 	}
 }
 
@@ -124,9 +118,9 @@ func (cfg ClusterConfig) cost(m *Metrics) {
 	storedIn := float64(m.MapStoredBytes) * scale
 	logicalIn := float64(m.MapInputBytes) * scale
 	records := float64(m.MapInputRecords) * scale
-	mapSlots := float64(cfg.Nodes * cfg.MapSlotsPerNode)
+	mapSlots := float64(cfg.Nodes * mapSlotsPerNode)
 
-	mapTasks := math.Ceil(storedIn / float64(cfg.BlockSizeBytes))
+	mapTasks := math.Ceil(storedIn / float64(blockSizeBytes))
 	if mapTasks < 1 {
 		mapTasks = 1
 	}
@@ -143,34 +137,34 @@ func (cfg ClusterConfig) cost(m *Metrics) {
 	// emit-width proxy (pre-combine emit bytes are not metered).
 	perTaskEmits := float64(m.MapEmitRecords) * scale / mapTasks
 	perTaskEmitBytes := float64(m.MapOutputBytes) * scale / mapTasks
-	taskTime := cfg.TaskStartupSec +
-		mb(perTaskStored)/cfg.DiskMBps +
-		perTaskRecords/1e6*cfg.CPUSecPerMRecord +
-		perTaskEmits/1e6*cfg.CPUSecPerMRecord +
-		(mb(perTaskLogical)+mb(perTaskEmitBytes))*cfg.CPUSecPerMB
+	taskTime := taskStartupSec +
+		mb(perTaskStored)/diskMBps +
+		perTaskRecords/1e6*cpuSecPerMRecord +
+		perTaskEmits/1e6*cpuSecPerMRecord +
+		(mb(perTaskLogical)+mb(perTaskEmitBytes))*cpuSecPerMB
 	if storedIn < logicalIn {
-		taskTime += mb(perTaskLogical) * cfg.DecompressSecPerMB
+		taskTime += mb(perTaskLogical) * decompressSecPerMB
 	}
 	// Broadcast side inputs are read by every map task.
-	taskTime += mb(float64(m.SideInputBytes)*scale) / cfg.DiskMBps
+	taskTime += mb(float64(m.SideInputBytes)*scale) / diskMBps
 
 	mapOutBytes := float64(m.MapOutputBytes) * scale
 	outStored := float64(m.OutputStoredBytes) * scale
-	total := cfg.JobStartupSec
+	total := float64(jobStartupSec)
 
 	if m.MapOnly {
 		// Output written directly by map tasks.
 		active := math.Min(mapTasks, mapSlots)
-		writeTime := mb(outStored*cfg.ReplicationFactor) / (cfg.DiskMBps * active)
+		writeTime := mb(outStored*replicationFactor) / (diskMBps * active)
 		total += waves*taskTime + writeTime
 		m.SimulatedRedTasks = 0
 	} else {
 		// Map-side spill: map output written and re-read locally.
-		taskTime += mb(mapOutBytes/mapTasks) / cfg.DiskMBps * 2
+		taskTime += mb(mapOutBytes/mapTasks) / diskMBps * 2
 		total += waves * taskTime
 
-		redSlots := float64(cfg.Nodes * cfg.ReduceSlotsPerNode)
-		redTasks := math.Ceil(mapOutBytes / float64(cfg.BlockSizeBytes))
+		redSlots := float64(cfg.Nodes * reduceSlotsPerNode)
+		redTasks := math.Ceil(mapOutBytes / float64(blockSizeBytes))
 		if redTasks < 1 {
 			redTasks = 1
 		}
@@ -181,14 +175,14 @@ func (cfg ClusterConfig) cost(m *Metrics) {
 		// Shuffle over the network, limited by aggregate receive bandwidth
 		// of the nodes hosting reducers.
 		shuffleNodes := math.Min(redTasks, float64(cfg.Nodes))
-		total += mb(mapOutBytes) / (cfg.NetMBps * shuffleNodes)
+		total += mb(mapOutBytes) / (netMBps * shuffleNodes)
 		// Merge-sort and reduce.
 		perRed := mapOutBytes / redTasks
-		redTime := cfg.TaskStartupSec +
-			mb(perRed)/cfg.DiskMBps*1.5 +
-			float64(m.MapOutputRecords)*scale/redTasks/1e6*cfg.CPUSecPerMRecord +
-			mb(perRed)*cfg.CPUSecPerMB +
-			mb(outStored*cfg.ReplicationFactor/redTasks)/cfg.DiskMBps
+		redTime := taskStartupSec +
+			mb(perRed)/diskMBps*1.5 +
+			float64(m.MapOutputRecords)*scale/redTasks/1e6*cpuSecPerMRecord +
+			mb(perRed)*cpuSecPerMB +
+			mb(outStored*replicationFactor/redTasks)/diskMBps
 		total += redTime
 	}
 	m.SimSeconds = total

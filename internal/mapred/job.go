@@ -10,7 +10,6 @@ package mapred
 
 import (
 	"context"
-	"os"
 
 	"rapidanalytics/internal/dfs"
 )
@@ -334,34 +333,19 @@ type Cluster struct {
 	testStreamOverflowBytes int64
 }
 
-// NewCluster returns a cluster over a fresh file system. The backend is
-// in-memory unless the RAPID_STORAGE environment variable selects "disk",
-// in which case the DFS lives in a fresh directory under RAPID_DATA_DIR
-// (or the OS temp dir); a disk backend that cannot be set up panics rather
-// than silently falling back, so CI legs running the suite against disk
-// cannot pass vacuously.
+// NewCluster returns a cluster over a fresh file system of the backend
+// dfs.Resolve picks from the environment. A backend that cannot be set up
+// panics rather than silently falling back, so CI legs running the suite
+// against disk cannot pass vacuously.
 func NewCluster(cfg ClusterConfig) *Cluster {
-	return &Cluster{FS: defaultFS(), Config: cfg}
-}
-
-// NewClusterFS returns a cluster over the given file system, bypassing the
-// RAPID_STORAGE environment default.
-func NewClusterFS(cfg ClusterConfig, fs *dfs.FS) *Cluster {
+	fs, err := dfs.Resolve("", "")
+	if err != nil {
+		panic("mapred: " + err.Error())
+	}
 	return &Cluster{FS: fs, Config: cfg}
 }
 
-// defaultFS builds the file system NewCluster uses, honoring RAPID_STORAGE.
-func defaultFS() *dfs.FS {
-	if os.Getenv("RAPID_STORAGE") != "disk" {
-		return dfs.New()
-	}
-	dir, err := os.MkdirTemp(os.Getenv("RAPID_DATA_DIR"), "rapidfs-")
-	if err != nil {
-		panic("mapred: RAPID_STORAGE=disk: " + err.Error())
-	}
-	fs, err := dfs.NewDisk(dir, 0)
-	if err != nil {
-		panic("mapred: RAPID_STORAGE=disk: " + err.Error())
-	}
-	return fs
+// NewClusterFS returns a cluster over the given file system.
+func NewClusterFS(cfg ClusterConfig, fs *dfs.FS) *Cluster {
+	return &Cluster{FS: fs, Config: cfg}
 }

@@ -523,7 +523,7 @@ func TestCostModelShape(t *testing.T) {
 		OutputStoredBytes: 50 << 20,
 	}
 	cfg.cost(base)
-	if base.SimSeconds <= cfg.JobStartupSec {
+	if base.SimSeconds <= jobStartupSec {
 		t.Errorf("SimSeconds = %v, must exceed job startup", base.SimSeconds)
 	}
 	// More data, more time.

@@ -153,15 +153,6 @@ func (c *Cache) Remove(key Key) {
 	}
 }
 
-// Clear drops every entry (counters are preserved).
-func (c *Cache) Clear() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ll.Init()
-	c.items = make(map[Key]*list.Element)
-	c.bytes = 0
-}
-
 // Len returns the current entry count.
 func (c *Cache) Len() int {
 	c.mu.Lock()

@@ -67,12 +67,15 @@ func TestRemoveAndClear(t *testing.T) {
 	if _, ok := c.Get(key("a")); ok {
 		t.Fatal("a should be gone after Remove")
 	}
-	c.Clear()
+	if c.Len() != 1 {
+		t.Fatalf("Len after one Remove = %d; want 1", c.Len())
+	}
+	c.Remove(key("b"))
 	if c.Len() != 0 {
-		t.Fatalf("Len after Clear = %d; want 0", c.Len())
+		t.Fatalf("Len after removing every key = %d; want 0", c.Len())
 	}
 	if _, ok := c.Get(key("b")); ok {
-		t.Fatal("b should be gone after Clear")
+		t.Fatal("b should be gone after Remove")
 	}
 }
 
@@ -196,9 +199,9 @@ func TestSizedCacheRemoveAndClear(t *testing.T) {
 	if got := c.Bytes(); got != 10 {
 		t.Fatalf("Bytes = %d after Remove, want 10", got)
 	}
-	c.Clear()
+	c.Remove(key("b"))
 	if c.Len() != 0 || c.Bytes() != 0 {
-		t.Fatalf("Len/Bytes = %d/%d after Clear, want 0/0", c.Len(), c.Bytes())
+		t.Fatalf("Len/Bytes = %d/%d after removing every key, want 0/0", c.Len(), c.Bytes())
 	}
 }
 

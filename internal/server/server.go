@@ -53,8 +53,6 @@ type Config struct {
 	// QueryTimeout is the per-query execution deadline; expiry returns 504
 	// (default: 60s).
 	QueryTimeout time.Duration
-	// MaxQueryBytes caps the request body (default: 1MB).
-	MaxQueryBytes int64
 	// SlowQueryThreshold is the request wall time at or above which a query
 	// is recorded in the slow-query log served at /debug/queries
 	// (default: 250ms).
@@ -63,6 +61,9 @@ type Config struct {
 	// the oldest entry is evicted (default: 128).
 	SlowQueryLogSize int
 }
+
+// maxQueryBytes caps a POSTed request body.
+const maxQueryBytes = 1 << 20
 
 func (c Config) withDefaults() Config {
 	if c.DefaultSystem == "" {
@@ -76,9 +77,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueryTimeout <= 0 {
 		c.QueryTimeout = 60 * time.Second
-	}
-	if c.MaxQueryBytes <= 0 {
-		c.MaxQueryBytes = 1 << 20
 	}
 	if c.SlowQueryThreshold <= 0 {
 		c.SlowQueryThreshold = 250 * time.Millisecond
@@ -179,7 +177,7 @@ func (s *Server) parseRequest(r *http.Request) (sparqlRequest, error) {
 	case http.MethodGet:
 		req.query = r.URL.Query().Get("query")
 	case http.MethodPost:
-		r.Body = http.MaxBytesReader(nil, r.Body, s.cfg.MaxQueryBytes)
+		r.Body = http.MaxBytesReader(nil, r.Body, maxQueryBytes)
 		ct := r.Header.Get("Content-Type")
 		if strings.HasPrefix(ct, "application/sparql-query") {
 			body, err := io.ReadAll(r.Body)

@@ -33,9 +33,9 @@ import (
 // be invisible next to a MapReduce cycle.
 const DefaultWindow = 2 * time.Millisecond
 
-// DefaultMaxFanout seals a cycle early once this many consumers joined,
-// bounding the latency a popular range waits on its window.
-const DefaultMaxFanout = 64
+// maxFanout seals a cycle early once this many consumers joined, bounding
+// the latency a popular range waits on its window.
+const maxFanout = 64
 
 // Options configures a Scheduler.
 type Options struct {
@@ -43,9 +43,6 @@ type Options struct {
 	// join before the pass runs. 0 selects DefaultWindow; negative runs
 	// every pass immediately (sharing only exactly-simultaneous arrivals).
 	Window time.Duration
-	// MaxFanout seals a cycle early at this many consumers. 0 selects
-	// DefaultMaxFanout.
-	MaxFanout int
 	// Prefix restricts sharing to file names with this prefix (the store's
 	// base layout files). Scans of other names are declined, so per-query
 	// intermediates — unique names that can never be shared — skip the
@@ -89,6 +86,9 @@ func (s Stats) Add(o Stats) Stats {
 type Scheduler struct {
 	fs   *dfs.FS
 	opts Options
+	// maxFanout is the package constant of that name; only this package's
+	// tests assign another, to seal a cycle at two consumers.
+	maxFanout int
 
 	mu      sync.Mutex
 	pending map[string]*cycle
@@ -104,10 +104,7 @@ func New(fs *dfs.FS, opts Options) *Scheduler {
 	if opts.Window == 0 {
 		opts.Window = DefaultWindow
 	}
-	if opts.MaxFanout <= 0 {
-		opts.MaxFanout = DefaultMaxFanout
-	}
-	return &Scheduler{fs: fs, opts: opts, pending: make(map[string]*cycle)}
+	return &Scheduler{fs: fs, opts: opts, maxFanout: maxFanout, pending: make(map[string]*cycle)}
 }
 
 // Scan requests records [start, start+n) of the named file and returns an
@@ -132,7 +129,7 @@ func (s *Scheduler) Scan(name string, start, n int) dfs.RecordIterator {
 		}
 	}
 	cy.joined++
-	seal := cy.joined >= s.opts.MaxFanout || s.opts.Window <= 0
+	seal := cy.joined >= s.maxFanout || s.opts.Window <= 0
 	s.mu.Unlock()
 	s.consumers.Add(1)
 	if seal {

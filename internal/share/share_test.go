@@ -132,7 +132,8 @@ func TestMaxFanoutSealsEarly(t *testing.T) {
 	writeFile(t, fs, "store/1/vp/p", 10)
 	// A window far longer than the test: the pass can only run if the
 	// fan-out cap seals the cycle.
-	s := New(fs, Options{Window: time.Hour, MaxFanout: 2})
+	s := New(fs, Options{Window: time.Hour})
+	s.maxFanout = 2
 
 	it1 := s.Scan("store/1/vp/p", 0, 10)
 	it2 := s.Scan("store/1/vp/p", 0, 10)

@@ -128,7 +128,3 @@ func Compute(g *rdf.IDGraph) *Catalog {
 	}
 	return c
 }
-
-// Pred returns the statistics of a predicate (the zero PredStat when the
-// predicate does not occur in the data).
-func (c *Catalog) Pred(p string) PredStat { return c.Preds[p] }

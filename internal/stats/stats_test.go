@@ -68,11 +68,11 @@ func TestCollectCatalog(t *testing.T) {
 	if cat.Triples != int64(120*7) {
 		t.Errorf("Triples = %d, want %d", cat.Triples, 120*7)
 	}
-	ps := cat.Pred(ex + "p")
+	ps := cat.Preds[ex+"p"]
 	if ps.Count != 120 || ps.DistinctSubj != 120 || ps.DistinctObj != 120 {
 		t.Errorf("p stat = %+v, want 120/120/120", ps)
 	}
-	if got := cat.Pred(ex + "q").DistinctObj; got != 4 {
+	if got := cat.Preds[ex+"q"].DistinctObj; got != 4 {
 		t.Errorf("q distinct objects = %d, want 4", got)
 	}
 	// Two characteristic sets: the S subjects {type=T, p, q, r} and the O

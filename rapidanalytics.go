@@ -84,21 +84,19 @@ type Options struct {
 	// so simulated seconds are comparable to a dataset DataScale times
 	// larger than the loaded one. 1 means no extrapolation.
 	DataScale float64
-	// PlanCacheSize bounds the store's LRU plan cache: a budget in which
-	// every plan counts 1. 0 means the default of 128; negative disables
-	// plan caching entirely.
-	PlanCacheSize int
 	// Storage selects the simulated DFS backend: StorageMem (the default)
 	// keeps every record in memory; StorageDisk materialises files as
 	// sharded blockstore segments under DataDir. Output bytes are identical
 	// on both. Empty honors the RAPID_STORAGE environment variable,
-	// defaulting to memory.
+	// defaulting to memory. Any other value fails every query with
+	// ErrStorage.
 	Storage string
-	// DataDir roots disk-backed storage. Empty uses a fresh directory under
-	// the RAPID_DATA_DIR environment variable, or the OS temp dir when it
-	// is unset. Each (re)materialisation of the store's layouts
-	// writes under a new load-numbered subdirectory; a mutation removes
-	// the superseded one, which no query can still be reading.
+	// DataDir roots disk-backed storage: each (re)materialisation of the
+	// store's layouts writes under a new load-numbered subdirectory. Empty
+	// gives each materialisation a fresh directory under the RAPID_DATA_DIR
+	// environment variable, or the OS temp dir when it is unset. A mutation
+	// removes the superseded load's directory, which no query can still be
+	// reading.
 	DataDir string
 	// SpillThresholdBytes bounds each map task's buffered shuffle output:
 	// past the threshold, partition buffers are sorted and spilled to the
@@ -111,10 +109,6 @@ type Options struct {
 	// are identical either way. Disabled by DefaultOptions; the serving
 	// layer (cmd/rapidserver) enables it.
 	SharedScans bool
-	// SharedScanWindow is how long the first scanner of a range waits for
-	// concurrent queries to join its cycle. 0 selects share.DefaultWindow;
-	// negative shares only exactly-simultaneous arrivals.
-	SharedScanWindow time.Duration
 	// ResultCacheBytes bounds a byte-budget LRU caching final query results
 	// and reusable composite sub-relations, keyed by (system, canonical
 	// query form, data version) so no entry survives a data mutation. 0
@@ -187,10 +181,10 @@ type Store struct {
 	// loadMu, like the state it versions).
 	dataVersion uint64
 
-	// plans caches compiled plans; nil when disabled. Compilation itself is
-	// data-independent (parse + overlap detection + composite rewrite), but
-	// keys include dataVersion so entries from before a mutation cannot
-	// outlive the statistics they were cached alongside.
+	// plans caches compiled plans. Compilation itself is data-independent
+	// (parse + overlap detection + composite rewrite), but keys include
+	// dataVersion so entries from before a mutation cannot outlive the
+	// statistics they were cached alongside.
 	plans *plancache.Cache
 
 	// results caches final result tables and composite sub-relations under
@@ -204,35 +198,29 @@ type Store struct {
 	// Both are guarded by loadMu.
 	scans         *share.Scheduler
 	scanStatsBase share.Stats
+
+	// testScanWindow, when nonzero, replaces share.DefaultWindow as the
+	// shared-scan cycle window. Only this package's tests assign it
+	// (export_test.go), to coalesce a whole burst of concurrent queries.
+	testScanWindow time.Duration
 }
+
+// planCacheSize is the plan cache's budget: every plan counts 1.
+const planCacheSize = 128
 
 // NewStore returns an empty store.
 func NewStore(opts Options) *Store {
 	if opts.Nodes <= 0 {
 		opts.Nodes = 10
 	}
-	if opts.Storage == "" {
-		opts.Storage = os.Getenv("RAPID_STORAGE")
-	}
-	if opts.Storage == "" {
-		opts.Storage = StorageMem
-	}
 	if opts.DataScale <= 0 {
 		opts.DataScale = 1
-	}
-	var plans *plancache.Cache
-	if opts.PlanCacheSize >= 0 {
-		size := opts.PlanCacheSize
-		if size == 0 {
-			size = 128
-		}
-		plans = plancache.New(int64(size))
 	}
 	var results *plancache.Cache
 	if opts.ResultCacheBytes > 0 {
 		results = plancache.New(opts.ResultCacheBytes)
 	}
-	return &Store{opts: opts, graph: &rdf.Graph{}, plans: plans, results: results}
+	return &Store{opts: opts, graph: &rdf.Graph{}, plans: plancache.New(planCacheSize), results: results}
 }
 
 // Add appends one triple. The subject and property are IRIs. Add blocks
@@ -248,7 +236,7 @@ func (s *Store) Add(subject, property string, object Term) {
 	s.invalidateLayouts()
 }
 
-// AddGraph appends a whole internal graph (used by the generators).
+// addGraph appends a whole internal graph (used by the generators).
 func (s *Store) addGraph(g *rdf.Graph) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -263,8 +251,8 @@ func (s *Store) addGraph(g *rdf.Graph) {
 // handle it handed out was closed.
 func (s *Store) invalidateLayouts() {
 	s.loadMu.Lock()
-	if s.ds != nil && s.opts.Storage == StorageDisk {
-		dir := s.loadDir()
+	if s.cluster != nil && s.cluster.FS.Dir() != "" {
+		dir := s.cluster.FS.Dir()
 		if n := s.cluster.FS.OpenHandles(); n != 0 {
 			s.reclaimErr = fmt.Errorf("reclaiming %s: %d handles still open", dir, n)
 		} else if err := os.RemoveAll(dir); err != nil {
@@ -339,7 +327,11 @@ func (s *Store) load() error {
 	cfg.Nodes = s.opts.Nodes
 	cfg.SpillThresholdBytes = s.opts.SpillThresholdBytes
 	s.loads++
-	fs, err := s.newFS()
+	dir := ""
+	if s.opts.DataDir != "" {
+		dir = filepath.Join(s.opts.DataDir, fmt.Sprintf("load-%d", s.loads))
+	}
+	fs, err := dfs.Resolve(s.opts.Storage, dir)
 	if err != nil {
 		return err
 	}
@@ -348,7 +340,7 @@ func (s *Store) load() error {
 		// Share only base-layout scans: per-query tmp/ intermediates
 		// have unique names and would pay the window for nothing.
 		s.scans = share.New(fs, share.Options{
-			Window: s.opts.SharedScanWindow,
+			Window: s.testScanWindow,
 			Prefix: "store/",
 		})
 		cluster.Scans = s.scans
@@ -359,32 +351,6 @@ func (s *Store) load() error {
 	}
 	s.cluster, s.ds = cluster, ds
 	return nil
-}
-
-// newFS builds the DFS for one materialisation of the store's layouts.
-// Each disk-backed load gets its own load-numbered directory (loadDir),
-// removed when a mutation supersedes it.
-func (s *Store) newFS() (*dfs.FS, error) {
-	switch s.opts.Storage {
-	case StorageMem:
-		return dfs.New(), nil
-	case StorageDisk:
-		if s.opts.DataDir == "" {
-			d, err := os.MkdirTemp(os.Getenv("RAPID_DATA_DIR"), "rapidanalytics-")
-			if err != nil {
-				return nil, err
-			}
-			s.opts.DataDir = d
-		}
-		return dfs.NewDisk(s.loadDir(), 0)
-	default:
-		return nil, fmt.Errorf("unknown storage backend %q (want %q or %q)", s.opts.Storage, StorageMem, StorageDisk)
-	}
-}
-
-// loadDir is the directory of the current disk-backed load.
-func (s *Store) loadDir() string {
-	return filepath.Join(s.opts.DataDir, fmt.Sprintf("load-%d", s.loads))
 }
 
 // Stats summarises one query execution.
@@ -509,23 +475,23 @@ func (r *Result) Len() int { return len(r.rows) }
 // String renders an aligned table.
 func (r *Result) String() string { return r.raw.Pretty() }
 
-// newEngine returns the engine of sys; a RAPIDAnalytics engine caches its
-// composite matches in subResults, when non-nil.
-func newEngine(sys System, subResults core.SubResultCache) (engine.Engine, error) {
+// newEngine returns the engine of sys, nil for a system without one (the
+// Reference oracle, or a name Prepare rejects); a RAPIDAnalytics engine
+// caches its composite matches in subResults, when non-nil.
+func newEngine(sys System, subResults core.SubResultCache) engine.Engine {
 	switch sys {
 	case RAPIDAnalytics:
 		e := core.New()
 		e.SubResults = subResults
-		return e, nil
+		return e
 	case RAPIDPlus:
-		return rapid.New(), nil
+		return rapid.New()
 	case HiveNaive:
-		return hive.NewNaive(), nil
+		return hive.NewNaive()
 	case HiveMQO:
-		return hive.NewMQO(), nil
-	default:
-		return nil, fmt.Errorf("%w: %q", ErrUnknownSystem, sys)
+		return hive.NewMQO()
 	}
+	return nil
 }
 
 // validSystem reports whether sys names an executable system (including the
@@ -577,13 +543,6 @@ func (s *Store) Prepare(sys System, query string) (*PreparedQuery, error) {
 	if !validSystem(sys) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownSystem, sys)
 	}
-	if s.plans == nil {
-		c, err := Compile(query)
-		if err != nil {
-			return nil, err
-		}
-		return &PreparedQuery{store: s, sys: sys, q: c}, nil
-	}
 	version := s.currentDataVersion()
 	rawKey := plancache.VersionedKey(string(sys), version, query)
 	if v, ok := s.plans.Get(rawKey); ok {
@@ -623,14 +582,8 @@ func (p *PreparedQuery) Normalized() string { return p.q.Normalized() }
 // CacheHit reports whether Prepare served this plan from the cache.
 func (p *PreparedQuery) CacheHit() bool { return p.cacheHit }
 
-// PlanCacheStats returns a snapshot of the plan cache counters (zero when
-// caching is disabled).
-func (s *Store) PlanCacheStats() plancache.Stats {
-	if s.plans == nil {
-		return plancache.Stats{}
-	}
-	return s.plans.Stats()
-}
+// PlanCacheStats returns a snapshot of the plan cache counters.
+func (s *Store) PlanCacheStats() plancache.Stats { return s.plans.Stats() }
 
 // ResultCacheStats returns a snapshot of the result/sub-relation cache
 // counters (zero when Options.ResultCacheBytes is 0).
@@ -687,11 +640,6 @@ func (c *Compiled) Normalized() string {
 	return c.norm
 }
 
-// QueryCompiled runs a pre-compiled query, bypassing the plan cache.
-func (s *Store) QueryCompiled(sys System, q *Compiled) (*Result, *Stats, error) {
-	return s.run(context.Background(), sys, q)
-}
-
 func (s *Store) run(ctx context.Context, sys System, q *Compiled) (*Result, *Stats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, wrapContextErr(ctx, err)
@@ -711,10 +659,7 @@ func (s *Store) run(ctx context.Context, sys System, q *Compiled) (*Result, *Sta
 	if s.results != nil {
 		subResults = subResultCache{c: s.results, version: s.currentDataVersion()}
 	}
-	eng, err := newEngine(sys, subResults)
-	if err != nil {
-		return nil, nil, err
-	}
+	eng := newEngine(sys, subResults)
 	// A WithTracing context gets a root span; engines and the MR cluster
 	// attach planner/cycle spans to it through the same context.
 	var root *obs.Span
@@ -947,8 +892,8 @@ func PredictCycles(q *Compiled, sys System) int {
 
 // predictCycles is PredictCycles over an empty dataset loaded into fs.
 func predictCycles(fs *dfs.FS, q *Compiled, sys System) int {
-	e, err := newEngine(sys, nil)
-	if err != nil {
+	e := newEngine(sys, nil)
+	if e == nil {
 		return 0
 	}
 	c := mapred.NewClusterFS(mapred.DefaultConfig(), fs)

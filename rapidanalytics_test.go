@@ -2,6 +2,7 @@ package rapidanalytics
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 
 	"rapidanalytics/internal/bench"
 	"rapidanalytics/internal/dfs"
+	"rapidanalytics/internal/mapred"
 )
 
 const apiQuery = `PREFIX e: <http://e/>
@@ -69,16 +71,12 @@ func TestStoreQueryAllSystems(t *testing.T) {
 }
 
 func TestQueryCompiledAndReuse(t *testing.T) {
-	q, err := Compile(apiQuery)
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
 	s := apiStore()
-	r1, _, err := s.QueryCompiled(RAPIDAnalytics, q)
+	r1, _, err := s.Query(RAPIDAnalytics, apiQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, _, err := s.QueryCompiled(HiveNaive, q)
+	r2, _, err := s.Query(HiveNaive, apiQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +146,7 @@ func TestPredictCyclesMatchesExecution(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, sys := range Systems() {
-			_, stats, err := s.QueryCompiled(sys, q)
+			_, stats, err := s.Query(sys, query)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -258,7 +256,8 @@ func TestPredictCyclesPinsMemoryStorage(t *testing.T) {
 }
 
 // TestStoreHonorsDataDirEnv: with RAPID_STORAGE=disk and RAPID_DATA_DIR
-// set, a store without a DataDir of its own loads under RAPID_DATA_DIR.
+// set, a store without a DataDir of its own loads into a fresh directory
+// under RAPID_DATA_DIR.
 func TestStoreHonorsDataDirEnv(t *testing.T) {
 	dir := t.TempDir()
 	t.Setenv("RAPID_STORAGE", StorageDisk)
@@ -267,10 +266,38 @@ func TestStoreHonorsDataDirEnv(t *testing.T) {
 	if _, _, err := s.Query(RAPIDAnalytics, apiQuery); err != nil {
 		t.Fatal(err)
 	}
-	loads, err := filepath.Glob(filepath.Join(dir, "rapidanalytics-*", "load-1"))
+	loads, err := filepath.Glob(filepath.Join(dir, "rapidfs-*"))
 	if err != nil || len(loads) != 1 {
 		t.Errorf("loads under RAPID_DATA_DIR: %v (err %v), want one", loads, err)
 	}
+}
+
+// TestMisspeltStorageFailsEverywhere: every entry point chooses its DFS
+// backend through dfs.Resolve, so a RAPID_STORAGE value that names no
+// backend fails all three instead of quietly running in memory.
+func TestMisspeltStorageFailsEverywhere(t *testing.T) {
+	t.Setenv("RAPID_STORAGE", "Disk")
+	t.Setenv("RAPID_DATA_DIR", t.TempDir())
+	t.Run("mapred.NewCluster", func(t *testing.T) {
+		defer func() {
+			if recover() == nil {
+				t.Error("NewCluster ran with RAPID_STORAGE=Disk; want a panic")
+			}
+		}()
+		mapred.NewCluster(mapred.DefaultConfig())
+	})
+	t.Run("Store", func(t *testing.T) {
+		if _, _, err := apiStore().Query(RAPIDAnalytics, apiQuery); !errors.Is(err, ErrStorage) {
+			t.Errorf("Query with RAPID_STORAGE=Disk = %v; want ErrStorage", err)
+		}
+	})
+	t.Run("bench.Loader", func(t *testing.T) {
+		l := bench.NewLoader()
+		l.SizeMult = 0.05
+		if _, _, err := l.Load("bsbm-500k"); err == nil {
+			t.Error("Loader.Load with RAPID_STORAGE=Disk succeeded; want an error")
+		}
+	})
 }
 
 func TestGeneratedStores(t *testing.T) {
@@ -379,10 +406,6 @@ func TestNormalized(t *testing.T) {
 
 func TestConcurrentQueries(t *testing.T) {
 	s := apiStore()
-	q, err := Compile(apiQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)
 	for i := 0; i < 16; i++ {
@@ -390,7 +413,7 @@ func TestConcurrentQueries(t *testing.T) {
 		wg.Add(1)
 		go func(sys System) {
 			defer wg.Done()
-			res, _, err := s.QueryCompiled(sys, q)
+			res, _, err := s.Query(sys, apiQuery)
 			if err != nil {
 				errs <- err
 				return

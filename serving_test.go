@@ -250,8 +250,8 @@ func TestSharedScansKeepResultsIdentical(t *testing.T) {
 
 	opts := ra.DefaultOptions()
 	opts.SharedScans = true
-	opts.SharedScanWindow = 100 * time.Millisecond // generous: coalesce the whole burst
 	store := buildShopWith(t, opts)
+	ra.SetSharedScanWindow(store, 100*time.Millisecond) // generous: coalesce the whole burst
 
 	const concurrent = 6
 	var wg sync.WaitGroup
