@@ -8,6 +8,7 @@ import (
 	"rapidanalytics/internal/dfs"
 	"rapidanalytics/internal/engine"
 	"rapidanalytics/internal/mapred"
+	"rapidanalytics/internal/rdf"
 )
 
 // catalogPassRows keeps the compiler from dropping the Rows() read.
@@ -61,19 +62,20 @@ func BenchmarkCatalogPass(b *testing.B) {
 	}
 }
 
-// BenchmarkLoad is engine.Load on the canonical workload graph (the one
-// BenchmarkCatalogPass queries): the dictionary, both layouts on the memory
+// BenchmarkLoad is rdf.Intern and engine.Load on the canonical workload graph
+// (the one BenchmarkCatalogPass queries): the dictionary, both layouts on the memory
 // DFS and the statistics catalog, built from scratch per iteration —
 //
 //	go test -run xxx -bench Load -benchmem -cpuprofile cpu.out -memprofile mem.out .
 //
 // is the profile of the load path.
 func BenchmarkLoad(b *testing.B) {
-	g := NewWorkloadStore(1, DefaultOptions()).graph
+	s := NewWorkloadStore(1, DefaultOptions())
+	g := rdf.DecodeGraph(s.dict, s.triples)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c := mapred.NewClusterFS(mapred.VCL10(1), dfs.New())
-		if _, err := engine.Load(c, "load", g); err != nil {
+		if _, err := engine.Load(c, "load", rdf.Intern(g, rdf.NewDict())); err != nil {
 			b.Fatal(err)
 		}
 	}

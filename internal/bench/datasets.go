@@ -132,11 +132,12 @@ func scaled(base int, mult float64) int {
 }
 
 // loadedDataset caches a generated and loaded dataset together with its
-// cluster.
+// cluster and the generated statements as IDs of ds.Dict, repeats
+// included, which the oracle decodes.
 type loadedDataset struct {
-	spec    DatasetSpec
 	cluster *mapred.Cluster
 	ds      *engine.Dataset
+	triples []rdf.IDTriple
 }
 
 // Loader generates and loads datasets on demand, caching them per spec id.
@@ -167,29 +168,39 @@ func NewLoader() *Loader { return &Loader{SizeMult: 1, loaded: map[string]*loade
 // Load returns the cluster and dataset for a spec id, generating it on
 // first use.
 func (l *Loader) Load(id string) (*mapred.Cluster, *engine.Dataset, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if d, ok := l.loaded[id]; ok {
-		return d.cluster, d.ds, nil
-	}
-	spec, ok := SpecByID(id)
-	if !ok {
-		return nil, nil, fmt.Errorf("bench: unknown dataset %q", id)
-	}
-	g := spec.Generate(l.SizeMult)
-	scale := spec.PaperTriples / float64(g.Len())
-	cfg := spec.Cluster(scale)
-	cfg.SpillThresholdBytes = l.SpillThresholdBytes
-	c, err := l.newCluster(cfg, id)
+	d, err := l.load(id)
 	if err != nil {
 		return nil, nil, err
 	}
-	ds, err := engine.Load(c, spec.ID, g)
-	if err != nil {
-		return nil, nil, fmt.Errorf("bench: loading %s: %w", id, err)
+	return d.cluster, d.ds, nil
+}
+
+// load is Load returning the cached entry.
+func (l *Loader) load(id string) (*loadedDataset, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if d, ok := l.loaded[id]; ok {
+		return d, nil
 	}
-	l.loaded[id] = &loadedDataset{spec: spec, cluster: c, ds: ds}
-	return c, ds, nil
+	spec, ok := SpecByID(id)
+	if !ok {
+		return nil, fmt.Errorf("bench: unknown dataset %q", id)
+	}
+	dict := rdf.NewDict()
+	triples := rdf.InternTriples(dict, nil, spec.Generate(l.SizeMult).Triples)
+	cfg := spec.Cluster(spec.PaperTriples / float64(len(triples)))
+	cfg.SpillThresholdBytes = l.SpillThresholdBytes
+	c, err := l.newCluster(cfg, id)
+	if err != nil {
+		return nil, err
+	}
+	ds, err := engine.Load(c, spec.ID, rdf.NewIDGraph(dict, triples))
+	if err != nil {
+		return nil, fmt.Errorf("bench: loading %s: %w", id, err)
+	}
+	d := &loadedDataset{cluster: c, ds: ds, triples: triples}
+	l.loaded[id] = d
+	return d, nil
 }
 
 // newCluster builds the cluster for one dataset, honoring the loader's

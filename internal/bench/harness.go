@@ -11,6 +11,7 @@ import (
 	"rapidanalytics/internal/hive"
 	"rapidanalytics/internal/obs"
 	"rapidanalytics/internal/rapid"
+	"rapidanalytics/internal/rdf"
 	"rapidanalytics/internal/refimpl"
 	"rapidanalytics/internal/sparql"
 )
@@ -96,13 +97,14 @@ func (h *Harness) run(queryID, datasetID string, engines []engine.Engine, traced
 	if err != nil {
 		return nil, err
 	}
-	c, ds, err := h.Loader.Load(datasetID)
+	d, err := h.Loader.load(datasetID)
 	if err != nil {
 		return nil, err
 	}
+	c, ds := d.cluster, d.ds
 	var oracle *engine.Result
 	if h.Verify {
-		oracle, err = refimpl.Execute(ds.Graph, aq)
+		oracle, err = refimpl.Execute(rdf.DecodeGraph(ds.Dict, d.triples), aq)
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s oracle: %w", queryID, err)
 		}

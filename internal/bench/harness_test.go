@@ -90,7 +90,7 @@ func TestRepeatedStatementsCountOnce(t *testing.T) {
 		t.Fatal("the graph repeats no statement; the test would prove nothing")
 	}
 	c := mapred.NewCluster(mapred.DefaultConfig())
-	ds, err := engine.Load(c, "pubmed-seed3", g)
+	ds, err := engine.Load(c, "pubmed-seed3", rdf.Intern(g, rdf.NewDict()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,7 +59,7 @@ func TestSingleStarSingleCycle(t *testing.T) {
 	aq := mustAQ(t, `PREFIX e: <http://e/>
 SELECT ?x (COUNT(?v) AS ?n) { ?s e:p ?x ; e:q ?v . } GROUP BY ?x`)
 	c := mapred.NewCluster(mapred.DefaultConfig())
-	ds, err := engine.Load(c, "t", g)
+	ds, err := engine.Load(c, "t", rdf.Intern(g, rdf.NewDict()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ SELECT ?x ?n ?m {
 		t.Fatal("patterns unexpectedly overlap; test fixture broken")
 	}
 	c := mapred.NewCluster(mapred.DefaultConfig())
-	ds, err := engine.Load(c, "t", g)
+	ds, err := engine.Load(c, "t", rdf.Intern(g, rdf.NewDict()))
 	if err != nil {
 		t.Fatal(err)
 	}

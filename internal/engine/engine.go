@@ -23,12 +23,9 @@ import (
 // Dataset is a graph loaded into the cluster's DFS in both physical
 // layouts, mirroring the paper's pre-processing phase.
 type Dataset struct {
-	Name string // DFS path prefix of the dataset's files
-	// Graph is the loaded graph as added, repeats included: the reference
-	// evaluator's input, which reads it as a set like Load does.
-	Graph *rdf.Graph
-	VP    *store.VPStore // vertically partitioned tables (the Hive engines)
-	TG    *store.TGStore // subject triplegroups (the NTGA engines)
+	Name string         // DFS path prefix of the dataset's files
+	VP   *store.VPStore // vertically partitioned tables (the Hive engines)
+	TG   *store.TGStore // subject triplegroups (the NTGA engines)
 	// Dict is the dataset's term dictionary, always present: stored tables
 	// and triplegroups hold compact integer term IDs (rdf.Dict ID-strings)
 	// and engines decode back to lexical form only at the final
@@ -40,12 +37,11 @@ type Dataset struct {
 	Stats *stats.Catalog
 }
 
-// Load materialises the graph into the cluster's file system under the
-// dataset name. One interning walk and one subject grouping (rdf.Intern)
-// build the dictionary, both physical layouts and the statistics catalog;
-// a statement repeated in g is loaded once.
-func Load(c *mapred.Cluster, name string, g *rdf.Graph) (*Dataset, error) {
-	ig := rdf.Intern(g, rdf.NewDict())
+// Load materialises the interned graph into the cluster's file system
+// under the dataset name, in both physical layouts, and collects its
+// statistics catalog. The dataset keeps no lexical copy of the graph: it
+// reads terms through ig.Dict, which a store shares with every load.
+func Load(c *mapred.Cluster, name string, ig *rdf.IDGraph) (*Dataset, error) {
 	vp, err := store.WriteVP(c.FS, ig, name+"/vp")
 	if err != nil {
 		return nil, fmt.Errorf("engine: loading %s: %w", name, err)
@@ -56,7 +52,6 @@ func Load(c *mapred.Cluster, name string, g *rdf.Graph) (*Dataset, error) {
 	}
 	return &Dataset{
 		Name:  name,
-		Graph: g,
 		VP:    vp,
 		TG:    tg,
 		Dict:  ig.Dict,

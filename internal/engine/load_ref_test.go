@@ -271,9 +271,13 @@ func refLoad(g *rdf.Graph) (loaded, error) {
 	return l, nil
 }
 
-func load(g *rdf.Graph) (loaded, error) {
+// load interns g into one Dict in two batches, its first split statements
+// and the rest, as a store does, and loads the result.
+func load(g *rdf.Graph, split int) (loaded, error) {
+	d := rdf.NewDict()
+	ts := rdf.InternTriples(d, rdf.InternTriples(d, nil, g.Triples[:split]), g.Triples[split:])
 	c := mapred.NewClusterFS(mapred.DefaultConfig(), dfs.New())
-	ds, err := engine.Load(c, "ds", g)
+	ds, err := engine.Load(c, "ds", rdf.NewIDGraph(d, ts))
 	if err != nil {
 		return loaded{}, err
 	}
@@ -364,7 +368,7 @@ func injectRepeats(g *rdf.Graph, rng *rand.Rand, n int) *rdf.Graph {
 // engine.Load gives every term the ID, writes the files, records and
 // metadata, and computes the catalog the three lexical walks did; and the
 // graph with repeats, generated or injected, loads exactly like its
-// de-duplicated copy.
+// de-duplicated copy. Each graph is interned in two halves.
 func TestLoadMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, spec := range bench.Specs() {
@@ -383,7 +387,7 @@ func TestLoadMatchesReference(t *testing.T) {
 				{fmt.Sprintf("as generated (%d repeats)", g.Len()-set.Len()), g},
 				{"with injected repeats", injectRepeats(set, rng, 200)},
 			} {
-				got, err := load(in.g)
+				got, err := load(in.g, in.g.Len()/2)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -397,8 +401,9 @@ func TestLoadMatchesReference(t *testing.T) {
 
 // FuzzLoadMatchesReference loads random small graphs with repeats — few
 // subjects, properties and objects, rdf:type among the properties, every
-// term kind — and compares engine.Load with the reference over the
-// de-duplicated graph.
+// term kind — interned in two batches split where the input's first byte
+// says, and compares engine.Load with the reference over the de-duplicated
+// graph.
 func FuzzLoadMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 1, 2, 3, 4, 5})
 	f.Add([]byte{7, 0, 9, 7, 0, 9, 7, 0, 8, 1, 3, 5})
@@ -422,12 +427,16 @@ func FuzzLoadMatchesReference(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := load(g)
+		split := 0
+		if len(data) > 0 {
+			split = int(data[0]) % (g.Len() + 1)
+		}
+		got, err := load(g, split)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if diff := loadDiff(want, got); diff != "" {
-			t.Fatal(diff)
+			t.Fatalf("split after %d of %d: %s", split, g.Len(), diff)
 		}
 	})
 }

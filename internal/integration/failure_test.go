@@ -287,14 +287,14 @@ func TestFaultSweep(t *testing.T) {
 	g := ecommerceGraph()
 
 	b, c := faultCluster()
-	if _, err := engine.Load(c, "test", g); err != nil {
+	if _, err := engine.Load(c, "test", rdf.Intern(g, rdf.NewDict())); err != nil {
 		t.Fatal(err)
 	}
 	loadCalls := b.calls.Load()
 	for n := int64(1); n <= loadCalls && !t.Failed(); n++ {
 		b, c := faultCluster()
 		b.arm(n)
-		_, err := engine.Load(c, "test", g)
+		_, err := engine.Load(c, "test", rdf.Intern(g, rdf.NewDict()))
 		checkFaultRun(t, b, c, fmt.Sprintf("load: fault at call %d of %d", n, loadCalls), err)
 	}
 
@@ -310,7 +310,7 @@ func TestFaultSweep(t *testing.T) {
 		}
 		for _, e := range engines() {
 			b, c := faultCluster()
-			ds, err := engine.Load(c, "test", g)
+			ds, err := engine.Load(c, "test", rdf.Intern(g, rdf.NewDict()))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -148,7 +148,7 @@ func setup(t *testing.T, g *rdf.Graph) (*mapred.Cluster, *engine.Dataset) {
 	cfg := mapred.DefaultConfig()
 	cfg.ExecSplitBytes = 256 // force several map tasks even on tiny data
 	c := mapred.NewCluster(cfg)
-	ds, err := engine.Load(c, "test", g)
+	ds, err := engine.Load(c, "test", rdf.Intern(g, rdf.NewDict()))
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}

@@ -535,7 +535,7 @@ func runPool(workers, n int, f func(i int)) {
 }
 
 // workers sizes the worker pool of a phase with tasks tasks (map splits or
-// reduce partitions): one worker per CPU, never more than there are tasks.
+// reduce partitions): GOMAXPROCS workers, minimum two, at most one per task.
 func (c *Cluster) workers(tasks int) int {
 	n := maxParallel()
 	if c.testWorkers > 0 {
@@ -545,7 +545,7 @@ func (c *Cluster) workers(tasks int) int {
 }
 
 func maxParallel() int {
-	n := runtime.NumCPU()
+	n := runtime.GOMAXPROCS(0)
 	if n < 2 {
 		return 2
 	}

@@ -70,6 +70,23 @@ func TestMapFanOutBounded(t *testing.T) {
 	}
 }
 
+// The pools follow GOMAXPROCS, not the CPU count, so that setting it (as
+// CI's counted-cost gate does) fixes how many tasks run at once.
+func TestWorkersFollowGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	c := newTestCluster()
+	if got := c.workers(100); got != 3 {
+		t.Errorf("GOMAXPROCS 3: workers(100) = %d, want 3", got)
+	}
+	if got := c.workers(2); got != 2 {
+		t.Errorf("GOMAXPROCS 3: workers(2) = %d, want 2", got)
+	}
+	runtime.GOMAXPROCS(1)
+	if got := c.workers(100); got != 2 {
+		t.Errorf("GOMAXPROCS 1: workers(100) = %d, want the minimum 2", got)
+	}
+}
+
 // Regression: the first map-task error must abort in-flight siblings and
 // skip queued tasks instead of letting all of them run to completion, and
 // the reported error must be the failing task's, deterministically.

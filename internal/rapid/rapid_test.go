@@ -15,7 +15,7 @@ import (
 func load(t *testing.T, g *rdf.Graph) (*mapred.Cluster, *engine.Dataset) {
 	t.Helper()
 	c := mapred.NewCluster(mapred.DefaultConfig())
-	ds, err := engine.Load(c, "t", g)
+	ds, err := engine.Load(c, "t", rdf.Intern(g, rdf.NewDict()))
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}

@@ -38,11 +38,11 @@ type dictEntry struct {
 // concatenate ID-strings without separators, and the NULL ID-string is
 // exactly algebra.Null.
 //
-// The dictionary is built once at dataset-load time (in term-of-first-use
-// order over the triple stream, so IDs are deterministic for a given graph)
-// and attached to engine.Dataset; at query time every map task decodes every
-// field through it, so the by-ID readers (Key, IDString, Lex,
-// NumericIDString, Len) take no lock.
+// A store keeps one Dict for its whole life and interns every batch it is
+// given into it in term-of-first-use order (InternTriples), so IDs are
+// deterministic for a given statement sequence; each load attaches it to
+// engine.Dataset. At query time every map task decodes every field through
+// it, so the by-ID readers (Key, IDString, Lex, NumericIDString, Len) take no lock.
 //
 // Publish protocol: entries are append-only and immutable once written. A
 // writer, holding mu, appends the entry, stores the backing array into view

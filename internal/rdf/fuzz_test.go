@@ -1,6 +1,13 @@
 package rdf
 
-import "testing"
+import (
+	"bytes"
+	"reflect"
+	"strings"
+	"testing"
+	"unicode"
+	"unicode/utf8"
+)
 
 func FuzzTermFromKey(f *testing.F) {
 	f.Add("")
@@ -49,6 +56,48 @@ func FuzzDictRoundTrip(f *testing.F) {
 		}
 		if lex, ok := d.Lex(idStr); !ok || lex != key {
 			t.Fatalf("Lex(AddString(%q)) = %q, %v", key, lex, ok)
+		}
+	})
+}
+
+// FuzzNTriplesRoundTrip: WriteNTriples then ReadNTriples gives back the
+// same graph, for non-empty, valid UTF-8 IRIs and literals and blank labels
+// without whitespace. kinds picks the subject's kind (IRI or blank) and
+// the object's (IRI, literal or blank).
+func FuzzNTriplesRoundTrip(f *testing.F) {
+	f.Add("http://s>", "http://e/p", "o", uint8(0))
+	f.Add("s", "http://e/a b\\c", "it's\b\f\"\\\n\r\t", uint8(2))
+	f.Add("http://e/\x00<>\"{}|^`", "p", "é😀\U0010FFFF", uint8(4))
+	f.Add("b1", "p", "_:p", uint8(5))
+	f.Add("s", "p", "\\u0041\\U00000041", uint8(2))
+	f.Fuzz(func(t *testing.T, s, p, o string, kinds uint8) {
+		term := func(kind TermKind, v string) (Term, bool) {
+			ok := v != "" && utf8.ValidString(v) && (kind != Blank || !strings.ContainsFunc(v, unicode.IsSpace))
+			return Term{Kind: kind, Value: v}, ok
+		}
+		st, okS := term([]TermKind{IRI, Blank}[kinds%2], s)
+		pt, okP := term(IRI, p)
+		ot, okO := term([]TermKind{IRI, Literal, Blank}[kinds/2%3], o)
+		if !okS || !okP || !okO {
+			return
+		}
+		// A second statement has the object as its subject, unless it is
+		// a literal.
+		g := &Graph{}
+		g.Add(T(st, pt, ot), T(ot, pt, ot))
+		if ot.Kind == Literal {
+			g.Triples = g.Triples[:1]
+		}
+		var buf bytes.Buffer
+		if err := WriteNTriples(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadNTriples(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("ReadNTriples(%q): %v", buf.String(), err)
+		}
+		if !reflect.DeepEqual(got, g) {
+			t.Fatalf("ReadNTriples(%q) = %v, want %v", buf.String(), got.Triples, g.Triples)
 		}
 	})
 }

@@ -12,8 +12,10 @@ type IDTriple struct {
 	O uint64 // object
 }
 
-// IDGraph is a Graph interned into a Dict and read as a set: the one form
-// the physical layouts and the statistics catalog are built from.
+// IDGraph is a graph's statements interned into a Dict and read as a set:
+// the one form the physical layouts and the statistics catalog are built
+// from. A store keeps only its Dict and its ID triples and builds an
+// IDGraph from them on each load (NewIDGraph).
 type IDGraph struct {
 	// Dict holds every term of the graph.
 	Dict *Dict
@@ -25,15 +27,28 @@ type IDGraph struct {
 	Subjects [][]IDTriple
 }
 
-// Intern registers g's terms in d and returns g as an IDGraph. Terms are
-// added subject, property, object per statement in the graph's order, so a
-// graph's IDs depend only on the graph; a property is added as an IRI. A
-// statement that repeats an earlier one is dropped: an RDF graph is a set.
-func Intern(g *Graph, d *Dict) *IDGraph {
-	ig := &IDGraph{Dict: d, Triples: make([]IDTriple, 0, len(g.Triples))}
-	seen := make(map[IDTriple]bool, len(g.Triples))
-	for _, t := range g.Triples {
-		it := IDTriple{d.Add(t.Subject.Key()), d.Add("I" + t.Property.Value), d.Add(t.Object.Key())}
+// Intern registers g's terms in d and returns g read as a set (NewIDGraph).
+func Intern(g *Graph, d *Dict) *IDGraph { return NewIDGraph(d, InternTriples(d, nil, g.Triples)) }
+
+// InternTriples appends ts to dst as IDTriples, repeats included, adding
+// their terms to d subject, property, object per statement (a property as
+// an IRI). IDs are dense in first-occurrence order, so batches interned one
+// after another get the IDs a single intern of them all would give.
+func InternTriples(d *Dict, dst []IDTriple, ts []Triple) []IDTriple {
+	dst = slices.Grow(dst, len(ts))
+	for _, t := range ts {
+		dst = append(dst, IDTriple{d.Add(t.Subject.Key()), d.Add("I" + t.Property.Value), d.Add(t.Object.Key())})
+	}
+	return dst
+}
+
+// NewIDGraph reads ts, whose terms are IDs of d, as a set: a statement
+// that repeats an earlier one is dropped, and the rest are grouped by
+// subject. ts is not modified.
+func NewIDGraph(d *Dict, ts []IDTriple) *IDGraph {
+	ig := &IDGraph{Dict: d, Triples: make([]IDTriple, 0, len(ts))}
+	seen := make(map[IDTriple]bool, len(ts))
+	for _, it := range ts {
 		if !seen[it] {
 			seen[it] = true
 			ig.Triples = append(ig.Triples, it)
@@ -95,4 +110,14 @@ func (g *IDGraph) ECKeys(ts []IDTriple, keys []string, counts []int64) ([]string
 		n++
 	}
 	return keys[:n], counts
+}
+
+// DecodeGraph returns the statements ts, whose terms are IDs of d, as a
+// Graph, repeats included. The terms share d's strings.
+func DecodeGraph(d *Dict, ts []IDTriple) *Graph {
+	g := &Graph{Triples: make([]Triple, len(ts))}
+	for i, t := range ts {
+		g.Triples[i] = Triple{TermFromKey(d.entry(t.S).key), TermFromKey(d.entry(t.P).key), TermFromKey(d.entry(t.O).key)}
+	}
+	return g
 }

@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // WriteNTriples serialises the graph in N-Triples format, one statement per
@@ -25,7 +27,9 @@ func WriteNTriples(w io.Writer, g *Graph) error {
 // ReadNTriples parses an N-Triples document. It accepts the subset of the
 // grammar produced by WriteNTriples and by common exporters: IRIs in angle
 // brackets, plain and language-tagged/typed literals (tags and datatypes are
-// dropped), blank nodes, comments and blank lines.
+// dropped), blank nodes, comments and blank lines. A subject is an IRI or
+// a blank node and a property an IRI; ECHAR escapes are read in literals,
+// UCHAR escapes in literals and IRIs.
 func ReadNTriples(r io.Reader) (*Graph, error) {
 	g := &Graph{}
 	sc := bufio.NewScanner(r)
@@ -59,6 +63,9 @@ func parseNTLine(line string) (Triple, error) {
 	if err != nil {
 		return Triple{}, fmt.Errorf("property: %w", err)
 	}
+	if s.Kind == Literal || pr.Kind != IRI {
+		return Triple{}, fmt.Errorf("%s subject or %s property: want an IRI or blank subject and an IRI property", s.Kind, pr.Kind)
+	}
 	o, err := p.term()
 	if err != nil {
 		return Triple{}, fmt.Errorf("object: %w", err)
@@ -90,12 +97,11 @@ func (p *ntParser) term() (Term, error) {
 	}
 	switch p.in[p.pos] {
 	case '<':
-		end := strings.IndexByte(p.in[p.pos:], '>')
-		if end < 0 {
-			return Term{}, fmt.Errorf("unterminated IRI")
+		v, n, err := unescape(p.in[p.pos+1:], '>', false)
+		if err != nil {
+			return Term{}, fmt.Errorf("IRI: %w", err)
 		}
-		v := p.in[p.pos+1 : p.pos+end]
-		p.pos += end + 1
+		p.pos += 1 + n
 		return NewIRI(v), nil
 	case '_':
 		if p.pos+1 >= len(p.in) || p.in[p.pos+1] != ':' {
@@ -113,11 +119,11 @@ func (p *ntParser) term() (Term, error) {
 		}
 		return NewBlank(v), nil
 	case '"':
-		v, n, err := unescapeQuoted(p.in[p.pos:])
+		v, n, err := unescape(p.in[p.pos+1:], '"', true)
 		if err != nil {
-			return Term{}, err
+			return Term{}, fmt.Errorf("literal: %w", err)
 		}
-		p.pos += n
+		p.pos += 1 + n
 		// Drop optional language tag or datatype.
 		if strings.HasPrefix(p.rest(), "@") {
 			for p.pos < len(p.in) && p.in[p.pos] != ' ' && p.in[p.pos] != '\t' {
@@ -139,44 +145,42 @@ func (p *ntParser) term() (Term, error) {
 	}
 }
 
-// unescapeQuoted parses a double-quoted, backslash-escaped string starting at
-// in[0] == '"'. It returns the unescaped value and the number of input bytes
-// consumed (including both quotes).
-func unescapeQuoted(in string) (string, int, error) {
-	if len(in) == 0 || in[0] != '"' {
-		return "", 0, fmt.Errorf("expected opening quote")
+// echars maps each ECHAR's letter to the character it stands for.
+var echars = map[byte]byte{'t': '\t', 'b': '\b', 'n': '\n', 'r': '\r', 'f': '\f', '"': '"', '\'': '\'', '\\': '\\'}
+
+// unescape reads in up to its first unescaped end byte and returns the
+// unescaped value and the number of bytes read, end included. It decodes
+// UCHARs (\uXXXX, \UXXXXXXXX), and ECHARs too when echar is set.
+func unescape(in string, end byte, echar bool) (string, int, error) {
+	if j := strings.IndexByte(in, end); j >= 0 && strings.IndexByte(in[:j], '\\') < 0 {
+		return in[:j], j + 1, nil // nothing to unescape
 	}
 	var b strings.Builder
-	i := 1
-	for i < len(in) {
+	for i := 0; i < len(in); i++ {
 		c := in[i]
-		switch c {
-		case '"':
+		switch {
+		case c == end:
 			return b.String(), i + 1, nil
-		case '\\':
-			if i+1 >= len(in) {
-				return "", 0, fmt.Errorf("dangling escape")
+		case c != '\\':
+			b.WriteByte(c)
+		case i+1 < len(in) && (in[i+1] == 'u' || in[i+1] == 'U'):
+			n := 4
+			if in[i+1] == 'U' {
+				n = 8
 			}
-			i++
-			switch in[i] {
-			case '"':
-				b.WriteByte('"')
-			case '\\':
-				b.WriteByte('\\')
-			case 'n':
-				b.WriteByte('\n')
-			case 'r':
-				b.WriteByte('\r')
-			case 't':
-				b.WriteByte('\t')
-			default:
-				return "", 0, fmt.Errorf("unknown escape \\%c", in[i])
+			hex := in[i+2 : min(i+2+n, len(in))]
+			r, err := strconv.ParseUint(hex, 16, 32)
+			if err != nil || len(hex) != n || !utf8.ValidRune(rune(r)) {
+				return "", 0, fmt.Errorf("bad escape \\%c%s", in[i+1], hex)
 			}
+			b.WriteRune(rune(r))
+			i += 1 + len(hex)
+		case i+1 < len(in) && echar && echars[in[i+1]] != 0:
+			b.WriteByte(echars[in[i+1]])
 			i++
 		default:
-			b.WriteByte(c)
-			i++
+			return "", 0, fmt.Errorf("bad escape at %q", in[i:min(i+2, len(in))])
 		}
 	}
-	return "", 0, fmt.Errorf("unterminated literal")
+	return "", 0, fmt.Errorf("missing closing %q", end)
 }

@@ -136,15 +136,52 @@ func TestNTriplesParsesForeignForms(t *testing.T) {
 
 func TestNTriplesErrors(t *testing.T) {
 	bad := []string{
-		`<http://e/s> <http://e/p> "x"`,     // missing dot
-		`<http://e/s> <http://e/p .`,        // unterminated IRI
-		`<http://e/s> <http://e/p> "x .`,    // unterminated literal
-		`<http://e/s> "lit" <http://e/o> .`, // literal property is fine syntactically but object missing? actually valid shape
+		`<http://e/s> <http://e/p> "x"`,            // missing dot
+		`<http://e/s> <http://e/p .`,               // unterminated IRI
+		`<http://e/s> <http://e/p> "x .`,           // unterminated literal
+		`<http://e/s> "lit" <http://e/o> .`,        // literal property
+		`<http://e/s> _:p <http://e/o> .`,          // blank-node property
+		`"lit" <http://e/p> <http://e/o> .`,        // literal subject
+		`<http://e/s> <http://e/p> "a\x" .`,        // unknown ECHAR
+		`<http://e/s> <http://e/p> "a\u12" .`,      // short UCHAR
+		`<http://e/s> <http://e/p> "a\uD800" .`,    // surrogate UCHAR
+		`<http://e/s> <http://e/p> "\U00110000" .`, // UCHAR beyond Unicode
+		`<http://e/s\n> <http://e/p> "x" .`,        // ECHAR in an IRI
+		`<http://e/s> <http://e/p> "x\" .`,         // escaped closing quote
+		`<http://e/s> <http://e/p> "x\`,            // dangling escape
 	}
-	for _, line := range bad[:3] {
+	for _, line := range bad {
 		if _, err := ReadNTriples(strings.NewReader(line)); err == nil {
 			t.Errorf("ReadNTriples(%q) succeeded, want error", line)
 		}
+	}
+}
+
+// TestNTriplesEscapes: every ECHAR reads in a literal and UCHAR reads in
+// literals and IRIs; WriteNTriples writes the characters IRIREF forbids as
+// UCHAR, so its output reads back.
+func TestNTriplesEscapes(t *testing.T) {
+	line := `<http://e/s\U0000003E> <http://e/p> "\t\b\n\r\f\"\'\\ é\U0001F600" .`
+	g, err := ReadNTriples(strings.NewReader(line))
+	if err != nil {
+		t.Fatalf("ReadNTriples(%q): %v", line, err)
+	}
+	want := T(NewIRI("http://e/s>"), NewIRI("http://e/p"), NewLiteral("\t\b\n\r\f\"'\\ é😀"))
+	if g.Len() != 1 || g.Triples[0] != want {
+		t.Fatalf("ReadNTriples(%q) = %v, want %v", line, g.Triples, want)
+	}
+	iri := NewIRI("http://e/a b>\"{}|^`\\<\x00é")
+	if got, want := iri.String(), "<http://e/a\\u0020b\\u003E\\u0022\\u007B\\u007D\\u007C\\u005E\\u0060\\u005C\\u003C\\u0000é>"; got != want {
+		t.Errorf("String() = %s, want %s", got, want)
+	}
+	g.Add(T(iri, NewIRI("http://e/p"), NewBlank("b")))
+	var buf bytes.Buffer
+	if err := WriteNTriples(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadNTriples(&buf)
+	if err != nil || !reflect.DeepEqual(back, g) {
+		t.Errorf("round trip = %v, %v; want %v", back, err, g)
 	}
 }
 

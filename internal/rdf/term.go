@@ -69,9 +69,9 @@ func (t Term) IsLiteral() bool { return t.Kind == Literal }
 func (t Term) String() string {
 	switch t.Kind {
 	case IRI:
-		return "<" + t.Value + ">"
+		return "<" + iriEscaper.Replace(t.Value) + ">"
 	case Literal:
-		return `"` + escapeLiteral(t.Value) + `"`
+		return `"` + literalEscaper.Replace(t.Value) + `"`
 	case Blank:
 		return "_:" + t.Value
 	default:
@@ -108,29 +108,19 @@ func TermFromKey(k string) Term {
 	}
 }
 
-func escapeLiteral(s string) string {
-	if !strings.ContainsAny(s, "\"\\\n\r\t") {
-		return s
-	}
-	var b strings.Builder
-	for _, r := range s {
-		switch r {
-		case '"':
-			b.WriteString(`\"`)
-		case '\\':
-			b.WriteString(`\\`)
-		case '\n':
-			b.WriteString(`\n`)
-		case '\r':
-			b.WriteString(`\r`)
-		case '\t':
-			b.WriteString(`\t`)
-		default:
-			b.WriteRune(r)
+// literalEscaper writes the ECHARs a literal needs.
+var literalEscaper = strings.NewReplacer(`"`, `\"`, `\`, `\\`, "\n", `\n`, "\r", `\r`, "\t", `\t`)
+
+// iriEscaper writes as UCHAR every character IRIREF forbids.
+var iriEscaper = func() *strings.Replacer {
+	var pairs []string
+	for c := range byte(0x80) {
+		if c <= ' ' || strings.IndexByte("<>\"{}|^`\\", c) >= 0 {
+			pairs = append(pairs, string(c), fmt.Sprintf(`\u%04X`, c))
 		}
 	}
-	return b.String()
-}
+	return strings.NewReplacer(pairs...)
+}()
 
 // Triple is a single RDF statement.
 type Triple struct {
@@ -153,9 +143,9 @@ const RDFType = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 // TypeTerm is the rdf:type property as a Term.
 var TypeTerm = NewIRI(RDFType)
 
-// Graph is an in-memory list of statements: the input to the store
-// loaders (Intern) and to the reference implementation, which both read it
-// as a set — a repeated statement counts once.
+// Graph is an in-memory list of statements, the lexical form at the
+// boundary: what parsing and the generators return, and what WriteNTriples
+// and the reference implementation read (as a set). Stores keep IDs instead.
 type Graph struct {
 	Triples []Triple // the statements as added, repeats included
 }

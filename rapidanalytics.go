@@ -148,7 +148,10 @@ func Literal(v string) Term { return Term{value: v, isLiteral: true} }
 
 // Store holds an RDF graph and lazily materialises it into the simulated
 // cluster's storage layouts (vertical partitioning for the Hive engines, a
-// subject-triplegroup store for the NTGA engines) on first query.
+// subject-triplegroup store for the NTGA engines) on first query. It holds
+// the graph only as ID triples of one term dictionary, which lives as long
+// as the store: each batch is interned as it arrives and its lexical form
+// dropped. WriteNTriples and the Reference system decode on demand.
 //
 // A Store is safe for concurrent use. Concurrency model: readers/writers on
 // the graph are serialised by an RWMutex — every query holds the read lock
@@ -157,13 +160,14 @@ func Literal(v string) Term { return Term{value: v, isLiteral: true} }
 // observe a half-applied batch. This favours the serving workload (many
 // concurrent read-only queries, rare bulk loads) over mutation latency;
 // snapshot semantics were rejected because the reference evaluator and the
-// lazy materialisation both walk the live graph.
+// lazy materialisation both read the live statements.
 type Store struct {
 	opts Options
 
-	// mu guards graph contents against in-flight queries (see above).
-	mu    sync.RWMutex
-	graph *rdf.Graph
+	// mu guards dict and triples against in-flight queries (see above).
+	mu      sync.RWMutex
+	dict    *rdf.Dict
+	triples []rdf.IDTriple // every statement added, repeats included
 
 	// loadMu guards the lazily materialised cluster state. It is always
 	// acquired after mu (never the reverse), so the order is deadlock-free.
@@ -220,7 +224,7 @@ func NewStore(opts Options) *Store {
 	if opts.ResultCacheBytes > 0 {
 		results = plancache.New(opts.ResultCacheBytes)
 	}
-	return &Store{opts: opts, graph: &rdf.Graph{}, plans: plancache.New(planCacheSize), results: results}
+	return &Store{opts: opts, dict: rdf.NewDict(), plans: plancache.New(planCacheSize), results: results}
 }
 
 // Add appends one triple. The subject and property are IRIs. Add blocks
@@ -230,17 +234,15 @@ func (s *Store) Add(subject, property string, object Term) {
 	if object.isLiteral {
 		obj = rdf.NewLiteral(object.value)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.graph.Add(rdf.T(rdf.NewIRI(subject), rdf.NewIRI(property), obj))
-	s.invalidateLayouts()
+	s.addGraph(&rdf.Graph{Triples: []rdf.Triple{rdf.T(rdf.NewIRI(subject), rdf.NewIRI(property), obj)}})
 }
 
-// addGraph appends a whole internal graph (used by the generators).
+// addGraph interns a batch of statements into the store: every mutation
+// goes through here.
 func (s *Store) addGraph(g *rdf.Graph) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.graph.Add(g.Triples...)
+	s.triples = rdf.InternTriples(s.dict, s.triples, g.Triples)
 	s.invalidateLayouts()
 }
 
@@ -289,7 +291,7 @@ func (s *Store) LoadNTriples(r io.Reader) error {
 func (s *Store) WriteNTriples(w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return rdf.WriteNTriples(w, s.graph)
+	return rdf.WriteNTriples(w, rdf.DecodeGraph(s.dict, s.triples))
 }
 
 // NumTriples returns the number of statements added, repeats included.
@@ -297,7 +299,7 @@ func (s *Store) WriteNTriples(w io.Writer) error {
 func (s *Store) NumTriples() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.graph.Len()
+	return len(s.triples)
 }
 
 // ensureLoaded materialises the storage layouts (once) and returns the
@@ -345,7 +347,7 @@ func (s *Store) load() error {
 		})
 		cluster.Scans = s.scans
 	}
-	ds, err := engine.Load(cluster, fmt.Sprintf("store/%d", s.loads), s.graph)
+	ds, err := engine.Load(cluster, fmt.Sprintf("store/%d", s.loads), rdf.NewIDGraph(s.dict, s.triples))
 	if err != nil {
 		return err
 	}
@@ -649,7 +651,7 @@ func (s *Store) run(ctx context.Context, sys System, q *Compiled) (*Result, *Sta
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if sys == Reference {
-		res, err := refimpl.Execute(s.graph, q.aq)
+		res, err := refimpl.Execute(rdf.DecodeGraph(s.dict, s.triples), q.aq)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -897,7 +899,7 @@ func predictCycles(fs *dfs.FS, q *Compiled, sys System) int {
 		return 0
 	}
 	c := mapred.NewClusterFS(mapred.DefaultConfig(), fs)
-	ds, err := engine.Load(c, "predict", &rdf.Graph{})
+	ds, err := engine.Load(c, "predict", rdf.NewIDGraph(rdf.NewDict(), nil))
 	if err != nil {
 		return 0
 	}

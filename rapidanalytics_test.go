@@ -101,18 +101,28 @@ func TestUnknownSystem(t *testing.T) {
 	}
 }
 
+// TestNTriplesRoundTripThroughStore: a store reads back what it writes,
+// an IRI with characters IRIREF forbids included (written as UCHAR).
 func TestNTriplesRoundTripThroughStore(t *testing.T) {
 	s := apiStore()
+	s.Add("http://s>", "http://e/p q", IRI("http://e/{o}"))
 	var buf bytes.Buffer
 	if err := s.WriteNTriples(&buf); err != nil {
 		t.Fatal(err)
 	}
 	s2 := NewStore(DefaultOptions())
-	if err := s2.LoadNTriples(&buf); err != nil {
+	if err := s2.LoadNTriples(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	if s2.NumTriples() != s.NumTriples() {
 		t.Errorf("triples = %d, want %d", s2.NumTriples(), s.NumTriples())
+	}
+	var again bytes.Buffer
+	if err := s2.WriteNTriples(&again); err != nil {
+		t.Fatal(err)
+	}
+	if again.String() != buf.String() {
+		t.Errorf("round trip wrote %q, want %q", again.String(), buf.String())
 	}
 	res, _, err := s2.Query(RAPIDAnalytics, apiQuery)
 	if err != nil {
