@@ -20,7 +20,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"rapidanalytics/internal/algebra"
@@ -124,7 +123,7 @@ func (e *Engine) Plan(c *mapred.Cluster, ds *engine.Dataset, aq *algebra.Analyti
 	}
 	// Figure 6(a): one TG_AgJ cycle per grouping over the shared composite
 	// matches.
-	aggs := make([]int, len(specs))
+	aggs := make([]string, len(specs))
 	for k := range specs {
 		aggs[k] = rapid.AggJoin(p, fmt.Sprintf("aggjoin%d", k), matched, specs[k:k+1], e.Opts.HashAggregation)
 	}
@@ -140,7 +139,7 @@ func (e *Engine) Plan(c *mapred.Cluster, ds *engine.Dataset, aq *algebra.Analyti
 // sources are reused read-only: DFS snapshots are immutable and
 // re-openable, so N queries can consume one materialised (or streamed)
 // match relation concurrently.
-func (e *Engine) compositeMatches(p *engine.Plan, c *mapred.Cluster, ds *engine.Dataset, cp *algebra.CompositePattern) (rapid.Input, error) {
+func (e *Engine) compositeMatches(p *engine.Plan, c *mapred.Cluster, ds *engine.Dataset, cp *algebra.CompositePattern) (tgops.Source, error) {
 	if e.SubResults == nil {
 		return e.planComposite(p, c, ds, cp)
 	}
@@ -148,18 +147,20 @@ func (e *Engine) compositeMatches(p *engine.Plan, c *mapred.Cluster, ds *engine.
 	if src, ok := e.SubResults.Get(key); ok {
 		sp := obs.StartChild(c.Context(), obs.KindPlanner, "cache-hit")
 		sp.End()
-		return rapid.Input{Src: src, Stage: -1}, nil
+		return src, nil
 	}
+	planned := len(p.Stages)
 	matched, err := e.planComposite(p, c, ds, cp)
-	if err != nil || matched.Stage < 0 {
+	if err != nil || len(p.Stages) == planned {
 		// A composite without joins is a scan of the stored triplegroups,
 		// which no cache entry would save.
 		return matched, err
 	}
-	last := &p.Stages[matched.Stage]
+	last := &p.Stages[len(p.Stages)-1]
 	last.Keep = true
-	last.After = func(_ context.Context, out string, m *mapred.Metrics) {
-		e.SubResults.Put(key, tgops.Source{Files: []string{out}, Dict: ds.Dict}, m.OutputBytes)
+	last.After = func(_ *mapred.Cluster, m *mapred.Metrics) error {
+		e.SubResults.Put(key, matched, m.OutputBytes)
+		return nil
 	}
 	return matched, nil
 }
@@ -178,7 +179,7 @@ func compositeKey(ds *engine.Dataset, cp *algebra.CompositePattern, o Options) s
 
 // planComposite plans the composite graph pattern: TG_OptGrpFilter scans
 // per composite star, then the α-Join chain.
-func (e *Engine) planComposite(p *engine.Plan, c *mapred.Cluster, ds *engine.Dataset, cp *algebra.CompositePattern) (rapid.Input, error) {
+func (e *Engine) planComposite(p *engine.Plan, c *mapred.Cluster, ds *engine.Dataset, cp *algebra.CompositePattern) (tgops.Source, error) {
 	scans := make([]tgops.Source, len(cp.Stars))
 	for i, cs := range cp.Stars {
 		scans[i] = compositeStarScan(ds, i, cs, cp, e.Opts.InputPruning)
@@ -192,7 +193,7 @@ func (e *Engine) planComposite(p *engine.Plan, c *mapred.Cluster, ds *engine.Dat
 	order, err := algebra.JoinOrderCost(len(cp.Stars), cp.Joins, est)
 	ps.End()
 	if err != nil {
-		return rapid.Input{}, err
+		return tgops.Source{}, err
 	}
 	alphaCP := cp
 	if !e.Opts.AlphaFiltering {

@@ -72,7 +72,20 @@ type Engine interface {
 // in rdf.Term.Key form, aggregate and expression columns in lexical form.
 type Result struct {
 	Columns []string      // column names in projection order
+	Keys    []bool        // per column: its values are rdf.Term.Key values
 	Rows    []codec.Tuple // one tuple per result row
+}
+
+// NewResult returns the query's empty result table: a projected column
+// holds term keys when it is some subquery's grouping variable.
+func NewResult(aq *algebra.AnalyticalQuery) *Result {
+	res := &Result{Columns: aq.OutputColumns(), Keys: make([]bool, len(aq.Projection))}
+	for i, pi := range aq.Projection {
+		res.Keys[i] = pi.Expr == nil && slices.ContainsFunc(aq.Subqueries, func(sq *algebra.Subquery) bool {
+			return slices.Contains(sq.GroupBy, pi.Var)
+		})
+	}
+	return res
 }
 
 // Canonical returns the rows rendered as sorted strings, for set
@@ -119,7 +132,7 @@ func (r *Result) Pretty() string {
 	for i, row := range r.Rows {
 		cells := make([]string, len(row))
 		for j, v := range row {
-			cells[j] = Display(v)
+			cells[j] = r.Display(j, v)
 			if j < len(widths) && len(cells[j]) > widths[j] {
 				widths[j] = len(cells[j])
 			}
@@ -146,34 +159,31 @@ func (r *Result) Pretty() string {
 	return b.String()
 }
 
-// Display strips the term-key tag from a value for human consumption.
-func Display(v string) string {
-	if algebra.IsNull(v) {
+// Display renders value v of column j for human consumption: NULL as
+// "NULL", a term key (Keys[j]) without its tag, and a lexical value as it
+// is.
+func (r *Result) Display(j int, v string) string {
+	switch {
+	case algebra.IsNull(v):
 		return "NULL"
-	}
-	if len(v) > 0 && (v[0] == 'I' || v[0] == 'L' || v[0] == 'B') {
-		// Term keys always carry a tag; lexical aggregate values never
-		// start with I/L/B followed by content that came from Term.Key.
-		// Only strip when the remainder looks like a term (IRIs contain
-		// '/' or ':'; literals are stripped unconditionally for 'L').
-		if v[0] == 'L' || v[0] == 'B' || strings.ContainsAny(v[1:], "/:#") {
-			return v[1:]
-		}
+	case j < len(r.Keys) && r.Keys[j] && v != "":
+		return v[1:]
 	}
 	return v
 }
 
-// ReadResult loads a DFS file of codec.Tuple records as a result table. The
-// file's fields decode into one flat slice, and each row is a capped
-// sub-slice of it.
-func ReadResult(fs *dfs.FS, file string, columns []string) (*Result, error) {
+// ReadResult loads a DFS file of codec.Tuple records as the query's result
+// table (NewResult). The file's fields decode into one flat slice, and
+// each row is a capped sub-slice of it.
+func ReadResult(fs *dfs.FS, file string, aq *algebra.AnalyticalQuery) (*Result, error) {
 	f, err := fs.Open(file)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	res := NewResult(aq)
 	// Rows are as wide as the columns, so the flat slice is sized once.
-	fields := make(codec.Tuple, 0, f.NumRecords()*len(columns))
+	fields := make(codec.Tuple, 0, f.NumRecords()*len(res.Columns))
 	ends := make([]int, 0, f.NumRecords())
 	it := f.Records(0)
 	for it.Next() {
@@ -185,7 +195,8 @@ func ReadResult(fs *dfs.FS, file string, columns []string) (*Result, error) {
 	if err := it.Err(); err != nil {
 		return nil, fmt.Errorf("engine: reading %s: %w", file, err)
 	}
-	return &Result{Columns: columns, Rows: splitRows(fields, ends)}, nil
+	res.Rows = splitRows(fields, ends)
+	return res, nil
 }
 
 // splitRows cuts a flat field slice into rows, row i ending at ends[i];

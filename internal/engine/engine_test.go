@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -85,23 +86,47 @@ func TestResultEqualDiff(t *testing.T) {
 	}
 }
 
+// Display decides by column: a key column loses its tag, a lexical
+// column keeps its first byte whatever it is, and NULL is NULL in both.
 func TestDisplay(t *testing.T) {
-	cases := map[string]string{
-		"Ihttp://e/x": "http://e/x",
-		"LUK":         "UK",
-		"42":          "42",
-		algebra.Null:  "NULL",
-		"B_b1":        "_b1",
+	r := &Result{Columns: []string{"k", "v"}, Keys: []bool{true, false}}
+	cases := []struct {
+		col      int
+		in, want string
+	}{
+		{0, "Ihttp://e/x", "http://e/x"},
+		{0, "Iabc", "abc"},
+		{0, "LUK", "UK"},
+		{0, "B_b1", "_b1"},
+		{0, algebra.Null, "NULL"},
+		{1, "42", "42"},
+		{1, "London", "London"},
+		{1, "Lima", "Lima"},
+		{1, "Ihttp://e/x", "Ihttp://e/x"},
+		{1, algebra.Null, "NULL"},
 	}
-	for in, want := range cases {
-		if got := Display(in); got != want {
-			t.Errorf("Display(%q) = %q, want %q", in, got, want)
+	for _, c := range cases {
+		if got := r.Display(c.col, c.in); got != c.want {
+			t.Errorf("Display(%d, %q) = %q, want %q", c.col, c.in, got, c.want)
 		}
 	}
 }
 
+// NewResult marks exactly the projected grouping variables as key
+// columns: aggregates and expressions are lexical.
+func TestNewResultKeys(t *testing.T) {
+	aq := mustAQ(t, `PREFIX e: <http://e/>
+SELECT ?g ?n ((?n * 2) AS ?d) {
+  { SELECT ?g (COUNT(?x) AS ?n) { ?s e:g ?g ; e:x ?x . } GROUP BY ?g }
+}`)
+	res := NewResult(aq)
+	if !slices.Equal(res.Keys, []bool{true, false, false}) {
+		t.Errorf("Keys = %v for columns %v", res.Keys, res.Columns)
+	}
+}
+
 func TestPretty(t *testing.T) {
-	r := &Result{Columns: []string{"country", "cnt"}, Rows: []codec.Tuple{{"LUK", "10"}, {"LDE", "3"}}}
+	r := &Result{Columns: []string{"country", "cnt"}, Keys: []bool{true, false}, Rows: []codec.Tuple{{"LUK", "10"}, {"LDE", "3"}}}
 	out := r.Pretty()
 	if !strings.Contains(out, "country") || !strings.Contains(out, "UK") {
 		t.Errorf("Pretty = %q", out)
@@ -120,7 +145,7 @@ func TestFinalJoinJobCrossJoin(t *testing.T) {
 	if _, err := c.Run(FinalJoinJob(aq, []string{"sub0", "sub1"}, "out")); err != nil {
 		t.Fatal(err)
 	}
-	res, err := ReadResult(c.FS, "out", aq.OutputColumns())
+	res, err := ReadResult(c.FS, "out", aq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +171,7 @@ func TestTaggedFinalJoinJob(t *testing.T) {
 	if !m.MapOnly {
 		t.Error("tagged final join should be map-only")
 	}
-	res, err := ReadResult(c.FS, "out", aq.OutputColumns())
+	res, err := ReadResult(c.FS, "out", aq)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,21 +1,21 @@
 package engine
 
 import (
-	"context"
 	"fmt"
 	"slices"
 	"sync/atomic"
 
 	"rapidanalytics/internal/algebra"
+	"rapidanalytics/internal/dfs"
 	"rapidanalytics/internal/mapred"
 )
 
 // An engine's evaluation of a query is data: a Plan lists the MapReduce
-// cycles (stages) in execution order and the earlier outputs each one
-// reads. Engines build plans without running anything (Engine.Plan);
-// Execute is the one executor. It names every output, decides which ones
-// stream — an output streams exactly when one later stage reads it — runs
-// the stages, and deletes the intermediates.
+// cycles (stages) in execution order, each with its output path, named by
+// Plan.Add, and the files its job reads. Engines build plans without
+// running anything (Engine.Plan). Execute is the one executor: it decides
+// which outputs stream — exactly those one later stage reads — runs the
+// stages and their hooks, and deletes the intermediates.
 
 // Stage is one MapReduce cycle of a plan.
 type Stage struct {
@@ -23,166 +23,154 @@ type Stage struct {
 	Name string
 	// Op labels the stage's operator.
 	Op string
-	// Reads lists the earlier stages whose outputs the job reads.
-	Reads []int
+	// Out is the stage's output path, named by Plan.Add.
+	Out string
+	// Reads lists the files the job reads: earlier outputs, whose readers
+	// the executor counts, and stored files, which match no output.
+	Reads []string
 	// Keep exempts the output from deletion once the stage has run: the
 	// file outlives the execution.
 	Keep bool
-	// Job builds the stage's job when the stage runs. paths[i] is stage
-	// i's output path; out, the stage's own, is the job's Output.
-	Job func(paths []string, out string) *mapred.Job
-	// After, when set, runs after the job with its output and metrics. It
-	// may change what the remaining stages' Job functions build, never
-	// the stages themselves.
-	After func(ctx context.Context, out string, m *mapred.Metrics)
+	// Job returns the stage's job when the stage runs; out, the stage's
+	// output path, is the job's Output.
+	Job func(out string) *mapred.Job
+	// After, when set, runs after the job with its metrics, and an error
+	// fails the execution. It may change what the remaining stages' Job
+	// functions build, never the stages themselves.
+	After func(c *mapred.Cluster, m *mapred.Metrics) error
 }
 
-// Plan is the ordered stages of one query's evaluation.
+// Plan is the ordered stages of one query's evaluation. The zero Plan is
+// ready to use.
 type Plan struct {
 	// Stages are the plan's cycles in execution order.
 	Stages []Stage
-	// aggs are the stages whose outputs hold the subqueries' aggregated
-	// rows, in either layout (defaults.go); finish is the first stage after
-	// them, and result the stage whose output is the query's result.
-	aggs           []int
-	finish, result int
+	// prefix is the plan's output directory, taken by the first Add;
+	// result is the query's result path, set by Finish.
+	prefix, result string
 }
 
-// Add appends a stage and returns its index.
-func (p *Plan) Add(s Stage) int {
+// executions numbers plans, giving each its own output prefix.
+var executions atomic.Int64
+
+// Add appends a stage, names its output under the plan's prefix and
+// returns that path.
+func (p *Plan) Add(s Stage) string {
+	if p.prefix == "" {
+		p.prefix = fmt.Sprintf("tmp/%d", executions.Add(1))
+	}
+	s.Out = fmt.Sprintf("%s/%02d-%s", p.prefix, len(p.Stages)+1, s.Name)
 	p.Stages = append(p.Stages, s)
-	return len(p.Stages) - 1
+	return s.Out
 }
 
 // Finish ends the plan with the shared finish path over the aggregation
-// stages aggs: the map-only join of their rows when the query has more
+// outputs aggs: the map-only join of their rows when the query has more
 // than one subquery, then the total-order cycle (SortJob) when it has
-// ORDER BY or LIMIT. Before those run, the executor repairs the GROUP BY
-// ALL groups of the aggregated rows (defaults.go). A single-subquery query
-// needs no join: its aggregate's column order is already the query's
-// projection.
-func (p *Plan) Finish(aq *algebra.AnalyticalQuery, aggs ...int) {
-	p.aggs, p.finish, p.result = aggs, len(p.Stages), aggs[0]
+// ORDER BY or LIMIT. The GROUP BY ALL groups of the aggregated rows are
+// repaired (defaults.go) by a hook on the last stage added before Finish,
+// after any hook that stage has. A single-subquery query needs no join:
+// its aggregate's column order is already the query's projection.
+func (p *Plan) Finish(aq *algebra.AnalyticalQuery, aggs ...string) {
+	last := &p.Stages[len(p.Stages)-1]
+	after := last.After
+	last.After = func(c *mapred.Cluster, m *mapred.Metrics) error {
+		if after != nil {
+			if err := after(c, m); err != nil {
+				return err
+			}
+		}
+		if err := EnsureDefaultRows(c.FS, aggs, aq); err != nil {
+			return err
+		}
+		return ApplyGroupByAllHaving(c.FS, aggs, aq)
+	}
+	p.result = aggs[0]
 	if len(aq.Subqueries) > 1 {
 		p.result = p.Add(Stage{Name: "final", Op: "final-join", Reads: aggs,
-			Job: func(paths []string, out string) *mapred.Job {
-				return FinalJoinJob(aq, pick(paths, aggs), out)
-			}})
+			Job: func(out string) *mapred.Job { return FinalJoinJob(aq, aggs, out) }})
 	}
 	if aq.Sorted() {
 		in := p.result
-		p.result = p.Add(Stage{Name: "sorted", Op: "order-by", Reads: []int{in},
-			Job: func(paths []string, out string) *mapred.Job {
-				return SortJob(aq, paths[in], out)
-			}})
+		p.result = p.Add(Stage{Name: "sorted", Op: "order-by", Reads: []string{in},
+			Job: func(out string) *mapred.Job { return SortJob(aq, in, out) }})
 	}
 }
-
-// pick returns the paths of the given stages.
-func pick(paths []string, stages []int) []string {
-	out := make([]string, len(stages))
-	for i, s := range stages {
-		out[i] = paths[s]
-	}
-	return out
-}
-
-// executions numbers executions, giving each its own output prefix.
-var executions atomic.Int64
 
 // Execute plans the query with e, runs the plan on c and reads the result.
-// Every output is named under one per-execution prefix; an output streams
-// (mapred.Job.StreamOutput) exactly when one later stage reads it. When
-// the execution ends, on success and on error alike, every output is
-// deleted but those of kept stages that ran; a failed delete fails the
-// execution unless it had already failed.
+// An output streams (mapred.Job.StreamOutput) exactly when one later stage
+// reads it. When the execution ends, on success and on error alike, every
+// output is deleted but those of kept stages that ran; a failed delete
+// fails the execution unless it had already failed.
 func Execute(c *mapred.Cluster, ds *Dataset, e Engine, aq *algebra.AnalyticalQuery) (*Result, *mapred.WorkflowMetrics, error) {
 	p, err := e.Plan(c, ds, aq)
 	if err != nil {
 		return nil, nil, err
 	}
-	x := &execution{c: c, p: p, wm: &mapred.WorkflowMetrics{}, paths: make([]string, len(p.Stages))}
-	prefix := fmt.Sprintf("tmp/%d", executions.Add(1))
-	for i, st := range p.Stages {
-		x.paths[i] = fmt.Sprintf("%s/%02d-%s", prefix, i+1, st.Name)
-	}
-	res, err := x.run(aq)
-	if derr := x.deleteIntermediates(); derr != nil && err == nil {
+	wm := &mapred.WorkflowMetrics{}
+	res, err := p.run(c, wm, aq)
+	if derr := p.deleteIntermediates(c.FS, len(wm.Jobs)); derr != nil && err == nil {
 		res, err = nil, derr
 	}
-	return res, x.wm, err
+	return res, wm, err
 }
 
-// execution is one run of a plan.
-type execution struct {
-	c     *mapred.Cluster
-	p     *Plan
-	wm    *mapred.WorkflowMetrics
-	paths []string // every stage's output path
-	ran   int      // stages that have run successfully
-}
-
-func (x *execution) run(aq *algebra.AnalyticalQuery) (*Result, error) {
-	readers := make([]int, len(x.p.Stages))
-	for _, st := range x.p.Stages {
+// run runs the stages on c, appending each job's metrics to wm, and reads
+// the result.
+func (p *Plan) run(c *mapred.Cluster, wm *mapred.WorkflowMetrics, aq *algebra.AnalyticalQuery) (*Result, error) {
+	readers := map[string]int{}
+	for _, st := range p.Stages {
 		for _, r := range st.Reads {
 			readers[r]++
 		}
 	}
-	for i, st := range x.p.Stages {
-		if i == x.p.finish {
-			if err := x.repair(aq); err != nil {
-				return nil, err
-			}
+	for _, st := range p.Stages {
+		job := st.Job(st.Out)
+		if err := p.checkReads(st, job); err != nil {
+			return nil, err
 		}
-		job := st.Job(x.paths, x.paths[i])
-		// The stream decision relies on Reads: a read it misses fails.
-		for _, in := range slices.Concat(job.Inputs, job.SideInputs) {
-			if s := slices.Index(x.paths[:i], in); s >= 0 && !slices.Contains(st.Reads, s) {
-				return nil, fmt.Errorf("engine: stage %s reads %s without listing stage %d", st.Name, in, s)
-			}
-		}
-		job.StreamOutput = readers[i] == 1
-		m, err := x.c.Run(job)
+		job.StreamOutput = readers[st.Out] == 1
+		m, err := c.Run(job)
 		if err != nil {
 			return nil, err
 		}
-		x.wm.Jobs = append(x.wm.Jobs, m)
-		x.ran++
+		wm.Jobs = append(wm.Jobs, m)
 		if st.After != nil {
-			st.After(x.c.Context(), x.paths[i], m)
+			if err := st.After(c, m); err != nil {
+				return nil, err
+			}
 		}
 	}
-	if x.p.finish == len(x.p.Stages) {
-		if err := x.repair(aq); err != nil {
-			return nil, err
+	return ReadResult(c.FS, p.result, aq)
+}
+
+// checkReads fails unless the plan outputs job reads are exactly those st
+// lists: the stream decision counts the lists.
+func (p *Plan) checkReads(st Stage, job *mapred.Job) error {
+	ins := slices.Concat(job.Inputs, job.SideInputs)
+	for _, o := range p.Stages {
+		switch read, listed := slices.Contains(ins, o.Out), slices.Contains(st.Reads, o.Out); {
+		case read && !listed:
+			return fmt.Errorf("engine: stage %s reads %s without listing it", st.Name, o.Out)
+		case listed && !read:
+			return fmt.Errorf("engine: stage %s lists %s but does not read it", st.Name, o.Out)
 		}
 	}
-	return ReadResult(x.c.FS, x.paths[x.p.result], aq.OutputColumns())
+	return nil
 }
 
-// repair applies the finish path's GROUP BY ALL repairs to the
-// aggregation stages' outputs, rewriting a file when it changes.
-func (x *execution) repair(aq *algebra.AnalyticalQuery) error {
-	files := pick(x.paths, x.p.aggs)
-	if err := EnsureDefaultRows(x.c.FS, files, aq); err != nil {
-		return err
-	}
-	return ApplyGroupByAllHaving(x.c.FS, files, aq)
-}
-
-// deleteIntermediates deletes the output of every stage that started,
-// except kept stages that ran, returning the first failure (with the path
-// named) after attempting the rest. Deleting an output its job never
-// wrote is a no-op.
-func (x *execution) deleteIntermediates() error {
+// deleteIntermediates deletes the output of every stage that started —
+// the ran stages that ran and the one after them — except kept stages
+// that ran, returning the first failure (with the path named) after
+// attempting the rest. Deleting an output its job never wrote is a no-op.
+func (p *Plan) deleteIntermediates(fs *dfs.FS, ran int) error {
 	var first error
-	for i, p := range x.paths[:min(x.ran+1, len(x.paths))] {
-		if x.p.Stages[i].Keep && i < x.ran {
+	for i, st := range p.Stages[:min(ran+1, len(p.Stages))] {
+		if st.Keep && i < ran {
 			continue
 		}
-		if err := x.c.FS.Delete(p); err != nil && first == nil {
-			first = fmt.Errorf("engine: deleting %s: %w", p, err)
+		if err := fs.Delete(st.Out); err != nil && first == nil {
+			first = fmt.Errorf("engine: deleting %s: %w", st.Out, err)
 		}
 	}
 	return first

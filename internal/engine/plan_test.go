@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -38,15 +37,15 @@ func copyJob(name, in, out string) *mapred.Job {
 
 // load is a stage copying the stored file name.
 func load(name string) Stage {
-	return Stage{Name: name, Op: "copy", Job: func(_ []string, out string) *mapred.Job {
+	return Stage{Name: name, Op: "copy", Job: func(out string) *mapred.Job {
 		return copyJob(name, name, out)
 	}}
 }
 
-// copyOf is a stage copying stage from's output.
-func copyOf(name string, from int) Stage {
-	return Stage{Name: name, Op: "copy", Reads: []int{from}, Job: func(paths []string, out string) *mapred.Job {
-		return copyJob(name, paths[from], out)
+// copyOf is a stage copying the earlier output from.
+func copyOf(name, from string) Stage {
+	return Stage{Name: name, Op: "copy", Reads: []string{from}, Job: func(out string) *mapred.Job {
+		return copyJob(name, from, out)
 	}}
 }
 
@@ -54,7 +53,7 @@ func copyOf(name string, from int) Stage {
 // a stage of its own.
 func finish(c *mapred.Cluster, aq *algebra.AnalyticalQuery, files []string) (*Result, *mapred.WorkflowMetrics, error) {
 	return Execute(c, nil, planned(func(p *Plan) {
-		aggs := make([]int, len(files))
+		aggs := make([]string, len(files))
 		for i, f := range files {
 			aggs[i] = p.Add(load(f))
 		}
@@ -87,10 +86,10 @@ func TestStreamIffOneReader(t *testing.T) {
 	writeRecs(t, c.FS, "in", codec.Tuple{"Ig1", "3"}.Encode())
 	aq := mustAQ(t, oneGrouped)
 	res, wm, err := Execute(c, nil, planned(func(p *Plan) {
-		p.Add(load("in"))     // 0: read by 1
-		p.Add(copyOf("a", 0)) // 1: read by 2 and 3
-		p.Add(copyOf("b", 1)) // 2: read by none
-		p.Finish(aq, p.Add(copyOf("c", 1)))
+		in := p.Add(load("in"))     // read by a
+		a := p.Add(copyOf("a", in)) // read by b and c
+		p.Add(copyOf("b", a))       // read by none
+		p.Finish(aq, p.Add(copyOf("c", a)))
 	}), aq)
 	if err != nil {
 		t.Fatal(err)
@@ -116,9 +115,8 @@ func TestKeptOutputSurvives(t *testing.T) {
 	_, wm, err := Execute(c, nil, planned(func(p *Plan) {
 		st := load("in")
 		st.Keep = true
-		st.After = func(_ context.Context, out string, _ *mapred.Metrics) { kept = out }
-		p.Add(st)
-		p.Finish(aq, p.Add(copyOf("a", 0)))
+		kept = p.Add(st)
+		p.Finish(aq, p.Add(copyOf("a", kept)))
 	}), aq)
 	if err != nil {
 		t.Fatal(err)
@@ -143,14 +141,18 @@ func TestHookReordersStages(t *testing.T) {
 	_, wm, err := Execute(c, nil, planned(func(pl *Plan) {
 		p = pl
 		first := load("in")
-		first.After = func(context.Context, string, *mapred.Metrics) { names[0], names[1] = names[1], names[0] }
-		pl.Add(first)
-		for i := range names {
-			st := copyOf(fmt.Sprint(i), i)
-			st.Job = func(paths []string, out string) *mapred.Job { return copyJob(names[i], paths[i], out) }
-			pl.Add(st)
+		first.After = func(*mapred.Cluster, *mapred.Metrics) error {
+			names[0], names[1] = names[1], names[0]
+			return nil
 		}
-		pl.Finish(aq, 2)
+		from := pl.Add(first)
+		for i := range names {
+			in := from
+			st := copyOf(fmt.Sprint(i), in)
+			st.Job = func(out string) *mapred.Job { return copyJob(names[i], in, out) }
+			from = pl.Add(st)
+		}
+		pl.Finish(aq, from)
 	}), aq)
 	if err != nil {
 		t.Fatal(err)
@@ -172,12 +174,11 @@ func TestFailedStageDeletesIntermediates(t *testing.T) {
 	aq := mustAQ(t, oneGrouped)
 	boom := errors.New("boom")
 	_, _, err := Execute(c, nil, planned(func(p *Plan) {
-		p.Add(load("in"))
-		p.Add(copyOf("a", 0))
-		bad := copyOf("bad", 1)
+		a := p.Add(copyOf("a", p.Add(load("in"))))
+		bad := copyOf("bad", a)
 		bad.Keep = true
-		bad.Job = func(paths []string, out string) *mapred.Job {
-			job := copyJob("bad", paths[1], out)
+		bad.Job = func(out string) *mapred.Job {
+			job := copyJob("bad", a, out)
 			job.NewMapper = func(*mapred.TaskContext) mapred.Mapper {
 				return mapred.MapperFunc(func([]byte, mapred.Emit) error { return boom })
 			}
@@ -191,19 +192,77 @@ func TestFailedStageDeletesIntermediates(t *testing.T) {
 	checkClean(t, c, 0)
 }
 
+// A hook's error fails the execution: no later stage runs, and the
+// intermediates go.
+func TestHookErrorFailsExecution(t *testing.T) {
+	c := mapred.NewCluster(mapred.DefaultConfig())
+	writeRecs(t, c.FS, "in", codec.Tuple{"Ig1", "3"}.Encode())
+	aq := mustAQ(t, oneGrouped)
+	boom := errors.New("boom")
+	_, wm, err := Execute(c, nil, planned(func(p *Plan) {
+		st := load("in")
+		st.After = func(*mapred.Cluster, *mapred.Metrics) error { return boom }
+		p.Finish(aq, p.Add(copyOf("a", p.Add(st))))
+	}), aq)
+	if !errors.Is(err, boom) {
+		t.Errorf("err = %v, want the hook's", err)
+	}
+	if wm.Cycles() != 1 {
+		t.Errorf("%d cycles ran, want 1", wm.Cycles())
+	}
+	checkClean(t, c, 0)
+}
+
+// Finish attaches the GROUP BY ALL repair to the last stage without
+// dropping that stage's own hook, which runs first.
+func TestFinishKeepsStageHook(t *testing.T) {
+	c := mapred.NewCluster(mapred.DefaultConfig())
+	writeRecs(t, c.FS, "empty")
+	aq := mustAQ(t, `PREFIX e: <http://e/>
+SELECT (COUNT(?x) AS ?n) { ?s e:x ?x . }`)
+	// The hook counts the output's records: none, as the repair has not run.
+	records := -1
+	res, _, err := Execute(c, nil, planned(func(p *Plan) {
+		st := load("empty")
+		var out string
+		st.After = func(c *mapred.Cluster, _ *mapred.Metrics) error {
+			f, err := c.FS.Open(out)
+			if err != nil {
+				return err
+			}
+			defer f.Close()
+			records = f.NumRecords()
+			return nil
+		}
+		out = p.Add(st)
+		p.Finish(aq, out)
+	}), aq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if records != 0 {
+		t.Errorf("the stage's own hook saw %d records, want 0 before the repair", records)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0] != "0" {
+		t.Errorf("rows = %v, want the GROUP BY ALL default row", res.Rows)
+	}
+	checkClean(t, c, 0)
+}
+
 // A stage that reads an earlier output it does not list fails before it
 // runs: the stream decision relies on the lists.
 func TestUnlistedReadRejected(t *testing.T) {
 	c := mapred.NewCluster(mapred.DefaultConfig())
 	writeRecs(t, c.FS, "in", codec.Tuple{"Ig1", "3"}.Encode())
 	aq := mustAQ(t, oneGrouped)
+	var in string
 	_, wm, err := Execute(c, nil, planned(func(p *Plan) {
-		p.Add(load("in"))
-		st := copyOf("a", 0)
+		in = p.Add(load("in"))
+		st := copyOf("a", in)
 		st.Reads = nil
 		p.Finish(aq, p.Add(st))
 	}), aq)
-	if err == nil || !strings.Contains(err.Error(), "without listing stage 0") {
+	if err == nil || !strings.Contains(err.Error(), "stage a reads "+in+" without listing it") {
 		t.Errorf("err = %v, want the unlisted read named", err)
 	}
 	if wm.Cycles() != 1 {
@@ -212,7 +271,33 @@ func TestUnlistedReadRejected(t *testing.T) {
 	checkClean(t, c, 0)
 }
 
-// Two executions never share an output path.
+// A stage that lists an earlier output its job never reads fails before
+// it runs: the listing would count a reader that is not there, and the
+// output, read by one stage, would be written instead of streamed.
+func TestUnreadListingRejected(t *testing.T) {
+	c := mapred.NewCluster(mapred.DefaultConfig())
+	writeRecs(t, c.FS, "in", codec.Tuple{"Ig1", "3"}.Encode())
+	aq := mustAQ(t, oneGrouped)
+	var a string
+	_, wm, err := Execute(c, nil, planned(func(p *Plan) {
+		in := p.Add(load("in"))
+		a = p.Add(copyOf("a", in))
+		st := copyOf("b", in)
+		st.Reads = []string{in, a}
+		p.Add(st)
+		p.Finish(aq, p.Add(copyOf("c", a)))
+	}), aq)
+	if err == nil || !strings.Contains(err.Error(), "stage b lists "+a+" but does not read it") {
+		t.Errorf("err = %v, want the unread listing named", err)
+	}
+	if wm.Cycles() != 2 {
+		t.Errorf("%d cycles ran, want 2", wm.Cycles())
+	}
+	checkClean(t, c, 0)
+}
+
+// Two plans never share an output path, and Add returns the path it
+// names.
 func TestExecutionPathsUnique(t *testing.T) {
 	c := mapred.NewCluster(mapred.DefaultConfig())
 	writeRecs(t, c.FS, "in", codec.Tuple{"Ig1", "3"}.Encode())
@@ -220,9 +305,12 @@ func TestExecutionPathsUnique(t *testing.T) {
 	var outs []string
 	for range 2 {
 		if _, _, err := Execute(c, nil, planned(func(p *Plan) {
-			st := load("in")
-			st.After = func(_ context.Context, out string, _ *mapred.Metrics) { outs = append(outs, out) }
-			p.Finish(aq, p.Add(st))
+			out := p.Add(load("in"))
+			p.Finish(aq, out)
+			if p.Stages[0].Out != out {
+				t.Errorf("Add returned %q, the stage's output is %q", out, p.Stages[0].Out)
+			}
+			outs = append(outs, p.Stages[0].Out)
 		}), aq); err != nil {
 			t.Fatal(err)
 		}

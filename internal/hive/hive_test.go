@@ -1,6 +1,8 @@
 package hive
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -394,6 +396,60 @@ func TestMapJoinFailsOnUndecodableSideRecord(t *testing.T) {
 			case tc.corrupt && (err == nil || !strings.Contains(err.Error(), "broadcast side side")):
 				t.Errorf("%s (star %v): error %v, want one naming the side file", tc.name, star, err)
 			}
+		}
+	}
+}
+
+// Every Hive stage's job is built once, at plan time: the stage returns
+// that one job on every call, writing the path Add named and reading the
+// files the stage lists.
+func TestStageJobsBuiltAtPlanTime(t *testing.T) {
+	g := &rdf.Graph{}
+	e := func(n string) rdf.Term { return rdf.NewIRI("http://e/" + n) }
+	for i := range 4 {
+		s := e(fmt.Sprint("s", i))
+		g.Add(rdf.T(s, e("g"), e(fmt.Sprint("g", i%2))), rdf.T(s, e("x"), rdf.NewLiteral(fmt.Sprint(i))))
+		if i%2 == 0 {
+			g.Add(rdf.T(s, e("y"), rdf.NewLiteral("y")))
+		}
+	}
+	c := newCluster()
+	ds, err := engine.Load(c, "t", rdf.Intern(g, rdf.NewDict()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	aq, err := algebra.Build(sparql.MustParse(`PREFIX e: <http://e/>
+SELECT ?g ?n ?m {
+  { SELECT ?g (COUNT(?x) AS ?n) { ?s e:g ?g ; e:x ?x . } GROUP BY ?g }
+  { SELECT ?g (COUNT(?y) AS ?m) { ?s e:g ?g ; e:x ?x ; e:y ?y . } GROUP BY ?g }
+} ORDER BY ?g`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eng := range []engine.Engine{NewNaive(), NewMQO()} {
+		p, err := eng.Plan(c, ds, aq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hive := 0
+		for _, st := range p.Stages {
+			if st.Op == "final-join" || st.Op == "order-by" {
+				continue // the engine package's finish path
+			}
+			hive++
+			job := st.Job(st.Out)
+			if again := st.Job(st.Out); again != job {
+				t.Errorf("%s: stage %s built its job twice", eng.Name(), st.Name)
+			}
+			if job.Output != st.Out {
+				t.Errorf("%s: stage %s writes %s, Add named %s", eng.Name(), st.Name, job.Output, st.Out)
+			}
+			if reads := slices.Concat(job.Inputs, job.SideInputs); !slices.Equal(st.Reads, reads) {
+				t.Errorf("%s: stage %s lists %v, its job reads %v", eng.Name(), st.Name, st.Reads, reads)
+			}
+		}
+		if hive < 2 {
+			t.Errorf("%s: %d Hive stages, want several", eng.Name(), hive)
 		}
 	}
 }

@@ -54,9 +54,9 @@ func (h *MQO) Plan(c *mapred.Cluster, ds *engine.Dataset, aq *algebra.Analytical
 	if err != nil {
 		return nil, err
 	}
-	aggs := make([]int, len(aq.Subqueries))
+	aggs := make([]string, len(aq.Subqueries))
 	for k, sq := range aq.Subqueries {
-		aggs[k] = pl.aggregatePattern(cp, cols, compRel, sq, k).stage
+		aggs[k] = pl.aggregatePattern(cp, cols, compRel, sq, k).file
 	}
 	pl.Finish(aq, aggs...)
 	return pl.Plan, nil
@@ -134,8 +134,8 @@ func (pl *planner) aggregatePattern(cp *algebra.CompositePattern, cols [][]strin
 	in := compRel
 	if cp.NeedsDistinct(k) {
 		name, distinctCols, filter := fmt.Sprintf("gp%d-distinct", k), patternColumns(cp, cols, k), valid
-		in = pl.add(name, "distinct", []*rel{compRel}, func(in []*rel, output string) (*mapred.Job, *rel) {
-			return distinctJob(name, in[0], distinctCols, filter, output)
+		in = pl.add(name, "distinct", func(output string) (*mapred.Job, *rel) {
+			return distinctJob(name, compRel, distinctCols, filter, output)
 		})
 		valid = nil // already applied
 	}

@@ -2,6 +2,7 @@ package hive
 
 import (
 	"fmt"
+	"slices"
 
 	"rapidanalytics/internal/algebra"
 	"rapidanalytics/internal/codec"
@@ -33,14 +34,14 @@ func (h *Naive) Name() string { return "Hive (Naive)" }
 // Plan implements engine.Engine.
 func (h *Naive) Plan(c *mapred.Cluster, ds *engine.Dataset, aq *algebra.AnalyticalQuery) (*engine.Plan, error) {
 	pl := &planner{Plan: &engine.Plan{}, c: c, conf: h.Conf}
-	aggs := make([]int, len(aq.Subqueries))
+	aggs := make([]string, len(aq.Subqueries))
 	for k, sq := range aq.Subqueries {
 		patRel, err := pl.pattern(ds, sq, fmt.Sprintf("gp%d", k))
 		if err != nil {
 			return nil, err
 		}
 		aggs[k] = pl.groupAgg(fmt.Sprintf("gp%d-agg", k), fmt.Sprintf("gp%d-groupagg", k),
-			patRel, sq.GroupBy, sq.Aggs, nil, sq.GroupedHaving()).stage
+			patRel, sq.GroupBy, sq.Aggs, nil, sq.GroupedHaving()).file
 	}
 	pl.Finish(aq, aggs...)
 	return pl.Plan, nil
@@ -172,28 +173,14 @@ type planner struct {
 	conf Config
 }
 
-// add appends the stage whose job build makes over ins and returns the
-// stage's output relation. build runs once now, with no output named, for
-// the output's schema, and again when the stage runs, with the inputs
-// that are earlier outputs resolved to their paths.
-func (pl *planner) add(name, op string, ins []*rel, build func(ins []*rel, output string) (*mapred.Job, *rel)) *rel {
-	var reads []int
-	for _, r := range ins {
-		if r.file == "" {
-			reads = append(reads, r.stage)
-		}
-	}
-	_, out := build(ins, "")
-	out.stage = pl.Add(engine.Stage{Name: name, Op: op, Reads: reads,
-		Job: func(paths []string, output string) *mapred.Job {
-			bound := make([]*rel, len(ins))
-			for i, r := range ins {
-				bound[i] = r.at(paths)
-			}
-			job, _ := build(bound, output)
-			return job
-		}})
-	return out
+// add plans the job build makes, once, with the output path the plan
+// names, as a stage reading the job's files, and returns its relation.
+func (pl *planner) add(name, op string, build func(output string) (*mapred.Job, *rel)) *rel {
+	var job *mapred.Job
+	out := pl.Add(engine.Stage{Name: name, Op: op, Job: func(string) *mapred.Job { return job }})
+	job, r := build(out)
+	pl.Stages[len(pl.Stages)-1].Reads = slices.Concat(job.Inputs, job.SideInputs)
+	return r
 }
 
 // starJoin plans a star join over stored tables, choosing a map join when
@@ -209,7 +196,7 @@ func (pl *planner) starJoin(name string, inputs []*starInput, keep map[string]bo
 		}
 	}
 	if largest >= 0 && total-largest <= pl.conf.MapJoinBytes {
-		return pl.add(name, "star-map-join", nil, func(_ []*rel, output string) (*mapred.Job, *rel) {
+		return pl.add(name, "star-map-join", func(output string) (*mapred.Job, *rel) {
 			return starMapJoinJob(name, inputs, driving, keep, output, store.ORCCompressionRatio)
 		}), nil
 	}
@@ -223,7 +210,7 @@ func (pl *planner) starJoin(name string, inputs []*starInput, keep map[string]bo
 		}
 		seen[si.rel.file] = true
 	}
-	return pl.add(name, "star-join", nil, func(_ []*rel, output string) (*mapred.Job, *rel) {
+	return pl.add(name, "star-join", func(output string) (*mapred.Job, *rel) {
 		return starJoinJob(name, inputs, keep, output, store.ORCCompressionRatio)
 	}), nil
 }
@@ -238,16 +225,16 @@ func (pl *planner) join(name string, left, right *rel, leftCol, rightCol string,
 	rightSize := pl.conf.estimatedSize(pl.c, est.rightRows, len(right.cols))
 	switch {
 	case rightSize <= pl.conf.MapJoinBytes:
-		return pl.add(name, "map-join", []*rel{left, right}, func(in []*rel, output string) (*mapred.Job, *rel) {
-			return mapJoinJob(name, in[0], in[1], leftCol, rightCol, keep, output, store.ORCCompressionRatio)
+		return pl.add(name, "map-join", func(output string) (*mapred.Job, *rel) {
+			return mapJoinJob(name, left, right, leftCol, rightCol, keep, output, store.ORCCompressionRatio)
 		})
 	case leftSize <= pl.conf.MapJoinBytes:
-		return pl.add(name, "map-join", []*rel{left, right}, func(in []*rel, output string) (*mapred.Job, *rel) {
-			return mapJoinJob(name, in[1], in[0], rightCol, leftCol, keep, output, store.ORCCompressionRatio)
+		return pl.add(name, "map-join", func(output string) (*mapred.Job, *rel) {
+			return mapJoinJob(name, right, left, rightCol, leftCol, keep, output, store.ORCCompressionRatio)
 		})
 	}
-	return pl.add(name, "hash-join", []*rel{left, right}, func(in []*rel, output string) (*mapred.Job, *rel) {
-		job, out := joinJob(name, in[0], in[1], leftCol, rightCol, keep, output, store.ORCCompressionRatio)
+	return pl.add(name, "hash-join", func(output string) (*mapred.Job, *rel) {
+		job, out := joinJob(name, left, right, leftCol, rightCol, keep, output, store.ORCCompressionRatio)
 		job.Partitions = stats.PartitionsFor(est.outRows)
 		return job, out
 	})
@@ -255,7 +242,7 @@ func (pl *planner) join(name string, left, right *rel, leftCol, rightCol string,
 
 // groupAgg plans a grouping-aggregation cycle (groupAggJob) named job.
 func (pl *planner) groupAgg(name, job string, in *rel, groupCols []string, aggs []algebra.AggSpec, valid func(codec.Tuple) bool, having func([]string) bool) *rel {
-	return pl.add(name, "group-agg", []*rel{in}, func(in []*rel, output string) (*mapred.Job, *rel) {
-		return groupAggJob(job, in[0], groupCols, aggs, valid, having, output)
+	return pl.add(name, "group-agg", func(output string) (*mapred.Job, *rel) {
+		return groupAggJob(job, in, groupCols, aggs, valid, having, output)
 	})
 }

@@ -66,10 +66,9 @@ func (c Config) estimatedSize(cl *mapred.Cluster, rows float64, cols int) int64 
 // columns and no residual checks. A job compiles each rel it reads into a
 // scanPlan once (scan.go).
 type rel struct {
-	// file is the relation's DFS file; empty for the output of plan stage
-	// stage, whose path is named only when the plan runs (at).
-	file  string
-	stage int
+	// file is the relation's DFS file: a stored table or a plan stage's
+	// output.
+	file string
 	// cols names each raw tuple field; "" drops the field on scan.
 	cols []string
 	// consts are the constant-object checks; non-matching tuples are
@@ -82,17 +81,6 @@ type rel struct {
 	// constant checks to ID-strings too, so scans compare raw field bytes;
 	// filters decode through the dictionary before evaluation.
 	dict *rdf.Dict
-}
-
-// at returns the relation with its file named: the output of an earlier
-// stage resolves to its path among paths.
-func (r *rel) at(paths []string) *rel {
-	if r.file != "" {
-		return r
-	}
-	b := *r
-	b.file = paths[r.stage]
-	return &b
 }
 
 // materialized returns a rel describing a job output of ID-tuples with the

@@ -10,7 +10,6 @@
 package rapid
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -50,7 +49,7 @@ func (e *Engine) Plan(c *mapred.Cluster, ds *engine.Dataset, aq *algebra.Analyti
 // scans to matching equivalence classes.
 func PlanSequential(c *mapred.Cluster, ds *engine.Dataset, aq *algebra.AnalyticalQuery, hashAgg, prune bool) (*engine.Plan, error) {
 	p := &engine.Plan{}
-	aggs := make([]int, len(aq.Subqueries))
+	aggs := make([]string, len(aq.Subqueries))
 	for k, sq := range aq.Subqueries {
 		gp := sq.Pattern
 		src, err := matchPattern(p, c, ds, gp, fmt.Sprintf("gp%d", k), prune)
@@ -71,37 +70,12 @@ func PlanSequential(c *mapred.Cluster, ds *engine.Dataset, aq *algebra.Analytica
 	return p, nil
 }
 
-// Input is a TG operator's input: a scan of the stored triplegroups, or
-// the output of plan stage Stage (≥ 0), whose path is named only when the
-// plan runs.
-type Input struct {
-	Src   tgops.Source
-	Stage int
-}
-
-// Reads lists the plan stage the input reads, if any.
-func (in Input) Reads() []int {
-	if in.Stage < 0 {
-		return nil
-	}
-	return []int{in.Stage}
-}
-
-// At returns the input's source with an earlier stage's output resolved
-// to its path among paths.
-func (in Input) At(paths []string) tgops.Source {
-	if in.Stage < 0 {
-		return in.Src
-	}
-	return tgops.Source{Files: []string{paths[in.Stage]}, Dict: in.Src.Dict}
-}
-
 // AggJoin plans one (generalised) TG_AgJ cycle over src evaluating specs
-// and returns its stage.
-func AggJoin(p *engine.Plan, name string, src Input, specs []tgops.AggJoinSpec, hashAgg bool) int {
-	return p.Add(engine.Stage{Name: name, Op: "TG_AgJ", Reads: src.Reads(),
-		Job: func(paths []string, out string) *mapred.Job {
-			return tgops.AggJoinJob(name, src.At(paths), specs, hashAgg, out)
+// and returns its output path.
+func AggJoin(p *engine.Plan, name string, src tgops.Source, specs []tgops.AggJoinSpec, hashAgg bool) string {
+	return p.Add(engine.Stage{Name: name, Op: "TG_AgJ", Reads: src.Files,
+		Job: func(out string) *mapred.Job {
+			return tgops.AggJoinJob(name, src, specs, hashAgg, out)
 		}})
 }
 
@@ -110,7 +84,7 @@ func AggJoin(p *engine.Plan, name string, src Input, specs []tgops.AggJoinSpec, 
 // pattern needs no join cycle: the filtered scan feeds the next operator
 // directly. The join order comes from the cardinalities the dataset's
 // statistics catalog predicts, and the chain executes adaptively.
-func matchPattern(p *engine.Plan, c *mapred.Cluster, ds *engine.Dataset, gp *algebra.GraphPattern, tag string, prune bool) (Input, error) {
+func matchPattern(p *engine.Plan, c *mapred.Cluster, ds *engine.Dataset, gp *algebra.GraphPattern, tag string, prune bool) (tgops.Source, error) {
 	scans := make([]tgops.Source, len(gp.Stars))
 	for i, st := range gp.Stars {
 		scans[i] = starScan(ds, i, st, gp.Filters, prune)
@@ -124,13 +98,15 @@ func matchPattern(p *engine.Plan, c *mapred.Cluster, ds *engine.Dataset, gp *alg
 	order, err := algebra.JoinOrderCost(len(gp.Stars), gp.Joins, est)
 	ps.End()
 	if err != nil {
-		return Input{}, err
+		return tgops.Source{}, err
 	}
 	return JoinChain(p, scans, order, tag, nil, est), nil
 }
 
-// JoinChain plans the ordered TG (α-)join cycles; the accumulated side
-// starts from order[0].Left (star 0 when there are no edges). Exported for
+// JoinChain plans the ordered TG (α-)join cycles and returns the joined
+// triplegroups: the last cycle's output, or the start scan when there are
+// no edges. The accumulated side starts from order[0].Left (star 0 when
+// there are no edges). Exported for
 // the RAPIDAnalytics planner, which plans the same physical joins over a
 // composite pattern; alpha, when non-nil, enables α filtering during the
 // joins.
@@ -143,7 +119,7 @@ func matchPattern(p *engine.Plan, c *mapred.Cluster, ds *engine.Dataset, gp *alg
 // the remaining edges re-order around the observed cardinality and the
 // decision is logged as a planner span named "re-plan". Re-ordering
 // changes which edge a later stage joins, never the number of stages.
-func JoinChain(p *engine.Plan, scans []tgops.Source, order []algebra.Join, tag string, alpha *ntga.AlphaTable, est algebra.CardEstimator) Input {
+func JoinChain(p *engine.Plan, scans []tgops.Source, order []algebra.Join, tag string, alpha *ntga.AlphaTable, est algebra.CardEstimator) tgops.Source {
 	start := 0
 	if len(order) > 0 {
 		start = order[0].Left
@@ -156,17 +132,15 @@ func JoinChain(p *engine.Plan, scans []tgops.Source, order []algebra.Join, tag s
 		covered: make([]bool, len(scans)),
 	}
 	ch.covered[start] = true
-	acc := Input{Src: scans[start], Stage: -1}
+	acc := scans[start]
 	for i := range order {
 		left, name := acc, fmt.Sprintf("%s-join%d", tag, i)
-		st := engine.Stage{Name: name, Op: "TG_AlphaJoin", Reads: left.Reads(),
-			Job: func(paths []string, out string) *mapred.Job {
-				return ch.job(i, name, left.At(paths), out)
-			}}
+		st := engine.Stage{Name: name, Op: "TG_AlphaJoin", Reads: left.Files,
+			Job: func(out string) *mapred.Job { return ch.job(i, name, left, out) }}
 		if i < len(order)-1 {
-			st.After = func(ctx context.Context, _ string, m *mapred.Metrics) { ch.observe(ctx, i, m) }
+			st.After = func(c *mapred.Cluster, m *mapred.Metrics) error { return ch.observe(c, i, m) }
 		}
-		acc = Input{Src: tgops.Source{Dict: left.Src.Dict}, Stage: p.Add(st)}
+		acc = tgops.Source{Files: []string{p.Add(st)}, Dict: left.Dict}
 	}
 	return acc
 }
@@ -197,19 +171,20 @@ func (ch *chain) job(i int, name string, left tgops.Source, out string) *mapred.
 	return job
 }
 
-// observe takes cycle i's observed output cardinality as the accumulated
-// side's, re-ordering the remaining edges when it is far off the
-// estimate.
-func (ch *chain) observe(ctx context.Context, i int, m *mapred.Metrics) {
+// observe, cycle i's After hook, takes its observed output cardinality as
+// the accumulated side's, re-ordering the remaining edges when it is far
+// off the estimate. It never fails.
+func (ch *chain) observe(c *mapred.Cluster, i int, m *mapred.Metrics) error {
 	observed := float64(m.OutputRecords)
 	if replanNeeded(ch.predicted, observed) {
-		rs := obs.StartChild(ctx, obs.KindPlanner, "re-plan")
+		rs := obs.StartChild(c.Context(), obs.KindPlanner, "re-plan")
 		rs.AddRecords(int64(observed))
 		tail := algebra.ReorderRemaining(ch.covered, ch.order[i+1:], math.Max(1, observed), ch.est)
 		copy(ch.order[i+1:], tail)
 		rs.End()
 	}
 	ch.accCard = math.Max(1, observed)
+	return nil
 }
 
 // replanNeeded reports whether the estimate-vs-observed error ratio

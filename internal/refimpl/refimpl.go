@@ -384,7 +384,7 @@ func joinAndProject(aq *algebra.AnalyticalQuery, sub [][]map[string]string) (*en
 		}
 		acc = next
 	}
-	res := &engine.Result{Columns: aq.OutputColumns()}
+	res := engine.NewResult(aq)
 	for _, row := range acc {
 		out := make(codec.Tuple, len(aq.Projection))
 		for i, pi := range aq.Projection {

@@ -230,7 +230,7 @@ SELECT ?f ?c ?cntF ?cntT {
 	}
 	rows := map[string]string{}
 	for _, r := range res.Rows {
-		rows[engineDisplay(r[0])+"/"+engineDisplay(r[1])] = r[2] + ":" + r[3]
+		rows[res.Display(0, r[0])+"/"+res.Display(1, r[1])] = r[2] + ":" + r[3]
 	}
 	// UK offers on PT1: o1,o2,o4 (cntT=3); DE: o3 (cntT=1).
 	// (f1,UK): o1,o2 -> 2; (f2,UK): o1,o2 -> 2; (f1,DE): o3 -> 1.
@@ -247,11 +247,4 @@ SELECT ?f ?c ?cntF ?cntT {
 			t.Errorf("row %s = %q, want %q", k, rows[k], w)
 		}
 	}
-}
-
-func engineDisplay(v string) string {
-	if len(v) > 0 && (v[0] == 'I' || v[0] == 'L') {
-		return v[1:]
-	}
-	return v
 }

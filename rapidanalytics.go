@@ -794,8 +794,8 @@ func wrapResult(res *engine.Result) *Result {
 	rows := make([][]string, len(res.Rows))
 	for i, r := range res.Rows {
 		start := len(cells)
-		for _, v := range r {
-			cells = append(cells, engine.Display(v))
+		for j, v := range r {
+			cells = append(cells, res.Display(j, v))
 		}
 		rows[i] = cells[start:len(cells):len(cells)]
 	}

@@ -446,3 +446,34 @@ func TestConcurrentQueries(t *testing.T) {
 		t.Errorf("%d DFS handles left open", n)
 	}
 }
+
+// Result cells are shown by column: a grouping value loses its term-key
+// tag, and an aggregate value keeps every byte whatever its first letter,
+// on every system and the reference alike.
+func TestResultDisplayByColumn(t *testing.T) {
+	s := NewStore(DefaultOptions())
+	for i, city := range []string{"London", "Paris", "Berlin", "Lima"} {
+		subj := fmt.Sprintf("http://e/s%d", i)
+		s.Add(subj, "http://e/city", Literal(city))
+		s.Add(subj, "http://e/g", IRI([]string{"abc", "http://e/x"}[i%2]))
+	}
+	const q = `PREFIX e: <http://e/>
+SELECT ?g (MIN(?c) AS ?m) (MAX(?c) AS ?x) { ?s e:city ?c ; e:g ?g } GROUP BY ?g`
+	want := map[string]string{"abc": "Berlin London", "http://e/x": "Lima Paris"}
+	for _, sys := range append(Systems(), Reference) {
+		res, _, err := s.Query(sys, q)
+		if err != nil {
+			t.Fatalf("%s: %v", sys, err)
+		}
+		got := map[string]string{}
+		for _, r := range res.Rows() {
+			got[r[0]] = r[1] + " " + r[2]
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: rows %v, want %v", sys, got, want)
+		}
+		if out := res.String(); !strings.Contains(out, "Berlin") || strings.Contains(out, "Iabc") {
+			t.Errorf("%s: table\n%s", sys, out)
+		}
+	}
+}
