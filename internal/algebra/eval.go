@@ -133,10 +133,12 @@ func compareStrings(op string, a, b string) bool {
 	return false
 }
 
-// CompareValues orders two column values for ORDER BY: NULLs first, then
-// numeric comparison when both parse as numbers (term-key tags stripped),
-// lexicographic otherwise. Returns -1, 0 or 1.
-func CompareValues(a, b string) int {
+// CompareValues orders two values of one column for ORDER BY: NULLs
+// first, then numeric comparison when both parse as numbers, lexicographic
+// otherwise. keys says the column holds term keys, whose one-byte tags are
+// stripped first; a lexical column (an aggregate, an expression) is
+// compared as it is. Returns -1, 0 or 1.
+func CompareValues(a, b string, keys bool) int {
 	an, bn := IsNull(a), IsNull(b)
 	switch {
 	case an && bn:
@@ -147,10 +149,10 @@ func CompareValues(a, b string) int {
 		return 1
 	}
 	la, lb := a, b
-	if len(la) > 0 && (la[0] == 'I' || la[0] == 'L' || la[0] == 'B') {
+	if keys && la != "" {
 		la = la[1:]
 	}
-	if len(lb) > 0 && (lb[0] == 'I' || lb[0] == 'L' || lb[0] == 'B') {
+	if keys && lb != "" {
 		lb = lb[1:]
 	}
 	if mayParseFloat(la) && mayParseFloat(lb) {

@@ -73,8 +73,9 @@ func DefaultOptions() Options {
 type SubResultCache interface {
 	// Get returns the cached composite matches for a key.
 	Get(key string) (tgops.Source, bool)
-	// Put caches composite matches accounted at bytes.
-	Put(key string, src tgops.Source, bytes int64)
+	// Put caches composite matches accounted at bytes and reports whether
+	// it stored them.
+	Put(key string, src tgops.Source, bytes int64) bool
 }
 
 // Engine is the RAPIDAnalytics engine.
@@ -134,11 +135,12 @@ func (e *Engine) Plan(c *mapred.Cluster, ds *engine.Dataset, aq *algebra.Analyti
 // compositeMatches plans the composite pattern's matched triplegroups,
 // served from the sub-result cache when an identical composite evaluation
 // (same dataset materialisation, same pattern, filters and option flags)
-// already ran. Otherwise the chain's last stage is kept and, once it has
-// run, cached: its output stays until the dataset is reloaded. Cached
-// sources are reused read-only: DFS snapshots are immutable and
-// re-openable, so N queries can consume one materialised (or streamed)
-// match relation concurrently.
+// already ran. Otherwise the chain's last stage, once it has run, is
+// offered to the cache, and kept if the cache takes it: its output then
+// stays until the dataset is reloaded. Cached sources are reused
+// read-only: DFS snapshots are immutable and re-openable, so N queries
+// can consume one materialised (or streamed) match relation
+// concurrently.
 func (e *Engine) compositeMatches(p *engine.Plan, c *mapred.Cluster, ds *engine.Dataset, cp *algebra.CompositePattern) (tgops.Source, error) {
 	if e.SubResults == nil {
 		return e.planComposite(p, c, ds, cp)
@@ -156,10 +158,12 @@ func (e *Engine) compositeMatches(p *engine.Plan, c *mapred.Cluster, ds *engine.
 		// which no cache entry would save.
 		return matched, err
 	}
+	// The output outlives the execution only if the cache took it.
+	stored := false
 	last := &p.Stages[len(p.Stages)-1]
-	last.Keep = true
+	last.Keep = func() bool { return stored }
 	last.After = func(_ *mapred.Cluster, m *mapred.Metrics) error {
-		e.SubResults.Put(key, matched, m.OutputBytes)
+		stored = e.SubResults.Put(key, matched, m.OutputBytes)
 		return nil
 	}
 	return matched, nil

@@ -76,16 +76,21 @@ type Result struct {
 	Rows    []codec.Tuple // one tuple per result row
 }
 
-// NewResult returns the query's empty result table: a projected column
-// holds term keys when it is some subquery's grouping variable.
+// NewResult returns the query's empty result table (keyColumns).
 func NewResult(aq *algebra.AnalyticalQuery) *Result {
-	res := &Result{Columns: aq.OutputColumns(), Keys: make([]bool, len(aq.Projection))}
+	return &Result{Columns: aq.OutputColumns(), Keys: keyColumns(aq)}
+}
+
+// keyColumns says, per projected column, whether it holds term keys: it
+// does when it is some subquery's grouping variable.
+func keyColumns(aq *algebra.AnalyticalQuery) []bool {
+	keys := make([]bool, len(aq.Projection))
 	for i, pi := range aq.Projection {
-		res.Keys[i] = pi.Expr == nil && slices.ContainsFunc(aq.Subqueries, func(sq *algebra.Subquery) bool {
+		keys[i] = pi.Expr == nil && slices.ContainsFunc(aq.Subqueries, func(sq *algebra.Subquery) bool {
 			return slices.Contains(sq.GroupBy, pi.Var)
 		})
 	}
-	return res
+	return keys
 }
 
 // Canonical returns the rows rendered as sorted strings, for set

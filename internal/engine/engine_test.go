@@ -282,6 +282,17 @@ SELECT ?g (COUNT(?x) AS ?n) { ?s e:g ?g ; e:x ?x . } GROUP BY ?g ORDER BY ?g`)
 	if CompareRows(n, a, OrderKeys(asc), n.Encode(), a.Encode()) >= 0 {
 		t.Error("NULL should sort first ascending")
 	}
+	// Only a grouping column holds term keys; a lexical aggregate is
+	// compared with its first byte.
+	if k := OrderKeys(aq); k[0].Key || !k[1].Key {
+		t.Errorf("order keys %+v: want ?n lexical, ?g a term key", k)
+	}
+	lex := mustAQ(t, `PREFIX e: <http://e/>
+SELECT ?g (MIN(?c) AS ?m) { ?s e:c ?c ; e:g ?g . } GROUP BY ?g ORDER BY ?m`)
+	berlin, lima := codec.Tuple{"Ig1", "Berlin"}, codec.Tuple{"Ig2", "Lima"}
+	if CompareRows(berlin, lima, OrderKeys(lex), berlin.Encode(), lima.Encode()) >= 0 {
+		t.Error("lexical MIN ordered Lima before Berlin")
+	}
 }
 
 // The ORDER BY keys are resolved once per sort: a comparison allocates

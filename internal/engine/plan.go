@@ -28,9 +28,11 @@ type Stage struct {
 	// Reads lists the files the job reads: earlier outputs, whose readers
 	// the executor counts, and stored files, which match no output.
 	Reads []string
-	// Keep exempts the output from deletion once the stage has run: the
-	// file outlives the execution.
-	Keep bool
+	// Keep, when set, is asked once the execution ends whether the output
+	// of this stage, which ran, outlives it; an output it does not keep is
+	// deleted with the other intermediates. It may answer from what the
+	// stage's After hook learnt.
+	Keep func() bool
 	// Job returns the stage's job when the stage runs; out, the stage's
 	// output path, is the job's Output.
 	Job func(out string) *mapred.Job
@@ -166,7 +168,7 @@ func (p *Plan) checkReads(st Stage, job *mapred.Job) error {
 func (p *Plan) deleteIntermediates(fs *dfs.FS, ran int) error {
 	var first error
 	for i, st := range p.Stages[:min(ran+1, len(p.Stages))] {
-		if st.Keep && i < ran {
+		if i < ran && st.Keep != nil && st.Keep() {
 			continue
 		}
 		if err := fs.Delete(st.Out); err != nil && first == nil {

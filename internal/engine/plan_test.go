@@ -114,7 +114,7 @@ func TestKeptOutputSurvives(t *testing.T) {
 	var kept string
 	_, wm, err := Execute(c, nil, planned(func(p *Plan) {
 		st := load("in")
-		st.Keep = true
+		st.Keep = func() bool { return true }
 		kept = p.Add(st)
 		p.Finish(aq, p.Add(copyOf("a", kept)))
 	}), aq)
@@ -176,7 +176,7 @@ func TestFailedStageDeletesIntermediates(t *testing.T) {
 	_, _, err := Execute(c, nil, planned(func(p *Plan) {
 		a := p.Add(copyOf("a", p.Add(load("in"))))
 		bad := copyOf("bad", a)
-		bad.Keep = true
+		bad.Keep = func() bool { return true }
 		bad.Job = func(out string) *mapred.Job {
 			job := copyJob("bad", a, out)
 			job.NewMapper = func(*mapred.TaskContext) mapred.Mapper {

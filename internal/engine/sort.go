@@ -70,7 +70,7 @@ func CompareRows(a, b codec.Tuple, keys []OrderKey, rawA, rawB []byte) int {
 		if k.Col < 0 || k.Col >= len(a) || k.Col >= len(b) {
 			continue
 		}
-		c := algebra.CompareValues(a[k.Col], b[k.Col])
+		c := algebra.CompareValues(a[k.Col], b[k.Col], k.Key)
 		if k.Desc {
 			c = -c
 		}
@@ -85,17 +85,19 @@ func CompareRows(a, b codec.Tuple, keys []OrderKey, rawA, rawB []byte) int {
 type OrderKey struct {
 	Col  int  // the key's column in aq.OutputColumns, -1 when absent
 	Desc bool // descending
+	Key  bool // the column holds term keys (Result.Keys)
 }
 
 // OrderKeys resolves the query's ORDER BY keys against its output columns.
 func OrderKeys(aq *algebra.AnalyticalQuery) []OrderKey {
 	cols := aq.OutputColumns()
+	keys := keyColumns(aq)
 	out := make([]OrderKey, 0, len(aq.OrderBy))
 	for _, k := range aq.OrderBy {
 		p := OrderKey{Col: -1, Desc: k.Desc}
 		for i, c := range cols {
 			if c == k.Var {
-				p.Col = i
+				p.Col, p.Key = i, keys[i]
 				break
 			}
 		}

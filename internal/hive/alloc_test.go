@@ -2,6 +2,8 @@ package hive
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
 	"rapidanalytics/internal/algebra"
@@ -30,8 +32,11 @@ func TestOperatorsSteadyStateAllocs(t *testing.T) {
 
 	left := &rel{file: "l", cols: []string{"k", "v", "n"}, dict: d}
 	right := &rel{file: "r", cols: []string{"k", "w"}, dict: d}
+	// An optional star input that matches nothing: its side holds Ib only.
+	other := &rel{file: "o", cols: []string{"k", "u"}, dict: d}
+	sides := map[string][][]byte{"r": side, "o": {idRow(d, codec.Tuple{"Ib", "Lz"}).EncodeIDs()}}
 	jp := compileJoin(left, right, "k", "k", nil)
-	stars := compileStars([]*starInput{{rel: left, keyCol: "k"}, {rel: right, keyCol: "k"}, {rel: right, keyCol: "k", optional: true}}, nil)
+	stars := compileStars([]*starInput{{rel: left, keyCol: "k"}, {rel: right, keyCol: "k"}, {rel: other, keyCol: "k", optional: true}}, nil)
 	starVals := [][]byte{tag(0, "Ia", "L1", "L7"), tag(1, "Ia", "Lx"), tag(1, "Ia", "Ly")}
 	joinVals := [][]byte{tag(0, "Ia", "L1", "L7"), tag(1, "Ia", "Lx"), tag(0, "Ia", "L2", "L7")}
 
@@ -54,8 +59,8 @@ func TestOperatorsSteadyStateAllocs(t *testing.T) {
 			return err
 		}},
 		{"taggedScanMapper.Map", 0, mapper(&taggedScanMapper{sc: scanner{plan: jp.left}, keyPos: jp.leftKey})},
-		{"mapJoinMapper.Map", 0, mapper(&mapJoinMapper{sc: scanner{plan: jp.left}, plan: jp, right: buildSideIndex(sideFile(t, side), jp.right, jp.rightKey)})},
-		{"starMapJoinMapper.Map", 0, mapper(newStarMapJoinMapper(stars, func(string) *dfs.File { return sideFile(t, side) }))},
+		{"mapJoinMapper.Map", 0, mapper(newMapJoinMapper(jp, sideFile(t, side)))},
+		{"starMapJoinMapper.Map", 0, mapper(newStarMapJoinMapper(stars, func(file string) *dfs.File { return sideFile(t, sides[file]) }))},
 		{"starReducer.Reduce", 0, reducer(&starReducer{rows: newStarRows(stars)}, starVals)},
 		{"symJoinReducer.Reduce", 0, reducer(&symJoinReducer{plan: jp}, joinVals)},
 		// Emit takes its key as a string: one per row.
@@ -70,5 +75,38 @@ func TestOperatorsSteadyStateAllocs(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() { c.run() }); n > c.bound {
 			t.Errorf("%s allocates %v times per call, want at most %v", c.name, n, c.bound)
 		}
+	}
+}
+
+// A side index keeps each row as the bytes of the columns its join emits:
+// for a 2-column side of 10k rows, one emitted column of two-byte term IDs,
+// building it allocates well under the 16 B string header per field and
+// 24 B tuple header per row that a decoded-tuple index would spend.
+func TestSideIndexBytesPerRow(t *testing.T) {
+	d := rdf.NewDict()
+	for i := range 200 {
+		d.Add(fmt.Sprintf("Lpad%d", i))
+	}
+	const n = 10000
+	recs := make([][]byte, n)
+	for i := range recs {
+		recs[i] = idRow(d, codec.Tuple{fmt.Sprintf("Ik%d", i%2000), fmt.Sprintf("Lv%d", i%500)}).EncodeIDs()
+	}
+	f := sideFile(t, recs)
+	p := (&rel{file: "side", cols: []string{"k", "w"}, dict: d}).compile()
+	perRow := math.Inf(1)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		x := buildSideIndex(f, p, 0, []int{1})
+		runtime.ReadMemStats(&after)
+		if len(x.order) != n {
+			t.Fatalf("index holds %d rows, want %d", len(x.order), n)
+		}
+		perRow = min(perRow, float64(after.TotalAlloc-before.TotalAlloc)/n)
+	}
+	t.Logf("%.1f B allocated per row", perRow)
+	if perRow > 48 {
+		t.Errorf("buildSideIndex allocates %.1f B per row, want at most 48", perRow)
 	}
 }

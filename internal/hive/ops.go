@@ -214,7 +214,7 @@ func mapJoinJob(name string, left, right *rel, leftCol, rightCol string, keep ma
 		OutputCompression: compression,
 		MapOperator:       "map-join",
 		NewMapper: func(tc *mapred.TaskContext) mapred.Mapper {
-			return &mapJoinMapper{sc: scanner{plan: jp.left}, plan: jp, right: buildSideIndex(tc.SideInput(right.file), jp.right, jp.rightKey)}
+			return newMapJoinMapper(jp, tc.SideInput(right.file))
 		},
 	}
 	return job, materialized(output, jp.cols, left.dict)

@@ -19,11 +19,13 @@ import (
 // builder compiles every rel it reads into a scanPlan once — the way
 // ntga.CompileMatcher compiles a star — so the per-record loop checks
 // constants and filters by position and never compares column names. Each
-// map task decodes records into scratch it owns (scanner), reducers decode
-// a key group's rows into one arena (tupleArena), and joined rows are built
-// in a reused scratch row from precomputed positions and encoded once per
-// emitted row into one reused buffer, which mapred copies before the emit
-// returns.
+// map task decodes records into scratch it owns (scanner). Star joins and
+// map-side joins keep each matched row as the encoded segment of the
+// columns they emit (rowSet, sideIndex) and emit a joined row by appending
+// segments to an encoded prefix; the binary reduce-side join builds its
+// rows in a reused scratch row from a key group decoded into one arena
+// (tupleArena). Every joined row is encoded into one reused buffer, which
+// mapred copies before the emit returns.
 
 // constCheck is a constant-object check: raw field pos must equal want, an
 // ID-string (Dict.KeyString: a constant absent from the data matches no
@@ -164,17 +166,48 @@ func (a *tupleArena) decode(buf []byte, in codec.Interner) (codec.Tuple, error) 
 	return f[n:len(f):len(f)], nil
 }
 
-// sideIndex is a broadcast input's scanned rows grouped by key column in
-// one flat array, each key's rows contiguous and in record order, behind
-// an open-addressing table over the key's term ID (termID).
+// rowSet holds encoded row segments: row r is data[off[r]:off[r+1]], the
+// ID-strings of the columns a join emits from it, concatenated. ID-strings
+// are self-delimiting, so appending segments to an encoded prefix yields
+// the joined row's encoding (codec.Tuple.AppendEncodeIDs). order lists the
+// rows a join takes, in the order it takes them.
+type rowSet struct {
+	data  []byte
+	off   []int32
+	order []int32
+}
+
+// reset empties the set, keeping its storage.
+func (s *rowSet) reset() {
+	s.data, s.off, s.order = s.data[:0], append(s.off[:0], 0), s.order[:0]
+}
+
+// push appends the fields of t at positions cols as a new row and returns
+// its number; order is left to the caller.
+func (s *rowSet) push(t codec.Tuple, cols []int) int32 {
+	for _, p := range cols {
+		s.data = append(s.data, t[p]...)
+	}
+	s.off = append(s.off, int32(len(s.data)))
+	return int32(len(s.off) - 2)
+}
+
+// row returns row r's segment.
+func (s *rowSet) row(r int32) []byte { return s.data[s.off[r]:s.off[r+1]:s.off[r+1]] }
+
+// sideIndex is a broadcast input's scanned rows, each kept as the segment
+// of the columns its join emits, behind an open-addressing table over the
+// key column's term ID (termID). order holds the row numbers group by
+// group, each group in record order.
 type sideIndex struct {
 	// slots has a power-of-two length; a slot holds a group number plus
 	// one, 0 when empty, and keys[g] is group g's term ID.
 	slots []int32
 	keys  []uint64
-	// start[g] is where group g's rows begin; start has a final sentinel.
+	// order[start[g]:start[g+1]] are group g's rows; start has a final
+	// sentinel.
 	start []int32
-	rows  []codec.Tuple
+	rowSet
 	// err, naming the file, is the first record that failed to decode.
 	err error
 }
@@ -197,20 +230,23 @@ func (x *sideIndex) find(id uint64) int {
 }
 
 // buildSideIndex scans the records of a broadcast input, read in place
-// from its open snapshot, and groups them by scan-output column keyPos.
+// from its open snapshot, groups them by scan-output column keyPos and
+// keeps each as the segment of its scan-output columns at positions cols,
+// the ones its join emits.
 // Records the scan drops are skipped; the first that fails to decode, or a
-// read error, is kept as x.err. Every scanned row is len(p.kept) fields
-// wide, so scanned row i is the i-th window of one flat field array.
-func buildSideIndex(f *dfs.File, p *scanPlan, keyPos int) *sideIndex {
+// read error, is kept as x.err.
+func buildSideIndex(f *dfs.File, p *scanPlan, keyPos int, cols []int) *sideIndex {
 	// More than twice as many slots as records, so a probe always ends;
-	// keys and count are sized to the records, a bound on the groups.
+	// keys and start are sized to the records, a bound on the groups, and
+	// data to the emitted columns' share of the file's bytes. While the
+	// scan runs, start[g+1] counts group g's rows.
 	n := f.NumRecords()
 	x := &sideIndex{slots: make([]int32, 2<<bits.Len(uint(n))), keys: make([]uint64, 0, n)}
+	x.data = make([]byte, 0, f.Bytes()*int64(len(cols))/int64(max(p.arity, 1)))
+	x.off = append(make([]int32, 0, n+1), 0)
+	x.start = make([]int32, 1, n+1)
 	sc := scanner{plan: p}
-	w := len(p.kept)
-	fields := make([]string, 0, n*w)
 	groupOf := make([]int32, 0, n)
-	count := make([]int32, 0, n)
 	it := f.Records(0)
 	for it.Next() {
 		row, ok, err := sc.next(it.Record())
@@ -224,33 +260,35 @@ func buildSideIndex(f *dfs.File, p *scanPlan, keyPos int) *sideIndex {
 		i := x.find(id)
 		if x.slots[i] == 0 {
 			x.keys = append(x.keys, id)
-			count = append(count, 0)
+			x.start = append(x.start, 0)
 			x.slots[i] = int32(len(x.keys))
 		}
 		g := x.slots[i] - 1
-		fields = append(fields, row...)
-		count[g]++
+		x.push(row, cols)
+		x.start[g+1]++
 		groupOf = append(groupOf, g)
 	}
 	if err := it.Err(); err != nil && x.err == nil {
 		x.err = fmt.Errorf("hive: broadcast side %s: %w", p.file, err)
 	}
 	// A counting sort by group keeps each group's rows in record order.
-	x.start = make([]int32, len(count)+1)
-	for g, n := range count {
-		x.start[g+1] = x.start[g] + n
+	// Placing a row advances its group's start to the next group's, so
+	// the starts come back shifted one group down.
+	for g := 1; g < len(x.start); g++ {
+		x.start[g] += x.start[g-1]
 	}
-	next := append(count[:0], x.start[:len(count)]...)
-	x.rows = make([]codec.Tuple, len(groupOf))
-	for i, g := range groupOf {
-		x.rows[next[g]] = fields[i*w : (i+1)*w : (i+1)*w]
-		next[g]++
+	x.order = make([]int32, len(groupOf))
+	for r, g := range groupOf {
+		x.order[x.start[g]] = int32(r)
+		x.start[g]++
 	}
+	copy(x.start[1:], x.start)
+	x.start[0] = 0
 	return x
 }
 
-// lookup returns the rows whose key column equals key.
-func (x *sideIndex) lookup(key string) []codec.Tuple {
+// lookup returns the numbers of the rows whose key column equals key.
+func (x *sideIndex) lookup(key string) []int32 {
 	id, ok := termID(key)
 	if !ok {
 		return nil
@@ -259,7 +297,7 @@ func (x *sideIndex) lookup(key string) []codec.Tuple {
 	if g < 0 {
 		return nil
 	}
-	return x.rows[x.start[g]:x.start[g+1]]
+	return x.order[x.start[g]:x.start[g+1]]
 }
 
 // starPlan is one star-join input compiled once per job.
@@ -304,63 +342,66 @@ func starJoinCols(keyCol string, plans []*starPlan) []string {
 	return out
 }
 
-// starRows builds one subject's joined star rows in a scratch row. Before
-// emit, matches[i] holds input i's rows for the subject; an empty list
-// NULL-extends an optional input, and required inputs must be non-empty.
-// Rows come out input-0-major: the cross product's first input varies
-// slowest.
+// starRows emits one subject's joined star rows. begin writes the rows'
+// common prefix; emit(from) takes input i's rows, for each i from from on,
+// from matches[i], each the segment of the input's kept columns. An empty
+// order NULL-extends an optional input, and required inputs must have
+// rows. Rows come out input-0-major: the cross product's first input
+// varies slowest.
 type starRows struct {
 	plans   []*starPlan
-	matches [][]codec.Tuple
-	// offs[i] is where input i's kept columns start in row.
-	offs []int
-	row  codec.Tuple
-	// buf is the encode buffer of every emitted row.
+	matches []rowSet
+	// width is the joined rows' arity: the subject and every kept column.
+	width int
+	// buf is the encode buffer of every emitted row: the arity and the
+	// subject, then one segment per input.
 	buf []byte
 	out mapred.Emit
 }
 
 func newStarRows(plans []*starPlan) *starRows {
-	x := &starRows{plans: plans, matches: make([][]codec.Tuple, len(plans)), offs: make([]int, len(plans))}
-	w := 1
-	for i, p := range plans {
-		x.offs[i] = w
-		w += len(p.kept)
+	x := &starRows{plans: plans, matches: make([]rowSet, len(plans)), width: 1}
+	for _, p := range plans {
+		x.width += len(p.kept)
 	}
-	x.row = make(codec.Tuple, w)
 	return x
 }
 
-// emit emits every joined row of subject key.
-func (x *starRows) emit(key string, emit mapred.Emit) {
-	x.row[0], x.out = key, emit
-	x.expand(0)
+// begin starts the rows of subject key: the prefix is the arity and the
+// key, to which a caller whose inputs before from have one match each
+// appends their segments.
+func (x *starRows) begin(key string) {
+	x.buf = append(binary.AppendUvarint(x.buf[:0], uint64(x.width)), key...)
+}
+
+// emit emits every joined row of the prefix with the matches of inputs
+// from on.
+func (x *starRows) emit(from int, emit mapred.Emit) {
+	x.out = emit
+	x.expand(from)
 	x.out = nil
 }
 
-// expand fills input i's columns with each of its matches in turn and
-// recurses; past the last input it emits the row.
+// expand appends each of input i's matches in turn to the row built so
+// far and recurses; past the last input it emits the row.
 func (x *starRows) expand(i int) {
 	if i == len(x.plans) {
-		x.buf = x.row.AppendEncodeIDs(x.buf[:0])
 		x.out("", x.buf)
 		return
 	}
-	p := x.plans[i]
-	cols := x.row[x.offs[i] : x.offs[i]+len(p.kept)]
-	if len(x.matches[i]) == 0 { // optional, unmatched: NULL-extend
-		for k := range cols {
-			cols[k] = algebra.Null
-		}
-		x.expand(i + 1)
-		return
-	}
-	for _, m := range x.matches[i] {
-		for k, pos := range p.kept {
-			cols[k] = m[pos]
+	n := len(x.buf)
+	m := &x.matches[i]
+	if len(m.order) == 0 { // optional, unmatched: NULL-extend
+		for range x.plans[i].kept {
+			x.buf = append(x.buf, algebra.Null...)
 		}
 		x.expand(i + 1)
 	}
+	for _, r := range m.order {
+		x.buf = append(x.buf[:n], m.row(r)...)
+		x.expand(i + 1)
+	}
+	x.buf = x.buf[:n]
 }
 
 // joinPlan is a binary equi-join compiled once per job.
@@ -438,15 +479,15 @@ func badTag(tag byte) error {
 // starReducer joins one subject's rows across all inputs, honouring
 // optional (left-outer) inputs.
 type starReducer struct {
-	rows  *starRows
-	arena tupleArena
+	rows *starRows
+	// t is the decode scratch of one value.
+	t codec.Tuple
 }
 
 func (r *starReducer) Reduce(key string, values [][]byte, emit mapred.Emit) error {
 	x := r.rows
-	r.arena.reset()
 	for i := range x.matches {
-		x.matches[i] = x.matches[i][:0]
+		x.matches[i].reset()
 	}
 	for _, v := range values {
 		if len(v) < 1 {
@@ -456,18 +497,22 @@ func (r *starReducer) Reduce(key string, values [][]byte, emit mapred.Emit) erro
 		if int(tag) >= len(x.plans) {
 			return badTag(tag)
 		}
-		t, err := r.arena.decode(v[1:], x.plans[tag].scan.dict)
+		p := x.plans[tag]
+		t, err := codec.AppendDecodeIDTuple(r.t[:0], v[1:], p.scan.dict)
 		if err != nil {
 			return err
 		}
-		x.matches[tag] = append(x.matches[tag], t)
+		r.t = t
+		m := &x.matches[tag]
+		m.order = append(m.order, m.push(t, p.kept))
 	}
 	for i, p := range x.plans {
-		if !p.optional && len(x.matches[i]) == 0 {
+		if !p.optional && len(x.matches[i].order) == 0 {
 			return nil
 		}
 	}
-	x.emit(key, emit)
+	x.begin(key)
+	x.emit(0, emit)
 	return nil
 }
 
@@ -477,21 +522,21 @@ type starMapJoinMapper struct {
 	sc    scanner
 	sides []*sideIndex
 	rows  *starRows
-	// drv backs matches[0]: the driving row is its own single match.
-	drv [1]codec.Tuple
 	// err is the first side index's decode failure.
 	err error
 }
 
 // newStarMapJoinMapper builds a task's mapper; side returns the open
-// snapshot of a broadcast input (TaskContext.SideInput).
+// snapshot of a broadcast input (TaskContext.SideInput). Input i+1's
+// matches are windows of side index i's order over its rows.
 func newStarMapJoinMapper(plans []*starPlan, side func(file string) *dfs.File) *starMapJoinMapper {
 	m := &starMapJoinMapper{sc: scanner{plan: plans[0].scan}, rows: newStarRows(plans)}
-	m.rows.matches[0] = m.drv[:]
 	m.sides = make([]*sideIndex, len(plans)-1)
 	for i, p := range plans[1:] {
-		m.sides[i] = buildSideIndex(side(p.scan.file), p.scan, p.keyPos)
-		m.err = cmp.Or(m.err, m.sides[i].err)
+		s := buildSideIndex(side(p.scan.file), p.scan, p.keyPos, p.kept)
+		m.sides[i] = s
+		m.rows.matches[i+1] = rowSet{data: s.data, off: s.off}
+		m.err = cmp.Or(m.err, s.err)
 	}
 	return m
 }
@@ -506,15 +551,20 @@ func (m *starMapJoinMapper) Map(rec []byte, emit mapred.Emit) error {
 	}
 	x := m.rows
 	key := row[x.plans[0].keyPos]
-	m.drv[0] = row
 	for i, side := range m.sides {
 		ms := side.lookup(key)
 		if len(ms) == 0 && !x.plans[i+1].optional {
 			return nil
 		}
-		x.matches[i+1] = ms
+		x.matches[i+1].order = ms
 	}
-	x.emit(key, emit)
+	// The driving row is input 0's one match: its kept fields join the
+	// prefix.
+	x.begin(key)
+	for _, p := range x.plans[0].kept {
+		x.buf = append(x.buf, row[p]...)
+	}
+	x.emit(1, emit)
 	return nil
 }
 
@@ -522,13 +572,17 @@ func (m *starMapJoinMapper) Map(rec []byte, emit mapred.Emit) error {
 func (m *starMapJoinMapper) Close(mapred.Emit) error { return m.err }
 
 // mapJoinMapper streams the left input against an index of the broadcast
-// right input, built once per task.
+// right input, built once per task, that keeps each right row's kept
+// columns.
 type mapJoinMapper struct {
 	sc    scanner
 	plan  *joinPlan
 	right *sideIndex
-	out   codec.Tuple
 	buf   []byte
+}
+
+func newMapJoinMapper(jp *joinPlan, right *dfs.File) *mapJoinMapper {
+	return &mapJoinMapper{sc: scanner{plan: jp.left}, plan: jp, right: buildSideIndex(right, jp.right, jp.rightKey, jp.rightKept)}
 }
 
 func (m *mapJoinMapper) Map(rec []byte, emit mapred.Emit) error {
@@ -539,9 +593,20 @@ func (m *mapJoinMapper) Map(rec []byte, emit mapred.Emit) error {
 	if err != nil || !ok {
 		return err
 	}
-	for _, r := range m.right.lookup(row[m.plan.leftKey]) {
-		m.out = m.plan.appendRow(m.out[:0], row, r)
-		m.buf = m.out.AppendEncodeIDs(m.buf[:0])
+	key := row[m.plan.leftKey]
+	ms := m.right.lookup(key)
+	if len(ms) == 0 {
+		return nil
+	}
+	// Each joined row is one prefix, the arity, the key and the left kept
+	// fields, followed by a right row's segment.
+	m.buf = append(binary.AppendUvarint(m.buf[:0], uint64(len(m.plan.cols))), key...)
+	for _, p := range m.plan.leftKept {
+		m.buf = append(m.buf, row[p]...)
+	}
+	n := len(m.buf)
+	for _, r := range ms {
+		m.buf = append(m.buf[:n], m.right.row(r)...)
 		emit("", m.buf)
 	}
 	return nil

@@ -322,9 +322,12 @@ func TestStarRowsAgreeWithReference(t *testing.T) {
 		}
 		want := starRowsRef("Kkey", inputs, keep, perInput)
 		x := newStarRows(compileStars(inputs, keep))
-		copy(x.matches, perInput)
+		for i, p := range x.plans {
+			x.matches[i] = rowSetOf(perInput[i], p.kept)
+		}
 		var got [][]byte
-		x.emit("Kkey", func(_ string, v []byte) { got = append(got, bytes.Clone(v)) })
+		x.begin("Kkey")
+		x.emit(0, func(_ string, v []byte) { got = append(got, bytes.Clone(v)) })
 		if len(got) != len(want) {
 			t.Fatalf("%d rows, reference %d", len(got), len(want))
 		}
@@ -388,7 +391,7 @@ func TestScanScratchDoesNotLeakAcrossRecords(t *testing.T) {
 	}
 
 	jp := compileJoin(left, right, "k", "k", nil)
-	mj := &mapJoinMapper{sc: scanner{plan: jp.left}, plan: jp, right: buildSideIndex(sideFile(t, side), jp.right, jp.rightKey)}
+	mj := newMapJoinMapper(jp, sideFile(t, side))
 	plans := compileStars([]*starInput{{rel: left, keyCol: "k"}, {rel: right, keyCol: "k"}}, nil)
 	smj := newStarMapJoinMapper(plans, func(string) *dfs.File { return sideFile(t, side) })
 	tm := &taggedScanMapper{sc: scanner{plan: jp.left}, keyPos: jp.leftKey}
@@ -515,16 +518,45 @@ func (c *scanCorpus) probeKeys() []string {
 	return append([]string{rdf.MissingIDString, "\x80\x00", "\x81\x00", v[:1], v + "\x01"}, c.vals...)
 }
 
-// checkSideIndex compares x with the reference over recs at every probe:
-// the same rows, row by row, each capacity-clipped so that appending to it
-// cannot overwrite the next, and a decode error exactly when the reference
-// met one, naming the side's file. It returns how many rows the probes
-// found, and the reference.
-func checkSideIndex(t *testing.T, x *sideIndex, recs [][]byte, r *rel, keyCol string, probes []string) (int, map[string][]codec.Tuple) {
+// segment is the encoding of row's fields at positions emit, as a side
+// index keeps a row.
+func segment(row codec.Tuple, emit []int) []byte {
+	var out []byte
+	for _, p := range emit {
+		out = append(out, row[p]...)
+	}
+	return out
+}
+
+// rowSetOf keeps rows' fields at positions emit, every row taken in order.
+func rowSetOf(rows []codec.Tuple, emit []int) rowSet {
+	var s rowSet
+	s.reset()
+	for _, r := range rows {
+		s.order = append(s.order, s.push(r, emit))
+	}
+	return s
+}
+
+// checkSideIndex compares x, built to keep the scan-output columns at
+// positions emit, with the reference over recs at every probe: the same
+// rows, row by row, each the segment of the reference row's emitted
+// fields, capacity-clipped so that appending to it cannot overwrite the
+// next; as many stored rows as the reference keeps; and a decode error
+// exactly when the reference met one, naming the side's file. It returns
+// how many rows the probes found, and the reference.
+func checkSideIndex(t *testing.T, x *sideIndex, recs [][]byte, r *rel, keyCol string, emit []int, probes []string) (int, map[string][]codec.Tuple) {
 	t.Helper()
 	want, werr := sideIndexRef(recs, r, keyCol)
 	if (x.err != nil) != (werr != nil) || x.err != nil && !strings.Contains(x.err.Error(), "broadcast side "+r.file) {
 		t.Fatalf("rel %+v: index error %v, reference %v", r, x.err, werr)
+	}
+	stored := 0
+	for _, rows := range want {
+		stored += len(rows)
+	}
+	if len(x.off)-1 != stored || len(x.order) != stored {
+		t.Fatalf("rel %+v: %d rows stored, %d ordered, reference %d", r, len(x.off)-1, len(x.order), stored)
 	}
 	found := 0
 	for _, k := range probes {
@@ -533,9 +565,10 @@ func checkSideIndex(t *testing.T, x *sideIndex, recs [][]byte, r *rel, keyCol st
 		if len(got) != len(w) {
 			t.Fatalf("rel %+v key %q: %d rows, reference %d", r, k, len(got), len(w))
 		}
-		for i := range got {
-			if !slices.Equal(got[i], w[i]) || cap(got[i]) != len(got[i]) {
-				t.Fatalf("rel %+v key %q row %d: %q (cap %d), reference %q", r, k, i, got[i], cap(got[i]), w[i])
+		for i, row := range got {
+			seg := x.row(row)
+			if ref := segment(w[i], emit); !bytes.Equal(seg, ref) || cap(seg) != len(seg) {
+				t.Fatalf("rel %+v key %q emit %v row %d: %x (cap %d), reference %q", r, k, emit, i, seg, cap(seg), w[i])
 			}
 		}
 	}
@@ -565,14 +598,16 @@ func sideFile(t testing.TB, recs [][]byte) *dfs.File {
 	return f
 }
 
-// buildSideIndex must answer every lookup with the reference map's rows
-// over random sides: records of the wrong arity, failing a constant or a
-// filter, duplicate keys, NULL keys, keys absent from the side, probes that
-// are no canonical ID, and empty sides. A record that does not decode is
-// the index's error. Term IDs take two uvarint bytes.
+// buildSideIndex must answer every lookup with the reference map's rows,
+// each as the segment of the columns the index keeps, over random sides:
+// records of the wrong arity, failing a constant or a filter, duplicate
+// keys, NULL keys, keys absent from the side, probes that are no canonical
+// ID, and empty sides, each side keeping a random choice of its columns in
+// random order (none, or the key among them). A record that does not
+// decode is the index's error. Term IDs take two uvarint bytes.
 func TestSideIndexAgreesWithReference(t *testing.T) {
 	c := newScanCorpus(4, 200)
-	var seen struct{ sides, empty, dropped, undecodable, duplicate, absent, null int }
+	var seen struct{ sides, empty, dropped, undecodable, duplicate, absent, null, noColumn, keyKept int }
 	for range 400 {
 		r := c.rel()
 		cols := r.outColsRef()
@@ -590,9 +625,15 @@ func TestSideIndexAgreesWithReference(t *testing.T) {
 			}
 			recs = append(recs, rec)
 		}
-		x := buildSideIndex(sideFile(t, recs), p, p.colIndex(keyCol))
-		found, want := checkSideIndex(t, x, recs, r, keyCol, c.probeKeys())
+		emit := c.rng.Perm(len(cols))[:c.rng.Intn(len(cols)+1)]
+		x := buildSideIndex(sideFile(t, recs), p, p.colIndex(keyCol), emit)
+		found, want := checkSideIndex(t, x, recs, r, keyCol, emit, c.probeKeys())
 		seen.sides++
+		if len(emit) == 0 {
+			seen.noColumn++
+		} else if slices.Contains(emit, p.colIndex(keyCol)) {
+			seen.keyKept++
+		}
 		if len(recs) == 0 {
 			seen.empty++
 		}
@@ -615,6 +656,7 @@ func TestSideIndexAgreesWithReference(t *testing.T) {
 	for name, n := range map[string]int{
 		"empty side": seen.empty, "dropped record": seen.dropped, "undecodable record": seen.undecodable,
 		"duplicate key": seen.duplicate, "absent key": seen.absent, "NULL key": seen.null,
+		"no column kept": seen.noColumn, "key column kept": seen.keyKept,
 	} {
 		if n == 0 {
 			t.Errorf("corpus never exercised %s", name)
@@ -657,7 +699,7 @@ func TestSideIndexReadError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if x := buildSideIndex(f, r.compile(), 0); x.err == nil {
+	if x := buildSideIndex(f, r.compile(), 0, []int{1}); x.err == nil {
 		t.Error("a side input with a corrupt block built an index without error")
 	}
 }
@@ -704,7 +746,7 @@ func TestSideIndexLookupAllocatesNothing(t *testing.T) {
 		recs = append(recs, codec.Tuple{c.vals[i%len(c.vals)], c.vals[(i/3)%len(c.vals)]}.EncodeIDs())
 	}
 	p := r.compile()
-	x := buildSideIndex(sideFile(t, recs), p, 0)
+	x := buildSideIndex(sideFile(t, recs), p, 0, []int{1})
 	for _, k := range []string{c.vals[3], rdf.MissingIDString, c.vals[3] + "\x01"} {
 		if n := testing.AllocsPerRun(200, func() { x.lookup(k) }); n != 0 {
 			t.Errorf("lookup(%q) allocates %v times", k, n)
@@ -734,6 +776,7 @@ func FuzzSideIndexMatchesReference(f *testing.F) {
 		}
 		recs = slices.Insert(recs, c.rng.Intn(len(recs)+1), raw)
 		p := r.compile()
-		checkSideIndex(t, buildSideIndex(sideFile(t, recs), p, p.colIndex(keyCol)), recs, r, keyCol, append(c.probeKeys(), probe))
+		emit := c.rng.Perm(len(cols))[:c.rng.Intn(len(cols)+1)]
+		checkSideIndex(t, buildSideIndex(sideFile(t, recs), p, p.colIndex(keyCol), emit), recs, r, keyCol, emit, append(c.probeKeys(), probe))
 	})
 }

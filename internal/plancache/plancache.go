@@ -102,10 +102,11 @@ func (c *Cache) Get(key Key) (any, bool) {
 }
 
 // Put inserts or overwrites a value accounted at size, evicting
-// least-recently-used entries until the budget holds. A value larger than
-// the whole budget is not cached at all (inserting it would empty the
-// cache for a value that can never be retained).
-func (c *Cache) Put(key Key, value any, size int64) {
+// least-recently-used entries until the budget holds, and reports whether
+// it stored the value. A value larger than the whole budget is not cached
+// at all (inserting it would empty the cache for a value that can never be
+// retained).
+func (c *Cache) Put(key Key, value any, size int64) bool {
 	if size < 0 {
 		size = 0
 	}
@@ -115,7 +116,7 @@ func (c *Cache) Put(key Key, value any, size int64) {
 		if el, ok := c.items[key]; ok {
 			c.removeLocked(el)
 		}
-		return
+		return false
 	}
 	if el, ok := c.items[key]; ok {
 		ent := el.Value.(*entry)
@@ -134,6 +135,7 @@ func (c *Cache) Put(key Key, value any, size int64) {
 		c.removeLocked(oldest)
 		c.evictions++
 	}
+	return true
 }
 
 // removeLocked unlinks one element and returns its size to the budget.

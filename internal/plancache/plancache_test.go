@@ -224,3 +224,21 @@ func TestSizedCacheConcurrent(t *testing.T) {
 		t.Fatalf("Bytes went negative: %d", c.Bytes())
 	}
 }
+
+// Put reports whether it stored the value: one within the budget is
+// stored, evicting others if it must; one over the whole budget is not.
+func TestPutReportsStored(t *testing.T) {
+	c := New(2)
+	if !c.Put(key("a"), 1, 2) {
+		t.Error("Put of a value filling the budget reported it refused")
+	}
+	if !c.Put(key("b"), 2, 1) {
+		t.Error("Put of a value that evicts another reported it refused")
+	}
+	if c.Put(key("c"), 3, 3) {
+		t.Error("Put of a value over the budget reported it stored")
+	}
+	if _, ok := c.Get(key("c")); ok {
+		t.Error("a refused value is cached")
+	}
+}

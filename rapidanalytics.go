@@ -779,8 +779,8 @@ func (a subResultCache) Get(key string) (tgops.Source, bool) {
 }
 
 // Put implements core.SubResultCache.
-func (a subResultCache) Put(key string, src tgops.Source, bytes int64) {
-	a.c.Put(plancache.VersionedKey("comp", a.version, key), src, bytes)
+func (a subResultCache) Put(key string, src tgops.Source, bytes int64) bool {
+	return a.c.Put(plancache.VersionedKey("comp", a.version, key), src, bytes)
 }
 
 // wrapResult renders an engine result for display: every cell lands in one

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -474,6 +475,33 @@ SELECT ?g (MIN(?c) AS ?m) (MAX(?c) AS ?x) { ?s e:city ?c ; e:g ?g } GROUP BY ?g`
 		}
 		if out := res.String(); !strings.Contains(out, "Berlin") || strings.Contains(out, "Iabc") {
 			t.Errorf("%s: table\n%s", sys, out)
+		}
+	}
+}
+
+// ORDER BY compares a lexical aggregate column as it is: only term-key
+// columns carry a tag to strip. Stripping a first byte from every value
+// ordered MIN(?c) over Paris, Berlin and Lima as "aris", "erlin", "ima".
+func TestOrderByLexicalAggregate(t *testing.T) {
+	s := NewStore(DefaultOptions())
+	for i, city := range []string{"Paris", "Berlin", "Lima"} {
+		subj := fmt.Sprintf("http://e/s%d", i)
+		s.Add(subj, "http://e/city", Literal(city))
+		s.Add(subj, "http://e/g", IRI(fmt.Sprintf("http://e/g%d", i)))
+	}
+	const q = `PREFIX e: <http://e/>
+SELECT ?g (MIN(?c) AS ?m) { ?s e:city ?c ; e:g ?g } GROUP BY ?g ORDER BY ?m`
+	for _, sys := range append(Systems(), Reference) {
+		res, _, err := s.Query(sys, q)
+		if err != nil {
+			t.Fatalf("%s: %v", sys, err)
+		}
+		var got []string
+		for _, r := range res.Rows() {
+			got = append(got, r[1])
+		}
+		if want := []string{"Berlin", "Lima", "Paris"}; !slices.Equal(got, want) {
+			t.Errorf("%s: ordered %v, want %v", sys, got, want)
 		}
 	}
 }

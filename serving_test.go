@@ -14,6 +14,7 @@ import (
 	"time"
 
 	ra "rapidanalytics"
+	"rapidanalytics/internal/bench"
 	"rapidanalytics/internal/dfs"
 	"rapidanalytics/internal/leaktest"
 	"rapidanalytics/internal/mapred"
@@ -395,4 +396,28 @@ func TestCorruptSideRecordFailsQuery(t *testing.T) {
 			t.Errorf("%s: no corrupt broadcast side failed the query", sys)
 		}
 	}
+}
+
+// TestRefusedSubResultLeavesNoStream: a composite relation the sub-result
+// cache refuses is deleted with the other intermediates. With a 1-byte
+// result cache no Put is accepted, so after 20 rounds of the MG queries on
+// rapidanalytics no stream outlives its query.
+func TestRefusedSubResultLeavesNoStream(t *testing.T) {
+	opts := ra.DefaultOptions()
+	opts.ResultCacheBytes = 1
+	store := ra.NewWorkloadStore(0.2, opts)
+	var mg []string
+	for _, q := range bench.Catalog {
+		if strings.HasPrefix(q.ID, "MG") {
+			mg = append(mg, q.SPARQL)
+		}
+	}
+	for round := range 20 {
+		for _, q := range mg {
+			if _, _, err := store.Query(ra.RAPIDAnalytics, q); err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+		}
+	}
+	checkStoreClean(t, store)
 }
