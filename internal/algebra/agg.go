@@ -146,15 +146,24 @@ type MultiAggState struct {
 
 // NewMultiAggState returns empty states for the given aggregation specs.
 func NewMultiAggState(specs []AggSpec) *MultiAggState {
-	m := &MultiAggState{States: make([]*AggState, len(specs))}
-	for i, sp := range specs {
-		if sp.Distinct {
-			m.States[i] = NewDistinctAggState(sp.Func)
-		} else {
-			m.States[i] = NewAggState(sp.Func)
-		}
-	}
+	m := &MultiAggState{}
+	InitMultiAggState(m, specs, make([]*AggState, len(specs)), make([]AggState, len(specs)))
 	return m
+}
+
+// InitMultiAggState makes m empty states for specs in the caller's
+// storage: m.States becomes ptrs, pointing into states, and both must hold
+// len(specs) elements. A pre-aggregation table carves many groups' states
+// from a few slabs this way.
+func InitMultiAggState(m *MultiAggState, specs []AggSpec, ptrs []*AggState, states []AggState) {
+	m.States = ptrs
+	for i, sp := range specs {
+		states[i] = AggState{Func: sp.Func}
+		if sp.Distinct {
+			states[i].Distinct, states[i].Seen = true, map[string]bool{}
+		}
+		ptrs[i] = &states[i]
+	}
 }
 
 // Reset empties every state, keeping the functions and DISTINCT flags, so a

@@ -9,11 +9,11 @@ import "context"
 // The copy shares the file system and cost-model configuration with the
 // original, so the serving layer can bind one long-lived cluster to many
 // per-request contexts concurrently. The copy gets its own free list of
-// entry pages, which dies with the query.
+// task scratch (freeList), which dies with the query.
 func (c *Cluster) WithContext(ctx context.Context) *Cluster {
 	cp := *c
 	cp.ctx = ctx
-	cp.pages = &pageList{free: make(chan *entryPage, freePages)}
+	cp.free = newFreeList()
 	return &cp
 }
 

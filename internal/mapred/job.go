@@ -320,9 +320,9 @@ type Cluster struct {
 	Scans ScanProvider
 
 	ctx context.Context
-	// pages is the query's free list of entry pages (WithContext), nil
+	// free is the query's free list of task scratch (WithContext), nil
 	// outside a query.
-	pages *pageList
+	free *freeList
 	// testWorkers, when positive, replaces maxParallel as the size of the
 	// map and shuffle/reduce pools. Only this package's determinism tests
 	// assign it, to sweep worker counts the host's CPU count cannot reach.

@@ -50,8 +50,10 @@ func TestPagedRunsMatchReference(t *testing.T) {
 }
 
 // The free list never holds more than freePages pages, however many a
-// query hands back, and a cluster outside any query, which has none, gives
-// the same output.
+// query hands back, nor more than freeScratch builders or values scratches;
+// the builders come back empty and the values scratch cleared, so the list
+// pins no arena. A cluster outside any query, which has none, gives the
+// same output.
 func TestPageFreeListBounded(t *testing.T) {
 	var out [][]string
 	for _, inQuery := range []bool{false, true} {
@@ -85,12 +87,27 @@ func TestPageFreeListBounded(t *testing.T) {
 		}
 		out = append(out, readLines(t, c, "out"))
 		if inQuery {
-			if n := len(c.pages.free); n > freePages || cap(c.pages.free) != freePages {
-				t.Errorf("free list holds %d pages (capacity %d), bound %d", n, cap(c.pages.free), freePages)
+			if n := len(c.free.pages); n > freePages || cap(c.free.pages) != freePages {
+				t.Errorf("free list holds %d pages (capacity %d), bound %d", n, cap(c.free.pages), freePages)
 			} else if n == 0 {
 				t.Error("no page came back to the free list")
 			}
-		} else if c.pages != nil {
+			if len(c.free.builders) == 0 || len(c.free.builders) > freeScratch || len(c.free.values) == 0 || len(c.free.values) > freeScratch {
+				t.Errorf("free list holds %d builders and %d values scratches, want 1 to %d", len(c.free.builders), len(c.free.values), freeScratch)
+			}
+			for range len(c.free.builders) {
+				bu := <-c.free.builders
+				if bu.Flush() != nil {
+					t.Error("a builder came back holding records")
+				}
+			}
+			for range len(c.free.values) {
+				vs := <-c.free.values
+				if len(vs) != 0 || slices.ContainsFunc(vs[:cap(vs)], func(v []byte) bool { return v != nil }) {
+					t.Errorf("a values scratch came back holding %d values: %q", len(vs), vs[:cap(vs)])
+				}
+			}
+		} else if c.free != nil {
 			t.Error("a cluster outside a query has a free list")
 		}
 	}

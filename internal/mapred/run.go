@@ -421,16 +421,20 @@ func (c *Cluster) runMapPhase(job *Job, splits []split, side map[string]*dfs.Fil
 // reducePartition sorts nothing (the merged run is prepared by the
 // shuffle phase); it runs the reducer over one partition's key groups,
 // buffering output records as sealed batches and volume counts into st.
+// Its builder and values scratch come from the query's free list.
 func (c *Cluster) reducePartition(job *Job, st *partState, abort *abortSignal) error {
 	check := c.checker(abort)
 	if err := check(); err != nil {
 		return err
 	}
-	bu := vec.NewBuilder(vec.DefaultBatchRows)
-	var values [][]byte
+	bu, values := c.free.builder(), c.free.valueScratch()
+	defer func() {
+		c.free.putBuilder(bu)
+		c.free.putValueScratch(values)
+	}()
 	groups, err := reduceGroups(job.NewReducer(), st.arenas, st.merged, &values, func(_ string, value []byte) {
 		// The write to the DFS happens only after every partition
-		// finishes; the builder copies the value into its arena.
+		// finishes; the builder copies the value into its scratch.
 		if b := bu.Append(value); b != nil {
 			st.batches = append(st.batches, b)
 		}
@@ -632,15 +636,20 @@ func (c *Cluster) openSideInputs(job *Job, m *Metrics, open *[]*dfs.File) (map[s
 // the task continues with a fresh arena. check covers both context
 // cancellation and sibling-task failure, and is consulted between records
 // and inside the combiner. A spill or a combiner sorts or combines a
-// partition's paged entries in one task scratch.
+// partition's paged entries in one task scratch. The builder, the entry
+// scratch and the values scratch come from the query's free list and go
+// back to it when the task ends.
 func (c *Cluster) runMapTask(job *Job, taskIdx int, sp split, side map[string]*dfs.File, partitions int, abort *abortSignal, tspan *obs.Span) (taskResult, error) {
 	check := c.checker(abort)
 	tc := &TaskContext{InputFile: sp.file, sideData: side}
 	mapper := job.NewMapper(tc)
 	var ar *arena
 	var parts []pagedRun
-	var scratch []entry
-	var values [][]byte
+	scratch, values := c.free.entryScratch(), c.free.valueScratch()
+	defer func() {
+		c.free.putEntryScratch(scratch)
+		c.free.putValueScratch(values)
+	}()
 	var res taskResult
 	threshold := c.Config.SpillThresholdBytes
 	canSpill := threshold > 0 && !job.MapOnly()
@@ -658,10 +667,10 @@ func (c *Cluster) runMapTask(job *Job, taskIdx int, sp split, side map[string]*d
 			if parts[p].n == 0 {
 				continue
 			}
-			scratch = parts[p].flatten(scratch[:0], c.pages)
+			scratch = parts[p].flatten(scratch[:0], c.free)
 			run := scratch
 			if job.NewCombiner != nil {
-				combined, err := combine(job.NewCombiner(), ar, run, src, c.pages, &values, partitions, p, check)
+				combined, err := combine(job.NewCombiner(), ar, run, src, c.free, &values, partitions, p, check)
 				if err != nil {
 					return err
 				}
@@ -687,7 +696,8 @@ func (c *Cluster) runMapTask(job *Job, taskIdx int, sp split, side map[string]*d
 	var bu *vec.Builder
 	var emit Emit
 	if job.MapOnly() {
-		bu = vec.NewBuilder(vec.DefaultBatchRows)
+		bu = c.free.builder()
+		defer c.free.putBuilder(bu)
 		emit = func(key string, value []byte) {
 			res.emits++
 			res.keyBytes += int64(len(key))
@@ -703,7 +713,7 @@ func (c *Cluster) runMapTask(job *Job, taskIdx int, sp split, side map[string]*d
 			if partitions > 1 {
 				p = partitionOf(key, partitions)
 			}
-			parts[p].add(ar.add(key, value), c.pages)
+			parts[p].add(ar.add(key, value), c.free)
 		}
 	}
 	// maybeSpill runs at record boundaries (a single record's emits may
@@ -777,10 +787,10 @@ func (c *Cluster) runMapTask(job *Job, taskIdx int, sp split, side map[string]*d
 	}
 	for p := range parts {
 		if job.NewCombiner == nil {
-			res.parts[p] = parts[p].flatten(make([]entry, 0, parts[p].n), c.pages)
+			res.parts[p] = parts[p].flatten(make([]entry, 0, parts[p].n), c.free)
 		} else if parts[p].n > 0 {
-			scratch = parts[p].flatten(scratch[:0], c.pages)
-			combined, err := combine(job.NewCombiner(), ar, scratch, res.arena, c.pages, &values, partitions, p, check)
+			scratch = parts[p].flatten(scratch[:0], c.free)
+			combined, err := combine(job.NewCombiner(), ar, scratch, res.arena, c.free, &values, partitions, p, check)
 			if err != nil {
 				return res, err
 			}

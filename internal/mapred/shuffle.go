@@ -23,49 +23,10 @@ import (
 // A map task writes each partition's entries to fixed-size pages, as
 // Hadoop's collector fills a fixed buffer, instead of growing a slice, and
 // copies them once at task end or spill (pagedRun.flatten). pageEntries is
-// a page's entry count. freePages, the most pages a query's free list
-// holds (4 MiB), bounds what a query keeps for reuse; a page handed back
-// to a full list is left to the collector.
-const (
-	pageEntries = 512
-	freePages   = 256
-)
+// a page's entry count. Pages come from the query's free list (free.go).
+const pageEntries = 512
 
 type entryPage [pageEntries]entry
-
-// pageList is a query's free list of entry pages, made by WithContext, so
-// it dies with the query. A nil list recycles nothing.
-type pageList struct {
-	free chan *entryPage
-	// poison (tests only) fills every page handed back with 0xFF bytes.
-	poison bool
-}
-
-func (l *pageList) get() *entryPage {
-	if l != nil {
-		select {
-		case pg := <-l.free:
-			return pg
-		default:
-		}
-	}
-	return new(entryPage)
-}
-
-func (l *pageList) put(pg *entryPage) {
-	if l == nil {
-		return
-	}
-	if l.poison {
-		for i := range pg {
-			pg[i] = entry{^uint64(0), ^uint32(0), ^uint32(0), ^uint32(0), ^uint32(0), ^uint32(0)}
-		}
-	}
-	select {
-	case l.free <- pg:
-	default:
-	}
-}
 
 // pagedRun is one partition's entries while its map task runs.
 type pagedRun struct {
@@ -73,9 +34,9 @@ type pagedRun struct {
 	n     int
 }
 
-func (r *pagedRun) add(e entry, l *pageList) {
+func (r *pagedRun) add(e entry, l *freeList) {
 	if r.n%pageEntries == 0 {
-		r.pages = append(r.pages, l.get())
+		r.pages = append(r.pages, l.page())
 	}
 	r.pages[len(r.pages)-1][r.n%pageEntries] = e
 	r.n++
@@ -83,11 +44,11 @@ func (r *pagedRun) add(e entry, l *pageList) {
 
 // flatten appends r's entries to dst, hands its pages back to l and
 // empties r.
-func (r *pagedRun) flatten(dst []entry, l *pageList) []entry {
+func (r *pagedRun) flatten(dst []entry, l *freeList) []entry {
 	dst = slices.Grow(dst, r.n)
 	for i, pg := range r.pages {
 		dst = append(dst, pg[:min(pageEntries, r.n-i*pageEntries)]...)
-		l.put(pg)
+		l.putPage(pg)
 	}
 	clear(r.pages)
 	r.pages, r.n = r.pages[:0], 0
@@ -353,7 +314,7 @@ func reduceGroups(red Reducer, t arenas, r []entry, values *[][]byte, emit Emit,
 // and sorted by (key, emission order) when they do not. A combiner must
 // keep each key in its partition. check runs before the sort and between
 // groups, so cancellation never stalls in a combiner over a hot key.
-func combine(comb Reducer, in *arena, r []entry, out *arena, l *pageList, values *[][]byte, partitions, p int, check func() error) ([]entry, error) {
+func combine(comb Reducer, in *arena, r []entry, out *arena, l *freeList, values *[][]byte, partitions, p int, check func() error) ([]entry, error) {
 	if err := check(); err != nil {
 		return nil, err
 	}

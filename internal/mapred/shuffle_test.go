@@ -204,7 +204,7 @@ func checkShuffleCase(t *testing.T, sc shuffleCase, thresholds []int64, workerCo
 				c.testWorkers = workers
 				if inQuery {
 					c = c.WithContext(context.Background())
-					c.pages.poison = true
+					c.free.poison = true
 				}
 				w, err := c.FS.Create("in", 1)
 				if err != nil {
@@ -379,9 +379,11 @@ func (c shuffleCase) mapOnlyJob(repeat int, stream bool) *Job {
 // says so, every record's pairs repeated past one batch — through Run and
 // through the entry-and-Write reference (shuffleref_test.go):
 // materialised, streamed, and streamed into an overflow at the first batch
-// or mid-output, on one and two workers. The records, their order and
-// every volume but StreamedBatches must be equal, and the output must stay
-// streamed in both or in neither.
+// or mid-output, on one and two workers, outside a query and in one whose
+// free list poisons every builder handed back, where a second job runs on
+// the recycled builders. The records, their order and every volume but
+// StreamedBatches must be equal, and the output must stay streamed in both
+// or in neither.
 func FuzzMapOnlyMatchesReference(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 3, 1, 0, 15, 3, 1, 2, 5, 5, 0, 0, 2, 3, 1, 1, 7})
@@ -396,10 +398,14 @@ func FuzzMapOnlyMatchesReference(f *testing.F) {
 			data = data[1:]
 		}
 		sc := decodeShuffleCase(data)
-		cluster := func(workers int, overflow int64) *Cluster {
+		cluster := func(workers int, overflow int64, inQuery bool) *Cluster {
 			cfg := DefaultConfig()
 			cfg.ExecSplitBytes = int64(8 * sc.recsPerTask)
 			c := NewCluster(cfg)
+			if inQuery {
+				c = c.WithContext(context.Background())
+				c.free.poison = true
+			}
 			c.testWorkers = workers
 			c.testStreamOverflowBytes = overflow
 			w, err := c.FS.Create("in", 1)
@@ -418,28 +424,39 @@ func FuzzMapOnlyMatchesReference(f *testing.F) {
 			stream   bool
 			overflow int64
 		}{{false, 0}, {true, 0}, {true, 1}, {true, 400}} {
-			ref := cluster(1, mode.overflow)
+			ref := cluster(1, mode.overflow, false)
 			want, err := ref.refRunMapOnly(sc.mapOnlyJob(repeat, mode.stream))
 			if err != nil {
 				t.Fatal(err)
 			}
 			wantOut := readLines(t, ref, "out")
 			for _, workers := range []int{1, 2} {
-				c := cluster(workers, mode.overflow)
-				m, err := c.Run(sc.mapOnlyJob(repeat, mode.stream))
-				if err != nil {
-					t.Fatalf("%+v, workers %d: %v", mode, workers, err)
-				}
-				if got := readLines(t, c, "out"); !slices.Equal(got, wantOut) {
-					t.Fatalf("%+v, workers %d: records\n%q\nwant\n%q", mode, workers, got, wantOut)
-				}
-				got, ref := m.Volumes(), want.Volumes()
-				if (got.StreamedBatches > 0) != (ref.StreamedBatches > 0) {
-					t.Fatalf("%+v, workers %d: %d streamed batches, reference %d", mode, workers, got.StreamedBatches, ref.StreamedBatches)
-				}
-				got.StreamedBatches, ref.StreamedBatches = 0, 0
-				if got != ref {
-					t.Fatalf("%+v, workers %d: volumes\n%+v\nwant\n%+v", mode, workers, got, ref)
+				for _, inQuery := range []bool{false, true} {
+					c := cluster(workers, mode.overflow, inQuery)
+					// A second job on the same cluster takes the builders
+					// the first handed back: its output must not show
+					// through the first's.
+					var m *Metrics
+					for _, out := range []string{"out", "again"} {
+						job := sc.mapOnlyJob(repeat, mode.stream)
+						job.Output = out
+						if m, err = c.Run(job); err != nil {
+							t.Fatalf("%+v, workers %d, in query %v: %v", mode, workers, inQuery, err)
+						}
+					}
+					for _, out := range []string{"out", "again"} {
+						if got := readLines(t, c, out); !slices.Equal(got, wantOut) {
+							t.Fatalf("%+v, workers %d, in query %v: %s records\n%q\nwant\n%q", mode, workers, inQuery, out, got, wantOut)
+						}
+					}
+					got, ref := m.Volumes(), want.Volumes()
+					if (got.StreamedBatches > 0) != (ref.StreamedBatches > 0) {
+						t.Fatalf("%+v, workers %d, in query %v: %d streamed batches, reference %d", mode, workers, inQuery, got.StreamedBatches, ref.StreamedBatches)
+					}
+					got.StreamedBatches, ref.StreamedBatches = 0, 0
+					if got != ref {
+						t.Fatalf("%+v, workers %d, in query %v: volumes\n%+v\nwant\n%+v", mode, workers, inQuery, got, ref)
+					}
 				}
 			}
 		}

@@ -156,7 +156,7 @@ func TestSpillDeterminismMatrix(t *testing.T) {
 				c.testWorkers = workers
 				if backend == "mem-poisoned" {
 					c = c.WithContext(context.Background())
-					c.pages.poison = true
+					c.free.poison = true
 				}
 				spillFixture(c)
 				if _, err := c.Run(wordCountJob("in", "out", true)); err != nil {

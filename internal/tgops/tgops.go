@@ -471,8 +471,8 @@ func slotValue(slots []string, slot int) string {
 // is the generalised operator of Figure 6(b): all aggregations evaluate in
 // parallel within one cycle, keyed by the spec's index followed by the
 // group values. With hashAgg the mapper pre-aggregates into a task-wide
-// hash map flushed at Map.clean(); otherwise per-solution partial states
-// are merged by a combiner.
+// hash table (preAggTable) flushed at Map.clean(); otherwise per-solution
+// partial states are merged by a combiner.
 //
 // Output rows are [group values..., finals...] for one spec, and [spec
 // index, group values..., finals...] for several — the two layouts the
@@ -518,7 +518,7 @@ type aggJoinMapper struct {
 	// multiAggMap is the mapper-wide pre-aggregation table (Algorithm 3);
 	// nil disables hash aggregation, and partial then holds each spec's
 	// per-solution state, reset before every solution.
-	multiAggMap map[string]*algebra.MultiAggState
+	multiAggMap *preAggTable
 	partial     []*algebra.MultiAggState
 }
 
@@ -530,7 +530,7 @@ func newAggJoinMapper(sc *scanner, specs []resolvedAggSpec, hashAgg bool) *aggJo
 		m.states[i] = specs[i].matcher.NewState(onSolution)
 	}
 	if hashAgg {
-		m.multiAggMap = map[string]*algebra.MultiAggState{}
+		m.multiAggMap = &preAggTable{}
 	} else {
 		m.partial = make([]*algebra.MultiAggState, len(specs))
 		for i := range specs {
@@ -595,13 +595,7 @@ func (m *aggJoinMapper) solution(slots []string) {
 	hashAgg := m.multiAggMap != nil
 	var st *algebra.MultiAggState
 	if hashAgg {
-		// a map index by string(bytes) does not allocate
-		st = m.multiAggMap[string(key)]
-		if st == nil {
-			st = algebra.NewMultiAggState(sp.Aggs)
-			// once per group key and task: the table's key must be a string
-			m.multiAggMap[string(key)] = st
-		}
+		st = m.multiAggMap.state(key, sp.Aggs)
 	} else {
 		st = m.partial[m.cur]
 		st.Reset()
@@ -616,13 +610,17 @@ func (m *aggJoinMapper) solution(slots []string) {
 	}
 }
 
-// Close flushes the pre-aggregated entries — Algorithm 3's Map.clean().
-// Map iteration order is free: the shuffle sorts every run by key, and the
-// table holds each key once per task.
+// Close flushes the pre-aggregated groups in first-seen order —
+// Algorithm 3's Map.clean(). Emit copies each key, a view of the table's
+// arena.
 func (m *aggJoinMapper) Close(emit mapred.Emit) error {
-	for key, st := range m.multiAggMap {
+	t := m.multiAggMap
+	if t == nil {
+		return nil
+	}
+	for g, st := range t.states {
 		m.enc = st.AppendEncode(m.enc[:0])
-		emit(key, m.enc)
+		emit(t.keyString(g), m.enc)
 	}
 	return nil
 }

@@ -17,10 +17,12 @@ package vec
 const DefaultBatchRows = 1024
 
 // Batch is a sealed, immutable batch of records: their bytes back to back
-// in one arena, in append order, with the record boundaries in offs.
+// in one arena, in append order, with the record boundaries in offs. Both
+// are exactly as long as their capacity: a batch owns nothing it does not
+// hold.
 type Batch struct {
 	data []byte
-	offs []int // record boundaries into data, len rows+1
+	offs []uint32 // record boundaries into data, len rows+1
 }
 
 // Rows returns the number of records in the batch.
@@ -44,56 +46,89 @@ func (b *Batch) AppendRecord(dst []byte, row int) []byte {
 	return append(dst, b.Record(row)...)
 }
 
-// Builder accumulates records into batches. Append seals and returns a
-// batch when it fills (maxRows); Flush seals whatever remains. Builders
-// copy the appended record, so callers may reuse the slice immediately.
-// The zero Builder seals at DefaultBatchRows.
+// maxBatchBytes is the most bytes a batch holds: its offsets are uint32.
+const maxBatchBytes = 1<<32 - 1
+
+// sealsFirst reports whether a record of n bytes must go to a new batch
+// because an open batch holding have bytes cannot take it.
+func sealsFirst(have, n uint64) bool { return have > 0 && have+n > maxBatchBytes }
+
+// Builder accumulates records into batches. It appends into scratch of
+// its own, which it keeps from batch to batch, and seals a batch by
+// copying the scratch into exact-size arrays, so no sealed batch shares
+// memory with the builder. Append seals and returns a batch when it fills
+// (maxRows), or before a record that would take its bytes past
+// maxBatchBytes; Flush seals whatever remains. Builders copy the appended
+// record, so callers may reuse the slice immediately. The zero Builder
+// seals at DefaultBatchRows.
 type Builder struct {
 	maxRows int
-	cur     *Batch
-	// arenaHint is the arena length of the last sealed batch; each new
-	// arena starts at that capacity, so steady-state appends rarely regrow.
-	arenaHint int
+	// data and offs are the open batch: its records' bytes and their end
+	// offsets.
+	data []byte
+	offs []uint32
 }
 
 // NewBuilder returns a builder sealing batches at maxRows rows (<= 0
 // selects DefaultBatchRows).
 func NewBuilder(maxRows int) *Builder { return &Builder{maxRows: maxRows} }
 
-// Append copies one record into the open batch, returning the sealed batch
-// when the append filled it, else nil.
+// Append copies one record into the open batch, returning the batch it
+// sealed, else nil. A batch sealed before the record because of its size
+// is never also full after it: it held fewer than maxRows rows.
 func (bu *Builder) Append(rec []byte) *Batch {
-	if bu.cur == nil {
-		if bu.maxRows <= 0 {
-			bu.maxRows = DefaultBatchRows
-		}
-		bu.cur = &Batch{
-			data: make([]byte, 0, bu.arenaHint),
-			offs: make([]int, 1, bu.maxRows+1),
-		}
+	if bu.maxRows <= 0 {
+		bu.maxRows = DefaultBatchRows
 	}
-	b := bu.cur
-	b.data = append(b.data, rec...)
-	b.offs = append(b.offs, len(b.data))
-	if b.Rows() >= bu.maxRows {
+	if uint64(len(rec)) > maxBatchBytes {
+		panic("vec: record larger than a batch")
+	}
+	var sealed *Batch
+	if sealsFirst(uint64(len(bu.data)), uint64(len(rec))) {
+		sealed = bu.seal()
+	}
+	bu.data = append(bu.data, rec...)
+	bu.offs = append(bu.offs, uint32(len(bu.data)))
+	if len(bu.offs) >= bu.maxRows {
 		return bu.seal()
 	}
-	return nil
+	return sealed
 }
 
-// seal detaches and returns the open batch.
+// seal copies the open batch into a new exact-size Batch and empties the
+// scratch.
 func (bu *Builder) seal() *Batch {
-	b := bu.cur
-	bu.cur = nil
-	bu.arenaHint = len(b.data)
+	b := &Batch{data: make([]byte, len(bu.data)), offs: make([]uint32, len(bu.offs)+1)}
+	copy(b.data, bu.data)
+	copy(b.offs[1:], bu.offs)
+	bu.Reset()
 	return b
 }
 
 // Flush seals and returns the partially filled open batch, or nil when the
 // builder is empty.
 func (bu *Builder) Flush() *Batch {
-	if bu.cur == nil {
+	if len(bu.offs) == 0 {
 		return nil
 	}
 	return bu.seal()
+}
+
+// Reset drops the open batch and keeps the scratch, so a recycled builder
+// starts empty.
+func (bu *Builder) Reset() { bu.data, bu.offs = bu.data[:0], bu.offs[:0] }
+
+// Poison overwrites the whole of the builder's scratch with 0xFF bytes and
+// drops the open batch. Tests of recycled builders poison every builder
+// handed back, so a sealed batch that shared the scratch would read back
+// 0xFF.
+func (bu *Builder) Poison() {
+	data, offs := bu.data[:cap(bu.data)], bu.offs[:cap(bu.offs)]
+	for i := range data {
+		data[i] = 0xff
+	}
+	for i := range offs {
+		offs[i] = ^uint32(0)
+	}
+	bu.Reset()
 }

@@ -34,11 +34,15 @@ func build(maxRows int, recs [][]byte) []*Batch {
 }
 
 // checkRoundTrip fails unless the batches hold exactly want, in order,
-// through both Record and AppendRecord, with Bytes summing the lengths.
+// through both Record and AppendRecord, with Bytes summing the lengths and
+// every batch's arrays exactly as long as their capacity.
 func checkRoundTrip(t testing.TB, batches []*Batch, want [][]byte) {
 	t.Helper()
 	i := 0
 	for _, b := range batches {
+		if cap(b.data) != len(b.data) || cap(b.offs) != len(b.offs) {
+			t.Fatalf("batch data len %d cap %d, offs len %d cap %d: want exact sizes", len(b.data), cap(b.data), len(b.offs), cap(b.offs))
+		}
 		var logical int64
 		for r := 0; r < b.Rows(); r++ {
 			if i >= len(want) {
@@ -168,23 +172,95 @@ func TestBatchRecordNoAlias(t *testing.T) {
 
 // FuzzBuilderRoundTrip: any record sequence, cut from the input by its own
 // length bytes, reads back identically through batches of any capacity.
+// One builder takes the input cut into several sequences, each flushed,
+// and its scratch is poisoned after each flush: the batches of every
+// sequence must still read back, so none shares the builder's scratch.
 func FuzzBuilderRoundTrip(f *testing.F) {
 	f.Add(uint8(4), []byte("\x02ab\x00\x03xyz\x01q"))
 	f.Add(uint8(1), encodeTuple(1, 2, 3))
 	f.Add(uint8(0), []byte{})
+	f.Add(uint8(2), []byte("\x12ab\x00\x13xyz\x21q\x02zz"))
 	f.Fuzz(func(t *testing.T, maxRows uint8, in []byte) {
 		var recs [][]byte
+		var cuts []int // after which records a sequence ends
 		for len(in) > 0 {
 			n := min(int(in[0])%16, len(in)-1)
 			recs = append(recs, in[1:1+n])
+			if in[0]&0x10 != 0 {
+				cuts = append(cuts, len(recs))
+			}
 			in = in[1+n:]
 		}
 		checkRoundTrip(t, build(int(maxRows), recs), recs)
+
+		bu := NewBuilder(int(maxRows))
+		var sealed []*Batch
+		for i, rec := range recs {
+			if b := bu.Append(rec); b != nil {
+				sealed = append(sealed, b)
+			}
+			if len(cuts) > 0 && cuts[0] == i+1 {
+				cuts = cuts[1:]
+				if b := bu.Flush(); b != nil {
+					sealed = append(sealed, b)
+				}
+				bu.Poison()
+			}
+		}
+		if b := bu.Flush(); b != nil {
+			sealed = append(sealed, b)
+		}
+		bu.Poison()
+		checkRoundTrip(t, sealed, recs)
 	})
 }
 
+// A batch's offsets are uint32, so the builder seals an open batch before
+// a record that would take its bytes past 4 GiB − 1, and only then: never
+// an empty batch, and not at exactly the limit.
+func TestSealBeforeFourGiB(t *testing.T) {
+	for _, c := range []struct {
+		have, n uint64
+		want    bool
+	}{
+		{0, 0, false},
+		{0, maxBatchBytes, false},
+		{1, maxBatchBytes - 1, false},
+		{1, maxBatchBytes, true},
+		{maxBatchBytes - 10, 10, false},
+		{maxBatchBytes - 10, 11, true},
+		{maxBatchBytes, 0, false},
+		{maxBatchBytes, 1, true},
+		{3 << 30, 1 << 30, true},
+	} {
+		if got := sealsFirst(c.have, c.n); got != c.want {
+			t.Errorf("sealsFirst(%d, %d) = %v, want %v", c.have, c.n, got, c.want)
+		}
+	}
+}
+
+// Flush and Reset leave the builder's scratch in place for the next batch,
+// and a reset drops the open batch.
+func TestBuilderKeepsScratch(t *testing.T) {
+	bu := NewBuilder(8)
+	bu.Append([]byte("abcdef"))
+	bu.Append([]byte("gh"))
+	data := &bu.data[0]
+	if b := bu.Flush(); b.Rows() != 2 {
+		t.Fatalf("flushed %d rows, want 2", b.Rows())
+	}
+	bu.Append([]byte("xy"))
+	if &bu.data[0] != data {
+		t.Error("the next batch did not reuse the scratch")
+	}
+	bu.Reset()
+	if bu.Flush() != nil {
+		t.Error("a reset builder flushed a batch")
+	}
+}
+
 // Reading a record allocates nothing, and appending one nothing beyond the
-// next batch's arena, offsets and header once per DefaultBatchRows rows:
+// sealed batch's arena, offsets and header once per DefaultBatchRows rows:
 // averaged over fewer runs than a batch holds, that is zero.
 func TestSteadyStateAllocs(t *testing.T) {
 	bu := NewBuilder(DefaultBatchRows)
