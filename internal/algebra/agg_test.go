@@ -210,6 +210,27 @@ func TestEvalFilter(t *testing.T) {
 	}
 }
 
+// A FILTER evaluation allocates nothing once its regex is compiled: the
+// regex cache's key is built without concatenating the pattern.
+func TestEvalFilterSteadyStateAllocs(t *testing.T) {
+	for _, c := range []struct {
+		f     sparql.Filter
+		value string
+	}{
+		{sparql.Filter{Kind: sparql.FilterRegex, Var: "n", Pattern: "MAPK signaling", Flags: "i"}, "Lthe mapk SIGNALING pathway"},
+		{sparql.Filter{Kind: sparql.FilterRegex, Var: "n", Pattern: "^Ind"}, "LIndia"},
+		{sparql.Filter{Kind: sparql.FilterCompare, Var: "p", Op: ">", Value: "5000", IsNumeric: true}, "L6000"},
+		{sparql.Filter{Kind: sparql.FilterCompare, Var: "t", Op: "=", Value: "News"}, "LNews"},
+	} {
+		if ok, err := EvalFilter(c.f, c.value); err != nil || !ok {
+			t.Fatalf("EvalFilter(%+v, %q) = %v, %v", c.f, c.value, ok, err)
+		}
+		if n := testing.AllocsPerRun(100, func() { EvalFilter(c.f, c.value) }); n != 0 {
+			t.Errorf("EvalFilter(%+v) allocates %v times per call, want 0", c.f, n)
+		}
+	}
+}
+
 func TestEvalExpr(t *testing.T) {
 	q := sparql.MustParse(prefix + `SELECT ((?a + ?b) * 2 / ?c AS ?r) {
   { SELECT (SUM(?x) AS ?a) (COUNT(?x) AS ?b) (MAX(?x) AS ?c) { ?s e:p ?x . } }

@@ -40,13 +40,17 @@ func FormatNumber(f float64) string {
 	return strconv.FormatFloat(f, 'g', 10, 64)
 }
 
+// regexKey keys the compiled-regex cache: comparable as it is, so a
+// lookup per evaluated row builds no string.
+type regexKey struct{ pattern, flags string }
+
 var (
 	regexCacheMu sync.Mutex
-	regexCache   = map[string]*regexp.Regexp{}
+	regexCache   = map[regexKey]*regexp.Regexp{}
 )
 
 func compileFilterRegex(pattern, flags string) (*regexp.Regexp, error) {
-	key := flags + "\x00" + pattern
+	key := regexKey{pattern, flags}
 	regexCacheMu.Lock()
 	defer regexCacheMu.Unlock()
 	if re, ok := regexCache[key]; ok {

@@ -13,9 +13,8 @@ func (t tableInterner) IDString(id uint64) (string, bool) {
 	return t[id], true
 }
 
-// The encoders allocate nothing once their buffer is warm, and the decoders
-// nothing beyond the one string per record that AppendDecodeTuple's fields
-// are substrings of.
+// The encoders allocate nothing once their buffer is warm, and neither do
+// the decoders: AppendDecodeTuple's fields are views of its record.
 func TestCodecsSteadyStateAllocs(t *testing.T) {
 	table := make(tableInterner, 300)
 	for id := range table {
@@ -40,7 +39,7 @@ func TestCodecsSteadyStateAllocs(t *testing.T) {
 		{"Tuple.AppendEncode", 0, func() { buf = lex.AppendEncode(buf[:0]) }},
 		{"Tuple.AppendEncodeIDs", 0, func() { buf = ids.AppendEncodeIDs(buf[:0]) }},
 		{"AppendDecodeIDTuple", 0, func() { dst, err = AppendDecodeIDTuple(dst[:0], idRec, in) }},
-		{"AppendDecodeTuple", 1, func() { dst, err = AppendDecodeTuple(dst[:0], lexRec) }},
+		{"AppendDecodeTuple", 0, func() { dst, err = AppendDecodeTuple(dst[:0], lexRec) }},
 	} {
 		if c.run(); err != nil {
 			t.Fatalf("%s: %v", c.name, err)

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"unsafe"
 )
 
 // AppendString appends a uvarint-length-prefixed string to buf.
@@ -89,8 +90,8 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// DecodeTuple parses a tuple written by Encode into a fresh tuple (see
-// AppendDecodeTuple).
+// DecodeTuple parses a tuple written by Encode into a fresh tuple whose
+// fields alias buf (see AppendDecodeTuple).
 func DecodeTuple(buf []byte) (Tuple, error) {
 	t, err := AppendDecodeTuple(nil, buf)
 	if err == nil && t == nil {
@@ -100,10 +101,12 @@ func DecodeTuple(buf []byte) (Tuple, error) {
 }
 
 // AppendDecodeTuple parses a tuple written by Encode and appends its fields
-// to dst — the lexical twin of AppendDecodeIDTuple. The fields are
-// substrings of one string copy of the record, so a decode allocates that
-// string, not one per field; a reader of many rows passes one flat dst for
-// all of them and slices its rows out. On error dst comes back unextended.
+// to dst — the lexical twin of AppendDecodeIDTuple. The fields are views of
+// buf, not copies: they alias its bytes, so the caller keeps buf unmodified
+// for as long as it uses them. A dfs record is immutable and outlives its
+// file, so fields decoded from one may be kept. A decode allocates nothing
+// beyond growing dst; a reader of many rows passes one flat dst for all of
+// them and slices its rows out. On error dst comes back unextended.
 func AppendDecodeTuple(dst Tuple, buf []byte) (Tuple, error) {
 	n, rest, err := ReadUvarint(buf)
 	if err != nil {
@@ -114,11 +117,8 @@ func AppendDecodeTuple(dst Tuple, buf []byte) (Tuple, error) {
 	if n > uint64(len(rest)) {
 		return dst, decodeErr("tuple arity %d exceeds %d remaining bytes", n, len(rest))
 	}
-	var s string
-	if n > 0 {
-		// one string per record: every field is a substring of it
-		s = string(buf)
-	}
+	// every field is a substring of this view of buf
+	s := unsafe.String(unsafe.SliceData(buf), len(buf))
 	out := slices.Grow(dst, int(n))
 	for i := 0; i < int(n); i++ {
 		var f []byte

@@ -1,7 +1,10 @@
 package codec
 
 import (
+	"bytes"
+	"slices"
 	"testing"
+	"unsafe"
 )
 
 // fuzzInterner resolves every ID to its own uvarint encoding, like rdf.Dict
@@ -60,6 +63,48 @@ func FuzzReadUvarint(f *testing.F) {
 	})
 }
 
+// decodeTupleCopy is AppendDecodeTuple as it was before its fields became
+// views of buf: they are substrings of one string copy of the record. It is
+// the reference FuzzDecodeTuple holds the views to.
+func decodeTupleCopy(dst Tuple, buf []byte) (Tuple, error) {
+	n, rest, err := ReadUvarint(buf)
+	if err != nil {
+		return dst, err
+	}
+	if n > uint64(len(rest)) {
+		return dst, decodeErr("tuple arity %d exceeds %d remaining bytes", n, len(rest))
+	}
+	var s string
+	if n > 0 {
+		s = string(buf)
+	}
+	out := slices.Grow(dst, int(n))
+	for i := 0; i < int(n); i++ {
+		var f []byte
+		if f, rest, err = readString(rest); err != nil {
+			return dst, decodeErr("tuple field %d: %w", i, err)
+		}
+		end := len(buf) - len(rest)
+		out = append(out, s[end-len(f):end])
+	}
+	if len(rest) != 0 {
+		return dst, decodeErr("%d trailing bytes after tuple", len(rest))
+	}
+	return out, nil
+}
+
+// within reports whether s's bytes lie inside buf.
+func within(s string, buf []byte) bool {
+	if len(s) == 0 {
+		return true
+	}
+	if len(buf) == 0 {
+		return false
+	}
+	p, lo := uintptr(unsafe.Pointer(unsafe.StringData(s))), uintptr(unsafe.Pointer(unsafe.SliceData(buf)))
+	return p >= lo && p+uintptr(len(s)) <= lo+uintptr(len(buf))
+}
+
 func FuzzDecodeTuple(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(Tuple{}.Encode())
@@ -67,7 +112,25 @@ func FuzzDecodeTuple(f *testing.F) {
 	f.Add(Tuple{"a"}.Encode())
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		orig := bytes.Clone(data)
 		tup, err := DecodeTuple(data)
+		// The views equal the copying reference's fields, lie inside data
+		// and leave it as it was.
+		ref, rerr := decodeTupleCopy(nil, data)
+		if (err == nil) != (rerr == nil) {
+			t.Fatalf("DecodeTuple err = %v, copying reference err = %v", err, rerr)
+		}
+		if err == nil {
+			assertTuplesEqual(t, tup, ref)
+		}
+		for i, v := range tup {
+			if !within(v, data) {
+				t.Fatalf("field %d %q is not a view of the record", i, v)
+			}
+		}
+		if !bytes.Equal(data, orig) {
+			t.Fatalf("decoding changed the record: %x, was %x", data, orig)
+		}
 		// The append decoder onto a dirty dst agrees with DecodeTuple, leaves
 		// dst's fields alone and hands dst back unextended on error.
 		dst := make(Tuple, len(data)%4, 8)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"rapidanalytics/internal/algebra"
@@ -25,7 +26,7 @@ func runReducer(red mapred.Reducer, groups []kvGroup) ([]kvEmit, error) {
 	var out []kvEmit
 	for _, g := range groups {
 		err := red.Reduce(g.key, g.values, func(key string, value []byte) {
-			out = append(out, kvEmit{key: key, value: bytes.Clone(value)})
+			out = append(out, kvEmit{key: strings.Clone(key), value: bytes.Clone(value)})
 		})
 		if err != nil {
 			return out, err

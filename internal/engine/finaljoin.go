@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"unsafe"
 
 	"rapidanalytics/internal/algebra"
 	"rapidanalytics/internal/codec"
@@ -54,6 +55,7 @@ type finalJoinMapper struct {
 	rec   codec.Tuple
 	row   map[string]string
 	key   []byte
+	keys  []byte // the broadcast sides' keys, back to back (sideKey)
 	added [][]string
 	out   codec.Tuple
 	buf   []byte
@@ -149,20 +151,29 @@ func (m *finalJoinMapper) buildIndexes() error {
 		idx := map[string][]codec.Tuple{}
 		pos := columnPositions(m.cols[i+1], m.joinCols[i+1])
 		for _, r := range splitRows(fields[i], ends[i]) {
-			m.key = m.key[:0]
-			for k, p := range pos {
-				if k > 0 {
-					m.key = append(m.key, 0x1f)
-				}
-				if p >= 0 {
-					m.key = append(m.key, r[p]...)
-				}
-			}
-			idx[string(m.key)] = append(idx[string(m.key)], r)
+			k := m.sideKey(r, pos)
+			idx[k] = append(idx[k], r)
 		}
 		m.indexes[i] = idx
 	}
 	return nil
+}
+
+// sideKey returns side row r's key on the join columns at pos, in the form
+// extend probes with, as a view of m.keys: each key is appended there and
+// its bytes never change, so the index may keep it.
+func (m *finalJoinMapper) sideKey(r codec.Tuple, pos []int) string {
+	start := len(m.keys)
+	for k, p := range pos {
+		if k > 0 {
+			m.keys = append(m.keys, 0x1f)
+		}
+		if p >= 0 {
+			m.keys = append(m.keys, r[p]...)
+		}
+	}
+	k := m.keys[start:]
+	return unsafe.String(unsafe.SliceData(k), len(k))
 }
 
 // extend joins the partial row with subquery i's rows and recurses;

@@ -13,6 +13,8 @@
 package hive
 
 import (
+	"unsafe"
+
 	"rapidanalytics/internal/algebra"
 	"rapidanalytics/internal/codec"
 	"rapidanalytics/internal/engine"
@@ -289,8 +291,9 @@ func (m *partialAggMapper) Map(rec []byte, emit mapred.Emit) error {
 		m.st.States[i].UpdateTerm(m.sc.plan.dict, row[p])
 	}
 	m.enc = m.st.AppendEncode(m.enc[:0])
-	// Emit takes its key as a string: one per row
-	emit(string(m.key), m.enc)
+	// The key is a view of the scratch the next row overwrites: every
+	// framework Emit copies it before it returns.
+	emit(unsafe.String(unsafe.SliceData(m.key), len(m.key)), m.enc)
 	return nil
 }
 
@@ -348,8 +351,9 @@ func (m *projectMapper) Map(rec []byte, emit mapred.Emit) error {
 		m.proj = append(m.proj, row[p])
 	}
 	m.enc = m.proj.AppendEncodeIDs(m.enc[:0])
-	// Emit takes its key as a string: one per row
-	emit(string(m.enc), m.enc)
+	// The key is a view of the scratch the next row overwrites: every
+	// framework Emit copies it before it returns.
+	emit(unsafe.String(unsafe.SliceData(m.enc), len(m.enc)), m.enc)
 	return nil
 }
 

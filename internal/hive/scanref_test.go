@@ -344,7 +344,7 @@ func TestStarRowsAgreeWithReference(t *testing.T) {
 type emitted struct{ keys, values []string }
 
 func (e *emitted) emit(key string, value []byte) {
-	e.keys = append(e.keys, key)
+	e.keys = append(e.keys, strings.Clone(key))
 	e.values = append(e.values, string(value))
 }
 

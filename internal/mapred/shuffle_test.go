@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"rapidanalytics/internal/dfs"
 	"rapidanalytics/internal/vec"
@@ -236,22 +237,23 @@ func checkShuffleCase(t *testing.T, sc shuffleCase, thresholds []int64, workerCo
 	}
 }
 
-// Every emitter may reuse one buffer: a mapper, a combiner, a map-only
-// mapper and a reducer that overwrite their buffer after each emit must
-// produce the output of emitters that hand over a fresh slice each time.
+// Every emitter may reuse one buffer for its key and its value: a mapper,
+// a combiner, a map-only mapper and a reducer that overwrite their buffer
+// after each emit must produce the output of emitters that hand over fresh
+// copies each time, over several partitions and while spilling too.
 func TestEmitCopiesBeforeReturn(t *testing.T) {
-	lines := []string{"a b c a", "b a", "c c c", "d a b"}
-	// emitter returns an emit wrapper: fresh copies every value, reused
-	// sends it through one buffer it overwrites afterwards.
+	lines := []string{"a b c a", "b a", "c c c", "d a b", "e f a", "f e d c"}
+	// emitter returns an emit wrapper: fresh copies every key and value,
+	// reused sends both as views of one buffer it overwrites afterwards.
 	emitter := func(reuse bool) func(Emit, string, []byte) {
 		var buf []byte
 		return func(emit Emit, key string, value []byte) {
 			if !reuse {
-				emit(key, bytes.Clone(value))
+				emit(strings.Clone(key), bytes.Clone(value))
 				return
 			}
-			buf = append(buf[:0], value...)
-			emit(key, buf)
+			buf = append(append(buf[:0], key...), value...)
+			emit(unsafe.String(unsafe.SliceData(buf), len(key)), buf[len(key):])
 			scribble(buf)
 		}
 	}
@@ -276,31 +278,45 @@ func TestEmitCopiesBeforeReturn(t *testing.T) {
 		}
 	}
 	for _, tc := range []struct {
-		name string
-		job  func(reuse bool) *Job
+		name  string
+		job   func(reuse bool) *Job
+		spill int64 // the spill threshold; 0 never spills
 	}{
 		{"mapper", func(reuse bool) *Job {
 			return &Job{NewMapper: mapper(reuse), NewReducer: joiner(false)}
-		}},
+		}, 0},
 		{"combiner", func(reuse bool) *Job {
 			return &Job{NewMapper: mapper(false), NewCombiner: joiner(reuse), NewReducer: joiner(false)}
-		}},
+		}, 0},
 		{"map-only", func(reuse bool) *Job {
 			return &Job{NewMapper: mapper(reuse)}
-		}},
+		}, 0},
 		{"reducer", func(reuse bool) *Job {
 			return &Job{NewMapper: mapper(false), NewReducer: joiner(reuse)}
-		}},
+		}, 0},
+		// partitionOf reads the mapper's and the combiner's key views.
+		{"3-partitions", func(reuse bool) *Job {
+			return &Job{NewMapper: mapper(reuse), NewCombiner: joiner(reuse), NewReducer: joiner(reuse), Partitions: 3}
+		}, 0},
+		// The views reach spill runs through the arena and the combiner.
+		{"spilling", func(reuse bool) *Job {
+			return &Job{NewMapper: mapper(reuse), NewCombiner: joiner(reuse), NewReducer: joiner(reuse), Partitions: 3}
+		}, 16},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var outs [2][]string
 			for i, reuse := range []bool{false, true} {
 				c := newTestCluster()
+				c.Config.SpillThresholdBytes = tc.spill
 				writeLines(c, "in", 1, lines...)
 				j := tc.job(reuse)
 				j.Name, j.Inputs, j.Output = tc.name, []string{"in"}, "out"
-				if _, err := c.Run(j); err != nil {
+				m, err := c.Run(j)
+				if err != nil {
 					t.Fatal(err)
+				}
+				if (m.SpillRuns > 0) != (tc.spill > 0) {
+					t.Fatalf("%d spill runs at threshold %d", m.SpillRuns, tc.spill)
 				}
 				outs[i] = readLines(t, c, "out")
 			}

@@ -61,7 +61,7 @@ func refCombine(comb Reducer, in []kv, partitions, p int) ([]kv, error) {
 	var out []kv
 	for _, g := range sortAndGroup(in) {
 		err := comb.Reduce(g.key, g.values, func(key string, value []byte) {
-			out = append(out, kv{key: key, value: bytes.Clone(value)})
+			out = append(out, kv{key: strings.Clone(key), value: bytes.Clone(value)})
 		})
 		if err != nil {
 			return nil, err

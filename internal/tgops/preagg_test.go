@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"rapidanalytics/internal/algebra"
@@ -154,7 +155,7 @@ func FuzzPreAggMatchesReference(f *testing.F) {
 		var got, want []string
 		var order []string
 		if err := m.Close(func(key string, value []byte) {
-			order = append(order, key)
+			order = append(order, strings.Clone(key))
 			got = append(got, strconv.Quote(key)+canonicalState(value))
 		}); err != nil {
 			t.Fatal(err)

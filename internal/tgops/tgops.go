@@ -24,6 +24,7 @@ package tgops
 import (
 	"fmt"
 	"slices"
+	"unsafe"
 
 	"rapidanalytics/internal/algebra"
 	"rapidanalytics/internal/codec"
@@ -605,8 +606,9 @@ func (m *aggJoinMapper) solution(slots []string) {
 	}
 	if !hashAgg {
 		m.enc = st.AppendEncode(m.enc[:0])
-		// Emit takes its key as a string: one per solution
-		m.emit(string(key), m.enc)
+		// The key is a view of the scratch the next solution overwrites:
+		// every framework Emit copies it before it returns.
+		m.emit(unsafe.String(unsafe.SliceData(key), len(key)), m.enc)
 	}
 }
 

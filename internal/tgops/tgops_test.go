@@ -360,7 +360,7 @@ func TestJoinKeysMissingStar(t *testing.T) {
 	}
 }
 
-// emitted is one map emit, its value copied when it was made.
+// emitted is one map emit, its key and value copied when it was made.
 type emitted struct {
 	key   string
 	value []byte
@@ -370,7 +370,7 @@ type emitted struct {
 // does with every emit.
 func collect(out *[]emitted) mapred.Emit {
 	return func(key string, value []byte) {
-		*out = append(*out, emitted{key: key, value: append([]byte(nil), value...)})
+		*out = append(*out, emitted{key: strings.Clone(key), value: append([]byte(nil), value...)})
 	}
 }
 
@@ -475,6 +475,11 @@ func TestMapSideAllocations(t *testing.T) {
 	src := Source{Files: []string{"in"}, Dict: d, Scan: &ScanSpec{Star: 0, Prim: []algebra.PropRef{{Prop: "price"}}}}
 	sc := src.scanner()
 	m := AggJoinJob("agg", src, aggSpecs(true), true, "out").NewMapper(&mapred.TaskContext{InputFile: "in"})
+	// RAPID+ aggregates without the hash table: one emit per solution, and
+	// a triplegroup with one price is one solution.
+	plus := AggJoinJob("agg", src, aggSpecs(false), false, "out").NewMapper(&mapred.TaskContext{InputFile: "in"})
+	g1 := intern(tg("b", [2]string{"price", "L5"}, [2]string{"junk", "Lx"}), d)
+	onePrice := g1.EncodeIDs()
 	a, b := ntga.NewAnnTG(0, g), ntga.NewAnnTG(1, g)
 	price := []string{g.Triples[0].Prop}
 	group := [][]byte{a.AppendEncodeIDs([]byte{0}), b.AppendEncodeIDs([]byte{1})}
@@ -496,6 +501,7 @@ func TestMapSideAllocations(t *testing.T) {
 		}},
 		// Hash aggregation emits nothing before Close.
 		{"aggJoinMapper.Map", 0, func() error { return m.Map(rec, emit) }},
+		{"aggJoinMapper.Map without hash aggregation", 1, func() error { return plus.Map(onePrice, emit) }},
 		{"appendJoinKeys", 0, func() error {
 			if keys = appendJoinKeys(keys[:0], &a, Endpoint{Star: 0, Role: algebra.RoleObject}, price); len(keys) != 2 {
 				t.Fatalf("join keys %q, want two prices", keys)

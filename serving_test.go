@@ -421,3 +421,60 @@ func TestRefusedSubResultLeavesNoStream(t *testing.T) {
 	}
 	checkStoreClean(t, store)
 }
+
+// TestResultRowsOutliveTheirFiles: a result's cells are views of its output
+// file's records, not copies. On every system, the rows of a first
+// execution equal the oracle's after the execution deleted that file and
+// after 20 further executions under a result cache smaller than the
+// working set, which evicts.
+func TestResultRowsOutliveTheirFiles(t *testing.T) {
+	opts := ra.DefaultOptions()
+	opts.ResultCacheBytes = 16 << 10
+	store := ra.NewWorkloadStore(0.2, opts)
+	var mg []string
+	for _, q := range bench.Catalog {
+		if strings.HasPrefix(q.ID, "MG") {
+			mg = append(mg, q.SPARQL)
+		}
+	}
+	oracle, _, err := store.Query(ra.Reference, mg[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oracle.Len() == 0 {
+		t.Fatalf("%s returns no rows", mg[0])
+	}
+	// sorted is canonRows in row order: MG1 has no ORDER BY.
+	sorted := func(res *ra.Result) string {
+		rows := strings.Split(canonRows(res), "\n")
+		slices.Sort(rows)
+		return strings.Join(rows, "\n")
+	}
+	want := sorted(oracle)
+	systems := ra.Systems()
+	firsts := make([]*ra.Result, len(systems))
+	texts := make([]string, len(systems))
+	for i, sys := range systems {
+		if firsts[i], _, err = store.Query(sys, mg[0]); err != nil {
+			t.Fatalf("%s: %v", sys, err)
+		}
+		texts[i] = strings.Clone(firsts[i].String())
+	}
+	for i := range 20 {
+		sys, q := systems[i%len(systems)], mg[1+i%(len(mg)-1)]
+		if _, _, err := store.Query(sys, q); err != nil {
+			t.Fatalf("execution %d (%s): %v", i, sys, err)
+		}
+	}
+	if cs := store.ResultCacheStats(); cs.Evictions == 0 {
+		t.Fatalf("the result cache never evicted: %+v", cs)
+	}
+	for i, res := range firsts {
+		if got := sorted(res); got != want {
+			t.Errorf("%s: rows after their file was deleted:\n%s\nwant\n%s", systems[i], got, want)
+		}
+		if s := res.String(); s != texts[i] {
+			t.Errorf("%s: result text changed:\n%s\nwas\n%s", systems[i], s, texts[i])
+		}
+	}
+}
