@@ -67,7 +67,7 @@ func (s *Subquery) HavingPassed(finals []string) bool {
 // GroupedHaving returns the HAVING predicate an aggregation reducer
 // applies: nil without HAVING, and nil for GROUP BY ALL, whose one group
 // gets its default row first and is filtered after that
-// (engine.ApplyGroupByAllHaving).
+// (engine.RepairGroupByAll).
 func (s *Subquery) GroupedHaving() func([]string) bool {
 	if s.GroupByAll() || len(s.Having) == 0 {
 		return nil

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 
 	"rapidanalytics/internal/algebra"
@@ -56,113 +55,91 @@ func groupByAllIn(aq *algebra.AnalyticalQuery, fi int, isTagged bool) []int {
 // agtg3). This is a metadata fix-up, not an extra cycle: a real system
 // would emit the default row from the job client.
 
-// EnsureDefaultRows appends a default row for every GROUP BY ALL subquery
-// with no row in files, in either layout.
-func EnsureDefaultRows(fs *dfs.FS, files []string, aq *algebra.AnalyticalQuery) error {
+// RepairGroupByAll gives every GROUP BY ALL subquery its one group in
+// files, in either layout, and then subjects that group to the
+// subquery's HAVING, matching SPARQL semantics: the single group always
+// exists first (possibly with default values). Grouped subqueries apply
+// HAVING inside their aggregation reducers instead
+// (algebra.Subquery.GroupedHaving).
+//
+// Each file holding a GROUP BY ALL subquery's rows is read once: the scan
+// keeps the rows that pass their HAVING and notes which subqueries have a
+// row, and a row that does not decode, which cannot vouch for its group,
+// fails the repair. The file is rewritten, the kept rows followed by the
+// missing default rows that pass HAVING, only when that changes it.
+func RepairGroupByAll(fs *dfs.FS, files []string, aq *algebra.AnalyticalQuery) error {
 	isTagged := tagged(aq, files)
 	for fi, name := range files {
 		subs := groupByAllIn(aq, fi, isTagged)
 		if len(subs) == 0 {
 			continue
 		}
-		f, err := fs.Open(name)
-		if err != nil {
-			return err
-		}
-		present := map[int]bool{}
-		var t codec.Tuple
-		it := f.Records(0)
-		for it.Next() {
-			// A row that does not decode cannot vouch for its group.
-			if t, err = codec.AppendDecodeTuple(t[:0], it.Record()); err != nil {
-				f.Close()
-				return fmt.Errorf("engine: reading %s: %w", name, err)
-			}
-			if id, _, ok := rowSubquery(t, fi, isTagged); ok {
-				present[id] = true
-			}
-		}
-		if err := it.Err(); err != nil {
-			f.Close()
-			return err
-		}
-		var defaults [][]byte
-		for _, i := range subs {
-			if present[i] {
-				continue
-			}
-			row := codec.Tuple(algebra.NewMultiAggState(aq.Subqueries[i].Aggs).Finals())
-			if isTagged {
-				row = append(codec.Tuple{strconv.Itoa(i)}, row...)
-			}
-			defaults = append(defaults, row.Encode())
-		}
-		if len(defaults) == 0 {
-			f.Close()
-			continue
-		}
-		if err := rewrite(fs, name, f, nil, defaults); err != nil {
+		if err := repairFile(fs, name, fi, isTagged, subs, aq); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// ApplyGroupByAllHaving filters GROUP BY ALL subquery rows by their HAVING
-// constraints. It runs after EnsureDefaultRows: the single group always
-// exists first (possibly with default values) and is then subjected to
-// HAVING, matching SPARQL semantics. Grouped subqueries apply HAVING inside
-// their aggregation reducers instead (algebra.Subquery.GroupedHaving).
-func ApplyGroupByAllHaving(fs *dfs.FS, files []string, aq *algebra.AnalyticalQuery) error {
-	isTagged := tagged(aq, files)
-	for fi, name := range files {
-		if !slices.ContainsFunc(groupByAllIn(aq, fi, isTagged), func(i int) bool { return len(aq.Subqueries[i].Having) > 0 }) {
-			continue
-		}
-		f, err := fs.Open(name)
-		if err != nil {
-			return err
-		}
-		err = rewrite(fs, name, f, func(rec []byte) bool {
-			t, err := codec.DecodeTuple(rec)
-			if err != nil {
-				return true
-			}
-			id, row, ok := rowSubquery(t, fi, isTagged)
-			if !ok || id < 0 || id >= len(aq.Subqueries) {
-				return true
-			}
-			sq := aq.Subqueries[id]
-			return !sq.GroupByAll() || sq.HavingPassed(row)
-		}, nil)
-		if err != nil {
-			return err
-		}
+// repairFile repairs file fi, which holds the rows of the GROUP BY ALL
+// subqueries subs.
+func repairFile(fs *dfs.FS, name string, fi int, isTagged bool, subs []int, aq *algebra.AnalyticalQuery) error {
+	f, err := fs.Open(name)
+	if err != nil {
+		return err
 	}
-	return nil
-}
-
-// rewrite replaces name with the records of snapshot f that keep accepts
-// (every record, when keep is nil) followed by extra, preserving the file's
-// compression ratio — the read-modify-write the mem backend once allowed in
-// place. It closes f.
-func rewrite(fs *dfs.FS, name string, f *dfs.File, keep func(rec []byte) bool, extra [][]byte) error {
 	defer f.Close()
+	// The kept records, back to back: record r is data[ends[r-1]:ends[r]].
+	data, ends := make([]byte, 0, f.Bytes()), make([]int, 0, f.NumRecords())
+	present := map[int]bool{}
+	var t codec.Tuple
+	it := f.Records(0)
+	for it.Next() {
+		rec := it.Record()
+		if t, err = codec.AppendDecodeTuple(t[:0], rec); err != nil {
+			return fmt.Errorf("engine: reading %s: %w", name, err)
+		}
+		id, row, ok := rowSubquery(t, fi, isTagged)
+		if ok {
+			present[id] = true
+		}
+		if ok && id >= 0 && id < len(aq.Subqueries) && aq.Subqueries[id].GroupByAll() && !aq.Subqueries[id].HavingPassed(row) {
+			continue
+		}
+		data = append(data, rec...)
+		ends = append(ends, len(data))
+	}
+	if err := it.Err(); err != nil {
+		return err
+	}
+	var defaults [][]byte
+	for _, i := range subs {
+		if present[i] {
+			continue
+		}
+		finals := algebra.NewMultiAggState(aq.Subqueries[i].Aggs).Finals()
+		if !aq.Subqueries[i].HavingPassed(finals) {
+			continue
+		}
+		row := codec.Tuple(finals)
+		if isTagged {
+			row = append(codec.Tuple{strconv.Itoa(i)}, row...)
+		}
+		defaults = append(defaults, row.Encode())
+	}
+	if len(ends) == f.NumRecords() && len(defaults) == 0 {
+		return nil
+	}
 	w, err := fs.Create(name, f.CompressionRatio())
 	if err != nil {
 		return err
 	}
-	it := f.Records(0)
-	for it.Next() {
-		if keep == nil || keep(it.Record()) {
-			w.Write(it.Record())
-		}
+	start := 0
+	for _, end := range ends {
+		w.Write(data[start:end])
+		start = end
 	}
-	if err := it.Err(); err != nil {
-		w.Close()
-		return err
-	}
-	for _, rec := range extra {
+	for _, rec := range defaults {
 		w.Write(rec)
 	}
 	return w.Close()

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -185,7 +186,7 @@ func TestEnsureDefaultRows(t *testing.T) {
 	c := mapred.NewCluster(mapred.DefaultConfig())
 	writeRecs(t, c.FS, "sub0", codec.Tuple{"Ig1", "3"}.Encode())
 	writeRecs(t, c.FS, "sub1") // empty GROUP BY ALL result
-	if err := EnsureDefaultRows(c.FS, []string{"sub0", "sub1"}, aq); err != nil {
+	if err := RepairGroupByAll(c.FS, []string{"sub0", "sub1"}, aq); err != nil {
 		t.Fatal(err)
 	}
 	recs := readRecs(t, c.FS, "sub1")
@@ -200,7 +201,7 @@ func TestEnsureDefaultRows(t *testing.T) {
 	c2 := mapred.NewCluster(mapred.DefaultConfig())
 	writeRecs(t, c2.FS, "sub0")
 	writeRecs(t, c2.FS, "sub1", codec.Tuple{"9"}.Encode())
-	if err := EnsureDefaultRows(c2.FS, []string{"sub0", "sub1"}, aq); err != nil {
+	if err := RepairGroupByAll(c2.FS, []string{"sub0", "sub1"}, aq); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []*mapred.Cluster{c, c2} {
@@ -221,11 +222,78 @@ func TestEnsureDefaultRows(t *testing.T) {
 	}
 }
 
+// HAVING applies to a GROUP BY ALL subquery's one group after its default
+// row exists, in either layout: a row that fails it is dropped, a missing
+// default that fails it is not appended, one that passes is, and grouped
+// rows are left alone.
+func TestRepairAppliesGroupByAllHaving(t *testing.T) {
+	having := func(op string) *algebra.AnalyticalQuery {
+		return mustAQ(t, `PREFIX e: <http://e/>
+SELECT ?g ?cntG ?cntT {
+  { SELECT ?g (COUNT(?x) AS ?cntG) { ?s e:g ?g ; e:x ?x . } GROUP BY ?g }
+  { SELECT (COUNT(?y) AS ?cntT) { ?s2 e:y ?y . } HAVING (COUNT(?y) `+op+`) }
+}`)
+	}
+	rows := func(t *testing.T, fs *dfs.FS, name string) []string {
+		var out []string
+		for _, rec := range readRecs(t, fs, name) {
+			tu, err := codec.DecodeTuple(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, strings.Join(tu, "|"))
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name  string
+		op    string
+		files map[string][]codec.Tuple
+		want  map[string][]string
+	}{
+		{"passing row kept", "> 1", map[string][]codec.Tuple{"sub0": {{"Ig1", "1"}}, "sub1": {{"5"}}},
+			map[string][]string{"sub0": {"Ig1|1"}, "sub1": {"5"}}},
+		{"failing row dropped", "> 1", map[string][]codec.Tuple{"sub0": {{"Ig1", "1"}}, "sub1": {{"1"}}},
+			map[string][]string{"sub0": {"Ig1|1"}, "sub1": nil}},
+		{"failing default not appended", "> 1", map[string][]codec.Tuple{"sub0": nil, "sub1": nil},
+			map[string][]string{"sub0": nil, "sub1": nil}},
+		{"passing default appended", "= 0", map[string][]codec.Tuple{"sub0": nil, "sub1": nil},
+			map[string][]string{"sub0": nil, "sub1": {"0"}}},
+		{"tagged, failing row dropped", "> 1", map[string][]codec.Tuple{"tagged": {{"0", "Ig1", "1"}, {"1", "1"}, {"0", "Ig2", "3"}}},
+			map[string][]string{"tagged": {"0|Ig1|1", "0|Ig2|3"}}},
+		{"tagged, passing default appended", "= 0", map[string][]codec.Tuple{"tagged": {{"0", "Ig1", "1"}}},
+			map[string][]string{"tagged": {"0|Ig1|1", "1|0"}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := mapred.NewCluster(mapred.DefaultConfig())
+			files := slices.Sorted(maps.Keys(tc.files))
+			for _, name := range files {
+				var recs [][]byte
+				for _, row := range tc.files[name] {
+					recs = append(recs, row.Encode())
+				}
+				writeRecs(t, c.FS, name, recs...)
+			}
+			if err := RepairGroupByAll(c.FS, files, having(tc.op)); err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range files {
+				if got := rows(t, c.FS, name); !slices.Equal(got, tc.want[name]) {
+					t.Errorf("%s holds %q, want %q", name, got, tc.want[name])
+				}
+			}
+			if n := c.FS.OpenHandles(); n != 0 {
+				t.Errorf("%d DFS handles left open", n)
+			}
+		})
+	}
+}
+
 func TestEnsureDefaultRowsTagged(t *testing.T) {
 	aq := mustAQ(t, twoSubqueries)
 	c := mapred.NewCluster(mapred.DefaultConfig())
 	writeRecs(t, c.FS, "tagged", codec.Tuple{"0", "Ig1", "3"}.Encode()) // only subquery 0 rows
-	if err := EnsureDefaultRows(c.FS, []string{"tagged"}, aq); err != nil {
+	if err := RepairGroupByAll(c.FS, []string{"tagged"}, aq); err != nil {
 		t.Fatal(err)
 	}
 	recs := readRecs(t, c.FS, "tagged")
@@ -437,8 +505,8 @@ func TestEnsureDefaultRowsRejectsMalformedRows(t *testing.T) {
 	c := mapred.NewCluster(mapred.DefaultConfig())
 	writeRecs(t, c.FS, "sub0", codec.Tuple{"Ig1", "3"}.Encode())
 	writeRecs(t, c.FS, "sub1", []byte{0x01, 0x05, 'x'})
-	if err := EnsureDefaultRows(c.FS, []string{"sub0", "sub1"}, aq); err == nil {
-		t.Error("EnsureDefaultRows accepted an undecodable GROUP BY ALL row")
+	if err := RepairGroupByAll(c.FS, []string{"sub0", "sub1"}, aq); err == nil {
+		t.Error("RepairGroupByAll accepted an undecodable GROUP BY ALL row")
 	}
 	if n := c.FS.OpenHandles(); n != 0 {
 		t.Errorf("%d DFS handles left open on the error path", n)
@@ -456,8 +524,8 @@ func TestEnsureDefaultRowsRejectsMalformedRows(t *testing.T) {
 }
 
 // A GROUP BY ALL file that fails to read mid-scan — a block failing its
-// CRC on the disk backend — fails the repair, in EnsureDefaultRows' scan
-// and in rewrite's copy alike, with every file and writer closed.
+// CRC on the disk backend — fails the repair, with and without a HAVING
+// to apply, with every file and writer closed.
 func TestRepairClosesHandlesOnReadErrors(t *testing.T) {
 	const withHaving = `PREFIX e: <http://e/>
 SELECT ?g ?cntG ?cntT {
@@ -469,8 +537,8 @@ SELECT ?g ?cntG ?cntT {
 		query  string
 		repair func(*dfs.FS, []string, *algebra.AnalyticalQuery) error
 	}{
-		{"scan", twoSubqueries, EnsureDefaultRows},
-		{"rewrite", withHaving, ApplyGroupByAllHaving},
+		{"scan", twoSubqueries, RepairGroupByAll},
+		{"rewrite", withHaving, RepairGroupByAll},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()

@@ -82,10 +82,7 @@ func (p *Plan) Finish(aq *algebra.AnalyticalQuery, aggs ...string) {
 				return err
 			}
 		}
-		if err := EnsureDefaultRows(c.FS, aggs, aq); err != nil {
-			return err
-		}
-		return ApplyGroupByAllHaving(c.FS, aggs, aq)
+		return RepairGroupByAll(c.FS, aggs, aq)
 	}
 	p.result = aggs[0]
 	if len(aq.Subqueries) > 1 {

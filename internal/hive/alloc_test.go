@@ -35,10 +35,14 @@ func TestOperatorsSteadyStateAllocs(t *testing.T) {
 	// An optional star input that matches nothing: its side holds Ib only.
 	other := &rel{file: "o", cols: []string{"k", "u"}, dict: d}
 	sides := map[string][][]byte{"r": side, "o": {idRow(d, codec.Tuple{"Ib", "Lz"}).EncodeIDs()}}
-	jp := compileJoin(left, right, "k", "k", nil)
 	stars := compileStars([]*starInput{{rel: left, keyCol: "k"}, {rel: right, keyCol: "k"}, {rel: other, keyCol: "k", optional: true}}, nil)
 	starVals := [][]byte{tag(0, "Ia", "L1", "L7"), tag(1, "Ia", "Lx"), tag(1, "Ia", "Ly")}
-	joinVals := [][]byte{tag(0, "Ia", "L1", "L7"), tag(1, "Ia", "Lx"), tag(0, "Ia", "L2", "L7")}
+	// A binary join is the two-input star join: reduce-side over [right,
+	// left], map-side driving on left.
+	joins := compileStars([]*starInput{{rel: right, keyCol: "k"}, {rel: left, keyCol: "k"}}, nil)
+	joinVals := [][]byte{tag(1, "Ia", "L1", "L7"), tag(0, "Ia", "Lx"), tag(1, "Ia", "L2", "L7")}
+	mapJoin := compileStars([]*starInput{{rel: left, keyCol: "k"}, {rel: right, keyCol: "k"}}, nil)
+	sideOf := func(file string) *dfs.File { return sideFile(t, sides[file]) }
 
 	emits := 0
 	emit := func(string, []byte) { emits++ }
@@ -46,23 +50,17 @@ func TestOperatorsSteadyStateAllocs(t *testing.T) {
 	reducer := func(r mapred.Reducer, values [][]byte) func() error {
 		return func() error { return r.Reduce(key, values, emit) }
 	}
-	var arena tupleArena
 	for _, c := range []struct {
 		name  string
 		bound float64
 		run   func() error
 	}{
-		{"tupleArena.decode", 0, func() error {
-			arena.reset()
-			_, err := arena.decode(rec, d)
-			emits++
-			return err
-		}},
-		{"taggedScanMapper.Map", 0, mapper(&taggedScanMapper{sc: scanner{plan: jp.left}, keyPos: jp.leftKey})},
-		{"mapJoinMapper.Map", 0, mapper(newMapJoinMapper(jp, sideFile(t, side)))},
-		{"starMapJoinMapper.Map", 0, mapper(newStarMapJoinMapper(stars, func(file string) *dfs.File { return sideFile(t, sides[file]) }))},
+		{"taggedScanMapper.Map", 0, mapper(&taggedScanMapper{plans: stars, tags: []int{0}})},
+		{"taggedScanMapper.Map, one file read by two inputs", 0, mapper(&taggedScanMapper{plans: joins, tags: []int{0, 1}})},
+		{"starMapJoinMapper.Map", 0, mapper(newStarMapJoinMapper(stars, sideOf))},
+		{"starMapJoinMapper.Map, two inputs", 0, mapper(newStarMapJoinMapper(mapJoin, sideOf))},
 		{"starReducer.Reduce", 0, reducer(&starReducer{rows: newStarRows(stars)}, starVals)},
-		{"symJoinReducer.Reduce", 0, reducer(&symJoinReducer{plan: jp}, joinVals)},
+		{"starReducer.Reduce, two inputs", 0, reducer(&starReducer{rows: newStarRows(joins)}, joinVals)},
 		{"partialAggMapper.Map", 0, mapper(&partialAggMapper{sc: scanner{plan: left.compile()}, groupPos: []int{1}, aggPos: []int{2},
 			st: algebra.NewMultiAggState([]algebra.AggSpec{{Func: sparql.Sum, Var: "n"}})})},
 		{"projectMapper.Map", 0, mapper(&projectMapper{sc: scanner{plan: left.compile()}, pos: []int{0, 1}})},

@@ -154,7 +154,7 @@ func starFixture(c *mapred.Cluster, d *rdf.Dict) []*starInput {
 func TestStarJoinVariantsAgree(t *testing.T) {
 	c1, d1 := newCluster(), rdf.NewDict()
 	inputs1 := starFixture(c1, d1)
-	job1, out1 := starJoinJob("sj", inputs1, nil, "out1", 1)
+	job1, out1 := starJoinJob("sj", "star-join", inputs1, nil, "out1", 1)
 	if _, err := c1.Run(job1); err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestStarJoinVariantsAgree(t *testing.T) {
 
 	c2, d2 := newCluster(), rdf.NewDict()
 	inputs2 := starFixture(c2, d2)
-	job2, out2 := starMapJoinJob("sj", inputs2, 1 /* drive on label */, nil, "out2", 1)
+	job2, out2 := starMapJoinJob("sj", "star-map-join", inputs2, 1 /* drive on label */, nil, "out2", 1)
 	m, err := c2.Run(job2)
 	if err != nil {
 		t.Fatal(err)
@@ -197,6 +197,25 @@ func TestStarJoinVariantsAgree(t *testing.T) {
 	}
 }
 
+// readRowsAs reads a join output of schema cols like readRows, each row
+// permuted into schema want first.
+func readRowsAs(t *testing.T, c *mapred.Cluster, d *rdf.Dict, name string, cols, want []string) []string {
+	t.Helper()
+	var out []string
+	for _, row := range readRows(t, c, d, name) {
+		fields := strings.Split(row, "|")
+		perm := make([]string, len(want))
+		for i, col := range want {
+			perm[i] = fields[slices.Index(cols, col)]
+		}
+		out = append(out, strings.Join(perm, "|"))
+	}
+	sort.Strings(out)
+	return out
+}
+
+// A binary join is the two-input star join: reduce-side over [right,
+// left] and map-side driving on left, it yields the same rows.
 func TestJoinJobAndMapJoinAgree(t *testing.T) {
 	build := func() (*mapred.Cluster, *rel, *rel) {
 		c, d := newCluster(), rdf.NewDict()
@@ -213,16 +232,19 @@ func TestJoinJobAndMapJoinAgree(t *testing.T) {
 		return c, &rel{file: "L", cols: []string{"k", "v"}, dict: d}, &rel{file: "R", cols: []string{"s", "k"}, dict: d}
 	}
 	c1, l1, r1 := build()
-	j1, _ := joinJob("j", l1, r1, "k", "k", nil, "out", 1)
+	j1, out1 := starJoinJob("j", "hash-join", []*starInput{{rel: r1, keyCol: "k"}, {rel: l1, keyCol: "k"}}, nil, "out", 1)
 	if _, err := c1.Run(j1); err != nil {
 		t.Fatal(err)
 	}
 	c2, l2, r2 := build()
-	j2, _ := mapJoinJob("j", l2, r2, "k", "k", nil, "out", 1)
+	j2, out2 := starMapJoinJob("j", "map-join", []*starInput{{rel: l2, keyCol: "k"}, {rel: r2, keyCol: "k"}}, 0, nil, "out", 1)
 	if _, err := c2.Run(j2); err != nil {
 		t.Fatal(err)
 	}
-	a, b := readRows(t, c1, l1.dict, "out"), readRows(t, c2, l2.dict, "out")
+	if j1.ReduceOperator != "hash-join" || j2.MapOperator != "map-join" {
+		t.Errorf("operators %q and %q", j1.ReduceOperator, j2.MapOperator)
+	}
+	a, b := readRowsAs(t, c1, l1.dict, "out", out1.cols, out2.cols), readRows(t, c2, l2.dict, "out")
 	if strings.Join(a, ";") != strings.Join(b, ";") {
 		t.Errorf("join variants disagree:\n%v\n%v", a, b)
 	}
@@ -310,21 +332,46 @@ func TestDistinctJob(t *testing.T) {
 	}
 }
 
-func TestStarJoinDuplicateFileRejected(t *testing.T) {
+// A reduce-side star join reads each file once, however many of its
+// inputs share it, and returns the map-side rows: a star of two
+// constant-object patterns on one property, and a chain joining a table
+// with itself.
+func TestStarJoinReadsSharedFileOnce(t *testing.T) {
 	c, d := newCluster(), rdf.NewDict()
-	writeTuples(c, d, "same", codec.Tuple{"Ia", "L1"})
-	inputs := []*starInput{
-		{rel: &rel{file: "same", cols: []string{"p", "x"}, dict: d}, keyCol: "p"},
-		{rel: &rel{file: "same", cols: []string{"p", "y"}, dict: d}, keyCol: "p"},
+	writeTuples(c, d, "tag", codec.Tuple{"Ia", "Ix"}, codec.Tuple{"Ia", "Iy"}, codec.Tuple{"Ib", "Ix"}, codec.Tuple{"Ic", "Iy"})
+	writeTuples(c, d, "val", codec.Tuple{"Ia", "L1"}, codec.Tuple{"Ib", "L2"}, codec.Tuple{"Ic", "L3"})
+	writeTuples(c, d, "knows", codec.Tuple{"Ia", "Ib"}, codec.Tuple{"Ib", "Ic"}, codec.Tuple{"Ib", "Ia"})
+	tagged := func(o string) *starInput {
+		return &starInput{rel: &rel{file: "tag", cols: []string{"s", ""}, consts: []constCheck{{pos: 1, want: d.AddString(o)}}, dict: d}, keyCol: "s"}
 	}
-	pl := &planner{Plan: &engine.Plan{}, c: c, conf: Config{MapJoinBytes: 0}} // force reduce-side
-	if _, err := pl.starJoin("sj", inputs, nil); err == nil {
-		t.Error("duplicate-file reduce-side star join accepted")
-	}
-	// The map-join path handles shared files fine.
-	pl.conf = Config{MapJoinBytes: 1 << 40}
-	if _, err := pl.starJoin("sj2", inputs, nil); err != nil {
-		t.Errorf("map-join path rejected shared files: %v", err)
+	for _, tc := range []struct {
+		name    string
+		inputs  []*starInput
+		driving int
+		files   []string
+		want    []string
+	}{
+		{"two constants on one property", []*starInput{tagged("Ix"), tagged("Iy"), {rel: &rel{file: "val", cols: []string{"s", "v"}, dict: d}, keyCol: "s"}},
+			2, []string{"tag", "val"}, []string{"Ia|L1"}},
+		{"self-join", []*starInput{{rel: &rel{file: "knows", cols: []string{"y", "z"}, dict: d}, keyCol: "y"}, {rel: &rel{file: "knows", cols: []string{"x", "y"}, dict: d}, keyCol: "y"}},
+			1, []string{"knows"}, []string{"Ia|Ib|Ib", "Ib|Ia|Ia", "Ib|Ia|Ic"}}, // y, x, z
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reduce, rout := starJoinJob("sj-"+tc.name, "star-join", tc.inputs, nil, "reduce-"+tc.name, 1)
+			if !slices.Equal(reduce.Inputs, tc.files) {
+				t.Errorf("reduce-side join reads %v, want %v", reduce.Inputs, tc.files)
+			}
+			mapSide, mout := starMapJoinJob("smj-"+tc.name, "star-map-join", tc.inputs, tc.driving, nil, "map-"+tc.name, 1)
+			for _, job := range []*mapred.Job{reduce, mapSide} {
+				if _, err := c.Run(job); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got := readRowsAs(t, c, d, rout.file, rout.cols, mout.cols)
+			if want := readRows(t, c, d, mout.file); !slices.Equal(got, want) || !slices.Equal(want, tc.want) {
+				t.Errorf("reduce-side rows %q, map-side %q, want %q", got, want, tc.want)
+			}
+		})
 	}
 }
 
@@ -349,8 +396,8 @@ func TestMapJoinThresholdScalesWithData(t *testing.T) {
 	}
 }
 
-// A broadcast side record that does not decode fails a map join and a
-// star map join, naming the side file, also when the driving input is
+// A broadcast side record that does not decode fails a map join, naming
+// the side file, also when the driving input is
 // empty, so no Map call ever sees the index; a side record the scan drops
 // does not.
 func TestMapJoinFailsOnUndecodableSideRecord(t *testing.T) {
@@ -363,39 +410,32 @@ func TestMapJoinFailsOnUndecodableSideRecord(t *testing.T) {
 		{"corrupt side, empty driving input", nil, true},
 		{"side row of the wrong width", []codec.Tuple{{"Ia", "L1"}}, false},
 	} {
-		for _, star := range []bool{false, true} {
-			c := newCluster()
-			d := rdf.NewDict()
-			writeTuples(c, d, "drv", tc.driving...)
-			w, err := c.FS.Create("side", 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w.Write(idRow(d, codec.Tuple{"Ia", "Lx"}).EncodeIDs())
-			w.Write(idRow(d, codec.Tuple{"Ib", "Ly"}).EncodeIDs())
-			if tc.corrupt {
-				w.Write(append(idRow(d, codec.Tuple{"Ib", "Lz"}).EncodeIDs(), 0))
-			} else {
-				w.Write(idRow(d, codec.Tuple{"Ib", "Lz", "Lw"}).EncodeIDs())
-			}
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
-			left := &rel{file: "drv", cols: []string{"k", "v"}, dict: d}
-			right := &rel{file: "side", cols: []string{"k", "w"}, dict: d}
-			var job *mapred.Job
-			if star {
-				job, _ = starMapJoinJob("j", []*starInput{{rel: left, keyCol: "k"}, {rel: right, keyCol: "k"}}, 0, nil, "out", 1)
-			} else {
-				job, _ = mapJoinJob("j", left, right, "k", "k", nil, "out", 1)
-			}
-			_, err = c.Run(job)
-			switch {
-			case !tc.corrupt && err != nil:
-				t.Errorf("%s (star %v): %v", tc.name, star, err)
-			case tc.corrupt && (err == nil || !strings.Contains(err.Error(), "broadcast side side")):
-				t.Errorf("%s (star %v): error %v, want one naming the side file", tc.name, star, err)
-			}
+		c := newCluster()
+		d := rdf.NewDict()
+		writeTuples(c, d, "drv", tc.driving...)
+		w, err := c.FS.Create("side", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Write(idRow(d, codec.Tuple{"Ia", "Lx"}).EncodeIDs())
+		w.Write(idRow(d, codec.Tuple{"Ib", "Ly"}).EncodeIDs())
+		if tc.corrupt {
+			w.Write(append(idRow(d, codec.Tuple{"Ib", "Lz"}).EncodeIDs(), 0))
+		} else {
+			w.Write(idRow(d, codec.Tuple{"Ib", "Lz", "Lw"}).EncodeIDs())
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		left := &rel{file: "drv", cols: []string{"k", "v"}, dict: d}
+		right := &rel{file: "side", cols: []string{"k", "w"}, dict: d}
+		job, _ := starMapJoinJob("j", "map-join", []*starInput{{rel: left, keyCol: "k"}, {rel: right, keyCol: "k"}}, 0, nil, "out", 1)
+		_, err = c.Run(job)
+		switch {
+		case !tc.corrupt && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.corrupt && (err == nil || !strings.Contains(err.Error(), "broadcast side side")):
+			t.Errorf("%s: error %v, want one naming the side file", tc.name, err)
 		}
 	}
 }

@@ -104,17 +104,7 @@ func (pl *planner) composite(ds *engine.Dataset, cp *algebra.CompositePattern, c
 		}
 		starRels[i] = out
 	}
-	est := compositeEstimator(ds, cp)
-	order, err := algebra.JoinOrderCost(len(cp.Stars), cp.Joins, est)
-	if err != nil {
-		return nil, err
-	}
-	acc := starRels[chainStart(order)]
-	accRows := est.StarCard(chainStart(order))
-	for i, edge := range order {
-		acc = pl.join(fmt.Sprintf("comp-join%d", i), acc, starRels[edge.Right], edge.Var, edge.Var, nil, edgeEstimate(est, &accRows, edge))
-	}
-	return acc, nil
+	return pl.chain("comp", starRels, cp.Joins, compositeEstimator(ds, cp), nil)
 }
 
 // aggregatePattern plans original pattern k's grouping-aggregation over

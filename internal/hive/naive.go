@@ -60,18 +60,7 @@ func (pl *planner) pattern(ds *engine.Dataset, sq *algebra.Subquery, tag string)
 		}
 		starRels[i] = r
 	}
-	est := patternEstimator(ds, gp)
-	order, err := algebra.JoinOrderCost(len(gp.Stars), gp.Joins, est)
-	if err != nil {
-		return nil, err
-	}
-	acc := starRels[chainStart(order)]
-	accRows := est.StarCard(chainStart(order))
-	for i, edge := range order {
-		acc = pl.join(fmt.Sprintf("%s-join%d", tag, i), acc, starRels[edge.Right], edge.Var, edge.Var,
-			keepWithJoins(keep, order[i+1:]), edgeEstimate(est, &accRows, edge))
-	}
-	return acc, nil
+	return pl.chain(tag, starRels, gp.Joins, patternEstimator(ds, gp), keep)
 }
 
 // star plans one star pattern: a direct VP scan for single-pattern stars,
@@ -184,8 +173,19 @@ func (pl *planner) add(name, op string, build func(output string) (*mapred.Job, 
 }
 
 // starJoin plans a star join over stored tables, choosing a map join when
-// all inputs but the largest fit the broadcast budget.
+// all inputs but the largest fit the broadcast budget. It rejects a star
+// whose inputs share a non-key column: the join would pair their values
+// without comparing them.
 func (pl *planner) starJoin(name string, inputs []*starInput, keep map[string]bool) (*rel, error) {
+	for i, si := range inputs {
+		for _, c := range si.rel.cols {
+			for _, prev := range inputs[:i] {
+				if c != "" && c != si.keyCol && slices.Contains(prev.rel.cols, c) {
+					return nil, fmt.Errorf("hive: star ?%s binds ?%s in two patterns; not supported", si.keyCol, c)
+				}
+			}
+		}
+	}
 	driving, total, largest := 0, int64(0), int64(-1)
 	for i, si := range inputs {
 		sz := pl.conf.storedSize(pl.c, si.rel.file)
@@ -197,44 +197,41 @@ func (pl *planner) starJoin(name string, inputs []*starInput, keep map[string]bo
 	}
 	if largest >= 0 && total-largest <= pl.conf.MapJoinBytes {
 		return pl.add(name, "star-map-join", func(output string) (*mapred.Job, *rel) {
-			return starMapJoinJob(name, inputs, driving, keep, output, store.ORCCompressionRatio)
+			return starMapJoinJob(name, "star-map-join", inputs, driving, keep, output, store.ORCCompressionRatio)
 		}), nil
 	}
-	// Reduce-side star joins tag records by input file, so two inputs
-	// sharing a file (two constant-object patterns on one property) would
-	// be ambiguous.
-	seen := map[string]bool{}
-	for _, si := range inputs {
-		if seen[si.rel.file] {
-			return nil, fmt.Errorf("hive: star join reads %s twice; not supported in reduce-side joins", si.rel.file)
-		}
-		seen[si.rel.file] = true
-	}
 	return pl.add(name, "star-join", func(output string) (*mapred.Job, *rel) {
-		return starJoinJob(name, inputs, keep, output, store.ORCCompressionRatio)
+		return starJoinJob(name, "star-join", inputs, keep, output, store.ORCCompressionRatio)
 	}), nil
 }
 
-// join plans a binary join, broadcasting whichever side fits the budget.
-// The map-join-site decision sizes both sides from the planner's predicted
+// join plans the inter-star join of left and right on column col: the
+// two-input star join, broadcasting whichever side fits the budget. The
+// map-join-site decision sizes both sides from the planner's predicted
 // rows instead of measured files — what a plan-time optimizer has to work
 // with — and the reduce partition count comes from the predicted output
-// cardinality.
-func (pl *planner) join(name string, left, right *rel, leftCol, rightCol string, keep map[string]bool, est joinEst) *rel {
+// cardinality. The reduce side lists right before left, so each key's
+// rows come out right-major: the order of the symmetric hash join that
+// FuzzBinaryJoinMatchesReference keeps as the reference.
+func (pl *planner) join(name string, left, right *rel, col string, keep map[string]bool, est joinEst) *rel {
 	leftSize := pl.conf.estimatedSize(pl.c, est.leftRows, len(left.cols))
 	rightSize := pl.conf.estimatedSize(pl.c, est.rightRows, len(right.cols))
+	driving := -1
 	switch {
 	case rightSize <= pl.conf.MapJoinBytes:
-		return pl.add(name, "map-join", func(output string) (*mapred.Job, *rel) {
-			return mapJoinJob(name, left, right, leftCol, rightCol, keep, output, store.ORCCompressionRatio)
-		})
+		driving = 0
 	case leftSize <= pl.conf.MapJoinBytes:
+		driving = 1
+	}
+	if driving >= 0 {
 		return pl.add(name, "map-join", func(output string) (*mapred.Job, *rel) {
-			return mapJoinJob(name, right, left, rightCol, leftCol, keep, output, store.ORCCompressionRatio)
+			inputs := []*starInput{{rel: left, keyCol: col}, {rel: right, keyCol: col}}
+			return starMapJoinJob(name, "map-join", inputs, driving, keep, output, store.ORCCompressionRatio)
 		})
 	}
 	return pl.add(name, "hash-join", func(output string) (*mapred.Job, *rel) {
-		job, out := joinJob(name, left, right, leftCol, rightCol, keep, output, store.ORCCompressionRatio)
+		inputs := []*starInput{{rel: right, keyCol: col}, {rel: left, keyCol: col}}
+		job, out := starJoinJob(name, "hash-join", inputs, keep, output, store.ORCCompressionRatio)
 		job.Partitions = stats.PartitionsFor(est.outRows)
 		return job, out
 	})

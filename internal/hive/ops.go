@@ -5,8 +5,9 @@
 // pattern with left outer joins, materialises it, and runs the
 // grouping-aggregation queries over the materialised table.
 //
-// The physical operators mirror Hive 0.12's: reduce-side hash joins, map
-// joins (broadcast small tables, map-only cycles), early projection and
+// The physical operators mirror Hive 0.12's: one n-way join operator, run
+// reduce-side or as a map join (broadcast small tables, map-only cycles)
+// for star joins and inter-star joins alike, early projection and
 // predicate pushdown on scans (Naive only — the MQO materialisation
 // boundary defeats them, as the paper observes), DISTINCT, and group-by
 // aggregation with combiners.
@@ -116,7 +117,8 @@ func (c Config) storedSize(cl *mapred.Cluster, file string) int64 {
 // starInput couples a rel with its role in a (composite) star join.
 type starInput struct {
 	rel *rel
-	// keyCol is the subject column the star joins on.
+	// keyCol is the column the join is on: the star's subject, or a
+	// binary join's join column.
 	keyCol string
 	// optional marks MQO secondary properties joined with LEFT OUTER
 	// semantics: subjects without matches keep the star row, with NULLs in
@@ -124,15 +126,20 @@ type starInput struct {
 	optional bool
 }
 
-// starJoinJob builds the reduce-side star join of the inputs on their
-// subject columns. Inputs must reference distinct files.
-func starJoinJob(name string, inputs []*starInput, keep map[string]bool, output string, compression float64) (*mapred.Job, *rel) {
+// starJoinJob builds the reduce-side star join of the inputs on their key
+// columns, its reduce operator labelled op. Each input file is read once:
+// a map task emits one tagged copy of a record for every input that reads
+// the task's file, so inputs may share a file (a self-join, or two
+// constant-object patterns on one property).
+func starJoinJob(name, op string, inputs []*starInput, keep map[string]bool, output string, compression float64) (*mapred.Job, *rel) {
 	plans := compileStars(inputs, keep)
-	byFile := map[string]int{}
-	files := make([]string, len(inputs))
+	var files []string
+	tags := map[string][]int{}
 	for i, si := range inputs {
-		byFile[si.rel.file] = i
-		files[i] = si.rel.file
+		if tags[si.rel.file] == nil {
+			files = append(files, si.rel.file)
+		}
+		tags[si.rel.file] = append(tags[si.rel.file], i)
 	}
 	job := &mapred.Job{
 		Name:              name,
@@ -140,10 +147,9 @@ func starJoinJob(name string, inputs []*starInput, keep map[string]bool, output 
 		Output:            output,
 		OutputCompression: compression,
 		MapOperator:       "vp-scan",
-		ReduceOperator:    "star-join",
+		ReduceOperator:    op,
 		NewMapper: func(tc *mapred.TaskContext) mapred.Mapper {
-			idx := byFile[tc.InputFile]
-			return &taggedScanMapper{sc: scanner{plan: plans[idx].scan}, keyPos: plans[idx].keyPos, tag: byte(idx)}
+			return &taggedScanMapper{plans: plans, tags: tags[tc.InputFile]}
 		},
 		NewReducer: func() mapred.Reducer {
 			return &starReducer{rows: newStarRows(plans)}
@@ -152,74 +158,30 @@ func starJoinJob(name string, inputs []*starInput, keep map[string]bool, output 
 	return job, materialized(output, starJoinCols(inputs[0].keyCol, plans), inputs[0].rel.dict)
 }
 
-// starMapJoinJob builds the map-only variant: the driving input streams and
-// every other input is broadcast.
-func starMapJoinJob(name string, inputs []*starInput, driving int, keep map[string]bool, output string, compression float64) (*mapred.Job, *rel) {
-	ordered := []*starInput{inputs[driving]}
+// starMapJoinJob builds the map-only variant, its operator labelled op:
+// the driving input streams and every other input is broadcast.
+func starMapJoinJob(name, op string, inputs []*starInput, driving int, keep map[string]bool, output string, compression float64) (*mapred.Job, *rel) {
+	plans := make([]*starPlan, 0, len(inputs))
+	plans = append(plans, compileStar(inputs[driving], keep))
+	sides := make([]string, 0, len(inputs)-1)
 	for i, si := range inputs {
 		if i != driving {
-			ordered = append(ordered, si)
+			plans = append(plans, compileStar(si, keep))
+			sides = append(sides, si.rel.file)
 		}
-	}
-	plans := compileStars(ordered, keep)
-	var sides []string
-	for _, si := range ordered[1:] {
-		sides = append(sides, si.rel.file)
 	}
 	job := &mapred.Job{
 		Name:              name,
-		Inputs:            []string{ordered[0].rel.file},
+		Inputs:            []string{inputs[driving].rel.file},
 		SideInputs:        sides,
 		Output:            output,
 		OutputCompression: compression,
-		MapOperator:       "star-map-join",
+		MapOperator:       op,
 		NewMapper: func(tc *mapred.TaskContext) mapred.Mapper {
 			return newStarMapJoinMapper(plans, tc.SideInput)
 		},
 	}
-	return job, materialized(output, starJoinCols(ordered[0].keyCol, plans), ordered[0].rel.dict)
-}
-
-// joinJob builds a binary equi-join of two relations on named columns,
-// projecting to keep (nil keeps all columns; the join column appears once,
-// under the left name).
-func joinJob(name string, left, right *rel, leftCol, rightCol string, keep map[string]bool, output string, compression float64) (*mapred.Job, *rel) {
-	jp := compileJoin(left, right, leftCol, rightCol, keep)
-	job := &mapred.Job{
-		Name:              name,
-		Inputs:            []string{left.file, right.file},
-		Output:            output,
-		OutputCompression: compression,
-		MapOperator:       "vp-scan",
-		ReduceOperator:    "hash-join",
-		NewMapper: func(tc *mapred.TaskContext) mapred.Mapper {
-			if tc.InputFile == right.file {
-				return &taggedScanMapper{sc: scanner{plan: jp.right}, keyPos: jp.rightKey, tag: 1}
-			}
-			return &taggedScanMapper{sc: scanner{plan: jp.left}, keyPos: jp.leftKey, tag: 0}
-		},
-		NewReducer: func() mapred.Reducer {
-			return &symJoinReducer{plan: jp}
-		},
-	}
-	return job, materialized(output, jp.cols, left.dict)
-}
-
-// mapJoinJob builds the map-only variant of joinJob, broadcasting right.
-func mapJoinJob(name string, left, right *rel, leftCol, rightCol string, keep map[string]bool, output string, compression float64) (*mapred.Job, *rel) {
-	jp := compileJoin(left, right, leftCol, rightCol, keep)
-	job := &mapred.Job{
-		Name:              name,
-		Inputs:            []string{left.file},
-		SideInputs:        []string{right.file},
-		Output:            output,
-		OutputCompression: compression,
-		MapOperator:       "map-join",
-		NewMapper: func(tc *mapred.TaskContext) mapred.Mapper {
-			return newMapJoinMapper(jp, tc.SideInput(right.file))
-		},
-	}
-	return job, materialized(output, jp.cols, left.dict)
+	return job, materialized(output, starJoinCols(inputs[driving].keyCol, plans), inputs[driving].rel.dict)
 }
 
 // groupAggJob builds the grouping-aggregation cycle: map emits per-row

@@ -1,6 +1,8 @@
 package hive
 
 import (
+	"fmt"
+
 	"rapidanalytics/internal/algebra"
 	"rapidanalytics/internal/engine"
 	"rapidanalytics/internal/stats"
@@ -41,21 +43,32 @@ func compositeEstimator(ds *engine.Dataset, cp *algebra.CompositePattern) *stats
 	return stats.NewEstimator(ds.Stats, refs, true)
 }
 
-// chainStart returns the star the accumulated side starts from: order[0]'s
-// Left endpoint, star 0 for edge-less patterns.
-func chainStart(order []algebra.Join) int {
-	if len(order) == 0 {
-		return 0
+// chain plans the inter-star join chain of a pattern whose stars plan to
+// the relations stars: the joins in est's cost order, the accumulated
+// relation starting from order[0]'s Left star (star 0 for edge-less
+// patterns) and joining one new star per edge. Each join keeps keep's
+// columns and the later edges' join columns, or every column when keep is
+// nil. Joins are named tag-join0, tag-join1, ...
+func (pl *planner) chain(tag string, stars []*rel, joins []algebra.Join, est *stats.Estimator, keep map[string]bool) (*rel, error) {
+	order, err := algebra.JoinOrderCost(len(stars), joins, est)
+	if err != nil {
+		return nil, err
 	}
-	return order[0].Left
-}
-
-// edgeEstimate predicts one chain join's cardinalities and advances the
-// accumulated row count.
-func edgeEstimate(est *stats.Estimator, acc *float64, edge algebra.Join) joinEst {
-	rr := est.StarCard(edge.Right)
-	out := est.JoinCard(*acc, rr, edge)
-	je := joinEst{leftRows: *acc, rightRows: rr, outRows: out}
-	*acc = out
-	return je
+	start := 0
+	if len(order) > 0 {
+		start = order[0].Left
+	}
+	acc, accRows := stars[start], est.StarCard(start)
+	for i, edge := range order {
+		rightRows := est.StarCard(edge.Right)
+		outRows := est.JoinCard(accRows, rightRows, edge)
+		var k map[string]bool
+		if keep != nil {
+			k = keepWithJoins(keep, order[i+1:])
+		}
+		acc = pl.join(fmt.Sprintf("%s-join%d", tag, i), acc, stars[edge.Right], edge.Var, k,
+			joinEst{leftRows: accRows, rightRows: rightRows, outRows: outRows})
+		accRows = outRows
+	}
+	return acc, nil
 }

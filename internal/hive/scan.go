@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"rapidanalytics/internal/algebra"
 	"rapidanalytics/internal/codec"
@@ -19,13 +20,12 @@ import (
 // builder compiles every rel it reads into a scanPlan once — the way
 // ntga.CompileMatcher compiles a star — so the per-record loop checks
 // constants and filters by position and never compares column names. Each
-// map task decodes records into scratch it owns (scanner). Star joins and
-// map-side joins keep each matched row as the encoded segment of the
+// map task decodes records into scratch it owns (scanner). Hive has one
+// join, the star join: a binary join is its two-input case. Its reduce
+// and map forms keep each matched row as the encoded segment of the
 // columns they emit (rowSet, sideIndex) and emit a joined row by appending
-// segments to an encoded prefix; the binary reduce-side join builds its
-// rows in a reused scratch row from a key group decoded into one arena
-// (tupleArena). Every joined row is encoded into one reused buffer, which
-// mapred copies before the emit returns.
+// segments to an encoded prefix. Every joined row is encoded into one
+// reused buffer, which mapred copies before the emit returns.
 
 // constCheck is a constant-object check: raw field pos must equal want, an
 // ID-string (Dict.KeyString: a constant absent from the data matches no
@@ -143,27 +143,6 @@ func (s *scanner) next(rec []byte) (codec.Tuple, bool, error) {
 	}
 	s.row = row
 	return row, true, nil
-}
-
-// tupleArena is backing storage for rows that must outlive one record: a
-// reducer's decoded key group. Returned
-// tuples alias the arena (capacity-limited, so they cannot grow into each
-// other) and stay valid until reset.
-type tupleArena struct {
-	fields []string
-}
-
-func (a *tupleArena) reset() { a.fields = a.fields[:0] }
-
-// decode parses an ID-tuple into the arena.
-func (a *tupleArena) decode(buf []byte, in codec.Interner) (codec.Tuple, error) {
-	n := len(a.fields)
-	f, err := codec.AppendDecodeIDTuple(a.fields, buf, in)
-	if err != nil {
-		return nil, err
-	}
-	a.fields = f
-	return f[n:len(f):len(f)], nil
 }
 
 // rowSet holds encoded row segments: row r is data[off[r]:off[r+1]], the
@@ -303,7 +282,7 @@ func (x *sideIndex) lookup(key string) []int32 {
 // starPlan is one star-join input compiled once per job.
 type starPlan struct {
 	scan *scanPlan
-	// keyPos is the scan-output position of the subject column.
+	// keyPos is the scan-output position of the key column.
 	keyPos int
 	// kept holds the scan-output positions of the non-key columns that
 	// survive the join's projection.
@@ -330,13 +309,20 @@ func compileStars(inputs []*starInput, keep map[string]bool) []*starPlan {
 	return plans
 }
 
-// starJoinCols returns the output schema of a star join: the subject
-// column followed by each input's kept columns.
+// starJoinCols returns the output schema of a star join: the key column
+// followed by each input's kept columns. Every consumer reads a join
+// output's columns by name, so the order of the inputs only permutes the
+// columns; a name that occurred twice would make it choose between them,
+// and panics instead.
 func starJoinCols(keyCol string, plans []*starPlan) []string {
 	out := []string{keyCol}
 	for _, p := range plans {
 		for _, k := range p.kept {
-			out = append(out, p.scan.cols[k])
+			c := p.scan.cols[k]
+			if slices.Contains(out, c) {
+				panic(fmt.Sprintf("hive: join output column %s occurs twice", c))
+			}
+			out = append(out, c)
 		}
 	}
 	return out
@@ -359,8 +345,8 @@ type starRows struct {
 	out mapred.Emit
 }
 
-func newStarRows(plans []*starPlan) *starRows {
-	x := &starRows{plans: plans, matches: make([]rowSet, len(plans)), width: 1}
+func newStarRows(plans []*starPlan) starRows {
+	x := starRows{plans: plans, matches: make([]rowSet, len(plans)), width: 1}
 	for _, p := range plans {
 		x.width += len(p.kept)
 	}
@@ -404,67 +390,35 @@ func (x *starRows) expand(i int) {
 	x.buf = x.buf[:n]
 }
 
-// joinPlan is a binary equi-join compiled once per job.
-type joinPlan struct {
-	left, right       *scanPlan
-	leftKey, rightKey int
-	// leftKept and rightKept hold each side's scan-output positions of the
-	// non-key columns that survive the join's projection.
-	leftKept, rightKept []int
-	// cols is the output schema: the join column once, under the left
-	// name, then the left and the right kept columns.
-	cols []string
-}
-
-// compileJoin compiles the join of left and right on leftCol = rightCol,
-// projecting to keep (nil keeps all columns).
-func compileJoin(left, right *rel, leftCol, rightCol string, keep map[string]bool) *joinPlan {
-	j := &joinPlan{left: left.compile(), right: right.compile(), cols: []string{leftCol}}
-	j.leftKey, j.rightKey = j.left.colIndex(leftCol), j.right.colIndex(rightCol)
-	for i, c := range j.left.cols {
-		if c != leftCol && (keep == nil || keep[c]) {
-			j.leftKept = append(j.leftKept, i)
-			j.cols = append(j.cols, c)
-		}
-	}
-	for i, c := range j.right.cols {
-		if c != rightCol && (keep == nil || keep[c]) {
-			j.rightKept = append(j.rightKept, i)
-			j.cols = append(j.cols, c)
-		}
-	}
-	return j
-}
-
-// appendRow appends the joined row of scan outputs l and r to dst.
-func (j *joinPlan) appendRow(dst, l, r codec.Tuple) codec.Tuple {
-	dst = append(dst, l[j.leftKey])
-	for _, p := range j.leftKept {
-		dst = append(dst, l[p])
-	}
-	for _, p := range j.rightKept {
-		dst = append(dst, r[p])
-	}
-	return dst
-}
-
-// taggedScanMapper is the map side of the reduce-side joins: it emits each
-// scanned row under its join key, encoded after a leading byte that tags
-// its input.
+// taggedScanMapper is the map side of the reduce-side star join: for each
+// input that reads the task's file it scans the record and emits the row
+// under its key column, encoded after a leading byte that tags the input.
 type taggedScanMapper struct {
-	sc     scanner
-	keyPos int
-	tag    byte
-	buf    []byte
+	plans []*starPlan
+	// tags are the inputs that read the task's file, in input order.
+	tags []int
+	// raw is the decode scratch of one record, row the scan output of one
+	// input's plan and buf its tagged encoding.
+	raw, row codec.Tuple
+	buf      []byte
 }
 
 func (m *taggedScanMapper) Map(rec []byte, emit mapred.Emit) error {
-	row, ok, err := m.sc.next(rec)
-	if err != nil || !ok {
+	raw, err := codec.AppendDecodeIDTuple(m.raw[:0], rec, m.plans[m.tags[0]].scan.dict)
+	if err != nil {
 		return err
 	}
-	m.buf = row.AppendEncodeIDs(append(m.buf[:0], m.tag))
-	emit(row[m.keyPos], m.buf)
+	m.raw = raw
+	for _, tag := range m.tags {
+		p := m.plans[tag]
+		row, ok := p.scan.project(m.row[:0], raw)
+		if !ok {
+			continue
+		}
+		m.row = row
+		m.buf = row.AppendEncodeIDs(append(m.buf[:0], byte(tag)))
+		emit(row[p.keyPos], m.buf)
+	}
 	return nil
 }
 
@@ -476,16 +430,16 @@ func badTag(tag byte) error {
 	return fmt.Errorf("hive: bad star-join tag %d", tag)
 }
 
-// starReducer joins one subject's rows across all inputs, honouring
-// optional (left-outer) inputs.
+// starReducer joins one key's rows across all inputs, honouring optional
+// (left-outer) inputs.
 type starReducer struct {
-	rows *starRows
+	rows starRows
 	// t is the decode scratch of one value.
 	t codec.Tuple
 }
 
 func (r *starReducer) Reduce(key string, values [][]byte, emit mapred.Emit) error {
-	x := r.rows
+	x := &r.rows
 	for i := range x.matches {
 		x.matches[i].reset()
 	}
@@ -521,7 +475,7 @@ func (r *starReducer) Reduce(key string, values [][]byte, emit mapred.Emit) erro
 type starMapJoinMapper struct {
 	sc    scanner
 	sides []*sideIndex
-	rows  *starRows
+	rows  starRows
 	// err is the first side index's decode failure.
 	err error
 }
@@ -549,7 +503,7 @@ func (m *starMapJoinMapper) Map(rec []byte, emit mapred.Emit) error {
 	if err != nil || !ok {
 		return err
 	}
-	x := m.rows
+	x := &m.rows
 	key := row[x.plans[0].keyPos]
 	for i, side := range m.sides {
 		ms := side.lookup(key)
@@ -570,47 +524,3 @@ func (m *starMapJoinMapper) Map(rec []byte, emit mapred.Emit) error {
 
 // Close fails a task whose split held no record on a corrupt side input.
 func (m *starMapJoinMapper) Close(mapred.Emit) error { return m.err }
-
-// mapJoinMapper streams the left input against an index of the broadcast
-// right input, built once per task, that keeps each right row's kept
-// columns.
-type mapJoinMapper struct {
-	sc    scanner
-	plan  *joinPlan
-	right *sideIndex
-	buf   []byte
-}
-
-func newMapJoinMapper(jp *joinPlan, right *dfs.File) *mapJoinMapper {
-	return &mapJoinMapper{sc: scanner{plan: jp.left}, plan: jp, right: buildSideIndex(right, jp.right, jp.rightKey, jp.rightKept)}
-}
-
-func (m *mapJoinMapper) Map(rec []byte, emit mapred.Emit) error {
-	if m.right.err != nil {
-		return m.right.err
-	}
-	row, ok, err := m.sc.next(rec)
-	if err != nil || !ok {
-		return err
-	}
-	key := row[m.plan.leftKey]
-	ms := m.right.lookup(key)
-	if len(ms) == 0 {
-		return nil
-	}
-	// Each joined row is one prefix, the arity, the key and the left kept
-	// fields, followed by a right row's segment.
-	m.buf = append(binary.AppendUvarint(m.buf[:0], uint64(len(m.plan.cols))), key...)
-	for _, p := range m.plan.leftKept {
-		m.buf = append(m.buf, row[p]...)
-	}
-	n := len(m.buf)
-	for _, r := range ms {
-		m.buf = append(m.buf[:n], m.right.row(r)...)
-		emit("", m.buf)
-	}
-	return nil
-}
-
-// Close fails a task whose split held no record on a corrupt side input.
-func (m *mapJoinMapper) Close(mapred.Emit) error { return m.right.err }

@@ -390,19 +390,30 @@ func TestScanScratchDoesNotLeakAcrossRecords(t *testing.T) {
 		}
 	}
 
-	jp := compileJoin(left, right, "k", "k", nil)
-	mj := newMapJoinMapper(jp, sideFile(t, side))
 	plans := compileStars([]*starInput{{rel: left, keyCol: "k"}, {rel: right, keyCol: "k"}}, nil)
 	smj := newStarMapJoinMapper(plans, func(string) *dfs.File { return sideFile(t, side) })
-	tm := &taggedScanMapper{sc: scanner{plan: jp.left}, keyPos: jp.leftKey}
+	tm := &taggedScanMapper{plans: plans, tags: []int{0}}
+	// left and right over one file: each record is scanned by both.
+	selfJoin := compileStars([]*starInput{{rel: left, keyCol: "k"}, {rel: &rel{file: "l", cols: []string{"k", "", "w"}, dict: d}, keyCol: "k"}}, nil)
+	tm2 := &taggedScanMapper{plans: selfJoin, tags: []int{0, 1}}
+	var wantTwice []string
+	for _, rec := range recs {
+		raw, _ := codec.DecodeIDTuple(rec, d)
+		l, _ := left.scanRef(raw)
+		w := codec.Tuple{raw[0], raw[2]}
+		wantTwice = append(wantTwice, string(tagged(0, l)), string(tagged(1, w)))
+	}
+	if !slices.Equal(wantStar, wantJoin) {
+		t.Fatalf("two-input star rows %q, binary join rows %q", wantStar, wantJoin)
+	}
 	for _, tc := range []struct {
 		name string
 		m    mapred.Mapper
 		want []string
 	}{
-		{"map-join", mj, wantJoin},
 		{"star-map-join", smj, wantStar},
 		{"vp-scan", tm, wantTagged},
+		{"vp-scan of a file two inputs read", tm2, wantTwice},
 	} {
 		var out emitted
 		for _, rec := range recs {
@@ -426,34 +437,45 @@ func TestScanScratchDoesNotLeakAcrossRecords(t *testing.T) {
 }
 
 // Reducers reuse one encode buffer: mapred copies each reduce emit before
-// it returns, so a copy taken at emit time must equal the reference.
+// it returns, so a copy taken at emit time must equal the reference. The
+// two-input star join over [right, left] emits the symmetric binary
+// join's rows in its order, its columns permuted.
 func TestReducersEncodeThroughReusedBuffer(t *testing.T) {
 	d := rdf.NewDict()
-	l := func(f ...string) []byte { return tagged(0, idRow(d, f)) }
-	r := func(f ...string) []byte { return tagged(1, idRow(d, f)) }
+	row := func(tag byte, f ...string) []byte { return tagged(tag, idRow(d, f)) }
 	left := &rel{cols: []string{"k", "v"}, dict: d}
 	right := &rel{cols: []string{"w", "k"}, dict: d}
-	red := &symJoinReducer{plan: compileJoin(left, right, "k", "k", nil)}
-	var out emitted
-	copyEmit := func(k string, v []byte) { out.emit(k, v) }
 	key := idRow(d, codec.Tuple{"Ia"})[0]
-	if err := red.Reduce(key, [][]byte{l("Ia", "L1"), r("Ix", "Ia"), l("Ia", "L2"), r("Iy", "Ia")}, copyEmit); err != nil {
+	lex := func(out emitted) []string {
+		var rows []string
+		for _, v := range out.values {
+			tu, err := codec.DecodeIDTuple([]byte(v), d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range tu {
+				tu[i] = lexOf(d, tu[i])
+			}
+			rows = append(rows, strings.Join(tu, "|"))
+		}
+		return rows
+	}
+	var ref, star emitted
+	sym := &symJoinReducer{plan: compileJoin(left, right, "k", "k", nil)}
+	// The shuffle hands the symmetric join every left value before every
+	// right one.
+	if err := sym.Reduce(key, [][]byte{row(0, "Ia", "L1"), row(0, "Ia", "L2"), row(1, "Ix", "Ia"), row(1, "Iy", "Ia")}, ref.emit); err != nil {
 		t.Fatal(err)
 	}
-	var got []string
-	for _, v := range out.values {
-		tu, err := codec.DecodeIDTuple([]byte(v), d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range tu {
-			tu[i] = lexOf(d, tu[i])
-		}
-		got = append(got, strings.Join(tu, "|"))
+	sr := &starReducer{rows: newStarRows(compileStars([]*starInput{{rel: right, keyCol: "k"}, {rel: left, keyCol: "k"}}, nil))}
+	if err := sr.Reduce(key, [][]byte{row(0, "Ix", "Ia"), row(1, "Ia", "L1"), row(0, "Iy", "Ia"), row(1, "Ia", "L2")}, star.emit); err != nil {
+		t.Fatal(err)
 	}
-	want := []string{"Ia|L1|Ix", "Ia|L2|Ix", "Ia|L1|Iy", "Ia|L2|Iy"}
-	if !slices.Equal(got, want) {
+	if got, want := lex(ref), []string{"Ia|L1|Ix", "Ia|L2|Ix", "Ia|L1|Iy", "Ia|L2|Iy"}; !slices.Equal(got, want) {
 		t.Errorf("symmetric join rows %q, want %q", got, want)
+	}
+	if got, want := lex(star), []string{"Ia|Ix|L1", "Ia|Ix|L2", "Ia|Iy|L1", "Ia|Iy|L2"}; !slices.Equal(got, want) {
+		t.Errorf("two-input star join rows %q, want %q", got, want)
 	}
 }
 
@@ -779,4 +801,414 @@ func FuzzSideIndexMatchesReference(f *testing.F) {
 		emit := c.rng.Perm(len(cols))[:c.rng.Intn(len(cols)+1)]
 		checkSideIndex(t, buildSideIndex(sideFile(t, recs), p, p.colIndex(keyCol), emit), recs, r, keyCol, emit, append(c.probeKeys(), probe))
 	})
+}
+
+// The binary join before it became the two-input star join, kept as the
+// equivalence reference: joinPlan compiles the join once per job;
+// joinJobRef tags each side's rows by the file it reads and
+// symJoinReducer pairs them in one symmetric pass over a key group
+// decoded into a tupleArena; mapJoinJobRef streams the left side against
+// a side index of the broadcast right side (mapJoinMapper).
+
+// joinPlan is a binary equi-join compiled once per job.
+type joinPlan struct {
+	left, right       *scanPlan
+	leftKey, rightKey int
+	// leftKept and rightKept hold each side's scan-output positions of the
+	// non-key columns that survive the join's projection.
+	leftKept, rightKept []int
+	// cols is the output schema: the join column once, under the left
+	// name, then the left and the right kept columns.
+	cols []string
+}
+
+// compileJoin compiles the join of left and right on leftCol = rightCol,
+// projecting to keep (nil keeps all columns).
+func compileJoin(left, right *rel, leftCol, rightCol string, keep map[string]bool) *joinPlan {
+	j := &joinPlan{left: left.compile(), right: right.compile(), cols: []string{leftCol}}
+	j.leftKey, j.rightKey = j.left.colIndex(leftCol), j.right.colIndex(rightCol)
+	for i, c := range j.left.cols {
+		if c != leftCol && (keep == nil || keep[c]) {
+			j.leftKept = append(j.leftKept, i)
+			j.cols = append(j.cols, c)
+		}
+	}
+	for i, c := range j.right.cols {
+		if c != rightCol && (keep == nil || keep[c]) {
+			j.rightKept = append(j.rightKept, i)
+			j.cols = append(j.cols, c)
+		}
+	}
+	return j
+}
+
+// appendRow appends the joined row of scan outputs l and r to dst.
+func (j *joinPlan) appendRow(dst, l, r codec.Tuple) codec.Tuple {
+	dst = append(dst, l[j.leftKey])
+	for _, p := range j.leftKept {
+		dst = append(dst, l[p])
+	}
+	for _, p := range j.rightKept {
+		dst = append(dst, r[p])
+	}
+	return dst
+}
+
+// tupleArena is backing storage for a reducer's decoded key group.
+// Returned tuples alias the arena (capacity-limited, so they cannot grow
+// into each other) and stay valid until reset.
+type tupleArena struct {
+	fields []string
+}
+
+func (a *tupleArena) reset() { a.fields = a.fields[:0] }
+
+// decode parses an ID-tuple into the arena.
+func (a *tupleArena) decode(buf []byte, in codec.Interner) (codec.Tuple, error) {
+	n := len(a.fields)
+	f, err := codec.AppendDecodeIDTuple(a.fields, buf, in)
+	if err != nil {
+		return nil, err
+	}
+	a.fields = f
+	return f[n:len(f):len(f)], nil
+}
+
+// symJoinReducer pairs each arriving left row with every right row seen so
+// far and vice versa, so each (l, r) pair is emitted once, at whichever
+// arrives later.
+type symJoinReducer struct {
+	plan   *joinPlan
+	arena  tupleArena
+	ls, rs []codec.Tuple
+	out    codec.Tuple
+	buf    []byte
+}
+
+func (r *symJoinReducer) Reduce(key string, values [][]byte, emit mapred.Emit) error {
+	r.arena.reset()
+	r.ls, r.rs = r.ls[:0], r.rs[:0]
+	for _, v := range values {
+		if len(v) < 1 {
+			return errUntagged
+		}
+		t, err := r.arena.decode(v[1:], r.plan.left.dict)
+		if err != nil {
+			return err
+		}
+		if v[0] == 0 {
+			for _, rr := range r.rs {
+				r.emitJoined(t, rr, emit)
+			}
+			r.ls = append(r.ls, t)
+		} else {
+			for _, l := range r.ls {
+				r.emitJoined(l, t, emit)
+			}
+			r.rs = append(r.rs, t)
+		}
+	}
+	return nil
+}
+
+func (r *symJoinReducer) emitJoined(l, rr codec.Tuple, emit mapred.Emit) {
+	r.out = r.plan.appendRow(r.out[:0], l, rr)
+	r.buf = r.out.AppendEncodeIDs(r.buf[:0])
+	emit("", r.buf)
+}
+
+// mapJoinMapper streams the left input against an index of the broadcast
+// right input that keeps each right row's kept columns.
+type mapJoinMapper struct {
+	sc    scanner
+	plan  *joinPlan
+	right *sideIndex
+	buf   []byte
+}
+
+func newMapJoinMapper(jp *joinPlan, right *dfs.File) *mapJoinMapper {
+	return &mapJoinMapper{sc: scanner{plan: jp.left}, plan: jp, right: buildSideIndex(right, jp.right, jp.rightKey, jp.rightKept)}
+}
+
+func (m *mapJoinMapper) Map(rec []byte, emit mapred.Emit) error {
+	if m.right.err != nil {
+		return m.right.err
+	}
+	row, ok, err := m.sc.next(rec)
+	if err != nil || !ok {
+		return err
+	}
+	key := row[m.plan.leftKey]
+	ms := m.right.lookup(key)
+	if len(ms) == 0 {
+		return nil
+	}
+	m.buf = append(binary.AppendUvarint(m.buf[:0], uint64(len(m.plan.cols))), key...)
+	for _, p := range m.plan.leftKept {
+		m.buf = append(m.buf, row[p]...)
+	}
+	n := len(m.buf)
+	for _, r := range ms {
+		m.buf = append(m.buf[:n], m.right.row(r)...)
+		emit("", m.buf)
+	}
+	return nil
+}
+
+func (m *mapJoinMapper) Close(mapred.Emit) error { return m.right.err }
+
+// fileTagMapper emits each scanned row under its join key after one byte
+// tagging the side its file belongs to.
+type fileTagMapper struct {
+	sc     scanner
+	keyPos int
+	tag    byte
+	buf    []byte
+}
+
+func (m *fileTagMapper) Map(rec []byte, emit mapred.Emit) error {
+	row, ok, err := m.sc.next(rec)
+	if err != nil || !ok {
+		return err
+	}
+	m.buf = row.AppendEncodeIDs(append(m.buf[:0], m.tag))
+	emit(row[m.keyPos], m.buf)
+	return nil
+}
+
+// joinJobRef is the reduce-side binary join of left and right, which must
+// read different files.
+func joinJobRef(name string, left, right *rel, leftCol, rightCol string, keep map[string]bool, output string) *mapred.Job {
+	jp := compileJoin(left, right, leftCol, rightCol, keep)
+	return &mapred.Job{
+		Name:   name,
+		Inputs: []string{left.file, right.file},
+		Output: output,
+		NewMapper: func(tc *mapred.TaskContext) mapred.Mapper {
+			if tc.InputFile == right.file {
+				return &fileTagMapper{sc: scanner{plan: jp.right}, keyPos: jp.rightKey, tag: 1}
+			}
+			return &fileTagMapper{sc: scanner{plan: jp.left}, keyPos: jp.leftKey, tag: 0}
+		},
+		NewReducer: func() mapred.Reducer { return &symJoinReducer{plan: jp} },
+	}
+}
+
+// mapJoinJobRef is the map-only binary join broadcasting right.
+func mapJoinJobRef(name string, left, right *rel, leftCol, rightCol string, keep map[string]bool, output string) *mapred.Job {
+	jp := compileJoin(left, right, leftCol, rightCol, keep)
+	return &mapred.Job{
+		Name:       name,
+		Inputs:     []string{left.file},
+		SideInputs: []string{right.file},
+		Output:     output,
+		NewMapper: func(tc *mapred.TaskContext) mapred.Mapper {
+			return newMapJoinMapper(jp, tc.SideInput(right.file))
+		},
+	}
+}
+
+// joinSide draws one side of a binary join named prefix over the corpus:
+// the key column k at a random position among up to four columns, the
+// others its own or dropped, with at most one constant check and one
+// filter.
+func (c *scanCorpus) joinSide(file, prefix string) *rel {
+	n := 1 + c.rng.Intn(4)
+	r := &rel{file: file, dict: c.d, cols: make([]string, n)}
+	key := c.rng.Intn(n)
+	for i := range r.cols {
+		switch {
+		case i == key:
+			r.cols[i] = "k"
+		case c.rng.Intn(4) > 0:
+			r.cols[i] = fmt.Sprintf("%s%d", prefix, i)
+		}
+	}
+	if c.rng.Intn(4) == 0 {
+		want := c.value()
+		if c.rng.Intn(4) == 0 {
+			want = rdf.MissingIDString
+		}
+		r.consts = append(r.consts, constCheck{pos: c.rng.Intn(n), want: want})
+	}
+	if c.rng.Intn(2) == 0 {
+		r.filters = append(r.filters, c.filter(r.cols[c.rng.Intn(n)]))
+	}
+	return r
+}
+
+// joinRecords draws up to 40 records for side r, the key from the
+// corpus's first four values (NULL among them), so keys repeat.
+func (c *scanCorpus) joinRecords(r *rel) [][]byte {
+	key := slices.Index(r.cols, "k")
+	var recs [][]byte
+	for range c.rng.Intn(41) {
+		t := c.tuple(len(r.cols))
+		if len(t) == len(r.cols) {
+			t[key] = c.vals[c.rng.Intn(4)]
+		}
+		recs = append(recs, t.EncodeIDs())
+	}
+	return recs
+}
+
+// decodedRows reads a job output as rows of ID-strings.
+func decodedRows(t *testing.T, c *mapred.Cluster, d *rdf.Dict, name string) []codec.Tuple {
+	t.Helper()
+	var out []codec.Tuple
+	for _, rec := range readRecords(t, c, name) {
+		tu, err := codec.DecodeIDTuple(rec, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, tu)
+	}
+	return out
+}
+
+// byName permutes each row of schema cols into schema want.
+func byName(rows []codec.Tuple, cols, want []string) []codec.Tuple {
+	out := make([]codec.Tuple, len(rows))
+	for i, row := range rows {
+		out[i] = make(codec.Tuple, len(want))
+		for j, c := range want {
+			out[i][j] = row[slices.Index(cols, c)]
+		}
+	}
+	return out
+}
+
+// joinCoverage counts what the binary join checks exercised.
+type joinCoverage struct {
+	rows, manyToMany, unmatched, dropped, projected, spilled int
+}
+
+// checkBinaryJoin runs the binary join of two random sides through the
+// two-input star join and through the reference, over 1 and 3 reduce
+// partitions, with and without a tiny spill threshold. Either map join
+// must write the reference's bytes; the reduce-side join over [right,
+// left] the reference's rows in the reference's order, once columns are
+// matched by name.
+func checkBinaryJoin(t *testing.T, seed int64, cov *joinCoverage) {
+	c := newScanCorpus(seed, 200)
+	left, right := c.joinSide("L", "l"), c.joinSide("R", "r")
+	var keep map[string]bool
+	if c.rng.Intn(2) == 0 {
+		keep = map[string]bool{}
+		for _, col := range slices.Concat(left.cols, right.cols) {
+			if col != "" && c.rng.Intn(2) == 0 {
+				keep[col] = true
+			}
+		}
+		cov.projected++
+	}
+	lrecs, rrecs := c.joinRecords(left), c.joinRecords(right)
+	// Scanned rows per key on each side, from the reference scan.
+	perKey := map[string][2]int{}
+	for side, in := range []struct {
+		r    *rel
+		recs [][]byte
+	}{{left, lrecs}, {right, rrecs}} {
+		for _, rec := range in.recs {
+			raw, err := codec.DecodeIDTuple(rec, c.d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			row, ok := in.r.scanRef(raw)
+			if !ok {
+				cov.dropped++
+				continue
+			}
+			n := perKey[row[slices.Index(in.r.outColsRef(), "k")]]
+			n[side]++
+			perKey[row[slices.Index(in.r.outColsRef(), "k")]] = n
+		}
+	}
+	for _, n := range perKey {
+		switch {
+		case n[0] > 1 && n[1] > 1:
+			cov.manyToMany++
+		case n[0] == 0 || n[1] == 0:
+			cov.unmatched++
+		}
+	}
+	run := func(job *mapred.Job, partitions int, spill int64) (*mapred.Cluster, *mapred.Metrics) {
+		t.Helper()
+		cfg := mapred.DefaultConfig()
+		cfg.ExecSplitBytes = 64
+		cfg.SpillThresholdBytes = spill
+		cl := mapred.NewCluster(cfg)
+		for file, recs := range map[string][][]byte{"L": lrecs, "R": rrecs} {
+			w, err := cl.FS.Create(file, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, rec := range recs {
+				w.Write(rec)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		job.Partitions = partitions
+		m, err := cl.Run(job)
+		if err != nil {
+			t.Fatalf("%s: %v", job.Name, err)
+		}
+		return cl, m
+	}
+	both := []*starInput{{rel: left, keyCol: "k"}, {rel: right, keyCol: "k"}}
+	for _, partitions := range []int{1, 3} {
+		for _, spill := range []int64{0, 16} {
+			for driving, ref := range []*mapred.Job{
+				mapJoinJobRef("ref", left, right, "k", "k", keep, "out"),
+				mapJoinJobRef("ref", right, left, "k", "k", keep, "out"),
+			} {
+				job, _ := starMapJoinJob("j", "map-join", both, driving, keep, "out", 1)
+				gc, _ := run(job, partitions, spill)
+				wc, _ := run(ref, partitions, spill)
+				if got, want := readRecords(t, gc, "out"), readRecords(t, wc, "out"); !slices.EqualFunc(got, want, bytes.Equal) {
+					t.Fatalf("seed %d, driving %d: map join wrote %q, reference %q", seed, driving, got, want)
+				}
+			}
+			job, out := starJoinJob("j", "hash-join", []*starInput{both[1], both[0]}, keep, "out", 1)
+			jp := compileJoin(left, right, "k", "k", keep)
+			gc, m := run(job, partitions, spill)
+			wc, _ := run(joinJobRef("ref", left, right, "k", "k", keep, "out"), partitions, spill)
+			got, want := decodedRows(t, gc, c.d, "out"), decodedRows(t, wc, c.d, "out")
+			if got = byName(got, out.cols, jp.cols); !slices.EqualFunc(got, want, slices.Equal) {
+				t.Fatalf("seed %d, %d partitions, spill %d: reduce-side join %q, reference %q", seed, partitions, spill, got, want)
+			}
+			cov.rows += len(want)
+			if m.SpillRuns > 0 {
+				cov.spilled++
+			}
+		}
+	}
+}
+
+func TestBinaryJoinMatchesReference(t *testing.T) {
+	var cov joinCoverage
+	for seed := range int64(60) {
+		checkBinaryJoin(t, seed, &cov)
+	}
+	t.Logf("coverage: %+v", cov)
+	for name, n := range map[string]int{
+		"joined row": cov.rows, "key with several rows on both sides": cov.manyToMany, "unmatched key": cov.unmatched,
+		"record the scan drops": cov.dropped, "projection": cov.projected, "spilling map task": cov.spilled,
+	} {
+		if n == 0 {
+			t.Errorf("corpus never exercised a %s", name)
+		}
+	}
+}
+
+// FuzzBinaryJoinMatchesReference draws the sides of a binary join from
+// seed: duplicate and unmatched keys on both sides, NULL keys, constant
+// checks, filters, and kept and dropped columns.
+func FuzzBinaryJoinMatchesReference(f *testing.F) {
+	for seed := range int64(4) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) { checkBinaryJoin(t, seed, &joinCoverage{}) })
 }

@@ -10,6 +10,7 @@ package mapred
 
 import (
 	"context"
+	"sync/atomic"
 
 	"rapidanalytics/internal/dfs"
 )
@@ -331,6 +332,11 @@ type Cluster struct {
 	// as the overflow threshold of streamed outputs. Only this package's
 	// overflow tests assign it.
 	testStreamOverflowBytes int64
+	// testSpillHighWater, when non-nil, is raised to the high-water mark
+	// of a spilling map task's arena bytes (its shuffle output since the
+	// last spill) at record boundaries. Only this package's spill tests
+	// assign it, to assert the spill path bounds resident shuffle memory.
+	testSpillHighWater *atomic.Int64
 }
 
 // NewCluster returns a cluster over a fresh file system of the backend

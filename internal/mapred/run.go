@@ -776,8 +776,8 @@ func (c *Cluster) runMapTask(job *Job, taskIdx int, sp split, side map[string]*d
 		}
 		return res, nil
 	}
-	if canSpill {
-		noteSpillHighWater(maxBuffered)
+	if canSpill && c.testSpillHighWater != nil {
+		noteHighWater(c.testSpillHighWater, maxBuffered)
 	}
 	res.arena, res.parts = ar, make([][]entry, partitions)
 	if job.NewCombiner != nil {

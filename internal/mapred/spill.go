@@ -73,18 +73,11 @@ func (c *Cluster) cleanupSpills(output string) error {
 	return first
 }
 
-// spillMaxBuffered tracks the high-water mark of a map task's arena bytes
-// (its shuffle output since the last spill) observed at record boundaries
-// while spilling is enabled. It exists
-// so tests can assert the spill path bounds resident shuffle memory; it is
-// never read by execution.
-var spillMaxBuffered atomic.Int64
-
-// noteSpillHighWater raises the recorded high-water mark to n.
-func noteSpillHighWater(n int64) {
+// noteHighWater raises the high-water mark hw to n.
+func noteHighWater(hw *atomic.Int64, n int64) {
 	for {
-		cur := spillMaxBuffered.Load()
-		if n <= cur || spillMaxBuffered.CompareAndSwap(cur, n) {
+		cur := hw.Load()
+		if n <= cur || hw.CompareAndSwap(cur, n) {
 			return
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"rapidanalytics/internal/dfs"
@@ -85,13 +86,13 @@ func TestSpillWithCombinerOutputIdentical(t *testing.T) {
 // high-water mark stays within one record's emits of the threshold.
 func TestSpillBoundsBufferedBytes(t *testing.T) {
 	const threshold = 256
-	spillMaxBuffered.Store(0)
 	c := spillCluster(threshold)
+	c.testSpillHighWater = new(atomic.Int64)
 	spillFixture(c)
 	if _, err := c.Run(wordCountJob("in", "out", false)); err != nil {
 		t.Fatal(err)
 	}
-	hw := spillMaxBuffered.Load()
+	hw := c.testSpillHighWater.Load()
 	if hw == 0 {
 		t.Fatal("high-water mark not recorded")
 	}
