@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"slices"
 	"unsafe"
+
+	"rapidanalytics/internal/rdf"
 )
 
 // AppendString appends a uvarint-length-prefixed string to buf.
@@ -134,14 +136,6 @@ func AppendDecodeTuple(dst Tuple, buf []byte) (Tuple, error) {
 	return out, nil
 }
 
-// Interner resolves term IDs to their canonical interned ID-strings, so
-// decoded tuples share one string per distinct term instead of allocating a
-// copy per field. *rdf.Dict implements it.
-type Interner interface {
-	// IDString returns the interned uvarint ID-string for a term ID.
-	IDString(id uint64) (string, bool)
-}
-
 // EncodedIDsLen returns the exact size of the tuple's EncodeIDs output.
 // Every field must be an ID-string.
 func (t Tuple) EncodedIDsLen() int {
@@ -169,38 +163,44 @@ func (t Tuple) EncodeIDs() []byte {
 	return t.AppendEncodeIDs(make([]byte, 0, t.EncodedIDsLen()))
 }
 
-// DecodeIDTuple parses a tuple written by EncodeIDs, resolving each field
-// to its interned ID-string through in. The result is a fresh tuple.
-func DecodeIDTuple(buf []byte, in Interner) (Tuple, error) {
-	return AppendDecodeIDTuple(nil, buf, in)
+// DecodeIDTuple parses a tuple written by EncodeIDs into a fresh tuple
+// whose fields alias buf (see AppendDecodeIDTuple).
+func DecodeIDTuple(buf []byte, d *rdf.Dict) (Tuple, error) {
+	return AppendDecodeIDTuple(nil, buf, d)
 }
 
 // AppendDecodeIDTuple parses a tuple written by EncodeIDs and appends its
-// fields to dst, resolving each to its interned ID-string through in. A
-// map task that finishes with one record before decoding the next passes
-// its own scratch as dst[:0] and pays for the storage once. On error dst
-// comes back unextended.
-func AppendDecodeIDTuple(dst Tuple, buf []byte, in Interner) (Tuple, error) {
-	n, buf, err := ReadUvarint(buf)
+// fields to dst. Each field is an ID-string of d (rdf.ReadID) and comes
+// back as a view of buf, as AppendDecodeTuple's fields do: it equals the
+// term's interned ID-string, and the caller keeps buf unmodified for as
+// long as it uses it. A map task that finishes with one record before
+// decoding the next passes its own scratch as dst[:0] and pays for the
+// storage once. On error dst comes back unextended.
+func AppendDecodeIDTuple(dst Tuple, buf []byte, d *rdf.Dict) (Tuple, error) {
+	n, rest, err := ReadUvarint(buf)
 	if err != nil {
 		return dst, err
 	}
 	// Every field takes at least one byte, so an arity beyond the remaining
 	// buffer is malformed — reject it before allocating.
-	if n > uint64(len(buf)) {
-		return dst, decodeErr("id tuple arity %d exceeds %d remaining bytes", n, len(buf))
+	if n > uint64(len(rest)) {
+		return dst, decodeErr("id tuple arity %d exceeds %d remaining bytes", n, len(rest))
 	}
+	// every field is a substring of this view of buf
+	s := unsafe.String(unsafe.SliceData(buf), len(buf))
+	off := len(buf) - len(rest)
+	maxID := uint64(d.Len())
 	out := slices.Grow(dst, int(n))
 	for i := 0; i < int(n); i++ {
-		var f string
-		f, buf, err = ReadIDValue(buf, in)
+		_, k, err := rdf.ReadID(s[off:], maxID)
 		if err != nil {
 			return dst, decodeErr("id tuple field %d: %w", i, err)
 		}
-		out = append(out, f)
+		out = append(out, s[off:off+k])
+		off += k
 	}
-	if len(buf) != 0 {
-		return dst, decodeErr("%d trailing bytes after id tuple", len(buf))
+	if off != len(s) {
+		return dst, decodeErr("%d trailing bytes after id tuple", len(s)-off)
 	}
 	return out, nil
 }
@@ -210,18 +210,4 @@ func AppendDecodeIDTuple(dst Tuple, buf []byte, in Interner) (Tuple, error) {
 // task, so it runs at most once.
 func decodeErr(format string, args ...any) error {
 	return fmt.Errorf("codec: "+format, args...)
-}
-
-// ReadIDValue reads one uvarint term ID from buf and returns its interned
-// ID-string and the remaining buffer.
-func ReadIDValue(buf []byte, in Interner) (string, []byte, error) {
-	id, rest, err := ReadUvarint(buf)
-	if err != nil {
-		return "", nil, err
-	}
-	s, ok := in.IDString(id)
-	if !ok {
-		return "", nil, fmt.Errorf("codec: unknown term id %d", id)
-	}
-	return s, rest, nil
 }

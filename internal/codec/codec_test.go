@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestTupleRoundTrip(t *testing.T) {
@@ -70,5 +71,24 @@ func TestPrimitives(t *testing.T) {
 	s, rest, err := readString(rest)
 	if err != nil || string(s) != "hello" || len(rest) != 0 {
 		t.Fatalf("readString = %q rest=%d err=%v", s, len(rest), err)
+	}
+}
+
+// A decoded ID field is the record's own bytes, not the dictionary's
+// interned copy: the record must outlive it.
+func TestDecodeIDTupleFieldsAliasRecord(t *testing.T) {
+	d := fuzzDict()
+	rec := Tuple{string(AppendUvarint(nil, 200)), "\x00", string(AppendUvarint(nil, 7))}.EncodeIDs()
+	tu, err := DecodeIDTuple(rec, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, off := range []int{1, 3, 4} {
+		if unsafe.StringData(tu[i]) != &rec[off] {
+			t.Errorf("field %d %x does not start at record byte %d", i, tu[i], off)
+		}
+	}
+	if interned, _ := d.IDString(200); unsafe.StringData(interned) == unsafe.StringData(tu[0]) {
+		t.Error("field 0 is the dictionary's interned ID-string")
 	}
 }

@@ -2,22 +2,59 @@ package codec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"slices"
+	"strconv"
 	"testing"
 	"unsafe"
+
+	"rapidanalytics/internal/rdf"
 )
 
-// fuzzInterner resolves every ID to its own uvarint encoding, like rdf.Dict
-// does for known IDs — so any well-formed ID stream decodes.
-type fuzzInterner struct{}
-
-func (fuzzInterner) IDString(id uint64) (string, bool) {
-	return string(AppendUvarint(nil, id)), true
+// fuzzDict holds the term IDs 0..300, so fuzzed ID-strings take one and two
+// bytes and some name IDs beyond it.
+func fuzzDict() *rdf.Dict {
+	d := rdf.NewDict()
+	for i := range 300 {
+		d.Add("L" + strconv.Itoa(i))
+	}
+	return d
 }
 
-// Decoders accept non-minimal uvarints (binary.Uvarint does), so the fuzz
-// properties are value-level: whatever decodes must survive a canonical
-// re-encode/re-decode round trip unchanged.
+// decodeIDTupleRef is AppendDecodeIDTuple as it was before its fields
+// became views of the record: each field resolves through Dict.IDString to
+// the term's interned ID-string. The field's bytes must be that string, so
+// an overlong uvarint is rejected. It is the reference FuzzDecodeIDTuple
+// and FuzzAppendDecodeIDTuple hold the views to.
+func decodeIDTupleRef(dst Tuple, buf []byte, d *rdf.Dict) (Tuple, error) {
+	n, buf, err := ReadUvarint(buf)
+	if err != nil {
+		return dst, err
+	}
+	if n > uint64(len(buf)) {
+		return dst, decodeErr("id tuple arity %d exceeds %d remaining bytes", n, len(buf))
+	}
+	out := slices.Grow(dst, int(n))
+	for i := 0; i < int(n); i++ {
+		id, k := binary.Uvarint(buf)
+		if k <= 0 {
+			return dst, decodeErr("id tuple field %d: bad uvarint", i)
+		}
+		s, ok := d.IDString(id)
+		if !ok || s != string(buf[:k]) {
+			return dst, decodeErr("id tuple field %d: unknown or overlong term id %d", i, id)
+		}
+		out = append(out, s)
+		buf = buf[k:]
+	}
+	if len(buf) != 0 {
+		return dst, decodeErr("%d trailing bytes after id tuple", len(buf))
+	}
+	return out, nil
+}
+
+// The lexical fuzz properties are value-level: whatever decodes must
+// survive a re-encode/re-decode round trip unchanged.
 
 // FuzzReadString exercises the length-prefixed field reader the tuple
 // decoders are built on.
@@ -164,19 +201,38 @@ func FuzzDecodeTuple(f *testing.F) {
 	})
 }
 
+// The views equal the dictionary-resolving reference's fields, lie inside
+// the record and leave it as it was; both reject the same inputs,
+// overlong uvarints and IDs beyond the dictionary included.
 func FuzzDecodeIDTuple(f *testing.F) {
-	in := fuzzInterner{}
+	d := fuzzDict()
 	f.Add([]byte{})
 	f.Add(Tuple{}.EncodeIDs())
 	f.Add(Tuple{string(AppendUvarint(nil, 1)), "\x00", string(AppendUvarint(nil, 300))}.EncodeIDs())
+	f.Add(Tuple{string(AppendUvarint(nil, 301))}.EncodeIDs())
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Add([]byte{0x02, 0x80})
+	f.Add([]byte{0x02, 0x81, 0x00, 0x01}) // overlong ID 1
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tup, err := DecodeIDTuple(data, in)
+		orig := bytes.Clone(data)
+		tup, err := DecodeIDTuple(data, d)
+		ref, rerr := decodeIDTupleRef(nil, data, d)
+		if (err == nil) != (rerr == nil) {
+			t.Fatalf("DecodeIDTuple err = %v, reference err = %v", err, rerr)
+		}
+		if !bytes.Equal(data, orig) {
+			t.Fatalf("decoding changed the record: %x, was %x", data, orig)
+		}
 		if err != nil {
 			return
 		}
-		tup2, err := DecodeIDTuple(tup.EncodeIDs(), in)
+		assertTuplesEqual(t, tup, ref)
+		for i, v := range tup {
+			if !within(v, data) {
+				t.Fatalf("field %d %x is not a view of the record", i, v)
+			}
+		}
+		tup2, err := DecodeIDTuple(tup.EncodeIDs(), d)
 		if err != nil {
 			t.Fatalf("re-decode of %x: %v", tup.EncodeIDs(), err)
 		}
@@ -196,24 +252,26 @@ func assertTuplesEqual(t *testing.T, a, b Tuple) {
 	}
 }
 
-// The append decoder must agree with DecodeIDTuple on every input, leave a
-// dirty dst's existing fields alone, and hand dst back unextended on error.
+// The append decoder must agree with the reference on every input, leave
+// a dirty dst's existing fields alone, and hand dst back unextended on
+// error.
 func FuzzAppendDecodeIDTuple(f *testing.F) {
-	in := fuzzInterner{}
+	d := fuzzDict()
 	f.Add([]byte{}, uint8(0))
 	f.Add(Tuple{}.EncodeIDs(), uint8(3))
 	f.Add(Tuple{string(AppendUvarint(nil, 1)), "\x00", string(AppendUvarint(nil, 300))}.EncodeIDs(), uint8(2))
 	f.Add([]byte{0x02, 0x80}, uint8(1))
 	f.Add([]byte{0x01, 0x05, 0x07}, uint8(5))
+	f.Add([]byte{0x01, 0x80, 0x00}, uint8(1)) // overlong NULL
 	f.Fuzz(func(t *testing.T, data []byte, dirty uint8) {
 		dst := make(Tuple, dirty%8, 8)
 		for i := range dst {
 			dst[i] = "stale"
 		}
-		want, wantErr := DecodeIDTuple(data, in)
-		got, err := AppendDecodeIDTuple(dst, data, in)
+		want, wantErr := decodeIDTupleRef(nil, data, d)
+		got, err := AppendDecodeIDTuple(dst, data, d)
 		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("append decoder err = %v, DecodeIDTuple err = %v", err, wantErr)
+			t.Fatalf("append decoder err = %v, reference err = %v", err, wantErr)
 		}
 		if len(got) < len(dst) {
 			t.Fatalf("append decoder dropped dst fields: %d < %d", len(got), len(dst))

@@ -106,21 +106,18 @@ func (m *aggMerger) Reduce(key string, values [][]byte, emit mapred.Emit) error 
 // values to dst, NULL (ID 0) as algebra.Null — the decode boundary of
 // every engine.
 func appendGroupKey(dst codec.Tuple, d *rdf.Dict, key string) (codec.Tuple, error) {
-	buf := []byte(key)
-	for len(buf) > 0 {
-		id, rest, err := codec.ReadUvarint(buf)
+	maxID := uint64(d.Len())
+	for len(key) > 0 {
+		id, n, err := rdf.ReadID(key, maxID)
 		if err != nil {
-			return nil, fmt.Errorf("engine: group key %q: %w", key, err)
+			return nil, fmt.Errorf("engine: group key: %w", err)
 		}
-		buf = rest
+		key = key[n:]
 		if id == 0 {
 			dst = append(dst, algebra.Null)
 			continue
 		}
-		k, ok := d.Key(id)
-		if !ok {
-			return nil, fmt.Errorf("engine: group key holds unknown term id %d", id)
-		}
+		k, _ := d.Key(id)
 		dst = append(dst, k)
 	}
 	return dst, nil

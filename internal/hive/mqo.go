@@ -64,19 +64,20 @@ func (h *MQO) Plan(c *mapred.Cluster, ds *engine.Dataset, aq *algebra.Analytical
 
 // compositeColumns assigns a relation column to every composite property:
 // the object variable when the pattern binds one, a synthetic marker column
-// for secondary constant-object properties (so LEFT OUTER NULLs make the
-// validity of a row checkable), and no column for primary constant-object
-// properties. cols[i][j] addresses cp.Stars[i].Props[j]; empty means no
-// column.
+// for secondary constant-object and self-loop (?s e:knows ?s) properties
+// (so LEFT OUTER NULLs make the validity of a row checkable), and no column
+// for primary constant-object properties. cols[i][j] addresses
+// cp.Stars[i].Props[j]; empty means no column.
 func compositeColumns(cp *algebra.CompositePattern) [][]string {
 	cols := make([][]string, len(cp.Stars))
 	for i, cs := range cp.Stars {
 		cols[i] = make([]string, len(cs.Props))
 		for j, p := range cs.Props {
+			secondary := len(p.Owners) != cp.NumPatterns
 			switch {
-			case p.TP.O.IsVar:
+			case p.TP.O.IsVar && !(secondary && p.TP.O.Var == cs.SubjectVar):
 				cols[i][j] = p.TP.O.Var
-			case len(p.Owners) != cp.NumPatterns:
+			case secondary:
 				cols[i][j] = fmt.Sprintf("mark_%d_%d", i, j)
 			}
 		}

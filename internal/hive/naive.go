@@ -111,6 +111,21 @@ func vpScan(ds *engine.Dataset, subj string, tp sparql.TriplePattern, objCol str
 	case !tp.O.IsVar:
 		r.consts = []constCheck{{pos: len(r.cols) - 1, want: ds.Dict.KeyString(tp.O.Term.Key())}}
 	}
+	// A variable the pattern repeats (?s e:knows ?s, ?s ?p ?s) binds one
+	// term: each later position must equal its first, and a later column
+	// named like the first is dropped. vars[i] binds raw position i.
+	vars := []string{tp.S.Var, tp.O.Var}
+	if tp.P.IsVar {
+		vars = []string{tp.S.Var, tp.P.Var, tp.O.Var}
+	}
+	for i := range r.cols {
+		if first := slices.Index(vars, vars[i]); first < i {
+			r.same = append(r.same, sameCheck{pos: i, first: first})
+			if r.cols[i] == r.cols[first] {
+				r.cols[i] = ""
+			}
+		}
+	}
 	for _, f := range filters {
 		if (tp.P.IsVar && f.Var == tp.P.Var) || (tp.O.IsVar && !isType && f.Var == objCol) {
 			r.filters = append(r.filters, f)

@@ -77,6 +77,8 @@ type rel struct {
 	// consts are the constant-object checks; non-matching tuples are
 	// dropped.
 	consts []constCheck
+	// same are the repeated-variable checks, applied like consts.
+	same []sameCheck
 	// filters are pushed-down FILTER constraints, keyed by column name.
 	filters []sparql.Filter
 	// dict is the dataset's dictionary: the relation's tuples are compact

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -35,6 +36,12 @@ type constCheck struct {
 	want string
 }
 
+// sameCheck is a repeated-variable check: raw field pos must equal raw
+// field first, where the pattern binds the variable first (?s e:knows ?s).
+type sameCheck struct {
+	pos, first int
+}
+
 // posFilter is a pushed-down FILTER resolved to the raw field it tests.
 type posFilter struct {
 	pos    int
@@ -48,6 +55,7 @@ type scanPlan struct {
 	// arity is the raw tuple width; other widths are dropped.
 	arity  int
 	consts []constCheck
+	same   []sameCheck
 	// filters are ordered by column, each column's in rel order; filters
 	// on dropped or unknown columns are not evaluated.
 	filters []posFilter
@@ -59,7 +67,7 @@ type scanPlan struct {
 
 // compile resolves the relation's lazy transformations to positions.
 func (r *rel) compile() *scanPlan {
-	p := &scanPlan{file: r.file, dict: r.dict, arity: len(r.cols), consts: r.consts}
+	p := &scanPlan{file: r.file, dict: r.dict, arity: len(r.cols), consts: r.consts, same: r.same}
 	for i, c := range r.cols {
 		if c == "" {
 			continue
@@ -93,6 +101,11 @@ func (p *scanPlan) project(dst, raw codec.Tuple) (codec.Tuple, bool) {
 	}
 	for _, c := range p.consts {
 		if raw[c.pos] != c.want {
+			return dst, false
+		}
+	}
+	for _, c := range p.same {
+		if raw[c.pos] != raw[c.first] {
 			return dst, false
 		}
 	}
@@ -176,7 +189,7 @@ func (s *rowSet) row(r int32) []byte { return s.data[s.off[r]:s.off[r+1]:s.off[r
 
 // sideIndex is a broadcast input's scanned rows, each kept as the segment
 // of the columns its join emits, behind an open-addressing table over the
-// key column's term ID (termID). order holds the row numbers group by
+// key column's term ID (rdf.ReadID). order holds the row numbers group by
 // group, each group in record order.
 type sideIndex struct {
 	// slots has a power-of-two length; a slot holds a group number plus
@@ -189,14 +202,6 @@ type sideIndex struct {
 	rowSet
 	// err, naming the file, is the first record that failed to decode.
 	err error
-}
-
-// termID decodes an ID-string, the canonical uvarint of a term ID. A
-// string that is not one — rdf.MissingIDString, an overlong or truncated
-// form, trailing bytes — reports false; it equals no decoded field.
-func termID(s string) (uint64, bool) {
-	id, n := binary.Uvarint([]byte(s))
-	return id, n == len(s) && n > 0 && (n == 1 || s[n-1] != 0)
 }
 
 // find returns the slot holding term ID id, or the empty slot that would.
@@ -235,7 +240,7 @@ func buildSideIndex(f *dfs.File, p *scanPlan, keyPos int, cols []int) *sideIndex
 		if !ok {
 			continue
 		}
-		id, _ := termID(row[keyPos]) // a decoded field is canonical
+		id, _, _ := rdf.ReadID(row[keyPos], math.MaxUint64) // a decoded field
 		i := x.find(id)
 		if x.slots[i] == 0 {
 			x.keys = append(x.keys, id)
@@ -268,8 +273,9 @@ func buildSideIndex(f *dfs.File, p *scanPlan, keyPos int, cols []int) *sideIndex
 
 // lookup returns the numbers of the rows whose key column equals key.
 func (x *sideIndex) lookup(key string) []int32 {
-	id, ok := termID(key)
-	if !ok {
+	// A key that is no whole ID-string equals no decoded field.
+	id, n, err := rdf.ReadID(key, math.MaxUint64)
+	if err != nil || n != len(key) {
 		return nil
 	}
 	g := x.slots[x.find(id)] - 1

@@ -726,39 +726,6 @@ func TestSideIndexReadError(t *testing.T) {
 	}
 }
 
-// termID accepts exactly the canonical uvarints.
-func TestTermID(t *testing.T) {
-	for _, tc := range []struct {
-		s  string
-		id uint64
-		ok bool
-	}{
-		{"\x00", 0, true},
-		{"\x01", 1, true},
-		{"\x7f", 127, true},
-		{"\x80\x01", 128, true},
-		{"\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01", 1<<64 - 1, true},
-		{"", 0, false},
-		{rdf.MissingIDString, 0, false},
-		{"\x80\x00", 0, false},
-		{"\x81\x00", 0, false},
-		{"\x01\x00", 0, false},
-		{"\x80\x80", 0, false},
-		{"\xff\xff\xff\xff\xff\xff\xff\xff\xff\x02", 0, false},
-		{"\xff\xff\xff\xff\xff\xff\xff\xff\xff\x81\x00", 0, false},
-	} {
-		if id, ok := termID(tc.s); id != tc.id && ok || ok != tc.ok {
-			t.Errorf("termID(%q) = %d, %v; want %d, %v", tc.s, id, ok, tc.id, tc.ok)
-		}
-	}
-	for id := range uint64(1 << 15) {
-		s := string(binary.AppendUvarint(nil, id))
-		if got, ok := termID(s); !ok || got != id {
-			t.Fatalf("termID(%q) = %d, %v; want %d", s, got, ok, id)
-		}
-	}
-}
-
 // A lookup allocates nothing, hit or miss.
 func TestSideIndexLookupAllocatesNothing(t *testing.T) {
 	c := newScanCorpus(5, 200)
@@ -864,9 +831,9 @@ type tupleArena struct {
 func (a *tupleArena) reset() { a.fields = a.fields[:0] }
 
 // decode parses an ID-tuple into the arena.
-func (a *tupleArena) decode(buf []byte, in codec.Interner) (codec.Tuple, error) {
+func (a *tupleArena) decode(buf []byte, d *rdf.Dict) (codec.Tuple, error) {
 	n := len(a.fields)
-	f, err := codec.AppendDecodeIDTuple(a.fields, buf, in)
+	f, err := codec.AppendDecodeIDTuple(a.fields, buf, d)
 	if err != nil {
 		return nil, err
 	}

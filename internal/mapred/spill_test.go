@@ -5,11 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"rapidanalytics/internal/codec"
 	"rapidanalytics/internal/dfs"
+	"rapidanalytics/internal/rdf"
 )
 
 // spillFixture writes enough input lines that a small threshold forces
@@ -137,41 +140,116 @@ func TestSpillRunsCleanedUp(t *testing.T) {
 // The full matrix: worker counts x spill thresholds x backends x entry
 // pages from no free list or a poisoned one must all produce the same
 // output bytes (the determinism contract extended to storage and
-// spilling).
+// spilling), for the word count and for a job whose decoded ID fields are
+// views of its records and values (idJoinJob).
 func TestSpillDeterminismMatrix(t *testing.T) {
-	var want string
-	for _, workers := range []int{1, 4} {
-		for _, threshold := range []int64{0, 64, 1 << 20} {
-			for _, backend := range []string{"mem", "disk", "mem-poisoned"} {
-				cfg := DefaultConfig()
-				cfg.ExecSplitBytes = 256
-				cfg.SpillThresholdBytes = threshold
-				fs := dfs.New()
-				if backend == "disk" {
-					var err error
-					if fs, err = dfs.NewDisk(t.TempDir(), 3); err != nil {
-						t.Fatal(err)
+	d := idDict()
+	for _, job := range []func() *Job{
+		func() *Job { return wordCountJob("in", "out", true) },
+		func() *Job { return idJoinJob(d) },
+	} {
+		var want string
+		for _, workers := range []int{1, 4} {
+			for _, threshold := range []int64{0, 16, 64, 1 << 20} {
+				for _, backend := range []string{"mem", "disk", "mem-poisoned"} {
+					cfg := DefaultConfig()
+					cfg.ExecSplitBytes = 256
+					cfg.SpillThresholdBytes = threshold
+					fs := dfs.New()
+					if backend == "disk" {
+						var err error
+						if fs, err = dfs.NewDisk(t.TempDir(), 3); err != nil {
+							t.Fatal(err)
+						}
 					}
-				}
-				c := NewClusterFS(cfg, fs)
-				c.testWorkers = workers
-				if backend == "mem-poisoned" {
-					c = c.WithContext(context.Background())
-					c.free.poison = true
-				}
-				spillFixture(c)
-				if _, err := c.Run(wordCountJob("in", "out", true)); err != nil {
-					t.Fatalf("w=%d t=%d %s: %v", workers, threshold, backend, err)
-				}
-				checkHandles(t, c)
-				got := strings.Join(readLines(t, c, "out"), "\n")
-				if want == "" {
-					want = got
-				} else if got != want {
-					t.Errorf("w=%d t=%d %s: output diverged", workers, threshold, backend)
+					c := NewClusterFS(cfg, fs)
+					c.testWorkers = workers
+					if backend == "mem-poisoned" {
+						c = c.WithContext(context.Background())
+						c.free.poison = true
+					}
+					spillFixture(c)
+					idFixture(c, d)
+					j := job()
+					if _, err := c.Run(j); err != nil {
+						t.Fatalf("%s w=%d t=%d %s: %v", j.Name, workers, threshold, backend, err)
+					}
+					checkHandles(t, c)
+					got := strings.Join(readLines(t, c, "out"), "\n")
+					if want == "" {
+						want = got
+					} else if got != want {
+						t.Errorf("%s w=%d t=%d %s: output diverged", j.Name, workers, threshold, backend)
+					}
 				}
 			}
 		}
+	}
+}
+
+// idDict holds the term IDs 0..299: one- and two-byte ID-strings.
+func idDict() *rdf.Dict {
+	d := rdf.NewDict()
+	for i := range 299 {
+		d.Add("L" + strconv.Itoa(i))
+	}
+	return d
+}
+
+// idFixture writes the ID-tuples idJoinJob reads: 13 first fields, each
+// with about 30 second fields.
+func idFixture(c *Cluster, d *rdf.Dict) {
+	id := func(i int) string { s, _ := d.IDString(uint64(i)); return s }
+	recs := make([]string, 400)
+	for i := range recs {
+		recs[i] = string(codec.Tuple{id(i % 13 * 23), id(i * 7 % 300)}.EncodeIDs())
+	}
+	writeLines(c, "ids", 1, recs...)
+}
+
+// idJoinJob self-joins the ID-tuples of "ids" on their first field. The
+// mapper emits each record under its decoded first field, a view of the
+// record; the reducer decodes its whole key group into views of the values
+// before it emits a row, so every decoded field must stay valid until the
+// group is done.
+func idJoinJob(d *rdf.Dict) *Job {
+	return &Job{
+		Name:   "idjoin",
+		Inputs: []string{"ids"},
+		Output: "out",
+		NewMapper: func(*TaskContext) Mapper {
+			var t codec.Tuple
+			return MapperFunc(func(rec []byte, emit Emit) error {
+				var err error
+				if t, err = codec.AppendDecodeIDTuple(t[:0], rec, d); err != nil {
+					return err
+				}
+				emit(t[0], rec)
+				return nil
+			})
+		},
+		NewReducer: func() Reducer {
+			var (
+				fields codec.Tuple
+				buf    []byte
+			)
+			return ReducerFunc(func(key string, values [][]byte, emit Emit) error {
+				fields = fields[:0]
+				for _, v := range values {
+					var err error
+					if fields, err = codec.AppendDecodeIDTuple(fields, v, d); err != nil {
+						return err
+					}
+				}
+				for i := 0; i < len(fields); i += 2 {
+					for j := 0; j < len(fields); j += 2 {
+						buf = codec.Tuple{fields[i], fields[i+1], fields[j+1]}.AppendEncodeIDs(buf[:0])
+						emit(key, buf)
+					}
+				}
+				return nil
+			})
+		},
 	}
 }
 

@@ -39,7 +39,7 @@ func TestCodecsSteadyStateAllocs(t *testing.T) {
 		{"TripleGroup.AppendProjectRefs", func() { pos = a.TGs[0].AppendProjectRefs(pos[:0], features) }},
 		{"AnnTG.AppendEncodeIDs", func() { buf = a.AppendEncodeIDs(buf[:0]) }},
 		{"Arena.DecodeAnnTGIDs", func() { ar.Reset(); _, err = ar.DecodeAnnTGIDs(rec, d) }},
-		{"AppendAnnTGSpans", func() { comp, err = AppendAnnTGSpans(comp[:0], rec, uint64(d.Len())) }},
+		{"AppendAnnTGSpans", func() { comp, err = AppendAnnTGSpans(comp[:0], rec, d) }},
 		{"AlphaTable.AppendPatternSet", func() { set, err = alpha.AppendPatternSet(set[:0], rec, spans) }},
 		{"AppendJoinIDs", func() { buf = AppendJoinIDs(buf[:0], rec, spans[1:], rec, spans[:1]) }},
 	} {

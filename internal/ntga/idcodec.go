@@ -2,19 +2,22 @@ package ntga
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"slices"
+	"unsafe"
 
 	"rapidanalytics/internal/codec"
+	"rapidanalytics/internal/rdf"
 )
 
 // This file holds the triplegroup codecs. Every field of a stored or
 // shuffled triplegroup (subject, property, object) is a uvarint ID-string
 // (rdf.Dict), which is self-delimiting — so the encoded form concatenates
-// the raw ID bytes with no per-field length prefixes, and decoding resolves
-// each ID to its interned string through a codec.Interner instead of
-// allocating a fresh string per field.
+// the raw ID bytes with no per-field length prefixes. One walker per
+// format reads a record: it checks each field with rdf.ReadID against the
+// dictionary's length and, when decoding, returns the field as a view of
+// the record's bytes, so a decode allocates no string and looks up no
+// term.
 
 // AppendEncodeIDs appends the encoding of the triplegroup to buf. Every
 // field must be an ID-string.
@@ -41,11 +44,12 @@ func decodeErr(format string, args ...any) error {
 }
 
 // Arena is reusable backing storage for decoded triplegroups. Its decode
-// methods append into it and return values whose slices alias it, so a map
-// task or reducer that finishes with one record (or one key group) before
-// decoding the next pays for the storage once: the values are valid until
-// Reset. The zero value is ready to use; an Arena is not safe for concurrent
-// use.
+// methods append into it and return values whose slices alias it and whose
+// fields are views of the decoded record, so a map task or reducer that
+// finishes with one record (or one key group) before decoding the next pays
+// for the storage once: the values are valid until Reset, and for as long
+// as the record is kept unmodified. The zero value is ready to use; an
+// Arena is not safe for concurrent use.
 type Arena struct {
 	pos   []PO
 	stars []int
@@ -60,49 +64,72 @@ func (ar *Arena) Reset() {
 
 // DecodeTripleGroupIDs parses a triplegroup written by AppendEncodeIDs into
 // the arena, returning the remaining buffer (triplegroups nest inside
-// annotated triplegroups). Fields resolve to interned ID-strings through in.
-func (ar *Arena) DecodeTripleGroupIDs(buf []byte, in codec.Interner) (TripleGroup, []byte, error) {
-	var tg TripleGroup
-	var err error
-	tg.Subject, buf, err = codec.ReadIDValue(buf, in)
+// annotated triplegroups). Every field is an ID-string of d (rdf.ReadID)
+// and a view of buf.
+func (ar *Arena) DecodeTripleGroupIDs(buf []byte, d *rdf.Dict) (TripleGroup, []byte, error) {
+	tg, end, err := readTripleGroup(buf, 0, uint64(d.Len()), ar)
 	if err != nil {
-		return tg, nil, decodeErr("id triplegroup subject: %w", err)
+		return tg, nil, err
 	}
-	n, buf, err := codec.ReadUvarint(buf)
-	if err != nil {
-		return tg, nil, decodeErr("id triplegroup arity: %w", err)
-	}
-	// Each triple takes at least two bytes (property + object IDs).
-	if n > uint64(len(buf)) {
-		return tg, nil, decodeErr("id triplegroup arity %d exceeds %d remaining bytes", n, len(buf))
-	}
-	start := len(ar.pos)
-	ar.pos = slices.Grow(ar.pos, int(n))
-	for i := 0; i < int(n); i++ {
-		var po PO
-		po.Prop, buf, err = codec.ReadIDValue(buf, in)
-		if err != nil {
-			return tg, nil, decodeErr("id triple %d property: %w", i, err)
-		}
-		po.Obj, buf, err = codec.ReadIDValue(buf, in)
-		if err != nil {
-			return tg, nil, decodeErr("id triple %d object: %w", i, err)
-		}
-		ar.pos = append(ar.pos, po)
-	}
-	if n > 0 {
-		// Capped, so an append through the result cannot reach a later
-		// decode.
-		tg.Triples = ar.pos[start:len(ar.pos):len(ar.pos)]
-	}
-	return tg, buf, nil
+	return tg, buf[end:], nil
 }
 
 // DecodeTripleGroupIDs is Arena.DecodeTripleGroupIDs into fresh storage: the
-// result is the caller's to keep.
-func DecodeTripleGroupIDs(buf []byte, in codec.Interner) (TripleGroup, []byte, error) {
+// result is the caller's to keep while buf is.
+func DecodeTripleGroupIDs(buf []byte, d *rdf.Dict) (TripleGroup, []byte, error) {
 	var ar Arena
-	return ar.DecodeTripleGroupIDs(buf, in)
+	return ar.DecodeTripleGroupIDs(buf, d)
+}
+
+// readTripleGroup checks the triplegroup encoded at rec[off:], reading
+// every term ID with rdf.ReadID against maxID, and returns it and the
+// offset just past it. Its fields are views of rec; with ar nil its
+// triples are checked but not kept.
+func readTripleGroup(rec []byte, off int, maxID uint64, ar *Arena) (TripleGroup, int, error) {
+	var tg TripleGroup
+	_, k, err := rdf.ReadID(rec[off:], maxID)
+	if err != nil {
+		return tg, 0, decodeErr("id triplegroup subject: %w", err)
+	}
+	tg.Subject, off = view(rec, off, k), off+k
+	n, k := binary.Uvarint(rec[off:])
+	if k <= 0 {
+		return tg, 0, decodeErr("id triplegroup arity: bad uvarint")
+	}
+	off += k
+	// Each triple takes at least two bytes (property + object IDs).
+	if n > uint64(len(rec)-off) {
+		return tg, 0, decodeErr("id triplegroup arity %d exceeds %d remaining bytes", n, len(rec)-off)
+	}
+	if ar != nil {
+		ar.pos = slices.Grow(ar.pos, int(n))
+	}
+	for i := 0; i < int(n); i++ {
+		_, p, err := rdf.ReadID(rec[off:], maxID)
+		if err != nil {
+			return tg, 0, decodeErr("id triple %d property: %w", i, err)
+		}
+		_, o, err := rdf.ReadID(rec[off+p:], maxID)
+		if err != nil {
+			return tg, 0, decodeErr("id triple %d object: %w", i, err)
+		}
+		if ar != nil {
+			ar.pos = append(ar.pos, PO{Prop: view(rec, off, p), Obj: view(rec, off+p, o)})
+		}
+		off += p + o
+	}
+	if ar != nil && n > 0 {
+		// The last n triples, capped, so an append through the result
+		// cannot reach a later decode.
+		end := len(ar.pos)
+		tg.Triples = ar.pos[end-int(n) : end : end]
+	}
+	return tg, off, nil
+}
+
+// view returns rec[off:off+n], n > 0, as a string sharing rec's bytes.
+func view(rec []byte, off, n int) string {
+	return unsafe.String(&rec[off], n)
 }
 
 // AppendEncodeIDs appends the encoding of the annotated triplegroup to
@@ -122,44 +149,21 @@ func (a *AnnTG) EncodeIDs() []byte {
 }
 
 // DecodeAnnTGIDs parses an annotated triplegroup written by
-// AppendEncodeIDs into the arena.
-func (ar *Arena) DecodeAnnTGIDs(buf []byte, in codec.Interner) (AnnTG, error) {
-	n, buf, err := codec.ReadUvarint(buf)
-	if err != nil {
-		return AnnTG{}, decodeErr("id anntg arity: %w", err)
-	}
-	// Each star takes at least two bytes (star index + subject ID).
-	if n > uint64(len(buf)) {
-		return AnnTG{}, decodeErr("id anntg arity %d exceeds %d remaining bytes", n, len(buf))
-	}
+// AppendEncodeIDs into the arena; its fields are views of buf.
+func (ar *Arena) DecodeAnnTGIDs(buf []byte, d *rdf.Dict) (AnnTG, error) {
 	start := len(ar.stars)
-	ar.stars = slices.Grow(ar.stars, int(n))
-	ar.tgs = slices.Grow(ar.tgs, int(n))
-	for i := 0; i < int(n); i++ {
-		s, rest, err := codec.ReadUvarint(buf)
-		if err != nil {
-			return AnnTG{}, decodeErr("id anntg star %d: %w", i, err)
-		}
-		tg, rest, err := ar.DecodeTripleGroupIDs(rest, in)
-		if err != nil {
-			return AnnTG{}, err
-		}
-		ar.stars = append(ar.stars, int(s))
-		ar.tgs = append(ar.tgs, tg)
-		buf = rest
-	}
-	if len(buf) != 0 {
-		return AnnTG{}, decodeErr("%d trailing bytes after id anntg", len(buf))
+	if _, err := appendAnnTG(nil, buf, uint64(d.Len()), ar); err != nil {
+		return AnnTG{}, err
 	}
 	end := len(ar.stars)
 	return AnnTG{Stars: ar.stars[start:end:end], TGs: ar.tgs[start:end:end]}, nil
 }
 
 // DecodeAnnTGIDs is Arena.DecodeAnnTGIDs into fresh storage: the result is
-// the caller's to keep.
-func DecodeAnnTGIDs(buf []byte, in codec.Interner) (AnnTG, error) {
+// the caller's to keep while buf is.
+func DecodeAnnTGIDs(buf []byte, d *rdf.Dict) (AnnTG, error) {
 	var ar Arena
-	return ar.DecodeAnnTGIDs(buf, in)
+	return ar.DecodeAnnTGIDs(buf, d)
 }
 
 // CompSpan locates one component of an encoded annotated triplegroup in its
@@ -176,10 +180,16 @@ type CompSpan struct {
 // AppendAnnTGSpans parses an annotated triplegroup written by
 // AppendEncodeIDs in place and appends one span per component to dst. It
 // checks what DecodeAnnTGIDs checks — arity bounds, truncation, trailing
-// bytes, and that every term ID is at most maxID (a dictionary resolves the
-// IDs 0..Len()) — without resolving any ID. On error dst comes back
-// unextended.
-func AppendAnnTGSpans(dst []CompSpan, buf []byte, maxID uint64) ([]CompSpan, error) {
+// bytes, and every term ID with rdf.ReadID against d — without decoding a
+// field. On error dst comes back unextended.
+func AppendAnnTGSpans(dst []CompSpan, buf []byte, d *rdf.Dict) ([]CompSpan, error) {
+	return appendAnnTG(dst, buf, uint64(d.Len()), nil)
+}
+
+// appendAnnTG is the one walker of an annotated triplegroup: with ar nil it
+// is AppendAnnTGSpans against maxID; otherwise it decodes each component
+// into ar instead of appending its span.
+func appendAnnTG(dst []CompSpan, buf []byte, maxID uint64, ar *Arena) ([]CompSpan, error) {
 	n, off := binary.Uvarint(buf)
 	if off <= 0 {
 		return dst, decodeErr("id anntg arity: bad uvarint")
@@ -188,82 +198,34 @@ func AppendAnnTGSpans(dst []CompSpan, buf []byte, maxID uint64) ([]CompSpan, err
 	if n > uint64(len(buf)-off) {
 		return dst, decodeErr("id anntg arity %d exceeds %d remaining bytes", n, len(buf)-off)
 	}
-	out := slices.Grow(dst, int(n))
+	out := dst
+	if ar == nil {
+		out = slices.Grow(dst, int(n))
+	} else {
+		ar.stars, ar.tgs = slices.Grow(ar.stars, int(n)), slices.Grow(ar.tgs, int(n))
+	}
 	for i := 0; i < int(n); i++ {
 		s, k := binary.Uvarint(buf[off:])
 		if k <= 0 {
 			return dst, decodeErr("id anntg star %d: bad uvarint", i)
 		}
 		sp := CompSpan{Star: int(s), Start: off, TG: off + k}
-		end, err := skipTripleGroupIDs(buf, sp.TG, maxID)
+		tg, end, err := readTripleGroup(buf, sp.TG, maxID, ar)
 		if err != nil {
 			return dst, err
 		}
 		sp.End, off = end, end
-		out = append(out, sp)
+		if ar != nil {
+			ar.stars = append(ar.stars, sp.Star)
+			ar.tgs = append(ar.tgs, tg)
+		} else {
+			out = append(out, sp)
+		}
 	}
 	if off != len(buf) {
 		return dst, decodeErr("%d trailing bytes after id anntg", len(buf)-off)
 	}
 	return out, nil
-}
-
-// skipTripleGroupIDs checks the triplegroup encoded at buf[off:] as
-// DecodeTripleGroupIDs does and returns the offset just past it.
-func skipTripleGroupIDs(buf []byte, off int, maxID uint64) (int, error) {
-	off, err := skipID(buf, off, maxID)
-	if err != nil {
-		return 0, decodeErr("id triplegroup subject: %w", err)
-	}
-	n, k := binary.Uvarint(buf[off:])
-	if k <= 0 {
-		return 0, decodeErr("id triplegroup arity: bad uvarint")
-	}
-	off += k
-	// Each triple takes at least two bytes (property + object IDs).
-	if n > uint64(len(buf)-off) {
-		return 0, decodeErr("id triplegroup arity %d exceeds %d remaining bytes", n, len(buf)-off)
-	}
-	for i := 0; i < int(n); i++ {
-		if off, err = skipID(buf, off, maxID); err != nil {
-			return 0, decodeErr("id triple %d property: %w", i, err)
-		}
-		if off, err = skipID(buf, off, maxID); err != nil {
-			return 0, decodeErr("id triple %d object: %w", i, err)
-		}
-	}
-	return off, nil
-}
-
-// skipID checks the term ID at buf[off:] against maxID and returns the
-// offset just past it.
-func skipID(buf []byte, off int, maxID uint64) (int, error) {
-	id, k := binary.Uvarint(buf[off:])
-	if k <= 0 {
-		return 0, errBadID
-	}
-	if id > maxID {
-		return 0, unknownIDErr(id)
-	}
-	return off + k, nil
-}
-
-// errBadID is the failure of a term ID that is no uvarint.
-var errBadID = errors.New("codec: bad uvarint")
-
-// unknownIDErr is the failure of a term ID no dictionary entry resolves.
-func unknownIDErr(id uint64) error {
-	return fmt.Errorf("codec: unknown term id %d", id)
-}
-
-// idLen returns the length of the uvarint ID at the front of a checked
-// encoding.
-func idLen(b []byte) int {
-	n := 1
-	for b[n-1] >= 0x80 {
-		n++
-	}
-	return n
 }
 
 // AppendJoinIDs appends the encoding of the join of two annotated

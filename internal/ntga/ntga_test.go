@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"rapidanalytics/internal/algebra"
 	"rapidanalytics/internal/rdf"
@@ -214,22 +215,53 @@ func TestDecodeErrors(t *testing.T) {
 		append(append([]byte{}, enc...), 0xFF),
 		// A term ID the dictionary does not hold.
 		(&AnnTG{Stars: []int{0}, TGs: []TripleGroup{{Subject: idStr(uint64(d.Len()) + 1)}}}).EncodeIDs(),
+		// An overlong form of subject ID 1.
+		{0x01, 0x00, 0x81, 0x00, 0x00},
 	} {
 		if _, err := DecodeAnnTGIDs(bad, d); err == nil {
 			t.Errorf("DecodeAnnTGIDs(% x) succeeded", bad)
 		}
 		dst := []CompSpan{{Star: 7}}
-		if got, err := AppendAnnTGSpans(dst, bad, uint64(d.Len())); err == nil || len(got) != 1 {
+		if got, err := AppendAnnTGSpans(dst, bad, d); err == nil || len(got) != 1 {
 			t.Errorf("AppendAnnTGSpans(% x) = %d spans, err %v; want an error and dst unextended", bad, len(got), err)
 		}
 	}
+}
+
+// A decoded field is the record's own bytes, not the dictionary's
+// interned copy: the record must outlive it.
+func TestDecodedFieldsAliasRecord(t *testing.T) {
+	d := rdf.NewDict()
+	g := intern(tg("s", "p=1"), d)
+	aliases := func(name string, tg TripleGroup, rec []byte, off int) {
+		t.Helper()
+		// The subject, then the arity byte, then property and object.
+		for i, f := range []string{tg.Subject, tg.Triples[0].Prop, tg.Triples[0].Obj} {
+			if at := []int{off, off + 2, off + 3}[i]; unsafe.StringData(f) != &rec[at] {
+				t.Errorf("%s: field %d %x does not start at record byte %d", name, i, f, at)
+			}
+		}
+	}
+	rec := g.EncodeIDs()
+	dec, _, err := DecodeTripleGroupIDs(rec, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aliases("DecodeTripleGroupIDs", dec, rec, 0)
+	ann := NewAnnTG(0, g)
+	arec := ann.EncodeIDs()
+	a, err := DecodeAnnTGIDs(arec, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aliases("DecodeAnnTGIDs", a.TGs[0], arec, 2)
 }
 
 // mustSpans locates rec's components, failing the test on a malformed
 // record.
 func mustSpans(t *testing.T, d *rdf.Dict, rec []byte) []CompSpan {
 	t.Helper()
-	spans, err := AppendAnnTGSpans(nil, rec, uint64(d.Len()))
+	spans, err := AppendAnnTGSpans(nil, rec, d)
 	if err != nil {
 		t.Fatalf("AppendAnnTGSpans(% x): %v", rec, err)
 	}

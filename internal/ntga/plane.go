@@ -2,6 +2,7 @@ package ntga
 
 import (
 	"encoding/binary"
+	"math"
 	"sort"
 
 	"rapidanalytics/internal/algebra"
@@ -234,14 +235,14 @@ func encodedHasAllRefs(tg []byte, refs []Ref) bool {
 }
 
 // encodedHasPO is HasPO on a checked triplegroup encoding: the comparisons
-// run on the ID bytes.
+// run on the ID bytes, and no read of a checked ID fails.
 func encodedHasPO(tg []byte, prop, obj string) bool {
-	off := idLen(tg)
+	_, off, _ := rdf.ReadID(tg, math.MaxUint64)
 	n, k := binary.Uvarint(tg[off:])
 	off += k
 	for ; n > 0; n-- {
-		p := idLen(tg[off:])
-		o := idLen(tg[off+p:])
+		_, p, _ := rdf.ReadID(tg[off:], math.MaxUint64)
+		_, o, _ := rdf.ReadID(tg[off+p:], math.MaxUint64)
 		// comparing a string(bytes) conversion does not allocate
 		if string(tg[off:off+p]) == prop && (obj == "" || string(tg[off+p:off+p+o]) == obj) {
 			return true

@@ -9,8 +9,8 @@
 // caller-provided size, and keeps exact hit/miss/eviction counters so the
 // serving layer can export them. Every method takes a Key, and
 // VersionedKey is the only way to build one, so no entry can be stored or
-// looked up without the store's data version: an unversioned key does not
-// compile.
+// looked up without a data version: an unversioned key does not compile.
+// Compiled plans, which hold no data, are keyed at the fixed version 0.
 package plancache
 
 import (

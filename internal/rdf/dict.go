@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"encoding/binary"
+	"errors"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -41,8 +42,10 @@ type dictEntry struct {
 // A store keeps one Dict for its whole life and interns every batch it is
 // given into it in term-of-first-use order (InternTriples), so IDs are
 // deterministic for a given statement sequence; each load attaches it to
-// engine.Dataset. At query time every map task decodes every field through
-// it, so the by-ID readers (Key, IDString, Lex, NumericIDString, Len) take no lock.
+// engine.Dataset. At query time every map task checks the fields it decodes
+// against Len (ReadID), and filters, aggregates and the final decode read
+// terms back through Lex and NumericIDString, so the by-ID readers (Key,
+// IDString, Lex, NumericIDString, Len) take no lock.
 //
 // Publish protocol: entries are append-only and immutable once written. A
 // writer, holding mu, appends the entry, stores the backing array into view
@@ -84,10 +87,11 @@ func (d *Dict) Add(key string) uint64 {
 		return id
 	}
 	id = uint64(len(d.entries)) + 1
-	e := dictEntry{key: key, idStr: string(binary.AppendUvarint(nil, id))}
+	var idBuf [binary.MaxVarintLen64]byte
+	e := dictEntry{key: key, idStr: string(binary.AppendUvarint(idBuf[:0], id))}
 	// Cache the parsed numeric value for literal terms so SUM/AVG never
 	// re-parse the lexical form per row.
-	if len(key) > 0 && key[0] == 'L' {
+	if len(key) > 0 && key[0] == 'L' && mayParseFloat(key[1:]) {
 		if f, err := strconv.ParseFloat(key[1:], 64); err == nil {
 			e.num, e.isNum = f, true
 		}
@@ -101,6 +105,16 @@ func (d *Dict) Add(key string) uint64 {
 	}
 	d.n.Store(id)
 	return id
+}
+
+// mayParseFloat is false for strings strconv.ParseFloat rejects by their
+// first byte after a sign (a number starts with a digit or '.', the special
+// values with "inf" or "nan"), sparing them the error ParseFloat allocates.
+func mayParseFloat(s string) bool {
+	if len(s) > 0 && (s[0] == '+' || s[0] == '-') {
+		s = s[1:]
+	}
+	return len(s) > 0 && ('0' <= s[0] && s[0] <= '9' || s[0] == '.' || s[0]|0x20 == 'i' || s[0]|0x20 == 'n')
 }
 
 // entry returns the published entry for id, or nil for NULL and IDs at or
@@ -164,36 +178,68 @@ func (d *Dict) KeyString(key string) string {
 
 // Lex decodes an ID-string back to the lexical Term.Key form. The NULL
 // ID-string decodes to "" with ok=true (callers emit algebra.Null
-// themselves when needed); malformed or unknown ID-strings return false.
+// themselves when needed); anything ReadID rejects, or a string with bytes
+// after its ID-string, returns false.
 func (d *Dict) Lex(idStr string) (string, bool) {
-	id, n := binary.Uvarint([]byte(idStr))
-	if n != len(idStr) || n <= 0 {
-		return "", false
-	}
-	if id == 0 {
-		return "", true
-	}
-	e := d.entry(id)
+	e, ok := d.idEntry(idStr)
 	if e == nil {
-		return "", false
+		return "", ok
 	}
 	return e.key, true
 }
 
 // NumericIDString returns the cached numeric value of the literal an
 // ID-string denotes — the SUM/AVG fast path. Returns false for NULL,
-// non-numeric terms and malformed ID-strings.
+// non-numeric terms and strings Lex rejects.
 func (d *Dict) NumericIDString(idStr string) (float64, bool) {
-	id, n := binary.Uvarint([]byte(idStr))
-	if n != len(idStr) || n <= 0 || id == 0 {
-		return 0, false
-	}
-	e := d.entry(id)
+	e, _ := d.idEntry(idStr)
 	if e == nil {
 		return 0, false
 	}
 	return e.num, e.isNum
 }
+
+// idEntry resolves a whole ID-string to its entry: nil with ok=true for
+// NULL, false for anything ReadID rejects or trailing bytes.
+func (d *Dict) idEntry(idStr string) (*dictEntry, bool) {
+	id, n, err := ReadID(idStr, d.n.Load())
+	if err != nil || n != len(idStr) {
+		return nil, false
+	}
+	return d.entry(id), true
+}
+
+// ReadID reads the ID-string at the front of b and returns its term ID and
+// length. An ID-string is the canonical uvarint of an ID — none of the
+// overlong forms binary.Uvarint accepts, so a term has exactly one — and a
+// dictionary holds the IDs 0..maxID (Len); anything else is an error. It is
+// the one reader of the ID plane, so a field a decoder returns as a view of
+// its record equals the term's interned ID-string.
+func ReadID[B ~string | ~[]byte](b B, maxID uint64) (uint64, int, error) {
+	var id uint64
+	for i := 0; i < len(b) && i < binary.MaxVarintLen64; i++ {
+		c := b[i]
+		id |= uint64(c&0x7f) << (7 * i)
+		if c < 0x80 {
+			// A last byte of 0 is overlong; a tenth byte above 1 overflows.
+			if i > 0 && c == 0 || i == binary.MaxVarintLen64-1 && c > 1 {
+				return 0, 0, errBadID
+			}
+			if id > maxID {
+				return 0, 0, errUnknownID
+			}
+			return id, i + 1, nil
+		}
+	}
+	return 0, 0, errBadID
+}
+
+// ReadID's failures allocate nothing: Lex and NumericIDString turn them
+// into false, and callers may hand them any string.
+var (
+	errBadID     = errors.New("rdf: malformed id-string")
+	errUnknownID = errors.New("rdf: unknown term id")
+)
 
 // Len returns the number of distinct terms in the dictionary (excluding the
 // reserved NULL ID).

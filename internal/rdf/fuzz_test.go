@@ -2,7 +2,10 @@ package rdf
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"unicode"
@@ -98,6 +101,56 @@ func FuzzNTriplesRoundTrip(f *testing.F) {
 		}
 		if !reflect.DeepEqual(got, g) {
 			t.Fatalf("ReadNTriples(%q) = %v, want %v", buf.String(), got.Triples, g.Triples)
+		}
+	})
+}
+
+// FuzzDictNumeric: the numeric value a Dict caches for a literal is what
+// strconv.ParseFloat makes of its lexical form, for every literal.
+func FuzzDictNumeric(f *testing.F) {
+	for _, s := range []string{"42", "-3.5e2", "+.5", "0x1p-2", "1_000", "Inf", "-infinity", "nan", "+nan", "NaN", "", "-", "abc", "1e", ".", "e5"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, lex string) {
+		d := NewDict()
+		got, ok := d.NumericIDString(d.AddString("L" + lex))
+		want, err := strconv.ParseFloat(lex, 64)
+		if ok != (err == nil) || ok && got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Fatalf("cached %q as %v, %v; ParseFloat gives %v, %v", lex, got, ok, want, err)
+		}
+	})
+}
+
+// FuzzReadID holds ReadID to the dictionary-resolving reader it replaced in
+// the decoders: read a uvarint, resolve it through Dict.IDString, and
+// accept it only when the bytes read are the interned ID-string — which
+// rejects overlong forms and IDs beyond the dictionary. Both readers must
+// agree on every input, and ReadID on bytes and on a string alike.
+func FuzzReadID(f *testing.F) {
+	d := NewDict()
+	for i := range 300 {
+		d.Add("L" + strconv.Itoa(i))
+	}
+	for _, s := range []string{"", "\x00", "\x01", "\x7f", "\x80\x01", "\xac\x02", "\xad\x02", "\x80\x00", "\x81\x00", MissingIDString,
+		"\x01\x02", "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01", "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x02"} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		id, n, err := ReadID(b, uint64(d.Len()))
+		if sid, sn, serr := ReadID(string(b), uint64(d.Len())); sid != id || sn != n || (serr == nil) != (err == nil) {
+			t.Fatalf("ReadID(%x) = %d, %d, %v on bytes, %d, %d, %v on a string", b, id, n, err, sid, sn, serr)
+		}
+		rid, k := binary.Uvarint(b)
+		ref, ok := "", k > 0
+		if ok {
+			ref, ok = d.IDString(rid)
+			ok = ok && ref == string(b[:k])
+		}
+		if (err == nil) != ok {
+			t.Fatalf("ReadID(%x) err = %v; dictionary reader ok = %v", b, err, ok)
+		}
+		if ok && (id != rid || n != k) {
+			t.Fatalf("ReadID(%x) = %d, %d; dictionary reader %d, %d", b, id, n, rid, k)
 		}
 	})
 }

@@ -278,3 +278,88 @@ func TestDictLockFreeReadersSeeWholeEntries(t *testing.T) {
 		}
 	}
 }
+
+// ReadID accepts exactly the canonical uvarints of IDs up to its bound and
+// reads one off the front of longer input; Lex and NumericIDString take
+// only a whole ID-string.
+func TestReadID(t *testing.T) {
+	const all = 1<<64 - 1
+	for _, tc := range []struct {
+		s      string
+		maxID  uint64
+		id     uint64
+		n      int // 0 when rejected
+		wantOK bool
+	}{
+		{"\x00", 0, 0, 1, true},
+		{"\x01", 1, 1, 1, true},
+		{"\x7f", 127, 127, 1, true},
+		{"\x80\x01", 128, 128, 2, true},
+		{"\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01", all, all, 10, true},
+		{"\x01\x00", 1, 1, 1, true},
+		{"\x01", 0, 0, 0, false},
+		{"\x80\x01", 127, 0, 0, false},
+		{"", all, 0, 0, false},
+		{MissingIDString, all, 0, 0, false},
+		{"\x80\x00", all, 0, 0, false},
+		{"\x81\x00", all, 0, 0, false},
+		{"\x80\x80", all, 0, 0, false},
+		{"\xff\xff\xff\xff\xff\xff\xff\xff\xff\x02", all, 0, 0, false},
+		{"\xff\xff\xff\xff\xff\xff\xff\xff\xff\x81\x00", all, 0, 0, false},
+	} {
+		id, n, err := ReadID(tc.s, tc.maxID)
+		if (err == nil) != tc.wantOK || id != tc.id || n != tc.n {
+			t.Errorf("ReadID(%q, %d) = %d, %d, %v; want %d, %d, ok %v", tc.s, tc.maxID, id, n, err, tc.id, tc.n, tc.wantOK)
+		}
+		if bid, bn, berr := ReadID([]byte(tc.s), tc.maxID); bid != id || bn != n || (berr == nil) != (err == nil) {
+			t.Errorf("ReadID(%q) on bytes = %d, %d, %v; on a string %d, %d, %v", tc.s, bid, bn, berr, id, n, err)
+		}
+	}
+	for id := range uint64(1 << 15) {
+		s := string(binary.AppendUvarint(nil, id))
+		if got, n, err := ReadID(s, id); err != nil || got != id || n != len(s) {
+			t.Fatalf("ReadID(%q) = %d, %d, %v; want %d", s, got, n, err, id)
+		}
+	}
+	d := NewDict()
+	d.Add("L1.5")
+	for _, s := range []string{"\x01\x00", "\x81\x00", "\x02", MissingIDString} {
+		if key, ok := d.Lex(s); ok {
+			t.Errorf("Lex(%q) = %q, want rejected", s, key)
+		}
+		if f, ok := d.NumericIDString(s); ok {
+			t.Errorf("NumericIDString(%q) = %v, want rejected", s, f)
+		}
+	}
+	if f, ok := d.NumericIDString("\x01"); !ok || f != 1.5 {
+		t.Errorf("NumericIDString(\"\\x01\") = %v, %v; want 1.5", f, ok)
+	}
+	// Callers hand Lex lexical values too; rejecting one allocates nothing.
+	for _, s := range []string{"é", "\xff\xff\x7f", "\x81\x00"} {
+		if n := testing.AllocsPerRun(100, func() { d.Lex(s) }); n != 0 {
+			t.Errorf("Lex(%q) allocates %v times", s, n)
+		}
+	}
+}
+
+// A new term costs its ID-string and the dictionary's amortised growth:
+// the ID-string is built in one allocation, and a non-numeric literal
+// allocates no strconv.NumError.
+func TestDictAddAllocs(t *testing.T) {
+	d := NewDict()
+	// IDs from 128 up take two bytes; a one-byte string is never
+	// allocated.
+	for i := range 4096 {
+		d.Add("Ipad" + strconv.Itoa(i))
+	}
+	for _, prefix := range []string{"Ihttp://e/", "Lword ", "L+x", "Lz"} {
+		keys := make([]string, 1001)
+		for i := range keys {
+			keys[i] = prefix + strconv.Itoa(1e6+i)
+		}
+		i := 0
+		if n := testing.AllocsPerRun(1000, func() { d.Add(keys[i]); i++ }); n > 1.1 {
+			t.Errorf("Add(%q...) allocates %v times per new term, want 1 plus growth", prefix, n)
+		}
+	}
+}

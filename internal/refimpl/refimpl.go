@@ -232,9 +232,14 @@ func match(idx *index, tps, opts []sparql.TriplePattern, filters []sparql.Filter
 			oVal, oBound = tp.O.Term.Key(), true
 		}
 
+		// ?s e:knows ?s binds one term: only self-loops match.
+		loop := tp.O.IsVar && tp.O.Var == tp.S.Var
 		emit := func(s, o string) {
+			if loop && s != o {
+				return
+			}
 			setS := !sBound
-			setO := tp.O.IsVar && !oBound
+			setO := tp.O.IsVar && !oBound && !loop
 			if setS {
 				if !passes(tp.S.Var, s) {
 					return

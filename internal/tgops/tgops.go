@@ -106,15 +106,6 @@ func (s *Source) scanner() *scanner {
 	return sc
 }
 
-// lexOf translates an ID-string to lexical form for filter evaluation.
-func (sc *scanner) lexOf(v string) string {
-	lex, ok := sc.dict.Lex(v)
-	if !ok {
-		return ""
-	}
-	return lex
-}
-
 // annTGOf decodes one record of the source into an annotated triplegroup.
 // Raw triplegroups pass through TG_OptGrpFilter first; the second result is
 // false when the record is filtered out. The result lives in the scanner's
@@ -168,7 +159,8 @@ func (sc *scanner) applyPropFilters(tg *ntga.TripleGroup) bool {
 			if pf.prop != po.Prop {
 				continue
 			}
-			ok, err := algebra.EvalFilter(pf.filter, sc.lexOf(po.Obj))
+			lex, _ := sc.dict.Lex(po.Obj)
+			ok, err := algebra.EvalFilter(pf.filter, lex)
 			if err != nil || !ok {
 				keep = false
 				break
@@ -372,14 +364,13 @@ func (red *alphaJoinReducer) pair(values [][]byte, l, r *joinValue, emit mapred.
 func (red *alphaJoinReducer) Reduce(key string, values [][]byte, emit mapred.Emit) error {
 	red.spans, red.pats = red.spans[:0], red.pats[:0]
 	red.ls, red.rs = red.ls[:0], red.rs[:0]
-	maxID := uint64(red.dict.Len())
 	for i, v := range values {
 		if len(v) < 1 {
 			return fmt.Errorf("tgops: empty α-join value")
 		}
 		jv := joinValue{v: i, lo: len(red.spans), pat: len(red.pats)}
 		var err error
-		if red.spans, err = ntga.AppendAnnTGSpans(red.spans, v[1:], maxID); err != nil {
+		if red.spans, err = ntga.AppendAnnTGSpans(red.spans, v[1:], red.dict); err != nil {
 			return err
 		}
 		jv.hi = len(red.spans)

@@ -179,16 +179,15 @@ type Store struct {
 	// by the next materialisation (Add has no error to return it in).
 	reclaimErr error
 	// dataVersion counts mutation-triggered layout invalidations. It is
-	// folded into every plan, result and sub-relation cache key, so an
+	// folded into every result and sub-relation cache key, so an
 	// entry cached before a reload — against the previous data and
 	// statistics catalog — can never be served after one (guarded by
 	// loadMu, like the state it versions).
 	dataVersion uint64
 
-	// plans caches compiled plans. Compilation itself is data-independent
-	// (parse + overlap detection + composite rewrite), but keys include
-	// dataVersion so entries from before a mutation cannot outlive the
-	// statistics they were cached alongside.
+	// plans caches compiled plans by query text. Compilation is
+	// data-independent (parse + overlap detection + composite rewrite), so
+	// its keys carry the fixed version 0: an entry outlives mutations.
 	plans *plancache.Cache
 
 	// results caches final result tables and composite sub-relations under
@@ -533,39 +532,26 @@ type PreparedQuery struct {
 	cacheHit bool
 }
 
-// Prepare parses, validates and plans a query for the chosen system,
-// consulting the store's LRU plan cache first. The cache is keyed by
-// (system, data version, query text) and additionally by (system, data
-// version, canonicalized text), so differently-formatted spellings of one
-// query share a plan but no entry survives a mutation of the store: a
-// reload after Add rebuilds the statistics catalog, and plans cached
-// against the previous version simply stop being addressable. Errors match
-// ErrParse, ErrUnsupported or ErrUnknownSystem.
+// Prepare parses and validates a query for the chosen system, consulting
+// the store's LRU plan cache first. A Compiled holds no data and no engine
+// writes to it, so the cache is keyed by the query text alone: every system
+// shares one compilation, and it stays valid across mutations of the store,
+// because planning against the current layouts and statistics happens when
+// the query executes. Errors match ErrParse, ErrUnsupported or
+// ErrUnknownSystem.
 func (s *Store) Prepare(sys System, query string) (*PreparedQuery, error) {
 	if !validSystem(sys) {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownSystem, sys)
 	}
-	version := s.currentDataVersion()
-	rawKey := plancache.VersionedKey(string(sys), version, query)
-	if v, ok := s.plans.Get(rawKey); ok {
+	key := plancache.VersionedKey("plan", 0, query)
+	if v, ok := s.plans.Get(key); ok {
 		return &PreparedQuery{store: s, sys: sys, q: v.(*Compiled), cacheHit: true}, nil
 	}
 	c, err := Compile(query)
 	if err != nil {
 		return nil, err
 	}
-	canonKey := plancache.VersionedKey(string(sys), version, c.Normalized())
-	if canonKey != rawKey {
-		if v, ok := s.plans.Get(canonKey); ok {
-			// Another spelling of the same query is already planned; alias
-			// this spelling to the shared plan.
-			c = v.(*Compiled)
-			s.plans.Put(rawKey, c, 1)
-			return &PreparedQuery{store: s, sys: sys, q: c, cacheHit: true}, nil
-		}
-		s.plans.Put(rawKey, c, 1)
-	}
-	s.plans.Put(canonKey, c, 1)
+	s.plans.Put(key, c, 1)
 	return &PreparedQuery{store: s, sys: sys, q: c}, nil
 }
 
