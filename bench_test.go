@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rapidanalytics/internal/bench"
+	"rapidanalytics/internal/datagen"
 	"rapidanalytics/internal/dfs"
 	"rapidanalytics/internal/engine"
 	"rapidanalytics/internal/mapred"
@@ -70,8 +71,10 @@ func BenchmarkCatalogPass(b *testing.B) {
 //
 // is the profile of the load path.
 func BenchmarkLoad(b *testing.B) {
-	s := NewWorkloadStore(1, DefaultOptions())
-	g := rdf.DecodeGraph(s.dict, s.triples)
+	g := &rdf.Graph{} // the statements of NewWorkloadStore(1), in its order
+	for _, part := range []*rdf.Graph{datagen.GenerateBSBM(datagen.BSBMSmall()), datagen.GenerateChem(datagen.ChemDefault()), datagen.GeneratePubMed(datagen.PubMedDefault())} {
+		g.Add(part.Triples...)
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c := mapred.NewClusterFS(mapred.VCL10(1), dfs.New())

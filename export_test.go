@@ -5,6 +5,8 @@ import (
 
 	"rapidanalytics/internal/dfs"
 	"rapidanalytics/internal/mapred"
+	"rapidanalytics/internal/refimpl"
+	"rapidanalytics/internal/sparql"
 )
 
 // SetSharedScanWindow replaces the shared-scan cycle window of s's next
@@ -37,4 +39,20 @@ func StoreFS(s *Store) (*dfs.FS, error) {
 		return nil, err
 	}
 	return c.FS, nil
+}
+
+// ReferenceRows evaluates query on the reference oracle directly, as
+// rendered rows, without Compile's check that the engines accept it.
+func ReferenceRows(s *Store, query string) ([][]string, error) {
+	q, err := sparql.Parse(query)
+	if err != nil {
+		return nil, err
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	res, err := refimpl.Execute(q, s.dict, s.triples)
+	if err != nil {
+		return nil, err
+	}
+	return wrapResult(res).Rows(), nil
 }

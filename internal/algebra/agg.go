@@ -3,6 +3,7 @@ package algebra
 import (
 	"strconv"
 
+	"rapidanalytics/internal/rdf"
 	"rapidanalytics/internal/sparql"
 )
 
@@ -36,8 +37,9 @@ func NewDistinctAggState(fn sparql.AggFunc) *AggState {
 	return &AggState{Func: fn, Distinct: true, Seen: map[string]bool{}}
 }
 
-// Update folds one bound value into the state. NULL values are ignored,
-// matching SPARQL aggregate semantics over unbound variables.
+// Update folds one bound value, a term key, into the state. NULL values
+// are ignored, matching SPARQL aggregate semantics over unbound variables;
+// SUM and AVG skip values that are no number (rdf.KeyNumber).
 func (s *AggState) Update(value string) {
 	if IsNull(value) || value == "" {
 		return
@@ -52,15 +54,12 @@ func (s *AggState) Update(value string) {
 	case sparql.Count:
 		s.Count++
 	case sparql.Sum, sparql.Avg:
-		if f, ok := ParseNumber(value); ok {
+		if f, ok := rdf.KeyNumber(value); ok {
 			s.Count++
 			s.Sum += f
 		}
 	case sparql.Min, sparql.Max:
-		lex := value
-		if lex[0] == 'L' || lex[0] == 'I' || lex[0] == 'B' {
-			lex = lex[1:]
-		}
+		lex := rdf.KeyLex(value)
 		if s.Count == 0 {
 			s.Extreme = lex
 			s.Count = 1
@@ -73,16 +72,8 @@ func (s *AggState) Update(value string) {
 	}
 }
 
-// valueLess orders two lexical values: numerically when both parse as
-// numbers, lexicographically otherwise.
-func valueLess(a, b string) bool {
-	af, aerr := strconv.ParseFloat(a, 64)
-	bf, berr := strconv.ParseFloat(b, 64)
-	if aerr == nil && berr == nil {
-		return af < bf
-	}
-	return a < b
-}
+// valueLess orders two lexical values as ORDER BY does (CompareValues).
+func valueLess(a, b string) bool { return CompareValues(a, b, false) < 0 }
 
 // Merge folds another partial state for the same function into s.
 func (s *AggState) Merge(o *AggState) {

@@ -56,8 +56,7 @@ func (s *Subquery) HavingPassed(finals []string) bool {
 		if h.AggIndex < 0 || h.AggIndex >= len(finals) {
 			return false
 		}
-		f, ok := ParseNumber(finals[h.AggIndex])
-		if !ok || !compareFloats(h.Op, f, h.Value) {
+		if !HavingHolds(finals[h.AggIndex], h.Op, h.Value) {
 			return false
 		}
 	}
@@ -114,13 +113,13 @@ func (aq *AnalyticalQuery) Sorted() bool { return len(aq.OrderBy) > 0 || aq.Limi
 //   - A top-level SELECT whose pattern consists solely of sub-SELECTs: each
 //     sub-SELECT becomes one Subquery (the multi-grouping queries MG1–MG18).
 //   - A top-level SELECT with triple patterns and aggregates: the whole
-//     query is a single Subquery and the outer projection is the identity
-//     (the single-grouping queries G1–G9).
+//     query is a single Subquery and the outer projection names its
+//     columns in SELECT order (the single-grouping queries G1–G9).
 func Build(q *sparql.Query) (*AnalyticalQuery, error) {
 	sel := q.Select
 	if len(sel.Pattern.SubSelects) > 0 {
-		if len(sel.Pattern.Triples) > 0 {
-			return nil, fmt.Errorf("algebra: mixing triple patterns and sub-SELECTs in the outer query is not supported")
+		if p := sel.Pattern; len(p.Triples)+len(p.Optionals)+len(p.Filters) > 0 {
+			return nil, fmt.Errorf("algebra: mixing triple patterns, OPTIONAL or FILTER with sub-SELECTs in the outer query is not supported")
 		}
 		aq := &AnalyticalQuery{Projection: sel.Projection, OrderBy: sel.OrderBy, Limit: sel.Limit}
 		for i, sub := range sel.Pattern.SubSelects {
@@ -144,8 +143,8 @@ func Build(q *sparql.Query) (*AnalyticalQuery, error) {
 		return nil, fmt.Errorf("algebra: %w", err)
 	}
 	aq := &AnalyticalQuery{Subqueries: []*Subquery{sq}, OrderBy: sel.OrderBy, Limit: sel.Limit}
-	for _, col := range sq.OutputColumns() {
-		aq.Projection = append(aq.Projection, sparql.ProjItem{Var: col})
+	for _, pi := range sel.Projection {
+		aq.Projection = append(aq.Projection, sparql.ProjItem{Var: pi.Var})
 	}
 	if err := aq.validate(); err != nil {
 		return nil, err

@@ -212,6 +212,11 @@ func TestBuildRejections(t *testing.T) {
 		"unknown outer column": prefix + `SELECT ?zzz {
   { SELECT ?x (COUNT(?y) AS ?n) { ?a e:p ?x ; e:q ?y . } GROUP BY ?x } }`,
 		"group var unbound": prefix + `SELECT ?q (COUNT(?o) AS ?n) { ?s e:p ?o . } GROUP BY ?q`,
+		// The engines evaluate only the sub-SELECTs of the outer query.
+		"outer filter": prefix + `SELECT ?x ?n {
+  { SELECT ?x (COUNT(?y) AS ?n) { ?a e:p ?x ; e:q ?y . } GROUP BY ?x } FILTER (?n > 1) }`,
+		"outer optional": prefix + `SELECT ?x ?n {
+  { SELECT ?x (COUNT(?y) AS ?n) { ?a e:p ?x ; e:q ?y . } GROUP BY ?x } OPTIONAL { ?x e:r ?z } }`,
 	}
 	for name, qs := range cases {
 		q, err := sparql.Parse(qs)

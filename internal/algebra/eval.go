@@ -1,12 +1,14 @@
 package algebra
 
 import (
+	"cmp"
 	"fmt"
 	"regexp"
 	"strconv"
 	"strings"
 	"sync"
 
+	"rapidanalytics/internal/rdf"
 	"rapidanalytics/internal/sparql"
 )
 
@@ -19,17 +21,10 @@ const Null = "\x00"
 // IsNull reports whether a lexical value is the NULL marker.
 func IsNull(v string) bool { return v == Null }
 
-// ParseNumber parses a lexical value as a float. RDF terms flow through the
-// engines in Term.Key form ("L42.5"); bare lexical forms are also accepted.
-func ParseNumber(v string) (float64, bool) {
-	if len(v) > 0 && (v[0] == 'L' || v[0] == 'I' || v[0] == 'B') {
-		if f, err := strconv.ParseFloat(v[1:], 64); err == nil {
-			return f, true
-		}
-	}
-	f, err := strconv.ParseFloat(v, 64)
-	return f, err == nil
-}
+// ParseNumber parses a lexical value — an aggregate's final, an
+// expression's result — as a number, as it is (rdf.LexNumber). A term key
+// is not lexical: rdf.KeyNumber reads it.
+func ParseNumber(v string) (float64, bool) { return rdf.LexNumber(v) }
 
 // FormatNumber renders a float minimally: integers without a decimal point,
 // other values with up to 6 significant decimals.
@@ -68,18 +63,15 @@ func compileFilterRegex(pattern, flags string) (*regexp.Regexp, error) {
 	return re, nil
 }
 
-// EvalFilter evaluates a FILTER constraint against a variable's lexical
-// value (in Term.Key form). NULL values never satisfy a filter.
+// EvalFilter evaluates a FILTER constraint against a variable's value, a
+// term key. NULL values never satisfy a filter.
 func EvalFilter(f sparql.Filter, value string) (bool, error) {
 	if IsNull(value) || value == "" {
 		return false, nil
 	}
-	lex := value
-	if lex[0] == 'L' || lex[0] == 'I' || lex[0] == 'B' {
-		lex = lex[1:]
-	}
+	lex := rdf.KeyLex(value)
 	switch f.Kind {
-	case FilterRegexKind:
+	case sparql.FilterRegex:
 		re, err := compileFilterRegex(f.Pattern, f.Flags)
 		if err != nil {
 			return false, fmt.Errorf("algebra: bad regex %q: %w", f.Pattern, err)
@@ -87,39 +79,28 @@ func EvalFilter(f sparql.Filter, value string) (bool, error) {
 		return re.MatchString(lex), nil
 	default:
 		if f.IsNumeric {
-			lf, ok := ParseNumber(value)
+			lf, ok := rdf.KeyNumber(value)
 			if !ok {
 				return false, nil
 			}
 			rf, _ := strconv.ParseFloat(f.Value, 64)
-			return compareFloats(f.Op, lf, rf), nil
+			return compare(f.Op, lf, rf), nil
 		}
-		return compareStrings(f.Op, lex, f.Value), nil
+		return compare(f.Op, lex, f.Value), nil
 	}
 }
 
-// FilterRegexKind aliases sparql.FilterRegex for local readability.
-const FilterRegexKind = sparql.FilterRegex
-
-func compareFloats(op string, a, b float64) bool {
-	switch op {
-	case "=":
-		return a == b
-	case "!=":
-		return a != b
-	case "<":
-		return a < b
-	case "<=":
-		return a <= b
-	case ">":
-		return a > b
-	case ">=":
-		return a >= b
-	}
-	return false
+// HavingHolds reports whether an aggregate's final value, lexical,
+// satisfies the HAVING comparison final op value. A final that is no
+// number (a NULL MIN over an empty group, a string MIN) fails, as a type
+// error does in SPARQL.
+func HavingHolds(final, op string, value float64) bool {
+	f, ok := ParseNumber(final)
+	return ok && compare(op, f, value)
 }
 
-func compareStrings(op string, a, b string) bool {
+// compare reports whether a op b holds, op one of = != < <= > >=.
+func compare[T cmp.Ordered](op string, a, b T) bool {
 	switch op {
 	case "=":
 		return a == b
@@ -153,56 +134,23 @@ func CompareValues(a, b string, keys bool) int {
 		return 1
 	}
 	la, lb := a, b
-	if keys && la != "" {
-		la = la[1:]
+	if keys {
+		la, lb = rdf.KeyLex(a), rdf.KeyLex(b)
 	}
-	if keys && lb != "" {
-		lb = lb[1:]
-	}
-	if mayParseFloat(la) && mayParseFloat(lb) {
-		fa, erra := strconv.ParseFloat(la, 64)
-		fb, errb := strconv.ParseFloat(lb, 64)
-		if erra == nil && errb == nil {
-			switch {
-			case fa < fb:
-				return -1
-			case fa > fb:
-				return 1
-			default:
-				return 0
-			}
+	if fa, ok := ParseNumber(la); ok {
+		if fb, ok := ParseNumber(lb); ok {
+			return cmp.Compare(fa, fb)
 		}
 	}
-	switch {
-	case la < lb:
-		return -1
-	case la > lb:
-		return 1
-	default:
-		return 0
-	}
+	return strings.Compare(la, lb)
 }
 
-// mayParseFloat is false for strings strconv.ParseFloat certainly rejects:
-// every number it accepts starts with a sign, a digit, a point, or the i or
-// n of "inf" and "nan". Comparing IRIs and plain strings thus skips the
-// parse and its error allocation.
-func mayParseFloat(s string) bool {
-	if s == "" {
-		return false
-	}
-	switch c := s[0]; {
-	case c >= '0' && c <= '9', c == '+', c == '-', c == '.':
-		return true
-	case c == 'i', c == 'I', c == 'n', c == 'N':
-		return true
-	}
-	return false
-}
-
-// EvalExpr evaluates an arithmetic expression over a row of lexical column
-// values. Unbound or non-numeric operands yield an error.
-func EvalExpr(e *sparql.Expr, row map[string]string) (float64, error) {
+// EvalExpr evaluates an arithmetic expression over a row of column
+// values: keys names the columns that hold term keys (grouping variables),
+// read through rdf.KeyNumber; any other column is lexical (an aggregate's
+// final) and parsed as it is. Unbound or non-numeric operands yield an
+// error.
+func EvalExpr(e *sparql.Expr, row map[string]string, keys map[string]bool) (float64, error) {
 	switch e.Kind {
 	case sparql.ExprNum:
 		return e.Num, nil
@@ -211,17 +159,21 @@ func EvalExpr(e *sparql.Expr, row map[string]string) (float64, error) {
 		if !ok || IsNull(v) {
 			return 0, fmt.Errorf("algebra: unbound expression variable ?%s", e.Var)
 		}
-		f, ok := ParseNumber(v)
+		parse := ParseNumber
+		if keys[e.Var] {
+			parse = rdf.KeyNumber
+		}
+		f, ok := parse(v)
 		if !ok {
 			return 0, fmt.Errorf("algebra: non-numeric value %q for ?%s", v, e.Var)
 		}
 		return f, nil
 	case sparql.ExprBinary:
-		l, err := EvalExpr(e.Left, row)
+		l, err := EvalExpr(e.Left, row, keys)
 		if err != nil {
 			return 0, err
 		}
-		r, err := EvalExpr(e.Right, row)
+		r, err := EvalExpr(e.Right, row, keys)
 		if err != nil {
 			return 0, err
 		}

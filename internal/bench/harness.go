@@ -11,7 +11,6 @@ import (
 	"rapidanalytics/internal/hive"
 	"rapidanalytics/internal/obs"
 	"rapidanalytics/internal/rapid"
-	"rapidanalytics/internal/rdf"
 	"rapidanalytics/internal/refimpl"
 	"rapidanalytics/internal/sparql"
 )
@@ -76,24 +75,24 @@ func (h *Harness) RunTraced(queryID, datasetID string, engines []engine.Engine) 
 }
 
 // compile parses and builds one catalog query.
-func compile(queryID string) (*algebra.AnalyticalQuery, error) {
+func compile(queryID string) (*sparql.Query, *algebra.AnalyticalQuery, error) {
 	q, ok := Get(queryID)
 	if !ok {
-		return nil, fmt.Errorf("bench: unknown query %q", queryID)
+		return nil, nil, fmt.Errorf("bench: unknown query %q", queryID)
 	}
 	parsed, err := sparql.Parse(q.SPARQL)
 	if err != nil {
-		return nil, fmt.Errorf("bench: %s: %w", queryID, err)
+		return nil, nil, fmt.Errorf("bench: %s: %w", queryID, err)
 	}
 	aq, err := algebra.Build(parsed)
 	if err != nil {
-		return nil, fmt.Errorf("bench: %s: %w", queryID, err)
+		return nil, nil, fmt.Errorf("bench: %s: %w", queryID, err)
 	}
-	return aq, nil
+	return parsed, aq, nil
 }
 
 func (h *Harness) run(queryID, datasetID string, engines []engine.Engine, traced bool) ([]RunResult, error) {
-	aq, err := compile(queryID)
+	parsed, aq, err := compile(queryID)
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +103,7 @@ func (h *Harness) run(queryID, datasetID string, engines []engine.Engine, traced
 	c, ds := d.cluster, d.ds
 	var oracle *engine.Result
 	if h.Verify {
-		oracle, err = refimpl.Execute(rdf.DecodeGraph(ds.Dict, d.triples), aq)
+		oracle, err = refimpl.Execute(parsed, ds.Dict, d.triples)
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s oracle: %w", queryID, err)
 		}

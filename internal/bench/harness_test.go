@@ -95,11 +95,11 @@ func TestRepeatedStatementsCountOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range []string{"MG11", "MG12", "MG17", "MG18"} {
-		aq, err := compile(id)
+		q, aq, err := compile(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := refimpl.Execute(g, aq)
+		want, err := refimpl.Execute(q, ds.Dict, rdf.InternTriples(ds.Dict, nil, g.Triples))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -79,7 +79,7 @@ func TestModesIdentical(t *testing.T) {
 	}
 	for _, entry := range mgCatalog {
 		for _, id := range entry.queries {
-			aq, err := compile(id)
+			_, aq, err := compile(id)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -175,7 +175,7 @@ func TestPlannerOnSkew(t *testing.T) {
 				replans += countReplans(r.Span)
 			}
 
-			aq, err := compile(id)
+			_, aq, err := compile(id)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -56,8 +56,9 @@ func TestDefaultOptionsAllOn(t *testing.T) {
 // cycle at all.
 func TestSingleStarSingleCycle(t *testing.T) {
 	g := graph()
-	aq := mustAQ(t, `PREFIX e: <http://e/>
-SELECT ?x (COUNT(?v) AS ?n) { ?s e:p ?x ; e:q ?v . } GROUP BY ?x`)
+	qs := `PREFIX e: <http://e/>
+SELECT ?x (COUNT(?v) AS ?n) { ?s e:p ?x ; e:q ?v . } GROUP BY ?x`
+	aq := mustAQ(t, qs)
 	c := mapred.NewCluster(mapred.DefaultConfig())
 	ds, err := engine.Load(c, "t", rdf.Intern(g, rdf.NewDict()))
 	if err != nil {
@@ -70,7 +71,8 @@ SELECT ?x (COUNT(?v) AS ?n) { ?s e:p ?x ; e:q ?v . } GROUP BY ?x`)
 	if wm.Cycles() != 1 {
 		t.Errorf("cycles = %d, want 1", wm.Cycles())
 	}
-	want, err := refimpl.Execute(g, aq)
+	d := rdf.NewDict()
+	want, err := refimpl.Execute(sparql.MustParse(qs), d, rdf.InternTriples(d, nil, g.Triples))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +85,12 @@ SELECT ?x (COUNT(?v) AS ?n) { ?s e:p ?x ; e:q ?v . } GROUP BY ?x`)
 // evaluation and still produce oracle-identical results.
 func TestFallbackOnNonOverlap(t *testing.T) {
 	g := graph()
-	aq := mustAQ(t, `PREFIX e: <http://e/>
+	qs := `PREFIX e: <http://e/>
 SELECT ?x ?n ?m {
   { SELECT ?x (COUNT(?v) AS ?n) { ?s e:p ?x ; e:q ?v . } GROUP BY ?x }
   { SELECT (COUNT(?y) AS ?m) { ?s2 e:r ?y . } }
-}`)
+}`
+	aq := mustAQ(t, qs)
 	if _, err := algebra.BuildComposite(aq.Subqueries); err == nil {
 		t.Fatal("patterns unexpectedly overlap; test fixture broken")
 	}
@@ -104,7 +107,8 @@ SELECT ?x ?n ?m {
 	if wm.Cycles() != 3 {
 		t.Errorf("fallback cycles = %d, want 3", wm.Cycles())
 	}
-	want, err := refimpl.Execute(g, aq)
+	d := rdf.NewDict()
+	want, err := refimpl.Execute(sparql.MustParse(qs), d, rdf.InternTriples(d, nil, g.Triples))
 	if err != nil {
 		t.Fatal(err)
 	}

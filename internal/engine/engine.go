@@ -171,8 +171,8 @@ func (r *Result) Display(j int, v string) string {
 	switch {
 	case algebra.IsNull(v):
 		return "NULL"
-	case j < len(r.Keys) && r.Keys[j] && v != "":
-		return v[1:]
+	case j < len(r.Keys) && r.Keys[j]:
+		return rdf.KeyLex(v)
 	}
 	return v
 }

@@ -22,6 +22,12 @@ import (
 // (its subquery-0 rows) and the broadcast side (the others).
 func FinalJoinJob(aq *algebra.AnalyticalQuery, inputs []string, output string) *mapred.Job {
 	isTagged := tagged(aq, inputs)
+	keyCols := map[string]bool{} // the grouping variables' columns hold term keys
+	for _, sq := range aq.Subqueries {
+		for _, v := range sq.GroupBy {
+			keyCols[v] = true
+		}
+	}
 	sideInputs := inputs[1:]
 	if isTagged {
 		sideInputs = inputs
@@ -33,7 +39,7 @@ func FinalJoinJob(aq *algebra.AnalyticalQuery, inputs []string, output string) *
 		Output:      output,
 		MapOperator: "final-join",
 		NewMapper: func(tc *mapred.TaskContext) mapred.Mapper {
-			return newFinalJoinMapper(aq, tc, inputs, isTagged)
+			return newFinalJoinMapper(aq, tc, inputs, isTagged, keyCols)
 		},
 	}
 }
@@ -45,8 +51,10 @@ type finalJoinMapper struct {
 	tagged bool                // driving rows carry a subquery tag
 
 	// cols[i] and joinCols[i] are subquery i's output columns and the
-	// columns it joins on, resolved once per task.
+	// columns it joins on, resolved once per task; keyCols are the columns
+	// that hold term keys, shared by the job's tasks.
 	cols, joinCols [][]string
+	keyCols        map[string]bool
 	indexes        []map[string][]codec.Tuple // lazy hash indexes per side
 
 	// Scratch reused across records: the decoded record, the partial row,
@@ -61,12 +69,12 @@ type finalJoinMapper struct {
 	buf   []byte
 }
 
-func newFinalJoinMapper(aq *algebra.AnalyticalQuery, tc *mapred.TaskContext, inputs []string, isTagged bool) *finalJoinMapper {
+func newFinalJoinMapper(aq *algebra.AnalyticalQuery, tc *mapred.TaskContext, inputs []string, isTagged bool, keyCols map[string]bool) *finalJoinMapper {
 	n := len(aq.Subqueries)
 	m := &finalJoinMapper{
 		aq: aq, tc: tc, inputs: inputs, tagged: isTagged,
 		cols: make([][]string, n), joinCols: make([][]string, n),
-		row: map[string]string{}, added: make([][]string, n),
+		keyCols: keyCols, row: map[string]string{}, added: make([][]string, n),
 		out: make(codec.Tuple, len(aq.Projection)),
 	}
 	for i, sq := range aq.Subqueries {
@@ -218,7 +226,7 @@ func (m *finalJoinMapper) extend(i int, emit mapred.Emit) {
 func (m *finalJoinMapper) project(emit mapred.Emit) {
 	for i, pi := range m.aq.Projection {
 		if pi.Expr != nil {
-			v, err := algebra.EvalExpr(pi.Expr, m.row)
+			v, err := algebra.EvalExpr(pi.Expr, m.row, m.keyCols)
 			if err != nil {
 				m.out[i] = algebra.Null
 				continue

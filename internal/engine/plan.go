@@ -71,8 +71,9 @@ func (p *Plan) Add(s Stage) string {
 // than one subquery, then the total-order cycle (SortJob) when it has
 // ORDER BY or LIMIT. The GROUP BY ALL groups of the aggregated rows are
 // repaired (defaults.go) by a hook on the last stage added before Finish,
-// after any hook that stage has. A single-subquery query needs no join:
-// its aggregate's column order is already the query's projection.
+// after any hook that stage has. A single-subquery query needs no join
+// when its aggregate's columns, grouping variables then aggregates, are
+// the query's projection; otherwise the map-only cycle projects them.
 func (p *Plan) Finish(aq *algebra.AnalyticalQuery, aggs ...string) {
 	last := &p.Stages[len(p.Stages)-1]
 	after := last.After
@@ -85,7 +86,7 @@ func (p *Plan) Finish(aq *algebra.AnalyticalQuery, aggs ...string) {
 		return RepairGroupByAll(c.FS, aggs, aq)
 	}
 	p.result = aggs[0]
-	if len(aq.Subqueries) > 1 {
+	if len(aq.Subqueries) > 1 || !slices.Equal(aq.OutputColumns(), aq.Subqueries[0].OutputColumns()) {
 		p.result = p.Add(Stage{Name: "final", Op: "final-join", Reads: aggs,
 			Job: func(out string) *mapred.Job { return FinalJoinJob(aq, aggs, out) }})
 	}

@@ -35,13 +35,13 @@ func TestOperatorsSteadyStateAllocs(t *testing.T) {
 	// An optional star input that matches nothing: its side holds Ib only.
 	other := &rel{file: "o", cols: []string{"k", "u"}, dict: d}
 	sides := map[string][][]byte{"r": side, "o": {idRow(d, codec.Tuple{"Ib", "Lz"}).EncodeIDs()}}
-	stars := compileStars([]*starInput{{rel: left, keyCol: "k"}, {rel: right, keyCol: "k"}, {rel: other, keyCol: "k", optional: true}}, nil)
+	stars := compileStars([]*starInput{{rel: left, keyCol: "k"}, {rel: right, keyCol: "k"}, {rel: other, keyCol: "k", optional: true}}, 0, nil)
 	starVals := [][]byte{tag(0, "Ia", "L1", "L7"), tag(1, "Ia", "Lx"), tag(1, "Ia", "Ly")}
 	// A binary join is the two-input star join: reduce-side over [right,
 	// left], map-side driving on left.
-	joins := compileStars([]*starInput{{rel: right, keyCol: "k"}, {rel: left, keyCol: "k"}}, nil)
+	joins := compileStars([]*starInput{{rel: right, keyCol: "k"}, {rel: left, keyCol: "k"}}, 0, nil)
 	joinVals := [][]byte{tag(1, "Ia", "L1", "L7"), tag(0, "Ia", "Lx"), tag(1, "Ia", "L2", "L7")}
-	mapJoin := compileStars([]*starInput{{rel: left, keyCol: "k"}, {rel: right, keyCol: "k"}}, nil)
+	mapJoin := compileStars([]*starInput{{rel: left, keyCol: "k"}, {rel: right, keyCol: "k"}}, 0, nil)
 	sideOf := func(file string) *dfs.File { return sideFile(t, sides[file]) }
 
 	emits := 0

@@ -188,15 +188,16 @@ func (pl *planner) add(name, op string, build func(output string) (*mapred.Job, 
 }
 
 // starJoin plans a star join over stored tables, choosing a map join when
-// all inputs but the largest fit the broadcast budget. It rejects a star
-// whose inputs share a non-key column: the join would pair their values
-// without comparing them.
+// all inputs but the largest fit the broadcast budget. Inputs that share a
+// non-key column are compared on it (compileStars); it rejects a star
+// whose OPTIONAL input shares one, whose rows would need a match on it to
+// extend and NULLs without one.
 func (pl *planner) starJoin(name string, inputs []*starInput, keep map[string]bool) (*rel, error) {
 	for i, si := range inputs {
 		for _, c := range si.rel.cols {
 			for _, prev := range inputs[:i] {
-				if c != "" && c != si.keyCol && slices.Contains(prev.rel.cols, c) {
-					return nil, fmt.Errorf("hive: star ?%s binds ?%s in two patterns; not supported", si.keyCol, c)
+				if c != "" && c != si.keyCol && slices.Contains(prev.rel.cols, c) && (si.optional || prev.optional) {
+					return nil, fmt.Errorf("hive: star ?%s binds ?%s in an OPTIONAL pattern and another; not supported", si.keyCol, c)
 				}
 			}
 		}

@@ -134,7 +134,7 @@ type starInput struct {
 // the task's file, so inputs may share a file (a self-join, or two
 // constant-object patterns on one property).
 func starJoinJob(name, op string, inputs []*starInput, keep map[string]bool, output string, compression float64) (*mapred.Job, *rel) {
-	plans := compileStars(inputs, keep)
+	plans := compileStars(inputs, 0, keep)
 	var files []string
 	tags := map[string][]int{}
 	for i, si := range inputs {
@@ -161,16 +161,13 @@ func starJoinJob(name, op string, inputs []*starInput, keep map[string]bool, out
 }
 
 // starMapJoinJob builds the map-only variant, its operator labelled op:
-// the driving input streams and every other input is broadcast.
+// the driving input streams and every other input is broadcast, joined in
+// compileStars' order from the driving one.
 func starMapJoinJob(name, op string, inputs []*starInput, driving int, keep map[string]bool, output string, compression float64) (*mapred.Job, *rel) {
-	plans := make([]*starPlan, 0, len(inputs))
-	plans = append(plans, compileStar(inputs[driving], keep))
+	plans := compileStars(inputs, driving, keep)
 	sides := make([]string, 0, len(inputs)-1)
-	for i, si := range inputs {
-		if i != driving {
-			plans = append(plans, compileStar(si, keep))
-			sides = append(sides, si.rel.file)
-		}
+	for i := 1; i < len(inputs); i++ {
+		sides = append(sides, inputs[(driving+i)%len(inputs)].rel.file)
 	}
 	job := &mapred.Job{
 		Name:              name,

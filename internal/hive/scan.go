@@ -292,25 +292,48 @@ type starPlan struct {
 	keyPos int
 	// kept holds the scan-output positions of the non-key columns that
 	// survive the join's projection.
-	kept     []int
+	kept []int
+	// checks are the input's columns an earlier input emits too, each as
+	// the joined row's field after the key that holds it: the join
+	// compares them and emits none. A row's segment holds the check
+	// fields, then the kept ones (stored).
+	checks   []int
+	stored   []int
 	optional bool
 }
 
-func compileStar(si *starInput, keep map[string]bool) *starPlan {
-	p := &starPlan{scan: si.rel.compile(), optional: si.optional}
-	p.keyPos = p.scan.colIndex(si.keyCol)
-	for i, c := range p.scan.cols {
-		if c != si.keyCol && (keep == nil || keep[c]) {
-			p.kept = append(p.kept, i)
-		}
-	}
-	return p
-}
-
-func compileStars(inputs []*starInput, keep map[string]bool) []*starPlan {
+// compileStars compiles the inputs of one star join in the order the job
+// joins them: inputs[first] and those after it, then the ones before. A
+// column that several inputs bind is kept by the first and checked by the
+// others, whatever keep says of it.
+func compileStars(inputs []*starInput, first int, keep map[string]bool) []*starPlan {
 	plans := make([]*starPlan, len(inputs))
-	for i, si := range inputs {
-		plans[i] = compileStar(si, keep)
+	for i := range inputs {
+		si := inputs[(first+i)%len(inputs)]
+		p := &starPlan{scan: si.rel.compile(), optional: si.optional}
+		p.keyPos = p.scan.colIndex(si.keyCol)
+		var pos []int // the checks' scan-output positions
+	cols:
+		for k, c := range p.scan.cols {
+			if c == si.keyCol {
+				continue
+			}
+			field := 0 // the first kept field of prev in the joined row
+			for _, prev := range plans[:i] {
+				if f := slices.IndexFunc(prev.kept, func(pk int) bool { return prev.scan.cols[pk] == c }); f >= 0 {
+					p.checks, pos = append(p.checks, field+f), append(pos, k)
+					continue cols
+				}
+				field += len(prev.kept)
+			}
+			if keep == nil || keep[c] || slices.ContainsFunc(inputs, func(o *starInput) bool { return o != si && slices.Contains(o.rel.cols, c) }) {
+				p.kept = append(p.kept, k)
+			}
+		}
+		if p.stored = p.kept; len(pos) > 0 {
+			p.stored = append(pos, p.kept...)
+		}
+		plans[i] = p
 	}
 	return plans
 }
@@ -336,9 +359,9 @@ func starJoinCols(keyCol string, plans []*starPlan) []string {
 
 // starRows emits one subject's joined star rows. begin writes the rows'
 // common prefix; emit(from) takes input i's rows, for each i from from on,
-// from matches[i], each the segment of the input's kept columns. An empty
-// order NULL-extends an optional input, and required inputs must have
-// rows. Rows come out input-0-major: the cross product's first input
+// from matches[i], each the segment of the input's stored columns. An
+// empty order NULL-extends an optional input, and required inputs must
+// have rows. Rows come out input-0-major: the cross product's first input
 // varies slowest.
 type starRows struct {
 	plans   []*starPlan
@@ -375,7 +398,8 @@ func (x *starRows) emit(from int, emit mapred.Emit) {
 }
 
 // expand appends each of input i's matches in turn to the row built so
-// far and recurses; past the last input it emits the row.
+// far and recurses; past the last input it emits the row. A match whose
+// check fields differ from the earlier inputs' values is skipped.
 func (x *starRows) expand(i int) {
 	if i == len(x.plans) {
 		x.out("", x.buf)
@@ -389,11 +413,32 @@ func (x *starRows) expand(i int) {
 		}
 		x.expand(i + 1)
 	}
+next:
 	for _, r := range m.order {
-		x.buf = append(x.buf[:n], m.row(r)...)
+		seg := m.row(r)
+		for _, c := range x.plans[i].checks {
+			_, l, _ := rdf.ReadID(seg, math.MaxUint64)
+			if string(seg[:l]) != string(x.field(c)) {
+				continue next
+			}
+			seg = seg[l:]
+		}
+		x.buf = append(x.buf[:n], seg...)
 		x.expand(i + 1)
 	}
 	x.buf = x.buf[:n]
+}
+
+// field returns field f after the key of the row in buf.
+func (x *starRows) field(f int) []byte {
+	_, n := binary.Uvarint(x.buf) // the arity; the key is field -1
+	for b, f := x.buf[n:], f+1; ; f-- {
+		_, l, _ := rdf.ReadID(b, math.MaxUint64) // a decoded field
+		if f == 0 {
+			return b[:l]
+		}
+		b = b[l:]
+	}
 }
 
 // taggedScanMapper is the map side of the reduce-side star join: for each
@@ -464,7 +509,7 @@ func (r *starReducer) Reduce(key string, values [][]byte, emit mapred.Emit) erro
 		}
 		r.t = t
 		m := &x.matches[tag]
-		m.order = append(m.order, m.push(t, p.kept))
+		m.order = append(m.order, m.push(t, p.stored))
 	}
 	for i, p := range x.plans {
 		if !p.optional && len(x.matches[i].order) == 0 {
@@ -493,7 +538,7 @@ func newStarMapJoinMapper(plans []*starPlan, side func(file string) *dfs.File) *
 	m := &starMapJoinMapper{sc: scanner{plan: plans[0].scan}, rows: newStarRows(plans)}
 	m.sides = make([]*sideIndex, len(plans)-1)
 	for i, p := range plans[1:] {
-		s := buildSideIndex(side(p.scan.file), p.scan, p.keyPos, p.kept)
+		s := buildSideIndex(side(p.scan.file), p.scan, p.keyPos, p.stored)
 		m.sides[i] = s
 		m.rows.matches[i+1] = rowSet{data: s.data, off: s.off}
 		m.err = cmp.Or(m.err, s.err)

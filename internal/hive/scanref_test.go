@@ -321,7 +321,7 @@ func TestStarRowsAgreeWithReference(t *testing.T) {
 			}
 		}
 		want := starRowsRef("Kkey", inputs, keep, perInput)
-		x := newStarRows(compileStars(inputs, keep))
+		x := newStarRows(compileStars(inputs, 0, keep))
 		for i, p := range x.plans {
 			x.matches[i] = rowSetOf(perInput[i], p.kept)
 		}
@@ -390,11 +390,11 @@ func TestScanScratchDoesNotLeakAcrossRecords(t *testing.T) {
 		}
 	}
 
-	plans := compileStars([]*starInput{{rel: left, keyCol: "k"}, {rel: right, keyCol: "k"}}, nil)
+	plans := compileStars([]*starInput{{rel: left, keyCol: "k"}, {rel: right, keyCol: "k"}}, 0, nil)
 	smj := newStarMapJoinMapper(plans, func(string) *dfs.File { return sideFile(t, side) })
 	tm := &taggedScanMapper{plans: plans, tags: []int{0}}
 	// left and right over one file: each record is scanned by both.
-	selfJoin := compileStars([]*starInput{{rel: left, keyCol: "k"}, {rel: &rel{file: "l", cols: []string{"k", "", "w"}, dict: d}, keyCol: "k"}}, nil)
+	selfJoin := compileStars([]*starInput{{rel: left, keyCol: "k"}, {rel: &rel{file: "l", cols: []string{"k", "", "w"}, dict: d}, keyCol: "k"}}, 0, nil)
 	tm2 := &taggedScanMapper{plans: selfJoin, tags: []int{0, 1}}
 	var wantTwice []string
 	for _, rec := range recs {
@@ -467,7 +467,7 @@ func TestReducersEncodeThroughReusedBuffer(t *testing.T) {
 	if err := sym.Reduce(key, [][]byte{row(0, "Ia", "L1"), row(0, "Ia", "L2"), row(1, "Ix", "Ia"), row(1, "Iy", "Ia")}, ref.emit); err != nil {
 		t.Fatal(err)
 	}
-	sr := &starReducer{rows: newStarRows(compileStars([]*starInput{{rel: right, keyCol: "k"}, {rel: left, keyCol: "k"}}, nil))}
+	sr := &starReducer{rows: newStarRows(compileStars([]*starInput{{rel: right, keyCol: "k"}, {rel: left, keyCol: "k"}}, 0, nil))}
 	if err := sr.Reduce(key, [][]byte{row(0, "Ix", "Ia"), row(1, "Ia", "L1"), row(0, "Iy", "Ia"), row(1, "Ia", "L2")}, star.emit); err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"rapidanalytics/internal/core"
 	"rapidanalytics/internal/engine"
 	"rapidanalytics/internal/rdf"
-	"rapidanalytics/internal/refimpl"
 )
 
 // The paper's conclusion names "more complex OLAP queries" as the natural
@@ -37,10 +36,7 @@ func TestThreeGroupingRollup(t *testing.T) {
 	if len(aq.Subqueries) != 3 {
 		t.Fatalf("subqueries = %d", len(aq.Subqueries))
 	}
-	want, err := refimpl.Execute(g, aq)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := oracle(t, g, rollupQuery)
 	if len(want.Rows) == 0 {
 		t.Fatal("oracle empty")
 	}
@@ -107,14 +103,8 @@ func TestEnginesMatchOracleOnRandomGraphs(t *testing.T) {
 	aqRatio := buildAQ(t, queries["ratio-expr"])
 	for seed := int64(0); seed < 25; seed++ {
 		g := randomGraph(seed)
-		want1, err := refimpl.Execute(g, aqMG1)
-		if err != nil {
-			t.Fatalf("seed %d oracle: %v", seed, err)
-		}
-		wantR, err := refimpl.Execute(g, aqRatio)
-		if err != nil {
-			t.Fatalf("seed %d oracle: %v", seed, err)
-		}
+		want1 := oracle(t, g, queries["mg1"])
+		wantR := oracle(t, g, queries["ratio-expr"])
 		for _, e := range engines() {
 			c, ds := setup(t, g)
 			got, _, err := engine.Execute(c, ds, e, aqMG1)
@@ -140,10 +130,7 @@ func TestEnginesMatchOracleOnRandomGraphs(t *testing.T) {
 func TestRollupSequentialAggregation(t *testing.T) {
 	g := ecommerceGraph()
 	aq := buildAQ(t, rollupQuery)
-	want, err := refimpl.Execute(g, aq)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := oracle(t, g, rollupQuery)
 	e := &core.Engine{Opts: core.Options{ParallelAggregation: false, AlphaFiltering: true, HashAggregation: true}}
 	c, ds := setup(t, g)
 	got, wm, err := engine.Execute(c, ds, e, aq)

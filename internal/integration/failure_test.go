@@ -13,7 +13,6 @@ import (
 	"rapidanalytics/internal/leaktest"
 	"rapidanalytics/internal/mapred"
 	"rapidanalytics/internal/rdf"
-	"rapidanalytics/internal/refimpl"
 	"rapidanalytics/internal/vec"
 )
 
@@ -304,10 +303,7 @@ func TestFaultSweep(t *testing.T) {
 		{"top-ratio", topRatioQuery},
 	} {
 		aq := buildAQ(t, q.text)
-		want, err := refimpl.Execute(g, aq)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := oracle(t, g, q.text)
 		for _, e := range engines() {
 			b, c := faultCluster()
 			ds, err := engine.Load(c, "test", rdf.Intern(g, rdf.NewDict()))

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"rapidanalytics/internal/algebra"
-	"rapidanalytics/internal/refimpl"
 	"rapidanalytics/internal/sparql"
 )
 
@@ -21,10 +20,7 @@ const havingGrouped = prefix + `SELECT ?f ?cnt ?cntT {
 func TestHavingGroupedAcrossEngines(t *testing.T) {
 	g := ecommerceGraph()
 	aq := buildAQ(t, havingGrouped)
-	want, err := refimpl.Execute(g, aq)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := oracle(t, g, havingGrouped)
 	// Fixture: f1 has 3 offers, f2 has 4, f3 has 2 (p5's two offers);
 	// all pass >= 2. Tighten in a second query below. Here ensure non-empty
 	// and oracle agreement.
@@ -46,7 +42,7 @@ func TestHavingGroupedAcrossEngines(t *testing.T) {
 // A stricter threshold actually removes groups.
 func TestHavingFiltersGroups(t *testing.T) {
 	g := ecommerceGraph()
-	loose := buildAQ(t, havingGrouped)
+
 	strictQuery := prefix + `SELECT ?f ?cnt ?cntT {
   { SELECT ?f (COUNT(?pr2) AS ?cnt)
     { ?p2 a e:PT1 ; e:pf ?f . ?off2 e:product ?p2 ; e:price ?pr2 . }
@@ -55,14 +51,8 @@ func TestHavingFiltersGroups(t *testing.T) {
     { ?p1 a e:PT1 . ?off1 e:product ?p1 ; e:price ?pr . } }
 }`
 	strict := buildAQ(t, strictQuery)
-	wantLoose, err := refimpl.Execute(g, loose)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantStrict, err := refimpl.Execute(g, strict)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantLoose := oracle(t, g, havingGrouped)
+	wantStrict := oracle(t, g, strictQuery)
 	if len(wantStrict.Rows) == 0 || len(wantStrict.Rows) >= len(wantLoose.Rows) {
 		t.Fatalf("threshold did not narrow groups: %d vs %d", len(wantStrict.Rows), len(wantLoose.Rows))
 	}
@@ -99,10 +89,7 @@ func TestHavingOnGroupByAll(t *testing.T) {
     HAVING (COUNT(?pr) >= ` + tc.threshold + `) }
 }`
 		aq := buildAQ(t, q)
-		want, err := refimpl.Execute(g, aq)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := oracle(t, g, q)
 		if tc.wantEmpty != (len(want.Rows) == 0) {
 			t.Fatalf("%s: oracle rows = %d", tc.name, len(want.Rows))
 		}
@@ -123,13 +110,11 @@ func TestHavingOnGroupByAll(t *testing.T) {
 // projected one including the DISTINCT flag.
 func TestHavingDistinct(t *testing.T) {
 	g := ecommerceGraph()
-	aq := buildAQ(t, prefix+`SELECT ?c (COUNT(DISTINCT ?p2) AS ?nv) {
+	qs := prefix + `SELECT ?c (COUNT(DISTINCT ?p2) AS ?nv) {
   ?off2 e:product ?p2 ; e:vendor ?v2 . ?v2 e:country ?c .
-} GROUP BY ?c HAVING (COUNT(DISTINCT ?p2) >= 3)`)
-	want, err := refimpl.Execute(g, aq)
-	if err != nil {
-		t.Fatal(err)
-	}
+} GROUP BY ?c HAVING (COUNT(DISTINCT ?p2) >= 3)`
+	aq := buildAQ(t, qs)
+	want := oracle(t, g, qs)
 	for _, e := range engines() {
 		c, ds := setup(t, g)
 		got, _, err := engine.Execute(c, ds, e, aq)

@@ -174,6 +174,18 @@ func checkClean(t *testing.T, c *mapred.Cluster, what string, undeletable ...str
 	}
 }
 
+// oracle evaluates query qs over g on the reference implementation, g's
+// statements interned into a dictionary of their own.
+func oracle(t *testing.T, g *rdf.Graph, qs string) *engine.Result {
+	t.Helper()
+	d := rdf.NewDict()
+	res, err := refimpl.Execute(sparql.MustParse(qs), d, rdf.InternTriples(d, nil, g.Triples))
+	if err != nil {
+		t.Fatalf("oracle: %v", err)
+	}
+	return res
+}
+
 func buildAQ(t *testing.T, qs string) *algebra.AnalyticalQuery {
 	t.Helper()
 	q, err := sparql.Parse(qs)
@@ -194,10 +206,7 @@ func TestEnginesMatchOracle(t *testing.T) {
 	for name, qs := range queries {
 		t.Run(name, func(t *testing.T) {
 			aq := buildAQ(t, qs)
-			want, err := refimpl.Execute(g, aq)
-			if err != nil {
-				t.Fatalf("oracle: %v", err)
-			}
+			want := oracle(t, g, qs)
 			if name != "empty-all-side" && len(want.Rows) == 0 {
 				t.Fatalf("oracle returned no rows; weak test fixture")
 			}
@@ -295,10 +304,7 @@ func TestRAPIDAnalyticsFinalCycleMapOnly(t *testing.T) {
 func TestCoreAblations(t *testing.T) {
 	g := ecommerceGraph()
 	aq := buildAQ(t, queries["mg3"])
-	want, err := refimpl.Execute(g, aq)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := oracle(t, g, queries["mg3"])
 	var parallelCycles, seqCycles int
 	for _, opts := range []core.Options{
 		core.DefaultOptions(),
@@ -373,10 +379,7 @@ func TestHiveReduceJoinsWhenLarge(t *testing.T) {
 	g := ecommerceGraph()
 	for _, name := range []string{"mg1", "g3-style"} {
 		aq := buildAQ(t, queries[name])
-		want, err := refimpl.Execute(g, aq)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := oracle(t, g, queries[name])
 		for _, e := range []engine.Engine{
 			&hive.Naive{Conf: hive.Config{MapJoinBytes: 0}},
 			&hive.MQO{Conf: hive.Config{MapJoinBytes: 0}},
@@ -423,10 +426,7 @@ func TestDeterministicResults(t *testing.T) {
 func TestInputPruningAblation(t *testing.T) {
 	g := ecommerceGraph()
 	aq := buildAQ(t, queries["mg1"])
-	want, err := refimpl.Execute(g, aq)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := oracle(t, g, queries["mg1"])
 	run := func(prune bool) int64 {
 		opts := core.DefaultOptions()
 		opts.InputPruning = prune

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"rapidanalytics/internal/algebra"
-	"rapidanalytics/internal/refimpl"
 	"rapidanalytics/internal/sparql"
 )
 
@@ -48,10 +47,7 @@ func TestOptionalAcrossEngines(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			aq := buildAQ(t, qs)
-			want, err := refimpl.Execute(g, aq)
-			if err != nil {
-				t.Fatalf("oracle: %v", err)
-			}
+			want := oracle(t, g, qs)
 			if len(want.Rows) == 0 {
 				t.Fatal("oracle returned no rows; weak fixture")
 			}
@@ -73,11 +69,7 @@ func TestOptionalAcrossEngines(t *testing.T) {
 // featureless PT1 products (p3: one offer).
 func TestOptionalNullGroup(t *testing.T) {
 	g := ecommerceGraph()
-	aq := buildAQ(t, optionalFeature)
-	res, err := refimpl.Execute(g, aq)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := oracle(t, g, optionalFeature)
 	nullCount := ""
 	for _, row := range res.Rows {
 		if algebra.IsNull(row[0]) {

@@ -4,8 +4,6 @@ import (
 	"rapidanalytics/internal/engine"
 	"strconv"
 	"testing"
-
-	"rapidanalytics/internal/refimpl"
 )
 
 // The paper's AQ1 asks for features with the *highest* price ratio — the
@@ -24,10 +22,7 @@ func TestOrderByLimitAcrossEngines(t *testing.T) {
 	if !aq.Sorted() || aq.Limit != 2 {
 		t.Fatalf("query not parsed as sorted+limited: %+v", aq.OrderBy)
 	}
-	want, err := refimpl.Execute(g, aq)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := oracle(t, g, topRatioQuery)
 	if len(want.Rows) != 2 {
 		t.Fatalf("oracle rows = %v", want.Rows)
 	}
@@ -62,14 +57,12 @@ func TestOrderByLimitAcrossEngines(t *testing.T) {
 // Ascending multi-key ordering without LIMIT, single-grouping shape.
 func TestOrderByAscendingSingleGrouping(t *testing.T) {
 	g := ecommerceGraph()
-	aq := buildAQ(t, prefix+`SELECT ?f (COUNT(?pr) AS ?cnt) {
+	qs := prefix + `SELECT ?f (COUNT(?pr) AS ?cnt) {
   ?p a e:PT1 ; e:pf ?f .
   ?off e:product ?p ; e:price ?pr .
-} GROUP BY ?f ORDER BY ?cnt ?f`)
-	want, err := refimpl.Execute(g, aq)
-	if err != nil {
-		t.Fatal(err)
-	}
+} GROUP BY ?f ORDER BY ?cnt ?f`
+	aq := buildAQ(t, qs)
+	want := oracle(t, g, qs)
 	for i := 1; i < len(want.Rows); i++ {
 		if num(t, want.Rows[i-1][1]) > num(t, want.Rows[i][1]) {
 			t.Fatalf("oracle not ascending: %v", want.Rows)
@@ -103,4 +96,31 @@ func num(t *testing.T, s string) float64 {
 		t.Fatalf("not a number: %q", s)
 	}
 	return f
+}
+
+// A single-grouping query projects its columns in SELECT order, a grouping
+// variable it leaves out included: every engine runs the map-only join
+// cycle to project them, and returns the oracle's rows.
+func TestSingleGroupingProjectionOrder(t *testing.T) {
+	g := ecommerceGraph()
+	for _, qs := range []string{
+		prefix + `SELECT (COUNT(?pr) AS ?cnt) ?f { ?p a e:PT1 ; e:pf ?f . ?off e:product ?p ; e:price ?pr . } GROUP BY ?f`,
+		prefix + `SELECT (COUNT(?pr) AS ?cnt) { ?p a e:PT1 ; e:pf ?f . ?off e:product ?p ; e:price ?pr . } GROUP BY ?f`,
+	} {
+		aq := buildAQ(t, qs)
+		want := oracle(t, g, qs)
+		if want.Columns[0] != "cnt" || len(want.Rows) < 2 {
+			t.Fatalf("oracle columns %v, rows %v", want.Columns, want.Rows)
+		}
+		for _, e := range engines() {
+			c, ds := setup(t, g)
+			got, _, err := engine.Execute(c, ds, e, aq)
+			if err != nil {
+				t.Fatalf("%s: %v", e.Name(), err)
+			}
+			if diff := want.Diff(got); diff != "" {
+				t.Errorf("%s differs from the oracle on %s: %s", e.Name(), qs, diff)
+			}
+		}
+	}
 }

@@ -3,8 +3,6 @@ package integration
 import (
 	"rapidanalytics/internal/engine"
 	"testing"
-
-	"rapidanalytics/internal/refimpl"
 )
 
 // Unbound-property patterns ("don't care relationships", §5.2/[32]): the
@@ -45,10 +43,7 @@ func TestUnboundPropertyAcrossEngines(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			aq := buildAQ(t, qs)
-			want, err := refimpl.Execute(g, aq)
-			if err != nil {
-				t.Fatalf("oracle: %v", err)
-			}
+			want := oracle(t, g, qs)
 			if len(want.Rows) == 0 {
 				t.Fatal("oracle returned no rows; weak fixture")
 			}
@@ -69,11 +64,7 @@ func TestUnboundPropertyAcrossEngines(t *testing.T) {
 // The property-usage query's totals must cover the whole graph.
 func TestUnboundCoversWholeGraph(t *testing.T) {
 	g := ecommerceGraph()
-	aq := buildAQ(t, propertyUsage)
-	res, err := refimpl.Execute(g, aq)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := oracle(t, g, propertyUsage)
 	total := 0
 	for _, row := range res.Rows {
 		n := 0
@@ -109,14 +100,12 @@ func (e errString) Error() string { return string(e) }
 // properties via regex.
 func TestUnboundWithPropertyFilter(t *testing.T) {
 	g := ecommerceGraph()
-	aq := buildAQ(t, prefix+`SELECT ?p (COUNT(?o) AS ?n) {
+	qs := prefix + `SELECT ?p (COUNT(?o) AS ?n) {
   ?s ?p ?o .
   FILTER regex(?p, "price|product", "i")
-} GROUP BY ?p`)
-	want, err := refimpl.Execute(g, aq)
-	if err != nil {
-		t.Fatal(err)
-	}
+} GROUP BY ?p`
+	aq := buildAQ(t, qs)
+	want := oracle(t, g, qs)
 	if len(want.Rows) != 2 {
 		t.Fatalf("oracle rows = %v", want.Rows)
 	}

@@ -56,7 +56,8 @@ SELECT (COUNT(?va) AS ?n) {
 	if len(res.Rows) != 1 || res.Rows[0][0] != "1" {
 		t.Errorf("rows = %v", res.Rows)
 	}
-	want, _ := refimpl.Execute(g, aq)
+	d := rdf.NewDict()
+	want, _ := refimpl.Execute(q, d, rdf.InternTriples(d, nil, g.Triples))
 	if diff := want.Diff(res); diff != "" {
 		t.Errorf("differs: %s", diff)
 	}

@@ -103,7 +103,8 @@ func TestBadEstimateTriggersExactlyOneReplan(t *testing.T) {
 	if got := countReplans(root.Snapshot()); got != 1 {
 		t.Errorf("re-plan spans = %d, want exactly 1", got)
 	}
-	want, err := refimpl.Execute(g, aq)
+	d := rdf.NewDict()
+	want, err := refimpl.Execute(q, d, rdf.InternTriples(d, nil, g.Triples))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package rdf
 import (
 	"encoding/binary"
 	"errors"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -91,11 +90,7 @@ func (d *Dict) Add(key string) uint64 {
 	e := dictEntry{key: key, idStr: string(binary.AppendUvarint(idBuf[:0], id))}
 	// Cache the parsed numeric value for literal terms so SUM/AVG never
 	// re-parse the lexical form per row.
-	if len(key) > 0 && key[0] == 'L' && mayParseFloat(key[1:]) {
-		if f, err := strconv.ParseFloat(key[1:], 64); err == nil {
-			e.num, e.isNum = f, true
-		}
-	}
+	e.num, e.isNum = KeyNumber(key)
 	d.ids[key] = id
 	grew := len(d.entries) == cap(d.entries)
 	d.entries = append(d.entries, e)

@@ -97,7 +97,7 @@ func ECKey(prop, objKey string) string {
 func (g *IDGraph) ECKeys(ts []IDTriple, keys []string, counts []int64) ([]string, []int64) {
 	keys, counts = keys[:0], counts[:0]
 	for _, t := range ts {
-		keys = append(keys, ECKey(g.Dict.entry(t.P).key[1:], g.Dict.entry(t.O).key))
+		keys = append(keys, ECKey(KeyLex(g.Dict.entry(t.P).key), g.Dict.entry(t.O).key))
 	}
 	slices.Sort(keys)
 	n := 0

@@ -9,6 +9,7 @@ package rdf
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -93,19 +94,37 @@ func (t Term) Key() string {
 	}
 }
 
-// TermFromKey reverses Term.Key.
+// TermFromKey reverses Term.Key: the tags I, L and B are the kinds in
+// order, and any other tag reads as an IRI's.
 func TermFromKey(k string) Term {
 	if k == "" {
 		return Term{}
 	}
-	switch k[0] {
-	case 'L':
-		return NewLiteral(k[1:])
-	case 'B':
-		return NewBlank(k[1:])
-	default:
-		return NewIRI(k[1:])
+	return Term{Kind: TermKind(max(0, strings.IndexByte("ILB", k[0]))), Value: k[1:]}
+}
+
+// KeyLex returns the lexical form of a term key: the key without its
+// one-byte kind tag. Only term keys go through it; an aggregate's final or
+// an expression's result is lexical already.
+func KeyLex(key string) string { return key[min(1, len(key)):] }
+
+// KeyNumber returns the number a term key denotes: a literal whose
+// lexical form is one (LexNumber). IRIs and blank nodes are never numbers.
+func KeyNumber(key string) (float64, bool) {
+	if key == "" || key[0] != 'L' {
+		return 0, false
 	}
+	return LexNumber(key[1:])
+}
+
+// LexNumber parses a lexical form as a number, sparing the strings
+// strconv.ParseFloat rejects by their first bytes the error it allocates.
+func LexNumber(lex string) (float64, bool) {
+	if !mayParseFloat(lex) {
+		return 0, false
+	}
+	f, err := strconv.ParseFloat(lex, 64)
+	return f, err == nil
 }
 
 // literalEscaper writes the ECHARs a literal needs.

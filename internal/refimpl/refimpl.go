@@ -1,15 +1,22 @@
-// Package refimpl is a direct in-memory evaluator for analytical queries:
-// BGP matching with bag semantics over the graph read as a set (a repeated
-// statement counts once), grouping, aggregation, and the outer
-// join/projection. It is the correctness oracle the MapReduce engines are
-// tested against, not an evaluated system.
+// Package refimpl is the correctness oracle the MapReduce engines are
+// tested against, not an evaluated system: it evaluates the parsed query's
+// AST with SPARQL's mapping semantics (Schmidt et al.) over a store's ID
+// plane, a Dict plus ID triples read as a set. Patterns match on term IDs;
+// terms decode only for filters, aggregates and the result rows, which come
+// out as the engines write theirs (engine.Result). It reads no algebra
+// pattern type, so it shares no structure with the engines' rewrite, only
+// the value-level functions: filters, aggregate states, expressions and
+// the result order.
 package refimpl
 
 import (
+	"cmp"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
-	"strings"
 
 	"rapidanalytics/internal/algebra"
 	"rapidanalytics/internal/codec"
@@ -18,427 +25,408 @@ import (
 	"rapidanalytics/internal/sparql"
 )
 
-// Execute evaluates the analytical query directly over the graph.
-func Execute(g *rdf.Graph, aq *algebra.AnalyticalQuery) (*engine.Result, error) {
-	idx := buildIndex(g)
-	subResults := make([][]map[string]string, len(aq.Subqueries))
-	for i, sq := range aq.Subqueries {
-		rows, err := evalSubquery(idx, sq)
-		if err != nil {
-			return nil, fmt.Errorf("refimpl: subquery %d: %w", i, err)
+// Execute evaluates q over the statements ts, whose terms are IDs of d.
+func Execute(q *sparql.Query, d *rdf.Dict, ts []rdf.IDTriple) (*engine.Result, error) {
+	ev := &evaluator{d: d, ts: ts, props: map[uint64]*propIndex{}}
+	t, err := ev.selectQuery(q.Select)
+	if err != nil {
+		return nil, fmt.Errorf("refimpl: %w", err)
+	}
+	return &engine.Result{Columns: t.cols, Keys: t.keys, Rows: t.rows}, nil
+}
+
+// evaluator holds one call's index of ts, built as patterns ask for it:
+// each constant property's distinct statements by subject and by object,
+// and, for a variable property, all distinct statements by subject.
+type evaluator struct {
+	d     *rdf.Dict
+	ts    []rdf.IDTriple
+	props map[uint64]*propIndex
+	all   []rdf.IDTriple
+}
+
+type propIndex struct{ bySubj, byObj []rdf.IDTriple }
+
+const noTerm = math.MaxUint64 // a constant's ID when no statement holds it
+
+// distinct returns the statements of ts that keep holds, by subject, once.
+func distinct(ts []rdf.IDTriple, keep func(rdf.IDTriple) bool) []rdf.IDTriple {
+	var out []rdf.IDTriple
+	for _, t := range ts {
+		if keep(t) {
+			out = append(out, t)
 		}
-		subResults[i] = rows
 	}
-	return joinAndProject(aq, subResults)
+	slices.SortFunc(out, func(a, b rdf.IDTriple) int {
+		return cmp.Or(cmp.Compare(a.S, b.S), cmp.Compare(a.P, b.P), cmp.Compare(a.O, b.O))
+	})
+	return slices.Compact(out)
 }
 
-// index holds per-property adjacency for fast candidate lookup.
-type index struct {
-	byProp    map[string][][2]string // prop -> (s, o) pairs, in graph order
-	byPropSub map[string][]string    // prop \x00 subject -> objects
-	byPropObj map[string][]string    // prop \x00 object -> subjects
-	bySub     map[string][][2]string // subject -> (prop, o) pairs
-	all       [][3]string            // every (s, prop, o)
-}
-
-// buildIndex indexes each distinct statement of g once, at its first
-// occurrence: an RDF graph is a set. A repeat has its statement's property
-// and subject, so it is found in their object list.
-func buildIndex(g *rdf.Graph) *index {
-	idx := &index{
-		byProp:    map[string][][2]string{},
-		byPropSub: map[string][]string{},
-		byPropObj: map[string][]string{},
-		bySub:     map[string][][2]string{},
-	}
-	for _, t := range g.Triples {
-		p := t.Property.Value
-		s, o := t.Subject.Key(), t.Object.Key()
-		ps := p + "\x00" + s
-		if slices.Contains(idx.byPropSub[ps], o) {
-			continue
+// candidates returns the statements that may match pattern p under the
+// binding: by subject or object among a constant property's statements,
+// by subject among all of them when the property is a variable.
+func (g *group) candidates(p [3]node) []rdf.IDTriple {
+	ev, s, o := g.ev, g.value(p[0]), g.value(p[2])
+	if p[1].slot >= 0 {
+		if ev.all == nil {
+			ev.all = distinct(ev.ts, func(rdf.IDTriple) bool { return true })
 		}
-		idx.byProp[p] = append(idx.byProp[p], [2]string{s, o})
-		idx.byPropSub[ps] = append(idx.byPropSub[ps], o)
-		idx.byPropObj[p+"\x00"+o] = append(idx.byPropObj[p+"\x00"+o], s)
-		idx.bySub[s] = append(idx.bySub[s], [2]string{p, o})
-		idx.all = append(idx.all, [3]string{s, p, o})
+		if s != 0 {
+			return run(ev.all, 0, s)
+		}
+		return ev.all
 	}
-	return idx
+	pi := ev.props[p[1].id]
+	if pi == nil {
+		pi = &propIndex{bySubj: distinct(ev.ts, func(t rdf.IDTriple) bool { return t.P == p[1].id })}
+		pi.byObj = slices.SortedFunc(slices.Values(pi.bySubj), func(a, b rdf.IDTriple) int {
+			return cmp.Or(cmp.Compare(a.O, b.O), cmp.Compare(a.S, b.S))
+		})
+		ev.props[p[1].id] = pi
+	}
+	switch {
+	case s != 0:
+		return run(pi.bySubj, 0, s)
+	case o != 0:
+		return run(pi.byObj, 2, o)
+	}
+	return pi.bySubj
 }
 
-// evalSubquery matches the pattern with bag semantics and aggregates per
-// group, returning one row per group (columns per sq.OutputColumns).
-func evalSubquery(idx *index, sq *algebra.Subquery) ([]map[string]string, error) {
-	var tps, opts []sparql.TriplePattern
-	for _, st := range sq.Pattern.Stars {
-		tps = append(tps, st.Triples...)
-		opts = append(opts, st.Optionals...)
-	}
-	groups := map[string]*algebra.MultiAggState{}
-	groupVals := map[string][]string{}
-	var order []string
+// run returns the statements of ts, sorted by position i, that hold id there.
+func run(ts []rdf.IDTriple, i int, id uint64) []rdf.IDTriple {
+	at := func(k int) uint64 { return [3]uint64{ts[k].S, ts[k].P, ts[k].O}[i] }
+	lo := sort.Search(len(ts), func(k int) bool { return at(k) >= id })
+	hi := sort.Search(len(ts), func(k int) bool { return at(k) > id })
+	return ts[lo:hi]
+}
 
-	var ferr error
-	match(idx, tps, opts, sq.Pattern.Filters, func(b map[string]string) {
-		if ferr != nil {
+// node is a pattern position: a variable's slot, or (slot -1) a term ID.
+type node struct {
+	slot int
+	id   uint64
+}
+
+// group is one group graph pattern compiled against the dictionary: its
+// variables are slots of one binding of term IDs, 0 while unbound.
+type group struct {
+	ev       *evaluator
+	vars     []string
+	required [][3]node // subject, property, object
+	optional [][][3]node
+	// filters holds per slot the filters on its variable, checked as a
+	// pattern binds it; an unbound variable fails them, so a solution
+	// leaving one unbound is dropped.
+	filters map[int][]sparql.Filter
+	vals    []uint64
+	undo    []int
+	row     codec.Tuple
+}
+
+func (ev *evaluator) compile(p *sparql.GroupGraphPattern) *group {
+	g := &group{ev: ev}
+	slot := func(v string) int {
+		if !slices.Contains(g.vars, v) {
+			g.vars = append(g.vars, v)
+		}
+		return slices.Index(g.vars, v)
+	}
+	patterns := func(tps []sparql.TriplePattern) [][3]node {
+		ps := make([][3]node, len(tps))
+		for i, tp := range tps {
+			for j, n := range [3]sparql.Node{tp.S, tp.P, tp.O} {
+				ps[i][j] = node{slot: -1, id: noTerm}
+				if n.IsVar {
+					ps[i][j].slot = slot(n.Var)
+				} else if id, ok := ev.d.Lookup(n.Term.Key()); ok {
+					ps[i][j].id = id
+				}
+			}
+		}
+		return ps
+	}
+	g.required = patterns(p.Triples)
+	for _, block := range p.Optionals {
+		g.optional = append(g.optional, patterns(block))
+	}
+	g.filters = map[int][]sparql.Filter{}
+	for _, f := range p.Filters {
+		g.filters[slot(f.Var)] = append(g.filters[slot(f.Var)], f) // also a variable no pattern binds
+	}
+	g.vals, g.row = make([]uint64, len(g.vars)), make(codec.Tuple, len(g.vars), len(g.vars)+1)
+	return g
+}
+
+// solutions calls fn with each solution of the group as a row of term keys
+// over g.vars, NULL where unbound, that the next solution overwrites: the
+// required patterns' solutions, left-joined with each OPTIONAL block in
+// turn, that every filter holds on. A filter checked as a block binds its
+// variable drops the block's failing extensions, which the filter would
+// drop after the left join alike, and a solution it leaves unbound.
+func (g *group) solutions(fn func(codec.Tuple)) {
+	var extend func(k int)
+	extend = func(k int) {
+		if k < len(g.optional) {
+			found := false
+			g.match(g.optional[k], 0, func() { found = true; extend(k + 1) })
+			if !found {
+				extend(k + 1)
+			}
 			return
 		}
-		keyParts := make([]string, len(sq.GroupBy))
-		for i, v := range sq.GroupBy {
-			if val, ok := b[v]; ok {
-				keyParts[i] = val
-			} else {
-				keyParts[i] = algebra.Null
+		for i, id := range g.vals {
+			if g.row[i] = algebra.Null; id != 0 {
+				g.row[i], _ = g.ev.d.Key(id)
+			} else if len(g.filters[i]) > 0 {
+				return
 			}
 		}
-		key := strings.Join(keyParts, "\x1f")
-		st, ok := groups[key]
-		if !ok {
-			st = algebra.NewMultiAggState(sq.Aggs)
-			groups[key] = st
-			groupVals[key] = keyParts
-			order = append(order, key)
-		}
-		for i, a := range sq.Aggs {
-			st.States[i].Update(b[a.Var])
-		}
-	})
-	if ferr != nil {
-		return nil, ferr
+		fn(g.row)
 	}
-	var rows []map[string]string
-	for _, key := range order {
-		row := map[string]string{}
-		finals := groups[key].Finals()
-		if !sq.HavingPassed(finals) {
-			continue
-		}
-		for i, v := range sq.GroupBy {
-			row[v] = groupVals[key][i]
-		}
-		for i, a := range sq.Aggs {
-			row[a.As] = finals[i]
-		}
-		rows = append(rows, row)
-	}
-	// A GROUP BY ALL subquery over an empty match set still yields one row
-	// (SPARQL aggregates without GROUP BY always produce a single group),
-	// which is then subject to HAVING like any other group.
-	if len(order) == 0 && sq.GroupByAll() {
-		row := map[string]string{}
-		empty := algebra.NewMultiAggState(sq.Aggs)
-		finals := empty.Finals()
-		if sq.HavingPassed(finals) {
-			for i, a := range sq.Aggs {
-				row[a.As] = finals[i]
-			}
-			rows = append(rows, row)
-		}
-	}
-	return rows, nil
+	g.match(g.required, 0, func() { extend(0) })
 }
 
-// match enumerates BGP solutions with a greedy bound-first pattern order,
-// then extends each solution through the OPTIONAL patterns with left-outer
-// semantics (unmatched optionals leave their variables unbound).
-func match(idx *index, tps, opts []sparql.TriplePattern, filters []sparql.Filter, fn func(map[string]string)) {
-	binding := map[string]string{}
-	done := make([]bool, len(tps))
-
-	filtersByVar := map[string][]sparql.Filter{}
-	for _, f := range filters {
-		filtersByVar[f.Var] = append(filtersByVar[f.Var], f)
+// match calls fn with each extension of the binding by patterns ps[k:]:
+// the most bound one first, moved to ps[k] meanwhile, unified with each of
+// its candidate statements position by position.
+func (g *group) match(ps [][3]node, k int, fn func()) {
+	if k == len(ps) {
+		fn()
+		return
 	}
-	passes := func(v, val string) bool {
-		for _, f := range filtersByVar[v] {
-			ok, err := algebra.EvalFilter(f, val)
-			if err != nil || !ok {
+	best := k
+	for i := k + 1; i < len(ps); i++ {
+		if g.score(ps[i]) > g.score(ps[best]) {
+			best = i
+		}
+	}
+	ps[k], ps[best] = ps[best], ps[k]
+	p := ps[k]
+	for _, t := range g.candidates(p) {
+		mark := len(g.undo)
+		if g.unify(p[0], t.S) && g.unify(p[1], t.P) && g.unify(p[2], t.O) {
+			g.match(ps, k+1, fn)
+		}
+		for _, s := range g.undo[mark:] {
+			g.vals[s] = 0
+		}
+		g.undo = g.undo[:mark]
+	}
+	ps[k], ps[best] = ps[best], ps[k]
+}
+
+// value returns the term ID n holds, 0 while unbound.
+func (g *group) value(n node) uint64 {
+	if n.slot < 0 {
+		return n.id
+	}
+	return g.vals[n.slot]
+}
+
+func (g *group) score(p [3]node) uint64 {
+	return 2*min(g.value(p[0]), 1) + min(g.value(p[1]), 1) + 2*min(g.value(p[2]), 1)
+}
+
+// unify binds n to id, or checks that it holds id already. A variable it
+// binds must pass its filters, and is noted for undoing.
+func (g *group) unify(n node, id uint64) bool {
+	if v := g.value(n); v != 0 {
+		return v == id
+	}
+	if fs := g.filters[n.slot]; len(fs) > 0 {
+		key, _ := g.ev.d.Key(id)
+		for _, f := range fs {
+			if ok, err := algebra.EvalFilter(f, key); err != nil || !ok {
 				return false
 			}
 		}
-		return true
 	}
-
-	var recOpt func(j int)
-	recOpt = func(j int) {
-		if j == len(opts) {
-			fn(binding)
-			return
-		}
-		tp := opts[j]
-		sVal := binding[tp.S.Var]
-		prop := tp.P.Term.Value
-		matched := false
-		for _, o := range idx.byPropSub[prop+"\x00"+sVal] {
-			if !tp.O.IsVar {
-				if o == tp.O.Term.Key() {
-					matched = true
-					recOpt(j + 1)
-				}
-				continue
-			}
-			matched = true
-			binding[tp.O.Var] = o
-			recOpt(j + 1)
-			delete(binding, tp.O.Var)
-		}
-		if !matched {
-			recOpt(j + 1)
-		}
-	}
-
-	var rec func(remaining int)
-	rec = func(remaining int) {
-		if remaining == 0 {
-			recOpt(0)
-			return
-		}
-		// Pick the most constrained unprocessed pattern: bound subject
-		// beats bound/constant object beats unbound.
-		best, bestScore := -1, -1
-		for i, tp := range tps {
-			if done[i] {
-				continue
-			}
-			score := 0
-			if _, ok := binding[tp.S.Var]; ok {
-				score += 2
-			}
-			if !tp.O.IsVar {
-				score++
-			} else if _, ok := binding[tp.O.Var]; ok {
-				score += 2
-			}
-			if score > bestScore {
-				best, bestScore = i, score
-			}
-		}
-		tp := tps[best]
-		done[best] = true
-		defer func() { done[best] = false }()
-
-		if tp.P.IsVar {
-			matchUnbound(idx, tp, binding, passes, rec, remaining)
-			return
-		}
-		prop := tp.P.Term.Value
-		sVal, sBound := binding[tp.S.Var]
-		var oVal string
-		oBound := false
-		if tp.O.IsVar {
-			oVal, oBound = binding[tp.O.Var]
-		} else {
-			oVal, oBound = tp.O.Term.Key(), true
-		}
-
-		// ?s e:knows ?s binds one term: only self-loops match.
-		loop := tp.O.IsVar && tp.O.Var == tp.S.Var
-		emit := func(s, o string) {
-			if loop && s != o {
-				return
-			}
-			setS := !sBound
-			setO := tp.O.IsVar && !oBound && !loop
-			if setS {
-				if !passes(tp.S.Var, s) {
-					return
-				}
-				binding[tp.S.Var] = s
-			}
-			if setO {
-				if !passes(tp.O.Var, o) {
-					if setS {
-						delete(binding, tp.S.Var)
-					}
-					return
-				}
-				binding[tp.O.Var] = o
-			}
-			rec(remaining - 1)
-			if setS {
-				delete(binding, tp.S.Var)
-			}
-			if setO {
-				delete(binding, tp.O.Var)
-			}
-		}
-
-		switch {
-		case sBound && oBound:
-			for _, o := range idx.byPropSub[prop+"\x00"+sVal] {
-				if o == oVal {
-					emit(sVal, oVal)
-				}
-			}
-		case sBound:
-			for _, o := range idx.byPropSub[prop+"\x00"+sVal] {
-				emit(sVal, o)
-			}
-		case oBound:
-			for _, s := range idx.byPropObj[prop+"\x00"+oVal] {
-				emit(s, oVal)
-			}
-		default:
-			for _, so := range idx.byProp[prop] {
-				emit(so[0], so[1])
-			}
-		}
-	}
-	rec(len(tps))
+	g.vals[n.slot] = id
+	g.undo = append(g.undo, n.slot)
+	return true
 }
 
-// matchUnbound enumerates candidates for an unbound-property pattern,
-// binding the property variable (in "I"+IRI key form like other bindings).
-func matchUnbound(idx *index, tp sparql.TriplePattern, binding map[string]string,
-	passes func(v, val string) bool, rec func(int), remaining int) {
-	sVal, sBound := binding[tp.S.Var]
-	emit := func(s, p, o string) {
-		pv := tp.P.Var
-		pKey := "I" + p
-		if prev, had := binding[pv]; had && prev != pKey {
-			return
-		}
-		if !tp.O.IsVar && tp.O.Term.Key() != o {
-			return
-		}
-		if !passes(pv, pKey) {
-			return
-		}
-		setS := !sBound
-		if setS {
-			if !passes(tp.S.Var, s) {
-				return
-			}
-			binding[tp.S.Var] = s
-		}
-		setP := false
-		if _, had := binding[pv]; !had {
-			binding[pv] = pKey
-			setP = true
-		}
-		setO := false
-		if tp.O.IsVar {
-			if prev, had := binding[tp.O.Var]; had {
-				if prev != o {
-					if setP {
-						delete(binding, pv)
-					}
-					if setS {
-						delete(binding, tp.S.Var)
-					}
-					return
-				}
-			} else if !passes(tp.O.Var, o) {
-				if setP {
-					delete(binding, pv)
-				}
-				if setS {
-					delete(binding, tp.S.Var)
-				}
-				return
-			} else {
-				binding[tp.O.Var] = o
-				setO = true
-			}
-		}
-		rec(remaining - 1)
-		if setO {
-			delete(binding, tp.O.Var)
-		}
-		if setP {
-			delete(binding, pv)
-		}
-		if setS {
-			delete(binding, tp.S.Var)
-		}
-	}
-	if sBound {
-		for _, po := range idx.bySub[sVal] {
-			emit(sVal, po[0], po[1])
-		}
-		return
-	}
-	for _, spo := range idx.all {
-		emit(spo[0], spo[1], spo[2])
-	}
+// table is a solution sequence in the engines' result format: keys says
+// per column whether it holds term keys or lexical values; NULL is unbound.
+type table struct {
+	cols []string
+	keys []bool
+	rows []codec.Tuple
 }
 
-// joinAndProject joins the subquery results on shared columns and evaluates
-// the outer projection — the in-memory analogue of engine.FinalJoinJob.
-func joinAndProject(aq *algebra.AnalyticalQuery, sub [][]map[string]string) (*engine.Result, error) {
-	acc := sub[0]
-	for i := 1; i < len(sub); i++ {
-		joinCols := aq.JoinColumns(i)
-		idx := map[string][]map[string]string{}
-		for _, r := range sub[i] {
-			idx[joinKey(r, joinCols)] = append(idx[joinKey(r, joinCols)], r)
+func (ev *evaluator) selectQuery(sel *sparql.SelectQuery) (*table, error) {
+	p, src := sel.Pattern, table{rows: []codec.Tuple{{}}}
+	each := func(fn func(codec.Tuple)) {
+		for _, r := range src.rows {
+			fn(r)
 		}
-		var next []map[string]string
-		for _, left := range acc {
-			for _, right := range idx[joinKey(left, joinCols)] {
-				merged := map[string]string{}
-				for k, v := range left {
-					merged[k] = v
+	}
+	if len(p.SubSelects) > 0 && len(p.Triples)+len(p.Optionals)+len(p.Filters) > 0 {
+		return nil, errors.New("a group of sub-SELECTs and other patterns is not supported")
+	}
+	for _, sub := range p.SubSelects {
+		t, err := ev.selectQuery(sub)
+		if err != nil {
+			return nil, err
+		}
+		src = join(src, *t)
+	}
+	if len(p.SubSelects) == 0 {
+		g := ev.compile(p)
+		src, each = table{cols: g.vars, keys: slices.Repeat([]bool{true}, len(g.vars))}, g.solutions
+	}
+	out, err := project(sel, src, each)
+	if err == nil && len(sel.OrderBy)+sel.Limit > 0 {
+		order(sel, out)
+	}
+	return out, err
+}
+
+// join returns the compatible pairs of a's and b's solutions, merged:
+// each shared column holds equal values, or NULL on one side, which the
+// other side's value fills.
+func join(a, b table) table {
+	out := table{cols: slices.Clone(a.cols), keys: slices.Clone(a.keys)}
+	at := make([]int, len(b.cols)) // b's columns in out
+	for j, c := range b.cols {
+		if at[j] = slices.Index(a.cols, c); at[j] < 0 {
+			at[j], out.cols, out.keys = len(out.cols), append(out.cols, c), append(out.keys, b.keys[j])
+		}
+	}
+	for _, l := range a.rows {
+	next:
+		for _, r := range b.rows {
+			for j, v := range r {
+				if i := at[j]; i < len(l) && v != l[i] && !algebra.IsNull(v) && !algebra.IsNull(l[i]) {
+					continue next
 				}
-				for k, v := range right {
-					merged[k] = v
+			}
+			m := append(make(codec.Tuple, 0, len(out.cols)), l...)[:len(out.cols)]
+			for j, v := range r {
+				if i := at[j]; i >= len(l) || algebra.IsNull(m[i]) {
+					m[i] = v
 				}
-				next = append(next, merged)
+			}
+			out.rows = append(out.rows, m)
+		}
+	}
+	return out
+}
+
+// project evaluates sel's projection over the solutions each yields, whose
+// columns src describes: per group, after HAVING, when sel groups or
+// aggregates, and per solution otherwise.
+func project(sel *sparql.SelectQuery, src table, each func(func(codec.Tuple))) (*table, error) {
+	out, keys := &table{}, map[string]bool{} // keys: the columns expressions read as term keys
+	for i, v := range src.cols {
+		keys[v] = src.keys[i]
+	}
+	var aggs []algebra.AggSpec // the projection's, then HAVING's
+	for _, pi := range sel.Projection {
+		out.cols = append(out.cols, pi.Var)
+		out.keys = append(out.keys, pi.Agg == nil && pi.Expr == nil && (keys[pi.Var] || !slices.Contains(src.cols, pi.Var)))
+		if pi.Agg != nil {
+			aggs, keys[pi.Var] = append(aggs, algebra.AggSpec{Func: pi.Agg.Func, Var: pi.Agg.Var, Distinct: pi.Agg.Distinct}), false
+		}
+	}
+	for _, h := range sel.Having {
+		aggs = append(aggs, algebra.AggSpec{Func: h.Agg.Func, Var: h.Agg.Var, Distinct: h.Agg.Distinct})
+	}
+	// A plain SELECT makes each solution a group of its own, keyed by its
+	// number and holding all of its columns.
+	grouped, by := len(sel.GroupBy)+len(aggs) > 0, src.cols
+	if grouped {
+		by = sel.GroupBy
+	}
+	// A variable src lacks reads the NULL each row gets past its columns.
+	column := func(v string) int { return cmp.Or(slices.Index(src.cols, v)+1, len(src.cols)+1) - 1 }
+	gpos, apos := make([]int, len(by)), make([]int, len(aggs))
+	for i, v := range by {
+		gpos[i] = column(v)
+	}
+	for i, a := range aggs {
+		if apos[i] = column(a.Var); apos[i] < len(src.cols) && !src.keys[apos[i]] {
+			return nil, fmt.Errorf("an aggregate over ?%s, which no pattern binds, is not supported", a.Var)
+		}
+	}
+	type grp struct {
+		vals []string
+		*algebra.MultiAggState
+	}
+	newGroup := func() *grp { return &grp{make([]string, len(by)), algebra.NewMultiAggState(aggs)} }
+	var groups []*grp
+	byKey, kb := map[string]*grp{}, []byte(nil)
+	each(func(row codec.Tuple) {
+		row, kb = append(row, algebra.Null), kb[:0]
+		if !grouped {
+			kb = binary.AppendUvarint(kb, uint64(len(groups)))
+		}
+		for _, i := range gpos {
+			kb = append(binary.AppendUvarint(kb, uint64(len(row[i]))), row[i]...)
+		}
+		gr := byKey[string(kb)]
+		if gr == nil {
+			gr = newGroup()
+			for j, i := range gpos {
+				gr.vals[j] = row[i]
+			}
+			byKey[string(kb)] = gr
+			groups = append(groups, gr)
+		}
+		for j, st := range gr.States {
+			st.Update(row[apos[j]])
+		}
+	})
+	if len(groups) == 0 && grouped && len(by) == 0 {
+		groups = append(groups, newGroup()) // aggregates without GROUP BY form one group
+	}
+	nproj := len(aggs) - len(sel.Having)
+next:
+	for _, gr := range groups {
+		finals := gr.Finals()
+		for j, h := range sel.Having {
+			if !algebra.HavingHolds(finals[nproj+j], h.Op, h.Value) {
+				continue next
 			}
 		}
-		acc = next
-	}
-	res := engine.NewResult(aq)
-	for _, row := range acc {
-		out := make(codec.Tuple, len(aq.Projection))
-		for i, pi := range aq.Projection {
+		env, j := map[string]string{}, 0
+		for i, v := range by {
+			env[v] = gr.vals[i]
+		}
+		for _, pi := range sel.Projection {
+			if pi.Agg != nil {
+				env[pi.Var], j = finals[j], j+1
+			}
+		}
+		row := make(codec.Tuple, len(sel.Projection))
+		for i, pi := range sel.Projection {
+			v, ok := env[pi.Var]
 			if pi.Expr != nil {
-				v, err := algebra.EvalExpr(pi.Expr, row)
-				if err != nil {
-					out[i] = algebra.Null
-					continue
-				}
-				out[i] = algebra.FormatNumber(v)
-				continue
+				f, err := algebra.EvalExpr(pi.Expr, env, keys)
+				v, ok = algebra.FormatNumber(f), err == nil
 			}
-			v, ok := row[pi.Var]
-			if !ok {
-				v = algebra.Null
+			if row[i] = v; !ok {
+				row[i] = algebra.Null
 			}
-			out[i] = v
 		}
-		res.Rows = append(res.Rows, out)
+		out.rows = append(out.rows, row)
 	}
-	if aq.Sorted() {
-		raws := make([][]byte, len(res.Rows))
-		for i, r := range res.Rows {
-			raws[i] = r.Encode()
-		}
-		idx := make([]int, len(res.Rows))
-		for i := range idx {
-			idx[i] = i
-		}
-		keys := engine.OrderKeys(aq)
-		sort.SliceStable(idx, func(a, b int) bool {
-			return engine.CompareRows(res.Rows[idx[a]], res.Rows[idx[b]], keys, raws[idx[a]], raws[idx[b]]) < 0
-		})
-		sorted := make([]codec.Tuple, 0, len(idx))
-		for _, i := range idx {
-			sorted = append(sorted, res.Rows[i])
-		}
-		if aq.Limit > 0 && aq.Limit < len(sorted) {
-			sorted = sorted[:aq.Limit]
-		}
-		res.Rows = sorted
-	}
-	return res, nil
+	return out, nil
 }
 
-func joinKey(row map[string]string, cols []string) string {
-	parts := make([]string, len(cols))
-	for i, c := range cols {
-		parts[i] = row[c]
+// order sorts t by sel's ORDER BY keys and cuts it at its LIMIT, breaking
+// ties by the encoded row as the engines do (engine.CompareRows). A key
+// that names no column of t orders nothing; Compile rejects such a query.
+func order(sel *sparql.SelectQuery, t *table) {
+	keys := make([]engine.OrderKey, len(sel.OrderBy))
+	for i, k := range sel.OrderBy {
+		c := slices.Index(t.cols, k.Var)
+		keys[i] = engine.OrderKey{Col: c, Desc: k.Desc, Key: c >= 0 && t.keys[c]}
 	}
-	return strings.Join(parts, "\x1f")
+	sort.SliceStable(t.rows, func(i, j int) bool {
+		a, b := t.rows[i], t.rows[j]
+		return engine.CompareRows(a, b, keys, a.Encode(), b.Encode()) < 0
+	})
+	t.rows = t.rows[:min(len(t.rows), cmp.Or(sel.Limit, len(t.rows)))]
 }

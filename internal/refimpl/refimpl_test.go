@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"rapidanalytics/internal/algebra"
+	"rapidanalytics/internal/engine"
 	"rapidanalytics/internal/rdf"
 	"rapidanalytics/internal/sparql"
 )
@@ -58,21 +58,15 @@ SELECT ?f ?sumF ?cntF ?sumT ?cntT {
   }
 }`
 
-func mustAQ(t *testing.T, q string) *algebra.AnalyticalQuery {
-	t.Helper()
-	parsed, err := sparql.Parse(q)
-	if err != nil {
-		t.Fatalf("Parse: %v", err)
-	}
-	aq, err := algebra.Build(parsed)
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	return aq
+// execute evaluates query q over g, interned into a dictionary of its
+// own.
+func execute(g *rdf.Graph, q string) (*engine.Result, error) {
+	d := rdf.NewDict()
+	return Execute(sparql.MustParse(q), d, rdf.InternTriples(d, nil, g.Triples))
 }
 
 func TestExecuteMG1(t *testing.T) {
-	res, err := Execute(testGraph(), mustAQ(t, mg1Query))
+	res, err := execute(testGraph(), mg1Query)
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
@@ -99,11 +93,11 @@ func TestExecuteMG1(t *testing.T) {
 
 func TestExecuteSingleGrouping(t *testing.T) {
 	// Count offers per product type PT1 product.
-	res, err := Execute(testGraph(), mustAQ(t, `PREFIX e: <http://e/>
+	res, err := execute(testGraph(), `PREFIX e: <http://e/>
 SELECT ?p (COUNT(?pr) AS ?n) {
   ?p a e:PT1 .
   ?off e:product ?p ; e:price ?pr .
-} GROUP BY ?p`))
+} GROUP BY ?p`)
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
@@ -123,12 +117,12 @@ SELECT ?p (COUNT(?pr) AS ?n) {
 }
 
 func TestExecuteFilters(t *testing.T) {
-	res, err := Execute(testGraph(), mustAQ(t, `PREFIX e: <http://e/>
+	res, err := execute(testGraph(), `PREFIX e: <http://e/>
 SELECT ?p (COUNT(?pr) AS ?n) {
   ?p a e:PT1 .
   ?off e:product ?p ; e:price ?pr .
   FILTER (?pr > 15)
-} GROUP BY ?p`))
+} GROUP BY ?p`)
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
@@ -147,11 +141,11 @@ SELECT ?p (COUNT(?pr) AS ?n) {
 }
 
 func TestExecuteRegexFilter(t *testing.T) {
-	res, err := Execute(testGraph(), mustAQ(t, `PREFIX e: <http://e/>
+	res, err := execute(testGraph(), `PREFIX e: <http://e/>
 SELECT (COUNT(?l) AS ?n) {
   ?p a e:PT1 ; e:label ?l .
   FILTER regex(?l, "label-p[12]", "i")
-}`))
+}`)
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
@@ -163,11 +157,11 @@ SELECT (COUNT(?l) AS ?n) {
 // A GROUP BY ALL subquery with no matches still yields its single row, so
 // the outer cross join does not wipe out the other grouping.
 func TestExecuteEmptyGroupByAll(t *testing.T) {
-	res, err := Execute(testGraph(), mustAQ(t, `PREFIX e: <http://e/>
+	res, err := execute(testGraph(), `PREFIX e: <http://e/>
 SELECT ?f ?cntF ?cntT {
   { SELECT ?f (COUNT(?f) AS ?cntF) { ?p a e:PT2 ; e:pf ?f . } GROUP BY ?f }
   { SELECT (COUNT(?x) AS ?cntT) { ?p2 a e:PT99 ; e:pf ?x . } }
-}`))
+}`)
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
@@ -180,13 +174,13 @@ SELECT ?f ?cntF ?cntT {
 }
 
 func TestExecuteExpressionProjection(t *testing.T) {
-	res, err := Execute(testGraph(), mustAQ(t, `PREFIX e: <http://e/>
+	res, err := execute(testGraph(), `PREFIX e: <http://e/>
 SELECT ?f ((?sumF/?cntF) / (?sumT/?cntT) AS ?ratio) {
   { SELECT ?f (COUNT(?pr2) AS ?cntF) (SUM(?pr2) AS ?sumF)
     { ?p2 a e:PT1 ; e:pf ?f . ?off2 e:product ?p2 ; e:price ?pr2 . } GROUP BY ?f }
   { SELECT (COUNT(?pr) AS ?cntT) (SUM(?pr) AS ?sumT)
     { ?p1 a e:PT1 . ?off1 e:product ?p1 ; e:price ?pr . } }
-}`)) // avg overall = 170/4 = 42.5; f2 avg = 15 -> ratio f2 ≈ 0.3529...
+}`) // avg overall = 170/4 = 42.5; f2 avg = 15 -> ratio f2 ≈ 0.3529...
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
@@ -216,7 +210,7 @@ func TestExecuteJoinOnSharedColumn(t *testing.T) {
 		rdf.T(iri("v1"), iri("country"), lit("UK")),
 		rdf.T(iri("v2"), iri("country"), lit("DE")),
 	)
-	res, err := Execute(g, mustAQ(t, `PREFIX e: <http://e/>
+	res, err := execute(g, `PREFIX e: <http://e/>
 SELECT ?f ?c ?cntF ?cntT {
   { SELECT ?f ?c (COUNT(?pr2) AS ?cntF)
     { ?p2 a e:PT1 ; e:pf ?f . ?off2 e:product ?p2 ; e:price ?pr2 ; e:vendor ?v2 .
@@ -224,7 +218,7 @@ SELECT ?f ?c ?cntF ?cntT {
   { SELECT ?c (COUNT(?pr) AS ?cntT)
     { ?p1 a e:PT1 . ?off1 e:product ?p1 ; e:price ?pr ; e:vendor ?v1 .
       ?v1 e:country ?c . } GROUP BY ?c }
-}`))
+}`)
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}

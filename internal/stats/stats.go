@@ -121,7 +121,7 @@ func Compute(g *rdf.IDGraph) *Catalog {
 	}
 	for p, pa := range preds {
 		key, _ := g.Dict.Key(p)
-		c.Preds[key[1:]] = pa.PredStat
+		c.Preds[rdf.KeyLex(key)] = pa.PredStat
 	}
 	for _, id := range slices.Sorted(maps.Keys(sets)) {
 		c.Sets = append(c.Sets, *sets[id])

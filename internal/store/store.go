@@ -130,8 +130,8 @@ func WriteVP(fs *dfs.FS, g *rdf.IDGraph, prefix string) (*VPStore, error) {
 				s.TypeTables[objKey] = name
 			} else {
 				prop, _ := g.Dict.Key(t.P)
-				name = fmt.Sprintf("%s/vp_%s", prefix, sanitize(prop[1:]))
-				s.Tables[prop[1:]] = name
+				name = fmt.Sprintf("%s/vp_%s", prefix, sanitize(rdf.KeyLex(prop)))
+				s.Tables[rdf.KeyLex(prop)] = name
 			}
 			if _, err := create(name); err != nil {
 				return nil, err

@@ -637,7 +637,7 @@ func (s *Store) run(ctx context.Context, sys System, q *Compiled) (*Result, *Sta
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if sys == Reference {
-		res, err := refimpl.Execute(rdf.DecodeGraph(s.dict, s.triples), q.aq)
+		res, err := refimpl.Execute(q.parsed, s.dict, s.triples)
 		if err != nil {
 			return nil, nil, err
 		}
