@@ -8,6 +8,7 @@ package algebra
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -281,7 +282,7 @@ func BuildGraphPattern(g *sparql.GroupGraphPattern) (*GraphPattern, error) {
 			return nil, fmt.Errorf("algebra: star ?%s has %d unbound-property patterns; at most one is supported", st.SubjectVar, unbound)
 		}
 	}
-	if err := gp.attachOptionals(g.Optionals); err != nil {
+	if err := gp.attachOptionals(g); err != nil {
 		return nil, err
 	}
 	if err := gp.validateUnboundVars(); err != nil {
@@ -313,8 +314,14 @@ func BuildGraphPattern(g *sparql.GroupGraphPattern) (*GraphPattern, error) {
 // the star. A block of several patterns is one left-join operand that
 // matches only where all of them do; the engines extend a star one pattern
 // at a time, so such a block is rejected rather than answered per pattern.
-func (gp *GraphPattern) attachOptionals(blocks [][]sparql.TriplePattern) error {
-	if len(blocks) == 0 {
+//
+// The engines left-join every block with the whole required pattern. That
+// equals SPARQL's Join(LeftJoin(P1, O), P2) for { P1 OPTIONAL { O } P2 }
+// when the group is well-designed (Schmidt et al.): every variable O
+// shares with P2 is bound in P1. A block whose subject only later
+// patterns bind is rejected.
+func (gp *GraphPattern) attachOptionals(g *sparql.GroupGraphPattern) error {
+	if len(g.Optionals) == 0 {
 		return nil
 	}
 	used := map[string]int{}
@@ -323,11 +330,11 @@ func (gp *GraphPattern) attachOptionals(blocks [][]sparql.TriplePattern) error {
 			used[v]++
 		}
 	}
-	for _, block := range blocks {
-		if len(block) > 1 {
-			return fmt.Errorf("algebra: an OPTIONAL block of %d patterns is not supported; write one OPTIONAL per pattern", len(block))
+	for _, block := range g.Optionals {
+		if len(block.Triples) > 1 {
+			return fmt.Errorf("algebra: an OPTIONAL block of %d patterns is not supported; write one OPTIONAL per pattern", len(block.Triples))
 		}
-		for _, tp := range block {
+		for _, tp := range block.Triples {
 			if tp.P.IsVar {
 				return fmt.Errorf("algebra: unbound properties inside OPTIONAL are not supported")
 			}
@@ -343,6 +350,11 @@ func (gp *GraphPattern) attachOptionals(blocks [][]sparql.TriplePattern) error {
 			}
 			if star < 0 {
 				return fmt.Errorf("algebra: OPTIONAL subject ?%s is not bound by the required pattern", tp.S.Var)
+			}
+			if !slices.ContainsFunc(g.Triples[:block.After], func(r sparql.TriplePattern) bool {
+				return r.S.IsVar && r.S.Var == tp.S.Var || r.O.IsVar && r.O.Var == tp.S.Var
+			}) {
+				return fmt.Errorf("algebra: OPTIONAL subject ?%s is bound only after the block, which is not well-designed", tp.S.Var)
 			}
 			st := gp.Stars[star]
 			ref := propRefOf(tp)

@@ -1,6 +1,9 @@
 package algebra
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // JoinOrder linearises a pattern's join edges into an execution order: the
 // first edge starts at star 0, and every subsequent edge connects an
@@ -9,8 +12,8 @@ import "fmt"
 // cycles in the join graph) are rejected — the analytical workloads are
 // acyclic.
 //
-// This is the fixed heuristic order (query order, star 0 first); planners
-// with a statistics catalog use JoinOrderCost instead.
+// This is the fixed heuristic order (query order, star 0 first); the
+// planners use JoinOrderCost, which checks the graph with it.
 func JoinOrder(numStars int, joins []Join) ([]Join, error) {
 	if numStars <= 1 {
 		return nil, nil
@@ -68,57 +71,14 @@ type CardEstimator interface {
 // each Right is new — except that the chain may start at any star:
 // consumers seed their accumulator from order[0].Left rather than star 0.
 // Ties break toward the earlier edge in query order, keeping plans
-// deterministic. A nil estimator falls back to the heuristic JoinOrder.
+// deterministic.
 func JoinOrderCost(numStars int, joins []Join, est CardEstimator) ([]Join, error) {
-	if numStars <= 1 || est == nil {
-		return JoinOrder(numStars, joins)
-	}
 	// Validate connectivity and acyclicity with the heuristic walk first so
 	// both planners reject malformed graphs with identical errors.
-	if _, err := JoinOrder(numStars, joins); err != nil {
+	if _, err := JoinOrder(numStars, joins); err != nil || numStars <= 1 {
 		return nil, err
 	}
-	covered := make([]bool, numStars)
-	used := make([]bool, len(joins))
-	order := make([]Join, 0, numStars-1)
-	var acc float64
-	for len(order) < numStars-1 {
-		best := -1
-		var bestEdge Join
-		var bestCard float64
-		for i, j := range joins {
-			if used[i] {
-				continue
-			}
-			var cands []Join
-			switch {
-			case len(order) == 0:
-				cands = []Join{j, j.flip()}
-			case covered[j.Left] && !covered[j.Right]:
-				cands = []Join{j}
-			case covered[j.Right] && !covered[j.Left]:
-				cands = []Join{j.flip()}
-			default:
-				continue
-			}
-			for _, c := range cands {
-				left := acc
-				if len(order) == 0 {
-					left = est.StarCard(c.Left)
-				}
-				out := est.JoinCard(left, est.StarCard(c.Right), c)
-				if best < 0 || out < bestCard {
-					best, bestEdge, bestCard = i, c, out
-				}
-			}
-		}
-		used[best] = true
-		covered[bestEdge.Left] = true
-		covered[bestEdge.Right] = true
-		order = append(order, bestEdge)
-		acc = bestCard
-	}
-	return order, nil
+	return greedyOrder(make([]bool, numStars), joins, 0, est), nil
 }
 
 // ReorderRemaining re-plans the tail of an executing join chain: given the
@@ -128,44 +88,59 @@ func JoinOrderCost(numStars int, joins []Join, est CardEstimator) ([]Join, error
 // cardinality, re-oriented so each edge's Left endpoint is covered when it
 // executes. The input slice is not modified.
 func ReorderRemaining(covered []bool, remaining []Join, accCard float64, est CardEstimator) []Join {
-	if est == nil || len(remaining) < 2 {
+	if len(remaining) < 2 {
 		return remaining
 	}
-	cov := make([]bool, len(covered))
-	copy(cov, covered)
-	used := make([]bool, len(remaining))
-	order := make([]Join, 0, len(remaining))
-	acc := accCard
-	for len(order) < len(remaining) {
+	if order := greedyOrder(slices.Clone(covered), remaining, accCard, est); order != nil {
+		return order
+	}
+	// The tail no longer connects from the covered set (cannot happen for
+	// orders produced by JoinOrder/JoinOrderCost); keep the original order
+	// rather than guess.
+	return remaining
+}
+
+// greedyOrder orders all of joins, each step taking the edge of least
+// predicted output cardinality, ties to the earlier edge. It continues a
+// chain over the covered stars whose accumulator holds acc rows, or, with
+// no star covered, starts one at either endpoint of any edge, the first
+// join's left input being that star's scan. It marks the stars it joins
+// in covered, and returns nil if an edge left does not connect to them.
+func greedyOrder(cov []bool, joins []Join, acc float64, est CardEstimator) []Join {
+	started := slices.Contains(cov, true)
+	used := make([]bool, len(joins))
+	order := make([]Join, 0, len(joins))
+	for len(order) < len(joins) {
 		best := -1
 		var bestEdge Join
 		var bestCard float64
-		for i, j := range remaining {
+		for i, j := range joins {
 			if used[i] {
 				continue
 			}
-			var cand Join
+			var cands []Join
 			switch {
+			case !started:
+				cands = []Join{j, j.flip()}
 			case cov[j.Left] && !cov[j.Right]:
-				cand = j
+				cands = []Join{j}
 			case cov[j.Right] && !cov[j.Left]:
-				cand = j.flip()
-			default:
-				continue
+				cands = []Join{j.flip()}
 			}
-			out := est.JoinCard(acc, est.StarCard(cand.Right), cand)
-			if best < 0 || out < bestCard {
-				best, bestEdge, bestCard = i, cand, out
+			for _, c := range cands {
+				left := acc
+				if !started {
+					left = est.StarCard(c.Left)
+				}
+				if out := est.JoinCard(left, est.StarCard(c.Right), c); best < 0 || out < bestCard {
+					best, bestEdge, bestCard = i, c, out
+				}
 			}
 		}
 		if best < 0 {
-			// The tail no longer connects from the covered set (cannot
-			// happen for orders produced by JoinOrder/JoinOrderCost); keep
-			// the original order rather than guess.
-			return remaining
+			return nil
 		}
-		used[best] = true
-		cov[bestEdge.Right] = true
+		used[best], cov[bestEdge.Left], cov[bestEdge.Right], started = true, true, true, true
 		order = append(order, bestEdge)
 		acc = bestCard
 	}

@@ -115,29 +115,6 @@ func TestJoinOrderCostPicksSelectiveEdgeFirst(t *testing.T) {
 	}
 }
 
-func TestJoinOrderCostNilEstimatorFallsBack(t *testing.T) {
-	gp := mustGP(t, prefix+`SELECT ?a {
-  ?a e:p ?b . ?b e:q ?c . ?c e:r ?d .
-}`)
-	heur, err := JoinOrder(len(gp.Stars), gp.Joins)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cost, err := JoinOrderCost(len(gp.Stars), gp.Joins, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(heur) != len(cost) {
-		t.Fatalf("fallback order differs in length: %d vs %d", len(cost), len(heur))
-	}
-	for i := range heur {
-		if heur[i].Left != cost[i].Left || heur[i].Right != cost[i].Right {
-			t.Errorf("edge %d: fallback %d-%d vs heuristic %d-%d",
-				i, cost[i].Left, cost[i].Right, heur[i].Left, heur[i].Right)
-		}
-	}
-}
-
 func TestReorderRemainingPrefersSmallTail(t *testing.T) {
 	// Branching pattern: star 1 connects to both 2 (huge) and 3 (tiny).
 	gp := mustGP(t, prefix+`SELECT ?d {
@@ -159,12 +136,5 @@ func TestReorderRemainingPrefersSmallTail(t *testing.T) {
 	got := ReorderRemaining(covered, remaining, 50, est)
 	if len(got) != 2 || got[0].Right != 3 || got[1].Right != 2 {
 		t.Errorf("reordered tail = %+v, want the tiny star 3 joined first", got)
-	}
-	// A nil estimator must leave the tail untouched.
-	same := ReorderRemaining(covered, remaining, 50, nil)
-	for i := range same {
-		if same[i].Right != remaining[i].Right {
-			t.Errorf("nil estimator changed the tail: %+v", same)
-		}
 	}
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"reflect"
 	"testing"
 
 	"rapidanalytics/internal/algebra"
@@ -26,25 +25,6 @@ func TestCatalogParses(t *testing.T) {
 		}
 		if _, err := algebra.Build(parsed); err != nil {
 			t.Errorf("%s: build: %v", q.ID, err)
-		}
-	}
-}
-
-// TestCatalogFormatRoundTrip: every catalog query survives
-// parse → format → reparse with an identical AST.
-func TestCatalogFormatRoundTrip(t *testing.T) {
-	for _, q := range Catalog {
-		q1, err := sparql.Parse(q.SPARQL)
-		if err != nil {
-			t.Fatalf("%s: %v", q.ID, err)
-		}
-		text := sparql.Format(q1)
-		q2, err := sparql.Parse(text)
-		if err != nil {
-			t.Fatalf("%s: reparse: %v\n%s", q.ID, err, text)
-		}
-		if !reflect.DeepEqual(q1, q2) {
-			t.Errorf("%s: formatting changed the AST:\n%s", q.ID, text)
 		}
 	}
 }

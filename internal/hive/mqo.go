@@ -2,6 +2,7 @@ package hive
 
 import (
 	"fmt"
+	"slices"
 
 	"rapidanalytics/internal/algebra"
 	"rapidanalytics/internal/codec"
@@ -64,18 +65,25 @@ func (h *MQO) Plan(c *mapred.Cluster, ds *engine.Dataset, aq *algebra.Analytical
 
 // compositeColumns assigns a relation column to every composite property:
 // the object variable when the pattern binds one, a synthetic marker column
-// for secondary constant-object and self-loop (?s e:knows ?s) properties
-// (so LEFT OUTER NULLs make the validity of a row checkable), and no column
-// for primary constant-object properties. cols[i][j] addresses
-// cp.Stars[i].Props[j]; empty means no column.
+// for secondary constant-object properties and secondaries whose object
+// the subject or a primary property of the star binds (?s e:knows ?s, or
+// ?s e:tag ?o beside a primary ?s e:knows ?o), so LEFT OUTER NULLs make
+// the validity of a row checkable, and no column for primary
+// constant-object properties. cols[i][j] addresses cp.Stars[i].Props[j];
+// empty means no column.
 func compositeColumns(cp *algebra.CompositePattern) [][]string {
 	cols := make([][]string, len(cp.Stars))
 	for i, cs := range cp.Stars {
 		cols[i] = make([]string, len(cs.Props))
+		bound := func(v string) bool {
+			return v == cs.SubjectVar || slices.ContainsFunc(cs.Props, func(q algebra.CompositeProp) bool {
+				return len(q.Owners) == cp.NumPatterns && q.TP.O.IsVar && q.TP.O.Var == v
+			})
+		}
 		for j, p := range cs.Props {
 			secondary := len(p.Owners) != cp.NumPatterns
 			switch {
-			case p.TP.O.IsVar && !(secondary && p.TP.O.Var == cs.SubjectVar):
+			case p.TP.O.IsVar && !(secondary && bound(p.TP.O.Var)):
 				cols[i][j] = p.TP.O.Var
 			case secondary:
 				cols[i][j] = fmt.Sprintf("mark_%d_%d", i, j)
@@ -86,14 +94,23 @@ func compositeColumns(cp *algebra.CompositePattern) [][]string {
 }
 
 // composite plans the composite pattern: per-star (left outer) star
-// joins, then the inter-star join chain, keeping every column.
+// joins, the primary properties' inputs first, then the inter-star join
+// chain, keeping every column.
 func (pl *planner) composite(ds *engine.Dataset, cp *algebra.CompositePattern, cols [][]string) (*rel, error) {
 	starRels := make([]*rel, len(cp.Stars))
 	for i, cs := range cp.Stars {
 		var inputs []*starInput
-		for j, p := range cs.Props {
-			optional := len(p.Owners) != cp.NumPatterns
-			inputs = append(inputs, &starInput{rel: vpScan(ds, cs.SubjectVar, p.TP, cols[i][j], cp.Filters), keyCol: cs.SubjectVar, optional: optional})
+		for _, optional := range []bool{false, true} {
+			for j, p := range cs.Props {
+				if (len(p.Owners) != cp.NumPatterns) != optional {
+					continue
+				}
+				si := &starInput{rel: vpScan(ds, cs.SubjectVar, p.TP, cols[i][j], cp.Filters), keyCol: cs.SubjectVar, optional: optional}
+				if p.TP.O.IsVar && cols[i][j] != p.TP.O.Var {
+					si.mark, si.markOf = cols[i][j], p.TP.O.Var
+				}
+				inputs = append(inputs, si)
+			}
 		}
 		if len(inputs) == 1 && !inputs[0].optional {
 			starRels[i] = inputs[0].rel

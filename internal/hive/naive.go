@@ -188,10 +188,11 @@ func (pl *planner) add(name, op string, build func(output string) (*mapred.Job, 
 }
 
 // starJoin plans a star join over stored tables, choosing a map join when
-// all inputs but the largest fit the broadcast budget. Inputs that share a
-// non-key column are compared on it (compileStars); it rejects a star
-// whose OPTIONAL input shares one, whose rows would need a match on it to
-// extend and NULLs without one.
+// all inputs but the largest required one fit the broadcast budget. Inputs
+// that share a non-key column are compared on it (compileStars); it
+// rejects a star whose OPTIONAL input shares one with another input (an
+// OPTIONAL input compares through its mark instead). Callers list the
+// required inputs first, so a mark meets the column it is compared with.
 func (pl *planner) starJoin(name string, inputs []*starInput, keep map[string]bool) (*rel, error) {
 	for i, si := range inputs {
 		for _, c := range si.rel.cols {

@@ -126,6 +126,23 @@ type starInput struct {
 	// semantics: subjects without matches keep the star row, with NULLs in
 	// the input's non-key columns.
 	optional bool
+	// mark, when set, is a column holding the value of variable markOf,
+	// named apart so that an optional input that repeats a column an
+	// earlier input keeps still has one of its own: the join compares it
+	// with that column and keeps it, NULL where the input is NULL-extended.
+	mark, markOf string
+}
+
+// joinAt returns the input a star join takes i-th: input first, then the
+// others in input order.
+func joinAt(first, i int) int {
+	switch {
+	case i == 0:
+		return first
+	case i <= first:
+		return i - 1
+	}
+	return i
 }
 
 // starJoinJob builds the reduce-side star join of the inputs on their key
@@ -162,12 +179,12 @@ func starJoinJob(name, op string, inputs []*starInput, keep map[string]bool, out
 
 // starMapJoinJob builds the map-only variant, its operator labelled op:
 // the driving input streams and every other input is broadcast, joined in
-// compileStars' order from the driving one.
+// joinAt's order from the driving one.
 func starMapJoinJob(name, op string, inputs []*starInput, driving int, keep map[string]bool, output string, compression float64) (*mapred.Job, *rel) {
 	plans := compileStars(inputs, driving, keep)
 	sides := make([]string, 0, len(inputs)-1)
 	for i := 1; i < len(inputs); i++ {
-		sides = append(sides, inputs[(driving+i)%len(inputs)].rel.file)
+		sides = append(sides, inputs[joinAt(driving, i)].rel.file)
 	}
 	job := &mapred.Job{
 		Name:              name,

@@ -295,36 +295,37 @@ type starPlan struct {
 	kept []int
 	// checks are the input's columns an earlier input emits too, each as
 	// the joined row's field after the key that holds it: the join
-	// compares them and emits none. A row's segment holds the check
-	// fields, then the kept ones (stored).
+	// compares them and emits none but a mark. A row's segment holds the
+	// check fields, then the kept ones (stored).
 	checks   []int
 	stored   []int
 	optional bool
 }
 
-// compileStars compiles the inputs of one star join in the order the job
-// joins them: inputs[first] and those after it, then the ones before. A
-// column that several inputs bind is kept by the first and checked by the
-// others, whatever keep says of it.
+// compileStars compiles the inputs of one star join in joinAt's order from
+// inputs[first]. A column that several inputs bind is kept by the first
+// and checked by the others, whatever keep says of it; a mark is checked
+// against the column of its variable and kept.
 func compileStars(inputs []*starInput, first int, keep map[string]bool) []*starPlan {
 	plans := make([]*starPlan, len(inputs))
 	for i := range inputs {
-		si := inputs[(first+i)%len(inputs)]
+		si := inputs[joinAt(first, i)]
 		p := &starPlan{scan: si.rel.compile(), optional: si.optional}
 		p.keyPos = p.scan.colIndex(si.keyCol)
 		var pos []int // the checks' scan-output positions
-	cols:
 		for k, c := range p.scan.cols {
 			if c == si.keyCol {
 				continue
 			}
-			field := 0 // the first kept field of prev in the joined row
-			for _, prev := range plans[:i] {
-				if f := slices.IndexFunc(prev.kept, func(pk int) bool { return prev.scan.cols[pk] == c }); f >= 0 {
-					p.checks, pos = append(p.checks, field+f), append(pos, k)
-					continue cols
+			v := c
+			if c == si.mark {
+				v = si.markOf
+			}
+			if f := keptField(plans[:i], v); f >= 0 {
+				p.checks, pos = append(p.checks, f), append(pos, k)
+				if c != si.mark {
+					continue
 				}
-				field += len(prev.kept)
 			}
 			if keep == nil || keep[c] || slices.ContainsFunc(inputs, func(o *starInput) bool { return o != si && slices.Contains(o.rel.cols, c) }) {
 				p.kept = append(p.kept, k)
@@ -336,6 +337,19 @@ func compileStars(inputs []*starInput, first int, keep map[string]bool) []*starP
 		plans[i] = p
 	}
 	return plans
+}
+
+// keptField returns the field after the key of the joined row that holds
+// column c, which one of plans keeps, or -1.
+func keptField(plans []*starPlan, c string) int {
+	field := 0
+	for _, p := range plans {
+		if f := slices.IndexFunc(p.kept, func(k int) bool { return p.scan.cols[k] == c }); f >= 0 {
+			return field + f
+		}
+		field += len(p.kept)
+	}
+	return -1
 }
 
 // starJoinCols returns the output schema of a star join: the key column
@@ -360,9 +374,9 @@ func starJoinCols(keyCol string, plans []*starPlan) []string {
 // starRows emits one subject's joined star rows. begin writes the rows'
 // common prefix; emit(from) takes input i's rows, for each i from from on,
 // from matches[i], each the segment of the input's stored columns. An
-// empty order NULL-extends an optional input, and required inputs must
-// have rows. Rows come out input-0-major: the cross product's first input
-// varies slowest.
+// optional input none of whose rows passes its checks is NULL-extended,
+// and required inputs must have rows. Rows come out input-0-major: the
+// cross product's first input varies slowest.
 type starRows struct {
 	plans   []*starPlan
 	matches []rowSet
@@ -399,20 +413,15 @@ func (x *starRows) emit(from int, emit mapred.Emit) {
 
 // expand appends each of input i's matches in turn to the row built so
 // far and recurses; past the last input it emits the row. A match whose
-// check fields differ from the earlier inputs' values is skipped.
+// check fields differ from the earlier inputs' values is skipped; an
+// optional input left with no match is NULL-extended.
 func (x *starRows) expand(i int) {
 	if i == len(x.plans) {
 		x.out("", x.buf)
 		return
 	}
-	n := len(x.buf)
+	n, matched := len(x.buf), false
 	m := &x.matches[i]
-	if len(m.order) == 0 { // optional, unmatched: NULL-extend
-		for range x.plans[i].kept {
-			x.buf = append(x.buf, algebra.Null...)
-		}
-		x.expand(i + 1)
-	}
 next:
 	for _, r := range m.order {
 		seg := m.row(r)
@@ -423,10 +432,17 @@ next:
 			}
 			seg = seg[l:]
 		}
+		matched = true
 		x.buf = append(x.buf[:n], seg...)
 		x.expand(i + 1)
 	}
-	x.buf = x.buf[:n]
+	if x.buf = x.buf[:n]; !matched && x.plans[i].optional {
+		for range x.plans[i].kept {
+			x.buf = append(x.buf, algebra.Null...)
+		}
+		x.expand(i + 1)
+		x.buf = x.buf[:n]
+	}
 }
 
 // field returns field f after the key of the row in buf.

@@ -23,12 +23,20 @@ const lexicalExprQuery = prefix + `SELECT ?g (?m * 2 AS ?x) {
 // boundTwiceQuery binds ?o in two patterns of one star.
 const boundTwiceQuery = prefix + `SELECT ?o (COUNT(?s) AS ?n) { ?s e:knows ?o . ?s e:tag ?o . } GROUP BY ?o`
 
-// fuzzQueries are the package's query texts the engines all accept, in a
-// fixed order.
+// boundTwiceMultiGrouping merges boundTwiceQuery's star with a grouping
+// that lacks e:tag: Hive (MQO) joins e:tag as an OPTIONAL input repeating
+// ?o.
+const boundTwiceMultiGrouping = prefix + `SELECT ?o ?n ?m {
+  { SELECT ?o (COUNT(?s) AS ?n) { ?s e:knows ?o . ?s e:tag ?o . } GROUP BY ?o }
+  { SELECT (COUNT(?s) AS ?m) { ?s e:knows ?o . } }
+}`
+
+// fuzzQueries are the package's query texts in a fixed order: those the
+// engines all accept, then optionalBoundAfter, which Build rejects.
 func fuzzQueries() []string {
 	qs := slices.Concat(slices.Sorted(maps.Values(queries)), slices.Sorted(maps.Values(sameTableQueries)))
 	return append(qs, optionalFeature, rollupQuery, havingGrouped, topRatioQuery, propertyUsage, typedUnbound,
-		unboundMultiGrouping, lexicalFinalQuery, lexicalExprQuery, boundTwiceQuery)
+		unboundMultiGrouping, lexicalFinalQuery, lexicalExprQuery, boundTwiceQuery, optionalBetween, boundTwiceMultiGrouping, optionalBoundAfter)
 }
 
 // fuzzVocabulary returns the constant properties and objects the queries
@@ -45,7 +53,11 @@ func fuzzVocabulary(qs []string) (props, objs []rdf.Term) {
 	for _, qs := range qs {
 		var walk func(s *sparql.SelectQuery)
 		walk = func(s *sparql.SelectQuery) {
-			for _, tp := range slices.Concat(append([][]sparql.TriplePattern{s.Pattern.Triples}, s.Pattern.Optionals...)...) {
+			tps := s.Pattern.Triples
+			for _, o := range s.Pattern.Optionals {
+				tps = append(slices.Clip(tps), o.Triples...)
+			}
+			for _, tp := range tps {
 				if !tp.P.IsVar {
 					add(&props, tp.P.Term)
 				}
@@ -96,7 +108,7 @@ func encodeGraph(t testing.TB, props, objs []rdf.Term, ts ...rdf.Triple) []byte 
 
 // FuzzEnginesMatchOracle runs one of the package's queries on every
 // engine over a small graph read from the input: each must return the
-// oracle's rows.
+// oracle's rows. A query Build rejects is only answered by the oracle.
 func FuzzEnginesMatchOracle(f *testing.F) {
 	qs := fuzzQueries()
 	props, objs := fuzzVocabulary(qs)
@@ -111,14 +123,28 @@ func FuzzEnginesMatchOracle(f *testing.F) {
 	seed(lexicalFinalQuery, lexical...)
 	seed(lexicalExprQuery, lexical...)
 	// One variable bound by two patterns of a star.
-	seed(boundTwiceQuery, rdf.T(iri("a"), iri("knows"), iri("b")), rdf.T(iri("a"), iri("tag"), iri("b")),
-		rdf.T(iri("a"), iri("tag"), iri("c")), rdf.T(iri("c"), iri("knows"), iri("c")), rdf.T(iri("c"), iri("tag"), iri("a")))
+	boundTwice := []rdf.Triple{rdf.T(iri("a"), iri("knows"), iri("b")), rdf.T(iri("a"), iri("tag"), iri("b")),
+		rdf.T(iri("a"), iri("tag"), iri("c")), rdf.T(iri("c"), iri("knows"), iri("c")), rdf.T(iri("c"), iri("tag"), iri("a"))}
+	seed(boundTwiceQuery, boundTwice...)
+	seed(boundTwiceMultiGrouping, boundTwice...)
 	seed(queries["mg1"], rdf.T(iri("a"), rdf.TypeTerm, iri("PT1")), rdf.T(iri("a"), iri("label"), lit("x")),
 		rdf.T(iri("a"), iri("pf"), iri("b")), rdf.T(iri("c"), iri("product"), iri("a")), rdf.T(iri("c"), iri("price"), lit("10")))
+	// An OPTIONAL block between required patterns, with delivery data on
+	// one of two offers.
+	delivery := []rdf.Triple{
+		rdf.T(iri("a"), rdf.TypeTerm, iri("PT1")), rdf.T(iri("b"), rdf.TypeTerm, iri("PT1")),
+		rdf.T(iri("c"), iri("product"), iri("a")), rdf.T(iri("d"), iri("product"), iri("b")),
+		rdf.T(iri("c"), iri("delivery"), lit("2")),
+	}
+	seed(optionalBoundAfter, delivery...)
+	seed(optionalBetween, delivery...)
 	f.Fuzz(func(t *testing.T, qi uint8, data []byte) {
 		q := qs[int(qi)%len(qs)]
 		g := fuzzGraph(data, props, objs)
 		want := oracle(t, g, q)
+		if q == optionalBoundAfter {
+			return
+		}
 		aq := buildAQ(t, q)
 		for _, e := range engines() {
 			c, ds := setup(t, g)

@@ -1,10 +1,13 @@
 package integration
 
 import (
-	"rapidanalytics/internal/engine"
+	"strings"
 	"testing"
 
+	"rapidanalytics/internal/engine"
+
 	"rapidanalytics/internal/algebra"
+	"rapidanalytics/internal/rdf"
 	"rapidanalytics/internal/sparql"
 )
 
@@ -100,6 +103,59 @@ func TestOptionalRejections(t *testing.T) {
 		}
 		if _, err := algebra.Build(parsed); err == nil {
 			t.Errorf("%s: accepted, want error", name)
+		}
+	}
+}
+
+// optionalBoundAfter binds its OPTIONAL block's subject only in the pattern
+// after the block. SPARQL reads { P1 OPTIONAL { O } P2 } as
+// Join(LeftJoin(P1, O), P2), so an offer without delivery data drops out
+// wherever some offer has it: the block is not well-designed, and the
+// engines' plan, which left-joins O with P1 and P2 together, would keep
+// it. Build rejects the query; the oracle answers it.
+const optionalBoundAfter = prefix + `SELECT ?p (COUNT(?off) AS ?n) {
+  ?p a e:PT1 . OPTIONAL { ?off e:delivery ?d } ?off e:product ?p
+} GROUP BY ?p`
+
+// optionalBetween is a well-designed reordering: the pattern before the
+// block binds its subject, so the flattened plan is SPARQL's.
+const optionalBetween = prefix + `SELECT ?p (COUNT(?d) AS ?deliveries) (COUNT(?off) AS ?offers) {
+  ?off e:product ?p . OPTIONAL { ?off e:delivery ?d } ?p a e:PT1
+} GROUP BY ?p`
+
+// TestOptionalOrder checks that an OPTIONAL block keeps its place in its
+// group: the oracle answers both queries as SPARQL reads them, Build
+// rejects the query that is not well-designed, and every engine answers
+// the well-designed one as the oracle does.
+func TestOptionalOrder(t *testing.T) {
+	g := ecommerceGraph()
+	g.Add(rdf.T(iri("o1"), iri("delivery"), lit("2")))
+	g.Add(rdf.T(iri("o5"), iri("delivery"), lit("1"))) // o5 offers p4, not of type PT1
+	rows := func(res *engine.Result) string {
+		return strings.ReplaceAll(strings.Join(res.Canonical(), "; "), "\x1f", " ")
+	}
+	// LeftJoin(P1, O) pairs each PT1 product with o1 and o5; the join with
+	// P2 keeps (p1, o1) alone.
+	if got, want := rows(oracle(t, g, optionalBoundAfter)), "Ihttp://e/p1 1"; got != want {
+		t.Errorf("oracle rows = %q, want %q", got, want)
+	}
+	if _, err := algebra.Build(sparql.MustParse(optionalBoundAfter)); err == nil || !strings.Contains(err.Error(), "not well-designed") {
+		t.Errorf("Build = %v; want the block rejected as not well-designed", err)
+	}
+
+	want := oracle(t, g, optionalBetween)
+	if got, w := rows(want), "Ihttp://e/p1 1 2; Ihttp://e/p2 0 1; Ihttp://e/p3 0 1; Ihttp://e/p5 0 2"; got != w {
+		t.Errorf("oracle rows = %q, want %q", got, w)
+	}
+	aq := buildAQ(t, optionalBetween)
+	for _, e := range engines() {
+		c, ds := setup(t, g)
+		got, _, err := engine.Execute(c, ds, e, aq)
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name(), err)
+		}
+		if diff := want.Diff(got); diff != "" {
+			t.Errorf("%s differs from the oracle: %s", e.Name(), diff)
 		}
 	}
 }

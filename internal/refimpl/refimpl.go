@@ -115,6 +115,7 @@ type group struct {
 	vars     []string
 	required [][3]node // subject, property, object
 	optional [][][3]node
+	after    []int // how many required patterns precede each optional block
 	// filters holds per slot the filters on its variable, checked as a
 	// pattern binds it; an unbound variable fails them, so a solution
 	// leaving one unbound is dropped.
@@ -148,7 +149,7 @@ func (ev *evaluator) compile(p *sparql.GroupGraphPattern) *group {
 	}
 	g.required = patterns(p.Triples)
 	for _, block := range p.Optionals {
-		g.optional = append(g.optional, patterns(block))
+		g.optional, g.after = append(g.optional, patterns(block.Triples)), append(g.after, block.After)
 	}
 	g.filters = map[int][]sparql.Filter{}
 	for _, f := range p.Filters {
@@ -160,37 +161,55 @@ func (ev *evaluator) compile(p *sparql.GroupGraphPattern) *group {
 
 // solutions calls fn with each solution of the group as a row of term keys
 // over g.vars, NULL where unbound, that the next solution overwrites: the
-// required patterns' solutions, left-joined with each OPTIONAL block in
-// turn, that every filter holds on. A filter checked as a block binds its
-// variable drops the block's failing extensions, which the filter would
-// drop after the left join alike, and a solution it leaves unbound.
+// group read left to right as SPARQL reads it, { P1 OPTIONAL { O } P2 }
+// being Join(LeftJoin(P1, O), P2), that every filter holds on. A required
+// pattern's binding is filtered as it binds, since the solution keeps it;
+// an OPTIONAL block's extension is filtered once the block matched, so an
+// extension the filters drop still counts as the block's match.
 func (g *group) solutions(fn func(codec.Tuple)) {
-	var extend func(k int)
-	extend = func(k int) {
+	var step func(k, from int)
+	step = func(k, from int) {
+		to := len(g.required)
 		if k < len(g.optional) {
-			found := false
-			g.match(g.optional[k], 0, func() { found = true; extend(k + 1) })
-			if !found {
-				extend(k + 1)
-			}
-			return
+			to = g.after[k]
 		}
-		for i, id := range g.vals {
-			if g.row[i] = algebra.Null; id != 0 {
-				g.row[i], _ = g.ev.d.Key(id)
-			} else if len(g.filters[i]) > 0 {
+		g.match(g.required[from:to], 0, true, func() {
+			if k == len(g.optional) {
+				g.emit(fn)
 				return
 			}
-		}
-		fn(g.row)
+			found, mark := false, len(g.undo)
+			g.match(g.optional[k], 0, false, func() {
+				if found = true; g.holds(g.undo[mark:]) {
+					step(k+1, to)
+				}
+			})
+			if !found {
+				step(k+1, to)
+			}
+		})
 	}
-	g.match(g.required, 0, func() { extend(0) })
+	step(0, 0)
+}
+
+// emit calls fn with the binding as a row, unless it leaves a filtered
+// variable unbound.
+func (g *group) emit(fn func(codec.Tuple)) {
+	for i, id := range g.vals {
+		if g.row[i] = algebra.Null; id != 0 {
+			g.row[i], _ = g.ev.d.Key(id)
+		} else if len(g.filters[i]) > 0 {
+			return
+		}
+	}
+	fn(g.row)
 }
 
 // match calls fn with each extension of the binding by patterns ps[k:]:
 // the most bound one first, moved to ps[k] meanwhile, unified with each of
-// its candidate statements position by position.
-func (g *group) match(ps [][3]node, k int, fn func()) {
+// its candidate statements position by position, and, when filter is set,
+// dropped as soon as a variable it binds fails its filters.
+func (g *group) match(ps [][3]node, k int, filter bool, fn func()) {
 	if k == len(ps) {
 		fn()
 		return
@@ -205,8 +224,8 @@ func (g *group) match(ps [][3]node, k int, fn func()) {
 	p := ps[k]
 	for _, t := range g.candidates(p) {
 		mark := len(g.undo)
-		if g.unify(p[0], t.S) && g.unify(p[1], t.P) && g.unify(p[2], t.O) {
-			g.match(ps, k+1, fn)
+		if g.unify(p[0], t.S) && g.unify(p[1], t.P) && g.unify(p[2], t.O) && (!filter || g.holds(g.undo[mark:])) {
+			g.match(ps, k+1, filter, fn)
 		}
 		for _, s := range g.undo[mark:] {
 			g.vals[s] = 0
@@ -228,22 +247,29 @@ func (g *group) score(p [3]node) uint64 {
 	return 2*min(g.value(p[0]), 1) + min(g.value(p[1]), 1) + 2*min(g.value(p[2]), 1)
 }
 
-// unify binds n to id, or checks that it holds id already. A variable it
-// binds must pass its filters, and is noted for undoing.
+// unify binds n to id, noted for undoing, or checks that it holds id
+// already.
 func (g *group) unify(n node, id uint64) bool {
 	if v := g.value(n); v != 0 {
 		return v == id
 	}
-	if fs := g.filters[n.slot]; len(fs) > 0 {
-		key, _ := g.ev.d.Key(id)
-		for _, f := range fs {
-			if ok, err := algebra.EvalFilter(f, key); err != nil || !ok {
-				return false
+	g.vals[n.slot] = id
+	g.undo = append(g.undo, n.slot)
+	return true
+}
+
+// holds reports whether the variables of slots pass their filters.
+func (g *group) holds(slots []int) bool {
+	for _, slot := range slots {
+		if fs := g.filters[slot]; len(fs) > 0 {
+			key, _ := g.ev.d.Key(g.vals[slot])
+			for _, f := range fs {
+				if ok, err := algebra.EvalFilter(f, key); err != nil || !ok {
+					return false
+				}
 			}
 		}
 	}
-	g.vals[n.slot] = id
-	g.undo = append(g.undo, n.slot)
 	return true
 }
 

@@ -242,3 +242,39 @@ SELECT ?f ?c ?cntF ?cntT {
 		}
 	}
 }
+
+// An OPTIONAL block keeps its place in the group: { P1 OPTIONAL { O } P2 }
+// is Join(LeftJoin(P1, O), P2). An extension of the block that a filter
+// drops still is the block's match, so the solution without it is not
+// made, and a later pattern cannot bind the variable afresh.
+func TestExecuteOptionalOrder(t *testing.T) {
+	g := &rdf.Graph{}
+	g.Add(
+		rdf.T(iri("s"), iri("a"), iri("x")),
+		rdf.T(iri("s"), iri("b"), lit("1")),
+		rdf.T(iri("s"), iri("c"), lit("1")),
+		rdf.T(iri("s"), iri("c"), lit("9")),
+		rdf.T(iri("t"), iri("a"), iri("x")),
+		rdf.T(iri("t"), iri("c"), lit("9")),
+	)
+	for _, tc := range []struct{ query, want string }{
+		// t has no e:b: its solution leaves ?o to e:c. s's e:b binds ?o
+		// to "1" before e:c is joined, so s's "9" is no solution (the
+		// flattened LeftJoin(P1 ∪ P2, O) would keep it).
+		{`SELECT ?s ?o { ?s e:a ?x . OPTIONAL { ?s e:b ?o } ?s e:c ?o }`, `Ihttp://e/s|L1 Ihttp://e/t|L9`},
+		// The filter drops s's extension, and with it s.
+		{`SELECT ?s ?o { ?s e:a ?x . OPTIONAL { ?s e:b ?o } ?s e:c ?o FILTER (?o > 5) }`, `Ihttp://e/t|L9`},
+	} {
+		res, err := execute(g, "PREFIX e: <http://e/>\n"+tc.query)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.query, err)
+		}
+		var rows []string
+		for _, r := range res.Canonical() {
+			rows = append(rows, strings.ReplaceAll(r, "\x1f", "|"))
+		}
+		if got := strings.Join(rows, " "); got != tc.want {
+			t.Errorf("%s\nrows %s, want %s", tc.query, got, tc.want)
+		}
+	}
+}

@@ -96,10 +96,19 @@ type GroupGraphPattern struct {
 	Triples    []TriplePattern
 	Filters    []Filter
 	SubSelects []*SelectQuery
-	// Optionals holds the triple patterns of OPTIONAL { ... } blocks, one
-	// slice per block. The analytical subset supports blocks of one triple
-	// pattern whose subject variable the required part binds.
-	Optionals [][]TriplePattern
+	// Optionals holds the OPTIONAL { ... } blocks in source order. The
+	// analytical subset supports blocks of one triple pattern whose subject
+	// variable the required patterns before the block bind.
+	Optionals []Optional
+}
+
+// Optional is one OPTIONAL { ... } block of a group. SPARQL left-joins it
+// with what precedes it in the group and joins the result with what
+// follows: { P1 OPTIONAL { O } P2 } is Join(LeftJoin(P1, O), P2).
+type Optional struct {
+	// After is how many of the group's triple patterns precede the block.
+	After   int
+	Triples []TriplePattern
 }
 
 // Node is a triple-pattern position: either a variable or a concrete term.

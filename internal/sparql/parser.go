@@ -491,7 +491,7 @@ func (p *parser) parseGroupGraphPattern() (*GroupGraphPattern, error) {
 			if err != nil {
 				return nil, err
 			}
-			g.Optionals = append(g.Optionals, block)
+			g.Optionals = append(g.Optionals, Optional{After: len(g.Triples), Triples: block})
 			if p.isPunct(".") {
 				if err := p.advance(); err != nil {
 					return nil, err

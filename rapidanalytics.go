@@ -564,9 +564,6 @@ func (p *PreparedQuery) Execute(ctx context.Context) (*Result, *Stats, error) {
 // System returns the system the plan was prepared for.
 func (p *PreparedQuery) System() System { return p.sys }
 
-// Normalized renders the prepared query in canonical SPARQL form.
-func (p *PreparedQuery) Normalized() string { return p.q.Normalized() }
-
 // CacheHit reports whether Prepare served this plan from the cache.
 func (p *PreparedQuery) CacheHit() bool { return p.cacheHit }
 
@@ -600,9 +597,6 @@ type Compiled struct {
 	aq     *algebra.AnalyticalQuery
 	parsed *sparql.Query
 	src    string
-
-	normOnce sync.Once
-	norm     string
 }
 
 // Compile parses and validates a SPARQL analytical query. Syntax failures
@@ -618,14 +612,6 @@ func Compile(query string) (*Compiled, error) {
 		return nil, fmt.Errorf("%w: %w", ErrUnsupported, err)
 	}
 	return &Compiled{aq: aq, parsed: parsed, src: query}, nil
-}
-
-// Normalized renders the query in canonical SPARQL form (sorted prologue,
-// compacted IRIs, grouped predicate lists). The rendering is memoised: the
-// serving layer calls this on every execution to key the result cache.
-func (c *Compiled) Normalized() string {
-	c.normOnce.Do(func() { c.norm = sparql.Format(c.parsed) })
-	return c.norm
 }
 
 func (s *Store) run(ctx context.Context, sys System, q *Compiled) (*Result, *Stats, error) {
@@ -659,11 +645,12 @@ func (s *Store) run(ctx context.Context, sys System, q *Compiled) (*Result, *Sta
 	if err != nil {
 		return nil, nil, err
 	}
-	// Result cache: the key folds in the data version, so a mutation makes
-	// every prior entry unaddressable — stale results cannot be served.
+	// Result cache: keyed by the query text, as the plan cache is; the key
+	// folds in the data version, so a mutation makes every prior entry
+	// unaddressable — stale results cannot be served.
 	var resultKey plancache.Key
 	if s.results != nil {
-		resultKey = plancache.VersionedKey("res:"+string(sys), s.currentDataVersion(), q.Normalized())
+		resultKey = plancache.VersionedKey("res:"+string(sys), s.currentDataVersion(), q.src)
 		if v, ok := s.results.Get(resultKey); ok {
 			hit := v.(*Result)
 			sp := root.StartChild(obs.KindPlanner, "cache-hit")

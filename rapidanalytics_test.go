@@ -400,21 +400,6 @@ func TestMutationReclaimsSupersededDiskLoad(t *testing.T) {
 	}
 }
 
-func TestNormalized(t *testing.T) {
-	q, err := Compile(apiQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := q.Normalized()
-	q2, err := Compile(text)
-	if err != nil {
-		t.Fatalf("normalized query does not compile: %v\n%s", err, text)
-	}
-	if q2.Normalized() != text {
-		t.Error("Normalized is not idempotent")
-	}
-}
-
 func TestConcurrentQueries(t *testing.T) {
 	s := apiStore()
 	var wg sync.WaitGroup

@@ -78,6 +78,41 @@ func TestResultCacheServesIdenticalResult(t *testing.T) {
 	}
 }
 
+// TestResultCacheKeyedByText checks both sides of the result-cache key:
+// the same text hits, and a respaced text, which the key does not
+// canonicalise, misses and answers the same rows.
+func TestResultCacheKeyedByText(t *testing.T) {
+	opts := ra.DefaultOptions()
+	opts.ResultCacheBytes = 1 << 20
+	store := buildShopWith(t, opts)
+
+	first, _, err := store.Query(ra.RAPIDAnalytics, exampleQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, st, err := store.Query(ra.RAPIDAnalytics, exampleQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.ResultCacheHit {
+		t.Fatal("the same text missed the result cache")
+	}
+	respaced := strings.ReplaceAll(exampleQuery, "SELECT", "SELECT  ")
+	other, st, err := store.Query(ra.RAPIDAnalytics, respaced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ResultCacheHit {
+		t.Fatal("a respaced text hit the result cache")
+	}
+	if st.MRCycles == 0 {
+		t.Error("a result-cache miss ran no MR cycles")
+	}
+	if canonRows(other) != canonRows(first) {
+		t.Fatalf("a respaced text answered differently:\n%s\nvs\n%s", canonRows(other), canonRows(first))
+	}
+}
+
 // TestResultCacheHitTraced checks a WithTracing execution served from the
 // cache still captures a span tree, tagged with the cache-hit span.
 func TestResultCacheHitTraced(t *testing.T) {
