@@ -41,6 +41,20 @@ func StoreFS(s *Store) (*dfs.FS, error) {
 	return c.FS, nil
 }
 
+// RetainedScratch returns the bytes the free list of s's loaded cluster
+// holds for reuse, by kind (mapred.Cluster.RetainedScratch). No query may
+// run meanwhile.
+func RetainedScratch(s *Store) (pages, entries, values, builders int64, err error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	c, _, err := s.ensureLoaded()
+	if err != nil {
+		return 0, 0, 0, 0, err
+	}
+	pages, entries, values, builders = c.RetainedScratch()
+	return pages, entries, values, builders, nil
+}
+
 // ReferenceRows evaluates query on the reference oracle directly, as
 // rendered rows, without Compile's check that the engines accept it.
 func ReferenceRows(s *Store, query string) ([][]string, error) {

@@ -631,7 +631,7 @@ SELECT ?g ?h ?n ?m {
 				t.Error(err)
 			}
 		})
-		if got := len(m.indexes[0]); got != 10 {
+		if got := len(m.indexes[0].group); got != 10 {
 			t.Errorf("the index holds %d keys, want 10", got)
 		}
 		return m

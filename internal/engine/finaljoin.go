@@ -55,7 +55,7 @@ type finalJoinMapper struct {
 	// that hold term keys, shared by the job's tasks.
 	cols, joinCols [][]string
 	keyCols        map[string]bool
-	indexes        []map[string][]codec.Tuple // lazy hash indexes per side
+	indexes        []sideIndex // lazy hash indexes per side
 
 	// Scratch reused across records: the decoded record, the partial row,
 	// the join key, the columns each recursion depth added, the projected
@@ -63,7 +63,7 @@ type finalJoinMapper struct {
 	rec   codec.Tuple
 	row   map[string]string
 	key   []byte
-	keys  []byte // the broadcast sides' keys, back to back (sideKey)
+	keys  []byte // the broadcast sides' distinct keys, back to back
 	added [][]string
 	out   codec.Tuple
 	buf   []byte
@@ -154,34 +154,73 @@ func (m *finalJoinMapper) buildIndexes() error {
 			return fmt.Errorf("engine: reading side input %s: %w", name, err)
 		}
 	}
-	m.indexes = make([]map[string][]codec.Tuple, n-1)
+	m.indexes = make([]sideIndex, n-1)
 	for i := range m.indexes {
-		idx := map[string][]codec.Tuple{}
-		pos := columnPositions(m.cols[i+1], m.joinCols[i+1])
-		for _, r := range splitRows(fields[i], ends[i]) {
-			k := m.sideKey(r, pos)
-			idx[k] = append(idx[k], r)
-		}
-		m.indexes[i] = idx
+		m.indexes[i] = m.indexSide(fields[i], ends[i], columnPositions(m.cols[i+1], m.joinCols[i+1]))
 	}
 	return nil
 }
 
-// sideKey returns side row r's key on the join columns at pos, in the form
-// extend probes with, as a view of m.keys: each key is appended there and
-// its bytes never change, so the index may keep it.
-func (m *finalJoinMapper) sideKey(r codec.Tuple, pos []int) string {
-	start := len(m.keys)
-	for k, p := range pos {
-		if k > 0 {
-			m.keys = append(m.keys, 0x1f)
-		}
-		if p >= 0 {
-			m.keys = append(m.keys, r[p]...)
-		}
+// sideIndex hashes one broadcast side's rows on their join key. Row i is
+// fields[ends[i-1]:ends[i]]; a key's rows are chained in record order
+// from its group's head through next, so the index allocates per side and
+// per growth, not per key or row.
+type sideIndex struct {
+	fields codec.Tuple
+	ends   []int
+	group  map[string]int32 // a key's group
+	heads  []int32          // a group's first row
+	next   []int32          // the row after row i in its key's group, or -1
+}
+
+// row returns row i.
+func (x *sideIndex) row(i int32) codec.Tuple {
+	start := 0
+	if i > 0 {
+		start = x.ends[i-1]
 	}
-	k := m.keys[start:]
-	return unsafe.String(unsafe.SliceData(k), len(k))
+	end := x.ends[i]
+	return x.fields[start:end:end]
+}
+
+// first returns the first row of key's group, or -1 when no row holds key.
+func (x *sideIndex) first(key []byte) int32 {
+	if g, ok := x.group[string(key)]; ok {
+		return x.heads[g]
+	}
+	return -1
+}
+
+// indexSide indexes the rows of one side on the join columns at pos,
+// walking them backwards so that each row goes in front of its group's
+// chain. A key is built in m.key, in the form extend probes with; each
+// distinct key is copied into m.keys, whose bytes never change, and the
+// index keeps it as a view.
+func (m *finalJoinMapper) indexSide(fields codec.Tuple, ends []int, pos []int) sideIndex {
+	x := sideIndex{fields: fields, ends: ends, group: map[string]int32{}, next: make([]int32, len(ends))}
+	for i := int32(len(ends)) - 1; i >= 0; i-- {
+		r := x.row(i)
+		m.key = m.key[:0]
+		for k, p := range pos {
+			if k > 0 {
+				m.key = append(m.key, 0x1f)
+			}
+			if p >= 0 {
+				m.key = append(m.key, r[p]...)
+			}
+		}
+		g, ok := x.group[string(m.key)]
+		if !ok {
+			start := len(m.keys)
+			m.keys = append(m.keys, m.key...)
+			g = int32(len(x.heads))
+			x.group[unsafe.String(unsafe.SliceData(m.keys[start:]), len(m.key))] = g
+			x.heads = append(x.heads, -1)
+		}
+		x.next[i] = x.heads[g]
+		x.heads[g] = i
+	}
+	return x
 }
 
 // extend joins the partial row with subquery i's rows and recurses;
@@ -199,7 +238,9 @@ func (m *finalJoinMapper) extend(i int, emit mapred.Emit) {
 		m.key = append(m.key, m.row[c]...)
 	}
 	cols := m.cols[i]
-	for _, r := range m.indexes[i-1][string(m.key)] {
+	idx := &m.indexes[i-1]
+	for j := idx.first(m.key); j >= 0; j = idx.next[j] {
+		r := idx.row(j)
 		added := m.added[i][:0]
 		ok := true
 		for j, c := range cols {

@@ -8,12 +8,12 @@ import "context"
 // once it is, so a caller running a chain of jobs stops at the next cycle.
 // The copy shares the file system and cost-model configuration with the
 // original, so the serving layer can bind one long-lived cluster to many
-// per-request contexts concurrently. The copy gets its own free list of
-// task scratch (freeList), which dies with the query.
+// per-request contexts concurrently. The copy also shares the cluster's
+// free list of task scratch (freeList), so a query starts from the scratch
+// the last one handed back.
 func (c *Cluster) WithContext(ctx context.Context) *Cluster {
 	cp := *c
 	cp.ctx = ctx
-	cp.free = newFreeList()
 	return &cp
 }
 

@@ -1,12 +1,22 @@
 package mapred
 
-import "rapidanalytics/internal/vec"
+import (
+	"unsafe"
 
-// freeList is a query's free list of task scratch, made by WithContext, so
-// it dies with the query: the entry pages of map tasks (freePages at most,
-// 4 MiB), and the batch builders, entry scratch and values scratch of map
-// tasks and reduce partitions (freeScratch of each). A value handed back
-// to a full list is left to the collector; a nil list recycles nothing.
+	"rapidanalytics/internal/vec"
+)
+
+// freeList is a cluster's free list of task scratch, made with the cluster
+// and shared by its WithContext copies, so it lives as long as the cluster
+// and no query grows again what the last one handed back: the entry pages
+// of map tasks (freePages at most, 4 MiB), the batch builders of map-only
+// tasks, spill runs and reduce partitions, and the entry scratch and
+// values scratch of map tasks and reduce partitions (freeScratch of each
+// kind). It holds only reset or cleared scratch that
+// refers to no query's data: builders are reset, and values scratch comes
+// back cleared by reduceGroups. A value handed back to a full list is left
+// to the collector; a nil list recycles nothing. Its channels make it safe
+// for concurrent queries.
 type freeList struct {
 	pages    chan *entryPage
 	builders chan *vec.Builder
@@ -17,7 +27,7 @@ type freeList struct {
 	poison bool
 }
 
-// freePages bounds the pages a query keeps for reuse (4 MiB). freeScratch
+// freePages bounds the pages a cluster keeps for reuse (4 MiB). freeScratch
 // bounds the builders, entry scratches and values scratches: a phase's
 // pool runs GOMAXPROCS tasks at once, each holding at most one of each, so
 // 8 keeps them all on machines of up to 8 cores and lets a bigger pool's
@@ -123,13 +133,44 @@ func (l *freeList) valueScratch() [][]byte {
 	return take(l.values)
 }
 
-// putValueScratch hands s back cleared, so the list pins no arena.
+// putValueScratch hands s back. reduceGroups clears every group's values
+// once it is reduced, so s refers to no arena and the list pins none.
 func (l *freeList) putValueScratch(s [][]byte) {
 	if l == nil || cap(s) == 0 {
 		return
 	}
-	clear(s[:cap(s)])
 	give(l.values, s[:0])
+}
+
+// RetainedScratch returns the bytes c's free list holds for reuse, by kind:
+// its entry pages, and the capacity of its entry scratches, values
+// scratches and builders. It takes every value off the list and hands it
+// back, so it is exact only while no job runs.
+func (c *Cluster) RetainedScratch() (pages, entries, values, builders int64) {
+	l := c.free
+	if l == nil {
+		return 0, 0, 0, 0
+	}
+	pages = int64(len(l.pages)) * int64(unsafe.Sizeof(entryPage{}))
+	entries = retained(l.entries, func(s []entry) int64 { return int64(cap(s)) * int64(unsafe.Sizeof(entry{})) })
+	values = retained(l.values, func(s [][]byte) int64 { return int64(cap(s)) * int64(unsafe.Sizeof([]byte(nil))) })
+	builders = retained(l.builders, func(bu *vec.Builder) int64 { return int64(bu.ScratchBytes()) })
+	return pages, entries, values, builders
+}
+
+// retained sums size over the values ch holds, handing each back.
+func retained[T any](ch chan T, size func(T) int64) int64 {
+	var n int64
+	for range len(ch) {
+		select {
+		case v := <-ch:
+			n += size(v)
+			give(ch, v)
+		default:
+			return n
+		}
+	}
+	return n
 }
 
 func poisonEntries(s []entry) {

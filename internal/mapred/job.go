@@ -321,8 +321,9 @@ type Cluster struct {
 	Scans ScanProvider
 
 	ctx context.Context
-	// free is the query's free list of task scratch (WithContext), nil
-	// outside a query.
+	// free is the cluster's free list of task scratch, made with the
+	// cluster and shared by its WithContext copies, so it lives as long as
+	// the cluster: for a Store, as long as one load.
 	free *freeList
 	// testWorkers, when positive, replaces maxParallel as the size of the
 	// map and shuffle/reduce pools. Only this package's determinism tests
@@ -348,10 +349,10 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	if err != nil {
 		panic("mapred: " + err.Error())
 	}
-	return &Cluster{FS: fs, Config: cfg}
+	return NewClusterFS(cfg, fs)
 }
 
 // NewClusterFS returns a cluster over the given file system.
 func NewClusterFS(cfg ClusterConfig, fs *dfs.FS) *Cluster {
-	return &Cluster{FS: fs, Config: cfg}
+	return &Cluster{FS: fs, Config: cfg, free: newFreeList()}
 }

@@ -23,7 +23,7 @@ func partitionKeys(partitions, p, n int) []string {
 // page less one, a page, a page and one, several pages and a part — gives
 // the reference shuffle's output, with and without a combiner, unspilled
 // and spilled at a tiny threshold, on one and two workers, with pages from
-// no free list and from a poisoned one.
+// a fresh free list and from a poisoned one.
 func TestPagedRunsMatchReference(t *testing.T) {
 	const partitions = 2
 	keys := [partitions][]string{partitionKeys(partitions, 0, 7), partitionKeys(partitions, 1, 7)}
@@ -52,14 +52,18 @@ func TestPagedRunsMatchReference(t *testing.T) {
 // The free list never holds more than freePages pages, however many a
 // query hands back, nor more than freeScratch builders or values scratches;
 // the builders come back empty and the values scratch cleared, so the list
-// pins no arena. A cluster outside any query, which has none, gives the
-// same output.
+// pins no arena. A query (a WithContext copy) shares its cluster's list,
+// and a cluster with none, which recycles nothing, gives the same output.
 func TestPageFreeListBounded(t *testing.T) {
 	var out [][]string
-	for _, inQuery := range []bool{false, true} {
-		c := NewCluster(DefaultConfig())
-		if inQuery {
-			c = c.WithContext(context.Background())
+	for _, withList := range []bool{false, true} {
+		base := NewCluster(DefaultConfig())
+		if !withList {
+			base.free = nil
+		}
+		c := base.WithContext(context.Background())
+		if c.free != base.free {
+			t.Error("a query has a free list of its own, not its cluster's")
 		}
 		writeLines(c, "in", 1, "x")
 		var buf []byte
@@ -86,32 +90,31 @@ func TestPageFreeListBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 		out = append(out, readLines(t, c, "out"))
-		if inQuery {
-			if n := len(c.free.pages); n > freePages || cap(c.free.pages) != freePages {
-				t.Errorf("free list holds %d pages (capacity %d), bound %d", n, cap(c.free.pages), freePages)
-			} else if n == 0 {
-				t.Error("no page came back to the free list")
+		if !withList {
+			continue
+		}
+		if n := len(c.free.pages); n > freePages || cap(c.free.pages) != freePages {
+			t.Errorf("free list holds %d pages (capacity %d), bound %d", n, cap(c.free.pages), freePages)
+		} else if n == 0 {
+			t.Error("no page came back to the free list")
+		}
+		if len(c.free.builders) == 0 || len(c.free.builders) > freeScratch || len(c.free.values) == 0 || len(c.free.values) > freeScratch {
+			t.Errorf("free list holds %d builders and %d values scratches, want 1 to %d", len(c.free.builders), len(c.free.values), freeScratch)
+		}
+		for range len(c.free.builders) {
+			bu := <-c.free.builders
+			if bu.Flush() != nil {
+				t.Error("a builder came back holding records")
 			}
-			if len(c.free.builders) == 0 || len(c.free.builders) > freeScratch || len(c.free.values) == 0 || len(c.free.values) > freeScratch {
-				t.Errorf("free list holds %d builders and %d values scratches, want 1 to %d", len(c.free.builders), len(c.free.values), freeScratch)
+		}
+		for range len(c.free.values) {
+			vs := <-c.free.values
+			if len(vs) != 0 || slices.ContainsFunc(vs[:cap(vs)], func(v []byte) bool { return v != nil }) {
+				t.Errorf("a values scratch came back holding %d values: %q", len(vs), vs[:cap(vs)])
 			}
-			for range len(c.free.builders) {
-				bu := <-c.free.builders
-				if bu.Flush() != nil {
-					t.Error("a builder came back holding records")
-				}
-			}
-			for range len(c.free.values) {
-				vs := <-c.free.values
-				if len(vs) != 0 || slices.ContainsFunc(vs[:cap(vs)], func(v []byte) bool { return v != nil }) {
-					t.Errorf("a values scratch came back holding %d values: %q", len(vs), vs[:cap(vs)])
-				}
-			}
-		} else if c.free != nil {
-			t.Error("a cluster outside a query has a free list")
 		}
 	}
 	if !slices.Equal(out[0], out[1]) {
-		t.Errorf("output in a query %q, outside %q", out[1], out[0])
+		t.Errorf("output with a free list %q, without %q", out[1], out[0])
 	}
 }

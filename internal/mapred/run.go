@@ -421,7 +421,7 @@ func (c *Cluster) runMapPhase(job *Job, splits []split, side map[string]*dfs.Fil
 // reducePartition sorts nothing (the merged run is prepared by the
 // shuffle phase); it runs the reducer over one partition's key groups,
 // buffering output records as sealed batches and volume counts into st.
-// Its builder and values scratch come from the query's free list.
+// Its builder and values scratch come from the cluster's free list.
 func (c *Cluster) reducePartition(job *Job, st *partState, abort *abortSignal) error {
 	check := c.checker(abort)
 	if err := check(); err != nil {
@@ -636,20 +636,24 @@ func (c *Cluster) openSideInputs(job *Job, m *Metrics, open *[]*dfs.File) (map[s
 // the task continues with a fresh arena. check covers both context
 // cancellation and sibling-task failure, and is consulted between records
 // and inside the combiner. A spill or a combiner sorts or combines a
-// partition's paged entries in one task scratch. The builder, the entry
-// scratch and the values scratch come from the query's free list and go
-// back to it when the task ends.
+// partition's paged entries in one task scratch. A map-only task takes a
+// builder from the cluster's free list, any other task an entry scratch
+// and a values scratch; both go back to it when the task ends.
 func (c *Cluster) runMapTask(job *Job, taskIdx int, sp split, side map[string]*dfs.File, partitions int, abort *abortSignal, tspan *obs.Span) (taskResult, error) {
 	check := c.checker(abort)
 	tc := &TaskContext{InputFile: sp.file, sideData: side}
 	mapper := job.NewMapper(tc)
 	var ar *arena
 	var parts []pagedRun
-	scratch, values := c.free.entryScratch(), c.free.valueScratch()
-	defer func() {
-		c.free.putEntryScratch(scratch)
-		c.free.putValueScratch(values)
-	}()
+	var scratch []entry
+	var values [][]byte
+	if !job.MapOnly() {
+		scratch, values = c.free.entryScratch(), c.free.valueScratch()
+		defer func() {
+			c.free.putEntryScratch(scratch)
+			c.free.putValueScratch(values)
+		}()
+	}
 	var res taskResult
 	threshold := c.Config.SpillThresholdBytes
 	canSpill := threshold > 0 && !job.MapOnly()
@@ -688,8 +692,6 @@ func (c *Cluster) runMapTask(job *Job, taskIdx int, sp split, side map[string]*d
 			res.spillBytes += ref.bytes
 		}
 		spillRunIdx++
-		// The combines' values scratch must not pin the arena left behind.
-		clear(values[:cap(values)])
 		ar = &arena{}
 		return nil
 	}

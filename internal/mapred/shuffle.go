@@ -23,7 +23,7 @@ import (
 // A map task writes each partition's entries to fixed-size pages, as
 // Hadoop's collector fills a fixed buffer, instead of growing a slice, and
 // copies them once at task end or spill (pagedRun.flatten). pageEntries is
-// a page's entry count. Pages come from the query's free list (free.go).
+// a page's entry count. Pages come from the cluster's free list (free.go).
 const pageEntries = 512
 
 type entryPage [pageEntries]entry
@@ -282,8 +282,9 @@ func (h *mergeHeap) down(i int) {
 
 // reduceGroups calls red once per group of equal keys in the sorted run r,
 // whose bytes t resolves, and returns the number of groups. The caller's
-// values scratch is reused from group to group and left holding the last
-// group's values. check runs before every ctxCheckInterval-th group.
+// values scratch is reused from group to group and cleared once each group
+// is reduced, so it never refers to an arena and may go back to the
+// cluster's free list. check runs before every ctxCheckInterval-th group.
 func reduceGroups(red Reducer, t arenas, r []entry, values *[][]byte, emit Emit, check func() error) (int64, error) {
 	var groups int64
 	for i := 0; i < len(r); {
@@ -300,7 +301,9 @@ func reduceGroups(red Reducer, t arenas, r []entry, values *[][]byte, emit Emit,
 		*values = vs
 		key := t.key(first)
 		groups++
-		if err := red.Reduce(key, vs, emit); err != nil {
+		err := red.Reduce(key, vs, emit)
+		clear(vs)
+		if err != nil {
 			return groups, fmt.Errorf("reduce key %q: %w", key, err)
 		}
 	}

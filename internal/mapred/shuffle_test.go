@@ -179,10 +179,10 @@ func FuzzShuffleMatchesReference(f *testing.F) {
 }
 
 // checkShuffleCase runs sc through Run at every spill threshold and worker
-// count, on a cluster outside a query (no page free list) and on one bound
-// to a context whose free list poisons every page handed back: the groups,
-// their value order, Volumes() and the spill counts must equal the
-// reference's.
+// count, on a cluster with a fresh free list and in a query on one whose
+// free list poisons every page handed back and already holds a previous
+// query's scratch: the groups, their value order, Volumes() and the spill
+// counts must equal the reference's.
 func checkShuffleCase(t *testing.T, sc shuffleCase, thresholds []int64, workerCounts []int) {
 	t.Helper()
 	for _, threshold := range thresholds {
@@ -197,16 +197,12 @@ func checkShuffleCase(t *testing.T, sc shuffleCase, thresholds []int64, workerCo
 			}
 		}
 		for _, workers := range workerCounts {
-			for _, inQuery := range []bool{false, true} {
+			for _, poisoned := range []bool{false, true} {
 				cfg := DefaultConfig()
 				cfg.ExecSplitBytes = int64(8 * sc.recsPerTask)
 				cfg.SpillThresholdBytes = threshold
 				c := NewCluster(cfg)
 				c.testWorkers = workers
-				if inQuery {
-					c = c.WithContext(context.Background())
-					c.free.poison = true
-				}
 				w, err := c.FS.Create("in", 1)
 				if err != nil {
 					t.Fatal(err)
@@ -217,12 +213,23 @@ func checkShuffleCase(t *testing.T, sc shuffleCase, thresholds []int64, workerCo
 				if err := w.Close(); err != nil {
 					t.Fatal(err)
 				}
+				if poisoned {
+					c.free.poison = true
+					// A previous query leaves its scratch, poisoned, on
+					// the cluster's list.
+					warm := sc.job()
+					warm.Output = "warm"
+					if _, err := c.WithContext(context.Background()).Run(warm); err != nil {
+						t.Fatal(err)
+					}
+					c = c.WithContext(context.Background())
+				}
 				m, err := c.Run(sc.job())
 				if err != nil {
-					t.Fatalf("threshold %d, workers %d, in query %v: %v", threshold, workers, inQuery, err)
+					t.Fatalf("threshold %d, workers %d, poisoned %v: %v", threshold, workers, poisoned, err)
 				}
 				if got := readLines(t, c, "out"); !slices.Equal(got, wantOut) {
-					t.Fatalf("threshold %d, workers %d, in query %v: groups\n%q\nwant\n%q", threshold, workers, inQuery, got, wantOut)
+					t.Fatalf("threshold %d, workers %d, poisoned %v: groups\n%q\nwant\n%q", threshold, workers, poisoned, got, wantOut)
 				}
 				ref := m.Volumes()
 				ref.MapEmitRecords, ref.MapOutputRecords, ref.MapOutputBytes = want.MapEmitRecords, want.MapOutputRecords, want.MapOutputBytes
@@ -230,7 +237,7 @@ func checkShuffleCase(t *testing.T, sc shuffleCase, thresholds []int64, workerCo
 				ref.ReduceGroups = want.ReduceGroups
 				c.Config.cost(&ref)
 				if got := m.Volumes(); got != ref {
-					t.Fatalf("threshold %d, workers %d, in query %v: volumes\n%+v\nwant\n%+v", threshold, workers, inQuery, got, ref)
+					t.Fatalf("threshold %d, workers %d, poisoned %v: volumes\n%+v\nwant\n%+v", threshold, workers, poisoned, got, ref)
 				}
 			}
 		}
@@ -395,8 +402,8 @@ func (c shuffleCase) mapOnlyJob(repeat int, stream bool) *Job {
 // says so, every record's pairs repeated past one batch — through Run and
 // through the entry-and-Write reference (shuffleref_test.go):
 // materialised, streamed, and streamed into an overflow at the first batch
-// or mid-output, on one and two workers, outside a query and in one whose
-// free list poisons every builder handed back, where a second job runs on
+// or mid-output, on one and two workers, with a fresh free list and with
+// one that poisons every builder handed back, where a second job runs on
 // the recycled builders. The records, their order and every volume but
 // StreamedBatches must be equal, and the output must stay streamed in both
 // or in neither.
@@ -414,11 +421,11 @@ func FuzzMapOnlyMatchesReference(f *testing.F) {
 			data = data[1:]
 		}
 		sc := decodeShuffleCase(data)
-		cluster := func(workers int, overflow int64, inQuery bool) *Cluster {
+		cluster := func(workers int, overflow int64, poisoned bool) *Cluster {
 			cfg := DefaultConfig()
 			cfg.ExecSplitBytes = int64(8 * sc.recsPerTask)
 			c := NewCluster(cfg)
-			if inQuery {
+			if poisoned {
 				c = c.WithContext(context.Background())
 				c.free.poison = true
 			}
@@ -447,8 +454,8 @@ func FuzzMapOnlyMatchesReference(f *testing.F) {
 			}
 			wantOut := readLines(t, ref, "out")
 			for _, workers := range []int{1, 2} {
-				for _, inQuery := range []bool{false, true} {
-					c := cluster(workers, mode.overflow, inQuery)
+				for _, poisoned := range []bool{false, true} {
+					c := cluster(workers, mode.overflow, poisoned)
 					// A second job on the same cluster takes the builders
 					// the first handed back: its output must not show
 					// through the first's.
@@ -457,21 +464,21 @@ func FuzzMapOnlyMatchesReference(f *testing.F) {
 						job := sc.mapOnlyJob(repeat, mode.stream)
 						job.Output = out
 						if m, err = c.Run(job); err != nil {
-							t.Fatalf("%+v, workers %d, in query %v: %v", mode, workers, inQuery, err)
+							t.Fatalf("%+v, workers %d, poisoned %v: %v", mode, workers, poisoned, err)
 						}
 					}
 					for _, out := range []string{"out", "again"} {
 						if got := readLines(t, c, out); !slices.Equal(got, wantOut) {
-							t.Fatalf("%+v, workers %d, in query %v: %s records\n%q\nwant\n%q", mode, workers, inQuery, out, got, wantOut)
+							t.Fatalf("%+v, workers %d, poisoned %v: %s records\n%q\nwant\n%q", mode, workers, poisoned, out, got, wantOut)
 						}
 					}
 					got, ref := m.Volumes(), want.Volumes()
 					if (got.StreamedBatches > 0) != (ref.StreamedBatches > 0) {
-						t.Fatalf("%+v, workers %d, in query %v: %d streamed batches, reference %d", mode, workers, inQuery, got.StreamedBatches, ref.StreamedBatches)
+						t.Fatalf("%+v, workers %d, poisoned %v: %d streamed batches, reference %d", mode, workers, poisoned, got.StreamedBatches, ref.StreamedBatches)
 					}
 					got.StreamedBatches, ref.StreamedBatches = 0, 0
 					if got != ref {
-						t.Fatalf("%+v, workers %d, in query %v: volumes\n%+v\nwant\n%+v", mode, workers, inQuery, got, ref)
+						t.Fatalf("%+v, workers %d, poisoned %v: volumes\n%+v\nwant\n%+v", mode, workers, poisoned, got, ref)
 					}
 				}
 			}

@@ -85,8 +85,10 @@ func noteHighWater(hw *atomic.Int64, n int64) {
 
 // writeSpillRun materialises one sorted run of a's entries, attaching a
 // spill-write io span under the task span when tracing. A record is
-// uvarint(len(key)) || key || value, built in one reused buffer that the
-// Writer copies into its batch.
+// uvarint(len(key)) || key || value, built in one reused buffer and copied
+// into a builder from the cluster's free list, whose sealed batches the
+// Writer takes as they are: the same DefaultBatchRows batches the Writer's
+// own builder would seal, without growing its scratch once per run.
 func (c *Cluster) writeSpillRun(name string, a *arena, run []entry, tspan *obs.Span, check func() error) (spillRef, error) {
 	w, err := c.FS.Create(name, 1)
 	if err != nil {
@@ -98,6 +100,8 @@ func (c *Cluster) writeSpillRun(name string, a *arena, run []entry, tspan *obs.S
 	}
 	w.SetSpan(sspan)
 	ref := spillRef{file: name, records: int64(len(run))}
+	bu := c.free.builder()
+	defer c.free.putBuilder(bu)
 	werr := func() error {
 		var rec []byte
 		for i, e := range run {
@@ -108,8 +112,9 @@ func (c *Cluster) writeSpillRun(name string, a *arena, run []entry, tspan *obs.S
 			}
 			ref.bytes += e.size()
 			rec = append(binary.AppendUvarint(rec[:0], uint64(e.klen)), a.pair(e)...)
-			w.Write(rec)
+			w.WriteBatch(bu.Append(rec))
 		}
+		w.WriteBatch(bu.Flush())
 		return nil
 	}()
 	sspan.End()

@@ -138,7 +138,7 @@ func TestSpillRunsCleanedUp(t *testing.T) {
 }
 
 // The full matrix: worker counts x spill thresholds x backends x entry
-// pages from no free list or a poisoned one must all produce the same
+// pages from a fresh free list or a poisoned one must all produce the same
 // output bytes (the determinism contract extended to storage and
 // spilling), for the word count and for a job whose decoded ID fields are
 // views of its records and values (idJoinJob).

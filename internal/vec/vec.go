@@ -118,6 +118,10 @@ func (bu *Builder) Flush() *Batch {
 // starts empty.
 func (bu *Builder) Reset() { bu.data, bu.offs = bu.data[:0], bu.offs[:0] }
 
+// ScratchBytes returns the capacity of the builder's scratch in bytes: what
+// it keeps from batch to batch.
+func (bu *Builder) ScratchBytes() int { return cap(bu.data) + 4*cap(bu.offs) }
+
 // Poison overwrites the whole of the builder's scratch with 0xFF bytes and
 // drops the open batch. Tests of recycled builders poison every builder
 // handed back, so a sealed batch that shared the scratch would read back

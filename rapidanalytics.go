@@ -109,10 +109,11 @@ type Options struct {
 	// are identical either way. Disabled by DefaultOptions; the serving
 	// layer (cmd/rapidserver) enables it.
 	SharedScans bool
-	// ResultCacheBytes bounds a byte-budget LRU caching final query results
-	// and reusable composite sub-relations, keyed by (system, canonical
-	// query form, data version) so no entry survives a data mutation. 0
-	// disables result caching (the default).
+	// ResultCacheBytes bounds a byte-budget LRU caching final query results,
+	// keyed by (system, query text, data version), and reusable composite
+	// sub-relations, keyed by the core's sub-relation key and the data
+	// version, so no entry survives a data mutation. 0 disables result
+	// caching (the default).
 	ResultCacheBytes int64
 }
 
