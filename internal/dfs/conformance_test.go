@@ -13,10 +13,9 @@ import (
 // The conformance suite runs every column through the semantics the
 // package documents: snapshot reads, truncate-on-Create, delete-while-open,
 // sorted listing, compression accounting and concurrent writer safety. The
-// columns are the two backends, a stream, and a stream that overflows to
-// the mem backend at its first batch of content. All must pass identically
-// — engines never know which one they run on — except that a live stream
-// is neither listed nor counted in stored bytes.
+// columns are the two backends and the FS's in-memory registry. All must
+// pass identically — engines never know which one they run on — except
+// that a registered file is neither listed nor counted in stored bytes.
 
 // column is one column of the suite: an FS and how its files are created.
 type column struct {
@@ -28,14 +27,6 @@ type column struct {
 }
 
 func columns(t *testing.T) map[string]func() column {
-	stream := func(spill int64) func() column {
-		return func() column {
-			fs := New()
-			return column{fs, func(name string, ratio float64) (*Writer, error) {
-				return fs.CreateStream(name, ratio, spill)
-			}, spill > 0}
-		}
-	}
 	return map[string]func() column{
 		"mem": func() column {
 			fs := New()
@@ -48,8 +39,10 @@ func columns(t *testing.T) map[string]func() column {
 			}
 			return column{fs, fs.Create, true}
 		},
-		"stream":   stream(0),
-		"overflow": stream(1),
+		"stream": func() column {
+			fs := New()
+			return column{fs, fs.CreateStream, false}
+		},
 	}
 }
 
@@ -251,7 +244,7 @@ func TestConformanceOpenHandles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sw, err := c.CreateStream("s", 1, 0)
+		sw, err := c.CreateStream("s", 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,16 +1,16 @@
 // Package dfs implements the simulated HDFS the MapReduce engine reads job
-// inputs from and materialises job outputs to: named files of byte records
-// with exact byte accounting and per-file compression ratios (modelling
+// inputs from and writes job outputs to: named files of byte records with
+// exact byte accounting and per-file compression ratios (modelling
 // columnar formats such as ORC, whose aggressive compression reduces stored
 // bytes — and therefore map-task counts — while adding decompression work).
 //
 // Records travel as sealed vec.Batch arenas: a Writer copies the records
-// written to it into batches, and every write reaches the storage backend
-// as one sealed batch (FileWriter.AppendBatch). Storage is pluggable
-// through the Backend interface. Two backends exist: the default in-memory
-// backend, whose files hold the sealed batches themselves, and a disk
-// backend over internal/blockstore (sharded append-only segment files).
-// Both present identical semantics:
+// written to it into batches, and every write reaches storage as one
+// sealed batch (FileWriter.AppendBatch). Storage is pluggable through the
+// Backend interface. Two backends exist: the default in-memory backend,
+// whose files hold the sealed batches themselves, and a disk backend over
+// internal/blockstore (sharded append-only segment files). Both present
+// identical semantics:
 //
 //   - Open returns a snapshot: the records committed at Open time. A
 //     snapshot stays readable after the name is deleted or truncated by a
@@ -21,9 +21,9 @@
 //   - Record slices handed out by iterators are immutable and remain
 //     valid indefinitely; callers must not modify them.
 //
-// Streamed files (CreateStream, see stream.go) are in-memory files kept in
-// a registry of the FS instead of the backend, and present the same
-// semantics.
+// Beside the backend, the FS keeps an in-memory registry (CreateStream,
+// see stream.go) with the same semantics. Job outputs live there on
+// either backend; the backend holds the layouts and the spill runs.
 package dfs
 
 import (
@@ -168,8 +168,8 @@ type FS struct {
 	// open counts the Files and Writers handed out and not yet closed.
 	open atomic.Int64
 
-	// mu guards streams, the registry of live streamed files (CreateStream)
-	// that Open and Exists consult before the backend.
+	// mu guards streams, the in-memory registry (CreateStream) that Open
+	// and Exists consult before the backend.
 	mu      sync.Mutex
 	streams map[string]*memFile
 }
@@ -233,8 +233,8 @@ func (fs *FS) Dir() string {
 // Create creates (or truncates) a file with the given compression ratio
 // and returns a writer for it. The ratio must be in (0, 1] — pass 1 for
 // uncompressed data — otherwise Create fails with ErrCompressionRatio.
-// Creating over a streamed name drops the stream (truncate semantics);
-// snapshots already taken stay readable.
+// Creating over a registered name drops it from the registry (truncate
+// semantics); snapshots already taken stay readable.
 func (fs *FS) Create(name string, ratio float64) (*Writer, error) {
 	if ratio <= 0 || ratio > 1 {
 		return nil, fmt.Errorf("%w: %g for %q", ErrCompressionRatio, ratio, name)
@@ -247,9 +247,8 @@ func (fs *FS) Create(name string, ratio float64) (*Writer, error) {
 	return fs.countWriter(&Writer{fw: fw, name: name, ratio: ratio}), nil
 }
 
-// Open returns a snapshot of the named file. Streamed files are served
-// from the stream registry with identical snapshot semantics and
-// metadata.
+// Open returns a snapshot of the named file. Registered files are served
+// from the registry with identical snapshot semantics and metadata.
 func (fs *FS) Open(name string) (*File, error) {
 	if sf := fs.stream(name); sf != nil {
 		return fs.countFile(sf.open(name)), nil
@@ -280,7 +279,7 @@ func (fs *FS) countWriter(w *Writer) *Writer {
 	return w
 }
 
-// Exists reports whether the named file exists (streamed or stored).
+// Exists reports whether the named file exists (registered or stored).
 func (fs *FS) Exists(name string) bool {
 	if fs.stream(name) != nil {
 		return true
@@ -288,8 +287,8 @@ func (fs *FS) Exists(name string) bool {
 	return fs.b.Exists(name)
 }
 
-// Delete removes the named file — the stream registry entry, the backend
-// file, or both. Deleting a missing file is a no-op, matching
+// Delete removes the named file — the registry entry, the backend file,
+// or both. Deleting a missing file is a no-op, matching
 // `hadoop fs -rm -f`. Snapshots stay readable. The returned error is the
 // backend's: on the disk backend a failed segment delete leaks storage,
 // which callers (e.g. the engine's spill cleanup) must surface.
@@ -298,11 +297,10 @@ func (fs *FS) Delete(name string) error {
 	return fs.b.Delete(name)
 }
 
-// List returns the names of all stored files with the given prefix,
-// sorted. Streamed files are excluded: they have no storage footprint.
+// List returns the names of all backend files with the given prefix,
+// sorted. Registered files are excluded: they have no storage footprint.
 func (fs *FS) List(prefix string) []string { return fs.b.List(prefix) }
 
 // TotalStoredBytes sums the stored size of all backend files with the
-// prefix. Streamed files contribute nothing: their materialisation was
-// elided.
+// prefix. Registered files contribute nothing.
 func (fs *FS) TotalStoredBytes(prefix string) int64 { return fs.b.TotalStoredBytes(prefix) }

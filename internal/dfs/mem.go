@@ -10,7 +10,7 @@ import (
 )
 
 // memFile is one in-memory file's live state: its sealed batches. It is
-// the FileWriter of the mem backend, and a streamed file is one too.
+// the FileWriter of the mem backend and of the FS's registry.
 type memFile struct {
 	mu      sync.Mutex
 	ratio   float64
@@ -19,20 +19,14 @@ type memFile struct {
 	bytes   int64
 }
 
-// commit appends one sealed batch, returning the file's new logical bytes.
-func (f *memFile) commit(b *vec.Batch) int64 {
+// AppendBatch implements FileWriter: the batch becomes visible to later
+// Opens.
+func (f *memFile) AppendBatch(b *vec.Batch) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.batches = append(f.batches, b)
 	f.records += b.Rows()
 	f.bytes += b.Bytes()
-	return f.bytes
-}
-
-// AppendBatch implements FileWriter: the batch becomes visible to later
-// Opens.
-func (f *memFile) AppendBatch(b *vec.Batch) error {
-	f.commit(b)
 	return nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"reflect"
 	"testing"
 
 	"rapidanalytics/internal/vec"
@@ -21,7 +20,7 @@ func idRec(ids ...uint64) []byte {
 
 func writeStream(t *testing.T, fs *FS, name string, ratio float64, recs ...[]byte) {
 	t.Helper()
-	w, err := fs.CreateStream(name, ratio, 0)
+	w, err := fs.CreateStream(name, ratio)
 	if err != nil {
 		t.Fatalf("CreateStream(%s): %v", name, err)
 	}
@@ -77,7 +76,7 @@ func (failingDeleteBackend) Delete(string) error { return errors.New("injected d
 func TestCreateStreamFailedDeleteKeepsBackendFile(t *testing.T) {
 	fs := NewWithBackend(failingDeleteBackend{NewMemBackend()})
 	writeFile(t, fs, "f", 1, "a", "b")
-	if w, err := fs.CreateStream("f", 1, 0); err == nil {
+	if w, err := fs.CreateStream("f", 1); err == nil {
 		w.Close()
 		t.Fatal("CreateStream succeeded over a failing delete")
 	}
@@ -137,115 +136,11 @@ func TestStreamSnapshotSemantics(t *testing.T) {
 	}
 }
 
-// TestStreamOverflowToBackend: crossing the spill threshold demotes the
-// stream to a regular backend file with identical content and metadata.
-func TestStreamOverflowToBackend(t *testing.T) {
-	fs := New()
-	recs := streamRecords(3 * vec.DefaultBatchRows)
-	var logical int64
-	for _, r := range recs {
-		logical += int64(len(r))
-	}
-	// The first sealed batch crosses 64 bytes; later appends go straight
-	// to the backend.
-	w, err := fs.CreateStream("big", 1, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range recs {
-		w.Write(rec)
-	}
-	if w.StreamedBatches() != 0 {
-		t.Error("writer still reports streamed batches after overflow")
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if w.StreamedBatches() != 0 {
-		t.Errorf("StreamedBatches = %d after overflow, want 0", w.StreamedBatches())
-	}
-	if got := fs.List(""); !reflect.DeepEqual(got, []string{"big"}) {
-		t.Errorf("List = %v, want the materialised file", got)
-	}
-	if fs.TotalStoredBytes("") != logical {
-		t.Errorf("TotalStoredBytes = %d, want %d", fs.TotalStoredBytes(""), logical)
-	}
-	f, err := fs.Open("big")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if f.NumRecords() != len(recs) || f.Bytes() != logical {
-		t.Errorf("overflowed metadata = %d recs %d bytes", f.NumRecords(), f.Bytes())
-	}
-	it := f.Records(0)
-	for i := 0; it.Next(); i++ {
-		if !bytes.Equal(it.Record(), recs[i]) {
-			t.Fatalf("record %d mismatch after overflow", i)
-		}
-	}
-}
-
-// appendFailBackend fails every AppendBatch of the backend writers it hands
-// out and counts those writers until they are closed.
-type appendFailBackend struct {
-	Backend
-	open int
-}
-
-func (b *appendFailBackend) Create(name string, ratio float64) (FileWriter, error) {
-	fw, err := b.Backend.Create(name, ratio)
-	if err != nil {
-		return nil, err
-	}
-	b.open++
-	return &appendFailWriter{FileWriter: fw, b: b}, nil
-}
-
-type appendFailWriter struct {
-	FileWriter
-	b *appendFailBackend
-}
-
-func (w *appendFailWriter) AppendBatch(*vec.Batch) error {
-	return errors.New("injected append failure")
-}
-
-func (w *appendFailWriter) Close() error {
-	w.b.open--
-	return w.FileWriter.Close()
-}
-
-// Regression: when replaying a stream's buffered batches into its
-// overflow file failed, the half-written backend writer was abandoned
-// open. The failure must surface at Close with every writer, the FS's and
-// the backend's, closed.
-func TestStreamOverflowReplayFailureClosesBackendWriter(t *testing.T) {
-	b := &appendFailBackend{Backend: NewMemBackend()}
-	fs := NewWithBackend(b)
-	w, err := fs.CreateStream("big", 1, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range streamRecords(2 * vec.DefaultBatchRows) {
-		w.Write(rec)
-	}
-	if err := w.Close(); err == nil {
-		t.Fatal("Close succeeded after a failed overflow replay")
-	}
-	if b.open != 0 {
-		t.Errorf("%d backend writers left open", b.open)
-	}
-	if n := fs.OpenHandles(); n != 0 {
-		t.Errorf("%d FS handles left open", n)
-	}
-}
-
 // TestStreamWriteBatchOrdering mixes row appends with wholesale batch
 // transfers; record order must be exactly the call order.
 func TestStreamWriteBatchOrdering(t *testing.T) {
 	fs := New()
-	w, err := fs.CreateStream("s", 1, 0)
+	w, err := fs.CreateStream("s", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +180,7 @@ func TestStreamWriteBatchOrdering(t *testing.T) {
 	}
 }
 
-// TestWriteBatchOnBackendFile: WriteBatch on a non-streamed writer appends
+// TestWriteBatchOnBackendFile: WriteBatch on a backend file's writer appends
 // the batch's rows with identical bytes.
 func TestWriteBatchOnBackendFile(t *testing.T) {
 	fs := New()
@@ -297,9 +192,6 @@ func TestWriteBatchOnBackendFile(t *testing.T) {
 	bu.Append(idRec(5, 6))
 	bu.Append(idRec(7, 8))
 	w.WriteBatch(bu.Flush())
-	if w.StreamedBatches() != 0 {
-		t.Errorf("backend writer reports streamed batches")
-	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 // written one at a time are copied into the Writer's open batch, and the
 // backend receives every record as part of a sealed batch. A Writer
 // belongs to the one goroutine that writes it and has no lock, so none is
-// held while the stream registry or the backend takes its own. Backend
+// held while the registry's file or the backend takes its own. Backend
 // errors are sticky and surface at Close.
 type Writer struct {
 	fw    FileWriter
@@ -74,16 +74,6 @@ func (w *Writer) append(b *vec.Batch) {
 	if b != nil && w.err == nil {
 		w.err = w.fw.AppendBatch(b)
 	}
-}
-
-// StreamedBatches returns the number of batches committed to a live
-// stream: zero for backend writers and for streams that overflowed to the
-// backend (their output materialised after all).
-func (w *Writer) StreamedBatches() int64 {
-	if sw, ok := w.fw.(*streamWriter); ok {
-		return sw.streamedBatches()
-	}
-	return 0
 }
 
 // Close commits the open batch and then the file, returning the first

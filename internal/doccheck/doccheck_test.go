@@ -14,6 +14,10 @@
 //
 // Lock privacy (TestLocksArePackagePrivate): no exported or embedded
 // mutex anywhere in the tree.
+//
+// Cited tests (TestCitedTestsExist): every test, fuzz target or benchmark
+// DESIGN, EXPERIMENTS, README, OPERATORS and PLANNER name is declared in
+// some _test.go file.
 package doccheck
 
 import (

@@ -65,8 +65,9 @@ func groupByAllIn(aq *algebra.AnalyticalQuery, fi int, isTagged bool) []int {
 // Each file holding a GROUP BY ALL subquery's rows is read once: the scan
 // keeps the rows that pass their HAVING and notes which subqueries have a
 // row, and a row that does not decode, which cannot vouch for its group,
-// fails the repair. The file is rewritten, the kept rows followed by the
-// missing default rows that pass HAVING, only when that changes it.
+// fails the repair. The file is rewritten in the DFS's in-memory registry,
+// where every job output lives, the kept rows followed by the missing
+// default rows that pass HAVING, only when that changes it.
 func RepairGroupByAll(fs *dfs.FS, files []string, aq *algebra.AnalyticalQuery) error {
 	isTagged := tagged(aq, files)
 	for fi, name := range files {
@@ -130,7 +131,7 @@ func repairFile(fs *dfs.FS, name string, fi int, isTagged bool, subs []int, aq *
 	if len(ends) == f.NumRecords() && len(defaults) == 0 {
 		return nil
 	}
-	w, err := fs.Create(name, f.CompressionRatio())
+	w, err := fs.CreateStream(name, f.CompressionRatio())
 	if err != nil {
 		return err
 	}

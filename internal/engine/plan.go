@@ -13,9 +13,9 @@ import (
 // An engine's evaluation of a query is data: a Plan lists the MapReduce
 // cycles (stages) in execution order, each with its output path, named by
 // Plan.Add, and the files its job reads. Engines build plans without
-// running anything (Engine.Plan). Execute is the one executor: it decides
-// which outputs stream — exactly those one later stage reads — runs the
-// stages and their hooks, and deletes the intermediates.
+// running anything (Engine.Plan). Execute is the one executor: it runs the
+// stages and their hooks and deletes the intermediates. Every output lives
+// in the DFS's in-memory registry (dfs.FS.CreateStream).
 
 // Stage is one MapReduce cycle of a plan.
 type Stage struct {
@@ -25,8 +25,9 @@ type Stage struct {
 	Op string
 	// Out is the stage's output path, named by Plan.Add.
 	Out string
-	// Reads lists the files the job reads: earlier outputs, whose readers
-	// the executor counts, and stored files, which match no output.
+	// Reads lists the files the job reads: earlier outputs and stored
+	// files, which match no output. It is the plan's declared data flow,
+	// and the executor checks it against the job.
 	Reads []string
 	// Keep, when set, is asked once the execution ends whether the output
 	// of this stage, which ran, outlives it; an output it does not keep is
@@ -98,8 +99,7 @@ func (p *Plan) Finish(aq *algebra.AnalyticalQuery, aggs ...string) {
 }
 
 // Execute plans the query with e, runs the plan on c and reads the result.
-// An output streams (mapred.Job.StreamOutput) exactly when one later stage
-// reads it. When the execution ends, on success and on error alike, every
+// When the execution ends, on success and on error alike, every
 // output is deleted but those of kept stages that ran; a failed delete
 // fails the execution unless it had already failed.
 func Execute(c *mapred.Cluster, ds *Dataset, e Engine, aq *algebra.AnalyticalQuery) (*Result, *mapred.WorkflowMetrics, error) {
@@ -118,18 +118,11 @@ func Execute(c *mapred.Cluster, ds *Dataset, e Engine, aq *algebra.AnalyticalQue
 // run runs the stages on c, appending each job's metrics to wm, and reads
 // the result.
 func (p *Plan) run(c *mapred.Cluster, wm *mapred.WorkflowMetrics, aq *algebra.AnalyticalQuery) (*Result, error) {
-	readers := map[string]int{}
-	for _, st := range p.Stages {
-		for _, r := range st.Reads {
-			readers[r]++
-		}
-	}
 	for _, st := range p.Stages {
 		job := st.Job(st.Out)
 		if err := p.checkReads(st, job); err != nil {
 			return nil, err
 		}
-		job.StreamOutput = readers[st.Out] == 1
 		m, err := c.Run(job)
 		if err != nil {
 			return nil, err
@@ -145,7 +138,7 @@ func (p *Plan) run(c *mapred.Cluster, wm *mapred.WorkflowMetrics, aq *algebra.An
 }
 
 // checkReads fails unless the plan outputs job reads are exactly those st
-// lists: the stream decision counts the lists.
+// lists, so a plan's Reads are its data flow as it runs.
 func (p *Plan) checkReads(st Stage, job *mapred.Job) error {
 	ins := slices.Concat(job.Inputs, job.SideInputs)
 	for _, o := range p.Stages {

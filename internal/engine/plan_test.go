@@ -64,55 +64,28 @@ func finish(c *mapred.Cluster, aq *algebra.AnalyticalQuery, files []string) (*Re
 const oneGrouped = `PREFIX e: <http://e/>
 SELECT ?g (COUNT(?x) AS ?n) { ?s e:g ?g ; e:x ?x . } GROUP BY ?g`
 
-// checkClean fails t unless the execution left no intermediate, stream or
-// handle behind but the streams kept.
-func checkClean(t *testing.T, c *mapred.Cluster, keptStreams int) {
+// checkClean fails t unless the execution left no intermediate or handle
+// behind but the outputs kept.
+func checkClean(t *testing.T, c *mapred.Cluster, kept int) {
 	t.Helper()
 	if left := c.FS.List("tmp/"); len(left) != 0 {
 		t.Errorf("intermediates left behind: %v", left)
 	}
-	if n := c.FS.LiveStreams(); n != keptStreams {
-		t.Errorf("%d live streams, want %d", n, keptStreams)
+	if n := c.FS.LiveStreams(); n != kept {
+		t.Errorf("%d live outputs, want %d", n, kept)
 	}
 	if n := c.FS.OpenHandles(); n != 0 {
 		t.Errorf("%d DFS handles left open", n)
 	}
 }
 
-// An output streams exactly when one later stage reads it: read by none,
-// one and two, it materialises, streams and materialises.
-func TestStreamIffOneReader(t *testing.T) {
-	c := mapred.NewCluster(mapred.DefaultConfig())
-	writeRecs(t, c.FS, "in", codec.Tuple{"Ig1", "3"}.Encode())
-	aq := mustAQ(t, oneGrouped)
-	res, wm, err := Execute(c, nil, planned(func(p *Plan) {
-		in := p.Add(load("in"))     // read by a
-		a := p.Add(copyOf("a", in)) // read by b and c
-		p.Add(copyOf("b", a))       // read by none
-		p.Finish(aq, p.Add(copyOf("c", a)))
-	}), aq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range []bool{true, false, false, false} {
-		if got := wm.Jobs[i].StreamedRecords > 0; got != want {
-			t.Errorf("stage %d streamed %v, want %v", i, got, want)
-		}
-	}
-	if len(res.Rows) != 1 || res.Rows[0][1] != "3" {
-		t.Errorf("rows = %v", res.Rows)
-	}
-	checkClean(t, c, 0)
-}
-
-// A kept output with one reader streams and outlives the execution; every
-// other output goes.
+// A kept output outlives the execution; every other output goes.
 func TestKeptOutputSurvives(t *testing.T) {
 	c := mapred.NewCluster(mapred.DefaultConfig())
 	writeRecs(t, c.FS, "in", codec.Tuple{"Ig1", "3"}.Encode())
 	aq := mustAQ(t, oneGrouped)
 	var kept string
-	_, wm, err := Execute(c, nil, planned(func(p *Plan) {
+	_, _, err := Execute(c, nil, planned(func(p *Plan) {
 		st := load("in")
 		st.Keep = func() bool { return true }
 		kept = p.Add(st)
@@ -120,9 +93,6 @@ func TestKeptOutputSurvives(t *testing.T) {
 	}), aq)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if wm.Jobs[0].StreamedRecords == 0 {
-		t.Error("the kept output did not stream")
 	}
 	if !c.FS.Exists(kept) {
 		t.Errorf("kept output %q deleted", kept)
@@ -250,7 +220,7 @@ SELECT (COUNT(?x) AS ?n) { ?s e:x ?x . }`)
 }
 
 // A stage that reads an earlier output it does not list fails before it
-// runs: the stream decision relies on the lists.
+// runs: a plan's Reads are its declared data flow.
 func TestUnlistedReadRejected(t *testing.T) {
 	c := mapred.NewCluster(mapred.DefaultConfig())
 	writeRecs(t, c.FS, "in", codec.Tuple{"Ig1", "3"}.Encode())
@@ -272,8 +242,7 @@ func TestUnlistedReadRejected(t *testing.T) {
 }
 
 // A stage that lists an earlier output its job never reads fails before
-// it runs: the listing would count a reader that is not there, and the
-// output, read by one stage, would be written instead of streamed.
+// it runs: the listing would declare a data flow that is not there.
 func TestUnreadListingRejected(t *testing.T) {
 	c := mapred.NewCluster(mapred.DefaultConfig())
 	writeRecs(t, c.FS, "in", codec.Tuple{"Ig1", "3"}.Encode())

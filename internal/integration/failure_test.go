@@ -155,8 +155,8 @@ var errInjected = errors.New("injected fault")
 // faultBackend wraps a backend so that its failAt-th call among Create,
 // AppendBatch, writer Close, Open and Delete fails (failAt 0 fails none). It
 // also counts the backend writers it hands out until they are closed: the
-// handles beneath the FS's own count, such as the backend writer a stream
-// overflows into.
+// handles beneath the FS's own count: a layout's or a spill run's backend
+// writer.
 type faultBackend struct {
 	dfs.Backend
 	failAt  atomic.Int64

@@ -12,11 +12,11 @@ import (
 // of map tasks (freePages at most, 4 MiB), the batch builders of map-only
 // tasks, spill runs and reduce partitions, and the entry scratch and
 // values scratch of map tasks and reduce partitions (freeScratch of each
-// kind). It holds only reset or cleared scratch that
-// refers to no query's data: builders are reset, and values scratch comes
-// back cleared by reduceGroups. A value handed back to a full list is left
-// to the collector; a nil list recycles nothing. Its channels make it safe
-// for concurrent queries.
+// kind), each of at most maxScratchBytes. It holds only reset or cleared
+// scratch that refers to no query's data: builders are reset, and values
+// scratch comes back cleared by reduceGroups. A value handed back to a
+// full list is left to the collector; a nil list recycles nothing. Its
+// channels make it safe for concurrent queries.
 type freeList struct {
 	pages    chan *entryPage
 	builders chan *vec.Builder
@@ -31,10 +31,15 @@ type freeList struct {
 // bounds the builders, entry scratches and values scratches: a phase's
 // pool runs GOMAXPROCS tasks at once, each holding at most one of each, so
 // 8 keeps them all on machines of up to 8 cores and lets a bigger pool's
-// extra tasks allocate their own.
+// extra tasks allocate their own. maxScratchBytes bounds one entry or
+// values scratch the list keeps: a larger one, grown by one skewed key
+// group or partition, is left to the collector rather than held for the
+// cluster's life. The largest a catalog pass on the workload graph hands
+// back is 1.3 MB (an entry scratch; a values scratch 1.1 MB).
 const (
-	freePages   = 256
-	freeScratch = 8
+	freePages       = 256
+	freeScratch     = 8
+	maxScratchBytes = 4 << 20
 )
 
 func newFreeList() *freeList {
@@ -116,7 +121,7 @@ func (l *freeList) entryScratch() []entry {
 }
 
 func (l *freeList) putEntryScratch(s []entry) {
-	if l == nil || cap(s) == 0 {
+	if l == nil || cap(s) == 0 || cap(s)*int(unsafe.Sizeof(entry{})) > maxScratchBytes {
 		return
 	}
 	if l.poison {
@@ -136,7 +141,7 @@ func (l *freeList) valueScratch() [][]byte {
 // putValueScratch hands s back. reduceGroups clears every group's values
 // once it is reduced, so s refers to no arena and the list pins none.
 func (l *freeList) putValueScratch(s [][]byte) {
-	if l == nil || cap(s) == 0 {
+	if l == nil || cap(s) == 0 || cap(s)*int(unsafe.Sizeof([]byte(nil))) > maxScratchBytes {
 		return
 	}
 	give(l.values, s[:0])

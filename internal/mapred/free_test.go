@@ -144,3 +144,27 @@ func TestFreeListConcurrentQueries(t *testing.T) {
 		}
 	}
 }
+
+// One key group far larger than maxScratchBytes grows a values scratch
+// (the reduce) and an entry scratch (the combine of the one map task's
+// partition) past it; the free list drops both when they are handed back,
+// so what it keeps stays under the bound of one scratch.
+func TestFreeListDropsOversizedScratch(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ExecSplitBytes = 1 << 30
+	c := NewCluster(cfg)
+	const n = 300_000 // n values of 24 bytes, n entries of 32: both over 4 MiB
+	writeLines(c, "in", 1, slices.Repeat([]string{"k"}, n)...)
+	for _, combiner := range []bool{false, true} {
+		out := fmt.Sprintf("out-%v", combiner)
+		if _, err := c.Run(wordCountJob("in", out, combiner)); err != nil {
+			t.Fatal(err)
+		}
+		if got := readLines(t, c, out); len(got) != 1 || got[0] != fmt.Sprintf("k=%d", n) {
+			t.Fatalf("combiner %v: output %q", combiner, got)
+		}
+		if _, entries, values, _ := c.RetainedScratch(); entries+values >= maxScratchBytes {
+			t.Errorf("combiner %v: the free list keeps %d bytes of entry and %d of values scratch, bound %d", combiner, entries, values, maxScratchBytes)
+		}
+	}
+}

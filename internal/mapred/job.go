@@ -1,7 +1,7 @@
 // Package mapred is an in-process MapReduce engine modelled on Hadoop: jobs
 // read record files from a dfs.FS, run parallel map tasks over block-sized
 // input splits, partition and sort map output by key, optionally combine,
-// reduce, and materialise output back to the DFS. Every executed job yields
+// reduce, and write output back to the DFS. Every executed job yields
 // exact volume metrics (records and bytes read, shuffled and written), and a
 // calibrated cost model converts those volumes into simulated cluster
 // seconds for a configurable cluster — the substitute for the paper's
@@ -103,16 +103,6 @@ type Job struct {
 	// ReduceOperator labels the reduce phase's logical operator (e.g.
 	// TG_AlphaJoin, group-agg). Empty defaults to "reduce".
 	ReduceOperator string
-	// StreamOutput marks the job's output as safe to stream, and is the
-	// only thing that decides whether it does: the output stays in the DFS
-	// stream registry (dfs.CreateStream) as record batches instead of
-	// materialising, because every consumer runs in the same job chain. A
-	// stream whose buffered bytes reach 64 MiB overflows into a backend
-	// file after all. Output bytes, record order and every volume metric
-	// but the Streamed* counters are identical either way. Leave false for
-	// checkpointed or multi-consumer outputs and for files later rewritten
-	// in place — those need the real DFS boundary.
-	StreamOutput bool
 }
 
 // MapOnly reports whether the job has no reduce phase.
@@ -159,23 +149,15 @@ type Metrics struct {
 	// SpillBytes counts the logical key+value bytes written to spill runs.
 	SpillBytes int64
 
-	ReduceGroups      int64 // distinct reduce keys
-	OutputRecords     int64 // records written to the DFS
-	OutputBytes       int64 // uncompressed logical bytes written
-	OutputStoredBytes int64 // stored bytes written (notional for streamed output)
+	ReduceGroups  int64 // distinct reduce keys
+	OutputRecords int64 // records written to the DFS
+	OutputBytes   int64 // uncompressed logical bytes written
+	// OutputStoredBytes is the output's stored size, logical bytes times
+	// its compression ratio: what the cost model charges for the write.
+	// The output lives in the FS's in-memory registry on either backend,
+	// so no backend holds these bytes.
+	OutputStoredBytes int64
 
-	// StreamedRecords counts output records that stayed in the stream
-	// registry rather than materialising: equal to OutputRecords when the
-	// job streamed, 0 when it wrote a backend file (job not marked
-	// StreamOutput, or the stream overflowed to the backend). Like every
-	// volume field it is deterministic for a given configuration.
-	StreamedRecords int64
-	// StreamedBatches counts the record batches committed to the live
-	// stream (0 after an overflow). Its job is to say whether the output
-	// stayed streamed, not how it was cut: each map task of a map-only job
-	// seals its own batches, so a map-only job over k splits may commit up
-	// to k partial batches.
-	StreamedBatches   int64
 	SimulatedMapTasks int     // from the cost model's block math
 	SimulatedRedTasks int     // reduce tasks the cost model schedules
 	SimSeconds        float64 // the cost model's cluster-time estimate
@@ -185,7 +167,7 @@ type Metrics struct {
 	// cluster) and vary run to run; every other field is deterministic.
 	MapWallNs         int64 // map tasks, incl. combiners (and output write for map-only jobs)
 	ShuffleSortWallNs int64 // per partition: spill read-back, run sort and merge
-	ReduceWallNs      int64 // reducers + output materialisation
+	ReduceWallNs      int64 // reducers + output write
 }
 
 // Volumes returns a copy of m with the wall-clock phase timings zeroed:
@@ -262,40 +244,6 @@ func (w *WorkflowMetrics) MaterializedBytes() int64 {
 	return b
 }
 
-// StreamedRecords returns the total output records that stayed in the DFS
-// stream registry across all cycles (0 when no cycle streamed).
-func (w *WorkflowMetrics) StreamedRecords() int64 {
-	var n int64
-	for _, m := range w.Jobs {
-		n += m.StreamedRecords
-	}
-	return n
-}
-
-// StreamedBatches returns the total record batches committed to live
-// streams across all cycles.
-func (w *WorkflowMetrics) StreamedBatches() int64 {
-	var n int64
-	for _, m := range w.Jobs {
-		n += m.StreamedBatches
-	}
-	return n
-}
-
-// MaterializedStoredBytes returns the stored bytes of outputs that really
-// reached the storage backend — the quantity streaming reduces. Streamed
-// cycles (StreamedRecords > 0) contribute nothing; their OutputStoredBytes
-// is notional.
-func (w *WorkflowMetrics) MaterializedStoredBytes() int64 {
-	var b int64
-	for _, m := range w.Jobs {
-		if m.StreamedRecords == 0 {
-			b += m.OutputStoredBytes
-		}
-	}
-	return b
-}
-
 // ScanProvider intercepts map-task input scans, letting a serving layer
 // batch concurrent scans of identical file ranges into shared passes
 // (internal/share). Implementations must be safe for concurrent use.
@@ -329,10 +277,6 @@ type Cluster struct {
 	// map and shuffle/reduce pools. Only this package's determinism tests
 	// assign it, to sweep worker counts the host's CPU count cannot reach.
 	testWorkers int
-	// testStreamOverflowBytes, when positive, replaces streamOverflowBytes
-	// as the overflow threshold of streamed outputs. Only this package's
-	// overflow tests assign it.
-	testStreamOverflowBytes int64
 	// testSpillHighWater, when non-nil, is raised to the high-water mark
 	// of a spilling map task's arena bytes (its shuffle output since the
 	// last spill) at record boundaries. Only this package's spill tests

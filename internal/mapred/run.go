@@ -451,38 +451,18 @@ func (c *Cluster) reducePartition(job *Job, st *partState, abort *abortSignal) e
 	return nil
 }
 
-// streamOverflowBytes is the overflow threshold of streamed outputs: a stream
-// whose buffered logical bytes reach it demotes to a backend file, and the
-// output materialises after all (PR 6's spill machinery as the overflow
-// path).
-const streamOverflowBytes = 64 << 20
-
 // commitOutput writes a job's output — the sealed batches of its map tasks
-// or reduce partitions, in order — to a stream when the job marked its
-// output StreamOutput, else to a backend file, under an io span of cycle
-// named for the destination. It closes the writer and records in m the
-// output's records, logical and stored size, and whether it stayed in the
-// stream registry. A batch holds at most vec.DefaultBatchRows
-// (~ctxCheckInterval) records, so a per-batch poll matches the record
-// loops' cancellation density.
+// or reduce partitions, in order — to the FS's in-memory registry under a
+// stream-write io span of cycle. It closes the writer and records in m the
+// output's records and logical and stored size. A batch holds at most
+// vec.DefaultBatchRows (~ctxCheckInterval) records, so a per-batch poll
+// matches the record loops' cancellation density.
 func (c *Cluster) commitOutput(job *Job, ratio float64, cycle *obs.Span, m *Metrics, batches []*vec.Batch) error {
-	var out *dfs.Writer
-	var err error
-	span := "dfs-write"
-	if job.StreamOutput {
-		spill := int64(streamOverflowBytes)
-		if c.testStreamOverflowBytes > 0 {
-			spill = c.testStreamOverflowBytes
-		}
-		out, err = c.FS.CreateStream(job.Output, ratio, spill)
-		span = "stream-write"
-	} else {
-		out, err = c.FS.Create(job.Output, ratio)
-	}
+	out, err := c.FS.CreateStream(job.Output, ratio)
 	if err != nil {
 		return fmt.Errorf("mapred: job %s: %w", job.Name, err)
 	}
-	ioSpan := cycle.StartChild(obs.KindIO, span)
+	ioSpan := cycle.StartChild(obs.KindIO, "stream-write")
 	out.SetSpan(ioSpan)
 	var werr error
 	for _, b := range batches {
@@ -501,11 +481,6 @@ func (c *Cluster) commitOutput(job *Job, ratio float64, cycle *obs.Span, m *Metr
 	}
 	m.OutputRecords, m.OutputBytes = out.Records(), out.Bytes()
 	m.OutputStoredBytes = out.StoredBytes()
-	// Read after Close, so overflow demotions are final.
-	m.StreamedBatches = out.StreamedBatches()
-	if m.StreamedBatches > 0 {
-		m.StreamedRecords = m.OutputRecords
-	}
 	return nil
 }
 

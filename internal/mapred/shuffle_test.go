@@ -385,12 +385,11 @@ func (m *closingMapper) Close(emit Emit) error {
 }
 
 // mapOnlyJob is the case as a map-only job of closingMappers.
-func (c shuffleCase) mapOnlyJob(repeat int, stream bool) *Job {
+func (c shuffleCase) mapOnlyJob(repeat int) *Job {
 	return &Job{
-		Name:         "map-only",
-		Inputs:       []string{"in"},
-		Output:       "out",
-		StreamOutput: stream,
+		Name:   "map-only",
+		Inputs: []string{"in"},
+		Output: "out",
 		NewMapper: func(*TaskContext) Mapper {
 			return &closingMapper{stream: c.stream, repeat: repeat}
 		},
@@ -400,13 +399,10 @@ func (c shuffleCase) mapOnlyJob(repeat int, stream bool) *Job {
 // FuzzMapOnlyMatchesReference runs random map-only jobs — several splits,
 // empty and non-empty keys, a Close that emits, and, when the first byte
 // says so, every record's pairs repeated past one batch — through Run and
-// through the entry-and-Write reference (shuffleref_test.go):
-// materialised, streamed, and streamed into an overflow at the first batch
-// or mid-output, on one and two workers, with a fresh free list and with
-// one that poisons every builder handed back, where a second job runs on
-// the recycled builders. The records, their order and every volume but
-// StreamedBatches must be equal, and the output must stay streamed in both
-// or in neither.
+// through the entry-and-Write reference (shuffleref_test.go), on one and
+// two workers, with a fresh free list and with one that poisons every
+// builder handed back, where a second job runs on the recycled builders.
+// The records, their order and every volume must be equal.
 func FuzzMapOnlyMatchesReference(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 3, 1, 0, 15, 3, 1, 2, 5, 5, 0, 0, 2, 3, 1, 1, 7})
@@ -421,7 +417,7 @@ func FuzzMapOnlyMatchesReference(f *testing.F) {
 			data = data[1:]
 		}
 		sc := decodeShuffleCase(data)
-		cluster := func(workers int, overflow int64, poisoned bool) *Cluster {
+		cluster := func(workers int, poisoned bool) *Cluster {
 			cfg := DefaultConfig()
 			cfg.ExecSplitBytes = int64(8 * sc.recsPerTask)
 			c := NewCluster(cfg)
@@ -430,7 +426,6 @@ func FuzzMapOnlyMatchesReference(f *testing.F) {
 				c.free.poison = true
 			}
 			c.testWorkers = workers
-			c.testStreamOverflowBytes = overflow
 			w, err := c.FS.Create("in", 1)
 			if err != nil {
 				t.Fatal(err)
@@ -443,81 +438,64 @@ func FuzzMapOnlyMatchesReference(f *testing.F) {
 			}
 			return c
 		}
-		for _, mode := range []struct {
-			stream   bool
-			overflow int64
-		}{{false, 0}, {true, 0}, {true, 1}, {true, 400}} {
-			ref := cluster(1, mode.overflow, false)
-			want, err := ref.refRunMapOnly(sc.mapOnlyJob(repeat, mode.stream))
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantOut := readLines(t, ref, "out")
-			for _, workers := range []int{1, 2} {
-				for _, poisoned := range []bool{false, true} {
-					c := cluster(workers, mode.overflow, poisoned)
-					// A second job on the same cluster takes the builders
-					// the first handed back: its output must not show
-					// through the first's.
-					var m *Metrics
-					for _, out := range []string{"out", "again"} {
-						job := sc.mapOnlyJob(repeat, mode.stream)
-						job.Output = out
-						if m, err = c.Run(job); err != nil {
-							t.Fatalf("%+v, workers %d, poisoned %v: %v", mode, workers, poisoned, err)
-						}
+		ref := cluster(1, false)
+		want, err := ref.refRunMapOnly(sc.mapOnlyJob(repeat))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantOut := readLines(t, ref, "out")
+		for _, workers := range []int{1, 2} {
+			for _, poisoned := range []bool{false, true} {
+				c := cluster(workers, poisoned)
+				// A second job on the same cluster takes the builders the
+				// first handed back: its output must not show through the
+				// first's.
+				var m *Metrics
+				for _, out := range []string{"out", "again"} {
+					job := sc.mapOnlyJob(repeat)
+					job.Output = out
+					if m, err = c.Run(job); err != nil {
+						t.Fatalf("workers %d, poisoned %v: %v", workers, poisoned, err)
 					}
-					for _, out := range []string{"out", "again"} {
-						if got := readLines(t, c, out); !slices.Equal(got, wantOut) {
-							t.Fatalf("%+v, workers %d, poisoned %v: %s records\n%q\nwant\n%q", mode, workers, poisoned, out, got, wantOut)
-						}
+				}
+				for _, out := range []string{"out", "again"} {
+					if got := readLines(t, c, out); !slices.Equal(got, wantOut) {
+						t.Fatalf("workers %d, poisoned %v: %s records\n%q\nwant\n%q", workers, poisoned, out, got, wantOut)
 					}
-					got, ref := m.Volumes(), want.Volumes()
-					if (got.StreamedBatches > 0) != (ref.StreamedBatches > 0) {
-						t.Fatalf("%+v, workers %d, poisoned %v: %d streamed batches, reference %d", mode, workers, poisoned, got.StreamedBatches, ref.StreamedBatches)
-					}
-					got.StreamedBatches, ref.StreamedBatches = 0, 0
-					if got != ref {
-						t.Fatalf("%+v, workers %d, poisoned %v: volumes\n%+v\nwant\n%+v", mode, workers, poisoned, got, ref)
-					}
+				}
+				if got, ref := m.Volumes(), want.Volumes(); got != ref {
+					t.Fatalf("workers %d, poisoned %v: volumes\n%+v\nwant\n%+v", workers, poisoned, got, ref)
 				}
 			}
 		}
 	})
 }
 
-// cancelOnAppendBackend cancels a context when the first batch reaches a
-// file named "out".
-type cancelOnAppendBackend struct {
-	dfs.Backend
-	cancel context.CancelFunc
+// cancelOnCommit is a context that reports cancellation once the file
+// "out" of its FS holds a record, that is from the poll after the first
+// batch of that output is committed.
+type cancelOnCommit struct {
+	context.Context
+	fs *dfs.FS
 }
 
-type cancelOnAppendWriter struct {
-	dfs.FileWriter
-	cancel context.CancelFunc
-}
-
-func (w cancelOnAppendWriter) AppendBatch(b *vec.Batch) error {
-	w.cancel()
-	return w.FileWriter.AppendBatch(b)
-}
-
-func (b cancelOnAppendBackend) Create(name string, ratio float64) (dfs.FileWriter, error) {
-	fw, err := b.Backend.Create(name, ratio)
-	if err != nil || name != "out" {
-		return fw, err
+func (c cancelOnCommit) Err() error {
+	f, err := c.fs.Open("out")
+	if err != nil {
+		return nil
 	}
-	return cancelOnAppendWriter{FileWriter: fw, cancel: b.cancel}, nil
+	defer f.Close()
+	if f.NumRecords() > 0 {
+		return context.Canceled
+	}
+	return nil
 }
 
 // A map-only commit polls cancellation once per batch: a context that dies
 // while the first of three batches is written stops the commit at the
 // second with the context's error.
 func TestCancelMidMapOnlyCommit(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	c := NewClusterFS(DefaultConfig(), dfs.NewWithBackend(cancelOnAppendBackend{Backend: dfs.NewMemBackend(), cancel: cancel}))
+	c := NewCluster(DefaultConfig())
 	writeLines(c, "in", 1, "seed")
 	job := &Job{
 		Name:   "commit-cancel",
@@ -532,7 +510,7 @@ func TestCancelMidMapOnlyCommit(t *testing.T) {
 			})
 		},
 	}
-	_, err := c.WithContext(ctx).Run(job)
+	_, err := c.WithContext(cancelOnCommit{context.Background(), c.FS}).Run(job)
 	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "aborted writing output") {
 		t.Fatalf("Run error = %v, want context.Canceled from the map-only commit", err)
 	}

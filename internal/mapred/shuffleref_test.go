@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-
-	"rapidanalytics/internal/dfs"
 )
 
 // The shuffle before the arena, kept as the reference the arena shuffle is
@@ -301,16 +299,7 @@ func (c *Cluster) refRunMapOnly(job *Job) (*Metrics, error) {
 	if ratio <= 0 || ratio > 1 {
 		ratio = 1
 	}
-	var out *dfs.Writer
-	if job.StreamOutput {
-		spill := int64(streamOverflowBytes)
-		if c.testStreamOverflowBytes > 0 {
-			spill = c.testStreamOverflowBytes
-		}
-		out, err = c.FS.CreateStream(job.Output, ratio, spill)
-	} else {
-		out, err = c.FS.Create(job.Output, ratio)
-	}
+	out, err := c.FS.CreateStream(job.Output, ratio)
 	if err != nil {
 		return nil, err
 	}
@@ -327,10 +316,6 @@ func (c *Cluster) refRunMapOnly(job *Job) (*Metrics, error) {
 		return nil, err
 	}
 	m.OutputStoredBytes = out.StoredBytes()
-	m.StreamedBatches = out.StreamedBatches()
-	if m.StreamedBatches > 0 {
-		m.StreamedRecords = m.OutputRecords
-	}
 	c.Config.cost(m)
 	return m, nil
 }

@@ -26,264 +26,148 @@ func streamCluster() *Cluster {
 	return c
 }
 
-func streamedWordCount(in, out string, stream bool) *Job {
-	j := wordCountJob(in, out, false)
-	j.StreamOutput = stream
-	return j
+// copyToBackend writes the records of the file from to a backend file
+// to, of the same compression ratio, through FS.Create.
+func copyToBackend(t *testing.T, c *Cluster, from, to string) {
+	t.Helper()
+	f, err := c.FS.Open(from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	w, err := c.FS.Create(to, f.CompressionRatio())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for it := f.Records(0); it.Next(); {
+		w.Write(it.Record())
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
 }
 
-// TestStreamedOutputByteIdentical: a job's output must be byte-identical
-// whether it streams or materialises, with every volume metric equal
-// except the Streamed* counters; the streamed run leaves no stored output.
+// checkRegistered fails t unless the job output out lives in the FS's
+// in-memory registry, not the backend, and its snapshot reports the
+// volumes m does.
+func checkRegistered(t *testing.T, c *Cluster, out string, m *Metrics) {
+	t.Helper()
+	if got := c.FS.List(out); len(got) != 0 || c.FS.TotalStoredBytes(out) != 0 {
+		t.Errorf("output %s reached the backend: %v", out, got)
+	}
+	f, err := c.FS.Open(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if int64(f.NumRecords()) != m.OutputRecords || f.Bytes() != m.OutputBytes || f.StoredBytes() != m.OutputStoredBytes {
+		t.Errorf("output %s: %d records, %d bytes, %d stored; metrics say %d, %d, %d",
+			out, f.NumRecords(), f.Bytes(), f.StoredBytes(), m.OutputRecords, m.OutputBytes, m.OutputStoredBytes)
+	}
+}
+
+// TestStreamedOutputByteIdentical: a reduce job's output lives in the
+// FS's registry and reads back exactly like a backend file of its records:
+// the same records, record count, logical and stored bytes, the latter
+// being what the metrics report.
 func TestStreamedOutputByteIdentical(t *testing.T) {
 	c := streamCluster()
-	run := func(stream bool, out string) (Metrics, []string, int64) {
-		m, err := c.Run(streamedWordCount("in", out, stream))
-		if err != nil {
-			t.Fatalf("stream=%v: %v", stream, err)
-		}
-		checkHandles(t, c)
-		return m.Volumes(), readLines(t, c, out), c.FS.TotalStoredBytes(out)
-	}
-	mat, matOut, matStored := run(false, "mat")
-	str, strOut, strStored := run(true, "str")
-	if str.StreamedRecords == 0 || str.StreamedBatches == 0 {
-		t.Fatalf("stream path not exercised: %+v", str)
-	}
-	if str.StreamedRecords != str.OutputRecords {
-		t.Errorf("StreamedRecords = %d, want OutputRecords %d", str.StreamedRecords, str.OutputRecords)
-	}
-	if mat.StreamedRecords != 0 || mat.StreamedBatches != 0 {
-		t.Errorf("materialised run reports streaming: %+v", mat)
-	}
-	if strings.Join(matOut, "\n") != strings.Join(strOut, "\n") {
-		t.Errorf("output diverged:\n%v\nvs\n%v", matOut, strOut)
-	}
-	if matStored == 0 || strStored != 0 {
-		t.Errorf("stored output bytes = %d materialised, %d streamed; want >0, 0", matStored, strStored)
-	}
-	// The streamed counters are the only volumes allowed to differ — in
-	// particular OutputStoredBytes stays the notional stored size, keeping
-	// the cost model identical across modes.
-	str.StreamedRecords, str.StreamedBatches = 0, 0
-	if mat != str {
-		t.Errorf("volumes diverged:\n%+v\nvs\n%+v", mat, str)
-	}
-}
-
-// TestStreamedMapOnlyJob covers the direct map-output write site.
-func TestStreamedMapOnlyJob(t *testing.T) {
-	c := streamCluster()
-	run := func(stream bool, out string) (Metrics, []string) {
-		m, err := c.Run(&Job{
-			Name:   "ident",
-			Inputs: []string{"in"},
-			Output: out,
-			NewMapper: func(tc *TaskContext) Mapper {
-				return MapperFunc(func(rec []byte, emit Emit) error {
-					emit("", append([]byte(nil), rec...))
-					return nil
-				})
-			},
-			StreamOutput: stream,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkHandles(t, c)
-		return m.Volumes(), readLines(t, c, out)
-	}
-	mat, matOut := run(false, "mat")
-	str, strOut := run(true, "str")
-	if str.StreamedRecords != str.OutputRecords || str.StreamedBatches == 0 {
-		t.Fatalf("map-only stream path not exercised: %+v", str)
-	}
-	if strings.Join(matOut, "\n") != strings.Join(strOut, "\n") {
-		t.Error("map-only output diverged between modes")
-	}
-	str.StreamedRecords, str.StreamedBatches = 0, 0
-	if mat != str {
-		t.Errorf("volumes diverged:\n%+v\nvs\n%+v", mat, str)
-	}
-}
-
-// TestStreamOverflowMaterializes: a tiny overflow threshold forces the
-// overflow path; the output must land in the backend byte-identically
-// with the streamed counters reset.
-func TestStreamOverflowMaterializes(t *testing.T) {
-	c := streamCluster()
-	c.testStreamOverflowBytes = 32
-	m, err := c.Run(streamedWordCount("in", "out", true))
+	job := wordCountJob("in", "out", false)
+	job.OutputCompression = 0.5
+	m, err := c.Run(job)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if m.StreamedRecords != 0 || m.StreamedBatches != 0 {
-		t.Errorf("overflowed run still reports streaming: %+v", m)
 	}
 	checkHandles(t, c)
-	if c.FS.TotalStoredBytes("out") == 0 {
-		t.Error("overflowed output has no stored bytes")
+	checkRegistered(t, c, "out", m)
+	copyToBackend(t, c, "out", "ref")
+	if got, want := readLines(t, c, "out"), readLines(t, c, "ref"); strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("output diverged from its backend copy:\n%v\nvs\n%v", got, want)
 	}
-	if _, err := c.Run(streamedWordCount("in", "ref", false)); err != nil {
-		t.Fatal(err)
+	if c.FS.TotalStoredBytes("ref") != m.OutputStoredBytes {
+		t.Errorf("backend copy stores %d bytes, the metrics charge %d", c.FS.TotalStoredBytes("ref"), m.OutputStoredBytes)
 	}
-	want, got := readLines(t, c, "ref"), readLines(t, c, "out")
-	if strings.Join(want, "\n") != strings.Join(got, "\n") {
-		t.Errorf("output diverged after overflow:\n%v\nvs\n%v", want, got)
-	}
+	checkHandles(t, c)
 }
 
-// failingAppendBackend fails the failAt-th AppendBatch its writers receive
-// (0 fails none) and counts its writers until they are closed. Run commits
-// output on its calling goroutine, so plain counters do.
-type failingAppendBackend struct {
-	dfs.Backend
-	failAt, calls, open int
-}
-
-func (b *failingAppendBackend) Create(name string, ratio float64) (dfs.FileWriter, error) {
-	fw, err := b.Backend.Create(name, ratio)
-	if err != nil {
-		return nil, err
-	}
-	b.open++
-	return failingAppendWriter{fw, b}, nil
-}
-
-type failingAppendWriter struct {
-	dfs.FileWriter
-	b *failingAppendBackend
-}
-
-func (w failingAppendWriter) AppendBatch(b *vec.Batch) error {
-	if w.b.calls++; w.b.calls == w.b.failAt {
-		return errors.New("injected append failure")
-	}
-	return w.FileWriter.AppendBatch(b)
-}
-
-func (w failingAppendWriter) Close() error {
-	w.b.open--
-	return w.FileWriter.Close()
-}
-
-// TestStreamOverflowFaultSweep fails each backend AppendBatch of a streamed
-// output that overflows, in turn. The first is the overflow's append of
-// the batches the stream had committed; the rest go straight to the
-// backend file. Each failure fails the job with every writer closed, and
-// the next run writes the materialised run's output.
-func TestStreamOverflowFaultSweep(t *testing.T) {
-	b := &failingAppendBackend{Backend: dfs.NewMemBackend()}
-	cfg := DefaultConfig()
-	cfg.ExecSplitBytes = 256
-	c := NewClusterFS(cfg, dfs.NewWithBackend(b))
-	streamFixture(c)
-	c.testStreamOverflowBytes = 32
-	if _, err := c.Run(wordCountJob("in", "ref", false)); err != nil {
-		t.Fatal(err)
-	}
-	want := strings.Join(readLines(t, c, "ref"), "\n")
-	run := func(failAt int) error {
-		b.failAt, b.calls = failAt, 0
-		_, err := c.Run(streamedWordCount("in", "out", true))
-		checkHandles(t, c)
-		if b.open != 0 {
-			t.Fatalf("fault at %d: %d backend writers left open", failAt, b.open)
-		}
-		return err
-	}
-	if err := run(0); err != nil {
-		t.Fatal(err)
-	}
-	calls := b.calls
-	if calls < 2 {
-		t.Fatalf("%d backend appends: the output did not overflow", calls)
-	}
-	for n := 1; n <= calls; n++ {
-		if err := run(n); err == nil || !strings.Contains(err.Error(), "injected append failure") {
-			t.Errorf("fault at append %d of %d: err = %v", n, calls, err)
-		}
-		if err := run(0); err != nil {
-			t.Fatal(err)
-		}
-		if got := strings.Join(readLines(t, c, "out"), "\n"); got != want {
-			t.Fatalf("after a fault at append %d: output diverged", n)
-		}
-	}
-}
-
-// TestStreamingRequiresOptIn: only Job.StreamOutput streams an output; a
-// job that did not mark it safe materialises.
-func TestStreamingRequiresOptIn(t *testing.T) {
+// TestStreamedMapOnlyJob covers the direct map-output write site: an
+// identity job's output holds its input's records, in the registry.
+func TestStreamedMapOnlyJob(t *testing.T) {
 	c := streamCluster()
-	m, err := c.Run(wordCountJob("in", "out", false))
+	m, err := c.Run(&Job{
+		Name:   "ident",
+		Inputs: []string{"in"},
+		Output: "out",
+		NewMapper: func(tc *TaskContext) Mapper {
+			return MapperFunc(func(rec []byte, emit Emit) error {
+				emit("", append([]byte(nil), rec...))
+				return nil
+			})
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.StreamedRecords != 0 || m.StreamedBatches != 0 {
-		t.Errorf("job without StreamOutput streamed: %+v", m)
+	checkHandles(t, c)
+	checkRegistered(t, c, "out", m)
+	if got, want := readLines(t, c, "out"), readLines(t, c, "in"); strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Error("map-only output differs from its input")
 	}
-	if c.FS.TotalStoredBytes("out") == 0 {
-		t.Error("opt-out output not materialised")
+	if m.OutputRecords != m.MapInputRecords || m.OutputBytes != m.MapInputBytes {
+		t.Errorf("volumes: %+v", m)
 	}
 }
 
-// TestStreamedChainedJobs: a downstream job consumes a streamed
-// intermediate through the normal split machinery (and as a broadcast
-// side input); the final output must match the fully materialised chain
-// while the intermediate never touches the backend.
+// TestStreamedChainedJobs: a downstream job consumes a registered
+// intermediate through the normal split machinery and as a broadcast side
+// input; its output and volumes must equal those of the same job over a
+// backend copy of the intermediate.
 func TestStreamedChainedJobs(t *testing.T) {
-	chain := func(stream bool) (*Cluster, *WorkflowMetrics) {
-		c := streamCluster()
-		j2 := wordCountJob("mid", "out", true)
-		j2.SideInputs = []string{"mid"}
-		wm, err := runWorkflow(c, []*Job{streamedWordCount("in", "mid", stream), j2})
-		if err != nil {
-			t.Fatalf("stream=%v: %v", stream, err)
-		}
-		checkHandles(t, c)
-		return c, wm
+	c := streamCluster()
+	consumer := func(mid, out string) *Job {
+		j := wordCountJob(mid, out, true)
+		j.SideInputs = []string{mid}
+		return j
 	}
-	cm, _ := chain(false)
-	cs, wm := chain(true)
-	if wm.StreamedRecords() == 0 || wm.StreamedBatches() == 0 {
-		t.Fatal("workflow streamed nothing")
+	m1, err := c.Run(wordCountJob("in", "mid", false))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got, want := readLines(t, cs, "out"), readLines(t, cm, "out"); strings.Join(got, "\n") != strings.Join(want, "\n") {
-		t.Errorf("chained output diverged:\n%v\nvs\n%v", got, want)
+	checkRegistered(t, c, "mid", m1)
+	copyToBackend(t, c, "mid", "mid-ref")
+	got, err := c.Run(consumer("mid", "out"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if cs.FS.TotalStoredBytes("mid") != 0 {
-		t.Error("streamed intermediate reached the backend")
+	want, err := c.Run(consumer("mid-ref", "out-ref"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if cm.FS.TotalStoredBytes("mid") == 0 {
-		t.Error("reference intermediate missing")
+	checkHandles(t, c)
+	if g, w := readLines(t, c, "out"), readLines(t, c, "out-ref"); strings.Join(g, "\n") != strings.Join(w, "\n") {
+		t.Errorf("chained output diverged:\n%v\nvs\n%v", g, w)
 	}
-	if wm.MaterializedStoredBytes() >= cm.FS.TotalStoredBytes("") {
-		t.Errorf("materialised stored bytes not reduced: streamed %d vs reference %d",
-			wm.MaterializedStoredBytes(), cm.FS.TotalStoredBytes(""))
+	if got.Volumes() != want.Volumes() {
+		t.Errorf("volumes diverged:\n%+v\nvs\n%+v", got.Volumes(), want.Volumes())
 	}
 }
 
-// TestStreamedDeterminismMatrix extends the determinism contract to
-// streamed output: worker counts x StreamOutput must produce identical
-// bytes.
+// TestStreamedDeterminismMatrix extends the determinism contract to the
+// registry: worker counts must produce identical bytes.
 func TestStreamedDeterminismMatrix(t *testing.T) {
 	var want string
 	for _, workers := range []int{1, 4} {
 		c := streamCluster()
 		c.testWorkers = workers
-		for _, stream := range []bool{false, true} {
-			out := fmt.Sprintf("out-%v", stream)
-			if _, err := c.Run(streamedWordCount("in", out, stream)); err != nil {
-				t.Fatalf("w=%d stream=%v: %v", workers, stream, err)
-			}
-			checkHandles(t, c)
-			got := strings.Join(readLines(t, c, out), "\n")
-			if want == "" {
-				want = got
-			} else if got != want {
-				t.Errorf("w=%d stream=%v: output diverged", workers, stream)
-			}
+		if _, err := c.Run(wordCountJob("in", "out", false)); err != nil {
+			t.Fatalf("w=%d: %v", workers, err)
+		}
+		checkHandles(t, c)
+		got := strings.Join(readLines(t, c, "out"), "\n")
+		if want == "" {
+			want = got
+		} else if got != want {
+			t.Errorf("w=%d: output diverged", workers)
 		}
 	}
 }

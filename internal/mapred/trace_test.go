@@ -107,9 +107,9 @@ func TestRunEmitsSpanTree(t *testing.T) {
 		t.Errorf("reduce partition span sums = %d, want %d", partOut, m.OutputRecords)
 	}
 
-	io := cyc.Find(obs.KindIO, "dfs-write")
+	io := cyc.Find(obs.KindIO, "stream-write")
 	if io == nil {
-		t.Fatalf("no dfs-write span in:\n%s", sn.Tree())
+		t.Fatalf("no stream-write span in:\n%s", sn.Tree())
 	}
 	if io.Records != m.OutputRecords || io.Bytes != m.OutputBytes {
 		t.Errorf("io span = %d/%d, want %d/%d", io.Records, io.Bytes, m.OutputRecords, m.OutputBytes)
@@ -154,7 +154,7 @@ func TestRunEmitsSpanTreeMapOnly(t *testing.T) {
 	if op := mp.Find(obs.KindOperator, "map"); op == nil {
 		t.Fatalf("default operator label missing:\n%s", sn.Tree())
 	}
-	if io := cyc.Find(obs.KindIO, "dfs-write"); io == nil || io.Records != m.OutputRecords {
+	if io := cyc.Find(obs.KindIO, "stream-write"); io == nil || io.Records != m.OutputRecords {
 		t.Fatalf("io span = %+v, want records %d", io, m.OutputRecords)
 	}
 }

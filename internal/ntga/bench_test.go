@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"rapidanalytics/internal/algebra"
 	"rapidanalytics/internal/rdf"
 )
 
@@ -19,19 +18,6 @@ func benchTG(d *rdf.Dict, props, fanout int) TripleGroup {
 		}
 	}
 	return intern(g, d)
-}
-
-func BenchmarkOptGroupFilter(b *testing.B) {
-	d := rdf.NewDict()
-	tg := benchTG(d, 6, 2)
-	prim := ResolveRefs([]algebra.PropRef{{Prop: "http://e/p0"}, {Prop: "http://e/p1"}}, d)
-	opt := ResolveRefs([]algebra.PropRef{{Prop: "http://e/p2"}}, d)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, ok := OptGroupFilterRefs(tg, prim, opt); !ok {
-			b.Fatal("filtered out")
-		}
-	}
 }
 
 func BenchmarkEncodeDecodeAnnTG(b *testing.B) {

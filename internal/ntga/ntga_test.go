@@ -51,6 +51,18 @@ func tg(subject string, pos ...string) TripleGroup {
 	return out
 }
 
+// optGroupFilter is σ^γopt (Definition 3.3) as the TG_OptGrpFilter scan
+// builds it from HasAllRefs and AppendProjectRefs: a triplegroup passes
+// iff it matches every primary reference, projected onto the primary and
+// optional ones.
+func optGroupFilter(tg TripleGroup, prim, opt []Ref) (TripleGroup, bool) {
+	if !tg.HasAllRefs(prim) {
+		return TripleGroup{}, false
+	}
+	refs := append(append([]Ref{}, prim...), opt...)
+	return TripleGroup{Subject: tg.Subject, Triples: tg.AppendProjectRefs(nil, refs)}, true
+}
+
 // Figure 4(a): optional group filter with P_prim = {product, price} and
 // P_opt = {validFrom, validTo}.
 func TestOptGroupFilterFigure4a(t *testing.T) {
@@ -72,12 +84,12 @@ func TestOptGroupFilterFigure4a(t *testing.T) {
 		{tg3, false, 0},
 		{tg4, true, 4},
 	} {
-		got, ok := OptGroupFilterRefs(tc.in, prim, opt)
+		got, ok := optGroupFilter(tc.in, prim, opt)
 		if ok != tc.ok {
-			t.Errorf("OptGroupFilterRefs(%v) ok = %v, want %v", tc.in, ok, tc.ok)
+			t.Errorf("optGroupFilter(%v) ok = %v, want %v", tc.in, ok, tc.ok)
 		}
 		if ok && len(got.Triples) != tc.size {
-			t.Errorf("OptGroupFilterRefs(%v) kept %d triples, want %d", tc.in, len(got.Triples), tc.size)
+			t.Errorf("optGroupFilter(%v) kept %d triples, want %d", tc.in, len(got.Triples), tc.size)
 		}
 	}
 }
@@ -86,7 +98,7 @@ func TestOptGroupFilterFigure4a(t *testing.T) {
 func TestOptGroupFilterProjects(t *testing.T) {
 	d := rdf.NewDict()
 	in := intern(tg("o1", "product=p1", "price=100", "unrelated=x"), d)
-	got, ok := OptGroupFilterRefs(in, ResolveRefs([]algebra.PropRef{ref("product"), ref("price")}, d), nil)
+	got, ok := optGroupFilter(in, ResolveRefs([]algebra.PropRef{ref("product"), ref("price")}, d), nil)
 	if !ok || len(got.Triples) != 2 {
 		t.Fatalf("got %v ok=%v", got, ok)
 	}
@@ -110,7 +122,7 @@ func TestOptGroupFilterConstObjRef(t *testing.T) {
 	}}, d)
 	typed := algebra.PropRef{Prop: rdf.RDFType, Obj: rdf.NewIRI("PT18")}
 	prim := ResolveRefs([]algebra.PropRef{typed, ref("label")}, d)
-	got, ok := OptGroupFilterRefs(in, prim, nil)
+	got, ok := optGroupFilter(in, prim, nil)
 	if !ok {
 		t.Fatal("typed filter rejected matching triplegroup")
 	}
@@ -118,55 +130,51 @@ func TestOptGroupFilterConstObjRef(t *testing.T) {
 	if len(got.Triples) != 2 {
 		t.Errorf("projection kept %v", got.Triples)
 	}
-	if _, ok := OptGroupFilterRefs(in2, prim, nil); ok {
+	if _, ok := optGroupFilter(in2, prim, nil); ok {
 		t.Error("typed filter accepted wrong type object")
 	}
 }
 
-// Figure 4(b): n-split with P_sec1 = {validFrom}, P_sec2 = {validTo}.
+// Figure 4(b): the n-split χ with P_sec1 = {validFrom}, P_sec2 =
+// {validTo} is the α table's per-pattern test (Definitions 3.4–3.6): a
+// triplegroup contributes to every original pattern whose secondary
+// properties it holds.
 func TestNSplitFigure4b(t *testing.T) {
 	d := rdf.NewDict()
-	tg1 := intern(tg("o1", "product=p1", "price=100", "validTo=2010"), d)
-	tg4 := intern(tg("o4", "product=p4", "price=400", "validFrom=2009", "validTo=2011"), d)
-	prim := ResolveRefs([]algebra.PropRef{ref("product"), ref("price")}, d)
-	secs := [][]Ref{ResolveRefs([]algebra.PropRef{ref("validFrom")}, d), ResolveRefs([]algebra.PropRef{ref("validTo")}, d)}
-
-	got1 := NSplitRefs(tg1, prim, secs)
-	if len(got1) != 1 || got1[0].Pattern != 1 {
-		t.Fatalf("NSplitRefs(tg1) = %v, want single pattern-2 split", got1)
-	}
-	if len(got1[0].TG.Triples) != 3 {
-		t.Errorf("split tg1 triples = %v", got1[0].TG.Triples)
-	}
-	got4 := NSplitRefs(tg4, prim, secs)
-	if len(got4) != 2 {
-		t.Fatalf("NSplitRefs(tg4) = %v, want both splits", got4)
-	}
-	for _, s := range got4 {
-		if len(s.TG.Triples) != 3 {
-			t.Errorf("split %d kept %v", s.Pattern, s.TG.Triples)
+	tg1 := NewAnnTG(0, intern(tg("o1", "product=p1", "price=100", "validTo=2010"), d))
+	tg4 := NewAnnTG(0, intern(tg("o4", "product=p4", "price=400", "validFrom=2009", "validTo=2011"), d))
+	alpha := NewAlphaTable(2, [][][]Ref{{
+		ResolveRefs([]algebra.PropRef{ref("validFrom")}, d),
+		ResolveRefs([]algebra.PropRef{ref("validTo")}, d),
+	}})
+	for _, tc := range []struct {
+		name string
+		a    *AnnTG
+		want []bool
+	}{
+		{"tg1", &tg1, []bool{false, true}},
+		{"tg4", &tg4, []bool{true, true}},
+	} {
+		for k, want := range tc.want {
+			if got := alpha.Satisfies(tc.a, k); got != want {
+				t.Errorf("%s splits into pattern %d: %v, want %v", tc.name, k, got, want)
+			}
 		}
 	}
 }
 
 // Figure 4(c): a pattern with no secondary properties always yields a
-// split containing only the primaries.
+// split.
 func TestNSplitEmptySecondary(t *testing.T) {
 	d := rdf.NewDict()
-	tg2 := intern(tg("o2", "product=p2", "price=200"), d)
-	tg4 := intern(tg("o4", "product=p4", "price=400", "validTo=2011"), d)
-	prim := ResolveRefs([]algebra.PropRef{ref("product"), ref("price")}, d)
-	secs := [][]Ref{nil, ResolveRefs([]algebra.PropRef{ref("validTo")}, d)}
-	got := NSplitRefs(tg2, prim, secs)
-	if len(got) != 1 || got[0].Pattern != 0 || len(got[0].TG.Triples) != 2 {
-		t.Fatalf("NSplitRefs = %v", got)
+	tg2 := NewAnnTG(0, intern(tg("o2", "product=p2", "price=200"), d))
+	tg4 := NewAnnTG(0, intern(tg("o4", "product=p4", "price=400", "validTo=2011"), d))
+	alpha := NewAlphaTable(2, [][][]Ref{{nil, ResolveRefs([]algebra.PropRef{ref("validTo")}, d)}})
+	if !alpha.Satisfies(&tg2, 0) || alpha.Satisfies(&tg2, 1) {
+		t.Errorf("tg2 splits into %v, %v; want pattern 0 only", alpha.Satisfies(&tg2, 0), alpha.Satisfies(&tg2, 1))
 	}
-	got4 := NSplitRefs(tg4, prim, secs)
-	if len(got4) != 2 {
-		t.Fatalf("NSplitRefs(tg4) = %v", got4)
-	}
-	if len(got4[0].TG.Triples) != 2 || len(got4[1].TG.Triples) != 3 {
-		t.Errorf("split sizes = %d, %d", len(got4[0].TG.Triples), len(got4[1].TG.Triples))
+	if !alpha.Satisfies(&tg4, 0) || !alpha.Satisfies(&tg4, 1) {
+		t.Error("tg4 does not split into both patterns")
 	}
 }
 

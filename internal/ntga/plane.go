@@ -86,46 +86,6 @@ func (tg *TripleGroup) AppendProjectRefs(dst []PO, refs []Ref) []PO {
 	return dst
 }
 
-// ProjectRefs returns a copy of the triplegroup restricted to triples
-// matching any of the resolved references.
-func (tg *TripleGroup) ProjectRefs(refs []Ref) TripleGroup {
-	return TripleGroup{Subject: tg.Subject, Triples: tg.AppendProjectRefs(nil, refs)}
-}
-
-// OptGroupFilterRefs implements the optional group-filter operator σ^γopt
-// (Definition 3.3): it projects a subject triplegroup onto the star's
-// primary and optional properties and accepts it iff every primary property
-// is matched. The returned triplegroup contains the matching primary
-// triples plus any matching optional triples.
-func OptGroupFilterRefs(tg TripleGroup, prim, opt []Ref) (TripleGroup, bool) {
-	if !tg.HasAllRefs(prim) {
-		return TripleGroup{}, false
-	}
-	refs := make([]Ref, 0, len(prim)+len(opt))
-	refs = append(refs, prim...)
-	refs = append(refs, opt...)
-	return tg.ProjectRefs(refs), true
-}
-
-// NSplitRefs implements the n-split operator χ (Definition 3.4): given a
-// triplegroup matching a composite star with primary properties prim and
-// per-pattern secondary property sets secs, it extracts one triplegroup per
-// original pattern whose secondary properties are all present. A pattern
-// with an empty secondary set always yields a split (Figure 4(c)).
-func NSplitRefs(tg TripleGroup, prim []Ref, secs [][]Ref) []SplitTG {
-	var out []SplitTG
-	for k, sec := range secs {
-		if !tg.HasAllRefs(sec) {
-			continue
-		}
-		refs := make([]Ref, 0, len(prim)+len(sec))
-		refs = append(refs, prim...)
-		refs = append(refs, sec...)
-		out = append(out, SplitTG{Pattern: k, TG: tg.ProjectRefs(refs)})
-	}
-	return out
-}
-
 // AlphaTable is a composite pattern's α condition (Definitions 3.5/3.6)
 // resolved through the dictionary: per (star, original pattern) the
 // required secondary references. Resolving once at job-build time keeps the

@@ -202,7 +202,7 @@ func TestCancelledConsumerDoesNotStallSiblings(t *testing.T) {
 
 func TestStreamRecordsSharedAsIs(t *testing.T) {
 	fs := dfs.New()
-	w, err := fs.CreateStream("store/1/streamed", 1, 0)
+	w, err := fs.CreateStream("store/1/streamed", 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -219,6 +219,46 @@ func TestScanPropFilters(t *testing.T) {
 	}
 }
 
+// TG_OptGrpFilter on Figure 4(a): with P_prim = {product, price} and P_opt
+// = {validFrom, validTo} the scan drops the offer without a price and
+// projects every other onto its primary and optional triples; a typed
+// primary admits only its constant object.
+func TestScanOptGroupFilterFigure4a(t *testing.T) {
+	d := rdf.NewDict()
+	src := Source{Dict: d, Scan: &ScanSpec{
+		Prim: []algebra.PropRef{{Prop: "product"}, {Prop: "price"}},
+		Opt:  []algebra.PropRef{{Prop: "validFrom"}, {Prop: "validTo"}},
+	}}
+	typed := Source{Dict: d, Scan: &ScanSpec{
+		Prim: []algebra.PropRef{{Prop: rdf.RDFType, Obj: rdf.NewIRI("PT18")}},
+	}}
+	for _, tc := range []struct {
+		src  Source
+		in   ntga.TripleGroup
+		kept int // triples kept, -1 when dropped
+	}{
+		{src, tg("o1", [2]string{"product", "Ip1"}, [2]string{"price", "L100"}, [2]string{"validTo", "L2010"}, [2]string{"junk", "Lx"}), 3},
+		{src, tg("o2", [2]string{"product", "Ip2"}, [2]string{"price", "L200"}), 2},
+		{src, tg("o3", [2]string{"product", "Ip3"}, [2]string{"validFrom", "L2008"}), -1},
+		{src, tg("o4", [2]string{"product", "Ip4"}, [2]string{"price", "L400"}, [2]string{"validFrom", "L2009"}, [2]string{"validTo", "L2011"}), 4},
+		{typed, tg("p1", [2]string{rdf.RDFType, "IPT18"}, [2]string{rdf.RDFType, "IOther"}), 1},
+		{typed, tg("p2", [2]string{rdf.RDFType, "IOther"}), -1},
+	} {
+		rec := intern(tc.in, d)
+		a, ok, err := tc.src.scanner().annTGOf(rec.EncodeIDs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := -1
+		if ok {
+			got = len(a.TGs[0].Triples)
+		}
+		if got != tc.kept {
+			t.Errorf("%s: kept %d triples, want %d (-1: dropped)", tc.in.Subject, got, tc.kept)
+		}
+	}
+}
+
 func aggSpecs(tagged bool) []AggJoinSpec {
 	tps := map[int][]sparql.TriplePattern{0: {
 		{S: sparql.V("s"), P: sparql.C(rdf.NewIRI("price")), O: sparql.V("pr")},

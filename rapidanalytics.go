@@ -85,9 +85,9 @@ type Options struct {
 	// larger than the loaded one. 1 means no extrapolation.
 	DataScale float64
 	// Storage selects the simulated DFS backend: StorageMem (the default)
-	// keeps every record in memory; StorageDisk materialises files as
-	// sharded blockstore segments under DataDir. Output bytes are identical
-	// on both. Empty honors the RAPID_STORAGE environment variable,
+	// keeps every record in memory; StorageDisk writes the layouts and the
+	// spill runs as sharded blockstore segments under DataDir. Job outputs
+	// stay in memory on both, and output bytes are identical. Empty honors the RAPID_STORAGE environment variable,
 	// defaulting to memory. Any other value fails every query with
 	// ErrStorage.
 	Storage string
@@ -122,7 +122,8 @@ type Options struct {
 const (
 	// StorageMem keeps the simulated DFS in memory (the default).
 	StorageMem = "mem"
-	// StorageDisk persists DFS files as sharded blockstore segment files.
+	// StorageDisk persists the layouts and spill runs as sharded blockstore
+	// segment files; job outputs stay in memory.
 	StorageDisk = "disk"
 )
 

@@ -495,8 +495,8 @@ SELECT ?g (MIN(?c) AS ?m) { ?s e:city ?c ; e:g ?g } GROUP BY ?g ORDER BY ?m`
 // size is what a load keeps between queries: after one catalog pass of
 // every system on the workload graph it holds at most 12 MiB (≈5.5 MB on
 // the 2-core box: pages 1.8, entry scratch 1.3, values scratch 2.2,
-// builders 0.2). Its pages are bounded by 4 MiB, the scratch by the
-// largest task's and group's.
+// builders 0.2). Its pages are bounded by 4 MiB, each entry or values
+// scratch by 4 MiB and by the largest task's and group's.
 func TestFreeListRetainedAfterCatalogPass(t *testing.T) {
 	s := NewWorkloadStore(1, DefaultOptions())
 	for _, q := range bench.Catalog {

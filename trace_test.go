@@ -185,7 +185,7 @@ func TestRAPIDAnalyticsTraceHasPlannerAndOperators(t *testing.T) {
 		{obs.KindOperator, "TG_AgJ.map"},
 		{obs.KindOperator, "TG_AgJ.reduce"},
 		{obs.KindOperator, "final-join"},
-		{obs.KindIO, "dfs-write"},
+		{obs.KindIO, "stream-write"},
 	} {
 		if sn.Find(want.kind, want.name) == nil {
 			t.Errorf("missing %s span %q in:\n%s", want.kind, want.name, sn.Tree())
