@@ -53,7 +53,6 @@ func main() {
 		storage       = flag.String("storage", "", "DFS backend: mem or disk (empty honors $RAPID_STORAGE, default mem)")
 		dataDir       = flag.String("data-dir", "", "root directory for -storage disk (empty = a fresh directory under $RAPID_DATA_DIR or the OS temp dir)")
 		spill         = flag.Int64("spill-threshold", 0, "map-side spill threshold in bytes (0 disables spilling)")
-		sharedScans   = flag.Bool("shared-scans", true, "batch concurrent queries scanning the same file range into one shared pass")
 		resultCache   = flag.Int64("result-cache-bytes", 64<<20, "versioned result/sub-result cache byte budget (0 disables)")
 	)
 	flag.Parse()
@@ -65,7 +64,6 @@ func main() {
 	opts.Storage = *storage
 	opts.DataDir = *dataDir
 	opts.SpillThresholdBytes = *spill
-	opts.SharedScans = *sharedScans
 	opts.ResultCacheBytes = *resultCache
 
 	store, err := buildStore(*data, *gen, *size, opts)

@@ -286,10 +286,7 @@ SELECT ?p (COUNT(?o) AS ?n) { ?p a e:Phone . OPTIONAL { ?o e:delivery ?d } ?o e:
 		t.Fatalf("expired execute = %v; want ErrTimeout wrapping DeadlineExceeded", err)
 	}
 
-	restore, err := ra.SetScans(store, panickingScans{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	restore := ra.SetPanickingMaps(store)
 	_, _, err = store.Query(ra.HiveNaive, exampleQuery)
 	restore()
 	if !errors.Is(err, ra.ErrInternal) {
@@ -404,11 +401,11 @@ func TestPreparedQuerySeesLaterAdd(t *testing.T) {
 	}
 }
 
-// TestStoreLockOrder runs every Store path that takes mu or loadMu from
+// TestStoreLockOrder runs Store paths that take mu or loadMu from
 // concurrent goroutines: Add takes mu and then loadMu, Query holds mu while
-// it takes loadMu, and Prepare and SharedScanStats take loadMu alone. A
-// path that took mu while holding loadMu would deadlock this mix; the
-// watchdog turns that hang into a failure with every goroutine's stack.
+// it takes loadMu, Prepare takes neither, and DataVersion takes loadMu
+// alone. A path that took mu while holding loadMu would deadlock this mix;
+// the watchdog turns that hang into a failure with every goroutine's stack.
 func TestStoreLockOrder(t *testing.T) {
 	store := buildShop()
 	done := make(chan struct{})
@@ -432,7 +429,7 @@ func TestStoreLockOrder(t *testing.T) {
 							t.Error(err)
 						}
 					case 3:
-						store.SharedScanStats()
+						ra.DataVersion(store)
 					}
 				}
 			}()

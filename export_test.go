@@ -1,33 +1,53 @@
 package rapidanalytics
 
 import (
-	"time"
-
+	"rapidanalytics/internal/algebra"
 	"rapidanalytics/internal/dfs"
+	"rapidanalytics/internal/engine"
 	"rapidanalytics/internal/mapred"
 	"rapidanalytics/internal/refimpl"
 	"rapidanalytics/internal/sparql"
 )
 
-// SetSharedScanWindow replaces the shared-scan cycle window of s's next
-// materialisation, so a test can coalesce a whole burst of concurrent
-// queries. Call it before s first queries.
-func SetSharedScanWindow(s *Store, d time.Duration) { s.testScanWindow = d }
+// SetPanickingMaps makes every map task of s's queries panic at its first
+// record, on every system, and returns a function undoing it. No query may
+// run meanwhile.
+func SetPanickingMaps(s *Store) (restore func()) {
+	set := func(wrap func(engine.Engine) engine.Engine) {
+		s.mu.Lock()
+		s.testWrapEngine = wrap
+		s.mu.Unlock()
+	}
+	set(func(e engine.Engine) engine.Engine { return panickingEngine{e} })
+	return func() { set(nil) }
+}
 
-// SetScans installs p as the map-input scan provider of s's loaded
-// cluster, so a test can inject a failure into map tasks, and returns a
-// function restoring the previous provider. No query may run meanwhile.
-func SetScans(s *Store, p mapred.ScanProvider) (restore func(), err error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	c, _, err := s.ensureLoaded()
+// panickingEngine plans as its engine does, with every job's mapper
+// replaced by panickingMapper.
+type panickingEngine struct{ engine.Engine }
+
+func (e panickingEngine) Plan(c *mapred.Cluster, ds *engine.Dataset, q *algebra.AnalyticalQuery) (*engine.Plan, error) {
+	p, err := e.Engine.Plan(c, ds, q)
 	if err != nil {
 		return nil, err
 	}
-	prev := c.Scans
-	c.Scans = p
-	return func() { c.Scans = prev }, nil
+	for i := range p.Stages {
+		job := p.Stages[i].Job
+		p.Stages[i].Job = func(out string) *mapred.Job {
+			j := *job(out)
+			j.NewMapper = func(*mapred.TaskContext) mapred.Mapper { return panickingMapper{} }
+			return &j
+		}
+	}
+	return p, nil
 }
+
+type panickingMapper struct{}
+
+func (panickingMapper) Map([]byte, mapred.Emit) error { panic("injected map-task panic") }
+
+// DataVersion returns s's data version, taking only s's load lock.
+func DataVersion(s *Store) uint64 { return s.currentDataVersion() }
 
 // StoreFS returns the file system of s's loaded cluster, so a test can
 // corrupt a stored file. No query may run while a file is rewritten.

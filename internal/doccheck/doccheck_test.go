@@ -3,7 +3,7 @@
 //
 // Godoc coverage: every exported type, function, method, struct field and
 // package-level var/const in internal/mapred, internal/ntga, internal/vec,
-// internal/blockstore, internal/stats, internal/share, internal/loadgen,
+// internal/blockstore, internal/stats, internal/loadgen,
 // the record codecs (internal/codec), the Hive baselines (internal/hive),
 // the engines' shared contract and finish path (internal/engine), the NTGA
 // operators (internal/tgops), the load path (internal/rdf, internal/store),
@@ -34,7 +34,7 @@ import (
 // checkedPackages are the directories held to full godoc coverage.
 var checkedPackages = []string{
 	"../mapred", "../ntga", "../vec", "../blockstore", "../stats",
-	"../share", "../loadgen", "../codec", "../hive", "../engine", "../tgops",
+	"../loadgen", "../codec", "../hive", "../engine", "../tgops",
 	"../store", "../rdf", "../refimpl", "../leaktest",
 }
 

@@ -1,6 +1,6 @@
 // Package leaktest fails tests that leave goroutines behind. A leaked
-// goroutine — a consumer abandoned on a shared-scan channel, a map task
-// that outlives its cancelled job — is invisible to a passing test and
+// goroutine — a map task that outlives its cancelled job, a handler left
+// blocked on a channel — is invisible to a passing test and
 // surfaces later as a -race report or a hung suite. Checking at test end
 // turns the leak into an attributed failure with the goroutine's stack.
 //

@@ -244,18 +244,6 @@ func (w *WorkflowMetrics) MaterializedBytes() int64 {
 	return b
 }
 
-// ScanProvider intercepts map-task input scans, letting a serving layer
-// batch concurrent scans of identical file ranges into shared passes
-// (internal/share). Implementations must be safe for concurrent use.
-type ScanProvider interface {
-	// Scan returns an iterator over records [start, start+n) of the named
-	// file, or nil to decline — the task then scans its own file snapshot.
-	// A returned iterator may additionally implement `Shared() bool` to
-	// report (after iteration) that the pass served multiple consumers;
-	// the engine tags such tasks with a shared-scan span.
-	Scan(name string, start, n int) dfs.RecordIterator
-}
-
 // Cluster executes jobs against a DFS under a cost-model configuration.
 // A cluster may be bound to a context with WithContext; the zero binding
 // never cancels.
@@ -264,9 +252,6 @@ type Cluster struct {
 	FS *dfs.FS
 	// Config is the cost model's deployment configuration.
 	Config ClusterConfig
-	// Scans, when non-nil, is consulted for every map-task input scan;
-	// see ScanProvider. Nil preserves the default per-task file iteration.
-	Scans ScanProvider
 
 	ctx context.Context
 	// free is the cluster's free list of task scratch, made with the

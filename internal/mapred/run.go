@@ -705,13 +705,7 @@ func (c *Cluster) runMapTask(job *Job, taskIdx int, sp split, side map[string]*d
 		}
 		return nil
 	}
-	var it dfs.RecordIterator
-	if c.Scans != nil {
-		it = c.Scans.Scan(sp.file, sp.start, sp.n)
-	}
-	if it == nil {
-		it = sp.f.Records(sp.start)
-	}
+	it := sp.f.Records(sp.start)
 	ri := 0
 	for ; ri < sp.n && it.Next(); ri++ {
 		if ri%ctxCheckInterval == 0 {
@@ -731,13 +725,6 @@ func (c *Cluster) runMapTask(job *Job, taskIdx int, sp split, side map[string]*d
 	}
 	if ri < sp.n {
 		return res, fmt.Errorf("mapred: input %s truncated: split wants %d records from %d, read %d", sp.file, sp.n, sp.start, ri)
-	}
-	if shared, ok := it.(interface{ Shared() bool }); ok && shared.Shared() {
-		// The input pass was shared with concurrent queries; tag the task
-		// so traces show where cross-query scan sharing kicked in.
-		span := tspan.StartChild(obs.KindIO, "shared-scan")
-		span.AddRecords(int64(ri))
-		span.End()
 	}
 	if closer, ok := mapper.(MapCloser); ok {
 		if err := closer.Close(emit); err != nil {

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"rapidanalytics/internal/plancache"
-	"rapidanalytics/internal/share"
 )
 
 // latencyBuckets are the upper bounds (seconds) of the query latency
@@ -128,10 +127,10 @@ func (m *Metrics) TotalServed() int64 {
 	return m.latencyCount
 }
 
-// WriteTo renders the metrics (and the store's plan-cache, result-cache
-// and shared-scan counters) in Prometheus text exposition format. Series
-// are emitted in sorted label order so scrapes are deterministic.
-func (m *Metrics) WriteTo(w io.Writer, plan, result plancache.Stats, scans share.Stats) {
+// WriteTo renders the metrics (and the store's plan-cache and result-cache
+// counters) in Prometheus text exposition format. Series are emitted in
+// sorted label order so scrapes are deterministic.
+func (m *Metrics) WriteTo(w io.Writer, plan, result plancache.Stats) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
@@ -198,21 +197,6 @@ func (m *Metrics) WriteTo(w io.Writer, plan, result plancache.Stats, scans share
 	fmt.Fprintf(w, "# HELP rapidserver_result_cache_budget_bytes Result cache byte budget.\n")
 	fmt.Fprintf(w, "# TYPE rapidserver_result_cache_budget_bytes gauge\n")
 	fmt.Fprintf(w, "rapidserver_result_cache_budget_bytes %d\n", result.BudgetBytes)
-
-	fmt.Fprintf(w, "# HELP rapidserver_shared_scan_cycles_total Shared-scan passes executed, by whether the pass served multiple queries.\n")
-	fmt.Fprintf(w, "# TYPE rapidserver_shared_scan_cycles_total counter\n")
-	fmt.Fprintf(w, "rapidserver_shared_scan_cycles_total{shared=\"true\"} %d\n", scans.SharedCycles)
-	fmt.Fprintf(w, "rapidserver_shared_scan_cycles_total{shared=\"false\"} %d\n", scans.Cycles-scans.SharedCycles)
-	fmt.Fprintf(w, "# HELP rapidserver_shared_scan_consumers_total Scan requests admitted to shared-scan cycles.\n")
-	fmt.Fprintf(w, "# TYPE rapidserver_shared_scan_consumers_total counter\n")
-	fmt.Fprintf(w, "rapidserver_shared_scan_consumers_total %d\n", scans.Consumers)
-	fmt.Fprintf(w, "# HELP rapidserver_shared_scan_records_total Records moved by the shared-scan scheduler, scanned from the DFS vs served to consumers.\n")
-	fmt.Fprintf(w, "# TYPE rapidserver_shared_scan_records_total counter\n")
-	fmt.Fprintf(w, "rapidserver_shared_scan_records_total{direction=\"scanned\"} %d\n", scans.RecordsScanned)
-	fmt.Fprintf(w, "rapidserver_shared_scan_records_total{direction=\"served\"} %d\n", scans.RecordsServed)
-	fmt.Fprintf(w, "# HELP rapidserver_shared_scan_errors_total Shared-scan passes that failed.\n")
-	fmt.Fprintf(w, "# TYPE rapidserver_shared_scan_errors_total counter\n")
-	fmt.Fprintf(w, "rapidserver_shared_scan_errors_total %d\n", scans.Errors)
 
 	fmt.Fprintf(w, "# HELP rapidserver_query_seconds Query latency histogram.\n")
 	fmt.Fprintf(w, "# TYPE rapidserver_query_seconds histogram\n")

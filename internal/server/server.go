@@ -340,5 +340,5 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.metrics.WriteTo(w, s.store.PlanCacheStats(), s.store.ResultCacheStats(), s.store.SharedScanStats())
+	s.metrics.WriteTo(w, s.store.PlanCacheStats(), s.store.ResultCacheStats())
 }

@@ -284,7 +284,7 @@ func TestCancelledRequestAborts(t *testing.T) {
 	s.ServeHTTP(rec, req)
 
 	var metrics strings.Builder
-	s.metrics.WriteTo(&metrics, s.store.PlanCacheStats(), s.store.ResultCacheStats(), s.store.SharedScanStats())
+	s.metrics.WriteTo(&metrics, s.store.PlanCacheStats(), s.store.ResultCacheStats())
 	body := metrics.String()
 	if !strings.Contains(body, fmt.Sprintf("code=\"%d\"", statusClientClosedRequest)) {
 		t.Fatalf("cancelled query not recorded as client-closed:\n%s", body)

@@ -44,7 +44,6 @@ import (
 	"rapidanalytics/internal/rapid"
 	"rapidanalytics/internal/rdf"
 	"rapidanalytics/internal/refimpl"
-	"rapidanalytics/internal/share"
 	"rapidanalytics/internal/sparql"
 	"rapidanalytics/internal/tgops"
 )
@@ -103,11 +102,10 @@ type Options struct {
 	// DFS and merged back during the shuffle. 0 disables spilling. Query
 	// results and output bytes are identical for every setting.
 	SpillThresholdBytes int64
-	// SharedScans batches concurrent in-flight queries' scans of identical
-	// base-layout file ranges into one shared pass per cycle window
-	// (internal/share) — serving-time MQO across query boundaries. Results
-	// are identical either way. Disabled by DefaultOptions; the serving
-	// layer (cmd/rapidserver) enables it.
+	// SharedScans has no effect: every map task reads its split from its
+	// own file snapshot.
+	//
+	// Deprecated: cross-query shared scans were removed (DESIGN §10).
 	SharedScans bool
 	// ResultCacheBytes bounds a byte-budget LRU caching final query results,
 	// keyed by (system, query text, data version), and reusable composite
@@ -197,17 +195,10 @@ type Store struct {
 	// from before a mutation stop being addressable and age out of the LRU.
 	results *plancache.Cache
 
-	// scans is the current load's shared-scan scheduler (nil unless
-	// Options.SharedScans); scanStatsBase accumulates counters from
-	// superseded loads so SharedScanStats stays monotonic across reloads.
-	// Both are guarded by loadMu.
-	scans         *share.Scheduler
-	scanStatsBase share.Stats
-
-	// testScanWindow, when nonzero, replaces share.DefaultWindow as the
-	// shared-scan cycle window. Only this package's tests assign it
-	// (export_test.go), to coalesce a whole burst of concurrent queries.
-	testScanWindow time.Duration
+	// testWrapEngine, when non-nil, wraps the engine of every query. Only
+	// this package's tests assign it (export_test.go), to make map tasks
+	// panic.
+	testWrapEngine func(engine.Engine) engine.Engine
 }
 
 // planCacheSize is the plan cache's budget: every plan counts 1.
@@ -264,10 +255,6 @@ func (s *Store) invalidateLayouts() {
 	}
 	s.cluster, s.ds = nil, nil
 	s.dataVersion++
-	if s.scans != nil {
-		s.scanStatsBase = s.scanStatsBase.Add(s.scans.Stats())
-		s.scans = nil
-	}
 	s.loadMu.Unlock()
 }
 
@@ -339,15 +326,6 @@ func (s *Store) load() error {
 		return err
 	}
 	cluster := mapred.NewClusterFS(cfg, fs)
-	if s.opts.SharedScans {
-		// Share only base-layout scans: per-query tmp/ intermediates
-		// have unique names and would pay the window for nothing.
-		s.scans = share.New(fs, share.Options{
-			Window: s.testScanWindow,
-			Prefix: "store/",
-		})
-		cluster.Scans = s.scans
-	}
 	ds, err := engine.Load(cluster, fmt.Sprintf("store/%d", s.loads), rdf.NewIDGraph(s.dict, s.triples))
 	if err != nil {
 		return err
@@ -581,17 +559,17 @@ func (s *Store) ResultCacheStats() plancache.Stats {
 	return s.results.Stats()
 }
 
-// SharedScanStats returns the shared-scan scheduler counters, accumulated
-// across dataset rematerialisations (zero when Options.SharedScans is
-// off).
-func (s *Store) SharedScanStats() share.Stats {
-	s.loadMu.Lock()
-	defer s.loadMu.Unlock()
-	if s.scans == nil {
-		return s.scanStatsBase
-	}
-	return s.scanStatsBase.Add(s.scans.Stats())
+// ScanStats is what SharedScanStats returns: always zero.
+//
+// Deprecated: cross-query shared scans were removed (DESIGN §10).
+type ScanStats struct {
+	SharedCycles, RecordsScanned, RecordsServed int64
 }
+
+// SharedScanStats returns zero counters.
+//
+// Deprecated: cross-query shared scans were removed (DESIGN §10).
+func (s *Store) SharedScanStats() ScanStats { return ScanStats{} }
 
 // Compiled is a parsed and validated analytical query, reusable across
 // stores and systems.
@@ -636,6 +614,9 @@ func (s *Store) run(ctx context.Context, sys System, q *Compiled) (*Result, *Sta
 		subResults = subResultCache{c: s.results, version: s.currentDataVersion()}
 	}
 	eng := newEngine(sys, subResults)
+	if s.testWrapEngine != nil {
+		eng = s.testWrapEngine(eng)
+	}
 	// A WithTracing context gets a root span; engines and the MR cluster
 	// attach planner/cycle spans to it through the same context.
 	var root *obs.Span

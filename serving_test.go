@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	ra "rapidanalytics"
 	"rapidanalytics/internal/bench"
@@ -274,67 +273,57 @@ SELECT ?feature ?cntF ?cntT {
       ?o1 e:product ?p1 ; e:price ?pr . } }
 }`
 
-// TestSharedScansKeepResultsIdentical fires concurrent identical queries
-// at a shared-scan store and checks every result matches the unshared
-// baseline while at least one scan cycle was actually shared.
-func TestSharedScansKeepResultsIdentical(t *testing.T) {
-	baseline := buildShop()
-	want, _, err := baseline.Query(ra.RAPIDAnalytics, exampleQuery)
+// TestConcurrentColdQueriesAgree fires a burst of identical queries at a
+// cold store built with cmd/rapidserver's options: whether a query runs or
+// finds what a sibling cached, it returns the rows of a store without
+// caches.
+func TestConcurrentColdQueriesAgree(t *testing.T) {
+	want, _, err := buildShop().Query(ra.RAPIDAnalytics, exampleQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	opts := ra.DefaultOptions()
-	opts.SharedScans = true
+	opts.ResultCacheBytes = 64 << 20
 	store := buildShopWith(t, opts)
-	ra.SetSharedScanWindow(store, 100*time.Millisecond) // generous: coalesce the whole burst
 
 	const concurrent = 6
 	var wg sync.WaitGroup
 	results := make([]*ra.Result, concurrent)
 	errs := make([]error, concurrent)
-	for i := 0; i < concurrent; i++ {
+	for i := range concurrent {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			results[i], _, errs[i] = store.Query(ra.RAPIDAnalytics, exampleQuery)
-		}(i)
+		}()
 	}
 	wg.Wait()
 
-	for i := 0; i < concurrent; i++ {
+	for i := range concurrent {
 		if errs[i] != nil {
 			t.Fatalf("query %d: %v", i, errs[i])
 		}
 		if canonRows(results[i]) != canonRows(want) {
-			t.Fatalf("query %d diverged under shared scans:\n%s\nvs\n%s",
+			t.Fatalf("query %d diverged in the burst:\n%s\nvs\n%s",
 				i, canonRows(results[i]), canonRows(want))
 		}
 	}
-	st := store.SharedScanStats()
-	if st.Cycles == 0 {
-		t.Fatal("shared-scan scheduler never ran a cycle")
+	// Cached composite relations outlive their queries; no other
+	// intermediate and no handle does.
+	fs, err := ra.StoreFS(store)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st.SharedCycles == 0 {
-		t.Error("no scan cycle was shared across the concurrent burst")
+	if n := fs.OpenHandles(); n != 0 {
+		t.Errorf("%d DFS handles left open", n)
 	}
-	if st.RecordsServed <= st.RecordsScanned {
-		t.Errorf("sharing saved nothing: served %d, scanned %d", st.RecordsServed, st.RecordsScanned)
+	for _, name := range fs.List("tmp/") {
+		if !strings.Contains(name, "-composite-") {
+			t.Errorf("intermediate %s left behind", name)
+		}
 	}
-	checkStoreClean(t, store)
 }
-
-// panickingScans hands every map task an input iterator that panics at its
-// first record.
-type panickingScans struct{}
-
-func (panickingScans) Scan(string, int, int) dfs.RecordIterator { return panickingIterator{} }
-
-type panickingIterator struct{}
-
-func (panickingIterator) Next() bool     { panic("injected map-task panic") }
-func (panickingIterator) Record() []byte { return nil }
-func (panickingIterator) Err() error     { return nil }
 
 // A panic inside a map task is contained to its query: the store returns
 // ErrInternal, the server answers 500, and the next query is served.
@@ -347,10 +336,7 @@ func TestTaskPanicIsInternalError(t *testing.T) {
 		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/sparql?query="+url.QueryEscape(exampleQuery), nil))
 		return rec.Code, rec.Body.String()
 	}
-	restore, err := ra.SetScans(store, panickingScans{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	restore := ra.SetPanickingMaps(store)
 	if _, _, err := store.Query(ra.HiveNaive, exampleQuery); !errors.Is(err, ra.ErrInternal) || !errors.Is(err, mapred.ErrTaskPanic) {
 		t.Fatalf("Query error = %v, want ErrInternal wrapping mapred.ErrTaskPanic", err)
 	}
