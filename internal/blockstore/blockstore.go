@@ -21,23 +21,12 @@ const (
 	segSuffix     = ".seg"
 )
 
-// Stat summarises one stored segment without opening it.
-type Stat struct {
-	// Records is the segment's record count.
-	Records int64
-	// Bytes is the sum of record lengths (uncompressed logical bytes).
-	Bytes int64
-	// Meta is the opaque metadata blob stored in the segment footer (the
-	// DFS layer keeps the compression ratio here).
-	Meta []byte
-}
-
-// entry is one name in the store index. A nil stat marks a pending entry:
-// the name has been created but its writer has not committed yet, so the
-// name exists with no readable content.
+// entry is one name in the store index. A pending entry has been created
+// but its writer has not committed yet, so the name exists with no
+// readable content.
 type entry struct {
-	path string
-	stat *Stat
+	path      string
+	committed bool
 }
 
 // Store is a sharded collection of named segments rooted at a directory.
@@ -90,7 +79,7 @@ func Open(dir string, shards int) (*Store, error) {
 }
 
 // scanShard indexes the committed segments already present in one shard
-// directory, reading each segment's footer for its stat. Leftover .tmp
+// directory, checking each segment's footer. Leftover .tmp
 // files from interrupted writers are removed.
 func (s *Store) scanShard(i int) error {
 	ents, err := os.ReadDir(s.shardDir(i))
@@ -117,10 +106,8 @@ func (s *Store) scanShard(i int) error {
 		}
 		fi, err := f.Stat()
 		if err == nil {
-			var m *segMeta
-			m, err = parseSegment(f, fi.Size())
-			if err == nil {
-				s.index[name] = &entry{path: path, stat: &Stat{Records: m.records, Bytes: m.bytes, Meta: m.meta}}
+			if _, err = parseSegment(f, fi.Size()); err == nil {
+				s.index[name] = &entry{path: path, committed: true}
 			}
 		}
 		f.Close()
@@ -215,10 +202,7 @@ func (w *SegmentWriter) Close() error {
 		return fmt.Errorf("blockstore: writing %s: %w", w.name, err)
 	}
 	w.store.mu.Lock()
-	w.store.index[w.name] = &entry{
-		path: w.final,
-		stat: &Stat{Records: w.enc.records, Bytes: w.enc.bytes, Meta: w.meta},
-	}
+	w.store.index[w.name] = &entry{path: w.final, committed: true}
 	w.store.mu.Unlock()
 	return nil
 }
@@ -234,7 +218,7 @@ func (s *Store) Open(name string) (*Segment, error) {
 	if !ok {
 		return nil, fmt.Errorf("blockstore: no such segment %q", name)
 	}
-	if e.stat == nil {
+	if !e.committed {
 		return &Segment{name: name}, nil
 	}
 	f, err := os.Open(e.path)
@@ -260,21 +244,6 @@ func (s *Store) Exists(name string) bool {
 	defer s.mu.RUnlock()
 	_, ok := s.index[name]
 	return ok
-}
-
-// Stat returns the named segment's committed stat. Pending names report a
-// zero Stat.
-func (s *Store) Stat(name string) (Stat, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e, ok := s.index[name]
-	if !ok {
-		return Stat{}, false
-	}
-	if e.stat == nil {
-		return Stat{}, true
-	}
-	return *e.stat, true
 }
 
 // Delete removes the named segment. Deleting a missing name is a no-op.

@@ -173,10 +173,14 @@ func TestReopenPersistence(t *testing.T) {
 	if got := readSegment(t, s2, "keep/me"); !reflect.DeepEqual(got, []string{"alpha", "beta"}) {
 		t.Errorf("records after reopen = %q", got)
 	}
-	st, ok := s2.Stat("keep/me")
-	if !ok || st.Records != 2 || string(st.Meta) != "\x01\x02" {
-		t.Errorf("Stat after reopen = %+v ok=%v", st, ok)
+	seg, err := s2.Open("keep/me")
+	if err != nil {
+		t.Fatal(err)
 	}
+	if seg.Records() != 2 || string(seg.Meta()) != "\x01\x02" {
+		t.Errorf("after reopen: %d records, meta %q", seg.Records(), seg.Meta())
+	}
+	seg.Close()
 	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
 		t.Error("orphan temp file survived reopen")
 	}

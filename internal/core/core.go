@@ -23,6 +23,7 @@ import (
 	"fmt"
 
 	"rapidanalytics/internal/algebra"
+	"rapidanalytics/internal/dfs"
 	"rapidanalytics/internal/engine"
 	"rapidanalytics/internal/mapred"
 	"rapidanalytics/internal/ntga"
@@ -64,18 +65,18 @@ func DefaultOptions() Options {
 	}
 }
 
-// SubResultCache caches reusable composite-relation outputs across
-// queries: the serving layer plugs the store's byte-budget result cache in
-// here so concurrent and repeated queries over one dataset materialisation
-// skip the whole TG_OptGrpFilter + α-Join chain when an identical composite
-// pattern was already evaluated. Implementations must be safe for
-// concurrent use.
+// SubResultCache caches the content of composite matches across queries:
+// the serving layer plugs the store's byte-budget result cache in here so
+// concurrent and repeated queries over one dataset materialisation skip
+// the whole TG_OptGrpFilter + α-Join chain when an identical composite
+// pattern was already evaluated. It holds the matches' sealed batches, not
+// a file, so nothing in the DFS outlives the execution that built them.
+// Implementations must be safe for concurrent use.
 type SubResultCache interface {
-	// Get returns the cached composite matches for a key.
-	Get(key string) (tgops.Source, bool)
-	// Put caches composite matches accounted at bytes and reports whether
-	// it stored them.
-	Put(key string, src tgops.Source, bytes int64) bool
+	// Get returns the cached content of composite matches for a key.
+	Get(key string) (dfs.Content, bool)
+	// Put offers the content of composite matches for a key.
+	Put(key string, c dfs.Content)
 }
 
 // Engine is the RAPIDAnalytics engine.
@@ -132,24 +133,23 @@ func (e *Engine) Plan(c *mapred.Cluster, ds *engine.Dataset, aq *algebra.Analyti
 	return p, nil
 }
 
-// compositeMatches plans the composite pattern's matched triplegroups,
-// served from the sub-result cache when an identical composite evaluation
-// (same dataset materialisation, same pattern, filters and option flags)
-// already ran. Otherwise the chain's last stage, once it has run, is
-// offered to the cache, and kept if the cache takes it: its output then
-// stays until the dataset is reloaded. Cached sources are reused
-// read-only: DFS snapshots are immutable and re-openable, so N queries
-// can consume one materialised (or streamed) match relation
+// compositeMatches plans the composite pattern's matched triplegroups.
+// When an identical composite evaluation (same dataset materialisation,
+// same pattern, filters and option flags) already ran, the sub-result
+// cache serves its content, which the plan attaches under its own prefix.
+// Otherwise a hook on the chain's last stage offers the closed output's
+// content to the cache. Either way the execution deletes its files; the
+// cached batches are immutable, so N queries can attach one content
 // concurrently.
 func (e *Engine) compositeMatches(p *engine.Plan, c *mapred.Cluster, ds *engine.Dataset, cp *algebra.CompositePattern) (tgops.Source, error) {
 	if e.SubResults == nil {
 		return e.planComposite(p, c, ds, cp)
 	}
 	key := compositeKey(ds, cp, e.Opts)
-	if src, ok := e.SubResults.Get(key); ok {
+	if content, ok := e.SubResults.Get(key); ok {
 		sp := obs.StartChild(c.Context(), obs.KindPlanner, "cache-hit")
 		sp.End()
-		return src, nil
+		return tgops.Source{Files: []string{p.Attach("composite", content)}, Dict: ds.Dict}, nil
 	}
 	planned := len(p.Stages)
 	matched, err := e.planComposite(p, c, ds, cp)
@@ -158,12 +158,12 @@ func (e *Engine) compositeMatches(p *engine.Plan, c *mapred.Cluster, ds *engine.
 		// which no cache entry would save.
 		return matched, err
 	}
-	// The output outlives the execution only if the cache took it.
-	stored := false
-	last := &p.Stages[len(p.Stages)-1]
-	last.Keep = func() bool { return stored }
-	last.After = func(_ *mapred.Cluster, m *mapred.Metrics) error {
-		stored = e.SubResults.Put(key, matched, m.OutputBytes)
+	p.Stages[len(p.Stages)-1].After = func(c *mapred.Cluster, _ *mapred.Metrics) error {
+		content, err := c.FS.Content(matched.Files[0])
+		if err != nil {
+			return err
+		}
+		e.SubResults.Put(key, content)
 		return nil
 	}
 	return matched, nil

@@ -22,15 +22,14 @@
 //     valid indefinitely; callers must not modify them.
 //
 // Beside the backend, the FS keeps an in-memory registry (CreateStream,
-// see stream.go) with the same semantics. Job outputs live there on
-// either backend; the backend holds the layouts and the spill runs.
+// Attach; see stream.go) with the same semantics. Job outputs live there
+// on either backend; the backend holds the layouts and the spill runs.
 package dfs
 
 import (
 	"errors"
 	"fmt"
 	"os"
-	"sync"
 	"sync/atomic"
 
 	"rapidanalytics/internal/blockstore"
@@ -71,9 +70,6 @@ type Backend interface {
 	Delete(name string) error
 	// List returns the names of all files with the given prefix, sorted.
 	List(prefix string) []string
-	// TotalStoredBytes sums the stored (compressed) size of all files with
-	// the prefix.
-	TotalStoredBytes(prefix string) int64
 }
 
 // FileWriter is a backend's append-only write handle. Implementations are
@@ -168,10 +164,9 @@ type FS struct {
 	// open counts the Files and Writers handed out and not yet closed.
 	open atomic.Int64
 
-	// mu guards streams, the in-memory registry (CreateStream) that Open
+	// streams is the in-memory registry (CreateStream, Attach) that Open
 	// and Exists consult before the backend.
-	mu      sync.Mutex
-	streams map[string]*memFile
+	streams memBackend
 }
 
 // New returns an FS over a fresh in-memory backend.
@@ -218,9 +213,6 @@ func Resolve(kind, dir string) (*FS, error) {
 	}
 }
 
-// Backend returns the FS's storage backend.
-func (fs *FS) Backend() Backend { return fs.b }
-
 // Dir returns the directory a disk-backed FS is rooted at, or "" in
 // memory.
 func (fs *FS) Dir() string {
@@ -243,14 +235,14 @@ func (fs *FS) Create(name string, ratio float64) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	fs.dropStream(name)
+	fs.streams.Delete(name)
 	return fs.countWriter(&Writer{fw: fw, name: name, ratio: ratio}), nil
 }
 
 // Open returns a snapshot of the named file. Registered files are served
 // from the registry with identical snapshot semantics and metadata.
 func (fs *FS) Open(name string) (*File, error) {
-	if sf := fs.stream(name); sf != nil {
+	if sf := fs.streams.file(name); sf != nil {
 		return fs.countFile(sf.open(name)), nil
 	}
 	f, err := fs.b.Open(name)
@@ -281,10 +273,7 @@ func (fs *FS) countWriter(w *Writer) *Writer {
 
 // Exists reports whether the named file exists (registered or stored).
 func (fs *FS) Exists(name string) bool {
-	if fs.stream(name) != nil {
-		return true
-	}
-	return fs.b.Exists(name)
+	return fs.streams.Exists(name) || fs.b.Exists(name)
 }
 
 // Delete removes the named file — the registry entry, the backend file,
@@ -293,14 +282,10 @@ func (fs *FS) Exists(name string) bool {
 // backend's: on the disk backend a failed segment delete leaks storage,
 // which callers (e.g. the engine's spill cleanup) must surface.
 func (fs *FS) Delete(name string) error {
-	fs.dropStream(name)
+	fs.streams.Delete(name)
 	return fs.b.Delete(name)
 }
 
 // List returns the names of all backend files with the given prefix,
 // sorted. Registered files are excluded: they have no storage footprint.
 func (fs *FS) List(prefix string) []string { return fs.b.List(prefix) }
-
-// TotalStoredBytes sums the stored size of all backend files with the
-// prefix. Registered files contribute nothing.
-func (fs *FS) TotalStoredBytes(prefix string) int64 { return fs.b.TotalStoredBytes(prefix) }

@@ -79,8 +79,8 @@ func TestListAndDelete(t *testing.T) {
 	if got := fs.List("x/"); !reflect.DeepEqual(got, []string{"x/1", "x/2"}) {
 		t.Errorf("List = %v", got)
 	}
-	if got := fs.TotalStoredBytes("x/"); got != 3 {
-		t.Errorf("TotalStoredBytes = %d", got)
+	if got := storedUnder(t, fs, "x/"); got != 3 {
+		t.Errorf("x/ stores %d bytes", got)
 	}
 	fs.Delete("x/1")
 	if fs.Exists("x/1") {

@@ -90,13 +90,3 @@ func (b *diskBackend) Exists(name string) bool { return b.store.Exists(name) }
 func (b *diskBackend) Delete(name string) error { return b.store.Delete(name) }
 
 func (b *diskBackend) List(prefix string) []string { return b.store.List(prefix) }
-
-func (b *diskBackend) TotalStoredBytes(prefix string) int64 {
-	var total int64
-	for _, name := range b.store.List(prefix) {
-		if st, ok := b.store.Stat(name); ok {
-			total += storedSize(st.Bytes, decodeRatio(st.Meta))
-		}
-	}
-	return total
-}

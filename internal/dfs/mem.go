@@ -9,14 +9,26 @@ import (
 	"rapidanalytics/internal/vec"
 )
 
-// memFile is one in-memory file's live state: its sealed batches. It is
-// the FileWriter of the mem backend and of the FS's registry.
-type memFile struct {
-	mu      sync.Mutex
-	ratio   float64
+// Content is what an in-memory file holds: its sealed batches, their
+// record count and logical bytes, and the file's compression ratio. It is
+// a value over immutable batches, so it outlives the file it was taken
+// from (FS.Content) and FS.Attach registers it under any name, any number
+// of times, without a copy.
+type Content struct {
 	batches []*vec.Batch
 	records int
 	bytes   int64
+	ratio   float64
+}
+
+// Bytes returns the content's logical size: the sum of its record lengths.
+func (c Content) Bytes() int64 { return c.bytes }
+
+// memFile is one in-memory file's live state. It is the FileWriter of the
+// mem backend and of the FS's registry.
+type memFile struct {
+	mu sync.Mutex
+	c  Content
 }
 
 // AppendBatch implements FileWriter: the batch becomes visible to later
@@ -24,65 +36,80 @@ type memFile struct {
 func (f *memFile) AppendBatch(b *vec.Batch) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.batches = append(f.batches, b)
-	f.records += b.Rows()
-	f.bytes += b.Bytes()
+	f.c.batches = append(f.c.batches, b)
+	f.c.records += b.Rows()
+	f.c.bytes += b.Bytes()
 	return nil
 }
 
 // Close implements FileWriter; every batch is committed already.
 func (f *memFile) Close() error { return nil }
 
-// open returns a snapshot File of the committed batches: later commits
-// grow the live file's slice without touching the one captured here.
-func (f *memFile) open(name string) *File {
+// content returns the committed batches, capped: later commits grow the
+// live file's slice without touching the one captured here.
+func (f *memFile) content() Content {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return &File{
-		name:    name,
-		nrec:    f.records,
-		bytes:   f.bytes,
-		ratio:   f.ratio,
-		batches: f.batches[:len(f.batches):len(f.batches)],
-	}
+	c := f.c
+	c.batches = c.batches[:len(c.batches):len(c.batches)]
+	return c
 }
 
-// memBackend is the default backend: every file its sealed batches on the
-// heap.
+// open returns a snapshot File of the committed batches.
+func (f *memFile) open(name string) *File {
+	c := f.content()
+	return &File{name: name, nrec: c.records, bytes: c.bytes, ratio: c.ratio, batches: c.batches}
+}
+
+// memBackend is a table of in-memory files: the default backend, and the
+// FS's registry. The zero value is empty and ready to use.
 type memBackend struct {
 	mu    sync.RWMutex
 	files map[string]*memFile
 }
 
 // NewMemBackend returns a fresh in-memory backend.
-func NewMemBackend() Backend {
-	return &memBackend{files: map[string]*memFile{}}
+func NewMemBackend() Backend { return &memBackend{} }
+
+// put names f, replacing any file of that name.
+func (b *memBackend) put(name string, f *memFile) {
+	b.mu.Lock()
+	if b.files == nil {
+		b.files = map[string]*memFile{}
+	}
+	b.files[name] = f
+	b.mu.Unlock()
+}
+
+// file looks a name up without allocating; nil when absent.
+func (b *memBackend) file(name string) *memFile {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	return b.files[name]
+}
+
+// len returns the number of files.
+func (b *memBackend) len() int {
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	return len(b.files)
 }
 
 func (b *memBackend) Create(name string, ratio float64) (FileWriter, error) {
-	f := &memFile{ratio: ratio}
-	b.mu.Lock()
-	b.files[name] = f
-	b.mu.Unlock()
+	f := &memFile{c: Content{ratio: ratio}}
+	b.put(name, f)
 	return f, nil
 }
 
 func (b *memBackend) Open(name string) (*File, error) {
-	b.mu.RLock()
-	f, ok := b.files[name]
-	b.mu.RUnlock()
-	if !ok {
+	f := b.file(name)
+	if f == nil {
 		return nil, fmt.Errorf("dfs: no such file %q", name)
 	}
 	return f.open(name), nil
 }
 
-func (b *memBackend) Exists(name string) bool {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	_, ok := b.files[name]
-	return ok
-}
+func (b *memBackend) Exists(name string) bool { return b.file(name) != nil }
 
 func (b *memBackend) Delete(name string) error {
 	b.mu.Lock()
@@ -102,26 +129,6 @@ func (b *memBackend) List(prefix string) []string {
 	b.mu.RUnlock()
 	sort.Strings(names)
 	return names
-}
-
-// TotalStoredBytes snapshots the matching files under b.mu and sizes them
-// after releasing it, so no path holds two locks of this package.
-func (b *memBackend) TotalStoredBytes(prefix string) int64 {
-	var files []*memFile
-	b.mu.RLock()
-	for n, f := range b.files {
-		if strings.HasPrefix(n, prefix) {
-			files = append(files, f)
-		}
-	}
-	b.mu.RUnlock()
-	var total int64
-	for _, f := range files {
-		f.mu.Lock()
-		total += storedSize(f.bytes, f.ratio)
-		f.mu.Unlock()
-	}
-	return total
 }
 
 // batchIterator walks the rows of a batch snapshot as records. Each record

@@ -205,3 +205,102 @@ func TestWriteBatchOnBackendFile(t *testing.T) {
 		t.Errorf("records = %x", got)
 	}
 }
+
+// TestAttachedContentOutlivesItsFile: the content taken from a registered
+// file stays readable after the file is deleted, and attaching it under
+// other names serves its records, counts and ratio there, as a stream of
+// the FS, until each name is deleted.
+func TestAttachedContentOutlivesItsFile(t *testing.T) {
+	fs := New()
+	recs := streamRecords(vec.DefaultBatchRows + 3)
+	writeStream(t, fs, "out", 0.5, recs...)
+	c, err := fs.Content("out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Delete("out"); err != nil {
+		t.Fatal(err)
+	}
+	other := New()
+	for _, name := range []string{"a", "b"} {
+		if err := other.Attach(name, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := other.LiveStreams(); n != 2 {
+		t.Errorf("%d live streams, want the two attached", n)
+	}
+	f, err := other.Open("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := f.AllRecords()
+	if len(got) != len(recs) || !bytes.Equal(got[len(got)-1], recs[len(recs)-1]) {
+		t.Errorf("attached content reads %d records, want %d", len(got), len(recs))
+	}
+	if f.Bytes() != c.Bytes() || f.CompressionRatio() != 0.5 || other.List("") != nil {
+		t.Errorf("attached: %d bytes (content %d), ratio %g, listed %v", f.Bytes(), c.Bytes(), f.CompressionRatio(), other.List(""))
+	}
+	f.Close()
+	for _, name := range []string{"a", "b"} {
+		if err := other.Delete(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := other.LiveStreams(); n != 0 {
+		t.Errorf("%d live streams after the deletes", n)
+	}
+	if _, err := fs.Content("out"); err == nil {
+		t.Error("Content of a deleted file succeeded")
+	}
+}
+
+// batchOf seals recs into one batch.
+func batchOf(recs ...[]byte) *vec.Batch {
+	var bu vec.Builder
+	for _, r := range recs {
+		bu.Append(r)
+	}
+	return bu.Flush()
+}
+
+// TestContentIsASnapshot: batches committed after Content was taken do not
+// reach it.
+func TestContentIsASnapshot(t *testing.T) {
+	fs := New()
+	w, err := fs.CreateStream("f", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.WriteBatch(batchOf(idRec(1)))
+	c, err := fs.Content("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.WriteBatch(batchOf(idRec(2)))
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Attach("g", c); err != nil {
+		t.Fatal(err)
+	}
+	f, err := fs.Open("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if f.NumRecords() != 1 {
+		t.Errorf("content holds %d records, want the 1 committed when taken", f.NumRecords())
+	}
+}
+
+// TestBackendLookupAllocationFree: finding a backend file passes through
+// the registry's table without allocating.
+func TestBackendLookupAllocationFree(t *testing.T) {
+	fs := New()
+	writeFile(t, fs, "layout", 1, "a")
+	writeStream(t, fs, "out", 1, idRec(1))
+	if n := testing.AllocsPerRun(100, func() { fs.Exists("layout") }); n != 0 {
+		t.Errorf("Exists of a backend file allocates %g times", n)
+	}
+}

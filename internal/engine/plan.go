@@ -14,8 +14,9 @@ import (
 // cycles (stages) in execution order, each with its output path, named by
 // Plan.Add, and the files its job reads. Engines build plans without
 // running anything (Engine.Plan). Execute is the one executor: it runs the
-// stages and their hooks and deletes the intermediates. Every output lives
-// in the DFS's in-memory registry (dfs.FS.CreateStream).
+// stages and their hooks and deletes every file the execution created.
+// Every output lives in the DFS's in-memory registry (dfs.FS.CreateStream),
+// and so does content a plan attaches instead of computing (Plan.Attach).
 
 // Stage is one MapReduce cycle of a plan.
 type Stage struct {
@@ -25,15 +26,10 @@ type Stage struct {
 	Op string
 	// Out is the stage's output path, named by Plan.Add.
 	Out string
-	// Reads lists the files the job reads: earlier outputs and stored
-	// files, which match no output. It is the plan's declared data flow,
-	// and the executor checks it against the job.
+	// Reads lists the files the job reads: earlier outputs, and stored or
+	// attached files, which match no output. It is the plan's declared
+	// data flow, and the executor checks it against the job.
 	Reads []string
-	// Keep, when set, is asked once the execution ends whether the output
-	// of this stage, which ran, outlives it; an output it does not keep is
-	// deleted with the other intermediates. It may answer from what the
-	// stage's After hook learnt.
-	Keep func() bool
 	// Job returns the stage's job when the stage runs; out, the stage's
 	// output path, is the job's Output.
 	Job func(out string) *mapred.Job
@@ -48,23 +44,46 @@ type Stage struct {
 type Plan struct {
 	// Stages are the plan's cycles in execution order.
 	Stages []Stage
-	// prefix is the plan's output directory, taken by the first Add;
-	// result is the query's result path, set by Finish.
+	// prefix is the plan's output directory, taken by the first Add or
+	// Attach; result is the query's result path, set by Finish.
 	prefix, result string
+	// attached is the content Attach named, in order.
+	attached []attachment
+}
+
+// attachment is content a plan reads under a path of its own.
+type attachment struct {
+	path    string
+	content dfs.Content
 }
 
 // executions numbers plans, giving each its own output prefix.
 var executions atomic.Int64
 
-// Add appends a stage, names its output under the plan's prefix and
-// returns that path.
-func (p *Plan) Add(s Stage) string {
+// dir returns the plan's output directory, taking one on first use.
+func (p *Plan) dir() string {
 	if p.prefix == "" {
 		p.prefix = fmt.Sprintf("tmp/%d", executions.Add(1))
 	}
-	s.Out = fmt.Sprintf("%s/%02d-%s", p.prefix, len(p.Stages)+1, s.Name)
+	return p.prefix
+}
+
+// Add appends a stage, names its output under the plan's prefix and
+// returns that path.
+func (p *Plan) Add(s Stage) string {
+	s.Out = fmt.Sprintf("%s/%02d-%s", p.dir(), len(p.Stages)+1, s.Name)
 	p.Stages = append(p.Stages, s)
 	return s.Out
+}
+
+// Attach names content under the plan's prefix and returns that path, for
+// stages to read like an output that already ran. Execute registers it
+// before the first stage and deletes it with the outputs. Attaching runs
+// no job.
+func (p *Plan) Attach(name string, c dfs.Content) string {
+	path := fmt.Sprintf("%s/in%d-%s", p.dir(), len(p.attached)+1, name)
+	p.attached = append(p.attached, attachment{path, c})
+	return path
 }
 
 // Finish ends the plan with the shared finish path over the aggregation
@@ -99,9 +118,9 @@ func (p *Plan) Finish(aq *algebra.AnalyticalQuery, aggs ...string) {
 }
 
 // Execute plans the query with e, runs the plan on c and reads the result.
-// When the execution ends, on success and on error alike, every
-// output is deleted but those of kept stages that ran; a failed delete
-// fails the execution unless it had already failed.
+// When the execution ends, on success and on error alike, every attached
+// file and every output is deleted; a failed delete fails the execution
+// unless it had already failed.
 func Execute(c *mapred.Cluster, ds *Dataset, e Engine, aq *algebra.AnalyticalQuery) (*Result, *mapred.WorkflowMetrics, error) {
 	p, err := e.Plan(c, ds, aq)
 	if err != nil {
@@ -115,9 +134,14 @@ func Execute(c *mapred.Cluster, ds *Dataset, e Engine, aq *algebra.AnalyticalQue
 	return res, wm, err
 }
 
-// run runs the stages on c, appending each job's metrics to wm, and reads
-// the result.
+// run registers the attached content on c, runs the stages, appending
+// each job's metrics to wm, and reads the result.
 func (p *Plan) run(c *mapred.Cluster, wm *mapred.WorkflowMetrics, aq *algebra.AnalyticalQuery) (*Result, error) {
+	for _, a := range p.attached {
+		if err := c.FS.Attach(a.path, a.content); err != nil {
+			return nil, err
+		}
+	}
 	for _, st := range p.Stages {
 		job := st.Job(st.Out)
 		if err := p.checkReads(st, job); err != nil {
@@ -152,19 +176,22 @@ func (p *Plan) checkReads(st Stage, job *mapred.Job) error {
 	return nil
 }
 
-// deleteIntermediates deletes the output of every stage that started —
-// the ran stages that ran and the one after them — except kept stages
-// that ran, returning the first failure (with the path named) after
-// attempting the rest. Deleting an output its job never wrote is a no-op.
+// deleteIntermediates deletes every attached file and the output of every
+// stage that started — the ran stages that ran and the one after them —
+// returning the first failure (with the path named) after attempting the
+// rest. Deleting a file never registered or written is a no-op.
 func (p *Plan) deleteIntermediates(fs *dfs.FS, ran int) error {
 	var first error
-	for i, st := range p.Stages[:min(ran+1, len(p.Stages))] {
-		if i < ran && st.Keep != nil && st.Keep() {
-			continue
+	del := func(path string) {
+		if err := fs.Delete(path); err != nil && first == nil {
+			first = fmt.Errorf("engine: deleting %s: %w", path, err)
 		}
-		if err := fs.Delete(st.Out); err != nil && first == nil {
-			first = fmt.Errorf("engine: deleting %s: %w", st.Out, err)
-		}
+	}
+	for _, a := range p.attached {
+		del(a.path)
+	}
+	for _, st := range p.Stages[:min(ran+1, len(p.Stages))] {
+		del(st.Out)
 	}
 	return first
 }

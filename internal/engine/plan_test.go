@@ -3,11 +3,13 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"rapidanalytics/internal/algebra"
 	"rapidanalytics/internal/codec"
+	"rapidanalytics/internal/dfs"
 	"rapidanalytics/internal/mapred"
 )
 
@@ -64,40 +66,75 @@ func finish(c *mapred.Cluster, aq *algebra.AnalyticalQuery, files []string) (*Re
 const oneGrouped = `PREFIX e: <http://e/>
 SELECT ?g (COUNT(?x) AS ?n) { ?s e:g ?g ; e:x ?x . } GROUP BY ?g`
 
-// checkClean fails t unless the execution left no intermediate or handle
-// behind but the outputs kept.
-func checkClean(t *testing.T, c *mapred.Cluster, kept int) {
+// checkClean fails t unless the execution left no intermediate, live
+// stream or handle behind.
+func checkClean(t *testing.T, c *mapred.Cluster) {
 	t.Helper()
 	if left := c.FS.List("tmp/"); len(left) != 0 {
 		t.Errorf("intermediates left behind: %v", left)
 	}
-	if n := c.FS.LiveStreams(); n != kept {
-		t.Errorf("%d live outputs, want %d", n, kept)
+	if n := c.FS.LiveStreams(); n != 0 {
+		t.Errorf("%d live outputs", n)
 	}
 	if n := c.FS.OpenHandles(); n != 0 {
 		t.Errorf("%d DFS handles left open", n)
 	}
 }
 
-// A kept output outlives the execution; every other output goes.
-func TestKeptOutputSurvives(t *testing.T) {
+// contentOf returns the content of a registered file of recs, and deletes
+// the file.
+func contentOf(t *testing.T, fs *dfs.FS, recs ...[]byte) dfs.Content {
+	t.Helper()
+	w, err := fs.CreateStream("content", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		w.Write(r)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := fs.Content("content")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Delete("content"); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// Attached content is read like a stored file, runs no job, and is
+// deleted with the outputs.
+func TestAttachedContentReadAndDeleted(t *testing.T) {
 	c := mapred.NewCluster(mapred.DefaultConfig())
-	writeRecs(t, c.FS, "in", codec.Tuple{"Ig1", "3"}.Encode())
+	rec := codec.Tuple{"Ig1", "3"}.Encode()
+	writeRecs(t, c.FS, "in", rec)
 	aq := mustAQ(t, oneGrouped)
-	var kept string
-	_, _, err := Execute(c, nil, planned(func(p *Plan) {
-		st := load("in")
-		st.Keep = func() bool { return true }
-		kept = p.Add(st)
-		p.Finish(aq, p.Add(copyOf("a", kept)))
+	want, _, err := finish(c, aq, []string{"in"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	content := contentOf(t, c.FS, rec)
+	var in string
+	got, wm, err := Execute(c, nil, planned(func(p *Plan) {
+		in = p.Attach("in", content)
+		p.Finish(aq, p.Add(copyOf("a", in)))
 	}), aq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.FS.Exists(kept) {
-		t.Errorf("kept output %q deleted", kept)
+	if !slices.EqualFunc(got.Rows, want.Rows, slices.Equal) || len(got.Rows) == 0 {
+		t.Errorf("rows over the attached content %v, over the stored file %v", got.Rows, want.Rows)
 	}
-	checkClean(t, c, 1)
+	if wm.Cycles() != 1 {
+		t.Errorf("%d cycles ran, want the copy's 1", wm.Cycles())
+	}
+	if c.FS.Exists(in) {
+		t.Errorf("attached %s outlives the execution", in)
+	}
+	checkClean(t, c)
 }
 
 // A hook may change what the remaining stages build, here swapping the
@@ -133,20 +170,21 @@ func TestHookReordersStages(t *testing.T) {
 	if got := wm.Jobs[1].Job + wm.Jobs[2].Job; got != "yx" {
 		t.Errorf("jobs after the hook ran as %q, want yx", got)
 	}
-	checkClean(t, c, 0)
+	checkClean(t, c)
 }
 
-// Intermediates go after a failing stage too, kept ones included, with no
-// handle left open; the failure is the stage's.
+// Intermediates go after a failing stage too, attached content included,
+// with no handle left open; the failure is the stage's.
 func TestFailedStageDeletesIntermediates(t *testing.T) {
 	c := mapred.NewCluster(mapred.DefaultConfig())
 	writeRecs(t, c.FS, "in", codec.Tuple{"Ig1", "3"}.Encode())
+	content := contentOf(t, c.FS, codec.Tuple{"Ig2", "4"}.Encode())
 	aq := mustAQ(t, oneGrouped)
 	boom := errors.New("boom")
 	_, _, err := Execute(c, nil, planned(func(p *Plan) {
 		a := p.Add(copyOf("a", p.Add(load("in"))))
+		p.Add(copyOf("b", p.Attach("side", content)))
 		bad := copyOf("bad", a)
-		bad.Keep = func() bool { return true }
 		bad.Job = func(out string) *mapred.Job {
 			job := copyJob("bad", a, out)
 			job.NewMapper = func(*mapred.TaskContext) mapred.Mapper {
@@ -159,7 +197,7 @@ func TestFailedStageDeletesIntermediates(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Errorf("err = %v, want the stage's", err)
 	}
-	checkClean(t, c, 0)
+	checkClean(t, c)
 }
 
 // A hook's error fails the execution: no later stage runs, and the
@@ -180,7 +218,7 @@ func TestHookErrorFailsExecution(t *testing.T) {
 	if wm.Cycles() != 1 {
 		t.Errorf("%d cycles ran, want 1", wm.Cycles())
 	}
-	checkClean(t, c, 0)
+	checkClean(t, c)
 }
 
 // Finish attaches the GROUP BY ALL repair to the last stage without
@@ -216,7 +254,7 @@ SELECT (COUNT(?x) AS ?n) { ?s e:x ?x . }`)
 	if len(res.Rows) != 1 || res.Rows[0][0] != "0" {
 		t.Errorf("rows = %v, want the GROUP BY ALL default row", res.Rows)
 	}
-	checkClean(t, c, 0)
+	checkClean(t, c)
 }
 
 // A stage that reads an earlier output it does not list fails before it
@@ -238,7 +276,7 @@ func TestUnlistedReadRejected(t *testing.T) {
 	if wm.Cycles() != 1 {
 		t.Errorf("%d cycles ran, want 1", wm.Cycles())
 	}
-	checkClean(t, c, 0)
+	checkClean(t, c)
 }
 
 // A stage that lists an earlier output its job never reads fails before
@@ -262,7 +300,7 @@ func TestUnreadListingRejected(t *testing.T) {
 	if wm.Cycles() != 2 {
 		t.Errorf("%d cycles ran, want 2", wm.Cycles())
 	}
-	checkClean(t, c, 0)
+	checkClean(t, c)
 }
 
 // Two plans never share an output path, and Add returns the path it

@@ -14,37 +14,34 @@ import (
 	"rapidanalytics/internal/rdf"
 	"rapidanalytics/internal/refimpl"
 	"rapidanalytics/internal/sparql"
-	"rapidanalytics/internal/tgops"
 )
 
 // subResults is a sub-result cache that takes every composite it is
 // offered.
 type subResults struct {
-	mu   sync.Mutex
-	srcs map[string]tgops.Source
+	mu       sync.Mutex
+	contents map[string]dfs.Content
 }
 
-func (c *subResults) Get(key string) (tgops.Source, bool) {
+func (c *subResults) Get(key string) (dfs.Content, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	src, ok := c.srcs[key]
-	return src, ok
+	content, ok := c.contents[key]
+	return content, ok
 }
 
-func (c *subResults) Put(key string, src tgops.Source, _ int64) bool {
+func (c *subResults) Put(key string, content dfs.Content) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.srcs[key] = src
-	return true
+	c.contents[key] = content
 }
 
 // checkedEngine plans with e and hangs a check on every stage: once the
 // stage's job and hooks have run, its output exists and no plan output is
-// a backend file. It records the outputs kept past the execution.
+// a backend file.
 type checkedEngine struct {
 	engine.Engine
-	t    *testing.T
-	kept []string
+	t *testing.T
 }
 
 func (e *checkedEngine) Plan(c *mapred.Cluster, ds *engine.Dataset, aq *algebra.AnalyticalQuery) (*engine.Plan, error) {
@@ -54,7 +51,7 @@ func (e *checkedEngine) Plan(c *mapred.Cluster, ds *engine.Dataset, aq *algebra.
 	}
 	for i := range p.Stages {
 		st := &p.Stages[i]
-		out, after, keep := st.Out, st.After, st.Keep
+		out, after := st.Out, st.After
 		st.After = func(c *mapred.Cluster, m *mapred.Metrics) error {
 			if after != nil {
 				if err := after(c, m); err != nil {
@@ -68,15 +65,6 @@ func (e *checkedEngine) Plan(c *mapred.Cluster, ds *engine.Dataset, aq *algebra.
 				e.t.Errorf("%s: output %s of its stage does not exist", e.Name(), out)
 			}
 			return nil
-		}
-		if keep != nil {
-			st.Keep = func() bool {
-				k := keep()
-				if k {
-					e.kept = append(e.kept, out)
-				}
-				return k
-			}
 		}
 	}
 	return p, nil
@@ -108,9 +96,12 @@ func graph() *rdf.Graph {
 const shop = "PREFIX e: <http://e/>\n"
 
 // On a disk-backed DFS every job output, the GROUP BY ALL repair's
-// rewrite and a kept composite live in the FS's in-memory registry: no
-// stage leaves a plan output in the backend, each stage's output exists
-// once it has run, the rows are the oracle's, and no handle stays open.
+// rewrite and a cached composite's attached content live in the FS's
+// in-memory registry: no stage leaves a plan output in the backend, each
+// stage's output exists once it has run, the rows are the oracle's, and
+// no handle stays open and no file live once the execution ends.
+// RAPIDAnalytics runs twice, the second time over the composites the
+// first cached.
 func TestOutputsStayInRegistryOnDisk(t *testing.T) {
 	g := graph()
 	queries := map[string]string{
@@ -123,7 +114,7 @@ func TestOutputsStayInRegistryOnDisk(t *testing.T) {
       ?o1 e:product ?p1 ; e:price ?pr ; e:vendor ?v1 . ?v1 e:country ?c . } GROUP BY ?c }
 }`,
 		"group-by-all-empty": shop + `SELECT (COUNT(?x) AS ?n) (SUM(?x) AS ?s) { ?p a e:PT9 ; e:pf ?x . }`,
-		"kept-composite": shop + `SELECT ?f ?sumF ?sumT {
+		"cached-composite": shop + `SELECT ?f ?sumF ?sumT {
   { SELECT ?f (SUM(?pr2) AS ?sumF)
     { ?p2 a e:PT1 ; e:label ?l2 ; e:pf ?f . ?o2 e:product ?p2 ; e:price ?pr2 . } GROUP BY ?f }
   { SELECT (SUM(?pr) AS ?sumT)
@@ -145,8 +136,9 @@ func TestOutputsStayInRegistryOnDisk(t *testing.T) {
 			if len(want.Rows) == 0 {
 				t.Fatal("the oracle returned no rows: a weak fixture")
 			}
-			ra := &core.Engine{Opts: core.DefaultOptions(), SubResults: &subResults{srcs: map[string]tgops.Source{}}}
-			for _, inner := range []engine.Engine{hive.NewNaive(), hive.NewMQO(), rapid.New(), ra} {
+			ra := &core.Engine{Opts: core.DefaultOptions(), SubResults: &subResults{contents: map[string]dfs.Content{}}}
+			var raCycles []int
+			for _, inner := range []engine.Engine{hive.NewNaive(), hive.NewMQO(), rapid.New(), ra, ra} {
 				fs, err := dfs.NewDisk(t.TempDir(), 2)
 				if err != nil {
 					t.Fatal(err)
@@ -160,9 +152,12 @@ func TestOutputsStayInRegistryOnDisk(t *testing.T) {
 					t.Fatal(err)
 				}
 				e := &checkedEngine{Engine: inner, t: t}
-				got, _, err := engine.Execute(c, ds, e, aq)
+				got, wm, err := engine.Execute(c, ds, e, aq)
 				if err != nil {
 					t.Fatalf("%s: %v", e.Name(), err)
+				}
+				if inner == ra {
+					raCycles = append(raCycles, wm.Cycles())
 				}
 				if diff := want.Diff(got); diff != "" {
 					t.Errorf("%s differs from the oracle: %s", e.Name(), diff)
@@ -173,17 +168,12 @@ func TestOutputsStayInRegistryOnDisk(t *testing.T) {
 				if left := append(fs.List("tmp/"), fs.List("_spill/")...); len(left) != 0 {
 					t.Errorf("%s: %v left in the backend", e.Name(), left)
 				}
-				if n := fs.LiveStreams(); n != len(e.kept) {
-					t.Errorf("%s: %d outputs live, %d kept", e.Name(), n, len(e.kept))
+				if n := fs.LiveStreams(); n != 0 {
+					t.Errorf("%s: %d files live", e.Name(), n)
 				}
-				for _, out := range e.kept {
-					if !fs.Exists(out) {
-						t.Errorf("%s: kept output %s is gone", e.Name(), out)
-					}
-				}
-				if inner == ra && name == "kept-composite" && len(e.kept) != 1 {
-					t.Errorf("%s kept %v, want the composite", e.Name(), e.kept)
-				}
+			}
+			if name == "cached-composite" && raCycles[1] >= raCycles[0] {
+				t.Errorf("%s ran %v cycles: the second run did not reuse the cached composite", ra.Name(), raCycles)
 			}
 		})
 	}

@@ -45,7 +45,6 @@ import (
 	"rapidanalytics/internal/rdf"
 	"rapidanalytics/internal/refimpl"
 	"rapidanalytics/internal/sparql"
-	"rapidanalytics/internal/tgops"
 )
 
 // System identifies one of the four evaluated engines, plus the in-memory
@@ -108,10 +107,11 @@ type Options struct {
 	// Deprecated: cross-query shared scans were removed (DESIGN §10).
 	SharedScans bool
 	// ResultCacheBytes bounds a byte-budget LRU caching final query results,
-	// keyed by (system, query text, data version), and reusable composite
-	// sub-relations, keyed by the core's sub-relation key and the data
-	// version, so no entry survives a data mutation. 0 disables result
-	// caching (the default).
+	// keyed by (system, query text, data version), and the content of
+	// reusable composite sub-relations, keyed by the core's sub-relation key
+	// and the data version, so no entry survives a data mutation. The cache
+	// holds rows and sealed batches, never a DFS file, so the budget bounds
+	// all it keeps alive. 0 disables result caching (the default).
 	ResultCacheBytes int64
 }
 
@@ -158,9 +158,7 @@ func Literal(v string) Term { return Term{value: v, isLiteral: true} }
 // for its whole execution, and mutations (Add, LoadNTriples) take the write
 // lock, so a mutation waits for in-flight queries to drain and queries never
 // observe a half-applied batch. This favours the serving workload (many
-// concurrent read-only queries, rare bulk loads) over mutation latency;
-// snapshot semantics were rejected because the reference evaluator and the
-// lazy materialisation both read the live statements.
+// concurrent read-only queries, rare bulk loads) over mutation latency.
 type Store struct {
 	opts Options
 
@@ -714,29 +712,29 @@ func resultBytes(r *Result) int64 {
 }
 
 // subResultCache adapts the store's byte-budget cache to the core engine's
-// composite sub-relation seam. Keys fold in the data version current when
-// the engine was built (the engine is per-execution, under the store read
-// lock), so a relation cached under an earlier load — whose files the new
-// load's DFS does not hold — is never served, however the core names its
-// datasets. The "comp" namespace separates the seam from final results
-// (the "res:<system>" namespaces).
+// composite sub-relation seam: an entry is the matches' content, accounted
+// at its logical bytes. Keys fold in the data version current when the
+// engine was built (the engine is per-execution, under the store read
+// lock), so matches computed over an earlier load's data are never served,
+// however the core names its datasets. The "comp" namespace separates the
+// seam from final results (the "res:<system>" namespaces).
 type subResultCache struct {
 	c       *plancache.Cache
 	version uint64
 }
 
 // Get implements core.SubResultCache.
-func (a subResultCache) Get(key string) (tgops.Source, bool) {
+func (a subResultCache) Get(key string) (dfs.Content, bool) {
 	v, ok := a.c.Get(plancache.VersionedKey("comp", a.version, key))
 	if !ok {
-		return tgops.Source{}, false
+		return dfs.Content{}, false
 	}
-	return v.(tgops.Source), true
+	return v.(dfs.Content), true
 }
 
 // Put implements core.SubResultCache.
-func (a subResultCache) Put(key string, src tgops.Source, bytes int64) bool {
-	return a.c.Put(plancache.VersionedKey("comp", a.version, key), src, bytes)
+func (a subResultCache) Put(key string, c dfs.Content) {
+	a.c.Put(plancache.VersionedKey("comp", a.version, key), c, c.Bytes())
 }
 
 // wrapResult renders an engine result for display: every cell lands in one

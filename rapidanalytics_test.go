@@ -220,7 +220,7 @@ func TestPredictCyclesRunsNoJob(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, sys := range Systems() {
-			b := &recordingBackend{Backend: dfs.New().Backend()}
+			b := &recordingBackend{Backend: dfs.NewMemBackend()}
 			if n := predictCycles(dfs.NewWithBackend(b), q, sys); n == 0 {
 				t.Errorf("%s on %s: no cycles predicted", cq.ID, sys)
 			}

@@ -209,23 +209,9 @@ func TestSubResultCacheReusesComposite(t *testing.T) {
 	if canonRows(res) != canonRows(oracle) {
 		t.Fatalf("composite-reusing result diverged from oracle:\n%s\nvs\n%s", canonRows(res), canonRows(oracle))
 	}
-	// The cached composite relation outlives the query that built it;
-	// no other intermediate and no handle does.
-	fs, err := ra.StoreFS(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := fs.OpenHandles(); n != 0 {
-		t.Errorf("%d DFS handles left open", n)
-	}
-	for _, name := range fs.List("tmp/") {
-		if !strings.Contains(name, "-composite-") {
-			t.Errorf("intermediate %s left behind", name)
-		}
-	}
-	if n := fs.LiveStreams(); n != 1 {
-		t.Errorf("%d live streams, want the cached composite's one", n)
-	}
+	// The cache holds the composite's content, not a file: neither query
+	// leaves a stream, an intermediate or a handle behind.
+	checkStoreClean(t, store)
 }
 
 // TestSubResultCacheInvalidatedByMutation pins the composite half of the
@@ -309,20 +295,9 @@ func TestConcurrentColdQueriesAgree(t *testing.T) {
 				i, canonRows(results[i]), canonRows(want))
 		}
 	}
-	// Cached composite relations outlive their queries; no other
-	// intermediate and no handle does.
-	fs, err := ra.StoreFS(store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := fs.OpenHandles(); n != 0 {
-		t.Errorf("%d DFS handles left open", n)
-	}
-	for _, name := range fs.List("tmp/") {
-		if !strings.Contains(name, "-composite-") {
-			t.Errorf("intermediate %s left behind", name)
-		}
-	}
+	// Each query that built the composite offered it to the cache, and
+	// each deleted its own files: none outlives the burst.
+	checkStoreClean(t, store)
 }
 
 // A panic inside a map task is contained to its query: the store returns
@@ -419,13 +394,13 @@ func TestCorruptSideRecordFailsQuery(t *testing.T) {
 	}
 }
 
-// TestRefusedSubResultLeavesNoStream: a composite relation the sub-result
-// cache refuses is deleted with the other intermediates. With a 1-byte
-// result cache no Put is accepted, so after 20 rounds of the MG queries on
-// rapidanalytics no stream outlives its query.
-func TestRefusedSubResultLeavesNoStream(t *testing.T) {
+// runMGRounds runs 20 rounds of the catalog's multi-grouping queries on
+// rapidanalytics over NewWorkloadStore(0.2) with a result cache of
+// cacheBytes, calling check after each round.
+func runMGRounds(t *testing.T, cacheBytes int64, check func(round int, store *ra.Store)) {
+	t.Helper()
 	opts := ra.DefaultOptions()
-	opts.ResultCacheBytes = 1
+	opts.ResultCacheBytes = cacheBytes
 	store := ra.NewWorkloadStore(0.2, opts)
 	var mg []string
 	for _, q := range bench.Catalog {
@@ -439,8 +414,39 @@ func TestRefusedSubResultLeavesNoStream(t *testing.T) {
 				t.Fatalf("round %d: %v", round, err)
 			}
 		}
+		check(round, store)
 	}
-	checkStoreClean(t, store)
+}
+
+// TestRefusedSubResultLeavesNoStream: a composite relation the sub-result
+// cache refuses is deleted with the other intermediates. With a 1-byte
+// result cache no Put is accepted, so after 20 rounds of the MG queries on
+// rapidanalytics no stream outlives its query.
+func TestRefusedSubResultLeavesNoStream(t *testing.T) {
+	runMGRounds(t, 1, func(round int, store *ra.Store) {
+		if round == 19 {
+			checkStoreClean(t, store)
+		}
+	})
+}
+
+// TestEvictedSubResultLeavesNoStream: under a 300,000-byte result cache,
+// smaller than the MG queries' composites and results together, the LRU
+// evicts and replaces composite entries every round; no execution leaves
+// a stream behind, whichever entries the cache holds.
+func TestEvictedSubResultLeavesNoStream(t *testing.T) {
+	runMGRounds(t, 300_000, func(round int, store *ra.Store) {
+		fs, err := ra.StoreFS(store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := fs.LiveStreams(); n != 0 {
+			t.Fatalf("round %d: %d streams live", round, n)
+		}
+		if round == 19 {
+			checkStoreClean(t, store)
+		}
+	})
 }
 
 // TestResultRowsOutliveTheirFiles: a result's cells are views of its output
