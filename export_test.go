@@ -90,3 +90,10 @@ func ReferenceRows(s *Store, query string) ([][]string, error) {
 	}
 	return wrapResult(res).Rows(), nil
 }
+
+// DictLen returns the number of terms in s's dictionary.
+func DictLen(s *Store) int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.dict.Len()
+}

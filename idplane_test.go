@@ -3,6 +3,7 @@ package rapidanalytics
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -148,5 +149,93 @@ func TestWorkloadStoreDocument(t *testing.T) {
 	}
 	if n := s.NumTriples(); n != 105896 {
 		t.Errorf("NumTriples = %d, want 105896", n)
+	}
+}
+
+// TestFailedLoadChangesNothing: a document whose last line is malformed
+// leaves the store as it was: its dictionary, its statements and what they
+// serialise to, and the data version its cached results are keyed by. A
+// later good load then gives the dictionary, the document and the query
+// volumes of a store that never saw the bad one.
+func TestFailedLoadChangesNothing(t *testing.T) {
+	var doc bytes.Buffer
+	if err := NewWorkloadStore(0.1, DefaultOptions()).WriteNTriples(&doc); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(doc.String(), "\n")
+	lines = lines[:len(lines)-1] // the empty string after the last newline
+	half := len(lines) / 2
+	first, second := strings.Join(lines[:half], ""), strings.Join(lines[half:], "")
+	// The bad document interns terms the good one lacks before the ones it
+	// has, so a dictionary it left grown would shift the good one's IDs.
+	var bad strings.Builder
+	for i := range 200 {
+		fmt.Fprintf(&bad, "<http://e/bad/%d> <http://e/bad/p> \"%d\" .\n", i, i)
+	}
+	bad.WriteString(second)
+	bad.WriteString("<http://e/bad/s> <http://e/bad/p> .\n")
+	badLine := 200 + len(lines) - half + 1
+
+	opts := DefaultOptions()
+	opts.ResultCacheBytes = 64 << 20
+	load := func(s *Store, doc string) {
+		t.Helper()
+		if err := s.LoadNTriples(strings.NewReader(doc)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	written := func(s *Store) string {
+		t.Helper()
+		var b bytes.Buffer
+		if err := s.WriteNTriples(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	query := bench.Catalog[0].SPARQL
+	s, clean := NewStore(opts), NewStore(opts)
+	load(s, first)
+	load(clean, first)
+	if _, st, err := s.Query(RAPIDAnalytics, query); err != nil || st.ResultCacheHit {
+		t.Fatalf("first query: hit %v, err %v", st.ResultCacheHit, err)
+	}
+	terms, statements, before := DictLen(s), s.NumTriples(), written(s)
+
+	err := s.LoadNTriples(strings.NewReader(bad.String()))
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("line %d:", badLine)) {
+		t.Fatalf("bad load: err = %v, want one on line %d", err, badLine)
+	}
+	if got := DictLen(s); got != terms {
+		t.Errorf("dictionary holds %d terms after the failed load, want %d", got, terms)
+	}
+	if got := s.NumTriples(); got != statements {
+		t.Errorf("NumTriples = %d after the failed load, want %d", got, statements)
+	}
+	if written(s) != before {
+		t.Error("WriteNTriples changed with the failed load")
+	}
+	if _, st, err := s.Query(RAPIDAnalytics, query); err != nil || !st.ResultCacheHit {
+		t.Errorf("query after the failed load: hit %v, err %v; want the cached result", st.ResultCacheHit, err)
+	}
+
+	load(s, second)
+	load(clean, second)
+	if got, want := DictLen(s), DictLen(clean); got != want {
+		t.Errorf("dictionary holds %d terms after the good load, want %d", got, want)
+	}
+	if written(s) != written(clean) {
+		t.Error("WriteNTriples differs from the store that never saw the bad document")
+	}
+	_, got, err := s.Query(RAPIDAnalytics, query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want, err := clean.Query(RAPIDAnalytics, query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.ResultCacheHit || got.ShuffleBytes != want.ShuffleBytes || got.MaterializedBytes != want.MaterializedBytes {
+		t.Errorf("after the good load: hit %v, %d shuffled, %d materialised; want a miss, %d and %d",
+			got.ResultCacheHit, got.ShuffleBytes, got.MaterializedBytes, want.ShuffleBytes, want.MaterializedBytes)
 	}
 }

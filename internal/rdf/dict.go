@@ -3,8 +3,10 @@ package rdf
 import (
 	"encoding/binary"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // NullID is the reserved term ID for the relational NULL. Its ID-string is
@@ -39,26 +41,32 @@ type dictEntry struct {
 // exactly algebra.Null.
 //
 // A store keeps one Dict for its whole life and interns every batch it is
-// given into it in term-of-first-use order (InternTriples), so IDs are
-// deterministic for a given statement sequence; each load attaches it to
-// engine.Dataset. At query time every map task checks the fields it decodes
-// against Len (ReadID), and filters, aggregates and the final decode read
-// terms back through Lex and NumericIDString, so the by-ID readers (Key,
-// IDString, Lex, NumericIDString, Len) take no lock.
+// given into it in term-of-first-use order (InternTriples, InternNTriples),
+// so IDs are deterministic for a given statement sequence; each load
+// attaches it to engine.Dataset. At query time every map task checks the
+// fields it decodes against Len (ReadID), and filters, aggregates and the
+// final decode read terms back through Lex and NumericIDString, so the
+// by-ID readers (Key, IDString, Lex, NumericIDString, Len) take no lock.
 //
-// Publish protocol: entries are append-only and immutable once written. A
-// writer, holding mu, appends the entry, stores the backing array into view
-// if the append moved it, and only then stores the new length into n.
-// A reader loads n first and view second: sync/atomic operations are
-// sequentially consistent, so the array it gets is the one current when
-// that length was published or a later one, and a later array holds a copy
-// of every earlier entry. The reader therefore sees every entry below the
-// length it observed, fully written. By-key access (Add, Lookup, KeyString)
-// goes through the ids map and keeps the mutex.
+// Publish protocol: entries are append-only and immutable once written,
+// with one exception: the terms of a document that fails to parse are
+// dropped again (truncate, from InternNTriples). That is safe only because
+// no reader can hold an ID the failed batch assigned: a store interns
+// under its write lock, and queries hold its read lock. A writer, holding
+// mu, appends the entry, stores the backing array into view if the append
+// moved it, and only then stores the new length into n. A reader loads n
+// first and view second: sync/atomic operations are sequentially
+// consistent, so the array it gets is the one current when that length
+// was published or a later one, and a later array holds a copy of every
+// earlier entry. The reader therefore sees every entry below the length
+// it observed, fully written. By-key access (Add, AddTerm, Lookup,
+// KeyString) goes through the ids map and keeps the mutex; a batch
+// (InternTriples, InternNTriples) holds it throughout.
 type Dict struct {
 	mu      sync.RWMutex
 	ids     map[string]uint64
 	entries []dictEntry // entries[id-1] for id ≥ 1; written under mu
+	scratch []byte      // AddTerm's key; written under mu
 
 	// view is the entries backing array at full capacity, republished only
 	// when append reallocates; n is the published length.
@@ -74,24 +82,51 @@ func NewDict() *Dict {
 // Add returns the ID for the term key, assigning the next dense ID if the
 // key is new. Safe for concurrent use.
 func (d *Dict) Add(key string) uint64 {
-	d.mu.RLock()
-	id, ok := d.ids[key]
-	d.mu.RUnlock()
-	if ok {
-		return id
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if id, ok := d.ids[key]; ok {
 		return id
 	}
-	id = uint64(len(d.entries)) + 1
+	return d.add(key)
+}
+
+// AddTerm returns the ID of the term of kind kind and lexical form lex,
+// assigning the next dense ID if the term is new: Add of its Term.Key,
+// without building the key. lex may be a view of a buffer the caller
+// reuses; only a term new to d is copied. Safe for concurrent use.
+func (d *Dict) AddTerm(kind TermKind, lex string) uint64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.addTerm(kind, lex)
+}
+
+// addTerm is AddTerm for a caller holding mu.
+func (d *Dict) addTerm(kind TermKind, lex string) uint64 {
+	d.scratch = append(append(d.scratch[:0], keyTag(kind)), lex...)
+	key := unsafe.String(unsafe.SliceData(d.scratch), len(d.scratch))
+	if id, ok := d.ids[key]; ok {
+		return id
+	}
+	return d.add(key)
+}
+
+// add assigns key, absent from d, the next dense ID and publishes its
+// entry. The entry's key and ID-string are one copy: key may be a view.
+// Callers hold mu.
+func (d *Dict) add(key string) uint64 {
+	id := uint64(len(d.entries)) + 1
 	var idBuf [binary.MaxVarintLen64]byte
-	e := dictEntry{key: key, idStr: string(binary.AppendUvarint(idBuf[:0], id))}
+	idStr := binary.AppendUvarint(idBuf[:0], id)
+	var b strings.Builder
+	b.Grow(len(key) + len(idStr))
+	b.WriteString(key)
+	b.Write(idStr)
+	both := b.String()
+	e := dictEntry{key: both[:len(key)], idStr: both[len(key):]}
 	// Cache the parsed numeric value for literal terms so SUM/AVG never
 	// re-parse the lexical form per row.
-	e.num, e.isNum = KeyNumber(key)
-	d.ids[key] = id
+	e.num, e.isNum = KeyNumber(e.key)
+	d.ids[e.key] = id
 	grew := len(d.entries) == cap(d.entries)
 	d.entries = append(d.entries, e)
 	if grew {
@@ -100,6 +135,22 @@ func (d *Dict) Add(key string) uint64 {
 	}
 	d.n.Store(id)
 	return id
+}
+
+// truncate drops every term with an ID above n: the one exception to
+// append-only, which undoes the interns of a batch that failed
+// (InternNTriples). Its caller guarantees that no reader holds or can be
+// handed such an ID, so no reader sees an entry change, and holds mu.
+func (d *Dict) truncate(n int) {
+	if n >= len(d.entries) {
+		return
+	}
+	for _, e := range d.entries[n:] {
+		delete(d.ids, e.key)
+	}
+	clear(d.entries[n:])
+	d.entries = d.entries[:n]
+	d.n.Store(uint64(n))
 }
 
 // mayParseFloat is false for strings strconv.ParseFloat rejects by their

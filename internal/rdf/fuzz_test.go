@@ -3,8 +3,10 @@ package rdf
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -151,6 +153,75 @@ func FuzzReadID(f *testing.F) {
 		}
 		if ok && (id != rid || n != k) {
 			t.Fatalf("ReadID(%x) = %d, %d; dictionary reader %d, %d", b, id, n, rid, k)
+		}
+	})
+}
+
+// FuzzInternNTriplesMatchesReference holds InternNTriples to ReadNTriples
+// followed by InternTriples, batch by batch, each side into its own Dict:
+// the same IDTriples, the same Dict (length and key per ID) and the same
+// error, line number included. A batch that fails leaves its Dict and
+// statements as they were, and the batches after it continue them. A new
+// batch starts before each line whose bit of cuts (line number mod 64) is
+// set.
+func FuzzInternNTriplesMatchesReference(f *testing.F) {
+	for _, doc := range []string{
+		"<http://e/s> <http://e/p> \"1\" .\n<http://e/s> <http://e/p> \"2\" .\n<http://e/t> <http://e/p> <http://e/s> .\n",
+		"# a comment\n\n<http://e/s> <http://e/p> \"a\\\"b\\\\c\\n\\u00e9\\U0001F600\" .\n<http://e/\\u0041> <http://e/p> _:b1 .\n",
+		"_:b1 <http://e/p> \"x\"@en .\n_:b1 <http://e/q> \"1\"^^<http://www.w3.org/2001/XMLSchema#int> .\n_:b1 <http://e/p> \"x\"@en .\r\n\t<http://e/s>\t<http://e/p>\t_:b1\t.\n",
+		"<http://e/s> <http://e/p> \"1\" .\n<http://e/s> <http://e/p> \"1\" .\n<http://e/u> <http://e/p> \"new\" .\n<http://e/s> <http://e/p> .\n<http://e/v> <http://e/p> \"after\" .\n",
+		"\"lit\" <http://e/p> <http://e/o> .\n<http://e/s> _:p <http://e/o> .\n<http://e/s> <http://e/p> \"\\q\" .\n<http://e/s> <http://e/p> <http://e/o>\n",
+		"<http://e/s> <http://e/p> \"unterminated .\n<http://e/s> <http://e/p> \"x\"^^<http://e/dt .\n_: <http://e/p> \"x\" .\n<> <> <> .\n",
+	} {
+		f.Add(doc, uint64(0))
+		f.Add(doc, uint64(0b1010))
+		f.Add(doc, ^uint64(0))
+	}
+	f.Fuzz(func(t *testing.T, doc string, cuts uint64) {
+		var batches []string
+		batch := 0 // where the current batch starts
+		for i, at := 0, 0; at < len(doc); i++ {
+			if i > 0 && cuts>>(i%64)&1 == 1 {
+				batches, batch = append(batches, doc[batch:at]), at
+			}
+			if n := strings.IndexByte(doc[at:], '\n'); n >= 0 {
+				at += n + 1
+			} else {
+				at = len(doc)
+			}
+		}
+		batches = append(batches, doc[batch:])
+		got, want := NewDict(), NewDict()
+		var gotTs, wantTs []IDTriple
+		for _, batch := range batches {
+			terms, statements := got.Len(), len(gotTs)
+			var err error
+			gotTs, err = InternNTriples(got, gotTs, strings.NewReader(batch))
+			g, wantErr := ReadNTriples(strings.NewReader(batch))
+			if wantErr == nil {
+				wantTs = InternTriples(want, wantTs, g.Triples)
+			}
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Fatalf("batch %q: error %v, want %v", batch, err, wantErr)
+			}
+			if err != nil && (got.Len() != terms || len(gotTs) != statements) {
+				t.Fatalf("batch %q failed but left %d terms and %d statements, want %d and %d", batch, got.Len(), len(gotTs), terms, statements)
+			}
+			if !slices.Equal(gotTs, wantTs) {
+				t.Fatalf("batch %q: statements %v, want %v", batch, gotTs, wantTs)
+			}
+			if got.Len() != want.Len() || len(got.ids) != got.Len() {
+				t.Fatalf("batch %q: %d terms (%d keys), want %d", batch, got.Len(), len(got.ids), want.Len())
+			}
+			for id := uint64(1); id <= uint64(want.Len()); id++ {
+				k, _ := want.Key(id)
+				if gk, _ := got.Key(id); gk != k {
+					t.Fatalf("batch %q: term %d is %q, want %q", batch, id, gk, k)
+				}
+				if gid, ok := got.Lookup(k); !ok || gid != id {
+					t.Fatalf("batch %q: Lookup(%q) = %d, %v, want %d", batch, k, gid, ok, id)
+				}
+			}
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package rdf
 
 import (
+	"cmp"
 	"slices"
 	"strings"
 )
@@ -36,48 +37,129 @@ func Intern(g *Graph, d *Dict) *IDGraph { return NewIDGraph(d, InternTriples(d, 
 // after another get the IDs a single intern of them all would give.
 func InternTriples(d *Dict, dst []IDTriple, ts []Triple) []IDTriple {
 	dst = slices.Grow(dst, len(ts))
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	in := interner{d: d, props: map[string]uint64{}}
 	for _, t := range ts {
-		dst = append(dst, IDTriple{d.Add(t.Subject.Key()), d.Add("I" + t.Property.Value), d.Add(t.Object.Key())})
+		dst = append(dst, in.add(t))
 	}
 	return dst
+}
+
+// interner interns statements into a Dict one after another. It remembers
+// the previous statement's subject and every property it has seen, the
+// terms a statement most often repeats: a generator or an exporter writes
+// a subject's statements together, and a vocabulary has few properties.
+// Its user holds the Dict's lock for the interner's life, so a batch takes
+// the lock once.
+type interner struct {
+	d *Dict
+	// subject is the previous statement's subject as its Dict key, and
+	// subjectID its ID.
+	subject   string
+	subjectID uint64
+	// props maps each property IRI seen to its ID; its keys are views of
+	// the Dict's keys.
+	props map[string]uint64
+}
+
+// add interns t's terms, subject, property (as an IRI), object, and returns
+// its IDTriple. t's values may be views of a buffer the caller reuses.
+func (in *interner) add(t Triple) IDTriple {
+	if in.subject == "" || in.subject[0] != keyTag(t.Subject.Kind) || in.subject[1:] != t.Subject.Value {
+		in.subjectID = in.d.addTerm(t.Subject.Kind, t.Subject.Value)
+		in.subject = in.d.entry(in.subjectID).key
+	}
+	p, ok := in.props[t.Property.Value]
+	if !ok {
+		p = in.d.addTerm(IRI, t.Property.Value)
+		in.props[KeyLex(in.d.entry(p).key)] = p
+	}
+	return IDTriple{in.subjectID, p, in.d.addTerm(t.Object.Kind, t.Object.Value)}
 }
 
 // NewIDGraph reads ts, whose terms are IDs of d, as a set: a statement
 // that repeats an earlier one is dropped, and the rest are grouped by
 // subject. ts is not modified.
 func NewIDGraph(d *Dict, ts []IDTriple) *IDGraph {
-	ig := &IDGraph{Dict: d, Triples: make([]IDTriple, 0, len(ts))}
-	seen := make(map[IDTriple]bool, len(ts))
-	for _, it := range ts {
-		if !seen[it] {
-			seen[it] = true
-			ig.Triples = append(ig.Triples, it)
-		}
-	}
-	// Group by subject with a counting sort: next[s] counts subject s's
-	// statements, then becomes where its next one goes.
+	// Group the statements by subject with a counting sort: next[s] counts
+	// subject s's statements, then becomes where its next one goes, and at
+	// the end where its group ends. bySubject holds positions in ts, each
+	// subject's in graph order.
 	next := make([]int, d.Len()+1)
-	var subjects []uint64
-	for _, t := range ig.Triples {
+	n := 0
+	for _, t := range ts {
 		if next[t.S] == 0 {
-			subjects = append(subjects, t.S)
+			n++
 		}
 		next[t.S]++
 	}
-	slices.SortFunc(subjects, func(a, b uint64) int { return strings.Compare(d.entry(a).key, d.entry(b).key) })
-	grouped := make([]IDTriple, len(ig.Triples))
-	ig.Subjects = make([][]IDTriple, len(subjects))
-	start := 0
-	for i, s := range subjects {
-		end := start + next[s]
-		ig.Subjects[i] = grouped[start:end:end]
-		next[s], start = start, end
+	subjects := make([]subjectKey, 0, n)
+	for id, count := range next {
+		if count > 0 {
+			subjects = append(subjects, subjectKey{d.entry(uint64(id)).key, uint64(id)})
+		}
 	}
-	for _, t := range ig.Triples {
-		grouped[next[t.S]] = t
+	slices.SortFunc(subjects, func(a, b subjectKey) int { return strings.Compare(a.key, b.key) })
+	start := 0
+	for _, s := range subjects {
+		next[s.id], start = start, start+next[s.id]
+	}
+	bySubject := make([]int, len(ts))
+	for i, t := range ts {
+		bySubject[next[t.S]] = i
 		next[t.S]++
+	}
+
+	// A repeat has its subject, so it is found within its subject's group:
+	// sorted by property, object and position, a group has each repeat
+	// right after the statement's first occurrence.
+	repeat := make([]bool, len(ts))
+	repeats := 0
+	var group []int
+	lo := 0
+	for _, s := range subjects {
+		hi := next[s.id]
+		if hi-lo > 1 {
+			group = append(group[:0], bySubject[lo:hi]...)
+			slices.SortFunc(group, func(a, b int) int {
+				return cmp.Or(cmp.Compare(ts[a].P, ts[b].P), cmp.Compare(ts[a].O, ts[b].O), cmp.Compare(a, b))
+			})
+			for k := 1; k < len(group); k++ {
+				if ts[group[k]] == ts[group[k-1]] {
+					repeat[group[k]] = true
+					repeats++
+				}
+			}
+		}
+		lo = hi
+	}
+
+	ig := &IDGraph{Dict: d, Triples: make([]IDTriple, 0, len(ts)-repeats), Subjects: make([][]IDTriple, len(subjects))}
+	for i, t := range ts {
+		if !repeat[i] {
+			ig.Triples = append(ig.Triples, t)
+		}
+	}
+	grouped := make([]IDTriple, 0, len(ig.Triples))
+	lo = 0
+	for i, s := range subjects {
+		from := len(grouped)
+		for _, at := range bySubject[lo:next[s.id]] {
+			if !repeat[at] {
+				grouped = append(grouped, ts[at])
+			}
+		}
+		ig.Subjects[i] = grouped[from:len(grouped):len(grouped)]
+		lo = next[s.id]
 	}
 	return ig
+}
+
+// subjectKey is a subject's Dict key and ID, which NewIDGraph sorts by key.
+type subjectKey struct {
+	key string
+	id  uint64
 }
 
 // ECKey returns the equivalence-class key of a statement with property IRI
@@ -110,14 +192,4 @@ func (g *IDGraph) ECKeys(ts []IDTriple, keys []string, counts []int64) ([]string
 		n++
 	}
 	return keys[:n], counts
-}
-
-// DecodeGraph returns the statements ts, whose terms are IDs of d, as a
-// Graph, repeats included. The terms share d's strings.
-func DecodeGraph(d *Dict, ts []IDTriple) *Graph {
-	g := &Graph{Triples: make([]Triple, len(ts))}
-	for i, t := range ts {
-		g.Triples[i] = Triple{TermFromKey(d.entry(t.S).key), TermFromKey(d.entry(t.P).key), TermFromKey(d.entry(t.O).key)}
-	}
-	return g
 }

@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"slices"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -100,5 +101,33 @@ func TestInternKeepsFirstOccurrences(t *testing.T) {
 	}
 	if got := ECKey("http://e/p", "L1"); got != "http://e/p" {
 		t.Errorf("ECKey(p) = %q", got)
+	}
+}
+
+// TestNewIDGraphHubSubject: one subject with every statement given twice,
+// the second copies in reverse order after all the first ones, reads as
+// each statement once, where it first occurs. A repeat is found by sorting
+// the subject's group, so the hub costs n log n, not n².
+func TestNewIDGraphHubSubject(t *testing.T) {
+	const n = 20000
+	d := NewDict()
+	hub, p := d.Add("Ihub"), d.Add("Ip")
+	var ts, want []IDTriple
+	for i := range n {
+		it := IDTriple{hub, p, d.Add("L" + strconv.Itoa(i%(n/2)))}
+		if i >= n/2 {
+			it.P = hub // a statement that differs from the one before only in P
+		}
+		ts, want = append(ts, it), append(want, it)
+	}
+	for i := n - 1; i >= 0; i-- {
+		ts = append(ts, want[i])
+	}
+	ig := NewIDGraph(d, ts)
+	if !slices.Equal(ig.Triples, want) {
+		t.Fatalf("Triples holds %d statements, want the %d first occurrences in order", len(ig.Triples), len(want))
+	}
+	if len(ig.Subjects) != 1 || !slices.Equal(ig.Subjects[0], want) {
+		t.Fatalf("Subjects = %d groups, want the hub's %d statements", len(ig.Subjects), len(want))
 	}
 }

@@ -7,17 +7,32 @@ import (
 	"strconv"
 	"strings"
 	"unicode/utf8"
+	"unsafe"
 )
 
 // WriteNTriples serialises the graph in N-Triples format, one statement per
 // line.
 func WriteNTriples(w io.Writer, g *Graph) error {
+	return writeLines(w, len(g.Triples), func(b []byte, i int) []byte { return appendTriple(b, g.Triples[i]) })
+}
+
+// WriteIDNTriples serialises the statements ts, whose terms are IDs of d,
+// as WriteNTriples serialises the graph they decode to, repeats included.
+func WriteIDNTriples(w io.Writer, d *Dict, ts []IDTriple) error {
+	return writeLines(w, len(ts), func(b []byte, i int) []byte {
+		t := ts[i]
+		return appendTriple(b, Triple{TermFromKey(d.entry(t.S).key), TermFromKey(d.entry(t.P).key), TermFromKey(d.entry(t.O).key)})
+	})
+}
+
+// writeLines writes n statements, the ith as appendLine appends it to a
+// line buffer the statements share, each followed by " .\n".
+func writeLines(w io.Writer, n int, appendLine func(b []byte, i int) []byte) error {
 	bw := bufio.NewWriter(w)
-	for _, t := range g.Triples {
-		if _, err := bw.WriteString(t.String()); err != nil {
-			return err
-		}
-		if _, err := bw.WriteString(" .\n"); err != nil {
+	var line []byte
+	for i := range n {
+		line = append(appendLine(line[:0], i), " .\n"...)
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
@@ -32,25 +47,60 @@ func WriteNTriples(w io.Writer, g *Graph) error {
 // UCHAR escapes in literals and IRIs.
 func ReadNTriples(r io.Reader) (*Graph, error) {
 	g := &Graph{}
+	if err := scanNTriples(r, false, func(t Triple) { g.Add(t) }); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// InternNTriples reads an N-Triples document as ReadNTriples does and
+// appends its statements to dst as InternTriples would append the graph's,
+// interning each statement as its line is parsed, so no statement or term
+// is kept as a string. A document that fails to parse changes nothing: d
+// is truncated back to its length at the call (Dict.truncate) and dst is
+// returned at its length. The call holds d's lock throughout, so other
+// writers and the by-key readers (Lookup, KeyString) wait for it; no
+// by-ID reader may be handed an ID the call assigns before it returns.
+func InternNTriples(d *Dict, dst []IDTriple, r io.Reader) ([]IDTriple, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	terms, statements := d.Len(), len(dst)
+	in := interner{d: d, props: map[string]uint64{}}
+	if err := scanNTriples(r, true, func(t Triple) { dst = append(dst, in.add(t)) }); err != nil {
+		d.truncate(terms)
+		return dst[:statements], err
+	}
+	return dst, nil
+}
+
+// scanNTriples calls fn with each statement of an N-Triples document, in
+// order, and stops at the first line that fails to parse. With view set,
+// the terms' values are views of the scanner's buffer, valid only during
+// the call; without, they share one string per line.
+func scanNTriples(r io.Reader, view bool, fn func(Triple)) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
+		var line string
+		if view {
+			b := sc.Bytes()
+			line = unsafe.String(unsafe.SliceData(b), len(b))
+		} else {
+			line = sc.Text()
+		}
+		line = strings.TrimSpace(line)
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
 		t, err := parseNTLine(line)
 		if err != nil {
-			return nil, fmt.Errorf("ntriples: line %d: %w", lineNo, err)
+			return fmt.Errorf("ntriples: line %d: %w", lineNo, err)
 		}
-		g.Add(t)
+		fn(t)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return g, nil
+	return sc.Err()
 }
 
 func parseNTLine(line string) (Triple, error) {

@@ -3,6 +3,7 @@ package rdf
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"reflect"
 	"strconv"
 	"strings"
@@ -342,24 +343,63 @@ func TestReadID(t *testing.T) {
 	}
 }
 
-// A new term costs its ID-string and the dictionary's amortised growth:
-// the ID-string is built in one allocation, and a non-numeric literal
-// allocates no strconv.NumError.
+// A new term costs one copy of its key and ID-string, in one allocation,
+// and the dictionary's amortised growth, whether added by key or by kind
+// and lexical form; a non-numeric literal allocates no strconv.NumError,
+// and AddTerm of a known term allocates nothing.
 func TestDictAddAllocs(t *testing.T) {
 	d := NewDict()
-	// IDs from 128 up take two bytes; a one-byte string is never
-	// allocated.
+	// IDs from 128 up take two bytes.
 	for i := range 4096 {
 		d.Add("Ipad" + strconv.Itoa(i))
 	}
 	for _, prefix := range []string{"Ihttp://e/", "Lword ", "L+x", "Lz"} {
-		keys := make([]string, 1001)
+		keys := make([]string, 2002)
 		for i := range keys {
 			keys[i] = prefix + strconv.Itoa(1e6+i)
 		}
 		i := 0
 		if n := testing.AllocsPerRun(1000, func() { d.Add(keys[i]); i++ }); n > 1.1 {
 			t.Errorf("Add(%q...) allocates %v times per new term, want 1 plus growth", prefix, n)
+		}
+		kind := TermFromKey(prefix).Kind
+		if n := testing.AllocsPerRun(1000, func() { d.AddTerm(kind, keys[i][1:]); i++ }); n > 1.1 {
+			t.Errorf("AddTerm(%v, %q...) allocates %v times per new term, want 1 plus growth", kind, prefix[1:], n)
+		}
+		if n := testing.AllocsPerRun(1000, func() { d.AddTerm(kind, keys[0][1:]) }); n != 0 {
+			t.Errorf("AddTerm(%v, %q) of a known term allocates %v times", kind, keys[0][1:], n)
+		}
+	}
+}
+
+// TestTermWriterMatchesReplacers: the term writer's escape table writes
+// every byte, alone and among others, as the strings.Replacer escapers it
+// replaced wrote it: ECHARs in literals, UCHARs for what IRIREF forbids.
+func TestTermWriterMatchesReplacers(t *testing.T) {
+	literal := strings.NewReplacer(`"`, `\"`, `\`, `\\`, "\n", `\n`, "\r", `\r`, "\t", `\t`)
+	var pairs []string
+	for c := range byte(0x80) {
+		if c <= ' ' || strings.IndexByte("<>\"{}|^`\\", c) >= 0 {
+			pairs = append(pairs, string(c), fmt.Sprintf(`\u%04X`, c))
+		}
+	}
+	iri := strings.NewReplacer(pairs...)
+	values := []string{"", "plain", "é😀", "a\"b\\c\nd\re\tf", "x{y}|z^`<>"}
+	for c := range 256 {
+		values = append(values, string([]byte{byte(c)}), "a"+string([]byte{byte(c)})+"b")
+	}
+	for _, v := range values {
+		for _, tc := range []struct {
+			term Term
+			want string
+		}{
+			{NewIRI(v), "<" + iri.Replace(v) + ">"},
+			{NewLiteral(v), `"` + literal.Replace(v) + `"`},
+			{NewBlank(v), "_:" + v},
+		} {
+			if got := tc.term.String(); got != tc.want {
+				t.Errorf("%v %q written as %q, want %q", tc.term.Kind, v, got, tc.want)
+			}
 		}
 	}
 }

@@ -67,31 +67,22 @@ func (t Term) IsIRI() bool { return t.Kind == IRI }
 func (t Term) IsLiteral() bool { return t.Kind == Literal }
 
 // String renders the term in N-Triples surface syntax.
-func (t Term) String() string {
-	switch t.Kind {
-	case IRI:
-		return "<" + iriEscaper.Replace(t.Value) + ">"
-	case Literal:
-		return `"` + literalEscaper.Replace(t.Value) + `"`
-	case Blank:
-		return "_:" + t.Value
-	default:
-		return t.Value
-	}
-}
+func (t Term) String() string { return string(appendTerm(nil, t)) }
 
 // Key returns a compact string that uniquely identifies the term across
 // kinds. It is used as a join/grouping key; two terms are join-equal iff
 // their keys are equal.
-func (t Term) Key() string {
-	switch t.Kind {
-	case Literal:
-		return "L" + t.Value
-	case Blank:
-		return "B" + t.Value
-	default:
-		return "I" + t.Value
+func (t Term) Key() string { return string(keyTag(t.Kind)) + t.Value }
+
+// keyTags holds each kind's Term.Key tag, in kind order.
+const keyTags = "ILB"
+
+// keyTag returns the Term.Key tag of kind: an unknown kind's is an IRI's.
+func keyTag(kind TermKind) byte {
+	if int(kind) < len(keyTags) {
+		return keyTags[kind]
 	}
+	return 'I'
 }
 
 // TermFromKey reverses Term.Key: the tags I, L and B are the kinds in
@@ -100,7 +91,7 @@ func TermFromKey(k string) Term {
 	if k == "" {
 		return Term{}
 	}
-	return Term{Kind: TermKind(max(0, strings.IndexByte("ILB", k[0]))), Value: k[1:]}
+	return Term{Kind: TermKind(max(0, strings.IndexByte(keyTags, k[0]))), Value: k[1:]}
 }
 
 // KeyLex returns the lexical form of a term key: the key without its
@@ -127,19 +118,70 @@ func LexNumber(lex string) (float64, bool) {
 	return f, err == nil
 }
 
-// literalEscaper writes the ECHARs a literal needs.
-var literalEscaper = strings.NewReplacer(`"`, `\"`, `\`, `\\`, "\n", `\n`, "\r", `\r`, "\t", `\t`)
+// appendTerm appends t in N-Triples surface syntax: an IRI in angle
+// brackets with every character IRIREF forbids as a UCHAR, a literal in
+// quotes with the ECHARs it needs, a blank node after "_:".
+func appendTerm(b []byte, t Term) []byte {
+	switch t.Kind {
+	case IRI:
+		return append(appendEscaped(append(b, '<'), t.Value, iriForbidden), '>')
+	case Literal:
+		return append(appendEscaped(append(b, '"'), t.Value, echarLetter), '"')
+	case Blank:
+		return append(append(b, "_:"...), t.Value...)
+	default:
+		return append(b, t.Value...)
+	}
+}
 
-// iriEscaper writes as UCHAR every character IRIREF forbids.
-var iriEscaper = func() *strings.Replacer {
-	var pairs []string
+// termEscapes is the term writer's table, one entry per byte: the ECHAR
+// letter a literal writes the byte as (0 when it needs none), with
+// iriForbidden set when IRIREF forbids the byte, so an IRI writes it as a
+// UCHAR.
+var termEscapes = func() (t [256]byte) {
 	for c := range byte(0x80) {
 		if c <= ' ' || strings.IndexByte("<>\"{}|^`\\", c) >= 0 {
-			pairs = append(pairs, string(c), fmt.Sprintf(`\u%04X`, c))
+			t[c] = iriForbidden
 		}
 	}
-	return strings.NewReplacer(pairs...)
+	for c, letter := range map[byte]byte{'"': '"', '\\': '\\', '\n': 'n', '\r': 'r', '\t': 't'} {
+		t[c] |= letter
+	}
+	return t
 }()
+
+// The two parts of a termEscapes entry: iriForbidden marks a byte IRIREF
+// forbids, and the low seven bits hold the byte's ECHAR letter.
+const (
+	iriForbidden = 0x80
+	echarLetter  = 0x7f
+)
+
+// appendEscaped appends s, writing every byte whose termEscapes entry
+// has a bit of mask (iriForbidden or echarLetter) set as an escape: a
+// UCHAR for iriForbidden, else its ECHAR. s is appended as it is when no
+// byte needs escaping.
+func appendEscaped(b []byte, s string, mask byte) []byte {
+	i := 0
+	for i < len(s) && termEscapes[s[i]]&mask == 0 {
+		i++
+	}
+	b = append(b, s[:i]...)
+	for ; i < len(s); i++ {
+		c := s[i]
+		switch e := termEscapes[c] & mask; {
+		case e == 0:
+			b = append(b, c)
+		case mask == iriForbidden:
+			b = append(b, '\\', 'u', '0', '0', upperHex[c>>4], upperHex[c&0xf])
+		default:
+			b = append(b, '\\', e)
+		}
+	}
+	return b
+}
+
+const upperHex = "0123456789ABCDEF"
 
 // Triple is a single RDF statement.
 type Triple struct {
@@ -152,8 +194,13 @@ type Triple struct {
 func T(s, p Term, o Term) Triple { return Triple{Subject: s, Property: p, Object: o} }
 
 // String renders the triple in N-Triples syntax (without the trailing dot).
-func (t Triple) String() string {
-	return t.Subject.String() + " " + t.Property.String() + " " + t.Object.String()
+func (t Triple) String() string { return string(appendTriple(nil, t)) }
+
+// appendTriple appends t in N-Triples syntax, without the trailing dot.
+func appendTriple(b []byte, t Triple) []byte {
+	b = append(appendTerm(b, t.Subject), ' ')
+	b = append(appendTerm(b, t.Property), ' ')
+	return appendTerm(b, t.Object)
 }
 
 // RDFType is the rdf:type property IRI.

@@ -12,7 +12,6 @@ package stats
 import (
 	"maps"
 	"slices"
-	"strings"
 
 	"rapidanalytics/internal/rdf"
 )
@@ -82,6 +81,7 @@ func Compute(g *rdf.IDGraph) *Catalog {
 	var (
 		keys   []string
 		counts []int64
+		setKey []byte // the subject's keys joined by "\x00"
 	)
 	for _, sub := range g.Subjects {
 		for _, t := range sub {
@@ -103,11 +103,17 @@ func Compute(g *rdf.IDGraph) *Catalog {
 			}
 		}
 		keys, counts = g.ECKeys(sub, keys, counts)
-		id := strings.Join(keys, "\x00")
-		cs := sets[id]
+		setKey = setKey[:0]
+		for i, k := range keys {
+			if i > 0 {
+				setKey = append(setKey, 0)
+			}
+			setKey = append(setKey, k...)
+		}
+		cs := sets[string(setKey)]
 		if cs == nil {
 			cs = &CharSet{Props: slices.Clone(keys), PropCounts: make(map[string]int64, len(keys))}
-			sets[id] = cs
+			sets[string(setKey)] = cs
 		}
 		cs.Subjects++
 		for i, k := range keys {

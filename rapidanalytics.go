@@ -150,8 +150,9 @@ func Literal(v string) Term { return Term{value: v, isLiteral: true} }
 // cluster's storage layouts (vertical partitioning for the Hive engines, a
 // subject-triplegroup store for the NTGA engines) on first query. It holds
 // the graph only as ID triples of one term dictionary, which lives as long
-// as the store: each batch is interned as it arrives and its lexical form
-// dropped. WriteNTriples and the Reference system decode on demand.
+// as the store: each batch is interned as it arrives (a document as each
+// line is parsed), and only a term new to the dictionary is kept as a
+// string. WriteNTriples and the Reference system read the ID triples.
 //
 // A Store is safe for concurrent use. Concurrency model: readers/writers on
 // the graph are serialised by an RWMutex — every query holds the read lock
@@ -263,21 +264,29 @@ func (s *Store) currentDataVersion() uint64 {
 	return s.dataVersion
 }
 
-// LoadNTriples reads an N-Triples document into the store.
+// LoadNTriples reads an N-Triples document into the store, interning each
+// statement as its line is parsed. It blocks until in-flight queries
+// finish and holds off new ones until the document is read. A document
+// that fails to parse changes nothing: no statement or term of it is kept,
+// and cached results stay valid.
 func (s *Store) LoadNTriples(r io.Reader) error {
-	g, err := rdf.ReadNTriples(r)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ts, err := rdf.InternNTriples(s.dict, s.triples, r)
 	if err != nil {
 		return err
 	}
-	s.addGraph(g)
+	s.triples = ts
+	s.invalidateLayouts()
 	return nil
 }
 
-// WriteNTriples serialises the store's graph.
+// WriteNTriples serialises the store's graph, repeats included, in the
+// order its statements were added.
 func (s *Store) WriteNTriples(w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return rdf.WriteNTriples(w, rdf.DecodeGraph(s.dict, s.triples))
+	return rdf.WriteIDNTriples(w, s.dict, s.triples)
 }
 
 // NumTriples returns the number of statements added, repeats included.
